@@ -1,12 +1,13 @@
-"""Vectorized level-scheduled engine vs the scalar gate-at-a-time loop.
+"""Level-scheduled engine vs the gate-at-a-time reference oracle.
 
 The PR 2 tentpole: wire labels as one uint8 plane, free-XOR levels as
 single vectorized XORs, and the KDF driven through batched
 ``label || tweak`` buffers.  This harness measures garble + evaluate
 throughput on the compiled Table 3-style DL inference netlist (the
 paper's workload shape: adder/multiplier trees plus tanh components)
-and records the speedup as an entry of the repo-root perf trajectory
-(``BENCH_engine.json``).
+against the reference loops tests pin the engine to (``Garbler`` over a
+scalar ``LabelStore`` + ``Evaluator``) and records the speedup as an
+entry of the repo-root perf trajectory (``BENCH_engine.json``).
 
 Set ``REPRO_BENCH_QUICK=1`` for the single-round CI configuration.
 """
@@ -19,7 +20,7 @@ import pytest
 
 from repro.analysis import build_gate_chain
 from repro.cli import _demo_service
-from repro.gc import Evaluator, FastEvaluator, Garbler, garble_many
+from repro.gc import Evaluator, FastEvaluator, Garbler, LabelStore, garble_many
 
 from _bench_util import quick_mode, record_trajectory, write_report
 
@@ -33,11 +34,15 @@ def dl_service():
     return _demo_service(seed=17)
 
 
-def _garble_evaluate_once(circuit, client_bits, server_bits, vectorized):
-    """One full garble + evaluate pass; returns (garble_s, evaluate_s)."""
+def _garble_evaluate_once(circuit, client_bits, server_bits, reference=False):
+    """One full garble + evaluate pass; returns (garble_s, evaluate_s).
+
+    ``reference`` times the gate-at-a-time oracle instead of the engine.
+    """
     rng = random.Random(99)
     start = time.perf_counter()
-    garbler = Garbler(circuit, rng=rng, vectorized=vectorized)
+    store = LabelStore(rng=rng) if reference else None
+    garbler = Garbler(circuit, label_store=store, rng=rng)
     garbled = garbler.garble()
     garble_s = time.perf_counter() - start
     alice = garbler.input_labels_for(list(circuit.alice_inputs), client_bits)
@@ -45,7 +50,7 @@ def _garble_evaluate_once(circuit, client_bits, server_bits, vectorized):
         garbler.labels.select(w, b)
         for w, b in zip(circuit.bob_inputs, server_bits)
     ]
-    evaluator = (FastEvaluator if vectorized else Evaluator)(circuit)
+    evaluator = (Evaluator if reference else FastEvaluator)(circuit)
     start = time.perf_counter()
     evaluator.evaluate(garbled, alice, bob)
     return garble_s, time.perf_counter() - start
@@ -71,17 +76,16 @@ def test_vectorized_dl_speedup(benchmark, dl_service, results_dir):
     scalar_g, scalar_e = _best_of(
         rounds,
         lambda: _garble_evaluate_once(circuit, client_bits, server_bits,
-                                      vectorized=False),
+                                      reference=True),
     )
     benchmark.pedantic(
         _garble_evaluate_once,
-        args=(circuit, client_bits, server_bits, True),
+        args=(circuit, client_bits, server_bits),
         rounds=1, iterations=1,
     )
     vec_g, vec_e = _best_of(
         rounds,
-        lambda: _garble_evaluate_once(circuit, client_bits, server_bits,
-                                      vectorized=True),
+        lambda: _garble_evaluate_once(circuit, client_bits, server_bits),
     )
     speedup = (scalar_g + scalar_e) / (vec_g + vec_e)
     gates_per_s = counts.total / (vec_g + vec_e)
@@ -126,7 +130,9 @@ def test_batch_garbling_amortization(benchmark, dl_service, results_dir):
 
     start = time.perf_counter()
     for _ in range(copies):
-        Garbler(circuit, rng=random.Random(5)).garble()
+        Garbler(
+            circuit, label_store=LabelStore(rng=random.Random(5))
+        ).garble()
     scalar_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -173,8 +179,8 @@ def test_worst_case_chain_no_collapse(results_dir):
     circuit.level_schedule()  # one-time, amortized in serving
     a_bits = [1] * circuit.n_alice
     b_bits = [1] * circuit.n_bob
-    sg, se = _garble_evaluate_once(circuit, a_bits, b_bits, vectorized=False)
-    vg, ve = _garble_evaluate_once(circuit, a_bits, b_bits, vectorized=True)
+    sg, se = _garble_evaluate_once(circuit, a_bits, b_bits, reference=True)
+    vg, ve = _garble_evaluate_once(circuit, a_bits, b_bits)
     ratio = (sg + se) / (vg + ve)
     text = (
         f"AND chain ({n} gates, depth {n}): scalar {(sg + se) * 1e3:.0f} ms, "

@@ -46,10 +46,7 @@ def main() -> None:
     #    honest production parameter — pure-Python modexp dominates the
     #    wall time.)
     #
-    #    Engine knobs worth knowing:
-    #    - vectorized=True (default): the level-scheduled NumPy garbling
-    #      engine, bit-exact with the scalar reference at >2x throughput;
-    #      set False to run the gate-at-a-time loop.
+    #    Engine knob worth knowing:
     #    - pool_refill="opportunistic" (default): a drained pre-garbled
     #      pool refills itself off-thread after each acquire;
     #      "background" keeps a daemon topping it up, "none" restores

@@ -83,7 +83,6 @@ from .errors import (
     TrainingError,
 )
 from .service import (
-    InferenceRecord,
     InferenceRequest,
     InferenceResult,
     PrivateInferenceService,
@@ -106,7 +105,6 @@ __all__ = [
     "PrivateInferenceService",
     "InferenceRequest",
     "InferenceResult",
-    "InferenceRecord",
     "EngineConfig",
     "ReproError",
     "CircuitError",

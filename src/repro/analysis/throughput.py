@@ -2,8 +2,10 @@
 
 The paper measures 62/164 CPU cycles per XOR/non-XOR gate and an
 effective end-to-end throughput of 2.56M non-XOR (5.11M XOR) gates per
-second.  :func:`characterize` runs the same microbenchmark on *our*
-engine: garble+evaluate a chain circuit of known composition, divide.
+second.  :func:`characterize` runs the same microbenchmark on the engine
+that serves requests (:class:`~repro.gc.garble.Garbler` +
+:class:`~repro.gc.fastgarble.FastEvaluator`): garble+evaluate a chain
+circuit of known composition, divide.
 The result is a :class:`CostCoefficients` for this host, so every cost-
 model query can be answered under either the paper's testbed or ours.
 """
@@ -17,7 +19,7 @@ from typing import Optional
 from ..circuits.builder import CircuitBuilder
 from ..compile.paper_costs import PAPER_COEFFICIENTS, CostCoefficients
 from ..gc.cipher import HashKDF, default_kdf
-from ..gc.evaluate import Evaluator
+from ..gc.fastgarble import FastEvaluator
 from ..gc.garble import Garbler
 
 __all__ = ["ThroughputReport", "characterize", "build_gate_chain"]
@@ -82,11 +84,13 @@ def characterize(
 
     def run(gate: str):
         circuit = build_gate_chain(n_gates, gate)
+        # cached per circuit and paid at service set-up, not per request
+        circuit.level_schedule()
         garbler = Garbler(circuit, kdf=kdf, rng=rng)
         start = time.perf_counter()
         garbled = garbler.garble()
         garble_s = time.perf_counter() - start
-        evaluator = Evaluator(circuit, kdf=kdf)
+        evaluator = FastEvaluator(circuit, kdf=kdf)
         alice = garbler.input_labels_for(list(circuit.alice_inputs), [1, 0])
         bob = [garbler.labels.select(w, 1) for w in circuit.bob_inputs]
         start = time.perf_counter()

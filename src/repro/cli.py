@@ -127,8 +127,7 @@ _DEMO_SAMPLES = 400
 
 def _demo_service(backend: str = "two_party", activation: str = "exact",
                   pool_size: int = 0, history_limit: int = 0, seed: int = 1,
-                  pool_refill: str = "opportunistic",
-                  vectorized: bool = True, kdf_workers: int = 1,
+                  pool_refill: str = "opportunistic", kdf_workers: int = 1,
                   kdf_backend: str = "auto", pool_low_watermark=None,
                   request_timeout_s=None, max_retries: int = 0,
                   fault_specs=None, fault_seed: int = 0,
@@ -161,7 +160,6 @@ def _demo_service(backend: str = "two_party", activation: str = "exact",
         backend=backend,
         ot_group=TEST_GROUP_512,
         rng=random.Random(seed),
-        vectorized=vectorized,
         kdf_workers=kdf_workers,
         kdf_backend=kdf_backend,
         pool_size=pool_size,
@@ -247,7 +245,7 @@ def _infer_remote(args) -> None:
                 sock, "garbler", service.compiled.circuit,
                 client_bits, server_bits,
                 kdf=service.config.kdf, ot_group=service.config.ot_group,
-                rng=random.Random(seed), vectorized=service.config.vectorized,
+                rng=random.Random(seed),
             )
             outputs = (result.final_outputs if args.backend == "folded"
                        else result.outputs)
@@ -324,7 +322,7 @@ def _serve_sharded(args) -> None:
     def factory():
         service, _ = _demo_service(
             pool_size=per_shard_pool, pool_refill=args.refill,
-            vectorized=not args.scalar, kdf_workers=args.kdf_workers,
+            kdf_workers=args.kdf_workers,
             kdf_backend=args.kdf_backend,
             request_timeout_s=args.request_timeout,
             max_retries=args.max_retries,
@@ -469,7 +467,7 @@ def _cmd_serve(args) -> None:
     pool_size = args.pool if args.pool is not None else args.requests
     service, x = _demo_service(
         pool_size=pool_size, history_limit=args.requests,
-        pool_refill=args.refill, vectorized=not args.scalar,
+        pool_refill=args.refill,
         kdf_workers=args.kdf_workers, kdf_backend=args.kdf_backend,
         pool_low_watermark=args.watermark,
         request_timeout_s=args.request_timeout,
@@ -491,8 +489,7 @@ def _cmd_serve(args) -> None:
     if pool_size > 0:
         warmed = service.prepare()
         print(f"offline phase: {warmed} circuits pre-garbled "
-              f"(engine {'scalar' if args.scalar else 'vectorized'}, "
-              f"refill {args.refill}, kdf workers {args.kdf_workers}, "
+              f"(refill {args.refill}, kdf workers {args.kdf_workers}, "
               f"kdf backend {args.kdf_backend} -> {service.kdf_name})")
     else:
         print("offline phase: disabled (--pool 0, cold baseline)")
@@ -666,9 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--kdf-workers", type=int, default=1,
                        help="thread-split the batched KDF across this "
                             "many workers (0 = host cores)")
-    serve.add_argument("--scalar", action="store_true",
-                       help="use the gate-at-a-time reference engine "
-                            "instead of the vectorized one")
     serve.add_argument("--request-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request deadline: protocol recvs and "

@@ -28,7 +28,6 @@ from ..circuits.simulate import simulate
 from ..errors import EngineError
 from ..gc.cipher import HashKDF
 from ..gc.cutandchoose import CutAndChooseGarbler, verify_opened_copy
-from ..gc.evaluate import Evaluator
 from ..gc.fastgarble import FastEvaluator
 from ..gc.ot import MODP_2048, OTGroup
 from ..gc.channel import default_channel_factory
@@ -66,8 +65,6 @@ class Backend:
         kdf: garbling oracle shared by both parties.
         ot_group: group for base OTs.
         rng: randomness source for labels and OT.
-        vectorized: run the level-scheduled NumPy garbling engine where
-            the flow supports it (bit-exact with the scalar path).
         channel_factory: builds each request's channel pair — the seam
             where the chaos harness injects faulty links; defaults to
             the healthy in-memory channel.
@@ -84,14 +81,12 @@ class Backend:
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        vectorized: bool = True,
         channel_factory: Optional[ChannelFactory] = None,
         request_timeout_s: Optional[float] = None,
     ) -> None:
         self.kdf = kdf
         self.ot_group = ot_group
         self.rng = rng
-        self.vectorized = vectorized
         self.channel_factory = channel_factory
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise EngineError("request_timeout_s must be positive (or None)")
@@ -186,13 +181,12 @@ class TwoPartyBackend(Backend):
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        vectorized: bool = True,
         pool: Optional[PregarbledPool] = None,
         channel_factory: Optional[ChannelFactory] = None,
         request_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(
-            kdf=kdf, ot_group=ot_group, rng=rng, vectorized=vectorized,
+            kdf=kdf, ot_group=ot_group, rng=rng,
             channel_factory=channel_factory,
             request_timeout_s=request_timeout_s,
         )
@@ -223,7 +217,7 @@ class TwoPartyBackend(Backend):
             pregarbled = self.pool.acquire()
         session = TwoPartySession(
             circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            vectorized=self.vectorized, channel_factory=self.channel_factory,
+            channel_factory=self.channel_factory,
         )
         result = session.run(
             client_bits, server_bits, pregarbled=pregarbled,
@@ -245,8 +239,8 @@ class TwoPartyBackend(Backend):
         All requests share one :meth:`TwoPartySession.run_many` call, so
         garbling for pool misses is batched and every request's label
         plane goes through a single level-schedule walk
-        (``FastEvaluator.evaluate_many``) instead of per-request scalar
-        runs.  ``PrivateInferenceService.infer_many`` routes concurrent
+        (``FastEvaluator.evaluate_many``) instead of per-request runs.
+        ``PrivateInferenceService.infer_many`` routes concurrent
         same-backend requests here.
         """
         k = len(client_bits_list)
@@ -270,7 +264,7 @@ class TwoPartyBackend(Backend):
             slots = [self.pool.acquire() for _ in range(k)]
         session = TwoPartySession(
             circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            vectorized=self.vectorized, channel_factory=self.channel_factory,
+            channel_factory=self.channel_factory,
         )
         protocol_results = session.run_many(
             client_bits_list,
@@ -329,9 +323,7 @@ class FoldedBackend(Backend):
     The combinational circuit is wrapped as a zero-register sequential
     core and driven through :class:`repro.gc.sequential.SequentialSession`
     for one clock cycle — the same code path that clocks folded MAC
-    cells, exercised at service level.  The session inherits this
-    backend's ``vectorized`` flag, so the folded flow runs on the
-    carried-label-plane engine by default.
+    cells, exercised at service level.
     """
 
     def run(
@@ -347,7 +339,7 @@ class FoldedBackend(Backend):
         sequential = SequentialCircuit(circuit, [])
         session = SequentialSession(
             sequential, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            vectorized=self.vectorized, channel_factory=self.channel_factory,
+            channel_factory=self.channel_factory,
         )
         start = time.perf_counter()
         result = session.run(
@@ -394,13 +386,12 @@ class CutAndChooseBackend(Backend):
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        vectorized: bool = True,
         copies: int = 3,
         channel_factory: Optional[ChannelFactory] = None,
         request_timeout_s: Optional[float] = None,
     ) -> None:
         super().__init__(
-            kdf=kdf, ot_group=ot_group, rng=rng, vectorized=vectorized,
+            kdf=kdf, ot_group=ot_group, rng=rng,
             channel_factory=channel_factory,
             request_timeout_s=request_timeout_s,
         )
@@ -431,7 +422,6 @@ class CutAndChooseBackend(Backend):
             seed_rng = random.Random(secrets.randbits(128))
         cnc = CutAndChooseGarbler(
             circuit, copies=self.copies, kdf=self.kdf, rng=seed_rng,
-            vectorized=self.vectorized,
         )
         commitments = cnc.commitments()
         tables = cnc.tables()
@@ -450,7 +440,6 @@ class CutAndChooseBackend(Backend):
                 commitments[opened.index],
                 tables[opened.index],
                 kdf=self.kdf,
-                vectorized=self.vectorized,
             ):
                 raise EngineError(
                     f"cut-and-choose: copy {opened.index} failed verification"
@@ -479,8 +468,7 @@ class CutAndChooseBackend(Backend):
         alice_labels = garbler.input_labels_for(
             list(circuit.alice_inputs), list(client_bits)
         )
-        evaluator_cls = FastEvaluator if self.vectorized else Evaluator
-        evaluator = evaluator_cls(circuit, kdf=cnc.kdf)
+        evaluator = FastEvaluator(circuit, kdf=cnc.kdf)
         wire_labels = evaluator.evaluate(
             cnc.garbled[surviving], alice_labels, bob_labels
         )

@@ -1,11 +1,9 @@
 """`EngineConfig`: one object for every execution knob.
 
-Replaces the scattered constructor arguments of the seed service
-(``fmt`` / ``options`` / ``kdf`` / ``ot_group`` / ``rng``) with a single
-validated configuration the whole stack shares — the compiler reads the
-format and activation choice, the backend registry reads the backend
-name and options, and the service reads the serving knobs (pre-garbled
-pool size, history cap).
+A single validated configuration the whole stack shares — the compiler
+reads the format and activation choice, the backend registry reads the
+backend name and options, and the service reads the serving knobs
+(pre-garbled pool size, history cap).
 """
 
 from __future__ import annotations
@@ -57,9 +55,6 @@ class EngineConfig:
         ot_group: group for base OTs (production default MODP-2048).
         rng: randomness source (``secrets``, or a seeded
             ``random.Random`` for reproducible runs).
-        vectorized: drive the level-scheduled NumPy garbling engine
-            (default; bit-exact with the scalar path — disable only to
-            compare against the gate-at-a-time reference).
         kdf_workers: worker threads for the batched garbling oracle.
             ``1`` (default) hashes inline; ``> 1`` wraps the KDF in a
             :class:`repro.gc.cipher.ParallelKDF` that splits each
@@ -126,7 +121,6 @@ class EngineConfig:
     kdf_backend: str = "auto"
     ot_group: OTGroup = MODP_2048
     rng: Any = secrets
-    vectorized: bool = True
     kdf_workers: int = 1
     pool_size: int = 0
     pool_refill: str = "opportunistic"

@@ -60,9 +60,6 @@ class PregarbledPool:
         ot_group: recorded so pooled and cold runs use the same session
             parameters.
         rng: label randomness source.
-        vectorized: garble through the level-scheduled NumPy engine
-            (default; ``warm`` batches all copies through one schedule
-            pass via :meth:`TwoPartySession.pregarble_many`).
         refill: refill policy (see module docstring).  ``"background"``
             starts its daemon thread immediately, so the pool self-warms
             without an explicit ``warm()`` call.
@@ -78,7 +75,6 @@ class PregarbledPool:
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        vectorized: bool = True,
         refill: str = "none",
         low_watermark: Optional[int] = None,
     ) -> None:
@@ -96,8 +92,7 @@ class PregarbledPool:
         self.refill = refill
         self.low_watermark = low_watermark
         self._session = TwoPartySession(
-            circuit, kdf=kdf, ot_group=ot_group, rng=rng,
-            vectorized=vectorized,
+            circuit, kdf=kdf, ot_group=ot_group, rng=rng
         )
         self._items: Deque[Pregarbled] = deque()
         self._lock = threading.Lock()

@@ -22,7 +22,7 @@ from .cipher import (
 )
 from .cutandchoose import CutAndChooseGarbler, OpenedCopy, verify_opened_copy
 from .evaluate import Evaluator
-from .fastgarble import FastEvaluator, FastGarbler, LabelPlane, garble_many
+from .fastgarble import FastEvaluator, LabelPlane, garble_many
 from .garble import GarbledCircuit, GarbledGate, Garbler
 from .labels import ArrayLabelStore, LabelStore, permute_bit, random_delta, random_label
 from .ot import MODP_2048, TEST_GROUP_512, OTGroup, OTReceiver, OTSender, run_ot_batch
@@ -41,7 +41,6 @@ from .sha256_vec import sha256_many
 
 __all__ = [
     "Garbler",
-    "FastGarbler",
     "Evaluator",
     "FastEvaluator",
     "garble_many",

@@ -368,7 +368,7 @@ class ParallelKDF:
     hybrid engine's mixed batched/scalar calls consistent.
 
     Wired through :attr:`repro.engine.EngineConfig.kdf_workers` so both
-    :class:`repro.gc.fastgarble.FastGarbler` and
+    :class:`repro.gc.garble.Garbler` and
     :class:`~repro.gc.fastgarble.FastEvaluator` split their level-sized
     KDF batches across cores.
 

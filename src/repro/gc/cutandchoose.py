@@ -40,17 +40,10 @@ def _commit(seed: int) -> bytes:
 
 
 def _garble_from_seed(
-    circuit: Circuit, seed: int, kdf: HashKDF, vectorized: bool = True
+    circuit: Circuit, seed: int, kdf: HashKDF
 ) -> Tuple[Garbler, GarbledCircuit]:
-    """Deterministic garbling: all labels derive from the seed.
-
-    The scalar and vectorized engines draw the identical label stream
-    from the seed, so a copy garbled on either path re-verifies on the
-    other.
-    """
-    garbler = Garbler(
-        circuit, kdf=kdf, rng=random.Random(seed), vectorized=vectorized
-    )
+    """Deterministic garbling: all labels derive from the seed."""
+    garbler = Garbler(circuit, kdf=kdf, rng=random.Random(seed))
     return garbler, garbler.garble()
 
 
@@ -70,9 +63,9 @@ class CutAndChooseGarbler:
         copies: number of independent garblings ``k``.
         kdf: garbling oracle.
         rng: seed source (``random.Random`` for reproducible tests).
-        vectorized: batch-garble all copies through
-            :func:`repro.gc.fastgarble.garble_many` (one level-schedule
-            pass for the whole stack) instead of ``k`` scalar walks.
+
+    All copies are garbled in one :func:`repro.gc.fastgarble.garble_many`
+    pass over the level schedule.
     """
 
     def __init__(
@@ -81,7 +74,6 @@ class CutAndChooseGarbler:
         copies: int = 4,
         kdf: Optional[HashKDF] = None,
         rng: Optional[RngLike] = None,
-        vectorized: bool = True,
     ) -> None:
         if copies < 2:
             raise GarblingError("cut-and-choose needs at least 2 copies")
@@ -91,24 +83,13 @@ class CutAndChooseGarbler:
         # CSPRNG; tests inject a seeded random.Random explicitly
         rng = rng or secrets
         self.seeds = [rand_bits(rng, 128) for _ in range(copies)]
-        self.garblers: List[Garbler] = []
-        self.garbled: List[GarbledCircuit] = []
-        if vectorized:
-            pairs = garble_many(
-                self.circuit,
-                kdf=self.kdf,
-                rngs=[random.Random(seed) for seed in self.seeds],
-            )
-            for garbler, garbled in pairs:
-                self.garblers.append(garbler)
-                self.garbled.append(garbled)
-        else:
-            for seed in self.seeds:
-                garbler, garbled = _garble_from_seed(
-                    self.circuit, seed, self.kdf, vectorized=False
-                )
-                self.garblers.append(garbler)
-                self.garbled.append(garbled)
+        pairs = garble_many(
+            self.circuit,
+            kdf=self.kdf,
+            rngs=[random.Random(seed) for seed in self.seeds],
+        )
+        self.garblers: List[Garbler] = [garbler for garbler, _ in pairs]
+        self.garbled: List[GarbledCircuit] = [garbled for _, garbled in pairs]
 
     @property
     def copies(self) -> int:
@@ -143,19 +124,14 @@ def verify_opened_copy(
     commitment: bytes,
     claimed_tables: bytes,
     kdf: Optional[HashKDF] = None,
-    vectorized: bool = True,
 ) -> bool:
     """Evaluator-side check of an opened copy.
 
     Re-derives the commitment and re-garbles deterministically from the
     revealed seed; the claimed tables must match ciphertext-for-
     ciphertext.  Returns False on any mismatch (a cheating garbler).
-    Seed-determinism holds across engines, so the verifier's
-    ``vectorized`` choice is independent of the garbler's.
     """
     if _commit(opened.seed) != commitment:
         return False
-    _, regarbled = _garble_from_seed(
-        circuit, opened.seed, kdf or default_kdf(), vectorized=vectorized
-    )
+    _, regarbled = _garble_from_seed(circuit, opened.seed, kdf or default_kdf())
     return regarbled.tables_bytes() == claimed_tables

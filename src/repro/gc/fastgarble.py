@@ -1,11 +1,11 @@
 """Vectorized level-scheduled garbling and evaluation (the NumPy hot path).
 
-The scalar engine (:mod:`repro.gc.garble` / :mod:`repro.gc.evaluate`)
-walks the netlist gate by gate: per gate it does dict label lookups,
+The reference loops (:mod:`repro.gc.garble` / :mod:`repro.gc.evaluate`)
+walk the netlist gate by gate: per gate they do dict label lookups,
 int<->bytes conversions and one ``hashlib`` call per half-gate row.
 DeepSecure's whole premise is that GC inference is compute bound, so
-this module re-expresses the same construction over whole dependency
-levels at once:
+this module — the engine every session runs on — expresses the same
+construction over whole dependency levels at once:
 
 * wire labels live in one ``(n_wires + 1, 16)`` uint8 plane
   (:class:`repro.gc.labels.ArrayLabelStore`);
@@ -18,11 +18,11 @@ levels at once:
   over the schedule (``(k, n_wires + 1, 16)`` planes, one KDF batch per
   level across all copies).
 
-Bit-exactness contract: given the same rng stream, the vectorized and
-scalar paths draw identical labels in the identical order and emit
+Bit-exactness contract: given the same rng stream, this engine and the
+reference loops draw identical labels in the identical order and emit
 byte-identical tables, constant labels and decode bits — either side's
-output evaluates against the other, and cut-and-choose seed openings
-verify across paths.
+output evaluates against the other, and a reference-garbled copy passes
+cut-and-choose verification.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .garble import GarbledCircuit, Garbler, LazyTables
 from .labels import ArrayLabelStore, _label_row
 from .rng import RngLike
 
-__all__ = ["FastGarbler", "FastEvaluator", "LabelPlane", "garble_copies",
-           "garble_many"]
+__all__ = ["FastEvaluator", "LabelPlane", "garble_copies", "garble_many"]
 
 #: Minimum effective width (copies x gates in a level) before array
 #: dispatch beats the gate-at-a-time fallback.  Narrow levels — the
@@ -80,7 +79,7 @@ def _level_tweaks(
 def _assign_input_labels(
     store: ArrayLabelStore,
     circuit: Circuit,
-    state_zero_labels: Optional[Sequence[int]],
+    state_zero_labels: Union[Sequence[int], np.ndarray, None],
 ) -> None:
     """Draw constant/input/state labels in the scalar garbler's order.
 
@@ -113,7 +112,7 @@ def garble_copies(
     circuit: Circuit,
     kdf: HashKDF,
     stores: Sequence[ArrayLabelStore],
-    state_zero_labels: Optional[Sequence[int]] = None,
+    state_zero_labels: Union[Sequence[int], np.ndarray, None] = None,
     tweak_base: int = 0,
     fuse: bool = True,
 ) -> List[GarbledCircuit]:
@@ -369,7 +368,8 @@ def garble_many(
         rng: shared randomness source for all copies' labels.
         rngs: one rng per copy (cut-and-choose seed streams); each
             copy's delta and labels come from its own stream in the
-            scalar draw order, so seed openings re-verify across paths.
+            reference draw order, so seed openings re-garble to the same
+            tables.
         tweak_base: starting tweak for every copy.
 
     Returns:
@@ -384,7 +384,7 @@ def garble_many(
         rngs = [rng] * count
     kdf = kdf or default_kdf()
     garblers = [
-        Garbler(circuit, kdf=kdf, rng=r, vectorized=True) for r in rngs
+        Garbler(circuit, kdf=kdf, rng=r) for r in rngs
     ]
     garbled = garble_copies(
         circuit,
@@ -393,26 +393,6 @@ def garble_many(
         tweak_base=tweak_base,
     )
     return list(zip(garblers, garbled))
-
-
-class FastGarbler(Garbler):
-    """A :class:`Garbler` pinned to the vectorized engine."""
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        kdf: Optional[HashKDF] = None,
-        label_store: Optional[ArrayLabelStore] = None,
-        rng: RngLike = secrets,
-    ) -> None:
-        if label_store is not None and not isinstance(
-            label_store, ArrayLabelStore
-        ):
-            raise GarblingError("FastGarbler needs an ArrayLabelStore")
-        super().__init__(
-            circuit, kdf=kdf, label_store=label_store, rng=rng,
-            vectorized=True,
-        )
 
 
 class LabelPlane:
@@ -470,7 +450,7 @@ class FastEvaluator(Evaluator):
         garbled: GarbledCircuit,
         alice_labels: Sequence[int],
         bob_labels: Sequence[int],
-        state_labels: Optional[Sequence[int]] = None,
+        state_labels: Union[Sequence[int], np.ndarray, None] = None,
         tweak_base: Optional[int] = None,
         fuse: bool = True,
     ) -> LabelPlane:

@@ -14,6 +14,14 @@ Any non-free gate type is reduced to AND with free input/output
 inversions (offsets by the global delta) via
 :data:`repro.circuits.gates.AND_REDUCTION`, so OR/NAND/NOR/ANDN garble at
 the same two-ciphertext cost.
+
+:class:`Garbler` is the one garbling entry point.  It runs the
+level-scheduled NumPy engine (:mod:`repro.gc.fastgarble`) over an
+:class:`~repro.gc.labels.ArrayLabelStore`.  The gate-at-a-time loop in
+this module is the reference oracle the tests pin that engine against —
+byte-identical tables, constant labels and decode bits from the same rng
+stream — and runs only for a caller that hands in a scalar
+:class:`~repro.gc.labels.LabelStore`; nothing that serves a request does.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ class GarbledGate:
 class LazyTables(SequenceABC):
     """List-of-:class:`GarbledGate` view over an ``(n, 32)`` uint8 plane.
 
-    The vectorized garbler produces its ciphertexts as one contiguous
+    The garbling engine produces its ciphertexts as one contiguous
     byte plane; this adapter keeps the :class:`GarbledCircuit.tables`
     contract (len / iteration / indexing yield ``GarbledGate``) without
     eagerly converting every row back to Python ints — conversion only
@@ -103,8 +111,8 @@ class GarbledCircuit:
         tweak_base: first tweak index used (sequential garbling advances
             it every cycle so hashes never repeat across cycles).
         tables_plane: optional ``(n, 32)`` uint8 view of the same tables
-            (row = tg || te, little-endian), populated by the vectorized
-            garbler so the fast evaluator never re-parses ciphertexts.
+            (row = tg || te, little-endian), populated by the garbling
+            engine so the fast evaluator never re-parses ciphertexts.
     """
 
     tables: Sequence[GarbledGate]
@@ -132,53 +140,44 @@ class Garbler:
         circuit: netlist to garble.
         kdf: garbling oracle (default SHA-256 backend).
         label_store: reuse an existing store — required across cycles of
-            a sequential circuit so register labels carry over.  Passing
-            an :class:`ArrayLabelStore` selects the vectorized engine;
-            passing a scalar :class:`LabelStore` forces the scalar path
-            regardless of ``vectorized``.
+            a sequential circuit so register labels carry over.  The
+            default is a fresh :class:`ArrayLabelStore`; a scalar
+            :class:`LabelStore` runs the gate-at-a-time reference loop
+            instead (same rng stream, identical labels, tables and
+            decode bits).
         rng: randomness source (``secrets`` by default; tests may pass a
             seeded ``random.Random`` for reproducibility).
-        vectorized: run the level-scheduled NumPy engine instead of the
-            gate-at-a-time loop.  Bit-exact with the scalar path: given
-            the same rng stream both produce identical labels, tables
-            and decode bits.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         kdf: Optional[HashKDF] = None,
-        label_store: Optional[LabelStore] = None,
+        label_store: Union[ArrayLabelStore, LabelStore, None] = None,
         rng: RngLike = secrets,
-        vectorized: bool = False,
     ) -> None:
         self.circuit = circuit
         self.kdf = kdf or default_kdf()
         if label_store is None:
-            label_store = (
-                ArrayLabelStore(circuit.n_wires, rng=rng)
-                if vectorized
-                else LabelStore(rng=rng)
-            )
+            label_store = ArrayLabelStore(circuit.n_wires, rng=rng)
         self.labels = label_store
-        self.vectorized = isinstance(label_store, ArrayLabelStore)
         self._rng = rng
 
     def garble(
         self,
-        state_zero_labels: Optional[Sequence[int]] = None,
+        state_zero_labels: Union[Sequence[int], "np.ndarray", None] = None,
         tweak_base: int = 0,
     ) -> GarbledCircuit:
         """Garble the circuit; returns the evaluator-side material.
 
         Args:
             state_zero_labels: zero-labels for the circuit's state wires
-                (sequential carry-over).  Fresh labels are drawn when
-                omitted.
+                (sequential carry-over), as ints or ``(n_state, 16)``
+                uint8 rows.  Fresh labels are drawn when omitted.
             tweak_base: starting tweak; callers garbling multiple cycles
                 must advance it (e.g. by ``2 * len(tables)`` per cycle).
         """
-        if self.vectorized:
+        if isinstance(self.labels, ArrayLabelStore):
             from .fastgarble import garble_copies
 
             return garble_copies(

@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: the seam where the fault-injection harness swaps in FaultyChannel.
 ChannelFactory = Callable[[], Tuple[Channel, Channel, ChannelStats]]
 from .cipher import HashKDF, default_kdf
-from .evaluate import Evaluator
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
 from .ot import MODP_2048, OTGroup
@@ -143,8 +142,6 @@ class TwoPartySession:
         kdf: garbling oracle shared by both parties.
         ot_group: group for base OTs.
         rng: randomness source for labels and OT.
-        vectorized: drive the level-scheduled NumPy engine for garbling
-            and evaluation (default; bit-exact with the scalar path).
         channel_factory: builds each request's channel pair — the seam
             where the chaos harness injects a
             :class:`repro.resilience.FaultyChannel`; defaults to the
@@ -157,7 +154,6 @@ class TwoPartySession:
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        vectorized: bool = True,
         channel_factory: Optional[ChannelFactory] = None,
     ) -> None:
         if circuit.n_state:
@@ -169,7 +165,6 @@ class TwoPartySession:
         self.kdf = kdf or default_kdf()
         self.ot_group = ot_group
         self.rng = rng
-        self.vectorized = bool(vectorized)
         self.channel_factory: ChannelFactory = (
             channel_factory if channel_factory is not None
             else default_channel_factory()
@@ -193,10 +188,7 @@ class TwoPartySession:
         critical path (the offline/online split of Sec. 3).
         """
         start = time.perf_counter()
-        garbler = Garbler(
-            self.circuit, kdf=self.kdf, rng=self.rng,
-            vectorized=self.vectorized,
-        )
+        garbler = Garbler(self.circuit, kdf=self.kdf, rng=self.rng)
         garbled = garbler.garble()
         return Pregarbled(
             circuit=self.circuit,
@@ -208,24 +200,16 @@ class TwoPartySession:
     def pregarble_many(self, count: int) -> List[Pregarbled]:
         """Batch offline phase: ``count`` single-use copies in one pass.
 
-        On the vectorized engine all copies share one walk of the level
-        schedule (and one KDF batch per level), so warming a pool of
-        ``k`` copies costs much less than ``k`` :meth:`pregarble` calls.
+        All copies share one walk of the level schedule (and one KDF
+        batch per level), so warming a pool of ``k`` copies costs much
+        less than ``k`` :meth:`pregarble` calls.
         """
         if count < 0:
             raise ProtocolError("copy count must be >= 0")
         if count == 0:
             return []
         start = time.perf_counter()
-        if self.vectorized:
-            copies = garble_many(
-                self.circuit, count, kdf=self.kdf, rng=self.rng
-            )
-        else:
-            copies = []
-            for _ in range(count):
-                garbler = Garbler(self.circuit, kdf=self.kdf, rng=self.rng)
-                copies.append((garbler, garbler.garble()))
+        copies = garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng)
         per_copy = (time.perf_counter() - start) / count
         return [
             Pregarbled(
@@ -252,7 +236,7 @@ class TwoPartySession:
         labels), and evaluation pushes all ``k`` label planes through a
         single walk of the level schedule
         (:meth:`repro.gc.fastgarble.FastEvaluator.evaluate_many`)
-        instead of ``k`` independent scalar runs.  Outputs are identical
+        instead of ``k`` independent runs.  Outputs are identical
         to ``k`` :meth:`run` calls on the same material.
 
         Args:
@@ -278,13 +262,6 @@ class TwoPartySession:
             raise ProtocolError("run_many pregarbled list length mismatch")
         if k == 0:
             return []
-        if not self.vectorized:
-            # the scalar reference has no batch evaluator; fall back to
-            # request-at-a-time runs (same results, no amortization)
-            return [
-                self.run(a, b, pregarbled=s, deadline=deadline)
-                for a, b, s in zip(alice_bits_list, bob_bits_list, slots)
-            ]
 
         circuit = self.circuit
         # the batch shares one evaluator, so every copy must have been
@@ -448,10 +425,7 @@ class TwoPartySession:
             pregarbled.claim()
             garbler, garbled = pregarbled.garbler, pregarbled.garbled
         else:
-            garbler = Garbler(
-                circuit, kdf=self.kdf, rng=self.rng,
-                vectorized=self.vectorized,
-            )
+            garbler = Garbler(circuit, kdf=self.kdf, rng=self.rng)
             garbled = garbler.garble()
         times["garble"] = time.perf_counter() - start
         if deadline is not None:
@@ -481,8 +455,7 @@ class TwoPartySession:
 
         # (iii) evaluation — Bob
         start = time.perf_counter()
-        evaluator_cls = FastEvaluator if self.vectorized else Evaluator
-        evaluator = evaluator_cls(circuit, kdf=garbler.kdf)
+        evaluator = FastEvaluator(circuit, kdf=garbler.kdf)
         received = self._parse_tables(tables_blob, garbled)
         wire_labels = evaluator.evaluate(received, alice_labels, bob_labels)
         output_labels = evaluator.output_labels(wire_labels)
@@ -516,36 +489,23 @@ class TwoPartySession:
 
     def _parse_tables(
         self, blob: bytes, garbled: GarbledCircuit
-    ) -> "GarbledCircuitView":
+    ) -> GarbledCircuit:
         """Rebuild the evaluator's view from the wire blob.
 
         Deserializing (rather than handing Bob the garbler's object)
         keeps the information flow honest: Bob sees tables and constant
         labels only.
         """
-        from .garble import GarbledCircuit, GarbledGate
-
         if len(blob) % 32:
             raise ProtocolError("corrupt garbled-table blob")
-        if self.vectorized:
-            # zero-copy view: the fast evaluator reads the plane directly
-            plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
-            return GarbledCircuit(
-                tables=LazyTables(plane),
-                const_labels=garbled.const_labels,
-                decode_bits=[],  # withheld from the evaluator
-                tweak_base=garbled.tweak_base,
-                tables_plane=plane,
-            )
-        tables = [
-            GarbledGate.from_bytes(blob[i : i + 32])
-            for i in range(0, len(blob), 32)
-        ]
+        # zero-copy view: the fast evaluator reads the plane directly
+        plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
         return GarbledCircuit(
-            tables=tables,
+            tables=LazyTables(plane),
             const_labels=garbled.const_labels,
             decode_bits=[],  # withheld from the evaluator
             tweak_base=garbled.tweak_base,
+            tables_plane=plane,
         )
 
     def _oblivious_transfer(

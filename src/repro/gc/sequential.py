@@ -6,20 +6,16 @@ cycle ``i`` becomes the zero-label of its q-wire at cycle ``i+1``, so no
 extra transfer or re-keying is needed for state.  Tweaks advance across
 cycles so the garbling oracle is never reused.
 
-The session runs on the vectorized engine by default: one
-:class:`repro.gc.labels.ArrayLabelStore` plane is carried across every
-cycle (the register d-wire -> q-wire label handoff stays an array copy on
-both sides), and each cycle's garble/evaluate goes through the
-level-scheduled path.  Bit-exact with the scalar reference — the same
-rng stream yields byte-identical tables and outputs either way.
+One :class:`repro.gc.labels.ArrayLabelStore` plane is carried across
+every cycle (the register d-wire -> q-wire label handoff stays an array
+copy on both sides), and each cycle is one straight garble -> transfer ->
+OT -> evaluate -> merge pass through the level-scheduled engine.  The
+same rng stream yields tables byte-identical to the gate-at-a-time
+reference garbler's.
 
-This is also where the paper's Fig. 5 pipeline lives: with
-``pipelined=True``, Alice garbles cycle ``i+1`` on a worker thread while
-Bob evaluates cycle ``i``.  The garble -> OT -> garble ordering of rng
-draws is preserved (the next garble only launches after the current
-cycle's OT), so the pipelined run stays bit-exact too.  The session
-records per-cycle garble/evaluate durations;
-:mod:`repro.analysis.timeline` turns them into the overlapped schedule.
+The session records per-cycle garble/evaluate durations;
+:mod:`repro.analysis.timeline` turns them into the overlapped schedule
+of the paper's Fig. 5.
 """
 
 from __future__ import annotations
@@ -27,23 +23,21 @@ from __future__ import annotations
 import dataclasses
 import secrets
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits.sequential import SequentialCircuit
-from ..errors import GarblingError, ProtocolError
+from ..errors import ProtocolError
 from .channel import Channel, ChannelStats, default_channel_factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..resilience.deadline import Deadline
     from .protocol import ChannelFactory
 from .cipher import HashKDF, default_kdf
-from .evaluate import Evaluator
 from .fastgarble import FastEvaluator
-from .garble import Garbler, GarbledCircuit, GarbledGate, LazyTables
-from .labels import ArrayLabelStore, LabelStore
+from .garble import Garbler, GarbledCircuit, LazyTables
+from .labels import ArrayLabelStore
 from .ot import MODP_2048, OTGroup
 from .ot_extension import extension_ot
 from .rng import RngLike
@@ -83,13 +77,6 @@ class SequentialSession:
         kdf: garbling oracle shared by both parties.
         ot_group: group for base OTs.
         rng: randomness source for labels and OT.
-        vectorized: carry an :class:`ArrayLabelStore` plane across cycles
-            and run each cycle through the level-scheduled engine
-            (default; bit-exact with the scalar path).
-        pipelined: overlap garbling of cycle ``i+1`` with evaluation of
-            cycle ``i`` on a worker thread (paper Fig. 5).  Bit-exact
-            with the unpipelined run; wall-clock only wins with spare
-            cores.
         channel_factory: builds the session's channel pair — the seam
             for the fault-injection harness; defaults to the healthy
             in-memory link.
@@ -101,16 +88,12 @@ class SequentialSession:
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        vectorized: bool = True,
-        pipelined: bool = False,
         channel_factory: Optional["ChannelFactory"] = None,
     ) -> None:
         self.sequential = sequential
         self.kdf = kdf or default_kdf()
         self.ot_group = ot_group
         self.rng = rng
-        self.vectorized = bool(vectorized)
-        self.pipelined = bool(pipelined)
         self.channel_factory: "ChannelFactory" = (
             channel_factory if channel_factory is not None
             else default_channel_factory()
@@ -137,177 +120,87 @@ class SequentialSession:
         if deadline is not None:
             alice_end.deadline = deadline
             bob_end.deadline = deadline
-        vectorized = self.vectorized
 
-        store = (
-            ArrayLabelStore(core.n_wires, rng=self.rng)
-            if vectorized
-            else LabelStore(rng=self.rng)
-        )
-        evaluator = (FastEvaluator if vectorized else Evaluator)(
-            core, kdf=self.kdf
-        )
+        store = ArrayLabelStore(core.n_wires, rng=self.rng)
+        garbler = Garbler(core, kdf=self.kdf, label_store=store, rng=self.rng)
+        evaluator = FastEvaluator(core, kdf=self.kdf)
         garble_times: List[float] = []
         evaluate_times: List[float] = []
         outputs: List[List[int]] = []
 
         d_wires = [reg.d_wire for reg in seq.registers]
-        init_bits = seq.initial_state()
         alice_wires = list(core.alice_inputs)
         bob_wires = list(core.bob_inputs)
-
-        def cycle_bits(
-            per_cycle: Sequence[Sequence[int]], cycle: int, width: int
-        ) -> List[int]:
-            return SequentialCircuit._cycle_input(per_cycle, cycle, width)
-
-        def garble_cycle(
-            cycle: int,
-            state_zero: Union[Sequence[int], np.ndarray, None],
-            tweak: int,
-        ) -> dict:
-            """Garble one cycle and snapshot everything later phases need.
-
-            The next cycle's garbling reuses (and overwrites) the same
-            label store, so when pipelined the rest of cycle ``i`` must
-            never touch the store again — labels for transfer/OT, the
-            output decode material and the register carry rows are all
-            captured here.
-            """
-            alice_bits = cycle_bits(alice_cycles, cycle, core.n_alice)
-            start = time.perf_counter()
-            garbler = Garbler(
-                core, kdf=self.kdf, label_store=store, rng=self.rng
+        # register labels carried between cycles, one side each: the
+        # garbler's zero-labels and the evaluator's active labels
+        state_zero: Optional[np.ndarray] = None
+        eval_state: Union[List[int], np.ndarray, None] = None
+        tweak = 0
+        for cycle in range(n_cycles):
+            alice_bits = SequentialCircuit._cycle_input(
+                alice_cycles, cycle, core.n_alice
             )
+            bob_bits = SequentialCircuit._cycle_input(
+                bob_cycles, cycle, core.n_bob
+            )
+
+            start = time.perf_counter()
             garbled = garbler.garble(
                 state_zero_labels=state_zero, tweak_base=tweak
             )
-            took = time.perf_counter() - start
-            pkg = {
-                "tables_blob": garbled.tables_bytes(),
-                "const_labels": list(garbled.const_labels),
-                "alice_labels": garbler.input_labels_for(
-                    alice_wires, alice_bits
-                ),
-                "bob_pairs": [
-                    garbler.wire_label_pair(w) for w in bob_wires
-                ],
-                "out_zero": [store.zero(w) for w in core.outputs],
-                "delta": store.delta,
-                "next_state_zero": (
-                    store.zero_rows(d_wires)
-                    if vectorized
-                    else garbler.state_zero_labels_out(d_wires)
-                ),
-                "n_tables": len(garbled.tables),
-                "tweak": tweak,
-                "garble_s": took,
-            }
+            garble_times.append(time.perf_counter() - start)
             if cycle == 0:
                 # cycle-0 state: init bits are public, so the garbler
                 # simply sends the labels of the init values
-                pkg["init_state_labels"] = [
+                eval_state = [
                     store.select(wire, bit)
-                    for wire, bit in zip(core.state_inputs, init_bits)
+                    for wire, bit in zip(
+                        core.state_inputs, seq.initial_state()
+                    )
                 ]
-            return pkg
 
-        executor = (
-            ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="seq-garble"
+            # transfer: tables + Alice labels (every cycle), OT for Bob
+            alice_end.send_bytes(garbled.tables_bytes(), tag="tables")
+            alice_end.send_labels(
+                list(garbled.const_labels), tag="const_labels"
             )
-            if self.pipelined and n_cycles > 1
-            else None
-        )
-        try:
-            eval_state = None
-            pkg = garble_cycle(0, None, 0)
-            pending = None
-            for cycle in range(n_cycles):
-                if pending is not None:
-                    pkg = (
-                        pending.result()
-                        if executor is not None
-                        else garble_cycle(*pending)
-                    )
-                    pending = None
-                garble_times.append(pkg["garble_s"])
-                if cycle == 0:
-                    eval_state = pkg["init_state_labels"]
-                bob_bits = cycle_bits(bob_cycles, cycle, core.n_bob)
+            alice_end.send_labels(
+                garbler.input_labels_for(alice_wires, alice_bits),
+                tag="alice_labels",
+            )
+            blob = bob_end.recv_bytes(expected_tag="tables")
+            const_labels = bob_end.recv_labels(expected_tag="const_labels")
+            alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
+            bob_labels = self._oblivious_transfer(
+                [garbler.wire_label_pair(w) for w in bob_wires],
+                bob_bits, stats, channel=(alice_end, bob_end),
+            )
 
-                # transfer: tables + Alice labels (every cycle), OT for Bob
-                alice_end.send_bytes(pkg["tables_blob"], tag="tables")
-                alice_end.send_labels(
-                    pkg["const_labels"], tag="const_labels"
-                )
-                alice_end.send_labels(
-                    pkg["alice_labels"], tag="alice_labels"
-                )
-                blob = bob_end.recv_bytes(expected_tag="tables")
-                const_labels = bob_end.recv_labels(
-                    expected_tag="const_labels"
-                )
-                alice_labels = bob_end.recv_labels(
-                    expected_tag="alice_labels"
-                )
-                bob_labels = self._oblivious_transfer(
-                    pkg["bob_pairs"], bob_bits, stats,
-                    channel=(alice_end, bob_end),
-                )
+            start = time.perf_counter()
+            wire_labels = evaluator.evaluate(
+                self._received_circuit(blob, const_labels, tweak),
+                alice_labels,
+                bob_labels,
+                state_labels=eval_state,
+            )
+            evaluate_times.append(time.perf_counter() - start)
 
-                # this cycle's rng draws (labels, OT) are done — cycle
-                # i+1 may garble now, overlapping Bob's evaluation
-                # (Fig. 5) without disturbing the shared rng stream
-                if cycle + 1 < n_cycles:
-                    args = (
-                        cycle + 1,
-                        pkg["next_state_zero"],
-                        pkg["tweak"] + 2 * pkg["n_tables"],
-                    )
-                    pending = (
-                        executor.submit(garble_cycle, *args)
-                        if executor is not None
-                        else args
-                    )
+            # merge step for this cycle's outputs
+            bob_end.send_labels(
+                evaluator.output_labels(wire_labels), tag="output_labels"
+            )
+            outputs.append(
+                garbler.decode_outputs(
+                    alice_end.recv_labels(expected_tag="output_labels")
+                )
+            )
+            if deadline is not None:
+                deadline.check(f"cycle {cycle} merge")
 
-                start = time.perf_counter()
-                received = self._received_circuit(
-                    blob, const_labels, pkg["tweak"]
-                )
-                wire_labels = evaluator.evaluate(
-                    received,
-                    alice_labels,
-                    bob_labels,
-                    state_labels=eval_state,
-                )
-                evaluate_times.append(time.perf_counter() - start)
-
-                # merge step for this cycle's outputs (decoded against
-                # the snapshot — the live store may already hold cycle
-                # i+1's labels)
-                bob_end.send_labels(
-                    evaluator.output_labels(wire_labels),
-                    tag="output_labels",
-                )
-                outputs.append(
-                    self._decode_outputs(
-                        alice_end.recv_labels(expected_tag="output_labels"),
-                        pkg["out_zero"],
-                        pkg["delta"],
-                    )
-                )
-                if deadline is not None:
-                    deadline.check(f"cycle {cycle} merge")
-
-                # carry register labels into the next cycle
-                if vectorized:
-                    eval_state = wire_labels.plane[d_wires]
-                else:
-                    eval_state = [wire_labels[w] for w in d_wires]
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+            # carry register labels into the next cycle
+            state_zero = store.zero_rows(d_wires)
+            eval_state = wire_labels.plane[d_wires]
+            tweak += 2 * len(garbled.tables)
 
         return SequentialResult(
             outputs_per_cycle=outputs,
@@ -317,45 +210,19 @@ class SequentialSession:
             n_non_xor_per_cycle=core.counts().non_xor,
         )
 
+    @staticmethod
     def _received_circuit(
-        self, blob: bytes, const_labels: List[int], tweak: int
+        blob: bytes, const_labels: List[int], tweak: int
     ) -> GarbledCircuit:
         """Bob's view of one cycle's garbled material."""
-        if self.vectorized:
-            plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
-            return GarbledCircuit(
-                tables=LazyTables(plane),
-                const_labels=(const_labels[0], const_labels[1]),
-                decode_bits=[],
-                tweak_base=tweak,
-                tables_plane=plane,
-            )
+        plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
         return GarbledCircuit(
-            tables=[
-                GarbledGate.from_bytes(blob[i : i + 32])
-                for i in range(0, len(blob), 32)
-            ],
+            tables=LazyTables(plane),
             const_labels=(const_labels[0], const_labels[1]),
             decode_bits=[],
             tweak_base=tweak,
+            tables_plane=plane,
         )
-
-    @staticmethod
-    def _decode_outputs(
-        labels: Sequence[int], out_zero: Sequence[int], delta: int
-    ) -> List[int]:
-        """Merge-step decode against a cycle's snapshot of zero-labels."""
-        if len(labels) != len(out_zero):
-            raise GarblingError("wrong number of output labels")
-        bits = []
-        for label, zero in zip(labels, out_zero):
-            if label == zero:
-                bits.append(0)
-            elif label == zero ^ delta:
-                bits.append(1)
-            else:
-                raise GarblingError("label does not belong to an output wire")
-        return bits
 
     def _oblivious_transfer(
         self,

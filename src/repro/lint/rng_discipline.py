@@ -2,7 +2,7 @@
 
 Labels and Δ must come from an *injected* rng (``secrets`` in
 production, a seeded ``random.Random`` in tests) so that draw order is
-explicit — the pipelined folded path (Fig. 5) and seed-deterministic
+explicit — lockstep peer sessions and seed-deterministic
 cut-and-choose re-garbling are only correct because every draw flows
 through the object handed in via ``repro/gc/rng.py`` adapters.  Module-
 global RNG state (``random.randint``, ``np.random.seed``, legacy

@@ -12,11 +12,12 @@ and the paper's input-independent garbling (Sec. 3) becomes an
 offline/online split — :meth:`PrivateInferenceService.prepare` garbles a
 pool of circuit copies ahead of requests so the online path pays only
 transfer + OT + evaluate + merge.  :meth:`infer_many` serves concurrent
-requests from a thread pool.
+requests; those on the two-party backend share one batched evaluation
+pass.
 
-Legacy surface: the seed's ``PrivateInferenceService(model, fmt=...,
-options=..., ...)`` construction and ``infer(sample, outsourced=True)``
-keep working as thin deprecation shims over the new API.
+``PrivateInferenceService(model, config)`` is the only constructor: every
+knob lives on the :class:`repro.engine.EngineConfig`, and a request picks
+its execution flow by backend name.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from __future__ import annotations
 import dataclasses
 import random
 import threading
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .circuits.fixedpoint import FixedPointFormat
-from .compile.compiler import CompiledModel, CompileOptions, compile_model
+from .compile.compiler import CompiledModel, compile_model
 from .compile.costmodel import CostBreakdown, GCCostModel
 from .engine import Backend, EngineConfig, PregarbledPool, get_backend
 from .engine.result import ExecutionResult
@@ -43,8 +42,7 @@ from .errors import (
     ServiceOverloadedError,
 )
 from .gc.channel import make_channel_pair
-from .gc.cipher import HashKDF, default_kdf
-from .gc.ot import OTGroup
+from .gc.cipher import default_kdf
 from .nn.model import Sequential
 from .nn.quantize import QuantizedModel
 from .resilience import (
@@ -58,15 +56,8 @@ from .resilience import (
 __all__ = [
     "InferenceRequest",
     "InferenceResult",
-    "InferenceRecord",
     "PrivateInferenceService",
 ]
-
-#: History cap applied when a service is built through the legacy
-#: keyword shim (the seed recorded every inference; new-style configs
-#: opt in explicitly via ``EngineConfig.history_limit``).
-_LEGACY_HISTORY_LIMIT = 512
-
 
 @dataclasses.dataclass
 class InferenceRequest:
@@ -129,50 +120,18 @@ class InferenceResult:
         return sum(self.times.values())
 
 
-#: Deprecated alias — the seed's name for :class:`InferenceResult`.
-InferenceRecord = InferenceResult
-
-
 class PrivateInferenceService:
     """A server-side service object for DeepSecure-style inference.
 
     Args:
         model: the trained float model (the server's private asset).
-        config: the full execution configuration.  When omitted, one is
-            assembled from the legacy keywords below (deprecated path).
-        fmt / options / kdf / ot_group / rng: seed-era knobs, kept as a
-            deprecation shim (the seed's positional order ``model, fmt,
-            options, kdf, ot_group, rng`` still binds); pass ``config``
-            instead.
+        config: the full execution configuration.
     """
 
-    def __init__(
-        self,
-        model: Sequential,
-        config: Optional[EngineConfig] = None,
-        options: Optional[CompileOptions] = None,
-        kdf: Optional[HashKDF] = None,
-        ot_group: Optional[OTGroup] = None,
-        rng=None,
-        *,
-        fmt: Optional[FixedPointFormat] = None,
-    ) -> None:
-        if isinstance(config, FixedPointFormat):
-            # seed-era positional call: PrivateInferenceService(model, fmt, ...)
-            if fmt is not None:
-                raise CompileError("fixed-point format given twice")
-            config, fmt = None, config
-        legacy = [fmt, options, kdf, ot_group, rng]
-        if config is None:
-            config = self._config_from_legacy(fmt, options, kdf, ot_group, rng)
-        elif not isinstance(config, EngineConfig):
+    def __init__(self, model: Sequential, config: EngineConfig) -> None:
+        if not isinstance(config, EngineConfig):
             raise CompileError(
                 f"config must be an EngineConfig, got {type(config).__name__}"
-            )
-        elif any(arg is not None for arg in legacy):
-            raise CompileError(
-                "pass either config=EngineConfig(...) or the legacy "
-                "keywords, not both"
             )
         if config.output != "argmax":
             raise CompileError("the service API serves labels (argmax)")
@@ -249,38 +208,6 @@ class PrivateInferenceService:
             self._make_pool(config.pool_size) if config.pool_size > 0 else None
         )
 
-    @staticmethod
-    def _config_from_legacy(fmt, options, kdf, ot_group, rng) -> EngineConfig:
-        """Map seed-era constructor keywords onto an :class:`EngineConfig`."""
-        any_legacy = any(
-            arg is not None for arg in (fmt, options, kdf, ot_group, rng)
-        )
-        if any_legacy:
-            warnings.warn(
-                "PrivateInferenceService(fmt=..., options=..., ...) is "
-                "deprecated; pass config=EngineConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        options = options or CompileOptions(activation="cordic", output="argmax")
-        config_kwargs = dict(
-            activation=options.activation,
-            output=options.output,
-            honor_sparsity=options.honor_sparsity,
-            # only seed-era call sites get the record-by-default cap;
-            # bare construction matches EngineConfig()'s opt-in default
-            history_limit=_LEGACY_HISTORY_LIMIT if any_legacy else 0,
-        )
-        if fmt is not None:
-            config_kwargs["fmt"] = fmt
-        if kdf is not None:
-            config_kwargs["kdf"] = kdf
-        if ot_group is not None:
-            config_kwargs["ot_group"] = ot_group
-        if rng is not None:
-            config_kwargs["rng"] = rng
-        return EngineConfig(**config_kwargs)
-
     @property
     def kdf_name(self) -> str:
         """Name of the garbling oracle actually serving requests.
@@ -304,7 +231,6 @@ class PrivateInferenceService:
             kdf=self._kdf,
             ot_group=self.config.ot_group,
             rng=self.config.rng,
-            vectorized=self.config.vectorized,
             refill=self.config.pool_refill,
             low_watermark=self.config.pool_low_watermark,
         )
@@ -320,9 +246,7 @@ class PrivateInferenceService:
         """Consistent snapshot of retained inference records (newest last).
 
         Backed by a deque capped at ``EngineConfig.history_limit`` (0
-        retains nothing; the legacy constructor shim caps at 512 instead
-        of the seed's unbounded list).  Returned as a list so seed-era
-        slicing keeps working; copied under the service lock so readers
+        retains nothing).  Copied under the service lock so readers
         never observe a half-applied batch from ``infer_many``'s pool.
         """
         with self._lock:
@@ -439,7 +363,6 @@ class PrivateInferenceService:
             kdf=self._kdf,
             ot_group=self.config.ot_group,
             rng=self.config.rng,
-            vectorized=self.config.vectorized,
             channel_factory=self._channel_factory,
             request_timeout_s=self.config.request_timeout_s,
         )
@@ -599,7 +522,6 @@ class PrivateInferenceService:
     def infer(
         self,
         sample: np.ndarray,
-        outsourced: bool = False,
         backend: Optional[str] = None,
         request_id: Optional[str] = None,
     ) -> InferenceResult:
@@ -607,23 +529,9 @@ class PrivateInferenceService:
 
         Args:
             sample: the client's raw feature vector.
-            outsourced: deprecated — equivalent to ``backend="outsourced"``
-                (the Sec. 3.3 XOR-share proxy flow).
             backend: execution flow override (None = config default).
             request_id: opaque tag echoed on the result.
         """
-        if outsourced:
-            if backend is not None and backend != "outsourced":
-                raise CompileError(
-                    f"outsourced=True conflicts with backend={backend!r}"
-                )
-            warnings.warn(
-                'infer(sample, outsourced=True) is deprecated; use '
-                'backend="outsourced"',
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = "outsourced"
         return self.execute(
             InferenceRequest(
                 sample=np.asarray(sample), request_id=request_id, backend=backend
@@ -639,20 +547,18 @@ class PrivateInferenceService:
     ) -> List[int]:
         """Serve eligible requests through one batched evaluation pass.
 
-        Requests targeting the (vectorized) two-party backend are pushed
+        Requests targeting the two-party backend are pushed
         through ``TwoPartyBackend.run_many`` — one ``garble_many`` pass
         for pool misses and one ``evaluate_many`` schedule walk for the
-        whole group — instead of per-request scalar protocol runs.
+        whole group — instead of per-request protocol runs.
         Fills ``outcomes``/``errors`` in place for the requests it
         handles and returns the indices still pending (non-two-party
         requests, or the whole group when batching is unavailable or the
         batched run itself fails — per-request isolation then falls back
-        to the scalar path).
+        to request-at-a-time serving).
         """
         n = len(normalized)
         everything = list(range(n))
-        if not self.config.vectorized:
-            return everything
         eligible = [
             i for i, r in enumerate(normalized)
             if (r.backend or self.config.backend) == "two_party"
@@ -666,7 +572,7 @@ class PrivateInferenceService:
         breaker = self._breaker("two_party")
         if breaker.state == "open":
             # breaker open: shed the batched fast path — the group falls
-            # through to per-request scalar serving, which degrades to
+            # through to per-request serving, which degrades to
             # cold garbling under the same breaker
             with self._lock:
                 self._stats["degraded"] += 1
@@ -693,9 +599,9 @@ class PrivateInferenceService:
                 )
             except Exception as exc:
                 # a batch-level failure must not fail every request in
-                # it: retry the group request-at-a-time on the scalar
-                # path, where errors isolate per request (and transient
-                # faults get the retry policy)
+                # it: retry the group request-at-a-time, where errors
+                # isolate per request (and transient faults get the
+                # retry policy)
                 breaker.record_failure()
                 if is_transient(exc):
                     with self._lock:
@@ -718,10 +624,10 @@ class PrivateInferenceService:
         """Serve a batch of requests concurrently.
 
         GC gives no per-sample batching discount (Fig. 6's point), but
-        the *engine* work batches: requests served by the vectorized
-        two-party backend share one ``evaluate_many`` pass over the
-        level schedule (and one ``garble_many`` pass for pool misses)
-        instead of ``k`` thread-pooled scalar protocol runs.  Requests
+        the *engine* work batches: requests served by the two-party
+        backend share one ``evaluate_many`` pass over the level schedule
+        (and one ``garble_many`` pass for pool misses) instead of ``k``
+        thread-pooled protocol runs.  Requests
         on other backends run on a thread pool of ``max_workers`` as
         before.  Results come back in request order.
 
@@ -730,7 +636,7 @@ class PrivateInferenceService:
             max_workers: thread-pool width for non-batched requests.
             return_errors: see below.
             batch: ``None`` (default) batches when >= 2 requests target
-                the vectorized two-party backend; ``True`` forces the
+                the two-party backend; ``True`` forces the
                 batched path even for a single request; ``False``
                 disables it (pure thread-pool serving).
 

@@ -126,7 +126,6 @@ def run_two_party_peer(
     kdf: Optional[HashKDF] = None,
     ot_group: OTGroup = MODP_2048,
     rng: RngLike = None,
-    vectorized: bool = True,
     request_timeout_s: Optional[float] = None,
     io_timeout_s: float = DEFAULT_IO_TIMEOUT_S,
 ) -> ProtocolResult:
@@ -149,7 +148,6 @@ def run_two_party_peer(
         kdf=kdf,
         ot_group=ot_group,
         rng=rng,
-        vectorized=vectorized,
         channel_factory=peer_channel_factory(
             sock, role, io_timeout_s=io_timeout_s
         ),
@@ -168,7 +166,6 @@ def run_folded_peer(
     kdf: Optional[HashKDF] = None,
     ot_group: OTGroup = MODP_2048,
     rng: RngLike = None,
-    vectorized: bool = True,
     request_timeout_s: Optional[float] = None,
     io_timeout_s: float = DEFAULT_IO_TIMEOUT_S,
 ) -> SequentialResult:
@@ -192,7 +189,6 @@ def run_folded_peer(
         kdf=kdf,
         ot_group=ot_group,
         rng=rng,
-        vectorized=vectorized,
         channel_factory=peer_channel_factory(
             sock, role, io_timeout_s=io_timeout_s
         ),

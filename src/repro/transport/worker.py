@@ -188,7 +188,6 @@ def _handle_peer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> N
         kdf=service.config.kdf,
         ot_group=service.config.ot_group,
         rng=random.Random(seed),
-        vectorized=service.config.vectorized,
         request_timeout_s=service.config.request_timeout_s,
     )
     outputs = result.final_outputs if flow == "folded" else result.outputs

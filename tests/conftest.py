@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import FixedPointFormat
+from repro.gc.channel import make_channel_pair
 from repro.gc.ot import TEST_GROUP_512
 from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
 
@@ -52,3 +53,23 @@ def tiny_model():
     model = Sequential([Dense(8), Tanh(), Dense(4)], input_shape=(12,), seed=1)
     Trainer(model, TrainConfig(epochs=25, learning_rate=0.2)).fit(x, y)
     return model, x, y
+
+
+@pytest.fixture
+def recording_channels():
+    """``(factory, frames)``: an in-memory channel factory for a session's
+    ``channel_factory=`` plus the ``(tag, payload)`` of every frame either
+    party sends through it, in send order."""
+    frames = []
+
+    def factory():
+        alice, bob, stats = make_channel_pair()
+        for end in (alice, bob):
+            def record(frame, dispatch=end._dispatch):
+                frames.append((frame.tag, frame.payload))
+                dispatch(frame)
+
+            end._dispatch = record
+        return alice, bob, stats
+
+    return factory, frames

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import FixedPointFormat
-from repro.compile import CompileOptions, compile_model
+from repro.compile import CompileOptions, compile_model, folded_mac_cell
 from repro.engine import (
     EngineConfig,
     PregarbledPool,
@@ -25,6 +25,7 @@ from repro.engine import (
 )
 from repro.engine.backends import Backend, _REGISTRY
 from repro.errors import CompileError, EngineError, ProtocolError
+from repro.gc import SequentialSession
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
@@ -336,49 +337,27 @@ class TestServiceRedesign:
         svc.infer(x[0])
         assert len(svc.history) == 0
 
-    def test_config_and_legacy_kwargs_are_exclusive(self):
-        model, _ = _trained_model(n_features=5, seed=5)
-        with pytest.raises(CompileError):
-            PrivateInferenceService(
-                model, EngineConfig(fmt=FMT), fmt=FMT
-            )
-
-    def test_seed_era_positional_fmt_still_works(self):
-        """PrivateInferenceService(model, fmt) — the seed's signature."""
+    def test_deleted_forks_and_shims_are_rejected(self):
+        """The scalar/pipelined options and the seed-era constructor and
+        ``infer`` shims are gone: passing them raises, never a silent
+        accept."""
         model, x = _trained_model(n_features=5, seed=5)
-        with pytest.warns(DeprecationWarning):
-            svc = PrivateInferenceService(model, FMT)
-        assert svc.config.fmt == FMT
-        assert svc.infer(x[0], backend="simulate").label == \
-            svc.cleartext_label(x[0])
-        with pytest.raises(CompileError, match="twice"):
-            PrivateInferenceService(model, FMT, fmt=FMT)
+        with pytest.raises(TypeError):
+            EngineConfig(vectorized=False)
+        with pytest.raises(TypeError):
+            SequentialSession(folded_mac_cell(FMT, fan_in=2), pipelined=True)
+        with pytest.raises(CompileError, match="EngineConfig"):
+            PrivateInferenceService(model, FMT)
         with pytest.raises(CompileError, match="EngineConfig"):
             PrivateInferenceService(model, {"backend": "simulate"})
-
-    def test_seed_era_fully_positional_construction(self):
-        """All six seed positionals: (model, fmt, options, kdf, ot_group, rng)."""
-        from repro.compile import CompileOptions
-
-        model, x = _trained_model(n_features=5, seed=5)
-        with pytest.warns(DeprecationWarning):
-            svc = PrivateInferenceService(
-                model, FMT,
-                CompileOptions(activation="exact", output="argmax"),
-                None, TEST_GROUP_512, random.Random(11),
-            )
-        assert svc.config.fmt == FMT
-        assert svc.config.activation == "exact"
-        assert svc.config.ot_group is TEST_GROUP_512
-
-    def test_outsourced_flag_conflicts_with_backend(self):
-        model, x = _trained_model(n_features=5, seed=5)
+        with pytest.raises(TypeError):
+            PrivateInferenceService(model, EngineConfig(fmt=FMT), fmt=FMT)
         svc = PrivateInferenceService(
             model, EngineConfig(fmt=FMT, activation="exact",
                                 backend="simulate")
         )
-        with pytest.raises(CompileError, match="conflicts"):
-            svc.infer(x[0], outsourced=True, backend="two_party")
+        with pytest.raises(TypeError):
+            svc.infer(x[0], outsourced=True)
 
     def test_pool_created_cold_until_prepare(self):
         """Construction never garbles; prepare() is the offline phase."""

@@ -7,7 +7,7 @@ import pytest
 
 from repro.circuits import CircuitBuilder, FixedPointFormat
 from repro.compile import folded_mac_cell, run_folded_dense
-from repro.compile import CompileOptions
+from repro.engine import EngineConfig
 from repro.errors import CompileError, GarblingError
 from repro.gc import CutAndChooseGarbler, Evaluator, verify_opened_copy
 from repro.gc.ot import TEST_GROUP_512
@@ -158,10 +158,13 @@ class TestService:
         Trainer(model, TrainConfig(epochs=20, learning_rate=0.2)).fit(x, y)
         service = PrivateInferenceService(
             model,
-            fmt=FMT,
-            options=CompileOptions(activation="exact", output="argmax"),
-            ot_group=TEST_GROUP_512,
-            rng=random.Random(6),
+            EngineConfig(
+                fmt=FMT,
+                activation="exact",
+                ot_group=TEST_GROUP_512,
+                rng=random.Random(6),
+                history_limit=512,
+            ),
         )
         return service, x
 
@@ -174,7 +177,8 @@ class TestService:
 
     def test_outsourced_inference(self, service):
         svc, x = service
-        record = svc.infer(x[1], outsourced=True)
+        record = svc.infer(x[1], backend="outsourced")
+        assert record.backend == "outsourced"
         assert record.label == svc.cleartext_label(x[1])
 
     def test_batch(self, service):
@@ -205,6 +209,6 @@ class TestService:
         model = Sequential([Dense(2)], input_shape=(2,), seed=0)
         with pytest.raises(CompileError):
             PrivateInferenceService(
-                model, fmt=FMT,
-                options=CompileOptions(activation="exact", output="logits"),
+                model,
+                EngineConfig(fmt=FMT, activation="exact", output="logits"),
             )

@@ -130,7 +130,7 @@ class TestGarbleEvaluate:
         bld.mark_output(bld.emit_not(x))
         circuit = bld.build()
         garbled = Garbler(circuit, rng=rng).garble()
-        assert garbled.tables == []
+        assert len(garbled.tables) == 0
         assert garbled.size_bytes == 0
 
     def test_table_bytes_two_rows_per_non_xor(self, rng):

@@ -76,16 +76,27 @@ class TestPoolRefill:
             rng=random.Random(1),
         )
         assert pool.warm() == 2
+        # hold the off-thread refill the first acquire kicks off until the
+        # drained acquire has returned, so the miss is always recorded
+        release = threading.Event()
+        pregarble_many = pool._session.pregarble_many
+
+        def gated(count):
+            assert release.wait(timeout=10.0), "refill never released"
+            return pregarble_many(count)
+
+        pool._session.pregarble_many = gated
         assert pool.acquire() is not None
         assert pool.acquire() is not None
-        # drained; a miss records and triggers an off-thread warm(1)
-        pool.acquire()
-        assert _wait_until(lambda: len(pool) > 0), "pool never refilled"
+        assert pool.acquire() is None  # drained: a miss
+        release.set()
+        assert _wait_until(lambda: pool.stats()["refills"] >= 1), \
+            "pool never refilled"
         assert pool.acquire() is not None  # served warm again
         stats = pool.stats()
-        assert stats["refills"] >= 1
+        assert stats["misses"] == 1
+        assert stats["hits"] == 3
         assert stats["garbled_total"] > 2
-        assert 0.0 < pool.hit_rate < 1.0
         pool.close()
 
     def test_background_thread_keeps_pool_at_capacity(self):

@@ -1,8 +1,8 @@
 """PR 3 throughput tier: batched evaluation, parallel KDF, fused narrow
-levels, the vectorized folded path, and watermark-driven pool refills.
+levels, the folded path, and watermark-driven pool refills.
 
-The load-bearing contracts: every new fast path is *byte-identical* to
-the scalar reference it replaces (same rng stream -> same tables, labels
+The load-bearing contracts: every fast path is *byte-identical* to the
+gate-at-a-time reference oracle (same rng stream -> same tables, labels
 and outputs), ``ParallelKDF`` output is worker-count invariant, and the
 serving layer's batched ``infer_many`` keeps the per-request error
 isolation semantics of the thread-pool path.
@@ -27,6 +27,7 @@ from repro.gc import (
     FixedKeyAES,
     Garbler,
     HashKDF,
+    LabelStore,
     ParallelKDF,
     SequentialSession,
     garble_many,
@@ -38,6 +39,13 @@ from repro.gc.protocol import TwoPartySession
 from repro.service import InferenceRequest, PrivateInferenceService
 
 FMT = FixedPointFormat(2, 6)
+
+
+def _reference(circuit, seed, kdf=None):
+    """The gate-at-a-time oracle, drawing labels from ``Random(seed)``."""
+    return Garbler(
+        circuit, kdf=kdf, label_store=LabelStore(rng=random.Random(seed))
+    )
 
 
 def _random_circuit(seed: int, n_gates: int = 120, n_inputs: int = 4):
@@ -114,13 +122,13 @@ class TestParallelKDF:
     def test_garbling_identical_to_plain_kdf(self):
         circuit = _random_circuit(31)
         plain = Garbler(
-            circuit, kdf=HashKDF(), rng=random.Random(2), vectorized=True
+            circuit, kdf=HashKDF(), rng=random.Random(2)
         ).garble()
         parallel_kdf = ParallelKDF(
             HashKDF(), workers=3, min_rows_per_worker=1
         )
         parallel = Garbler(
-            circuit, kdf=parallel_kdf, rng=random.Random(2), vectorized=True
+            circuit, kdf=parallel_kdf, rng=random.Random(2)
         ).garble()
         assert plain.tables_bytes() == parallel.tables_bytes()
         parallel_kdf.close()
@@ -349,14 +357,14 @@ class TestFusedNarrowRunner:
             circuit.n_wires, rng=random.Random(seed)
         )
         fused = garble_copies(circuit, kdf, [fused_store], fuse=True)[0]
-        scalar = Garbler(circuit, kdf=kdf, rng=random.Random(seed)).garble()
+        scalar = _reference(circuit, seed, kdf=kdf).garble()
         assert ref.tables_bytes() == fused.tables_bytes()
         assert scalar.tables_bytes() == fused.tables_bytes()
         assert ref.decode_bits == fused.decode_bits == scalar.decode_bits
 
     def test_fused_evaluate_bit_exact(self):
         circuit = build_gate_chain(90, "and")
-        garbler = Garbler(circuit, rng=random.Random(5), vectorized=True)
+        garbler = Garbler(circuit, rng=random.Random(5))
         garbled = garbler.garble()
         alice = [
             garbler.labels.select(w, 1) for w in circuit.alice_inputs
@@ -371,48 +379,107 @@ class TestFusedNarrowRunner:
         """Fusion interleaves with wide levels on arbitrary shapes."""
         for seed in (12, 13, 14):
             circuit = _random_circuit(seed, n_gates=160)
-            scalar = Garbler(circuit, rng=random.Random(seed)).garble()
-            fused = Garbler(
-                circuit, rng=random.Random(seed), vectorized=True
-            ).garble()
+            scalar = _reference(circuit, seed).garble()
+            fused = Garbler(circuit, rng=random.Random(seed)).garble()
             assert scalar.tables_bytes() == fused.tables_bytes()
 
 
-class TestVectorizedSequential:
+class TestFoldedSession:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_folded_mac_bit_exact_across_engines(self, seed):
-        """ISSUE 3 acceptance: scalar == vectorized == pipelined on the
-        folded MAC core, >= 3 seeds (outputs and wire traffic)."""
+    def test_folded_mac_matches_reference_oracle(
+        self, seed, monkeypatch, recording_channels
+    ):
+        """Every cycle of the folded MAC session puts on the wire exactly
+        what the gate-at-a-time oracle garbles from the same rng state and
+        carried register labels, and decodes to the plaintext run."""
         cell = folded_mac_cell(FMT, fan_in=5)
-        width = cell.core.n_alice
+        core = cell.core
         cycles = 5
-        alice = [bits_from_int(seed + i, width) for i in range(cycles)]
-        bob = [
-            bits_from_int(2 * i + seed, cell.core.n_bob)
-            for i in range(cycles)
-        ]
-        outcomes = []
-        for kwargs in (
-            {"vectorized": False},
-            {"vectorized": True},
-            {"vectorized": True, "pipelined": True},
-        ):
-            session = SequentialSession(
-                cell, ot_group=TEST_GROUP_512, rng=random.Random(seed),
-                **kwargs,
+        alice = [bits_from_int(seed + i, core.n_alice) for i in range(cycles)]
+        bob = [bits_from_int(2 * i + seed, core.n_bob) for i in range(cycles)]
+
+        rng = random.Random(seed)
+        calls = []
+        garble = Garbler.garble
+
+        def spy(self, state_zero_labels=None, tweak_base=0):
+            state = rng.getstate()
+            garbled = garble(self, state_zero_labels, tweak_base)
+            calls.append((state, state_zero_labels, tweak_base,
+                          self.labels.delta, garbled))
+            return garbled
+
+        monkeypatch.setattr(Garbler, "garble", spy)
+        factory, frames = recording_channels
+        result = SequentialSession(
+            cell, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory
+        ).run(alice, bob, cycles=cycles)
+        monkeypatch.undo()  # the oracle's own garble calls stay unrecorded
+
+        assert result.outputs_per_cycle == cell.run(alice, bob, cycles=cycles)
+        tables = [payload for tag, payload in frames if tag == "tables"]
+        consts = [payload for tag, payload in frames if tag == "const_labels"]
+        assert len(calls) == len(tables) == len(consts) == cycles
+        n_non_xor = core.counts().non_xor
+        assert result.comm["tables"] == cycles * (32 * n_non_xor + 4)
+        for i, (state, rows, tweak, delta, garbled) in enumerate(calls):
+            assert tweak == 2 * n_non_xor * i
+            replay = random.Random()
+            replay.setstate(state)
+            ref = Garbler(
+                core, label_store=LabelStore(delta=delta, rng=replay)
+            ).garble(
+                state_zero_labels=None if rows is None else [
+                    int.from_bytes(row.tobytes(), "little") for row in rows
+                ],
+                tweak_base=tweak,
             )
-            result = session.run(alice, bob, cycles=cycles)
-            outcomes.append((result.outputs_per_cycle, result.comm))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        # and the protocol agrees with the plaintext reference
-        assert outcomes[0][0] == cell.run(alice, bob, cycles=cycles)
+            assert tables[i] == ref.tables_bytes()
+            assert len(tables[i]) + 4 == 32 * n_non_xor + 4
+            # label frames carry a 4-byte count, then 16 bytes per label
+            assert consts[i][4:] == b"".join(
+                label.to_bytes(16, "little") for label in ref.const_labels
+            )
+            assert garbled.decode_bits == ref.decode_bits
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_folded_mac_cross_evaluation(self, seed):
+        """One MAC cycle: reference-garbled -> FastEvaluator and
+        engine-garbled -> Evaluator give equal labels that decode to the
+        plaintext cycle."""
+        cell = folded_mac_cell(FMT, fan_in=5)
+        core = cell.core
+        alice = bits_from_int(seed + 3, core.n_alice)
+        bob = bits_from_int(seed + 5, core.n_bob)
+        init = cell.initial_state()
+        reference = _reference(core, seed)
+        engine = Garbler(core, rng=random.Random(seed))
+        g_ref, g_eng = reference.garble(), engine.garble()
+        assert g_ref.tables_bytes() == g_eng.tables_bytes()
+        assert g_ref.const_labels == g_eng.const_labels
+        assert g_ref.decode_bits == g_eng.decode_bits
+        assert reference.labels.delta == engine.labels.delta
+        labels = [
+            engine.input_labels_for(list(wires), bits)
+            for wires, bits in (
+                (core.alice_inputs, alice),
+                (core.bob_inputs, bob),
+                (core.state_inputs, init),
+            )
+        ]
+        fast = FastEvaluator(core).evaluate(g_ref, *labels)
+        slow = Evaluator(core).evaluate(g_eng, *labels)
+        fast_out = [fast[w] for w in core.outputs]
+        assert fast_out == [slow[w] for w in core.outputs]
+        expected = cell.run([alice], [bob], cycles=1)[0]
+        assert engine.decode_outputs(fast_out) == expected
+        assert reference.decode_outputs(fast_out) == expected
 
     def test_register_carry_stays_private(self):
-        """No state transfer tags appear on the vectorized path either."""
+        """No state transfer tags appear on the wire."""
         cell = folded_mac_cell(FMT, fan_in=3)
         session = SequentialSession(
             cell, ot_group=TEST_GROUP_512, rng=random.Random(4),
-            vectorized=True, pipelined=True,
         )
         result = session.run(
             [bits_from_int(1, cell.core.n_alice)],

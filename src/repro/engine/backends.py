@@ -30,6 +30,7 @@ from ..gc.cipher import HashKDF
 from ..gc.cutandchoose import CutAndChooseGarbler, verify_opened_copy
 from ..gc.fastgarble import FastEvaluator
 from ..gc.ot import MODP_2048, OTGroup
+from ..gc.ot_extension import IKNPState
 from ..gc.channel import default_channel_factory
 from ..gc.outsourcing import OutsourcedSession
 from ..gc.protocol import ChannelFactory, TwoPartySession, transfer_input_labels
@@ -58,8 +59,12 @@ class Backend:
 
     Subclasses implement :meth:`run`; construction carries only
     input-independent protocol parameters so one backend instance can
-    serve many requests (and many threads — backends hold no per-request
-    state).
+    serve many requests and many threads.  The one piece of state a
+    backend holds across requests is :attr:`ot_state`, its OT-extension
+    state: the first request that extends pays the base-OT batch, every
+    later one (retries included) only burns a fresh counter under the
+    state's own lock.  A caller that wants the base OT paid once must
+    therefore keep the backend, as ``PrivateInferenceService`` does.
 
     Args:
         kdf: garbling oracle shared by both parties.
@@ -91,6 +96,7 @@ class Backend:
         if request_timeout_s is not None and request_timeout_s <= 0:
             raise EngineError("request_timeout_s must be positive (or None)")
         self.request_timeout_s = request_timeout_s
+        self.ot_state = IKNPState(group=ot_group, rng=rng)
 
     def _deadline(self) -> Optional[Deadline]:
         """Arm one request attempt's time budget."""
@@ -217,7 +223,7 @@ class TwoPartyBackend(Backend):
             pregarbled = self.pool.acquire()
         session = TwoPartySession(
             circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory,
+            channel_factory=self.channel_factory, ot_state=self.ot_state,
         )
         result = session.run(
             client_bits, server_bits, pregarbled=pregarbled,
@@ -264,7 +270,7 @@ class TwoPartyBackend(Backend):
             slots = [self.pool.acquire() for _ in range(k)]
         session = TwoPartySession(
             circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory,
+            channel_factory=self.channel_factory, ot_state=self.ot_state,
         )
         protocol_results = session.run_many(
             client_bits_list,
@@ -299,7 +305,7 @@ class OutsourcedBackend(Backend):
     ) -> ExecutionResult:
         session = OutsourcedSession(
             circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory,
+            channel_factory=self.channel_factory, ot_state=self.ot_state,
         )
         outcome = session.run(
             client_bits, server_bits, deadline=self._deadline()
@@ -339,7 +345,7 @@ class FoldedBackend(Backend):
         sequential = SequentialCircuit(circuit, [])
         session = SequentialSession(
             sequential, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory,
+            channel_factory=self.channel_factory, ot_state=self.ot_state,
         )
         start = time.perf_counter()
         result = session.run(
@@ -464,6 +470,7 @@ class CutAndChooseBackend(Backend):
             group=self.ot_group,
             rng=self.rng,
             channel=(alice_end, bob_end),
+            state=self.ot_state,
         )
         alice_labels = garbler.input_labels_for(
             list(circuit.alice_inputs), list(client_bits)

@@ -26,7 +26,7 @@ from .fastgarble import FastEvaluator, LabelPlane, garble_many
 from .garble import GarbledCircuit, GarbledGate, Garbler
 from .labels import ArrayLabelStore, LabelStore, permute_bit, random_delta, random_label
 from .ot import MODP_2048, TEST_GROUP_512, OTGroup, OTReceiver, OTSender, run_ot_batch
-from .ot_extension import extension_ot
+from .ot_extension import IKNPState, extension_ot
 from .outsourcing import OutsourcedSession, outsource_circuit, split_input
 from .protocol import (
     Pregarbled,
@@ -72,6 +72,7 @@ __all__ = [
     "TEST_GROUP_512",
     "run_ot_batch",
     "extension_ot",
+    "IKNPState",
     "Channel",
     "ChannelStats",
     "default_channel_factory",

@@ -46,7 +46,7 @@ class OTGroup:
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse mod p."""
-        return pow(a, self.prime - 2, self.prime)
+        return pow(a, -1, self.prime)
 
 
 # RFC 3526, 2048-bit MODP group (group id 14), generator 2.
@@ -82,7 +82,10 @@ def _kdf_group_element(element: int, index: int, length: int) -> bytes:
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR of two equal-length byte strings."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        len(a), "big"
+    )
 
 
 class OTSender:

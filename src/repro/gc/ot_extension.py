@@ -7,14 +7,22 @@ swapped) plus symmetric hashing into millions of transfers — this is the
 standard companion of garbled-circuit frameworks and what keeps the OT
 phase off the critical path in the paper's Fig. 5 timeline.
 
-Matrix notation (m transfers, k = 128 security):
+The public-key part is paid **once per** :class:`IKNPState`: its single
+base-OT batch moves ``k`` pairs of 16-byte seeds, and every later
+extension is symmetric-key work on those seeds (``G`` is an XOF keyed by
+seed and a per-extension counter):
 
-* receiver picks random ``T`` (m x k) and runs base OTs *as sender* with
-  pairs ``(t_j, t_j ^ r)`` per column j, where ``r`` is the choice vector;
-* sender picks ``s in {0,1}^k`` and receives columns ``q_j``, forming
-  ``Q`` with rows ``q_i = t_i ^ (r_i ? s : 0)``;
+* set-up — the extension *sender* picks ``s in {0,1}^k`` and receives
+  ``k_j^{s_j}`` of the receiver's seed pairs ``(k_j^0, k_j^1)``;
+* per extension of ``m`` transfers with choice vector ``r`` the receiver
+  expands ``t_j = G(k_j^0)`` and sends ``u_j = t_j ^ G(k_j^1) ^ r``; the
+  sender forms ``q_j = G(k_j^{s_j}) ^ s_j*u_j``, so the rows satisfy
+  ``q_i = t_i ^ (r_i ? s : 0)``;
 * sender masks: ``y0_i = x0_i ^ H(i, q_i)``, ``y1_i = x1_i ^ H(i, q_i ^ s)``;
 * receiver unmasks its choice with ``H(i, t_i)``.
+
+``i`` is an index that is global to the state, so no two transfers of a
+session — across cycles, requests or retries — share a hash input.
 """
 
 from __future__ import annotations
@@ -22,19 +30,23 @@ from __future__ import annotations
 import hashlib
 import secrets
 import struct
+import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ChannelIntegrityError, OTError
 from .channel import Channel
-from .ot import MODP_2048, OTGroup, run_ot_batch
+from .ot import MODP_2048, OTGroup, _xor_bytes, run_ot_batch
 from .rng import RngLike, rand_bits
 from .sha256_vec import sha256_many
 
-__all__ = ["extension_ot", "KAPPA"]
+__all__ = ["IKNPState", "extension_ot", "KAPPA"]
 
 KAPPA = 128
+
+#: Width of the base-OT messages: one XOF seed per column and choice.
+SEED_BYTES = 16
 
 #: Below this many transfers the per-row hashlib loop wins (the NumPy
 #: kernel's setup costs dominate tiny batches); at or above it all row
@@ -42,9 +54,156 @@ KAPPA = 128
 VEC_MIN_TRANSFERS = 64
 
 
-def _row_bytes(matrix: np.ndarray) -> List[bytes]:
-    """Pack an (m, k) bit matrix into per-row byte strings."""
-    return [np.packbits(row).tobytes() for row in matrix]
+class IKNPState:
+    """The session-lived half of IKNP: one base-OT batch, many extensions.
+
+    Both roles live in one object, like every in-process session of this
+    reproduction.  Constructing a state is free; the base-OT batch (``kappa``
+    transfers of seed pairs, roles swapped, through
+    :func:`repro.gc.ot.run_ot_batch`) runs inside the first
+    :meth:`reserve`, so an owner that never extends never pays for it.
+
+    A state belongs to the session or backend object that created it and
+    is safe to share between that owner's threads: every extension
+    reserves its own XOF counter and its own range of hash indices under
+    the state's lock, and an extension that aborts half-way simply leaves
+    its reservation unused.
+
+    Args:
+        group: group for the ``kappa`` base OTs.
+        rng: randomness source for ``s``, the seeds and the base OT.
+        kappa: computational security parameter (base-OT count).
+    """
+
+    def __init__(
+        self,
+        group: OTGroup = MODP_2048,
+        rng: RngLike = secrets,
+        kappa: int = KAPPA,
+    ) -> None:
+        self.group = group
+        self.kappa = kappa
+        self._rng = rng
+        self._lock = threading.Lock()
+        self._extensions = 0
+        self._transfers = 0
+        self._setup_bytes = 0
+        # written once by _setup() under the lock, read-only afterwards
+        self._s_mask = np.zeros((kappa, 1), dtype=np.uint8)
+        self._s_packed = np.zeros(0, dtype=np.uint8)
+        self._sender_seeds: List[bytes] = []
+        self._receiver_seeds: Tuple[Sequence[bytes], Sequence[bytes]] = ((), ())
+
+    @property
+    def setup_bytes(self) -> int:
+        """Size of the base-OT flights this state has paid for (0 before).
+
+        The three flights as the channel would frame them — ``c``, the
+        ``kappa`` public keys and the ``kappa`` responses, group elements
+        at the modulus width — each with its 4-byte length prefix.  A
+        session-level figure: it is charged to no request's ``comm``.
+        """
+        with self._lock:
+            return self._setup_bytes
+
+    @property
+    def extensions(self) -> int:
+        """Extensions reserved so far (aborted ones included)."""
+        with self._lock:
+            return self._extensions
+
+    def reserve(self, m: int) -> Tuple[int, int]:
+        """Claim one extension of ``m`` transfers.
+
+        Returns ``(counter, first_index)``: the XOF domain separator of
+        this extension and the first of its ``m`` row-hash indices.
+        Neither is ever handed out twice.  The first call runs the
+        base-OT batch.
+        """
+        with self._lock:
+            if not self._setup_bytes:
+                self._setup()
+            counter, first_index = self._extensions, self._transfers
+            self._extensions += 1
+            self._transfers += m
+        return counter, first_index
+
+    def _setup(self) -> None:
+        """The one base-OT batch (caller holds the lock)."""
+        kappa, rng = self.kappa, self._rng
+        s_bits = [rand_bits(rng, 1) for _ in range(kappa)]
+        seed_pairs = [
+            (
+                rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
+                rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
+            )
+            for _ in range(kappa)
+        ]
+        # roles swapped: the extension's sender is the base-OT receiver
+        self._sender_seeds = run_ot_batch(
+            seed_pairs, s_bits, group=self.group, rng=rng
+        )
+        self._receiver_seeds = (
+            [k0 for k0, _ in seed_pairs],
+            [k1 for _, k1 in seed_pairs],
+        )
+        s_vector = np.array(s_bits, dtype=np.uint8)
+        self._s_mask = (s_vector * np.uint8(0xFF))[:, None]
+        self._s_packed = np.packbits(s_vector)
+        width = (self.group.prime.bit_length() + 7) // 8
+        self._setup_bytes = (
+            (width + 4)
+            + (kappa * width + 4)
+            + (kappa * (width + 2 * SEED_BYTES) + 4)
+        )
+
+    # -- per-extension expansion -------------------------------------------
+
+    @staticmethod
+    def _expand(seeds: Sequence[bytes], counter: int, col_len: int) -> np.ndarray:
+        """``G(seed, counter)`` for every column: ``(kappa, col_len)`` bytes."""
+        suffix = counter.to_bytes(8, "big")
+        return np.frombuffer(
+            b"".join(
+                hashlib.shake_256(seed + suffix).digest(col_len)
+                for seed in seeds
+            ),
+            dtype=np.uint8,
+        ).reshape(len(seeds), col_len)
+
+    def receiver_columns(
+        self, counter: int, choice_bits: np.ndarray
+    ) -> Tuple[np.ndarray, bytes]:
+        """Receiver side: ``(T rows packed, the u columns to send)``."""
+        m = len(choice_bits)
+        col_len = (m + 7) // 8
+        seeds0, seeds1 = self._receiver_seeds
+        t_cols = self._expand(seeds0, counter, col_len)
+        u_cols = (
+            t_cols
+            ^ self._expand(seeds1, counter, col_len)
+            ^ np.packbits(choice_bits)[None, :]
+        )
+        return _rows(t_cols, m), u_cols.tobytes()
+
+    def sender_rows(
+        self, counter: int, m: int, u_blob: bytes
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sender side: packed rows ``(q_i, q_i ^ s)`` from the ``u`` columns."""
+        col_len = (m + 7) // 8
+        u_cols = np.frombuffer(u_blob, dtype=np.uint8).reshape(
+            self.kappa, col_len
+        )
+        q_cols = self._expand(self._sender_seeds, counter, col_len) ^ (
+            u_cols & self._s_mask
+        )
+        q_rows = _rows(q_cols, m)
+        return q_rows, q_rows ^ self._s_packed[None, :]
+
+
+def _rows(cols: np.ndarray, m: int) -> np.ndarray:
+    """Transpose packed ``(kappa, ceil(m/8))`` columns to packed ``(m, kappa/8)`` rows."""
+    return np.packbits(np.unpackbits(cols, axis=1)[:, :m].T, axis=1)
 
 
 def _hash_row(index: int, row: bytes, length: int) -> bytes:
@@ -58,7 +217,7 @@ def _hash_row(index: int, row: bytes, length: int) -> bytes:
     return out[:length]
 
 
-def _hash_rows(rows: np.ndarray, length: int) -> np.ndarray:
+def _hash_rows(rows: np.ndarray, length: int, first_index: int) -> np.ndarray:
     """Vectorized :func:`_hash_row` over every row of a packed matrix.
 
     Builds the ``index || counter || row`` messages for all ``m`` rows
@@ -69,6 +228,7 @@ def _hash_rows(rows: np.ndarray, length: int) -> np.ndarray:
     Args:
         rows: ``(m, row_bytes)`` uint8 packed matrix rows.
         length: mask bytes needed per row (counter mode extends).
+        first_index: hash index of row 0; row ``i`` uses ``first_index + i``.
 
     Returns:
         ``(m, length)`` uint8 mask matrix.
@@ -78,7 +238,9 @@ def _hash_rows(rows: np.ndarray, length: int) -> np.ndarray:
         return np.empty((m, length), dtype=np.uint8)
     batch = np.empty((m, 12 + row_len), dtype=np.uint8)
     batch[:, :8] = (
-        np.arange(m, dtype=">u8").view(np.uint8).reshape(m, 8)
+        np.arange(first_index, first_index + m, dtype=">u8")
+        .view(np.uint8)
+        .reshape(m, 8)
     )
     batch[:, 12:] = rows
     chunks = []
@@ -92,10 +254,6 @@ def _hash_rows(rows: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate(chunks, axis=1)[:, :length]
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def extension_ot(
     pairs: Sequence[Tuple[bytes, bytes]],
     choices: Sequence[int],
@@ -103,20 +261,24 @@ def extension_ot(
     rng: RngLike = secrets,
     kappa: int = KAPPA,
     channel: Optional[Tuple[Channel, Channel]] = None,
+    state: Optional[IKNPState] = None,
 ) -> Tuple[List[bytes], int]:
-    """Run IKNP extension locally (both roles in-process).
+    """Run one IKNP extension locally (both roles in-process).
 
     Args:
         pairs: the sender's ``m`` message pairs (equal lengths per pair).
         choices: the receiver's ``m`` choice bits.
-        group: group for the ``kappa`` base OTs.
-        rng: randomness source.
-        kappa: computational security parameter (base-OT count).
+        group: group for the ``kappa`` base OTs (unused with ``state``).
+        rng: randomness source (unused with ``state``).
+        kappa: computational security parameter (unused with ``state``).
         channel: optional ``(alice_end, bob_end)`` endpoints; when given
-            both extension flights — the base-OT column payloads
+            both extension flights — the ``u`` columns
             (receiver-to-sender) and the masked message planes
             (sender-to-receiver) — travel as checksummed ``"ot"``-tagged
             frames, so injected wire faults hit the real OT data path.
+        state: the owner's :class:`IKNPState`; its base OT is paid once
+            and this call only burns one counter.  ``None`` builds a
+            throw-away state, i.e. pays the base OT for this call alone.
 
     Returns:
         ``(chosen_messages, transferred_bytes)`` where the second element
@@ -128,68 +290,48 @@ def extension_ot(
         raise OTError("need one choice per pair")
     if m == 0:
         return [], 0
-    # --- receiver state
+    for m0, m1 in pairs:
+        if len(m0) != len(m1):
+            raise OTError("message pair lengths must match")
+    if state is None:
+        state = IKNPState(group=group, rng=rng, kappa=kappa)
+    kappa = state.kappa
+    counter, first_index = state.reserve(m)
+    # --- receiver expands its seeds and sends the u columns
     choice_bits = np.array([c & 1 for c in choices], dtype=np.uint8)
-    t_matrix = np.frombuffer(
-        bytes(rand_bits(rng, 8) for _ in range(m * kappa)), dtype=np.uint8
-    ).reshape(m, kappa) & 1
-    # --- base OTs with swapped roles: sender of extension receives columns
-    s_bits = [rand_bits(rng, 1) for _ in range(kappa)]
-    base_pairs = []
-    for j in range(kappa):
-        col = t_matrix[:, j]
-        base_pairs.append(
-            (np.packbits(col).tobytes(), np.packbits(col ^ choice_bits).tobytes())
-        )
-    received = run_ot_batch(base_pairs, s_bits, group=group, rng=rng)
+    t_rows, u_blob = state.receiver_columns(counter, choice_bits)
     if channel is not None:
         # the columns travel receiver-to-sender: frame them so injected
         # faults (corruption, truncation, drops) hit real OT traffic and
         # are detected by the checksum/tag validation on recv
         alice_end, bob_end = channel
-        col_len = (m + 7) // 8
-        bob_end.send_bytes(b"".join(received), tag="ot")
-        cols_blob = alice_end.recv_bytes(expected_tag="ot")
-        if len(cols_blob) != kappa * col_len:
+        bob_end.send_bytes(u_blob, tag="ot")
+        sent_len = len(u_blob)
+        u_blob = alice_end.recv_bytes(expected_tag="ot")
+        if len(u_blob) != sent_len:
             raise ChannelIntegrityError(
                 f"OT column payload size mismatch: expected "
-                f"{kappa * col_len} bytes for {kappa} columns, got "
-                f"{len(cols_blob)}"
+                f"{sent_len} bytes for {kappa} columns, got "
+                f"{len(u_blob)}"
             )
-        received = [
-            cols_blob[j * col_len : (j + 1) * col_len] for j in range(kappa)
-        ]
-    q_columns = np.stack(
-        [
-            np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:m]
-            for data in received
-        ],
-        axis=1,
-    ).astype(np.uint8)
+    q_rows, q_rows_flipped = state.sender_rows(counter, m, u_blob)
     # --- sender masks the message pairs
-    s_vector = np.array(s_bits, dtype=np.uint8)
-    for m0, m1 in pairs:
-        if len(m0) != len(m1):
-            raise OTError("message pair lengths must match")
     length = len(pairs[0][0])
     uniform = all(len(m0) == length for m0, _ in pairs)
     if uniform and m >= VEC_MIN_TRANSFERS:
         # fast path (the GC protocol's case: m label transfers, all 16
         # bytes): every masking step is one batched row hash + one XOR
         # over an (m, length) plane instead of 3m hashlib calls
-        q_packed = np.packbits(q_columns, axis=1)
-        qf_packed = np.packbits(q_columns ^ s_vector[None, :], axis=1)
         m0_plane = np.frombuffer(
             b"".join(m0 for m0, _ in pairs), dtype=np.uint8
         ).reshape(m, length)
         m1_plane = np.frombuffer(
             b"".join(m1 for _, m1 in pairs), dtype=np.uint8
         ).reshape(m, length)
-        y0_plane = m0_plane ^ _hash_rows(q_packed, length)
-        y1_plane = m1_plane ^ _hash_rows(qf_packed, length)
+        y0_plane = m0_plane ^ _hash_rows(q_rows, length, first_index)
+        y1_plane = m1_plane ^ _hash_rows(q_rows_flipped, length, first_index)
         transferred = 2 * m * length + m * kappa // 8
         if channel is not None:
-            alice_end, bob_end = channel
             alice_end.send_bytes(
                 y0_plane.tobytes() + y1_plane.tobytes(), tag="ot"
             )
@@ -203,26 +345,25 @@ def extension_ot(
             plane = np.frombuffer(masked_blob, dtype=np.uint8)
             y0_plane = plane[: m * length].reshape(m, length)
             y1_plane = plane[m * length :].reshape(m, length)
-            transferred = (len(cols_blob) + 4) + (len(masked_blob) + 4)
+            transferred = (len(u_blob) + 4) + (len(masked_blob) + 4)
         # --- receiver unmasks
         chosen = np.where(
             (choice_bits != 0)[:, None], y1_plane, y0_plane
         )
-        t_packed = np.packbits(t_matrix, axis=1)
-        out_plane = chosen ^ _hash_rows(t_packed, length)
+        out_plane = chosen ^ _hash_rows(t_rows, length, first_index)
         return [out_plane[i].tobytes() for i in range(m)], transferred
-    q_rows = _row_bytes(q_columns)
-    q_rows_flipped = _row_bytes(q_columns ^ s_vector[None, :])
     masked: List[Tuple[bytes, bytes]] = []
     transferred = 0
     for i, (m0, m1) in enumerate(pairs):
-        y0 = _xor_bytes(m0, _hash_row(i, q_rows[i], len(m0)))
-        y1 = _xor_bytes(m1, _hash_row(i, q_rows_flipped[i], len(m1)))
+        index = first_index + i
+        y0 = _xor_bytes(m0, _hash_row(index, q_rows[i].tobytes(), len(m0)))
+        y1 = _xor_bytes(
+            m1, _hash_row(index, q_rows_flipped[i].tobytes(), len(m1))
+        )
         masked.append((y0, y1))
         transferred += len(y0) + len(y1)
-    transferred += m * kappa // 8  # the base-OT column payloads
+    transferred += m * kappa // 8  # the u columns
     if channel is not None:
-        alice_end, bob_end = channel
         alice_end.send_bytes(
             b"".join(
                 struct.pack("<II", len(y0), len(y1)) + y0 + y1
@@ -256,11 +397,14 @@ def extension_ot(
                 f"OT masked payload carries {len(masked_blob) - offset} "
                 "trailing bytes"
             )
-        transferred = (len(cols_blob) + 4) + (len(masked_blob) + 4)
+        transferred = (len(u_blob) + 4) + (len(masked_blob) + 4)
     # --- receiver unmasks
-    t_rows = _row_bytes(t_matrix)
     out: List[bytes] = []
     for i, choice in enumerate(choice_bits):
         y = masked[i][1] if choice else masked[i][0]
-        out.append(_xor_bytes(y, _hash_row(i, t_rows[i], len(y))))
+        out.append(
+            _xor_bytes(
+                y, _hash_row(first_index + i, t_rows[i].tobytes(), len(y))
+            )
+        )
     return out, transferred

@@ -22,6 +22,7 @@ from ..circuits.netlist import Circuit
 from ..errors import ProtocolError
 from .cipher import HashKDF
 from .ot import MODP_2048, OTGroup
+from .ot_extension import IKNPState
 from .protocol import ChannelFactory, ProtocolResult, TwoPartySession
 from .rng import RngLike, rand_bits
 
@@ -117,6 +118,7 @@ class OutsourcedSession:
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
         channel_factory: Optional[ChannelFactory] = None,
+        ot_state: Optional[IKNPState] = None,
     ) -> None:
         self.original = circuit
         self.transformed = outsource_circuit(circuit)
@@ -124,6 +126,7 @@ class OutsourcedSession:
         self.ot_group = ot_group
         self.rng = rng
         self.channel_factory = channel_factory
+        self.ot_state = ot_state
 
     def run(
         self,
@@ -143,6 +146,7 @@ class OutsourcedSession:
             ot_group=self.ot_group,
             rng=self.rng,
             channel_factory=self.channel_factory,
+            ot_state=self.ot_state,
         )
         result = session.run(
             share_s, list(share_xs) + list(server_bits), deadline=deadline

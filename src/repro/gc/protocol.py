@@ -41,7 +41,7 @@ from .cipher import HashKDF, default_kdf
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
 from .ot import MODP_2048, OTGroup
-from .ot_extension import extension_ot
+from .ot_extension import IKNPState, extension_ot
 from .rng import RngLike
 
 __all__ = [
@@ -146,6 +146,8 @@ class TwoPartySession:
             where the chaos harness injects a
             :class:`repro.resilience.FaultyChannel`; defaults to the
             healthy in-memory link.
+        ot_state: the owner's OT-extension state, so only its first
+            request pays the base OT; ``None`` pays it on every request.
     """
 
     def __init__(
@@ -155,6 +157,7 @@ class TwoPartySession:
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
         channel_factory: Optional[ChannelFactory] = None,
+        ot_state: Optional[IKNPState] = None,
     ) -> None:
         if circuit.n_state:
             raise ProtocolError(
@@ -169,6 +172,7 @@ class TwoPartySession:
             channel_factory if channel_factory is not None
             else default_channel_factory()
         )
+        self.ot_state = ot_state
 
     def _open_channel(
         self, deadline: Optional["Deadline"]
@@ -520,7 +524,7 @@ class TwoPartySession:
         labels, _ = transfer_input_labels(
             garbler, wires, bits,
             group=self.ot_group, rng=self.rng, stats=stats,
-            channel=channel,
+            channel=channel, state=self.ot_state,
         )
         return labels
 
@@ -533,6 +537,7 @@ def transfer_input_labels(
     rng: RngLike = secrets,
     stats: Optional[ChannelStats] = None,
     channel: Optional[Tuple[Channel, Channel]] = None,
+    state: Optional[IKNPState] = None,
 ) -> Tuple[List[int], int]:
     """Transfer the evaluator's input labels obliviously.
 
@@ -554,6 +559,8 @@ def transfer_input_labels(
             frames, so injected wire faults hit the OT data path and are
             detected by the framing layer (and deadlines are charged on
             every flight).
+        state: the caller's OT-extension state (used at or above the
+            threshold only); ``None`` pays a base-OT batch for this call.
 
     Returns:
         ``(labels, total_bytes)`` — the chosen labels and the OT traffic.
@@ -576,7 +583,8 @@ def transfer_input_labels(
 
     if len(wires) >= OT_EXTENSION_THRESHOLD:
         chosen, transferred = extension_ot(
-            pairs, list(bits), group=group, rng=rng, channel=channel
+            pairs, list(bits), group=group, rng=rng, channel=channel,
+            state=state,
         )
         account("a2b", transferred)
     elif channel is not None:

@@ -39,7 +39,7 @@ from .fastgarble import FastEvaluator
 from .garble import Garbler, GarbledCircuit, LazyTables
 from .labels import ArrayLabelStore
 from .ot import MODP_2048, OTGroup
-from .ot_extension import extension_ot
+from .ot_extension import IKNPState, extension_ot
 from .rng import RngLike
 
 __all__ = ["SequentialResult", "SequentialSession"]
@@ -80,6 +80,9 @@ class SequentialSession:
         channel_factory: builds the session's channel pair — the seam
             for the fault-injection harness; defaults to the healthy
             in-memory link.
+        ot_state: the owner's OT-extension state, shared across its
+            runs; ``None`` builds one per :meth:`run`, so a run pays the
+            base OT once however many cycles it clocks.
     """
 
     def __init__(
@@ -89,6 +92,7 @@ class SequentialSession:
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
         channel_factory: Optional["ChannelFactory"] = None,
+        ot_state: Optional[IKNPState] = None,
     ) -> None:
         self.sequential = sequential
         self.kdf = kdf or default_kdf()
@@ -98,6 +102,7 @@ class SequentialSession:
             channel_factory if channel_factory is not None
             else default_channel_factory()
         )
+        self.ot_state = ot_state
 
     def run(
         self,
@@ -124,6 +129,7 @@ class SequentialSession:
         store = ArrayLabelStore(core.n_wires, rng=self.rng)
         garbler = Garbler(core, kdf=self.kdf, label_store=store, rng=self.rng)
         evaluator = FastEvaluator(core, kdf=self.kdf)
+        ot_state = self.ot_state or IKNPState(self.ot_group, self.rng)
         garble_times: List[float] = []
         evaluate_times: List[float] = []
         outputs: List[List[int]] = []
@@ -173,7 +179,7 @@ class SequentialSession:
             alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
             bob_labels = self._oblivious_transfer(
                 [garbler.wire_label_pair(w) for w in bob_wires],
-                bob_bits, stats, channel=(alice_end, bob_end),
+                bob_bits, stats, ot_state, channel=(alice_end, bob_end),
             )
 
             start = time.perf_counter()
@@ -229,6 +235,7 @@ class SequentialSession:
         pairs: Sequence[Tuple[int, int]],
         bits: Sequence[int],
         stats: ChannelStats,
+        ot_state: IKNPState,
         channel: Optional[Tuple[Channel, Channel]] = None,
     ) -> List[int]:
         if len(pairs) != len(bits):
@@ -240,8 +247,7 @@ class SequentialSession:
             for zero, one in pairs
         ]
         chosen, transferred = extension_ot(
-            byte_pairs, bits, group=self.ot_group, rng=self.rng,
-            channel=channel,
+            byte_pairs, bits, channel=channel, state=ot_state,
         )
         if channel is None:
             # channel mode accounts its own frames on send

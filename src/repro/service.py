@@ -263,6 +263,15 @@ class PrivateInferenceService:
             snapshot["draining"] = self._closing
             breakers = dict(self._breakers)
             pool = self._pool
+            ot_states = [b.ot_state for b in self._backends.values()]
+        # session-level OT figures: what the base OT cost this service,
+        # charged to no request's comm_bytes
+        setup_bytes = [state.setup_bytes for state in ot_states]
+        snapshot["ot"] = {
+            "base_batches": sum(1 for size in setup_bytes if size),
+            "setup_bytes": sum(setup_bytes),
+            "extensions": sum(state.extensions for state in ot_states),
+        }
         # pool and breakers take their own locks; call outside ours
         if breakers:
             snapshot["breakers"] = {
@@ -345,8 +354,12 @@ class PrivateInferenceService:
             pool = self._pool
             if pool is None:
                 pool = self._pool = self._make_pool(count or 8)
-                # the cached two-party backend predates the pool
-                self._backends.pop("two_party", None)
+                # a cached two-party backend predates the pool: hand it
+                # the pool rather than rebuild it, so it keeps the OT
+                # state it has already paid a base OT for
+                backend = self._backends.get("two_party")
+                if backend is not None and backend.pool is None:
+                    backend.pool = pool
             if count is not None and count > pool.capacity:
                 # capacity is a sizing knob, not a contract: an explicit
                 # prepare(n) beyond it grows the pool rather than silently
@@ -376,7 +389,11 @@ class PrivateInferenceService:
         return options
 
     def _backend(self, name: str) -> Backend:
-        """Backend instance for ``name`` (cached; backends are stateless)."""
+        """Backend instance for ``name``, cached for the service's life.
+
+        The cache is what makes the base OT a once-per-service cost: the
+        backend owns the OT-extension state its requests share.
+        """
         with self._lock:
             backend = self._backends.get(name)
             if backend is None:

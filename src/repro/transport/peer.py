@@ -11,6 +11,10 @@ processes without changing a line of session code:
   identically seeded rng, so they execute the same deterministic
   protocol program in lockstep (label draws, OT matrices, every flight
   size — the reproduction's existing shared-randomness trust model).
+  That is why neither runner below hands its session an ``ot_state``:
+  each end builds a fresh OT-extension state from the shared seed, per
+  call.  An end that reused an older state (a worker's service keeps
+  one) would skip draws its peer makes and decode foreign labels.
 - On the process hosting party P, P's endpoint is a real
   :class:`~repro.transport.socket_channel.SocketChannel`: its sends go
   on the wire (and are echoed into a local mirror queue), its receives

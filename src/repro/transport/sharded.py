@@ -619,6 +619,16 @@ class ShardedService:
                         entry["service"] = reply["stats"]
             per_shard.append(entry)
         snapshot["per_shard"] = per_shard
+        # every shard process pays its own base OT: session-level totals
+        # over the shards that answered, never part of a request's comm
+        shard_ot = [
+            entry["service"].get("ot", {})
+            for entry in per_shard if "service" in entry
+        ]
+        snapshot["ot"] = {
+            key: sum(ot.get(key, 0) for ot in shard_ot)
+            for key in ("base_batches", "setup_bytes", "extensions")
+        }
         supervisor = self._supervisor
         if supervisor is not None:
             snapshot["supervisor"] = supervisor.stats()

@@ -25,6 +25,12 @@ class TestCounts:
         assert counts.non_xor == 2
         assert counts.total == 3
 
+    def test_counts_walk_the_gates_once(self):
+        # sessions, backends and service.stats ask per request
+        circuit = _simple_circuit()
+        assert circuit.counts() is circuit.counts()
+        assert _simple_circuit().counts() == circuit.counts()
+
     def test_gatecounts_add_and_scale(self):
         a = GateCounts(10, 5)
         b = GateCounts(1, 2)

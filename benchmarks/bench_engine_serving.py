@@ -23,8 +23,11 @@ from _bench_util import record_trajectory, write_report
 def service_and_data():
     # the CLI's demo service: same model, dataset and config as the
     # `infer`/`serve` subcommands, so benchmark results and CLI output
-    # describe the same deployment
-    return _demo_service(history_limit=64, seed=11)
+    # describe the same deployment — except that the pool only fills
+    # when a test calls prepare(): an opportunistic refill thread garbles
+    # *during* the pooled request it was kicked by, and once a garbling
+    # costs less than a request that contention hides the split
+    return _demo_service(history_limit=64, seed=11, pool_refill="none")
 
 
 def test_offline_online_split(benchmark, service_and_data, results_dir):

@@ -75,7 +75,7 @@ def characterize(
 
     Args:
         n_gates: chain length per gate type.
-        kdf: garbling oracle (default SHA-256 backend).
+        kdf: garbling oracle (default: fixed-key AES).
     """
     kdf = kdf or default_kdf()
     import random

@@ -128,7 +128,7 @@ _DEMO_SAMPLES = 400
 def _demo_service(backend: str = "two_party", activation: str = "exact",
                   pool_size: int = 0, history_limit: int = 0, seed: int = 1,
                   pool_refill: str = "opportunistic", kdf_workers: int = 1,
-                  kdf_backend: str = "auto", pool_low_watermark=None,
+                  kdf_backend: str = "fixed_key_aes", pool_low_watermark=None,
                   request_timeout_s=None, max_retries: int = 0,
                   fault_specs=None, fault_seed: int = 0,
                   transport: Optional[str] = None, shards: int = 0,
@@ -213,7 +213,8 @@ def _infer_remote(args) -> None:
     import socket
 
     from .transport import run_folded_peer, run_two_party_peer
-    from .transport.worker import recv_ctl, send_ctl
+    from .errors import EngineError
+    from .transport.worker import open_peer_session, recv_ctl, send_ctl
 
     flows = {"two_party": run_two_party_peer, "folded": run_folded_peer}
     runner = flows.get(args.backend)
@@ -234,17 +235,15 @@ def _infer_remote(args) -> None:
             seed = 1000 + index
             client_bits = service.compiled.client_bits(x[index])
             server_bits = service._server_bits
-            send_ctl(sock, {
-                "op": "peer", "flow": args.backend, "seed": seed,
-                "alice_bits": client_bits, "bob_bits": server_bits,
-            })
-            ack = recv_ctl(sock, timeout=60.0)
-            if not ack.get("ok"):
-                raise SystemExit(f"infer: worker rejected session: {ack}")
+            try:
+                open_peer_session(sock, args.backend, seed, client_bits,
+                                  server_bits, service.kdf)
+            except EngineError as exc:
+                raise SystemExit(f"infer: {exc}")
             result = runner(
                 sock, "garbler", service.compiled.circuit,
                 client_bits, server_bits,
-                kdf=service.config.kdf, ot_group=service.config.ot_group,
+                kdf=service.kdf, ot_group=service.config.ot_group,
                 rng=random.Random(seed),
             )
             outputs = (result.final_outputs if args.backend == "folded"
@@ -653,13 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batched evaluation: push concurrent "
                             "requests through one evaluate_many pass "
                             "(default: auto)")
-    serve.add_argument("--kdf-backend", default="auto",
+    serve.add_argument("--kdf-backend", default="fixed_key_aes",
                        choices=["auto", "hashlib", "sha256_vec",
                                 "fixed_key_aes"],
-                       help="garbling-oracle backend: auto calibrates the "
-                            "hashlib loop vs the block-parallel NumPy "
-                            "SHA-256 kernel per batch width (identical "
-                            "tables either way)")
+                       help="garbling oracle: fixed_key_aes (default, the "
+                            "paper's fixed-key block cipher through "
+                            "libcrypto) or the SHA-256 oracle (hashlib; "
+                            "sha256_vec and auto are other implementations "
+                            "of it, identical tables); peers must agree")
     serve.add_argument("--kdf-workers", type=int, default=1,
                        help="thread-split the batched KDF across this "
                             "many workers (0 = host cores)")

@@ -42,16 +42,20 @@ class EngineConfig:
         backend_options: extra keywords for the chosen backend's
             constructor (e.g. ``{"copies": 4}`` for cut-and-choose).
         kdf: explicit garbling-oracle *instance*; overrides
-            ``kdf_backend`` entirely when set.  None (default) lets the
-            backend registry choose.
-        kdf_backend: registered oracle backend name —
-            ``"auto"`` (default: one-shot host calibration picks the
-            hashlib loop or the block-parallel NumPy SHA-256 kernel per
-            batch width; both compute identical digests so tables never
-            change), ``"hashlib"``, ``"sha256_vec"``, or
-            ``"fixed_key_aes"`` (JustGarble fixed-key oracle — a
-            *different* random oracle: same inference results, different
-            table bytes).
+            ``kdf_backend`` entirely when set.
+        kdf_backend: registered oracle backend name.  The oracle is
+            part of the wire contract — tables garbled under one do not
+            evaluate under another — so it is named here, carried in
+            worker control records and checked, never picked per host.
+            ``"fixed_key_aes"`` (default) is the paper's fixed-key
+            block cipher (JustGarble ``pi(2X ^ T) ^ (2X ^ T)``, AES in
+            the system libcrypto, NumPy tables where none loads — same
+            tables either way); ``"hashlib"`` is ``SHA256(label ||
+            tweak)[:16]``, one hashlib call per row: same inference
+            results, different table bytes.  ``"sha256_vec"`` and
+            ``"auto"`` (a per-host calibration between the two) are
+            other implementations of the SHA oracle, byte-identical to
+            ``"hashlib"``.
         ot_group: group for base OTs (production default MODP-2048).
         rng: randomness source (``secrets``, or a seeded
             ``random.Random`` for reproducible runs).
@@ -118,7 +122,7 @@ class EngineConfig:
     backend: str = "two_party"
     backend_options: Dict[str, Any] = dataclasses.field(default_factory=dict)
     kdf: Optional[HashKDF] = None
-    kdf_backend: str = "auto"
+    kdf_backend: str = "fixed_key_aes"
     ot_group: OTGroup = MODP_2048
     rng: Any = secrets
     kdf_workers: int = 1
@@ -202,19 +206,16 @@ class EngineConfig:
         if self.max_inflight < 0:
             raise EngineError("max_inflight must be >= 0 (0 = unbounded)")
 
-    def effective_kdf(self) -> Optional[HashKDF]:
+    def effective_kdf(self) -> HashKDF:
         """The garbling oracle with ``kdf_backend``/``kdf_workers`` applied.
 
         An explicit ``kdf`` instance wins; otherwise the backend name is
-        resolved through the oracle registry (``"auto"`` consults the
-        cached host calibration — the registry guarantees the choice
-        never changes garbled bytes, only speed).  With ``kdf_workers``
-        > 1 the resolved oracle is wrapped in a
+        resolved through the oracle registry.  With ``kdf_workers`` > 1
+        the resolved oracle is wrapped in a
         :class:`repro.gc.cipher.ParallelKDF` that chunk-splits each
-        batch; the NumPy kernel releases the GIL inside its ufuncs, so
-        that wrapper actually scales on multicore hosts.  Call once per
-        service so every backend, pool and session shares one worker
-        pool.
+        batch across threads (both the libcrypto call and the NumPy
+        SHA-256 kernel release the GIL).  Call once per service so every
+        backend, pool and session shares one oracle and one worker pool.
         """
         from ..gc.cipher import ParallelKDF, resolve_kdf_backend
 
@@ -226,12 +227,9 @@ class EngineConfig:
             # claims its fair 1/shards slice (at least one thread)
             workers = max(1, (os.cpu_count() or 1) // max(1, self.shards or 1))
         kdf = self.kdf
-        if kdf is None and self.kdf_backend != "hashlib":
-            # "hashlib" keeps the seed behavior (None -> default_kdf());
-            # anything else resolves through the registry.  "auto" gets
-            # the worker count: only the GIL-releasing NumPy kernel can
-            # use those threads, so the calibrated crossover must be
-            # taken at kernel-throughput x workers
+        if kdf is None:
+            # "auto" gets the worker count: its calibrated crossover
+            # must be taken at kernel-throughput x workers
             kdf = resolve_kdf_backend(self.kdf_backend, workers=workers)
         if workers <= 1 or isinstance(kdf, ParallelKDF):
             return kdf

@@ -18,6 +18,7 @@ from .cipher import (
     default_kdf,
     kdf_calibration,
     make_kdf,
+    oracle_fingerprint,
     resolve_kdf_backend,
 )
 from .cutandchoose import CutAndChooseGarbler, OpenedCopy, verify_opened_copy
@@ -61,6 +62,7 @@ __all__ = [
     "calibrate_kdf",
     "kdf_calibration",
     "make_kdf",
+    "oracle_fingerprint",
     "resolve_kdf_backend",
     "sha256_many",
     "default_kdf",

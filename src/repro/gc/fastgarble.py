@@ -2,7 +2,7 @@
 
 The reference loops (:mod:`repro.gc.garble` / :mod:`repro.gc.evaluate`)
 walk the netlist gate by gate: per gate they do dict label lookups,
-int<->bytes conversions and one ``hashlib`` call per half-gate row.
+int<->bytes conversions and one oracle call per half-gate row.
 DeepSecure's whole premise is that GC inference is compute bound, so
 this module — the engine every session runs on — expresses the same
 construction over whole dependency levels at once:
@@ -160,7 +160,7 @@ def garble_copies(
     d3 = delta[:, None, :]
     delta_ints = [s.delta for s in stores]
     tables = np.empty((k, schedule.n_non_free, 32), dtype=np.uint8)
-    hash_one = kdf.hash
+    hash_quad = kdf.hash_quad
 
     levels = schedule.levels
     fused = (
@@ -202,10 +202,9 @@ def garble_copies(
                     if ib:
                         zb ^= dint
                     tweak = tweak_base + 2 * tidx
-                    h_a0 = hash_one(za, tweak)
-                    h_a1 = hash_one(za ^ dint, tweak)
-                    h_b0 = hash_one(zb, tweak + 1)
-                    h_b1 = hash_one(zb ^ dint, tweak + 1)
+                    h_a0, h_a1, h_b0, h_b1 = hash_quad(
+                        za, za ^ dint, zb, zb ^ dint, tweak
+                    )
                     tg = h_a0 ^ h_a1 ^ (dint if zb & 1 else 0)
                     wg = h_a0 ^ (tg if za & 1 else 0)
                     te = h_b0 ^ h_b1 ^ za
@@ -306,10 +305,9 @@ def garble_copies(
                     if ib:
                         zb ^= dint
                     tweak = tweak_base + 2 * tidx
-                    h_a0 = hash_one(za, tweak)
-                    h_a1 = hash_one(za ^ dint, tweak)
-                    h_b0 = hash_one(zb, tweak + 1)
-                    h_b1 = hash_one(zb ^ dint, tweak + 1)
+                    h_a0, h_a1, h_b0, h_b1 = hash_quad(
+                        za, za ^ dint, zb, zb ^ dint, tweak
+                    )
                     tg = h_a0 ^ h_a1 ^ (dint if zb & 1 else 0)
                     wg = h_a0 ^ (tg if za & 1 else 0)
                     te = h_b0 ^ h_b1 ^ za
@@ -481,7 +479,7 @@ class FastEvaluator(Evaluator):
         base = garbled.tweak_base if tweak_base is None else tweak_base
 
         kdf = self.kdf
-        hash_one = kdf.hash
+        hash_pair = kdf.hash_pair
         levels = schedule.levels
         fused = (
             schedule.fused_narrow_runs(1, VECTOR_MIN_WIDTH) if fuse else {}
@@ -513,10 +511,9 @@ class FastEvaluator(Evaluator):
                         continue
                     tweak = base + 2 * tidx
                     row = table_plane[tidx]
-                    wg = hash_one(wa_i, tweak)
+                    wg, we = hash_pair(wa_i, wb_i, tweak)
                     if wa_i & 1:
                         wg ^= int.from_bytes(row[:16].tobytes(), "little")
-                    we = hash_one(wb_i, tweak + 1)
                     if wb_i & 1:
                         te_i = int.from_bytes(row[16:].tobytes(), "little")
                         we ^= te_i ^ wa_i
@@ -566,10 +563,9 @@ class FastEvaluator(Evaluator):
                     wb_i = int.from_bytes(plane[b].tobytes(), "little")
                     tweak = base + 2 * tidx
                     row = table_plane[tidx]
-                    wg = hash_one(wa_i, tweak)
+                    wg, we = hash_pair(wa_i, wb_i, tweak)
                     if wa_i & 1:
                         wg ^= int.from_bytes(row[:16].tobytes(), "little")
-                    we = hash_one(wb_i, tweak + 1)
                     if wb_i & 1:
                         te_i = int.from_bytes(row[16:].tobytes(), "little")
                         we ^= te_i ^ wa_i
@@ -693,7 +689,7 @@ class FastEvaluator(Evaluator):
         te_all = tables[:, :, 16:]
 
         kdf = self.kdf
-        hash_one = kdf.hash
+        hash_pair = kdf.hash_pair
         levels = schedule.levels
         fused = (
             schedule.fused_narrow_runs(k, VECTOR_MIN_WIDTH) if fuse else {}
@@ -729,12 +725,11 @@ class FastEvaluator(Evaluator):
                             continue
                         tweak = base + 2 * tidx
                         row = copy_tables[tidx]
-                        wg = hash_one(wa_i, tweak)
+                        wg, we = hash_pair(wa_i, wb_i, tweak)
                         if wa_i & 1:
                             wg ^= int.from_bytes(
                                 row[:16].tobytes(), "little"
                             )
-                        we = hash_one(wb_i, tweak + 1)
                         if wb_i & 1:
                             te_i = int.from_bytes(
                                 row[16:].tobytes(), "little"
@@ -795,10 +790,9 @@ class FastEvaluator(Evaluator):
                         wb_i = int.from_bytes(rows_i[b].tobytes(), "little")
                         tweak = base + 2 * tidx
                         row = copy_tables[tidx]
-                        wg = hash_one(wa_i, tweak)
+                        wg, we = hash_pair(wa_i, wb_i, tweak)
                         if wa_i & 1:
                             wg ^= int.from_bytes(row[:16].tobytes(), "little")
-                        we = hash_one(wb_i, tweak + 1)
                         if wb_i & 1:
                             te_i = int.from_bytes(
                                 row[16:].tobytes(), "little"

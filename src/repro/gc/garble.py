@@ -138,7 +138,7 @@ class Garbler:
 
     Args:
         circuit: netlist to garble.
-        kdf: garbling oracle (default SHA-256 backend).
+        kdf: garbling oracle (default: fixed-key AES).
         label_store: reuse an existing store — required across cycles of
             a sequential circuit so register labels carry over.  The
             default is a fresh :class:`ArrayLabelStore`; a scalar

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: Builds the two endpoints of a request's link plus shared accounting —
 #: the seam where the fault-injection harness swaps in FaultyChannel.
 ChannelFactory = Callable[[], Tuple[Channel, Channel, ChannelStats]]
-from .cipher import HashKDF, default_kdf
+from .cipher import HashKDF, default_kdf, oracle_fingerprint
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
 from .ot import MODP_2048, OTGroup
@@ -279,12 +279,12 @@ class TwoPartySession:
             (s.garbler.kdf for s in slots if s is not None),
             self.kdf or default_kdf(),
         )
-        probe = eval_kdf.hash(3, 7)
+        probe = oracle_fingerprint(eval_kdf)
         candidates = [s.garbler.kdf for s in slots if s is not None]
         if any(s is None for s in slots):
             candidates.append(self.kdf or default_kdf())
         for kdf in candidates:
-            if kdf is not eval_kdf and kdf.hash(3, 7) != probe:
+            if kdf is not eval_kdf and oracle_fingerprint(kdf) != probe:
                 raise ProtocolError(
                     "run_many needs one garbling oracle across the "
                     "batch; pregarbled material was garbled under a "

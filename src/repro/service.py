@@ -42,7 +42,7 @@ from .errors import (
     ServiceOverloadedError,
 )
 from .gc.channel import make_channel_pair
-from .gc.cipher import default_kdf
+from .gc.cipher import HashKDF
 from .nn.model import Sequential
 from .nn.quantize import QuantizedModel
 from .resilience import (
@@ -209,17 +209,25 @@ class PrivateInferenceService:
         )
 
     @property
-    def kdf_name(self) -> str:
-        """Name of the garbling oracle actually serving requests.
+    def kdf(self) -> HashKDF:
+        """The garbling oracle every backend, pool and session of this
+        service shares — what a peer session must be run under."""
+        return self._kdf
 
-        Useful with ``kdf_backend="auto"``, where the host calibration
-        decides between the hashlib loop and the block-parallel NumPy
-        SHA-256 kernel (``"sha256"`` vs ``"sha256-vec"``; a
-        ``ParallelKDF`` wrapper prefixes ``"parallel-"``).
+    @property
+    def kdf_name(self) -> str:
+        """Name of the garbling oracle serving requests, for operators.
+
+        An oracle with more than one provider reports which one this
+        host got — ``fixed-key-aes[libcrypto]`` or
+        ``fixed-key-aes[numpy]``; a ``ParallelKDF`` wrapper prefixes
+        ``parallel-``.  Providers of one oracle interoperate: what
+        peers compare is :func:`repro.gc.cipher.oracle_fingerprint`.
         """
-        if self._kdf is None:
-            return default_kdf().name
-        return getattr(self._kdf, "name", type(self._kdf).__name__)
+        kdf = self._kdf
+        name = getattr(kdf, "name", type(kdf).__name__)
+        provider = getattr(getattr(kdf, "inner", kdf), "provider", None)
+        return f"{name}[{provider}]" if provider else name
 
     # -- offline phase ----------------------------------------------------
 

@@ -55,7 +55,7 @@ from ..errors import (
 )
 from ..resilience.breaker import CircuitBreaker
 from .supervisor import ShardSupervisor
-from .worker import recv_ctl, send_ctl, serve_connection
+from .worker import recv_ctl, retain_heap, send_ctl, serve_connection
 
 __all__ = ["ShardedService"]
 
@@ -74,6 +74,7 @@ def _shard_main(
     """Worker-process entry: build the shard's service, serve its socket."""
     service = None
     try:
+        retain_heap()  # this process only serves batches: see the docstring
         service = service_factory()
         serve_connection(conn, service)
     finally:

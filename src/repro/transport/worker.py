@@ -15,15 +15,23 @@ Control operations:
     liveness probe; replies ``pong``.
 ``peer``
     host the evaluator side of a split session: the caller names the
-    flow (``two_party`` / ``folded``), the session seed and both input
-    bit vectors, then both processes run the lockstep-mirrored session
-    (:mod:`repro.transport.peer`) over this same socket.  The reply that
-    follows the session carries the worker's decoded outputs and comm
-    total so the caller can assert cross-process agreement.
+    flow (``two_party`` / ``folded``), the session seed, both input bit
+    vectors and its garbling oracle (:func:`open_peer_session` builds
+    the record), then both processes run the lockstep-mirrored session
+    (:mod:`repro.transport.peer`) over this same socket, the worker
+    under its service's oracle.  The reply that follows the session
+    carries the worker's decoded outputs and comm total so the caller
+    can assert cross-process agreement.
 ``infer``
     serve a batch shard through ``service.infer_many`` and return the
     per-request records — the :class:`~repro.transport.sharded.ShardedService`
     data path.
+
+The garbling oracle is part of the wire contract (SHA and AES tables
+differ), so ``peer`` and ``infer`` records may carry the caller's
+``kdf`` name and ``kdf_fingerprint``; a worker whose service garbles
+under a different oracle answers ``{"ok": false}`` before any protocol
+frame moves, and both acks name the worker's oracle.
 ``prepare``
     warm the worker's pre-garbled pool (``service.prepare``) and report
     how many copies were garbled — the sharded offline phase.
@@ -39,6 +47,7 @@ records as :class:`repro.errors.ChannelIntegrityError`.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import socket
@@ -46,13 +55,21 @@ import threading
 import zlib
 from typing import Any, Callable, Dict, Optional
 
-from ..errors import ChannelClosedError, ChannelEmptyError, ChannelIntegrityError
+from ..errors import (
+    ChannelClosedError,
+    ChannelEmptyError,
+    ChannelIntegrityError,
+    EngineError,
+)
+from ..gc.cipher import oracle_fingerprint
 from .wire import checksummed, encode_frame, read_frame
 
 __all__ = [
     "CTL_TAG",
     "WorkerServer",
+    "open_peer_session",
     "recv_ctl",
+    "retain_heap",
     "send_ctl",
     "serve_connection",
 ]
@@ -63,6 +80,35 @@ CTL_TAG = "ctl"
 #: Cap on one control record's JSON payload (1 MiB — a batch shard of
 #: feature vectors fits with room to spare; a rogue prefix does not).
 MAX_CTL_BYTES = 1 << 20
+
+#: glibc ``mallopt`` parameters (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def retain_heap() -> None:
+    """Make this *process* keep the heap it has grown (glibc only).
+
+    For the entry point of a process that does nothing but serve
+    (:func:`repro.transport.sharded._shard_main`) — never for a library
+    call, the setting is process-wide.  Every batch
+    allocates the same ~13 MB of label planes and garbled tables and
+    frees them once its results are sent.  With glibc's defaults those
+    blocks are ``mmap``-ed and unmapped, or trimmed off the heap top,
+    per batch, and come back as fresh zero pages: 2 700 page faults and
+    8-10 ms of a 105 ms four-request batch, kernel work whose cost moves
+    with the host rather than with the program.  A worker
+    reaches its high-water mark on its first batch; pinning both
+    thresholds (setting either switches glibc's own adaptation off)
+    makes later batches reuse that memory and fault nothing.  A no-op
+    where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # not a glibc-like libc
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the largest value glibc accepts
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def send_ctl(sock: socket.socket, record: Dict[str, Any]) -> None:
@@ -162,6 +208,71 @@ def _result_record(result: Any) -> Dict[str, Any]:
     }
 
 
+def _oracle_fields(kdf: Any) -> Dict[str, str]:
+    """How a control record names a garbling oracle: the name is for
+    the operator, the fingerprint is what gets compared."""
+    return {
+        "kdf": getattr(kdf, "name", type(kdf).__name__),
+        "kdf_fingerprint": oracle_fingerprint(kdf),
+    }
+
+
+def _foreign_oracle(service: Any, record: Dict[str, Any]) -> Optional[str]:
+    """Why ``record``'s caller cannot share tables with ``service``.
+
+    None when the record names no oracle (a caller that does not garble)
+    or names this service's.
+    """
+    theirs = record.get("kdf_fingerprint")
+    if theirs is None or theirs == oracle_fingerprint(service.kdf):
+        return None
+    return (
+        f"garbling oracle mismatch: caller runs {record.get('kdf')!r}, "
+        f"this worker {service.kdf_name!r}; tables garbled under one do "
+        "not evaluate under the other — set the same kdf_backend on both"
+    )
+
+
+def open_peer_session(
+    sock: socket.socket,
+    flow: str,
+    seed: int,
+    alice_bits: Any,
+    bob_bits: Any,
+    kdf: Any,
+    timeout: float = 60.0,
+) -> Dict[str, Any]:
+    """The caller's half of the ``peer`` op: name the session, await the ack.
+
+    On return the worker is committed to reading protocol frames and
+    the caller runs its side (``run_*_peer`` with the same ``kdf`` and
+    an rng seeded with ``seed``).
+
+    Raises:
+        EngineError: the worker refused — unknown flow, or its service
+            garbles under a different oracle than ``kdf``.  No protocol
+            frame has moved.
+    """
+    send_ctl(
+        sock,
+        {
+            "op": "peer",
+            "flow": flow,
+            "seed": seed,
+            "alice_bits": [int(b) for b in alice_bits],
+            "bob_bits": [int(b) for b in bob_bits],
+            **_oracle_fields(kdf),
+        },
+    )
+    ack = recv_ctl(sock, timeout=timeout)
+    if not ack.get("ok"):
+        raise EngineError(
+            f"worker refused the {flow!r} peer session: "
+            f"{ack.get('error', 'unknown error')}"
+        )
+    return ack
+
+
 def _handle_peer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> None:
     """Host the evaluator side of one split session on this socket."""
     import random
@@ -176,16 +287,23 @@ def _handle_peer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> N
     if runner is None:
         send_ctl(sock, {"ok": False, "error": f"unknown peer flow {flow!r}"})
         return
+    refusal = _foreign_oracle(service, record)
+    if refusal is not None:
+        send_ctl(sock, {"ok": False, "op": "peer", "error": refusal})
+        return
     # ack first: the caller must not start its side of the session until
     # the worker is committed to reading protocol frames
-    send_ctl(sock, {"ok": True, "op": "peer", "flow": flow})
+    send_ctl(
+        sock,
+        {"ok": True, "op": "peer", "flow": flow, **_oracle_fields(service.kdf)},
+    )
     result = runner(
         sock,
         "evaluator",
         service.compiled.circuit,
         alice_bits,
         bob_bits,
-        kdf=service.config.kdf,
+        kdf=service.kdf,
         ot_group=service.config.ot_group,
         rng=random.Random(seed),
         request_timeout_s=service.config.request_timeout_s,
@@ -207,6 +325,10 @@ def _handle_infer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> 
     """Serve one batch shard through the worker's own service."""
     import numpy as np
 
+    refusal = _foreign_oracle(service, record)
+    if refusal is not None:
+        send_ctl(sock, {"ok": False, "op": "infer", "error": refusal})
+        return
     samples = record.get("samples", [])
     request_ids = record.get("request_ids") or [None] * len(samples)
     from ..service import InferenceRequest
@@ -228,6 +350,7 @@ def _handle_infer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> 
             "ok": True,
             "op": "infer",
             "results": [_result_record(r) for r in results],
+            **_oracle_fields(service.kdf),
         },
     )
 

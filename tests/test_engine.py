@@ -25,7 +25,7 @@ from repro.engine import (
 )
 from repro.engine.backends import Backend, _REGISTRY
 from repro.errors import CompileError, EngineError, ProtocolError
-from repro.gc import SequentialSession
+from repro.gc import SequentialSession, make_channel_pair, make_kdf
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
@@ -97,14 +97,27 @@ class TestRegistry:
 
 
 class TestBackendParity:
+    @pytest.mark.parametrize("kdf_backend", ["hashlib", "fixed_key_aes"])
     @pytest.mark.parametrize(
         "name", ["two_party", "outsourced", "folded", "cut_and_choose",
                  "simulate"]
     )
-    def test_identical_label_every_backend(self, compiled_model, name):
+    def test_identical_label_every_backend(
+        self, compiled_model, name, kdf_backend
+    ):
+        """Every backend agrees with the cleartext model under either
+        oracle, and the oracle never changes what a table costs."""
         _, compiled, quantized, x = compiled_model
+        links = []
+
+        def memory_factory():
+            link = make_channel_pair()
+            links.append(link[2])
+            return link
+
         backend = get_backend(
-            name, ot_group=TEST_GROUP_512, rng=random.Random(3)
+            name, kdf=make_kdf(kdf_backend), ot_group=TEST_GROUP_512,
+            rng=random.Random(3), channel_factory=memory_factory,
         )
         result = backend.run(
             compiled.circuit, compiled.client_bits(x[0]), compiled.server_bits()
@@ -118,6 +131,16 @@ class TestBackendParity:
             assert result.comm_bytes == 0
         else:
             assert result.comm_bytes > 0
+        # half-gates: two 16-byte rows per non-free gate plus the frame
+        # header, whichever oracle masked them
+        table_frames = [
+            stats.by_tag()["tables"] for stats in links
+            if "tables" in stats.by_tag()
+        ]
+        if name in ("two_party", "folded", "outsourced"):
+            assert table_frames == [32 * result.n_non_xor + 4]
+        else:
+            assert table_frames == []
 
     def test_cut_and_choose_copies_accounted(self, compiled_model):
         _, compiled, quantized, x = compiled_model

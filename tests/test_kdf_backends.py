@@ -1,7 +1,15 @@
-"""The KDF subsystem: block-parallel SHA-256 kernel, oracle registry,
-host calibration, and the vectorized IKNP row hashing built on it.
+"""The KDF subsystem: the fixed-key-AES default and its two providers,
+the block-parallel SHA-256 kernel, oracle registry, host calibration,
+and the vectorized IKNP row hashing built on it.
 
 Contracts under test:
+
+* :class:`repro.gc.FixedKeyAES` is one oracle whatever computes AES:
+  ``hash_many``, ``hash``, ``hash_pair`` / ``hash_quad`` and the NumPy
+  fallback agree row for row, from any thread and across ``fork``, and
+  garbled tables are byte-identical between providers;
+* it is the default everywhere a default is taken, and no default path
+  calibrates;
 
 * :func:`repro.gc.sha256_many` is byte-identical to ``hashlib.sha256``
   for every row — across lengths (including multi-block), batch sizes
@@ -17,7 +25,10 @@ Contracts under test:
 """
 
 import hashlib
+import os
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,12 +45,14 @@ from repro.gc import (
     ParallelKDF,
     VectorHashKDF,
     calibrate_kdf,
+    default_kdf,
     kdf_calibration,
     make_kdf,
+    oracle_fingerprint,
     resolve_kdf_backend,
     sha256_many,
 )
-from repro.gc import ot_extension
+from repro.gc import cipher, ot_extension
 from repro.gc.cipher import ROW_BYTES
 from repro.gc.fastgarble import garble_many
 from repro.gc.ot import TEST_GROUP_512
@@ -180,8 +193,9 @@ class TestOracleRegistry:
             EngineConfig(kdf_backend="sha256_vec").effective_kdf(),
             VectorHashKDF,
         )
-        # the seed default stays: hashlib -> None -> default_kdf() later
-        assert EngineConfig(kdf_backend="hashlib").effective_kdf() is None
+        # every name resolves to its own oracle, the default included
+        assert type(EngineConfig(kdf_backend="hashlib").effective_kdf()) is HashKDF
+        assert isinstance(EngineConfig().effective_kdf(), FixedKeyAES)
 
     def test_effective_kdf_wraps_workers_around_backend(self):
         kdf = EngineConfig(
@@ -190,6 +204,238 @@ class TestOracleRegistry:
         assert isinstance(kdf, ParallelKDF)
         assert isinstance(kdf.inner, VectorHashKDF)
         kdf.close()
+
+
+def _label_tweak_rows(n, seed=0):
+    """Random ``label || tweak`` rows; every third label has bit 127 set
+    (the GF(2^128) doubling's reduction branch) and row 0 is all ones."""
+    rows = _random_rows(n, ROW_BYTES, seed=seed)
+    rows[::3, 15] |= 0x80
+    rows[1::3, 15] &= 0x7F
+    if n:
+        rows[0] = 0xFF
+    return rows
+
+
+def _split(row):
+    return (int.from_bytes(row[:16].tobytes(), "little"),
+            int.from_bytes(row[16:].tobytes(), "little"))
+
+
+@pytest.fixture
+def numpy_aes(monkeypatch):
+    """A :class:`FixedKeyAES` built with the native provider forced off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cipher, "_load_libcrypto", lambda: None)
+        with pytest.warns(RuntimeWarning, match='kdf_backend="hashlib"'):
+            kdf = FixedKeyAES()
+    assert kdf.provider == "numpy"
+    return kdf
+
+
+@pytest.fixture(params=["libcrypto", "numpy"])
+def aes(request):
+    """The AES oracle under each provider: every test that takes this
+    passes with libcrypto and with the NumPy fallback."""
+    if request.param == "numpy":
+        return request.getfixturevalue("numpy_aes")
+    kdf = FixedKeyAES()
+    if kdf.provider != "libcrypto":
+        pytest.skip("no libcrypto with EVP AES on this host")
+    return kdf
+
+
+class TestFixedKeyAESOracle:
+    FIPS_KEY = bytes(range(16))
+    FIPS_PLAIN = bytes.fromhex("00112233445566778899aabbccddeeff")
+    FIPS_CIPHER = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+
+    def test_fips197_appendix_c_through_both_paths(self):
+        kdf = FixedKeyAES(self.FIPS_KEY)
+        assert kdf.encrypt_block(self.FIPS_PLAIN) == self.FIPS_CIPHER
+        blocks = np.frombuffer(self.FIPS_PLAIN * 3, dtype=np.uint8).reshape(3, 16)
+        assert kdf.encrypt_blocks(blocks).tobytes() == self.FIPS_CIPHER * 3
+        if kdf.provider != "libcrypto":
+            pytest.skip("no libcrypto with EVP AES on this host")
+        assert kdf._ecb_encrypt(blocks).tobytes() == self.FIPS_CIPHER * 3
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 64, 257])
+    def test_every_entry_point_is_one_function(self, aes, numpy_aes, n):
+        rows = _label_tweak_rows(n, seed=n)
+        batched = aes.hash_many(rows)
+        assert batched.shape == (n, 16) and batched.dtype == np.uint8
+        assert np.array_equal(batched, numpy_aes.hash_many(rows))
+        scalar = [aes.hash(*_split(row)) for row in rows]
+        assert [int.from_bytes(r.tobytes(), "little") for r in batched] == scalar
+        # gate-granular calls: a gate's labels under tweaks t, t + 1
+        labels = [_split(row)[0] for row in rows]
+        for i in range(0, n - 3, 4):
+            a0, a1, b0, b1 = labels[i : i + 4]
+            tweak = 2 * i
+            expect = (aes.hash(a0, tweak), aes.hash(a1, tweak),
+                      aes.hash(b0, tweak + 1), aes.hash(b1, tweak + 1))
+            assert aes.hash_quad(a0, a1, b0, b1, tweak) == expect
+            assert aes.hash_pair(a0, b0, tweak) == (expect[0], expect[2])
+            assert numpy_aes.hash_quad(a0, a1, b0, b1, tweak) == expect
+
+    def test_extreme_labels_and_tweaks(self, aes, numpy_aes):
+        top = (1 << 128) - 1
+        for label in (0, 1, 1 << 127, top):
+            for tweak in (0, 1, (1 << 63) - 2):
+                expect = numpy_aes.hash(label, tweak)
+                assert 0 <= expect <= top
+                assert aes.hash(label, tweak) == expect
+                assert aes.hash_pair(label, top, tweak) == (
+                    expect, numpy_aes.hash(top, tweak + 1)
+                )
+                assert aes.hash_quad(top, label, label, top, tweak) == (
+                    numpy_aes.hash(top, tweak), expect,
+                    numpy_aes.hash(label, tweak + 1),
+                    numpy_aes.hash(top, tweak + 1),
+                )
+
+    def test_non_contiguous_rows(self, aes, numpy_aes):
+        wide = _random_rows(40, 2 * ROW_BYTES, seed=5)
+        view = wide[::2, :ROW_BYTES]
+        assert not view.flags["C_CONTIGUOUS"]
+        assert np.array_equal(
+            aes.hash_many(view), numpy_aes.hash_many(view.copy())
+        )
+
+    def test_sha_loop_implements_the_gate_calls(self):
+        for kdf in (HashKDF(), ParallelKDF(HashKDF(), workers=2)):
+            assert kdf.hash_pair(5, 9, 6) == (kdf.hash(5, 6), kdf.hash(9, 7))
+            assert kdf.hash_quad(5, 6, 9, 10, 6) == (
+                kdf.hash(5, 6), kdf.hash(6, 6), kdf.hash(9, 7), kdf.hash(10, 7)
+            )
+
+    def test_concurrent_threads_get_the_single_threaded_answer(
+        self, aes, numpy_aes
+    ):
+        """ctypes drops the GIL inside the cipher call: contexts and
+        scratch are per thread, so neither batches nor gates may bleed
+        between threads (more threads than cores, short switch interval)."""
+        n_threads, rounds = 6, 20
+        # the fallback's pure-Python block cipher is ~1000x slower per gate
+        gates_per_round = 400 if aes.provider == "libcrypto" else 2
+        batches = [_label_tweak_rows(96 + t, seed=100 + t) for t in range(n_threads)]
+        expect = [numpy_aes.hash_many(rows) for rows in batches]
+        quads = [
+            tuple(_split(rows[i])[0] for i in range(4)) for rows in batches
+        ]
+        expect_quads = [numpy_aes.hash_quad(*q, 10 + t) for t, q in enumerate(quads)]
+        wrong = []
+        start = threading.Barrier(n_threads)
+
+        def worker(t):
+            a0, a1, b0, b1 = quads[t]
+            quad, pair = expect_quads[t], (expect_quads[t][0], expect_quads[t][2])
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                if not np.array_equal(aes.hash_many(batches[t]), expect[t]):
+                    wrong.append(("hash_many", t))
+                # the gate calls read a scratch buffer after the cipher
+                # call returns: the window a shared scratch loses in
+                for _ in range(gates_per_round):
+                    if aes.hash_quad(a0, a1, b0, b1, 10 + t) != quad:
+                        wrong.append(("hash_quad", t))
+                    if aes.hash_pair(a0, b0, 10 + t) != pair:
+                        wrong.append(("hash_pair", t))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_hashes_correctly_after_the_parent_has(
+        self, aes, numpy_aes
+    ):
+        rows = _label_tweak_rows(130, seed=7)
+        expect = numpy_aes.hash_many(rows)
+        quad = tuple(_split(rows[i])[0] for i in range(4))
+        expect_quad = numpy_aes.hash_quad(*quad, 4)
+        assert np.array_equal(aes.hash_many(rows), expect)  # parent first
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            ok = False
+            try:
+                ok = (
+                    np.array_equal(aes.hash_many(rows), expect)
+                    and aes.hash_quad(*quad, 4) == expect_quad
+                )
+            finally:
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert aes.hash_quad(*quad, 4) == expect_quad  # parent still fine
+
+    def test_tables_byte_identical_between_providers(self, numpy_aes):
+        native = FixedKeyAES()
+        if native.provider != "libcrypto":
+            pytest.skip("no libcrypto with EVP AES on this host")
+        circuit = _mixed_circuit(seed=33)
+        outcomes = []
+        for kdf in (native, numpy_aes):
+            [(garbler, garbled)] = garble_many(
+                circuit, 1, kdf=kdf, rng=random.Random(99)
+            )
+            outcomes.append((
+                garbled.tables_bytes(), garbled.const_labels,
+                tuple(garbled.decode_bits), garbler.labels.delta,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == 32 * circuit.counts().non_xor
+        assert oracle_fingerprint(native) == oracle_fingerprint(numpy_aes)
+
+
+class TestAESIsTheDefault:
+    def test_defaults_name_the_aes_oracle(self):
+        assert EngineConfig().kdf_backend == "fixed_key_aes"
+        assert isinstance(default_kdf(), FixedKeyAES)
+        assert default_kdf() is default_kdf()  # one shared instance
+        assert len(EngineConfig.__dataclass_fields__) == 24
+
+    def test_no_default_path_calibrates(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a default path reached calibrate_kdf")
+
+        monkeypatch.setattr(cipher, "calibrate_kdf", boom)
+        monkeypatch.setattr(cipher, "_calibration", None)
+        circuit = _mixed_circuit(seed=4, n_gates=600)
+        session = TwoPartySession(
+            circuit, kdf=EngineConfig().effective_kdf(),
+            ot_group=TEST_GROUP_512, rng=random.Random(1),
+        )
+        client, server = [1, 0, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0]
+        defaulted = TwoPartySession(
+            circuit, ot_group=TEST_GROUP_512, rng=random.Random(1)
+        )
+        assert (
+            session.run(client, server).outputs
+            == defaulted.run(client, server).outputs
+        )
+
+    def test_oracles_are_distinguished_by_fingerprint_not_by_name(self):
+        sha = oracle_fingerprint(HashKDF())
+        assert sha == oracle_fingerprint(VectorHashKDF())
+        assert sha == oracle_fingerprint(resolve_kdf_backend("auto"))
+        wrapped = ParallelKDF(HashKDF(), workers=2)
+        assert sha == oracle_fingerprint(wrapped)
+        assert sha != oracle_fingerprint(FixedKeyAES())
+        assert oracle_fingerprint(FixedKeyAES()) != oracle_fingerprint(
+            FixedKeyAES(b"another-16b-key!")
+        )
 
 
 class TestCalibration:
@@ -302,6 +548,12 @@ class TestCalibration:
         sha = run(HashKDF())
         aes = run(FixedKeyAES())
         assert sha.outputs == aes.outputs
+        # same price per table under either oracle, different bytes
+        assert sha.comm == aes.comm
+        assert sha.comm["tables"] == 32 * sha.n_non_xor + 4
+        [(_, by_sha)] = garble_many(circuit, 1, kdf=HashKDF(), rng=random.Random(5))
+        [(_, by_aes)] = garble_many(circuit, 1, kdf=FixedKeyAES(), rng=random.Random(5))
+        assert by_sha.tables_bytes() != by_aes.tables_bytes()
 
 
 class TestParallelVectorKDF:

@@ -132,7 +132,7 @@ class TestOptimizerProperties:
 
 
 class TestFailureInjection:
-    def _garbled_setup(self, seed=6):
+    def _garbled_setup(self, seed=6, kdf=None):
         bld = CircuitBuilder()
         a = bld.add_alice_inputs(3)
         b = bld.add_bob_inputs(3)
@@ -140,7 +140,7 @@ class TestFailureInjection:
         y = bld.emit_and(a[1], b[1])
         bld.mark_output(bld.emit_and(x, y))
         circuit = bld.build()
-        garbler = Garbler(circuit, rng=random.Random(seed))
+        garbler = Garbler(circuit, kdf=kdf, rng=random.Random(seed))
         garbled = garbler.garble()
         return circuit, garbler, garbled
 
@@ -167,10 +167,11 @@ class TestFailureInjection:
 
     def test_kdf_mismatch_breaks_decode(self):
         from repro.errors import GarblingError
-        from repro.gc.cipher import FixedKeyAES
+        from repro.gc.cipher import FixedKeyAES, HashKDF
 
-        circuit, garbler, garbled = self._garbled_setup()
-        evaluator = Evaluator(circuit, kdf=FixedKeyAES())  # wrong oracle
+        # both oracles named: the test must not depend on the default
+        circuit, garbler, garbled = self._garbled_setup(kdf=FixedKeyAES())
+        evaluator = Evaluator(circuit, kdf=HashKDF())  # wrong oracle
         alice = garbler.input_labels_for(list(circuit.alice_inputs), [1, 0, 1])
         bob = [garbler.labels.select(w, 0) for w in circuit.bob_inputs]
         wires = evaluator.evaluate(garbled, alice, bob)

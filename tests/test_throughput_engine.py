@@ -146,14 +146,15 @@ class TestParallelKDF:
             ParallelKDF(workers=-1)
 
     def test_engine_config_wiring(self):
-        # kdf_workers=1 never wraps; the resolved oracle is whatever the
-        # kdf_backend registry picked (PR 5: "auto" calibrates between
-        # the hashlib loop and the NumPy SHA-256 kernel — same digests)
+        # kdf_workers=1 never wraps; the resolved oracle is the one
+        # kdf_backend names, for the default and the explicit choice
         unwrapped = EngineConfig(kdf_workers=1).effective_kdf()
-        assert not isinstance(unwrapped, ParallelKDF)
-        assert unwrapped is None or isinstance(unwrapped, HashKDF)
+        assert isinstance(unwrapped, FixedKeyAES)
+        sha = EngineConfig(kdf_backend="hashlib", kdf_workers=1)
+        assert type(sha.effective_kdf()) is HashKDF
         wrapped = EngineConfig(kdf_workers=3).effective_kdf()
         assert isinstance(wrapped, ParallelKDF)
+        assert isinstance(wrapped.inner, FixedKeyAES)
         assert wrapped.workers == 3
         # an already-parallel oracle is not double-wrapped
         assert EngineConfig(
@@ -274,14 +275,16 @@ class TestEvaluateMany:
         instead of raising a confusing label error mid-evaluation."""
         circuit = _random_circuit(10, n_gates=40)
 
+        # both oracles named, so the test holds whichever is the default
         def foreign_unit(seed):
             return TwoPartySession(
-                circuit, kdf=FixedKeyAES(), ot_group=TEST_GROUP_512,
+                circuit, kdf=HashKDF(), ot_group=TEST_GROUP_512,
                 rng=random.Random(seed),
             ).pregarble()
 
         session = TwoPartySession(
-            circuit, ot_group=TEST_GROUP_512, rng=random.Random(2)
+            circuit, kdf=FixedKeyAES(), ot_group=TEST_GROUP_512,
+            rng=random.Random(2),
         )
         bits_a = [0] * circuit.n_alice
         bits_b = [1] * circuit.n_bob

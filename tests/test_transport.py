@@ -48,7 +48,13 @@ from repro.transport.peer import (
     run_two_party_peer,
 )
 from repro.transport.wire import checksummed, read_frame
-from repro.transport.worker import WorkerServer, recv_ctl, send_ctl
+from repro.transport.worker import (
+    WorkerServer,
+    open_peer_session,
+    recv_ctl,
+    retain_heap,
+    send_ctl,
+)
 
 
 def random_circuit(seed, n_gates=60, n_inputs=4):
@@ -443,7 +449,7 @@ class TestPeerSessions:
 # ---------------------------------------------------------------------------
 
 
-def _tiny_service():
+def _tiny_service(**config):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, size=(40, 6))
     w = rng.normal(size=(6, 3))
@@ -455,6 +461,7 @@ def _tiny_service():
     config = EngineConfig(
         fmt=FixedPointFormat(2, 6), activation="exact",
         ot_group=TEST_GROUP_512, rng=random.Random(3), transport="memory",
+        **config,
     )
     return PrivateInferenceService(model, config)
 
@@ -555,6 +562,96 @@ class TestWorkerProtocol:
         assert server.counters == {"ping": 1, "infer": 1, "peer": 1,
                                    "shutdown": 1}
 
+    def test_foreign_oracle_refused_before_any_protocol_frame(self, tiny_service):
+        """The oracle is part of the wire contract: a caller garbling
+        under SHA against a worker evaluating under AES is told so in
+        the ack, not by a label error after the tables have moved."""
+        from repro.gc.cipher import FixedKeyAES, HashKDF
+
+        assert isinstance(tiny_service.kdf, FixedKeyAES)  # the default
+        server = WorkerServer(tiny_service)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"once": True})
+        thread.start()
+        sample = _tiny_samples(1)[0]
+        client_bits = tiny_service.compiled.client_bits(sample)
+        server_bits = tiny_service._server_bits
+        sock = socket.create_connection(server.address)
+        try:
+            with pytest.raises(EngineError, match="oracle mismatch.*sha256"):
+                open_peer_session(
+                    sock, "two_party", 5, client_bits, server_bits, HashKDF()
+                )
+            # the control stream is still in sync: nothing but the
+            # refusal crossed the wire
+            send_ctl(sock, {"op": "ping"})
+            assert recv_ctl(sock, timeout=30.0)["op"] == "pong"
+            # the infer record is held to the same contract
+            send_ctl(sock, {
+                "op": "infer", "samples": [[float(v) for v in sample]],
+                "kdf": "sha256", "kdf_fingerprint": "00" * 16,
+            })
+            refusal = recv_ctl(sock, timeout=30.0)
+            assert refusal["ok"] is False and "oracle" in refusal["error"]
+            # the same oracle from another instance is accepted
+            ack = open_peer_session(
+                sock, "two_party", 5, client_bits, server_bits, FixedKeyAES()
+            )
+            assert ack["kdf"] == "fixed-key-aes"
+            result = run_two_party_peer(
+                sock, "garbler", tiny_service.compiled.circuit,
+                client_bits, server_bits, kdf=FixedKeyAES(),
+                ot_group=TEST_GROUP_512, rng=random.Random(5),
+            )
+            assert recv_ctl(sock, timeout=120.0)["outputs"] == result.outputs
+            send_ctl(sock, {"op": "shutdown"})
+            recv_ctl(sock, timeout=30.0)
+        finally:
+            sock.close()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        # refusals are answers, not handler failures
+        assert server.counters == {"peer": 2, "ping": 1, "infer": 1,
+                                   "shutdown": 1}
+
+    def test_peer_session_runs_under_the_services_kdf_backend(self):
+        """A service configured with ``kdf_backend="hashlib"`` hosts its
+        peer sessions under SHA, not under whatever the default is."""
+        from repro.gc.cipher import HashKDF
+
+        service = _tiny_service(kdf_backend="hashlib")
+        server = WorkerServer(service)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"once": True})
+        thread.start()
+        sample = _tiny_samples(1)[0]
+        client_bits = service.compiled.client_bits(sample)
+        sock = socket.create_connection(server.address)
+        try:
+            for flow, runner in (("two_party", run_two_party_peer),
+                                 ("folded", run_folded_peer)):
+                ack = open_peer_session(
+                    sock, flow, 8, client_bits, service._server_bits, HashKDF()
+                )
+                assert ack["kdf"] == "sha256"
+                result = runner(
+                    sock, "garbler", service.compiled.circuit, client_bits,
+                    service._server_bits, kdf=HashKDF(),
+                    ot_group=TEST_GROUP_512, rng=random.Random(8),
+                )
+                remote = recv_ctl(sock, timeout=120.0)
+                outputs = (result.final_outputs if flow == "folded"
+                           else result.outputs)
+                assert remote["outputs"] == list(outputs)
+                assert remote["label"] == service.cleartext_label(sample)
+            send_ctl(sock, {"op": "shutdown"})
+            recv_ctl(sock, timeout=30.0)
+        finally:
+            sock.close()
+            thread.join(timeout=30.0)
+            service.close()
+        assert not thread.is_alive()
+
     def test_unknown_op_rejected_without_killing_connection(self, tiny_service):
         server = WorkerServer(tiny_service)
         thread = threading.Thread(target=server.serve_forever,
@@ -638,6 +735,63 @@ class TestShardedService:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(EngineError):
             ShardedService(_tiny_service, shards=0)
+
+
+#: Run in a fresh interpreter (a forked child would inherit whatever
+#: thresholds glibc has already adapted to in the test process): page
+#: faults of four rounds of a batch-shaped allocation pattern — several
+#: MB-sized arrays alive at once, all freed at the end of the round —
+#: after one warm-up round.
+_BATCH_LIKE_FAULTS = """
+import resource, sys
+import numpy as np
+from repro.transport.worker import retain_heap
+
+if sys.argv[1] == "retain":
+    retain_heap()
+
+def one_round():
+    arrays = [np.empty(6 << 20, dtype=np.uint8) for _ in range(4)]
+    for array in arrays:
+        array[::4096] = 1  # touch every page
+
+one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    one_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestRetainHeap:
+    """``retain_heap`` (shard start-up): later batches
+    reuse the first batch's memory instead of faulting it in again."""
+
+    @staticmethod
+    def _faults(mode):
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", _BATCH_LIKE_FAULTS, mode],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return int(done.stdout)
+
+    def test_later_rounds_fault_nothing(self):
+        if self._faults("default") < 1000:
+            pytest.skip("this allocator keeps freed memory by default")
+        assert self._faults("retain") < 100
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        import ctypes
+
+        def no_libc(name):
+            raise OSError("no C library handle")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        retain_heap()  # must not raise
 
 
 def _wait_until(predicate, timeout=90.0, interval=0.05):

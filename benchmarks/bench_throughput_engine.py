@@ -1,16 +1,14 @@
-"""PR 3 throughput tier: parallel KDF, batched evaluation, fused narrow
-levels and the folded path.
+"""PR 3 throughput tier: parallel KDF, batched evaluation and the folded
+path.
 
-Four measurements, one per tentpole piece, each recorded as a ``pr: 3``
-entry of the repo-root perf trajectory (``BENCH_engine.json``):
+Three measurements, each recorded as a ``pr: 3`` entry of the repo-root
+perf trajectory (``BENCH_engine.json``):
 
 * ``pr3-parallel-kdf`` — ``ParallelKDF`` worker scaling on a wide DL
   garble (thread-split ``hash_many`` row blocks);
 * ``pr3-evaluate-many`` — ``FastEvaluator.evaluate_many(8)`` vs 8
-  sequential vectorized evaluations (one schedule walk for the batch;
+  sequential vectorized evaluations (one plan walk for the batch;
   narrow levels become wide at ``k * m``);
-* ``pr3-fused-narrow-levels`` — the fused multi-level scalar runner on a
-  ripple-chain circuit vs per-level dispatch;
 * ``pr3-folded-vectorized`` — ``SequentialSession`` with the carried
   label plane vs the gate-at-a-time reference oracle (``LabelStore`` +
   ``Evaluator``) clocking the same folded MAC core.
@@ -26,7 +24,6 @@ import time
 
 import pytest
 
-from repro.analysis import build_gate_chain
 from repro.circuits import FixedPointFormat, bits_from_int
 from repro.cli import _demo_service
 from repro.compile import folded_mac_cell
@@ -40,8 +37,6 @@ from repro.gc import (
     SequentialSession,
     garble_many,
 )
-from repro.gc.fastgarble import garble_copies
-from repro.gc.labels import ArrayLabelStore
 from repro.gc.ot import TEST_GROUP_512
 
 from _bench_util import quick_mode, record_trajectory, write_report
@@ -56,8 +51,6 @@ BATCH_EVAL_VS_FAST_FLOOR = float(
 )
 #: kdf_workers=4 vs 1 on a wide garble (ISSUE 3 bar: 1.5x, needs cores).
 KDF_FLOOR = float(os.environ.get("REPRO_BENCH_KDF_FLOOR", "1.5"))
-#: fused narrow runner vs per-level dispatch (must never lose).
-FUSE_FLOOR = float(os.environ.get("REPRO_BENCH_FUSE_FLOOR", "1.0"))
 #: folded session vs the reference oracle.  The MAC core is
 #: mostly narrow levels, so the engine win is modest (~1.1x) and noisy
 #: single-core hosts can flip a strict 1.0 bar; the recorded trajectory
@@ -223,61 +216,6 @@ def test_evaluate_many_throughput(dl_service, results_dir):
         f"evaluate_many({k}) only {speedup_vs_fast:.2f}x vs the "
         f"vectorized single-request path "
         f"(floor {BATCH_EVAL_VS_FAST_FLOOR}x)"
-    )
-
-
-def test_fused_narrow_levels(results_dir):
-    """Consecutive narrow levels as one flat run (tentpole piece 3)."""
-    n = 1500 if quick_mode() else 6000
-    circuit = build_gate_chain(n, "and")
-    circuit.level_schedule()
-    kdf = HashKDF()
-    a_bits = [1] * circuit.n_alice
-    rounds = 1 if quick_mode() else 3
-
-    def garble_evaluate(fuse):
-        rng = random.Random(77)
-        start = time.perf_counter()
-        store = ArrayLabelStore(circuit.n_wires, rng=rng)
-        garbled = garble_copies(circuit, kdf, [store], fuse=fuse)[0]
-        garble_s = time.perf_counter() - start
-        alice = [store.select(w, 1) for w in circuit.alice_inputs]
-        bob = [store.select(w, 1) for w in circuit.bob_inputs]
-        evaluator = FastEvaluator(circuit, kdf=kdf)
-        start = time.perf_counter()
-        plane = evaluator.evaluate(garbled, alice, bob, fuse=fuse)
-        return garble_s, time.perf_counter() - start, garbled, plane
-
-    unfused_g = min(
-        sum(garble_evaluate(False)[:2]) for _ in range(rounds)
-    )
-    fused_g = min(sum(garble_evaluate(True)[:2]) for _ in range(rounds))
-    # bit-exactness of the fusion on this worst-case shape
-    _, _, g_ref, p_ref = garble_evaluate(False)
-    _, _, g_fused, p_fused = garble_evaluate(True)
-    assert g_ref.tables_bytes() == g_fused.tables_bytes()
-    assert p_ref.as_dict() == p_fused.as_dict()
-
-    speedup = unfused_g / fused_g
-    text = (
-        f"AND chain ({n} gates, depth {n}) garble+evaluate:\n"
-        f"per-level dispatch: {unfused_g * 1e3:7.1f} ms\n"
-        f"fused runner:       {fused_g * 1e3:7.1f} ms ({speedup:.2f}x)"
-    )
-    write_report(results_dir, "fused_narrow_levels", text)
-    record_trajectory(
-        "pr3-fused-narrow-levels",
-        {
-            "pr": 3,
-            "circuit": f"and-chain-{n}",
-            "unfused_s": round(unfused_g, 6),
-            "fused_s": round(fused_g, 6),
-            "fuse_speedup": round(speedup, 3),
-            "quick_mode": quick_mode(),
-        },
-    )
-    assert speedup >= FUSE_FLOOR, (
-        f"fused narrow runner {speedup:.2f}x (floor {FUSE_FLOOR}x)"
     )
 
 

@@ -25,7 +25,7 @@ carried over from the previous clock cycle (TinyGarble-style).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CircuitError
 from .gates import AND_REDUCTION, Gate, GateType
@@ -34,7 +34,9 @@ __all__ = [
     "Circuit",
     "GateCounts",
     "LevelSchedule",
+    "ScalarRun",
     "ScheduleLevel",
+    "WideStep",
     "CONST_ZERO",
     "CONST_ONE",
 ]
@@ -289,11 +291,6 @@ class ScheduleLevel:
     ``nf_tidx`` — the tweak of gate ``i`` is ``tweak_base + 2 * nf_tidx[i]``,
     matching the scalar garbler's counter exactly so the two paths stay
     bit-identical.
-
-    ``free_gates`` / ``nf_gates`` repeat the same data as plain Python
-    tuples: narrow levels (a handful of gates) are cheaper to process
-    gate-at-a-time than through array dispatch, so the hybrid engine
-    iterates these instead of paying NumPy overhead per tiny level.
     """
 
     free_a: Any
@@ -307,10 +304,6 @@ class ScheduleLevel:
     nf_ia: Any
     nf_ib: Any
     nf_io: Any
-    #: ((a, b, out, inv), ...) — ``b`` is the scratch wire for unary gates
-    free_gates: Tuple[Tuple[int, int, int, int], ...]
-    #: ((a, b, out, tidx, ia, ib, io), ...)
-    nf_gates: Tuple[Tuple[int, int, int, int, int, int, int], ...]
     #: pre-reduced flag summaries so hot loops skip ndarray.any() calls
     free_has_inv: bool
     nf_has_ia: bool
@@ -322,21 +315,78 @@ class ScheduleLevel:
     tw0_b: Any
 
     @property
-    def n_free(self) -> int:
-        return int(self.free_out.size)
-
-    @property
     def n_non_free(self) -> int:
         return int(self.nf_out.size)
+
+    def tweak_rows(self, tweak_base: int) -> Tuple[Any, Any]:
+        """The non-free gates' (a, b) tweaks as ``(m, 8)`` byte rows."""
+        if tweak_base == 0:
+            return self.tw0_a, self.tw0_b
+        tweaks = tweak_base + 2 * self.nf_tidx
+        return _tweak_rows(tweaks), _tweak_rows(tweaks + 1)
+
+
+def _tweak_rows(tweaks: Any) -> Any:
+    """``(m,)`` int64 tweaks as ``(m, 8)`` little-endian uint8 rows."""
+    return tweaks.astype("<u8").view("uint8").reshape(-1, 8)
+
+
+@dataclasses.dataclass(frozen=True)
+class WideStep:
+    """Plan step: the free (else the non-free) gates of ``level`` as one
+    array operation — one gather-XOR-scatter, or one ``hash_many``."""
+
+    level: ScheduleLevel
+    free: bool
+
+
+GateRecord = Tuple[int, int, int, int, int, int, int]
+
+
+@dataclasses.dataclass(frozen=True)
+class ScalarRun:
+    """Plan step: narrow gates run gate by gate on cached Python ints.
+
+    Each record is ``(a, b, out, tidx, ia, ib, io)``; a free gate carries
+    ``tidx == -1`` and its delta-offset flag in ``ia`` (``b`` already
+    points at the scratch zero row for unary gates).  Records are in
+    dependency order, so chained wires never round-trip through the
+    byte plane.
+    """
+
+    gates: Tuple[GateRecord, ...]
+
+
+#: What a plan is made of (see :meth:`LevelSchedule.step_plan`).
+PlanStep = Union[WideStep, ScalarRun]
+
+
+def _gate_records(level: ScheduleLevel, free: bool) -> List[GateRecord]:
+    """Half a level's gates in :class:`ScalarRun` record form."""
+    if free:
+        return [
+            (a, b, out, -1, inv, 0, 0)
+            for a, b, out, inv in zip(
+                level.free_a.tolist(), level.free_b.tolist(),
+                level.free_out.tolist(), level.free_inv.tolist(),
+            )
+        ]
+    return list(
+        zip(
+            level.nf_a.tolist(), level.nf_b.tolist(), level.nf_out.tolist(),
+            level.nf_tidx.tolist(), level.nf_ia.tolist(),
+            level.nf_ib.tolist(), level.nf_io.tolist(),
+        )
+    )
 
 
 @dataclasses.dataclass(eq=False)
 class LevelSchedule:
-    """Cached per-level gate arrays for the vectorized GC engine.
+    """Cached per-level gate arrays for the vectorized GC engine, and
+    the step plan (:meth:`step_plan`) both of its roles walk.
 
     Immutable by convention (one cached instance per circuit); the only
-    mutable member is the fused-run cache behind
-    :meth:`fused_narrow_runs`.
+    mutable member is the plan cache.
 
     Attributes:
         levels: dependency levels in execution order.
@@ -352,77 +402,64 @@ class LevelSchedule:
     n_wires: int
     scratch_wire: int
     gate_outs: Any
-    _fused_cache: Dict[Tuple[int, int], Dict[int, tuple]] = dataclasses.field(
-        default_factory=dict, repr=False, compare=False
+    _plan_cache: Dict[Tuple[int, int], Tuple[PlanStep, ...]] = (
+        dataclasses.field(default_factory=dict, repr=False, compare=False)
     )
 
-    def fused_narrow_runs(
-        self, batch: int, min_width: int
-    ) -> Dict[int, Tuple[int, Tuple[Tuple[int, ...], ...]]]:
-        """Pre-flattened gate runs over consecutive narrow levels.
+    def step_plan(self, batch: int, min_width: int) -> Tuple[PlanStep, ...]:
+        """The steps, in order, that execute every gate of the schedule.
 
-        The hybrid engine processes a level gate-at-a-time when its
-        effective width (``batch`` copies x gates) stays below
-        ``min_width`` — the ripple-carry tails of adder trees produce
-        long stretches of such levels, each paying per-level Python
-        dispatch for one or two gates.  This returns, for every maximal
-        run of >= 2 consecutive all-narrow levels, the run's gates
-        flattened into one tuple so the engine executes the whole
-        stretch in a single scalar loop.
+        The one decision garbler and evaluator share — which gates of a
+        level run as one array operation, which gate by gate, and in
+        what order — is made here.  Half a level (its free or its
+        non-free gates) is *wide* when ``batch`` copies x gates reaches
+        ``min_width`` and becomes a :class:`WideStep`.  Every narrower
+        half — ripple-carry tails of adder trees, an isolated narrow
+        level, the small half of a mixed level — joins the open
+        :class:`ScalarRun`, where a gate-at-a-time loop beats NumPy
+        dispatch on a handful of gates.
 
-        Returns:
-            ``{start_level_index: (end_level_index, gate_records,
-            out_wires, table_indices)}``.  Each record is
-            ``(a, b, out, tidx, ia, ib, io)``; free gates carry
-            ``tidx == -1`` with their inversion flag in ``ia`` (``b``
-            already points at the scratch zero row for unary gates).
-            ``out_wires`` is the runs' output wires and
-            ``table_indices`` its garbled-table slots, both as index
-            arrays in record order — the engine computes the whole run
-            on cached Python ints and scatters results back to the label
-            plane in one assignment each.  Gate order preserves level
-            order, so dependencies hold; within a level all gates are
-            independent.  Cached per ``(batch, min_width)``.
+        A run is emitted only when a wide step reads one of its outputs
+        (or at the end), so it stays open across wide steps that read
+        none.  That is sound: a gate reads only wires of earlier levels,
+        and whatever drove those — an earlier run, a wide step, the run
+        itself — is emitted no later than the run is.  Replaying the
+        plan in order never reads an undriven wire, and every gate sits
+        in exactly one step.  Cached per ``(batch, min_width)``.
         """
         import numpy as np
 
         key = (batch, min_width)
-        cached = self._fused_cache.get(key)
+        cached = self._plan_cache.get(key)
         if cached is not None:
             return cached
 
-        def narrow(level: ScheduleLevel) -> bool:
-            return (
-                batch * level.n_free < min_width
-                and batch * level.n_non_free < min_width
-            )
+        steps: List[PlanStep] = []
+        records: List[GateRecord] = []
+        # wires the open run drives (scratch row included, never set)
+        in_run = np.zeros(self.n_wires + 1, dtype=bool)
 
-        runs: Dict[int, tuple] = {}
-        levels = self.levels
-        i = 0
-        while i < len(levels):
-            if not narrow(levels[i]):
-                i += 1
-                continue
-            j = i
-            while j < len(levels) and narrow(levels[j]):
-                j += 1
-            if j - i >= 2:
-                records = []
-                for level in levels[i:j]:
-                    for a, b, out, inv in level.free_gates:
-                        records.append((a, b, out, -1, inv, 0, 0))
-                    records.extend(level.nf_gates)
-                out_wires = np.asarray(
-                    [r[2] for r in records], dtype=np.intp
-                )
-                table_indices = np.asarray(
-                    [r[3] for r in records if r[3] >= 0], dtype=np.intp
-                )
-                runs[i] = (j, tuple(records), out_wires, table_indices)
-            i = j
-        self._fused_cache[key] = runs
-        return runs
+        def flush() -> None:
+            if records:
+                steps.append(ScalarRun(tuple(records)))
+                records.clear()
+                in_run.fill(False)
+
+        for level in self.levels:
+            for free, reads, out in (
+                (True, (level.free_a, level.free_b), level.free_out),
+                (False, (level.nf_a, level.nf_b), level.nf_out),
+            ):
+                if batch * out.size >= min_width:
+                    if records and any(in_run[w].any() for w in reads):
+                        flush()
+                    steps.append(WideStep(level, free))
+                elif out.size:
+                    in_run[out] = True
+                    records.extend(_gate_records(level, free))
+        flush()
+        plan = self._plan_cache[key] = tuple(steps)
+        return plan
 
     @classmethod
     def build(cls, circuit: "Circuit") -> "LevelSchedule":
@@ -473,10 +510,6 @@ class LevelSchedule:
             nf_ia: List[int] = []
             nf_ib: List[int] = []
             nf_io: List[int] = []
-            def _tw_rows(offset: int) -> Any:
-                tweaks = 2 * np.asarray(nf_tidx, dtype=np.int64) + offset
-                return tweaks.astype("<u8").view(np.uint8).reshape(-1, 8)
-
             for _, gate, tidx in per_level[level]:
                 op = gate.op
                 if op.is_free:
@@ -495,6 +528,7 @@ class LevelSchedule:
                     nf_ia.append(inv.ia)
                     nf_ib.append(inv.ib)
                     nf_io.append(inv.out)
+            tweaks0 = 2 * np.asarray(nf_tidx, dtype=np.int64)
             levels.append(
                 ScheduleLevel(
                     free_a=np.asarray(free_a, dtype=np.intp),
@@ -508,18 +542,12 @@ class LevelSchedule:
                     nf_ia=np.asarray(nf_ia, dtype=np.uint8),
                     nf_ib=np.asarray(nf_ib, dtype=np.uint8),
                     nf_io=np.asarray(nf_io, dtype=np.uint8),
-                    free_gates=tuple(
-                        zip(free_a, free_b, free_out, free_inv)
-                    ),
-                    nf_gates=tuple(
-                        zip(nf_a, nf_b, nf_out, nf_tidx, nf_ia, nf_ib, nf_io)
-                    ),
                     free_has_inv=any(free_inv),
                     nf_has_ia=any(nf_ia),
                     nf_has_ib=any(nf_ib),
                     nf_has_io=any(nf_io),
-                    tw0_a=_tw_rows(0),
-                    tw0_b=_tw_rows(1),
+                    tw0_a=_tweak_rows(tweaks0),
+                    tw0_b=_tweak_rows(tweaks0 + 1),
                 )
             )
         gate_outs = np.asarray(

@@ -13,6 +13,7 @@ protocol, not just on gate counts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import secrets
 from typing import List, Optional, Sequence
@@ -31,6 +32,7 @@ from ..gc.sequential import SequentialSession
 __all__ = ["folded_mac_cell", "FoldedDenseResult", "run_folded_dense"]
 
 
+@functools.lru_cache(maxsize=8)
 def folded_mac_cell(
     fmt: FixedPointFormat, fan_in: int
 ) -> SequentialCircuit:
@@ -40,6 +42,11 @@ def folded_mac_cell(
     register accumulates ``acc += (x * w) >> frac``.  The accumulator is
     sized for ``fan_in`` terms so the folded run is overflow-free,
     exactly like the combinational compiler's wide adder tree.
+
+    Memoised per ``(fmt, fan_in)``: what a circuit caches "once per
+    circuit" (level schedule, step plans) is only built once if the
+    circuit itself outlives the request.  Callers share the returned
+    cell, which like every netlist is immutable by convention.
     """
     if fan_in < 1:
         raise CompileError("fan_in must be positive")

@@ -39,7 +39,6 @@ from ..errors import ChannelIntegrityError, OTError
 from .channel import Channel
 from .ot import MODP_2048, OTGroup, _xor_bytes, run_ot_batch
 from .rng import RngLike, rand_bits
-from .sha256_vec import sha256_many
 
 __all__ = ["IKNPState", "extension_ot", "KAPPA"]
 
@@ -48,9 +47,12 @@ KAPPA = 128
 #: Width of the base-OT messages: one XOF seed per column and choice.
 SEED_BYTES = 16
 
-#: Below this many transfers the per-row hashlib loop wins (the NumPy
-#: kernel's setup costs dominate tiny batches); at or above it all row
-#: hashes of a masking step run as one block-parallel SHA-256 batch.
+#: At or above this many (equal-length) transfers the masked messages
+#: travel as two ``(m, length)`` planes in one frame and are masked with
+#: one XOR per plane; below it, as length-prefixed pairs.  Both layouts
+#: hash every row with the same ``hashlib`` call, so the value selects a
+#: *frame layout*, not a kernel — it is wire contract
+#: (``comm_bytes_per_req``), not a tuning knob.
 VEC_MIN_TRANSFERS = 64
 
 
@@ -218,12 +220,12 @@ def _hash_row(index: int, row: bytes, length: int) -> bytes:
 
 
 def _hash_rows(rows: np.ndarray, length: int, first_index: int) -> np.ndarray:
-    """Vectorized :func:`_hash_row` over every row of a packed matrix.
+    """:func:`_hash_row` over every row of a packed matrix.
 
     Builds the ``index || counter || row`` messages for all ``m`` rows
-    at once and pushes them through the block-parallel SHA-256 kernel —
-    byte-identical to the scalar hashlib loop, one batched call per
-    counter instead of one hashlib call per transfer.
+    as one byte matrix and hashes its rows with ``hashlib`` — the same
+    digests as the scalar loop, without its per-transfer int and bytes
+    assembly.
 
     Args:
         rows: ``(m, row_bytes)`` uint8 packed matrix rows.
@@ -236,19 +238,26 @@ def _hash_rows(rows: np.ndarray, length: int, first_index: int) -> np.ndarray:
     m, row_len = rows.shape
     if length == 0 or m == 0:
         return np.empty((m, length), dtype=np.uint8)
-    batch = np.empty((m, 12 + row_len), dtype=np.uint8)
+    width = 12 + row_len
+    batch = np.empty((m, width), dtype=np.uint8)
     batch[:, :8] = (
         np.arange(first_index, first_index + m, dtype=">u8")
         .view(np.uint8)
         .reshape(m, 8)
     )
     batch[:, 12:] = rows
+    sha256 = hashlib.sha256
     chunks = []
     for counter in range((length + 31) // 32):
         batch[:, 8:12] = np.frombuffer(
             counter.to_bytes(4, "big"), dtype=np.uint8
         )
-        chunks.append(sha256_many(batch, out_len=32))
+        buf = memoryview(batch.tobytes())
+        digests = b"".join(
+            [sha256(buf[i : i + width]).digest()
+             for i in range(0, m * width, width)]
+        )
+        chunks.append(np.frombuffer(digests, dtype=np.uint8).reshape(m, 32))
     if len(chunks) == 1:
         return chunks[0][:, :length]
     return np.concatenate(chunks, axis=1)[:, :length]
@@ -319,9 +328,9 @@ def extension_ot(
     length = len(pairs[0][0])
     uniform = all(len(m0) == length for m0, _ in pairs)
     if uniform and m >= VEC_MIN_TRANSFERS:
-        # fast path (the GC protocol's case: m label transfers, all 16
-        # bytes): every masking step is one batched row hash + one XOR
-        # over an (m, length) plane instead of 3m hashlib calls
+        # plane layout (the GC protocol's case: m label transfers, all
+        # 16 bytes): every masking step is one pass of row hashes + one
+        # XOR over an (m, length) plane instead of per-transfer strings
         m0_plane = np.frombuffer(
             b"".join(m0 for m0, _ in pairs), dtype=np.uint8
         ).reshape(m, length)

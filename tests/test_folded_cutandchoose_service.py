@@ -20,9 +20,22 @@ FMT = FixedPointFormat(2, 6)
 
 class TestFoldedDense:
     def test_cell_constant_size(self):
-        small = folded_mac_cell(FMT, fan_in=4)
-        large = folded_mac_cell(FMT, fan_in=4)
-        assert len(small.core.gates) == len(large.core.gates)
+        """The cell does not grow with the layer it folds; only its
+        accumulator does — one bit per doubling of fan-in, five gates
+        per bit."""
+        cells = {f: folded_mac_cell(FMT, fan_in=f) for f in (4, 64, 1024)}
+        assert {f: c.n_state for f, c in cells.items()} == {
+            4: 15, 64: 19, 1024: 23
+        }
+        assert {f: len(c.core.gates) for f, c in cells.items()} == {
+            4: 544, 64: 564, 1024: 584
+        }
+
+    def test_cell_is_built_once_per_format_and_fan_in(self):
+        cell = folded_mac_cell(FMT, fan_in=5)
+        assert folded_mac_cell(FMT, fan_in=5) is cell
+        assert folded_mac_cell(FMT, fan_in=6) is not cell
+        assert folded_mac_cell(FixedPointFormat(2, 5), fan_in=5) is not cell
 
     def test_folded_matches_reference(self):
         rng = np.random.default_rng(0)

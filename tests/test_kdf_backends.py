@@ -628,6 +628,24 @@ class TestVectorizedIKNP:
             assert got == (m1 if c else m0)
         assert transferred == 2 * 80 * 16 + 80 * ot_extension.KAPPA // 8
 
+    @pytest.mark.parametrize(
+        "length, digest",
+        [
+            (16, "4fe48c70928d98ec25e92bc2b3fdc1b44d39a70992b02e4de8b8723b965543ba"),
+            (70, "3138ba54d6e0669be300e25732127e2303430d2c305b5843c8009eb288eb7671"),
+        ],
+    )
+    def test_row_hash_known_answer(self, length, digest):
+        """The masks are wire contract: pinned at the commit that still
+        hashed rows through ``sha256_vec`` (70 bytes = three counters)."""
+        rows = (np.arange(702 * 16) % 251).astype(np.uint8).reshape(702, 16)
+        masks = ot_extension._hash_rows(rows, length, 1000)
+        assert masks.shape == (702, length)
+        assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
+        assert masks[5].tobytes() == ot_extension._hash_row(
+            1005, rows[5].tobytes(), length
+        )
+
     def test_ragged_pairs_use_fallback(self):
         rng = random.Random(9)
         pairs = [(rng.randbytes(4), rng.randbytes(4)),

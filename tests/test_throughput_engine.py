@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis import build_gate_chain
 from repro.circuits import CircuitBuilder, FixedPointFormat, bits_from_int
+from repro.circuits.netlist import ScalarRun
 from repro.circuits.simulate import simulate
 from repro.compile import folded_mac_cell
 from repro.engine import EngineConfig, PregarbledPool
@@ -34,6 +35,8 @@ from repro.gc import (
 )
 from repro.gc.cipher import _hash_many_fallback
 from repro.gc.fastgarble import garble_copies
+from repro.gc.garble import GarbledCircuit
+from repro.gc.labels import _label_row
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import TwoPartySession
 from repro.service import InferenceRequest, PrivateInferenceService
@@ -314,24 +317,7 @@ class TestEvaluateMany:
 
 
 class TestFusedNarrowRunner:
-    def test_fused_runs_cover_narrow_stretches(self):
-        circuit = build_gate_chain(50, "and")
-        schedule = circuit.level_schedule()
-        runs = schedule.fused_narrow_runs(1, 8)
-        covered = sum(
-            end - start for start, (end, _, _, _) in runs.items()
-        )
-        assert covered == len(schedule.levels)  # a chain is all narrow
-        total_gates = 0
-        for _, (_, gates, out_wires, nf_tidx) in runs.items():
-            total_gates += len(gates)
-            assert len(out_wires) == len(gates)  # one output per gate
-            assert len(nf_tidx) == sum(1 for g in gates if g[3] >= 0)
-        assert total_gates == len(circuit.gates)
-        # a wide batch dissolves the narrow runs
-        assert schedule.fused_narrow_runs(64, 8) == {}
-        # and the cache returns the same object
-        assert schedule.fused_narrow_runs(1, 8) is runs
+    """The schedule's step plan and the one walk per role that runs it."""
 
     @staticmethod
     def _mixed_chain(n, seed):
@@ -350,41 +336,240 @@ class TestFusedNarrowRunner:
         bld.mark_output(wire)
         return bld.build()
 
+    @staticmethod
+    def _xor_only():
+        """No table at all: the table plane is empty."""
+        bld = CircuitBuilder()
+        a = bld.add_alice_inputs(2)
+        b = bld.add_bob_inputs(2)
+        bld.mark_output(bld.emit_xor(bld.emit_xor(a[0], b[0]), a[1]))
+        return bld.build()
+
+    @classmethod
+    def _circuits(cls):
+        return [
+            build_gate_chain(50, "and"),
+            cls._mixed_chain(120, 0),
+            cls._xor_only(),
+            *(_random_circuit(seed, n_gates=160) for seed in (12, 13, 14)),
+            folded_mac_cell(FMT, fan_in=5).core,
+        ]
+
+    def test_fused_runs_cover_narrow_stretches(self):
+        circuit = build_gate_chain(50, "and")
+        schedule = circuit.level_schedule()
+        plan = schedule.step_plan(1, 8)
+        # a chain is all narrow: one run holds every gate, in order
+        assert len(plan) == 1 and isinstance(plan[0], ScalarRun)
+        assert [g[2] for g in plan[0].gates] == [
+            g.out for g in circuit.gates
+        ]
+        # a wide batch dissolves the runs
+        assert not any(
+            isinstance(step, ScalarRun) for step in schedule.step_plan(64, 8)
+        )
+        # and the cache returns the same object
+        assert schedule.step_plan(1, 8) is plan
+
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    def test_plan_places_every_gate_once_in_dependency_order(self, batch):
+        for circuit in self._circuits():
+            schedule = circuit.level_schedule()
+            driven = set(range(2 + circuit.n_inputs))
+            driven.add(schedule.scratch_wire)
+            placed, in_runs = [], 0
+            for step in schedule.step_plan(batch, 8):
+                if isinstance(step, ScalarRun):
+                    in_runs += len(step.gates)
+                    for a, b, out, tidx, *_ in step.gates:
+                        assert a in driven and b in driven, circuit.name
+                        driven.add(out)
+                        placed.append((out, tidx))
+                    continue
+                level = step.level
+                if step.free:
+                    reads = level.free_a.tolist() + level.free_b.tolist()
+                    outs = level.free_out.tolist()
+                    tidx = [-1] * len(outs)
+                else:
+                    reads = level.nf_a.tolist() + level.nf_b.tolist()
+                    outs, tidx = level.nf_out.tolist(), level.nf_tidx.tolist()
+                assert batch * len(outs) >= 8  # a wide step is wide
+                assert driven.issuperset(reads), circuit.name
+                driven.update(outs)
+                placed.extend(zip(outs, tidx))
+            # every gate in exactly one step, with its own table slot
+            assert sorted(out for out, _ in placed) == sorted(
+                g.out for g in circuit.gates
+            )
+            assert sorted(t for _, t in placed if t >= 0) == list(
+                range(schedule.n_non_free)
+            )
+            # the width test alone decides array vs gate-by-gate
+            assert in_runs == sum(
+                n
+                for level in schedule.levels
+                for n in (level.free_out.size, level.nf_out.size)
+                if batch * n < 8
+            )
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fused_garble_bit_exact(self, seed):
         circuit = self._mixed_chain(120, seed)
         kdf = HashKDF()
-        ref_store = ArrayLabelStore(circuit.n_wires, rng=random.Random(seed))
-        ref = garble_copies(circuit, kdf, [ref_store], fuse=False)[0]
-        fused_store = ArrayLabelStore(
-            circuit.n_wires, rng=random.Random(seed)
-        )
-        fused = garble_copies(circuit, kdf, [fused_store], fuse=True)[0]
-        scalar = _reference(circuit, seed, kdf=kdf).garble()
-        assert ref.tables_bytes() == fused.tables_bytes()
-        assert scalar.tables_bytes() == fused.tables_bytes()
-        assert ref.decode_bits == fused.decode_bits == scalar.decode_bits
+        for k in (1, 3):
+            pairs = garble_many(
+                circuit, kdf=kdf,
+                rngs=[random.Random(seed + i) for i in range(k)],
+            )
+            for i, (garbler, garbled) in enumerate(pairs):
+                scalar = _reference(circuit, seed + i, kdf=kdf)
+                ref = scalar.garble()
+                assert ref.tables_bytes() == garbled.tables_bytes()
+                assert ref.decode_bits == garbled.decode_bits
+                assert ref.const_labels == garbled.const_labels
+                assert all(
+                    scalar.labels.zero(w) == garbler.labels.zero(w)
+                    for w in range(circuit.n_wires)
+                )
 
     def test_fused_evaluate_bit_exact(self):
         circuit = build_gate_chain(90, "and")
-        garbler = Garbler(circuit, rng=random.Random(5))
-        garbled = garbler.garble()
-        alice = [
-            garbler.labels.select(w, 1) for w in circuit.alice_inputs
-        ]
-        bob = [garbler.labels.select(w, 1) for w in circuit.bob_inputs]
-        evaluator = FastEvaluator(circuit)
-        fused = evaluator.evaluate(garbled, alice, bob, fuse=True)
-        unfused = evaluator.evaluate(garbled, alice, bob, fuse=False)
-        assert fused.as_dict() == unfused.as_dict()
+        for k in (1, 3):
+            _, garbleds, alices, bobs, _ = _request_batch(circuit, k, 5)
+            evaluator = FastEvaluator(circuit)
+            planes = evaluator.evaluate_many(garbleds, alices, bobs)
+            for i in range(k):
+                ref = Evaluator(circuit).evaluate(
+                    garbleds[i], alices[i], bobs[i]
+                )
+                assert planes[i].as_dict() == ref
+                single = evaluator.evaluate(garbleds[i], alices[i], bobs[i])
+                assert single.as_dict() == ref
 
     def test_mixed_random_netlists_still_bit_exact(self):
-        """Fusion interleaves with wide levels on arbitrary shapes."""
+        """Runs interleave with wide steps on arbitrary shapes."""
         for seed in (12, 13, 14):
             circuit = _random_circuit(seed, n_gates=160)
             scalar = _reference(circuit, seed).garble()
             fused = Garbler(circuit, rng=random.Random(seed)).garble()
             assert scalar.tables_bytes() == fused.tables_bytes()
+            for k in (1, 3):
+                _, garbleds, alices, bobs, _ = _request_batch(circuit, k, seed)
+                planes = FastEvaluator(circuit).evaluate_many(
+                    garbleds, alices, bobs
+                )
+                for i in range(k):
+                    assert planes[i].as_dict() == Evaluator(circuit).evaluate(
+                        garbleds[i], alices[i], bobs[i]
+                    )
+
+    def test_table_free_circuit(self):
+        circuit = self._xor_only()
+        garbler = Garbler(circuit, rng=random.Random(3))
+        garbled = garbler.garble()
+        assert garbled.tables_bytes() == b""
+        assert _reference(circuit, 3).garble().decode_bits == garbled.decode_bits
+        alice = [garbler.labels.select(w, 1) for w in circuit.alice_inputs]
+        bob = [garbler.labels.select(w, 0) for w in circuit.bob_inputs]
+        plane = FastEvaluator(circuit).evaluate(garbled, alice, bob)
+        assert plane.as_dict() == Evaluator(circuit).evaluate(garbled, alice, bob)
+
+    def test_evaluate_is_the_single_request_walk(self):
+        circuit = _random_circuit(7, n_gates=160)
+        _, garbleds, alices, bobs, _ = _request_batch(circuit, 1, 7)
+        evaluator = FastEvaluator(circuit)
+        single = evaluator.evaluate(garbleds[0], alices[0], bobs[0])
+        batch = evaluator.evaluate_many(garbleds, alices, bobs)
+        assert np.array_equal(single.plane, batch[0].plane)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_state_labels_as_ints_and_as_rows(self, seed):
+        """A circuit with registers: carried state labels enter either
+        role as ints or as ``(n_state, 16)`` rows, bit-exact both ways."""
+        core = folded_mac_cell(FMT, fan_in=5).core
+        carry_rng = random.Random(seed ^ 0x5EED)
+        carried = [carry_rng.getrandbits(128) for _ in range(core.n_state)]
+        rows = np.stack([_label_row(label) for label in carried])
+        tweak = 2 * core.counts().non_xor
+        ref_garbler = _reference(core, seed)
+        ref = ref_garbler.garble(state_zero_labels=carried, tweak_base=tweak)
+        for state in (carried, rows):
+            garbler = Garbler(core, rng=random.Random(seed))
+            garbled = garbler.garble(state_zero_labels=state, tweak_base=tweak)
+            assert ref.tables_bytes() == garbled.tables_bytes()
+            assert ref.decode_bits == garbled.decode_bits
+            assert ref.const_labels == garbled.const_labels
+        alice = [ref_garbler.labels.select(w, 1) for w in core.alice_inputs]
+        bob = [ref_garbler.labels.select(w, 0) for w in core.bob_inputs]
+        active = [ref_garbler.labels.select(w, 1) for w in core.state_inputs]
+        active_rows = np.stack([_label_row(label) for label in active])
+        expected = Evaluator(core).evaluate(ref, alice, bob, active)
+        for state in (active, active_rows):
+            plane = FastEvaluator(core).evaluate(ref, alice, bob, state)
+            assert plane.as_dict() == expected
+
+    def test_every_engine_error_is_still_raised(self):
+        circuit = _random_circuit(8)
+        _, garbleds, alices, bobs, _ = _request_batch(circuit, 2, 8)
+        evaluator = FastEvaluator(circuit)
+        g, a, b = garbleds[0], alices[0], bobs[0]
+        # label counts, in both entry points
+        with pytest.raises(GarblingError, match="Alice labels"):
+            evaluator.evaluate(g, a[:-1], b)
+        with pytest.raises(GarblingError, match="Bob labels"):
+            evaluator.evaluate(g, a, b + b[:1])
+        with pytest.raises(GarblingError, match="Alice labels"):
+            evaluator.evaluate_many(garbleds, [a, a[:-1]], bobs)
+        with pytest.raises(GarblingError, match="Bob labels"):
+            evaluator.evaluate_many(garbleds, alices, [b[:-1], b])
+        with pytest.raises(GarblingError, match="every copy"):
+            evaluator.evaluate_many(garbleds, alices[:1], bobs)
+        with pytest.raises(GarblingError, match="state labels"):
+            evaluator.evaluate(g, a, b, state_labels=[1])
+        # table shortage, in both entry points
+        short = GarbledCircuit(
+            tables=[], const_labels=g.const_labels, decode_bits=[],
+            tables_plane=g.tables_plane[:-1],
+        )
+        with pytest.raises(GarblingError, match="ran out of garbled tables"):
+            evaluator.evaluate(short, a, b)
+        with pytest.raises(GarblingError, match="ran out of garbled tables"):
+            evaluator.evaluate_many([g, short], alices, bobs)
+        # mixed tweak bases
+        garbleds[1].tweak_base = 4
+        with pytest.raises(GarblingError, match="uniform tweak base"):
+            evaluator.evaluate_many(garbleds, alices, bobs)
+        # the garbler's side
+        stores = [
+            ArrayLabelStore(circuit.n_wires, rng=random.Random(i))
+            for i in range(2)
+        ]
+        with pytest.raises(GarblingError, match="single copy"):
+            garble_copies(circuit, HashKDF(), stores, state_zero_labels=[])
+        with pytest.raises(GarblingError, match="label plane holds"):
+            garble_copies(
+                circuit, HashKDF(),
+                [ArrayLabelStore(circuit.n_wires - 1, rng=random.Random(1))],
+            )
+        with pytest.raises(GarblingError, match="count must be"):
+            garble_many(circuit, -1)
+        # sequential state: wrong count either way, and never batched
+        core = folded_mac_cell(FMT, fan_in=5).core
+        for state in ([1], np.zeros((1, 16), dtype=np.uint8)):
+            with pytest.raises(GarblingError, match="state labels"):
+                Garbler(core, rng=random.Random(1)).garble(
+                    state_zero_labels=state
+                )
+        garbler = Garbler(core, rng=random.Random(1))
+        garbled = garbler.garble()
+        alice = [garbler.labels.select(w, 0) for w in core.alice_inputs]
+        bob = [garbler.labels.select(w, 0) for w in core.bob_inputs]
+        for state in (None, [1], np.zeros((1, 16), dtype=np.uint8)):
+            with pytest.raises(GarblingError, match="state labels"):
+                FastEvaluator(core).evaluate(garbled, alice, bob, state)
+        with pytest.raises(GarblingError, match="combinational"):
+            FastEvaluator(core).evaluate_many([garbled], [alice], [bob])
 
 
 class TestFoldedSession:

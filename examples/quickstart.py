@@ -43,8 +43,10 @@ def main() -> None:
     # 2. one config drives quantization, compilation and execution
     #    (1 sign + 2 integer + 6 fraction bits keeps this demo's circuit
     #    small; the paper uses 1.3.12.  The 2048-bit OT group is the
-    #    honest production parameter — pure-Python modexp dominates the
-    #    wall time.)
+    #    honest production parameter: each backend's first request pays
+    #    one base-OT batch of 387 modular exponentiations, ~1.3 s where
+    #    they run in the system libcrypto and ~15 s on the pure-Python
+    #    fallback.)
     #
     #    Engine knob worth knowing:
     #    - pool_refill="opportunistic" (default): a drained pre-garbled

@@ -181,6 +181,7 @@ def _demo_service(backend: str = "two_party", activation: str = "exact",
 def _cmd_demo(args) -> None:
     service, x = _demo_service()
     print(service.circuit_summary)
+    print(f"kdf {service.kdf_name} | ot group {service.ot_group_name}")
     record = service.infer(x[0])
     print(f"private label: {record.label} | cleartext: "
           f"{service.cleartext_label(x[0])} | comm "
@@ -489,7 +490,8 @@ def _cmd_serve(args) -> None:
         warmed = service.prepare()
         print(f"offline phase: {warmed} circuits pre-garbled "
               f"(refill {args.refill}, kdf workers {args.kdf_workers}, "
-              f"kdf backend {args.kdf_backend} -> {service.kdf_name})")
+              f"kdf backend {args.kdf_backend} -> {service.kdf_name}, "
+              f"ot group {service.ot_group_name})")
     else:
         print("offline phase: disabled (--pool 0, cold baseline)")
 

@@ -42,7 +42,6 @@ and constant-free) and ``label || tweak`` byte rows on the batch path.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import dataclasses
 import functools
 import hashlib
@@ -51,9 +50,11 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from . import _libcrypto
 
 __all__ = [
     "LABEL_BITS",
@@ -294,20 +295,16 @@ def _expand_key(key: bytes) -> List[List[int]]:
 # native provider: AES-128-ECB in the system libcrypto, through ctypes
 # ---------------------------------------------------------------------------
 
-#: Sonames tried when ``_hashlib`` does not lead to a libcrypto.
-_LIBCRYPTO_SONAMES = (
-    "libcrypto.so.3",
-    "libcrypto.so.1.1",
-    "libcrypto.3.dylib",
-    "libcrypto.dylib",
-)
-
 #: Most bytes handed to one ``EVP_EncryptUpdate`` (its length is a C int).
 _EVP_MAX_BYTES = 1 << 30
 
 
 def _bind_evp(lib: ctypes.CDLL) -> None:
-    """Declare the EVP prototypes used here (raises if one is missing)."""
+    """Declare the EVP prototypes used here and key a throw-away context.
+
+    Raises if a symbol is missing or the cipher is refused: a library
+    that loads but does not offer AES-128-ECB counts as not offering EVP.
+    """
     void_p, c_int = ctypes.c_void_p, ctypes.c_int
     lib.EVP_CIPHER_CTX_new.argtypes = []
     lib.EVP_CIPHER_CTX_new.restype = void_p
@@ -325,54 +322,19 @@ def _bind_evp(lib: ctypes.CDLL) -> None:
     # ctypes buffer's address and a NumPy array's data pointer
     lib.EVP_EncryptUpdate.argtypes = [void_p, void_p, void_p, void_p, c_int]
     lib.EVP_EncryptUpdate.restype = c_int
+    _EvpContext(lib, bytes(16))
 
 
-def _libcrypto_candidates() -> Iterator[str]:
-    """Names to ``dlopen``, cheapest first.
-
-    ``_hashlib``'s own shared object comes first: its dependency — the
-    libcrypto ``hashlib`` already mapped — answers the symbol lookups,
-    so nothing new is loaded.  ``ctypes.util.find_library`` comes last
-    (and only if reached) because it forks ``ldconfig``.
-    """
-    try:
-        import _hashlib
-
-        hashlib_so = _hashlib.__file__
-    except (ImportError, AttributeError):  # static or OpenSSL-less build
-        pass
-    else:
-        yield hashlib_so
-    yield from _LIBCRYPTO_SONAMES
-    found = ctypes.util.find_library("crypto")
-    if found:
-        yield found
-
-
-@functools.lru_cache(maxsize=None)
 def _load_libcrypto() -> Optional[ctypes.CDLL]:
-    """The process's libcrypto, or None when none offers EVP AES-128-ECB
-    (a library that loads but refuses the cipher counts as not offering
-    it: a throw-away context is keyed to find out)."""
-    for name in _libcrypto_candidates():
-        try:
-            lib = ctypes.CDLL(name)
-            _bind_evp(lib)
-            _EvpContext(lib, bytes(16))
-        except (OSError, AttributeError, RuntimeError):
-            continue
-        return lib
-    return None
+    """The process's libcrypto, or None when none offers EVP AES-128-ECB."""
+    return _libcrypto.load(_bind_evp)
 
 
-class _EvpContext:
+class _EvpContext(_libcrypto.Owned):
     """One owned ``EVP_CIPHER_CTX`` keyed for AES-128-ECB, padding off."""
 
     def __init__(self, lib: ctypes.CDLL, key: bytes) -> None:
-        self._free = lib.EVP_CIPHER_CTX_free
-        self.ptr: Optional[int] = lib.EVP_CIPHER_CTX_new()
-        if not self.ptr:
-            raise MemoryError("EVP_CIPHER_CTX_new failed")
+        super().__init__(lib.EVP_CIPHER_CTX_new(), lib.EVP_CIPHER_CTX_free)
         if (
             lib.EVP_EncryptInit_ex(
                 self.ptr, lib.EVP_aes_128_ecb(), None, key, None
@@ -380,11 +342,6 @@ class _EvpContext:
             or lib.EVP_CIPHER_CTX_set_padding(self.ptr, 0) != 1
         ):
             raise RuntimeError("libcrypto refused AES-128-ECB")
-
-    def __del__(self) -> None:
-        if self.ptr:
-            self._free(self.ptr)
-            self.ptr = None
 
 
 class _EcbThreadState(threading.local):

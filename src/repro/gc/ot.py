@@ -1,27 +1,113 @@
 """1-out-of-2 Oblivious Transfer (honest-but-curious).
 
-Bellare-Micali style OT over a Schnorr-type multiplicative group: the
-receiver proves nothing, but cannot know the discrete log of both public
-keys, so the sender's unchosen message stays hidden; the sender never
-sees the choice bit.  This is the standard HbC base OT the paper's flow
-relies on for the evaluator's input labels (Sec. 2.2.1 / 3.1).
+Naor-Pinkas OT (*Efficient Oblivious Transfer Protocols*, SODA 2001,
+Sec. 3.1) in its batch form, over a multiplicative group mod ``p``: the
+sender publishes ``c = g^x``; per transfer the receiver sends one key
+``PK_0``, with ``PK_0 * PK_1 = c`` and the discrete log ``k`` of
+``PK_choice`` only known to it; the sender draws **one** ``r`` per batch,
+sends ``g^r`` and encrypts ``m_b`` under ``H(PK_b^r, index)``.  This is
+the base OT the paper's flow relies on for the evaluator's input labels
+(Sec. 2.2.1 / 3.1).
 
-Group: RFC 3526 MODP-2048 with generator 2 by default.  A smaller
-512-bit group (still a safe prime) is provided for fast unit tests —
-never for anything but tests.
+Security as far as claimed here (honest-but-curious parties, ``H`` a
+random oracle): ``PK_0`` is uniform whatever the choice bit, so the
+sender learns nothing; a receiver keying both messages of a transfer
+would hold ``PK_0^r * PK_1^r = c^r`` from ``(g, g^r, c)`` — computational
+Diffie-Hellman, for one transfer or for a batch — and the transfer index
+in every hash input keeps a batch's keys independent under the shared ``r``.
+
+A batch of ``n`` costs ``3n + 3`` modular exponentiations — ``c``,
+``g^r``, ``c^r``, and per transfer ``g^k`` (or ``g^-k``), ``PK_0^r`` and
+``(g^r)^k`` — 387 for an IKNP set-up's 128; ``PK_1^r = c^r / PK_0^r``,
+every division of a batch sharing one modular inverse.  Each is one
+:meth:`OTGroup.power` call: ``BN_mod_exp_mont_consttime`` in the system
+libcrypto through :mod:`ctypes` (like the garbling oracle's AES), or
+Python's ``pow`` where none loads — same integers, same transcripts.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import secrets
-from typing import List, Sequence, Tuple
+import threading
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import OTError
+from . import _libcrypto
 from .rng import RngLike, rand_below
 
 __all__ = ["OTGroup", "MODP_2048", "TEST_GROUP_512", "OTSender", "OTReceiver", "run_ot_batch"]
+
+
+def _bind_bn(lib: ctypes.CDLL) -> None:
+    """Declare the BIGNUM prototypes used here (raises if one is missing)."""
+    void_p, c_int = ctypes.c_void_p, ctypes.c_int
+    for name in ("BN_new", "BN_CTX_new", "BN_MONT_CTX_new"):
+        getattr(lib, name).argtypes = []
+        getattr(lib, name).restype = void_p
+    for name in ("BN_clear_free", "BN_CTX_free", "BN_MONT_CTX_free"):
+        getattr(lib, name).argtypes = [void_p]
+        getattr(lib, name).restype = None
+    lib.BN_bin2bn.argtypes = [ctypes.c_char_p, c_int, void_p]
+    lib.BN_bin2bn.restype = void_p
+    lib.BN_bn2binpad.argtypes = [void_p, void_p, c_int]
+    lib.BN_bn2binpad.restype = c_int
+    lib.BN_MONT_CTX_set.argtypes = [void_p, void_p, void_p]
+    lib.BN_MONT_CTX_set.restype = c_int
+    lib.BN_mod_exp_mont_consttime.argtypes = [void_p] * 6
+    lib.BN_mod_exp_mont_consttime.restype = c_int
+
+
+class _BnScratch(threading.local):
+    """One thread's ``BN_CTX``, operand and result ``BIGNUM`` s and output
+    buffer for one modulus.  ``ctypes`` drops the GIL around every foreign
+    call, so what a call writes belongs to one thread (``threading.local``
+    runs this ``__init__`` on a thread's first touch); a forked child
+    inherits the forking thread's scratch as plain copied heap memory."""
+
+    def __init__(self, lib: ctypes.CDLL, width: int) -> None:
+        self.owners = [_libcrypto.Owned(lib.BN_CTX_new(), lib.BN_CTX_free)] + [
+            _libcrypto.Owned(lib.BN_new(), lib.BN_clear_free) for _ in range(3)
+        ]
+        ctx, base, exponent, result = (owner.ptr for owner in self.owners)
+        #: everything a call writes, behind one thread-local attribute read
+        self.call = (ctx, base, exponent, result, ctypes.create_string_buffer(width))
+
+
+class _NativeModulus:
+    """An odd modulus as libcrypto holds it: the ``BIGNUM`` and its
+    Montgomery context — built once, only read afterwards, so shared by
+    every thread — and each thread's scratch."""
+
+    def __init__(self, lib: ctypes.CDLL, modulus: int) -> None:
+        self.width = width = (modulus.bit_length() + 7) // 8
+        self.bin2bn, self.bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
+        # every exponent of the OT is a secret: the constant-time ladder
+        # (+10 % over BN_mod_exp_mont at 255 bits)
+        self.mod_exp = lib.BN_mod_exp_mont_consttime
+        self.bn = _libcrypto.Owned(
+            lib.BN_bin2bn(modulus.to_bytes(width, "big"), width, None),
+            lib.BN_clear_free,
+        )
+        self.mont = _libcrypto.Owned(lib.BN_MONT_CTX_new(), lib.BN_MONT_CTX_free)
+        ctx = _libcrypto.Owned(lib.BN_CTX_new(), lib.BN_CTX_free)
+        if lib.BN_MONT_CTX_set(self.mont.ptr, self.bn.ptr, ctx.ptr) != 1:
+            raise RuntimeError("BN_MONT_CTX_set refused the modulus")
+        self.scratch = _BnScratch(lib, width)
+
+
+@functools.lru_cache(maxsize=8)
+def _native_modulus(modulus: int) -> Optional[_NativeModulus]:
+    """The libcrypto form of ``modulus``, or None where
+    :meth:`OTGroup.power` stays on ``pow``: no libcrypto offers the BN
+    calls, or the modulus is even (Montgomery arithmetic needs it odd)."""
+    if modulus < 3 or modulus % 2 == 0:
+        return None
+    lib = _libcrypto.load(_bind_bn)
+    return None if lib is None else _NativeModulus(lib, modulus)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,13 +118,35 @@ class OTGroup:
     generator: int
     name: str = "modp"
 
+    @property
+    def provider(self) -> str:
+        """Where :meth:`power` runs: ``"libcrypto"`` or ``"python"``."""
+        return "python" if _native_modulus(self.prime) is None else "libcrypto"
+
     def random_exponent(self, rng: RngLike = secrets) -> int:
         """Uniform exponent in [1, p-2]."""
         return rand_below(rng, self.prime - 2) + 1
 
     def power(self, base: int, exponent: int) -> int:
-        """Modular exponentiation in the group."""
-        return pow(base, exponent, self.prime)
+        """Modular exponentiation in the group: ``pow(base, exponent, p)``
+        for any integers, whichever provider computes it (a negative
+        exponent — a modular inverse — always takes ``pow``).  Every
+        exponentiation of a base OT is one call of this method."""
+        native = _native_modulus(self.prime) if exponent >= 0 else None
+        if native is None:
+            return pow(base, exponent, self.prime)
+        ctx, b, e, r, out = native.scratch.call
+        width = native.width
+        base_bytes = (base % self.prime).to_bytes(width, "big")
+        exp_bytes = exponent.to_bytes((exponent.bit_length() + 7) // 8 or 1, "big")
+        if not (
+            native.bin2bn(base_bytes, width, b)
+            and native.bin2bn(exp_bytes, len(exp_bytes), e)
+            and native.mod_exp(r, b, e, native.bn.ptr, ctx, native.mont.ptr) == 1
+            and native.bn2binpad(r, out, width) == width
+        ):
+            raise RuntimeError("libcrypto modular exponentiation failed")
+        return int.from_bytes(out.raw, "big")
 
     def mul(self, a: int, b: int) -> int:
         """Group multiplication."""
@@ -62,9 +170,12 @@ _MODP_2048_HEX = (
 )
 MODP_2048 = OTGroup(prime=int(_MODP_2048_HEX, 16), generator=2, name="modp-2048")
 
-# Small well-known prime (2^255 - 19) for *unit tests only*: modexp is
-# ~20x faster than MODP-2048.  Protocol correctness, not security margin,
-# is what the tests exercise.
+# The field of Curve25519, p = 2^255 - 19, for *tests, demos and benchmarks
+# only*.  The name is historical: p has 255 bits, not 512, and is not a
+# safe prime ((p-1)/2 = 2^254 - 10 is even), so the group has small
+# subgroups and no security margin is claimed.  A modexp in it is ~90x
+# cheaper than in MODP-2048 under libcrypto (~200x under ``pow``); what
+# runs in it exercises protocol correctness.
 TEST_GROUP_512 = OTGroup(prime=2 ** 255 - 19, generator=2, name="test-25519")
 
 
@@ -86,6 +197,30 @@ def _xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
         len(a), "big"
     )
+
+
+def _require_element(group: OTGroup, value: int, what: str) -> None:
+    """Refuse the other party's group element outside ``(1, p-1)``: wire
+    bytes decode to any integer, unreduced or of order <= 2 included."""
+    if not 1 < value < group.prime - 1:
+        raise OTError(f"bad {what}")
+
+
+def _inverses(group: OTGroup, elements: Sequence[int]) -> List[int]:
+    """The inverse of every (invertible) element for one modular
+    inversion and ``3n`` multiplications — Montgomery's trick: invert
+    the product of all, then peel one factor off at a time."""
+    prefixes = []
+    product = 1
+    for element in elements:
+        prefixes.append(product)
+        product = group.mul(product, element)
+    suffix_inverse = group.inverse(product)
+    out = [0] * len(elements)
+    for i in range(len(elements) - 1, -1, -1):
+        out[i] = group.mul(suffix_inverse, prefixes[i])
+        suffix_inverse = group.mul(suffix_inverse, elements[i])
+    return out
 
 
 class OTSender:
@@ -114,20 +249,28 @@ class OTSender:
     def respond(self, public_keys: Sequence[int]) -> List[Tuple[int, bytes, bytes]]:
         """Encrypt both messages of each pair against the receiver's keys.
 
-        Returns ``(g^r, E0, E1)`` per transfer.
+        One ``r`` serves the batch: ``PK_0^r`` is the only per-transfer
+        exponentiation and ``PK_1^r = c^r / PK_0^r``.  Returns
+        ``(g^r, E0, E1)`` per transfer — the same ``g^r`` every time,
+        which is what the wire format carries today.
         """
         if len(public_keys) != len(self.pairs):
             raise OTError("one public key per message pair required")
         group = self.group
+        # every key before any arithmetic: a bad one must be an OTError,
+        # not a zero product in the shared inversion
+        for pk0 in public_keys:
+            _require_element(group, pk0, "receiver public key")
+        r = group.random_exponent(self._rng)
+        g_r = group.power(group.generator, r)
+        c_r = group.power(self._c, r)
+        shared0 = [group.power(pk0, r) for pk0 in public_keys]
         responses = []
-        for index, (pk0, (m0, m1)) in enumerate(zip(public_keys, self.pairs)):
-            if not 1 < pk0 < group.prime - 1:
-                raise OTError("bad receiver public key")
-            pk1 = group.mul(self._c, group.inverse(pk0))
-            r = group.random_exponent(self._rng)
-            g_r = group.power(group.generator, r)
-            key0 = _kdf_group_element(group.power(pk0, r), index, len(m0))
-            key1 = _kdf_group_element(group.power(pk1, r), index, len(m1))
+        for index, (s0, s0_inverse, (m0, m1)) in enumerate(
+            zip(shared0, _inverses(group, shared0), self.pairs)
+        ):
+            key0 = _kdf_group_element(s0, index, len(m0))
+            key1 = _kdf_group_element(group.mul(c_r, s0_inverse), index, len(m1))
             responses.append((g_r, _xor_bytes(m0, key0), _xor_bytes(m1, key1)))
         return responses
 
@@ -136,10 +279,7 @@ class OTReceiver:
     """Receiver side: learns exactly one message per pair."""
 
     def __init__(
-        self,
-        choices: Sequence[int],
-        group: OTGroup = MODP_2048,
-        rng: RngLike = secrets,
+        self, choices: Sequence[int], group: OTGroup = MODP_2048, rng: RngLike = secrets
     ) -> None:
         self.choices = [c & 1 for c in choices]
         self.group = group
@@ -150,24 +290,23 @@ class OTReceiver:
         """Derive one public key per choice from the sender's ``c``.
 
         ``PK_choice = g^k`` and ``PK_(1-choice) = c / PK_choice``; only
-        ``PK_0`` is transmitted.
+        ``PK_0`` is transmitted.  For choice 1 that is ``c * g^-k``,
+        computed as ``c * g^(p-1-k)``: no inversion.
         """
         group = self.group
+        _require_element(group, c, "sender setup element")
         keys = []
         self._secrets = []
         for choice in self.choices:
             k = group.random_exponent(self._rng)
             self._secrets.append(k)
-            pk_choice = group.power(group.generator, k)
             if choice == 0:
-                keys.append(pk_choice)
+                keys.append(group.power(group.generator, k))
             else:
-                keys.append(group.mul(c, group.inverse(pk_choice)))
+                keys.append(group.mul(c, group.power(group.generator, group.prime - 1 - k)))
         return keys
 
-    def recover(
-        self, responses: Sequence[Tuple[int, bytes, bytes]]
-    ) -> List[bytes]:
+    def recover(self, responses: Sequence[Tuple[int, bytes, bytes]]) -> List[bytes]:
         """Decrypt the chosen message of each transfer."""
         if len(responses) != len(self.choices):
             raise OTError("response count mismatch")
@@ -176,6 +315,7 @@ class OTReceiver:
         for index, (choice, k, (g_r, e0, e1)) in enumerate(
             zip(self.choices, self._secrets, responses)
         ):
+            _require_element(group, g_r, "sender response element")
             cipher = e1 if choice else e0
             key = _kdf_group_element(group.power(g_r, k), index, len(cipher))
             out.append(_xor_bytes(cipher, key))

@@ -1,16 +1,19 @@
 """IKNP oblivious-transfer extension.
 
-Base OTs cost one modular exponentiation each; a DL circuit needs one OT
-per evaluator input *bit*, which would dominate runtime.  OT extension
-(Ishai-Kilian-Nissim-Petrank) turns ``k = 128`` base OTs (with roles
-swapped) plus symmetric hashing into millions of transfers — this is the
-standard companion of garbled-circuit frameworks and what keeps the OT
-phase off the critical path in the paper's Fig. 5 timeline.
+A base OT costs three modular exponentiations (:mod:`repro.gc.ot`); a
+DL circuit needs one OT per evaluator input *bit*, which would dominate
+runtime.  OT extension (Ishai-Kilian-Nissim-Petrank) turns ``k = 128``
+base OTs (with roles swapped) plus symmetric hashing into millions of
+transfers — this is the standard companion of garbled-circuit frameworks
+and what keeps the OT phase off the critical path in the paper's Fig. 5
+timeline.
 
 The public-key part is paid **once per** :class:`IKNPState`: its single
-base-OT batch moves ``k`` pairs of 16-byte seeds, and every later
-extension is symmetric-key work on those seeds (``G`` is an XOF keyed by
-seed and a per-extension counter):
+base-OT batch moves ``k`` pairs of 16-byte seeds for ``3k + 3 = 387``
+exponentiations (each one :meth:`repro.gc.ot.OTGroup.power` call, in
+libcrypto where one loads), and every later extension is symmetric-key
+work on those seeds (``G`` is an XOF keyed by seed and a per-extension
+counter):
 
 * set-up — the extension *sender* picks ``s in {0,1}^k`` and receives
   ``k_j^{s_j}`` of the receiver's seed pairs ``(k_j^0, k_j^1)``;

@@ -229,6 +229,15 @@ class PrivateInferenceService:
         provider = getattr(getattr(kdf, "inner", kdf), "provider", None)
         return f"{name}[{provider}]" if provider else name
 
+    @property
+    def ot_group_name(self) -> str:
+        """The base-OT group and where its modular exponentiations run
+        on this host, for operators: ``modp-2048[libcrypto]``, or
+        ``[python]`` where no libcrypto offers the BIGNUM calls (same
+        transcripts, an order of magnitude slower)."""
+        group = self.config.ot_group
+        return f"{group.name}[{group.provider}]"
+
     # -- offline phase ----------------------------------------------------
 
     def _make_pool(self, capacity: int) -> PregarbledPool:
@@ -279,6 +288,7 @@ class PrivateInferenceService:
             "base_batches": sum(1 for size in setup_bytes if size),
             "setup_bytes": sum(setup_bytes),
             "extensions": sum(state.extensions for state in ot_states),
+            "group": self.ot_group_name,
         }
         # pool and breakers take their own locks; call outside ours
         if breakers:

@@ -630,6 +630,8 @@ class ShardedService:
             key: sum(ot.get(key, 0) for ot in shard_ot)
             for key in ("base_batches", "setup_bytes", "extensions")
         }
+        if shard_ot:  # forks of one configuration: the first speaks for all
+            snapshot["ot"]["group"] = shard_ot[0].get("group")
         supervisor = self._supervisor
         if supervisor is not None:
             snapshot["supervisor"] = supervisor.stats()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.gc.ot import TEST_GROUP_512
 
 
 class TestCLI:
@@ -52,6 +53,9 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "pre-garbled" in out and "req/s" in out
         assert "cleartext agreement: OK" in out
+        # the offline-phase line says where the symmetric and the
+        # public-key work run on this host
+        assert f", ot group test-25519[{TEST_GROUP_512.provider}])" in out
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -234,24 +234,30 @@ class TestSetupAccounting:
             (width + 4) + (KAPPA * width + 4) + (KAPPA * (width + 32) + 4)
         )
 
-    def test_a_base_batch_is_641_counted_modexps(self, monkeypatch):
-        calls = [0]
-        original = OTGroup.power
+    def test_a_base_batch_is_387_modexps_and_one_inverse(self, monkeypatch):
+        calls = {"power": 0, "inverse": 0}
 
-        def counting(self, base, exponent):
-            calls[0] += 1
-            return original(self, base, exponent)
+        def counting(name):
+            original = getattr(OTGroup, name)
 
-        monkeypatch.setattr(OTGroup, "power", counting)
+            def spy(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(OTGroup, name, spy)
+
+        counting("power")
+        counting("inverse")
         _state(42).reserve(0)
-        # 1 setup + 128 x (1 public key + 3 respond + 1 recover): inverse()
-        # is a modular inverse, not a hidden modexp
-        assert calls[0] == 1 + KAPPA * 5 == 641
-        calls[0] = 0
+        # c, g^r, c^r + 128 x (public key, PK_0^r, recover); PK_1^r is a
+        # division, and the 128 divisions share one modular inverse
+        assert calls == {"power": 1 + 2 + KAPPA * 3, "inverse": 1}
+        assert calls["power"] == 387
+        calls["power"] = 0
         group = TEST_GROUP_512
         for a in (2, 3, group.prime - 2, 0xDEADBEEF):
             assert group.mul(a, group.inverse(a)) == 1
-        assert calls[0] == 0
+        assert calls["power"] == 0  # inverse() is not a hidden modexp
 
     def test_xor_bytes_matches_the_bytewise_definition(self):
         rng = random.Random(43)
@@ -366,6 +372,7 @@ class TestPaidOnce:
                 "base_batches": 1,
                 "setup_bytes": stats["ot"]["setup_bytes"],
                 "extensions": 2,
+                "group": f"test-25519[{TEST_GROUP_512.provider}]",
             }
             assert base_batches == [1]
         finally:
@@ -389,6 +396,10 @@ class TestPaidOnce:
             assert stats["ot"]["setup_bytes"] == sum(
                 ot_["setup_bytes"] for ot_ in per_shard
             )
+            # each shard reports where its public-key work runs; the front
+            # end carries the string through, it does not sum it
+            assert stats["ot"]["group"] == per_shard[0]["group"]
+            assert stats["ot"]["group"] == f"test-25519[{TEST_GROUP_512.provider}]"
         finally:
             service.close()
 

@@ -3,7 +3,7 @@
 Measures what the PR 9 serving tier costs and buys:
 
 * **shard scaling** — ``ShardedService.infer_many`` across worker
-  *processes* vs the single-process thread-pool path on the same batch
+  *processes* vs the single-process batched pass on the same batch
   (process parallelism sidesteps the GIL; the win tracks host cores);
 * **online latency** — p50/p95 per-request online time under sharded
   serving;
@@ -57,7 +57,7 @@ def test_shard_scaling_throughput(service_and_data, results_dir):
         for _ in range(ROUNDS + 1):
             rewarm()
             start = time.perf_counter()
-            served = target.infer_many(requests, max_workers=2)
+            served = target.infer_many(requests)
             walls.append(time.perf_counter() - start)
         return served, statistics.median(walls[1:])
 

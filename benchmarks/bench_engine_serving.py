@@ -1,14 +1,16 @@
-"""Engine serving benchmarks: offline/online split and concurrent load.
+"""Engine serving benchmarks: offline/online split and backend inventory.
 
 Measures what the unified execution API buys a deployment:
 
 * **pre-garbling** (paper Sec. 3: garbling is input-independent) — the
   online critical path of a pooled request drops the whole garble phase
   vs. a cold request on the same circuit;
-* **concurrent serving** — `infer_many` overlaps independent protocol
-  runs on a thread pool;
 * **backend inventory** — every registered backend serves the same
   compiled circuit and returns the same label.
+
+`infer_many` is measured end to end by `benchmarks/layered/run.py`
+(`dl_pooled_batch`, `sharded_socket`); its batched pass against `k`
+single evaluations by `bench_throughput_engine.py`.
 """
 
 import pytest
@@ -68,45 +70,6 @@ def test_offline_online_split(benchmark, service_and_data, results_dir):
             ),
         },
     )
-
-
-def test_concurrent_serving_throughput(benchmark, service_and_data, results_dir):
-    """infer_many overlaps independent protocol runs across threads.
-
-    Both runs serve from a freshly warmed pool so the reported ratio
-    isolates the threading gain from the (separately benchmarked)
-    pooling gain.
-    """
-    import time
-
-    service, x = service_and_data
-    requests = list(x[:4])
-
-    service.prepare(len(requests))
-    start = time.perf_counter()
-    sequential = service.infer_many(requests, max_workers=1)
-    seq_wall = time.perf_counter() - start
-
-    service.prepare(len(requests))
-    start = time.perf_counter()
-    concurrent = benchmark.pedantic(
-        lambda: service.infer_many(requests, max_workers=4),
-        rounds=1, iterations=1,
-    )
-    conc_wall = time.perf_counter() - start
-
-    assert [r.label for r in concurrent] == [r.label for r in sequential]
-    assert all(r.pregarbled for r in sequential + concurrent)
-    text = (
-        f"4 pooled requests sequential: {seq_wall:.2f} s "
-        f"({len(requests) / seq_wall:.2f} req/s)\n"
-        f"4 pooled requests, 4 workers: {conc_wall:.2f} s "
-        f"({len(requests) / conc_wall:.2f} req/s)\n"
-        f"threading wall-clock speedup: {seq_wall / conc_wall:.2f}x\n"
-        "(in-process runs are GIL-bound pure-Python crypto, so ~1x here;\n"
-        " the thread pool pays off when requests wait on network/OT I/O)"
-    )
-    write_report(results_dir, "engine_concurrent_serving", text)
 
 
 def test_backend_inventory(benchmark, service_and_data, results_dir):

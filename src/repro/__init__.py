@@ -21,7 +21,7 @@ Quick tour (see ``examples/quickstart.py`` for the runnable version)::
     ))
     service.prepare()                       # input-independent garbling
     result = service.infer(sample)          # online: OT + evaluate only
-    results = service.infer_many(samples)   # concurrent serving
+    results = service.infer_many(samples)   # one batched pass
 
 Every execution flow is a named backend behind one contract::
 

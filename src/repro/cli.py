@@ -10,7 +10,7 @@ Usage::
     python -m repro.cli throughput        # this host's garbling speed
     python -m repro.cli demo              # one live private inference
     python -m repro.cli infer -b folded   # one inference, any backend
-    python -m repro.cli serve -n 6        # concurrent pre-garbled serving
+    python -m repro.cli serve -n 6        # batch serving, pre-garbled pool
     python -m repro.cli serve --shards 2  # process-sharded serving
     python -m repro.cli worker --port 0   # host the evaluator on a socket
 
@@ -398,9 +398,7 @@ def _serve_sharded(args) -> None:
     try:
         expected = [reference.cleartext_label(s) for s in x[: args.requests]]
         start = time.perf_counter()
-        results = sharded.infer_many(
-            list(x[: args.requests]), max_workers=args.workers
-        )
+        results = sharded.infer_many(list(x[: args.requests]))
         wall = time.perf_counter() - start
         stats = _batch_report("", results, wall, expected)
         if args.kill_shard:
@@ -421,9 +419,7 @@ def _serve_sharded(args) -> None:
                   f"{'OK' if healed else 'TIMEOUT'}")
             degraded_before = stats["degraded_requests"]
             start = time.perf_counter()
-            results = sharded.infer_many(
-                list(x[: args.requests]), max_workers=args.workers
-            )
+            results = sharded.infer_many(list(x[: args.requests]))
             wall = time.perf_counter() - start
             stats = _batch_report("post-restart ", results, wall, expected)
             delta = stats["degraded_requests"] - degraded_before
@@ -444,8 +440,6 @@ def _cmd_serve(args) -> None:
 
     if args.requests < 1:
         raise SystemExit("serve: --requests must be >= 1")
-    if args.workers < 1:
-        raise SystemExit("serve: --workers must be >= 1")
     if args.pool is not None and args.pool < 0:
         raise SystemExit("serve: --pool must be >= 0")
     if args.requests > _DEMO_SAMPLES:
@@ -495,12 +489,8 @@ def _cmd_serve(args) -> None:
     else:
         print("offline phase: disabled (--pool 0, cold baseline)")
 
-    batch = {"auto": None, "on": True, "off": False}[args.batch]
     start = time.perf_counter()
-    results = service.infer_many(
-        list(x[: args.requests]), max_workers=args.workers, batch=batch,
-        return_errors=True,
-    )
+    results = service.infer_many(list(x[: args.requests]), return_errors=True)
     wall = time.perf_counter() - start
 
     online = [r.wall_seconds for r in results]
@@ -508,7 +498,7 @@ def _cmd_serve(args) -> None:
     ok = [r for r in results if r.ok]
     failed = [r for r in results if not r.ok]
     expected = [service.cleartext_label(s) for s in x[: args.requests]]
-    print(f"served {len(results)} requests on {args.workers} workers "
+    print(f"served {len(results)} requests "
           f"in {wall:.2f} s ({len(results) / wall:.2f} req/s)")
     hit_rate = f"{pool.hit_rate:.0%}" if pool is not None else "n/a"
     print(f"online latency: mean {sum(online) / len(online):.2f} s | "
@@ -633,12 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     worker.set_defaults(func=_cmd_worker)
 
     serve = sub.add_parser(
-        "serve", help="concurrent serving with a pre-garbled pool"
+        "serve", help="batch serving with a pre-garbled pool"
     )
     serve.add_argument("-n", "--requests", type=int, default=4,
                        help="requests to serve")
-    serve.add_argument("-w", "--workers", type=int, default=2,
-                       help="thread-pool width")
     serve.add_argument("--pool", type=int, default=None,
                        help="pre-garbled pool size (default: = requests; "
                             "0 disables pooling for a cold baseline)")
@@ -649,11 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--watermark", type=int, default=None,
                        help="pool low watermark: refills trigger below "
                             "this level (default: full capacity)")
-    serve.add_argument("--batch", default="auto",
-                       choices=("auto", "on", "off"),
-                       help="batched evaluation: push concurrent "
-                            "requests through one evaluate_many pass "
-                            "(default: auto)")
     serve.add_argument("--kdf-backend", default="fixed_key_aes",
                        choices=["auto", "hashlib", "sha256_vec",
                                 "fixed_key_aes"],

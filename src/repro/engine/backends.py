@@ -33,7 +33,7 @@ from ..gc.ot import MODP_2048, OTGroup
 from ..gc.ot_extension import IKNPState
 from ..gc.channel import default_channel_factory
 from ..gc.outsourcing import OutsourcedSession
-from ..gc.protocol import ChannelFactory, TwoPartySession, transfer_input_labels
+from ..gc.protocol import ChannelFactory, Pregarbled, TwoPartySession, transfer_input_labels
 from ..gc.rng import RngLike
 from ..gc.sequential import SequentialSession
 from ..resilience.deadline import Deadline
@@ -200,39 +200,56 @@ class TwoPartyBackend(Backend):
             raise EngineError("pool must be a PregarbledPool (or None)")
         self.pool = pool
 
+    def _session(
+        self,
+        circuit: Circuit,
+        client_bits_list: Sequence[Sequence[int]],
+        server_bits: Sequence[int],
+    ) -> TwoPartySession:
+        """Check every request's input widths — before the pool is
+        touched, so a malformed request or batch cannot burn single-use
+        pre-garbled units — then build the session."""
+        for i, bits in enumerate(client_bits_list):
+            if len(bits) != circuit.n_alice:
+                raise EngineError(
+                    f"client input width mismatch in request {i}: got "
+                    f"{len(bits)}, circuit expects {circuit.n_alice}"
+                )
+        if len(server_bits) != circuit.n_bob:
+            raise EngineError(
+                f"server input width mismatch: got {len(server_bits)}, "
+                f"circuit expects {circuit.n_bob}"
+            )
+        return TwoPartySession(
+            circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
+            channel_factory=self.channel_factory, ot_state=self.ot_state,
+        )
+
+    @staticmethod
+    def _metadata(slot: Optional[Pregarbled], **extra: object) -> Dict[str, object]:
+        """What a result says about the offline material it consumed."""
+        metadata: Dict[str, object] = {"pregarbled": slot is not None, **extra}
+        if slot is not None:
+            metadata["offline_garble_s"] = slot.garble_seconds
+        return metadata
+
     def run(
         self,
         circuit: Circuit,
         client_bits: Sequence[int],
         server_bits: Sequence[int],
     ) -> ExecutionResult:
-        # validate widths before touching the pool so a malformed request
-        # cannot burn a single-use pre-garbled unit
-        if len(client_bits) != circuit.n_alice:
-            raise EngineError(
-                f"client input width mismatch: got {len(client_bits)}, "
-                f"circuit expects {circuit.n_alice}"
-            )
-        if len(server_bits) != circuit.n_bob:
-            raise EngineError(
-                f"server input width mismatch: got {len(server_bits)}, "
-                f"circuit expects {circuit.n_bob}"
-            )
+        session = self._session(circuit, [client_bits], server_bits)
         pregarbled = None
         if self.pool is not None and self.pool.circuit is circuit:
             pregarbled = self.pool.acquire()
-        session = TwoPartySession(
-            circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory, ot_state=self.ot_state,
-        )
         result = session.run(
             client_bits, server_bits, pregarbled=pregarbled,
             deadline=self._deadline(),
         )
-        metadata: Dict[str, object] = {"pregarbled": pregarbled is not None}
-        if pregarbled is not None:
-            metadata["offline_garble_s"] = pregarbled.garble_seconds
-        return ExecutionResult.from_protocol(result, self.name, metadata)
+        return ExecutionResult.from_protocol(
+            result, self.name, self._metadata(pregarbled)
+        )
 
     def run_many(
         self,
@@ -246,56 +263,38 @@ class TwoPartyBackend(Backend):
         garbling for pool misses is batched and every request's label
         plane goes through a single level-schedule walk
         (``FastEvaluator.evaluate_many``) instead of per-request runs.
-        ``PrivateInferenceService.infer_many`` routes concurrent
-        same-backend requests here.
+        ``PrivateInferenceService.infer_many`` routes same-backend
+        requests here.
         """
         k = len(client_bits_list)
         if k == 0:
             return []
-        # validate every request before touching the pool so a malformed
-        # batch cannot burn single-use pre-garbled units
-        for i, bits in enumerate(client_bits_list):
-            if len(bits) != circuit.n_alice:
-                raise EngineError(
-                    f"client input width mismatch in request {i}: got "
-                    f"{len(bits)}, circuit expects {circuit.n_alice}"
-                )
-        if len(server_bits) != circuit.n_bob:
-            raise EngineError(
-                f"server input width mismatch: got {len(server_bits)}, "
-                f"circuit expects {circuit.n_bob}"
-            )
-        slots = None
+        session = self._session(circuit, client_bits_list, server_bits)
+        slots: List[Optional[Pregarbled]] = [None] * k
         if self.pool is not None and self.pool.circuit is circuit:
             slots = [self.pool.acquire() for _ in range(k)]
-        session = TwoPartySession(
-            circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory, ot_state=self.ot_state,
-        )
         protocol_results = session.run_many(
             client_bits_list,
             [list(server_bits)] * k,
             pregarbled=slots,
             deadline=self._deadline(),
         )
-        results: List[ExecutionResult] = []
-        for i, result in enumerate(protocol_results):
-            slot = slots[i] if slots is not None else None
-            metadata: Dict[str, object] = {
-                "pregarbled": slot is not None,
-                "batched": k,
-            }
-            if slot is not None:
-                metadata["offline_garble_s"] = slot.garble_seconds
-            results.append(
-                ExecutionResult.from_protocol(result, self.name, metadata)
+        return [
+            ExecutionResult.from_protocol(
+                result, self.name, self._metadata(slot, batched=k)
             )
-        return results
+            for result, slot in zip(protocol_results, slots)
+        ]
 
 
 @register_backend("outsourced")
 class OutsourcedBackend(Backend):
     """XOR-share proxy flow for constrained clients (Sec. 3.3, Fig. 4)."""
+
+    #: the session of the circuit served last: it owns the transformed
+    #: netlist and, through it, that netlist's level schedule — both
+    #: input-independent, so requests on one circuit build them once
+    _session: Optional[OutsourcedSession] = None
 
     def run(
         self,
@@ -303,22 +302,19 @@ class OutsourcedBackend(Backend):
         client_bits: Sequence[int],
         server_bits: Sequence[int],
     ) -> ExecutionResult:
-        session = OutsourcedSession(
-            circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory, ot_state=self.ot_state,
-        )
+        session = self._session
+        if session is None or session.original is not circuit:
+            session = self._session = OutsourcedSession(
+                circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
+                channel_factory=self.channel_factory, ot_state=self.ot_state,
+            )
         outcome = session.run(
             client_bits, server_bits, deadline=self._deadline()
         )
-        result = outcome.proxy_result
-        return ExecutionResult(
-            outputs=list(outcome.outputs),
-            backend=self.name,
-            times=dict(result.times),
-            comm_bytes=result.total_comm_bytes,
-            n_xor=result.n_xor,
-            n_non_xor=result.n_non_xor,
-            metadata={"client_work_bits": len(client_bits)},
+        # the client-visible outputs are the proxy run's own
+        return ExecutionResult.from_protocol(
+            outcome.proxy_result, self.name,
+            {"client_work_bits": len(client_bits)},
         )
 
 

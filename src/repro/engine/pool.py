@@ -5,8 +5,9 @@ the public netlist), so a serving deployment garbles *ahead* of demand
 and answers each request with material popped from a pool.  The online
 critical path then contains only transfer + OT + evaluate + merge.
 
-The pool is thread-safe: :class:`repro.service.PrivateInferenceService`
-drains it from a thread pool under concurrent load.  Refill policies
+The pool is thread-safe: callers may drive one
+:class:`repro.service.PrivateInferenceService` from several threads, and
+the refill policies garble off-thread.  Refill policies
 keep it from going permanently cold once the initial ``warm()`` material
 is drained (the PR 1 pool never refilled — every request after the
 first burst was a cold miss forever):

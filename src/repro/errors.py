@@ -112,7 +112,7 @@ class ServiceDrainingError(EngineError):
 
 
 class BatchInferenceError(EngineError):
-    """Raised after a concurrent batch finishes with per-request failures.
+    """Raised after a batch finishes with per-request failures.
 
     Unlike a bare exception from one request, this carries everything
     the batch *did* complete, so one bad sample cannot discard its

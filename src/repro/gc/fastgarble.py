@@ -528,10 +528,10 @@ class FastEvaluator(Evaluator):
         across the batch, every level's KDF rows across all requests
         join into a single batch, and halves of a level too narrow to
         vectorize for one request (``m < VECTOR_MIN_WIDTH``) become wide
-        once ``k * m`` clears the threshold.  This is what serves
-        concurrent traffic — ``PrivateInferenceService.infer_many``
-        routes same-circuit requests here instead of running ``k``
-        scalar evaluations on a thread pool.
+        once ``k * m`` clears the threshold.  This is what serves a
+        batch — ``PrivateInferenceService.infer_many`` routes
+        same-circuit requests here instead of running ``k`` scalar
+        evaluations one after another.
 
         Args:
             garbleds: one garbled circuit per request (each with its own

@@ -108,7 +108,8 @@ class OutsourcedSession:
 
     The client only generates a random pad and XORs her input — all GC
     work happens between the proxy (garbler) and the main server
-    (evaluator).
+    (evaluator).  The transformed netlist is input-independent: it and
+    its level schedule are built once, here, for every :meth:`run`.
     """
 
     def __init__(
@@ -122,11 +123,11 @@ class OutsourcedSession:
     ) -> None:
         self.original = circuit
         self.transformed = outsource_circuit(circuit)
-        self.kdf = kdf
-        self.ot_group = ot_group
         self.rng = rng
-        self.channel_factory = channel_factory
-        self.ot_state = ot_state
+        self._proxy = TwoPartySession(
+            self.transformed, kdf=kdf, ot_group=ot_group, rng=rng,
+            channel_factory=channel_factory, ot_state=ot_state,
+        )
 
     def run(
         self,
@@ -140,15 +141,7 @@ class OutsourcedSession:
         if len(server_bits) != self.original.n_bob:
             raise ProtocolError("server input width mismatch")
         share_s, share_xs = split_input(client_bits, rng=self.rng)
-        session = TwoPartySession(
-            self.transformed,
-            kdf=self.kdf,
-            ot_group=self.ot_group,
-            rng=self.rng,
-            channel_factory=self.channel_factory,
-            ot_state=self.ot_state,
-        )
-        result = session.run(
+        result = self._proxy.run(
             share_s, list(share_xs) + list(server_bits), deadline=deadline
         )
         return OutsourcedResult(outputs=result.outputs, proxy_result=result)

@@ -40,7 +40,7 @@ ChannelFactory = Callable[[], Tuple[Channel, Channel, ChannelStats]]
 from .cipher import HashKDF, default_kdf, oracle_fingerprint
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
-from .ot import MODP_2048, OTGroup
+from .ot import MODP_2048, OTGroup, OTReceiver, OTSender
 from .ot_extension import IKNPState, extension_ot
 from .rng import RngLike
 
@@ -174,16 +174,6 @@ class TwoPartySession:
         )
         self.ot_state = ot_state
 
-    def _open_channel(
-        self, deadline: Optional["Deadline"]
-    ) -> Tuple[Channel, Channel, ChannelStats]:
-        """Build one request's link and arm both endpoints' deadline."""
-        alice_end, bob_end, stats = self.channel_factory()
-        if deadline is not None:
-            alice_end.deadline = deadline
-            bob_end.deadline = deadline
-        return alice_end, bob_end, stats
-
     def pregarble(self) -> Pregarbled:
         """Run the input-independent garbling phase ahead of time.
 
@@ -292,107 +282,46 @@ class TwoPartySession:
                 )
 
         # (i) garbling: claim offline material, batch-garble the rest
-        material: List[Optional[Tuple[Garbler, GarbledCircuit]]] = [None] * k
+        material: Dict[int, Tuple[Garbler, GarbledCircuit]] = {
+            i: self._claim(s) for i, s in enumerate(slots) if s is not None
+        }
         garble_s = [0.0] * k
-        for i, slot in enumerate(slots):
-            if slot is None:
-                continue
-            if slot.circuit is not circuit:
-                raise ProtocolError(
-                    "pregarbled material is for a different circuit"
-                )
-            slot.claim()
-            material[i] = (slot.garbler, slot.garbled)
-        missing = [i for i, m in enumerate(material) if m is None]
+        missing = [i for i in range(k) if i not in material]
         if missing:
             start = time.perf_counter()
             fresh = garble_many(
                 circuit, len(missing), kdf=self.kdf, rng=self.rng
             )
             per_copy = (time.perf_counter() - start) / len(missing)
-            for i, pair in zip(missing, fresh):
-                material[i] = pair
+            material.update(zip(missing, fresh))
+            for i in missing:
                 garble_s[i] = per_copy
         if deadline is not None:
             deadline.check("garble")
 
         # (ii) transfer + OT, per request over its own accounted channel
-        per_request = []
-        garbled_views = []
-        alice_label_lists = []
-        bob_label_lists = []
-        for i in range(k):
-            garbler, garbled = material[i]
-            alice_end, bob_end, stats = self._open_channel(deadline)
-            start = time.perf_counter()
-            alice_end.send_bytes(garbled.tables_bytes(), tag="tables")
-            alice_end.send_labels(
-                list(garbled.const_labels), tag="const_labels"
+        links = [
+            self._transfer(
+                *material[i], alice_bits_list[i], bob_bits_list[i],
+                garble_s[i], deadline,
             )
-            alice_end.send_labels(
-                garbler.input_labels_for(
-                    list(circuit.alice_inputs), list(alice_bits_list[i])
-                ),
-                tag="alice_labels",
-            )
-            tables_blob = bob_end.recv_bytes(expected_tag="tables")
-            # const labels travel inside the view
-            bob_end.recv_labels(expected_tag="const_labels")
-            alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
-            transfer_s = time.perf_counter() - start
-            start = time.perf_counter()
-            bob_labels = self._oblivious_transfer(
-                garbler, list(circuit.bob_inputs), list(bob_bits_list[i]),
-                stats, channel=(alice_end, bob_end),
-            )
-            ot_s = time.perf_counter() - start
-            garbled_views.append(self._parse_tables(tables_blob, garbled))
-            alice_label_lists.append(alice_labels)
-            bob_label_lists.append(bob_labels)
-            per_request.append(
-                (garbler, alice_end, bob_end, stats, transfer_s, ot_s)
-            )
+            for i in range(k)
+        ]
 
         # (iii) batched evaluation — one schedule pass for all requests
         evaluator = FastEvaluator(circuit, kdf=eval_kdf)
         start = time.perf_counter()
-        planes = evaluator.evaluate_many(
-            garbled_views, alice_label_lists, bob_label_lists
-        )
+        views, alice_labels, bob_labels = zip(*(link.inputs for link in links))
+        planes = evaluator.evaluate_many(views, alice_labels, bob_labels)
         evaluate_per_request = (time.perf_counter() - start) / k
         if deadline is not None:
             deadline.check("evaluate")
 
         # (iv) merge per request
-        counts = circuit.counts()
         results: List[ProtocolResult] = []
-        for i in range(k):
-            garbler, alice_end, bob_end, stats, transfer_s, ot_s = (
-                per_request[i]
-            )
-            start = time.perf_counter()
-            bob_end.send_labels(
-                evaluator.output_labels(planes[i]), tag="output_labels"
-            )
-            outputs = garbler.decode_outputs(
-                alice_end.recv_labels(expected_tag="output_labels")
-            )
-            merge_s = time.perf_counter() - start
-            results.append(
-                ProtocolResult(
-                    outputs=outputs,
-                    times={
-                        "garble": garble_s[i],
-                        "transfer": transfer_s,
-                        "ot": ot_s,
-                        "evaluate": evaluate_per_request,
-                        "merge": merge_s,
-                    },
-                    comm=stats.by_tag(),
-                    n_xor=counts.xor,
-                    n_non_xor=counts.non_xor,
-                )
-            )
+        for link, plane in zip(links, planes):
+            link.times["evaluate"] = evaluate_per_request
+            results.append(self._merge(link, evaluator.output_labels(plane)))
         return results
 
     def run(
@@ -417,126 +346,180 @@ class TwoPartySession:
                 phase boundary and charged on every recv; expiry raises
                 :class:`repro.errors.DeadlineExceeded`.
         """
-        circuit = self.circuit
-        alice_end, bob_end, stats = self._open_channel(deadline)
-        times: Dict[str, float] = {}
-
         # (i) garbling — Alice (offline when pregarbled material exists)
         start = time.perf_counter()
-        if pregarbled is not None:
-            if pregarbled.circuit is not circuit:
-                raise ProtocolError("pregarbled material is for a different circuit")
-            pregarbled.claim()
-            garbler, garbled = pregarbled.garbler, pregarbled.garbled
-        else:
-            garbler = Garbler(circuit, kdf=self.kdf, rng=self.rng)
-            garbled = garbler.garble()
-        times["garble"] = time.perf_counter() - start
+        garbler, garbled = self._claim(
+            pregarbled if pregarbled is not None else self.pregarble()
+        )
+        garble_s = time.perf_counter() - start
         if deadline is not None:
             deadline.check("garble")
 
         # (ii) data transfer + OT
-        start = time.perf_counter()
-        alice_end.send_bytes(garbled.tables_bytes(), tag="tables")
-        alice_end.send_labels(
-            list(garbled.const_labels), tag="const_labels"
+        link = self._transfer(
+            garbler, garbled, alice_bits, bob_bits, garble_s, deadline
         )
-        alice_end.send_labels(
-            garbler.input_labels_for(list(circuit.alice_inputs), list(alice_bits)),
-            tag="alice_labels",
-        )
-        tables_blob = bob_end.recv_bytes(expected_tag="tables")
-        const_labels = bob_end.recv_labels(expected_tag="const_labels")
-        alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
-        times["transfer"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        bob_labels = self._oblivious_transfer(
-            garbler, list(circuit.bob_inputs), list(bob_bits), stats,
-            channel=(alice_end, bob_end),
-        )
-        times["ot"] = time.perf_counter() - start
 
         # (iii) evaluation — Bob
         start = time.perf_counter()
-        evaluator = FastEvaluator(circuit, kdf=garbler.kdf)
-        received = self._parse_tables(tables_blob, garbled)
-        wire_labels = evaluator.evaluate(received, alice_labels, bob_labels)
+        evaluator = FastEvaluator(self.circuit, kdf=garbler.kdf)
+        wire_labels = evaluator.evaluate(*link.inputs)
         output_labels = evaluator.output_labels(wire_labels)
-        times["evaluate"] = time.perf_counter() - start
+        link.times["evaluate"] = time.perf_counter() - start
         if deadline is not None:
             deadline.check("evaluate")
 
         # (iv) merge — Bob returns output labels, Alice decodes
+        return self._merge(link, output_labels, share_result)
+
+    # -- the steps run() and run_many() share ---------------------------------
+
+    def _claim(self, pregarbled: Pregarbled) -> Tuple[Garbler, GarbledCircuit]:
+        """Take single-use offline material garbled for this circuit."""
+        if pregarbled.circuit is not self.circuit:
+            raise ProtocolError("pregarbled material is for a different circuit")
+        pregarbled.claim()
+        return pregarbled.garbler, pregarbled.garbled
+
+    def _transfer(
+        self,
+        garbler: Garbler,
+        garbled: GarbledCircuit,
+        alice_bits: Sequence[int],
+        bob_bits: Sequence[int],
+        garble_s: float,
+        deadline: Optional["Deadline"],
+    ) -> "_Link":
+        """Step (ii) of one request: build its link and arm both
+        endpoints' deadline, move Alice's flights, rebuild Bob's view,
+        run the OT for Bob's labels; ``transfer`` and ``ot`` are timed
+        apart."""
+        alice_end, bob_end, stats = self.channel_factory()
+        if deadline is not None:
+            alice_end.deadline = deadline
+            bob_end.deadline = deadline
         start = time.perf_counter()
-        bob_end.send_labels(output_labels, tag="output_labels")
-        outputs = garbler.decode_outputs(
-            alice_end.recv_labels(expected_tag="output_labels")
+        send_garbled(alice_end, garbler, garbled, alice_bits)
+        view, alice_labels = receive_garbled(bob_end)
+        times = {"garble": garble_s, "transfer": time.perf_counter() - start}
+        start = time.perf_counter()
+        bob_labels, _ = transfer_input_labels(
+            garbler, self.circuit.bob_inputs, bob_bits, (alice_end, bob_end),
+            group=self.ot_group, rng=self.rng, state=self.ot_state,
+        )
+        times["ot"] = time.perf_counter() - start
+        inputs = (view, alice_labels, bob_labels)
+        return _Link(garbler, alice_end, bob_end, stats, inputs, times)
+
+    def _merge(
+        self, link: "_Link", output_labels: List[int], share_result: bool = False
+    ) -> ProtocolResult:
+        """Step (iv) of one request, and its accounting."""
+        start = time.perf_counter()
+        outputs = merge_outputs(
+            link.alice_end, link.bob_end, link.garbler, output_labels
         )
         if share_result:
-            alice_end.send_bits(outputs, tag="shared_result")
-            bob_outputs = bob_end.recv_bits(expected_tag="shared_result")
+            link.alice_end.send_bits(outputs, tag="shared_result")
+            bob_outputs = link.bob_end.recv_bits(expected_tag="shared_result")
             if bob_outputs != outputs:
                 raise ProtocolError("result sharing corrupted")
-        times["merge"] = time.perf_counter() - start
-
-        counts = circuit.counts()
+        link.times["merge"] = time.perf_counter() - start
+        counts = self.circuit.counts()
         return ProtocolResult(
             outputs=outputs,
-            times=times,
-            comm=stats.by_tag(),
+            times=link.times,
+            comm=link.stats.by_tag(),
             n_xor=counts.xor,
             n_non_xor=counts.non_xor,
         )
 
-    # -- helpers -------------------------------------------------------------
 
-    def _parse_tables(
-        self, blob: bytes, garbled: GarbledCircuit
-    ) -> GarbledCircuit:
-        """Rebuild the evaluator's view from the wire blob.
+@dataclasses.dataclass
+class _Link:
+    """One request between its transfer and its merge step."""
 
-        Deserializing (rather than handing Bob the garbler's object)
-        keeps the information flow honest: Bob sees tables and constant
-        labels only.
-        """
-        if len(blob) % 32:
-            raise ProtocolError("corrupt garbled-table blob")
-        # zero-copy view: the fast evaluator reads the plane directly
-        plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
-        return GarbledCircuit(
-            tables=LazyTables(plane),
-            const_labels=garbled.const_labels,
-            decode_bits=[],  # withheld from the evaluator
-            tweak_base=garbled.tweak_base,
-            tables_plane=plane,
+    garbler: Garbler
+    alice_end: Channel
+    bob_end: Channel
+    stats: ChannelStats
+    #: what Bob evaluates: his rebuilt view, Alice's labels, his own
+    inputs: Tuple[GarbledCircuit, List[int], List[int]]
+    #: seconds per phase so far ('garble', 'transfer', 'ot', ...)
+    times: Dict[str, float]
+
+
+# One round on the wire — what crosses the link, in what order, and what
+# the evaluator may see — is these three functions, with the OT flights
+# of transfer_input_labels between the second and the third.  run(), each
+# slot of run_many() and each SequentialSession cycle call them: mirrored
+# peers and fault plans that address frames by position rely on one order.
+
+
+def send_garbled(
+    alice_end: Channel,
+    garbler: Garbler,
+    garbled: GarbledCircuit,
+    alice_bits: Sequence[int],
+) -> None:
+    """Alice's flights: tables, constant-wire labels, her input labels."""
+    alice_end.send_bytes(garbled.tables_bytes(), tag="tables")
+    alice_end.send_labels(list(garbled.const_labels), tag="const_labels")
+    alice_end.send_labels(
+        garbler.input_labels_for(garbler.circuit.alice_inputs, alice_bits),
+        tag="alice_labels",
+    )
+
+
+def receive_garbled(
+    bob_end: Channel, tweak_base: int = 0
+) -> Tuple[GarbledCircuit, List[int]]:
+    """Bob's view and Alice's labels, rebuilt from the wire alone.
+
+    Deserializing (rather than handing Bob the garbler's object) keeps
+    the information flow honest: Bob sees tables and the two constant
+    labels that crossed the link — no decode bits, nothing read off the
+    garbler.  ``tweak_base`` is public: 0 for a combinational round, the
+    running tweak count of a sequential run.
+    """
+    blob = bob_end.recv_bytes(expected_tag="tables")
+    consts = bob_end.recv_labels(expected_tag="const_labels")
+    alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
+    if len(blob) % 32:
+        raise ProtocolError("corrupt garbled-table blob")
+    if len(consts) != 2:
+        raise ChannelIntegrityError(
+            f"constant-wire payload carries {len(consts)} entries, not 2"
         )
+    # zero-copy view: the fast evaluator reads the plane directly
+    plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
+    view = GarbledCircuit(
+        tables=LazyTables(plane),
+        const_labels=(consts[0], consts[1]),
+        decode_bits=[],  # withheld from the evaluator
+        tweak_base=tweak_base,
+        tables_plane=plane,
+    )
+    return view, alice_labels
 
-    def _oblivious_transfer(
-        self,
-        garbler: Garbler,
-        wires: List[int],
-        bits: List[int],
-        stats: ChannelStats,
-        channel: Optional[Tuple[Channel, Channel]] = None,
-    ) -> List[int]:
-        """Transfer Bob's input labels obliviously; accounts traffic."""
-        labels, _ = transfer_input_labels(
-            garbler, wires, bits,
-            group=self.ot_group, rng=self.rng, stats=stats,
-            channel=channel, state=self.ot_state,
-        )
-        return labels
+
+def merge_outputs(
+    alice_end: Channel, bob_end: Channel, garbler: Garbler, output_labels: List[int]
+) -> List[int]:
+    """The merge step: Bob returns the output labels, Alice decodes."""
+    bob_end.send_labels(output_labels, tag="output_labels")
+    return garbler.decode_outputs(
+        alice_end.recv_labels(expected_tag="output_labels")
+    )
 
 
 def transfer_input_labels(
     garbler: Garbler,
     wires: Sequence[int],
     bits: Sequence[int],
+    channel: Tuple[Channel, Channel],
     group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
-    stats: Optional[ChannelStats] = None,
-    channel: Optional[Tuple[Channel, Channel]] = None,
     state: Optional[IKNPState] = None,
 ) -> Tuple[List[int], int]:
     """Transfer the evaluator's input labels obliviously.
@@ -549,16 +532,13 @@ def transfer_input_labels(
         garbler: holder of the wire label pairs (OT sender messages).
         wires: the evaluator's input wire ids.
         bits: the evaluator's plaintext choice bits.
+        channel: the ``(alice_end, bob_end)`` endpoints; every OT flight
+            travels as checksummed ``"ot"``-tagged frames, so injected
+            wire faults hit the OT data path and are detected by the
+            framing layer, deadlines are charged on every flight, and
+            the channel accounts the traffic.
         group: group for base OTs.
         rng: randomness source.
-        stats: optional channel accounting; traffic is recorded under
-            the ``"ot"`` tag when given (ignored in channel mode, where
-            the channel accounts its own frames).
-        channel: optional ``(alice_end, bob_end)`` endpoints; when given
-            every OT flight travels as checksummed ``"ot"``-tagged
-            frames, so injected wire faults hit the OT data path and are
-            detected by the framing layer (and deadlines are charged on
-            every flight).
         state: the caller's OT-extension state (used at or above the
             threshold only); ``None`` pays a base-OT batch for this call.
 
@@ -573,43 +553,15 @@ def transfer_input_labels(
     for wire in wires:
         zero, one = garbler.wire_label_pair(wire)
         pairs.append((zero.to_bytes(16, "little"), one.to_bytes(16, "little")))
-    total = 0
-
-    def account(direction: str, size: int) -> None:
-        nonlocal total
-        total += size
-        if stats is not None and channel is None:
-            stats.record(direction, "ot", size)
-
     if len(wires) >= OT_EXTENSION_THRESHOLD:
-        chosen, transferred = extension_ot(
+        chosen, total = extension_ot(
             pairs, list(bits), group=group, rng=rng, channel=channel,
             state=state,
         )
-        account("a2b", transferred)
-    elif channel is not None:
-        chosen = _base_ot_over_channel(pairs, list(bits), group, rng, channel)
-        total = sum(
-            size for _, tag, size in channel[0]._stats.log if tag == "ot"
-        )
     else:
-        from .ot import OTReceiver, OTSender
-
-        sender = OTSender(pairs, group=group, rng=rng)
-        receiver = OTReceiver(list(bits), group=group, rng=rng)
-        c = sender.setup()
-        account("a2b", (c.bit_length() + 7) // 8)
-        keys = receiver.public_keys(c)
-        account("b2a", sum((k.bit_length() + 7) // 8 for k in keys))
-        responses = sender.respond(keys)
-        account(
-            "a2b",
-            sum(
-                (g.bit_length() + 7) // 8 + len(e0) + len(e1)
-                for g, e0, e1 in responses
-            ),
+        chosen, total = _base_ot_over_channel(
+            pairs, list(bits), group, rng, channel
         )
-        chosen = receiver.recover(responses)
     return [int.from_bytes(data, "little") for data in chosen], total
 
 
@@ -619,15 +571,15 @@ def _base_ot_over_channel(
     group: OTGroup,
     rng: RngLike,
     channel: Tuple[Channel, Channel],
-) -> List[bytes]:
+) -> Tuple[List[bytes], int]:
     """Run the base OT with every flight framed over the channel.
 
     Group elements travel fixed-width (the group modulus width), so
     payload sizes are deterministic and truncation is structurally
-    detectable on top of the checksum.
+    detectable on top of the checksum.  Returns the chosen messages and
+    the bytes of the three flights as the channel charges them (payload
+    plus the 4-byte length prefix).
     """
-    from .ot import OTReceiver, OTSender
-
     alice_end, bob_end = channel
     m = len(pairs)
     width = (group.prime.bit_length() + 7) // 8
@@ -682,7 +634,8 @@ def _base_ot_over_channel(
                 chunk[width + msg_len :],
             )
         )
-    return receiver.recover(wire_responses)
+    total = (width + 4) + (len(keys_blob) + 4) + (len(resp_blob) + 4)
+    return receiver.recover(wire_responses), total
 
 
 def execute(

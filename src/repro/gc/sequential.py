@@ -29,17 +29,17 @@ import numpy as np
 
 from ..circuits.sequential import SequentialCircuit
 from ..errors import ProtocolError
-from .channel import Channel, ChannelStats, default_channel_factory
+from .channel import Channel, default_channel_factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..resilience.deadline import Deadline
-    from .protocol import ChannelFactory
 from .cipher import HashKDF, default_kdf
 from .fastgarble import FastEvaluator
-from .garble import Garbler, GarbledCircuit, LazyTables
+from .garble import Garbler
 from .labels import ArrayLabelStore
 from .ot import MODP_2048, OTGroup
 from .ot_extension import IKNPState, extension_ot
+from .protocol import ChannelFactory, merge_outputs, receive_garbled, send_garbled
 from .rng import RngLike
 
 __all__ = ["SequentialResult", "SequentialSession"]
@@ -91,14 +91,14 @@ class SequentialSession:
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        channel_factory: Optional["ChannelFactory"] = None,
+        channel_factory: Optional[ChannelFactory] = None,
         ot_state: Optional[IKNPState] = None,
     ) -> None:
         self.sequential = sequential
         self.kdf = kdf or default_kdf()
         self.ot_group = ot_group
         self.rng = rng
-        self.channel_factory: "ChannelFactory" = (
+        self.channel_factory: ChannelFactory = (
             channel_factory if channel_factory is not None
             else default_channel_factory()
         )
@@ -135,7 +135,6 @@ class SequentialSession:
         outputs: List[List[int]] = []
 
         d_wires = [reg.d_wire for reg in seq.registers]
-        alice_wires = list(core.alice_inputs)
         bob_wires = list(core.bob_inputs)
         # register labels carried between cycles, one side each: the
         # garbler's zero-labels and the evaluator's active labels
@@ -166,40 +165,22 @@ class SequentialSession:
                 ]
 
             # transfer: tables + Alice labels (every cycle), OT for Bob
-            alice_end.send_bytes(garbled.tables_bytes(), tag="tables")
-            alice_end.send_labels(
-                list(garbled.const_labels), tag="const_labels"
-            )
-            alice_end.send_labels(
-                garbler.input_labels_for(alice_wires, alice_bits),
-                tag="alice_labels",
-            )
-            blob = bob_end.recv_bytes(expected_tag="tables")
-            const_labels = bob_end.recv_labels(expected_tag="const_labels")
-            alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
+            send_garbled(alice_end, garbler, garbled, alice_bits)
+            view, alice_labels = receive_garbled(bob_end, tweak_base=tweak)
             bob_labels = self._oblivious_transfer(
                 [garbler.wire_label_pair(w) for w in bob_wires],
-                bob_bits, stats, ot_state, channel=(alice_end, bob_end),
+                bob_bits, ot_state, (alice_end, bob_end),
             )
 
             start = time.perf_counter()
             wire_labels = evaluator.evaluate(
-                self._received_circuit(blob, const_labels, tweak),
-                alice_labels,
-                bob_labels,
-                state_labels=eval_state,
+                view, alice_labels, bob_labels, state_labels=eval_state
             )
             evaluate_times.append(time.perf_counter() - start)
 
             # merge step for this cycle's outputs
-            bob_end.send_labels(
-                evaluator.output_labels(wire_labels), tag="output_labels"
-            )
-            outputs.append(
-                garbler.decode_outputs(
-                    alice_end.recv_labels(expected_tag="output_labels")
-                )
-            )
+            labels = evaluator.output_labels(wire_labels)
+            outputs.append(merge_outputs(alice_end, bob_end, garbler, labels))
             if deadline is not None:
                 deadline.check(f"cycle {cycle} merge")
 
@@ -216,28 +197,21 @@ class SequentialSession:
             n_non_xor_per_cycle=core.counts().non_xor,
         )
 
-    @staticmethod
-    def _received_circuit(
-        blob: bytes, const_labels: List[int], tweak: int
-    ) -> GarbledCircuit:
-        """Bob's view of one cycle's garbled material."""
-        plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
-        return GarbledCircuit(
-            tables=LazyTables(plane),
-            const_labels=(const_labels[0], const_labels[1]),
-            decode_bits=[],
-            tweak_base=tweak,
-            tables_plane=plane,
-        )
-
     def _oblivious_transfer(
         self,
         pairs: Sequence[Tuple[int, int]],
         bits: Sequence[int],
-        stats: ChannelStats,
         ot_state: IKNPState,
-        channel: Optional[Tuple[Channel, Channel]] = None,
+        channel: Tuple[Channel, Channel],
     ) -> List[int]:
+        """One cycle's OT for Bob's labels, framed over ``channel``.
+
+        Unlike :func:`repro.gc.protocol.transfer_input_labels`, a cycle
+        always extends, whatever its width: the run's single base-OT
+        batch is amortised across its cycles, so even a narrow cell is
+        cheaper through ``ot_state`` than through a direct base OT each
+        cycle.
+        """
         if len(pairs) != len(bits):
             raise ProtocolError("Bob's input width mismatch")
         if not pairs:
@@ -246,10 +220,5 @@ class SequentialSession:
             (zero.to_bytes(16, "little"), one.to_bytes(16, "little"))
             for zero, one in pairs
         ]
-        chosen, transferred = extension_ot(
-            byte_pairs, bits, channel=channel, state=ot_state,
-        )
-        if channel is None:
-            # channel mode accounts its own frames on send
-            stats.record("a2b", "ot", transferred)
+        chosen, _ = extension_ot(byte_pairs, bits, channel=channel, state=ot_state)
         return [int.from_bytes(data, "little") for data in chosen]

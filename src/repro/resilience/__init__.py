@@ -4,13 +4,15 @@ The serving tier's answer to an imperfect world: a seeded chaos harness
 (:mod:`~repro.resilience.faults`) that drops/corrupts/truncates/delays
 wire messages deterministically, per-request time budgets
 (:mod:`~repro.resilience.deadline`), a transient-only retry policy
-(:mod:`~repro.resilience.retry`) and a per-backend circuit breaker
-(:mod:`~repro.resilience.breaker`).  The invariant the whole layer
+(:mod:`~repro.resilience.retry`), a per-backend circuit breaker
+(:mod:`~repro.resilience.breaker`) and the admission gate every serving
+front door owns (:mod:`~repro.resilience.admission`).  The invariant the whole layer
 defends: a faulty wire yields either the correct label after retries or
 a typed :class:`repro.errors.ReproError` within the deadline — never a
 wrong label, never a silent hang.
 """
 
+from .admission import AdmissionGate
 from .breaker import CircuitBreaker
 from .bytefaults import (
     STREAM_FAULT_KINDS,
@@ -32,6 +34,7 @@ __all__ = [
     "FAULT_KINDS",
     "STREAM_FAULT_KINDS",
     "TRANSIENT_ERRORS",
+    "AdmissionGate",
     "CircuitBreaker",
     "Deadline",
     "FaultPlan",

@@ -105,8 +105,8 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, shared schedule of wire faults with persistent counters.
 
-    Thread-safe: concurrent senders (``infer_many``'s worker pool)
-    consult one plan without double-firing a spec.
+    Thread-safe: concurrent senders (a service driven from several
+    caller threads) consult one plan without double-firing a spec.
 
     Args:
         specs: the scheduled faults.

@@ -11,9 +11,9 @@ named backend, configuration lives in one :class:`repro.engine.EngineConfig`,
 and the paper's input-independent garbling (Sec. 3) becomes an
 offline/online split — :meth:`PrivateInferenceService.prepare` garbles a
 pool of circuit copies ahead of requests so the online path pays only
-transfer + OT + evaluate + merge.  :meth:`infer_many` serves concurrent
-requests; those on the two-party backend share one batched evaluation
-pass.
+transfer + OT + evaluate + merge.  :meth:`infer_many` serves a batch in
+the calling thread; its requests on the two-party backend share one
+batched evaluation pass.
 
 ``PrivateInferenceService(model, config)`` is the only constructor: every
 knob lives on the :class:`repro.engine.EngineConfig`, and a request picks
@@ -26,7 +26,6 @@ import dataclasses
 import random
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -35,17 +34,13 @@ from .compile.compiler import CompiledModel, compile_model
 from .compile.costmodel import CostBreakdown, GCCostModel
 from .engine import Backend, EngineConfig, PregarbledPool, get_backend
 from .engine.result import ExecutionResult
-from .errors import (
-    BatchInferenceError,
-    CompileError,
-    ServiceDrainingError,
-    ServiceOverloadedError,
-)
+from .errors import BatchInferenceError, CompileError
 from .gc.channel import make_channel_pair
 from .gc.cipher import HashKDF
 from .nn.model import Sequential
 from .nn.quantize import QuantizedModel
 from .resilience import (
+    AdmissionGate,
     CircuitBreaker,
     RetryPolicy,
     fault_category,
@@ -109,6 +104,26 @@ class InferenceResult:
     error_type: Optional[str] = None
     error_category: Optional[str] = None
 
+    @classmethod
+    def failed(
+        cls,
+        exc: BaseException,
+        backend: str = "two_party",
+        request_id: Optional[str] = None,
+    ) -> "InferenceResult":
+        """The record of a request that ended in ``exc`` (``label`` -1)."""
+        return cls(
+            label=-1,
+            comm_bytes=0,
+            times={},
+            n_non_xor=0,
+            backend=backend,
+            request_id=request_id,
+            error=f"{type(exc).__name__}: {exc}",
+            error_type=type(exc).__name__,
+            error_category=fault_category(exc),
+        )
+
     @property
     def ok(self) -> bool:
         """True when the request completed (no per-request error)."""
@@ -155,9 +170,7 @@ class PrivateInferenceService:
         # admission control + graceful drain: a bounded in-flight budget
         # sheds overload with a typed permanent error, and close() waits
         # for admitted work to finish before tearing the pool down
-        self._cond = threading.Condition(self._lock)
-        self._inflight = 0
-        self._closing = False
+        self._gate = AdmissionGate(config.max_inflight)
         # transport + resilience wiring: the channel factory decides how
         # frames move (in-memory deques or the wire codec over kernel
         # socketpairs) and injects the configured fault plan into every
@@ -187,8 +200,8 @@ class PrivateInferenceService:
             rng=random.Random(0),
         )
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # serving counters; mutated only under self._lock (execute runs
-        # on infer_many's thread pool, so unlocked += would drop updates)
+        # serving counters; mutated only under self._lock (callers may
+        # serve from several threads, so unlocked += would drop updates)
         self._stats: Dict[str, object] = {
             "requests": 0,
             "errors": 0,
@@ -196,9 +209,6 @@ class PrivateInferenceService:
             "retries": 0,
             "transient_faults": 0,
             "degraded": 0,
-            "shed_requests": 0,
-            "drained_requests": 0,
-            "aborted_requests": 0,
             "by_backend": {},
         }
         # the pool is created at its configured capacity but stays cold:
@@ -264,7 +274,7 @@ class PrivateInferenceService:
 
         Backed by a deque capped at ``EngineConfig.history_limit`` (0
         retains nothing).  Copied under the service lock so readers
-        never observe a half-applied batch from ``infer_many``'s pool.
+        never observe a half-applied batch from a serving thread.
         """
         with self._lock:
             return list(self._history)
@@ -275,12 +285,10 @@ class PrivateInferenceService:
         with self._lock:
             snapshot: Dict[str, object] = dict(self._stats)
             snapshot["by_backend"] = dict(self._stats["by_backend"])
-            snapshot["inflight"] = self._inflight
-            snapshot["max_inflight"] = self.config.max_inflight
-            snapshot["draining"] = self._closing
             breakers = dict(self._breakers)
             pool = self._pool
             ot_states = [b.ot_state for b in self._backends.values()]
+        snapshot.update(self._gate.stats())
         # session-level OT figures: what the base OT cost this service,
         # charged to no request's comm_bytes
         setup_bytes = [state.setup_bytes for state in ot_states]
@@ -301,36 +309,6 @@ class PrivateInferenceService:
             snapshot["pool"] = pool.stats()
         return snapshot
 
-    def _admit(self, n: int) -> None:
-        """Admit ``n`` requests against the in-flight budget, or shed them.
-
-        Raises:
-            ServiceDrainingError: :meth:`close` has begun.
-            ServiceOverloadedError: the budget is full (permanent under
-                the retry taxonomy — retrying into overload only deepens
-                it).
-        """
-        limit = self.config.max_inflight
-        with self._lock:
-            if self._closing:
-                raise ServiceDrainingError(
-                    "service is draining: close() has begun and no new "
-                    "requests are admitted"
-                )
-            if limit and self._inflight + n > limit:
-                self._stats["shed_requests"] += n
-                raise ServiceOverloadedError(
-                    f"in-flight budget full: {self._inflight} admitted + "
-                    f"{n} requested > max_inflight={limit}; shedding"
-                )
-            self._inflight += n
-
-    def _release(self, n: int) -> None:
-        """Return ``n`` admission slots and wake any waiting drain."""
-        with self._lock:
-            self._inflight -= n
-            self._cond.notify_all()
-
     def close(self, drain_timeout_s: float = 30.0) -> None:
         """Drain in-flight requests, then release serving resources.
 
@@ -340,22 +318,8 @@ class PrivateInferenceService:
         during the wait count as ``drained_requests``, any still running
         when the grace expires as ``aborted_requests``.  Idempotent.
         """
-        import time
-
-        with self._lock:
-            already = self._closing
-            self._closing = True
-            pending = self._inflight
-            if not already:
-                deadline = time.monotonic() + max(drain_timeout_s, 0.0)
-                while self._inflight > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                self._stats["drained_requests"] += pending - self._inflight
-                self._stats["aborted_requests"] += self._inflight
-            pool = self._pool
+        self._gate.drain(drain_timeout_s)
+        pool = self.pool
         if pool is not None:
             pool.close()
 
@@ -504,15 +468,15 @@ class PrivateInferenceService:
         probe succeeds.  Semantic errors never retry and surface
         immediately.
 
-        Thread-safe: ``infer_many`` runs this concurrently, so the
-        shared history/stats mutation happens under the service lock
+        Thread-safe: callers may run this from their own threads, so
+        the shared history/stats mutation happens under the service lock
         (the protocol execution itself stays outside it).
         """
-        self._admit(1)
+        self._gate.admit(1)
         try:
             return self._execute_one(request)
         finally:
-            self._release(1)
+            self._gate.release(1)
 
     def _execute_one(self, request: InferenceRequest) -> InferenceResult:
         """The :meth:`execute` body, after admission accepted the request."""
@@ -578,7 +542,6 @@ class PrivateInferenceService:
         normalized: List[InferenceRequest],
         outcomes: List[Optional[InferenceResult]],
         errors: List[tuple],
-        force: bool,
     ) -> List[int]:
         """Serve eligible requests through one batched evaluation pass.
 
@@ -588,9 +551,10 @@ class PrivateInferenceService:
         whole group — instead of per-request protocol runs.
         Fills ``outcomes``/``errors`` in place for the requests it
         handles and returns the indices still pending (non-two-party
-        requests, or the whole group when batching is unavailable or the
-        batched run itself fails — per-request isolation then falls back
-        to request-at-a-time serving).
+        requests, or the whole group when fewer than two requests are
+        eligible, batching is unavailable or the batched run itself
+        fails — per-request isolation then falls back to
+        request-at-a-time serving).
         """
         n = len(normalized)
         everything = list(range(n))
@@ -598,7 +562,7 @@ class PrivateInferenceService:
             i for i, r in enumerate(normalized)
             if (r.backend or self.config.backend) == "two_party"
         ]
-        if len(eligible) < (1 if force else 2):
+        if len(eligible) < 2:
             return everything
         backend = self._backend("two_party")
         run_many = getattr(backend, "run_many", None)
@@ -652,28 +616,25 @@ class PrivateInferenceService:
     def infer_many(
         self,
         requests: Sequence[Union[InferenceRequest, np.ndarray]],
-        max_workers: int = 4,
         return_errors: bool = False,
-        batch: Optional[bool] = None,
     ) -> List[InferenceResult]:
-        """Serve a batch of requests concurrently.
+        """Serve a batch of requests, in the calling thread.
 
         GC gives no per-sample batching discount (Fig. 6's point), but
-        the *engine* work batches: requests served by the two-party
-        backend share one ``evaluate_many`` pass over the level schedule
-        (and one ``garble_many`` pass for pool misses) instead of ``k``
-        thread-pooled protocol runs.  Requests
-        on other backends run on a thread pool of ``max_workers`` as
-        before.  Results come back in request order.
+        the *engine* work batches: when two or more requests target the
+        two-party backend they share one ``evaluate_many`` pass over the
+        level schedule (and one ``garble_many`` pass for pool misses)
+        instead of ``k`` protocol runs.  Every other request — and the
+        whole group when the batched pass is unavailable, failed or shed
+        by an open breaker — runs one after another: both parties of an
+        in-process session run in the calling thread, so no request
+        waits on I/O that a thread pool could overlap (more cores are
+        ``transport.ShardedService``'s job).  Results come back in
+        request order.
 
         Args:
             requests: samples or typed :class:`InferenceRequest` items.
-            max_workers: thread-pool width for non-batched requests.
             return_errors: see below.
-            batch: ``None`` (default) batches when >= 2 requests target
-                the two-party backend; ``True`` forces the
-                batched path even for a single request; ``False``
-                disables it (pure thread-pool serving).
 
         Per-request failures are isolated: every request runs to
         completion regardless of its neighbours.  With
@@ -695,39 +656,18 @@ class PrivateInferenceService:
         # the batch admits as one group: either every request gets a
         # slot or the whole batch is shed/refused (no partial admission,
         # so a shed batch never half-serves)
-        self._admit(len(normalized))
+        self._gate.admit(len(normalized))
         try:
             outcomes: List[Optional[InferenceResult]] = [None] * len(normalized)
             errors: List[tuple] = []
-            if batch is False:
-                pending = list(range(len(normalized)))
-            else:
-                pending = self._infer_batched(
-                    normalized, outcomes, errors, force=bool(batch)
-                )
-
-            workers = max(1, min(max_workers, len(pending) or 1))
-
-            def run_one(index: int, request: InferenceRequest) -> None:
+            for index in self._infer_batched(normalized, outcomes, errors):
                 try:
-                    outcomes[index] = self._execute_one(request)
+                    outcomes[index] = self._execute_one(normalized[index])
                 except Exception as exc:
                     errors.append((index, exc))
-
-            if workers == 1:
-                for index in pending:
-                    run_one(index, normalized[index])
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as executor:
-                    futures = [
-                        executor.submit(run_one, index, normalized[index])
-                        for index in pending
-                    ]
-                    for future in futures:
-                        future.result()  # run_one never raises; this rejoins
             errors.sort(key=lambda pair: pair[0])
         finally:
-            self._release(len(normalized))
+            self._gate.release(len(normalized))
 
         if errors and not return_errors:
             raise BatchInferenceError(
@@ -736,28 +676,18 @@ class PrivateInferenceService:
                 results=outcomes,
                 errors=errors,
             ) from errors[0][1]
-        if errors:
-            for index, exc in errors:
-                outcomes[index] = InferenceResult(
-                    label=-1,
-                    comm_bytes=0,
-                    times={},
-                    n_non_xor=0,
-                    backend=normalized[index].backend or self.config.backend,
-                    request_id=normalized[index].request_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__,
-                    error_category=fault_category(exc),
-                )
+        for index, exc in errors:
+            outcomes[index] = InferenceResult.failed(
+                exc,
+                backend=normalized[index].backend or self.config.backend,
+                request_id=normalized[index].request_id,
+            )
         return outcomes
 
     def infer_batch(self, samples: np.ndarray) -> List[int]:
         """Private inference over a batch (one protocol run per sample —
         GC has no batching discount, which is Fig. 6's whole point)."""
-        return [
-            result.label
-            for result in self.infer_many(list(samples), max_workers=1)
-        ]
+        return [result.label for result in self.infer_many(list(samples))]
 
     def cleartext_label(self, sample: np.ndarray) -> int:
         """The reference label the server would compute in the clear."""

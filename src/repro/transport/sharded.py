@@ -44,15 +44,12 @@ import multiprocessing.context
 import multiprocessing.process
 import socket
 import threading
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    EngineError,
-    ProtocolError,
-    ServiceDrainingError,
-    ServiceOverloadedError,
-)
+import numpy as np
+
+from ..errors import EngineError, ProtocolError
+from ..resilience.admission import AdmissionGate
 from ..resilience.breaker import CircuitBreaker
 from .supervisor import ShardSupervisor
 from .worker import recv_ctl, retain_heap, send_ctl, serve_connection
@@ -217,22 +214,15 @@ class ShardedService:
         self._rpc_timeout_s = rpc_timeout_s
         self._probe_timeout_s = probe_timeout_s
         self._prepare_count = int(prepare)
-        self._max_inflight = int(max_inflight)
+        self._gate = AdmissionGate(max_inflight)
         self._drain_timeout_s = float(drain_timeout_s)
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._inflight = 0
-        self._closing = False
-        self._closed = False
         self._fallback: Optional[Any] = None
         self._stats: Dict[str, int] = {
             "requests": 0,
             "degraded_requests": 0,
             "reroutes": 0,
             "restarts": 0,
-            "shed_requests": 0,
-            "drained_requests": 0,
-            "aborted_requests": 0,
         }
         self._context = multiprocessing.get_context("fork")
         self._shards: List[_Shard] = []
@@ -378,9 +368,8 @@ class ShardedService:
         backoff until the restart budget runs out.
         """
         shard = self._shards[index]
-        with self._lock:
-            if self._closing:
-                return False
+        if self._gate.stats()["draining"]:
+            return False
         with shard.lock:
             if shard.state not in ("suspect", "restarting"):
                 return False
@@ -425,21 +414,20 @@ class ShardedService:
     def infer_many(
         self,
         samples: Sequence[Any],
-        max_workers: int = 1,
         request_ids: Optional[Sequence[Optional[str]]] = None,
     ) -> List[Any]:
         """Serve a batch, partitioned across the worker shards.
 
         Samples are split into ``shard_count`` contiguous chunks; each
-        chunk's RPC runs on its own front-end thread, so shards execute
-        their garbled protocols genuinely in parallel (separate
-        processes — no GIL coupling).  Results come back in request
+        chunk's RPC runs on its own front-end thread — the one place a
+        thread waits on *another process* — so shards execute their
+        garbled protocols genuinely in parallel (separate processes, no
+        GIL coupling, one serving thread each).  Results come back in request
         order as :class:`repro.service.InferenceResult` records; failed
         shards degrade per chunk to the in-process fallback.
 
         Args:
             samples: feature vectors (anything ``np.asarray`` takes).
-            max_workers: thread width *inside* each worker's service.
             request_ids: optional per-request tags, echoed on results.
 
         Raises:
@@ -457,37 +445,19 @@ class ShardedService:
             raise EngineError(
                 f"request_ids length {len(ids)} != samples length {n}"
             )
-        with self._lock:
-            if self._closing:
-                raise ServiceDrainingError(
-                    "sharded service is draining: close() has begun and no "
-                    "new batches are admitted"
-                )
-            if self._max_inflight and self._inflight + n > self._max_inflight:
-                self._stats["shed_requests"] += n
-                raise ServiceOverloadedError(
-                    f"in-flight budget full: {self._inflight} admitted + "
-                    f"{n} requested > max_inflight={self._max_inflight}; "
-                    "shedding the batch"
-                )
-            self._inflight += n
-            self._stats["requests"] += n
+        self._gate.admit(n)  # the batch admits whole or is shed whole
         try:
-            return self._infer_admitted(samples, ids, n, max_workers)
-        finally:
             with self._lock:
-                self._inflight -= n
-                self._cond.notify_all()
+                self._stats["requests"] += n
+            return self._infer_admitted(samples, ids, n)
+        finally:
+            self._gate.release(n)
 
     def _infer_admitted(
-        self,
-        samples: Sequence[Any],
-        ids: List[Optional[str]],
-        n: int,
-        max_workers: int,
+        self, samples: Sequence[Any], ids: List[Optional[str]], n: int
     ) -> List[Any]:
         """The batch body, after admission control accepted ``n`` requests."""
-        from ..service import InferenceResult
+        from ..service import InferenceRequest, InferenceResult
 
         # contiguous chunking keeps result reassembly trivial and gives
         # every shard ~n/k requests; a dead shard's chunk reroutes whole
@@ -495,35 +465,26 @@ class ShardedService:
         outcomes: List[Optional[Any]] = [None] * n
 
         def serve_chunk(shard: _Shard, start: int, stop: int) -> None:
-            chunk_samples = [_flatten(samples[i]) for i in range(start, stop)]
-            chunk_ids = ids[start:stop]
             degraded = shard.state != "alive" or not shard.breaker.allow()
             if not degraded:
+                record = {
+                    "op": "infer",
+                    "samples": [_flatten(samples[i]) for i in range(start, stop)],
+                    "request_ids": ids[start:stop],
+                }
                 try:
-                    reply = self._shard_rpc(
-                        shard,
-                        {
-                            "op": "infer",
-                            "samples": chunk_samples,
-                            "request_ids": chunk_ids,
-                            "max_workers": max_workers,
-                        },
-                    )
+                    reply = self._shard_rpc(shard, record)
                 except Exception:
                     degraded = True
                 else:
                     with self._lock:
                         shard.requests += stop - start
-                    for offset, record in enumerate(reply["results"]):
-                        outcomes[start + offset] = InferenceResult(**record)
+                    for offset, fields in enumerate(reply["results"]):
+                        outcomes[start + offset] = InferenceResult(**fields)
                     return
             with self._lock:
                 self._stats["degraded_requests"] += stop - start
                 self._stats["reroutes"] += 1
-            from ..service import InferenceRequest
-
-            import numpy as np
-
             requests = [
                 InferenceRequest(
                     sample=np.asarray(samples[i]), request_id=ids[i]
@@ -532,25 +493,12 @@ class ShardedService:
             ]
             try:
                 service = self._fallback_service()
-                results = service.infer_many(
-                    requests, max_workers=max_workers, return_errors=True
-                )
+                results = service.infer_many(requests, return_errors=True)
             except Exception as exc:
                 # even a broken fallback must not drop requests: every
                 # slot comes back as a typed error record
-                from ..resilience import fault_category
-
                 results = [
-                    InferenceResult(
-                        label=-1,
-                        comm_bytes=0,
-                        times={},
-                        n_non_xor=0,
-                        request_id=ids[i],
-                        error=f"{type(exc).__name__}: {exc}",
-                        error_type=type(exc).__name__,
-                        error_category=fault_category(exc),
-                    )
+                    InferenceResult.failed(exc, request_id=ids[i])
                     for i in range(start, stop)
                 ]
             for offset, result in enumerate(results):
@@ -589,9 +537,7 @@ class ShardedService:
         """Front-end routing counters plus per-shard service rollups."""
         with self._lock:
             snapshot: Dict[str, Any] = dict(self._stats)
-            snapshot["inflight"] = self._inflight
-            snapshot["max_inflight"] = self._max_inflight
-            snapshot["draining"] = self._closing
+        snapshot.update(self._gate.stats())
         snapshot["shards"] = len(self._shards)
         snapshot["live_shards"] = len(self.live_shards())
         per_shard: List[Dict[str, Any]] = []
@@ -677,20 +623,8 @@ class ShardedService:
         grace = (
             self._drain_timeout_s if drain_timeout_s is None else drain_timeout_s
         )
-        with self._lock:
-            if self._closed:
-                return
-            self._closing = True
-            pending = self._inflight
-            deadline = time.monotonic() + max(grace, 0.0)
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            self._stats["drained_requests"] += pending - self._inflight
-            self._stats["aborted_requests"] += self._inflight
-            self._closed = True
+        if not self._gate.drain(grace):
+            return
         supervisor = self._supervisor
         if supervisor is not None:
             supervisor.close()
@@ -718,6 +652,4 @@ class ShardedService:
 
 def _flatten(sample: Any) -> List[float]:
     """A feature vector as a flat float list (JSON-safe shard payload)."""
-    import numpy as np
-
     return [float(v) for v in np.asarray(sample, dtype=float).ravel()]

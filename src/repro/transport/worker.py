@@ -23,9 +23,11 @@ Control operations:
     carries the worker's decoded outputs and comm total so the caller
     can assert cross-process agreement.
 ``infer``
-    serve a batch shard through ``service.infer_many`` and return the
-    per-request records — the :class:`~repro.transport.sharded.ShardedService`
-    data path.
+    serve a batch shard through ``service.infer_many``, in this thread,
+    and return the per-request records (``dataclasses.asdict`` of each
+    ``InferenceResult``) — the :class:`~repro.transport.sharded.ShardedService`
+    data path.  Unknown fields (an older front-end's ``max_workers``)
+    are ignored.
 
 The garbling oracle is part of the wire contract (SHA and AES tables
 differ), so ``peer`` and ``infer`` records may carry the caller's
@@ -48,6 +50,7 @@ records as :class:`repro.errors.ChannelIntegrityError`.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import json
 import os
 import socket
@@ -192,22 +195,6 @@ def recv_ctl(
     return record
 
 
-def _result_record(result: Any) -> Dict[str, Any]:
-    """One ``InferenceResult`` as a JSON-safe record (inverse in sharded)."""
-    return {
-        "label": result.label,
-        "comm_bytes": result.comm_bytes,
-        "times": dict(result.times),
-        "n_non_xor": result.n_non_xor,
-        "backend": result.backend,
-        "request_id": result.request_id,
-        "pregarbled": result.pregarbled,
-        "error": result.error,
-        "error_type": result.error_type,
-        "error_category": result.error_category,
-    }
-
-
 def _oracle_fields(kdf: Any) -> Dict[str, str]:
     """How a control record names a garbling oracle: the name is for
     the operator, the fingerprint is what gets compared."""
@@ -339,17 +326,14 @@ def _handle_infer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> 
         )
         for sample, request_id in zip(samples, request_ids)
     ]
-    results = service.infer_many(
-        requests,
-        max_workers=int(record.get("max_workers", 1)),
-        return_errors=True,
-    )
+    results = service.infer_many(requests, return_errors=True)
     send_ctl(
         sock,
         {
             "ok": True,
             "op": "infer",
-            "results": [_result_record(r) for r in results],
+            # the front-end's inverse is InferenceResult(**record)
+            "results": [dataclasses.asdict(r) for r in results],
             **_oracle_fields(service.kdf),
         },
     )

@@ -49,7 +49,7 @@ class TestCLI:
             main(["infer", "--backend", "morse_code"])
 
     def test_serve_reports_pool_and_throughput(self, capsys):
-        assert main(["serve", "-n", "2", "-w", "2"]) == 0
+        assert main(["serve", "-n", "2"]) == 0
         out = capsys.readouterr().out
         assert "pre-garbled" in out and "req/s" in out
         assert "cleartext agreement: OK" in out

@@ -339,8 +339,7 @@ class TestServiceRedesign:
         svc, x = service
         svc.prepare(3)
         results = svc.infer_many(
-            [InferenceRequest(sample=x[k], request_id=str(k)) for k in range(3)],
-            max_workers=3,
+            [InferenceRequest(sample=x[k], request_id=str(k)) for k in range(3)]
         )
         assert [r.request_id for r in results] == ["0", "1", "2"]
         assert [r.label for r in results] == [

@@ -544,9 +544,7 @@ class TestServiceResilience:
         try:
             service.prepare()
             for i in range(2):
-                (result,) = service.infer_many(
-                    [x[i]], return_errors=True, batch=False
-                )
+                (result,) = service.infer_many([x[i]], return_errors=True)
                 assert not result.ok
             stats = service.stats
             assert stats["breakers"]["two_party"]["state"] == "open"
@@ -833,12 +831,12 @@ class TestServiceAdmissionAndDrain:
     def test_full_budget_sheds_with_typed_error(self):
         service, x = _trained_service(max_inflight=1)
         try:
-            service._admit(1)  # occupy the whole budget
+            service._gate.admit(1)  # occupy the whole budget
             with pytest.raises(ServiceOverloadedError):
                 service.infer(x[0])
             assert service.stats["shed_requests"] == 1
             assert service.stats["inflight"] == 1
-            service._release(1)
+            service._gate.release(1)
             # budget free again: the same request is admitted and served
             record = service.infer(x[0])
             assert record.ok
@@ -880,14 +878,14 @@ class TestServiceAdmissionAndDrain:
     def test_whole_batch_admission_is_all_or_nothing(self):
         service, x = _trained_service(max_inflight=2)
         try:
-            service._admit(1)
+            service._gate.admit(1)
             # a 2-request batch cannot fit in the remaining budget: the
             # whole batch is shed, nothing partially admitted
             with pytest.raises(ServiceOverloadedError):
                 service.infer_many(list(x[:2]))
             assert service.stats["shed_requests"] == 2
             assert service.stats["inflight"] == 1
-            service._release(1)
+            service._gate.release(1)
             results = service.infer_many(list(x[:2]), return_errors=True)
             assert all(r.ok for r in results)
         finally:

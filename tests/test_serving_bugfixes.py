@@ -7,7 +7,8 @@ Three bugs shipped with the PR 1 serving layer:
 * ``infer_many`` used ``executor.map``, so one failing request raised
   and discarded every completed result in the batch;
 * ``execute`` appended to history and bumped counters without the
-  service lock while running on ``infer_many``'s thread pool.
+  service lock while running on ``infer_many``'s thread pool (the pool
+  is gone since PR 19; callers' own threads still call ``execute``).
 
 Each test here fails against the PR 1 behavior.
 """
@@ -15,6 +16,7 @@ Each test here fails against the PR 1 behavior.
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -161,7 +163,7 @@ class TestBatchErrorIsolation:
             InferenceRequest(sample=x[1], request_id="b"),
         ]
         with pytest.raises(BatchInferenceError) as excinfo:
-            svc.infer_many(requests, max_workers=3)
+            svc.infer_many(requests)
         err = excinfo.value
         assert len(err.errors) == 1 and err.errors[0][0] == 1
         assert isinstance(err.errors[0][1], CompileError)
@@ -178,7 +180,7 @@ class TestBatchErrorIsolation:
             InferenceRequest(sample=np.zeros(99), request_id="oops"),
             InferenceRequest(sample=x[3], request_id="ok-1"),
         ]
-        results = svc.infer_many(requests, max_workers=2, return_errors=True)
+        results = svc.infer_many(requests, return_errors=True)
         assert [r.request_id for r in results] == ["ok-0", "oops", "ok-1"]
         assert results[0].ok and results[2].ok
         assert not results[1].ok
@@ -189,13 +191,13 @@ class TestBatchErrorIsolation:
     def test_single_worker_path_isolates_too(self, service):
         svc, x = service
         results = svc.infer_many(
-            [x[0], np.zeros(99), x[1]], max_workers=1, return_errors=True
+            [x[0], np.zeros(99), x[1]], return_errors=True
         )
         assert [r.ok for r in results] == [True, False, True]
 
     def test_all_good_batch_unchanged(self, service):
         svc, x = service
-        results = svc.infer_many(list(x[:3]), max_workers=2)
+        results = svc.infer_many(list(x[:3]))
         assert [r.label for r in results] == [
             svc.cleartext_label(s) for s in x[:3]
         ]
@@ -205,17 +207,34 @@ class TestBatchErrorIsolation:
         assert svc.infer_many([]) == []
 
 
+def _execute_concurrently(service, requests, workers=8):
+    """Drive ``service.execute`` from ``workers`` caller threads.
+
+    ``infer_many`` serves in the calling thread, so concurrency is the
+    caller's to bring; failures come back as the exception instances.
+    """
+
+    def run_one(request):
+        try:
+            return service.execute(request)
+        except Exception as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(run_one, requests))
+
+
 class TestHistoryThreadSafety:
     def test_concurrent_execute_keeps_history_consistent(self):
         service, x = _trained_service(backend="simulate", history_limit=512,
                                       pool_refill="none")
         n = 48
-        results = service.infer_many(
+        results = _execute_concurrently(
+            service,
             [InferenceRequest(sample=x[i % 50], request_id=str(i))
              for i in range(n)],
-            max_workers=8,
         )
-        assert len(results) == n
+        assert len(results) == n and all(r.ok for r in results)
         history = service.history
         assert len(history) == n
         assert {r.request_id for r in history} == {str(i) for i in range(n)}
@@ -240,7 +259,9 @@ class TestHistoryThreadSafety:
         thread = threading.Thread(target=reader)
         thread.start()
         try:
-            service.infer_many(list(x[:32]), max_workers=8)
+            _execute_concurrently(
+                service, [InferenceRequest(sample=s) for s in x[:32]]
+            )
         finally:
             stop.set()
             thread.join()
@@ -250,8 +271,11 @@ class TestHistoryThreadSafety:
     def test_error_counter_updates_under_lock(self):
         service, x = _trained_service(backend="simulate", pool_refill="none")
         bad = [np.zeros(99)] * 6 + list(x[:6])
-        results = service.infer_many(bad, max_workers=6, return_errors=True)
-        assert sum(1 for r in results if not r.ok) == 6
+        results = _execute_concurrently(
+            service, [InferenceRequest(sample=s) for s in bad], workers=6
+        )
+        assert sum(1 for r in results if isinstance(r, CompileError)) == 6
+        assert sum(1 for r in results if not isinstance(r, Exception)) == 6
         stats = service.stats
         assert stats["requests"] == 12
         assert stats["errors"] == 6

@@ -765,24 +765,26 @@ class TestServiceBatchedInfer:
         yield service, x
         service.close()
 
-    def test_batched_matches_threaded_and_cleartext(self, service):
+    def test_batched_matches_one_by_one_and_cleartext(self, service):
         svc, x = service
         expected = [svc.cleartext_label(s) for s in x[:3]]
-        batched = svc.infer_many(list(x[:3]), batch=True)
+        batched = svc.infer_many(list(x[:3]))
         assert [r.label for r in batched] == expected
-        threaded = svc.infer_many(list(x[:3]), batch=False, max_workers=2)
-        assert [r.label for r in threaded] == expected
+        assert all(r.ok for r in batched)
+        # the same requests one at a time: the per-request path
+        one_by_one = [svc.infer(s) for s in x[:3]]
+        assert [r.label for r in one_by_one] == expected
 
     def test_batched_consumes_pool_material(self, service):
         svc, x = service
         svc.prepare(2)
-        results = svc.infer_many(list(x[3:6]), batch=True)
+        results = svc.infer_many(list(x[3:6]))
         assert sum(1 for r in results if r.pregarbled) == 2
 
     def test_batched_error_isolation(self, service):
         svc, x = service
         results = svc.infer_many(
-            [x[0], np.zeros(99), x[1]], batch=True, return_errors=True
+            [x[0], np.zeros(99), x[1]], return_errors=True
         )
         assert [r.ok for r in results] == [True, False, True]
         assert results[1].label == -1
@@ -797,12 +799,12 @@ class TestServiceBatchedInfer:
             ),
             InferenceRequest(sample=x[2], request_id="gc2"),
         ]
-        results = svc.infer_many(requests, batch=True)
+        results = svc.infer_many(requests)
         assert [r.request_id for r in results] == ["gc", "sim", "gc2"]
         assert results[1].backend == "simulate"
         assert results[0].backend == "two_party"
 
     def test_auto_mode_needs_two_requests(self, service):
         svc, x = service
-        single = svc.infer_many([x[4]])  # auto: single request stays scalar
+        single = svc.infer_many([x[4]])  # a single request stays scalar
         assert single[0].label == svc.cleartext_label(x[4])

@@ -936,7 +936,7 @@ class TestAdmissionAndDrain:
                 target=lambda: box.extend(service.infer_many(_tiny_samples(2)))
             )
             thread.start()
-            assert _wait_until(lambda: service._inflight == 2)
+            assert _wait_until(lambda: service._gate.stats()["inflight"] == 2)
             # budget full: the incoming batch is shed whole, typed
             with pytest.raises(ServiceOverloadedError):
                 service.infer_many(_tiny_samples(1))
@@ -960,7 +960,7 @@ class TestAdmissionAndDrain:
             target=lambda: box.extend(service.infer_many(_tiny_samples(2)))
         )
         thread.start()
-        assert _wait_until(lambda: service._inflight == 2)
+        assert _wait_until(lambda: service._gate.stats()["inflight"] == 2)
         service.close(drain_timeout_s=90.0)
         thread.join(timeout=90.0)
         assert not thread.is_alive()
@@ -981,7 +981,7 @@ class TestAdmissionAndDrain:
             target=lambda: box.extend(service.infer_many(_tiny_samples(2)))
         )
         thread.start()
-        assert _wait_until(lambda: service._inflight == 2)
+        assert _wait_until(lambda: service._gate.stats()["inflight"] == 2)
         service.close(drain_timeout_s=0.0)
         stats = service.stats()
         assert stats["aborted_requests"] == 2

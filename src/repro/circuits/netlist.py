@@ -342,6 +342,20 @@ class WideStep:
 
 GateRecord = Tuple[int, int, int, int, int, int, int]
 
+#: :meth:`LevelSchedule.build`'s per-gate flag byte.  A free gate carries
+#: its delta-offset bit (XNOR/NOT); a non-free gate ``_NON_FREE`` plus its
+#: AND-reduction inversions ``ia | ib << 1 | io << 2``.
+_NON_FREE = 8
+_GATE_FLAGS: Dict[GateType, int] = {
+    op: int(op in (GateType.XNOR, GateType.NOT))
+    for op in GateType
+    if op.is_free
+}
+_GATE_FLAGS.update(
+    (op, _NON_FREE | inv.ia | inv.ib << 1 | inv.out << 2)
+    for op, inv in AND_REDUCTION.items()
+)
+
 
 @dataclasses.dataclass(frozen=True)
 class ScalarRun:
@@ -463,103 +477,153 @@ class LevelSchedule:
 
     @classmethod
     def build(cls, circuit: "Circuit") -> "LevelSchedule":
-        """Levelize ``circuit`` (validates topological order as it goes)."""
+        """Levelize ``circuit`` (validates topological order as it goes).
+
+        One pass over the gates (:func:`_gate_columns`) checks them and
+        writes ``(level, a, b, out, flags)`` into columns.  The free and
+        the non-free gates are then each sorted stably by level, so a
+        level's arrays are slices of the sorted columns, in netlist
+        order.
+        """
         import numpy as np
 
-        n_wires = circuit.n_wires
-        scratch = n_wires
-        wire_level = [0] * n_wires
-        defined = bytearray(n_wires)
-        for wire in range(min(2 + circuit.n_inputs, n_wires)):
-            defined[wire] = 1
-        per_level: Dict[int, List[Tuple[int, Gate, int]]] = {}
-        table_index = 0
-        for idx, gate in enumerate(circuit.gates):
-            for src in gate.inputs():
-                if not 0 <= src < n_wires or not defined[src]:
-                    raise CircuitError(
-                        f"gate {idx} reads wire {src} before it is driven; "
-                        "netlist is not topologically ordered"
-                    )
-            if not 0 <= gate.out < n_wires:
-                raise CircuitError(f"gate {idx} drives out-of-range wire")
-            defined[gate.out] = 1
-            level = 1 + max(wire_level[w] for w in gate.inputs())
-            wire_level[gate.out] = level
-            tidx = -1
-            if not gate.op.is_free:
-                if gate.op not in AND_REDUCTION:
-                    raise CircuitError(
-                        f"gate {idx} ({gate.op}) has no AND reduction; "
-                        "cannot build a garbling schedule"
-                    )
-                tidx = table_index
-                table_index += 1
-            per_level.setdefault(level, []).append((idx, gate, tidx))
+        level_of, gate_a, gate_b, gate_outs, flags = _gate_columns(circuit)
+        # levels 1..n_levels all exist: a gate at level L reads a wire
+        # driven at level L-1
+        n_levels = int(level_of.max()) if level_of.size else 0
+        level_ids = np.arange(1, n_levels + 2)
+
+        def grouped(gates: Any) -> Tuple[Any, Any, Any, List[int]]:
+            """``gates`` (netlist order) stably sorted by level: their
+            rank in that order, their gate indices, their levels, and
+            where each level starts."""
+            rank = np.argsort(level_of[gates], kind="stable")
+            order = gates[rank]
+            levels = level_of[order]
+            return rank, order, levels, np.searchsorted(
+                levels, level_ids
+            ).tolist()
+
+        def any_per_level(levels_sorted: Any, flag: Any) -> List[bool]:
+            counts = np.bincount(levels_sorted[flag != 0], minlength=n_levels + 1)
+            return (counts > 0).tolist()
+
+        _, free, free_level, free_at = grouped(
+            np.flatnonzero(flags < _NON_FREE)
+        )
+        free_a, free_b, free_out = gate_a[free], gate_b[free], gate_outs[free]
+        free_inv = flags[free]
+        free_has_inv = any_per_level(free_level, free_inv)
+
+        # a non-free gate's rank among the non-free gates is its
+        # netlist-order table index
+        nf_tidx, nf, nf_level, nf_at = grouped(
+            np.flatnonzero(flags >= _NON_FREE)
+        )
+        nf_tidx = nf_tidx.astype(np.int64, copy=False)
+        nf_a, nf_b, nf_out = gate_a[nf], gate_b[nf], gate_outs[nf]
+        nf_flags = flags[nf]
+        nf_ia, nf_ib, nf_io = nf_flags & 1, (nf_flags >> 1) & 1, (nf_flags >> 2) & 1
+        nf_has_ia = any_per_level(nf_level, nf_ia)
+        nf_has_ib = any_per_level(nf_level, nf_ib)
+        nf_has_io = any_per_level(nf_level, nf_io)
+        tw0_a = _tweak_rows(2 * nf_tidx)
+        tw0_b = _tweak_rows(2 * nf_tidx + 1)
 
         levels: List[ScheduleLevel] = []
-        for level in sorted(per_level):
-            free_a: List[int] = []
-            free_b: List[int] = []
-            free_out: List[int] = []
-            free_inv: List[int] = []
-            nf_a: List[int] = []
-            nf_b: List[int] = []
-            nf_out: List[int] = []
-            nf_tidx: List[int] = []
-            nf_ia: List[int] = []
-            nf_ib: List[int] = []
-            nf_io: List[int] = []
-            for _, gate, tidx in per_level[level]:
-                op = gate.op
-                if op.is_free:
-                    free_a.append(gate.a)
-                    free_b.append(scratch if gate.b is None else gate.b)
-                    free_out.append(gate.out)
-                    free_inv.append(
-                        1 if op in (GateType.XNOR, GateType.NOT) else 0
-                    )
-                else:
-                    inv = AND_REDUCTION[op]
-                    nf_a.append(gate.a)
-                    nf_b.append(gate.b)
-                    nf_out.append(gate.out)
-                    nf_tidx.append(tidx)
-                    nf_ia.append(inv.ia)
-                    nf_ib.append(inv.ib)
-                    nf_io.append(inv.out)
-            tweaks0 = 2 * np.asarray(nf_tidx, dtype=np.int64)
+        for level in range(1, n_levels + 1):
+            f0, f1 = free_at[level - 1], free_at[level]
+            n0, n1 = nf_at[level - 1], nf_at[level]
             levels.append(
                 ScheduleLevel(
-                    free_a=np.asarray(free_a, dtype=np.intp),
-                    free_b=np.asarray(free_b, dtype=np.intp),
-                    free_out=np.asarray(free_out, dtype=np.intp),
-                    free_inv=np.asarray(free_inv, dtype=np.uint8),
-                    nf_a=np.asarray(nf_a, dtype=np.intp),
-                    nf_b=np.asarray(nf_b, dtype=np.intp),
-                    nf_out=np.asarray(nf_out, dtype=np.intp),
-                    nf_tidx=np.asarray(nf_tidx, dtype=np.int64),
-                    nf_ia=np.asarray(nf_ia, dtype=np.uint8),
-                    nf_ib=np.asarray(nf_ib, dtype=np.uint8),
-                    nf_io=np.asarray(nf_io, dtype=np.uint8),
-                    free_has_inv=any(free_inv),
-                    nf_has_ia=any(nf_ia),
-                    nf_has_ib=any(nf_ib),
-                    nf_has_io=any(nf_io),
-                    tw0_a=_tweak_rows(tweaks0),
-                    tw0_b=_tweak_rows(tweaks0 + 1),
+                    free_a=free_a[f0:f1],
+                    free_b=free_b[f0:f1],
+                    free_out=free_out[f0:f1],
+                    free_inv=free_inv[f0:f1],
+                    nf_a=nf_a[n0:n1],
+                    nf_b=nf_b[n0:n1],
+                    nf_out=nf_out[n0:n1],
+                    nf_tidx=nf_tidx[n0:n1],
+                    nf_ia=nf_ia[n0:n1],
+                    nf_ib=nf_ib[n0:n1],
+                    nf_io=nf_io[n0:n1],
+                    free_has_inv=free_has_inv[level],
+                    nf_has_ia=nf_has_ia[level],
+                    nf_has_ib=nf_has_ib[level],
+                    nf_has_io=nf_has_io[level],
+                    tw0_a=tw0_a[n0:n1],
+                    tw0_b=tw0_b[n0:n1],
                 )
             )
-        gate_outs = np.asarray(
-            [gate.out for gate in circuit.gates], dtype=np.intp
-        )
         return cls(
             levels=tuple(levels),
-            n_non_free=table_index,
-            n_wires=n_wires,
-            scratch_wire=scratch,
+            n_non_free=int(nf.size),
+            n_wires=circuit.n_wires,
+            scratch_wire=circuit.n_wires,
             gate_outs=gate_outs,
         )
+
+
+def _gate_columns(circuit: "Circuit") -> Tuple[Any, Any, Any, Any, Any]:
+    """Per gate, in netlist order: ``(level, a, b, out, flags)`` columns.
+
+    The one per-gate loop of :meth:`LevelSchedule.build`: checks that
+    every gate reads driven wires and drives one in range, and assigns
+    its ASAP level (inputs and constants sit at level 0).  ``b`` of a
+    unary gate is the scratch row ``n_wires``; ``flags`` is the
+    :data:`_GATE_FLAGS` byte.  The columns are filled through
+    ``memoryview`` s of the arrays: a plain C store per item, a fraction
+    of ``ndarray.__setitem__``'s cost, and none of the memory of Python
+    lists converted afterwards.
+    """
+    import numpy as np
+
+    n_wires = circuit.n_wires
+    scratch = n_wires
+    wire_level = [0] * n_wires
+    defined = bytearray(n_wires)
+    for wire in range(min(2 + circuit.n_inputs, n_wires)):
+        defined[wire] = 1
+    n_gates = len(circuit.gates)
+    col_level, col_a, col_b, col_out = (
+        np.zeros(n_gates, dtype=np.intp) for _ in range(4)
+    )
+    col_flags = np.zeros(n_gates, dtype=np.uint8)
+    put_level, put_a, put_b, put_out = (
+        memoryview(col) for col in (col_level, col_a, col_b, col_out)
+    )
+    put_flags = memoryview(col_flags)
+    for idx, (op, a, b, out) in enumerate(circuit.gates):
+        for src in (a,) if b is None else (a, b):
+            if not 0 <= src < n_wires or not defined[src]:
+                raise CircuitError(
+                    f"gate {idx} reads wire {src} before it is driven; "
+                    "netlist is not topologically ordered"
+                )
+        if not 0 <= out < n_wires:
+            raise CircuitError(f"gate {idx} drives out-of-range wire")
+        defined[out] = 1
+        level = wire_level[a]
+        if b is None:
+            b = scratch
+        elif wire_level[b] > level:
+            level = wire_level[b]
+        level += 1
+        wire_level[out] = level
+        code = _GATE_FLAGS.get(op)
+        if code is None:
+            raise CircuitError(
+                f"gate {idx} ({op}) has no AND reduction; "
+                "cannot build a garbling schedule"
+            )
+        if code >= _NON_FREE and b == scratch:
+            raise CircuitError(f"gate {idx} ({op}) is missing input b")
+        put_level[idx] = level
+        put_a[idx] = a
+        put_b[idx] = b
+        put_out[idx] = out
+        put_flags[idx] = code
+    return col_level, col_a, col_b, col_out, col_flags
 
 
 def concatenate(name: str, circuits: Iterable[Circuit]) -> Tuple[int, int]:

@@ -8,6 +8,15 @@ This module builds that folded cell as a :class:`SequentialCircuit` and
 drives a whole dense layer through the sequential garbling session, so
 the constant-memory-footprint claim is demonstrated on the *live*
 protocol, not just on gate counts.
+
+Sec. 3.5 fixes that the resident netlist is constant in the layer size,
+not that the constant is one multiplier: the cell takes a **fold
+factor** ``u`` — ``u`` MACs per clock, ``ceil(fan_in / u)`` clocks per
+output unit.  ``u = 1`` is the paper's point, ``u = fan_in`` the
+combinational compiler; total table bytes per layer are the same at
+every ``u``.  The ``u`` multipliers of one clock sit on the same levels
+of the netlist, so the level-scheduled engine runs them as wide array
+steps where the one-MAC cell is walked gate by gate.
 """
 
 from __future__ import annotations
@@ -29,27 +38,42 @@ from ..gc.ot import MODP_2048, OTGroup
 from ..gc.ot_extension import IKNPState
 from ..gc.sequential import SequentialSession
 
-__all__ = ["folded_mac_cell", "FoldedDenseResult", "run_folded_dense"]
+__all__ = ["MAC_FOLD", "folded_mac_cell", "FoldedDenseResult", "run_folded_dense"]
+
+#: Default fold factor: the largest power of two whose ``folded_seq``
+#: ``peak_rss_mb`` (benchmarks/layered) stays within 1.08x of the one-MAC
+#: cell's; the curve is ``BENCH_engine.json::pr20-fold-factor``.
+MAC_FOLD = 8
 
 
-@functools.lru_cache(maxsize=8)
 def folded_mac_cell(
-    fmt: FixedPointFormat, fan_in: int
+    fmt: FixedPointFormat, fan_in: int, fold: int = MAC_FOLD
 ) -> SequentialCircuit:
-    """One MAC datapath with an accumulator register (Sec. 3.5).
+    """``min(fold, fan_in)`` MAC datapaths on one accumulator register.
 
-    Per cycle: Alice feeds one activation word, Bob one weight word; the
-    register accumulates ``acc += (x * w) >> frac``.  The accumulator is
-    sized for ``fan_in`` terms so the folded run is overflow-free,
-    exactly like the combinational compiler's wide adder tree.
+    Per cycle: Alice feeds ``u`` activation words, Bob ``u`` weight
+    words (copy-major, see :meth:`SequentialCircuit.folded`); the
+    register accumulates ``acc += (x * w) >> frac`` once per pair.  The
+    accumulator is sized for ``fan_in`` terms so the folded run is
+    overflow-free, exactly like the combinational compiler's wide adder
+    tree.  ``fold=1`` is the paper's one-MAC cell; the core of any other
+    fold is ``u`` spliced copies of it, so ``n_non_xor`` is exactly
+    ``u`` times the one-MAC cell's.
 
-    Memoised per ``(fmt, fan_in)``: what a circuit caches "once per
-    circuit" (level schedule, step plans) is only built once if the
-    circuit itself outlives the request.  Callers share the returned
-    cell, which like every netlist is immutable by convention.
+    Memoised per resolved ``(fmt, fan_in, u)``: what a circuit caches
+    "once per circuit" (level schedule, step plans) is only built once
+    if the circuit itself outlives the request.  Callers share the
+    returned cell, which like every netlist is immutable by convention.
     """
     if fan_in < 1:
         raise CompileError("fan_in must be positive")
+    if fold < 1:
+        raise CompileError("fold must be positive")
+    return _mac_cell(fmt, fan_in, min(fold, fan_in))
+
+
+@functools.lru_cache(maxsize=8)
+def _mac_cell(fmt: FixedPointFormat, fan_in: int, u: int) -> SequentialCircuit:
     product_width = 2 * fmt.width - fmt.frac_bits
     acc_width = product_width + max(1, math.ceil(math.log2(max(fan_in, 2))) + 1)
     builder = SequentialBuilder(name=f"folded_mac_{fmt.describe()}")
@@ -59,7 +83,9 @@ def folded_mac_cell(
     total = multiply_accumulate(builder, acc, x, w, fmt.frac_bits)
     builder.bind_registers(acc, total)
     builder.mark_output_bus(total, name="acc")
-    return builder.build_sequential()
+    # splice, do not build u times: remapping a copy takes a quarter of
+    # the time building one does
+    return builder.build_sequential().folded(u)
 
 
 @dataclasses.dataclass
@@ -69,7 +95,8 @@ class FoldedDenseResult:
     Attributes:
         outputs: accumulator values per output unit (integer, frac
             scale) — pre-saturation, matching the combinational wide sum.
-        cycles: total clock cycles garbled (= nonzero weights).
+        cycles: total clock cycles garbled: ``out_dim * ceil(in_dim / u)``
+            (zero weights are clocked like any other).
         core_gates: gates in the folded core (constant in layer size).
         comm_bytes: total garbled-table traffic.
     """
@@ -87,8 +114,16 @@ def run_folded_dense(
     kdf: Optional[HashKDF] = None,
     ot_group: OTGroup = MODP_2048,
     rng=secrets,
+    fold: int = MAC_FOLD,
 ) -> FoldedDenseResult:
-    """Compute ``x @ W`` under sequential garbling, one MAC per cycle.
+    """Compute ``x @ W`` under sequential garbling, ``u`` MACs per cycle.
+
+    Each output unit is one run of ``ceil(in_dim / u)`` cycles of
+    ``folded_mac_cell(fmt, fan_in=in_dim, fold=fold)``; both parties
+    feed zero words into the spare lanes of the last cycle (a zero
+    product leaves the accumulator alone).  Only the last cycle's
+    accumulator is decoded: a partial sum at ``u = 1`` is a single
+    product, which would hand the client the server's weights.
 
     Args:
         x_fixed: the client's activation words (signed fixed integers).
@@ -96,6 +131,7 @@ def run_folded_dense(
             (the server's input).
         fmt: I/O fixed-point format.
         kdf, ot_group, rng: protocol parameters.
+        fold: MACs per clock (capped at ``in_dim``).
 
     Returns:
         :class:`FoldedDenseResult`; ``outputs[j]`` equals the integer
@@ -105,38 +141,48 @@ def run_folded_dense(
     in_dim, out_dim = weights_fixed.shape
     if len(x_fixed) != in_dim:
         raise CompileError("activation width mismatch")
-    cell = folded_mac_cell(fmt, fan_in=in_dim)
+    cell = folded_mac_cell(fmt, fan_in=in_dim, fold=fold)
+    lanes = cell.core.n_alice // fmt.width
+    n_cycles = math.ceil(in_dim / lanes)
     mask = (1 << fmt.width) - 1
 
-    def bits(value: int) -> List[int]:
-        pattern = int(value) & mask
-        return [(pattern >> i) & 1 for i in range(fmt.width)]
+    def cycle_bits(words: Sequence[int]) -> List[List[int]]:
+        """Per cycle, ``lanes`` words as one copy-major bit list."""
+        patterns = [int(word) & mask for word in words]
+        patterns += [0] * (n_cycles * lanes - in_dim)
+        return [
+            [
+                (pattern >> i) & 1
+                for pattern in patterns[c * lanes:(c + 1) * lanes]
+                for i in range(fmt.width)
+            ]
+            for c in range(n_cycles)
+        ]
 
     outputs: List[int] = []
     total_comm = 0
-    total_cycles = 0
     acc_width = cell.n_state
+    alice_cycles = cycle_bits(x_fixed)
     # one base OT for the whole layer, not one per output unit
     ot_state = IKNPState(group=ot_group, rng=rng)
     for j in range(out_dim):
-        alice_cycles = [bits(x) for x in x_fixed]
-        bob_cycles = [bits(weights_fixed[i, j]) for i in range(in_dim)]
         session = SequentialSession(
             cell, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state
         )
-        result = session.run(alice_cycles, bob_cycles, cycles=in_dim)
-        final = result.final_outputs
+        result = session.run(
+            alice_cycles, cycle_bits(weights_fixed[:, j]), cycles=n_cycles,
+            final_only=True,
+        )
         value = 0
-        for i, bit in enumerate(final):
+        for i, bit in enumerate(result.final_outputs):
             value |= bit << i
         if value >> (acc_width - 1):
             value -= 1 << acc_width
         outputs.append(value)
         total_comm += sum(result.comm.values())
-        total_cycles += in_dim
     return FoldedDenseResult(
         outputs=outputs,
-        cycles=total_cycles,
+        cycles=out_dim * n_cycles,
         core_gates=len(cell.core.gates),
         comm_bytes=total_comm,
     )

@@ -50,7 +50,9 @@ class SequentialResult:
     """Outcome of a multi-cycle sequential execution.
 
     Attributes:
-        outputs_per_cycle: decoded output bits for every cycle.
+        outputs_per_cycle: decoded output bits for every cycle (``[]``
+            for a cycle whose outputs were not revealed, see
+            ``SequentialSession.run(final_only=True)``).
         garble_times: per-cycle garbling durations (Alice).
         evaluate_times: per-cycle evaluation durations (Bob).
         comm: per-tag byte counts.
@@ -110,17 +112,44 @@ class SequentialSession:
         bob_cycles: Sequence[Sequence[int]],
         cycles: Optional[int] = None,
         deadline: Optional["Deadline"] = None,
+        final_only: bool = False,
     ) -> SequentialResult:
         """Execute the protocol for ``cycles`` clock cycles.
 
         Input conventions match
         :meth:`repro.circuits.sequential.SequentialCircuit.run`: a single
-        entry is broadcast to every cycle.  A ``deadline`` is charged on
-        every recv and checked after each cycle's evaluation.
+        entry is broadcast to every cycle.  Every cycle's input widths
+        are checked against the core before anything is garbled.  A
+        ``deadline`` is charged on every recv and checked after each
+        cycle's evaluation.
+
+        With ``final_only`` the merge step runs for the last cycle
+        alone: no earlier cycle's output labels are sent back, so the
+        garbler decodes the run's result and none of the intermediate
+        values the core marks as outputs (a folded MAC's partial sums).
+        ``outputs_per_cycle`` then holds ``[]`` for every earlier cycle.
         """
         seq = self.sequential
         core = seq.core
-        n_cycles = cycles or max(len(alice_cycles), len(bob_cycles), 1)
+        if cycles is None:
+            cycles = max(len(alice_cycles), len(bob_cycles), 1)
+        if cycles < 1:
+            raise ProtocolError("cycles must be >= 1")
+        inputs: List[Tuple[List[int], List[int]]] = []
+        for cycle in range(cycles):
+            alice_bits = SequentialCircuit._cycle_input(
+                alice_cycles, cycle, core.n_alice
+            )
+            bob_bits = SequentialCircuit._cycle_input(
+                bob_cycles, cycle, core.n_bob
+            )
+            if (len(alice_bits), len(bob_bits)) != (core.n_alice, core.n_bob):
+                raise ProtocolError(
+                    f"cycle {cycle}: the core takes {core.n_alice} Alice and "
+                    f"{core.n_bob} Bob bits, got {len(alice_bits)} and "
+                    f"{len(bob_bits)}"
+                )
+            inputs.append((alice_bits, bob_bits))
         alice_end, bob_end, stats = self.channel_factory()
         if deadline is not None:
             alice_end.deadline = deadline
@@ -141,14 +170,7 @@ class SequentialSession:
         state_zero: Optional[np.ndarray] = None
         eval_state: Union[List[int], np.ndarray, None] = None
         tweak = 0
-        for cycle in range(n_cycles):
-            alice_bits = SequentialCircuit._cycle_input(
-                alice_cycles, cycle, core.n_alice
-            )
-            bob_bits = SequentialCircuit._cycle_input(
-                bob_cycles, cycle, core.n_bob
-            )
-
+        for cycle, (alice_bits, bob_bits) in enumerate(inputs):
             start = time.perf_counter()
             garbled = garbler.garble(
                 state_zero_labels=state_zero, tweak_base=tweak
@@ -179,8 +201,13 @@ class SequentialSession:
             evaluate_times.append(time.perf_counter() - start)
 
             # merge step for this cycle's outputs
-            labels = evaluator.output_labels(wire_labels)
-            outputs.append(merge_outputs(alice_end, bob_end, garbler, labels))
+            if final_only and cycle < cycles - 1:
+                outputs.append([])
+            else:
+                labels = evaluator.output_labels(wire_labels)
+                outputs.append(
+                    merge_outputs(alice_end, bob_end, garbler, labels)
+                )
             if deadline is not None:
                 deadline.check(f"cycle {cycle} merge")
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.circuits import FixedPointFormat
 from repro.gc.channel import make_channel_pair
-from repro.gc.ot import TEST_GROUP_512
+from repro.gc.ot import TEST_GROUP_512, OTSender
 from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
 
 
@@ -73,3 +73,17 @@ def recording_channels():
         return alice, bob, stats
 
     return factory, frames
+
+
+@pytest.fixture
+def base_batches(monkeypatch):
+    """A one-element list counting ``OTSender.setup`` calls."""
+    calls = [0]
+    original = OTSender.setup
+
+    def counting(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(OTSender, "setup", counting)
+    return calls

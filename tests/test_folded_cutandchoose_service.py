@@ -1,5 +1,6 @@
 """Tests for the folded dense layer, cut-and-choose, and the service API."""
 
+import math
 import random
 
 import numpy as np
@@ -7,10 +8,17 @@ import pytest
 
 from repro.circuits import CircuitBuilder, FixedPointFormat
 from repro.compile import folded_mac_cell, run_folded_dense
+from repro.compile.folded import MAC_FOLD
 from repro.engine import EngineConfig
 from repro.errors import CompileError, GarblingError
-from repro.gc import CutAndChooseGarbler, Evaluator, verify_opened_copy
+from repro.gc import (
+    CutAndChooseGarbler,
+    Evaluator,
+    SequentialSession,
+    verify_opened_copy,
+)
 from repro.gc.ot import TEST_GROUP_512
+from repro.gc.ot_extension import IKNPState
 from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer, fixed_mul
 from repro.service import PrivateInferenceService
 
@@ -18,24 +26,61 @@ from repro.service import PrivateInferenceService
 FMT = FixedPointFormat(2, 6)
 
 
+@pytest.fixture
+def folded_frames(monkeypatch, recording_channels):
+    """The ``(tag, payload)`` of every frame the sessions inside
+    ``run_folded_dense`` (which takes no channel factory) send."""
+    factory, frames = recording_channels
+    monkeypatch.setattr(
+        "repro.gc.sequential.default_channel_factory", lambda: factory
+    )
+    return frames
+
+
+def _wire_bytes(frames):
+    """What ``ChannelStats`` charges: payload plus the length prefix."""
+    return sum(len(payload) + 4 for _, payload in frames)
+
+
 class TestFoldedDense:
     def test_cell_constant_size(self):
         """The cell does not grow with the layer it folds; only its
         accumulator does — one bit per doubling of fan-in, five gates
-        per bit."""
-        cells = {f: folded_mac_cell(FMT, fan_in=f) for f in (4, 64, 1024)}
+        per bit — whether it clocks one MAC (the paper's point) or the
+        default ``MAC_FOLD`` of them."""
+        one_mac = {4: 544, 64: 564, 1024: 584}
+        cells = {f: folded_mac_cell(FMT, fan_in=f, fold=1) for f in one_mac}
         assert {f: c.n_state for f, c in cells.items()} == {
             4: 15, 64: 19, 1024: 23
         }
-        assert {f: len(c.core.gates) for f, c in cells.items()} == {
-            4: 544, 64: 564, 1024: 584
-        }
+        assert {f: len(c.core.gates) for f, c in cells.items()} == one_mac
+        for fan_in in (16, 64, 1024):
+            base = folded_mac_cell(FMT, fan_in=fan_in, fold=1)
+            cell = folded_mac_cell(FMT, fan_in=fan_in)
+            assert cell.n_state == base.n_state
+            assert len(cell.core.gates) == MAC_FOLD * len(base.core.gates)
+            assert (
+                cell.core.counts().non_xor
+                == MAC_FOLD * base.core.counts().non_xor
+            )
+            assert cell.core.n_alice == cell.core.n_bob == MAC_FOLD * FMT.width
 
     def test_cell_is_built_once_per_format_and_fan_in(self):
         cell = folded_mac_cell(FMT, fan_in=5)
         assert folded_mac_cell(FMT, fan_in=5) is cell
         assert folded_mac_cell(FMT, fan_in=6) is not cell
         assert folded_mac_cell(FixedPointFormat(2, 5), fan_in=5) is not cell
+
+    def test_memo_keys_on_the_resolved_fold(self):
+        """However the default is spelled it is one cached cell — and a
+        fold above the fan-in is the fan-in."""
+        cell = folded_mac_cell(FMT, fan_in=16)
+        assert folded_mac_cell(FMT, 16, MAC_FOLD) is cell
+        assert folded_mac_cell(FMT, fan_in=16, fold=MAC_FOLD) is cell
+        assert folded_mac_cell(FMT, fan_in=16, fold=1) is not cell
+        assert folded_mac_cell(FMT, fan_in=3, fold=64) is folded_mac_cell(
+            FMT, fan_in=3, fold=3
+        )
 
     def test_folded_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -47,24 +92,114 @@ class TestFoldedDense:
         )
         reference = fixed_mul(x[:, None], w, FMT.frac_bits).sum(axis=0)
         assert result.outputs == list(reference)
-        assert result.cycles == in_dim * out_dim
+        lanes = min(MAC_FOLD, in_dim)
+        assert result.cycles == out_dim * math.ceil(in_dim / lanes)
+
+    @pytest.mark.parametrize("fold", [1, 2, 8])
+    @pytest.mark.parametrize("out_dim", [1, 3])
+    @pytest.mark.parametrize("in_dim", [1, 5, 8, 16, 19])
+    def test_every_fold_computes_the_dot_product(
+        self, folded_frames, base_batches, in_dim, out_dim, fold
+    ):
+        """19 and 5 leave spare lanes in the tail cycle (fed zero words);
+        every tables frame is the cell's, and a call pays one base OT."""
+        rng = np.random.default_rng(in_dim * 10 + out_dim)
+        x = FMT.encode_array(rng.uniform(-1, 1, size=in_dim))
+        w = FMT.encode_array(rng.uniform(-1, 1, size=(in_dim, out_dim)))
+        result = run_folded_dense(
+            list(x), w, FMT, ot_group=TEST_GROUP_512,
+            rng=random.Random(fold), fold=fold,
+        )
+        reference = fixed_mul(x[:, None], w, FMT.frac_bits).sum(axis=0)
+        assert result.outputs == list(reference)
+        lanes = min(fold, in_dim)
+        assert result.cycles == out_dim * math.ceil(in_dim / lanes)
+        cell = folded_mac_cell(FMT, fan_in=in_dim, fold=fold)
+        tables = [len(p) + 4 for tag, p in folded_frames if tag == "tables"]
+        assert tables == [32 * cell.core.counts().non_xor + 4] * result.cycles
+        assert _wire_bytes(folded_frames) == result.comm_bytes
+        # the partial sums stay with the evaluator: one merge per unit
+        tags = [tag for tag, _ in folded_frames]
+        assert tags.count("output_labels") == out_dim
+        assert base_batches == [1]
+
+    def test_fold_of_one_is_the_one_mac_protocol_byte_for_byte(
+        self, folded_frames
+    ):
+        """``fold=1`` against the loop ``run_folded_dense`` was before it
+        took a fold (kept here as the reference): one word per cycle,
+        every cycle merged.  Same rng -> the same frames, byte for byte
+        (tables, constant labels, input labels, OT flights), except
+        that the partial sums' ``output_labels`` no longer cross."""
+        fmt = FixedPointFormat(3, 12)  # the layered benchmark's operands
+        operands = np.random.default_rng(0)
+        x = fmt.encode_array(operands.uniform(-1, 1, size=(8, 16)))[0]
+        w = fmt.encode_array(operands.uniform(-1, 1, size=(8, 16)))[0]
+        frames = folded_frames
+
+        def word_bits(value):
+            pattern = int(value) & ((1 << fmt.width) - 1)
+            return [(pattern >> i) & 1 for i in range(fmt.width)]
+
+        rng = random.Random(0)
+        cell = folded_mac_cell(fmt, fan_in=16, fold=1)
+        session = SequentialSession(
+            cell, ot_group=TEST_GROUP_512, rng=rng,
+            ot_state=IKNPState(group=TEST_GROUP_512, rng=rng),
+        )
+        reference = session.run(
+            [word_bits(v) for v in x], [word_bits(v) for v in w], cycles=16
+        )
+        reference_frames, frames[:] = list(frames), []
+        assert sum(reference.comm.values()) == 309_568
+
+        result = run_folded_dense(
+            [int(v) for v in x], w[:, None], fmt, ot_group=TEST_GROUP_512,
+            rng=random.Random(0), fold=1,
+        )
+        merges = [f for f in reference_frames if f[0] == "output_labels"]
+        assert len(merges) == 16
+        assert frames == (
+            [f for f in reference_frames if f[0] != "output_labels"]
+            + merges[-1:]
+        )
+        assert result.comm_bytes == 309_568 - _wire_bytes(merges[:-1])
+        value = int(fixed_mul(x, w, fmt.frac_bits).sum())
+        assert result.outputs == [value]
+        acc = sum(bit << i for i, bit in enumerate(reference.final_outputs))
+        assert acc == value % (1 << cell.n_state)
+
+    def test_default_fold_clocks_the_cell_the_constructor_returns(self):
+        """What ``benchmarks/layered`` reconciles: the tables on the wire
+        are those of ``folded_mac_cell(fmt, fan_in=in_dim)``."""
+        rng = np.random.default_rng(2)
+        x = FMT.encode_array(rng.uniform(-1, 1, size=16))
+        w = FMT.encode_array(rng.uniform(-1, 1, size=(16, 1)))
+        result = run_folded_dense(
+            list(x), w, FMT, ot_group=TEST_GROUP_512, rng=random.Random(4)
+        )
+        cell = folded_mac_cell(FMT, fan_in=16)
+        assert result.core_gates == len(cell.core.gates)
+        assert result.cycles == 16 // MAC_FOLD
 
     def test_comm_scales_with_cycles_not_layer(self):
         """Sec. 3.5: per-cycle table traffic is constant; total traffic
         is cycles x constant, while the *netlist* stays fixed-size."""
         rng = np.random.default_rng(1)
-        x4 = FMT.encode_array(rng.uniform(-1, 1, size=4))
-        w4 = FMT.encode_array(rng.uniform(-1, 1, size=(4, 1)))
-        x8 = FMT.encode_array(rng.uniform(-1, 1, size=8))
-        w8 = FMT.encode_array(rng.uniform(-1, 1, size=(8, 1)))
-        r4 = run_folded_dense(list(x4), w4, FMT, ot_group=TEST_GROUP_512,
-                              rng=random.Random(2))
-        r8 = run_folded_dense(list(x8), w8, FMT, ot_group=TEST_GROUP_512,
-                              rng=random.Random(3))
-        # the core grows only with log2(fan_in) (one accumulator bit),
-        # not with the layer size — the Sec. 3.5 memory-footprint claim
-        assert r8.core_gates - r4.core_gates <= 8
-        assert r8.comm_bytes > r4.comm_bytes
+        x16 = FMT.encode_array(rng.uniform(-1, 1, size=16))
+        w16 = FMT.encode_array(rng.uniform(-1, 1, size=(16, 1)))
+        x64 = FMT.encode_array(rng.uniform(-1, 1, size=64))
+        w64 = FMT.encode_array(rng.uniform(-1, 1, size=(64, 1)))
+        r16 = run_folded_dense(list(x16), w16, FMT, ot_group=TEST_GROUP_512,
+                               rng=random.Random(2))
+        r64 = run_folded_dense(list(x64), w64, FMT, ot_group=TEST_GROUP_512,
+                               rng=random.Random(3))
+        # the core grows only with log2(fan_in) (two accumulator bits,
+        # five gates each, per MAC), not with the layer size — the
+        # Sec. 3.5 memory-footprint claim
+        assert r64.core_gates - r16.core_gates <= 10 * MAC_FOLD
+        assert r64.cycles == 4 * r16.cycles
+        assert r64.comm_bytes > 3.9 * r16.comm_bytes
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(CompileError):
@@ -73,6 +208,10 @@ class TestFoldedDense:
     def test_bad_fan_in_rejected(self):
         with pytest.raises(CompileError):
             folded_mac_cell(FMT, fan_in=0)
+
+    def test_bad_fold_rejected(self):
+        with pytest.raises(CompileError):
+            folded_mac_cell(FMT, fan_in=4, fold=0)
 
 
 def _demo_circuit():

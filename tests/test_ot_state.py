@@ -29,7 +29,7 @@ from repro.engine import EngineConfig, get_backend
 from repro.errors import ReproError
 from repro.gc import SequentialSession, ot, ot_extension
 from repro.gc.channel import default_channel_factory
-from repro.gc.ot import TEST_GROUP_512, OTGroup, OTSender, run_ot_batch
+from repro.gc.ot import TEST_GROUP_512, OTGroup, run_ot_batch
 from repro.gc.ot_extension import KAPPA, IKNPState, extension_ot
 from repro.gc.outsourcing import OutsourcedSession
 from repro.gc.protocol import TwoPartySession
@@ -86,20 +86,6 @@ def reservations(monkeypatch):
 
     monkeypatch.setattr(IKNPState, "reserve", recording)
     return seen
-
-
-@pytest.fixture
-def base_batches(monkeypatch):
-    """A one-element list counting ``OTSender.setup`` calls."""
-    calls = [0]
-    original = OTSender.setup
-
-    def counting(self):
-        calls[0] += 1
-        return original(self)
-
-    monkeypatch.setattr(OTSender, "setup", counting)
-    return calls
 
 
 def _assert_disjoint(reserved):
@@ -308,7 +294,8 @@ def compiled():
 class TestPaidOnce:
     def test_sixteen_cycle_run_pays_one_base_ot(self, base_batches):
         fmt = FixedPointFormat(3, 12)
-        cell = folded_mac_cell(fmt, fan_in=16)
+        # the one-MAC cell: this is about 16 cycles sharing one batch
+        cell = folded_mac_cell(fmt, fan_in=16, fold=1)
         rng = random.Random(51)
         words = [
             [[rng.getrandbits(1) for _ in range(fmt.width)] for _ in range(16)]

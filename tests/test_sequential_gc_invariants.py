@@ -3,11 +3,13 @@ and state privacy across cycles."""
 
 import random
 
+import pytest
 
 from repro.circuits import bits_from_int, int_from_bits
 from repro.circuits.arith import ripple_add
 from repro.circuits.sequential import SequentialBuilder
-from repro.gc import Garbler, LabelStore, SequentialSession
+from repro.errors import ProtocolError
+from repro.gc import Garbler, LabelStore, SequentialSession, make_channel_pair
 from repro.gc.ot import TEST_GROUP_512
 
 
@@ -78,3 +80,102 @@ class TestStateLabelCarry:
             [bits_from_int(1, 6)], [], cycles=1
         )
         assert int_from_bits(result.final_outputs) == 18
+
+
+def _logging_session(seq):
+    """``(session, links)``: every link the session opens leaves its
+    ``ChannelStats`` (with the ``(direction, tag, size)`` log) in ``links``."""
+    links = []
+
+    def factory():
+        alice, bob, stats = make_channel_pair()
+        links.append(stats)
+        return alice, bob, stats
+
+    session = SequentialSession(
+        seq, ot_group=TEST_GROUP_512, rng=random.Random(3),
+        channel_factory=factory,
+    )
+    return session, links
+
+
+def _logged_run(seq, alice_cycles, bob_cycles, **kwargs):
+    """``(result, [(direction, tag, size), ...])`` of one session run."""
+    session, links = _logging_session(seq)
+    result = session.run(alice_cycles, bob_cycles, **kwargs)
+    (stats,) = links
+    return result, stats.log
+
+
+class TestFinalOnly:
+    """``final_only``: the garbler decodes the run's result and none of
+    the intermediate values the core marks as outputs."""
+
+    def test_only_the_last_cycle_is_sent_back_and_decoded(self):
+        seq = accumulator()
+        values = [5, 9, 20]
+        alice = [bits_from_int(v, 6) for v in values]
+        every, every_log = _logged_run(seq, alice, [], cycles=3)
+        last, last_log = _logged_run(seq, alice, [], cycles=3, final_only=True)
+        assert [int_from_bits(o) for o in every.outputs_per_cycle] == [5, 14, 34]
+        # one entry per cycle, nothing revealed before the last
+        assert last.outputs_per_cycle == [[], [], every.final_outputs]
+        assert last.final_outputs == every.final_outputs
+        tags = [(direction, tag) for direction, tag, _ in last_log]
+        assert tags.count(("b2a", "output_labels")) == 1
+        assert tags[-1] == ("b2a", "output_labels")
+        # everything else crosses as before, in the same order
+        merges = [f for f in every_log if f[1] == "output_labels"]
+        assert len(merges) == 3 and len({size for _, _, size in merges}) == 1
+        assert [f for f in every_log if f[1] != "output_labels"] == last_log[:-1]
+        assert sum(every.comm.values()) - sum(last.comm.values()) == (
+            (3 - 1) * merges[0][2]
+        )
+
+    def test_one_cycle_run_is_unaffected(self):
+        seq = accumulator()
+        alice = [bits_from_int(7, 6)]
+        every, every_log = _logged_run(seq, alice, [], cycles=1)
+        last, last_log = _logged_run(seq, alice, [], cycles=1, final_only=True)
+        assert last.outputs_per_cycle == every.outputs_per_cycle
+        assert last_log == every_log
+
+
+class TestCycleInputsChecked:
+    """A cycle's input widths are checked before anything is garbled."""
+
+    def _mixed(self):
+        bld = SequentialBuilder("mixed")
+        x = bld.add_alice_inputs(4)
+        w = bld.add_bob_inputs(4)
+        acc = bld.add_registers(4)
+        total = ripple_add(bld, acc, [bld.emit_and(a, b) for a, b in zip(x, w)])
+        bld.bind_registers(acc, total)
+        bld.mark_output_bus(total)
+        return bld.build_sequential()
+
+    def _refused(self, alice, bob, match, **kwargs):
+        """The run raises ``ProtocolError`` and no frame was sent."""
+        session, links = _logging_session(self._mixed())
+        with pytest.raises(ProtocolError, match=match):
+            session.run(alice, bob, **kwargs)
+        assert all(not stats.log for stats in links)
+
+    def test_alice_bits_wider_than_the_core(self):
+        """Was: silently truncated by ``zip``, wrong accumulator."""
+        good = [1, 0, 1, 0]
+        self._refused([good, good + [1]], [good], "cycle 1", cycles=2)
+
+    def test_alice_bits_narrower_than_the_core(self):
+        """Was: ``GarblingError`` after the cycle's tables were sent."""
+        good = [1, 0, 1, 0]
+        self._refused([good, good, good[:3]], [good], "cycle 2", cycles=3)
+
+    def test_bob_bits_of_the_wrong_width(self):
+        good = [1, 0, 1, 0]
+        self._refused([good], [good + [0]], "cycle 0", cycles=2)
+
+    def test_zero_cycles(self):
+        """Was: ``cycles or ...`` ran ``max(len(...))`` cycles instead."""
+        good = [1, 0, 1, 0]
+        self._refused([good, good], [good], "cycles must be >= 1", cycles=0)

@@ -8,6 +8,7 @@ circuits — and every registered backend keeps label parity with
 cleartext.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -16,10 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import CircuitBuilder, FixedPointFormat
+from repro.circuits.gates import AND_REDUCTION, Gate, GateType
+from repro.circuits.netlist import (
+    Circuit,
+    LevelSchedule,
+    ScheduleLevel,
+    _tweak_rows,
+)
 from repro.circuits.simulate import simulate
-from repro.compile import CompileOptions, compile_model
+from repro.compile import CompileOptions, compile_model, folded_mac_cell
 from repro.engine import available_backends, get_backend
-from repro.errors import GarblingError
+from repro.errors import CircuitError, GarblingError
 from repro.gc import (
     ArrayLabelStore,
     Evaluator,
@@ -120,10 +128,6 @@ class TestLevelSchedule:
 
     def test_misordered_netlist_rejected(self):
         """Use-before-definition must raise, not silently garble zeros."""
-        from repro.circuits.gates import Gate, GateType
-        from repro.circuits.netlist import Circuit
-        from repro.errors import CircuitError
-
         gates = [
             Gate(GateType.AND, a=2, b=6, out=5),  # reads wire 6 early
             Gate(GateType.AND, a=2, b=3, out=6),
@@ -145,6 +149,225 @@ class TestLevelSchedule:
         for level in schedule.levels:
             for out, t in zip(level.nf_out, level.nf_tidx):
                 assert order[int(out)] == int(t)
+
+
+def _reference_schedule(circuit):
+    """``LevelSchedule.build`` as it was before it wrote columns and
+    sorted them: per-level Python lists of gates, eleven lists per
+    level, converted at the end.  Kept as the reference the column
+    build must equal field by field."""
+    n_wires = circuit.n_wires
+    scratch = n_wires
+    wire_level = [0] * n_wires
+    defined = bytearray(n_wires)
+    for wire in range(min(2 + circuit.n_inputs, n_wires)):
+        defined[wire] = 1
+    per_level = {}
+    table_index = 0
+    for idx, gate in enumerate(circuit.gates):
+        for src in gate.inputs():
+            if not 0 <= src < n_wires or not defined[src]:
+                raise CircuitError(
+                    f"gate {idx} reads wire {src} before it is driven; "
+                    "netlist is not topologically ordered"
+                )
+        if not 0 <= gate.out < n_wires:
+            raise CircuitError(f"gate {idx} drives out-of-range wire")
+        defined[gate.out] = 1
+        level = 1 + max(wire_level[w] for w in gate.inputs())
+        wire_level[gate.out] = level
+        tidx = -1
+        if not gate.op.is_free:
+            if gate.op not in AND_REDUCTION:
+                raise CircuitError(
+                    f"gate {idx} ({gate.op}) has no AND reduction; "
+                    "cannot build a garbling schedule"
+                )
+            tidx = table_index
+            table_index += 1
+        per_level.setdefault(level, []).append((gate, tidx))
+
+    levels = []
+    for level in sorted(per_level):
+        cols = {name: [] for name in (
+            "free_a", "free_b", "free_out", "free_inv", "nf_a", "nf_b",
+            "nf_out", "nf_tidx", "nf_ia", "nf_ib", "nf_io",
+        )}
+        for gate, tidx in per_level[level]:
+            op = gate.op
+            if op.is_free:
+                cols["free_a"].append(gate.a)
+                cols["free_b"].append(scratch if gate.b is None else gate.b)
+                cols["free_out"].append(gate.out)
+                cols["free_inv"].append(
+                    1 if op in (GateType.XNOR, GateType.NOT) else 0
+                )
+            else:
+                inv = AND_REDUCTION[op]
+                cols["nf_a"].append(gate.a)
+                cols["nf_b"].append(gate.b)
+                cols["nf_out"].append(gate.out)
+                cols["nf_tidx"].append(tidx)
+                cols["nf_ia"].append(inv.ia)
+                cols["nf_ib"].append(inv.ib)
+                cols["nf_io"].append(inv.out)
+        tweaks0 = 2 * np.asarray(cols["nf_tidx"], dtype=np.int64)
+        dtypes = {"free_inv": np.uint8, "nf_tidx": np.int64,
+                  "nf_ia": np.uint8, "nf_ib": np.uint8, "nf_io": np.uint8}
+        levels.append(
+            ScheduleLevel(
+                **{name: np.asarray(values, dtype=dtypes.get(name, np.intp))
+                   for name, values in cols.items()},
+                free_has_inv=any(cols["free_inv"]),
+                nf_has_ia=any(cols["nf_ia"]),
+                nf_has_ib=any(cols["nf_ib"]),
+                nf_has_io=any(cols["nf_io"]),
+                tw0_a=_tweak_rows(tweaks0),
+                tw0_b=_tweak_rows(tweaks0 + 1),
+            )
+        )
+    return LevelSchedule(
+        levels=tuple(levels),
+        n_non_free=table_index,
+        n_wires=n_wires,
+        scratch_wire=scratch,
+        gate_outs=np.asarray([g.out for g in circuit.gates], dtype=np.intp),
+    )
+
+
+def _assert_same_schedule(built, reference):
+    for name in ("n_non_free", "n_wires", "scratch_wire"):
+        value = getattr(built, name)
+        assert type(value) is int and value == getattr(reference, name), name
+    assert built.gate_outs.dtype == reference.gate_outs.dtype
+    assert np.array_equal(built.gate_outs, reference.gate_outs)
+    assert len(built.levels) == len(reference.levels)
+    for depth, (level, expected) in enumerate(
+        zip(built.levels, reference.levels)
+    ):
+        for field in dataclasses.fields(ScheduleLevel):
+            got, want = getattr(level, field.name), getattr(expected, field.name)
+            where = f"level {depth}: {field.name}"
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, where
+                assert got.shape == want.shape, where
+                assert np.array_equal(got, want), where
+                assert got.flags.c_contiguous, where
+            else:
+                assert type(got) is bool and got == want, where
+
+
+@st.composite
+def _netlists(draw):
+    """Any gate type on any earlier wire, outputs numbered in any order,
+    constants, state wires and unary gates included."""
+    n_alice, n_bob, n_state = (draw(st.integers(0, 3)) for _ in range(3))
+    first = 2 + n_alice + n_bob + n_state
+    picks = draw(st.lists(
+        st.tuples(
+            st.sampled_from(list(GateType)),
+            st.integers(0, 10**6), st.integers(0, 10**6),
+        ),
+        max_size=40,
+    ))
+    outs = draw(st.permutations(range(first, first + len(picks))))
+    driven = list(range(first))
+    gates = []
+    for (op, a, b), out in zip(picks, outs):
+        gates.append(Gate(
+            op, driven[a % len(driven)],
+            None if op.arity == 1 else driven[b % len(driven)], out,
+        ))
+        driven.append(out)
+    return Circuit(
+        n_alice=n_alice, n_bob=n_bob, n_state=n_state, gates=gates,
+        outputs=driven[-3:], n_wires=first + len(picks),
+    )
+
+
+class TestScheduleAgainstReference:
+    """The column-and-sort ``LevelSchedule.build`` hands the engine what
+    the list-based one did: same arrays, dtypes, flags, on every level."""
+
+    def test_demo_net(self):
+        from repro.cli import _demo_service
+
+        service, _ = _demo_service()
+        try:
+            circuit = service.compiled.circuit
+        finally:
+            service.close()
+        schedule = LevelSchedule.build(circuit)
+        assert len(schedule.levels) > 300
+        _assert_same_schedule(schedule, _reference_schedule(circuit))
+
+    @pytest.mark.parametrize("fold", [1, 8])
+    def test_mac_cell(self, fold):
+        core = folded_mac_cell(FixedPointFormat(3, 12), 16, fold).core
+        _assert_same_schedule(
+            LevelSchedule.build(core), _reference_schedule(core)
+        )
+
+    def test_compiled_dl(self, compiled_dl):
+        circuit = compiled_dl[0].circuit
+        _assert_same_schedule(
+            LevelSchedule.build(circuit), _reference_schedule(circuit)
+        )
+
+    @given(_netlists())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_netlists(self, circuit):
+        circuit.validate()
+        _assert_same_schedule(
+            LevelSchedule.build(circuit), _reference_schedule(circuit)
+        )
+
+    def test_read_before_driven_rejected(self):
+        for bad in (6, 99, -1):  # driven later, out of range either way
+            gates = [
+                Gate(GateType.AND, a=2, b=bad, out=5),
+                Gate(GateType.AND, a=2, b=3, out=6),
+            ]
+            circuit = Circuit(n_alice=1, n_bob=1, gates=gates,
+                              outputs=[5], n_wires=7)
+            for build in (LevelSchedule.build, _reference_schedule):
+                with pytest.raises(
+                    CircuitError,
+                    match=f"gate 0 reads wire {bad} before it is driven",
+                ):
+                    build(circuit)
+
+    def test_out_of_range_output_rejected(self):
+        circuit = Circuit(n_alice=1, n_bob=1,
+                          gates=[Gate(GateType.XOR, a=2, b=3, out=4)],
+                          outputs=[], n_wires=4)
+        for build in (LevelSchedule.build, _reference_schedule):
+            with pytest.raises(
+                CircuitError, match="gate 0 drives out-of-range wire"
+            ):
+                build(circuit)
+
+    def test_gate_without_and_reduction_rejected(self):
+        class Majority:
+            """A non-free operation the half-gates engine cannot reduce."""
+
+            is_free = False
+            arity = 2
+
+        circuit = Circuit(n_alice=1, n_bob=1,
+                          gates=[Gate(Majority(), a=2, b=3, out=4)],
+                          outputs=[4], n_wires=5)
+        for build in (LevelSchedule.build, _reference_schedule):
+            with pytest.raises(CircuitError, match="has no AND reduction"):
+                build(circuit)
+
+    def test_non_free_gate_missing_an_input_rejected(self):
+        """The list-based build died on this with a ``TypeError``."""
+        circuit = Circuit(n_alice=1, n_bob=1,
+                          gates=[Gate(GateType.AND, a=2, b=None, out=4)],
+                          outputs=[4], n_wires=5)
+        with pytest.raises(CircuitError, match="gate 0 .* is missing input b"):
+            LevelSchedule.build(circuit)
 
 
 class TestHashMany:

@@ -1,11 +1,12 @@
 """Sec. 3.5 live: a dense layer as a folded sequential garbled circuit.
 
 Runs the same matrix-vector product two ways under the real protocol —
-as one combinational netlist and as a one-MAC-per-cycle sequential
+as one combinational dot unit and as a one-MAC-per-cycle sequential
 circuit (``fold=1``, the paper's point) — verifying identical integer
-results, constant netlist memory for the folded form, and identical
-total garbled-table traffic (the communication is workload-determined,
-not structure-determined).  ``test_fold_factor_curve`` then walks the
+results and constant netlist memory for the folded form; the two are
+the same construction (``dot_product_fixed``), so their table traffic
+differs only by the carry propagation the folded form repeats every
+clock.  ``test_fold_factor_curve`` then walks the
 fold factor between those two ends: ``u`` MACs per clock against
 latency, resident netlist, peak RSS and traffic
 (``BENCH_engine.json::pr20-fold-factor``), the curve
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from repro.circuits import CircuitBuilder, FixedPointFormat
-from repro.circuits.arith import multiply_fixed_full, ripple_add, sign_extend
+from repro.circuits.arith import dot_product_fixed, sign_magnitude
 from repro.compile import folded_mac_cell, run_folded_dense
 from repro.compile.folded import MAC_FOLD
 from repro.gc import FastEvaluator, execute
@@ -72,12 +73,15 @@ def combinational_matvec(in_dim, acc_width):
     builder = CircuitBuilder("matvec")
     x = [builder.add_alice_inputs(FMT.width) for _ in range(in_dim)]
     w = [builder.add_bob_inputs(FMT.width) for _ in range(in_dim)]
-    acc = None
-    for xi, wi in zip(x, w):
-        product = multiply_fixed_full(builder, xi, wi, FMT.frac_bits)
-        widened = sign_extend(builder, product, acc_width)
-        acc = widened if acc is None else ripple_add(builder, acc, widened)
-    builder.mark_output_bus(acc)
+    builder.mark_output_bus(
+        dot_product_fixed(
+            builder,
+            [sign_magnitude(builder, xi, symmetric=True) for xi in x],
+            [sign_magnitude(builder, wi, symmetric=True) for wi in w],
+            FMT.frac_bits,
+            acc_width,
+        )
+    )
     return builder.build()
 
 
@@ -134,8 +138,9 @@ def test_folded_core_constant_in_layer_size(benchmark):
         len(folded_mac_cell(FMT, fan_in=n, fold=1).core.gates) for n in sizes
     ]
     benchmark(lambda: folded_mac_cell(FMT, fan_in=64, fold=1))
-    # only the accumulator width (log2 fan-in) moves the core size
-    assert max(cores) - min(cores) <= 20
+    # only the accumulator width (log2 fan-in) moves the core size:
+    # seven gates per bit
+    assert max(cores) - min(cores) <= 30
     # and so at the default fold, wherever the layer is at least that wide
     wide = [len(folded_mac_cell(FMT, fan_in=n).core.gates) for n in (16, 64)]
     assert wide[1] - wide[0] <= 10 * MAC_FOLD
@@ -228,11 +233,11 @@ def test_fold_factor_curve(results_dir, monkeypatch):
         f"{'wall p50 s':>11} {'vs u=1':>7} {'gates/s':>9} "
         f"{'comm bytes':>10} {'peak RSS MB':>11} {'vs u=1':>7}",
     ]
-    tables_garbled = set()
+    tables_garbled = []
     for fold in FOLDS:
         core = folded_mac_cell(PAPER_FMT, fan_in=INPUTS, fold=fold).core
         result = results[fold]
-        tables_garbled.add(result.cycles * core.counts().non_xor)
+        tables_garbled.append(result.cycles * core.counts().non_xor)
         gates_per_s = (
             len(core.gates) * result.cycles
             / statistics.median(evaluate_s[fold])
@@ -266,7 +271,10 @@ def test_fold_factor_curve(results_dir, monkeypatch):
     write_report(results_dir, "folded_fold_curve", "\n".join(lines))
     record_trajectory("pr20-fold-factor", payload)
 
-    # folding never changes what is garbled, only how it is cut up
-    assert len(tables_garbled) == 1
+    # folding garbles the same products however it cuts them up; each
+    # clock adds one carry propagation of the accumulator, so wider
+    # clocks garble a little less, never more
+    assert tables_garbled == sorted(tables_garbled, reverse=True)
+    assert tables_garbled[0] < 1.05 * tables_garbled[-1]
     assert [results[f].cycles for f in FOLDS] == [16, 8, 4, 2, 1]
     assert ratio[8] < 1.0, f"u=8 is {ratio[8]:.2f}x the one-MAC cell's time"

@@ -3,7 +3,12 @@
 Gate counts from the analytic model with the paper's Table 3 component
 costs must land on the published values (this is how the paper's own
 numbers compose); the same architectures under *our measured* component
-costs show the preserved shape at a ~2.5x constant factor.
+costs show the preserved shape at a ~2.1x constant factor (2.5x before
+the carry-save dot unit).  The factor is not slack in the netlists:
+Table 3's ``MULT = 212`` is what a synthesised multiplier modulo 2^16
+costs (241 here before synthesis, ``MULTwrap`` in the Table 3 report),
+while ``fixed_mul`` is an exact 1.3.12 product truncated toward zero,
+whose 15 x 15 magnitude array alone is 435 (DESIGN.md #4).
 """
 
 
@@ -52,8 +57,12 @@ def test_table4_measured_costs(benchmark, results_dir):
     """Same architectures under our netlist-measured component costs."""
     costs = measured_component_costs(3, 12)
     rows = benchmark(lambda: _rows(costs))
+    paper_mac = PAPER_COMPONENT_COSTS.mac_non_xor_per_element
     lines = [
-        f"{'bench':<12}{'non-XOR':>12}{'exec s':>10}{'ratio vs paper':>16}"
+        f"non-XOR per MAC: {costs.mac_non_xor_per_element:.0f} here "
+        f"(exact product, truncated toward zero) vs {paper_mac:.0f} in Table 3 "
+        f"(product modulo 2^16): {costs.mac_non_xor_per_element / paper_mac:.2f}x",
+        f"{'bench':<12}{'non-XOR':>12}{'exec s':>10}{'ratio vs paper':>16}",
     ]
     for name, row in rows.items():
         paper_exec = PAPER_TABLE4[name][5]
@@ -61,8 +70,8 @@ def test_table4_measured_costs(benchmark, results_dir):
         lines.append(
             f"{name:<12}{row.non_xor:>12.3e}{row.execution_s:>10.2f}{ratio:>16.2f}"
         )
-        # shape preserved: constant factor, same ordering
-        assert 1.5 <= ratio <= 3.5, (name, ratio)
+        # shape preserved: the per-MAC factor, same ordering
+        assert 1.9 <= ratio <= 2.3, (name, ratio)
     ordering = [rows[n].execution_s for n in
                 ("benchmark3", "benchmark1", "benchmark2", "benchmark4")]
     assert ordering == sorted(ordering)

@@ -50,6 +50,8 @@ class CircuitBuilder:
         self._folding = fold_constants
         # wires 0 and 1 are the constants
         self._n_wires = 2
+        # ASAP level of every wire: constants and inputs sit at 0
+        self._level: List[int] = [0, 0]
         self._n_alice = 0
         self._n_bob = 0
         self._n_state = 0
@@ -99,6 +101,7 @@ class CircuitBuilder:
         start = self._n_wires
         bus = list(range(start, start + count))
         self._n_wires += count
+        self._level.extend([0] * count)
         if party == "alice":
             if self._n_bob or self._n_state:
                 raise CircuitError("Alice inputs must precede Bob/state wires")
@@ -238,6 +241,8 @@ class CircuitBuilder:
             if cached is not None:
                 return cached
         out = self._fresh_wire()
+        level = self._level
+        level.append(1 + (level[a] if b is None else max(level[a], level[b])))
         self._gates.append(Gate(op, a, b, out))
         if self._hashing:
             self._cache[key] = out
@@ -291,6 +296,16 @@ class CircuitBuilder:
     def gate_count(self) -> int:
         """Gates emitted so far."""
         return len(self._gates)
+
+    def level(self, wire: int) -> int:
+        """The wire's dependency level — the one ``LevelSchedule`` will
+        give its gate (inputs and constants: 0)."""
+        return self._level[wire]
+
+    @property
+    def depth(self) -> int:
+        """Levels of the netlist emitted so far."""
+        return max(self._level)
 
     def non_xor_count(self) -> int:
         """Non-free gates emitted so far."""

@@ -10,6 +10,7 @@ vectorized variants for tensor quantization.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -73,6 +74,12 @@ class FixedPointFormat:
     def representational_error(self) -> float:
         """Paper's bound on truncation error: ``2**-(frac_bits+1)``."""
         return 2.0 ** -(self.frac_bits + 1)
+
+    def accumulator_width(self, fan_in: int) -> int:
+        """Bits that hold any sum of ``fan_in`` full-precision products
+        (the wide accumulator of a dot product, before saturation)."""
+        growth = max(1, math.ceil(math.log2(max(fan_in, 2))) + 1)
+        return 2 * self.width - self.frac_bits + growth
 
     # -- scalar conversions -------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Word-level selection logic: muxes, argmax / max trees, adder trees.
+"""Word-level selection logic: muxes, argmax / max trees, multi-operand sums.
 
 These are the CMP/MUX compositions DeepSecure uses for Max pooling and for
 Softmax.  The paper implements Softmax as an argmax because Softmax is
@@ -12,7 +12,7 @@ import math
 from typing import List, Sequence, Tuple
 
 from ..errors import CircuitError
-from .arith import less_than_signed, maximum, ripple_add, sign_extend
+from .arith import BitHeap, less_than_signed, maximum
 from .builder import Bus, CircuitBuilder
 
 __all__ = [
@@ -138,28 +138,24 @@ def adder_tree(
     terms: Sequence[Bus],
     grow: bool = True,
 ) -> Bus:
-    """Sum of many signed words via a balanced tree of ripple adders.
+    """Sum of many signed words through one :class:`BitHeap`.
 
     Args:
         builder: target builder.
-        terms: equal-width signed addends.
-        grow: widen by one bit per tree level to avoid overflow (the
-            accumulator sizing DeepSecure uses for weighted sums).
+        terms: signed addends.
+        grow: widen by one bit per doubling of the term count to avoid
+            overflow (the accumulator sizing DeepSecure uses for
+            weighted sums); otherwise the sum wraps at the widest term.
     """
     if not terms:
         raise CircuitError("adder_tree needs at least one term")
-    level = [list(t) for t in terms]
-    while len(level) > 1:
-        width = max(len(t) for t in level) + (1 if grow else 0)
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            a = sign_extend(builder, level[i], width)
-            b = sign_extend(builder, level[i + 1], width)
-            nxt.append(ripple_add(builder, a, b))
-        if len(level) % 2:
-            nxt.append(sign_extend(builder, level[-1], width))
-        level = nxt
-    return level[0]
+    width = max(len(term) for term in terms)
+    if grow:
+        width += math.ceil(math.log2(len(terms)))
+    heap = BitHeap(builder, width)
+    for term in terms:
+        heap.add_signed(term)
+    return heap.sum()
 
 
 def one_hot_from_index(

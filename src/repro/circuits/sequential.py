@@ -9,19 +9,16 @@ A :class:`SequentialCircuit` wraps a combinational core whose extra
 "state" input wires are register outputs; each register binds one state
 wire to the core wire whose value is latched at the end of every cycle.
 The plaintext simulator and the sequential garbler both consume this
-structure.  Two transformations splice copies of the core, cycle ``i``'s
-d-wires feeding cycle ``i+1``'s q-wires: :meth:`SequentialCircuit.unroll`
-produces the equivalent combinational circuit for cross-checking (all
-cycles, no registers left), and :meth:`SequentialCircuit.folded` the
-sequential circuit that does ``factor`` cycles per clock — the fold
-factor between the paper's one-cell point and the unrolled netlist,
-trading resident netlist for fewer, wider cycles.
+structure.  :meth:`SequentialCircuit.unroll` splices copies of the core,
+cycle ``i``'s d-wires feeding cycle ``i+1``'s q-wires, into the
+equivalent combinational circuit for cross-checking (all cycles, no
+registers left).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import CircuitError
 from .builder import Bus, CircuitBuilder
@@ -152,52 +149,7 @@ class SequentialCircuit:
                 values[gate.out] = gate.eval(values[gate.a], values[gate.b])
         return values
 
-    # -- unrolling and folding --------------------------------------------
-
-    def _splice(
-        self, copies: int, state: List[int], first_wire: int
-    ) -> Tuple[List[Gate], List[List[int]], List[int], int]:
-        """``copies`` renumbered copies of the core, chained through state.
-
-        The new netlist's inputs are copy-major per party — Alice's
-        ``copies * n_alice`` wires from wire 2, then Bob's — and gate
-        outputs are numbered from ``first_wire`` in copy, then netlist,
-        order.  ``state`` holds the wires feeding the first copy's
-        q-wires (register order); copy ``i``'s d-wires feed copy
-        ``i+1``'s q-wires.
-
-        Returns:
-            ``(gates, outputs per copy, the last copy's d-wires, the
-            next free wire)``.
-        """
-        core = self.core
-        bob_base = 2 + copies * core.n_alice
-        d_wires = [reg.d_wire for reg in self.registers]
-        gates: List[Gate] = []
-        outputs: List[List[int]] = []
-        next_wire = first_wire
-        for copy in range(copies):
-            # core wire -> new wire; the core's input ranges are
-            # contiguous (constants, Alice, Bob, state), gates fill the rest
-            remap = [CONST_ZERO, CONST_ONE]
-            remap.extend(
-                range(2 + copy * core.n_alice, 2 + (copy + 1) * core.n_alice)
-            )
-            remap.extend(
-                range(bob_base + copy * core.n_bob,
-                      bob_base + (copy + 1) * core.n_bob)
-            )
-            remap.extend(state)
-            remap.extend([-1] * (core.n_wires - len(remap)))
-            for op, a, b, out in core.gates:
-                remap[out] = next_wire
-                gates.append(
-                    Gate(op, remap[a], None if b is None else remap[b], next_wire)
-                )
-                next_wire += 1
-            outputs.append([remap[w] for w in core.outputs])
-            state = [remap[w] for w in d_wires]
-        return gates, outputs, state, next_wire
+    # -- unrolling ----------------------------------------------------------
 
     def unroll(self, cycles: int) -> Circuit:
         """Expand to an equivalent combinational circuit over ``cycles``.
@@ -212,66 +164,43 @@ class SequentialCircuit:
         core = self.core
         n_alice = core.n_alice * cycles
         n_bob = core.n_bob * cycles
-        init = [CONST_ONE if bit else CONST_ZERO for bit in self.initial_state()]
-        gates, outputs, _, n_wires = self._splice(
-            cycles, init, first_wire=2 + n_alice + n_bob
-        )
+        bob_base = 2 + n_alice
+        d_wires = [reg.d_wire for reg in self.registers]
+        state = [CONST_ONE if bit else CONST_ZERO for bit in self.initial_state()]
+        gates: List[Gate] = []
+        outputs: List[int] = []
+        next_wire = bob_base + n_bob
+        for cycle in range(cycles):
+            # core wire -> new wire; the core's input ranges are
+            # contiguous (constants, Alice, Bob, state), gates fill the rest
+            remap = [CONST_ZERO, CONST_ONE]
+            remap.extend(
+                range(2 + cycle * core.n_alice, 2 + (cycle + 1) * core.n_alice)
+            )
+            remap.extend(
+                range(bob_base + cycle * core.n_bob,
+                      bob_base + (cycle + 1) * core.n_bob)
+            )
+            remap.extend(state)
+            remap.extend([-1] * (core.n_wires - len(remap)))
+            for op, a, b, out in core.gates:
+                remap[out] = next_wire
+                gates.append(
+                    Gate(op, remap[a], None if b is None else remap[b], next_wire)
+                )
+                next_wire += 1
+            outputs.extend(remap[w] for w in core.outputs)
+            state = [remap[w] for w in d_wires]
         unrolled = Circuit(
             n_alice=n_alice,
             n_bob=n_bob,
             gates=gates,
-            outputs=[wire for copy in outputs for wire in copy],
-            n_wires=n_wires,
+            outputs=outputs,
+            n_wires=next_wire,
             name=f"{core.name}_x{cycles}",
         )
         unrolled.validate()
         return unrolled
-
-    def folded(self, factor: int) -> "SequentialCircuit":
-        """The circuit that does ``factor`` of this one's cycles per clock.
-
-        The fold factor of Sec. 3.5's trade: the new core is ``factor``
-        spliced copies of this core (inputs copy-major, as in
-        :meth:`unroll`), its registers latch the last copy's d-wires
-        under unchanged init values, and only the last copy's outputs
-        stay outputs — an inner copy's state is neither carried across a
-        clock nor revealed.  Clocked ``n`` times it computes what this
-        circuit computes in ``factor * n`` cycles; the resident netlist
-        is ``factor`` cores whatever ``n`` is.  ``folded(1)`` is ``self``.
-
-        The new core is not re-validated here (the walk costs more than
-        the splice): copies of a well-formed core chained forward are
-        well-formed, and ``Circuit.level_schedule`` checks the order of
-        whatever is garbled.
-        """
-        if factor < 1:
-            raise CircuitError("fold factor must be >= 1")
-        if factor == 1:
-            return self
-        core = self.core
-        n_alice = core.n_alice * factor
-        n_bob = core.n_bob * factor
-        q_base = 2 + n_alice + n_bob
-        q_wires = list(range(q_base, q_base + core.n_state))
-        gates, outputs, d_wires, n_wires = self._splice(
-            factor, q_wires, first_wire=q_base + core.n_state
-        )
-        wide = Circuit(
-            n_alice=n_alice,
-            n_bob=n_bob,
-            gates=gates,
-            outputs=outputs[-1],
-            n_wires=n_wires,
-            name=f"{core.name}_u{factor}",
-            n_state=core.n_state,
-        )
-        return SequentialCircuit(
-            wide,
-            [
-                Register(q_wire=q, d_wire=d, init=reg.init)
-                for q, d, reg in zip(q_wires, d_wires, self.registers)
-            ],
-        )
 
 
 class SequentialBuilder(CircuitBuilder):

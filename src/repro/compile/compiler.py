@@ -5,11 +5,18 @@ circuit implementing the full private inference:
 
 * the client's features are Alice's input bits (she garbles);
 * the server's weights are Bob's input bits (transferred via OT);
-* each linear layer becomes multiply-accumulate trees with wide
-  accumulators, honoring pruning masks (masked weights produce *no*
-  gates — the paper's sparsity payoff, Sec. 3.2.2);
-* accumulators saturate back to the I/O width exactly like
-  :func:`repro.nn.quantize.saturate`;
+* each output of a linear layer is one carry-save dot-product unit
+  (:func:`dot_unit`): sign/magnitude products and the bias in one bit
+  heap, one carry propagation per product and one per unit, honoring
+  pruning masks (masked weights produce *no* gates — the paper's
+  sparsity payoff, Sec. 3.2.2);
+* the unit's wide accumulator saturates back to the I/O width exactly
+  like :func:`repro.nn.quantize.saturate`;
+* magnitudes take ``width - 1`` bits wherever a value is known to lie in
+  ``[-H, H]``, ``H = 2**(width-1) - 1`` — encoded features and weights,
+  saturated sums, ReLU and pool outputs, and any tanh/sigmoid variant
+  whose reference table stays above ``-2**(width-1)`` (checked at
+  compile time; the layer keeps the bit otherwise);
 * non-linearities instantiate the selected Table 3 variant;
 * the output layer is the CMP/MUX argmax (the paper's Softmax), emitting
   the inference label index.
@@ -22,7 +29,6 @@ label the server would compute in the clear.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,19 +36,23 @@ import numpy as np
 from ..circuits.activations import VARIANT_CIRCUITS, VARIANTS
 from ..circuits.activations.piecewise import constant_multiply_positive
 from ..circuits.arith import (
-    multiply_fixed_full,
+    conditional_negate,
+    dot_product_fixed,
     relu as relu_circuit,
-    ripple_add,
     saturate_to_width,
-    sign_extend,
+    sign_magnitude,
 )
-from ..circuits.arith import absolute, conditional_negate
 from ..circuits.builder import Bus, CircuitBuilder
 from ..circuits.fixedpoint import FixedPointFormat
-from ..circuits.logic import argmax_tree, max_tree
+from ..circuits.logic import adder_tree, argmax_tree, max_tree
 from ..circuits.netlist import Circuit
 from ..errors import CompileError
-from ..nn.quantize import QuantizedConv2D, QuantizedDense, QuantizedModel
+from ..nn.quantize import (
+    QuantizedConv2D,
+    QuantizedDense,
+    QuantizedModel,
+    activation_table,
+)
 
 __all__ = ["CompileOptions", "CompiledModel", "compile_model"]
 
@@ -77,6 +87,10 @@ class CompiledModel:
             server feeds these to the protocol).
         output_kind: "argmax" or "logits".
         n_classes: logit count.
+        layer_report: per step ``(name, XOR, non-XOR, levels entered,
+            levels left)`` — the netlist's depth before and after the
+            step's gates, so the rows' ``left - entered`` add up to the
+            level count the engine walks.
     """
 
     circuit: Circuit
@@ -85,15 +99,20 @@ class CompiledModel:
     weight_values: List[int]
     output_kind: str
     n_classes: int
-    layer_report: List[Tuple[str, int, int]] = dataclasses.field(
+    layer_report: List[Tuple[str, int, int, int, int]] = dataclasses.field(
         default_factory=list
     )
 
     def render_layer_report(self) -> str:
-        """Per-layer XOR / non-XOR breakdown as a text table."""
-        lines = [f"{'layer':<16}{'XOR':>10}{'non-XOR':>10}"]
-        for name, xor, non_xor in self.layer_report:
-            lines.append(f"{name:<16}{xor:>10}{non_xor:>10}")
+        """Per-layer XOR / non-XOR / depth breakdown as a text table."""
+        lines = [
+            f"{'layer':<16}{'XOR':>10}{'non-XOR':>10}{'levels':>8}{'enter':>8}{'leave':>8}"
+        ]
+        for name, xor, non_xor, entered, left in self.layer_report:
+            lines.append(
+                f"{name:<16}{xor:>10}{non_xor:>10}"
+                f"{left - entered:>8}{entered:>8}{left:>8}"
+            )
         return "\n".join(lines)
 
     def client_bits(self, features: np.ndarray) -> List[int]:
@@ -127,6 +146,37 @@ class CompiledModel:
         return value
 
 
+def dot_unit(
+    builder: CircuitBuilder,
+    fmt: FixedPointFormat,
+    operands: Sequence[Bus],
+    weights: Sequence[Bus],
+    bias: Optional[Bus] = None,
+    symmetric: bool = True,
+) -> Bus:
+    """One output of a linear layer: ``saturate(sum x_i * w_i + bias)``.
+
+    Products are exact ``fixed_mul`` terms summed in an accumulator wide
+    enough for the worst case and saturated to the I/O width at the end
+    — ``QuantizedModel`` bit for bit.  Weights and bias are encoded with
+    a symmetric clip, so a weight's magnitude always takes ``width - 1``
+    bits; the operands' do when ``symmetric`` (the caller's statement
+    that they lie in ``[-H, H]``, see :func:`sign_magnitude`).  ``|x_i|``
+    is the same gates in every unit that reads ``x_i`` (structural
+    hashing).
+    """
+    addends = [] if bias is None else [bias]
+    acc = dot_product_fixed(
+        builder,
+        [sign_magnitude(builder, x, symmetric) for x in operands],
+        [sign_magnitude(builder, w, symmetric=True) for w in weights],
+        fmt.frac_bits,
+        fmt.accumulator_width(len(operands) + len(addends)),
+        addends,
+    )
+    return saturate_to_width(builder, acc, fmt.width)
+
+
 class _Compiler:
     def __init__(self, qmodel: QuantizedModel, options: CompileOptions) -> None:
         self.qmodel = qmodel
@@ -135,6 +185,11 @@ class _Compiler:
         self.builder = CircuitBuilder(name="deepsecure_inference")
         self.weight_values: List[int] = []
         self._weight_wires: List[Bus] = []
+        # every value of the current layer is known to lie in [-H, H],
+        # H = 2**(width-1) - 1: true of encoded features, of anything
+        # saturated, of ReLU and pool outputs; checked per table for the
+        # other non-linearities
+        self._symmetric = True
 
     # -- input staging ------------------------------------------------------
 
@@ -193,23 +248,34 @@ class _Compiler:
         ]
         shape: Tuple[int, ...] = tuple(qmodel.input_shape)
 
-        layer_report: List[Tuple[str, int, int]] = []
+        layer_report: List[Tuple[str, int, int, int, int]] = []
 
-        def checkpoint(label: str, prev: Tuple[int, int]) -> Tuple[int, int]:
+        def checkpoint(
+            label: str, prev: Tuple[int, int, int]
+        ) -> Tuple[int, int, int]:
             gates = self.builder.gate_count
             non_xor = self.builder.non_xor_count()
+            depth = self.builder.depth
             layer_report.append(
-                (label, (gates - prev[0]) - (non_xor - prev[1]), non_xor - prev[1])
+                (
+                    label,
+                    (gates - prev[0]) - (non_xor - prev[1]),
+                    non_xor - prev[1],
+                    prev[2],
+                    depth,
+                )
             )
-            return gates, non_xor
+            return gates, non_xor, depth
 
-        marker = (0, 0)
+        marker = (0, 0, 0)
         for index, (kind, op) in enumerate(qmodel.steps):
             if kind == "dense":
                 values = self._compile_dense(op, values)
                 shape = (len(values),)
+                self._symmetric = True
             elif kind == "conv2d":
                 values, shape = self._compile_conv(op, values, shape)
+                self._symmetric = True
             elif kind == "flatten":
                 shape = (len(values),)
             elif kind == "maxpool":
@@ -218,6 +284,10 @@ class _Compiler:
                 values, shape = self._compile_pool(op, values, shape, maximum=False)
             elif kind in ("relu", "tanh", "sigmoid"):
                 values = [self._activation(kind, bus) for bus in values]
+                self._symmetric = kind == "relu" or bool(
+                    activation_table(kind, fmt, self.options.activation).min()
+                    > -(1 << (fmt.width - 1))
+                )
             else:  # pragma: no cover - QuantizedModel restricts kinds
                 raise CompileError(f"cannot compile step {kind!r}")
             marker = checkpoint(f"{index}:{kind}", marker)
@@ -248,62 +318,32 @@ class _Compiler:
         self._next_weight += 1
         return bus
 
-    def _mac_tree(self, products: List[Bus], extra: Optional[Bus]) -> Bus:
-        """Sum fixed products in a wide accumulator, then saturate.
-
-        Products arrive at full precision (no wrap); the accumulator is
-        wide enough for the worst-case sum and saturates to the I/O
-        width at the end, mirroring ``QuantizedModel`` exactly.
-        """
-        fmt = self.fmt
-        fan_in = len(products) + (1 if extra is not None else 0)
-        product_width = max((len(p) for p in products), default=fmt.width)
-        acc_width = product_width + max(1, math.ceil(math.log2(max(fan_in, 2))) + 1)
-        terms = [sign_extend(self.builder, p, acc_width) for p in products]
-        if extra is not None:
-            terms.append(sign_extend(self.builder, extra, acc_width))
-        if not terms:
-            return [self.builder.zero] * fmt.width
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = ripple_add(self.builder, acc, term)
-        return saturate_to_width(self.builder, acc, fmt.width)
-
     def _compile_dense(self, op: QuantizedDense, values: List[Bus]) -> List[Bus]:
-        fmt = self.fmt
-        mask = self._dense_mask_resolved(op)
+        mask = self._dense_mask(op)
         in_dim, out_dim = op.weights.shape
         if len(values) != in_dim:
             raise CompileError("dense input width mismatch")
         # consume weight wires in exactly the _collect_weights order:
         # all weights (output-major), then all biases
-        per_output_products: List[List[Bus]] = []
+        units: List[Tuple[List[Bus], List[Bus]]] = []
         for j in range(out_dim):
-            products: List[Bus] = []
-            for i in range(in_dim):
-                if mask is not None and not mask[i, j]:
-                    continue
-                weight_bus = self._take_weight()
-                products.append(
-                    multiply_fixed_full(
-                        self.builder, values[i], weight_bus, fmt.frac_bits
-                    )
-                )
-            per_output_products.append(products)
+            kept = [
+                i for i in range(in_dim) if mask is None or mask[i, j]
+            ]
+            units.append(
+                ([values[i] for i in kept], [self._take_weight() for _ in kept])
+            )
         bias_buses = (
             [self._take_weight() for _ in range(out_dim)]
             if op.bias is not None
             else [None] * out_dim
         )
         return [
-            self._mac_tree(products, bias)
-            for products, bias in zip(per_output_products, bias_buses)
+            dot_unit(
+                self.builder, self.fmt, operands, weights, bias, self._symmetric
+            )
+            for (operands, weights), bias in zip(units, bias_buses)
         ]
-
-    def _dense_mask_resolved(self, op: QuantizedDense) -> Optional[np.ndarray]:
-        if self.options.honor_sparsity and op.mask is not None:
-            return op.mask.astype(bool)
-        return None
 
     def _compile_conv(
         self, op: QuantizedConv2D, values: List[Bus], shape: Tuple[int, ...]
@@ -333,24 +373,27 @@ class _Compiler:
         for row in range(out_h):
             for col in range(out_w):
                 for ch_out in range(cout):
-                    products: List[Bus] = []
-                    for di in range(k):
-                        for dj in range(k):
-                            for ch_in in range(cin):
-                                key = (di, dj, ch_in, ch_out)
-                                if key not in weight_wire:
-                                    continue
-                                x_bus = value_at(row * s + di, col * s + dj, ch_in)
-                                products.append(
-                                    multiply_fixed_full(
-                                        self.builder,
-                                        x_bus,
-                                        weight_wire[key],
-                                        fmt.frac_bits,
-                                    )
-                                )
+                    keys = [
+                        (di, dj, ch_in, ch_out)
+                        for di in range(k)
+                        for dj in range(k)
+                        for ch_in in range(cin)
+                        if (di, dj, ch_in, ch_out) in weight_wire
+                    ]
                     bias = bias_buses[ch_out] if bias_buses else None
-                    outputs.append(self._mac_tree(products, bias))
+                    outputs.append(
+                        dot_unit(
+                            self.builder,
+                            fmt,
+                            [
+                                value_at(row * s + di, col * s + dj, ch_in)
+                                for di, dj, ch_in, _ in keys
+                            ],
+                            [weight_wire[key] for key in keys],
+                            bias,
+                            self._symmetric,
+                        )
+                    )
         return outputs, (out_h, out_w, cout)
 
     def _compile_pool(
@@ -388,16 +431,12 @@ class _Compiler:
     def _mean_window(self, window: List[Bus]) -> Bus:
         """Mean pooling: saturated sum then fixed multiply by 1/area."""
         fmt = self.fmt
-        acc_width = fmt.width + max(1, math.ceil(math.log2(len(window))) + 1)
-        acc = sign_extend(self.builder, window[0], acc_width)
-        for bus in window[1:]:
-            acc = ripple_add(
-                self.builder, acc, sign_extend(self.builder, bus, acc_width)
-            )
-        total = saturate_to_width(self.builder, acc, fmt.width)
+        total = saturate_to_width(
+            self.builder, adder_tree(self.builder, window), fmt.width
+        )
         inverse = fmt.encode(1.0 / len(window))
-        sign = total[-1]
-        magnitude = absolute(self.builder, total)[:-1] + [self.builder.zero]
+        magnitude, sign = sign_magnitude(self.builder, total, symmetric=True)
+        magnitude = magnitude + [self.builder.zero]
         scaled = constant_multiply_positive(
             self.builder, magnitude, inverse, fmt.frac_bits, fmt.width
         )

@@ -14,7 +14,11 @@ not that the constant is one multiplier: the cell takes a **fold
 factor** ``u`` — ``u`` MACs per clock, ``ceil(fan_in / u)`` clocks per
 output unit.  ``u = 1`` is the paper's point, ``u = fan_in`` the
 combinational compiler; total table bytes per layer are the same at
-every ``u``.  The ``u`` multipliers of one clock sit on the same levels
+every ``u`` up to the per-clock carry propagation.  The cell is the
+compiler's dot-product unit (:func:`repro.circuits.arith.dot_product_fixed`)
+with the accumulator register as one more addend: the ``u`` products of
+a clock and the register's bits go into one bit heap and a carry is
+propagated once per clock.  The ``u`` multipliers sit on the same levels
 of the netlist, so the level-scheduled engine runs them as wide array
 steps where the one-MAC cell is walked gate by gate.
 """
@@ -29,7 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..circuits.arith import multiply_accumulate
+from ..circuits.arith import dot_product_fixed, sign_magnitude
 from ..circuits.fixedpoint import FixedPointFormat
 from ..circuits.sequential import SequentialBuilder, SequentialCircuit
 from ..errors import CompileError
@@ -52,13 +56,16 @@ def folded_mac_cell(
     """``min(fold, fan_in)`` MAC datapaths on one accumulator register.
 
     Per cycle: Alice feeds ``u`` activation words, Bob ``u`` weight
-    words (copy-major, see :meth:`SequentialCircuit.folded`); the
-    register accumulates ``acc += (x * w) >> frac`` once per pair.  The
-    accumulator is sized for ``fan_in`` terms so the folded run is
-    overflow-free, exactly like the combinational compiler's wide adder
-    tree.  ``fold=1`` is the paper's one-MAC cell; the core of any other
-    fold is ``u`` spliced copies of it, so ``n_non_xor`` is exactly
-    ``u`` times the one-MAC cell's.
+    words (copy-major: word ``k`` of a party is lane ``k``'s); the
+    register accumulates ``acc += sum_k fixed_mul(x_k, w_k)``, every
+    product at full precision.  The accumulator is sized for ``fan_in``
+    terms so the folded run is overflow-free, exactly like the
+    combinational compiler's dot unit, whose construction this is: one
+    heap per clock seeded with the register, one carry propagation.
+    ``fold=1`` is the paper's one-MAC cell.  Lanes are symmetric
+    (:func:`repro.circuits.arith.sign_magnitude`): operands lie in
+    ``[-H, H]``, ``H = 2**(width-1) - 1``, as everything ``fmt.encode``
+    produces does, and the pattern ``-2**(width-1)`` reads as zero.
 
     Memoised per resolved ``(fmt, fan_in, u)``: what a circuit caches
     "once per circuit" (level schedule, step plans) is only built once
@@ -74,18 +81,22 @@ def folded_mac_cell(
 
 @functools.lru_cache(maxsize=8)
 def _mac_cell(fmt: FixedPointFormat, fan_in: int, u: int) -> SequentialCircuit:
-    product_width = 2 * fmt.width - fmt.frac_bits
-    acc_width = product_width + max(1, math.ceil(math.log2(max(fan_in, 2))) + 1)
+    acc_width = fmt.accumulator_width(fan_in)
     builder = SequentialBuilder(name=f"folded_mac_{fmt.describe()}")
-    x = builder.add_alice_inputs(fmt.width, name="x")
-    w = builder.add_bob_inputs(fmt.width, name="w")
+    x = [builder.add_alice_inputs(fmt.width, name="x") for _ in range(u)]
+    w = [builder.add_bob_inputs(fmt.width, name="w") for _ in range(u)]
     acc = builder.add_registers(acc_width)
-    total = multiply_accumulate(builder, acc, x, w, fmt.frac_bits)
+    total = dot_product_fixed(
+        builder,
+        [sign_magnitude(builder, word, symmetric=True) for word in x],
+        [sign_magnitude(builder, word, symmetric=True) for word in w],
+        fmt.frac_bits,
+        acc_width,
+        addends=[acc],
+    )
     builder.bind_registers(acc, total)
     builder.mark_output_bus(total, name="acc")
-    # splice, do not build u times: remapping a copy takes a quarter of
-    # the time building one does
-    return builder.build_sequential().folded(u)
+    return builder.build_sequential()
 
 
 @dataclasses.dataclass
@@ -94,7 +105,8 @@ class FoldedDenseResult:
 
     Attributes:
         outputs: accumulator values per output unit (integer, frac
-            scale) — pre-saturation, matching the combinational wide sum.
+            scale): the exact wide sum of full-precision products, not
+            saturated to the I/O width.
         cycles: total clock cycles garbled: ``out_dim * ceil(in_dim / u)``
             (zero weights are clocked like any other).
         core_gates: gates in the folded core (constant in layer size).
@@ -126,21 +138,29 @@ def run_folded_dense(
     product, which would hand the client the server's weights.
 
     Args:
-        x_fixed: the client's activation words (signed fixed integers).
+        x_fixed: the client's activation words (signed fixed integers
+            in ``[-H, H]``, ``H = 2**(fmt.width-1) - 1``).
         weights_fixed: (in_dim, out_dim) signed fixed integer weights
-            (the server's input).
+            in the same range (the server's input).
         fmt: I/O fixed-point format.
         kdf, ot_group, rng: protocol parameters.
         fold: MACs per clock (capped at ``in_dim``).
 
     Returns:
         :class:`FoldedDenseResult`; ``outputs[j]`` equals the integer
-        reference ``sum(fixed_mul(x_i, w_ij))``.
+        reference ``sum(fixed_mul(x_i, w_ij))``, products wider than
+        the I/O format included.
     """
     weights_fixed = np.asarray(weights_fixed, dtype=np.int64)
     in_dim, out_dim = weights_fixed.shape
     if len(x_fixed) != in_dim:
         raise CompileError("activation width mismatch")
+    high = (1 << (fmt.width - 1)) - 1
+    operands = [np.asarray(x_fixed, dtype=np.int64), weights_fixed.ravel()]
+    if np.abs(np.concatenate(operands)).max(initial=0) > high:
+        raise CompileError(
+            f"operands must lie in [-{high}, {high}] for {fmt.describe()}"
+        )
     cell = folded_mac_cell(fmt, fan_in=in_dim, fold=fold)
     lanes = cell.core.n_alice // fmt.width
     n_cycles = math.ceil(in_dim / lanes)

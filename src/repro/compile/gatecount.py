@@ -17,15 +17,11 @@ from typing import Tuple
 
 from ..circuits import CircuitBuilder, FixedPointFormat
 from ..circuits.activations import VARIANTS
-from ..circuits.arith import (
-    multiply_fixed_full,
-    relu as relu_circuit,
-    ripple_add,
-    saturate_to_width,
-)
+from ..circuits.arith import relu as relu_circuit
 from ..circuits.logic import max_tree
 from ..circuits.netlist import GateCounts
 from ..errors import CompileError
+from .compiler import dot_unit
 from .paper_costs import PAPER_COMPONENT_COSTS, ComponentCosts
 
 __all__ = [
@@ -156,38 +152,35 @@ def _count(build) -> GateCounts:
     return builder.build().counts()
 
 
+#: fan-ins of the two dot units the per-MAC cost is measured from
+_MAC_FAN_INS = (8, 16)
+
+
 @lru_cache(maxsize=None)
 def measured_component_costs(
-    int_bits: int = 3,
-    frac_bits: int = 12,
-    accumulator_extra_bits: int = 12,
+    int_bits: int = 3, frac_bits: int = 12
 ) -> ComponentCosts:
     """Derive a :class:`ComponentCosts` from our generated netlists.
 
-    The per-MAC cost is one full-precision fixed multiply plus one
-    accumulator-width add; the per-output bias is the final saturation
-    stage.  The analytic model built from these is validated against the
+    The linear-layer cost is read off the compiler's own dot unit
+    (:func:`repro.compile.compiler.dot_unit`, with bias) built at two
+    fan-ins: the slope is the cost per element, the intercept the cost
+    per output (bias word, saturation, the unit's carry propagation).
+    A unit computes ``|x_i|`` itself, where a layer shares it among its
+    outputs, so the slope is an upper bound by ``width - 2`` AND gates
+    per input.  The analytic model built from these is validated against
     actually-compiled small models in the test suite.
     """
     fmt = FixedPointFormat(int_bits, frac_bits)
     width = fmt.width
-    acc_width = width + accumulator_extra_bits
 
-    def mult(builder: CircuitBuilder) -> None:
-        a = builder.add_alice_inputs(width)
-        b = builder.add_bob_inputs(width)
-        builder.mark_output_bus(
-            multiply_fixed_full(builder, a, b, fmt.frac_bits)
-        )
+    def unit(fan_in: int):
+        def build(builder: CircuitBuilder) -> None:
+            x = [builder.add_alice_inputs(width) for _ in range(fan_in)]
+            w = [builder.add_bob_inputs(width) for _ in range(fan_in + 1)]
+            builder.mark_output_bus(dot_unit(builder, fmt, x, w[:-1], bias=w[-1]))
 
-    def acc_add(builder: CircuitBuilder) -> None:
-        a = builder.add_alice_inputs(acc_width)
-        b = builder.add_bob_inputs(acc_width)
-        builder.mark_output_bus(ripple_add(builder, a, b))
-
-    def saturation(builder: CircuitBuilder) -> None:
-        a = builder.add_alice_inputs(acc_width)
-        builder.mark_output_bus(saturate_to_width(builder, a, width))
+        return build
 
     def relu_c(builder: CircuitBuilder) -> None:
         a = builder.add_alice_inputs(width)
@@ -205,19 +198,20 @@ def measured_component_costs(
         b = builder.add_bob_inputs(width)
         builder.mark_output_bus(max_tree(builder, [a, b]))
 
-    mult_c = _count(mult)
-    add_c = _count(acc_add)
-    sat_c = _count(saturation)
+    low, high = _MAC_FAN_INS
+    unit_low, unit_high = _count(unit(low)), _count(unit(high))
+    xor_slope = (unit_high.xor - unit_low.xor) / (high - low)
+    non_xor_slope = (unit_high.non_xor - unit_low.non_xor) / (high - low)
     relu_counts = _count(relu_c)
     tanh_c = _count(act("TanhCORDIC"))
     sigmoid_c = _count(act("SigmoidCORDIC"))
     stage_c = _count(cmp_mux)
     return ComponentCosts(
         name=f"measured-1.{int_bits}.{frac_bits}",
-        mac_xor_per_element=mult_c.xor + add_c.xor,
-        mac_non_xor_per_element=mult_c.non_xor + add_c.non_xor,
-        mac_xor_bias_per_output=sat_c.xor,
-        mac_non_xor_bias_per_output=sat_c.non_xor,
+        mac_xor_per_element=xor_slope,
+        mac_non_xor_per_element=non_xor_slope,
+        mac_xor_bias_per_output=unit_low.xor - xor_slope * low,
+        mac_non_xor_bias_per_output=unit_low.non_xor - non_xor_slope * low,
         relu=(relu_counts.xor, relu_counts.non_xor),
         tanh=(tanh_c.xor, tanh_c.non_xor),
         sigmoid=(sigmoid_c.xor, sigmoid_c.non_xor),

@@ -118,9 +118,9 @@ def component_inventory(
         fmt = FixedPointFormat(3, 12)
     rows: List[ComponentReport] = []
 
-    def add(name: str, circuit, error=None) -> None:
+    def add(name: str, circuit, error=None, paper_name=None) -> None:
         counts = library.counts(circuit)
-        paper = PAPER_TABLE3.get(name)
+        paper = PAPER_TABLE3.get(paper_name or name)
         rows.append(
             ComponentReport(
                 name=name,
@@ -150,6 +150,18 @@ def component_inventory(
         _binary_component(
             lambda b, x, y: arith.multiply_fixed(b, x, y, fmt.frac_bits), fmt
         ),
+    )
+    # the family Table 3's MULT belongs to: the product modulo 2**width,
+    # no fixed-point shift (DESIGN.md #4)
+    add(
+        "MULTwrap",
+        _binary_component(
+            lambda b, x, y: arith.multiply_unsigned(b, x, y, max_width=fmt.width)[
+                : fmt.width
+            ],
+            fmt,
+        ),
+        paper_name="MULT",
     )
     add(
         "DIV",

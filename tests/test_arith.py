@@ -321,4 +321,5 @@ class TestMacCell:
         got = int_from_bits(bits, signed=True)
         mag = (abs(a) * abs(b)) >> frac
         prod = -mag if (a < 0) != (b < 0) else mag
-        assert got == signed(acc + signed(prod, 8), 16)
+        # the product enters at full precision, not wrapped to 8 bits
+        assert got == acc + prod

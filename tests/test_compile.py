@@ -241,7 +241,7 @@ class TestGateCountModel:
 
     def test_measured_costs_predict_compiled_circuit(self, tiny_model):
         """The analytic model with measured component costs must land
-        within ~15% of an actually compiled netlist."""
+        within 5% of an actually compiled netlist."""
         model, _, _ = tiny_model
         fmt = FixedPointFormat(3, 12)
         quantized = QuantizedModel(model, fmt)
@@ -249,7 +249,7 @@ class TestGateCountModel:
             quantized, CompileOptions(activation="cordic", output="argmax")
         )
         actual = compiled.circuit.counts().non_xor
-        costs = measured_component_costs(3, 12, accumulator_extra_bits=12)
+        costs = measured_component_costs(3, 12)
         arch = Architecture(
             name="tiny",
             layers=(
@@ -257,7 +257,7 @@ class TestGateCountModel:
             ),
         )
         predicted = architecture_counts(arch, costs).non_xor
-        assert abs(predicted - actual) / actual < 0.15
+        assert abs(predicted - actual) / actual < 0.05
 
     def test_mac_count(self):
         arch = Architecture("t", (fc(10, 5), activation("tanh", 5), fc(5, 2)))

@@ -119,18 +119,27 @@ class TestLayerReport:
         )
 
     def test_one_row_per_step_plus_output(self, compiled):
-        labels = [name for name, _, _ in compiled.layer_report]
+        labels = [row[0] for row in compiled.layer_report]
         assert labels == ["0:dense", "1:tanh", "2:dense", "output:argmax"]
 
     def test_rows_sum_to_totals(self, compiled):
         counts = compiled.circuit.counts()
-        assert sum(x for _, x, _ in compiled.layer_report) == counts.xor
-        assert sum(n for _, _, n in compiled.layer_report) == counts.non_xor
+        assert sum(row[1] for row in compiled.layer_report) == counts.xor
+        assert sum(row[2] for row in compiled.layer_report) == counts.non_xor
 
     def test_dense_dominates(self, compiled):
-        by_name = {name: non_xor for name, _, non_xor in compiled.layer_report}
+        by_name = {row[0]: row[2] for row in compiled.layer_report}
         assert by_name["0:dense"] > by_name["output:argmax"]
+
+    def test_levels_chain_to_the_schedule_depth(self, compiled):
+        """Each row enters where the one before left, and the last one
+        leaves at the level count the engine walks."""
+        rows = compiled.layer_report
+        assert rows[0][3] == 0
+        assert [row[3] for row in rows[1:]] == [row[4] for row in rows[:-1]]
+        assert all(row[4] > row[3] for row in rows)
+        assert rows[-1][4] == len(compiled.circuit.level_schedule().levels)
 
     def test_render(self, compiled):
         text = compiled.render_layer_report()
-        assert "0:dense" in text and "non-XOR" in text
+        assert "0:dense" in text and "non-XOR" in text and "levels" in text

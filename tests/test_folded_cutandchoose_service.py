@@ -45,25 +45,79 @@ def _wire_bytes(frames):
 class TestFoldedDense:
     def test_cell_constant_size(self):
         """The cell does not grow with the layer it folds; only its
-        accumulator does — one bit per doubling of fan-in, five gates
+        accumulator does — one bit per doubling of fan-in, seven gates
         per bit — whether it clocks one MAC (the paper's point) or the
-        default ``MAC_FOLD`` of them."""
-        one_mac = {4: 544, 64: 564, 1024: 584}
+        default ``MAC_FOLD`` of them on one carry propagation."""
+        one_mac = {4: 454, 64: 482, 1024: 510}
         cells = {f: folded_mac_cell(FMT, fan_in=f, fold=1) for f in one_mac}
         assert {f: c.n_state for f, c in cells.items()} == {
             4: 15, 64: 19, 1024: 23
         }
         assert {f: len(c.core.gates) for f, c in cells.items()} == one_mac
+        wide = {}
         for fan_in in (16, 64, 1024):
             base = folded_mac_cell(FMT, fan_in=fan_in, fold=1)
             cell = folded_mac_cell(FMT, fan_in=fan_in)
             assert cell.n_state == base.n_state
-            assert len(cell.core.gates) == MAC_FOLD * len(base.core.gates)
+            assert cell.core.n_alice == cell.core.n_bob == MAC_FOLD * FMT.width
+            # the lanes share the heap's one propagation
             assert (
                 cell.core.counts().non_xor
-                == MAC_FOLD * base.core.counts().non_xor
+                < MAC_FOLD * base.core.counts().non_xor
             )
-            assert cell.core.n_alice == cell.core.n_bob == MAC_FOLD * FMT.width
+            wide[fan_in] = len(cell.core.gates)
+        assert wide[64] - wide[16] == 2 * 7
+        assert wide[1024] - wide[64] == 4 * 7
+
+    @pytest.mark.parametrize("fold", [2, 3, 8])
+    def test_a_clock_of_u_lanes_is_u_clocks_of_one(self, fold):
+        """Any operand bits, the pattern ``-2**(width-1)`` included: the
+        wide cell's register after ``n`` clocks is the one-MAC cell's
+        after ``fold * n``."""
+        one = folded_mac_cell(FMT, fan_in=24, fold=1)
+        wide = folded_mac_cell(FMT, fan_in=24, fold=fold)
+        rng = random.Random(fold)
+        n = 3
+
+        def words():
+            return [
+                [rng.getrandbits(1) for _ in range(FMT.width)]
+                for _ in range(fold * n)
+            ]
+
+        def clocks(per_cycle):
+            return [
+                [bit for word in per_cycle[c * fold:(c + 1) * fold] for bit in word]
+                for c in range(n)
+            ]
+
+        alice, bob = words(), words()
+        assert wide.final_state(clocks(alice), clocks(bob), cycles=n) == (
+            one.final_state(alice, bob, cycles=fold * n)
+        )
+
+    def test_products_wider_than_the_io_format(self):
+        """The cell used to wrap each product at the I/O width:
+        ``3.0 * 3.0`` at 1.3.12 came back as ``-26 624`` for 38 912."""
+        fmt = FixedPointFormat(3, 12)
+        x = fmt.encode_array([3.0, 1.0])
+        w = fmt.encode_array([[3.0, -3.0], [0.5, 0.5]])
+        assert int(fixed_mul(x[0], w[0, 0], fmt.frac_bits)) >= 1 << (fmt.width - 1)
+        reference = fixed_mul(x[:, None], w, fmt.frac_bits).sum(axis=0)
+        assert list(reference) == [38_912, -34_816]
+        for fold in (1, MAC_FOLD):
+            result = run_folded_dense(
+                list(x), w, fmt, ot_group=TEST_GROUP_512,
+                rng=random.Random(fold), fold=fold,
+            )
+            assert result.outputs == list(reference)
+
+    def test_operands_outside_the_symmetric_range_rejected(self):
+        low = -(1 << (FMT.width - 1))
+        with pytest.raises(CompileError, match="operands must lie in"):
+            run_folded_dense([low], np.array([[1]]), FMT, ot_group=TEST_GROUP_512)
+        with pytest.raises(CompileError, match="operands must lie in"):
+            run_folded_dense([1], np.array([[low]]), FMT, ot_group=TEST_GROUP_512)
 
     def test_cell_is_built_once_per_format_and_fan_in(self):
         cell = folded_mac_cell(FMT, fan_in=5)
@@ -151,7 +205,7 @@ class TestFoldedDense:
             [word_bits(v) for v in x], [word_bits(v) for v in w], cycles=16
         )
         reference_frames, frames[:] = list(frames), []
-        assert sum(reference.comm.values()) == 309_568
+        assert sum(reference.comm.values()) == 278_336
 
         result = run_folded_dense(
             [int(v) for v in x], w[:, None], fmt, ot_group=TEST_GROUP_512,
@@ -163,7 +217,7 @@ class TestFoldedDense:
             [f for f in reference_frames if f[0] != "output_labels"]
             + merges[-1:]
         )
-        assert result.comm_bytes == 309_568 - _wire_bytes(merges[:-1])
+        assert result.comm_bytes == 278_336 - _wire_bytes(merges[:-1])
         value = int(fixed_mul(x, w, fmt.frac_bits).sum())
         assert result.outputs == [value]
         acc = sum(bit << i for i, bit in enumerate(reference.final_outputs))

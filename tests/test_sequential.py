@@ -1,15 +1,12 @@
 """Sequential-circuit tests: registers, multi-cycle runs, unrolling."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import FixedPointFormat, bits_from_int, int_from_bits, simulate
+from repro.circuits import bits_from_int, int_from_bits, simulate
 from repro.circuits.arith import ripple_add
 from repro.circuits.sequential import SequentialBuilder, SequentialCircuit
-from repro.compile import folded_mac_cell
 from repro.errors import CircuitError
 
 
@@ -103,81 +100,6 @@ class TestUnroll:
         seq = make_accumulator()
         assert len(seq.core.gates) == len(make_accumulator().core.gates)
         assert len(seq.unroll(8).gates) == 2 * len(seq.unroll(4).gates)
-
-
-def _mac_cell():
-    return folded_mac_cell(FixedPointFormat(2, 6), fan_in=24, fold=1)
-
-
-class TestFolded:
-    """``seq.folded(u)`` does ``u`` of ``seq``'s cycles per clock."""
-
-    @pytest.mark.parametrize("make", [make_accumulator, _mac_cell])
-    @pytest.mark.parametrize("factor", [1, 2, 3, 8])
-    def test_folded_clock_is_factor_cycles(self, make, factor):
-        seq = make()
-        core = seq.core
-        wide = seq.folded(factor)
-        n = 3
-        rng = random.Random(factor)
-        alice = [[rng.getrandbits(1) for _ in range(core.n_alice)]
-                 for _ in range(factor * n)]
-        bob = [[rng.getrandbits(1) for _ in range(core.n_bob)]
-               for _ in range(factor * n)]
-
-        def lanes(per_cycle, clock):
-            """One clock's input: its ``factor`` cycles, copy-major."""
-            chunk = per_cycle[clock * factor:(clock + 1) * factor]
-            return [bit for cycle in chunk for bit in cycle]
-
-        wide_alice = [lanes(alice, c) for c in range(n)]
-        wide_bob = [lanes(bob, c) for c in range(n)]
-        assert wide.core.n_alice == factor * core.n_alice
-        assert wide.core.n_bob == factor * core.n_bob
-        assert wide.n_state == seq.n_state
-        assert wide.initial_state() == seq.initial_state()
-        assert len(wide.core.gates) == factor * len(core.gates)
-        assert wide.core.counts() == core.counts().scaled(factor)
-
-        narrow_out = seq.run(alice, bob, cycles=factor * n)
-        # every factor-th output, and the final state
-        assert wide.run(wide_alice, wide_bob, cycles=n) == (
-            narrow_out[factor - 1::factor]
-        )
-        assert wide.final_state(wide_alice, wide_bob, cycles=n) == (
-            seq.final_state(alice, bob, cycles=factor * n)
-        )
-        # unrolled, the two are the same function: the wide circuit
-        # keeps the last copy's outputs of each clock
-        flat_alice = [bit for cycle in alice for bit in cycle]
-        flat_bob = [bit for cycle in bob for bit in cycle]
-        width = len(core.outputs)
-        full = simulate(seq.unroll(factor * n), flat_alice, flat_bob)
-        kept = [
-            bit
-            for clock in range(n)
-            for bit in full[((clock + 1) * factor - 1) * width:
-                            (clock + 1) * factor * width]
-        ]
-        assert simulate(wide.unroll(n), flat_alice, flat_bob) == kept
-
-    def test_fold_of_one_is_the_circuit_itself(self):
-        seq = make_accumulator()
-        assert seq.folded(1) is seq
-
-    def test_fold_keeps_register_inits(self):
-        wide = make_accumulator(init=10).folded(2)
-        outs = wide.run([bits_from_int(5, 8) + bits_from_int(1, 8)], [], cycles=2)
-        assert [int_from_bits(o) for o in outs] == [16, 22]
-
-    def test_fold_of_a_counter_without_inputs(self):
-        wide = make_counter().folded(3)
-        assert wide.core.n_alice == wide.core.n_bob == 0
-        assert [int_from_bits(o) for o in wide.run([], [], cycles=3)] == [3, 6, 9]
-
-    def test_fold_below_one_rejected(self):
-        with pytest.raises(CircuitError):
-            make_accumulator().folded(0)
 
 
 class TestCycleCount:

@@ -298,7 +298,7 @@ class TestScheduleAgainstReference:
         finally:
             service.close()
         schedule = LevelSchedule.build(circuit)
-        assert len(schedule.levels) > 300
+        assert len(schedule.levels) > 200
         _assert_same_schedule(schedule, _reference_schedule(circuit))
 
     @pytest.mark.parametrize("fold", [1, 8])

@@ -10,7 +10,10 @@ Measures what the PR 9 serving tier costs and buys:
 * **transport overhead** — the same protocol run over in-memory deques
   vs the wire codec + kernel socketpairs (socket/memory throughput
   ratio; expected a little under 1.0 — the codec and kernel round trips
-  are not free).
+  are not free);
+* **two-process peers** — the same session with one party per process
+  (:mod:`repro.transport.peer`), five requests on one connection: the
+  first pays the connection's base OT, requests 2-5 do not.
 """
 
 import statistics
@@ -157,5 +160,96 @@ def test_socket_transport_overhead(service_and_data, results_dir):
             "socket_run_s": round(socket_s, 6),
             "socket_transport_speedup": round(ratio, 3),
             "comm_bytes": sum(memory_result.comm.values()),
+        },
+    )
+
+
+def _peer_evaluator(sock, service, requests):
+    """The forked child: the evaluator's side of every request, on the
+    service's own weights, one OT state for the connection."""
+    import os
+
+    from repro.gc import IKNPState
+    from repro.transport import run_two_party_peer
+
+    ot_state = IKNPState(group=service.config.ot_group)
+    for _ in range(requests):
+        run_two_party_peer(
+            sock, "evaluator", service.compiled.circuit,
+            service.compiled.server_bits(), kdf=service.kdf,
+            ot_group=service.config.ot_group, ot_state=ot_state,
+        )
+    os._exit(0)
+
+
+def test_two_process_peer_latency(service_and_data, results_dir):
+    """One party per process over a socketpair vs the in-memory session."""
+    import multiprocessing
+    import socket
+
+    from repro.circuits import simulate
+    from repro.gc import IKNPState, TwoPartySession
+    from repro.transport import run_two_party_peer
+
+    service, x = service_and_data
+    circuit, group = service.compiled.circuit, service.config.ot_group
+    server_bits = service.compiled.server_bits()
+    requests = 5
+
+    left, right = socket.socketpair()
+    child = multiprocessing.get_context("fork").Process(
+        target=_peer_evaluator, args=(right, service, requests)
+    )
+    child.start()
+    right.close()
+    ot_state = IKNPState(group=group)
+    walls, served = [], []
+    try:
+        for index in range(requests):
+            bits = service.compiled.client_bits(x[index])
+            start = time.perf_counter()
+            result = run_two_party_peer(
+                left, "garbler", circuit, bits, kdf=service.kdf,
+                ot_group=group, ot_state=ot_state,
+            )
+            walls.append(time.perf_counter() - start)
+            served.append((bits, result.outputs))
+    finally:
+        left.close()
+        child.join(timeout=60.0)
+    assert child.exitcode == 0
+    # checked after the loop: the requests run back to back
+    for bits, outputs in served:
+        assert outputs == simulate(circuit, bits, server_bits)
+
+    # the in-memory session that keeps its OT state, same requests
+    session = TwoPartySession(
+        circuit, kdf=service.kdf, ot_group=group, ot_state=IKNPState(group=group)
+    )
+    memory = []
+    for index in range(requests):
+        start = time.perf_counter()
+        session.run(service.compiled.client_bits(x[index]), server_bits)
+        memory.append(time.perf_counter() - start)
+
+    peer_s, memory_s = statistics.median(walls[1:]), statistics.median(memory[1:])
+    text = (
+        f"two processes, first request (pays the connection's base OT): "
+        f"{walls[0]:.3f} s\n"
+        f"two processes, requests 2-{requests} (median): {peer_s:.3f} s\n"
+        f"one process, in-memory, requests 2-{requests} (median): "
+        f"{memory_s:.3f} s\n"
+        f"peer/in-memory throughput: {memory_s / peer_s:.2f}x "
+        f"(ot group {service.ot_group_name})"
+    )
+    write_report(results_dir, "distributed_two_process_peer", text)
+    record_trajectory(
+        "pr22-two-process-peer",
+        {
+            "pr": 22,
+            "peer_first_request_s": round(walls[0], 6),
+            "peer_later_request_s": round(peer_s, 6),
+            "memory_later_request_s": round(memory_s, 6),
+            "peer_vs_memory_speedup": round(memory_s / peer_s, 3),
         },
     )

@@ -209,12 +209,14 @@ def _cmd_infer(args) -> None:
 
 def _infer_remote(args) -> None:
     """Serve samples against a ``cli worker`` process: the front-end runs
-    the garbler side of each split session, the worker the evaluator."""
-    import random
+    the garbler side of each split session on its own sample, the worker
+    the evaluator side on its own weights — neither sends the other an
+    input bit or a seed."""
     import socket
 
-    from .transport import run_folded_peer, run_two_party_peer
     from .errors import EngineError
+    from .gc.ot_extension import IKNPState
+    from .transport import run_folded_peer, run_two_party_peer
     from .transport.worker import open_peer_session, recv_ctl, send_ctl
 
     flows = {"two_party": run_two_party_peer, "folded": run_folded_peer}
@@ -230,36 +232,34 @@ def _infer_remote(args) -> None:
                                activation=args.activation)
     print(service.circuit_summary)
     sock = socket.create_connection((host or "127.0.0.1", int(port)))
+    # the connection's OT state: its first session pays the base OT
+    ot_state = IKNPState(service.config.ot_group)
     agreements = 0
     try:
         for index in range(args.samples):
-            seed = 1000 + index
-            client_bits = service.compiled.client_bits(x[index])
-            server_bits = service._server_bits
             try:
-                open_peer_session(sock, args.backend, seed, client_bits,
-                                  server_bits, service.kdf)
+                open_peer_session(sock, args.backend, service.kdf)
             except EngineError as exc:
                 raise SystemExit(f"infer: {exc}")
+            paid = ot_state.setup_bytes == 0
             result = runner(
                 sock, "garbler", service.compiled.circuit,
-                client_bits, server_bits,
+                service.compiled.client_bits(x[index]),
                 kdf=service.kdf, ot_group=service.config.ot_group,
-                rng=random.Random(seed),
+                ot_state=ot_state,
             )
             outputs = (result.final_outputs if args.backend == "folded"
                        else result.outputs)
             remote = recv_ctl(sock, timeout=60.0)
             label = service.compiled.decode_output(list(outputs))
             comm = sum(result.comm.values())
-            agree = (remote.get("outputs") == list(outputs)
-                     and remote.get("comm_bytes") == comm)
+            agree = bool(remote.get("ok")) and remote.get("comm_bytes") == comm
             agreements += agree
             print(f"[{args.backend}/socket] sample {index}: label {label} "
-                  f"(cleartext {service.cleartext_label(x[index])}, "
-                  f"remote label {remote.get('label')}) | "
-                  f"comm {comm / 1e6:.2f} MB | cross-process agreement: "
-                  f"{'OK' if agree else 'MISMATCH'}")
+                  f"(cleartext {service.cleartext_label(x[index])}) | "
+                  f"comm {comm / 1e6:.2f} MB | "
+                  f"base OT: {'paid' if paid else 'kept'} | "
+                  f"comm agreement: {'OK' if agree else 'MISMATCH'}")
         send_ctl(sock, {"op": "shutdown"})
         bye = recv_ctl(sock, timeout=60.0)
         print(f"worker shutdown: {'OK' if bye.get('ok') else 'FAILED'} | "
@@ -267,7 +267,7 @@ def _infer_remote(args) -> None:
     finally:
         sock.close()
     if agreements != args.samples:
-        raise SystemExit("infer: cross-process output mismatch")
+        raise SystemExit("infer: the two ends counted different traffic")
 
 
 def _cmd_worker(args) -> None:

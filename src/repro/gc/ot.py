@@ -35,11 +35,15 @@ import secrets
 import threading
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import OTError
+from ..errors import ChannelIntegrityError, OTError
 from . import _libcrypto
+from .channel import Channel
 from .rng import RngLike, rand_below
 
-__all__ = ["OTGroup", "MODP_2048", "TEST_GROUP_512", "OTSender", "OTReceiver", "run_ot_batch"]
+__all__ = [
+    "OTGroup", "MODP_2048", "TEST_GROUP_512", "OTSender", "OTReceiver",
+    "run_ot_batch", "base_ot_over_channel", "base_ot_bytes",
+]
 
 
 def _bind_bn(lib: ctypes.CDLL) -> None:
@@ -338,3 +342,116 @@ def run_ot_batch(
     keys = receiver.public_keys(c)
     responses = sender.respond(keys)
     return receiver.recover(responses)
+
+
+# The framed base OT is three flights and four steps, two per role, each
+# touching one endpoint.  base_ot_over_channel runs them in flight order
+# on whichever ends this process holds: a session's direct base OT and an
+# IKNP set-up between two processes are the same text.  Group elements
+# travel fixed-width (the modulus width), so payload sizes are
+# deterministic and truncation is structurally detectable on top of the
+# checksum.
+
+
+def _element_width(group: OTGroup) -> int:
+    return (group.prime.bit_length() + 7) // 8
+
+
+def _recv_sized(end: Channel, tag: str, size: int, what: str) -> bytes:
+    blob = end.recv_bytes(expected_tag=tag)
+    if len(blob) != size:
+        raise ChannelIntegrityError(
+            f"OT {what} size mismatch: expected {size} bytes, got {len(blob)}"
+        )
+    return blob
+
+
+def _send_setup(end: Channel, sender: OTSender, tag: str) -> None:
+    """Sender, flight 1: publish ``c``."""
+    width = _element_width(sender.group)
+    end.send_bytes(sender.setup().to_bytes(width, "little"), tag=tag)
+
+
+def _send_public_keys(end: Channel, receiver: OTReceiver, tag: str) -> None:
+    """Receiver, flight 2: read ``c``, answer with one ``PK_0`` per transfer."""
+    width = _element_width(receiver.group)
+    c_blob = _recv_sized(end, tag, width, "setup element")
+    keys = receiver.public_keys(int.from_bytes(c_blob, "little"))
+    end.send_bytes(b"".join(k.to_bytes(width, "little") for k in keys), tag=tag)
+
+
+def _send_responses(end: Channel, sender: OTSender, tag: str) -> None:
+    """Sender, flight 3: read the keys, answer with both encrypted messages."""
+    width, m = _element_width(sender.group), len(sender.pairs)
+    keys_blob = _recv_sized(
+        end, tag, width * m, f"public-key payload for {m} transfers"
+    )
+    responses = sender.respond(
+        [
+            int.from_bytes(keys_blob[i * width : (i + 1) * width], "little")
+            for i in range(m)
+        ]
+    )
+    end.send_bytes(
+        b"".join(g.to_bytes(width, "little") + e0 + e1 for g, e0, e1 in responses),
+        tag=tag,
+    )
+
+
+def _recv_chosen(
+    end: Channel, receiver: OTReceiver, msg_len: int, tag: str
+) -> List[bytes]:
+    """Receiver: read the responses, recover the chosen messages."""
+    width, m = _element_width(receiver.group), len(receiver.choices)
+    unit = width + 2 * msg_len
+    blob = _recv_sized(end, tag, unit * m, f"response payload for {m} transfers")
+    return receiver.recover(
+        [
+            (
+                int.from_bytes(blob[i * unit : i * unit + width], "little"),
+                blob[i * unit + width : i * unit + width + msg_len],
+                blob[i * unit + width + msg_len : (i + 1) * unit],
+            )
+            for i in range(m)
+        ]
+    )
+
+
+def base_ot_bytes(group: OTGroup, m: int, msg_len: int) -> int:
+    """What a channel charges for the three flights of ``m`` framed base
+    OTs of ``msg_len``-byte messages: ``c``, the public keys and the
+    responses, each payload plus its 4-byte length prefix."""
+    width = _element_width(group)
+    return (width + 4) + (m * width + 4) + (m * (width + 2 * msg_len) + 4)
+
+
+def base_ot_over_channel(
+    pairs: Optional[Sequence[Tuple[bytes, bytes]]],
+    choices: Optional[Sequence[int]],
+    msg_len: int,
+    sender_end: Optional[Channel],
+    receiver_end: Optional[Channel],
+    group: OTGroup = MODP_2048,
+    rng: RngLike = secrets,
+    tag: str = "ot",
+) -> List[bytes]:
+    """Run a base-OT batch with every flight framed, on the ends held here.
+
+    A party whose endpoint is ``None`` is hosted elsewhere: its steps are
+    skipped and what it would hold (``pairs`` for the sender, ``choices``
+    for the receiver) is not read.  Returns the chosen messages where
+    the receiver is hosted, ``[]`` otherwise.
+    """
+    # a role object draws nothing until its first step: the absent
+    # party's is an empty shell no step below touches
+    sender = OTSender(pairs or (), group=group, rng=rng)
+    receiver = OTReceiver(choices or (), group=group, rng=rng)
+    if sender_end is not None:
+        _send_setup(sender_end, sender, tag)
+    if receiver_end is not None:
+        _send_public_keys(receiver_end, receiver, tag)
+    if sender_end is not None:
+        _send_responses(sender_end, sender, tag)
+    if receiver_end is None:
+        return []
+    return _recv_chosen(receiver_end, receiver, msg_len, tag)

@@ -26,53 +26,126 @@ counter):
 
 ``i`` is an index that is global to the state, so no two transfers of a
 session — across cycles, requests or retries — share a hash input.
+
+Who holds what: ``s`` and ``k_j^{s_j}`` are the sender's
+(:class:`SenderHalf`, the garbler's process), the seed pairs the
+receiver's (:class:`ReceiverHalf`, the evaluator's).  An
+:class:`IKNPState` is *this process's share* of one set-up — both halves
+where one process hosts both parties, one where it hosts one — and
+:func:`extension_ot` runs each of its three steps only where that step's
+party has an endpoint.  Two processes count extensions in lockstep (one
+per request or cycle), so neither the XOF counter nor the hash index
+crosses the wire.
 """
 
 from __future__ import annotations
 
 import hashlib
 import secrets
-import struct
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..errors import ChannelIntegrityError, OTError
-from .channel import Channel
-from .ot import MODP_2048, OTGroup, _xor_bytes, run_ot_batch
+from .channel import Channel, make_channel_pair
+from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_over_channel, run_ot_batch
 from .rng import RngLike, rand_bits
 
-__all__ = ["IKNPState", "extension_ot", "KAPPA"]
+__all__ = ["IKNPState", "ReceiverHalf", "SenderHalf", "extension_ot", "KAPPA"]
 
 KAPPA = 128
 
 #: Width of the base-OT messages: one XOF seed per column and choice.
 SEED_BYTES = 16
 
-#: At or above this many (equal-length) transfers the masked messages
-#: travel as two ``(m, length)`` planes in one frame and are masked with
-#: one XOR per plane; below it, as length-prefixed pairs.  Both layouts
-#: hash every row with the same ``hashlib`` call, so the value selects a
-#: *frame layout*, not a kernel — it is wire contract
-#: (``comm_bytes_per_req``), not a tuning knob.
-VEC_MIN_TRANSFERS = 64
+#: The two endpoints of a link; ``None`` for a party hosted elsewhere.
+Ends = Tuple[Optional[Channel], Optional[Channel]]
+
+_Half = TypeVar("_Half")
+
+
+def _expand(seeds: Sequence[bytes], counter: int, col_len: int) -> np.ndarray:
+    """``G(seed, counter)`` for every column: ``(kappa, col_len)`` bytes."""
+    suffix = counter.to_bytes(8, "big")
+    return np.frombuffer(
+        b"".join(
+            hashlib.shake_256(seed + suffix).digest(col_len)
+            for seed in seeds
+        ),
+        dtype=np.uint8,
+    ).reshape(len(seeds), col_len)
+
+
+class SenderHalf:
+    """The extension sender's secrets: ``s`` and the seeds ``k_j^{s_j}``
+    its base-OT choices bought.  The garbler's; read-only once built."""
+
+    def __init__(self, s_bits: Sequence[int], seeds: Sequence[bytes]) -> None:
+        s_vector = np.array(s_bits, dtype=np.uint8)
+        self.s_mask = (s_vector * np.uint8(0xFF))[:, None]
+        self.s_packed = np.packbits(s_vector)
+        self.seeds = list(seeds)
+
+    def rows(
+        self, counter: int, m: int, u_blob: bytes
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Packed rows ``(q_i, q_i ^ s)`` from the receiver's ``u`` columns."""
+        col_len = (m + 7) // 8
+        u_cols = np.frombuffer(u_blob, dtype=np.uint8).reshape(
+            len(self.seeds), col_len
+        )
+        q_cols = _expand(self.seeds, counter, col_len) ^ (u_cols & self.s_mask)
+        q_rows = _rows(q_cols, m)
+        return q_rows, q_rows ^ self.s_packed[None, :]
+
+
+class ReceiverHalf:
+    """The extension receiver's secrets: the seed pairs ``(k_j^0, k_j^1)``
+    it offered in the base OT.  The evaluator's; read-only once built."""
+
+    def __init__(self, seed_pairs: Sequence[Tuple[bytes, bytes]]) -> None:
+        self.seeds0 = [k0 for k0, _ in seed_pairs]
+        self.seeds1 = [k1 for _, k1 in seed_pairs]
+
+    def columns(
+        self, counter: int, choice_bits: np.ndarray
+    ) -> Tuple[np.ndarray, bytes]:
+        """``(T rows packed, the u columns to send)`` for one choice vector."""
+        m = len(choice_bits)
+        col_len = (m + 7) // 8
+        t_cols = _expand(self.seeds0, counter, col_len)
+        u_cols = (
+            t_cols
+            ^ _expand(self.seeds1, counter, col_len)
+            ^ np.packbits(choice_bits)[None, :]
+        )
+        return _rows(t_cols, m), u_cols.tobytes()
 
 
 class IKNPState:
-    """The session-lived half of IKNP: one base-OT batch, many extensions.
+    """This process's share of one IKNP set-up: one base-OT batch, many
+    extensions.
 
-    Both roles live in one object, like every in-process session of this
-    reproduction.  Constructing a state is free; the base-OT batch (``kappa``
-    transfers of seed pairs, roles swapped, through
-    :func:`repro.gc.ot.run_ot_batch`) runs inside the first
+    :attr:`sender` and :attr:`receiver` are the two halves; either may be
+    absent.  Constructing a state is free; the base-OT batch (``kappa``
+    transfers of seed pairs, roles swapped) runs inside the first
     :meth:`reserve`, so an owner that never extends never pays for it.
+    On a link with both ends in this process it is handed across in
+    memory (:func:`repro.gc.ot.run_ot_batch`; charged to no request's
+    ``comm`` — one process is one trust domain by construction, and a
+    framed set-up would bill the first request of every state).  On a
+    one-ended link the same batch crosses that link as three
+    ``"ot_setup"`` frames (:func:`repro.gc.ot.base_ot_over_channel`), and
+    the state keeps the hosted party's half only — for the connection.
 
-    A state belongs to the session or backend object that created it and
-    is safe to share between that owner's threads: every extension
-    reserves its own XOF counter and its own range of hash indices under
-    the state's lock, and an extension that aborts half-way simply leaves
-    its reservation unused.
+    A state belongs to the session, backend or connection that created
+    it and is safe to share between that owner's threads: every
+    extension reserves its own XOF counter and its own range of hash
+    indices under the state's lock, and an extension that aborts
+    half-way simply leaves its reservation unused.  A *one-ended* state
+    whose session failed must be dropped: the other process may not have
+    reserved, and the two counts must stay equal.
 
     Args:
         group: group for the ``kappa`` base OTs.
@@ -94,16 +167,14 @@ class IKNPState:
         self._transfers = 0
         self._setup_bytes = 0
         # written once by _setup() under the lock, read-only afterwards
-        self._s_mask = np.zeros((kappa, 1), dtype=np.uint8)
-        self._s_packed = np.zeros(0, dtype=np.uint8)
-        self._sender_seeds: List[bytes] = []
-        self._receiver_seeds: Tuple[Sequence[bytes], Sequence[bytes]] = ((), ())
+        self.sender: Optional[SenderHalf] = None
+        self.receiver: Optional[ReceiverHalf] = None
 
     @property
     def setup_bytes(self) -> int:
         """Size of the base-OT flights this state has paid for (0 before).
 
-        The three flights as the channel would frame them — ``c``, the
+        The three flights as a channel frames them — ``c``, the
         ``kappa`` public keys and the ``kappa`` responses, group elements
         at the modulus width — each with its 4-byte length prefix.  A
         session-level figure: it is charged to no request's ``comm``.
@@ -117,93 +188,60 @@ class IKNPState:
         with self._lock:
             return self._extensions
 
-    def reserve(self, m: int) -> Tuple[int, int]:
+    def reserve(self, m: int, ends: Ends = (None, None)) -> Tuple[int, int]:
         """Claim one extension of ``m`` transfers.
 
         Returns ``(counter, first_index)``: the XOF domain separator of
         this extension and the first of its ``m`` row-hash indices.
         Neither is ever handed out twice.  The first call runs the
-        base-OT batch.
+        base-OT batch — over ``ends`` when exactly one of
+        ``(alice_end, bob_end)`` is here, in memory otherwise.
         """
         with self._lock:
             if not self._setup_bytes:
-                self._setup()
+                self._setup(*ends)
             counter, first_index = self._extensions, self._transfers
             self._extensions += 1
             self._transfers += m
         return counter, first_index
 
-    def _setup(self) -> None:
+    def _setup(self, alice_end: Optional[Channel], bob_end: Optional[Channel]) -> None:
         """The one base-OT batch (caller holds the lock)."""
         kappa, rng = self.kappa, self._rng
-        s_bits = [rand_bits(rng, 1) for _ in range(kappa)]
-        seed_pairs = [
-            (
-                rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
-                rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
-            )
-            for _ in range(kappa)
-        ]
+        framed = (alice_end is None) != (bob_end is None)
+        s_bits = seed_pairs = None
+        if alice_end is not None or not framed:
+            s_bits = [rand_bits(rng, 1) for _ in range(kappa)]
+        if bob_end is not None or not framed:
+            seed_pairs = [
+                (
+                    rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
+                    rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
+                )
+                for _ in range(kappa)
+            ]
         # roles swapped: the extension's sender is the base-OT receiver
-        self._sender_seeds = run_ot_batch(
-            seed_pairs, s_bits, group=self.group, rng=rng
-        )
-        self._receiver_seeds = (
-            [k0 for k0, _ in seed_pairs],
-            [k1 for _, k1 in seed_pairs],
-        )
-        s_vector = np.array(s_bits, dtype=np.uint8)
-        self._s_mask = (s_vector * np.uint8(0xFF))[:, None]
-        self._s_packed = np.packbits(s_vector)
-        width = (self.group.prime.bit_length() + 7) // 8
-        self._setup_bytes = (
-            (width + 4)
-            + (kappa * width + 4)
-            + (kappa * (width + 2 * SEED_BYTES) + 4)
-        )
+        if framed:
+            seeds = base_ot_over_channel(
+                seed_pairs, s_bits, SEED_BYTES, sender_end=bob_end,
+                receiver_end=alice_end, group=self.group, rng=rng, tag="ot_setup",
+            )
+        else:
+            seeds = run_ot_batch(seed_pairs, s_bits, group=self.group, rng=rng)
+        if s_bits is not None:
+            self.sender = SenderHalf(s_bits, seeds)
+        if seed_pairs is not None:
+            self.receiver = ReceiverHalf(seed_pairs)
+        self._setup_bytes = base_ot_bytes(self.group, kappa, SEED_BYTES)
 
-    # -- per-extension expansion -------------------------------------------
 
-    @staticmethod
-    def _expand(seeds: Sequence[bytes], counter: int, col_len: int) -> np.ndarray:
-        """``G(seed, counter)`` for every column: ``(kappa, col_len)`` bytes."""
-        suffix = counter.to_bytes(8, "big")
-        return np.frombuffer(
-            b"".join(
-                hashlib.shake_256(seed + suffix).digest(col_len)
-                for seed in seeds
-            ),
-            dtype=np.uint8,
-        ).reshape(len(seeds), col_len)
-
-    def receiver_columns(
-        self, counter: int, choice_bits: np.ndarray
-    ) -> Tuple[np.ndarray, bytes]:
-        """Receiver side: ``(T rows packed, the u columns to send)``."""
-        m = len(choice_bits)
-        col_len = (m + 7) // 8
-        seeds0, seeds1 = self._receiver_seeds
-        t_cols = self._expand(seeds0, counter, col_len)
-        u_cols = (
-            t_cols
-            ^ self._expand(seeds1, counter, col_len)
-            ^ np.packbits(choice_bits)[None, :]
+def _held(half: Optional[_Half], party: str) -> _Half:
+    if half is None:
+        raise OTError(
+            f"this OT state holds no {party} half: its set-up ran on a link "
+            "that hosts the other party only"
         )
-        return _rows(t_cols, m), u_cols.tobytes()
-
-    def sender_rows(
-        self, counter: int, m: int, u_blob: bytes
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sender side: packed rows ``(q_i, q_i ^ s)`` from the ``u`` columns."""
-        col_len = (m + 7) // 8
-        u_cols = np.frombuffer(u_blob, dtype=np.uint8).reshape(
-            self.kappa, col_len
-        )
-        q_cols = self._expand(self._sender_seeds, counter, col_len) ^ (
-            u_cols & self._s_mask
-        )
-        q_rows = _rows(q_cols, m)
-        return q_rows, q_rows ^ self._s_packed[None, :]
+    return half
 
 
 def _rows(cols: np.ndarray, m: int) -> np.ndarray:
@@ -211,23 +249,13 @@ def _rows(cols: np.ndarray, m: int) -> np.ndarray:
     return np.packbits(np.unpackbits(cols, axis=1)[:, :m].T, axis=1)
 
 
-def _hash_row(index: int, row: bytes, length: int) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(
-            index.to_bytes(8, "big") + counter.to_bytes(4, "big") + row
-        ).digest()
-        counter += 1
-    return out[:length]
-
-
 def _hash_rows(rows: np.ndarray, length: int, first_index: int) -> np.ndarray:
-    """:func:`_hash_row` over every row of a packed matrix.
+    """``H(i, row)`` for every row of a packed matrix: SHA-256 over
+    ``index || counter || row``, the 4-byte counter extending the mask
+    past 32 bytes.
 
-    Builds the ``index || counter || row`` messages for all ``m`` rows
-    as one byte matrix and hashes its rows with ``hashlib`` — the same
-    digests as the scalar loop, without its per-transfer int and bytes
+    Builds the messages for all ``m`` rows as one byte matrix and hashes
+    its rows with ``hashlib``, without a per-transfer int and bytes
     assembly.
 
     Args:
@@ -267,156 +295,100 @@ def _hash_rows(rows: np.ndarray, length: int, first_index: int) -> np.ndarray:
 
 
 def extension_ot(
-    pairs: Sequence[Tuple[bytes, bytes]],
-    choices: Sequence[int],
+    pairs: Optional[Sequence[Tuple[bytes, bytes]]],
+    choices: Optional[Sequence[int]],
     group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
     kappa: int = KAPPA,
-    channel: Optional[Tuple[Channel, Channel]] = None,
+    channel: Optional[Ends] = None,
     state: Optional[IKNPState] = None,
 ) -> Tuple[List[bytes], int]:
-    """Run one IKNP extension locally (both roles in-process).
+    """Run one IKNP extension on the ends of ``channel`` held here.
+
+    Three steps and one frame layout — receiver: expand, send ``u``;
+    sender: receive ``u``, mask, send two ``(m, length)`` planes;
+    receiver: unmask (it reads ``length`` off the frame) — each run iff
+    its party's endpoint is present.  Both flights are checksummed
+    ``"ot"``-tagged frames, so injected wire faults hit the real OT data
+    path.
 
     Args:
-        pairs: the sender's ``m`` message pairs (equal lengths per pair).
-        choices: the receiver's ``m`` choice bits.
+        pairs: the sender's ``m`` message pairs, all messages of one
+            length; ``None`` where the sender is hosted elsewhere.
+        choices: the receiver's ``m`` choice bits; ``None`` where the
+            receiver is hosted elsewhere.
         group: group for the ``kappa`` base OTs (unused with ``state``).
         rng: randomness source (unused with ``state``).
         kappa: computational security parameter (unused with ``state``).
-        channel: optional ``(alice_end, bob_end)`` endpoints; when given
-            both extension flights — the ``u`` columns
-            (receiver-to-sender) and the masked message planes
-            (sender-to-receiver) — travel as checksummed ``"ot"``-tagged
-            frames, so injected wire faults hit the real OT data path.
+        channel: ``(alice_end, bob_end)`` — the sender's and the
+            receiver's endpoint, ``None`` for the one not hosted here.
+            Omitted, both parties run over a private in-memory link.
         state: the owner's :class:`IKNPState`; its base OT is paid once
             and this call only burns one counter.  ``None`` builds a
             throw-away state, i.e. pays the base OT for this call alone.
 
     Returns:
-        ``(chosen_messages, transferred_bytes)`` where the second element
-        counts the extension-phase traffic (columns + masked messages),
-        used by the protocol's communication accounting.
+        ``(chosen_messages, transferred_bytes)``: the receiver's
+        messages (``[]`` where it is hosted elsewhere) and the two
+        flights as the channel charges them (payload plus the 4-byte
+        length prefix), equal on both ends.
     """
-    m = len(pairs)
-    if m != len(choices):
+    if pairs is not None and choices is not None and len(pairs) != len(choices):
         raise OTError("need one choice per pair")
+    pairs, choices = pairs or (), choices or ()
+    m = max(len(pairs), len(choices))
     if m == 0:
         return [], 0
-    for m0, m1 in pairs:
-        if len(m0) != len(m1):
-            raise OTError("message pair lengths must match")
+    if len({len(message) for pair in pairs for message in pair}) > 1:
+        raise OTError("every message of an extension must have one length")
+    alice_end, bob_end = channel or make_channel_pair()[:2]
     if state is None:
         state = IKNPState(group=group, rng=rng, kappa=kappa)
-    kappa = state.kappa
-    counter, first_index = state.reserve(m)
+    counter, first_index = state.reserve(m, (alice_end, bob_end))
+    u_len = state.kappa * ((m + 7) // 8)
+    length = 0
     # --- receiver expands its seeds and sends the u columns
-    choice_bits = np.array([c & 1 for c in choices], dtype=np.uint8)
-    t_rows, u_blob = state.receiver_columns(counter, choice_bits)
-    if channel is not None:
-        # the columns travel receiver-to-sender: frame them so injected
-        # faults (corruption, truncation, drops) hit real OT traffic and
-        # are detected by the checksum/tag validation on recv
-        alice_end, bob_end = channel
+    if bob_end is not None:
+        choice_bits = np.array([c & 1 for c in choices], dtype=np.uint8)
+        t_rows, u_blob = _held(state.receiver, "receiver").columns(
+            counter, choice_bits
+        )
         bob_end.send_bytes(u_blob, tag="ot")
-        sent_len = len(u_blob)
+    # --- sender masks the message pairs: per choice, one pass of row
+    # hashes and one XOR over an (m, length) plane
+    if alice_end is not None:
         u_blob = alice_end.recv_bytes(expected_tag="ot")
-        if len(u_blob) != sent_len:
+        if len(u_blob) != u_len:
             raise ChannelIntegrityError(
-                f"OT column payload size mismatch: expected "
-                f"{sent_len} bytes for {kappa} columns, got "
-                f"{len(u_blob)}"
+                f"OT column payload size mismatch: expected {u_len} bytes "
+                f"for {state.kappa} columns, got {len(u_blob)}"
             )
-    q_rows, q_rows_flipped = state.sender_rows(counter, m, u_blob)
-    # --- sender masks the message pairs
-    length = len(pairs[0][0])
-    uniform = all(len(m0) == length for m0, _ in pairs)
-    if uniform and m >= VEC_MIN_TRANSFERS:
-        # plane layout (the GC protocol's case: m label transfers, all
-        # 16 bytes): every masking step is one pass of row hashes + one
-        # XOR over an (m, length) plane instead of per-transfer strings
-        m0_plane = np.frombuffer(
-            b"".join(m0 for m0, _ in pairs), dtype=np.uint8
-        ).reshape(m, length)
-        m1_plane = np.frombuffer(
-            b"".join(m1 for _, m1 in pairs), dtype=np.uint8
-        ).reshape(m, length)
-        y0_plane = m0_plane ^ _hash_rows(q_rows, length, first_index)
-        y1_plane = m1_plane ^ _hash_rows(q_rows_flipped, length, first_index)
-        transferred = 2 * m * length + m * kappa // 8
-        if channel is not None:
-            alice_end.send_bytes(
-                y0_plane.tobytes() + y1_plane.tobytes(), tag="ot"
+        length = len(pairs[0][0])
+        masked = b"".join(
+            (
+                np.frombuffer(
+                    b"".join(pair[bit] for pair in pairs), dtype=np.uint8
+                ).reshape(m, length)
+                ^ _hash_rows(rows, length, first_index)
+            ).tobytes()
+            for bit, rows in enumerate(
+                _held(state.sender, "sender").rows(counter, m, u_blob)
             )
-            masked_blob = bob_end.recv_bytes(expected_tag="ot")
-            if len(masked_blob) != 2 * m * length:
-                raise ChannelIntegrityError(
-                    f"OT masked-plane payload size mismatch: expected "
-                    f"{2 * m * length} bytes for {m} transfers, got "
-                    f"{len(masked_blob)}"
-                )
-            plane = np.frombuffer(masked_blob, dtype=np.uint8)
-            y0_plane = plane[: m * length].reshape(m, length)
-            y1_plane = plane[m * length :].reshape(m, length)
-            transferred = (len(u_blob) + 4) + (len(masked_blob) + 4)
-        # --- receiver unmasks
-        chosen = np.where(
-            (choice_bits != 0)[:, None], y1_plane, y0_plane
         )
-        out_plane = chosen ^ _hash_rows(t_rows, length, first_index)
-        return [out_plane[i].tobytes() for i in range(m)], transferred
-    masked: List[Tuple[bytes, bytes]] = []
-    transferred = 0
-    for i, (m0, m1) in enumerate(pairs):
-        index = first_index + i
-        y0 = _xor_bytes(m0, _hash_row(index, q_rows[i].tobytes(), len(m0)))
-        y1 = _xor_bytes(
-            m1, _hash_row(index, q_rows_flipped[i].tobytes(), len(m1))
-        )
-        masked.append((y0, y1))
-        transferred += len(y0) + len(y1)
-    transferred += m * kappa // 8  # the u columns
-    if channel is not None:
-        alice_end.send_bytes(
-            b"".join(
-                struct.pack("<II", len(y0), len(y1)) + y0 + y1
-                for y0, y1 in masked
-            ),
-            tag="ot",
-        )
-        masked_blob = bob_end.recv_bytes(expected_tag="ot")
-        masked = []
-        offset = 0
-        for i in range(m):
-            if offset + 8 > len(masked_blob):
-                raise ChannelIntegrityError(
-                    f"OT masked payload truncated at transfer {i} of {m}"
-                )
-            len0, len1 = struct.unpack_from("<II", masked_blob, offset)
-            offset += 8
-            if offset + len0 + len1 > len(masked_blob):
-                raise ChannelIntegrityError(
-                    f"OT masked payload truncated at transfer {i} of {m}"
-                )
-            masked.append(
-                (
-                    masked_blob[offset : offset + len0],
-                    masked_blob[offset + len0 : offset + len0 + len1],
-                )
-            )
-            offset += len0 + len1
-        if offset != len(masked_blob):
-            raise ChannelIntegrityError(
-                f"OT masked payload carries {len(masked_blob) - offset} "
-                "trailing bytes"
-            )
-        transferred = (len(u_blob) + 4) + (len(masked_blob) + 4)
+        alice_end.send_bytes(masked, tag="ot")
+    if bob_end is None:
+        return [], (u_len + 4) + (2 * m * length + 4)
     # --- receiver unmasks
-    out: List[bytes] = []
-    for i, choice in enumerate(choice_bits):
-        y = masked[i][1] if choice else masked[i][0]
-        out.append(
-            _xor_bytes(
-                y, _hash_row(first_index + i, t_rows[i].tobytes(), len(y))
-            )
+    masked = bob_end.recv_bytes(expected_tag="ot")
+    length, ragged = divmod(len(masked), 2 * m)
+    if ragged:
+        raise ChannelIntegrityError(
+            f"OT masked-plane payload of {len(masked)} bytes is not two "
+            f"planes of {m} equal-length messages"
         )
-    return out, transferred
+    planes = np.frombuffer(masked, dtype=np.uint8).reshape(2, m, length)
+    chosen = np.where((choice_bits != 0)[:, None], planes[1], planes[0])
+    out_plane = chosen ^ _hash_rows(t_rows, length, first_index)
+    return [out_plane[i].tobytes() for i in range(m)], (
+        (u_len + 4) + (len(masked) + 4)
+    )

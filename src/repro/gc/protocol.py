@@ -7,6 +7,15 @@ and returns the encrypted inference for the merge step.  The session
 records per-phase wall-clock times and exact per-tag traffic so the
 benchmark harness can reproduce the paper's communication/computation
 split (Table 2, Sec. 4.3).
+
+There is one protocol text and every step of it is run by the party it
+belongs to: a session hosts the parties its link has ends for.  With
+both ends in this process (the in-memory and loopback links) both run,
+interleaved in flight order; with one end ``None`` that party is hosted
+by another process (:mod:`repro.transport.peer`), its steps are skipped
+and its objects — the :class:`Garbler` and its labels on one side, the
+:class:`FastEvaluator` and the server's bits on the other — are never
+built here.
 """
 
 from __future__ import annotations
@@ -37,11 +46,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: Builds the two endpoints of a request's link plus shared accounting —
 #: the seam where the fault-injection harness swaps in FaultyChannel.
 ChannelFactory = Callable[[], Tuple[Channel, Channel, ChannelStats]]
+#: What a session accepts: a :data:`ChannelFactory`, or one whose link has
+#: one end here and ``None`` for the party another process hosts.
+LinkFactory = Callable[
+    [], Tuple[Optional[Channel], Optional[Channel], ChannelStats]
+]
 from .cipher import HashKDF, default_kdf, oracle_fingerprint
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
-from .ot import MODP_2048, OTGroup, OTReceiver, OTSender
-from .ot_extension import IKNPState, extension_ot
+from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_over_channel
+from .ot_extension import Ends, IKNPState, extension_ot
 from .rng import RngLike
 
 __all__ = [
@@ -131,11 +145,10 @@ class ProtocolResult:
 
 
 class TwoPartySession:
-    """Drives garbler and evaluator through the four protocol steps.
-
-    Both parties run in-process over a byte-counting channel; the code is
-    written message-by-message so the flow mirrors a networked
-    deployment.
+    """Drives the parties its link has ends for through the four
+    protocol steps, message by message over a byte-counting channel:
+    both in one process, or one of two processes (see the module
+    docstring).
 
     Args:
         circuit: the public netlist.
@@ -156,7 +169,7 @@ class TwoPartySession:
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        channel_factory: Optional[ChannelFactory] = None,
+        channel_factory: Optional[LinkFactory] = None,
         ot_state: Optional[IKNPState] = None,
     ) -> None:
         if circuit.n_state:
@@ -168,7 +181,7 @@ class TwoPartySession:
         self.kdf = kdf or default_kdf()
         self.ot_group = ot_group
         self.rng = rng
-        self.channel_factory: ChannelFactory = (
+        self.channel_factory: LinkFactory = (
             channel_factory if channel_factory is not None
             else default_channel_factory()
         )
@@ -231,7 +244,9 @@ class TwoPartySession:
         single walk of the level schedule
         (:meth:`repro.gc.fastgarble.FastEvaluator.evaluate_many`)
         instead of ``k`` independent runs.  Outputs are identical
-        to ``k`` :meth:`run` calls on the same material.
+        to ``k`` :meth:`run` calls on the same material.  A both-parties
+        method: a link with one end elsewhere is refused before any
+        material is claimed.
 
         Args:
             alice_bits_list: per-request client input bits.
@@ -281,6 +296,13 @@ class TwoPartySession:
                     "different kdf"
                 )
 
+        ends = [open_link(self.channel_factory, deadline) for _ in range(k)]
+        if any(alice_end is None or bob_end is None for alice_end, bob_end, _ in ends):
+            raise ProtocolError(
+                "run_many batches both parties' work: it needs both ends "
+                "of every link in this process"
+            )
+
         # (i) garbling: claim offline material, batch-garble the rest
         material: Dict[int, Tuple[Garbler, GarbledCircuit]] = {
             i: self._claim(s) for i, s in enumerate(slots) if s is not None
@@ -302,16 +324,18 @@ class TwoPartySession:
         # (ii) transfer + OT, per request over its own accounted channel
         links = [
             self._transfer(
-                *material[i], alice_bits_list[i], bob_bits_list[i],
-                garble_s[i], deadline,
+                alice_end and (alice_end, *material[i]), bob_end, stats,
+                alice_bits_list[i], bob_bits_list[i], garble_s[i],
             )
-            for i in range(k)
+            for i, (alice_end, bob_end, stats) in enumerate(ends)
         ]
 
         # (iii) batched evaluation — one schedule pass for all requests
         evaluator = FastEvaluator(circuit, kdf=eval_kdf)
         start = time.perf_counter()
-        views, alice_labels, bob_labels = zip(*(link.inputs for link in links))
+        views, alice_labels, bob_labels = zip(
+            *(link.inputs for link in links if link.inputs)
+        )
         planes = evaluator.evaluate_many(views, alice_labels, bob_labels)
         evaluate_per_request = (time.perf_counter() - start) / k
         if deadline is not None:
@@ -326,8 +350,8 @@ class TwoPartySession:
 
     def run(
         self,
-        alice_bits: Sequence[int],
-        bob_bits: Sequence[int],
+        alice_bits: Optional[Sequence[int]],
+        bob_bits: Optional[Sequence[int]],
         share_result: bool = False,
         pregarbled: Optional[Pregarbled] = None,
         deadline: Optional["Deadline"] = None,
@@ -335,8 +359,10 @@ class TwoPartySession:
         """Execute the protocol on plaintext inputs.
 
         Args:
-            alice_bits: the client's input bits (kept on Alice's side).
-            bob_bits: the server's input bits (transferred only via OT).
+            alice_bits: the client's input bits (kept on Alice's side;
+                not read where Alice is hosted elsewhere — pass ``None``).
+            bob_bits: the server's input bits (transferred only via OT;
+                ``None`` where Bob is hosted elsewhere).
             share_result: if True, Alice sends the decoded result back to
                 Bob (optional final step of Sec. 2.2.2).
             pregarbled: offline material from :meth:`pregarble`; skips
@@ -345,29 +371,40 @@ class TwoPartySession:
             deadline: optional per-request time budget, checked at every
                 phase boundary and charged on every recv; expiry raises
                 :class:`repro.errors.DeadlineExceeded`.
+
+        Returns:
+            The request's result; ``outputs`` is ``[]`` on a process
+            that hosts Bob alone, unless ``share_result``.
         """
+        alice_end, bob_end, stats = open_link(self.channel_factory, deadline)
         # (i) garbling — Alice (offline when pregarbled material exists)
-        start = time.perf_counter()
-        garbler, garbled = self._claim(
-            pregarbled if pregarbled is not None else self.pregarble()
-        )
-        garble_s = time.perf_counter() - start
-        if deadline is not None:
-            deadline.check("garble")
+        alice, garble_s = None, 0.0
+        if alice_end is not None:
+            start = time.perf_counter()
+            alice = (alice_end, *self._claim(
+                pregarbled if pregarbled is not None else self.pregarble()
+            ))
+            garble_s = time.perf_counter() - start
+            if deadline is not None:
+                deadline.check("garble")
 
         # (ii) data transfer + OT
         link = self._transfer(
-            garbler, garbled, alice_bits, bob_bits, garble_s, deadline
+            alice, bob_end, stats, alice_bits, bob_bits, garble_s
         )
 
         # (iii) evaluation — Bob
-        start = time.perf_counter()
-        evaluator = FastEvaluator(self.circuit, kdf=garbler.kdf)
-        wire_labels = evaluator.evaluate(*link.inputs)
-        output_labels = evaluator.output_labels(wire_labels)
-        link.times["evaluate"] = time.perf_counter() - start
-        if deadline is not None:
-            deadline.check("evaluate")
+        output_labels: List[int] = []
+        if link.inputs is not None:
+            start = time.perf_counter()
+            evaluator = FastEvaluator(
+                self.circuit, kdf=alice[1].kdf if alice else self.kdf
+            )
+            wire_labels = evaluator.evaluate(*link.inputs)
+            output_labels = evaluator.output_labels(wire_labels)
+            link.times["evaluate"] = time.perf_counter() - start
+            if deadline is not None:
+                deadline.check("evaluate")
 
         # (iv) merge — Bob returns output labels, Alice decodes
         return self._merge(link, output_labels, share_result)
@@ -383,47 +420,52 @@ class TwoPartySession:
 
     def _transfer(
         self,
-        garbler: Garbler,
-        garbled: GarbledCircuit,
-        alice_bits: Sequence[int],
-        bob_bits: Sequence[int],
+        alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]],
+        bob_end: Optional[Channel],
+        stats: ChannelStats,
+        alice_bits: Optional[Sequence[int]],
+        bob_bits: Optional[Sequence[int]],
         garble_s: float,
-        deadline: Optional["Deadline"],
     ) -> "_Link":
-        """Step (ii) of one request: build its link and arm both
-        endpoints' deadline, move Alice's flights, rebuild Bob's view,
-        run the OT for Bob's labels; ``transfer`` and ``ot`` are timed
-        apart."""
-        alice_end, bob_end, stats = self.channel_factory()
-        if deadline is not None:
-            alice_end.deadline = deadline
-            bob_end.deadline = deadline
+        """Step (ii) of one request: Alice's flights move, Bob's view is
+        rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
+        ``ot`` are timed apart."""
+        link = _Link(alice, bob_end, stats, {"garble": garble_s})
         start = time.perf_counter()
-        send_garbled(alice_end, garbler, garbled, alice_bits)
-        view, alice_labels = receive_garbled(bob_end)
-        times = {"garble": garble_s, "transfer": time.perf_counter() - start}
+        if alice is not None:
+            send_garbled(*alice, alice_bits or ())
+        if bob_end is not None:
+            view, alice_labels = receive_garbled(bob_end)
+        link.times["transfer"] = time.perf_counter() - start
         start = time.perf_counter()
         bob_labels, _ = transfer_input_labels(
-            garbler, self.circuit.bob_inputs, bob_bits, (alice_end, bob_end),
+            alice and alice[1], self.circuit.bob_inputs, bob_bits,
+            (alice and alice[0], bob_end),
             group=self.ot_group, rng=self.rng, state=self.ot_state,
         )
-        times["ot"] = time.perf_counter() - start
-        inputs = (view, alice_labels, bob_labels)
-        return _Link(garbler, alice_end, bob_end, stats, inputs, times)
+        link.times["ot"] = time.perf_counter() - start
+        if bob_end is not None:
+            link.inputs = (view, alice_labels, bob_labels)
+        return link
 
     def _merge(
         self, link: "_Link", output_labels: List[int], share_result: bool = False
     ) -> ProtocolResult:
         """Step (iv) of one request, and its accounting."""
         start = time.perf_counter()
-        outputs = merge_outputs(
-            link.alice_end, link.bob_end, link.garbler, output_labels
-        )
-        if share_result:
-            link.alice_end.send_bits(outputs, tag="shared_result")
-            bob_outputs = link.bob_end.recv_bits(expected_tag="shared_result")
-            if bob_outputs != outputs:
+        outputs: List[int] = []
+        if link.bob_end is not None:
+            send_outputs(link.bob_end, output_labels)
+        if link.alice is not None:
+            alice_end, garbler, _ = link.alice
+            outputs = receive_outputs(alice_end, garbler)
+            if share_result:
+                alice_end.send_bits(outputs, tag="shared_result")
+        if share_result and link.bob_end is not None:
+            shared = link.bob_end.recv_bits(expected_tag="shared_result")
+            if link.alice is not None and shared != outputs:
                 raise ProtocolError("result sharing corrupted")
+            outputs = shared
         link.times["merge"] = time.perf_counter() - start
         counts = self.circuit.counts()
         return ProtocolResult(
@@ -435,25 +477,38 @@ class TwoPartySession:
         )
 
 
+def open_link(
+    factory: LinkFactory, deadline: Optional["Deadline"]
+) -> Tuple[Optional[Channel], Optional[Channel], ChannelStats]:
+    """One request's link, its deadline armed on the ends held here."""
+    alice_end, bob_end, stats = factory()
+    for end in (alice_end, bob_end):
+        if end is not None and deadline is not None:
+            end.deadline = deadline
+    return alice_end, bob_end, stats
+
+
 @dataclasses.dataclass
 class _Link:
-    """One request between its transfer and its merge step."""
+    """One request between its garbling and its merge step."""
 
-    garbler: Garbler
-    alice_end: Channel
-    bob_end: Channel
+    #: Alice's end, labels and tables; None where another process hosts her
+    alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]]
+    #: Bob's end; None where another process hosts him
+    bob_end: Optional[Channel]
     stats: ChannelStats
-    #: what Bob evaluates: his rebuilt view, Alice's labels, his own
-    inputs: Tuple[GarbledCircuit, List[int], List[int]]
     #: seconds per phase so far ('garble', 'transfer', 'ot', ...)
     times: Dict[str, float]
+    #: what Bob evaluates: his rebuilt view, Alice's labels, his own
+    inputs: Optional[Tuple[GarbledCircuit, List[int], List[int]]] = None
 
 
 # One round on the wire — what crosses the link, in what order, and what
-# the evaluator may see — is these three functions, with the OT flights
+# the evaluator may see — is these four functions, with the OT flights
 # of transfer_input_labels between the second and the third.  run(), each
-# slot of run_many() and each SequentialSession cycle call them: mirrored
-# peers and fault plans that address frames by position rely on one order.
+# slot of run_many() and each SequentialSession cycle call them, each on
+# the end of the party it belongs to: two processes and fault plans that
+# address frames by position rely on one order.
 
 
 def send_garbled(
@@ -503,21 +558,23 @@ def receive_garbled(
     return view, alice_labels
 
 
-def merge_outputs(
-    alice_end: Channel, bob_end: Channel, garbler: Garbler, output_labels: List[int]
-) -> List[int]:
-    """The merge step: Bob returns the output labels, Alice decodes."""
+def send_outputs(bob_end: Channel, output_labels: List[int]) -> None:
+    """The merge step, Bob's half: return the output labels."""
     bob_end.send_labels(output_labels, tag="output_labels")
+
+
+def receive_outputs(alice_end: Channel, garbler: Garbler) -> List[int]:
+    """The merge step, Alice's half: decode what Bob returned."""
     return garbler.decode_outputs(
         alice_end.recv_labels(expected_tag="output_labels")
     )
 
 
 def transfer_input_labels(
-    garbler: Garbler,
+    garbler: Optional[Garbler],
     wires: Sequence[int],
-    bits: Sequence[int],
-    channel: Tuple[Channel, Channel],
+    bits: Optional[Sequence[int]],
+    channel: Ends,
     group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
     state: Optional[IKNPState] = None,
@@ -525,117 +582,49 @@ def transfer_input_labels(
     """Transfer the evaluator's input labels obliviously.
 
     The single OT entry point every flow shares: below
-    :data:`OT_EXTENSION_THRESHOLD` input bits the base OT runs directly;
-    above it the IKNP extension amortizes the group operations.
+    :data:`OT_EXTENSION_THRESHOLD` input bits the base OT runs directly
+    (:func:`repro.gc.ot.base_ot_over_channel`); above it the IKNP
+    extension amortizes the group operations.
 
     Args:
-        garbler: holder of the wire label pairs (OT sender messages).
-        wires: the evaluator's input wire ids.
-        bits: the evaluator's plaintext choice bits.
-        channel: the ``(alice_end, bob_end)`` endpoints; every OT flight
-            travels as checksummed ``"ot"``-tagged frames, so injected
-            wire faults hit the OT data path and are detected by the
-            framing layer, deadlines are charged on every flight, and
-            the channel accounts the traffic.
+        garbler: holder of the wire label pairs (OT sender messages);
+            ``None`` where the garbler is hosted elsewhere.
+        wires: the evaluator's input wire ids (public).
+        bits: the evaluator's plaintext choice bits; ``None`` where the
+            evaluator is hosted elsewhere.
+        channel: the ``(alice_end, bob_end)`` endpoints, ``None`` for the
+            one not hosted here; every OT flight travels as checksummed
+            ``"ot"``-tagged frames, so injected wire faults hit the OT
+            data path and are detected by the framing layer, deadlines
+            are charged on every flight, and the channel accounts the
+            traffic.
         group: group for base OTs.
         rng: randomness source.
         state: the caller's OT-extension state (used at or above the
             threshold only); ``None`` pays a base-OT batch for this call.
 
     Returns:
-        ``(labels, total_bytes)`` — the chosen labels and the OT traffic.
+        ``(labels, total_bytes)`` — the chosen labels (``[]`` where the
+        evaluator is hosted elsewhere) and the OT traffic.
     """
-    if len(wires) != len(bits):
+    if bits is not None and len(wires) != len(bits):
         raise ProtocolError("Bob's input width mismatch")
     if not wires:
         return [], 0
-    pairs = []
-    for wire in wires:
-        zero, one = garbler.wire_label_pair(wire)
-        pairs.append((zero.to_bytes(16, "little"), one.to_bytes(16, "little")))
+    pairs = None
+    if garbler is not None:
+        pairs = [
+            (zero.to_bytes(16, "little"), one.to_bytes(16, "little"))
+            for zero, one in map(garbler.wire_label_pair, wires)
+        ]
     if len(wires) >= OT_EXTENSION_THRESHOLD:
         chosen, total = extension_ot(
-            pairs, list(bits), group=group, rng=rng, channel=channel,
-            state=state,
+            pairs, bits, group=group, rng=rng, channel=channel, state=state
         )
     else:
-        chosen, total = _base_ot_over_channel(
-            pairs, list(bits), group, rng, channel
-        )
+        chosen = base_ot_over_channel(pairs, bits, 16, *channel, group=group, rng=rng)
+        total = base_ot_bytes(group, len(wires), 16)
     return [int.from_bytes(data, "little") for data in chosen], total
-
-
-def _base_ot_over_channel(
-    pairs: List[Tuple[bytes, bytes]],
-    bits: List[int],
-    group: OTGroup,
-    rng: RngLike,
-    channel: Tuple[Channel, Channel],
-) -> Tuple[List[bytes], int]:
-    """Run the base OT with every flight framed over the channel.
-
-    Group elements travel fixed-width (the group modulus width), so
-    payload sizes are deterministic and truncation is structurally
-    detectable on top of the checksum.  Returns the chosen messages and
-    the bytes of the three flights as the channel charges them (payload
-    plus the 4-byte length prefix).
-    """
-    alice_end, bob_end = channel
-    m = len(pairs)
-    width = (group.prime.bit_length() + 7) // 8
-    msg_len = len(pairs[0][0])
-
-    sender = OTSender(pairs, group=group, rng=rng)
-    receiver = OTReceiver(bits, group=group, rng=rng)
-
-    alice_end.send_bytes(sender.setup().to_bytes(width, "little"), tag="ot")
-    c_blob = bob_end.recv_bytes(expected_tag="ot")
-    if len(c_blob) != width:
-        raise ChannelIntegrityError(
-            f"OT setup element size mismatch: expected {width} bytes, "
-            f"got {len(c_blob)}"
-        )
-    keys = receiver.public_keys(int.from_bytes(c_blob, "little"))
-    bob_end.send_bytes(
-        b"".join(k.to_bytes(width, "little") for k in keys), tag="ot"
-    )
-    keys_blob = alice_end.recv_bytes(expected_tag="ot")
-    if len(keys_blob) != width * m:
-        raise ChannelIntegrityError(
-            f"OT public-key payload size mismatch: expected {width * m} "
-            f"bytes for {m} transfers, got {len(keys_blob)}"
-        )
-    responses = sender.respond(
-        [
-            int.from_bytes(keys_blob[i * width : (i + 1) * width], "little")
-            for i in range(m)
-        ]
-    )
-    alice_end.send_bytes(
-        b"".join(
-            g.to_bytes(width, "little") + e0 + e1 for g, e0, e1 in responses
-        ),
-        tag="ot",
-    )
-    resp_blob = bob_end.recv_bytes(expected_tag="ot")
-    unit = width + 2 * msg_len
-    if len(resp_blob) != unit * m:
-        raise ChannelIntegrityError(
-            f"OT response payload size mismatch: expected {unit * m} "
-            f"bytes for {m} transfers, got {len(resp_blob)}"
-        )
-    wire_responses = []
-    for i in range(m):
-        chunk = resp_blob[i * unit : (i + 1) * unit]
-        wire_responses.append(
-            (
-                int.from_bytes(chunk[:width], "little"),
-                chunk[width : width + msg_len],
-                chunk[width + msg_len :],
-            )
-        )
-    total = (width + 4) + (len(keys_blob) + 4) + (len(resp_blob) + 4)
-    return receiver.recover(wire_responses), total
 
 
 def execute(

@@ -13,6 +13,14 @@ OT -> evaluate -> merge pass through the level-scheduled engine.  The
 same rng stream yields tables byte-identical to the gate-at-a-time
 reference garbler's.
 
+As in :mod:`repro.gc.protocol`, every step is run by the party it
+belongs to and a session hosts the parties its link has ends for.  The
+only register labels that ever cross the link are the cycle-0 ones —
+the initial state is public, so the garbler sends the labels of its
+bits as one ``state_labels`` frame; from then on each side carries its
+own (zero-labels here, active labels there).  Tweaks advance by the
+core's public table count, which both sides know.
+
 The session records per-cycle garble/evaluate durations;
 :mod:`repro.analysis.timeline` turns them into the overlapped schedule
 of the paper's Fig. 5.
@@ -28,8 +36,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.sequential import SequentialCircuit
-from ..errors import ProtocolError
-from .channel import Channel, default_channel_factory
+from ..errors import ChannelIntegrityError, ProtocolError
+from .channel import default_channel_factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..resilience.deadline import Deadline
@@ -38,8 +46,15 @@ from .fastgarble import FastEvaluator
 from .garble import Garbler
 from .labels import ArrayLabelStore
 from .ot import MODP_2048, OTGroup
-from .ot_extension import IKNPState, extension_ot
-from .protocol import ChannelFactory, merge_outputs, receive_garbled, send_garbled
+from .ot_extension import Ends, IKNPState, extension_ot
+from .protocol import (
+    LinkFactory,
+    open_link,
+    receive_garbled,
+    receive_outputs,
+    send_garbled,
+    send_outputs,
+)
 from .rng import RngLike
 
 __all__ = ["SequentialResult", "SequentialSession"]
@@ -52,7 +67,8 @@ class SequentialResult:
     Attributes:
         outputs_per_cycle: decoded output bits for every cycle (``[]``
             for a cycle whose outputs were not revealed, see
-            ``SequentialSession.run(final_only=True)``).
+            ``SequentialSession.run(final_only=True)``, and for every
+            cycle on a process that hosts the evaluator alone).
         garble_times: per-cycle garbling durations (Alice).
         evaluate_times: per-cycle evaluation durations (Bob).
         comm: per-tag byte counts.
@@ -93,14 +109,14 @@ class SequentialSession:
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
-        channel_factory: Optional[ChannelFactory] = None,
+        channel_factory: Optional[LinkFactory] = None,
         ot_state: Optional[IKNPState] = None,
     ) -> None:
         self.sequential = sequential
         self.kdf = kdf or default_kdf()
         self.ot_group = ot_group
         self.rng = rng
-        self.channel_factory: ChannelFactory = (
+        self.channel_factory: LinkFactory = (
             channel_factory if channel_factory is not None
             else default_channel_factory()
         )
@@ -108,8 +124,8 @@ class SequentialSession:
 
     def run(
         self,
-        alice_cycles: Sequence[Sequence[int]],
-        bob_cycles: Sequence[Sequence[int]],
+        alice_cycles: Optional[Sequence[Sequence[int]]],
+        bob_cycles: Optional[Sequence[Sequence[int]]],
         cycles: Optional[int] = None,
         deadline: Optional["Deadline"] = None,
         final_only: bool = False,
@@ -119,7 +135,8 @@ class SequentialSession:
         Input conventions match
         :meth:`repro.circuits.sequential.SequentialCircuit.run`: a single
         entry is broadcast to every cycle.  Every cycle's input widths
-        are checked against the core before anything is garbled.  A
+        are checked against the core before anything is garbled; the
+        inputs of a party hosted elsewhere are ``None`` and not read.  A
         ``deadline`` is charged on every recv and checked after each
         cycle's evaluation.
 
@@ -132,16 +149,16 @@ class SequentialSession:
         seq = self.sequential
         core = seq.core
         if cycles is None:
-            cycles = max(len(alice_cycles), len(bob_cycles), 1)
+            cycles = max(len(alice_cycles or ()), len(bob_cycles or ()), 1)
         if cycles < 1:
             raise ProtocolError("cycles must be >= 1")
         inputs: List[Tuple[List[int], List[int]]] = []
         for cycle in range(cycles):
             alice_bits = SequentialCircuit._cycle_input(
-                alice_cycles, cycle, core.n_alice
+                alice_cycles or (), cycle, core.n_alice
             )
             bob_bits = SequentialCircuit._cycle_input(
-                bob_cycles, cycle, core.n_bob
+                bob_cycles or (), cycle, core.n_bob
             )
             if (len(alice_bits), len(bob_bits)) != (core.n_alice, core.n_bob):
                 raise ProtocolError(
@@ -150,14 +167,14 @@ class SequentialSession:
                     f"{len(bob_bits)}"
                 )
             inputs.append((alice_bits, bob_bits))
-        alice_end, bob_end, stats = self.channel_factory()
-        if deadline is not None:
-            alice_end.deadline = deadline
-            bob_end.deadline = deadline
+        alice_end, bob_end, stats = open_link(self.channel_factory, deadline)
 
-        store = ArrayLabelStore(core.n_wires, rng=self.rng)
-        garbler = Garbler(core, kdf=self.kdf, label_store=store, rng=self.rng)
-        evaluator = FastEvaluator(core, kdf=self.kdf)
+        # Alice's objects where she is hosted, Bob's where he is
+        if alice_end is not None:
+            store = ArrayLabelStore(core.n_wires, rng=self.rng)
+            garbler = Garbler(core, kdf=self.kdf, label_store=store, rng=self.rng)
+        if bob_end is not None:
+            evaluator = FastEvaluator(core, kdf=self.kdf)
         ot_state = self.ot_state or IKNPState(self.ot_group, self.rng)
         garble_times: List[float] = []
         evaluate_times: List[float] = []
@@ -165,73 +182,84 @@ class SequentialSession:
 
         d_wires = [reg.d_wire for reg in seq.registers]
         bob_wires = list(core.bob_inputs)
+        n_tables = core.counts().non_xor
         # register labels carried between cycles, one side each: the
         # garbler's zero-labels and the evaluator's active labels
         state_zero: Optional[np.ndarray] = None
         eval_state: Union[List[int], np.ndarray, None] = None
-        tweak = 0
         for cycle, (alice_bits, bob_bits) in enumerate(inputs):
-            start = time.perf_counter()
-            garbled = garbler.garble(
-                state_zero_labels=state_zero, tweak_base=tweak
-            )
-            garble_times.append(time.perf_counter() - start)
-            if cycle == 0:
-                # cycle-0 state: init bits are public, so the garbler
-                # simply sends the labels of the init values
-                eval_state = [
-                    store.select(wire, bit)
-                    for wire, bit in zip(
-                        core.state_inputs, seq.initial_state()
-                    )
-                ]
-
+            tweak = 2 * n_tables * cycle
+            reveal = not final_only or cycle == cycles - 1
+            label_pairs = None
             # transfer: tables + Alice labels (every cycle), OT for Bob
-            send_garbled(alice_end, garbler, garbled, alice_bits)
-            view, alice_labels = receive_garbled(bob_end, tweak_base=tweak)
-            bob_labels = self._oblivious_transfer(
-                [garbler.wire_label_pair(w) for w in bob_wires],
-                bob_bits, ot_state, (alice_end, bob_end),
-            )
-
-            start = time.perf_counter()
-            wire_labels = evaluator.evaluate(
-                view, alice_labels, bob_labels, state_labels=eval_state
-            )
-            evaluate_times.append(time.perf_counter() - start)
-
-            # merge step for this cycle's outputs
-            if final_only and cycle < cycles - 1:
-                outputs.append([])
-            else:
-                labels = evaluator.output_labels(wire_labels)
-                outputs.append(
-                    merge_outputs(alice_end, bob_end, garbler, labels)
+            if alice_end is not None:
+                start = time.perf_counter()
+                garbled = garbler.garble(
+                    state_zero_labels=state_zero, tweak_base=tweak
                 )
+                garble_times.append(time.perf_counter() - start)
+                send_garbled(alice_end, garbler, garbled, alice_bits)
+                if cycle == 0 and d_wires:
+                    # cycle-0 state: init bits are public, so the garbler
+                    # sends the labels of the init values
+                    alice_end.send_labels(
+                        garbler.input_labels_for(
+                            core.state_inputs, seq.initial_state()
+                        ),
+                        tag="state_labels",
+                    )
+                label_pairs = [garbler.wire_label_pair(w) for w in bob_wires]
+            if bob_end is not None:
+                view, alice_labels = receive_garbled(bob_end, tweak_base=tweak)
+                if cycle == 0 and d_wires:
+                    eval_state = bob_end.recv_labels(expected_tag="state_labels")
+                    if len(eval_state) != len(d_wires):
+                        raise ChannelIntegrityError(
+                            f"state-label payload carries {len(eval_state)} "
+                            f"entries for {len(d_wires)} registers"
+                        )
+            bob_labels = self._oblivious_transfer(
+                label_pairs, bob_bits, ot_state, (alice_end, bob_end)
+            )
+
+            if bob_end is not None:
+                start = time.perf_counter()
+                wire_labels = evaluator.evaluate(
+                    view, alice_labels, bob_labels, state_labels=eval_state
+                )
+                evaluate_times.append(time.perf_counter() - start)
+                # merge step for this cycle's outputs, Bob's half
+                if reveal:
+                    send_outputs(bob_end, evaluator.output_labels(wire_labels))
+                eval_state = wire_labels.plane[d_wires]
+            if alice_end is not None:
+                outputs.append(
+                    receive_outputs(alice_end, garbler) if reveal else []
+                )
+                state_zero = store.zero_rows(d_wires)
+            else:
+                outputs.append([])
             if deadline is not None:
                 deadline.check(f"cycle {cycle} merge")
-
-            # carry register labels into the next cycle
-            state_zero = store.zero_rows(d_wires)
-            eval_state = wire_labels.plane[d_wires]
-            tweak += 2 * len(garbled.tables)
 
         return SequentialResult(
             outputs_per_cycle=outputs,
             garble_times=garble_times,
             evaluate_times=evaluate_times,
             comm=stats.by_tag(),
-            n_non_xor_per_cycle=core.counts().non_xor,
+            n_non_xor_per_cycle=n_tables,
         )
 
     def _oblivious_transfer(
         self,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: Optional[Sequence[Tuple[int, int]]],
         bits: Sequence[int],
         ot_state: IKNPState,
-        channel: Tuple[Channel, Channel],
+        channel: Ends,
     ) -> List[int]:
-        """One cycle's OT for Bob's labels, framed over ``channel``.
+        """One cycle's OT for Bob's labels, framed over ``channel``:
+        ``pairs`` are the garbler's (``None`` where it is hosted
+        elsewhere), ``bits`` are read where the evaluator is.
 
         Unlike :func:`repro.gc.protocol.transfer_input_labels`, a cycle
         always extends, whatever its width: the run's single base-OT
@@ -239,11 +267,9 @@ class SequentialSession:
         cheaper through ``ot_state`` than through a direct base OT each
         cycle.
         """
-        if len(pairs) != len(bits):
-            raise ProtocolError("Bob's input width mismatch")
-        if not pairs:
+        if not bits:
             return []
-        byte_pairs = [
+        byte_pairs = pairs and [
             (zero.to_bytes(16, "little"), one.to_bytes(16, "little"))
             for zero, one in pairs
         ]

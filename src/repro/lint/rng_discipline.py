@@ -2,11 +2,12 @@
 
 Labels and Δ must come from an *injected* rng (``secrets`` in
 production, a seeded ``random.Random`` in tests) so that draw order is
-explicit — lockstep peer sessions and seed-deterministic
-cut-and-choose re-garbling are only correct because every draw flows
-through the object handed in via ``repro/gc/rng.py`` adapters.  Module-
-global RNG state (``random.randint``, ``np.random.seed``, legacy
-``np.random.*`` draws) breaks both properties silently, so inside
+explicit — each party of a split session draws its secrets from its
+*own* source and nothing else, and seed-deterministic cut-and-choose
+re-garbling is only correct because every draw flows through the
+object handed in via ``repro/gc/rng.py`` adapters.  Module-global RNG
+state (``random.randint``, ``np.random.seed``, legacy ``np.random.*``
+draws) breaks both properties silently, so inside
 ``repro/gc/`` and ``repro/circuits/`` it is banned outright.
 
 Allowed: constructing *instances* (``random.Random(seed)``,

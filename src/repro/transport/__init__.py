@@ -3,7 +3,8 @@
 Everything below the :class:`repro.gc.channel.Channel` surface moved
 frames through in-process deques; this package moves the *same* frames
 through real sockets so garbler and evaluator can live in separate
-processes (or hosts) without touching a line of session code:
+processes (or hosts), each holding its own secrets, on the session code
+the in-memory runs execute:
 
 - :mod:`repro.transport.wire` — the length-prefixed codec: one
   ``Frame`` (tag / seq / CRC / virtual delay / payload) per wire record,
@@ -13,10 +14,11 @@ processes (or hosts) without touching a line of session code:
   ``Channel`` whose dispatch/fetch seams are a connected stream socket;
   plus a loopback socketpair factory that is drop-in for
   ``make_channel_pair`` (deterministic tests over kernel sockets).
-- :mod:`repro.transport.peer` — lockstep-mirrored session split: each
-  process hosts one party's wire flights while mirroring the shared-seed
-  protocol program, so a two-process run is byte-identical (labels *and*
-  comm accounting) to the in-memory run.
+- :mod:`repro.transport.peer` — the session split: a channel factory
+  that gives a session the hosted party's end and ``None`` for the
+  other, so each process runs its own party's steps on its own input
+  and rng; the frames (sizes, tags, order, comm accounting) are the
+  in-memory run's, plus one framed base-OT set-up per connection.
 - :mod:`repro.transport.worker` — the ``cli worker`` protocol: a
   control-frame loop hosting peer sessions and whole inference shards.
 - :mod:`repro.transport.sharded` — :class:`ShardedService`, the

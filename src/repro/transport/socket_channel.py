@@ -21,7 +21,10 @@ Two read modes:
 
 - **remote** (default): blocking reads with a timeout derived from the
   endpoint's deadline (capped by ``io_timeout_s``) — the "deadlines map
-  to socket timeouts" contract.
+  to socket timeouts" contract.  The other endpoint is in another
+  process, so this one accounts what it *receives* under the far
+  party's direction: each process reports the link's full per-tag
+  traffic, equal on both ends and equal to an in-memory pair's.
 - **loopback**: both endpoints of a ``socket.socketpair()`` live in one
   process and are driven by one thread (exactly how the sessions drive
   the in-memory pair).  Receives drain whatever the kernel has buffered
@@ -41,7 +44,7 @@ import collections
 import errno
 import select
 import socket
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..errors import ChannelClosedError, ChannelEmptyError
 from ..gc.channel import Channel, ChannelStats, Frame
@@ -74,9 +77,6 @@ class SocketChannel(Channel):
         io_timeout_s: cap on one blocking read; the armed deadline's
             remaining budget lowers it further.
         max_payload: wire codec size cap for this link.
-        echo: optional frame sink — every sent frame is also appended
-            here (the peer-mirroring adapter reads the hosted party's
-            flights back on the remote party's mirrored endpoint).
     """
 
     def __init__(
@@ -86,7 +86,6 @@ class SocketChannel(Channel):
         stats: Optional[ChannelStats] = None,
         io_timeout_s: float = DEFAULT_IO_TIMEOUT_S,
         max_payload: int = MAX_PAYLOAD_BYTES,
-        echo: Optional[Deque[Frame]] = None,
     ) -> None:
         super().__init__(
             outbox=collections.deque(),
@@ -97,7 +96,6 @@ class SocketChannel(Channel):
         self._sock = sock
         self._io_timeout_s = io_timeout_s
         self._max_payload = max_payload
-        self._echo = echo
         self._decoder = FrameDecoder(max_payload=max_payload)
         #: set on both ends of a loopback pair; None for a remote link
         self._loopback_peer: Optional["SocketChannel"] = None
@@ -106,8 +104,6 @@ class SocketChannel(Channel):
 
     def _dispatch(self, frame: Frame) -> None:
         data = encode_frame(frame, max_payload=self._max_payload)
-        if self._echo is not None:
-            self._echo.append(frame)
         if self._loopback_peer is None:
             self._send_blocking(data)
         else:
@@ -228,7 +224,14 @@ class SocketChannel(Channel):
             timeout = min(timeout, max(self.deadline.remaining(), 1e-3))
         self._sock.settimeout(timeout)
         try:
-            return read_frame(self._read_exact, max_payload=self._max_payload)
+            frame = read_frame(self._read_exact, max_payload=self._max_payload)
+            # the sender's accounting lives in its own process: charge the
+            # frame here, as the far endpoint's _dispatch does there
+            self._stats.record(
+                "b2a" if self._direction == "a2b" else "a2b",
+                frame.tag, len(frame.payload) + 4,
+            )
+            return frame
         except socket.timeout:
             if self.deadline is not None:
                 # the wait itself was real elapsed time — check, don't

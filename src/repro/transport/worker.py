@@ -15,13 +15,15 @@ Control operations:
     liveness probe; replies ``pong``.
 ``peer``
     host the evaluator side of a split session: the caller names the
-    flow (``two_party`` / ``folded``), the session seed, both input bit
-    vectors and its garbling oracle (:func:`open_peer_session` builds
-    the record), then both processes run the lockstep-mirrored session
-    (:mod:`repro.transport.peer`) over this same socket, the worker
-    under its service's oracle.  The reply that follows the session
-    carries the worker's decoded outputs and comm total so the caller
-    can assert cross-process agreement.
+    flow (``two_party`` / ``folded``) and its garbling oracle — nothing
+    else; :func:`open_peer_session` builds the record — then each
+    process runs its own party (:mod:`repro.transport.peer`) over this
+    same socket: the worker evaluates on its service's own
+    ``server_bits()`` under its own rng and oracle, and keeps one OT
+    state per connection, so only a connection's first session pays the
+    base OT.  The reply that follows the session carries the worker's
+    comm total — it cannot decode a label, which is the point — so the
+    caller can assert both ends counted the same traffic.
 ``infer``
     serve a batch shard through ``service.infer_many``, in this thread,
     and return the per-request records (``dataclasses.asdict`` of each
@@ -65,6 +67,7 @@ from ..errors import (
     EngineError,
 )
 from ..gc.cipher import oracle_fingerprint
+from ..gc.ot_extension import IKNPState
 from .wire import checksummed, encode_frame, read_frame
 
 __all__ = [
@@ -221,36 +224,21 @@ def _foreign_oracle(service: Any, record: Dict[str, Any]) -> Optional[str]:
 
 
 def open_peer_session(
-    sock: socket.socket,
-    flow: str,
-    seed: int,
-    alice_bits: Any,
-    bob_bits: Any,
-    kdf: Any,
-    timeout: float = 60.0,
+    sock: socket.socket, flow: str, kdf: Any, timeout: float = 60.0
 ) -> Dict[str, Any]:
     """The caller's half of the ``peer`` op: name the session, await the ack.
 
-    On return the worker is committed to reading protocol frames and
-    the caller runs its side (``run_*_peer`` with the same ``kdf`` and
-    an rng seeded with ``seed``).
+    The record carries the flow and the oracle fields — no input bit and
+    no seed: each process holds its own.  On return the worker is
+    committed to reading protocol frames and the caller runs its side
+    (``run_*_peer`` as the garbler, with the same ``kdf``).
 
     Raises:
         EngineError: the worker refused — unknown flow, or its service
             garbles under a different oracle than ``kdf``.  No protocol
             frame has moved.
     """
-    send_ctl(
-        sock,
-        {
-            "op": "peer",
-            "flow": flow,
-            "seed": seed,
-            "alice_bits": [int(b) for b in alice_bits],
-            "bob_bits": [int(b) for b in bob_bits],
-            **_oracle_fields(kdf),
-        },
-    )
+    send_ctl(sock, {"op": "peer", "flow": flow, **_oracle_fields(kdf)})
     ack = recv_ctl(sock, timeout=timeout)
     if not ack.get("ok"):
         raise EngineError(
@@ -260,16 +248,13 @@ def open_peer_session(
     return ack
 
 
-def _handle_peer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> None:
+def _handle_peer(
+    sock: socket.socket, service: Any, record: Dict[str, Any], ot_state: IKNPState
+) -> None:
     """Host the evaluator side of one split session on this socket."""
-    import random
-
     from .peer import run_folded_peer, run_two_party_peer
 
     flow = record.get("flow", "two_party")
-    seed = int(record.get("seed", 0))
-    alice_bits = [int(b) for b in record.get("alice_bits", [])]
-    bob_bits = [int(b) for b in record.get("bob_bits", [])]
     runner = {"two_party": run_two_party_peer, "folded": run_folded_peer}.get(flow)
     if runner is None:
         send_ctl(sock, {"ok": False, "error": f"unknown peer flow {flow!r}"})
@@ -288,23 +273,16 @@ def _handle_peer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> N
         sock,
         "evaluator",
         service.compiled.circuit,
-        alice_bits,
-        bob_bits,
+        service.compiled.server_bits(),
         kdf=service.kdf,
         ot_group=service.config.ot_group,
-        rng=random.Random(seed),
+        rng=service.config.rng,
         request_timeout_s=service.config.request_timeout_s,
+        ot_state=ot_state,
     )
-    outputs = result.final_outputs if flow == "folded" else result.outputs
     send_ctl(
         sock,
-        {
-            "ok": True,
-            "op": "peer_result",
-            "outputs": [int(b) for b in outputs],
-            "label": service.compiled.decode_output(list(outputs)),
-            "comm_bytes": sum(result.comm.values()),
-        },
+        {"ok": True, "op": "peer_result", "comm_bytes": sum(result.comm.values())},
     )
 
 
@@ -363,6 +341,7 @@ def serve_connection(
     plus ``integrity_errors`` / ``op_errors`` for operator output.
     """
     counters: Dict[str, int] = {}
+    peer_ot: Optional[IKNPState] = None
     while True:
         if should_stop is not None and should_stop():
             break
@@ -385,7 +364,15 @@ def serve_connection(
             if op == "ping":
                 send_ctl(sock, {"ok": True, "op": "pong"})
             elif op == "peer":
-                _handle_peer(sock, service, record)
+                # the connection's OT half outlives a session that ends;
+                # one that fails may leave the two ends' extension counts
+                # apart, so its state goes with it
+                ot_state = peer_ot or IKNPState(
+                    service.config.ot_group, service.config.rng
+                )
+                peer_ot = None
+                _handle_peer(sock, service, record, ot_state)
+                peer_ot = ot_state
             elif op == "infer":
                 _handle_infer(sock, service, record)
             elif op == "prepare":

@@ -205,7 +205,12 @@ class TestFoldedDense:
             [word_bits(v) for v in x], [word_bits(v) for v in w], cycles=16
         )
         reference_frames, frames[:] = list(frames), []
-        assert sum(reference.comm.values()) == 278_336
+        # 278 336 under the length-prefixed pair layout; the plane layout
+        # sends 8 B less per transfer (16 cycles x 16), and the cycle-0
+        # register labels now cross as one frame: 25 x 16 + 4 + 4
+        total = 278_336 - 16 * 16 * 8 + 408
+        assert sum(reference.comm.values()) == total == 276_696
+        assert reference.comm["state_labels"] == 408
 
         result = run_folded_dense(
             [int(v) for v in x], w[:, None], fmt, ot_group=TEST_GROUP_512,
@@ -217,7 +222,7 @@ class TestFoldedDense:
             [f for f in reference_frames if f[0] != "output_labels"]
             + merges[-1:]
         )
-        assert result.comm_bytes == 278_336 - _wire_bytes(merges[:-1])
+        assert result.comm_bytes == total - _wire_bytes(merges[:-1])
         value = int(fixed_mul(x, w, fmt.frac_bits).sum())
         assert result.outputs == [value]
         acc = sum(bit << i for i, bit in enumerate(reference.final_outputs))

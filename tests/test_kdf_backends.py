@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import CircuitBuilder
 from repro.engine import EngineConfig
-from repro.errors import EngineError
+from repro.errors import EngineError, OTError
 from repro.gc import (
     KDF_BACKENDS,
     FixedKeyAES,
@@ -597,36 +597,28 @@ class TestVectorizedIKNP:
         choices = [rng.getrandbits(1) for _ in range(m)]
         return pairs, choices
 
-    def _run(self, pairs, choices, seed, force_scalar):
-        old = ot_extension.VEC_MIN_TRANSFERS
-        ot_extension.VEC_MIN_TRANSFERS = 10**9 if force_scalar else 1
-        try:
-            return ot_extension.extension_ot(
-                pairs, choices, group=TEST_GROUP_512,
-                rng=random.Random(seed),
-            )
-        finally:
-            ot_extension.VEC_MIN_TRANSFERS = old
-
-    def test_vector_path_matches_scalar_path(self):
-        pairs, choices = self._pairs(90)
-        fast = self._run(pairs, choices, seed=31, force_scalar=False)
-        slow = self._run(pairs, choices, seed=31, force_scalar=True)
-        assert fast == slow
+    def _run(self, pairs, choices, seed):
+        return ot_extension.extension_ot(
+            pairs, choices, group=TEST_GROUP_512, rng=random.Random(seed),
+        )
 
     def test_vector_path_multi_counter_messages(self):
+        # 70-byte messages: every mask is three SHA-256 counters wide
         pairs, choices = self._pairs(70, length=70, seed=2)
-        fast = self._run(pairs, choices, seed=8, force_scalar=False)
-        slow = self._run(pairs, choices, seed=8, force_scalar=True)
-        assert fast == slow
+        out, transferred = self._run(pairs, choices, seed=8)
+        assert out == [pair[c] for pair, c in zip(pairs, choices)]
+        assert transferred == (ot_extension.KAPPA * 9 + 4) + (2 * 70 * 70 + 4)
 
     def test_receiver_gets_chosen_messages(self):
         pairs, choices = self._pairs(80, seed=5)
-        out, transferred = self._run(pairs, choices, seed=6,
-                                     force_scalar=False)
+        out, transferred = self._run(pairs, choices, seed=6)
         for (m0, m1), c, got in zip(pairs, choices, out):
             assert got == (m1 if c else m0)
-        assert transferred == 2 * 80 * 16 + 80 * ot_extension.KAPPA // 8
+        # the u columns and the two masked planes, each frame's payload
+        # plus its 4-byte length prefix
+        assert transferred == (
+            (80 * ot_extension.KAPPA // 8 + 4) + (2 * 80 * 16 + 4)
+        )
 
     @pytest.mark.parametrize(
         "length, digest",
@@ -639,20 +631,31 @@ class TestVectorizedIKNP:
         """The masks are wire contract: pinned at the commit that still
         hashed rows through ``sha256_vec`` (70 bytes = three counters)."""
         rows = (np.arange(702 * 16) % 251).astype(np.uint8).reshape(702, 16)
+        def hash_row(index, row, length):
+            """``H(i, row)`` one row at a time: the reference."""
+            out, counter = b"", 0
+            while len(out) < length:
+                out += hashlib.sha256(
+                    index.to_bytes(8, "big") + counter.to_bytes(4, "big") + row
+                ).digest()
+                counter += 1
+            return out[:length]
+
         masks = ot_extension._hash_rows(rows, length, 1000)
         assert masks.shape == (702, length)
         assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
-        assert masks[5].tobytes() == ot_extension._hash_row(
-            1005, rows[5].tobytes(), length
-        )
+        for i in (0, 5, 701):
+            assert masks[i].tobytes() == hash_row(1000 + i, rows[i].tobytes(), length)
 
-    def test_ragged_pairs_use_fallback(self):
+    def test_ragged_pairs_are_refused(self):
+        """One plane layout: the receiver reads the one message length
+        off the frame, so a sender with ragged pairs is told so — before
+        anything is reserved or framed."""
         rng = random.Random(9)
         pairs = [(rng.randbytes(4), rng.randbytes(4)),
                  (rng.randbytes(20), rng.randbytes(20))] * 40
         choices = [rng.getrandbits(1) for _ in range(80)]
-        out, _ = ot_extension.extension_ot(
-            pairs, choices, group=TEST_GROUP_512, rng=random.Random(10)
-        )
-        for (m0, m1), c, got in zip(pairs, choices, out):
-            assert got == (m1 if c else m0)
+        state = ot_extension.IKNPState(group=TEST_GROUP_512, rng=random.Random(10))
+        with pytest.raises(OTError, match="one length"):
+            ot_extension.extension_ot(pairs, choices, state=state)
+        assert state.extensions == 0

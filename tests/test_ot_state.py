@@ -1,8 +1,8 @@
 """The session-lived OT-extension state: base OT once, then symmetric work.
 
 Covers :class:`repro.gc.ot_extension.IKNPState` bottom-up: chosen-message
-correctness on both masking paths, the IKNP correlation each extension
-must satisfy, the never-reuse guarantee on counters and hash indices
+correctness for every batch size, the IKNP correlation the two halves
+of each extension must satisfy, the never-reuse guarantee on counters and hash indices
 (threads and aborted extensions included), how often each owner pays the
 base OT, and that hoisting it moved no byte of any request's traffic.
 
@@ -27,7 +27,7 @@ from repro.circuits.sequential import SequentialCircuit
 from repro.compile import CompileOptions, compile_model, folded_mac_cell
 from repro.engine import EngineConfig, get_backend
 from repro.errors import ReproError
-from repro.gc import SequentialSession, ot, ot_extension
+from repro.gc import SequentialSession, ot
 from repro.gc.channel import default_channel_factory
 from repro.gc.ot import TEST_GROUP_512, OTGroup, run_ot_batch
 from repro.gc.ot_extension import KAPPA, IKNPState, extension_ot
@@ -43,7 +43,12 @@ from repro.resilience import (
 from repro.service import PrivateInferenceService
 from repro.transport import ShardedService
 from repro.transport.peer import run_folded_peer, run_two_party_peer
-from repro.transport.worker import WorkerServer, recv_ctl, send_ctl
+from repro.transport.worker import (
+    WorkerServer,
+    open_peer_session,
+    recv_ctl,
+    send_ctl,
+)
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 FMT = FixedPointFormat(2, 6)
@@ -65,22 +70,13 @@ def _channel():
 
 
 @pytest.fixture
-def masking_path(request, monkeypatch):
-    """Force the vectorized or the per-row masking path for any ``m``."""
-    monkeypatch.setattr(
-        ot_extension, "VEC_MIN_TRANSFERS", 1 if request.param == "vector" else 10**9
-    )
-    return request.param
-
-
-@pytest.fixture
 def reservations(monkeypatch):
     """Every ``(counter, first_index, m)`` any state hands out."""
     seen = []
     original = IKNPState.reserve
 
-    def recording(self, m):
-        counter, first_index = original(self, m)
+    def recording(self, m, ends=(None, None)):
+        counter, first_index = original(self, m, ends)
         seen.append((counter, first_index, m))
         return counter, first_index
 
@@ -98,25 +94,29 @@ def _assert_disjoint(reserved):
 
 
 class TestChosenMessages:
-    @pytest.mark.parametrize("masking_path", ["vector", "scalar"], indirect=True)
+    @pytest.mark.parametrize("length", [16, 70])
     @pytest.mark.parametrize("m", [1, 16, 63, 64, 696])
-    def test_receiver_gets_exactly_its_choice(self, m, masking_path):
+    def test_receiver_gets_exactly_its_choice(self, m, length):
+        # one plane layout for every m >= 1 and every message length
         state = _state(m)
         # two extensions from one state, the second over a channel: the
         # seeds, not a fresh base OT, must carry both
         for round_, channel in enumerate((None, _channel())):
-            pairs, choices = _pairs(m, seed=100 * m + round_)
+            pairs, choices = _pairs(m, seed=100 * m + round_, length=length)
             out, _ = extension_ot(pairs, choices, channel=channel, state=state)
             assert out == [pair[c] for pair, c in zip(pairs, choices)]
         assert state.extensions == 2
 
-    def test_masking_paths_agree_byte_for_byte(self, monkeypatch):
+    def test_private_link_and_callers_link_agree_byte_for_byte(self):
+        # without a channel the same three steps run over a private
+        # in-memory link: same messages, same two frames charged
         pairs, choices = _pairs(90, seed=3)
-        results = []
-        for threshold in (1, 10**9):
-            monkeypatch.setattr(ot_extension, "VEC_MIN_TRANSFERS", threshold)
-            results.append(extension_ot(pairs, choices, state=_state(9)))
+        results = [
+            extension_ot(pairs, choices, channel=channel, state=_state(9))
+            for channel in (None, _channel())
+        ]
         assert results[0] == results[1]
+        assert results[0][1] == (KAPPA * 12 + 4) + (2 * 90 * 16 + 4)
 
     def test_channel_frames_keep_their_sizes(self):
         # the two "ot" frames the chaos matrix addresses by position:
@@ -139,9 +139,10 @@ class TestCorrelation:
         for m in (5, 64, 301):
             counter, _first = state.reserve(m)
             r = np.array([rng.getrandbits(1) for _ in range(m)], dtype=np.uint8)
-            t_rows, u_blob = state.receiver_columns(counter, r)
-            q_rows, q_rows_flipped = state.sender_rows(counter, m, u_blob)
-            s = state._s_packed
+            # the receiver's half makes T and u; the sender's, Q from u
+            t_rows, u_blob = state.receiver.columns(counter, r)
+            q_rows, q_rows_flipped = state.sender.rows(counter, m, u_blob)
+            s = state.sender.s_packed
             assert np.array_equal(q_rows, t_rows ^ (r[:, None] * s[None, :]))
             assert np.array_equal(q_rows_flipped, q_rows ^ s[None, :])
             assert len(u_blob) == KAPPA * ((m + 7) // 8)
@@ -149,8 +150,8 @@ class TestCorrelation:
     def test_counters_separate_the_expansions(self):
         state = _state(23)
         r = np.zeros(40, dtype=np.uint8)
-        first, _ = state.receiver_columns(state.reserve(40)[0], r)
-        second, _ = state.receiver_columns(state.reserve(40)[0], r)
+        counters = [state.reserve(40)[0] for _ in range(2)]
+        first, second = (state.receiver.columns(c, r)[0] for c in counters)
         assert not np.array_equal(first, second)
 
 
@@ -456,12 +457,14 @@ class TestTrafficUnmoved:
         assert backend.ot_state.extensions == 2
 
 
-class TestPeersStayInLockstep:
-    """A worker whose service already holds an OT state must still mirror a
-    freshly seeded peer session: the peers build their own state per call."""
+class TestPeerStateBelongsToItsConnection:
+    """A worker whose service already holds an OT state hosts a peer
+    session on a state of the *connection*: set up over that socket with
+    the caller's independent half, paid once, and the service's own state
+    is left alone."""
 
     @pytest.mark.parametrize("flow", ["two_party", "folded"])
-    def test_peer_after_infer_is_byte_identical(self, flow):
+    def test_peer_after_infer_pays_once_per_connection(self, flow, base_batches):
         service = _service(transport="memory")
         _model_, x = _model()
         server = WorkerServer(service)
@@ -478,25 +481,35 @@ class TestPeersStayInLockstep:
             })
             assert recv_ctl(sock, timeout=120.0)["ok"]
             assert service.stats["ot"]["base_batches"] == 1
-            client_bits = service.compiled.client_bits(x[1])
-            server_bits = service._server_bits
-            send_ctl(sock, {
-                "op": "peer", "flow": flow, "seed": 77,
-                "alice_bits": client_bits, "bob_bits": server_bits,
-            })
-            assert recv_ctl(sock, timeout=30.0)["ok"]
+            assert base_batches == [1]
             runner = run_two_party_peer if flow == "two_party" else run_folded_peer
-            result = runner(
-                sock, "garbler", service.compiled.circuit,
-                client_bits, server_bits, ot_group=TEST_GROUP_512,
-                rng=random.Random(77),
-            )
-            outputs = result.final_outputs if flow == "folded" else result.outputs
-            remote = recv_ctl(sock, timeout=120.0)
-            assert remote["outputs"] == outputs
-            assert remote["comm_bytes"] == sum(result.comm.values())
-            assert remote["label"] == service.cleartext_label(x[1])
-            # the peer session left the service's own state alone
+            # the caller's half: its own rng, nothing shared with the worker
+            state = IKNPState(group=TEST_GROUP_512, rng=random.Random(77))
+            for index in (1, 2):
+                open_peer_session(sock, flow, service.kdf)
+                result = runner(
+                    sock, "garbler", service.compiled.circuit,
+                    service.compiled.client_bits(x[index]),
+                    ot_group=TEST_GROUP_512, rng=random.Random(78),
+                    ot_state=state,
+                )
+                outputs = result.final_outputs if flow == "folded" else result.outputs
+                assert service.compiled.decode_output(outputs) == (
+                    service.cleartext_label(x[index])
+                )
+                remote = recv_ctl(sock, timeout=120.0)
+                assert remote == {
+                    "ok": True, "op": "peer_result",
+                    "comm_bytes": sum(result.comm.values()),
+                }
+                # only the connection's first session frames a set-up
+                assert ("ot_setup" in result.comm) == (index == 1)
+            # the worker paid one base OT for the connection (as its sender),
+            # the caller hosts the receiver of that batch and pays no setup()
+            assert base_batches == [2]
+            assert state.extensions == 2
+            assert state.sender is not None and state.receiver is None
+            # the peer sessions left the service's own state alone
             assert service.stats["ot"]["extensions"] == 1
             send_ctl(sock, {"op": "shutdown"})
             assert recv_ctl(sock, timeout=30.0)["ok"]

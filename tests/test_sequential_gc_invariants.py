@@ -58,14 +58,20 @@ class TestTweakFreshness:
 class TestStateLabelCarry:
     def test_register_labels_flow_without_transfer(self, rng):
         """The comm log of a sequential run has no per-cycle state
-        transfer: only tables, input labels and outputs move."""
+        transfer: the labels of the public initial state cross once, in
+        cycle 0; after that only tables, input labels and outputs move."""
         seq = accumulator()
-        result = SequentialSession(seq, ot_group=TEST_GROUP_512, rng=rng).run(
-            [bits_from_int(9, 6)], [], cycles=3
-        )
+        result, log = _logged_run(seq, [bits_from_int(9, 6)], [], cycles=3)
         assert set(result.comm) <= {
-            "tables", "const_labels", "alice_labels", "ot", "output_labels"
+            "tables", "const_labels", "alice_labels", "state_labels", "ot",
+            "output_labels",
         }
+        # cycle 0: tables, const_labels, alice_labels, then the 6 registers
+        assert [
+            (index, direction, size)
+            for index, (direction, tag, size) in enumerate(log)
+            if tag == "state_labels"
+        ] == [(3, "a2b", 6 * 16 + 4 + 4)]
 
     def test_initial_state_is_public_constant(self, rng):
         """Cycle-0 outputs reflect the declared register init value."""

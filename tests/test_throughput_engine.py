@@ -664,7 +664,7 @@ class TestFoldedSession:
         assert reference.decode_outputs(fast_out) == expected
 
     def test_register_carry_stays_private(self):
-        """No state transfer tags appear on the wire."""
+        """No state transfer after cycle 0's (public) initial labels."""
         cell = folded_mac_cell(FMT, fan_in=3)
         session = SequentialSession(
             cell, ot_group=TEST_GROUP_512, rng=random.Random(4),
@@ -675,8 +675,11 @@ class TestFoldedSession:
             cycles=3,
         )
         assert set(result.comm) <= {
-            "tables", "const_labels", "alice_labels", "ot", "output_labels"
+            "tables", "const_labels", "alice_labels", "state_labels", "ot",
+            "output_labels",
         }
+        # one frame over the three cycles: a label per register + count + prefix
+        assert result.comm["state_labels"] == 16 * cell.n_state + 4 + 4
         assert len(result.garble_times) == 3
         assert len(result.evaluate_times) == 3
 

@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.gc import SequentialSession, TwoPartySession
 from repro.gc.channel import Frame, default_channel_factory, make_channel_pair
 from repro.gc.ot import TEST_GROUP_512
+from repro.gc.ot_extension import IKNPState
 from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
 from repro.resilience import FaultPlan, FaultSpec, faulty_channel_factory
 from repro.transport import (
@@ -362,22 +363,27 @@ class TestTransportParity:
 # ---------------------------------------------------------------------------
 
 
-def _run_both_sides(runner, circuit, a, b, seed):
+def _run_both_sides(runner, circuit, a, b):
+    """Both roles on two threads over a socketpair: each is handed its
+    own bits and its own rng, nothing else."""
     left, right = socket.socketpair()
     results = {}
 
-    def side(role, sock):
+    def side(role, sock, bits, seed):
         results[role] = runner(
-            sock, role, circuit, a, b, ot_group=TEST_GROUP_512,
+            sock, role, circuit, bits, ot_group=TEST_GROUP_512,
             rng=random.Random(seed),
         )
 
-    evaluator = threading.Thread(target=side, args=("evaluator", right))
+    evaluator = threading.Thread(target=side, args=("evaluator", right, b, 8))
     evaluator.start()
-    side("garbler", left)
-    evaluator.join()
-    left.close()
-    right.close()
+    try:
+        side("garbler", left, a, 7)
+    finally:
+        evaluator.join(timeout=60.0)
+        left.close()
+        right.close()
+    assert not evaluator.is_alive()
     return results["garbler"], results["evaluator"]
 
 
@@ -391,10 +397,9 @@ class TestPeerSessions:
         reference = TwoPartySession(
             circuit, ot_group=TEST_GROUP_512, rng=random.Random(7)
         ).run(a, b)
-        garbler, evaluator = _run_both_sides(
-            run_two_party_peer, circuit, a, b, 7
-        )
-        assert garbler.outputs == evaluator.outputs == reference.outputs
+        garbler, evaluator = _run_both_sides(run_two_party_peer, circuit, a, b)
+        assert garbler.outputs == reference.outputs == simulate(circuit, a, b)
+        assert evaluator.outputs == []  # it holds nothing that decodes
         assert garbler.comm == evaluator.comm == reference.comm
 
     def test_folded_peer_matches_memory(self):
@@ -406,20 +411,14 @@ class TestPeerSessions:
             SequentialCircuit(circuit, []), ot_group=TEST_GROUP_512,
             rng=random.Random(7),
         ).run([a], [b], cycles=1)
-        garbler, evaluator = _run_both_sides(run_folded_peer, circuit, a, b, 7)
-        assert (garbler.outputs_per_cycle == evaluator.outputs_per_cycle
-                == reference.outputs_per_cycle)
-        assert garbler.comm == evaluator.comm == reference.comm
-
-    def test_peer_requires_seeded_rng(self):
-        left, right = socket.socketpair()
-        try:
-            with pytest.raises(EngineError, match="seeded"):
-                run_two_party_peer(left, "garbler", random_circuit(0),
-                                   [0] * 4, [0] * 4)
-        finally:
-            left.close()
-            right.close()
+        garbler, evaluator = _run_both_sides(run_folded_peer, circuit, a, b)
+        assert garbler.outputs_per_cycle == reference.outputs_per_cycle
+        assert evaluator.outputs_per_cycle == [[]]
+        # a cycle always extends: two processes frame the set-up the
+        # in-memory state hands across in memory
+        assert garbler.comm == evaluator.comm
+        assert garbler.comm.pop("ot_setup") > 0
+        assert garbler.comm == reference.comm
 
     def test_peer_rejects_unknown_role(self):
         left, right = socket.socketpair()
@@ -437,7 +436,7 @@ class TestPeerSessions:
         try:
             with pytest.raises(ChannelClosedError):
                 run_two_party_peer(
-                    left, "garbler", circuit, [0] * 4, [1] * 4,
+                    left, "garbler", circuit, [0] * 4,
                     ot_group=TEST_GROUP_512, rng=random.Random(1),
                 )
         finally:
@@ -536,23 +535,22 @@ class TestWorkerProtocol:
             [record] = reply["results"]
             assert record["label"] == tiny_service.cleartext_label(sample)
             assert record["request_id"] == "r0"
-            # peer op: split session, garbler here / evaluator there
-            client_bits = tiny_service.compiled.client_bits(sample)
-            server_bits = tiny_service._server_bits
-            send_ctl(sock, {
-                "op": "peer", "flow": "two_party", "seed": 99,
-                "alice_bits": client_bits, "bob_bits": server_bits,
-            })
+            # peer op: split session, garbler here on the sample's bits,
+            # evaluator there on the worker's own weights
+            send_ctl(sock, {"op": "peer", "flow": "two_party"})
             assert recv_ctl(sock, timeout=30.0)["ok"]
             result = run_two_party_peer(
                 sock, "garbler", tiny_service.compiled.circuit,
-                client_bits, server_bits, ot_group=TEST_GROUP_512,
-                rng=random.Random(99),
+                tiny_service.compiled.client_bits(sample),
+                ot_group=TEST_GROUP_512, rng=random.Random(99),
             )
-            remote = recv_ctl(sock, timeout=120.0)
-            assert remote["outputs"] == result.outputs
-            assert remote["comm_bytes"] == sum(result.comm.values())
-            assert remote["label"] == tiny_service.cleartext_label(sample)
+            assert recv_ctl(sock, timeout=120.0) == {
+                "ok": True, "op": "peer_result",
+                "comm_bytes": sum(result.comm.values()),
+            }
+            assert tiny_service.compiled.decode_output(result.outputs) == (
+                tiny_service.cleartext_label(sample)
+            )
             send_ctl(sock, {"op": "shutdown"})
             assert recv_ctl(sock, timeout=30.0)["ok"]
         finally:
@@ -575,13 +573,10 @@ class TestWorkerProtocol:
         thread.start()
         sample = _tiny_samples(1)[0]
         client_bits = tiny_service.compiled.client_bits(sample)
-        server_bits = tiny_service._server_bits
         sock = socket.create_connection(server.address)
         try:
             with pytest.raises(EngineError, match="oracle mismatch.*sha256"):
-                open_peer_session(
-                    sock, "two_party", 5, client_bits, server_bits, HashKDF()
-                )
+                open_peer_session(sock, "two_party", HashKDF())
             # the control stream is still in sync: nothing but the
             # refusal crossed the wire
             send_ctl(sock, {"op": "ping"})
@@ -594,16 +589,17 @@ class TestWorkerProtocol:
             refusal = recv_ctl(sock, timeout=30.0)
             assert refusal["ok"] is False and "oracle" in refusal["error"]
             # the same oracle from another instance is accepted
-            ack = open_peer_session(
-                sock, "two_party", 5, client_bits, server_bits, FixedKeyAES()
-            )
+            ack = open_peer_session(sock, "two_party", FixedKeyAES())
             assert ack["kdf"] == "fixed-key-aes"
             result = run_two_party_peer(
                 sock, "garbler", tiny_service.compiled.circuit,
-                client_bits, server_bits, kdf=FixedKeyAES(),
+                client_bits, kdf=FixedKeyAES(),
                 ot_group=TEST_GROUP_512, rng=random.Random(5),
             )
-            assert recv_ctl(sock, timeout=120.0)["outputs"] == result.outputs
+            assert recv_ctl(sock, timeout=120.0)["ok"]
+            assert tiny_service.compiled.decode_output(result.outputs) == (
+                tiny_service.cleartext_label(sample)
+            )
             send_ctl(sock, {"op": "shutdown"})
             recv_ctl(sock, timeout=30.0)
         finally:
@@ -627,23 +623,25 @@ class TestWorkerProtocol:
         sample = _tiny_samples(1)[0]
         client_bits = service.compiled.client_bits(sample)
         sock = socket.create_connection(server.address)
+        # the worker keeps one OT state per connection: so does its caller
+        ot_state = IKNPState(group=TEST_GROUP_512, rng=random.Random(9))
         try:
             for flow, runner in (("two_party", run_two_party_peer),
                                  ("folded", run_folded_peer)):
-                ack = open_peer_session(
-                    sock, flow, 8, client_bits, service._server_bits, HashKDF()
-                )
+                ack = open_peer_session(sock, flow, HashKDF())
                 assert ack["kdf"] == "sha256"
                 result = runner(
                     sock, "garbler", service.compiled.circuit, client_bits,
-                    service._server_bits, kdf=HashKDF(),
-                    ot_group=TEST_GROUP_512, rng=random.Random(8),
+                    kdf=HashKDF(), ot_group=TEST_GROUP_512,
+                    rng=random.Random(8), ot_state=ot_state,
                 )
                 remote = recv_ctl(sock, timeout=120.0)
                 outputs = (result.final_outputs if flow == "folded"
                            else result.outputs)
-                assert remote["outputs"] == list(outputs)
-                assert remote["label"] == service.cleartext_label(sample)
+                assert remote["comm_bytes"] == sum(result.comm.values())
+                assert service.compiled.decode_output(list(outputs)) == (
+                    service.cleartext_label(sample)
+                )
             send_ctl(sock, {"op": "shutdown"})
             recv_ctl(sock, timeout=30.0)
         finally:

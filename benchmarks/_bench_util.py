@@ -68,6 +68,22 @@ def _speedup_problems(entry: dict) -> list:
     return problems
 
 
+def _load_trajectory() -> dict:
+    """The trajectory file's content (no entries when absent or unreadable)."""
+    try:
+        return json.loads(TRAJECTORY_PATH.read_text())
+    except (ValueError, OSError):
+        return {"entries": []}
+
+
+def read_trajectory(entry_id: str) -> dict:
+    """The recorded entry ``entry_id`` without its id ({} when absent)."""
+    for entry in _load_trajectory().get("entries", []):
+        if entry.get("id") == entry_id:
+            return {k: v for k, v in entry.items() if k != "id"}
+    return {}
+
+
 def record_trajectory(entry_id: str, payload: dict) -> None:
     """Upsert one entry of the perf trajectory (keyed by ``entry_id``).
 
@@ -85,12 +101,7 @@ def record_trajectory(entry_id: str, payload: dict) -> None:
             "refusing to record an ungateable trajectory entry:\n  "
             + "\n  ".join(problems)
         )
-    data = {"entries": []}
-    if TRAJECTORY_PATH.exists():
-        try:
-            data = json.loads(TRAJECTORY_PATH.read_text())
-        except (ValueError, OSError):
-            data = {"entries": []}
+    data = _load_trajectory()
     entries = [e for e in data.get("entries", []) if e.get("id") != entry_id]
     entries.append({"id": entry_id, **payload})
     data["entries"] = entries

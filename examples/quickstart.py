@@ -48,11 +48,11 @@ def main() -> None:
     #    they run in the system libcrypto and ~15 s on the pure-Python
     #    fallback.)
     #
-    #    Engine knob worth knowing:
-    #    - pool_refill="opportunistic" (default): a drained pre-garbled
-    #      pool refills itself off-thread after each acquire;
-    #      "background" keeps a daemon topping it up, "none" restores
-    #      operator-managed warming.
+    #    Nothing to set for the pre-garbled pool: once drawn from, it
+    #    refills itself one copy at a time, and only while the service
+    #    has no request in flight (pool_refill="idle", the default).
+    #    "none" leaves warming to prepare() alone, for callers that time
+    #    a window garbling must stay out of.
     config = EngineConfig(
         fmt=FixedPointFormat(int_bits=2, frac_bits=6),
         activation="exact",

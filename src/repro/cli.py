@@ -127,8 +127,8 @@ _DEMO_SAMPLES = 400
 
 def _demo_service(backend: str = "two_party", activation: str = "exact",
                   pool_size: int = 0, history_limit: int = 0, seed: int = 1,
-                  pool_refill: str = "opportunistic", kdf_workers: int = 1,
-                  kdf_backend: str = "fixed_key_aes", pool_low_watermark=None,
+                  pool_refill: str = "idle", kdf_workers: int = 1,
+                  kdf_backend: str = "fixed_key_aes",
                   request_timeout_s=None, max_retries: int = 0,
                   fault_specs=None, fault_seed: int = 0,
                   transport: Optional[str] = None, shards: int = 0,
@@ -164,7 +164,6 @@ def _demo_service(backend: str = "two_party", activation: str = "exact",
         kdf_backend=kdf_backend,
         pool_size=pool_size,
         pool_refill=pool_refill,
-        pool_low_watermark=pool_low_watermark,
         history_limit=history_limit,
         request_timeout_s=request_timeout_s,
         max_retries=max_retries,
@@ -321,7 +320,7 @@ def _serve_sharded(args) -> None:
 
     def factory():
         service, _ = _demo_service(
-            pool_size=per_shard_pool, pool_refill=args.refill,
+            pool_size=per_shard_pool,
             kdf_workers=args.kdf_workers,
             kdf_backend=args.kdf_backend,
             request_timeout_s=args.request_timeout,
@@ -461,9 +460,7 @@ def _cmd_serve(args) -> None:
     pool_size = args.pool if args.pool is not None else args.requests
     service, x = _demo_service(
         pool_size=pool_size, history_limit=args.requests,
-        pool_refill=args.refill,
         kdf_workers=args.kdf_workers, kdf_backend=args.kdf_backend,
-        pool_low_watermark=args.watermark,
         request_timeout_s=args.request_timeout,
         max_retries=args.max_retries,
         fault_specs=args.fault, fault_seed=args.fault_seed,
@@ -483,7 +480,7 @@ def _cmd_serve(args) -> None:
     if pool_size > 0:
         warmed = service.prepare()
         print(f"offline phase: {warmed} circuits pre-garbled "
-              f"(refill {args.refill}, kdf workers {args.kdf_workers}, "
+              f"(kdf workers {args.kdf_workers}, "
               f"kdf backend {args.kdf_backend} -> {service.kdf_name}, "
               f"ot group {service.ot_group_name})")
     else:
@@ -630,13 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool", type=int, default=None,
                        help="pre-garbled pool size (default: = requests; "
                             "0 disables pooling for a cold baseline)")
-    serve.add_argument("--refill", default="opportunistic",
-                       choices=("none", "opportunistic", "background"),
-                       help="pool refill policy once the warm material "
-                            "drains (default: opportunistic)")
-    serve.add_argument("--watermark", type=int, default=None,
-                       help="pool low watermark: refills trigger below "
-                            "this level (default: full capacity)")
     serve.add_argument("--kdf-backend", default="fixed_key_aes",
                        choices=["auto", "hashlib", "sha256_vec",
                                 "fixed_key_aes"],

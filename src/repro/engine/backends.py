@@ -238,10 +238,13 @@ class TwoPartyBackend(Backend):
         circuit: Circuit,
         client_bits: Sequence[int],
         server_bits: Sequence[int],
+        pooled: bool = True,
     ) -> ExecutionResult:
+        """``pooled=False`` garbles cold for this call, pool or not (how
+        the service degrades while this backend's breaker is open)."""
         session = self._session(circuit, [client_bits], server_bits)
         pregarbled = None
-        if self.pool is not None and self.pool.circuit is circuit:
+        if pooled and self.pool is not None and self.pool.circuit is circuit:
             pregarbled = self.pool.acquire()
         result = session.run(
             client_bits, server_bits, pregarbled=pregarbled,

@@ -67,14 +67,12 @@ class EngineConfig:
             invariant.
         pool_size: pre-garbled circuit copies to keep ready (two-party
             backend only; 0 disables the offline/online split).
-        pool_refill: how the pool recovers once drained — ``"none"``
-            (operator-managed warming only), ``"opportunistic"``
-            (default: every acquire kicks one off-thread batch ``warm``)
-            or ``"background"`` (daemon thread keeps the pool above the
-            low watermark).
-        pool_low_watermark: pool level below which refills trigger
-            (default ``None`` = full capacity); refill batches are sized
-            from the observed request drain rate.
+        pool_refill: how the pool recovers once drained — ``"idle"``
+            (default: one copy at a time, and only while the service has
+            nothing in flight and expects to stay idle for a copy's
+            garbling time) or ``"none"`` (``prepare()`` only).  Not a
+            tuning choice: ``"none"`` is for callers that must keep
+            garbling out of a window they time.
         history_limit: cap on retained inference records; 0 (default)
             disables history entirely — recording is opt-in so sustained
             traffic cannot grow memory without bound.
@@ -127,8 +125,7 @@ class EngineConfig:
     rng: Any = secrets
     kdf_workers: int = 1
     pool_size: int = 0
-    pool_refill: str = "opportunistic"
-    pool_low_watermark: Optional[int] = None
+    pool_refill: str = "idle"
     history_limit: int = 0
     request_timeout_s: Optional[float] = None
     max_retries: int = 0
@@ -144,7 +141,7 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         from .backends import available_backends
-        from .pool import REFILL_POLICIES
+        from .pool import check_refill
 
         if self.activation not in ACTIVATION_VARIANTS:
             raise EngineError(
@@ -171,13 +168,7 @@ class EngineConfig:
             raise EngineError("kdf_workers must be >= 0 (0 = host cores)")
         if self.pool_size < 0:
             raise EngineError("pool_size must be >= 0")
-        if self.pool_refill not in REFILL_POLICIES:
-            raise EngineError(
-                f"unknown pool_refill {self.pool_refill!r}; "
-                f"choose from {', '.join(REFILL_POLICIES)}"
-            )
-        if self.pool_low_watermark is not None and self.pool_low_watermark < 1:
-            raise EngineError("pool_low_watermark must be >= 1 (or None)")
+        check_refill("pool_refill", self.pool_refill)
         if self.history_limit < 0:
             raise EngineError("history_limit must be >= 0")
         if self.request_timeout_s is not None and self.request_timeout_s <= 0:

@@ -5,36 +5,30 @@ the public netlist), so a serving deployment garbles *ahead* of demand
 and answers each request with material popped from a pool.  The online
 critical path then contains only transfer + OT + evaluate + merge.
 
-The pool is thread-safe: callers may drive one
-:class:`repro.service.PrivateInferenceService` from several threads, and
-the refill policies garble off-thread.  Refill policies
-keep it from going permanently cold once the initial ``warm()`` material
-is drained (the PR 1 pool never refilled — every request after the
-first burst was a cold miss forever):
-
-* ``refill="none"`` — the caller owns warming (PR 1 behavior).
-* ``refill="opportunistic"`` — each ``acquire()`` kicks off one
-  off-thread batch ``warm``, so sustained traffic keeps finding
-  material.
-* ``refill="background"`` — a daemon thread refills whenever the pool
-  drops below the low watermark.
-
-Refill batches are **watermark-driven and drain-rate-sized**: the pool
-tracks recent acquisitions and its own per-copy garbling time, and each
-refill warms enough copies to reach the watermark *plus* the demand
-expected to arrive while that batch garbles — burst traffic gets one
-amortized ``pregarble_many`` pass instead of a trickle of ``warm(1)``
-top-ups that can never catch up.
+"Ahead of demand" has to mean *while nobody is waiting*: under the GIL a
+thread that garbles during a request is on that request's path, and the
+refills ``acquire()`` used to kick made a pooled service 2x slower than
+no pool at all (DESIGN.md, "Threads under the GIL").  So there is one
+refill, ``refill="idle"``: a supervised daemon thread, started by the
+first ``acquire()`` (a pool nobody has drawn from has nothing to refill,
+and ``prepare()`` cannot race it), that waits for room, has the pool's
+owner block it until the line is idle for one copy's garbling time
+(``idle_wait``), garbles **one** copy and starts over.  One copy per
+wake bounds what a request arriving mid-copy loses to one garbling time.
+The time asked for is the fastest per-copy garble measured here: an
+average seeded by a slow, contended first copy kept the refill from ever
+running.  ``refill="none"`` starts no thread and the caller owns warming
+— for callers that keep garbling out of a window they time (the layered
+benchmark, ``bench_engine_serving.py``).  Thread-safe.
 """
 
 from __future__ import annotations
 
-import math
 import secrets
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from ..circuits.netlist import Circuit
 from ..errors import EngineError
@@ -43,10 +37,13 @@ from ..gc.ot import MODP_2048, OTGroup
 from ..gc.protocol import Pregarbled, TwoPartySession
 from ..gc.rng import RngLike
 
-__all__ = ["PregarbledPool", "REFILL_POLICIES"]
+__all__ = ["PregarbledPool"]
 
-#: Valid ``refill`` arguments.
-REFILL_POLICIES = ("none", "opportunistic", "background")
+
+def check_refill(name: str, refill: str) -> None:
+    """Refuse a ``refill`` that is not one of the two that exist."""
+    if refill not in ("none", "idle"):
+        raise EngineError(f"unknown {name} {refill!r}; choose from none, idle")
 
 
 class PregarbledPool:
@@ -58,15 +55,15 @@ class PregarbledPool:
             labels and tables in memory — size the pool to the burst you
             want to absorb, not to total traffic).
         kdf: garbling oracle (must match the online session's).
-        ot_group: recorded so pooled and cold runs use the same session
-            parameters.
+        ot_group: so pooled and cold runs use the same session parameters.
         rng: label randomness source.
-        refill: refill policy (see module docstring).  ``"background"``
-            starts its daemon thread immediately, so the pool self-warms
-            without an explicit ``warm()`` call.
-        low_watermark: refills trigger whenever ready + pending copies
-            drop below this level (default: the full capacity); batch
-            sizes grow with the observed drain rate.
+        refill: ``"none"`` or ``"idle"`` (see module docstring).
+        idle_wait: the owner's idle signal for ``refill="idle"``: given
+            one copy's garbling time in seconds, it blocks until the
+            owner is idle for that long and returns True, or False when
+            the owner is shutting down (the refill then ends; the owner
+            closes the pool after its own drain, which wakes the wait).
+            Without one the owner counts as always idle.
     """
 
     def __init__(
@@ -77,21 +74,15 @@ class PregarbledPool:
         ot_group: OTGroup = MODP_2048,
         rng: RngLike = secrets,
         refill: str = "none",
-        low_watermark: Optional[int] = None,
+        idle_wait: Optional[Callable[[float], bool]] = None,
     ) -> None:
         if capacity < 1:
             raise EngineError("pool capacity must be positive")
-        if refill not in REFILL_POLICIES:
-            raise EngineError(
-                f"unknown refill policy {refill!r}; "
-                f"choose from {', '.join(REFILL_POLICIES)}"
-            )
-        if low_watermark is not None and low_watermark < 1:
-            raise EngineError("low_watermark must be >= 1")
+        check_refill("refill policy", refill)
         self.circuit = circuit
         self.capacity = capacity
         self.refill = refill
-        self.low_watermark = low_watermark
+        self._idle_wait = idle_wait
         self._session = TwoPartySession(
             circuit, kdf=kdf, ot_group=ot_group, rng=rng
         )
@@ -100,26 +91,13 @@ class PregarbledPool:
         self._cond = threading.Condition(self._lock)
         self._pending = 0
         self._stop = False
-        self._opportunistic_inflight = False
         self._refill_thread: Optional[threading.Thread] = None
         self._leaked_refill_thread = False
-        self.garbled_total = 0
-        self.refills = 0
-        self.hits = 0
-        self.misses = 0
-        self.refill_crashes = 0
+        self.garbled_total = self.refills = self.refill_crashes = 0
+        self.hits = self.misses = 0
         self.last_refill_error: Optional[str] = None
-        # drain-rate observation window + per-copy garble-time EWMA: the
-        # inputs to watermark-driven refill batch sizing
-        self._acquire_times: Deque[float] = deque(maxlen=256)
+        # what the refill asks its owner to be idle for
         self._per_copy_s: Optional[float] = None
-        if refill == "background":
-            self._refill_thread = threading.Thread(
-                target=self._refill_supervisor,
-                name="pregarble-refill",
-                daemon=True,
-            )
-            self._refill_thread.start()
 
     def __len__(self) -> int:
         with self._lock:
@@ -130,13 +108,15 @@ class PregarbledPool:
     def warm(self, count: Optional[int] = None) -> int:
         """Garble up to ``count`` copies (default: fill to capacity).
 
-        This is the offline phase: run it while the service is idle.
-        Slots are reserved under the lock before the (expensive)
-        garbling starts, so concurrent ``warm()`` calls split the
-        remaining room instead of duplicating work; the reserved batch
-        is then garbled in one vectorized ``pregarble_many`` pass.
-        Returns the number of copies actually garbled by this call.
+        The offline phase: run it while the service is idle.  Slots are
+        reserved under the lock before the (expensive) garbling starts,
+        so concurrent ``warm()`` calls split the remaining room instead
+        of duplicating work; the reserved batch is then garbled in one
+        vectorized ``pregarble_many`` pass.  Returns the number of
+        copies actually garbled by this call.
         """
+        # built once per circuit: not part of any copy's garbling time
+        self.circuit.level_schedule()
         added = 0
         while count is None or added < count:
             with self._lock:
@@ -155,13 +135,9 @@ class PregarbledPool:
                     self._pending -= batch
                     self._items.extend(items)
                     self.garbled_total += len(items)
-                    if items:
+                    if items:  # the fastest seen, never an average
                         per_copy = elapsed / len(items)
-                        self._per_copy_s = (
-                            per_copy
-                            if self._per_copy_s is None
-                            else 0.5 * self._per_copy_s + 0.5 * per_copy
-                        )
+                        self._per_copy_s = min(per_copy, self._per_copy_s or per_copy)
             added += len(items)
             if len(items) < batch:  # pregarble failed partway; don't spin
                 break
@@ -174,23 +150,25 @@ class PregarbledPool:
 
         A None return means the caller pays the cold garbling cost
         inline — the pool records the miss so operators can size
-        ``capacity`` from the hit rate.  Under an ``"opportunistic"`` or
-        ``"background"`` policy, every acquisition also triggers an
-        off-thread refill so the pool recovers from drains instead of
-        serving cold misses forever.
+        ``capacity`` from the hit rate.  Under ``refill="idle"`` the
+        first acquisition starts the refill thread and each one tells it
+        there is room: a drained pool recovers, in the owner's idle time.
         """
         with self._lock:
-            self._acquire_times.append(time.monotonic())
             if self._items:
                 self.hits += 1
                 item = self._items.popleft()
             else:
                 self.misses += 1
                 item = None
-            if self.refill == "background":
+            if self.refill == "idle" and not self._stop:
+                if self._refill_thread is None:
+                    self._refill_thread = threading.Thread(
+                        target=self._refill_supervisor,
+                        name="pregarble-refill", daemon=True,
+                    )
+                    self._refill_thread.start()
                 self._cond.notify()
-        if self.refill == "opportunistic":
-            self._spawn_opportunistic_refill()
         return item
 
     @property
@@ -198,11 +176,6 @@ class PregarbledPool:
         """Fraction of acquisitions served from pre-garbled material."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def drain_rate(self, window: float = 10.0) -> float:
-        """Observed acquisitions per second over the recent window."""
-        with self._lock:
-            return self._drain_rate_locked(window)
 
     def stats(self) -> Dict[str, object]:
         """Operator-facing snapshot (consistent under the pool lock)."""
@@ -217,8 +190,6 @@ class PregarbledPool:
                 "garbled_total": self.garbled_total,
                 "refills": self.refills,
                 "refill": self.refill,
-                "low_watermark": self.low_watermark,
-                "drain_rate": self._drain_rate_locked(),
                 "per_copy_s": self._per_copy_s,
                 "refill_crashes": self.refill_crashes,
                 "last_refill_error": self.last_refill_error,
@@ -226,7 +197,7 @@ class PregarbledPool:
             }
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the background refill thread (idempotent).
+        """Stop the refill thread (idempotent).
 
         Joins with ``timeout`` so a wedged refill can never hang
         interpreter shutdown; a thread that outlives the join is
@@ -241,82 +212,11 @@ class PregarbledPool:
             return
         thread.join(timeout=timeout)
         with self._lock:
-            if thread.is_alive():
-                self._leaked_refill_thread = True
-            else:
-                self._leaked_refill_thread = False
+            self._leaked_refill_thread = thread.is_alive()
+            if not self._leaked_refill_thread:
                 self._refill_thread = None
 
     # -- refill machinery -------------------------------------------------
-
-    def _watermark(self) -> int:
-        return (
-            self.capacity if self.low_watermark is None
-            else min(self.low_watermark, self.capacity)
-        )
-
-    def _needs_refill(self) -> bool:
-        """Caller must hold the lock."""
-        return len(self._items) + self._pending < self._watermark()
-
-    def _drain_rate_locked(self, window: float = 10.0) -> float:
-        """Acquires/second over the recent window (lock held)."""
-        now = time.monotonic()
-        recent = [t for t in self._acquire_times if now - t <= window]
-        if len(recent) < 2:
-            return 0.0
-        span = max(now - recent[0], 1e-6)
-        return len(recent) / span
-
-    def _refill_batch_locked(self) -> int:
-        """Refill batch size: watermark deficit scaled for in-flight demand.
-
-        Starts from the copies needed to reach the watermark, then
-        inflates for the requests expected to drain *while the batch
-        garbles* (observed drain rate x per-copy garble time) — a pool
-        refilling one copy at a time under burst traffic never catches
-        up.  Caller must hold the lock.
-        """
-        room = self.capacity - len(self._items) - self._pending
-        need = self._watermark() - len(self._items) - self._pending
-        if room <= 0 or need <= 0:
-            return 0
-        batch = need
-        rate = self._drain_rate_locked()
-        if rate > 0.0 and self._per_copy_s:
-            drag = rate * self._per_copy_s  # copies drained per copy warmed
-            if drag >= 1.0:
-                batch = room  # demand outpaces garbling; warm all we can
-            else:
-                batch = math.ceil(need / (1.0 - drag))
-        return max(1, min(room, batch))
-
-    def _spawn_opportunistic_refill(self) -> None:
-        """One off-thread batch ``warm`` per drain, never stacking workers."""
-        with self._lock:
-            if self._stop or self._opportunistic_inflight:
-                return
-            batch = self._refill_batch_locked()
-            if batch <= 0:
-                return
-            self._opportunistic_inflight = True
-
-        def work() -> None:
-            try:
-                if self.warm(batch):
-                    with self._lock:
-                        self.refills += 1
-            except Exception as exc:  # keep serving; surface via stats
-                with self._lock:
-                    self.refill_crashes += 1
-                    self.last_refill_error = repr(exc)
-            finally:
-                with self._lock:
-                    self._opportunistic_inflight = False
-
-        threading.Thread(
-            target=work, name="pregarble-refill-once", daemon=True
-        ).start()
 
     def _refill_supervisor(self) -> None:
         """Self-healing wrapper around :meth:`_refill_loop`.
@@ -343,18 +243,23 @@ class PregarbledPool:
                     self._cond.wait(timeout=backoff)
 
     def _refill_loop(self) -> None:
-        """Background policy: batch-refill whenever below the watermark.
+        """Refill until closed; the supervisor counts what this raises."""
+        while self._refill_step():
+            pass
 
-        Exceptions propagate to :meth:`_refill_supervisor`, which counts
-        the crash and restarts this loop with backoff.
-        """
-        while True:
-            with self._cond:
-                while not self._stop and not self._needs_refill():
-                    self._cond.wait(timeout=0.5)
-                if self._stop:
-                    return
-                batch = self._refill_batch_locked()
-            if batch and self.warm(batch):
-                with self._lock:
-                    self.refills += 1
+    def _refill_step(self) -> bool:
+        """Wait for room, then for the owner to be idle for one copy's
+        garbling time; garble one copy.  False when the refill is over
+        (the pool closed, or its owner shutting down)."""
+        with self._cond:
+            while not self._stop and len(self._items) + self._pending >= self.capacity:
+                self._cond.wait()
+            if self._stop:
+                return False
+            need_s = self._per_copy_s or 0.0
+        if self._idle_wait is not None and not self._idle_wait(need_s):
+            return False
+        if self.warm(1):
+            with self._lock:
+                self.refills += 1
+        return True

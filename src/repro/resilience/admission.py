@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from ..errors import ServiceDrainingError, ServiceOverloadedError
 
@@ -20,17 +20,34 @@ class AdmissionGate:
     requests admits whole or is shed whole, so a shed batch never
     half-serves.  Thread-safe.
 
+    Counting in-flight requests, the gate is also where "nobody is
+    waiting" is known, and offline work (the pool's refill) asks it:
+    it remembers the last gap between nothing left in flight and the
+    next admit; while idle, that gap minus what has passed of this one is
+    the idle time still expected, and :meth:`wait_idle` blocks until it
+    is long enough.  Construction to first admit is not a gap: a gate
+    that has seen fewer than two requests expects nothing.  The cost on
+    the request path is two clock reads.
+
     Args:
         max_inflight: bound on concurrently admitted requests (0 =
             unbounded).
+        clock: monotonic seconds for the gap (tests inject one;
+            :meth:`drain`'s grace period always runs on real time).
     """
 
-    def __init__(self, max_inflight: int = 0) -> None:
+    def __init__(
+        self, max_inflight: int = 0, clock: Callable[[], float] = time.monotonic
+    ) -> None:
         self.max_inflight = int(max_inflight)
+        self._clock = clock
         self._cond = threading.Condition()
         self._inflight = 0
         self._draining = False
         self._shed = self._drained = self._aborted = 0
+        # set while nothing is in flight and a request has completed
+        self._idle_since: Optional[float] = None
+        self._gap_s: Optional[float] = None
 
     def admit(self, n: int) -> None:
         """Admit ``n`` requests against the budget, or shed all of them.
@@ -52,13 +69,42 @@ class AdmissionGate:
                     f"{n} requested > max_inflight={self.max_inflight}; "
                     "shedding"
                 )
+            if self._idle_since is not None:
+                self._gap_s = self._clock() - self._idle_since
+                self._idle_since = None
             self._inflight += n
 
     def release(self, n: int) -> None:
-        """Return ``n`` admission slots and wake a waiting drain."""
+        """Return ``n`` admission slots; wake a waiting drain or idle wait."""
         with self._cond:
             self._inflight -= n
+            if self._inflight == 0:
+                self._idle_since = self._clock()
             self._cond.notify_all()
+
+    def _expected_idle_locked(self) -> Optional[float]:
+        """Seconds of idle time still expected: the last observed gap
+        minus what has passed of this one.  None while anything is in
+        flight or before a gap has been observed.  Caller must hold the
+        condition."""
+        if self._idle_since is None or self._gap_s is None:
+            return None
+        return max(self._gap_s - (self._clock() - self._idle_since), 0.0)
+
+    def wait_idle(self, need_s: float) -> bool:
+        """Block until nothing is in flight and at least ``need_s`` of
+        idle time is still expected; False once a drain has begun.
+
+        Never polls: what this waits on changes only in :meth:`release`
+        and :meth:`drain`, and both notify.
+        """
+        with self._cond:
+            while not self._draining:
+                expected = self._expected_idle_locked()
+                if expected is not None and expected >= need_s:
+                    return True
+                self._cond.wait()
+            return False
 
     def drain(self, timeout_s: float) -> bool:
         """Refuse new work, then wait for admitted requests to finish.
@@ -71,6 +117,7 @@ class AdmissionGate:
             if self._draining:
                 return False
             self._draining = True
+            self._cond.notify_all()  # refuse idle waiters
             pending = self._inflight
             deadline = time.monotonic() + max(timeout_s, 0.0)
             while self._inflight > 0:
@@ -89,6 +136,7 @@ class AdmissionGate:
                 "inflight": self._inflight,
                 "max_inflight": self.max_inflight,
                 "draining": self._draining,
+                "expected_idle_s": self._expected_idle_locked(),
                 "shed_requests": self._shed,
                 "drained_requests": self._drained,
                 "aborted_requests": self._aborted,

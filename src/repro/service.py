@@ -23,6 +23,7 @@ its execution flow by backend name.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import threading
 from collections import deque
@@ -32,7 +33,13 @@ import numpy as np
 
 from .compile.compiler import CompiledModel, compile_model
 from .compile.costmodel import CostBreakdown, GCCostModel
-from .engine import Backend, EngineConfig, PregarbledPool, get_backend
+from .engine import (
+    Backend,
+    EngineConfig,
+    PregarbledPool,
+    TwoPartyBackend,
+    get_backend,
+)
 from .engine.result import ExecutionResult
 from .errors import BatchInferenceError, CompileError
 from .gc.channel import make_channel_pair
@@ -259,7 +266,8 @@ class PrivateInferenceService:
             ot_group=self.config.ot_group,
             rng=self.config.rng,
             refill=self.config.pool_refill,
-            low_watermark=self.config.pool_low_watermark,
+            # the refill garbles only while this gate has nothing in flight
+            idle_wait=self._gate.wait_idle,
         )
 
     @property
@@ -352,7 +360,7 @@ class PrivateInferenceService:
 
     # -- inference --------------------------------------------------------
 
-    def _backend_options(self, name: str, pooled: bool = True) -> Dict[str, object]:
+    def _backend_options(self, name: str) -> Dict[str, object]:
         """Constructor keywords for backend ``name`` (caller holds the lock)."""
         options: Dict[str, object] = dict(
             kdf=self._kdf,
@@ -363,11 +371,8 @@ class PrivateInferenceService:
         )
         if name == self.config.backend:
             options.update(self.config.backend_options)
-        if name == "two_party":
-            if pooled and self._pool is not None:
-                options.setdefault("pool", self._pool)
-            elif not pooled:
-                options.pop("pool", None)
+        if name == "two_party" and self._pool is not None:
+            options.setdefault("pool", self._pool)
         return options
 
     def _backend(self, name: str) -> Backend:
@@ -381,26 +386,6 @@ class PrivateInferenceService:
             if backend is None:
                 backend = get_backend(name, **self._backend_options(name))
                 self._backends[name] = backend
-        return backend
-
-    def _degraded_backend(self, name: str) -> Backend:
-        """Backend variant serving while ``name``'s breaker is open.
-
-        Degradation sheds stateful fast paths: the two-party backend is
-        rebuilt *without* the pre-garbled pool (pooled falls back to
-        cold garbling, so a poisoned pool can't keep failing requests).
-        Other backends have no pooled state to shed, so they degrade to
-        their plain instance.
-        """
-        if name != "two_party":
-            return self._backend(name)
-        with self._lock:
-            backend = self._backends.get("two_party#cold")
-            if backend is None:
-                backend = get_backend(
-                    "two_party", **self._backend_options("two_party", pooled=False)
-                )
-                self._backends["two_party#cold"] = backend
         return backend
 
     def _breaker(self, name: str) -> CircuitBreaker:
@@ -491,19 +476,21 @@ class PrivateInferenceService:
             raise
         breaker = self._breaker(backend_name)
         degraded = not breaker.allow()
-        backend = (
-            self._degraded_backend(backend_name)
-            if degraded
-            else self._backend(backend_name)
-        )
+        backend = self._backend(backend_name)
         if degraded:
             with self._lock:
                 self._stats["degraded"] += 1
 
+        run = backend.run
+        if degraded and isinstance(backend, TwoPartyBackend):
+            # degradation sheds the stateful fast path: the same backend
+            # (it owns the OT state a base OT was paid for) garbles cold,
+            # so a poisoned pool can't keep failing requests.  Other
+            # backends have no pooled state to shed.
+            run = functools.partial(backend.run, pooled=False)
+
         def attempt() -> ExecutionResult:
-            return backend.run(
-                self.compiled.circuit, client_bits, self._server_bits
-            )
+            return run(self.compiled.circuit, client_bits, self._server_bits)
 
         try:
             result: ExecutionResult = self._retry.call(

@@ -404,7 +404,7 @@ class TestAESIsTheDefault:
         assert EngineConfig().kdf_backend == "fixed_key_aes"
         assert isinstance(default_kdf(), FixedKeyAES)
         assert default_kdf() is default_kdf()  # one shared instance
-        assert len(EngineConfig.__dataclass_fields__) == 24
+        assert len(EngineConfig.__dataclass_fields__) == 23
 
     def test_no_default_path_calibrates(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -415,10 +415,11 @@ class TestPoolSelfHealing:
 
         monkeypatch.setattr(PregarbledPool, "_refill_loop", flaky)
         pool = PregarbledPool(
-            small_circuit(), capacity=2, refill="background",
+            small_circuit(), capacity=2, refill="idle",
             rng=random.Random(0),
         )
         try:
+            assert pool.acquire() is None  # the first draw starts the refill
             assert _wait_until(
                 lambda: pool.stats()["refill_crashes"] >= 2 and len(pool) == 2
             ), pool.stats()
@@ -435,9 +436,10 @@ class TestPoolSelfHealing:
             lambda self: release.wait(10.0),
         )
         pool = PregarbledPool(
-            small_circuit(), capacity=1, refill="background",
+            small_circuit(), capacity=1, refill="idle",
             rng=random.Random(0),
         )
+        assert pool.acquire() is None  # the first draw starts the refill
         pool.close(timeout=0.1)
         assert pool.stats()["leaked_refill_thread"] is True
         release.set()
@@ -552,7 +554,15 @@ class TestServiceResilience:
             assert record.ok
             assert record.label == service.cleartext_label(x[2])
             assert not record.pregarbled  # degraded = cold garbling
-            assert service.stats["degraded"] >= 1
+            stats = service.stats
+            assert stats["degraded"] >= 1
+            # degraded is the same backend with the pool bypassed: it
+            # keeps the OT state, so no second base OT is paid, and the
+            # unused pool material is still there when the breaker closes
+            assert stats["ot"]["base_batches"] == 1
+            assert sorted(service._backends) == ["two_party"]
+            assert not any("#" in name for name in service._backends)
+            assert stats["pool"]["hits"] + stats["pool"]["misses"] == 2
         finally:
             service.close()
 

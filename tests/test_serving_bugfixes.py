@@ -71,27 +71,26 @@ class TestPoolRefill:
         time.sleep(0.1)
         assert len(pool) == 0 and pool.acquire() is None
 
-    def test_opportunistic_refills_after_drain(self):
-        """Drain the pool dry; acquires must bring material back."""
+    def test_idle_refills_after_drain(self):
+        """Drain the pool dry; once its owner is idle, material comes back."""
+        idle = threading.Event()
+
+        def idle_wait(need_s):
+            # the owner's signal: nobody is idle until the test says so,
+            # so the drained acquire below is always a recorded miss
+            assert idle.wait(timeout=10.0), "owner never went idle"
+            return True
+
         pool = PregarbledPool(
-            _small_circuit(), capacity=2, refill="opportunistic",
+            _small_circuit(), capacity=2, refill="idle", idle_wait=idle_wait,
             rng=random.Random(1),
         )
         assert pool.warm() == 2
-        # hold the off-thread refill the first acquire kicks off until the
-        # drained acquire has returned, so the miss is always recorded
-        release = threading.Event()
-        pregarble_many = pool._session.pregarble_many
-
-        def gated(count):
-            assert release.wait(timeout=10.0), "refill never released"
-            return pregarble_many(count)
-
-        pool._session.pregarble_many = gated
         assert pool.acquire() is not None
         assert pool.acquire() is not None
         assert pool.acquire() is None  # drained: a miss
-        release.set()
+        assert pool.stats()["garbled_total"] == 2  # nothing while busy
+        idle.set()
         assert _wait_until(lambda: pool.stats()["refills"] >= 1), \
             "pool never refilled"
         assert pool.acquire() is not None  # served warm again
@@ -101,24 +100,33 @@ class TestPoolRefill:
         assert stats["garbled_total"] > 2
         pool.close()
 
-    def test_background_thread_keeps_pool_at_capacity(self):
+    def test_ownerless_idle_pool_tops_itself_up(self):
         pool = PregarbledPool(
-            _small_circuit(), capacity=3, refill="background",
-            rng=random.Random(2),
+            _small_circuit(), capacity=3, refill="idle", rng=random.Random(2),
         )
-        # self-warms without an explicit warm() call
-        assert _wait_until(lambda: len(pool) == 3)
+        # a pool nobody has drawn from has nothing to refill: no thread
+        # yet, so an operator's warm() cannot lose slots to one
+        assert pool._refill_thread is None
+        assert pool.warm() == 3
         assert pool.acquire() is not None
-        assert _wait_until(lambda: len(pool) == 3), "no top-up after drain"
+        # no owner signal = owner always idle: one copy at a time, to the top
+        assert _wait_until(lambda: len(pool) == 3), "no top-up after a draw"
+        assert pool.stats()["refills"] == 1
         pool.close()
         # close is idempotent and stops the thread
         pool.close()
+        assert pool._refill_thread is None
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(EngineError, match="refill"):
-            PregarbledPool(_small_circuit(), refill="aggressive")
-        with pytest.raises(EngineError, match="pool_refill"):
-            EngineConfig(pool_refill="aggressive")
+        # the two removed policies are refused by name like any other,
+        # and the error names the two that exist
+        for name in ("aggressive", "opportunistic", "background"):
+            with pytest.raises(EngineError, match="refill.*none, idle"):
+                PregarbledPool(_small_circuit(), refill=name)
+            with pytest.raises(EngineError, match="pool_refill.*none, idle"):
+                EngineConfig(pool_refill=name)
+        assert EngineConfig().pool_refill == "idle"
+        assert EngineConfig(pool_refill="none").pool_refill == "none"
 
     def test_warm_batches_and_respects_capacity(self):
         pool = PregarbledPool(_small_circuit(), capacity=4,
@@ -134,8 +142,7 @@ class TestPoolRefill:
 
     def test_service_surfaces_pool_stats(self):
         service, x = _trained_service(
-            pool_size=2, pool_refill="opportunistic",
-            rng=random.Random(11),
+            pool_size=2, rng=random.Random(11),
         )
         service.prepare()
         service.infer(x[0])
@@ -143,7 +150,7 @@ class TestPoolRefill:
         assert stats["requests"] == 1
         assert stats["pool"]["hits"] == 1
         assert stats["pool"]["hit_rate"] == 1.0
-        assert stats["pool"]["refill"] == "opportunistic"
+        assert stats["pool"]["refill"] == "idle"
         service.close()
 
 

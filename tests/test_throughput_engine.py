@@ -1,5 +1,5 @@
 """PR 3 throughput tier: batched evaluation, parallel KDF, fused narrow
-levels, the folded path, and watermark-driven pool refills.
+levels and the folded path.
 
 The load-bearing contracts: every fast path is *byte-identical* to the
 gate-at-a-time reference oracle (same rng stream -> same tables, labels
@@ -9,7 +9,6 @@ isolation semantics of the thread-pool path.
 """
 
 import random
-import time
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from repro.circuits import CircuitBuilder, FixedPointFormat, bits_from_int
 from repro.circuits.netlist import ScalarRun
 from repro.circuits.simulate import simulate
 from repro.compile import folded_mac_cell
-from repro.engine import EngineConfig, PregarbledPool
+from repro.engine import EngineConfig
 from repro.errors import EngineError, GarblingError, ProtocolError
 from repro.gc import (
     ArrayLabelStore,
@@ -682,69 +681,6 @@ class TestFoldedSession:
         assert result.comm["state_labels"] == 16 * cell.n_state + 4 + 4
         assert len(result.garble_times) == 3
         assert len(result.evaluate_times) == 3
-
-
-class TestWatermarkRefill:
-    def _circuit(self):
-        return build_gate_chain(60, "and")
-
-    def test_low_watermark_gates_background_refill(self):
-        pool = PregarbledPool(
-            self._circuit(), capacity=4, refill="background",
-            low_watermark=2, rng=random.Random(1),
-        )
-        try:
-            deadline = time.monotonic() + 15
-            while len(pool) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            # the background thread only fills to the watermark band,
-            # never top-to-capacity beyond the sized batch
-            assert len(pool) >= 2
-            pool.acquire()  # size >= 1, still may sit below watermark
-            deadline = time.monotonic() + 15
-            while len(pool) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(pool) >= 2
-        finally:
-            pool.close()
-
-    def test_opportunistic_batches_from_drain(self):
-        pool = PregarbledPool(
-            self._circuit(), capacity=6, refill="none",
-            rng=random.Random(2),
-        )
-        pool.warm()  # seed per-copy garble time
-        for _ in range(6):
-            pool.acquire()
-        with pool._lock:
-            batch = pool._refill_batch_locked()
-        # six acquires just drained the pool; the sized batch refills
-        # more than the one-copy top-up of the old policy
-        assert batch >= 1
-        assert batch <= pool.capacity
-        stats = pool.stats()
-        assert stats["low_watermark"] is None
-        assert stats["drain_rate"] > 0.0
-        assert stats["per_copy_s"] > 0.0
-
-    def test_refill_batch_respects_room_and_watermark(self):
-        pool = PregarbledPool(
-            self._circuit(), capacity=4, refill="none",
-            low_watermark=2, rng=random.Random(3),
-        )
-        with pool._lock:
-            assert pool._refill_batch_locked() >= 1  # empty, below mark
-        pool.warm(3)
-        with pool._lock:
-            assert pool._refill_batch_locked() == 0  # above the mark
-        stats = pool.stats()
-        assert stats["low_watermark"] == 2
-
-    def test_engine_config_passes_watermark(self):
-        with pytest.raises(EngineError):
-            EngineConfig(pool_low_watermark=0)
-        config = EngineConfig(pool_size=3, pool_low_watermark=2)
-        assert config.pool_low_watermark == 2
 
 
 class TestServiceBatchedInfer:

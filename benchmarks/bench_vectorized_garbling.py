@@ -1,13 +1,16 @@
 """Level-scheduled engine vs the gate-at-a-time reference oracle.
 
-The PR 2 tentpole: wire labels as one uint8 plane, free-XOR levels as
+The engine's three moves: wire labels as one uint8 plane, free-XOR steps as
 single vectorized XORs, and the KDF driven through batched
-``label || tweak`` buffers.  This harness measures garble + evaluate
-throughput on the compiled Table 3-style DL inference netlist (the
-paper's workload shape: adder/multiplier trees plus tanh components)
-against the reference loops tests pin the engine to (``Garbler`` over a
-scalar ``LabelStore`` + ``Evaluator``) and records the speedup as an
-entry of the repo-root perf trajectory (``BENCH_engine.json``).
+``label || tweak`` buffers, one per AND layer.  This harness measures
+garble + evaluate throughput on the compiled Table 3-style DL inference
+netlist (the paper's workload shape: adder/multiplier trees plus tanh
+components) against the reference loops tests pin the engine to
+(``Garbler`` over a scalar ``LabelStore`` + ``Evaluator``), records the
+speedup as an entry of the repo-root perf trajectory
+(``BENCH_engine.json``), and ends its report with the plan shape of the
+demo net and the MAC cell: levels, wide steps, scalar gates, oracle
+calls per role.
 
 Set ``REPRO_BENCH_QUICK=1`` for the single-round CI configuration.
 """
@@ -19,8 +22,12 @@ import time
 import pytest
 
 from repro.analysis import build_gate_chain
+from repro.circuits import FixedPointFormat
+from repro.circuits.netlist import FreeStep, ScalarRun
 from repro.cli import _demo_service
+from repro.compile import folded_mac_cell
 from repro.gc import Evaluator, FastEvaluator, Garbler, LabelStore, garble_many
+from repro.gc.fastgarble import VECTOR_MIN_WIDTH
 
 from _bench_util import quick_mode, record_trajectory, write_report
 
@@ -54,6 +61,23 @@ def _garble_evaluate_once(circuit, client_bits, server_bits, reference=False):
     start = time.perf_counter()
     evaluator.evaluate(garbled, alice, bob)
     return garble_s, time.perf_counter() - start
+
+
+def _plan_shape(name, circuit):
+    """One line: what one request's walk of ``circuit`` runs (``k = 1``)."""
+    schedule = circuit.level_schedule()
+    plan = schedule.step_plan(1, VECTOR_MIN_WIDTH)
+    runs = [step for step in plan if isinstance(step, ScalarRun)]
+    wide_free = sum(isinstance(step, FreeStep) for step in plan)
+    wide_and = len(plan) - len(runs) - wide_free
+    scalar = [gate for run in runs for gate in run.gates]
+    scalar_and = sum(gate[3] >= 0 for gate in scalar)
+    return (
+        f"{name}: {len(schedule.levels)} levels (AND-depth {circuit.depth()}) | "
+        f"wide steps {wide_and} non-free / {wide_free} free | scalar gates "
+        f"{len(scalar)} ({scalar_and} non-free) | oracle calls per role: "
+        f"{wide_and} hash_many + {scalar_and} one-gate"
+    )
 
 
 def _best_of(rounds, fn):
@@ -97,7 +121,10 @@ def test_vectorized_dl_speedup(benchmark, dl_service, results_dir):
         f"{vec_e * 1e3:7.1f} ms\n"
         f"garble speedup {scalar_g / vec_g:.2f}x | evaluate speedup "
         f"{scalar_e / vec_e:.2f}x | combined {speedup:.2f}x\n"
-        f"vectorized throughput: {gates_per_s / 1e3:.0f}k gates/s"
+        f"vectorized throughput: {gates_per_s / 1e3:.0f}k gates/s\n"
+        + _plan_shape("demo net", circuit)
+        + "\n"
+        + _plan_shape("MAC cell", folded_mac_cell(FixedPointFormat(3, 12), 16).core)
     )
     write_report(results_dir, "vectorized_garbling", text)
     record_trajectory(

@@ -101,7 +101,7 @@ class BitHeap:
     adders only* (one AND each under free-XOR; a half adder costs the
     same AND and removes no wire), always on the three wires of the
     column that arrive first (the three-greedy order of Stelling and
-    Oklobdzija, by :meth:`CircuitBuilder.level`), then makes one
+    Oklobdzija, by AND-depth, :meth:`CircuitBuilder.level`), then makes one
     carry-propagate pass.  The non-XOR count is the number of wires
     that have to go, so it is that of a chain of ripple adders over the
     same bits; the depth is logarithmic in the column height plus one

@@ -50,7 +50,7 @@ class CircuitBuilder:
         self._folding = fold_constants
         # wires 0 and 1 are the constants
         self._n_wires = 2
-        # ASAP level of every wire: constants and inputs sit at 0
+        # AND-depth of every wire: constants and inputs sit at 0
         self._level: List[int] = [0, 0]
         self._n_alice = 0
         self._n_bob = 0
@@ -242,7 +242,10 @@ class CircuitBuilder:
                 return cached
         out = self._fresh_wire()
         level = self._level
-        level.append(1 + (level[a] if b is None else max(level[a], level[b])))
+        level.append(
+            (level[a] if b is None else max(level[a], level[b]))
+            + (0 if op.is_free else 1)
+        )
         self._gates.append(Gate(op, a, b, out))
         if self._hashing:
             self._cache[key] = out
@@ -298,13 +301,14 @@ class CircuitBuilder:
         return len(self._gates)
 
     def level(self, wire: int) -> int:
-        """The wire's dependency level — the one ``LevelSchedule`` will
-        give its gate (inputs and constants: 0)."""
+        """The wire's AND-depth — the AND layer ``LevelSchedule`` will run
+        its gate in if non-free, or the layer its free gate follows
+        (inputs and constants: 0)."""
         return self._level[wire]
 
     @property
     def depth(self) -> int:
-        """Levels of the netlist emitted so far."""
+        """AND layers of the netlist emitted so far."""
         return max(self._level)
 
     def non_xor_count(self) -> int:

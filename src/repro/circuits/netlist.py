@@ -32,11 +32,11 @@ from .gates import AND_REDUCTION, Gate, GateType
 
 __all__ = [
     "Circuit",
+    "FreeStep",
     "GateCounts",
     "LevelSchedule",
     "ScalarRun",
     "ScheduleLevel",
-    "WideStep",
     "CONST_ZERO",
     "CONST_ONE",
 ]
@@ -217,15 +217,14 @@ class Circuit:
     # -- level schedule --------------------------------------------------
 
     def level_schedule(self) -> "LevelSchedule":
-        """Topological level schedule for vectorized garbling/evaluation.
+        """AND-layer schedule for vectorized garbling/evaluation.
 
-        Gates are grouped into dependency levels: every gate at level
-        ``L`` reads only wires driven at levels ``< L`` (inputs and
-        constants sit at level 0), so all gates within one level are
-        independent and can be processed as one batched array operation.
-        Within each level the gates are split into free (XOR-class) and
-        non-free (garbled-table) groups, which is exactly the partition
-        the half-gates engine cares about.
+        Under free-XOR only the non-free gates need the oracle, so the
+        unit of the schedule is the AND layer: level ``i`` holds the
+        non-free gates at AND-depth ``i + 1`` (:meth:`depth`'s count),
+        preceded by the free gates that must run before them, in
+        sub-steps of mutually independent gates.  Each AND layer is one
+        batched oracle call, each sub-step one gather-XOR-scatter.
 
         The schedule is built once and cached — callers garbling many
         copies of the same netlist (pre-garbled pools, cut-and-choose)
@@ -276,27 +275,40 @@ class Circuit:
 
 
 @dataclasses.dataclass(frozen=True)
-class ScheduleLevel:
-    """One dependency level of a :class:`LevelSchedule`.
+class FreeStep:
+    """Free gates the same number of XORs past the last AND layer: one
+    gather-XOR-scatter.
 
-    All arrays are NumPy index/flag vectors over the circuit's wires.
-    Free gates are described by ``free_a ^ free_b`` plus an optional
-    delta offset (``free_inv``: XNOR/NOT garble as an extra global-delta
-    XOR; the evaluator ignores the flag).  Unary gates (NOT/BUF) point
-    ``free_b`` at the schedule's scratch zero row so the whole free
-    group is a single gather-XOR-scatter.
-
-    Non-free gates carry their AND-reduction inversion flags
-    (``nf_ia/nf_ib/nf_io``) and their netlist-order table index
-    ``nf_tidx`` — the tweak of gate ``i`` is ``tweak_base + 2 * nf_tidx[i]``,
-    matching the scalar garbler's counter exactly so the two paths stay
-    bit-identical.
+    All arrays are NumPy index/flag vectors over the circuit's wires,
+    slices of one concatenated column set.  A gate is ``a ^ b`` plus an
+    optional delta offset (``inv``: XNOR/NOT garble as an extra
+    global-delta XOR; the evaluator ignores the flag).  Unary gates
+    (NOT/BUF) point ``b`` at the schedule's scratch zero row.
     """
 
-    free_a: Any
-    free_b: Any
-    free_out: Any
-    free_inv: Any
+    a: Any
+    b: Any
+    out: Any
+    inv: Any
+    #: pre-reduced so hot loops skip an ndarray.any() call
+    has_inv: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class ScheduleLevel:
+    """One AND layer of a :class:`LevelSchedule` and the free sub-steps
+    that must precede it.
+
+    ``free`` runs first, in order: sub-step ``s`` holds the free gates
+    ``s`` XORs past the previous AND layer.  The ``nf_*`` arrays are the
+    AND layer itself, one oracle call when wide.  Non-free gates carry
+    their AND-reduction inversion flags (``nf_ia/nf_ib/nf_io``) and
+    their netlist-order table index ``nf_tidx`` — the tweak of gate
+    ``i`` is ``tweak_base + 2 * nf_tidx[i]``, matching the scalar
+    garbler's counter exactly so the two paths stay bit-identical.
+    """
+
+    free: Tuple[FreeStep, ...]
     nf_a: Any
     nf_b: Any
     nf_out: Any
@@ -305,7 +317,6 @@ class ScheduleLevel:
     nf_ib: Any
     nf_io: Any
     #: pre-reduced flag summaries so hot loops skip ndarray.any() calls
-    free_has_inv: bool
     nf_has_ia: bool
     nf_has_ib: bool
     nf_has_io: bool
@@ -331,21 +342,18 @@ def _tweak_rows(tweaks: Any) -> Any:
     return tweaks.astype("<u8").view("uint8").reshape(-1, 8)
 
 
-@dataclasses.dataclass(frozen=True)
-class WideStep:
-    """Plan step: the free (else the non-free) gates of ``level`` as one
-    array operation — one gather-XOR-scatter, or one ``hash_many``."""
-
-    level: ScheduleLevel
-    free: bool
-
-
 GateRecord = Tuple[int, int, int, int, int, int, int]
 
 #: :meth:`LevelSchedule.build`'s per-gate flag byte.  A free gate carries
 #: its delta-offset bit (XNOR/NOT); a non-free gate ``_NON_FREE`` plus its
 #: AND-reduction inversions ``ia | ib << 1 | io << 2``.
 _NON_FREE = 8
+#: :func:`_gate_columns` packs a gate's place as ``phase << _SUB_BITS |
+#: sub``: its AND-depth and its free sub-step since that AND layer.  20
+#: bits keep a place below 2**30 (one CPython digit) up to AND-depth
+#: 1023; a chain of 2**20 XORs would carry into the phase, which
+#: lengthens the schedule but never makes it unsound.
+_SUB_BITS = 20
 _GATE_FLAGS: Dict[GateType, int] = {
     op: int(op in (GateType.XNOR, GateType.NOT))
     for op in GateType
@@ -371,39 +379,44 @@ class ScalarRun:
     gates: Tuple[GateRecord, ...]
 
 
-#: What a plan is made of (see :meth:`LevelSchedule.step_plan`).
-PlanStep = Union[WideStep, ScalarRun]
+#: What a plan is made of (see :meth:`LevelSchedule.step_plan`): a wide
+#: free sub-step, a wide AND layer (its level), or a scalar run.
+PlanStep = Union[FreeStep, ScheduleLevel, ScalarRun]
 
 
-def _gate_records(level: ScheduleLevel, free: bool) -> List[GateRecord]:
-    """Half a level's gates in :class:`ScalarRun` record form."""
-    if free:
+def _gate_records(step: Union[FreeStep, ScheduleLevel]) -> List[GateRecord]:
+    """A free sub-step's or an AND layer's gates in :class:`ScalarRun`
+    record form."""
+    if isinstance(step, FreeStep):
         return [
             (a, b, out, -1, inv, 0, 0)
             for a, b, out, inv in zip(
-                level.free_a.tolist(), level.free_b.tolist(),
-                level.free_out.tolist(), level.free_inv.tolist(),
+                step.a.tolist(), step.b.tolist(),
+                step.out.tolist(), step.inv.tolist(),
             )
         ]
     return list(
         zip(
-            level.nf_a.tolist(), level.nf_b.tolist(), level.nf_out.tolist(),
-            level.nf_tidx.tolist(), level.nf_ia.tolist(),
-            level.nf_ib.tolist(), level.nf_io.tolist(),
+            step.nf_a.tolist(), step.nf_b.tolist(), step.nf_out.tolist(),
+            step.nf_tidx.tolist(), step.nf_ia.tolist(),
+            step.nf_ib.tolist(), step.nf_io.tolist(),
         )
     )
 
 
 @dataclasses.dataclass(eq=False)
 class LevelSchedule:
-    """Cached per-level gate arrays for the vectorized GC engine, and
-    the step plan (:meth:`step_plan`) both of its roles walk.
+    """Cached per-AND-layer gate arrays for the vectorized GC engine,
+    and the step plan (:meth:`step_plan`) both of its roles walk.
 
     Immutable by convention (one cached instance per circuit); the only
     mutable member is the plan cache.
 
     Attributes:
-        levels: dependency levels in execution order.
+        levels: in execution order, level ``i`` is AND layer ``i + 1``
+            with the free sub-steps that precede it; one final level
+            holds the free gates after the last AND layer, so there are
+            AND-depth + 1 of them.
         n_non_free: total garbled-table count (netlist non-XOR count).
         scratch_wire: index of the extra all-zero label row the
             vectorized engine appends after the real wires (unary free
@@ -423,23 +436,28 @@ class LevelSchedule:
     def step_plan(self, batch: int, min_width: int) -> Tuple[PlanStep, ...]:
         """The steps, in order, that execute every gate of the schedule.
 
-        The one decision garbler and evaluator share — which gates of a
-        level run as one array operation, which gate by gate, and in
-        what order — is made here.  Half a level (its free or its
-        non-free gates) is *wide* when ``batch`` copies x gates reaches
-        ``min_width`` and becomes a :class:`WideStep`.  Every narrower
-        half — ripple-carry tails of adder trees, an isolated narrow
-        level, the small half of a mixed level — joins the open
-        :class:`ScalarRun`, where a gate-at-a-time loop beats NumPy
-        dispatch on a handful of gates.
+        The one decision garbler and evaluator share — which gates run
+        as one array operation, which gate by gate, and in what order —
+        is made here.  The schedule's steps are, level by level, each
+        free sub-step and then the AND layer.  A step is *wide* when
+        ``batch`` copies x gates reaches ``min_width``: a
+        :class:`FreeStep` or a level's AND layer (the
+        :class:`ScheduleLevel` itself) goes into the plan as is.  Every
+        narrower step — the ripple-carry tail of an adder, a narrow AND
+        layer, a short XOR chain — joins the open :class:`ScalarRun`,
+        where a gate-at-a-time loop beats NumPy dispatch on a handful of
+        gates.
 
         A run is emitted only when a wide step reads one of its outputs
         (or at the end), so it stays open across wide steps that read
-        none.  That is sound: a gate reads only wires of earlier levels,
-        and whatever drove those — an earlier run, a wide step, the run
-        itself — is emitted no later than the run is.  Replaying the
-        plan in order never reads an undriven wire, and every gate sits
-        in exactly one step.  Cached per ``(batch, min_width)``.
+        none.  That is sound: a gate reads only wires driven by earlier
+        steps of the schedule — a free gate those of earlier levels and
+        of earlier sub-steps of its own, an AND gate those of earlier
+        levels and of its own level's sub-steps — and whatever drove
+        them (an earlier run, a wide step, the run itself) is emitted no
+        later than the run is.  Replaying the plan in order never reads
+        an undriven wire, and every gate sits in exactly one step.
+        Cached per ``(batch, min_width)``.
         """
         import numpy as np
 
@@ -460,101 +478,108 @@ class LevelSchedule:
                 in_run.fill(False)
 
         for level in self.levels:
-            for free, reads, out in (
-                (True, (level.free_a, level.free_b), level.free_out),
-                (False, (level.nf_a, level.nf_b), level.nf_out),
-            ):
+            parts: List[Tuple[Union[FreeStep, ScheduleLevel], Any, Any]] = [
+                (free, (free.a, free.b), free.out) for free in level.free
+            ]
+            parts.append((level, (level.nf_a, level.nf_b), level.nf_out))
+            for step, reads, out in parts:
                 if batch * out.size >= min_width:
                     if records and any(in_run[w].any() for w in reads):
                         flush()
-                    steps.append(WideStep(level, free))
+                    steps.append(step)
                 elif out.size:
                     in_run[out] = True
-                    records.extend(_gate_records(level, free))
+                    records.extend(_gate_records(step))
         flush()
         plan = self._plan_cache[key] = tuple(steps)
         return plan
 
     @classmethod
     def build(cls, circuit: "Circuit") -> "LevelSchedule":
-        """Levelize ``circuit`` (validates topological order as it goes).
+        """Levelize ``circuit`` by AND layer (validates topological order
+        as it goes).
 
         One pass over the gates (:func:`_gate_columns`) checks them and
-        writes ``(level, a, b, out, flags)`` into columns.  The free and
-        the non-free gates are then each sorted stably by level, so a
-        level's arrays are slices of the sorted columns, in netlist
-        order.
+        writes ``(place, a, b, out, flags)`` into columns, ``place``
+        packing a gate's AND phase and free sub-step.  The free and the
+        non-free gates are then each sorted stably by place, so every
+        sub-step's and every AND layer's arrays are slices of the sorted
+        columns, in netlist order.
         """
         import numpy as np
 
-        level_of, gate_a, gate_b, gate_outs, flags = _gate_columns(circuit)
-        # levels 1..n_levels all exist: a gate at level L reads a wire
-        # driven at level L-1
-        n_levels = int(level_of.max()) if level_of.size else 0
-        level_ids = np.arange(1, n_levels + 2)
+        place, gate_a, gate_b, gate_outs, flags = _gate_columns(circuit)
+        phase = place >> _SUB_BITS
+        # AND layers 1..depth all exist (a gate of phase p reads a wire of
+        # phase p - 1); level i runs layer i + 1, level depth the free tail
+        depth = int(phase.max()) if phase.size else 0
+        phase_ids = np.arange(depth + 2)
 
-        def grouped(gates: Any) -> Tuple[Any, Any, Any, List[int]]:
-            """``gates`` (netlist order) stably sorted by level: their
-            rank in that order, their gate indices, their levels, and
-            where each level starts."""
-            rank = np.argsort(level_of[gates], kind="stable")
-            order = gates[rank]
-            levels = level_of[order]
-            return rank, order, levels, np.searchsorted(
-                levels, level_ids
-            ).tolist()
+        def by_place(gates: Any) -> Tuple[Any, Any]:
+            """``gates`` (netlist order) stably sorted by place: their
+            rank in that order, and their gate indices."""
+            rank = np.argsort(place[gates], kind="stable")
+            return rank, gates[rank]
 
-        def any_per_level(levels_sorted: Any, flag: Any) -> List[bool]:
-            counts = np.bincount(levels_sorted[flag != 0], minlength=n_levels + 1)
-            return (counts > 0).tolist()
-
-        _, free, free_level, free_at = grouped(
-            np.flatnonzero(flags < _NON_FREE)
-        )
+        # one free sub-step per distinct place, grouped by phase
+        _, free = by_place(np.flatnonzero(flags < _NON_FREE))
         free_a, free_b, free_out = gate_a[free], gate_b[free], gate_outs[free]
         free_inv = flags[free]
-        free_has_inv = any_per_level(free_level, free_inv)
+        free_place = place[free]
+        starts = np.flatnonzero(np.diff(free_place, prepend=-1))
+        has_inv = (
+            np.maximum.reduceat(free_inv, starts).tolist() if starts.size else []
+        )
+        bounds = starts.tolist() + [free.size]
+        sub_steps = [
+            FreeStep(
+                a=free_a[s0:s1], b=free_b[s0:s1], out=free_out[s0:s1],
+                inv=free_inv[s0:s1], has_inv=bool(inv),
+            )
+            for s0, s1, inv in zip(bounds, bounds[1:], has_inv)
+        ]
+        subs_at = np.searchsorted(
+            free_place[starts] >> _SUB_BITS, phase_ids
+        ).tolist()
 
         # a non-free gate's rank among the non-free gates is its
         # netlist-order table index
-        nf_tidx, nf, nf_level, nf_at = grouped(
-            np.flatnonzero(flags >= _NON_FREE)
-        )
+        nf_tidx, nf = by_place(np.flatnonzero(flags >= _NON_FREE))
         nf_tidx = nf_tidx.astype(np.int64, copy=False)
+        nf_phase = phase[nf]
+        nf_at = np.searchsorted(nf_phase, phase_ids + 1).tolist()
         nf_a, nf_b, nf_out = gate_a[nf], gate_b[nf], gate_outs[nf]
         nf_flags = flags[nf]
         nf_ia, nf_ib, nf_io = nf_flags & 1, (nf_flags >> 1) & 1, (nf_flags >> 2) & 1
-        nf_has_ia = any_per_level(nf_level, nf_ia)
-        nf_has_ib = any_per_level(nf_level, nf_ib)
-        nf_has_io = any_per_level(nf_level, nf_io)
+
+        def any_per_layer(flag: Any) -> List[bool]:
+            counts = np.bincount(nf_phase[flag != 0], minlength=depth + 2)
+            return (counts[1:] > 0).tolist()
+
+        nf_has_ia = any_per_layer(nf_ia)
+        nf_has_ib = any_per_layer(nf_ib)
+        nf_has_io = any_per_layer(nf_io)
         tw0_a = _tweak_rows(2 * nf_tidx)
         tw0_b = _tweak_rows(2 * nf_tidx + 1)
 
-        levels: List[ScheduleLevel] = []
-        for level in range(1, n_levels + 1):
-            f0, f1 = free_at[level - 1], free_at[level]
-            n0, n1 = nf_at[level - 1], nf_at[level]
-            levels.append(
-                ScheduleLevel(
-                    free_a=free_a[f0:f1],
-                    free_b=free_b[f0:f1],
-                    free_out=free_out[f0:f1],
-                    free_inv=free_inv[f0:f1],
-                    nf_a=nf_a[n0:n1],
-                    nf_b=nf_b[n0:n1],
-                    nf_out=nf_out[n0:n1],
-                    nf_tidx=nf_tidx[n0:n1],
-                    nf_ia=nf_ia[n0:n1],
-                    nf_ib=nf_ib[n0:n1],
-                    nf_io=nf_io[n0:n1],
-                    free_has_inv=free_has_inv[level],
-                    nf_has_ia=nf_has_ia[level],
-                    nf_has_ib=nf_has_ib[level],
-                    nf_has_io=nf_has_io[level],
-                    tw0_a=tw0_a[n0:n1],
-                    tw0_b=tw0_b[n0:n1],
-                )
+        levels = [
+            ScheduleLevel(
+                free=tuple(sub_steps[subs_at[i] : subs_at[i + 1]]),
+                nf_a=nf_a[n0:n1],
+                nf_b=nf_b[n0:n1],
+                nf_out=nf_out[n0:n1],
+                nf_tidx=nf_tidx[n0:n1],
+                nf_ia=nf_ia[n0:n1],
+                nf_ib=nf_ib[n0:n1],
+                nf_io=nf_io[n0:n1],
+                nf_has_ia=nf_has_ia[i],
+                nf_has_ib=nf_has_ib[i],
+                nf_has_io=nf_has_io[i],
+                tw0_a=tw0_a[n0:n1],
+                tw0_b=tw0_b[n0:n1],
             )
+            for i, (n0, n1) in enumerate(zip(nf_at, nf_at[1:]))
+        ]
         return cls(
             levels=tuple(levels),
             n_non_free=int(nf.size),
@@ -565,13 +590,17 @@ class LevelSchedule:
 
 
 def _gate_columns(circuit: "Circuit") -> Tuple[Any, Any, Any, Any, Any]:
-    """Per gate, in netlist order: ``(level, a, b, out, flags)`` columns.
+    """Per gate, in netlist order: ``(place, a, b, out, flags)`` columns.
 
     The one per-gate loop of :meth:`LevelSchedule.build`: checks that
     every gate reads driven wires and drives one in range, and assigns
-    its ASAP level (inputs and constants sit at level 0).  ``b`` of a
-    unary gate is the scratch row ``n_wires``; ``flags`` is the
-    :data:`_GATE_FLAGS` byte.  The columns are filled through
+    its place ``phase << _SUB_BITS | sub`` (inputs and constants sit at
+    0).  A non-free gate's phase is one more than its inputs' highest
+    and its ``sub`` is 0; a free gate keeps that phase and its ``sub``
+    is one more than that of its latest same-phase input — both at
+    once, since the packed places compare as ``(phase, sub)`` pairs.
+    ``b`` of a unary gate is the scratch row ``n_wires``; ``flags`` is
+    the :data:`_GATE_FLAGS` byte.  The columns are filled through
     ``memoryview`` s of the arrays: a plain C store per item, a fraction
     of ``ndarray.__setitem__``'s cost, and none of the memory of Python
     lists converted afterwards.
@@ -580,17 +609,17 @@ def _gate_columns(circuit: "Circuit") -> Tuple[Any, Any, Any, Any, Any]:
 
     n_wires = circuit.n_wires
     scratch = n_wires
-    wire_level = [0] * n_wires
+    wire_place = [0] * n_wires
     defined = bytearray(n_wires)
     for wire in range(min(2 + circuit.n_inputs, n_wires)):
         defined[wire] = 1
     n_gates = len(circuit.gates)
-    col_level, col_a, col_b, col_out = (
+    col_place, col_a, col_b, col_out = (
         np.zeros(n_gates, dtype=np.intp) for _ in range(4)
     )
     col_flags = np.zeros(n_gates, dtype=np.uint8)
-    put_level, put_a, put_b, put_out = (
-        memoryview(col) for col in (col_level, col_a, col_b, col_out)
+    put_place, put_a, put_b, put_out = (
+        memoryview(col) for col in (col_place, col_a, col_b, col_out)
     )
     put_flags = memoryview(col_flags)
     for idx, (op, a, b, out) in enumerate(circuit.gates):
@@ -603,27 +632,30 @@ def _gate_columns(circuit: "Circuit") -> Tuple[Any, Any, Any, Any, Any]:
         if not 0 <= out < n_wires:
             raise CircuitError(f"gate {idx} drives out-of-range wire")
         defined[out] = 1
-        level = wire_level[a]
+        place = wire_place[a]
         if b is None:
             b = scratch
-        elif wire_level[b] > level:
-            level = wire_level[b]
-        level += 1
-        wire_level[out] = level
+        elif wire_place[b] > place:
+            place = wire_place[b]
         code = _GATE_FLAGS.get(op)
         if code is None:
             raise CircuitError(
                 f"gate {idx} ({op}) has no AND reduction; "
                 "cannot build a garbling schedule"
             )
-        if code >= _NON_FREE and b == scratch:
+        if code < _NON_FREE:
+            place += 1
+        elif b == scratch:
             raise CircuitError(f"gate {idx} ({op}) is missing input b")
-        put_level[idx] = level
+        else:
+            place = ((place >> _SUB_BITS) + 1) << _SUB_BITS
+        wire_place[out] = place
+        put_place[idx] = place
         put_a[idx] = a
         put_b[idx] = b
         put_out[idx] = out
         put_flags[idx] = code
-    return col_level, col_a, col_b, col_out, col_flags
+    return col_place, col_a, col_b, col_out, col_flags
 
 
 def concatenate(name: str, circuits: Iterable[Circuit]) -> Tuple[int, int]:

@@ -88,9 +88,10 @@ class CompiledModel:
         output_kind: "argmax" or "logits".
         n_classes: logit count.
         layer_report: per step ``(name, XOR, non-XOR, levels entered,
-            levels left)`` — the netlist's depth before and after the
-            step's gates, so the rows' ``left - entered`` add up to the
-            level count the engine walks.
+            levels left)`` — the netlist's AND-depth before and after
+            the step's gates, so the rows' ``left - entered`` add up to
+            the AND layers the engine walks (its level count less the
+            free tail).
     """
 
     circuit: Circuit

@@ -13,12 +13,16 @@ per role (:func:`garble_copies`, ``FastEvaluator._walk``):
   (:class:`repro.gc.labels.ArrayLabelStore` per copy), ``k`` being the
   batch: pools and cut-and-choose garble ``k`` independent copies,
   ``evaluate_many`` serves ``k`` requests, and a single ``evaluate`` is
-  the ``k = 1`` case of the same walk;
-* a *wide free* step — the free gates of one dependency level — is a
-  single gather-XOR-scatter across all copies;
-* a *wide non-free* step assembles one contiguous ``label || tweak``
-  buffer for :meth:`repro.gc.cipher.HashKDF.hash_many`: one oracle call
-  per level across all copies;
+  the ``k = 1`` case of the same walk.  Input labels arrive as rows too:
+  the garbler draws them in one rng call, the OT moves them as ``(m,
+  16)`` rows, and the evaluator writes each party's in one assignment;
+* under free-XOR only non-free gates need the oracle, so the schedule's
+  unit is the AND layer: a *wide non-free* step assembles one contiguous
+  ``label || tweak`` buffer for :meth:`repro.gc.cipher.HashKDF.hash_many`
+  — one oracle call per AND layer across all copies, as many as the
+  netlist's AND-depth;
+* a *wide free* step — the free gates the same number of XORs past the
+  last AND layer — is a single gather-XOR-scatter across all copies;
 * a *scalar run* — a stretch of gates too narrow for array dispatch to
   pay — is one pre-flattened gate loop per copy on cached Python ints,
   one ``hash_quad`` / ``hash_pair`` oracle call per gate.  A run stays
@@ -38,58 +42,55 @@ cut-and-choose verification.
 from __future__ import annotations
 
 import secrets
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit, ScalarRun
+from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit, FreeStep, ScalarRun
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
 from .evaluate import Evaluator
 from .garble import GarbledCircuit, Garbler, LazyTables
-from .labels import ArrayLabelStore, _label_row
+from .labels import ArrayLabelStore, LabelsLike, label_rows
 from .rng import RngLike
 
 __all__ = ["FastEvaluator", "LabelPlane", "garble_copies", "garble_many"]
 
-#: Minimum effective width (copies x gates in half a level) before array
-#: dispatch beats the gate-at-a-time loop.  Narrow halves — the
-#: ripple-carry tail of adder trees — join scalar runs; wide ones (the
-#: bulk of a DL netlist's gates) go through one gather/XOR/scatter or
-#: one KDF batch.  Both compute the identical bytes, so the threshold is
-#: purely a speed knob.
+#: Minimum effective width (copies x gates in one AND layer or one free
+#: sub-step) before array dispatch beats the gate-at-a-time loop.  Narrow
+#: steps — the carry chain of a heap's last propagation, the argmax's
+#: comparator — join scalar runs; wide ones (the bulk of a DL netlist's
+#: gates) go through one gather/XOR/scatter or one KDF batch.  Both
+#: compute the identical bytes, so the threshold is purely a speed knob.
 VECTOR_MIN_WIDTH = 8
 
 
 def _assign_input_labels(
     store: ArrayLabelStore,
     circuit: Circuit,
-    state_zero_labels: Union[Sequence[int], np.ndarray, None],
+    state_zero_labels: Optional[LabelsLike],
 ) -> None:
     """Draw constant/input/state labels in the scalar garbler's order.
 
-    ``state_zero_labels`` may be the usual int sequence or an
-    ``(n_state, 16)`` uint8 row array (the folded session's carry form);
-    rows bypass the per-label int<->bytes conversions entirely.
+    The constants, both parties' inputs and any fresh state are wires
+    ``0 .. n - 1``, drawn in one rng call
+    (:meth:`ArrayLabelStore.assign_fresh_rows`).  ``state_zero_labels``
+    may be the usual int sequence or an ``(n_state, 16)`` uint8 row
+    array (the folded session's carry form).
     """
-    store.assign_fresh(CONST_ZERO)
-    store.assign_fresh(CONST_ONE)
-    for wire in circuit.alice_inputs:
-        store.assign_fresh(wire)
-    for wire in circuit.bob_inputs:
-        store.assign_fresh(wire)
-    state_wires = list(circuit.state_inputs)
+    fresh = 2 + circuit.n_alice + circuit.n_bob
     if state_zero_labels is None:
-        for wire in state_wires:
-            store.assign_fresh(wire)
-        return
-    if len(state_zero_labels) != len(state_wires):
+        fresh += circuit.n_state
+    elif len(state_zero_labels) != circuit.n_state:
         raise GarblingError("wrong number of state labels")
-    if isinstance(state_zero_labels, np.ndarray):
-        store.set_zero_rows(state_wires, state_zero_labels)
-    else:
-        for wire, label in zip(state_wires, state_zero_labels):
-            store.set_zero(wire, label)
+    store.assign_fresh_rows(range(fresh))
+    if state_zero_labels is not None:
+        store.set_zero_rows(circuit.state_inputs, label_rows(state_zero_labels))
+
+
+def _put(plane: np.ndarray, wires: range, labels: LabelsLike) -> None:
+    """Write labels (ints or rows) into one contiguous range of plane rows."""
+    plane[wires.start : wires.stop] = label_rows(labels)
 
 
 def _garble_run(
@@ -145,7 +146,7 @@ def garble_copies(
     circuit: Circuit,
     kdf: HashKDF,
     stores: Sequence[ArrayLabelStore],
-    state_zero_labels: Union[Sequence[int], np.ndarray, None] = None,
+    state_zero_labels: Optional[LabelsLike] = None,
     tweak_base: int = 0,
 ) -> List[GarbledCircuit]:
     """Garble ``len(stores)`` independent copies in one pass over the plan.
@@ -198,15 +199,15 @@ def garble_copies(
             for labels, table_bytes, dint in flat:
                 _garble_run(step, labels, table_bytes, dint, kdf.hash_quad, tweak_base)
             continue
-        level = step.level
-        if step.free:
+        if isinstance(step, FreeStep):
             # one gather-XOR-scatter covers XOR/XNOR/NOT/BUF: unary
             # gates read the scratch zero row, XNOR/NOT add delta
-            out = plane[:, level.free_a] ^ plane[:, level.free_b]
-            if level.free_has_inv:
-                out ^= d3 * level.free_inv[None, :, None]
-            plane[:, level.free_out] = out
+            out = plane[:, step.a] ^ plane[:, step.b]
+            if step.has_inv:
+                out ^= d3 * step.inv[None, :, None]
+            plane[:, step.out] = out
             continue
+        level = step  # a wide AND layer
         za = plane[:, level.nf_a]
         if level.nf_has_ia:  # free input inversions (AND reduction)
             za = za ^ d3 * level.nf_ia[None, :, None]
@@ -399,20 +400,24 @@ class FastEvaluator(Evaluator):
     def evaluate(
         self,
         garbled: GarbledCircuit,
-        alice_labels: Sequence[int],
-        bob_labels: Sequence[int],
-        state_labels: Union[Sequence[int], np.ndarray, None] = None,
+        alice_labels: LabelsLike,
+        bob_labels: LabelsLike,
+        state_labels: Optional[LabelsLike] = None,
         tweak_base: Optional[int] = None,
     ) -> LabelPlane:
         """Evaluate one garbled circuit: the ``k = 1`` case of the walk.
 
-        ``state_labels`` carries a sequential circuit's register labels,
-        as the scalar contract's int sequence or as ``(n_state, 16)``
-        uint8 rows (the folded session's carry form).
+        Input and register labels are the scalar contract's int
+        sequences or ``(n, 16)`` uint8 rows (what the OT hands Bob, and
+        the folded session's carry form).
         """
         planes = np.zeros((1, self.circuit.n_wires + 1, 16), dtype=np.uint8)
         tables = self._load(planes[0], garbled, alice_labels, bob_labels)
-        self._fill_state(planes[0], state_labels)
+        n_state = 0 if state_labels is None else len(state_labels)
+        if n_state != self.circuit.n_state:
+            raise GarblingError("wrong number of state labels")
+        if state_labels is not None:
+            _put(planes[0], self.circuit.state_inputs, state_labels)
         base = garbled.tweak_base if tweak_base is None else tweak_base
         self._walk(planes, tables[None], base)
         return LabelPlane(planes[0], self.circuit.n_wires)
@@ -421,8 +426,8 @@ class FastEvaluator(Evaluator):
         self,
         plane: np.ndarray,
         garbled: GarbledCircuit,
-        alice_labels: Sequence[int],
-        bob_labels: Sequence[int],
+        alice_labels: LabelsLike,
+        bob_labels: LabelsLike,
     ) -> np.ndarray:
         """Write one request's constant and input labels into its plane
         and return its ``(n_non_free, 32)`` table plane."""
@@ -431,12 +436,9 @@ class FastEvaluator(Evaluator):
             raise GarblingError("wrong number of Alice labels")
         if len(bob_labels) != circuit.n_bob:
             raise GarblingError("wrong number of Bob labels")
-        plane[CONST_ZERO] = _label_row(garbled.const_labels[0])
-        plane[CONST_ONE] = _label_row(garbled.const_labels[1])
-        for wire, label in zip(circuit.alice_inputs, alice_labels):
-            plane[wire] = _label_row(label)
-        for wire, label in zip(circuit.bob_inputs, bob_labels):
-            plane[wire] = _label_row(label)
+        _put(plane, range(CONST_ZERO, CONST_ONE + 1), garbled.const_labels)
+        _put(plane, circuit.alice_inputs, alice_labels)
+        _put(plane, circuit.bob_inputs, bob_labels)
         table_plane = garbled.tables_plane
         if table_plane is None:
             blob = garbled.tables_bytes()
@@ -446,28 +448,6 @@ class FastEvaluator(Evaluator):
         if len(tables) < n_tables:
             raise GarblingError("ran out of garbled tables")
         return tables[:n_tables]
-
-    def _fill_state(
-        self,
-        plane: np.ndarray,
-        state_labels: Union[Sequence[int], np.ndarray, None],
-    ) -> None:
-        """Write carried-over state labels into a plane.
-
-        Accepts the int sequence of the scalar contract or an
-        ``(n_state, 16)`` uint8 row array (the folded session's carry
-        form — one array copy instead of per-register conversions).
-        """
-        circuit = self.circuit
-        n_given = 0 if state_labels is None else len(state_labels)
-        if n_given != circuit.n_state:
-            raise GarblingError("wrong number of state labels")
-        if isinstance(state_labels, np.ndarray):
-            if n_given:
-                plane[list(circuit.state_inputs)] = state_labels
-        elif state_labels is not None:
-            for wire, label in zip(circuit.state_inputs, state_labels):
-                plane[wire] = _label_row(label)
 
     def _walk(self, planes: np.ndarray, tables: np.ndarray, base: int) -> None:
         """Walk the step plan over ``k`` stacked requests, in place.
@@ -490,15 +470,13 @@ class FastEvaluator(Evaluator):
                 for labels, table_bytes in flat:
                     _evaluate_run(step, labels, table_bytes, kdf.hash_pair, base)
                 continue
-            level = step.level
-            if step.free:
+            if isinstance(step, FreeStep):
                 # the evaluator's free gates are pure label XOR (XNOR's
                 # delta lives on the garbler side), unary gates read the
                 # scratch zero row
-                planes[:, level.free_out] = (
-                    planes[:, level.free_a] ^ planes[:, level.free_b]
-                )
+                planes[:, step.out] = planes[:, step.a] ^ planes[:, step.b]
                 continue
+            level = step  # a wide AND layer
             wa = planes[:, level.nf_a]  # (k, m, 16)
             wb = planes[:, level.nf_b]
             sa = wa[..., 0:1] & 1
@@ -516,8 +494,8 @@ class FastEvaluator(Evaluator):
     def evaluate_many(
         self,
         garbleds: Sequence[GarbledCircuit],
-        alice_labels: Sequence[Sequence[int]],
-        bob_labels: Sequence[Sequence[int]],
+        alice_labels: Sequence[LabelsLike],
+        bob_labels: Sequence[LabelsLike],
         tweak_base: Optional[int] = None,
     ) -> List[LabelPlane]:
         """Evaluate ``k`` independently garbled requests in one pass.

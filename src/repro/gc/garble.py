@@ -29,16 +29,15 @@ from __future__ import annotations
 import dataclasses
 import secrets
 from collections.abc import Sequence as SequenceABC
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..circuits.gates import AND_REDUCTION, Gate, GateType
 from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
 from .labels import ArrayLabelStore, LabelStore, permute_bit
-
-if TYPE_CHECKING:
-    import numpy as np
 from .rng import RngLike
 
 __all__ = ["GarbledGate", "GarbledCircuit", "Garbler", "LazyTables"]
@@ -284,9 +283,14 @@ class Garbler:
         """Labels encoding ``bits`` on ``wires`` (garbler's own inputs)."""
         return [self.labels.select(w, b) for w, b in zip(wires, bits)]
 
-    def wire_label_pair(self, wire: int) -> Tuple[int, int]:
-        """(zero-label, one-label) of a wire — OT sender messages."""
-        return self.labels.zero(wire), self.labels.one(wire)
+    def label_pair_rows(self, wires: Sequence[int]) -> "np.ndarray":
+        """Each wire's (zero-label, one-label) as ``(m, 2, 16)`` uint8
+        rows — the OT sender's messages, read off the engine's plane."""
+        labels = self.labels
+        if not isinstance(labels, ArrayLabelStore):
+            raise GarblingError("OT messages are read off the engine's label plane")
+        zero = labels.zero_rows(wires)
+        return np.stack((zero, zero ^ labels.delta_row), axis=1)
 
     def decode_outputs(self, output_labels: Sequence[int]) -> List[int]:
         """Merge step: decode the evaluator's output labels (Sec. 2.2.2 iv).

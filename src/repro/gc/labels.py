@@ -22,8 +22,10 @@ __all__ = [
     "random_label",
     "random_delta",
     "permute_bit",
+    "label_rows",
     "LabelStore",
     "ArrayLabelStore",
+    "LabelsLike",
 ]
 
 
@@ -103,9 +105,24 @@ class LabelStore:
         return [self.zero(w) & 1 for w in wires]
 
 
+#: Labels in either form the engine takes: 128-bit ints, or ``(n, 16)``
+#: little-endian uint8 rows.
+LabelsLike = Union[Sequence[int], np.ndarray]
+
+
 def _label_row(label: int) -> np.ndarray:
     """One 128-bit label as a 16-byte little-endian uint8 row."""
     return np.frombuffer(label.to_bytes(16, "little"), dtype=np.uint8)
+
+
+def label_rows(labels: LabelsLike) -> np.ndarray:
+    """``labels`` as ``(n, 16)`` uint8 rows: ints in one conversion, rows
+    as they are."""
+    if isinstance(labels, np.ndarray):
+        return labels
+    return np.frombuffer(
+        b"".join(label.to_bytes(16, "little") for label in labels), dtype=np.uint8
+    ).reshape(-1, 16)
 
 
 class ArrayLabelStore:
@@ -194,6 +211,20 @@ class ArrayLabelStore:
         return [int(self.plane[w, 0]) & 1 for w in wires]
 
     # -- array-native extensions -----------------------------------------
+
+    def assign_fresh_rows(self, wires: Union[Sequence[int], np.ndarray]) -> None:
+        """Draw fresh zero-labels for ``wires`` in one rng call.
+
+        The ``n`` labels are ``rand_bits(rng, 128 * n)`` read as 16-byte
+        little-endian rows.  ``random.Random.getrandbits`` fills a wide
+        draw from its least significant 32-bit word up, so for a seeded
+        generator this is bit-identical to ``n`` :meth:`assign_fresh`
+        calls in wire order — what cut-and-choose's seed re-garbling
+        relies on; for ``secrets`` it is one ``urandom`` read, not ``n``.
+        """
+        n = len(wires)
+        data = rand_bits(self._rng, 128 * n).to_bytes(16 * n, "little")
+        self.set_zero_rows(wires, np.frombuffer(data, dtype=np.uint8).reshape(n, 16))
 
     def mark_defined(self, wires: np.ndarray) -> None:
         """Bulk defined-flag update after a vectorized scatter."""

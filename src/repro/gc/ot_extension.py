@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 import threading
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -295,14 +295,14 @@ def _hash_rows(rows: np.ndarray, length: int, first_index: int) -> np.ndarray:
 
 
 def extension_ot(
-    pairs: Optional[Sequence[Tuple[bytes, bytes]]],
+    messages: Optional[np.ndarray],
     choices: Optional[Sequence[int]],
     group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
     kappa: int = KAPPA,
     channel: Optional[Ends] = None,
     state: Optional[IKNPState] = None,
-) -> Tuple[List[bytes], int]:
+) -> Tuple[np.ndarray, int]:
     """Run one IKNP extension on the ends of ``channel`` held here.
 
     Three steps and one frame layout — receiver: expand, send ``u``;
@@ -313,8 +313,9 @@ def extension_ot(
     path.
 
     Args:
-        pairs: the sender's ``m`` message pairs, all messages of one
-            length; ``None`` where the sender is hosted elsewhere.
+        messages: the sender's ``(m, 2, length)`` uint8 plane, row ``i``
+            holding transfer ``i``'s two messages; ``None`` where the
+            sender is hosted elsewhere.
         choices: the receiver's ``m`` choice bits; ``None`` where the
             receiver is hosted elsewhere.
         group: group for the ``kappa`` base OTs (unused with ``state``).
@@ -328,25 +329,30 @@ def extension_ot(
             throw-away state, i.e. pays the base OT for this call alone.
 
     Returns:
-        ``(chosen_messages, transferred_bytes)``: the receiver's
-        messages (``[]`` where it is hosted elsewhere) and the two
-        flights as the channel charges them (payload plus the 4-byte
-        length prefix), equal on both ends.
+        ``(chosen, transferred_bytes)``: the receiver's ``(m, length)``
+        uint8 rows (``(0, length)`` where it is hosted elsewhere) and
+        the two flights as the channel charges them (payload plus the
+        4-byte length prefix), equal on both ends.
     """
-    if pairs is not None and choices is not None and len(pairs) != len(choices):
+    if messages is not None and (
+        not isinstance(messages, np.ndarray)
+        or messages.dtype != np.uint8
+        or messages.ndim != 3
+        or messages.shape[1] != 2
+    ):
+        raise OTError("sender messages must be one (m, 2, length) uint8 plane")
+    if messages is not None and choices is not None and len(messages) != len(choices):
         raise OTError("need one choice per pair")
-    pairs, choices = pairs or (), choices or ()
-    m = max(len(pairs), len(choices))
+    choices = choices or ()
+    m = len(messages) if messages is not None else len(choices)
+    length = messages.shape[2] if messages is not None else 0
     if m == 0:
-        return [], 0
-    if len({len(message) for pair in pairs for message in pair}) > 1:
-        raise OTError("every message of an extension must have one length")
+        return np.empty((0, length), dtype=np.uint8), 0
     alice_end, bob_end = channel or make_channel_pair()[:2]
     if state is None:
         state = IKNPState(group=group, rng=rng, kappa=kappa)
     counter, first_index = state.reserve(m, (alice_end, bob_end))
     u_len = state.kappa * ((m + 7) // 8)
-    length = 0
     # --- receiver expands its seeds and sends the u columns
     if bob_end is not None:
         choice_bits = np.array([c & 1 for c in choices], dtype=np.uint8)
@@ -354,30 +360,30 @@ def extension_ot(
             counter, choice_bits
         )
         bob_end.send_bytes(u_blob, tag="ot")
-    # --- sender masks the message pairs: per choice, one pass of row
-    # hashes and one XOR over an (m, length) plane
+    # --- sender masks the messages: per choice, one pass of row hashes
+    # and one XOR over an (m, length) plane
     if alice_end is not None:
+        if messages is None:
+            raise OTError("the sender's end needs the sender's messages")
         u_blob = alice_end.recv_bytes(expected_tag="ot")
         if len(u_blob) != u_len:
             raise ChannelIntegrityError(
                 f"OT column payload size mismatch: expected {u_len} bytes "
                 f"for {state.kappa} columns, got {len(u_blob)}"
             )
-        length = len(pairs[0][0])
-        masked = b"".join(
-            (
-                np.frombuffer(
-                    b"".join(pair[bit] for pair in pairs), dtype=np.uint8
-                ).reshape(m, length)
-                ^ _hash_rows(rows, length, first_index)
-            ).tobytes()
-            for bit, rows in enumerate(
-                _held(state.sender, "sender").rows(counter, m, u_blob)
+        sent = np.empty((2, m, length), dtype=np.uint8)
+        for bit, rows in enumerate(
+            _held(state.sender, "sender").rows(counter, m, u_blob)
+        ):
+            np.bitwise_xor(
+                messages[:, bit], _hash_rows(rows, length, first_index),
+                out=sent[bit],
             )
-        )
-        alice_end.send_bytes(masked, tag="ot")
+        alice_end.send_bytes(sent.tobytes(), tag="ot")
     if bob_end is None:
-        return [], (u_len + 4) + (2 * m * length + 4)
+        return np.empty((0, length), dtype=np.uint8), (
+            (u_len + 4) + (2 * m * length + 4)
+        )
     # --- receiver unmasks
     masked = bob_end.recv_bytes(expected_tag="ot")
     length, ragged = divmod(len(masked), 2 * m)
@@ -388,7 +394,6 @@ def extension_ot(
         )
     planes = np.frombuffer(masked, dtype=np.uint8).reshape(2, m, length)
     chosen = np.where((choice_bits != 0)[:, None], planes[1], planes[0])
-    out_plane = chosen ^ _hash_rows(t_rows, length, first_index)
-    return [out_plane[i].tobytes() for i in range(m)], (
+    return chosen ^ _hash_rows(t_rows, length, first_index), (
         (u_len + 4) + (len(masked) + 4)
     )

@@ -435,7 +435,9 @@ class TwoPartySession:
         if alice is not None:
             send_garbled(*alice, alice_bits or ())
         if bob_end is not None:
-            view, alice_labels = receive_garbled(bob_end)
+            view, alice_labels = receive_garbled(
+                bob_end, self.circuit.counts().non_xor
+            )
         link.times["transfer"] = time.perf_counter() - start
         start = time.perf_counter()
         bob_labels, _ = transfer_input_labels(
@@ -499,8 +501,8 @@ class _Link:
     stats: ChannelStats
     #: seconds per phase so far ('garble', 'transfer', 'ot', ...)
     times: Dict[str, float]
-    #: what Bob evaluates: his rebuilt view, Alice's labels, his own
-    inputs: Optional[Tuple[GarbledCircuit, List[int], List[int]]] = None
+    #: what Bob evaluates: his rebuilt view, Alice's labels, his own rows
+    inputs: Optional[Tuple[GarbledCircuit, List[int], np.ndarray]] = None
 
 
 # One round on the wire — what crosses the link, in what order, and what
@@ -527,21 +529,26 @@ def send_garbled(
 
 
 def receive_garbled(
-    bob_end: Channel, tweak_base: int = 0
+    bob_end: Channel, n_tables: int, tweak_base: int = 0
 ) -> Tuple[GarbledCircuit, List[int]]:
     """Bob's view and Alice's labels, rebuilt from the wire alone.
 
     Deserializing (rather than handing Bob the garbler's object) keeps
     the information flow honest: Bob sees tables and the two constant
     labels that crossed the link — no decode bits, nothing read off the
-    garbler.  ``tweak_base`` is public: 0 for a combinational round, the
-    running tweak count of a sequential run.
+    garbler.  ``n_tables`` (the netlist's non-free gate count) and
+    ``tweak_base`` are public: the tables frame must carry exactly that
+    many tables; the base is 0 for a combinational round, the running
+    tweak count of a sequential run.
     """
     blob = bob_end.recv_bytes(expected_tag="tables")
     consts = bob_end.recv_labels(expected_tag="const_labels")
     alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
-    if len(blob) % 32:
-        raise ProtocolError("corrupt garbled-table blob")
+    if len(blob) != 32 * n_tables:
+        raise ChannelIntegrityError(
+            f"tables frame carries {len(blob) // 32} tables ({len(blob)} "
+            f"bytes); the netlist has {n_tables}"
+        )
     if len(consts) != 2:
         raise ChannelIntegrityError(
             f"constant-wire payload carries {len(consts)} entries, not 2"
@@ -578,17 +585,19 @@ def transfer_input_labels(
     group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
     state: Optional[IKNPState] = None,
-) -> Tuple[List[int], int]:
+) -> Tuple[np.ndarray, int]:
     """Transfer the evaluator's input labels obliviously.
 
     The single OT entry point every flow shares: below
     :data:`OT_EXTENSION_THRESHOLD` input bits the base OT runs directly
     (:func:`repro.gc.ot.base_ot_over_channel`); above it the IKNP
-    extension amortizes the group operations.
+    extension amortizes the group operations.  The labels stay
+    ``(m, 16)`` uint8 rows from the garbler's plane to the evaluator's.
 
     Args:
-        garbler: holder of the wire label pairs (OT sender messages);
-            ``None`` where the garbler is hosted elsewhere.
+        garbler: holder of the wire label pairs (OT sender messages,
+            :meth:`Garbler.label_pair_rows`); ``None`` where the garbler
+            is hosted elsewhere.
         wires: the evaluator's input wire ids (public).
         bits: the evaluator's plaintext choice bits; ``None`` where the
             evaluator is hosted elsewhere.
@@ -604,27 +613,25 @@ def transfer_input_labels(
             threshold only); ``None`` pays a base-OT batch for this call.
 
     Returns:
-        ``(labels, total_bytes)`` — the chosen labels (``[]`` where the
-        evaluator is hosted elsewhere) and the OT traffic.
+        ``(labels, total_bytes)`` — the chosen labels as ``(m, 16)``
+        uint8 rows (``(0, 16)`` where the evaluator is hosted elsewhere)
+        and the OT traffic.
     """
     if bits is not None and len(wires) != len(bits):
         raise ProtocolError("Bob's input width mismatch")
     if not wires:
-        return [], 0
-    pairs = None
-    if garbler is not None:
-        pairs = [
-            (zero.to_bytes(16, "little"), one.to_bytes(16, "little"))
-            for zero, one in map(garbler.wire_label_pair, wires)
-        ]
+        return np.empty((0, 16), dtype=np.uint8), 0
+    messages = None if garbler is None else garbler.label_pair_rows(wires)
     if len(wires) >= OT_EXTENSION_THRESHOLD:
-        chosen, total = extension_ot(
-            pairs, bits, group=group, rng=rng, channel=channel, state=state
+        return extension_ot(
+            messages, bits, group=group, rng=rng, channel=channel, state=state
         )
-    else:
-        chosen = base_ot_over_channel(pairs, bits, 16, *channel, group=group, rng=rng)
-        total = base_ot_bytes(group, len(wires), 16)
-    return [int.from_bytes(data, "little") for data in chosen], total
+    pairs = None if messages is None else [
+        (zero.tobytes(), one.tobytes()) for zero, one in messages
+    ]
+    chosen = base_ot_over_channel(pairs, bits, 16, *channel, group=group, rng=rng)
+    rows = np.frombuffer(b"".join(chosen), dtype=np.uint8).reshape(-1, 16)
+    return rows, base_ot_bytes(group, len(wires), 16)
 
 
 def execute(

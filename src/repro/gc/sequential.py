@@ -190,7 +190,7 @@ class SequentialSession:
         for cycle, (alice_bits, bob_bits) in enumerate(inputs):
             tweak = 2 * n_tables * cycle
             reveal = not final_only or cycle == cycles - 1
-            label_pairs = None
+            messages = None
             # transfer: tables + Alice labels (every cycle), OT for Bob
             if alice_end is not None:
                 start = time.perf_counter()
@@ -208,9 +208,9 @@ class SequentialSession:
                         ),
                         tag="state_labels",
                     )
-                label_pairs = [garbler.wire_label_pair(w) for w in bob_wires]
+                messages = garbler.label_pair_rows(bob_wires)
             if bob_end is not None:
-                view, alice_labels = receive_garbled(bob_end, tweak_base=tweak)
+                view, alice_labels = receive_garbled(bob_end, n_tables, tweak)
                 if cycle == 0 and d_wires:
                     eval_state = bob_end.recv_labels(expected_tag="state_labels")
                     if len(eval_state) != len(d_wires):
@@ -219,7 +219,7 @@ class SequentialSession:
                             f"entries for {len(d_wires)} registers"
                         )
             bob_labels = self._oblivious_transfer(
-                label_pairs, bob_bits, ot_state, (alice_end, bob_end)
+                messages, bob_bits, ot_state, (alice_end, bob_end)
             )
 
             if bob_end is not None:
@@ -252,14 +252,15 @@ class SequentialSession:
 
     def _oblivious_transfer(
         self,
-        pairs: Optional[Sequence[Tuple[int, int]]],
+        messages: Optional[np.ndarray],
         bits: Sequence[int],
         ot_state: IKNPState,
         channel: Ends,
-    ) -> List[int]:
+    ) -> np.ndarray:
         """One cycle's OT for Bob's labels, framed over ``channel``:
-        ``pairs`` are the garbler's (``None`` where it is hosted
-        elsewhere), ``bits`` are read where the evaluator is.
+        ``messages`` are the garbler's ``(m, 2, 16)`` label-pair rows
+        (``None`` where it is hosted elsewhere), ``bits`` are read where
+        the evaluator is; Bob gets ``(m, 16)`` rows.
 
         Unlike :func:`repro.gc.protocol.transfer_input_labels`, a cycle
         always extends, whatever its width: the run's single base-OT
@@ -268,10 +269,5 @@ class SequentialSession:
         cycle.
         """
         if not bits:
-            return []
-        byte_pairs = pairs and [
-            (zero.to_bytes(16, "little"), one.to_bytes(16, "little"))
-            for zero, one in pairs
-        ]
-        chosen, _ = extension_ot(byte_pairs, bits, channel=channel, state=ot_state)
-        return [int.from_bytes(data, "little") for data in chosen]
+            return np.empty((0, 16), dtype=np.uint8)
+        return extension_ot(messages, bits, channel=channel, state=ot_state)[0]

@@ -132,13 +132,15 @@ class TestLayerReport:
         assert by_name["0:dense"] > by_name["output:argmax"]
 
     def test_levels_chain_to_the_schedule_depth(self, compiled):
-        """Each row enters where the one before left, and the last one
-        leaves at the level count the engine walks."""
+        """Each row enters the AND layer the one before left, and the
+        last one leaves at the netlist's AND-depth: the level count the
+        engine walks, less the free tail."""
         rows = compiled.layer_report
         assert rows[0][3] == 0
         assert [row[3] for row in rows[1:]] == [row[4] for row in rows[:-1]]
         assert all(row[4] > row[3] for row in rows)
-        assert rows[-1][4] == len(compiled.circuit.level_schedule().levels)
+        assert rows[-1][4] == compiled.circuit.depth()
+        assert rows[-1][4] + 1 == len(compiled.circuit.level_schedule().levels)
 
     def test_render(self, compiled):
         text = compiled.render_layer_report()

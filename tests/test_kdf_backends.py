@@ -590,12 +590,11 @@ class TestParallelVectorKDF:
 
 class TestVectorizedIKNP:
     def _pairs(self, m, length=16, seed=0):
+        """``(m, 2, length)`` sender plane and the receiver's choices."""
         rng = random.Random(seed)
-        pairs = [
-            (rng.randbytes(length), rng.randbytes(length)) for _ in range(m)
-        ]
+        plane = np.frombuffer(rng.randbytes(2 * m * length), dtype=np.uint8)
         choices = [rng.getrandbits(1) for _ in range(m)]
-        return pairs, choices
+        return plane.reshape(m, 2, length), choices
 
     def _run(self, pairs, choices, seed):
         return ot_extension.extension_ot(
@@ -606,14 +605,14 @@ class TestVectorizedIKNP:
         # 70-byte messages: every mask is three SHA-256 counters wide
         pairs, choices = self._pairs(70, length=70, seed=2)
         out, transferred = self._run(pairs, choices, seed=8)
-        assert out == [pair[c] for pair, c in zip(pairs, choices)]
+        assert np.array_equal(out, pairs[np.arange(70), choices])
         assert transferred == (ot_extension.KAPPA * 9 + 4) + (2 * 70 * 70 + 4)
 
     def test_receiver_gets_chosen_messages(self):
         pairs, choices = self._pairs(80, seed=5)
         out, transferred = self._run(pairs, choices, seed=6)
         for (m0, m1), c, got in zip(pairs, choices, out):
-            assert got == (m1 if c else m0)
+            assert np.array_equal(got, m1 if c else m0)
         # the u columns and the two masked planes, each frame's payload
         # plus its 4-byte length prefix
         assert transferred == (
@@ -649,13 +648,16 @@ class TestVectorizedIKNP:
 
     def test_ragged_pairs_are_refused(self):
         """One plane layout: the receiver reads the one message length
-        off the frame, so a sender with ragged pairs is told so — before
-        anything is reserved or framed."""
+        off the frame, so the sender hands in one ``(m, 2, length)``
+        uint8 plane; ragged byte pairs, or a plane of another shape, are
+        refused before anything is reserved or framed."""
         rng = random.Random(9)
         pairs = [(rng.randbytes(4), rng.randbytes(4)),
                  (rng.randbytes(20), rng.randbytes(20))] * 40
         choices = [rng.getrandbits(1) for _ in range(80)]
         state = ot_extension.IKNPState(group=TEST_GROUP_512, rng=random.Random(10))
-        with pytest.raises(OTError, match="one length"):
-            ot_extension.extension_ot(pairs, choices, state=state)
+        flat = np.zeros((80, 32), dtype=np.uint8)
+        for messages in (pairs, flat, flat.reshape(80, 4, 8)):
+            with pytest.raises(OTError, match="one .* plane"):
+                ot_extension.extension_ot(messages, choices, state=state)
         assert state.extensions == 0

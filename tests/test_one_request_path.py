@@ -32,6 +32,7 @@ from repro.errors import (
 from repro.gc import SequentialSession, TwoPartySession, outsourcing
 from repro.gc.channel import make_channel_pair
 from repro.gc.garble import Garbler
+from repro.gc.labels import label_rows
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import (
     OT_EXTENSION_THRESHOLD,
@@ -170,7 +171,7 @@ class TestBobsView:
         garbled = garbler.garble()
         alice_end, bob_end, _ = make_channel_pair()
         send_garbled(alice_end, garbler, garbled, a)
-        view, alice_labels = receive_garbled(bob_end)
+        view, alice_labels = receive_garbled(bob_end, circuit.counts().non_xor)
         assert view is not garbled
         assert garbled.decode_bits and view.decode_bits == []
         assert view.const_labels == tuple(garbled.const_labels)
@@ -223,7 +224,7 @@ class TestBobsView:
         alice_end.send_labels([1, 2, 3], tag="const_labels")
         alice_end.send_labels([], tag="alice_labels")
         with pytest.raises(ChannelIntegrityError, match="not 2"):
-            receive_garbled(bob_end)
+            receive_garbled(bob_end, 2)
 
 
 class TestOTEntryPoint:
@@ -246,9 +247,10 @@ class TestOTEntryPoint:
             group=TEST_GROUP_512, rng=rng,
         )
         assert total == stats.by_tag()["ot"] == stats.total_bytes
-        assert labels == garbler.input_labels_for(
+        # one row layout on both sides of the threshold
+        assert np.array_equal(labels, label_rows(garbler.input_labels_for(
             list(circuit.bob_inputs), bits
-        )
+        )))
 
     def test_channel_is_required(self):
         circuit = wide_circuit()
@@ -263,19 +265,69 @@ class TestOTEntryPoint:
 
 
 @pytest.fixture(scope="module")
-def service():
+def trained():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, size=(40, 5))
     y = (x @ rng.normal(size=(5, 3))).argmax(axis=1)
     model = Sequential([Dense(4), Tanh(), Dense(3)], input_shape=(5,), seed=3)
     Trainer(model, TrainConfig(epochs=10, learning_rate=0.2)).fit(x, y)
-    config = EngineConfig(
+    return model, x
+
+
+def _config():
+    return EngineConfig(
         fmt=FixedPointFormat(2, 6), activation="exact",
         ot_group=TEST_GROUP_512, rng=random.Random(7),
     )
-    service = PrivateInferenceService(model, config)
+
+
+@pytest.fixture(scope="module")
+def service(trained):
+    model, x = trained
+    service = PrivateInferenceService(model, _config())
     yield service, x
     service.close()
+
+
+class TestTablesFrameSize:
+    @pytest.mark.parametrize("extra", [5, -1])
+    def test_a_tables_frame_of_the_wrong_size_is_a_typed_transient_error(
+        self, trained, monkeypatch, extra
+    ):
+        """Padded or short by whole tables, with a valid checksum: the
+        evaluator refuses the frame as a transient wire fault naming both
+        counts — it never evaluates the first ``n`` tables of a longer
+        frame, and a short one is retryable like every other size check
+        on the wire."""
+
+        def resizing():
+            alice, bob, stats = make_channel_pair()
+
+            def dispatch(frame, inner=alice._dispatch):
+                if frame.tag == "tables":
+                    payload = frame.payload + bytes(32 * max(extra, 0))
+                    payload = payload[: len(frame.payload) + 32 * extra]
+                    frame = dataclasses.replace(
+                        frame, payload=payload, crc=zlib.crc32(payload)
+                    )
+                inner(frame)
+
+            alice._dispatch = dispatch
+            return alice, bob, stats
+
+        monkeypatch.setattr("repro.service.make_channel_pair", resizing)
+        model, x = trained
+        svc = PrivateInferenceService(model, _config())
+        try:
+            n_tables = svc.compiled.circuit.counts().non_xor
+            with pytest.raises(
+                ChannelIntegrityError,
+                match=f"carries {n_tables + extra} tables .*the netlist has {n_tables}",
+            ) as caught:
+                svc.infer(x[0])
+            assert is_transient(caught.value)
+        finally:
+            svc.close()
 
 
 class TestServeInTheCallingThread:

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,13 @@ def _pairs(n, rng, length=16):
         )
         for _ in range(n)
     ]
+
+
+def _plane(pairs):
+    """Byte pairs as the extension's ``(m, 2, length)`` sender plane."""
+    return np.frombuffer(
+        b"".join(m0 + m1 for m0, m1 in pairs), dtype=np.uint8
+    ).reshape(len(pairs), 2, -1)
 
 
 def _width(group):
@@ -307,32 +315,35 @@ class TestOTExtension:
         rng = random.Random(11)
         pairs = _pairs(200, rng)
         choices = [rng.randrange(2) for _ in range(200)]
-        out, _ = extension_ot(pairs, choices, group=TEST_GROUP_512, rng=rng)
+        out, _ = extension_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
+        assert out.shape == (200, 16)
         for msg, choice, pair in zip(out, choices, pairs):
-            assert msg == pair[choice]
+            assert msg.tobytes() == pair[choice]
 
     def test_non_multiple_of_eight(self):
         rng = random.Random(12)
         pairs = _pairs(131, rng)
         choices = [rng.randrange(2) for _ in range(131)]
-        out, _ = extension_ot(pairs, choices, group=TEST_GROUP_512, rng=rng)
-        assert all(m == p[c] for m, c, p in zip(out, choices, pairs))
+        out, _ = extension_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
+        assert all(m.tobytes() == p[c] for m, c, p in zip(out, choices, pairs))
 
     def test_empty_batch(self):
-        out, transferred = extension_ot([], [], group=TEST_GROUP_512)
-        assert out == [] and transferred == 0
+        out, transferred = extension_ot(
+            np.empty((0, 2, 16), dtype=np.uint8), [], group=TEST_GROUP_512
+        )
+        assert out.shape == (0, 16) and transferred == 0
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(OTError):
-            extension_ot([(b"a", b"b")], [0, 1], group=TEST_GROUP_512)
+            extension_ot(_plane([(b"a", b"b")]), [0, 1], group=TEST_GROUP_512)
 
     def test_traffic_scales_linearly(self):
         rng = random.Random(13)
         _, small = extension_ot(
-            _pairs(100, rng), [0] * 100, group=TEST_GROUP_512, rng=rng
+            _plane(_pairs(100, rng)), [0] * 100, group=TEST_GROUP_512, rng=rng
         )
         _, large = extension_ot(
-            _pairs(400, rng), [0] * 400, group=TEST_GROUP_512, rng=rng
+            _plane(_pairs(400, rng)), [0] * 400, group=TEST_GROUP_512, rng=rng
         )
         assert 3.0 <= large / small <= 5.0
 
@@ -340,5 +351,5 @@ class TestOTExtension:
         rng = random.Random(14)
         pairs = _pairs(140, rng, length=32)
         choices = [rng.randrange(2) for _ in range(140)]
-        out, _ = extension_ot(pairs, choices, group=TEST_GROUP_512, rng=rng)
-        assert all(m == p[c] for m, c, p in zip(out, choices, pairs))
+        out, _ = extension_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
+        assert all(m.tobytes() == p[c] for m, c, p in zip(out, choices, pairs))

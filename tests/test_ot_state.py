@@ -60,6 +60,18 @@ def _pairs(m, seed, length=16):
     return pairs, [rng.getrandbits(1) for _ in range(m)]
 
 
+def _plane(pairs):
+    """Byte pairs as the extension's ``(m, 2, length)`` sender plane."""
+    return np.frombuffer(
+        b"".join(m0 + m1 for m0, m1 in pairs), dtype=np.uint8
+    ).reshape(len(pairs), 2, -1)
+
+
+def _chosen(pairs, choices):
+    """The ``(m, length)`` rows the receiver must end up with."""
+    return _plane(pairs)[np.arange(len(choices)), choices]
+
+
 def _state(seed=0):
     return IKNPState(group=TEST_GROUP_512, rng=random.Random(seed))
 
@@ -103,20 +115,20 @@ class TestChosenMessages:
         # seeds, not a fresh base OT, must carry both
         for round_, channel in enumerate((None, _channel())):
             pairs, choices = _pairs(m, seed=100 * m + round_, length=length)
-            out, _ = extension_ot(pairs, choices, channel=channel, state=state)
-            assert out == [pair[c] for pair, c in zip(pairs, choices)]
+            out, _ = extension_ot(_plane(pairs), choices, channel=channel, state=state)
+            assert np.array_equal(out, _chosen(pairs, choices))
         assert state.extensions == 2
 
     def test_private_link_and_callers_link_agree_byte_for_byte(self):
         # without a channel the same three steps run over a private
         # in-memory link: same messages, same two frames charged
         pairs, choices = _pairs(90, seed=3)
-        results = [
-            extension_ot(pairs, choices, channel=channel, state=_state(9))
+        (out, sent), (out_framed, sent_framed) = [
+            extension_ot(_plane(pairs), choices, channel=channel, state=_state(9))
             for channel in (None, _channel())
         ]
-        assert results[0] == results[1]
-        assert results[0][1] == (KAPPA * 12 + 4) + (2 * 90 * 16 + 4)
+        assert np.array_equal(out, out_framed) and sent == sent_framed
+        assert sent == (KAPPA * 12 + 4) + (2 * 90 * 16 + 4)
 
     def test_channel_frames_keep_their_sizes(self):
         # the two "ot" frames the chaos matrix addresses by position:
@@ -125,7 +137,7 @@ class TestChosenMessages:
         pairs, choices = _pairs(m, seed=4)
         alice_end, bob_end, stats = default_channel_factory()()
         _, transferred = extension_ot(
-            pairs, choices, channel=(alice_end, bob_end), state=_state(4)
+            _plane(pairs), choices, channel=(alice_end, bob_end), state=_state(4)
         )
         sizes = [(d, size) for d, tag, size in stats.log if tag == "ot"]
         assert sizes == [("b2a", KAPPA * 17 + 4), ("a2b", 2 * m * 16 + 4)]
@@ -160,7 +172,7 @@ class TestNeverReused:
         state = _state(31)
         for seed, m in ((1, 70), (2, 70), (3, 9)):
             pairs, choices = _pairs(m, seed)
-            extension_ot(pairs, choices, state=state)
+            extension_ot(_plane(pairs), choices, state=state)
         assert reservations == [(0, 0, 70), (1, 70, 70), (2, 140, 9)]
 
     def test_eight_threads_share_one_state(self, reservations, base_batches):
@@ -171,8 +183,8 @@ class TestNeverReused:
             try:
                 for i in range(rounds):
                     pairs, choices = _pairs(3 + (k + i) % 70, seed=1000 * k + i)
-                    out, _ = extension_ot(pairs, choices, state=state)
-                    if out != [pair[c] for pair, c in zip(pairs, choices)]:
+                    out, _ = extension_ot(_plane(pairs), choices, state=state)
+                    if not np.array_equal(out, _chosen(pairs, choices)):
                         failures.append((k, i))
             except Exception as exc:  # surfaced by the assert below
                 failures.append((k, repr(exc)))
@@ -201,13 +213,13 @@ class TestNeverReused:
         pairs, choices = _pairs(80, seed=5)
         alice_end, bob_end, _stats = factory()
         with pytest.raises(ReproError) as caught:
-            extension_ot(pairs, choices, channel=(alice_end, bob_end), state=state)
+            extension_ot(_plane(pairs), choices, channel=(alice_end, bob_end), state=state)
         assert is_transient(caught.value)
         alice_end, bob_end, _stats = factory()
         out, _ = extension_ot(
-            pairs, choices, channel=(alice_end, bob_end), state=state
+            _plane(pairs), choices, channel=(alice_end, bob_end), state=state
         )
-        assert out == [pair[c] for pair, c in zip(pairs, choices)]
+        assert np.array_equal(out, _chosen(pairs, choices))
         assert reservations == [(0, 0, 80), (1, 80, 80)]
 
 

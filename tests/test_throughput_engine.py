@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import build_gate_chain
 from repro.circuits import CircuitBuilder, FixedPointFormat, bits_from_int
-from repro.circuits.netlist import ScalarRun
+from repro.circuits.netlist import FreeStep, ScalarRun
 from repro.circuits.simulate import simulate
 from repro.compile import folded_mac_cell
 from repro.engine import EngineConfig
@@ -385,14 +385,13 @@ class TestFusedNarrowRunner:
                         driven.add(out)
                         placed.append((out, tidx))
                     continue
-                level = step.level
-                if step.free:
-                    reads = level.free_a.tolist() + level.free_b.tolist()
-                    outs = level.free_out.tolist()
+                if isinstance(step, FreeStep):
+                    reads = step.a.tolist() + step.b.tolist()
+                    outs = step.out.tolist()
                     tidx = [-1] * len(outs)
-                else:
-                    reads = level.nf_a.tolist() + level.nf_b.tolist()
-                    outs, tidx = level.nf_out.tolist(), level.nf_tidx.tolist()
+                else:  # an AND layer
+                    reads = step.nf_a.tolist() + step.nf_b.tolist()
+                    outs, tidx = step.nf_out.tolist(), step.nf_tidx.tolist()
                 assert batch * len(outs) >= 8  # a wide step is wide
                 assert driven.issuperset(reads), circuit.name
                 driven.update(outs)
@@ -408,7 +407,7 @@ class TestFusedNarrowRunner:
             assert in_runs == sum(
                 n
                 for level in schedule.levels
-                for n in (level.free_out.size, level.nf_out.size)
+                for n in (*(free.out.size for free in level.free), level.nf_out.size)
                 if batch * n < 8
             )
 

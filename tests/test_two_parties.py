@@ -248,11 +248,11 @@ class TestWhatEachPartyHolds:
             + list(zip(circuit.outputs, run["outputs"]))
         )
         for wire, bit in wires:
-            pair = garbler.wire_label_pair(wire)
-            assert not holds_label(held, pair[1 - bit]), f"inactive label of wire {wire}"
+            inactive = garbler.labels.select(wire, 1 - bit)
+            assert not holds_label(held, inactive), f"inactive label of wire {wire}"
         # the walk does see what the evaluator legitimately has
         for wire, bit in wires:
-            assert holds_label(held, garbler.wire_label_pair(wire)[bit]), wire
+            assert holds_label(held, garbler.labels.select(wire, bit)), wire
         # s: the garbler's OT-extension secret, in any of its three forms
         sender = run["parties"]["garbler"].state.sender
         s_bits = tuple(int(v) for v in np.unpackbits(sender.s_packed))

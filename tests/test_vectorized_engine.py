@@ -20,7 +20,9 @@ from repro.circuits import CircuitBuilder, FixedPointFormat
 from repro.circuits.gates import AND_REDUCTION, Gate, GateType
 from repro.circuits.netlist import (
     Circuit,
+    FreeStep,
     LevelSchedule,
+    ScalarRun,
     ScheduleLevel,
     _tweak_rows,
 )
@@ -98,7 +100,8 @@ class TestLevelSchedule:
         schedule = circuit.level_schedule()
         seen = []
         for level in schedule.levels:
-            seen.extend(int(w) for w in level.free_out)
+            for free in level.free:
+                seen.extend(int(w) for w in free.out)
             seen.extend(int(w) for w in level.nf_out)
         assert sorted(seen) == sorted(g.out for g in circuit.gates)
         counts = circuit.counts()
@@ -106,21 +109,23 @@ class TestLevelSchedule:
         assert schedule.scratch_wire == circuit.n_wires
 
     def test_levels_respect_dependencies(self):
+        """Steps in schedule order — each level's free sub-steps, then
+        its AND layer — read only wires of strictly earlier steps."""
         circuit = _random_circuit(4)
         schedule = circuit.level_schedule()
-        produced_at = {}
-        for depth, level in enumerate(schedule.levels):
-            for w in list(level.free_out) + list(level.nf_out):
-                produced_at[int(w)] = depth
-        for depth, level in enumerate(schedule.levels):
-            for a in list(level.free_a) + list(level.nf_a) + list(level.nf_b):
-                a = int(a)
-                if a in produced_at:
-                    assert produced_at[a] < depth
-        # free_b may be the scratch row (unary gates)
+        steps = []
         for level in schedule.levels:
-            for b in level.free_b:
-                assert int(b) <= circuit.n_wires
+            steps.extend((free.a, free.b, free.out) for free in level.free)
+            steps.append((level.nf_a, level.nf_b, level.nf_out))
+        produced_at = {}
+        for position, (_, _, outs) in enumerate(steps):
+            for w in outs:
+                produced_at[int(w)] = position
+        for position, (reads_a, reads_b, _) in enumerate(steps):
+            for w in list(reads_a) + list(reads_b):
+                # b may be the scratch row (unary gates)
+                assert int(w) <= circuit.n_wires
+                assert produced_at.get(int(w), -1) < position
 
     def test_schedule_cached(self):
         circuit = _random_circuit(5)
@@ -152,17 +157,18 @@ class TestLevelSchedule:
 
 
 def _reference_schedule(circuit):
-    """``LevelSchedule.build`` as it was before it wrote columns and
-    sorted them: per-level Python lists of gates, eleven lists per
-    level, converted at the end.  Kept as the reference the column
-    build must equal field by field."""
+    """``LevelSchedule.build`` the slow, obvious way: every gate gets an
+    ``(AND phase, free sub-step)`` pair, the non-free gates are grouped
+    per AND layer and the free ones per pair in Python lists, converted
+    at the end.  Kept as the reference the column build must equal
+    field by field."""
     n_wires = circuit.n_wires
     scratch = n_wires
-    wire_level = [0] * n_wires
+    place = [(0, 0)] * n_wires
     defined = bytearray(n_wires)
     for wire in range(min(2 + circuit.n_inputs, n_wires)):
         defined[wire] = 1
-    per_level = {}
+    layers, sub_steps = {}, {}
     table_index = 0
     for idx, gate in enumerate(circuit.gates):
         for src in gate.inputs():
@@ -174,58 +180,55 @@ def _reference_schedule(circuit):
         if not 0 <= gate.out < n_wires:
             raise CircuitError(f"gate {idx} drives out-of-range wire")
         defined[gate.out] = 1
-        level = 1 + max(wire_level[w] for w in gate.inputs())
-        wire_level[gate.out] = level
-        tidx = -1
-        if not gate.op.is_free:
-            if gate.op not in AND_REDUCTION:
-                raise CircuitError(
-                    f"gate {idx} ({gate.op}) has no AND reduction; "
-                    "cannot build a garbling schedule"
-                )
-            tidx = table_index
-            table_index += 1
-        per_level.setdefault(level, []).append((gate, tidx))
-
-    levels = []
-    for level in sorted(per_level):
-        cols = {name: [] for name in (
-            "free_a", "free_b", "free_out", "free_inv", "nf_a", "nf_b",
-            "nf_out", "nf_tidx", "nf_ia", "nf_ib", "nf_io",
-        )}
-        for gate, tidx in per_level[level]:
-            op = gate.op
-            if op.is_free:
-                cols["free_a"].append(gate.a)
-                cols["free_b"].append(scratch if gate.b is None else gate.b)
-                cols["free_out"].append(gate.out)
-                cols["free_inv"].append(
-                    1 if op in (GateType.XNOR, GateType.NOT) else 0
-                )
-            else:
-                inv = AND_REDUCTION[op]
-                cols["nf_a"].append(gate.a)
-                cols["nf_b"].append(gate.b)
-                cols["nf_out"].append(gate.out)
-                cols["nf_tidx"].append(tidx)
-                cols["nf_ia"].append(inv.ia)
-                cols["nf_ib"].append(inv.ib)
-                cols["nf_io"].append(inv.out)
-        tweaks0 = 2 * np.asarray(cols["nf_tidx"], dtype=np.int64)
-        dtypes = {"free_inv": np.uint8, "nf_tidx": np.int64,
-                  "nf_ia": np.uint8, "nf_ib": np.uint8, "nf_io": np.uint8}
-        levels.append(
-            ScheduleLevel(
-                **{name: np.asarray(values, dtype=dtypes.get(name, np.intp))
-                   for name, values in cols.items()},
-                free_has_inv=any(cols["free_inv"]),
-                nf_has_ia=any(cols["nf_ia"]),
-                nf_has_ib=any(cols["nf_ib"]),
-                nf_has_io=any(cols["nf_io"]),
-                tw0_a=_tweak_rows(tweaks0),
-                tw0_b=_tweak_rows(tweaks0 + 1),
+        phase, sub = max(place[w] for w in gate.inputs())
+        if gate.op.is_free:
+            place[gate.out] = (phase, sub + 1)
+            sub_steps.setdefault(place[gate.out], []).append(gate)
+            continue
+        if gate.op not in AND_REDUCTION:
+            raise CircuitError(
+                f"gate {idx} ({gate.op}) has no AND reduction; "
+                "cannot build a garbling schedule"
             )
-        )
+        place[gate.out] = (phase + 1, 0)
+        layers.setdefault(phase + 1, []).append((gate, table_index))
+        table_index += 1
+
+    def column(values, dtype=np.intp):
+        return np.asarray(values, dtype=dtype)
+
+    depth = max((place[g.out][0] for g in circuit.gates), default=0)
+    levels = []
+    for phase in range(depth + 1):
+        free = []
+        for key in sorted(k for k in sub_steps if k[0] == phase):
+            gates = sub_steps[key]
+            inv = [int(g.op in (GateType.XNOR, GateType.NOT)) for g in gates]
+            free.append(FreeStep(
+                a=column([g.a for g in gates]),
+                b=column([scratch if g.b is None else g.b for g in gates]),
+                out=column([g.out for g in gates]),
+                inv=column(inv, np.uint8),
+                has_inv=any(inv),
+            ))
+        layer = layers.get(phase + 1, [])
+        flags = [AND_REDUCTION[gate.op] for gate, _ in layer]
+        tidx = column([t for _, t in layer], np.int64)
+        levels.append(ScheduleLevel(
+            free=tuple(free),
+            nf_a=column([gate.a for gate, _ in layer]),
+            nf_b=column([gate.b for gate, _ in layer]),
+            nf_out=column([gate.out for gate, _ in layer]),
+            nf_tidx=tidx,
+            nf_ia=column([f.ia for f in flags], np.uint8),
+            nf_ib=column([f.ib for f in flags], np.uint8),
+            nf_io=column([f.out for f in flags], np.uint8),
+            nf_has_ia=any(f.ia for f in flags),
+            nf_has_ib=any(f.ib for f in flags),
+            nf_has_io=any(f.out for f in flags),
+            tw0_a=_tweak_rows(2 * tidx),
+            tw0_b=_tweak_rows(2 * tidx + 1),
+        ))
     return LevelSchedule(
         levels=tuple(levels),
         n_non_free=table_index,
@@ -233,6 +236,23 @@ def _reference_schedule(circuit):
         scratch_wire=scratch,
         gate_outs=np.asarray([g.out for g in circuit.gates], dtype=np.intp),
     )
+
+
+def _assert_same_fields(got_obj, want_obj, where):
+    for field in dataclasses.fields(want_obj):
+        got, want = getattr(got_obj, field.name), getattr(want_obj, field.name)
+        here = f"{where}: {field.name}"
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, here
+            assert got.shape == want.shape, here
+            assert np.array_equal(got, want), here
+            assert got.flags.c_contiguous, here
+        elif isinstance(want, tuple):
+            assert len(got) == len(want), here
+            for i, (g, w) in enumerate(zip(got, want)):
+                _assert_same_fields(g, w, f"{here}[{i}]")
+        else:
+            assert type(got) is bool and got == want, here
 
 
 def _assert_same_schedule(built, reference):
@@ -245,16 +265,7 @@ def _assert_same_schedule(built, reference):
     for depth, (level, expected) in enumerate(
         zip(built.levels, reference.levels)
     ):
-        for field in dataclasses.fields(ScheduleLevel):
-            got, want = getattr(level, field.name), getattr(expected, field.name)
-            where = f"level {depth}: {field.name}"
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype, where
-                assert got.shape == want.shape, where
-                assert np.array_equal(got, want), where
-                assert got.flags.c_contiguous, where
-            else:
-                assert type(got) is bool and got == want, where
+        _assert_same_fields(level, expected, f"level {depth}")
 
 
 @st.composite
@@ -287,7 +298,8 @@ def _netlists(draw):
 
 class TestScheduleAgainstReference:
     """The column-and-sort ``LevelSchedule.build`` hands the engine what
-    the list-based one did: same arrays, dtypes, flags, on every level."""
+    the list-based AND-layer grouping does: same arrays, dtypes, flags,
+    on every sub-step and every AND layer."""
 
     def test_demo_net(self):
         from repro.cli import _demo_service
@@ -298,7 +310,7 @@ class TestScheduleAgainstReference:
         finally:
             service.close()
         schedule = LevelSchedule.build(circuit)
-        assert len(schedule.levels) > 200
+        assert len(schedule.levels) == circuit.depth() + 1
         _assert_same_schedule(schedule, _reference_schedule(circuit))
 
     @pytest.mark.parametrize("fold", [1, 8])
@@ -370,6 +382,112 @@ class TestScheduleAgainstReference:
             LevelSchedule.build(circuit)
 
 
+def _replay(circuit, plan):
+    """Run ``plan`` on a driven-wire bitmap: every read is of a driven
+    wire and every gate drives its wire exactly once.  Returns the
+    number of wide AND-layer steps."""
+    driven = np.zeros(circuit.n_wires + 1, dtype=bool)
+    driven[: 2 + circuit.n_inputs] = True
+    driven[circuit.n_wires] = True  # the scratch row unary gates read
+    times = np.zeros(circuit.n_wires + 1, dtype=np.int64)
+    wide_layers = 0
+    for step in plan:
+        if isinstance(step, ScalarRun):
+            for a, b, out, *_ in step.gates:
+                assert driven[a] and driven[b]
+                driven[out] = True
+                times[out] += 1
+            continue
+        if isinstance(step, FreeStep):
+            reads, outs = (step.a, step.b), step.out
+        else:  # an AND layer
+            wide_layers += 1
+            reads, outs = (step.nf_a, step.nf_b), step.nf_out
+        assert all(driven[wires].all() for wires in reads)
+        driven[outs] = True
+        np.add.at(times, outs, 1)
+    gate_outs = [gate.out for gate in circuit.gates]
+    assert (times[gate_outs] == 1).all() and times.sum() == len(gate_outs)
+    return wide_layers
+
+
+class TestPlanProperties:
+    """The AND-layer schedule as a model: on generated netlists
+    (constants, unary gates, state wires) and on folded MAC cells, every
+    plan replays soundly, the level count is the AND-depth plus the free
+    tail, and the engine equals the reference loops and ``simulate``."""
+
+    @staticmethod
+    def _check_plans(circuit):
+        schedule = LevelSchedule.build(circuit)
+        every_wire = Circuit(
+            n_alice=circuit.n_alice, n_bob=circuit.n_bob, n_state=circuit.n_state,
+            gates=circuit.gates, outputs=list(range(circuit.n_wires)),
+            n_wires=circuit.n_wires,
+        )
+        layers = every_wire.depth()
+        assert len(schedule.levels) == layers + 1
+        assert len(schedule.levels) >= circuit.depth() + 1
+        for batch in (1, 3, 64):
+            assert _replay(circuit, schedule.step_plan(batch, 8)) <= layers
+
+    @staticmethod
+    def _check_engine(circuit, seed):
+        kdf = HashKDF()
+        draw = random.Random(seed)
+        bits = [draw.getrandbits(1) for _ in range(circuit.n_inputs)]
+        alice = bits[: circuit.n_alice]
+        bob = bits[circuit.n_alice : circuit.n_alice + circuit.n_bob]
+        state = bits[circuit.n_alice + circuit.n_bob :]
+        expected = simulate(circuit, alice, bob, state)
+        evaluator = FastEvaluator(circuit, kdf=kdf)
+        for k in (1, 3):
+            copies = garble_many(
+                circuit, kdf=kdf, rngs=[random.Random(seed + i) for i in range(k)]
+            )
+            inputs = []
+            for i, (garbler, garbled) in enumerate(copies):
+                ref = _reference(circuit, seed + i, kdf=kdf).garble()
+                assert ref.tables_bytes() == garbled.tables_bytes()
+                assert ref.const_labels == garbled.const_labels
+                assert ref.decode_bits == garbled.decode_bits
+                inputs.append(tuple(
+                    garbler.input_labels_for(list(wires), values)
+                    for wires, values in (
+                        (circuit.alice_inputs, alice),
+                        (circuit.bob_inputs, bob),
+                        (circuit.state_inputs, state),
+                    )
+                ))
+            outputs = [
+                evaluator.output_labels(
+                    evaluator.evaluate(garbled, a, b, state_labels=s)
+                )
+                for (_, garbled), (a, b, s) in zip(copies, inputs)
+            ]
+            for (garbler, _), labels in zip(copies, outputs):
+                assert garbler.decode_outputs(labels) == expected
+            if not circuit.n_state:
+                planes = evaluator.evaluate_many(
+                    [garbled for _, garbled in copies],
+                    [a for a, _, _ in inputs], [b for _, b, _ in inputs],
+                )
+                assert [evaluator.output_labels(p) for p in planes] == outputs
+
+    @given(_netlists(), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_generated_netlists(self, circuit, seed):
+        circuit.validate()
+        self._check_plans(circuit)
+        self._check_engine(circuit, seed)
+
+    @pytest.mark.parametrize("fold", [1, 8])
+    def test_folded_mac_cell(self, fold):
+        core = folded_mac_cell(FMT, 4, fold).core
+        self._check_plans(core)
+        self._check_engine(core, fold)
+
+
 class TestHashMany:
     @pytest.mark.parametrize("kdf", [HashKDF(), FixedKeyAES()])
     def test_matches_scalar_hash(self, kdf):
@@ -429,6 +547,19 @@ class TestHashMany:
 
 
 class TestArrayLabelStore:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_one_draw_rows_equal_per_wire_draws(self, n):
+        """``getrandbits(128 n)`` is ``n`` successive 128-bit draws, least
+        significant first: the equivalence the engine's one input-label
+        draw, and cut-and-choose's seeded re-garbling, rely on."""
+        rows = ArrayLabelStore(n + 2, rng=random.Random(n))
+        wires = ArrayLabelStore(n + 2, rng=random.Random(n))
+        rows.assign_fresh_rows(range(n))
+        expected = [wires.assign_fresh(wire) for wire in range(n)]
+        assert [rows.zero(wire) for wire in range(n)] == expected
+        # and the stream goes on from the same place
+        assert rows.assign_fresh(n) == wires.assign_fresh(n)
+
     def test_same_stream_as_scalar_store(self):
         scalar = LabelStore(rng=random.Random(9))
         fast = ArrayLabelStore(8, rng=random.Random(9))

@@ -28,12 +28,17 @@ from ..circuits.simulate import simulate
 from ..errors import EngineError
 from ..gc.cipher import HashKDF
 from ..gc.cutandchoose import CutAndChooseGarbler, verify_opened_copy
-from ..gc.fastgarble import FastEvaluator
 from ..gc.ot import MODP_2048, OTGroup
 from ..gc.ot_extension import IKNPState
-from ..gc.channel import default_channel_factory
 from ..gc.outsourcing import OutsourcedSession
-from ..gc.protocol import ChannelFactory, Pregarbled, TwoPartySession, transfer_input_labels
+from ..gc.protocol import (
+    ChannelFactory,
+    Pregarbled,
+    TwoPartySession,
+    # not called here: the layered benchmark's tracer still wraps this
+    # binding; it goes when that wrap list is retired (ROADMAP item 1(a))
+    transfer_input_labels,  # noqa: F401
+)
 from ..gc.rng import RngLike
 from ..gc.sequential import SequentialSession
 from ..resilience.deadline import Deadline
@@ -327,8 +332,9 @@ class FoldedBackend(Backend):
 
     The combinational circuit is wrapped as a zero-register sequential
     core and driven through :class:`repro.gc.sequential.SequentialSession`
-    for one clock cycle — the same code path that clocks folded MAC
-    cells, exercised at service level.
+    for one clock cycle — the driver that clocks folded MAC cells,
+    exercised at service level, here running ``two_party``'s round frame
+    for frame.
     """
 
     def run(
@@ -346,26 +352,15 @@ class FoldedBackend(Backend):
             sequential, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
             channel_factory=self.channel_factory, ot_state=self.ot_state,
         )
-        start = time.perf_counter()
         result = session.run(
             [list(client_bits)], [list(server_bits)], cycles=1,
             deadline=self._deadline(),
         )
-        wall = time.perf_counter() - start
         counts = circuit.counts()
-        garble = result.garble_times[0]
-        evaluate = result.evaluate_times[0]
         return ExecutionResult(
             outputs=list(result.final_outputs),
             backend=self.name,
-            times={
-                "garble": garble,
-                # the session times only its garble/evaluate windows; the
-                # remainder is table transfer + OT, kept so cross-backend
-                # latency comparisons stay honest
-                "transfer_ot": max(wall - garble - evaluate, 0.0),
-                "evaluate": evaluate,
-            },
+            times=dict(result.times_per_cycle[0]),
             comm_bytes=sum(result.comm.values()),
             n_xor=counts.xor,
             n_non_xor=result.n_non_xor_per_cycle,
@@ -378,9 +373,12 @@ class CutAndChooseBackend(Backend):
     """Covert-security execution: garble ``copies``, open all but one.
 
     The evaluator verifies every opened copy against the garbler's seed
-    commitments before evaluating the surviving copy (Sec. 2.4's
-    cut-and-choose pointer).  A cheating garbler is detected with
-    probability ``1 - 1/copies``.
+    commitments, then the surviving copy runs ``two_party``'s protocol
+    round as pre-garbled material (Sec. 2.4's cut-and-choose pointer),
+    every flight on the wire.  A cheating garbler is detected with
+    probability ``1 - 1/copies``.  ``comm_bytes`` is the round's traffic
+    plus the opened copies' tables and the seed commitments; ``times``
+    are the round's phases, ``garble`` covering every copy.
 
     Args:
         copies: independent garblings (>= 2).
@@ -413,7 +411,6 @@ class CutAndChooseBackend(Backend):
         client_bits: Sequence[int],
         server_bits: Sequence[int],
     ) -> ExecutionResult:
-        times: Dict[str, float] = {}
         deadline = self._deadline()
 
         # garbler: k committed, seed-derived garblings.  The seed source
@@ -430,7 +427,7 @@ class CutAndChooseBackend(Backend):
         )
         commitments = cnc.commitments()
         tables = cnc.tables()
-        times["garble"] = time.perf_counter() - start
+        garble_s = time.perf_counter() - start
         if deadline is not None:
             deadline.check("garble")
 
@@ -449,57 +446,31 @@ class CutAndChooseBackend(Backend):
                 raise EngineError(
                     f"cut-and-choose: copy {opened.index} failed verification"
                 )
-        times["verify"] = time.perf_counter() - start
+        verify_s = time.perf_counter() - start
         if deadline is not None:
             deadline.check("verify")
 
-        # evaluate the surviving copy (labels via OT, as in Fig. 3);
-        # the OT flights travel over a channel pair so wire faults and
-        # deadlines reach this flow too
-        start = time.perf_counter()
-        garbler = cnc.evaluation_garbler(surviving)
-        factory = self.channel_factory or default_channel_factory()
-        alice_end, bob_end, _stats = factory()
-        alice_end.deadline = deadline
-        bob_end.deadline = deadline
-        bob_labels, ot_bytes = transfer_input_labels(
-            garbler,
-            list(circuit.bob_inputs),
-            list(server_bits),
-            group=self.ot_group,
-            rng=self.rng,
-            channel=(alice_end, bob_end),
-            state=self.ot_state,
+        # the surviving copy runs the protocol round (Fig. 3) on the wire
+        round_ = TwoPartySession(
+            circuit, kdf=cnc.kdf, ot_group=self.ot_group, rng=self.rng,
+            channel_factory=self.channel_factory, ot_state=self.ot_state,
+        ).run(
+            client_bits, server_bits,
+            pregarbled=Pregarbled(
+                circuit, cnc.evaluation_garbler(surviving),
+                cnc.garbled[surviving], 0.0,
+            ),
+            deadline=deadline,
         )
-        alice_labels = garbler.input_labels_for(
-            list(circuit.alice_inputs), list(client_bits)
+        result = ExecutionResult.from_protocol(
+            round_, self.name, {"copies": self.copies, "surviving": surviving}
         )
-        evaluator = FastEvaluator(circuit, kdf=cnc.kdf)
-        wire_labels = evaluator.evaluate(
-            cnc.garbled[surviving], alice_labels, bob_labels
-        )
-        outputs = garbler.decode_outputs(evaluator.output_labels(wire_labels))
-        times["evaluate"] = time.perf_counter() - start
-        if deadline is not None:
-            deadline.check("evaluate")
-
-        counts = circuit.counts()
-        comm = (
-            sum(len(t) for t in tables)       # every copy's tables travel
-            + sum(len(c) for c in commitments)
-            + 16 * len(alice_labels)
-            + ot_bytes
-            + 16 * len(circuit.outputs)       # merge-step output labels
-        )
-        return ExecutionResult(
-            outputs=outputs,
-            backend=self.name,
-            times=times,
-            comm_bytes=comm,
-            n_xor=counts.xor,
-            n_non_xor=counts.non_xor,
-            metadata={"copies": self.copies, "surviving": surviving},
-        )
+        # beside the round: the opened copies' tables and the commitments
+        result.comm_bytes += sum(len(tables[i]) for i in challenge)
+        result.comm_bytes += sum(len(c) for c in commitments)
+        result.times["garble"] += garble_s
+        result.times["verify"] = verify_s
+        return result
 
 
 @register_backend("simulate")

@@ -16,6 +16,10 @@ by another process (:mod:`repro.transport.peer`), its steps are skipped
 and its objects — the :class:`Garbler` and its labels on one side, the
 :class:`FastEvaluator` and the server's bits on the other — are never
 built here.
+
+The text is one round, clocked once per cycle: a combinational circuit
+is the one-cycle, zero-register case (its drivers are named where the
+round's wire functions are defined, below).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import (
 import numpy as np
 
 from ..circuits.netlist import Circuit
+from ..circuits.sequential import Register
 from ..errors import ChannelIntegrityError, ProtocolError
 from .channel import Channel, ChannelStats, default_channel_factory
 
@@ -54,6 +59,7 @@ LinkFactory = Callable[
 from .cipher import HashKDF, default_kdf, oracle_fingerprint
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
+from .labels import LabelsLike
 from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_over_channel
 from .ot_extension import Ends, IKNPState, extension_ot
 from .rng import RngLike
@@ -66,8 +72,10 @@ __all__ = [
     "transfer_input_labels",
 ]
 
-#: Below this many evaluator input bits, base OT is used directly;
-#: above it, the IKNP extension amortizes the group operations.
+#: The one OT rule: a transfer extends when the caller holds an
+#: :class:`IKNPState` (its base OT is paid once, so even a narrow
+#: transfer is cheaper through it) or when it moves at least this many
+#: evaluator input bits; otherwise the base OT runs directly.
 OT_EXTENSION_THRESHOLD = 128
 
 
@@ -144,24 +152,9 @@ class ProtocolResult:
         return sum(self.comm.values())
 
 
-class TwoPartySession:
-    """Drives the parties its link has ends for through the four
-    protocol steps, message by message over a byte-counting channel:
-    both in one process, or one of two processes (see the module
-    docstring).
-
-    Args:
-        circuit: the public netlist.
-        kdf: garbling oracle shared by both parties.
-        ot_group: group for base OTs.
-        rng: randomness source for labels and OT.
-        channel_factory: builds each request's channel pair — the seam
-            where the chaos harness injects a
-            :class:`repro.resilience.FaultyChannel`; defaults to the
-            healthy in-memory link.
-        ot_state: the owner's OT-extension state, so only its first
-            request pays the base OT; ``None`` pays it on every request.
-    """
+class _Session:
+    """The protocol round and the steps it is made of, shared by every
+    driver (arguments as for :class:`TwoPartySession`)."""
 
     def __init__(
         self,
@@ -172,11 +165,6 @@ class TwoPartySession:
         channel_factory: Optional[LinkFactory] = None,
         ot_state: Optional[IKNPState] = None,
     ) -> None:
-        if circuit.n_state:
-            raise ProtocolError(
-                "combinational protocol cannot run a sequential core; "
-                "use repro.gc.sequential.SequentialSession"
-            )
         self.circuit = circuit
         self.kdf = kdf or default_kdf()
         self.ot_group = ot_group
@@ -203,6 +191,216 @@ class TwoPartySession:
             garbled=garbled,
             garble_seconds=time.perf_counter() - start,
         )
+
+    def _rounds(
+        self,
+        inputs: Sequence[Tuple[Optional[Sequence[int]], Optional[Sequence[int]]]],
+        registers: Sequence[Register] = (),
+        final_only: bool = False,
+        share_result: bool = False,
+        pregarbled: Optional[Pregarbled] = None,
+        deadline: Optional["Deadline"] = None,
+    ) -> List[ProtocolResult]:
+        """The protocol round once per ``(alice_bits, bob_bits)`` cycle
+        of ``inputs``, on one link; one :class:`ProtocolResult` per cycle
+        (its ``comm`` is the link's traffic so far).
+
+        Cycle 0 claims ``pregarbled`` or garbles and moves the labels of
+        the public initial ``registers`` state; every later cycle
+        re-garbles on the same garbler (one Δ, tweaks advanced by the
+        public table count) with the d-wires' zero-labels as the
+        q-wires', while the evaluator carries its active labels.
+        ``final_only`` merges the last round alone; ``share_result``
+        applies to the last round.  A multi-cycle run handed no OT state
+        builds one, so it pays the base OT once.
+        """
+        circuit = self.circuit
+        alice_end, bob_end, stats = open_link(self.channel_factory, deadline)
+        ot_state = self.ot_state
+        if ot_state is None and len(inputs) > 1:
+            ot_state = IKNPState(self.ot_group, self.rng)
+        d_wires = [reg.d_wire for reg in registers]
+        initial_state = [reg.init & 1 for reg in registers]
+        n_tables = circuit.counts().non_xor
+        garbler: Optional[Garbler] = None
+        evaluator: Optional[FastEvaluator] = None
+        carried: Optional[LabelsLike] = None  # the evaluator's register labels
+        results: List[ProtocolResult] = []
+        for cycle, (alice_bits, bob_bits) in enumerate(inputs):
+            last = cycle == len(inputs) - 1
+            tweak_base = 2 * n_tables * cycle
+            # (i) garbling — Alice (cycle 0 offline when pregarbled)
+            alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]] = None
+            garble_s = 0.0
+            if alice_end is not None:
+                start = time.perf_counter()
+                if garbler is None:
+                    garbler, garbled = self._claim(
+                        pregarbled if pregarbled is not None else self.pregarble()
+                    )
+                else:
+                    garbled = garbler.garble(
+                        # the d-wires' zero-labels, off the OT's label rows
+                        state_zero_labels=garbler.label_pair_rows(d_wires)[:, 0],
+                        tweak_base=tweak_base,
+                    )
+                alice = (alice_end, garbler, garbled)
+                garble_s = time.perf_counter() - start
+                if deadline is not None:
+                    deadline.check("garble")
+
+            # (ii) data transfer + OT
+            link = self._transfer(
+                alice, bob_end, stats, alice_bits, bob_bits, garble_s, ot_state,
+                tweak_base, initial_state if cycle == 0 else (),
+            )
+
+            # (iii) evaluation — Bob
+            output_labels: List[int] = []
+            if link.inputs is not None:
+                start = time.perf_counter()
+                if evaluator is None:
+                    evaluator = FastEvaluator(
+                        circuit, kdf=garbler.kdf if garbler else self.kdf
+                    )
+                plane = evaluator.evaluate(
+                    *link.inputs,
+                    state_labels=carried if cycle else link.state_labels,
+                )
+                output_labels = evaluator.output_labels(plane)
+                carried = plane.plane[d_wires]
+                link.times["evaluate"] = time.perf_counter() - start
+                if deadline is not None:
+                    deadline.check("evaluate")
+
+            # (iv) merge — Bob returns output labels, Alice decodes
+            if last or not final_only:
+                results.append(self._merge(link, output_labels, share_result and last))
+            else:  # an earlier cycle of a final_only run reveals nothing
+                results.append(self._result(link, []))
+        return results
+
+    def _claim(self, pregarbled: Pregarbled) -> Tuple[Garbler, GarbledCircuit]:
+        """Take single-use offline material garbled for this circuit."""
+        if pregarbled.circuit is not self.circuit:
+            raise ProtocolError("pregarbled material is for a different circuit")
+        pregarbled.claim()
+        return pregarbled.garbler, pregarbled.garbled
+
+    def _transfer(
+        self,
+        alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]],
+        bob_end: Optional[Channel],
+        stats: ChannelStats,
+        alice_bits: Optional[Sequence[int]],
+        bob_bits: Optional[Sequence[int]],
+        garble_s: float,
+        ot_state: Optional[IKNPState],
+        tweak_base: int = 0,
+        initial_state: Sequence[int] = (),
+    ) -> "_Link":
+        """Step (ii) of one round: Alice's flights move, Bob's view is
+        rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
+        ``ot`` are timed apart.  A non-empty ``initial_state`` (the
+        public power-on register bits, cycle 0 of a sequential run) moves
+        its labels as one ``state_labels`` frame after Alice's."""
+        link = _Link(alice, bob_end, stats, {} if alice is None else {"garble": garble_s})
+        start = time.perf_counter()
+        if alice is not None:
+            alice_end, garbler, garbled = alice
+            send_garbled(alice_end, garbler, garbled, alice_bits or ())
+            if initial_state:
+                alice_end.send_labels(
+                    garbler.input_labels_for(self.circuit.state_inputs, initial_state),
+                    tag="state_labels",
+                )
+        if bob_end is not None:
+            view, alice_labels = receive_garbled(
+                bob_end, self.circuit.counts().non_xor, tweak_base
+            )
+            if initial_state:
+                state = bob_end.recv_labels(expected_tag="state_labels")
+                if len(state) != len(initial_state):
+                    raise ChannelIntegrityError(
+                        f"state-label payload carries {len(state)} entries "
+                        f"for {len(initial_state)} registers"
+                    )
+                link.state_labels = state
+        link.times["transfer"] = time.perf_counter() - start
+        start = time.perf_counter()
+        bob_labels, _ = transfer_input_labels(
+            alice and alice[1], self.circuit.bob_inputs, bob_bits,
+            (alice and alice[0], bob_end),
+            group=self.ot_group, rng=self.rng, state=ot_state,
+        )
+        link.times["ot"] = time.perf_counter() - start
+        if bob_end is not None:
+            link.inputs = (view, alice_labels, bob_labels)
+        return link
+
+    def _merge(
+        self, link: "_Link", output_labels: List[int], share_result: bool = False
+    ) -> ProtocolResult:
+        """Step (iv) of one round, and its accounting."""
+        start = time.perf_counter()
+        outputs: List[int] = []
+        if link.bob_end is not None:
+            send_outputs(link.bob_end, output_labels)
+        if link.alice is not None:
+            alice_end, garbler, _ = link.alice
+            outputs = receive_outputs(alice_end, garbler)
+            if share_result:
+                alice_end.send_bits(outputs, tag="shared_result")
+        if share_result and link.bob_end is not None:
+            shared = link.bob_end.recv_bits(expected_tag="shared_result")
+            if link.alice is not None and shared != outputs:
+                raise ProtocolError("result sharing corrupted")
+            outputs = shared
+        link.times["merge"] = time.perf_counter() - start
+        return self._result(link, outputs)
+
+    def _result(self, link: "_Link", outputs: List[int]) -> ProtocolResult:
+        """One round's outcome and its link's traffic so far."""
+        counts = self.circuit.counts()
+        return ProtocolResult(
+            outputs, link.times, link.stats.by_tag(), counts.xor, counts.non_xor
+        )
+
+
+class TwoPartySession(_Session):
+    """The combinational protocol: one round per request, or a batch of
+    requests around one evaluation pass.
+
+    Args:
+        circuit: the public netlist; registers are refused
+            (:class:`repro.gc.sequential.SequentialSession` clocks them).
+        kdf: garbling oracle shared by both parties.
+        ot_group: group for base OTs.
+        rng: randomness source for labels and OT.
+        channel_factory: builds each request's channel pair — the seam
+            where the chaos harness injects a
+            :class:`repro.resilience.FaultyChannel`; defaults to the
+            healthy in-memory link.
+        ot_state: the owner's OT-extension state, so only its first
+            request pays the base OT; ``None`` pays it on every request
+            that extends.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        kdf: Optional[HashKDF] = None,
+        ot_group: OTGroup = MODP_2048,
+        rng: RngLike = secrets,
+        channel_factory: Optional[LinkFactory] = None,
+        ot_state: Optional[IKNPState] = None,
+    ) -> None:
+        if circuit.n_state:
+            raise ProtocolError(
+                "combinational protocol cannot run a sequential core; "
+                "use repro.gc.sequential.SequentialSession"
+            )
+        super().__init__(circuit, kdf, ot_group, rng, channel_factory, ot_state)
 
     def pregarble_many(self, count: int) -> List[Pregarbled]:
         """Batch offline phase: ``count`` single-use copies in one pass.
@@ -325,7 +523,7 @@ class TwoPartySession:
         links = [
             self._transfer(
                 alice_end and (alice_end, *material[i]), bob_end, stats,
-                alice_bits_list[i], bob_bits_list[i], garble_s[i],
+                alice_bits_list[i], bob_bits_list[i], garble_s[i], self.ot_state,
             )
             for i, (alice_end, bob_end, stats) in enumerate(ends)
         ]
@@ -376,107 +574,10 @@ class TwoPartySession:
             The request's result; ``outputs`` is ``[]`` on a process
             that hosts Bob alone, unless ``share_result``.
         """
-        alice_end, bob_end, stats = open_link(self.channel_factory, deadline)
-        # (i) garbling — Alice (offline when pregarbled material exists)
-        alice, garble_s = None, 0.0
-        if alice_end is not None:
-            start = time.perf_counter()
-            alice = (alice_end, *self._claim(
-                pregarbled if pregarbled is not None else self.pregarble()
-            ))
-            garble_s = time.perf_counter() - start
-            if deadline is not None:
-                deadline.check("garble")
-
-        # (ii) data transfer + OT
-        link = self._transfer(
-            alice, bob_end, stats, alice_bits, bob_bits, garble_s
-        )
-
-        # (iii) evaluation — Bob
-        output_labels: List[int] = []
-        if link.inputs is not None:
-            start = time.perf_counter()
-            evaluator = FastEvaluator(
-                self.circuit, kdf=alice[1].kdf if alice else self.kdf
-            )
-            wire_labels = evaluator.evaluate(*link.inputs)
-            output_labels = evaluator.output_labels(wire_labels)
-            link.times["evaluate"] = time.perf_counter() - start
-            if deadline is not None:
-                deadline.check("evaluate")
-
-        # (iv) merge — Bob returns output labels, Alice decodes
-        return self._merge(link, output_labels, share_result)
-
-    # -- the steps run() and run_many() share ---------------------------------
-
-    def _claim(self, pregarbled: Pregarbled) -> Tuple[Garbler, GarbledCircuit]:
-        """Take single-use offline material garbled for this circuit."""
-        if pregarbled.circuit is not self.circuit:
-            raise ProtocolError("pregarbled material is for a different circuit")
-        pregarbled.claim()
-        return pregarbled.garbler, pregarbled.garbled
-
-    def _transfer(
-        self,
-        alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]],
-        bob_end: Optional[Channel],
-        stats: ChannelStats,
-        alice_bits: Optional[Sequence[int]],
-        bob_bits: Optional[Sequence[int]],
-        garble_s: float,
-    ) -> "_Link":
-        """Step (ii) of one request: Alice's flights move, Bob's view is
-        rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
-        ``ot`` are timed apart."""
-        link = _Link(alice, bob_end, stats, {"garble": garble_s})
-        start = time.perf_counter()
-        if alice is not None:
-            send_garbled(*alice, alice_bits or ())
-        if bob_end is not None:
-            view, alice_labels = receive_garbled(
-                bob_end, self.circuit.counts().non_xor
-            )
-        link.times["transfer"] = time.perf_counter() - start
-        start = time.perf_counter()
-        bob_labels, _ = transfer_input_labels(
-            alice and alice[1], self.circuit.bob_inputs, bob_bits,
-            (alice and alice[0], bob_end),
-            group=self.ot_group, rng=self.rng, state=self.ot_state,
-        )
-        link.times["ot"] = time.perf_counter() - start
-        if bob_end is not None:
-            link.inputs = (view, alice_labels, bob_labels)
-        return link
-
-    def _merge(
-        self, link: "_Link", output_labels: List[int], share_result: bool = False
-    ) -> ProtocolResult:
-        """Step (iv) of one request, and its accounting."""
-        start = time.perf_counter()
-        outputs: List[int] = []
-        if link.bob_end is not None:
-            send_outputs(link.bob_end, output_labels)
-        if link.alice is not None:
-            alice_end, garbler, _ = link.alice
-            outputs = receive_outputs(alice_end, garbler)
-            if share_result:
-                alice_end.send_bits(outputs, tag="shared_result")
-        if share_result and link.bob_end is not None:
-            shared = link.bob_end.recv_bits(expected_tag="shared_result")
-            if link.alice is not None and shared != outputs:
-                raise ProtocolError("result sharing corrupted")
-            outputs = shared
-        link.times["merge"] = time.perf_counter() - start
-        counts = self.circuit.counts()
-        return ProtocolResult(
-            outputs=outputs,
-            times=link.times,
-            comm=link.stats.by_tag(),
-            n_xor=counts.xor,
-            n_non_xor=counts.non_xor,
-        )
+        return self._rounds(
+            [(alice_bits, bob_bits)], share_result=share_result,
+            pregarbled=pregarbled, deadline=deadline,
+        )[0]
 
 
 def open_link(
@@ -492,7 +593,7 @@ def open_link(
 
 @dataclasses.dataclass
 class _Link:
-    """One request between its garbling and its merge step."""
+    """One round between its garbling and its merge step."""
 
     #: Alice's end, labels and tables; None where another process hosts her
     alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]]
@@ -503,13 +604,18 @@ class _Link:
     times: Dict[str, float]
     #: what Bob evaluates: his rebuilt view, Alice's labels, his own rows
     inputs: Optional[Tuple[GarbledCircuit, List[int], np.ndarray]] = None
+    #: the initial register labels Bob received (cycle 0 of a sequential run)
+    state_labels: Optional[List[int]] = None
 
 
 # One round on the wire — what crosses the link, in what order, and what
 # the evaluator may see — is these four functions, with the OT flights
-# of transfer_input_labels between the second and the third.  run(), each
-# slot of run_many() and each SequentialSession cycle call them, each on
-# the end of the party it belongs to: two processes and fault plans that
+# of transfer_input_labels between the second and the third (and, at
+# cycle 0 of a run with registers, one state_labels frame before them).
+# _Session._transfer and _merge call them, each on the end of the party
+# it belongs to, for the round's three drivers — TwoPartySession.run,
+# each SequentialSession cycle and cut-and-choose's surviving copy — and
+# for each slot of run_many(): two processes and fault plans that
 # address frames by position rely on one order.
 
 
@@ -588,11 +694,12 @@ def transfer_input_labels(
 ) -> Tuple[np.ndarray, int]:
     """Transfer the evaluator's input labels obliviously.
 
-    The single OT entry point every flow shares: below
-    :data:`OT_EXTENSION_THRESHOLD` input bits the base OT runs directly
-    (:func:`repro.gc.ot.base_ot_over_channel`); above it the IKNP
-    extension amortizes the group operations.  The labels stay
-    ``(m, 16)`` uint8 rows from the garbler's plane to the evaluator's.
+    The single OT entry point every flow shares, with one rule: the IKNP
+    extension runs when the caller holds an OT state or the transfer
+    moves at least :data:`OT_EXTENSION_THRESHOLD` bits; otherwise the
+    base OT runs directly (:func:`repro.gc.ot.base_ot_over_channel`).
+    The labels stay ``(m, 16)`` uint8 rows from the garbler's plane to
+    the evaluator's.
 
     Args:
         garbler: holder of the wire label pairs (OT sender messages,
@@ -609,8 +716,9 @@ def transfer_input_labels(
             traffic.
         group: group for base OTs.
         rng: randomness source.
-        state: the caller's OT-extension state (used at or above the
-            threshold only); ``None`` pays a base-OT batch for this call.
+        state: the caller's OT-extension state, whose one base-OT batch
+            every transfer then extends; ``None`` extends (on a base-OT
+            batch of its own) only at or above the threshold.
 
     Returns:
         ``(labels, total_bytes)`` — the chosen labels as ``(m, 16)``
@@ -622,7 +730,7 @@ def transfer_input_labels(
     if not wires:
         return np.empty((0, 16), dtype=np.uint8), 0
     messages = None if garbler is None else garbler.label_pair_rows(wires)
-    if len(wires) >= OT_EXTENSION_THRESHOLD:
+    if state is not None or len(wires) >= OT_EXTENSION_THRESHOLD:
         return extension_ot(
             messages, bits, group=group, rng=rng, channel=channel, state=state
         )

@@ -13,9 +13,10 @@ tables, active labels and masked OT messages.  Shared: the public
 netlist, the garbling oracle, the OT group.
 
 The IKNP set-up crosses the socket once per *connection* (three
-``ot_setup`` frames, the first time a session extends): hand one
+``ot_setup`` frames): hand one
 :class:`~repro.gc.ot_extension.IKNPState` to every runner call on a
-socket and only the first pays the 387 modexps.  The processes count
+socket and only the first pays the 387 modexps — at every input width,
+since a session holding a state always extends.  The processes count
 extensions in lockstep: drop a state whose session failed.
 """
 

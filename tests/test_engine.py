@@ -132,12 +132,14 @@ class TestBackendParity:
         else:
             assert result.comm_bytes > 0
         # half-gates: two 16-byte rows per non-free gate plus the frame
-        # header, whichever oracle masked them
+        # header, whichever oracle masked them; cut-and-choose's surviving
+        # copy runs the same round on the wire (its opened copies' tables
+        # are accounted, not framed)
         table_frames = [
             stats.by_tag()["tables"] for stats in links
             if "tables" in stats.by_tag()
         ]
-        if name in ("two_party", "folded", "outsourced"):
+        if name in ("two_party", "folded", "outsourced", "cut_and_choose"):
             assert table_frames == [32 * result.n_non_xor + 4]
         else:
             assert table_frames == []

@@ -32,7 +32,7 @@ def folded_frames(monkeypatch, recording_channels):
     ``run_folded_dense`` (which takes no channel factory) send."""
     factory, frames = recording_channels
     monkeypatch.setattr(
-        "repro.gc.sequential.default_channel_factory", lambda: factory
+        "repro.gc.protocol.default_channel_factory", lambda: factory
     )
     return frames
 

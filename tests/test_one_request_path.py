@@ -1,9 +1,9 @@
 """What PR 19 wrote once: the protocol round, the request path, the gate.
 
 * one round puts the same frames on the link in the same order whether
-  ``TwoPartySession.run``, a slot of ``run_many`` or a
-  ``SequentialSession`` cycle drives it, and the evaluator's view comes
-  from those frames alone;
+  ``TwoPartySession.run``, a slot of ``run_many``, a
+  ``SequentialSession`` cycle or cut-and-choose's surviving copy drives
+  it, and the evaluator's view comes from those frames alone;
 * ``transfer_input_labels`` accounts exactly what its channel carried;
 * ``infer_many`` serves in the calling thread, in request order, with
   per-request error isolation on every backend;
@@ -109,7 +109,7 @@ def _session(cls, circuit, factory):
     )
 
 
-#: the three drivers of a round, each ``(circuit, factory, a, b) -> outputs``
+#: the drivers of a round, each ``(circuit, factory, a, b) -> outputs``
 def _run(circuit, factory, a, b):
     return _session(TwoPartySession, circuit, factory).run(a, b).outputs
 
@@ -126,7 +126,18 @@ def _cycle(circuit, factory, a, b):
     return session.run([a], [b], cycles=1).final_outputs
 
 
-FLOWS = {"run": _run, "run_many": _run_many, "sequential": _cycle}
+def _cut_and_choose(circuit, factory, a, b):
+    backend = get_backend(
+        "cut_and_choose", ot_group=TEST_GROUP_512, rng=random.Random(1),
+        channel_factory=factory,
+    )
+    return backend.run(circuit, a, b).outputs
+
+
+FLOWS = {
+    "run": _run, "run_many": _run_many, "sequential": _cycle,
+    "cut_and_choose": _cut_and_choose,
+}
 
 
 class TestOneRoundOnTheWire:
@@ -139,7 +150,6 @@ class TestOneRoundOnTheWire:
             factory, links = _keeping_stats()
             assert flow(circuit, factory, a, b) == expected
             logs[name] = [stats.log for stats in links]
-        assert len(logs["run"]) == len(logs["sequential"]) == 1
         assert len(logs["run_many"]) == 2  # one link per slot
         for name, links in logs.items():
             for log in links:
@@ -147,7 +157,7 @@ class TestOneRoundOnTheWire:
         # same circuit, same widths: the frames have the same sizes too
         reference = logs["run"][0]
         assert logs["run_many"] == [reference, reference]
-        assert logs["sequential"] == [reference]
+        assert logs["run"] == logs["sequential"] == logs["cut_and_choose"] == [reference]
 
     def test_run_and_run_many_account_the_same_bytes_per_tag(self):
         circuit = wide_circuit()

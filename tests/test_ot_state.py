@@ -461,11 +461,19 @@ class TestTrafficUnmoved:
             result = backend.run(
                 compiled.circuit, compiled.client_bits(x[i]), compiled.server_bits()
             )
-            # three copies of the tables, everything else once
-            assert result.comm_bytes == 562952
+            # the surviving copy's round crosses the link frame for frame
+            # like two_party's; the two opened copies' tables and the three
+            # 32-byte seed commitments are accounted beside it.  That is
+            # 60 B more than when only the OT was framed: the constant
+            # labels (32 B) plus the four added frames' 4-byte headers and
+            # the three label frames' 4-byte counts (28 B)
             assert [(tag, len(payload) + 4) for tag, payload in frames] == [
-                ("ot", 5252), ("ot", 10372),
+                ("tables", 182116), ("const_labels", 40), ("alice_labels", 872),
+                ("ot", 5252), ("ot", 10372), ("output_labels", 40),
             ]
+            assert result.comm_bytes == 563012 == (
+                2 * (self.TAGS["tables"] - 4) + 3 * 32 + sum(self.TAGS.values())
+            )
         assert backend.ot_state.extensions == 2
 
 

@@ -414,11 +414,11 @@ class TestPeerSessions:
         garbler, evaluator = _run_both_sides(run_folded_peer, circuit, a, b)
         assert garbler.outputs_per_cycle == reference.outputs_per_cycle
         assert evaluator.outputs_per_cycle == [[]]
-        # a cycle always extends: two processes frame the set-up the
-        # in-memory state hands across in memory
-        assert garbler.comm == evaluator.comm
-        assert garbler.comm.pop("ot_setup") > 0
-        assert garbler.comm == reference.comm
+        # a stateless 4-bit single cycle takes the direct base OT, like
+        # two_party: there is no set-up to frame, so both processes carry
+        # exactly what the in-memory session does
+        assert "ot_setup" not in garbler.comm
+        assert garbler.comm == evaluator.comm == reference.comm
 
     def test_peer_rejects_unknown_role(self):
         left, right = socket.socketpair()

@@ -43,7 +43,8 @@ SETUP_FRAMES = [
 
 def mixing_circuit(n_bob, seed=0, n_alice=8, n_gates=200):
     """A random netlist over ``n_alice`` client and ``n_bob`` server bits;
-    ``n_bob >= 128`` takes the OT extension, fewer the direct base OT."""
+    without an OT state, ``n_bob >= 128`` takes the OT extension, fewer
+    the direct base OT."""
     rng = random.Random(seed)
     bld = CircuitBuilder()
     wires = list(bld.add_alice_inputs(n_alice)) + list(bld.add_bob_inputs(n_bob))
@@ -288,6 +289,9 @@ class TestWhatEachPartyHolds:
 
 
 def _memory_log(session_type, netlist, alice, bob):
+    """The in-memory session's log, on an OT state of its own as each
+    party holds one per connection (its set-up is handed across in
+    memory, so the log has no ``ot_setup`` frame)."""
     logs = []
 
     def factory():
@@ -295,9 +299,10 @@ def _memory_log(session_type, netlist, alice, bob):
         logs.append(stats.log)
         return alice_end, bob_end, stats
 
+    rng = random.Random(5)
     session = session_type(
-        netlist, ot_group=TEST_GROUP_512, rng=random.Random(5),
-        channel_factory=factory,
+        netlist, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory,
+        ot_state=IKNPState(group=TEST_GROUP_512, rng=rng),
     )
     session.run(alice, bob)
     return logs[0]
@@ -316,17 +321,17 @@ class TestParityWithTheInMemorySession:
         )
         assert garbler == [simulate(circuit, a, b) for a, b in inputs]
         assert evaluator == [[], []]
-        # only the first extending session of a connection frames a set-up
-        setup = SETUP_FRAMES if n_bob >= 128 else []
+        # the connection holds an OT state, and a transfer extends whenever
+        # a state is in hand: its first session frames the set-up at every
+        # width, below the extension threshold too, and only the first
         for party in parties.values():
             first, second = party.logs
-            assert [f for f in first if f[1] == "ot_setup"] == setup
+            assert [f for f in first if f[1] == "ot_setup"] == SETUP_FRAMES
             assert [f for f in first if f[1] != "ot_setup"] == memory
             assert second == memory
-        if setup:
-            first = parties["garbler"].logs[0]
-            # ... between Alice's labels and the extension's own flights
-            assert [tag for _, tag, _ in first[2:7]] == ["alice_labels"] + 3 * ["ot_setup"] + ["ot"]
+        first = parties["garbler"].logs[0]
+        # ... between Alice's labels and the extension's own flights
+        assert [tag for _, tag, _ in first[2:7]] == ["alice_labels"] + 3 * ["ot_setup"] + ["ot"]
 
     def test_registered_sequential_core_matches_frame_for_frame(self):
         cell = folded_mac_cell(FMT, fan_in=4, fold=1)

@@ -26,6 +26,7 @@ from repro.circuits.netlist import (
     ScheduleLevel,
     _tweak_rows,
 )
+from repro.circuits.sequential import SequentialCircuit
 from repro.circuits.simulate import simulate
 from repro.compile import CompileOptions, compile_model, folded_mac_cell
 from repro.engine import available_backends, get_backend
@@ -36,8 +37,10 @@ from repro.gc import (
     FastEvaluator,
     Garbler,
     LabelStore,
+    SequentialSession,
     garble_many,
 )
+from repro.gc.channel import make_channel_pair
 from repro.gc.cipher import FixedKeyAES, HashKDF
 from repro.gc.cutandchoose import (
     CutAndChooseGarbler,
@@ -46,7 +49,8 @@ from repro.gc.cutandchoose import (
     verify_opened_copy,
 )
 from repro.gc.ot import TEST_GROUP_512
-from repro.gc.protocol import TwoPartySession
+from repro.gc.ot_extension import IKNPState
+from repro.gc.protocol import OT_EXTENSION_THRESHOLD, TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
 
 FMT = FixedPointFormat(2, 6)
@@ -269,10 +273,13 @@ def _assert_same_schedule(built, reference):
 
 
 @st.composite
-def _netlists(draw):
+def _netlists(draw, bob_widths=st.integers(0, 3), state_widths=st.integers(0, 3)):
     """Any gate type on any earlier wire, outputs numbered in any order,
-    constants, state wires and unary gates included."""
-    n_alice, n_bob, n_state = (draw(st.integers(0, 3)) for _ in range(3))
+    constants, state wires and unary gates included; the server and
+    register input widths are drawn from the strategies given."""
+    n_alice, n_bob, n_state = (
+        draw(widths) for widths in (st.integers(0, 3), bob_widths, state_widths)
+    )
     first = 2 + n_alice + n_bob + n_state
     picks = draw(st.lists(
         st.tuples(
@@ -486,6 +493,66 @@ class TestPlanProperties:
         core = folded_mac_cell(FMT, 4, fold).core
         self._check_plans(core)
         self._check_engine(core, fold)
+
+    @given(
+        _netlists(
+            bob_widths=st.one_of(
+                st.integers(0, 3),
+                st.integers(OT_EXTENSION_THRESHOLD - 2, OT_EXTENSION_THRESHOLD + 2),
+            ),
+            state_widths=st.just(0),
+        ),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_combinational_circuit_is_the_one_cycle_case(
+        self, circuit, caller_state, seed
+    ):
+        """One cycle of a zero-register core and the combinational round
+        put the same frames, in the same order and sizes, and the same
+        tables on the link, and decode the same outputs — below and
+        above the extension threshold, with and without the caller's OT
+        state."""
+        draw = random.Random(seed)
+        alice = [draw.getrandbits(1) for _ in range(circuit.n_alice)]
+        bob = [draw.getrandbits(1) for _ in range(circuit.n_bob)]
+
+        def observed(drive):
+            """``(link logs, tables payloads, outputs)`` of one run
+            under ``Random(seed)``."""
+            logs, tables = [], []
+
+            def factory():
+                alice_end, bob_end, stats = make_channel_pair()
+
+                def dispatch(frame, inner=alice_end._dispatch):
+                    if frame.tag == "tables":
+                        tables.append(frame.payload)
+                    inner(frame)
+
+                alice_end._dispatch = dispatch
+                logs.append(stats.log)
+                return alice_end, bob_end, stats
+
+            rng = random.Random(seed)
+            state = IKNPState(TEST_GROUP_512, rng) if caller_state else None
+            options = dict(
+                ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory,
+                ot_state=state,
+            )
+            return logs, tables, drive(options)
+
+        combinational = observed(
+            lambda options: TwoPartySession(circuit, **options).run(alice, bob).outputs
+        )
+        one_cycle = observed(
+            lambda options: SequentialSession(
+                SequentialCircuit(circuit, []), **options
+            ).run([alice], [bob], cycles=1).final_outputs
+        )
+        assert one_cycle == combinational
+        assert combinational[2] == simulate(circuit, alice, bob)
 
 
 class TestHashMany:

@@ -505,7 +505,8 @@ def _cmd_serve(args) -> None:
         pstats = pool.stats()
         print(f"pool: {pstats['size']}/{pstats['capacity']} ready | "
               f"garbled {pstats['garbled_total']} total | "
-              f"refills {pstats['refills']} ({pstats['refill']})")
+              f"refills {pstats['refills']} ({pstats['refill']}) | "
+              f"offline OT {pstats['offline_ot_bytes']} B")
     stats = service.stats
     breakers = stats.get("breakers", {})
     open_breakers = sum(

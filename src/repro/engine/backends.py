@@ -69,7 +69,8 @@ class Backend:
     state: the first request that extends pays the base-OT batch, every
     later one (retries included) only burns a fresh counter under the
     state's own lock.  A caller that wants the base OT paid once must
-    therefore keep the backend, as ``PrivateInferenceService`` does.
+    therefore keep the backend, as ``PrivateInferenceService`` does (it
+    hands the two-party backend the state its pool extends on).
 
     Args:
         kdf: garbling oracle shared by both parties.
@@ -183,8 +184,11 @@ class TwoPartyBackend(Backend):
 
     Args:
         pool: optional :class:`PregarbledPool`; when it holds material
-            for the executed circuit the online run skips garbling
-            entirely (offline/online split).
+            for the executed circuit the online run skips garbling and
+            phase 1 of its OTs entirely (offline/online split).
+        ot_state: the OT-extension state to extend on — the one the
+            pool's pads extend on, so that the base OT is paid once;
+            ``None`` keeps the backend's own.
     """
 
     def __init__(
@@ -195,12 +199,14 @@ class TwoPartyBackend(Backend):
         pool: Optional[PregarbledPool] = None,
         channel_factory: Optional[ChannelFactory] = None,
         request_timeout_s: Optional[float] = None,
+        ot_state: Optional[IKNPState] = None,
     ) -> None:
         super().__init__(
             kdf=kdf, ot_group=ot_group, rng=rng,
             channel_factory=channel_factory,
             request_timeout_s=request_timeout_s,
         )
+        self.ot_state = ot_state or self.ot_state
         if pool is not None and not isinstance(pool, PregarbledPool):
             raise EngineError("pool must be a PregarbledPool (or None)")
         self.pool = pool

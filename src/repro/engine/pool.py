@@ -2,8 +2,12 @@
 
 Garbling is input-independent (paper Sec. 3: the tables depend only on
 the public netlist), so a serving deployment garbles *ahead* of demand
-and answers each request with material popped from a pool.  The online
-critical path then contains only transfer + OT + evaluate + merge.
+and answers each request with material popped from a pool.  So is phase
+1 of the evaluator's OTs (random OTs, :mod:`repro.gc.ot_extension`):
+each copy is garbled with its pads.  The online critical path then
+contains only transfer + OT derandomization + evaluate + merge.  The
+pads' ``u`` frames move while nobody waits; :meth:`PregarbledPool.stats`
+reports them as ``offline_ot_bytes`` rather than hiding them.
 
 "Ahead of demand" has to mean *while nobody is waiting*: under the GIL a
 thread that garbles during a request is on that request's path, and the
@@ -34,6 +38,7 @@ from ..circuits.netlist import Circuit
 from ..errors import EngineError
 from ..gc.cipher import HashKDF
 from ..gc.ot import MODP_2048, OTGroup
+from ..gc.ot_extension import IKNPState
 from ..gc.protocol import Pregarbled, TwoPartySession
 from ..gc.rng import RngLike
 
@@ -64,6 +69,9 @@ class PregarbledPool:
             the owner is shutting down (the refill then ends; the owner
             closes the pool after its own drain, which wakes the wait).
             Without one the owner counts as always idle.
+        ot_state: the OT-extension state the copies' pads extend on —
+            the owner's, so that its base OT is paid once; ``None``
+            builds one for the pool.
     """
 
     def __init__(
@@ -75,6 +83,7 @@ class PregarbledPool:
         rng: RngLike = secrets,
         refill: str = "none",
         idle_wait: Optional[Callable[[float], bool]] = None,
+        ot_state: Optional[IKNPState] = None,
     ) -> None:
         if capacity < 1:
             raise EngineError("pool capacity must be positive")
@@ -84,7 +93,8 @@ class PregarbledPool:
         self.refill = refill
         self._idle_wait = idle_wait
         self._session = TwoPartySession(
-            circuit, kdf=kdf, ot_group=ot_group, rng=rng
+            circuit, kdf=kdf, ot_group=ot_group, rng=rng,
+            ot_state=ot_state or IKNPState(ot_group, rng),
         )
         self._items: Deque[Pregarbled] = deque()
         self._lock = threading.Lock()
@@ -95,6 +105,8 @@ class PregarbledPool:
         self._leaked_refill_thread = False
         self.garbled_total = self.refills = self.refill_crashes = 0
         self.hits = self.misses = 0
+        #: the ``u`` frames of every copy's pads: traffic moved offline
+        self.offline_ot_bytes = 0
         self.last_refill_error: Optional[str] = None
         # what the refill asks its owner to be idle for
         self._per_copy_s: Optional[float] = None
@@ -106,7 +118,8 @@ class PregarbledPool:
     # -- offline phase ----------------------------------------------------
 
     def warm(self, count: Optional[int] = None) -> int:
-        """Garble up to ``count`` copies (default: fill to capacity).
+        """Garble up to ``count`` copies (default: fill to capacity),
+        each with its OT pads.
 
         The offline phase: run it while the service is idle.  Slots are
         reserved under the lock before the (expensive) garbling starts,
@@ -135,6 +148,9 @@ class PregarbledPool:
                     self._pending -= batch
                     self._items.extend(items)
                     self.garbled_total += len(items)
+                    self.offline_ot_bytes += sum(
+                        item.pads.wire_bytes for item in items if item.pads
+                    )
                     if items:  # the fastest seen, never an average
                         per_copy = elapsed / len(items)
                         self._per_copy_s = min(per_copy, self._per_copy_s or per_copy)
@@ -188,6 +204,7 @@ class PregarbledPool:
                 "misses": self.misses,
                 "hit_rate": self.hit_rate,
                 "garbled_total": self.garbled_total,
+                "offline_ot_bytes": self.offline_ot_bytes,
                 "refills": self.refills,
                 "refill": self.refill,
                 "per_copy_s": self._per_copy_s,

@@ -607,6 +607,21 @@ class FixedKeyAES:
         out ^= k
         return out.view(np.uint8)
 
+    def tccr_many(self, blocks: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
+        """``pi(pi(x) ^ T) ^ pi(x)`` for every 16-byte block ``x`` (the
+        last axis of a uint8 array) and its tweak block ``T``: the tweakable
+        circular-correlation-robust hash of Guo, Katz, Wang and Yu
+        ("Efficient and Secure Multiparty Computation from Fixed-Key
+        Block Ciphers", S&P 2020) — two cipher calls for the whole batch.
+        ``tweaks`` may be any shape that broadcasts against ``blocks``.
+        """
+        if blocks.shape[-1:] != (16,):
+            raise ValueError("tccr_many hashes whole 16-byte blocks")
+        pi_x = self._ecb_encrypt(np.ascontiguousarray(blocks, dtype=np.uint8))
+        out = self._ecb_encrypt(pi_x ^ tweaks)
+        out ^= pi_x
+        return out
+
 
 class ParallelKDF:
     """Thread-split wrapper around any garbling oracle's batch path.

@@ -5,7 +5,7 @@ Sec. 3.1) in its batch form, over a multiplicative group mod ``p``: the
 sender publishes ``c = g^x``; per transfer the receiver sends one key
 ``PK_0``, with ``PK_0 * PK_1 = c`` and the discrete log ``k`` of
 ``PK_choice`` only known to it; the sender draws **one** ``r`` per batch,
-sends ``g^r`` and encrypts ``m_b`` under ``H(PK_b^r, index)``.  This is
+sends ``g^r`` once and encrypts ``m_b`` under ``H(PK_b^r, index)``.  This is
 the base OT the paper's flow relies on for the evaluator's input labels
 (Sec. 2.2.1 / 3.1).
 
@@ -250,13 +250,14 @@ class OTSender:
         self._c = self.group.power(self.group.generator, exponent)
         return self._c
 
-    def respond(self, public_keys: Sequence[int]) -> List[Tuple[int, bytes, bytes]]:
+    def respond(
+        self, public_keys: Sequence[int]
+    ) -> Tuple[int, List[Tuple[bytes, bytes]]]:
         """Encrypt both messages of each pair against the receiver's keys.
 
         One ``r`` serves the batch: ``PK_0^r`` is the only per-transfer
-        exponentiation and ``PK_1^r = c^r / PK_0^r``.  Returns
-        ``(g^r, E0, E1)`` per transfer — the same ``g^r`` every time,
-        which is what the wire format carries today.
+        exponentiation and ``PK_1^r = c^r / PK_0^r``.  Returns ``g^r``
+        once, beside one ``(E0, E1)`` per transfer.
         """
         if len(public_keys) != len(self.pairs):
             raise OTError("one public key per message pair required")
@@ -269,14 +270,14 @@ class OTSender:
         g_r = group.power(group.generator, r)
         c_r = group.power(self._c, r)
         shared0 = [group.power(pk0, r) for pk0 in public_keys]
-        responses = []
+        ciphertexts = []
         for index, (s0, s0_inverse, (m0, m1)) in enumerate(
             zip(shared0, _inverses(group, shared0), self.pairs)
         ):
             key0 = _kdf_group_element(s0, index, len(m0))
             key1 = _kdf_group_element(group.mul(c_r, s0_inverse), index, len(m1))
-            responses.append((g_r, _xor_bytes(m0, key0), _xor_bytes(m1, key1)))
-        return responses
+            ciphertexts.append((_xor_bytes(m0, key0), _xor_bytes(m1, key1)))
+        return g_r, ciphertexts
 
 
 class OTReceiver:
@@ -310,16 +311,19 @@ class OTReceiver:
                 keys.append(group.mul(c, group.power(group.generator, group.prime - 1 - k)))
         return keys
 
-    def recover(self, responses: Sequence[Tuple[int, bytes, bytes]]) -> List[bytes]:
-        """Decrypt the chosen message of each transfer."""
-        if len(responses) != len(self.choices):
+    def recover(
+        self, g_r: int, ciphertexts: Sequence[Tuple[bytes, bytes]]
+    ) -> List[bytes]:
+        """Decrypt the chosen message of each transfer under the batch's
+        one ``g^r``."""
+        if len(ciphertexts) != len(self.choices):
             raise OTError("response count mismatch")
         group = self.group
+        _require_element(group, g_r, "sender response element")
         out = []
-        for index, (choice, k, (g_r, e0, e1)) in enumerate(
-            zip(self.choices, self._secrets, responses)
+        for index, (choice, k, (e0, e1)) in enumerate(
+            zip(self.choices, self._secrets, ciphertexts)
         ):
-            _require_element(group, g_r, "sender response element")
             cipher = e1 if choice else e0
             key = _kdf_group_element(group.power(g_r, k), index, len(cipher))
             out.append(_xor_bytes(cipher, key))
@@ -340,8 +344,7 @@ def run_ot_batch(
     receiver = OTReceiver(choices, group=group, rng=rng)
     c = sender.setup()
     keys = receiver.public_keys(c)
-    responses = sender.respond(keys)
-    return receiver.recover(responses)
+    return receiver.recover(*sender.respond(keys))
 
 
 # The framed base OT is three flights and four steps, two per role, each
@@ -381,19 +384,20 @@ def _send_public_keys(end: Channel, receiver: OTReceiver, tag: str) -> None:
 
 
 def _send_responses(end: Channel, sender: OTSender, tag: str) -> None:
-    """Sender, flight 3: read the keys, answer with both encrypted messages."""
+    """Sender, flight 3: read the keys, answer with ``g^r`` once and both
+    encrypted messages of every transfer."""
     width, m = _element_width(sender.group), len(sender.pairs)
     keys_blob = _recv_sized(
         end, tag, width * m, f"public-key payload for {m} transfers"
     )
-    responses = sender.respond(
+    g_r, ciphertexts = sender.respond(
         [
             int.from_bytes(keys_blob[i * width : (i + 1) * width], "little")
             for i in range(m)
         ]
     )
     end.send_bytes(
-        b"".join(g.to_bytes(width, "little") + e0 + e1 for g, e0, e1 in responses),
+        g_r.to_bytes(width, "little") + b"".join(e0 + e1 for e0, e1 in ciphertexts),
         tag=tag,
     )
 
@@ -403,26 +407,28 @@ def _recv_chosen(
 ) -> List[bytes]:
     """Receiver: read the responses, recover the chosen messages."""
     width, m = _element_width(receiver.group), len(receiver.choices)
-    unit = width + 2 * msg_len
-    blob = _recv_sized(end, tag, unit * m, f"response payload for {m} transfers")
+    unit = 2 * msg_len
+    blob = _recv_sized(
+        end, tag, width + unit * m, f"response payload for {m} transfers"
+    )
     return receiver.recover(
+        int.from_bytes(blob[:width], "little"),
         [
             (
-                int.from_bytes(blob[i * unit : i * unit + width], "little"),
-                blob[i * unit + width : i * unit + width + msg_len],
-                blob[i * unit + width + msg_len : (i + 1) * unit],
+                blob[width + i * unit : width + i * unit + msg_len],
+                blob[width + i * unit + msg_len : width + (i + 1) * unit],
             )
             for i in range(m)
-        ]
+        ],
     )
 
 
 def base_ot_bytes(group: OTGroup, m: int, msg_len: int) -> int:
     """What a channel charges for the three flights of ``m`` framed base
-    OTs of ``msg_len``-byte messages: ``c``, the public keys and the
-    responses, each payload plus its 4-byte length prefix."""
+    OTs of ``msg_len``-byte messages: ``c``, the public keys, and ``g^r``
+    with the ciphertexts, each payload plus its 4-byte length prefix."""
     width = _element_width(group)
-    return (width + 4) + (m * width + 4) + (m * (width + 2 * msg_len) + 4)
+    return (width + 4) + (m * width + 4) + (width + 2 * m * msg_len + 4)
 
 
 def base_ot_over_channel(

@@ -1,45 +1,71 @@
-"""IKNP oblivious-transfer extension.
+"""IKNP oblivious-transfer extension, in two phases.
 
 A base OT costs three modular exponentiations (:mod:`repro.gc.ot`); a
 DL circuit needs one OT per evaluator input *bit*, which would dominate
-runtime.  OT extension (Ishai-Kilian-Nissim-Petrank) turns ``k = 128``
-base OTs (with roles swapped) plus symmetric hashing into millions of
-transfers — this is the standard companion of garbled-circuit frameworks
-and what keeps the OT phase off the critical path in the paper's Fig. 5
+runtime.  OT extension (Ishai-Kilian-Nissim-Petrank) turns ``kappa =
+128`` base OTs (with roles swapped) plus symmetric work into any number
+of transfers — the standard companion of garbled-circuit frameworks and
+what keeps the OT phase off the critical path in the paper's Fig. 5
 timeline.
 
 The public-key part is paid **once per** :class:`IKNPState`: its single
-base-OT batch moves ``k`` pairs of 16-byte seeds for ``3k + 3 = 387``
-exponentiations (each one :meth:`repro.gc.ot.OTGroup.power` call, in
-libcrypto where one loads), and every later extension is symmetric-key
-work on those seeds (``G`` is an XOF keyed by seed and a per-extension
-counter):
+base-OT batch moves ``kappa`` pairs of 16-byte seeds for ``3 kappa + 3
+= 387`` exponentiations (each one :meth:`repro.gc.ot.OTGroup.power`
+call), and every later extension is symmetric-key work on those seeds
+(``G`` is an XOF keyed by seed and the extension's counter).  The sender
+picks ``s in {0,1}^kappa`` and holds ``k_j^{s_j}`` of the receiver's
+seed pairs ``(k_j^0, k_j^1)``.
 
-* set-up — the extension *sender* picks ``s in {0,1}^k`` and receives
-  ``k_j^{s_j}`` of the receiver's seed pairs ``(k_j^0, k_j^1)``;
-* per extension of ``m`` transfers with choice vector ``r`` the receiver
-  expands ``t_j = G(k_j^0)`` and sends ``u_j = t_j ^ G(k_j^1) ^ r``; the
-  sender forms ``q_j = G(k_j^{s_j}) ^ s_j*u_j``, so the rows satisfy
-  ``q_i = t_i ^ (r_i ? s : 0)``;
-* sender masks: ``y0_i = x0_i ^ H(i, q_i)``, ``y1_i = x1_i ^ H(i, q_i ^ s)``;
-* receiver unmasks its choice with ``H(i, t_i)``.
+An extension then runs in two phases (D. Beaver, "Precomputing
+Oblivious Transfer", CRYPTO 1995):
 
-``i`` is an index that is global to the state, so no two transfers of a
-session — across cycles, requests or retries — share a hash input.
+* **Phase 1, random OT** (:func:`extension_ot`) — needs no message and
+  no real choice, so it can run before either exists.  The receiver
+  draws random choices ``r``, expands ``t_j = G(k_j^0)`` and sends its
+  counter with ``u_j = t_j ^ G(k_j^1) ^ r``; the sender forms ``q_j =
+  G(k_j^{s_j}) ^ s_j*u_j``, so the rows satisfy ``q_i = t_i ^ (r_i ? s :
+  0)``.  The sender keeps the **pads** ``(x0_i, x1_i) = (H(q_i), H(q_i ^
+  s))``, the receiver keeps ``r`` and ``x_{r_i} = H(t_i)``; nothing else
+  crosses.  A pool slot runs it with its garbled copy, offline.
+* **Phase 2, derandomization** (:func:`derandomize`) — online.  With its
+  real choices ``c`` the evaluator sends ``e = c ^ r`` (``ceil(m/8)``
+  bytes), the garbler answers ``y_b = m_b ^ x_{b^e}`` (one XOR over the
+  ``(m, 2, 16)`` label plane) and the evaluator reads ``m_c = y_c ^
+  x_r``.  ``e`` is uniform whatever ``c`` is; ``y_{1-c}`` is masked by
+  ``x_{1-r}``, which the evaluator never holds.
+
+**The row hash** ``H`` is the tweakable circular-correlation-robust
+hash of Guo, Katz, Wang and Yu ("Efficient and Secure Multiparty
+Computation from Fixed-Key Block Ciphers", S&P 2020): ``H(x, T) =
+pi(pi(x) ^ T) ^ pi(x)`` with ``pi`` AES-128 under a fixed public key of
+its own (not the garbling oracle's) and the tweak block ``T = row ||
+counter``, the row's index then the extension's counter, each a
+little-endian 64-bit word.  IKNP needs ``H`` correlation robust at the related inputs
+``q_i`` and ``q_i ^ s``; this hash is, in the random-permutation model.
+It is AES because a row is ``kappa = 128`` bits — one block — so the
+pads of every row are two cipher calls in libcrypto
+(:meth:`repro.gc.cipher.FixedKeyAES.tccr_many`), where SHA-256 took one
+``hashlib`` call per row and pass.
+
+**The counter crosses the wire.**  The ``u`` frame carries the
+receiver's 8-byte extension counter; the sender refuses any counter at
+or below the last one it served.  So two processes do not count in
+lockstep, and a connection's state survives a session that failed
+half-way: the next extension simply takes a higher counter.
 
 Who holds what: ``s`` and ``k_j^{s_j}`` are the sender's
 (:class:`SenderHalf`, the garbler's process), the seed pairs the
 receiver's (:class:`ReceiverHalf`, the evaluator's).  An
 :class:`IKNPState` is *this process's share* of one set-up — both halves
-where one process hosts both parties, one where it hosts one — and
-:func:`extension_ot` runs each of its three steps only where that step's
-party has an endpoint.  Two processes count extensions in lockstep (one
-per request or cycle), so neither the XOF counter nor the hash index
-crosses the wire.
+where one process hosts both parties, one where it hosts one — and each
+step of either phase runs only where its party has an endpoint; the
+same holds for the two sides of :class:`Pads`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import secrets
 import threading
@@ -49,15 +75,29 @@ import numpy as np
 
 from ..errors import ChannelIntegrityError, OTError
 from .channel import Channel, make_channel_pair
+from .cipher import FixedKeyAES
 from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_over_channel, run_ot_batch
 from .rng import RngLike, rand_bits
 
-__all__ = ["IKNPState", "ReceiverHalf", "SenderHalf", "extension_ot", "KAPPA"]
+__all__ = [
+    "IKNPState", "KAPPA", "Pads", "ReceiverHalf", "SenderHalf", "chosen_ot",
+    "derandomize", "extension_ot", "random_choices",
+]
 
+#: Base OTs per set-up, and bits per extension row: one AES block.
 KAPPA = 128
 
 #: Width of the base-OT messages: one XOF seed per column and choice.
 SEED_BYTES = 16
+
+#: Width of the extension counter at the head of the ``u`` frame.
+COUNTER_BYTES = 8
+
+#: Bytes per transferred message: one wire label.
+LABEL_BYTES = 16
+
+#: The row hash's fixed public AES key (the garbling oracle has its own).
+PAD_KEY = b"DeepSecure-OTpad"
 
 #: The two endpoints of a link; ``None`` for a party hosted elsewhere.
 Ends = Tuple[Optional[Channel], Optional[Channel]]
@@ -67,7 +107,7 @@ _Half = TypeVar("_Half")
 
 def _expand(seeds: Sequence[bytes], counter: int, col_len: int) -> np.ndarray:
     """``G(seed, counter)`` for every column: ``(kappa, col_len)`` bytes."""
-    suffix = counter.to_bytes(8, "big")
+    suffix = counter.to_bytes(COUNTER_BYTES, "big")
     return np.frombuffer(
         b"".join(
             hashlib.shake_256(seed + suffix).digest(col_len)
@@ -75,6 +115,36 @@ def _expand(seeds: Sequence[bytes], counter: int, col_len: int) -> np.ndarray:
         ),
         dtype=np.uint8,
     ).reshape(len(seeds), col_len)
+
+
+@functools.lru_cache(maxsize=1)
+def _pad_cipher() -> FixedKeyAES:
+    return FixedKeyAES(PAD_KEY)
+
+
+def _pad_hash(rows: np.ndarray, counter: int) -> np.ndarray:
+    """``H(row, i || counter)`` for every 16-byte row of an ``(m, 16)``
+    or ``(m, 2, 16)`` uint8 array, ``i`` its index along the first axis.
+
+    The tweak block is ``i`` then ``counter``, each a little-endian
+    64-bit word: no two rows of one state's extensions share one.
+    """
+    m = rows.shape[0]
+    tweaks = np.empty((m, 2), dtype="<u8")
+    tweaks[:, 0] = np.arange(m, dtype="<u8")
+    tweaks[:, 1] = counter
+    shape = (m,) + (1,) * (rows.ndim - 2) + (LABEL_BYTES,)
+    return _pad_cipher().tccr_many(rows, tweaks.view(np.uint8).reshape(shape))
+
+
+def _rows(cols: np.ndarray, m: int) -> np.ndarray:
+    """Transpose packed ``(kappa, ceil(m/8))`` columns to packed ``(m, 16)`` rows.
+
+    The bit matrix is laid out row-major before packing: ``packbits``
+    over a transposed view reads it strided, 3.5x slower at m = 702.
+    """
+    bits = np.unpackbits(cols, axis=1, count=m)
+    return np.packbits(np.ascontiguousarray(bits.T), axis=1)
 
 
 class SenderHalf:
@@ -87,17 +157,16 @@ class SenderHalf:
         self.s_packed = np.packbits(s_vector)
         self.seeds = list(seeds)
 
-    def rows(
-        self, counter: int, m: int, u_blob: bytes
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Packed rows ``(q_i, q_i ^ s)`` from the receiver's ``u`` columns."""
+    def rows(self, counter: int, m: int, u_blob: bytes) -> np.ndarray:
+        """Packed rows ``(q_i, q_i ^ s)`` from the receiver's ``u``
+        columns, as one ``(m, 2, 16)`` array."""
         col_len = (m + 7) // 8
         u_cols = np.frombuffer(u_blob, dtype=np.uint8).reshape(
             len(self.seeds), col_len
         )
         q_cols = _expand(self.seeds, counter, col_len) ^ (u_cols & self.s_mask)
         q_rows = _rows(q_cols, m)
-        return q_rows, q_rows ^ self.s_packed[None, :]
+        return np.stack((q_rows, q_rows ^ self.s_packed[None, :]), axis=1)
 
 
 class ReceiverHalf:
@@ -130,41 +199,38 @@ class IKNPState:
     :attr:`sender` and :attr:`receiver` are the two halves; either may be
     absent.  Constructing a state is free; the base-OT batch (``kappa``
     transfers of seed pairs, roles swapped) runs inside the first
-    :meth:`reserve`, so an owner that never extends never pays for it.
-    On a link with both ends in this process it is handed across in
-    memory (:func:`repro.gc.ot.run_ot_batch`; charged to no request's
-    ``comm`` — one process is one trust domain by construction, and a
-    framed set-up would bill the first request of every state).  On a
-    one-ended link the same batch crosses that link as three
-    ``"ot_setup"`` frames (:func:`repro.gc.ot.base_ot_over_channel`), and
-    the state keeps the hosted party's half only — for the connection.
+    extension (:meth:`set_up`), so an owner that never extends never
+    pays for it.  On a link with both ends in this process it is handed
+    across in memory (:func:`repro.gc.ot.run_ot_batch`; charged to no
+    request's ``comm`` — one process is one trust domain by
+    construction, and a framed set-up would bill the first request of
+    every state).  On a one-ended link the same batch crosses that link
+    as three ``"ot_setup"`` frames
+    (:func:`repro.gc.ot.base_ot_over_channel`), and the state keeps the
+    hosted party's half only — for the connection.
 
-    A state belongs to the session, backend or connection that created
-    it and is safe to share between that owner's threads: every
-    extension reserves its own XOF counter and its own range of hash
-    indices under the state's lock, and an extension that aborts
-    half-way simply leaves its reservation unused.  A *one-ended* state
-    whose session failed must be dropped: the other process may not have
-    reserved, and the two counts must stay equal.
+    A state belongs to the session, backend, pool or connection that
+    holds it and is safe to share between that owner's threads:
+    extensions on one state take :attr:`turn`, one at a time, so a state
+    that hosts both halves serves its counters in the order it reserved
+    them.  An extension that aborts half-way leaves its counter unused,
+    and the state stays good for the next one, on both ends of a
+    connection.
 
     Args:
         group: group for the ``kappa`` base OTs.
         rng: randomness source for ``s``, the seeds and the base OT.
-        kappa: computational security parameter (base-OT count).
     """
 
-    def __init__(
-        self,
-        group: OTGroup = MODP_2048,
-        rng: RngLike = secrets,
-        kappa: int = KAPPA,
-    ) -> None:
+    def __init__(self, group: OTGroup = MODP_2048, rng: RngLike = secrets) -> None:
         self.group = group
-        self.kappa = kappa
         self._rng = rng
         self._lock = threading.Lock()
-        self._extensions = 0
-        self._transfers = 0
+        #: held by :func:`extension_ot` from the receiver's counter to the
+        #: sender's check of it
+        self.turn = threading.Lock()
+        self._reserved = 0  # the receiver's next counter
+        self._served = -1  # the last counter the sender accepted
         self._setup_bytes = 0
         # written once by _setup() under the lock, read-only afterwards
         self.sender: Optional[SenderHalf] = None
@@ -175,50 +241,68 @@ class IKNPState:
         """Size of the base-OT flights this state has paid for (0 before).
 
         The three flights as a channel frames them — ``c``, the
-        ``kappa`` public keys and the ``kappa`` responses, group elements
-        at the modulus width — each with its 4-byte length prefix.  A
-        session-level figure: it is charged to no request's ``comm``.
+        ``kappa`` public keys, and ``g^r`` with the ``kappa`` ciphertext
+        pairs, group elements at the modulus width — each with its 4-byte
+        length prefix.  A session-level figure: it is charged to no
+        request's ``comm``.
         """
         with self._lock:
             return self._setup_bytes
 
     @property
     def extensions(self) -> int:
-        """Extensions reserved so far (aborted ones included)."""
+        """Counters used up so far: reserved here, or served up to
+        (aborted extensions included)."""
         with self._lock:
-            return self._extensions
+            return max(self._reserved, self._served + 1)
 
-    def reserve(self, m: int, ends: Ends = (None, None)) -> Tuple[int, int]:
-        """Claim one extension of ``m`` transfers.
-
-        Returns ``(counter, first_index)``: the XOF domain separator of
-        this extension and the first of its ``m`` row-hash indices.
-        Neither is ever handed out twice.  The first call runs the
-        base-OT batch — over ``ends`` when exactly one of
-        ``(alice_end, bob_end)`` is here, in memory otherwise.
-        """
+    def set_up(self, ends: Ends = (None, None)) -> None:
+        """Run the one base-OT batch unless it has run — over ``ends``
+        when exactly one of ``(alice_end, bob_end)`` is here, in memory
+        otherwise."""
         with self._lock:
             if not self._setup_bytes:
                 self._setup(*ends)
-            counter, first_index = self._extensions, self._transfers
-            self._extensions += 1
-            self._transfers += m
-        return counter, first_index
+
+    def reserve(self) -> int:
+        """The receiver's counter for its next extension; never handed
+        out twice."""
+        with self._lock:
+            counter = self._reserved
+            self._reserved += 1
+        return counter
+
+    def serve(self, counter: int) -> int:
+        """The sender's check of a counter read off the wire: above the
+        last one it served, or refused.
+
+        Raises:
+            OTError: a counter at or below the last one served — a
+                replayed or reordered ``u`` frame.
+        """
+        with self._lock:
+            if counter <= self._served:
+                raise OTError(
+                    f"extension counter {counter} is not above {self._served}, "
+                    "the last this sender served"
+                )
+            self._served = counter
+        return counter
 
     def _setup(self, alice_end: Optional[Channel], bob_end: Optional[Channel]) -> None:
         """The one base-OT batch (caller holds the lock)."""
-        kappa, rng = self.kappa, self._rng
+        rng = self._rng
         framed = (alice_end is None) != (bob_end is None)
         s_bits = seed_pairs = None
         if alice_end is not None or not framed:
-            s_bits = [rand_bits(rng, 1) for _ in range(kappa)]
+            s_bits = [rand_bits(rng, 1) for _ in range(KAPPA)]
         if bob_end is not None or not framed:
             seed_pairs = [
                 (
                     rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
                     rand_bits(rng, 8 * SEED_BYTES).to_bytes(SEED_BYTES, "big"),
                 )
-                for _ in range(kappa)
+                for _ in range(KAPPA)
             ]
         # roles swapped: the extension's sender is the base-OT receiver
         if framed:
@@ -232,7 +316,7 @@ class IKNPState:
             self.sender = SenderHalf(s_bits, seeds)
         if seed_pairs is not None:
             self.receiver = ReceiverHalf(seed_pairs)
-        self._setup_bytes = base_ot_bytes(self.group, kappa, SEED_BYTES)
+        self._setup_bytes = base_ot_bytes(self.group, KAPPA, SEED_BYTES)
 
 
 def _held(half: Optional[_Half], party: str) -> _Half:
@@ -244,156 +328,198 @@ def _held(half: Optional[_Half], party: str) -> _Half:
     return half
 
 
-def _rows(cols: np.ndarray, m: int) -> np.ndarray:
-    """Transpose packed ``(kappa, ceil(m/8))`` columns to packed ``(m, kappa/8)`` rows."""
-    return np.packbits(np.unpackbits(cols, axis=1)[:, :m].T, axis=1)
+@dataclasses.dataclass(frozen=True)
+class Pads:
+    """``m`` random OTs from one phase-1 extension, the sides held here.
 
+    Single-use: phase 2 spends them on one set of messages.  Where one
+    process hosts both parties it holds both sides; otherwise the side
+    of the party it hosts, the other ``None``.
 
-def _hash_rows(rows: np.ndarray, length: int, first_index: int) -> np.ndarray:
-    """``H(i, row)`` for every row of a packed matrix: SHA-256 over
-    ``index || counter || row``, the 4-byte counter extending the mask
-    past 32 bytes.
-
-    Builds the messages for all ``m`` rows as one byte matrix and hashes
-    its rows with ``hashlib``, without a per-transfer int and bytes
-    assembly.
-
-    Args:
-        rows: ``(m, row_bytes)`` uint8 packed matrix rows.
-        length: mask bytes needed per row (counter mode extends).
-        first_index: hash index of row 0; row ``i`` uses ``first_index + i``.
-
-    Returns:
-        ``(m, length)`` uint8 mask matrix.
+    Attributes:
+        m: transfers.
+        wire_bytes: the ``u`` frame as its link charged it (counter,
+            columns and the 4-byte length prefix): ``kappa * ceil(m/8) + 12``.
+        sender: ``(m, 2, 16)`` uint8 — ``x0_i, x1_i``; the garbler's.
+        choices: ``(m,)`` uint8 — the random choices ``r``; the evaluator's.
+        chosen: ``(m, 16)`` uint8 — ``x_{r_i}``; the evaluator's.
     """
-    m, row_len = rows.shape
-    if length == 0 or m == 0:
-        return np.empty((m, length), dtype=np.uint8)
-    width = 12 + row_len
-    batch = np.empty((m, width), dtype=np.uint8)
-    batch[:, :8] = (
-        np.arange(first_index, first_index + m, dtype=">u8")
-        .view(np.uint8)
-        .reshape(m, 8)
-    )
-    batch[:, 12:] = rows
-    sha256 = hashlib.sha256
-    chunks = []
-    for counter in range((length + 31) // 32):
-        batch[:, 8:12] = np.frombuffer(
-            counter.to_bytes(4, "big"), dtype=np.uint8
-        )
-        buf = memoryview(batch.tobytes())
-        digests = b"".join(
-            [sha256(buf[i : i + width]).digest()
-             for i in range(0, m * width, width)]
-        )
-        chunks.append(np.frombuffer(digests, dtype=np.uint8).reshape(m, 32))
-    if len(chunks) == 1:
-        return chunks[0][:, :length]
-    return np.concatenate(chunks, axis=1)[:, :length]
+
+    m: int
+    wire_bytes: int
+    sender: Optional[np.ndarray] = None
+    choices: Optional[np.ndarray] = None
+    chosen: Optional[np.ndarray] = None
+
+
+def random_choices(m: int, rng: RngLike) -> np.ndarray:
+    """The receiver's ``m`` uniform random choice bits, ``(m,)`` uint8."""
+    packed = rand_bits(rng, 8 * ((m + 7) // 8)).to_bytes((m + 7) // 8, "big")
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=m)
 
 
 def extension_ot(
-    messages: Optional[np.ndarray],
-    choices: Optional[Sequence[int]],
-    group: OTGroup = MODP_2048,
-    rng: RngLike = secrets,
-    kappa: int = KAPPA,
+    m: int,
+    choices: Optional[np.ndarray],
     channel: Optional[Ends] = None,
     state: Optional[IKNPState] = None,
-) -> Tuple[np.ndarray, int]:
-    """Run one IKNP extension on the ends of ``channel`` held here.
+    group: OTGroup = MODP_2048,
+    rng: RngLike = secrets,
+) -> Pads:
+    """Phase 1: ``m`` random OTs by one IKNP extension, on the ends of
+    ``channel`` held here.
 
-    Three steps and one frame layout — receiver: expand, send ``u``;
-    sender: receive ``u``, mask, send two ``(m, length)`` planes;
-    receiver: unmask (it reads ``length`` off the frame) — each run iff
-    its party's endpoint is present.  Both flights are checksummed
-    ``"ot"``-tagged frames, so injected wire faults hit the real OT data
-    path.
+    Two steps and one ``"ot"`` frame — receiver: a fresh counter, its
+    seeds expanded, ``counter || u`` sent, its pads hashed; sender:
+    ``u`` received, the counter checked (:meth:`IKNPState.serve`), both
+    pads of every row hashed — each run iff its party's endpoint is
+    present.
 
     Args:
-        messages: the sender's ``(m, 2, length)`` uint8 plane, row ``i``
-            holding transfer ``i``'s two messages; ``None`` where the
-            sender is hosted elsewhere.
-        choices: the receiver's ``m`` choice bits; ``None`` where the
-            receiver is hosted elsewhere.
-        group: group for the ``kappa`` base OTs (unused with ``state``).
-        rng: randomness source (unused with ``state``).
-        kappa: computational security parameter (unused with ``state``).
+        m: transfers (public).
+        choices: the receiver's ``m`` random choice bits
+            (:func:`random_choices`); ``None`` where the receiver is
+            hosted elsewhere.
         channel: ``(alice_end, bob_end)`` — the sender's and the
             receiver's endpoint, ``None`` for the one not hosted here.
             Omitted, both parties run over a private in-memory link.
         state: the owner's :class:`IKNPState`; its base OT is paid once
             and this call only burns one counter.  ``None`` builds a
             throw-away state, i.e. pays the base OT for this call alone.
+        group: group for the base OTs (unused with ``state``).
+        rng: randomness source (unused with ``state``).
 
     Returns:
-        ``(chosen, transferred_bytes)``: the receiver's ``(m, length)``
-        uint8 rows (``(0, length)`` where it is hosted elsewhere) and
-        the two flights as the channel charges them (payload plus the
-        4-byte length prefix), equal on both ends.
+        The :class:`Pads`, the sides of the parties hosted here.
     """
-    if messages is not None and (
-        not isinstance(messages, np.ndarray)
-        or messages.dtype != np.uint8
-        or messages.ndim != 3
-        or messages.shape[1] != 2
-    ):
-        raise OTError("sender messages must be one (m, 2, length) uint8 plane")
-    if messages is not None and choices is not None and len(messages) != len(choices):
-        raise OTError("need one choice per pair")
-    choices = choices or ()
-    m = len(messages) if messages is not None else len(choices)
-    length = messages.shape[2] if messages is not None else 0
+    if choices is not None and len(choices) != m:
+        raise OTError("need one random choice per transfer")
     if m == 0:
-        return np.empty((0, length), dtype=np.uint8), 0
+        return Pads(0, 0)
     alice_end, bob_end = channel or make_channel_pair()[:2]
     if state is None:
-        state = IKNPState(group=group, rng=rng, kappa=kappa)
-    counter, first_index = state.reserve(m, (alice_end, bob_end))
-    u_len = state.kappa * ((m + 7) // 8)
-    # --- receiver expands its seeds and sends the u columns
+        state = IKNPState(group=group, rng=rng)
+    u_len = COUNTER_BYTES + KAPPA * ((m + 7) // 8)
+    r: Optional[np.ndarray] = None
+    chosen: Optional[np.ndarray] = None
+    sender: Optional[np.ndarray] = None
+    with state.turn:
+        state.set_up((alice_end, bob_end))
+        # --- receiver: a fresh counter, u out, its one pad per row
+        if bob_end is not None:
+            if choices is None:
+                raise OTError("the receiver's end needs its random choices")
+            r = np.array(choices, dtype=np.uint8) & 1
+            counter = state.reserve()
+            t_rows, u_cols = _held(state.receiver, "receiver").columns(counter, r)
+            bob_end.send_bytes(counter.to_bytes(COUNTER_BYTES, "big") + u_cols, tag="ot")
+            chosen = _pad_hash(t_rows, counter)
+        # --- sender: u in, a counter it has not served, both pads per row
+        if alice_end is not None:
+            blob = alice_end.recv_bytes(expected_tag="ot")
+            if len(blob) != u_len:
+                raise ChannelIntegrityError(
+                    f"OT column payload size mismatch: expected {u_len} bytes "
+                    f"(counter and {KAPPA} columns), got {len(blob)}"
+                )
+            counter = state.serve(int.from_bytes(blob[:COUNTER_BYTES], "big"))
+            rows = _held(state.sender, "sender").rows(counter, m, blob[COUNTER_BYTES:])
+            sender = _pad_hash(rows, counter)
+    return Pads(m, u_len + 4, sender, r, chosen)
+
+
+def derandomize(
+    messages: Optional[np.ndarray],
+    bits: Optional[Sequence[int]],
+    pads: Pads,
+    channel: Ends,
+) -> Tuple[np.ndarray, int]:
+    """Phase 2: ``m`` chosen-message OTs spent from ``m`` random ones.
+
+    Receiver: ``e = c ^ r`` out; sender: ``e`` in, ``y_b = m_b ^
+    x_{b^e}`` out (the pad pair swapped where ``e_i`` is 1, then one XOR
+    over the plane); receiver: ``m_c = y_c ^ x_r``.  Two ``"ot"``
+    frames, each step run iff its party's endpoint is present.
+
+    Args:
+        messages: the sender's ``(m, 2, 16)`` uint8 label plane, row
+            ``i`` holding transfer ``i``'s two labels; ``None`` where the
+            sender is hosted elsewhere.
+        bits: the receiver's ``m`` real choice bits; ``None`` where the
+            receiver is hosted elsewhere.
+        pads: phase 1's output, with the sides of the hosted parties.
+        channel: ``(alice_end, bob_end)``, as for :func:`extension_ot`.
+
+    Returns:
+        ``(chosen, transferred_bytes)``: the receiver's ``(m, 16)`` uint8
+        labels (``(0, 16)`` where it is hosted elsewhere) and the two
+        frames as the channel charges them, equal on both ends.
+    """
+    alice_end, bob_end = channel
+    m = pads.m
+    e_len = (m + 7) // 8
+    sent = (e_len + 4) + (2 * m * LABEL_BYTES + 4)
+    # --- receiver: its real choices, blinded by the random ones
     if bob_end is not None:
-        choice_bits = np.array([c & 1 for c in choices], dtype=np.uint8)
-        t_rows, u_blob = _held(state.receiver, "receiver").columns(
-            counter, choice_bits
-        )
-        bob_end.send_bytes(u_blob, tag="ot")
-    # --- sender masks the messages: per choice, one pass of row hashes
-    # and one XOR over an (m, length) plane
+        r, x_r = pads.choices, pads.chosen
+        if bits is None or len(bits) != m or r is None or x_r is None:
+            raise OTError("the receiver's end needs one choice per pad it holds")
+        c = np.array(bits, dtype=np.uint8) & 1
+        bob_end.send_bytes(np.packbits(c ^ r).tobytes(), tag="ot")
+    # --- sender: both labels, each under the pad e says the receiver can open
     if alice_end is not None:
-        if messages is None:
-            raise OTError("the sender's end needs the sender's messages")
-        u_blob = alice_end.recv_bytes(expected_tag="ot")
-        if len(u_blob) != u_len:
-            raise ChannelIntegrityError(
-                f"OT column payload size mismatch: expected {u_len} bytes "
-                f"for {state.kappa} columns, got {len(u_blob)}"
-            )
-        sent = np.empty((2, m, length), dtype=np.uint8)
-        for bit, rows in enumerate(
-            _held(state.sender, "sender").rows(counter, m, u_blob)
+        if (
+            not isinstance(messages, np.ndarray)
+            or messages.dtype != np.uint8
+            or messages.shape != (m, 2, LABEL_BYTES)
         ):
-            np.bitwise_xor(
-                messages[:, bit], _hash_rows(rows, length, first_index),
-                out=sent[bit],
+            raise OTError(f"sender messages must be one ({m}, 2, 16) uint8 plane")
+        x = pads.sender
+        if x is None:
+            raise OTError("the sender's end needs the sender's pads")
+        blob = alice_end.recv_bytes(expected_tag="ot")
+        if len(blob) != e_len:
+            raise ChannelIntegrityError(
+                f"OT choice payload size mismatch: expected {e_len} bytes "
+                f"for {m} transfers, got {len(blob)}"
             )
-        alice_end.send_bytes(sent.tobytes(), tag="ot")
+        e = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=m)
+        swapped = np.where(e[:, None, None] != 0, x[:, ::-1], x)
+        alice_end.send_bytes((messages ^ swapped).tobytes(), tag="ot")
     if bob_end is None:
-        return np.empty((0, length), dtype=np.uint8), (
-            (u_len + 4) + (2 * m * length + 4)
-        )
-    # --- receiver unmasks
-    masked = bob_end.recv_bytes(expected_tag="ot")
-    length, ragged = divmod(len(masked), 2 * m)
-    if ragged:
+        return np.empty((0, LABEL_BYTES), dtype=np.uint8), sent
+    # --- receiver: its label, under the one pad it holds
+    blob = bob_end.recv_bytes(expected_tag="ot")
+    if len(blob) != 2 * m * LABEL_BYTES:
         raise ChannelIntegrityError(
-            f"OT masked-plane payload of {len(masked)} bytes is not two "
-            f"planes of {m} equal-length messages"
+            f"OT label payload of {len(blob)} bytes is not two {m} x 16 planes"
         )
-    planes = np.frombuffer(masked, dtype=np.uint8).reshape(2, m, length)
-    chosen = np.where((choice_bits != 0)[:, None], planes[1], planes[0])
-    return chosen ^ _hash_rows(t_rows, length, first_index), (
-        (u_len + 4) + (len(masked) + 4)
-    )
+    planes = np.frombuffer(blob, dtype=np.uint8).reshape(m, 2, LABEL_BYTES)
+    return planes[np.arange(m, dtype=np.intp), c] ^ x_r, sent
+
+
+def chosen_ot(
+    messages: Optional[np.ndarray],
+    bits: Optional[Sequence[int]],
+    channel: Optional[Ends] = None,
+    state: Optional[IKNPState] = None,
+    group: OTGroup = MODP_2048,
+    rng: RngLike = secrets,
+) -> Tuple[np.ndarray, int]:
+    """Both phases back to back, within one request: ``u``, then ``e``
+    and ``y``.  The receiver's random choices come from ``rng``; other
+    arguments as for :func:`extension_ot` and :func:`derandomize`.
+
+    Returns ``(chosen, transferred_bytes)``: the receiver's ``(m, 16)``
+    labels and the three frames as the channel charges them.
+    """
+    if messages is not None and bits is not None and len(messages) != len(bits):
+        raise OTError("need one choice per pair")
+    m = len(messages) if messages is not None else len(bits or ())
+    if m == 0:
+        return np.empty((0, LABEL_BYTES), dtype=np.uint8), 0
+    ends = channel or make_channel_pair()[:2]
+    choices = None if ends[1] is None else random_choices(m, rng)
+    pads = extension_ot(m, choices, ends, state, group, rng)
+    chosen, sent = derandomize(messages, bits, pads, ends)
+    return chosen, pads.wire_bytes + sent

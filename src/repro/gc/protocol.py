@@ -61,7 +61,15 @@ from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
 from .labels import LabelsLike
 from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_over_channel
-from .ot_extension import Ends, IKNPState, extension_ot
+from .ot_extension import (
+    Ends,
+    IKNPState,
+    Pads,
+    chosen_ot,
+    derandomize,
+    extension_ot,
+    random_choices,
+)
 from .rng import RngLike
 
 __all__ = [
@@ -87,6 +95,10 @@ class Pregarbled:
     party's inputs — the paper's offline/online split lever: the garbler
     can prepare tables for future inferences while the line is idle, so
     the online critical path shrinks to transfer + OT + evaluate + merge.
+    Phase 1 of the evaluator's OTs (random OTs, no input either) can run
+    then too: a copy from :meth:`TwoPartySession.pregarble_many` carries
+    its :class:`~repro.gc.ot_extension.Pads`, so the online OT is their
+    derandomization alone.
 
     A unit is single-use: wire labels must never encrypt two different
     input sets (:meth:`claim` enforces this atomically, so concurrent
@@ -97,12 +109,16 @@ class Pregarbled:
         garbler: the garbler holding the secret wire labels.
         garbled: the evaluator-side tables.
         garble_seconds: offline wall time spent garbling.
+        pads: phase 1 of the copy's OTs, both sides (one process hosts
+            both parties); ``None`` runs both phases in the request.
+            Used only on a link with both ends in this process.
     """
 
     circuit: Circuit
     garbler: Garbler
     garbled: GarbledCircuit
     garble_seconds: float
+    pads: Optional[Pads] = None
     consumed: bool = False
     _claim_lock: threading.Lock = dataclasses.field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -231,11 +247,12 @@ class _Session:
             tweak_base = 2 * n_tables * cycle
             # (i) garbling — Alice (cycle 0 offline when pregarbled)
             alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]] = None
+            pads: Optional[Pads] = None
             garble_s = 0.0
             if alice_end is not None:
                 start = time.perf_counter()
                 if garbler is None:
-                    garbler, garbled = self._claim(
+                    garbler, garbled, pads = self._claim(
                         pregarbled if pregarbled is not None else self.pregarble()
                     )
                 else:
@@ -252,7 +269,7 @@ class _Session:
             # (ii) data transfer + OT
             link = self._transfer(
                 alice, bob_end, stats, alice_bits, bob_bits, garble_s, ot_state,
-                tweak_base, initial_state if cycle == 0 else (),
+                tweak_base, initial_state if cycle == 0 else (), pads,
             )
 
             # (iii) evaluation — Bob
@@ -280,12 +297,14 @@ class _Session:
                 results.append(self._result(link, []))
         return results
 
-    def _claim(self, pregarbled: Pregarbled) -> Tuple[Garbler, GarbledCircuit]:
+    def _claim(
+        self, pregarbled: Pregarbled
+    ) -> Tuple[Garbler, GarbledCircuit, Optional[Pads]]:
         """Take single-use offline material garbled for this circuit."""
         if pregarbled.circuit is not self.circuit:
             raise ProtocolError("pregarbled material is for a different circuit")
         pregarbled.claim()
-        return pregarbled.garbler, pregarbled.garbled
+        return pregarbled.garbler, pregarbled.garbled, pregarbled.pads
 
     def _transfer(
         self,
@@ -298,12 +317,15 @@ class _Session:
         ot_state: Optional[IKNPState],
         tweak_base: int = 0,
         initial_state: Sequence[int] = (),
+        pads: Optional[Pads] = None,
     ) -> "_Link":
         """Step (ii) of one round: Alice's flights move, Bob's view is
         rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
         ``ot`` are timed apart.  A non-empty ``initial_state`` (the
         public power-on register bits, cycle 0 of a sequential run) moves
-        its labels as one ``state_labels`` frame after Alice's."""
+        its labels as one ``state_labels`` frame after Alice's.  ``pads``
+        (a pool slot's) serve only a link with both ends here: on another
+        link the other process holds other pads."""
         link = _Link(alice, bob_end, stats, {} if alice is None else {"garble": garble_s})
         start = time.perf_counter()
         if alice is not None:
@@ -332,6 +354,7 @@ class _Session:
             alice and alice[1], self.circuit.bob_inputs, bob_bits,
             (alice and alice[0], bob_end),
             group=self.ot_group, rng=self.rng, state=ot_state,
+            pads=pads if alice is not None and bob_end is not None else None,
         )
         link.times["ot"] = time.perf_counter() - start
         if bob_end is not None:
@@ -403,11 +426,15 @@ class TwoPartySession(_Session):
         super().__init__(circuit, kdf, ot_group, rng, channel_factory, ot_state)
 
     def pregarble_many(self, count: int) -> List[Pregarbled]:
-        """Batch offline phase: ``count`` single-use copies in one pass.
+        """Batch offline phase: ``count`` single-use copies in one pass,
+        each with the pads of its OTs.
 
         All copies share one walk of the level schedule (and one KDF
         batch per level), so warming a pool of ``k`` copies costs much
-        less than ``k`` :meth:`pregarble` calls.
+        less than ``k`` :meth:`pregarble` calls.  On a session that holds
+        an OT state, phase 1 of each copy's OTs runs too — one random-OT
+        extension per copy, both parties here over a private in-memory
+        link — so a request served from the copy runs phase 2 alone.
         """
         if count < 0:
             raise ProtocolError("copy count must be >= 0")
@@ -416,12 +443,16 @@ class TwoPartySession(_Session):
         start = time.perf_counter()
         copies = garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng)
         per_copy = (time.perf_counter() - start) / count
+        m, state = len(self.circuit.bob_inputs), self.ot_state
         return [
             Pregarbled(
                 circuit=self.circuit,
                 garbler=garbler,
                 garbled=garbled,
                 garble_seconds=per_copy,
+                pads=None if state is None or not m else extension_ot(
+                    m, random_choices(m, self.rng), state=state
+                ),
             )
             for garbler, garbled in copies
         ]
@@ -502,7 +533,7 @@ class TwoPartySession(_Session):
             )
 
         # (i) garbling: claim offline material, batch-garble the rest
-        material: Dict[int, Tuple[Garbler, GarbledCircuit]] = {
+        material: Dict[int, Tuple[Garbler, GarbledCircuit, Optional[Pads]]] = {
             i: self._claim(s) for i, s in enumerate(slots) if s is not None
         }
         garble_s = [0.0] * k
@@ -513,20 +544,24 @@ class TwoPartySession(_Session):
                 circuit, len(missing), kdf=self.kdf, rng=self.rng
             )
             per_copy = (time.perf_counter() - start) / len(missing)
-            material.update(zip(missing, fresh))
+            material.update(
+                (i, (garbler, garbled, None))
+                for i, (garbler, garbled) in zip(missing, fresh)
+            )
             for i in missing:
                 garble_s[i] = per_copy
         if deadline is not None:
             deadline.check("garble")
 
         # (ii) transfer + OT, per request over its own accounted channel
-        links = [
-            self._transfer(
-                alice_end and (alice_end, *material[i]), bob_end, stats,
+        links = []
+        for i, (alice_end, bob_end, stats) in enumerate(ends):
+            garbler, garbled, pads = material[i]
+            links.append(self._transfer(
+                alice_end and (alice_end, garbler, garbled), bob_end, stats,
                 alice_bits_list[i], bob_bits_list[i], garble_s[i], self.ot_state,
-            )
-            for i, (alice_end, bob_end, stats) in enumerate(ends)
-        ]
+                pads=pads,
+            ))
 
         # (iii) batched evaluation — one schedule pass for all requests
         evaluator = FastEvaluator(circuit, kdf=eval_kdf)
@@ -611,7 +646,8 @@ class _Link:
 # One round on the wire — what crosses the link, in what order, and what
 # the evaluator may see — is these four functions, with the OT flights
 # of transfer_input_labels between the second and the third (and, at
-# cycle 0 of a run with registers, one state_labels frame before them).
+# cycle 0 of a run with registers, one state_labels frame before them):
+# u, e and y, or e and y alone when a pool slot's pads precomputed u.
 # _Session._transfer and _merge call them, each on the end of the party
 # it belongs to, for the round's three drivers — TwoPartySession.run,
 # each SequentialSession cycle and cut-and-choose's surviving copy — and
@@ -691,15 +727,19 @@ def transfer_input_labels(
     group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
     state: Optional[IKNPState] = None,
+    pads: Optional[Pads] = None,
 ) -> Tuple[np.ndarray, int]:
     """Transfer the evaluator's input labels obliviously.
 
-    The single OT entry point every flow shares, with one rule: the IKNP
-    extension runs when the caller holds an OT state or the transfer
-    moves at least :data:`OT_EXTENSION_THRESHOLD` bits; otherwise the
-    base OT runs directly (:func:`repro.gc.ot.base_ot_over_channel`).
-    The labels stay ``(m, 16)`` uint8 rows from the garbler's plane to
-    the evaluator's.
+    The single OT entry point every flow shares.  Handed ``pads`` —
+    phase 1 run ahead, with a pool slot's garbled copy — it runs phase 2
+    alone (:func:`repro.gc.ot_extension.derandomize`: ``e`` out, ``y``
+    back).  Otherwise one rule: both phases run here, ``u`` then ``e``
+    and ``y``, when the caller holds an OT state or the transfer moves
+    at least :data:`OT_EXTENSION_THRESHOLD` bits; below that, without a
+    state, the base OT runs directly
+    (:func:`repro.gc.ot.base_ot_over_channel`).  The labels stay ``(m,
+    16)`` uint8 rows from the garbler's plane to the evaluator's.
 
     Args:
         garbler: holder of the wire label pairs (OT sender messages,
@@ -715,25 +755,31 @@ def transfer_input_labels(
             are charged on every flight, and the channel accounts the
             traffic.
         group: group for base OTs.
-        rng: randomness source.
+        rng: randomness source (the evaluator's random choices among it).
         state: the caller's OT-extension state, whose one base-OT batch
             every transfer then extends; ``None`` extends (on a base-OT
             batch of its own) only at or above the threshold.
+        pads: phase 1's random OTs for exactly these wires, both sides
+            held here.
 
     Returns:
         ``(labels, total_bytes)`` — the chosen labels as ``(m, 16)``
         uint8 rows (``(0, 16)`` where the evaluator is hosted elsewhere)
-        and the OT traffic.
+        and the OT traffic this call put on ``channel``.
     """
     if bits is not None and len(wires) != len(bits):
         raise ProtocolError("Bob's input width mismatch")
     if not wires:
         return np.empty((0, 16), dtype=np.uint8), 0
     messages = None if garbler is None else garbler.label_pair_rows(wires)
+    if pads is not None:
+        if pads.m != len(wires):
+            raise ProtocolError(
+                f"pads for {pads.m} transfers cannot carry {len(wires)} labels"
+            )
+        return derandomize(messages, bits, pads, channel)
     if state is not None or len(wires) >= OT_EXTENSION_THRESHOLD:
-        return extension_ot(
-            messages, bits, group=group, rng=rng, channel=channel, state=state
-        )
+        return chosen_ot(messages, bits, channel, state, group, rng)
     pairs = None if messages is None else [
         (zero.tobytes(), one.tobytes()) for zero, one in messages
     ]

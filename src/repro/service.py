@@ -44,6 +44,7 @@ from .engine.result import ExecutionResult
 from .errors import BatchInferenceError, CompileError
 from .gc.channel import make_channel_pair
 from .gc.cipher import HashKDF
+from .gc.ot_extension import IKNPState
 from .nn.model import Sequential
 from .nn.quantize import QuantizedModel
 from .resilience import (
@@ -218,6 +219,9 @@ class PrivateInferenceService:
             "degraded": 0,
             "by_backend": {},
         }
+        # the OT-extension state the pool's pads and the two-party
+        # backend's requests share, so the service pays one base OT
+        self._ot_state = IKNPState(config.ot_group, config.rng)
         # the pool is created at its configured capacity but stays cold:
         # prepare() is the explicit offline phase (garbling is work the
         # operator schedules, not a construction side effect)
@@ -268,6 +272,7 @@ class PrivateInferenceService:
             refill=self.config.pool_refill,
             # the refill garbles only while this gate has nothing in flight
             idle_wait=self._gate.wait_idle,
+            ot_state=self._ot_state,
         )
 
     @property
@@ -295,26 +300,32 @@ class PrivateInferenceService:
             snapshot["by_backend"] = dict(self._stats["by_backend"])
             breakers = dict(self._breakers)
             pool = self._pool
-            ot_states = [b.ot_state for b in self._backends.values()]
+            ot_states = [self._ot_state] + [
+                b.ot_state for b in self._backends.values()
+                if b.ot_state is not self._ot_state
+            ]
         snapshot.update(self._gate.stats())
-        # session-level OT figures: what the base OT cost this service,
-        # charged to no request's comm_bytes
+        # pool and breakers take their own locks; call outside ours
+        pool_stats = pool.stats() if pool is not None else None
+        # session-level OT figures: what the base OT cost this service
+        # and what the pool's pads moved offline, charged to no
+        # request's comm_bytes
         setup_bytes = [state.setup_bytes for state in ot_states]
         snapshot["ot"] = {
             "base_batches": sum(1 for size in setup_bytes if size),
             "setup_bytes": sum(setup_bytes),
             "extensions": sum(state.extensions for state in ot_states),
+            "offline_bytes": pool_stats["offline_ot_bytes"] if pool_stats else 0,
             "group": self.ot_group_name,
         }
-        # pool and breakers take their own locks; call outside ours
         if breakers:
             snapshot["breakers"] = {
                 name: breaker.stats() for name, breaker in breakers.items()
             }
         if self.config.fault_plan is not None:
             snapshot["faults"] = self.config.fault_plan.stats()
-        if pool is not None:
-            snapshot["pool"] = pool.stats()
+        if pool_stats is not None:
+            snapshot["pool"] = pool_stats
         return snapshot
 
     def close(self, drain_timeout_s: float = 30.0) -> None:
@@ -371,8 +382,10 @@ class PrivateInferenceService:
         )
         if name == self.config.backend:
             options.update(self.config.backend_options)
-        if name == "two_party" and self._pool is not None:
-            options.setdefault("pool", self._pool)
+        if name == "two_party":
+            options.setdefault("ot_state", self._ot_state)
+            if self._pool is not None:
+                options.setdefault("pool", self._pool)
         return options
 
     def _backend(self, name: str) -> Backend:

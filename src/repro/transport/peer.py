@@ -8,16 +8,18 @@ party's :class:`~repro.transport.socket_channel.SocketChannel` and
 the one protocol text and nothing else.  The **garbler** draws Δ, the
 wire labels and ``s`` from its own rng, is given the client's bits only
 and alone can decode an output label; the **evaluator** draws its OT
-seeds from its own rng, is given the server's bits only and sees
-tables, active labels and masked OT messages.  Shared: the public
-netlist, the garbling oracle, the OT group.
+seeds and random choices from its own rng, is given the server's bits
+only and sees tables, active labels and masked OT messages.  Shared: the
+public netlist, the garbling oracle, the OT group.
 
 The IKNP set-up crosses the socket once per *connection* (three
 ``ot_setup`` frames): hand one
 :class:`~repro.gc.ot_extension.IKNPState` to every runner call on a
 socket and only the first pays the 387 modexps — at every input width,
-since a session holding a state always extends.  The processes count
-extensions in lockstep: drop a state whose session failed.
+since a session holding a state always extends.  Each session runs both
+OT phases on the socket (``u``, then ``e`` and ``y``).  The evaluator's
+``u`` frame carries its extension counter, so a state outlives a session
+that failed: keep it for the next.
 """
 
 from __future__ import annotations

@@ -574,7 +574,7 @@ class ShardedService:
         ]
         snapshot["ot"] = {
             key: sum(ot.get(key, 0) for ot in shard_ot)
-            for key in ("base_batches", "setup_bytes", "extensions")
+            for key in ("base_batches", "setup_bytes", "extensions", "offline_bytes")
         }
         if shard_ot:  # forks of one configuration: the first speaks for all
             snapshot["ot"]["group"] = shard_ot[0].get("group")

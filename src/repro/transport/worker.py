@@ -364,15 +364,12 @@ def serve_connection(
             if op == "ping":
                 send_ctl(sock, {"ok": True, "op": "pong"})
             elif op == "peer":
-                # the connection's OT half outlives a session that ends;
-                # one that fails may leave the two ends' extension counts
-                # apart, so its state goes with it
-                ot_state = peer_ot or IKNPState(
+                # the connection's OT half outlives every session on it,
+                # a failed one too: the extension counter crosses the wire
+                peer_ot = peer_ot or IKNPState(
                     service.config.ot_group, service.config.rng
                 )
-                peer_ot = None
-                _handle_peer(sock, service, record, ot_state)
-                peer_ot = ot_state
+                _handle_peer(sock, service, record, peer_ot)
             elif op == "infer":
                 _handle_infer(sock, service, record)
             elif op == "prepare":

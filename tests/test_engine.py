@@ -175,7 +175,7 @@ class TestPregarbledPool:
         client_bits = compiled.client_bits(x[0])
         # a backend's first extension carries the base-OT batch; pay it
         # before the clock so both runs below are steady-state requests
-        backend.ot_state.reserve(0)
+        backend.ot_state.set_up()
         warm = backend.run(compiled.circuit, client_bits, compiled.server_bits())
         cold = backend.run(compiled.circuit, client_bits, compiled.server_bits())
         assert warm.metadata["pregarbled"] and not cold.metadata["pregarbled"]

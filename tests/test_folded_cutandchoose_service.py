@@ -206,10 +206,11 @@ class TestFoldedDense:
         )
         reference_frames, frames[:] = list(frames), []
         # 278 336 under the length-prefixed pair layout; the plane layout
-        # sends 8 B less per transfer (16 cycles x 16), and the cycle-0
-        # register labels now cross as one frame: 25 x 16 + 4 + 4
-        total = 278_336 - 16 * 16 * 8 + 408
-        assert sum(reference.comm.values()) == total == 276_696
+        # sends 8 B less per transfer (16 cycles x 16), the cycle-0
+        # register labels cross as one frame (25 x 16 + 4 + 4), and each
+        # cycle's OT adds the u frame's counter and the e frame (8 + 2 + 4)
+        total = 278_336 - 16 * 16 * 8 + 408 + 16 * (8 + 2 + 4)
+        assert sum(reference.comm.values()) == total == 276_920
         assert reference.comm["state_labels"] == 408
 
         result = run_folded_dense(

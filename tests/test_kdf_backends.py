@@ -53,6 +53,7 @@ from repro.gc import (
     sha256_many,
 )
 from repro.gc import cipher, ot_extension
+from repro.gc.channel import make_channel_pair
 from repro.gc.cipher import ROW_BYTES
 from repro.gc.fastgarble import garble_many
 from repro.gc.ot import TEST_GROUP_512
@@ -589,75 +590,92 @@ class TestParallelVectorKDF:
 
 
 class TestVectorizedIKNP:
-    def _pairs(self, m, length=16, seed=0):
-        """``(m, 2, length)`` sender plane and the receiver's choices."""
+    def _pairs(self, m, seed=0):
+        """``(m, 2, 16)`` sender plane and the receiver's choices."""
         rng = random.Random(seed)
-        plane = np.frombuffer(rng.randbytes(2 * m * length), dtype=np.uint8)
+        plane = np.frombuffer(rng.randbytes(2 * m * 16), dtype=np.uint8)
         choices = [rng.getrandbits(1) for _ in range(m)]
-        return plane.reshape(m, 2, length), choices
+        return plane.reshape(m, 2, 16), choices
 
     def _run(self, pairs, choices, seed):
-        return ot_extension.extension_ot(
+        return ot_extension.chosen_ot(
             pairs, choices, group=TEST_GROUP_512, rng=random.Random(seed),
         )
 
-    def test_vector_path_multi_counter_messages(self):
-        # 70-byte messages: every mask is three SHA-256 counters wide
-        pairs, choices = self._pairs(70, length=70, seed=2)
-        out, transferred = self._run(pairs, choices, seed=8)
-        assert np.array_equal(out, pairs[np.arange(70), choices])
-        assert transferred == (ot_extension.KAPPA * 9 + 4) + (2 * 70 * 70 + 4)
+    def test_pads_are_four_cipher_calls(self, monkeypatch):
+        # the row hash is one batch TCCR per side: two ECB passes for the
+        # receiver's pads, two for both of the sender's, whatever m is
+        calls = []
+        cipher = ot_extension._pad_cipher()
+        encrypt = cipher._ecb_encrypt
+
+        def counting(blocks):
+            calls.append(blocks.size // 16)
+            return encrypt(blocks)
+
+        monkeypatch.setattr(cipher, "_ecb_encrypt", counting)
+        state = ot_extension.IKNPState(group=TEST_GROUP_512, rng=random.Random(3))
+        state.set_up()
+        pads = ot_extension.extension_ot(700, [1] * 700, state=state)
+        assert calls == [700, 700, 1400, 1400]
+        assert pads.chosen.shape == (700, 16) and pads.sender.shape == (700, 2, 16)
 
     def test_receiver_gets_chosen_messages(self):
         pairs, choices = self._pairs(80, seed=5)
         out, transferred = self._run(pairs, choices, seed=6)
         for (m0, m1), c, got in zip(pairs, choices, out):
             assert np.array_equal(got, m1 if c else m0)
-        # the u columns and the two masked planes, each frame's payload
-        # plus its 4-byte length prefix
+        # the counter with the u columns, e, and the two label planes,
+        # each frame's payload plus its 4-byte length prefix
         assert transferred == (
-            (80 * ot_extension.KAPPA // 8 + 4) + (2 * 80 * 16 + 4)
+            (8 + 80 * ot_extension.KAPPA // 8 + 4) + (10 + 4) + (2 * 80 * 16 + 4)
         )
 
-    @pytest.mark.parametrize(
-        "length, digest",
-        [
-            (16, "4fe48c70928d98ec25e92bc2b3fdc1b44d39a70992b02e4de8b8723b965543ba"),
-            (70, "3138ba54d6e0669be300e25732127e2303430d2c305b5843c8009eb288eb7671"),
-        ],
-    )
-    def test_row_hash_known_answer(self, length, digest):
-        """The masks are wire contract: pinned at the commit that still
-        hashed rows through ``sha256_vec`` (70 bytes = three counters)."""
+    def test_row_hash_known_answer(self):
+        """The pads are wire contract: ``pi(pi(x) ^ T) ^ pi(x)`` with
+        ``pi`` AES-128 under the pad key and ``T`` the row index then the
+        counter, held against the scalar FIPS-197 path and pinned."""
         rows = (np.arange(702 * 16) % 251).astype(np.uint8).reshape(702, 16)
-        def hash_row(index, row, length):
-            """``H(i, row)`` one row at a time: the reference."""
-            out, counter = b"", 0
-            while len(out) < length:
-                out += hashlib.sha256(
-                    index.to_bytes(8, "big") + counter.to_bytes(4, "big") + row
-                ).digest()
-                counter += 1
-            return out[:length]
+        pi = FixedKeyAES(ot_extension.PAD_KEY).encrypt_block
 
-        masks = ot_extension._hash_rows(rows, length, 1000)
-        assert masks.shape == (702, length)
-        assert hashlib.sha256(masks.tobytes()).hexdigest() == digest
+        def hash_row(index, row, counter):
+            """``H(row, (counter, index))`` one row at a time: the reference."""
+            tweak = index.to_bytes(8, "little") + counter.to_bytes(8, "little")
+            x = pi(row)
+            return bytes(a ^ b for a, b in zip(pi(bytes(a ^ b for a, b in zip(x, tweak))), x))
+
+        pads = ot_extension._pad_hash(rows, 1000)
+        assert pads.shape == (702, 16)
+        assert hashlib.sha256(pads.tobytes()).hexdigest() == (
+            "86928b419fb8fe678988939b38986c8238147a56f549ce8a43dc8ad730e48e2a"
+        )
         for i in (0, 5, 701):
-            assert masks[i].tobytes() == hash_row(1000 + i, rows[i].tobytes(), length)
+            assert pads[i].tobytes() == hash_row(i, rows[i].tobytes(), 1000)
+        # a pair of rows takes its index's tweak on both
+        pair = ot_extension._pad_hash(np.stack([rows, rows[::-1]], axis=1), 1000)
+        assert np.array_equal(pair[:, 0], pads)
+
+    def test_tweaks_separate_counters_and_rows(self):
+        # one row value at every index of two extensions: 2 x 64 pads,
+        # all distinct, so no pad is ever reused across rows or counters
+        rows = np.tile(np.arange(16, dtype=np.uint8), (64, 1))
+        pads = np.concatenate(
+            [ot_extension._pad_hash(rows, counter) for counter in (0, 1)]
+        )
+        assert len({pad.tobytes() for pad in pads}) == 128
 
     def test_ragged_pairs_are_refused(self):
-        """One plane layout: the receiver reads the one message length
-        off the frame, so the sender hands in one ``(m, 2, length)``
-        uint8 plane; ragged byte pairs, or a plane of another shape, are
-        refused before anything is reserved or framed."""
+        """One plane layout: the sender hands in one ``(m, 2, 16)`` uint8
+        plane of labels; ragged byte pairs, or a plane of another shape,
+        are refused before phase 2 puts a frame on the link."""
         rng = random.Random(9)
         pairs = [(rng.randbytes(4), rng.randbytes(4)),
                  (rng.randbytes(20), rng.randbytes(20))] * 40
-        choices = [rng.getrandbits(1) for _ in range(80)]
         state = ot_extension.IKNPState(group=TEST_GROUP_512, rng=random.Random(10))
+        pads = ot_extension.extension_ot(80, [0] * 80, state=state)
         flat = np.zeros((80, 32), dtype=np.uint8)
-        for messages in (pairs, flat, flat.reshape(80, 4, 8)):
+        alice_end, _bob_end, stats = make_channel_pair()
+        for messages in (pairs, flat, flat.reshape(80, 4, 8), flat.reshape(80, 2, 16)[:79]):
             with pytest.raises(OTError, match="one .* plane"):
-                ot_extension.extension_ot(messages, choices, state=state)
-        assert state.extensions == 0
+                ot_extension.derandomize(messages, None, pads, (alice_end, None))
+        assert stats.total_bytes == 0 and state.extensions == 1

@@ -34,6 +34,7 @@ from repro.gc.channel import make_channel_pair
 from repro.gc.garble import Garbler
 from repro.gc.labels import label_rows
 from repro.gc.ot import TEST_GROUP_512
+from repro.gc.ot_extension import IKNPState
 from repro.gc.protocol import (
     OT_EXTENSION_THRESHOLD,
     receive_garbled,
@@ -54,11 +55,12 @@ N_ALICE = 4
 #: wide enough that every flow takes the OT extension
 N_BOB = OT_EXTENSION_THRESHOLD + 2
 
-#: one round, as (direction, tag), in wire order
+#: one round, as (direction, tag), in wire order: the OT is u, e and y
 ROUND = [
     ("a2b", "tables"),
     ("a2b", "const_labels"),
     ("a2b", "alice_labels"),
+    ("b2a", "ot"),
     ("b2a", "ot"),
     ("a2b", "ot"),
     ("b2a", "output_labels"),
@@ -158,6 +160,26 @@ class TestOneRoundOnTheWire:
         reference = logs["run"][0]
         assert logs["run_many"] == [reference, reference]
         assert logs["run"] == logs["sequential"] == logs["cut_and_choose"] == [reference]
+
+    def test_a_pool_hit_moves_the_round_without_u(self):
+        # the pads came with the copy: the online OT is e out, y back
+        circuit = wide_circuit()
+        a, b = _inputs()
+        factory, links = _keeping_stats()
+        rng = random.Random(1)
+        session = TwoPartySession(
+            circuit, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory,
+            ot_state=IKNPState(TEST_GROUP_512, rng),
+        )
+        slots = session.pregarble_many(3)
+        assert session.run(a, b, pregarbled=slots[0]).outputs == simulate(circuit, a, b)
+        assert [r.outputs for r in session.run_many([a, a], [b, b], pregarbled=slots[1:])] == [
+            simulate(circuit, a, b)
+        ] * 2
+        pooled = ROUND[:3] + ROUND[4:]
+        for stats in links:
+            assert [(d, tag) for d, tag, _ in stats.log] == pooled
+            assert stats.log[3][2] == -(-N_BOB // 8) + 4
 
     def test_run_and_run_many_account_the_same_bytes_per_tag(self):
         circuit = wide_circuit()

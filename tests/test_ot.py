@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.circuits import CircuitBuilder, simulate
 from repro.errors import OTError
 from repro.gc import TwoPartySession, ot
+from repro.gc.channel import make_channel_pair
 from repro.gc.ot import (
     MODP_2048,
     TEST_GROUP_512,
@@ -22,7 +23,7 @@ from repro.gc.ot import (
     OTSender,
     run_ot_batch,
 )
-from repro.gc.ot_extension import extension_ot
+from repro.gc.ot_extension import chosen_ot, derandomize, extension_ot
 
 GROUPS = (TEST_GROUP_512, MODP_2048)
 
@@ -92,7 +93,7 @@ def _transcript(group, n, seed):
     c = sender.setup()
     keys = receiver.public_keys(c)
     responses = sender.respond(keys)
-    messages = receiver.recover(responses)
+    messages = receiver.recover(*responses)
     assert messages == [pair[choice] for pair, choice in zip(pairs, choices)]
     return c, keys, responses, messages
 
@@ -204,9 +205,9 @@ class TestProvidersAgree:
         request.getfixturevalue("python_pow")
         assert group.provider == "python"
         assert _transcript(group, n, seed=31) == native
-        c, keys, responses, _ = native
-        assert len({g_r for g_r, _e0, _e1 in responses}) == 1  # one r per batch
-        assert len(set(keys)) == n and c not in keys
+        c, keys, (g_r, ciphertexts), _ = native
+        assert len(ciphertexts) == n  # and one g^r for the batch
+        assert len(set(keys)) == n and c not in keys and g_r not in keys
 
 
 class TestBaseOT:
@@ -266,22 +267,22 @@ class TestBaseOT:
             OTReceiver([0, 1], group=group, rng=rng).public_keys(bad)
         sender = OTSender(_pairs(2, rng), group=group, rng=rng)
         receiver = OTReceiver([0, 1], group=group, rng=rng)
-        (g_r, e0, e1), second = sender.respond(receiver.public_keys(sender.setup()))
+        g_r, ciphertexts = sender.respond(receiver.public_keys(sender.setup()))
         with pytest.raises(OTError, match="response element"):
-            receiver.recover([(g_r, e0, e1), (bad, second[1], second[2])])
-        assert len(receiver.recover([(g_r, e0, e1), second])) == 2
+            receiver.recover(bad, ciphertexts)
+        assert len(receiver.recover(g_r, ciphertexts)) == 2
 
     def test_response_count_checked(self):
         rng = random.Random(4)
         receiver = OTReceiver([0, 1], group=TEST_GROUP_512, rng=rng)
         receiver.public_keys(5)
         with pytest.raises(OTError):
-            receiver.recover([])
+            receiver.recover(5, [])
 
     def test_direct_framed_path_keeps_its_byte_sizes(self, recording_channels):
         """Below the extension threshold the base OT's three flights are
-        the request's "ot" frames: c, one key per bit, and per bit the
-        (repeated) g^r with two 16-byte ciphertexts."""
+        the request's "ot" frames: c, one key per bit, and g^r once with
+        two 16-byte ciphertexts per bit."""
         bld = CircuitBuilder()
         a, b = bld.add_alice_inputs(4), bld.add_bob_inputs(4)
         for x, y in zip(a, b):
@@ -296,7 +297,7 @@ class TestBaseOT:
         assert result.outputs == simulate(circuit, [1, 1, 0, 1], [1, 0, 1, 1])
         w = _width(TEST_GROUP_512)
         sizes = [len(payload) + 4 for tag, payload in frames if tag == "ot"]
-        assert sizes == [w + 4, 4 * w + 4, 4 * (w + 32) + 4]
+        assert sizes == [w + 4, 4 * w + 4, w + 4 * 32 + 4]
         assert result.comm["ot"] == sum(sizes)
 
     def test_modp2048_group_sane(self):
@@ -315,7 +316,7 @@ class TestOTExtension:
         rng = random.Random(11)
         pairs = _pairs(200, rng)
         choices = [rng.randrange(2) for _ in range(200)]
-        out, _ = extension_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
+        out, _ = chosen_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
         assert out.shape == (200, 16)
         for msg, choice, pair in zip(out, choices, pairs):
             assert msg.tobytes() == pair[choice]
@@ -324,32 +325,40 @@ class TestOTExtension:
         rng = random.Random(12)
         pairs = _pairs(131, rng)
         choices = [rng.randrange(2) for _ in range(131)]
-        out, _ = extension_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
+        out, _ = chosen_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
         assert all(m.tobytes() == p[c] for m, c, p in zip(out, choices, pairs))
 
     def test_empty_batch(self):
-        out, transferred = extension_ot(
+        pads = extension_ot(0, [], group=TEST_GROUP_512)
+        assert pads.m == 0 and pads.wire_bytes == 0
+        out, transferred = chosen_ot(
             np.empty((0, 2, 16), dtype=np.uint8), [], group=TEST_GROUP_512
         )
         assert out.shape == (0, 16) and transferred == 0
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(OTError):
-            extension_ot(_plane([(b"a", b"b")]), [0, 1], group=TEST_GROUP_512)
+            chosen_ot(_plane([(bytes(16), bytes(16))]), [0, 1], group=TEST_GROUP_512)
+        with pytest.raises(OTError):
+            extension_ot(3, [0, 1], group=TEST_GROUP_512)
 
     def test_traffic_scales_linearly(self):
         rng = random.Random(13)
-        _, small = extension_ot(
+        _, small = chosen_ot(
             _plane(_pairs(100, rng)), [0] * 100, group=TEST_GROUP_512, rng=rng
         )
-        _, large = extension_ot(
+        _, large = chosen_ot(
             _plane(_pairs(400, rng)), [0] * 400, group=TEST_GROUP_512, rng=rng
         )
         assert 3.0 <= large / small <= 5.0
 
-    def test_variable_message_length(self):
+    def test_messages_are_labels(self):
+        """Phase 2 masks one 16-byte label per message: a plane of any
+        other width is refused before a frame moves."""
         rng = random.Random(14)
         pairs = _pairs(140, rng, length=32)
-        choices = [rng.randrange(2) for _ in range(140)]
-        out, _ = extension_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
-        assert all(m.tobytes() == p[c] for m, c, p in zip(out, choices, pairs))
+        pads = extension_ot(140, [0] * 140, group=TEST_GROUP_512, rng=rng)
+        alice_end, _bob_end, stats = make_channel_pair()
+        with pytest.raises(OTError, match=r"\(140, 2, 16\) uint8 plane"):
+            derandomize(_plane(pairs), None, pads, (alice_end, None))
+        assert stats.total_bytes == 0

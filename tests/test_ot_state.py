@@ -1,10 +1,11 @@
 """The session-lived OT-extension state: base OT once, then symmetric work.
 
 Covers :class:`repro.gc.ot_extension.IKNPState` bottom-up: chosen-message
-correctness for every batch size, the IKNP correlation the two halves
-of each extension must satisfy, the never-reuse guarantee on counters and hash indices
-(threads and aborted extensions included), how often each owner pays the
-base OT, and that hoisting it moved no byte of any request's traffic.
+correctness for every batch size, with the pads spent in the request or
+ahead of it, the IKNP correlation the two halves of each extension must
+satisfy, the never-reuse guarantee on counters (threads, aborted
+extensions and replayed frames included), how often each owner pays the
+base OT, and what each request's OT frames weigh, pooled and cold.
 
 Runs in CI's chaos matrix too: channels come from
 ``default_channel_factory`` (``REPRO_TRANSPORT``) and the injected fault
@@ -26,11 +27,11 @@ from repro.circuits import FixedPointFormat
 from repro.circuits.sequential import SequentialCircuit
 from repro.compile import CompileOptions, compile_model, folded_mac_cell
 from repro.engine import EngineConfig, get_backend
-from repro.errors import ReproError
+from repro.errors import OTError, ReproError
 from repro.gc import SequentialSession, ot
-from repro.gc.channel import default_channel_factory
+from repro.gc.channel import default_channel_factory, make_channel_pair
 from repro.gc.ot import TEST_GROUP_512, OTGroup, run_ot_batch
-from repro.gc.ot_extension import KAPPA, IKNPState, extension_ot
+from repro.gc.ot_extension import KAPPA, IKNPState, chosen_ot, derandomize, extension_ot
 from repro.gc.outsourcing import OutsourcedSession
 from repro.gc.protocol import TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
@@ -83,77 +84,78 @@ def _channel():
 
 @pytest.fixture
 def reservations(monkeypatch):
-    """Every ``(counter, first_index, m)`` any state hands out."""
+    """Every counter any state hands out."""
     seen = []
     original = IKNPState.reserve
 
-    def recording(self, m, ends=(None, None)):
-        counter, first_index = original(self, m, ends)
-        seen.append((counter, first_index, m))
-        return counter, first_index
+    def recording(self):
+        counter = original(self)
+        seen.append(counter)
+        return counter
 
     monkeypatch.setattr(IKNPState, "reserve", recording)
     return seen
 
 
-def _assert_disjoint(reserved):
-    """No counter handed out twice, no hash index inside two ranges."""
-    counters = [counter for counter, _first, _m in reserved]
-    assert len(set(counters)) == len(counters)
-    spans = sorted((first, first + m) for _counter, first, m in reserved)
-    for (_start, end), (next_start, _next_end) in zip(spans, spans[1:]):
-        assert end <= next_start
-
-
 class TestChosenMessages:
-    @pytest.mark.parametrize("length", [16, 70])
+    @pytest.mark.parametrize("when", ["in_request", "ahead"])
     @pytest.mark.parametrize("m", [1, 16, 63, 64, 696])
-    def test_receiver_gets_exactly_its_choice(self, m, length):
-        # one plane layout for every m >= 1 and every message length
+    def test_receiver_gets_exactly_its_choice(self, m, when):
+        # one plane layout for every m >= 1, both phases back to back or
+        # the pads drawn ahead and spent after the state moved on
         state = _state(m)
+        pads = extension_ot(m, _pairs(m, seed=m)[1], state=state)
         # two extensions from one state, the second over a channel: the
         # seeds, not a fresh base OT, must carry both
         for round_, channel in enumerate((None, _channel())):
-            pairs, choices = _pairs(m, seed=100 * m + round_, length=length)
-            out, _ = extension_ot(_plane(pairs), choices, channel=channel, state=state)
+            pairs, choices = _pairs(m, seed=100 * m + round_)
+            if when == "ahead" and round_:
+                out, _ = derandomize(_plane(pairs), choices, pads, _channel())
+            else:
+                out, _ = chosen_ot(_plane(pairs), choices, channel=channel, state=state)
             assert np.array_equal(out, _chosen(pairs, choices))
-        assert state.extensions == 2
+        assert state.extensions == (2 if when == "ahead" else 3)
 
     def test_private_link_and_callers_link_agree_byte_for_byte(self):
-        # without a channel the same three steps run over a private
-        # in-memory link: same messages, same two frames charged
+        # without a channel the same steps run over a private in-memory
+        # link: same messages, same three frames charged
         pairs, choices = _pairs(90, seed=3)
         (out, sent), (out_framed, sent_framed) = [
-            extension_ot(_plane(pairs), choices, channel=channel, state=_state(9))
+            chosen_ot(_plane(pairs), choices, channel=channel, state=_state(9))
             for channel in (None, _channel())
         ]
         assert np.array_equal(out, out_framed) and sent == sent_framed
-        assert sent == (KAPPA * 12 + 4) + (2 * 90 * 16 + 4)
+        assert sent == (8 + KAPPA * 12 + 4) + (12 + 4) + (2 * 90 * 16 + 4)
 
     def test_channel_frames_keep_their_sizes(self):
-        # the two "ot" frames the chaos matrix addresses by position:
-        # kappa columns of ceil(m/8) bytes out, two m x 16 planes back
+        # the three "ot" frames the chaos matrix addresses by position:
+        # the counter and kappa columns of ceil(m/8) bytes out, then e
+        # out, then two m x 16 planes back
         m = 131
         pairs, choices = _pairs(m, seed=4)
         alice_end, bob_end, stats = default_channel_factory()()
-        _, transferred = extension_ot(
+        _, transferred = chosen_ot(
             _plane(pairs), choices, channel=(alice_end, bob_end), state=_state(4)
         )
         sizes = [(d, size) for d, tag, size in stats.log if tag == "ot"]
-        assert sizes == [("b2a", KAPPA * 17 + 4), ("a2b", 2 * m * 16 + 4)]
+        assert sizes == [
+            ("b2a", 8 + KAPPA * 17 + 4), ("b2a", 17 + 4), ("a2b", 2 * m * 16 + 4),
+        ]
         assert transferred == sum(size for _d, size in sizes)
 
 
 class TestCorrelation:
     def test_every_extension_satisfies_q_equals_t_xor_r_s(self):
         state = _state(21)
+        state.set_up()
         rng = random.Random(22)
         for m in (5, 64, 301):
-            counter, _first = state.reserve(m)
+            counter = state.reserve()
             r = np.array([rng.getrandbits(1) for _ in range(m)], dtype=np.uint8)
             # the receiver's half makes T and u; the sender's, Q from u
             t_rows, u_blob = state.receiver.columns(counter, r)
-            q_rows, q_rows_flipped = state.sender.rows(counter, m, u_blob)
+            rows = state.sender.rows(counter, m, u_blob)
+            q_rows, q_rows_flipped = rows[:, 0], rows[:, 1]
             s = state.sender.s_packed
             assert np.array_equal(q_rows, t_rows ^ (r[:, None] * s[None, :]))
             assert np.array_equal(q_rows_flipped, q_rows ^ s[None, :])
@@ -161,19 +163,54 @@ class TestCorrelation:
 
     def test_counters_separate_the_expansions(self):
         state = _state(23)
+        state.set_up()
         r = np.zeros(40, dtype=np.uint8)
-        counters = [state.reserve(40)[0] for _ in range(2)]
+        counters = [state.reserve() for _ in range(2)]
         first, second = (state.receiver.columns(c, r)[0] for c in counters)
         assert not np.array_equal(first, second)
 
+    def test_pads_are_the_correlation_hashed(self):
+        # the receiver's pad is the sender's pad of its random choice,
+        # and the other pad is unrelated to anything the receiver holds
+        m = 77
+        _pairs_, r = _pairs(m, seed=24)
+        pads = extension_ot(m, r, state=_state(24))
+        assert np.array_equal(pads.choices, r)
+        assert np.array_equal(pads.chosen, pads.sender[np.arange(m), pads.choices])
+        other = pads.sender[np.arange(m), 1 - pads.choices]
+        assert not any(np.array_equal(a, b) for a, b in zip(other, pads.chosen))
+
 
 class TestNeverReused:
-    def test_two_extensions_get_fresh_counter_and_indices(self, reservations):
+    def test_two_extensions_get_fresh_counters(self, reservations):
         state = _state(31)
         for seed, m in ((1, 70), (2, 70), (3, 9)):
             pairs, choices = _pairs(m, seed)
-            extension_ot(_plane(pairs), choices, state=state)
-        assert reservations == [(0, 0, 70), (1, 70, 70), (2, 140, 9)]
+            chosen_ot(_plane(pairs), choices, state=state)
+        assert reservations == [0, 1, 2]
+
+    def test_sender_refuses_a_replayed_counter(self):
+        # the counter crosses the wire with u: a frame replayed to the
+        # sender is refused, and so is any counter it has passed
+        state = _state(34)
+        alice_end, bob_end, _stats = make_channel_pair()
+        frames = []
+        send = bob_end.send_bytes
+
+        def keeping(data, tag="data"):
+            frames.append(data)
+            send(data, tag=tag)
+
+        bob_end.send_bytes = keeping
+        extension_ot(40, [0] * 40, channel=(alice_end, bob_end), state=state)
+        bob_end.send_bytes = send
+        send(frames[0], tag="ot")
+        with pytest.raises(OTError, match="counter 0 is not above 0"):
+            extension_ot(40, None, channel=(alice_end, None), state=state)
+        for counter in (0, -1):
+            with pytest.raises(OTError):
+                state.serve(counter)
+        assert state.serve(5) == 5 and state.extensions == 6
 
     def test_eight_threads_share_one_state(self, reservations, base_batches):
         state = _state(32)
@@ -183,7 +220,7 @@ class TestNeverReused:
             try:
                 for i in range(rounds):
                     pairs, choices = _pairs(3 + (k + i) % 70, seed=1000 * k + i)
-                    out, _ = extension_ot(_plane(pairs), choices, state=state)
+                    out, _ = chosen_ot(_plane(pairs), choices, state=state)
                     if not np.array_equal(out, _chosen(pairs, choices)):
                         failures.append((k, i))
             except Exception as exc:  # surfaced by the assert below
@@ -202,7 +239,7 @@ class TestNeverReused:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert len(reservations) == 8 * rounds == state.extensions
-        _assert_disjoint(reservations)
+        assert sorted(reservations) == list(range(8 * rounds))
         # the racing first extensions still paid for one base OT only
         assert base_batches == [1]
 
@@ -213,25 +250,27 @@ class TestNeverReused:
         pairs, choices = _pairs(80, seed=5)
         alice_end, bob_end, _stats = factory()
         with pytest.raises(ReproError) as caught:
-            extension_ot(_plane(pairs), choices, channel=(alice_end, bob_end), state=state)
+            chosen_ot(_plane(pairs), choices, channel=(alice_end, bob_end), state=state)
         assert is_transient(caught.value)
         alice_end, bob_end, _stats = factory()
-        out, _ = extension_ot(
+        out, _ = chosen_ot(
             _plane(pairs), choices, channel=(alice_end, bob_end), state=state
         )
         assert np.array_equal(out, _chosen(pairs, choices))
-        assert reservations == [(0, 0, 80), (1, 80, 80)]
+        assert reservations == [0, 1]
 
 
 class TestSetupAccounting:
     def test_setup_bytes_are_the_three_base_ot_flights(self):
         state = _state(41)
         assert state.setup_bytes == 0  # nothing paid before the first use
-        state.reserve(0)
+        state.set_up()
         width = (TEST_GROUP_512.prime.bit_length() + 7) // 8
+        # c, one key per seed pair, and g^r once with two seeds per pair
         assert state.setup_bytes == (
-            (width + 4) + (KAPPA * width + 4) + (KAPPA * (width + 32) + 4)
-        )
+            (width + 4) + (KAPPA * width + 4) + (width + KAPPA * 32 + 4)
+        ) == 8268
+        assert ot.base_ot_bytes(ot.MODP_2048, KAPPA, 16) == 37388
 
     def test_a_base_batch_is_387_modexps_and_one_inverse(self, monkeypatch):
         calls = {"power": 0, "inverse": 0}
@@ -247,7 +286,7 @@ class TestSetupAccounting:
 
         counting("power")
         counting("inverse")
-        _state(42).reserve(0)
+        _state(42).set_up()
         # c, g^r, c^r + 128 x (public key, PK_0^r, recover); PK_1^r is a
         # division, and the 128 divisions share one modular inverse
         assert calls == {"power": 1 + 2 + KAPPA * 3, "inverse": 1}
@@ -346,7 +385,9 @@ class TestPaidOnce:
             service.close()
 
     def test_first_prepare_keeps_the_backend_and_its_state(self, base_batches):
-        service = _service()  # pool_size 0: prepare() creates the pool
+        # pool_size 0: prepare() creates the pool; no refill extends
+        # behind the test's back
+        service = _service(pool_refill="none")
         _model_, x = _model()
         try:
             assert not service.infer(x[0]).pregarbled
@@ -355,7 +396,14 @@ class TestPaidOnce:
             assert pooled.pregarbled
             assert pooled.label == service.cleartext_label(x[1])
             assert base_batches == [1]
-            assert service.stats["ot"]["extensions"] == 2
+            # the cold request's extension and one per pooled copy's pads;
+            # the pooled request spent its pads and extended nothing
+            stats = service.stats
+            assert stats["ot"]["extensions"] == 3
+            m = service.compiled.circuit.n_bob
+            assert stats["ot"]["offline_bytes"] == stats["pool"][
+                "offline_ot_bytes"
+            ] == 2 * (KAPPA * -(-m // 8) + 12)
         finally:
             service.close()
 
@@ -372,6 +420,7 @@ class TestPaidOnce:
                 "base_batches": 1,
                 "setup_bytes": stats["ot"]["setup_bytes"],
                 "extensions": 2,
+                "offline_bytes": 0,
                 "group": f"test-25519[{TEST_GROUP_512.provider}]",
             }
             assert base_batches == [1]
@@ -406,13 +455,34 @@ class TestPaidOnce:
 
 class TestTrafficUnmoved:
     """Per-tag traffic of one request on this file's 5691-table model
-    (7574 before the compiler's dot unit; every tag but ``tables`` as
-    recorded under the columns-through-base-OT extension)."""
+    (7574 before the compiler's dot unit).  Its 324 server bits make a
+    cold request's ``ot`` three frames: the counter and ``u`` (8 + 128 x
+    41 B), ``e`` (41 B) and ``y`` (2 x 324 x 16 B)."""
 
     TAGS = {
         "tables": 182116, "const_labels": 40, "alice_labels": 872,
-        "ot": 15624, "output_labels": 40,
+        "ot": 15677, "output_labels": 40,
     }
+
+    def test_a_pool_hit_sends_e_and_y_only(self, compiled):
+        compiled, x = compiled
+        circuit = compiled.circuit
+        m = circuit.n_bob
+        session = TwoPartySession(
+            circuit, ot_group=TEST_GROUP_512, rng=random.Random(1),
+            ot_state=_state(64),
+        )
+        (slot,) = session.pregarble_many(1)
+        assert slot.pads.wire_bytes == KAPPA * -(-m // 8) + 12
+        pooled = session.run(
+            compiled.client_bits(x[0]), compiled.server_bits(), pregarbled=slot
+        )
+        cold = session.run(compiled.client_bits(x[0]), compiled.server_bits())
+        assert pooled.outputs == cold.outputs
+        assert pooled.comm["ot"] == (-(-m // 8) + 4) + (32 * m + 4) == 10417
+        assert cold.comm["ot"] == pooled.comm["ot"] + slot.pads.wire_bytes
+        assert cold.comm == self.TAGS
+        assert session.ot_state.extensions == 2
 
     def test_two_party(self, compiled):
         compiled, x = compiled
@@ -447,7 +517,7 @@ class TestTrafficUnmoved:
         for i in range(2):
             result = session.run(compiled.client_bits(x[i]), compiled.server_bits())
             # the share bits ride the OT too: 54 more transfers
-            assert result.proxy_result.comm == {**self.TAGS, "ot": 18248}
+            assert result.proxy_result.comm == {**self.TAGS, "ot": 18308}
 
     def test_cut_and_choose(self, compiled, recording_channels):
         compiled, x = compiled
@@ -462,16 +532,13 @@ class TestTrafficUnmoved:
                 compiled.circuit, compiled.client_bits(x[i]), compiled.server_bits()
             )
             # the surviving copy's round crosses the link frame for frame
-            # like two_party's; the two opened copies' tables and the three
-            # 32-byte seed commitments are accounted beside it.  That is
-            # 60 B more than when only the OT was framed: the constant
-            # labels (32 B) plus the four added frames' 4-byte headers and
-            # the three label frames' 4-byte counts (28 B)
+            # like a cold two_party round; the two opened copies' tables
+            # and the three 32-byte seed commitments are accounted beside it
             assert [(tag, len(payload) + 4) for tag, payload in frames] == [
                 ("tables", 182116), ("const_labels", 40), ("alice_labels", 872),
-                ("ot", 5252), ("ot", 10372), ("output_labels", 40),
+                ("ot", 5260), ("ot", 45), ("ot", 10372), ("output_labels", 40),
             ]
-            assert result.comm_bytes == 563012 == (
+            assert result.comm_bytes == 563065 == (
                 2 * (self.TAGS["tables"] - 4) + 3 * 32 + sum(self.TAGS.values())
             )
         assert backend.ot_state.extensions == 2

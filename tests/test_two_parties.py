@@ -5,10 +5,11 @@ share nothing but the public netlist: each on its own thread and its own
 end of a socketpair, each with its own rng, each handed its own input
 only — the deployment of :mod:`repro.transport.peer`.  Covered: what the
 evaluator's objects hold (no Δ, no ``s``, no inactive label, no decode
-bit), what the garbler's hold (no server bit vector, no seed it did not
-choose), frame-for-frame parity with the in-memory session, one base OT
-per connection, fault closure on a one-ended link, and the ``peer``
-control records of a ``cli infer --connect`` run.
+bit, no pad it did not choose), what the garbler's hold (no server bit
+vector, no random choice, no seed it did not choose), frame-for-frame
+parity with the in-memory session, one base OT per connection — a
+failed session included — fault closure on a one-ended link, and the
+``peer`` control records of a ``cli infer --connect`` run.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.errors import ProtocolError, ReproError
 from repro.gc import SequentialSession, TwoPartySession
 from repro.gc.channel import make_channel_pair
 from repro.gc.ot import TEST_GROUP_512, OTGroup
+from repro.gc import ot_extension
 from repro.gc.ot_extension import KAPPA, IKNPState
 from repro.resilience import FaultPlan, FaultSpec, FaultyChannel, is_transient
 from repro.transport.peer import peer_channel_factory
@@ -37,7 +39,7 @@ WIDTH = (TEST_GROUP_512.prime.bit_length() + 7) // 8
 SETUP_FRAMES = [
     ("b2a", "ot_setup", WIDTH + 4),
     ("a2b", "ot_setup", KAPPA * WIDTH + 4),
-    ("b2a", "ot_setup", KAPPA * (WIDTH + 32) + 4),
+    ("b2a", "ot_setup", WIDTH + KAPPA * 32 + 4),
 ]
 
 
@@ -178,13 +180,35 @@ class TestWhatEachPartyHolds:
     @pytest.fixture(scope="class")
     def run(self):
         """One extension-path session between two parties, with every
-        payload either of them received kept alive for inspection."""
+        payload either of them received and the pads each kept alive for
+        inspection."""
         a, b = _bits(8, 1), _bits(self.N_BOB, 2)
         kept = {}
+
+        def receiving(session, role):
+            """Keep every payload ``role``'s end receives."""
+            received = kept.setdefault(f"{role}_received", [])
+            factory = session.channel_factory
+
+            def recording():
+                alice_end, bob_end, stats = factory()
+                end = alice_end or bob_end
+                fetch = end._fetch
+
+                def keep(index, expected_tag):
+                    frame = fetch(index, expected_tag)
+                    received.append(frame.payload)
+                    return frame
+
+                end._fetch = keep
+                return alice_end, bob_end, stats
+
+            session.channel_factory = recording
 
         def garbler(party):
             # each process compiles its own copy of the public netlist
             session = party.session(mixing_circuit(self.N_BOB))
+            receiving(session, "garbler")
             material = session.pregarble()
             kept["garbler"], kept["decode_bits"] = material.garbler, material.garbled.decode_bits
             result = session.run(a, None, pregarbled=material)
@@ -192,22 +216,7 @@ class TestWhatEachPartyHolds:
 
         def evaluator(party):
             session = party.session(mixing_circuit(self.N_BOB))
-            received = kept.setdefault("received", [])
-            factory = session.channel_factory
-
-            def recording():
-                alice_end, bob_end, stats = factory()
-                fetch = bob_end._fetch
-
-                def keep(index, expected_tag):
-                    frame = fetch(index, expected_tag)
-                    received.append(frame.payload)
-                    return frame
-
-                bob_end._fetch = keep
-                return alice_end, bob_end, stats
-
-            session.channel_factory = recording
+            receiving(session, "evaluator")
             merge = session._merge
 
             def keeping(link, output_labels, share_result=False):
@@ -219,22 +228,35 @@ class TestWhatEachPartyHolds:
             session._merge = keeping
             return session, session.run(None, b)
 
-        (g_session, g_result), (e_session, e_result), parties = run_two_parties(
-            garbler, evaluator
-        )
+        # each party's pads, as phase 1 hands them to it
+        pads = {}
+        extension_ot = ot_extension.extension_ot
+
+        def keeping_pads(*args, **kwargs):
+            made = extension_ot(*args, **kwargs)
+            pads["garbler" if made.sender is not None else "evaluator"] = made
+            return made
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ot_extension, "extension_ot", keeping_pads)
+            (g_session, g_result), (e_session, e_result), parties = run_two_parties(
+                garbler, evaluator
+            )
         circuit = g_session.circuit
         assert g_result.outputs == simulate(circuit, a, b)
         return {
             "a": a, "b": b, "circuit": circuit, "garbler": kept["garbler"],
             "decode_bits": kept["decode_bits"], "outputs": g_result.outputs,
-            "e_result": e_result, "parties": parties,
+            "e_result": e_result, "parties": parties, "pads": pads,
             "evaluator_roots": [
                 e_session, parties["evaluator"].state, e_result,
-                parties["evaluator"].ends, kept["received"], kept["evaluated"],
+                parties["evaluator"].ends, kept["evaluator_received"],
+                kept["evaluated"], pads["evaluator"],
             ],
             "garbler_roots": [
                 g_session, parties["garbler"].state, g_result,
                 parties["garbler"].ends, kept["garbler"],
+                kept["garbler_received"], pads["garbler"],
             ],
         }
 
@@ -281,6 +303,30 @@ class TestWhatEachPartyHolds:
             assert not any(seeds[1 - s_j] in blob for blob in blobs), f"seed {j}"
         # the walk is not blind on this side either: it finds Δ
         assert holds_label(held, run["garbler"].labels.delta)
+
+    def test_evaluator_holds_the_pads_it_chose_and_no_other(self, run):
+        mine, theirs = run["pads"]["evaluator"], run["pads"]["garbler"]
+        assert mine.sender is None and theirs.choices is None and theirs.chosen is None
+        r = mine.choices
+        held = holdings(run["evaluator_roots"])
+        assert tuple(int(v) for v in r) in held[2]
+        for i, bit in enumerate(r):
+            # x_r is the garbler's pad of r: held; x_{1-r} never is
+            assert np.array_equal(mine.chosen[i], theirs.sender[i, bit])
+            assert holds_label(held, int.from_bytes(theirs.sender[i, bit], "little"))
+            inactive = int.from_bytes(theirs.sender[i, 1 - bit].tobytes(), "little")
+            assert not holds_label(held, inactive), f"pad {i}"
+
+    def test_garbler_holds_e_but_no_choice(self, run):
+        r = run["pads"]["evaluator"].choices
+        e = np.packbits(np.array(run["b"], dtype=np.uint8) ^ r).tobytes()
+        held = holdings(run["garbler_roots"])
+        _ints, blobs, vectors = held
+        # what crossed to it: c blinded by r, and neither half of that
+        assert any(e == blob for blob in blobs)
+        assert tuple(int(v) for v in r) not in vectors
+        assert not any(np.packbits(r).tobytes() in blob for blob in blobs)
+        assert tuple(run["b"]) not in vectors
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +439,45 @@ class TestOneBaseOTPerConnection:
         assert base_batches == [1]
         assert [p.state.extensions for p in parties.values()] == [3, 3]
 
+
+    def test_a_failed_session_keeps_the_connection_state(self, base_batches):
+        """The ``y`` frame is corrupted: both parties' first session ends
+        in a typed transient error, with every frame of it consumed.  The
+        second session on the same socket runs on the states both kept —
+        no ``ot_setup`` frame, no base OT — because the evaluator's
+        extension counter crosses the wire: nothing counts in lockstep."""
+        circuit = mixing_circuit(130, seed=6)
+        inputs = [(_bits(8, i), _bits(130, 30 + i)) for i in range(2)]
+        plan = FaultPlan([FaultSpec("corrupt", tag="ot", nth=2)], seed=7)
+        between = threading.Barrier(2, timeout=30.0)
+
+        def program(own):
+            def run(party):
+                outcomes = []
+                for pair in inputs:
+                    bits = (pair[0], None) if own == 0 else (None, pair[1])
+                    try:
+                        outcomes.append(party.session(circuit).run(*bits).outputs)
+                    except ReproError as exc:
+                        outcomes.append(exc)
+                    between.wait()  # one session at a time on the socket
+                return outcomes
+            return run
+
+        garbler, evaluator, parties = run_two_parties(
+            program(0), program(1), plan=plan, io_timeout_s=0.5
+        )
+        assert [fault[:2] for fault in plan.applied] == [("corrupt", "ot")]
+        for first in (garbler[0], evaluator[0]):
+            assert isinstance(first, ReproError) and is_transient(first)
+        a, b = inputs[1]
+        assert garbler[1] == simulate(circuit, a, b) and evaluator[1] == []
+        assert base_batches == [1]
+        for party in parties.values():
+            first, second = party.logs
+            assert [tag for _, tag, _ in first].count("ot_setup") == 3
+            assert "ot_setup" not in [tag for _, tag, _ in second]
+            assert party.state.extensions == 2
 
 # ---------------------------------------------------------------------------
 # (e): faults on a one-ended link

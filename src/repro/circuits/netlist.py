@@ -279,16 +279,17 @@ class FreeStep:
     """Free gates the same number of XORs past the last AND layer: one
     gather-XOR-scatter.
 
-    All arrays are NumPy index/flag vectors over the circuit's wires,
-    slices of one concatenated column set.  A gate is ``a ^ b`` plus an
-    optional delta offset (``inv``: XNOR/NOT garble as an extra
-    global-delta XOR; the evaluator ignores the flag).  Unary gates
-    (NOT/BUF) point ``b`` at the schedule's scratch zero row.
+    ``a`` / ``b`` / ``out`` are NumPy index vectors over the circuit's
+    wires, slices of one concatenated column set.  A gate is ``a ^ b``
+    plus an optional delta offset (XNOR/NOT garble as an extra
+    global-delta XOR; the evaluator ignores it).  Unary gates (NOT/BUF)
+    point ``b`` at the schedule's scratch zero row.
     """
 
     a: Any
     b: Any
     out: Any
+    #: the delta offsets as a :func:`_word_mask`
     inv: Any
     #: pre-reduced so hot loops skip an ndarray.any() call
     has_inv: bool
@@ -302,10 +303,11 @@ class ScheduleLevel:
     ``free`` runs first, in order: sub-step ``s`` holds the free gates
     ``s`` XORs past the previous AND layer.  The ``nf_*`` arrays are the
     AND layer itself, one oracle call when wide.  Non-free gates carry
-    their AND-reduction inversion flags (``nf_ia/nf_ib/nf_io``) and
-    their netlist-order table index ``nf_tidx`` — the tweak of gate
-    ``i`` is ``tweak_base + 2 * nf_tidx[i]``, matching the scalar
-    garbler's counter exactly so the two paths stay bit-identical.
+    their AND-reduction inversions (``nf_ia/nf_ib/nf_io``, as
+    :func:`_word_mask` s) and their netlist-order table index
+    ``nf_tidx`` — the tweak of gate ``i`` is ``tweak_base + 2 *
+    nf_tidx[i]``, matching the scalar garbler's counter exactly so the
+    two paths stay bit-identical.
     """
 
     free: Tuple[FreeStep, ...]
@@ -320,26 +322,19 @@ class ScheduleLevel:
     nf_has_ia: bool
     nf_has_ib: bool
     nf_has_io: bool
-    #: little-endian byte rows of the gates' a/b tweaks at tweak_base 0
-    #: ((m, 8) uint8) — the common case, precomputed once per schedule
-    tw0_a: Any
-    tw0_b: Any
+    #: the gates' a-tweaks at tweak_base 0 (``2 * nf_tidx``) as ``<u8``
+    #: words; a b-tweak is one more, and any base one add
+    tweaks: Any
 
     @property
     def n_non_free(self) -> int:
         return int(self.nf_out.size)
 
-    def tweak_rows(self, tweak_base: int) -> Tuple[Any, Any]:
-        """The non-free gates' (a, b) tweaks as ``(m, 8)`` byte rows."""
-        if tweak_base == 0:
-            return self.tw0_a, self.tw0_b
-        tweaks = tweak_base + 2 * self.nf_tidx
-        return _tweak_rows(tweaks), _tweak_rows(tweaks + 1)
 
-
-def _tweak_rows(tweaks: Any) -> Any:
-    """``(m,)`` int64 tweaks as ``(m, 8)`` little-endian uint8 rows."""
-    return tweaks.astype("<u8").view("uint8").reshape(-1, 8)
+def _word_mask(bits: Any) -> Any:
+    """``(n,)`` 0/1 flags as ``(n, 1)`` ``<u8`` words, 0 or all ones:
+    ``delta & mask`` is a gate's delta offset on both words of a label."""
+    return -bits.astype("<u8")[:, None]
 
 
 GateRecord = Tuple[int, int, int, int, int, int, int]
@@ -369,11 +364,11 @@ _GATE_FLAGS.update(
 class ScalarRun:
     """Plan step: narrow gates run gate by gate on cached Python ints.
 
-    Each record is ``(a, b, out, tidx, ia, ib, io)``; a free gate carries
-    ``tidx == -1`` and its delta-offset flag in ``ia`` (``b`` already
-    points at the scratch zero row for unary gates).  Records are in
-    dependency order, so chained wires never round-trip through the
-    byte plane.
+    Each record is ``(a, b, out, tidx, ia, ib, io)``, the flags truthy
+    when set; a free gate carries ``tidx == -1`` and its delta-offset
+    flag in ``ia`` (``b`` already points at the scratch zero row for
+    unary gates).  Records are in dependency order, so chained wires
+    never round-trip through the byte plane.
     """
 
     gates: Tuple[GateRecord, ...]
@@ -387,19 +382,23 @@ PlanStep = Union[FreeStep, ScheduleLevel, ScalarRun]
 def _gate_records(step: Union[FreeStep, ScheduleLevel]) -> List[GateRecord]:
     """A free sub-step's or an AND layer's gates in :class:`ScalarRun`
     record form."""
+
+    def flags(mask: Any) -> List[int]:
+        return mask.ravel().tolist()  # 0, or all ones when set
+
     if isinstance(step, FreeStep):
         return [
             (a, b, out, -1, inv, 0, 0)
             for a, b, out, inv in zip(
                 step.a.tolist(), step.b.tolist(),
-                step.out.tolist(), step.inv.tolist(),
+                step.out.tolist(), flags(step.inv),
             )
         ]
     return list(
         zip(
             step.nf_a.tolist(), step.nf_b.tolist(), step.nf_out.tolist(),
-            step.nf_tidx.tolist(), step.nf_ia.tolist(),
-            step.nf_ib.tolist(), step.nf_io.tolist(),
+            step.nf_tidx.tolist(), flags(step.nf_ia),
+            flags(step.nf_ib), flags(step.nf_io),
         )
     )
 
@@ -531,10 +530,11 @@ class LevelSchedule:
             np.maximum.reduceat(free_inv, starts).tolist() if starts.size else []
         )
         bounds = starts.tolist() + [free.size]
+        inv_words = _word_mask(free_inv)
         sub_steps = [
             FreeStep(
                 a=free_a[s0:s1], b=free_b[s0:s1], out=free_out[s0:s1],
-                inv=free_inv[s0:s1], has_inv=bool(inv),
+                inv=inv_words[s0:s1], has_inv=bool(inv),
             )
             for s0, s1, inv in zip(bounds, bounds[1:], has_inv)
         ]
@@ -550,17 +550,15 @@ class LevelSchedule:
         nf_at = np.searchsorted(nf_phase, phase_ids + 1).tolist()
         nf_a, nf_b, nf_out = gate_a[nf], gate_b[nf], gate_outs[nf]
         nf_flags = flags[nf]
-        nf_ia, nf_ib, nf_io = nf_flags & 1, (nf_flags >> 1) & 1, (nf_flags >> 2) & 1
+        inversions = [nf_flags >> bit & 1 for bit in range(3)]  # ia, ib, io
 
         def any_per_layer(flag: Any) -> List[bool]:
             counts = np.bincount(nf_phase[flag != 0], minlength=depth + 2)
             return (counts[1:] > 0).tolist()
 
-        nf_has_ia = any_per_layer(nf_ia)
-        nf_has_ib = any_per_layer(nf_ib)
-        nf_has_io = any_per_layer(nf_io)
-        tw0_a = _tweak_rows(2 * nf_tidx)
-        tw0_b = _tweak_rows(2 * nf_tidx + 1)
+        nf_has_ia, nf_has_ib, nf_has_io = map(any_per_layer, inversions)
+        nf_ia, nf_ib, nf_io = map(_word_mask, inversions)
+        tweak_a = (2 * nf_tidx).astype("<u8")
 
         levels = [
             ScheduleLevel(
@@ -575,8 +573,7 @@ class LevelSchedule:
                 nf_has_ia=nf_has_ia[i],
                 nf_has_ib=nf_has_ib[i],
                 nf_has_io=nf_has_io[i],
-                tw0_a=tw0_a[n0:n1],
-                tw0_b=tw0_b[n0:n1],
+                tweaks=tweak_a[n0:n1],
             )
             for i, (n0, n1) in enumerate(zip(nf_at, nf_at[1:]))
         ]

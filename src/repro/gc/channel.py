@@ -27,7 +27,10 @@ import struct
 import zlib
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ChannelClosedError, ChannelEmptyError, ChannelIntegrityError
+from .labels import LabelsLike, label_ints, label_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..resilience.deadline import Deadline
@@ -265,13 +268,17 @@ class Channel:
             )
         return int.from_bytes(data[4 : 4 + size], "little")
 
-    def send_labels(self, labels: List[int], tag: str = "labels") -> None:
-        """Send a vector of 128-bit labels (16 bytes each)."""
-        payload = b"".join(l.to_bytes(16, "little") for l in labels)
+    def send_labels(self, labels: LabelsLike, tag: str = "labels") -> None:
+        """Send a vector of 128-bit labels (16 bytes each), ints or rows."""
+        payload = label_rows(labels).tobytes()
         self.send_bytes(struct.pack("<I", len(labels)) + payload, tag)
 
     def recv_labels(self, expected_tag: Optional[str] = None) -> List[int]:
         """Receive a label vector."""
+        return label_ints(self.recv_label_rows(expected_tag))
+
+    def recv_label_rows(self, expected_tag: Optional[str] = None) -> np.ndarray:
+        """Receive a label vector as a read-only ``(n, 16)`` uint8 view."""
         data = self.recv_bytes(expected_tag)
         if len(data) < 4:
             raise ChannelIntegrityError(
@@ -283,10 +290,7 @@ class Channel:
                 f"label payload size mismatch: declares {count} entries, "
                 f"carries {len(data) - 4} bytes"
             )
-        return [
-            int.from_bytes(data[4 + 16 * i : 20 + 16 * i], "little")
-            for i in range(count)
-        ]
+        return np.frombuffer(data, dtype=np.uint8, offset=4).reshape(count, 16)
 
     def send_bits(self, bits: List[int], tag: str = "bits") -> None:
         """Send a packed bit vector."""

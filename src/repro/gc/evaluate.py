@@ -16,7 +16,7 @@ from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
 from .garble import GarbledCircuit
-from .labels import permute_bit
+from .labels import LabelsLike, label_ints, permute_bit
 
 __all__ = ["Evaluator"]
 
@@ -36,16 +36,16 @@ class Evaluator:
     def evaluate(
         self,
         garbled: GarbledCircuit,
-        alice_labels: Sequence[int],
-        bob_labels: Sequence[int],
-        state_labels: Optional[Sequence[int]] = None,
+        alice_labels: LabelsLike,
+        bob_labels: LabelsLike,
+        state_labels: Optional[LabelsLike] = None,
         tweak_base: Optional[int] = None,
     ) -> Dict[int, int]:
         """Evaluate one (cycle of a) garbled circuit.
 
         Args:
             garbled: tables and constant labels from the garbler.
-            alice_labels: labels of the garbler's input bits.
+            alice_labels: labels of the garbler's input bits (ints or rows).
             bob_labels: labels of the evaluator's input bits (via OT).
             state_labels: carried-over register labels (sequential mode).
             tweak_base: override the tweak counter (defaults to the value
@@ -63,9 +63,9 @@ class Evaluator:
             raise GarblingError("wrong number of Alice labels")
         if len(bob_labels) != circuit.n_bob:
             raise GarblingError("wrong number of Bob labels")
-        labels.update(zip(circuit.alice_inputs, alice_labels))
-        labels.update(zip(circuit.bob_inputs, bob_labels))
-        state_labels = list(state_labels or [])
+        labels.update(zip(circuit.alice_inputs, label_ints(alice_labels)))
+        labels.update(zip(circuit.bob_inputs, label_ints(bob_labels)))
+        state_labels = label_ints(() if state_labels is None else state_labels)
         if len(state_labels) != circuit.n_state:
             raise GarblingError("wrong number of state labels")
         labels.update(zip(circuit.state_inputs, state_labels))

@@ -23,6 +23,15 @@ per role (:func:`garble_copies`, ``FastEvaluator._walk``):
   netlist's AND-depth;
 * a *wide free* step — the free gates the same number of XORs past the
   last AND layer — is a single gather-XOR-scatter across all copies;
+* a wide step sees a plane through two zero-copy views.  As *rows*
+  (``view("V16")``, tables ``V32``) a label is one element: a gather is
+  ``rows.take(idx, axis=1)``, one 16-byte copy per label where
+  ``plane[:, idx]`` indexes a 16-wide uint8 axis at several times the
+  cost, and a scatter is one row assignment.  As *words* (``"<u8"``) a
+  gathered label is two 64-bit words, and the half-gate algebra masks
+  them with 0 / all-ones words (``-(z & 1)`` and the schedule's
+  inversion masks).  The oracle still reads ``(n, 24)`` uint8 ``label
+  || tweak`` rows: the step's ``(n, 3)`` word buffer, viewed as bytes;
 * a *scalar run* — a stretch of gates too narrow for array dispatch to
   pay — is one pre-flattened gate loop per copy on cached Python ints,
   one ``hash_quad`` / ``hash_pair`` oracle call per gate.  A run stays
@@ -62,6 +71,9 @@ __all__ = ["FastEvaluator", "LabelPlane", "garble_copies", "garble_many"]
 #: comparator — join scalar runs; wide ones (the bulk of a DL netlist's
 #: gates) go through one gather/XOR/scatter or one KDF batch.  Both
 #: compute the identical bytes, so the threshold is purely a speed knob.
+#: Re-swept over 1 / 2 / 4 / 8 / 16 when the wide steps moved to row
+#: gathers and word masks (demo net, garble + evaluate at k = 1): 2, 4
+#: and 8 tie within 2 %, 1 and 16 are 4-10 % slower, so 8 stays.
 VECTOR_MIN_WIDTH = 8
 
 
@@ -91,6 +103,18 @@ def _assign_input_labels(
 def _put(plane: np.ndarray, wires: range, labels: LabelsLike) -> None:
     """Write labels (ints or rows) into one contiguous range of plane rows."""
     plane[wires.start : wires.stop] = label_rows(labels)
+
+
+def _gather(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``rows[:, idx]`` of a ``(k, n, 1)`` row view, as ``(k, m, w)`` words."""
+    return rows.take(idx, axis=1).view("<u8")
+
+
+def _hash(kdf: HashKDF, words: np.ndarray) -> np.ndarray:
+    """``hash_many`` over ``(..., 3)`` ``label || tweak`` words read as
+    ``(n, 24)`` bytes, as ``(..., 2)`` words."""
+    h = kdf.hash_many(words.view(np.uint8).reshape(-1, 24))
+    return h.view("<u8").reshape(words.shape[:-1] + (2,))
 
 
 def _garble_run(
@@ -186,8 +210,10 @@ def garble_copies(
         plane = stores[0].plane[None]
     else:
         plane = np.stack([s.plane for s in stores])
-    d3 = np.stack([s.delta_row for s in stores])[:, None, :]  # (k, 1, 16)
+    d = np.stack([s.delta_row for s in stores]).view("<u8")[:, None]  # (k, 1, 2)
+    ab = tweak_base + np.arange(2, dtype="<u8")[:, None, None]  # a / b tweak offsets
     tables = np.empty((k, schedule.n_non_free, 32), dtype=np.uint8)
+    rows, table_rows = plane.view("V16"), tables.view("V32")  # (k, n, 1)
     # flat byte views of each copy's (C-contiguous) planes, for the runs
     flat = [
         (p.reshape(-1).data, t.reshape(-1).data, s.delta)
@@ -202,43 +228,39 @@ def garble_copies(
         if isinstance(step, FreeStep):
             # one gather-XOR-scatter covers XOR/XNOR/NOT/BUF: unary
             # gates read the scratch zero row, XNOR/NOT add delta
-            out = plane[:, step.a] ^ plane[:, step.b]
+            out = _gather(rows, step.a) ^ _gather(rows, step.b)
             if step.has_inv:
-                out ^= d3 * step.inv[None, :, None]
-            plane[:, step.out] = out
+                out ^= d & step.inv
+            rows[:, step.out] = out.view(rows.dtype)
             continue
         level = step  # a wide AND layer
-        za = plane[:, level.nf_a]
+        za = _gather(rows, level.nf_a)  # (k, m, 2)
         if level.nf_has_ia:  # free input inversions (AND reduction)
-            za = za ^ d3 * level.nf_ia[None, :, None]
-        zb = plane[:, level.nf_b]
+            za ^= d & level.nf_ia
+        zb = _gather(rows, level.nf_b)
         if level.nf_has_ib:
-            zb = zb ^ d3 * level.nf_ib[None, :, None]
-        pa = za[..., 0:1] & 1  # (k, m, 1) permute bits
-        pb = zb[..., 0:1] & 1
-
-        # rows[j] is the (k, m) block of the j-th half-gate hash input
-        rows = np.empty((4, k, level.n_non_free, 24), dtype=np.uint8)
-        rows[0, ..., :16] = za
-        rows[1, ..., :16] = za ^ d3
-        rows[2, ..., :16] = zb
-        rows[3, ..., :16] = zb ^ d3
-        rows[:2, ..., 16:], rows[2:, ..., 16:] = level.tweak_rows(tweak_base)
-        h = kdf.hash_many(rows.reshape(-1, 24)).reshape(4, k, -1, 16)
-        h_a0, h_b0 = h[0], h[2]
+            zb ^= d & level.nf_ib
+        # the half-gate hash inputs, blocks a0, a1 | b0, b1 of (k, m);
+        # their labels are written as rows
+        words = np.empty((2, 2 * k, level.n_non_free, 3), dtype="<u8")
+        keys = words.view(np.uint8)[..., :16].view(rows.dtype)
+        keys[0, :k], keys[0, k:] = za.view(rows.dtype), (za ^ d).view(rows.dtype)
+        keys[1, :k], keys[1, k:] = zb.view(rows.dtype), (zb ^ d).view(rows.dtype)
+        words[..., 2] = level.tweaks + ab
+        h = _hash(kdf, words)
+        h_a0, h_b0 = h[0, :k], h[1, :k]
 
         # half-gates (Zahur-Rosulek-Evans), identical algebra to the
-        # scalar _garble_run, with pa/pb as multiplicative masks
-        tg = h_a0 ^ h[1] ^ d3 * pb
-        wg = h_a0 ^ tg * pa
-        te = h_b0 ^ h[3] ^ za
-        we = h_b0 ^ (te ^ za) * pb
-        zero_out = wg ^ we
+        # scalar _garble_run, with the permute bits as word masks
+        pa, pb = -(words[:, :k, :, :1] & 1)  # (k, m, 1) each
+        tg = h_a0 ^ h[0, k:] ^ (d & pb)
+        te = h_b0 ^ h[1, k:] ^ za
+        zero_out = h_a0 ^ (tg & pa) ^ h_b0 ^ ((te ^ za) & pb)
         if level.nf_has_io:  # free output inversions
-            zero_out = zero_out ^ d3 * level.nf_io[None, :, None]
-        plane[:, level.nf_out] = zero_out
-        tables[:, level.nf_tidx, :16] = tg
-        tables[:, level.nf_tidx, 16:] = te
+            zero_out ^= d & level.nf_io
+        rows[:, level.nf_out] = zero_out.view(rows.dtype)
+        tg_te = np.concatenate((tg.view(rows.dtype), te.view(rows.dtype)), axis=2)
+        table_rows[:, level.nf_tidx] = tg_te.view(table_rows.dtype)
 
     results: List[GarbledCircuit] = []
     for i, store in enumerate(stores):
@@ -464,6 +486,8 @@ class FastEvaluator(Evaluator):
             (p.reshape(-1).data, t.reshape(-1).data)
             for p, t in zip(planes, tables)
         ]
+        rows, table_rows = planes.view("V16"), tables.view("V32")  # (k, n, 1)
+        ab = base + np.arange(2, dtype="<u8")[:, None, None]  # a / b tweak offsets
         schedule = self.circuit.level_schedule()
         for step in schedule.step_plan(k, VECTOR_MIN_WIDTH):
             if isinstance(step, ScalarRun):
@@ -474,22 +498,21 @@ class FastEvaluator(Evaluator):
                 # the evaluator's free gates are pure label XOR (XNOR's
                 # delta lives on the garbler side), unary gates read the
                 # scratch zero row
-                planes[:, step.out] = planes[:, step.a] ^ planes[:, step.b]
+                out = _gather(rows, step.a) ^ _gather(rows, step.b)
+                rows[:, step.out] = out.view(rows.dtype)
                 continue
             level = step  # a wide AND layer
-            wa = planes[:, level.nf_a]  # (k, m, 16)
-            wb = planes[:, level.nf_b]
-            sa = wa[..., 0:1] & 1
-            sb = wb[..., 0:1] & 1
-            rows = np.empty((2, k, level.n_non_free, 24), dtype=np.uint8)
-            rows[0, ..., :16] = wa
-            rows[1, ..., :16] = wb
-            rows[0, ..., 16:], rows[1, ..., 16:] = level.tweak_rows(base)
-            h = kdf.hash_many(rows.reshape(-1, 24)).reshape(2, k, -1, 16)
-            table = tables[:, level.nf_tidx]  # (k, m, 32) rows of tg || te
-            wg = h[0] ^ table[..., :16] * sa
-            we = h[1] ^ (table[..., 16:] ^ wa) * sb
-            planes[:, level.nf_out] = wg ^ we
+            wa = _gather(rows, level.nf_a)  # (k, m, 2)
+            wb = _gather(rows, level.nf_b)
+            words = np.empty((2, k, level.n_non_free, 3), dtype="<u8")
+            keys = words.view(np.uint8)[..., :16].view(rows.dtype)
+            keys[0], keys[1] = wa.view(rows.dtype), wb.view(rows.dtype)
+            words[..., 2] = level.tweaks + ab
+            h = _hash(kdf, words)
+            table = _gather(table_rows, level.nf_tidx)  # (k, m, 4): tg || te
+            sa, sb = -(words[..., :1] & 1)  # permute bits as word masks
+            out = h[0] ^ (table[..., :2] & sa) ^ h[1] ^ ((table[..., 2:] ^ wa) & sb)
+            rows[:, level.nf_out] = out.view(rows.dtype)
 
     def evaluate_many(
         self,

@@ -37,7 +37,7 @@ from ..circuits.gates import AND_REDUCTION, Gate, GateType
 from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
-from .labels import ArrayLabelStore, LabelStore, permute_bit
+from .labels import ArrayLabelStore, LabelsLike, LabelStore, permute_bit
 from .rng import RngLike
 
 __all__ = ["GarbledGate", "GarbledCircuit", "Garbler", "LazyTables"]
@@ -279,9 +279,14 @@ class Garbler:
 
     def input_labels_for(
         self, wires: Sequence[int], bits: Sequence[int]
-    ) -> List[int]:
-        """Labels encoding ``bits`` on ``wires`` (garbler's own inputs)."""
-        return [self.labels.select(w, b) for w, b in zip(wires, bits)]
+    ) -> LabelsLike:
+        """Labels encoding ``bits`` on ``wires`` (garbler's own inputs): off
+        the engine's plane, ``(m, 16)`` rows in one masked select."""
+        labels = self.labels
+        if not isinstance(labels, ArrayLabelStore):
+            return [labels.select(w, b) for w, b in zip(wires, bits)]
+        mask = -(np.asarray(bits, dtype=np.uint8) & 1)
+        return labels.zero_rows(wires) ^ labels.delta_row & mask[:, None]
 
     def label_pair_rows(self, wires: Sequence[int]) -> "np.ndarray":
         """Each wire's (zero-label, one-label) as ``(m, 2, 16)`` uint8

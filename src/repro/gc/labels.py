@@ -23,6 +23,7 @@ __all__ = [
     "random_delta",
     "permute_bit",
     "label_rows",
+    "label_ints",
     "LabelStore",
     "ArrayLabelStore",
     "LabelsLike",
@@ -123,6 +124,12 @@ def label_rows(labels: LabelsLike) -> np.ndarray:
     return np.frombuffer(
         b"".join(label.to_bytes(16, "little") for label in labels), dtype=np.uint8
     ).reshape(-1, 16)
+
+
+def label_ints(labels: LabelsLike) -> List[int]:
+    """``labels`` as 128-bit ints, the inverse of :func:`label_rows`."""
+    data = label_rows(labels).tobytes()
+    return [int.from_bytes(data[i : i + 16], "little") for i in range(0, len(data), 16)]
 
 
 class ArrayLabelStore:

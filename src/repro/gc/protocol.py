@@ -638,7 +638,7 @@ class _Link:
     #: seconds per phase so far ('garble', 'transfer', 'ot', ...)
     times: Dict[str, float]
     #: what Bob evaluates: his rebuilt view, Alice's labels, his own rows
-    inputs: Optional[Tuple[GarbledCircuit, List[int], np.ndarray]] = None
+    inputs: Optional[Tuple[GarbledCircuit, np.ndarray, np.ndarray]] = None
     #: the initial register labels Bob received (cycle 0 of a sequential run)
     state_labels: Optional[List[int]] = None
 
@@ -672,8 +672,8 @@ def send_garbled(
 
 def receive_garbled(
     bob_end: Channel, n_tables: int, tweak_base: int = 0
-) -> Tuple[GarbledCircuit, List[int]]:
-    """Bob's view and Alice's labels, rebuilt from the wire alone.
+) -> Tuple[GarbledCircuit, np.ndarray]:
+    """Bob's view and Alice's label rows, rebuilt from the wire alone.
 
     Deserializing (rather than handing Bob the garbler's object) keeps
     the information flow honest: Bob sees tables and the two constant
@@ -685,7 +685,7 @@ def receive_garbled(
     """
     blob = bob_end.recv_bytes(expected_tag="tables")
     consts = bob_end.recv_labels(expected_tag="const_labels")
-    alice_labels = bob_end.recv_labels(expected_tag="alice_labels")
+    alice_labels = bob_end.recv_label_rows(expected_tag="alice_labels")
     if len(blob) != 32 * n_tables:
         raise ChannelIntegrityError(
             f"tables frame carries {len(blob) // 32} tables ({len(blob)} "

@@ -209,9 +209,9 @@ class TestBobsView:
         assert view.const_labels == tuple(garbled.const_labels)
         assert view.tables_bytes() == garbled.tables_bytes()
         assert view.tweak_base == 0
-        assert alice_labels == garbler.input_labels_for(
+        assert np.array_equal(alice_labels, garbler.input_labels_for(
             list(circuit.alice_inputs), a
-        )
+        ))
 
     @pytest.mark.parametrize("flow", sorted(FLOWS))
     def test_evaluator_uses_the_constant_labels_that_crossed_the_link(

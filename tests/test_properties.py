@@ -180,12 +180,12 @@ class TestFailureInjection:
 
     def test_wrong_input_label_breaks_decode(self):
         from repro.errors import GarblingError
-        from repro.gc.labels import random_label
+        from repro.gc.labels import label_rows, random_label
 
         circuit, garbler, garbled = self._garbled_setup()
         evaluator = Evaluator(circuit)
         alice = garbler.input_labels_for(list(circuit.alice_inputs), [1, 1, 1])
-        alice[0] = random_label(random.Random(9))  # junk label
+        alice[0] = label_rows([random_label(random.Random(9))])[0]  # junk label
         bob = [garbler.labels.select(w, 1) for w in circuit.bob_inputs]
         wires = evaluator.evaluate(garbled, alice, bob)
         with pytest.raises(GarblingError):

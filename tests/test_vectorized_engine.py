@@ -9,6 +9,7 @@ cleartext.
 """
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.circuits.netlist import (
     LevelSchedule,
     ScalarRun,
     ScheduleLevel,
-    _tweak_rows,
 )
 from repro.circuits.sequential import SequentialCircuit
 from repro.circuits.simulate import simulate
@@ -38,6 +38,7 @@ from repro.gc import (
     Garbler,
     LabelStore,
     SequentialSession,
+    fastgarble,
     garble_many,
 )
 from repro.gc.channel import make_channel_pair
@@ -48,6 +49,7 @@ from repro.gc.cutandchoose import (
     _commit,
     verify_opened_copy,
 )
+from repro.gc.garble import GarbledCircuit, LazyTables
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
 from repro.gc.protocol import OT_EXTENSION_THRESHOLD, TwoPartySession
@@ -201,6 +203,10 @@ def _reference_schedule(circuit):
     def column(values, dtype=np.intp):
         return np.asarray(values, dtype=dtype)
 
+    def mask(flags):
+        """0/1 flags as (n, 1) 64-bit words, 0 or all ones."""
+        return column([-f % 2**64 for f in flags], np.uint64).reshape(-1, 1)
+
     depth = max((place[g.out][0] for g in circuit.gates), default=0)
     levels = []
     for phase in range(depth + 1):
@@ -212,7 +218,7 @@ def _reference_schedule(circuit):
                 a=column([g.a for g in gates]),
                 b=column([scratch if g.b is None else g.b for g in gates]),
                 out=column([g.out for g in gates]),
-                inv=column(inv, np.uint8),
+                inv=mask(inv),
                 has_inv=any(inv),
             ))
         layer = layers.get(phase + 1, [])
@@ -224,14 +230,13 @@ def _reference_schedule(circuit):
             nf_b=column([gate.b for gate, _ in layer]),
             nf_out=column([gate.out for gate, _ in layer]),
             nf_tidx=tidx,
-            nf_ia=column([f.ia for f in flags], np.uint8),
-            nf_ib=column([f.ib for f in flags], np.uint8),
-            nf_io=column([f.out for f in flags], np.uint8),
+            nf_ia=mask([f.ia for f in flags]),
+            nf_ib=mask([f.ib for f in flags]),
+            nf_io=mask([f.out for f in flags]),
             nf_has_ia=any(f.ia for f in flags),
             nf_has_ib=any(f.ib for f in flags),
             nf_has_io=any(f.out for f in flags),
-            tw0_a=_tweak_rows(2 * tidx),
-            tw0_b=_tweak_rows(2 * tidx + 1),
+            tweaks=column([2 * t for t in tidx], np.uint64),
         ))
     return LevelSchedule(
         levels=tuple(levels),
@@ -439,22 +444,29 @@ class TestPlanProperties:
             assert _replay(circuit, schedule.step_plan(batch, 8)) <= layers
 
     @staticmethod
-    def _check_engine(circuit, seed):
-        kdf = HashKDF()
+    def _check_engine(circuit, seed, batches=((1, 0), (3, 2**33 + 6), (8, 0))):
+        """Engine against the reference loops and ``simulate`` on both
+        oracles, for each ``(k, tweak_base)`` of ``batches``; copy 0 is
+        also evaluated from a read-only, unaligned tables blob."""
         draw = random.Random(seed)
         bits = [draw.getrandbits(1) for _ in range(circuit.n_inputs)]
         alice = bits[: circuit.n_alice]
         bob = bits[circuit.n_alice : circuit.n_alice + circuit.n_bob]
         state = bits[circuit.n_alice + circuit.n_bob :]
         expected = simulate(circuit, alice, bob, state)
-        evaluator = FastEvaluator(circuit, kdf=kdf)
-        for k in (1, 3):
+        for kdf, (k, tweak_base) in itertools.product(
+            (HashKDF(), FixedKeyAES()), batches
+        ):
+            evaluator = FastEvaluator(circuit, kdf=kdf)
             copies = garble_many(
-                circuit, kdf=kdf, rngs=[random.Random(seed + i) for i in range(k)]
+                circuit, kdf=kdf, tweak_base=tweak_base,
+                rngs=[random.Random(seed + i) for i in range(k)],
             )
             inputs = []
             for i, (garbler, garbled) in enumerate(copies):
-                ref = _reference(circuit, seed + i, kdf=kdf).garble()
+                ref = _reference(circuit, seed + i, kdf=kdf).garble(
+                    tweak_base=tweak_base
+                )
                 assert ref.tables_bytes() == garbled.tables_bytes()
                 assert ref.const_labels == garbled.const_labels
                 assert ref.decode_bits == garbled.decode_bits
@@ -474,6 +486,21 @@ class TestPlanProperties:
             ]
             for (garbler, _), labels in zip(copies, outputs):
                 assert garbler.decode_outputs(labels) == expected
+            # what receive_garbled hands the evaluator: a frombuffer view
+            # of frame bytes, here one byte off any word boundary
+            garbled = copies[0][1]
+            blob = np.frombuffer(
+                b"\0" + garbled.tables_bytes(), dtype=np.uint8, offset=1
+            ).reshape(-1, 32)
+            assert not blob.flags.writeable and blob.ctypes.data % 8
+            view = GarbledCircuit(
+                tables=LazyTables(blob), const_labels=garbled.const_labels,
+                decode_bits=[], tweak_base=tweak_base, tables_plane=blob,
+            )
+            a, b, s = inputs[0]
+            assert evaluator.output_labels(
+                evaluator.evaluate(view, a, b, state_labels=s)
+            ) == outputs[0]
             if not circuit.n_state:
                 planes = evaluator.evaluate_many(
                     [garbled for _, garbled in copies],
@@ -730,6 +757,74 @@ class TestBitExactness:
         g_scalar = _reference(circuit, 1, kdf=kdf).garble()
         g_fast = Garbler(circuit, kdf=kdf, rng=random.Random(1)).garble()
         assert g_scalar.tables_bytes() == g_fast.tables_bytes()
+
+
+def _inversion_circuit():
+    """One gate of each type whose garbling offsets a label by delta —
+    XNOR and NOT (free), NAND, OR, NOR, ANDN and ORN (AND reductions) —
+    with a plain XOR beside them, so each step's masks mix 0 and ones."""
+    gates = [
+        Gate(GateType.XNOR, 2, 4, 6),
+        Gate(GateType.NOT, 3, None, 7),
+        Gate(GateType.XOR, 3, 5, 8),
+        Gate(GateType.NAND, 2, 5, 9),
+        Gate(GateType.OR, 3, 4, 10),
+        Gate(GateType.NOR, 6, 7, 11),
+        Gate(GateType.ANDN, 9, 10, 12),
+        Gate(GateType.ORN, 11, 8, 13),
+    ]
+    return Circuit(n_alice=2, n_bob=2, gates=gates,
+                   outputs=list(range(6, 14)), n_wires=14)
+
+
+class TestInversionBranches:
+    """Every delta-offset branch of the wide steps (the ``inv`` / ``ia`` /
+    ``ib`` / ``io`` word masks) with every step forced wide, byte for
+    byte against the reference loops."""
+
+    @pytest.mark.parametrize("kdf", [HashKDF(), FixedKeyAES()],
+                             ids=["hashlib", "fixed_key_aes"])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_every_step_wide(self, monkeypatch, kdf, k):
+        monkeypatch.setattr(fastgarble, "VECTOR_MIN_WIDTH", 1)
+        circuit = _inversion_circuit()
+        plan = circuit.level_schedule().step_plan(k, 1)
+        assert not any(isinstance(step, ScalarRun) for step in plan)
+        copies = garble_many(
+            circuit, kdf=kdf, rngs=[random.Random(i) for i in range(k)]
+        )
+        assignments = list(itertools.product((0, 1), repeat=4))
+        inputs, labels = [], []
+        for i, (garbler, garbled) in enumerate(copies):
+            reference = _reference(circuit, i, kdf=kdf)
+            ref = reference.garble()
+            assert ref.tables_bytes() == garbled.tables_bytes()
+            assert ref.const_labels == garbled.const_labels
+            assert ref.decode_bits == garbled.decode_bits
+            assert [garbler.labels.zero(w) for w in range(14)] == \
+                [reference.labels.zero(w) for w in range(14)]
+            bits = assignments[(5 * i + 3) % 16]
+            inputs.append((bits[:2], bits[2:]))
+            labels.append((
+                garbler.input_labels_for(circuit.alice_inputs, bits[:2]),
+                garbler.input_labels_for(circuit.bob_inputs, bits[2:]),
+            ))
+        evaluator = FastEvaluator(circuit, kdf=kdf)
+        if k == 1:
+            planes = [evaluator.evaluate(copies[0][1], *labels[0])]
+        else:
+            planes = evaluator.evaluate_many(
+                [garbled for _, garbled in copies],
+                [a for a, _ in labels], [b for _, b in labels],
+            )
+        for (garbler, garbled), (a, b), (alice, bob), plane in zip(
+            copies, labels, inputs, planes
+        ):
+            assert plane.as_dict() == Evaluator(circuit, kdf=kdf).evaluate(
+                garbled, a, b
+            )
+            assert garbler.decode_outputs(evaluator.output_labels(plane)) == \
+                simulate(circuit, list(alice), list(bob))
 
 
 class TestGarbleMany:

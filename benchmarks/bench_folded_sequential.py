@@ -10,7 +10,10 @@ clock.  ``test_fold_factor_curve`` then walks the
 fold factor between those two ends: ``u`` MACs per clock against
 latency, resident netlist, peak RSS and traffic
 (``BENCH_engine.json::pr20-fold-factor``), the curve
-``repro.compile.folded.MAC_FOLD`` is chosen from.
+``repro.compile.folded.MAC_FOLD`` is chosen from.  Its calls share one
+``IKNPState``, as a caller running a network layer after layer would, so
+the base OT is paid once, in the warm-up call, and the curve times the
+folding itself.
 """
 
 import os
@@ -29,6 +32,7 @@ from repro.compile import folded_mac_cell, run_folded_dense
 from repro.compile.folded import MAC_FOLD
 from repro.gc import FastEvaluator, execute
 from repro.gc.ot import TEST_GROUP_512
+from repro.gc.ot_extension import IKNPState
 from repro.nn import fixed_mul
 
 from _bench_util import quick_mode, record_trajectory, write_report
@@ -176,6 +180,8 @@ def test_fold_factor_curve(results_dir, monkeypatch):
     w = PAPER_FMT.encode_array(operands.uniform(-1, 1, size=(INPUTS, 1)))
     reference = [int(fixed_mul(x, w[:, 0], PAPER_FMT.frac_bits).sum())]
     rng = random.Random(0)
+    # one base OT for every call, paid by the first (a warm-up call)
+    ot_state = IKNPState(group=TEST_GROUP_512, rng=rng)
 
     evaluating = [0.0]
     real_evaluate = FastEvaluator.evaluate
@@ -194,7 +200,7 @@ def test_fold_factor_curve(results_dir, monkeypatch):
         start = time.perf_counter()
         result = run_folded_dense(
             [int(v) for v in x], w, PAPER_FMT, ot_group=TEST_GROUP_512,
-            rng=rng, fold=fold,
+            rng=rng, fold=fold, ot_state=ot_state,
         )
         wall = time.perf_counter() - start
         assert result.outputs == reference
@@ -224,11 +230,14 @@ def test_fold_factor_curve(results_dir, monkeypatch):
     picked = max(fold for fold in within if fold < INPUTS)
 
     payload = {"pr": 20, "rounds": rounds, "inputs": INPUTS,
+               "shared_ot_state": True,
                "rss_rule": RSS_RULE, "rss_rule_picks_u": picked,
                "mac_fold": MAC_FOLD, "quick_mode": quick_mode()}
     lines = [
         f"fold factor u on the folded MAC cell {PAPER_FMT.describe()}, one "
-        f"{INPUTS}-input unit per request ({rounds} interleaved rounds):",
+        f"{INPUTS}-input unit per request ({rounds} interleaved rounds; "
+        f"every call on one IKNPState, so the base OT was paid once, in "
+        f"the warm-up; peak RSS from fresh processes that pay their own):",
         f"{'u':>3} {'cycles':>6} {'tables':>7} {'wires':>7} {'levels':>6} "
         f"{'wall p50 s':>11} {'vs u=1':>7} {'gates/s':>9} "
         f"{'comm bytes':>10} {'peak RSS MB':>11} {'vs u=1':>7}",

@@ -315,8 +315,11 @@ class CircuitBuilder:
         """Non-free gates emitted so far."""
         return sum(1 for g in self._gates if not g.op.is_free)
 
-    def build(self) -> Circuit:
-        """Finalize and validate the netlist."""
+    def build(self, d_wires: Sequence[int] = ()) -> Circuit:
+        """Finalize and validate the netlist; ``d_wires`` are a
+        sequential core's register next-state wires
+        (:meth:`repro.circuits.sequential.SequentialBuilder.build_sequential`
+        passes them)."""
         circuit = Circuit(
             n_alice=self._n_alice,
             n_bob=self._n_bob,
@@ -327,6 +330,7 @@ class CircuitBuilder:
             input_names=dict(self._input_names),
             output_names=dict(self._output_names),
             n_state=self._n_state,
+            d_wires=d_wires,
         )
         circuit.validate()
         return circuit

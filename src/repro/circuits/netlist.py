@@ -88,6 +88,7 @@ class Circuit:
         input_names: Optional[Dict[str, List[int]]] = None,
         output_names: Optional[Dict[str, List[int]]] = None,
         n_state: int = 0,
+        d_wires: Sequence[int] = (),
     ) -> None:
         self.n_alice = n_alice
         self.n_bob = n_bob
@@ -100,12 +101,16 @@ class Circuit:
         self.input_names: Dict[str, List[int]] = input_names or {}
         #: named groups of output wires
         self.output_names: Dict[str, List[int]] = output_names or {}
+        #: a sequential core's register next-state wires, in register
+        #: order: their zero-labels become the next cycle's state labels
+        self.d_wires: Tuple[int, ...] = tuple(d_wires)
         # lazily built, cached level schedule (circuits are immutable by
         # convention once handed out, so one schedule serves every
         # garble/evaluate over this netlist)
         self._level_schedule: Optional["LevelSchedule"] = None
         # same convention: the gate inventory is asked for per request
         self._counts: Optional[GateCounts] = None
+        self._interface: Any = None
 
     # -- wire ranges -----------------------------------------------------
 
@@ -134,6 +139,23 @@ class Circuit:
     def n_outputs(self) -> int:
         """Number of output bits."""
         return len(self.outputs)
+
+    def interface_wires(self) -> Any:
+        """The wires whose labels outlive one garbling walk, ascending.
+
+        The constants, both parties' inputs and the state inputs (wires
+        ``0 .. 2 + n_inputs - 1``), then the register d-wires and the
+        outputs: what a garbler reads after garbling (input labels, OT
+        messages, next-cycle state, decoding).  Every other wire is
+        internal to the walk.  A sorted int array, built once and shared
+        by every copy garbled over this netlist.
+        """
+        if self._interface is None:
+            import numpy as np
+
+            driven = np.asarray([*self.d_wires, *self.outputs], dtype=np.intp)
+            self._interface = np.union1d(np.arange(2 + self.n_inputs), driven)
+        return self._interface
 
     # -- accounting ------------------------------------------------------
 
@@ -420,14 +442,12 @@ class LevelSchedule:
         scratch_wire: index of the extra all-zero label row the
             vectorized engine appends after the real wires (unary free
             gates read it as their second operand).
-        gate_outs: every gate output wire, for bulk defined-flag updates.
     """
 
     levels: Tuple[ScheduleLevel, ...]
     n_non_free: int
     n_wires: int
     scratch_wire: int
-    gate_outs: Any
     _plan_cache: Dict[Tuple[int, int], Tuple[PlanStep, ...]] = (
         dataclasses.field(default_factory=dict, repr=False, compare=False)
     )
@@ -582,7 +602,6 @@ class LevelSchedule:
             n_non_free=int(nf.size),
             n_wires=circuit.n_wires,
             scratch_wire=circuit.n_wires,
-            gate_outs=gate_outs,
         )
 
 

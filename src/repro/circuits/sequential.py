@@ -49,7 +49,8 @@ class SequentialCircuit:
 
     Attributes:
         core: the per-cycle netlist; its state inputs are register
-            outputs, in the order of ``registers``.
+            outputs and its ``d_wires`` their next-state wires, both in
+            the order of ``registers``.
         registers: bindings, one per state input wire of ``core``.
     """
 
@@ -68,6 +69,11 @@ class SequentialCircuit:
                 )
             if reg.d_wire < 0 or reg.d_wire >= core.n_wires:
                 raise CircuitError("register d_wire out of range")
+        if core.d_wires != tuple(reg.d_wire for reg in registers):
+            raise CircuitError(
+                "the core must list its registers' d-wires, in register order "
+                "(SequentialBuilder.build_sequential does)"
+            )
         self.core = core
         self.registers = list(registers)
 
@@ -245,10 +251,11 @@ class SequentialBuilder(CircuitBuilder):
             self._register_binds[q_wire] = d_wire
 
     def build_sequential(self) -> SequentialCircuit:
-        """Finalize the core and its register bindings."""
-        core = self.build()
+        """Finalize the core, which lists its d-wires, and its register
+        bindings."""
+        first = 2 + self._n_alice + self._n_bob
         registers = []
-        for q_wire in core.state_inputs:
+        for q_wire in range(first, first + self._n_state):
             if q_wire not in self._register_binds:
                 raise CircuitError(f"register {q_wire} never bound")
             registers.append(
@@ -258,4 +265,5 @@ class SequentialBuilder(CircuitBuilder):
                     init=self._register_inits[q_wire],
                 )
             )
+        core = self.build(d_wires=[reg.d_wire for reg in registers])
         return SequentialCircuit(core, registers)

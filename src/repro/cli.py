@@ -505,6 +505,7 @@ def _cmd_serve(args) -> None:
         pstats = pool.stats()
         print(f"pool: {pstats['size']}/{pstats['capacity']} ready | "
               f"garbled {pstats['garbled_total']} total | "
+              f"copy {pstats['copy_bytes']} B | "
               f"refills {pstats['refills']} ({pstats['refill']}) | "
               f"offline OT {pstats['offline_ot_bytes']} B")
     stats = service.stats

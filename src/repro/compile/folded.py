@@ -127,6 +127,7 @@ def run_folded_dense(
     ot_group: OTGroup = MODP_2048,
     rng=secrets,
     fold: int = MAC_FOLD,
+    ot_state: Optional[IKNPState] = None,
 ) -> FoldedDenseResult:
     """Compute ``x @ W`` under sequential garbling, ``u`` MACs per cycle.
 
@@ -145,6 +146,10 @@ def run_folded_dense(
         fmt: I/O fixed-point format.
         kdf, ot_group, rng: protocol parameters.
         fold: MACs per clock (capped at ``in_dim``).
+        ot_state: the caller's OT-extension state, so that a caller
+            running many layers pays the base OT once; ``None`` builds
+            one for this call (one base OT per layer, not per output
+            unit).
 
     Returns:
         :class:`FoldedDenseResult`; ``outputs[j]`` equals the integer
@@ -183,8 +188,8 @@ def run_folded_dense(
     total_comm = 0
     acc_width = cell.n_state
     alice_cycles = cycle_bits(x_fixed)
-    # one base OT for the whole layer, not one per output unit
-    ot_state = IKNPState(group=ot_group, rng=rng)
+    if ot_state is None:  # one base OT for the whole layer, not per unit
+        ot_state = IKNPState(group=ot_group, rng=rng)
     for j in range(out_dim):
         session = SequentialSession(
             cell, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state

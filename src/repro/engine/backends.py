@@ -437,21 +437,20 @@ class CutAndChooseBackend(Backend):
         if deadline is not None:
             deadline.check("garble")
 
-        # evaluator: challenge all copies but one, verify each opening
+        # evaluator: challenge all copies but one, verify the openings
         start = time.perf_counter()
         surviving = self._choose_surviving()
         challenge = [i for i in range(self.copies) if i != surviving]
-        for opened in cnc.open(challenge):
-            if not verify_opened_copy(
-                circuit,
-                opened,
-                commitments[opened.index],
-                tables[opened.index],
-                kdf=self.kdf,
-            ):
-                raise EngineError(
-                    f"cut-and-choose: copy {opened.index} failed verification"
-                )
+        if not verify_opened_copy(
+            circuit,
+            cnc.open(challenge),
+            [commitments[i] for i in challenge],
+            [tables[i] for i in challenge],
+            kdf=self.kdf,
+        ):
+            raise EngineError(
+                f"cut-and-choose: an opened copy of {challenge} failed verification"
+            )
         verify_s = time.perf_counter() - start
         if deadline is not None:
             deadline.check("verify")

@@ -22,7 +22,7 @@ import dataclasses
 import hashlib
 import random
 import secrets
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..circuits.netlist import Circuit
 from ..errors import GarblingError
@@ -37,14 +37,6 @@ __all__ = ["OpenedCopy", "CutAndChooseGarbler", "verify_opened_copy"]
 def _commit(seed: int) -> bytes:
     """Binding commitment to a garbling seed."""
     return hashlib.sha256(b"seed-commit" + seed.to_bytes(16, "little")).digest()
-
-
-def _garble_from_seed(
-    circuit: Circuit, seed: int, kdf: HashKDF
-) -> Tuple[Garbler, GarbledCircuit]:
-    """Deterministic garbling: all labels derive from the seed."""
-    garbler = Garbler(circuit, kdf=kdf, rng=random.Random(seed))
-    return garbler, garbler.garble()
 
 
 @dataclasses.dataclass
@@ -120,18 +112,29 @@ class CutAndChooseGarbler:
 
 def verify_opened_copy(
     circuit: Circuit,
-    opened: OpenedCopy,
-    commitment: bytes,
-    claimed_tables: bytes,
+    openings: Sequence[OpenedCopy],
+    commitments: Sequence[bytes],
+    claimed_tables: Sequence[bytes],
     kdf: Optional[HashKDF] = None,
 ) -> bool:
-    """Evaluator-side check of an opened copy.
+    """Evaluator-side check of every opened copy, in one batch.
 
-    Re-derives the commitment and re-garbles deterministically from the
-    revealed seed; the claimed tables must match ciphertext-for-
-    ciphertext.  Returns False on any mismatch (a cheating garbler).
+    ``commitments`` and ``claimed_tables`` are the opened copies', in
+    the order of ``openings``.  Re-derives each commitment, then
+    re-garbles all the revealed seeds deterministically in one
+    :func:`repro.gc.fastgarble.garble_many` call; every copy's claimed
+    tables must match ciphertext-for-ciphertext.  Returns False on any
+    mismatch (a cheating garbler).
     """
-    if _commit(opened.seed) != commitment:
+    if not len(openings) == len(commitments) == len(claimed_tables):
+        raise GarblingError("one commitment and one table blob per opening")
+    if any(_commit(o.seed) != c for o, c in zip(openings, commitments)):
         return False
-    _, regarbled = _garble_from_seed(circuit, opened.seed, kdf or default_kdf())
-    return regarbled.tables_bytes() == claimed_tables
+    regarbled = garble_many(
+        circuit, kdf=kdf or default_kdf(),
+        rngs=[random.Random(o.seed) for o in openings],
+    )
+    return all(
+        garbled.tables_bytes() == claimed
+        for (_, garbled), claimed in zip(regarbled, claimed_tables)
+    )

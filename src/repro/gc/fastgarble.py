@@ -9,13 +9,16 @@ construction over the circuit's cached step plan
 (:meth:`repro.circuits.netlist.LevelSchedule.step_plan`), walked once
 per role (:func:`garble_copies`, ``FastEvaluator._walk``):
 
-* wire labels live in ``(k, n_wires + 1, 16)`` uint8 planes
-  (:class:`repro.gc.labels.ArrayLabelStore` per copy), ``k`` being the
-  batch: pools and cut-and-choose garble ``k`` independent copies,
-  ``evaluate_many`` serves ``k`` requests, and a single ``evaluate`` is
-  the ``k = 1`` case of the same walk.  Input labels arrive as rows too:
-  the garbler draws them in one rng call, the OT moves them as ``(m,
-  16)`` rows, and the evaluator writes each party's in one assignment;
+* wire labels live in ``(k, n_wires + 1, 16)`` uint8 planes, ``k``
+  being the batch: pools and cut-and-choose garble ``k`` independent
+  copies (at most :data:`COPIES_PER_WALK` to a walk), ``evaluate_many``
+  serves ``k`` requests, and a single ``evaluate`` is the ``k = 1``
+  case of the same walk.  A garbling plane is scratch: what a copy
+  keeps is its :class:`repro.gc.labels.ArrayLabelStore` — Δ and the
+  rows of its interface wires — and its tables.  Input labels arrive
+  as rows too: the garbler draws them in one rng call, the OT moves
+  them as ``(m, 16)`` rows, and the evaluator writes each party's in
+  one assignment;
 * under free-XOR only non-free gates need the oracle, so the schedule's
   unit is the AND layer: a *wide non-free* step assembles one contiguous
   ``label || tweak`` buffer for :meth:`repro.gc.cipher.HashKDF.hash_many`
@@ -55,7 +58,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit, FreeStep, ScalarRun
+from ..circuits.netlist import (
+    CONST_ONE,
+    CONST_ZERO,
+    Circuit,
+    FreeStep,
+    LevelSchedule,
+    ScalarRun,
+)
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
 from .evaluate import Evaluator
@@ -63,7 +73,13 @@ from .garble import GarbledCircuit, Garbler, LazyTables
 from .labels import ArrayLabelStore, LabelsLike, label_rows
 from .rng import RngLike
 
-__all__ = ["FastEvaluator", "LabelPlane", "garble_copies", "garble_many"]
+__all__ = [
+    "COPIES_PER_WALK",
+    "FastEvaluator",
+    "LabelPlane",
+    "garble_copies",
+    "garble_many",
+]
 
 #: Minimum effective width (copies x gates in one AND layer or one free
 #: sub-step) before array dispatch beats the gate-at-a-time loop.  Narrow
@@ -75,6 +91,15 @@ __all__ = ["FastEvaluator", "LabelPlane", "garble_copies", "garble_many"]
 #: gathers and word masks (demo net, garble + evaluate at k = 1): 2, 4
 #: and 8 tie within 2 %, 1 and 16 are 4-10 % slower, so 8 stays.
 VECTOR_MIN_WIDTH = 8
+
+#: Most copies one garbling walk carries.  A walk's scratch plane holds
+#: every wire of each copy it carries (564 KB a copy on the demo net)
+#: beside their tables, so ``garble_copies`` walks ``k`` copies this
+#: many at a time and pool warming never holds more than one such
+#: batch of planes.  Swept over 4 / 8 / 16 / 32 / 104 copies per walk
+#: on the demo net (DESIGN.md, "What a garbled copy holds"): per-copy
+#: garbling time is flat from 8 on.
+COPIES_PER_WALK = 8
 
 
 def _assign_input_labels(
@@ -166,53 +191,24 @@ def _garble_run(
         labels[16 * out_w : 16 * out_w + 16] = zero_out.to_bytes(16, "little")
 
 
-def garble_copies(
-    circuit: Circuit,
+def _garble_walk(
+    schedule: LevelSchedule,
     kdf: HashKDF,
     stores: Sequence[ArrayLabelStore],
-    state_zero_labels: Optional[LabelsLike] = None,
-    tweak_base: int = 0,
-) -> List[GarbledCircuit]:
-    """Garble ``len(stores)`` independent copies in one pass over the plan.
+    plane: np.ndarray,
+    tables: np.ndarray,
+    tweak_base: int,
+) -> None:
+    """Walk the step plan over ``len(stores)`` copies, in place.
 
-    Each store carries its own delta and rng (so copies are
-    cryptographically independent), but the step walk, index gathers
-    and KDF batches run once across the whole stack — this is what
-    ``garble_many`` / pool warming / cut-and-choose amortize.
-
-    Args:
-        circuit: the netlist to garble.
-        kdf: shared garbling oracle.
-        stores: one :class:`ArrayLabelStore` per copy.
-        state_zero_labels: sequential carry-over labels (single-copy
-            garbling only); int sequence or ``(n_state, 16)`` uint8 rows.
-        tweak_base: starting tweak, as in the scalar garbler.
-
-    Returns:
-        One :class:`GarbledCircuit` per store, in order.
+    ``plane`` is the copies' ``(k, n_wires + 1, 16)`` scratch label
+    plane with constants, inputs and state filled in and the final
+    (scratch) row zero, ``tables`` their ``(k, n_non_free, 32)`` table
+    stack.  The garbling mirror of ``FastEvaluator._walk``.
     """
-    if not stores:
-        return []
-    if state_zero_labels is not None and len(stores) != 1:
-        raise GarblingError("state carry-over only supports a single copy")
-    schedule = circuit.level_schedule()
     k = len(stores)
-    for store in stores:
-        if store.n_wires < circuit.n_wires:
-            raise GarblingError(
-                f"label plane holds {store.n_wires} wires, circuit needs "
-                f"{circuit.n_wires}"
-            )
-        _assign_input_labels(store, circuit, state_zero_labels)
-
-    if k == 1:
-        # view, so writes land directly in the store's plane
-        plane = stores[0].plane[None]
-    else:
-        plane = np.stack([s.plane for s in stores])
     d = np.stack([s.delta_row for s in stores]).view("<u8")[:, None]  # (k, 1, 2)
     ab = tweak_base + np.arange(2, dtype="<u8")[:, None, None]  # a / b tweak offsets
-    tables = np.empty((k, schedule.n_non_free, 32), dtype=np.uint8)
     rows, table_rows = plane.view("V16"), tables.view("V32")  # (k, n, 1)
     # flat byte views of each copy's (C-contiguous) planes, for the runs
     flat = [
@@ -262,27 +258,84 @@ def garble_copies(
         tg_te = np.concatenate((tg.view(rows.dtype), te.view(rows.dtype)), axis=2)
         table_rows[:, level.nf_tidx] = tg_te.view(table_rows.dtype)
 
-    results: List[GarbledCircuit] = []
-    for i, store in enumerate(stores):
-        if k > 1:
-            # materialize per-copy ownership: a view into the (k, ...)
-            # stack would keep the whole batch alive for as long as any
-            # one pool copy survives
-            store.plane = plane[i].copy()
-        store.mark_defined(schedule.gate_outs)
-        copy_tables = tables[i].copy() if k > 1 else tables[i]
-        results.append(
-            GarbledCircuit(
-                tables=LazyTables(copy_tables),
-                const_labels=(
-                    store.select(CONST_ZERO, 0),
-                    store.select(CONST_ONE, 1),
-                ),
-                decode_bits=store.output_decode_map(circuit.outputs),
-                tweak_base=tweak_base,
-                tables_plane=copy_tables,
+
+def garble_copies(
+    circuit: Circuit,
+    kdf: HashKDF,
+    stores: Sequence[ArrayLabelStore],
+    state_zero_labels: Optional[LabelsLike] = None,
+    tweak_base: int = 0,
+) -> List[GarbledCircuit]:
+    """Garble ``len(stores)`` independent copies, :data:`COPIES_PER_WALK`
+    to a walk of the plan.
+
+    Each store carries its own delta and rng (so copies are
+    cryptographically independent), but within a walk the step walk,
+    index gathers and KDF batches run once across its copies — this is
+    what ``garble_many`` / pool warming / cut-and-choose amortize.  The
+    walks run on one scratch ``(k, n_wires + 1, 16)`` label plane owned
+    here; each copy's interface rows are written back into its store
+    and its tables copied out, so the copy holds Δ, its interface rows
+    and its tables, and no internal label outlives the walk.
+
+    Args:
+        circuit: the netlist to garble.
+        kdf: shared garbling oracle.
+        stores: one :class:`ArrayLabelStore` per copy, over
+            ``circuit.interface_wires()``.
+        state_zero_labels: sequential carry-over labels (single-copy
+            garbling only); int sequence or ``(n_state, 16)`` uint8 rows.
+        tweak_base: starting tweak, as in the scalar garbler.
+
+    Returns:
+        One :class:`GarbledCircuit` per store, in order.
+    """
+    if not stores:
+        return []
+    if state_zero_labels is not None and len(stores) != 1:
+        raise GarblingError("state carry-over only supports a single copy")
+    wires = circuit.interface_wires()
+    for store in stores:
+        if not np.array_equal(store.wires, wires):
+            raise GarblingError(
+                "label store does not hold this circuit's interface wires"
             )
-        )
+        _assign_input_labels(store, circuit, state_zero_labels)
+
+    schedule = circuit.level_schedule()
+    n_inputs = 2 + circuit.n_inputs  # rows 0 .. n_inputs - 1 of every store
+    plane = np.empty(
+        (min(len(stores), COPIES_PER_WALK), circuit.n_wires + 1, 16), dtype=np.uint8
+    )
+    plane[:, circuit.n_wires] = 0  # the scratch row unary gates read
+    results: List[GarbledCircuit] = []
+    for first in range(0, len(stores), COPIES_PER_WALK):
+        walk = stores[first : first + COPIES_PER_WALK]
+        k = len(walk)
+        scratch = plane[:k]
+        for labels, store in zip(scratch, walk):
+            labels[:n_inputs] = store.rows[:n_inputs]
+        tables = np.empty((k, schedule.n_non_free, 32), dtype=np.uint8)
+        _garble_walk(schedule, kdf, walk, scratch, tables, tweak_base)
+        kept = scratch.take(wires, axis=1)  # (k, n_interface, 16)
+        for i, store in enumerate(walk):
+            store.rows[:] = kept[i]
+            # per-copy ownership: a view into the (k, ...) stack would
+            # keep the whole walk's tables alive for as long as any one
+            # pool copy survives
+            copy_tables = tables[i].copy() if k > 1 else tables[0]
+            results.append(
+                GarbledCircuit(
+                    tables=LazyTables(copy_tables),
+                    const_labels=(
+                        store.select(CONST_ZERO, 0),
+                        store.select(CONST_ONE, 1),
+                    ),
+                    decode_bits=store.output_decode_map(circuit.outputs),
+                    tweak_base=tweak_base,
+                    tables_plane=copy_tables,
+                )
+            )
     return results
 
 

@@ -138,12 +138,13 @@ class Garbler:
     Args:
         circuit: netlist to garble.
         kdf: garbling oracle (default: fixed-key AES).
-        label_store: reuse an existing store — required across cycles of
-            a sequential circuit so register labels carry over.  The
-            default is a fresh :class:`ArrayLabelStore`; a scalar
-            :class:`LabelStore` runs the gate-at-a-time reference loop
-            instead (same rng stream, identical labels, tables and
-            decode bits).
+        label_store: reuse an existing store.  The default is a fresh
+            :class:`ArrayLabelStore` over the circuit's interface wires
+            (:meth:`Circuit.interface_wires`), which is all a garbler
+            reads after garbling — internal labels die with the walk; a
+            scalar :class:`LabelStore` runs the gate-at-a-time reference
+            loop instead and keeps every wire's label (same rng stream,
+            identical labels, tables and decode bits).
         rng: randomness source (``secrets`` by default; tests may pass a
             seeded ``random.Random`` for reproducibility).
     """
@@ -158,7 +159,7 @@ class Garbler:
         self.circuit = circuit
         self.kdf = kdf or default_kdf()
         if label_store is None:
-            label_store = ArrayLabelStore(circuit.n_wires, rng=rng)
+            label_store = ArrayLabelStore(circuit.interface_wires(), rng=rng)
         self.labels = label_store
         self._rng = rng
 
@@ -281,7 +282,7 @@ class Garbler:
         self, wires: Sequence[int], bits: Sequence[int]
     ) -> LabelsLike:
         """Labels encoding ``bits`` on ``wires`` (garbler's own inputs): off
-        the engine's plane, ``(m, 16)`` rows in one masked select."""
+        the engine's store, ``(m, 16)`` rows in one masked select."""
         labels = self.labels
         if not isinstance(labels, ArrayLabelStore):
             return [labels.select(w, b) for w, b in zip(wires, bits)]
@@ -290,10 +291,10 @@ class Garbler:
 
     def label_pair_rows(self, wires: Sequence[int]) -> "np.ndarray":
         """Each wire's (zero-label, one-label) as ``(m, 2, 16)`` uint8
-        rows — the OT sender's messages, read off the engine's plane."""
+        rows — the OT sender's messages, read off the engine's store."""
         labels = self.labels
         if not isinstance(labels, ArrayLabelStore):
-            raise GarblingError("OT messages are read off the engine's label plane")
+            raise GarblingError("OT messages are read off the engine's label store")
         zero = labels.zero_rows(wires)
         return np.stack((zero, zero ^ labels.delta_row), axis=1)
 

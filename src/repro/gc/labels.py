@@ -133,40 +133,70 @@ def label_ints(labels: LabelsLike) -> List[int]:
 
 
 class ArrayLabelStore:
-    """Zero-labels for every wire as one ``(n_wires + 1, 16)`` uint8 plane.
+    """Δ and the zero-labels of a circuit's interface wires, as rows.
 
-    The vectorized garbling engine's label storage: row ``w`` holds wire
-    ``w``'s zero-label in little-endian byte order (so byte 0 bit 0 is
-    the point-and-permute bit, matching ``label & 1`` on the int form).
-    The extra final row is a scratch all-zero label that unary free
-    gates read as their second operand — it is never written.
+    What a garbled copy keeps.  The interface wires
+    (:meth:`repro.circuits.netlist.Circuit.interface_wires`: constants,
+    both parties' inputs, state inputs, register d-wires, outputs) are
+    the ones a garbler reads after garbling — input labels, OT messages,
+    the next cycle's state, decoding.  Row ``i`` of the ``(n, 16)``
+    uint8 ``rows`` holds wire ``wires[i]``'s zero-label in little-endian
+    byte order (byte 0 bit 0 is the point-and-permute bit, matching
+    ``label & 1`` on the int form).  Every internal label lives only on
+    the scratch plane of the walk that computes it
+    (:func:`repro.gc.fastgarble.garble_copies`), so reading an internal
+    wire here raises :class:`GarblingError`; the reference
+    :class:`LabelStore` keeps every wire.
 
-    The per-wire API mirrors :class:`LabelStore` exactly (``zero`` /
-    ``one`` / ``select`` / ``decode_bit`` / ...), so a
-    :class:`repro.gc.garble.Garbler` holding either store behaves
-    identically; labels drawn through :meth:`assign_fresh` consume the
-    rng stream in the same order and produce the same values as the
-    scalar store.
+    On the interface wires the per-wire API mirrors :class:`LabelStore`
+    exactly (``zero`` / ``one`` / ``select`` / ``decode_bit`` / ...);
+    labels drawn through :meth:`assign_fresh` consume the rng stream in
+    the same order and produce the same values as the scalar store.
+
+    Args:
+        wires: the interface wire ids, ascending — a circuit's
+            ``interface_wires()``, shared by all its copies.
+        delta: the global offset (drawn from ``rng`` when omitted).
+        rng: randomness source.
     """
 
     def __init__(
         self,
-        n_wires: int,
+        wires: Union[Sequence[int], np.ndarray],
         delta: Optional[int] = None,
         rng: RngLike = secrets,
     ) -> None:
-        if n_wires < 2:
-            raise GarblingError("label plane needs at least the const wires")
         self.delta = delta if delta is not None else random_delta(rng)
         if not self.delta & 1:
             raise GarblingError("delta must have LSB 1 (point-and-permute)")
-        self.n_wires = n_wires
-        #: (n_wires + 1, 16) uint8; the final row is the scratch zero row
-        self.plane = np.zeros((n_wires + 1, 16), dtype=np.uint8)
+        self.wires = np.asarray(wires, dtype=np.intp)
+        if self.wires.ndim != 1 or (np.diff(self.wires) <= 0).any():
+            raise GarblingError("interface wires must be distinct and ascending")
+        if self.wires.size < 2:
+            raise GarblingError("a label store needs at least the const wires")
+        #: (len(wires), 16) uint8 zero-labels, row i for wire wires[i]
+        self.rows = np.zeros((self.wires.size, 16), dtype=np.uint8)
         #: (16,) uint8 broadcast form of the global delta
         self.delta_row = _label_row(self.delta).copy()
-        self._defined = np.zeros(n_wires + 1, dtype=bool)
         self._rng = rng
+
+    def _index(self, wires: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+        """Row indices of ``wires``.
+
+        Raises:
+            GarblingError: a wire this store keeps no label for — one
+                internal to the garbling walk, or out of range.
+        """
+        want = np.asarray(wires, dtype=np.intp)
+        index = np.searchsorted(self.wires, want)
+        kept = self.wires[np.minimum(index, self.wires.size - 1)] == want
+        if not kept.all():
+            wire = int(want[~kept].flat[0])
+            raise GarblingError(
+                f"wire {wire} has no label here: a copy keeps its interface "
+                "wires only"
+            )
+        return index
 
     # -- LabelStore-compatible per-wire API ------------------------------
 
@@ -178,16 +208,11 @@ class ArrayLabelStore:
 
     def set_zero(self, wire: int, label: int) -> None:
         """Store a caller-provided zero-label (sequential state carry)."""
-        if not 0 <= wire < self.n_wires:
-            raise GarblingError(f"wire {wire} out of range")
-        self.plane[wire] = _label_row(label & LABEL_MASK)
-        self._defined[wire] = True
+        self.rows[self._index(wire)] = _label_row(label & LABEL_MASK)
 
     def zero(self, wire: int) -> int:
         """Zero-label of ``wire``."""
-        if not (0 <= wire < self.n_wires and self._defined[wire]):
-            raise GarblingError(f"wire {wire} has no label yet")
-        return int.from_bytes(self.plane[wire].tobytes(), "little")
+        return int.from_bytes(self.rows[self._index(wire)].tobytes(), "little")
 
     def one(self, wire: int) -> int:
         """One-label of ``wire`` (zero-label XOR delta)."""
@@ -203,19 +228,21 @@ class ArrayLabelStore:
         Raises:
             GarblingError: if the label is neither of the wire's labels.
         """
-        if label == self.zero(wire):
-            return 0
-        if label == self.one(wire):
-            return 1
-        raise GarblingError(f"label does not belong to wire {wire}")
+        return self.decode_bits([wire], [label])[0]
 
     def decode_bits(self, wires: Iterable[int], labels: Iterable[int]) -> List[int]:
-        """Vector :meth:`decode_bit` in wire order."""
-        return [self.decode_bit(w, l) for w, l in zip(wires, labels)]
+        """Vector :meth:`decode_bit` in wire order, on one row lookup."""
+        wires = list(wires)
+        bits = []
+        for wire, zero, label in zip(wires, label_ints(self.zero_rows(wires)), labels):
+            if label not in (zero, zero ^ self.delta):
+                raise GarblingError(f"label does not belong to wire {wire}")
+            bits.append(int(label != zero))
+        return bits
 
     def output_decode_map(self, wires: Iterable[int]) -> List[int]:
         """Point-and-permute decode bits (LSB of each zero-label)."""
-        return [int(self.plane[w, 0]) & 1 for w in wires]
+        return (self.rows[self._index(list(wires)), 0] & 1).tolist()
 
     # -- array-native extensions -----------------------------------------
 
@@ -233,10 +260,6 @@ class ArrayLabelStore:
         data = rand_bits(self._rng, 128 * n).to_bytes(16 * n, "little")
         self.set_zero_rows(wires, np.frombuffer(data, dtype=np.uint8).reshape(n, 16))
 
-    def mark_defined(self, wires: np.ndarray) -> None:
-        """Bulk defined-flag update after a vectorized scatter."""
-        self._defined[wires] = True
-
     def zero_rows(self, wires: Union[Sequence[int], np.ndarray]) -> np.ndarray:
         """Zero-label byte rows of ``wires`` as one owned ``(n, 16)`` copy.
 
@@ -245,22 +268,13 @@ class ArrayLabelStore:
         instead of round-tripping every register label through Python
         ints.
         """
-        idx = np.asarray(wires, dtype=np.intp)
-        if idx.size:
-            if (idx < 0).any() or (idx >= self.n_wires).any():
-                raise GarblingError("zero_rows wire out of range")
-            if not self._defined[idx].all():
-                raise GarblingError("zero_rows on wires without labels")
-        return self.plane[idx].copy()
+        return self.rows[self._index(wires)]
 
     def set_zero_rows(
         self, wires: Union[Sequence[int], np.ndarray], rows: np.ndarray
     ) -> None:
         """Store caller-provided zero-label rows (array state carry)."""
-        idx = np.asarray(wires, dtype=np.intp)
-        if idx.size and not ((0 <= idx).all() and (idx < self.n_wires).all()):
-            raise GarblingError("set_zero_rows wire out of range")
-        if rows.shape != (idx.size, 16):
+        index = self._index(wires)
+        if rows.shape != (index.size, 16):
             raise GarblingError("label rows must be (n_wires, 16) bytes")
-        self.plane[idx] = rows
-        self._defined[idx] = True
+        self.rows[index] = rows

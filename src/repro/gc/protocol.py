@@ -124,6 +124,16 @@ class Pregarbled:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes the copy holds in arrays: its tables, its label rows
+        (Δ and the interface wires') and its pads."""
+        labels = self.garbler.labels
+        arrays = [self.garbled.tables_plane, labels.rows, labels.delta_row]
+        if self.pads is not None:
+            arrays += [self.pads.sender, self.pads.choices, self.pads.chosen]
+        return sum(a.nbytes for a in arrays if a is not None)
+
     def claim(self) -> None:
         """Mark the material used; at most one caller ever succeeds.
 

@@ -48,6 +48,7 @@ def _rebuild(circuit: Circuit, gates: List[Gate], outputs: List[int]) -> Circuit
         input_names=dict(circuit.input_names),
         output_names=dict(circuit.output_names),
         n_state=circuit.n_state,
+        d_wires=circuit.d_wires,
     )
     new.validate()
     return new

@@ -261,6 +261,28 @@ class TestFoldedDense:
         assert r64.cycles == 4 * r16.cycles
         assert r64.comm_bytes > 3.9 * r16.comm_bytes
 
+    def test_caller_ot_state_pays_the_base_ot_once(self, base_batches):
+        """A caller's ``IKNPState`` carries across calls: two layers, one
+        base OT; without one, each call pays its own."""
+        rng = np.random.default_rng(3)
+        x = FMT.encode_array(rng.uniform(-1, 1, size=8))
+        w = FMT.encode_array(rng.uniform(-1, 1, size=(8, 2)))
+        reference = list(fixed_mul(x[:, None], w, FMT.frac_bits).sum(axis=0))
+        seeded = random.Random(6)
+        state = IKNPState(group=TEST_GROUP_512, rng=seeded)
+        for _ in range(2):
+            result = run_folded_dense(
+                list(x), w, FMT, ot_group=TEST_GROUP_512, rng=seeded,
+                ot_state=state,
+            )
+            assert result.outputs == reference
+        assert base_batches == [1]
+        for _ in range(2):
+            run_folded_dense(
+                list(x), w, FMT, ot_group=TEST_GROUP_512, rng=seeded
+            )
+        assert base_batches == [3]
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(CompileError):
             run_folded_dense([1, 2], np.zeros((3, 1)), FMT)
@@ -292,10 +314,10 @@ class TestCutAndChoose:
         commitments = garbler.commitments()
         tables = garbler.tables()
         challenge = [0, 2, 3]
-        for opened in garbler.open(challenge):
-            assert verify_opened_copy(
-                circuit, opened, commitments[opened.index], tables[opened.index]
-            )
+        assert verify_opened_copy(
+            circuit, garbler.open(challenge),
+            [commitments[i] for i in challenge], [tables[i] for i in challenge],
+        )
 
     def test_tampered_tables_detected(self):
         circuit = _demo_circuit()
@@ -304,10 +326,11 @@ class TestCutAndChoose:
         tables = garbler.tables()
         corrupted = bytearray(tables[1])
         corrupted[0] ^= 0xFF
-        opened = garbler.open([1])[0]
+        opened = garbler.open([0, 1])
         assert not verify_opened_copy(
-            circuit, opened, commitments[1], bytes(corrupted)
+            circuit, opened, commitments[:2], [tables[0], bytes(corrupted)]
         )
+        assert verify_opened_copy(circuit, opened, commitments[:2], tables[:2])
 
     def test_wrong_seed_detected(self):
         from repro.gc.cutandchoose import OpenedCopy
@@ -317,7 +340,9 @@ class TestCutAndChoose:
         commitments = garbler.commitments()
         tables = garbler.tables()
         lying = OpenedCopy(index=0, seed=garbler.seeds[0] ^ 1)
-        assert not verify_opened_copy(circuit, lying, commitments[0], tables[0])
+        assert not verify_opened_copy(circuit, [lying], commitments[:1], tables[:1])
+        with pytest.raises(GarblingError, match="per opening"):
+            verify_opened_copy(circuit, [lying], commitments, tables[:1])
 
     def test_surviving_copy_evaluates_correctly(self):
         from repro.circuits import simulate
@@ -348,15 +373,17 @@ class TestCutAndChoose:
 
     def test_deterministic_regarble(self):
         """Same seed -> identical ciphertexts (what makes opening work)."""
-        from repro.gc.cutandchoose import _garble_from_seed
-        from repro.gc.cipher import default_kdf
+        from repro.gc import garble_many
 
         circuit = _demo_circuit()
-        _, one = _garble_from_seed(circuit, 12345, default_kdf())
-        _, two = _garble_from_seed(circuit, 12345, default_kdf())
-        assert one.tables_bytes() == two.tables_bytes()
-        _, other = _garble_from_seed(circuit, 54321, default_kdf())
-        assert one.tables_bytes() != other.tables_bytes()
+        one, two, other = (
+            garbled.tables_bytes()
+            for _, garbled in garble_many(
+                circuit, rngs=[random.Random(s) for s in (12345, 12345, 54321)]
+            )
+        )
+        assert one == two
+        assert one != other
 
 
 class TestService:

@@ -163,9 +163,10 @@ class TestGarbleEvaluate:
 
     def test_evaluator_sees_single_labels_only(self, rng):
         """The evaluator's wire labels are one of the two valid labels,
-        never both — spot-check the invariant on every wire."""
+        never both — spot-check the invariant on every wire (of the
+        reference store, which keeps them all)."""
         circuit = _gate_circuit()
-        garbler = Garbler(circuit, rng=rng)
+        garbler = Garbler(circuit, label_store=LabelStore(rng=rng))
         garbled = garbler.garble()
         evaluator = Evaluator(circuit)
         alice = garbler.input_labels_for(list(circuit.alice_inputs), [1, 0])

@@ -18,7 +18,7 @@ from repro.circuits import (
     loads_bristol,
     simulate,
 )
-from repro.gc import Evaluator, Garbler
+from repro.gc import Evaluator, Garbler, LabelStore
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import execute
 from repro.synthesis import optimize
@@ -86,7 +86,9 @@ class TestFreeXorAlgebra:
     @settings(max_examples=10, deadline=None)
     def test_every_wire_label_is_zero_or_one_label(self, case):
         circuit, alice, bob = case
-        garbler = Garbler(circuit, rng=random.Random(4))
+        # the reference store keeps every wire's label; the engine's
+        # keeps the interface wires only
+        garbler = Garbler(circuit, label_store=LabelStore(rng=random.Random(4)))
         garbled = garbler.garble()
         evaluator = Evaluator(circuit)
         alice_labels = garbler.input_labels_for(list(circuit.alice_inputs), alice)

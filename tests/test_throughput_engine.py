@@ -35,7 +35,7 @@ from repro.gc import (
 from repro.gc.cipher import _hash_many_fallback
 from repro.gc.fastgarble import garble_copies
 from repro.gc.garble import GarbledCircuit
-from repro.gc.labels import _label_row
+from repro.gc.labels import _label_row, label_ints
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import TwoPartySession
 from repro.service import InferenceRequest, PrivateInferenceService
@@ -304,14 +304,11 @@ class TestEvaluateMany:
             )
 
     def test_zero_rows_bounds(self):
-        store = ArrayLabelStore(4, rng=random.Random(6))
+        store = ArrayLabelStore([0, 1, 2, 4], rng=random.Random(6))
         store.assign_fresh(2)
-        with pytest.raises(GarblingError, match="range"):
-            store.zero_rows([-2])
-        with pytest.raises(GarblingError, match="range"):
-            store.zero_rows([10])
-        with pytest.raises(GarblingError, match="without labels"):
-            store.zero_rows([3])
+        for wires in ([-2], [10], [3], [2, 3]):
+            with pytest.raises(GarblingError, match="no label here"):
+                store.zero_rows(wires)
         assert store.zero_rows([2]).shape == (1, 16)
 
 
@@ -426,9 +423,9 @@ class TestFusedNarrowRunner:
                 assert ref.tables_bytes() == garbled.tables_bytes()
                 assert ref.decode_bits == garbled.decode_bits
                 assert ref.const_labels == garbled.const_labels
-                assert all(
-                    scalar.labels.zero(w) == garbler.labels.zero(w)
-                    for w in range(circuit.n_wires)
+                wires = circuit.interface_wires().tolist()
+                assert [scalar.labels.zero(w) for w in wires] == label_ints(
+                    garbler.labels.zero_rows(wires)
                 )
 
     def test_fused_evaluate_bit_exact(self):
@@ -540,15 +537,15 @@ class TestFusedNarrowRunner:
             evaluator.evaluate_many(garbleds, alices, bobs)
         # the garbler's side
         stores = [
-            ArrayLabelStore(circuit.n_wires, rng=random.Random(i))
+            ArrayLabelStore(circuit.interface_wires(), rng=random.Random(i))
             for i in range(2)
         ]
         with pytest.raises(GarblingError, match="single copy"):
             garble_copies(circuit, HashKDF(), stores, state_zero_labels=[])
-        with pytest.raises(GarblingError, match="label plane holds"):
+        with pytest.raises(GarblingError, match="interface wires"):
             garble_copies(
                 circuit, HashKDF(),
-                [ArrayLabelStore(circuit.n_wires - 1, rng=random.Random(1))],
+                [ArrayLabelStore(range(2 + circuit.n_inputs), rng=random.Random(1))],
             )
         with pytest.raises(GarblingError, match="count must be"):
             garble_many(circuit, -1)

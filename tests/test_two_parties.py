@@ -329,6 +329,56 @@ class TestWhatEachPartyHolds:
         assert tuple(run["b"]) not in vectors
 
 
+class TestWhatAPooledCopyHolds:
+    """A pooled copy on the demo net keeps Δ, its interface wires' rows,
+    its tables and its pads: no label plane, no internal label."""
+
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        from repro.cli import _demo_service
+        from repro.engine.pool import PregarbledPool
+        from repro.gc import Garbler, LabelStore
+
+        service, _ = _demo_service()
+        circuit = service.compiled.circuit
+        service.close()
+        rng = random.Random(29)
+        pool = PregarbledPool(circuit, capacity=1, ot_group=TEST_GROUP_512, rng=rng)
+        before = rng.getstate()
+        assert pool.warm() == 1
+        replay = random.Random()
+        replay.setstate(before)
+        # the gate-at-a-time oracle on the same rng stream keeps every wire
+        reference = Garbler(circuit, label_store=LabelStore(rng=replay))
+        reference.garble()
+        return circuit, pool, pool.acquire(), reference
+
+    def test_no_plane_and_no_internal_label(self, pooled):
+        circuit, _, item, reference = pooled
+        assert item.garbler.labels.delta == reference.labels.delta
+        objects = list(reachable([item]))
+        assert not [
+            obj.shape for obj in objects
+            if isinstance(obj, np.ndarray) and obj.ndim
+            and obj.shape[0] >= circuit.n_wires
+        ]
+        interface = set(circuit.interface_wires().tolist())
+        internal = [w for w in range(circuit.n_wires) if w not in interface]
+        held = holdings([item])
+        for wire in internal[:: len(internal) // 6]:
+            assert not holds_label(held, reference.labels.zero(wire)), wire
+        # the walk does find what the copy keeps
+        for wire in (circuit.outputs[0], circuit.bob_inputs[0]):
+            assert holds_label(held, reference.labels.zero(wire)), wire
+
+    def test_copy_bytes(self, pooled):
+        circuit, pool, item, _ = pooled
+        copy_bytes = pool.stats()["copy_bytes"]
+        assert copy_bytes == item.nbytes <= 430_000
+        # tables are most of it
+        assert 32 * circuit.counts().non_xor > 0.85 * copy_bytes
+
+
 # ---------------------------------------------------------------------------
 # (c): frame-for-frame parity with the in-memory session
 # ---------------------------------------------------------------------------

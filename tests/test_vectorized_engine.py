@@ -243,7 +243,6 @@ def _reference_schedule(circuit):
         n_non_free=table_index,
         n_wires=n_wires,
         scratch_wire=scratch,
-        gate_outs=np.asarray([g.out for g in circuit.gates], dtype=np.intp),
     )
 
 
@@ -268,8 +267,6 @@ def _assert_same_schedule(built, reference):
     for name in ("n_non_free", "n_wires", "scratch_wire"):
         value = getattr(built, name)
         assert type(value) is int and value == getattr(reference, name), name
-    assert built.gate_outs.dtype == reference.gate_outs.dtype
-    assert np.array_equal(built.gate_outs, reference.gate_outs)
     assert len(built.levels) == len(reference.levels)
     for depth, (level, expected) in enumerate(
         zip(built.levels, reference.levels)
@@ -646,8 +643,8 @@ class TestArrayLabelStore:
         """``getrandbits(128 n)`` is ``n`` successive 128-bit draws, least
         significant first: the equivalence the engine's one input-label
         draw, and cut-and-choose's seeded re-garbling, rely on."""
-        rows = ArrayLabelStore(n + 2, rng=random.Random(n))
-        wires = ArrayLabelStore(n + 2, rng=random.Random(n))
+        rows = ArrayLabelStore(range(n + 2), rng=random.Random(n))
+        wires = ArrayLabelStore(range(n + 2), rng=random.Random(n))
         rows.assign_fresh_rows(range(n))
         expected = [wires.assign_fresh(wire) for wire in range(n)]
         assert [rows.zero(wire) for wire in range(n)] == expected
@@ -656,7 +653,7 @@ class TestArrayLabelStore:
 
     def test_same_stream_as_scalar_store(self):
         scalar = LabelStore(rng=random.Random(9))
-        fast = ArrayLabelStore(8, rng=random.Random(9))
+        fast = ArrayLabelStore(range(8), rng=random.Random(9))
         assert scalar.delta == fast.delta
         for wire in range(6):
             assert scalar.assign_fresh(wire) == fast.assign_fresh(wire)
@@ -665,16 +662,38 @@ class TestArrayLabelStore:
             assert scalar.select(wire, 1) == fast.select(wire, 1)
 
     def test_decode_and_errors(self):
-        store = ArrayLabelStore(4, rng=random.Random(2))
+        store = ArrayLabelStore([0, 1, 2, 5], rng=random.Random(2))
         label = store.assign_fresh(2)
         assert store.decode_bit(2, label) == 0
         assert store.decode_bit(2, label ^ store.delta) == 1
         with pytest.raises(GarblingError):
             store.decode_bit(2, label ^ 1 ^ store.delta ^ store.delta << 1)
-        with pytest.raises(GarblingError):
-            store.zero(3)  # never assigned
-        with pytest.raises(GarblingError):
-            store.set_zero(4, 1)  # out of range
+        with pytest.raises(GarblingError, match="no label here"):
+            store.zero(3)  # not one of the store's wires
+        with pytest.raises(GarblingError, match="no label here"):
+            store.set_zero(6, 1)  # out of range
+        with pytest.raises(GarblingError, match="ascending"):
+            ArrayLabelStore([0, 2, 1])
+
+    def test_internal_wire_raises(self):
+        """A garbled copy keeps its interface wires only: reading an
+        internal wire raises, and the reference ``LabelStore`` (which
+        keeps every wire) holds what the walk computed there."""
+        circuit = _random_circuit(5)
+        fast = Garbler(circuit, rng=random.Random(5))
+        fast.garble()
+        reference = _reference(circuit, 5)
+        reference.garble()
+        interface = set(circuit.interface_wires().tolist())
+        internal = [w for w in range(circuit.n_wires) if w not in interface]
+        assert internal
+        for wire in internal:
+            with pytest.raises(GarblingError, match="no label here"):
+                fast.labels.zero(wire)
+            reference.labels.zero(wire)  # the reference store keeps it
+        with pytest.raises(GarblingError, match="no label here"):
+            fast.labels.zero_rows(internal[:3])
+        assert fast.labels.rows.shape == (len(interface), 16)
 
 
 class TestBitExactness:
@@ -690,12 +709,8 @@ class TestBitExactness:
         assert g_scalar.const_labels == g_fast.const_labels
         assert g_scalar.decode_bits == g_fast.decode_bits
         assert scalar.labels.delta == fast.labels.delta
-        for wire in range(circuit.n_wires):
-            try:
-                expected = scalar.labels.zero(wire)
-            except GarblingError:
-                continue
-            assert expected == fast.labels.zero(wire), f"wire {wire}"
+        for wire in circuit.interface_wires().tolist():
+            assert scalar.labels.zero(wire) == fast.labels.zero(wire), f"wire {wire}"
 
     @given(st.integers(0, 2**16), st.integers(10, 150))
     @settings(max_examples=15, deadline=None)
@@ -861,6 +876,31 @@ class TestGarbleMany:
             assert ref.decode_bits == garbled.decode_bits
             assert reference.labels.delta == garbler.labels.delta
 
+    def test_bounded_walks_match_reference_garbles(self):
+        """Twice the walk bound plus three copies — two full walks and a
+        short one on the same scratch plane — each byte-identical to its
+        own reference garble: tables, constant labels, decode bits and
+        interface rows."""
+        circuit = _random_circuit(15)
+        count = 2 * fastgarble.COPIES_PER_WALK + 3
+        pairs = garble_many(
+            circuit, rngs=[random.Random(400 + i) for i in range(count)]
+        )
+        assert len(pairs) == count
+        wires = circuit.interface_wires().tolist()
+        for i, (garbler, garbled) in enumerate(pairs):
+            reference = _reference(circuit, 400 + i)
+            ref = reference.garble()
+            assert ref.tables_bytes() == garbled.tables_bytes()
+            assert ref.const_labels == garbled.const_labels
+            assert ref.decode_bits == garbled.decode_bits
+            assert garbler.labels.zero_rows(wires).tobytes() == b"".join(
+                reference.labels.zero(w).to_bytes(16, "little") for w in wires
+            )
+        # every copy owns its tables: none is a view of a walk's stack
+        planes = [garbled.tables_plane for _, garbled in pairs]
+        assert not any(map(np.shares_memory, planes, planes[1:]))
+
     def test_verify_opened_copy_against_reference(self):
         """Opened engine copies verify; so does a reference-garbled copy,
         and a copy whose tables differ in one bit does not."""
@@ -868,20 +908,21 @@ class TestGarbleMany:
         cnc = CutAndChooseGarbler(circuit, copies=3, rng=random.Random(5))
         tables = cnc.tables()
         commitments = cnc.commitments()
-        for opened in cnc.open([0, 2]):
-            assert verify_opened_copy(
-                circuit, opened, commitments[opened.index],
-                tables[opened.index],
-            )
+        openings = cnc.open([0, 2])
+        assert verify_opened_copy(
+            circuit, openings, [commitments[0], commitments[2]],
+            [tables[0], tables[2]],
+        )
+        for opened in openings:
             claimed = _reference(circuit, opened.seed).garble().tables_bytes()
             assert claimed == tables[opened.index]
         seed = 0xC0FFEE
-        opened = OpenedCopy(index=0, seed=seed)
+        opened = [OpenedCopy(index=0, seed=seed)]
         claimed = _reference(circuit, seed).garble().tables_bytes()
-        assert verify_opened_copy(circuit, opened, _commit(seed), claimed)
+        assert verify_opened_copy(circuit, opened, [_commit(seed)], [claimed])
         tampered = bytes([claimed[0] ^ 1]) + claimed[1:]
         assert not verify_opened_copy(
-            circuit, opened, _commit(seed), tampered
+            circuit, opened, [_commit(seed)], [tampered]
         )
 
     def test_count_validation(self):

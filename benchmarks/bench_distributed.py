@@ -40,7 +40,7 @@ def _shard_factory():
 
 @pytest.fixture(scope="module")
 def service_and_data():
-    return _demo_service(pool_size=BATCH, history_limit=64, seed=11)
+    return _demo_service(pool_size=BATCH, seed=11)
 
 
 def test_shard_scaling_throughput(service_and_data, results_dir):

@@ -38,7 +38,7 @@ def service_and_data():
     # `infer`/`serve` subcommands, so benchmark results and CLI output
     # describe the same deployment.  refill "none": the split test
     # decides itself when the pool is warmed
-    return _demo_service(history_limit=64, seed=11, pool_refill="none")
+    return _demo_service(seed=11, pool_refill="none")
 
 
 def test_offline_online_split(benchmark, service_and_data, results_dir):

@@ -49,7 +49,7 @@ BATCH_EVAL_FLOOR = float(
 BATCH_EVAL_VS_FAST_FLOOR = float(
     os.environ.get("REPRO_BENCH_BATCH_EVAL_VS_FAST_FLOOR", "1.1")
 )
-#: kdf_workers=4 vs 1 on a wide garble (ISSUE 3 bar: 1.5x, needs cores).
+#: ParallelKDF(workers=4) vs inline on a wide garble (bar: 1.5x, needs cores).
 KDF_FLOOR = float(os.environ.get("REPRO_BENCH_KDF_FLOOR", "1.5"))
 #: folded session vs the reference oracle.  The MAC core is
 #: mostly narrow levels, so the engine win is modest (~1.1x) and noisy
@@ -90,8 +90,8 @@ def test_parallel_kdf_garble_scaling(dl_service, results_dir):
     text = (
         f"wide DL garble ({circuit.counts().non_xor} tables), "
         f"{cores} host cores:\n"
-        f"kdf_workers=1: {single_s * 1e3:7.1f} ms\n"
-        f"kdf_workers=4: {parallel_s * 1e3:7.1f} ms ({speedup:.2f}x)"
+        f"inline:                 {single_s * 1e3:7.1f} ms\n"
+        f"ParallelKDF(workers=4): {parallel_s * 1e3:7.1f} ms ({speedup:.2f}x)"
     )
     write_report(results_dir, "parallel_kdf", text)
     record_trajectory(

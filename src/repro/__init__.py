@@ -16,7 +16,7 @@ Quick tour (see ``examples/quickstart.py`` for the runnable version)::
     Trainer(model).fit(x_train, y_train)
 
     service = PrivateInferenceService(model, EngineConfig(
-        backend="two_party",   # or outsourced / folded / cut_and_choose
+        backend="two_party",   # or outsourced / cut_and_choose / simulate
         pool_size=8,           # pre-garble 8 circuits (offline phase)
     ))
     service.prepare()                       # input-independent garbling

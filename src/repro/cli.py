@@ -9,7 +9,7 @@ Usage::
     python -m repro.cli fig6              # delay-vs-batch-size curves
     python -m repro.cli throughput        # this host's garbling speed
     python -m repro.cli demo              # one live private inference
-    python -m repro.cli infer -b folded   # one inference, any backend
+    python -m repro.cli infer -b outsourced  # one inference, any backend
     python -m repro.cli serve -n 6        # batch serving, pre-garbled pool
     python -m repro.cli serve --shards 2  # process-sharded serving
     python -m repro.cli worker --port 0   # host the evaluator on a socket
@@ -126,13 +126,12 @@ _DEMO_SAMPLES = 400
 
 
 def _demo_service(backend: str = "two_party", activation: str = "exact",
-                  pool_size: int = 0, history_limit: int = 0, seed: int = 1,
-                  pool_refill: str = "idle", kdf_workers: int = 1,
+                  pool_size: int = 0, seed: int = 1,
+                  pool_refill: str = "idle",
                   kdf_backend: str = "fixed_key_aes",
                   request_timeout_s=None, max_retries: int = 0,
                   fault_specs=None, fault_seed: int = 0,
-                  transport: Optional[str] = None, shards: int = 0,
-                  max_inflight: int = 0):
+                  transport: Optional[str] = None, max_inflight: int = 0):
     """A small trained service for the live subcommands (fast OT group)."""
     import random
 
@@ -160,15 +159,12 @@ def _demo_service(backend: str = "two_party", activation: str = "exact",
         backend=backend,
         ot_group=TEST_GROUP_512,
         rng=random.Random(seed),
-        kdf_workers=kdf_workers,
         kdf_backend=kdf_backend,
         pool_size=pool_size,
         pool_refill=pool_refill,
-        history_limit=history_limit,
         request_timeout_s=request_timeout_s,
         max_retries=max_retries,
         fault_plan=fault_plan,
-        shards=shards,
         max_inflight=max_inflight,
     )
     if transport is not None:
@@ -215,15 +211,11 @@ def _infer_remote(args) -> None:
 
     from .errors import EngineError
     from .gc.ot_extension import IKNPState
-    from .transport import run_folded_peer, run_two_party_peer
+    from .transport import run_two_party_peer
     from .transport.worker import open_peer_session, recv_ctl, send_ctl
 
-    flows = {"two_party": run_two_party_peer, "folded": run_folded_peer}
-    runner = flows.get(args.backend)
-    if runner is None:
-        raise SystemExit(
-            f"infer: --connect supports backends {', '.join(flows)}"
-        )
+    if args.backend != "two_party":
+        raise SystemExit("infer: --connect supports backend two_party only")
     if args.transport != "socket":
         raise SystemExit("infer: --connect requires --transport socket")
     host, _, port = args.connect.rpartition(":")
@@ -237,20 +229,18 @@ def _infer_remote(args) -> None:
     try:
         for index in range(args.samples):
             try:
-                open_peer_session(sock, args.backend, service.kdf)
+                open_peer_session(sock, service.kdf)
             except EngineError as exc:
                 raise SystemExit(f"infer: {exc}")
             paid = ot_state.setup_bytes == 0
-            result = runner(
+            result = run_two_party_peer(
                 sock, "garbler", service.compiled.circuit,
                 service.compiled.client_bits(x[index]),
                 kdf=service.kdf, ot_group=service.config.ot_group,
                 ot_state=ot_state,
             )
-            outputs = (result.final_outputs if args.backend == "folded"
-                       else result.outputs)
             remote = recv_ctl(sock, timeout=60.0)
-            label = service.compiled.decode_output(list(outputs))
+            label = service.compiled.decode_output(result.outputs)
             comm = sum(result.comm.values())
             agree = bool(remote.get("ok")) and remote.get("comm_bytes") == comm
             agreements += agree
@@ -321,11 +311,9 @@ def _serve_sharded(args) -> None:
     def factory():
         service, _ = _demo_service(
             pool_size=per_shard_pool,
-            kdf_workers=args.kdf_workers,
             kdf_backend=args.kdf_backend,
             request_timeout_s=args.request_timeout,
             max_retries=args.max_retries,
-            shards=args.shards,
         )
         return service
 
@@ -459,8 +447,7 @@ def _cmd_serve(args) -> None:
         return
     pool_size = args.pool if args.pool is not None else args.requests
     service, x = _demo_service(
-        pool_size=pool_size, history_limit=args.requests,
-        kdf_workers=args.kdf_workers, kdf_backend=args.kdf_backend,
+        pool_size=pool_size, kdf_backend=args.kdf_backend,
         request_timeout_s=args.request_timeout,
         max_retries=args.max_retries,
         fault_specs=args.fault, fault_seed=args.fault_seed,
@@ -480,8 +467,7 @@ def _cmd_serve(args) -> None:
     if pool_size > 0:
         warmed = service.prepare()
         print(f"offline phase: {warmed} circuits pre-garbled "
-              f"(kdf workers {args.kdf_workers}, "
-              f"kdf backend {args.kdf_backend} -> {service.kdf_name}, "
+              f"(kdf backend {args.kdf_backend} -> {service.kdf_name}, "
               f"ot group {service.ot_group_name})")
     else:
         print("offline phase: disabled (--pool 0, cold baseline)")
@@ -597,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run each inference as a split session "
                             "against a `worker` process (garbler here, "
                             "evaluator there); requires --transport "
-                            "socket and backend two_party or folded")
+                            "socket and backend two_party")
     infer.set_defaults(func=_cmd_infer)
 
     worker = sub.add_parser(
@@ -630,16 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pre-garbled pool size (default: = requests; "
                             "0 disables pooling for a cold baseline)")
     serve.add_argument("--kdf-backend", default="fixed_key_aes",
-                       choices=["auto", "hashlib", "sha256_vec",
-                                "fixed_key_aes"],
+                       choices=["fixed_key_aes", "hashlib"],
                        help="garbling oracle: fixed_key_aes (default, the "
                             "paper's fixed-key block cipher through "
-                            "libcrypto) or the SHA-256 oracle (hashlib; "
-                            "sha256_vec and auto are other implementations "
-                            "of it, identical tables); peers must agree")
-    serve.add_argument("--kdf-workers", type=int, default=1,
-                       help="thread-split the batched KDF across this "
-                            "many workers (0 = host cores)")
+                            "libcrypto) or the SHA-256 oracle (hashlib); "
+                            "peers must agree")
     serve.add_argument("--request-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request deadline: protocol recvs and "

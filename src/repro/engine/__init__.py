@@ -4,12 +4,12 @@ The seed wired each execution path by hand; this package normalizes
 them behind three ideas:
 
 * **Backend registry** — every flow (direct two-party, outsourced,
-  folded-sequential, cut-and-choose, plaintext simulation) implements
+  cut-and-choose, plaintext simulation) implements
   ``run(circuit, client_bits, server_bits) -> ExecutionResult`` and is
   reachable via :func:`get_backend` by name.
 * **EngineConfig** — a single validated object carrying the fixed-point
-  format, activation variant, output kind, backend choice and serving
-  knobs, replacing scattered constructor arguments.
+  format, activation variant, backend choice and serving knobs,
+  replacing scattered constructor arguments.
 * **Offline/online split** — garbling is input-independent (paper
   Sec. 3), so :class:`PregarbledPool` prepares circuit copies ahead of
   requests and the online path pays only transfer + OT + evaluate +
@@ -28,7 +28,6 @@ Quick use::
 from .backends import (
     Backend,
     CutAndChooseBackend,
-    FoldedBackend,
     OutsourcedBackend,
     SimulateBackend,
     TwoPartyBackend,
@@ -45,7 +44,6 @@ __all__ = [
     "Backend",
     "TwoPartyBackend",
     "OutsourcedBackend",
-    "FoldedBackend",
     "CutAndChooseBackend",
     "SimulateBackend",
     "available_backends",

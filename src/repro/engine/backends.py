@@ -2,7 +2,6 @@
 
 Every way this reproduction can execute a compiled inference circuit —
 direct two-party GC (Fig. 3), XOR-share outsourcing (Fig. 4 / Sec. 3.3),
-single-cycle sequential garbling (the Sec. 3.5 folded machinery),
 cut-and-choose covert security (Sec. 2.4), and the plaintext reference
 simulator — is normalized behind the :class:`Backend` contract and a
 string-keyed registry, so services, CLIs and benchmarks select a flow by
@@ -23,7 +22,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 from ..circuits.netlist import Circuit
-from ..circuits.sequential import SequentialCircuit
 from ..circuits.simulate import simulate
 from ..errors import EngineError
 from ..gc.cipher import HashKDF
@@ -40,7 +38,6 @@ from ..gc.protocol import (
     transfer_input_labels,  # noqa: F401
 )
 from ..gc.rng import RngLike
-from ..gc.sequential import SequentialSession
 from ..resilience.deadline import Deadline
 from .pool import PregarbledPool
 from .result import ExecutionResult
@@ -49,7 +46,6 @@ __all__ = [
     "Backend",
     "TwoPartyBackend",
     "OutsourcedBackend",
-    "FoldedBackend",
     "CutAndChooseBackend",
     "SimulateBackend",
     "available_backends",
@@ -174,7 +170,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# the five built-in flows
+# the four built-in flows
 # ---------------------------------------------------------------------------
 
 
@@ -329,48 +325,6 @@ class OutsourcedBackend(Backend):
         return ExecutionResult.from_protocol(
             outcome.proxy_result, self.name,
             {"client_work_bits": len(client_bits)},
-        )
-
-
-@register_backend("folded")
-class FoldedBackend(Backend):
-    """Sequential-garbling execution path (the Sec. 3.5 machinery).
-
-    The combinational circuit is wrapped as a zero-register sequential
-    core and driven through :class:`repro.gc.sequential.SequentialSession`
-    for one clock cycle — the driver that clocks folded MAC cells,
-    exercised at service level, here running ``two_party``'s round frame
-    for frame.
-    """
-
-    def run(
-        self,
-        circuit: Circuit,
-        client_bits: Sequence[int],
-        server_bits: Sequence[int],
-    ) -> ExecutionResult:
-        if circuit.n_state:
-            raise EngineError(
-                "folded backend expects a combinational compiled circuit"
-            )
-        sequential = SequentialCircuit(circuit, [])
-        session = SequentialSession(
-            sequential, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
-            channel_factory=self.channel_factory, ot_state=self.ot_state,
-        )
-        result = session.run(
-            [list(client_bits)], [list(server_bits)], cycles=1,
-            deadline=self._deadline(),
-        )
-        counts = circuit.counts()
-        return ExecutionResult(
-            outputs=list(result.final_outputs),
-            backend=self.name,
-            times=dict(result.times_per_cycle[0]),
-            comm_bytes=sum(result.comm.values()),
-            n_xor=counts.xor,
-            n_non_xor=result.n_non_xor_per_cycle,
-            metadata={"cycles": 1},
         )
 
 

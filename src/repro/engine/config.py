@@ -2,8 +2,9 @@
 
 A single validated configuration the whole stack shares — the compiler
 reads the format and activation choice, the backend registry reads the
-backend name and options, and the service reads the serving knobs
-(pre-garbled pool size, history cap).
+backend name, and the service reads the serving knobs (pre-garbled pool,
+retries, breakers, admission budget).  A field is here only because some
+caller sets it.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import secrets
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from ..circuits.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from ..compile.compiler import CompileOptions
 from ..errors import EngineError
-from ..gc.cipher import HashKDF
+from ..gc.cipher import KDF_BACKENDS, HashKDF, make_kdf
 from ..gc.ot import MODP_2048, OTGroup
 from ..nn.quantize import ACTIVATION_VARIANTS
 from ..resilience.faults import FaultPlan
@@ -34,13 +35,9 @@ class EngineConfig:
             "exact", "truncated", "piecewise") — honored end to end: the
             compiler instantiates it and the cleartext reference uses
             the matching bit-exact table.
-        output: "argmax" (label index) or "logits" (raw scores).
-        honor_sparsity: skip gates for masked-out weights.
         backend: registry name of the execution flow ("two_party",
-            "outsourced", "folded", "cut_and_choose", "simulate", or any
-            custom registration).
-        backend_options: extra keywords for the chosen backend's
-            constructor (e.g. ``{"copies": 4}`` for cut-and-choose).
+            "outsourced", "cut_and_choose", "simulate", or any custom
+            registration).
         kdf: explicit garbling-oracle *instance*; overrides
             ``kdf_backend`` entirely when set.
         kdf_backend: registered oracle backend name.  The oracle is
@@ -52,19 +49,10 @@ class EngineConfig:
             the system libcrypto, NumPy tables where none loads — same
             tables either way); ``"hashlib"`` is ``SHA256(label ||
             tweak)[:16]``, one hashlib call per row: same inference
-            results, different table bytes.  ``"sha256_vec"`` and
-            ``"auto"`` (a per-host calibration between the two) are
-            other implementations of the SHA oracle, byte-identical to
-            ``"hashlib"``.
+            results, different table bytes.
         ot_group: group for base OTs (production default MODP-2048).
         rng: randomness source (``secrets``, or a seeded
             ``random.Random`` for reproducible runs).
-        kdf_workers: worker threads for the batched garbling oracle.
-            ``1`` (default) hashes inline; ``> 1`` wraps the KDF in a
-            :class:`repro.gc.cipher.ParallelKDF` that splits each
-            level's ``hash_many`` row block across a thread pool; ``0``
-            selects the host core count.  Output is worker-count
-            invariant.
         pool_size: pre-garbled circuit copies to keep ready (two-party
             backend only; 0 disables the offline/online split).  Each
             holds its tables, interface labels and OT pads — 426 030 B
@@ -75,9 +63,6 @@ class EngineConfig:
             garbling time) or ``"none"`` (``prepare()`` only).  Not a
             tuning choice: ``"none"`` is for callers that must keep
             garbling out of a window they time.
-        history_limit: cap on retained inference records; 0 (default)
-            disables history entirely — recording is opt-in so sustained
-            traffic cannot grow memory without bound.
         request_timeout_s: per-request time budget; every protocol recv
             and phase boundary is checked against it, raising
             :class:`repro.errors.DeadlineExceeded` (None = unlimited).
@@ -101,13 +86,6 @@ class EngineConfig:
             bit-exact with memory, exercises the real wire path).
             Defaults from the ``REPRO_TRANSPORT`` environment variable,
             so whole suites switch transports without code changes.
-        shards: worker-process count for
-            :class:`repro.transport.ShardedService` front-ends (0 =
-            single-process serving).  Also read by
-            :meth:`effective_kdf`: with ``kdf_workers=0`` (host cores)
-            and ``shards > 0``, each shard's service claims its
-            ``1/shards`` share of the cores instead of every worker
-            process oversubscribing the whole host.
         max_inflight: bound on concurrently admitted requests (0 =
             unbounded).  When the budget is full, new work is shed with
             the typed permanent
@@ -117,18 +95,13 @@ class EngineConfig:
 
     fmt: FixedPointFormat = DEFAULT_FORMAT
     activation: str = "cordic"
-    output: str = "argmax"
-    honor_sparsity: bool = True
     backend: str = "two_party"
-    backend_options: Dict[str, Any] = dataclasses.field(default_factory=dict)
     kdf: Optional[HashKDF] = None
     kdf_backend: str = "fixed_key_aes"
     ot_group: OTGroup = MODP_2048
     rng: Any = secrets
-    kdf_workers: int = 1
     pool_size: int = 0
     pool_refill: str = "idle"
-    history_limit: int = 0
     request_timeout_s: Optional[float] = None
     max_retries: int = 0
     retry_backoff_s: float = 0.05
@@ -138,7 +111,6 @@ class EngineConfig:
     transport: str = dataclasses.field(
         default_factory=lambda: os.environ.get("REPRO_TRANSPORT", "memory")
     )
-    shards: int = 0
     max_inflight: int = 0
 
     def __post_init__(self) -> None:
@@ -150,8 +122,6 @@ class EngineConfig:
                 f"unknown activation variant {self.activation!r}; "
                 f"choose from {', '.join(ACTIVATION_VARIANTS)}"
             )
-        if self.output not in ("argmax", "logits"):
-            raise EngineError(f"unknown output kind {self.output!r}")
         if self.backend not in available_backends():
             # fail fast: catching a typo here is milliseconds, catching it
             # on the first infer() is after a full model compile
@@ -159,20 +129,14 @@ class EngineConfig:
                 f"unknown backend {self.backend!r}; registered: "
                 f"{', '.join(available_backends())}"
             )
-        from ..gc.cipher import KDF_BACKENDS
-
-        if self.kdf_backend != "auto" and self.kdf_backend not in KDF_BACKENDS:
+        if self.kdf_backend not in KDF_BACKENDS:
             raise EngineError(
                 f"unknown kdf_backend {self.kdf_backend!r}; choose from "
-                f"auto, {', '.join(sorted(KDF_BACKENDS))}"
+                f"{', '.join(sorted(KDF_BACKENDS))}"
             )
-        if self.kdf_workers < 0:
-            raise EngineError("kdf_workers must be >= 0 (0 = host cores)")
         if self.pool_size < 0:
             raise EngineError("pool_size must be >= 0")
         check_refill("pool_refill", self.pool_refill)
-        if self.history_limit < 0:
-            raise EngineError("history_limit must be >= 0")
         if self.request_timeout_s is not None and self.request_timeout_s <= 0:
             raise EngineError("request_timeout_s must be positive (or None)")
         if self.max_retries < 0:
@@ -194,47 +158,19 @@ class EngineConfig:
                 f"unknown transport {self.transport!r}; choose from "
                 "memory, socket"
             )
-        if self.shards < 0:
-            raise EngineError("shards must be >= 0 (0 = single process)")
         if self.max_inflight < 0:
             raise EngineError("max_inflight must be >= 0 (0 = unbounded)")
 
     def effective_kdf(self) -> HashKDF:
-        """The garbling oracle with ``kdf_backend``/``kdf_workers`` applied.
-
-        An explicit ``kdf`` instance wins; otherwise the backend name is
-        resolved through the oracle registry.  With ``kdf_workers`` > 1
-        the resolved oracle is wrapped in a
-        :class:`repro.gc.cipher.ParallelKDF` that chunk-splits each
-        batch across threads (both the libcrypto call and the NumPy
-        SHA-256 kernel release the GIL).  Call once per service so every
-        backend, pool and session shares one oracle and one worker pool.
-        """
-        from ..gc.cipher import ParallelKDF, resolve_kdf_backend
-
-        workers = self.kdf_workers
-        if workers == 0:
-            # "host cores", divided across shard processes: N sharded
-            # workers each running host-cores KDF threads would
-            # oversubscribe the machine N-fold, so a sharded config
-            # claims its fair 1/shards slice (at least one thread)
-            workers = max(1, (os.cpu_count() or 1) // max(1, self.shards or 1))
-        kdf = self.kdf
-        if kdf is None:
-            # "auto" gets the worker count: its calibrated crossover
-            # must be taken at kernel-throughput x workers
-            kdf = resolve_kdf_backend(self.kdf_backend, workers=workers)
-        if workers <= 1 or isinstance(kdf, ParallelKDF):
-            return kdf
-        return ParallelKDF(kdf, workers=workers)
+        """The garbling oracle: the explicit ``kdf`` instance if set, else
+        the one ``kdf_backend`` names.  Call once per service so every
+        backend, pool and session shares one oracle."""
+        return self.kdf if self.kdf is not None else make_kdf(self.kdf_backend)
 
     def compile_options(self) -> CompileOptions:
-        """The compiler view of this configuration."""
-        return CompileOptions(
-            activation=self.activation,
-            output=self.output,
-            honor_sparsity=self.honor_sparsity,
-        )
+        """The compiler view of this configuration: a label (argmax)
+        circuit that skips masked-out weights."""
+        return CompileOptions(activation=self.activation)
 
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with some fields changed (frozen-dataclass helper)."""

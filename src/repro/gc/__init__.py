@@ -19,7 +19,6 @@ from .cipher import (
     kdf_calibration,
     make_kdf,
     oracle_fingerprint,
-    resolve_kdf_backend,
 )
 from .cutandchoose import CutAndChooseGarbler, OpenedCopy, verify_opened_copy
 from .evaluate import Evaluator
@@ -63,7 +62,6 @@ __all__ = [
     "kdf_calibration",
     "make_kdf",
     "oracle_fingerprint",
-    "resolve_kdf_backend",
     "sha256_many",
     "default_kdf",
     "LABEL_BITS",

@@ -69,7 +69,6 @@ __all__ = [
     "calibrate_kdf",
     "kdf_calibration",
     "make_kdf",
-    "resolve_kdf_backend",
     "default_kdf",
     "oracle_fingerprint",
 ]
@@ -633,10 +632,9 @@ class ParallelKDF:
     scalar engine) delegate to the wrapped oracle unchanged, keeping the
     hybrid engine's mixed batched/scalar calls consistent.
 
-    Wired through :attr:`repro.engine.EngineConfig.kdf_workers` so both
-    :class:`repro.gc.garble.Garbler` and
-    :class:`~repro.gc.fastgarble.FastEvaluator` split their level-sized
-    KDF batches across cores.
+    No configuration builds it: one fixed-key-AES call costs tens of
+    microseconds, less than a thread hop, and splitting measured 0.89x on
+    a cold request.  Construct it directly to split a wide batch.
 
     Args:
         kdf: the oracle to wrap (default: :class:`HashKDF`).
@@ -717,15 +715,14 @@ class ParallelKDF:
 # oracle registry + one-shot autotuner
 # ---------------------------------------------------------------------------
 
-#: Constructable garbling-oracle backends, keyed by config-facing name.
-#: ``fixed_key_aes`` is the default, the JustGarble fixed-key-cipher
-#: oracle; ``hashlib`` and ``sha256_vec`` implement the *same* SHA-256
-#: oracle as each other (identical tables for identical seeds) — a
-#: different oracle from AES, so their tables differ from its by
-#: construction (results still agree end to end).
+#: Constructable garbling-oracle backends, keyed by config-facing name:
+#: one per oracle.  ``fixed_key_aes`` is the default, the JustGarble
+#: fixed-key-cipher oracle; ``hashlib`` is the SHA-256 oracle — a
+#: different oracle, so its tables differ by construction (results still
+#: agree end to end).  ``VectorHashKDF`` and ``AutoHashKDF`` compute the
+#: SHA oracle too and are constructed by class, never by name.
 KDF_BACKENDS: Dict[str, type] = {
     "hashlib": HashKDF,
-    "sha256_vec": VectorHashKDF,
     "fixed_key_aes": FixedKeyAES,
 }
 
@@ -842,11 +839,9 @@ def calibrate_kdf(
             — a different oracle is never auto-selected).
 
     Returns:
-        A :class:`KDFCalibration`; ~50-100 ms of work for the defaults
-        (measured ~70 ms on the committing host).  The ``"auto"``
-        backend defers this until the first batch wide enough for the
-        choice to matter, so processes that never hash a wide level
-        never pay it.
+        A :class:`KDFCalibration`; ~50-100 ms of work for the defaults.
+        :class:`AutoHashKDF` defers this until the first batch wide enough for the choice to
+        matter, so processes that never hash a wide level never pay it.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(0xD5EC)
@@ -895,13 +890,13 @@ def make_kdf(backend: str, **kwargs: Any) -> HashKDF:
     except KeyError:
         raise ValueError(
             f"unknown kdf backend {backend!r}; registered: "
-            f"{', '.join(sorted(KDF_BACKENDS))} (or 'auto')"
+            f"{', '.join(sorted(KDF_BACKENDS))}"
         ) from None
     return cls(**kwargs)
 
 
 class AutoHashKDF(VectorHashKDF):
-    """The ``"auto"`` backend: calibrates lazily, on first wide batch.
+    """A SHA-256 oracle that calibrates lazily, on its first wide batch.
 
     Construction is free.  Batches below the smallest calibration width
     always take the hashlib loop (no crossover could favor the kernel
@@ -912,12 +907,13 @@ class AutoHashKDF(VectorHashKDF):
     never hash a wide level never pay the calibration cost.
 
     Args:
-        workers_hint: the ``kdf_workers`` this oracle will run under.
+        workers_hint: the :class:`ParallelKDF` worker count this
+            oracle will run under.
             Calibration is single-threaded, but only the NumPy kernel
             can use those workers (hashlib holds the GIL below 2KiB),
             so ``min_width`` is pinned to the *per-chunk* crossover at
             kernel-throughput x workers — on a multicore SHA-NI host,
-            where the loop wins single-threaded, ``auto`` still routes
+            where the loop wins single-threaded, it still routes
             :class:`ParallelKDF`'s chunk-split batches through the
             kernel rather than silently discarding the cores.  Chunks
             of batches too narrow to split fully land below the
@@ -952,22 +948,6 @@ class AutoHashKDF(VectorHashKDF):
 
 #: ``min_width`` sentinel meaning "calibration said the loop always wins".
 _NEVER_VECTORIZE = 1 << 62
-
-
-def resolve_kdf_backend(backend: str, workers: int = 1) -> HashKDF:
-    """Turn a config-facing backend name into an oracle instance.
-
-    ``"auto"`` returns a lazily self-calibrating SHA-256 oracle: the
-    cached host calibration runs on the first wide ``hash_many`` and
-    gates the NumPy kernel at the measured crossover width — scaled by
-    ``workers``, since only the GIL-releasing kernel can use them.
-    Either way the digests are identical, so ``auto`` is a pure speed
-    decision within the SHA family.  Explicit names skip calibration
-    entirely.
-    """
-    if backend == "auto":
-        return AutoHashKDF(workers_hint=workers)
-    return make_kdf(backend)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,8 +8,10 @@ classic three-state machine:
 
 * **closed** — healthy; every call allowed, consecutive failures
   counted.
-* **open** — tripped after ``threshold`` consecutive failures; calls
-  denied (callers degrade) until ``cooldown_s`` elapses.
+* **open** — tripped after ``threshold`` consecutive failures (or by
+  :meth:`CircuitBreaker.trip`); calls denied (callers degrade) until
+  ``cooldown_s`` elapses.  A failure recorded while open restarts the
+  cooldown.
 * **half-open** — after the cooldown one probe call is allowed; success
   closes the breaker, failure re-opens it for another cooldown.
 
@@ -98,7 +100,9 @@ class CircuitBreaker:
         path applies afterwards.
         """
         with self._lock:
-            if self._state != "open":
+            # a cooldown that lapsed unobserved made this half-open: the
+            # trip is a transition into open like any other, and counts
+            if self._resolve_state() != "open":
                 self._trips += 1
             self._failures = max(self._failures, self.threshold)
             self._state = "open"

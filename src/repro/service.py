@@ -26,8 +26,7 @@ import dataclasses
 import functools
 import random
 import threading
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -156,12 +155,9 @@ class PrivateInferenceService:
             raise CompileError(
                 f"config must be an EngineConfig, got {type(config).__name__}"
             )
-        if config.output != "argmax":
-            raise CompileError("the service API serves labels (argmax)")
         self.config = config
-        # one oracle instance for the whole service: when kdf_workers > 1
-        # this is a ParallelKDF whose worker pool the pool, backends and
-        # sessions all share
+        # one oracle instance for the whole service: the pool, backends
+        # and sessions all garble and evaluate under it
         self._kdf = config.effective_kdf()
         self.quantized = QuantizedModel(
             model, config.fmt, activation_variant=config.activation
@@ -170,9 +166,6 @@ class PrivateInferenceService:
             self.quantized, config.compile_options()
         )
         self._server_bits = self.compiled.server_bits()
-        self._history: Deque[InferenceResult] = deque(
-            maxlen=config.history_limit
-        )
         self._backends: Dict[str, Backend] = {}
         self._lock = threading.Lock()
         # admission control + graceful drain: a bounded in-flight budget
@@ -282,17 +275,6 @@ class PrivateInferenceService:
             return self._pool
 
     @property
-    def history(self) -> List[InferenceResult]:
-        """Consistent snapshot of retained inference records (newest last).
-
-        Backed by a deque capped at ``EngineConfig.history_limit`` (0
-        retains nothing).  Copied under the service lock so readers
-        never observe a half-applied batch from a serving thread.
-        """
-        with self._lock:
-            return list(self._history)
-
-    @property
     def stats(self) -> Dict[str, object]:
         """Serving counters plus pool/breaker/fault stats (locked snapshot)."""
         with self._lock:
@@ -380,12 +362,10 @@ class PrivateInferenceService:
             channel_factory=self._channel_factory,
             request_timeout_s=self.config.request_timeout_s,
         )
-        if name == self.config.backend:
-            options.update(self.config.backend_options)
         if name == "two_party":
-            options.setdefault("ot_state", self._ot_state)
+            options["ot_state"] = self._ot_state
             if self._pool is not None:
-                options.setdefault("pool", self._pool)
+                options["pool"] = self._pool
         return options
 
     def _backend(self, name: str) -> Backend:
@@ -427,7 +407,6 @@ class PrivateInferenceService:
             pregarbled=bool(result.metadata.get("pregarbled", False)),
         )
         with self._lock:
-            self._history.append(record)
             self._stats["requests"] += 1
             if record.pregarbled:
                 self._stats["pregarbled"] += 1
@@ -467,7 +446,7 @@ class PrivateInferenceService:
         immediately.
 
         Thread-safe: callers may run this from their own threads, so
-        the shared history/stats mutation happens under the service lock
+        the shared stats mutation happens under the service lock
         (the protocol execution itself stays outside it).
         """
         self._gate.admit(1)
@@ -683,11 +662,6 @@ class PrivateInferenceService:
                 request_id=normalized[index].request_id,
             )
         return outcomes
-
-    def infer_batch(self, samples: np.ndarray) -> List[int]:
-        """Private inference over a batch (one protocol run per sample —
-        GC has no batching discount, which is Fig. 6's whole point)."""
-        return [result.label for result in self.infer_many(list(samples))]
 
     def cleartext_label(self, sample: np.ndarray) -> int:
         """The reference label the server would compute in the clear."""

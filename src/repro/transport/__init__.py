@@ -32,7 +32,7 @@ transient :class:`repro.errors.ChannelClosedError`, timeouts as
 ``CircuitBreaker`` work unchanged across transports.
 """
 
-from .peer import peer_channel_factory, run_folded_peer, run_two_party_peer
+from .peer import peer_channel_factory, run_two_party_peer
 from .sharded import ShardedService
 from .socket_channel import SocketChannel, socketpair_channel_factory
 from .supervisor import ShardSupervisor
@@ -65,7 +65,6 @@ __all__ = [
     "peer_channel_factory",
     "read_frame",
     "recv_ctl",
-    "run_folded_peer",
     "run_two_party_peer",
     "send_ctl",
     "socketpair_channel_factory",

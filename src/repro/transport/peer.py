@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import secrets
 import socket
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..circuits.netlist import Circuit
-from ..circuits.sequential import SequentialCircuit
 from ..errors import EngineError
 from ..gc.channel import Channel, ChannelStats
 from ..gc.cipher import HashKDF
@@ -37,11 +36,10 @@ from ..gc.ot import MODP_2048, OTGroup
 from ..gc.ot_extension import IKNPState
 from ..gc.protocol import LinkFactory, ProtocolResult, TwoPartySession
 from ..gc.rng import RngLike
-from ..gc.sequential import SequentialResult, SequentialSession
 from ..resilience.deadline import Deadline
 from .socket_channel import DEFAULT_IO_TIMEOUT_S, SocketChannel
 
-__all__ = ["PEER_ROLES", "peer_channel_factory", "run_folded_peer", "run_two_party_peer"]
+__all__ = ["PEER_ROLES", "peer_channel_factory", "run_two_party_peer"]
 
 #: The two sides of a split session: the garbler hosts Alice's endpoint
 #: (tables, input labels and OT masks go out on the wire), the evaluator
@@ -73,21 +71,6 @@ def peer_channel_factory(
     return factory
 
 
-def _run_peer(
-    session_type: Any, netlist: Any, sock: socket.socket, role: str, bits: Any,
-    request_timeout_s: Optional[float] = None,
-    io_timeout_s: float = DEFAULT_IO_TIMEOUT_S, **session_options: Any,
-) -> Any:
-    """The one body of both runners: a session on a one-ended link, run
-    on this party's input alone."""
-    session = session_type(
-        netlist, channel_factory=peer_channel_factory(sock, role, io_timeout_s),
-        **session_options,
-    )
-    inputs = (bits, None) if role == "garbler" else (None, bits)
-    return session.run(*inputs, deadline=Deadline.start(request_timeout_s))
-
-
 def run_two_party_peer(
     sock: socket.socket,
     role: str,
@@ -110,23 +93,9 @@ def run_two_party_peer(
     connection's: handed to every call on one socket, only the first
     pays the base OT.
     """
-    return _run_peer(
-        TwoPartySession, circuit, sock, role, bits, request_timeout_s,
-        io_timeout_s, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state,
+    session = TwoPartySession(
+        circuit, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state,
+        channel_factory=peer_channel_factory(sock, role, io_timeout_s),
     )
-
-
-def run_folded_peer(
-    sock: socket.socket, role: str, circuit: Circuit, bits: List[int], **options: Any
-) -> SequentialResult:
-    """Run one side of a split folded (sequential) session over ``sock``;
-    ``options`` as for :func:`run_two_party_peer`.
-
-    Wraps the combinational circuit as a one-cycle sequential core —
-    the same path :class:`repro.engine.backends.FoldedBackend` drives —
-    so the folded flow's per-cycle flights cross the real wire too.
-    """
-    if circuit.n_state:
-        raise EngineError("folded peer expects a combinational circuit")
-    core = SequentialCircuit(circuit, [])
-    return _run_peer(SequentialSession, core, sock, role, [list(bits)], **options)
+    inputs = (bits, None) if role == "garbler" else (None, bits)
+    return session.run(*inputs, deadline=Deadline.start(request_timeout_s))

@@ -14,9 +14,9 @@ Control operations:
 ``ping``
     liveness probe; replies ``pong``.
 ``peer``
-    host the evaluator side of a split session: the caller names the
-    flow (``two_party`` / ``folded``) and its garbling oracle — nothing
-    else; :func:`open_peer_session` builds the record — then each
+    host the evaluator side of a split two-party session: the caller
+    names its garbling oracle — nothing else;
+    :func:`open_peer_session` builds the record — then each
     process runs its own party (:mod:`repro.transport.peer`) over this
     same socket: the worker evaluates on its service's own
     ``server_bits()`` under its own rng and oracle, and keeps one OT
@@ -224,25 +224,25 @@ def _foreign_oracle(service: Any, record: Dict[str, Any]) -> Optional[str]:
 
 
 def open_peer_session(
-    sock: socket.socket, flow: str, kdf: Any, timeout: float = 60.0
+    sock: socket.socket, kdf: Any, timeout: float = 60.0
 ) -> Dict[str, Any]:
-    """The caller's half of the ``peer`` op: name the session, await the ack.
+    """The caller's half of the ``peer`` op: name the oracle, await the ack.
 
-    The record carries the flow and the oracle fields — no input bit and
-    no seed: each process holds its own.  On return the worker is
-    committed to reading protocol frames and the caller runs its side
-    (``run_*_peer`` as the garbler, with the same ``kdf``).
+    The record carries the oracle fields — no input bit and no seed: each
+    process holds its own.  On return the worker is committed to reading
+    protocol frames and the caller runs its side
+    (:func:`~repro.transport.peer.run_two_party_peer` as the garbler,
+    with the same ``kdf``).
 
     Raises:
-        EngineError: the worker refused — unknown flow, or its service
-            garbles under a different oracle than ``kdf``.  No protocol
-            frame has moved.
+        EngineError: the worker refused — its service garbles under a
+            different oracle than ``kdf``.  No protocol frame has moved.
     """
-    send_ctl(sock, {"op": "peer", "flow": flow, **_oracle_fields(kdf)})
+    send_ctl(sock, {"op": "peer", **_oracle_fields(kdf)})
     ack = recv_ctl(sock, timeout=timeout)
     if not ack.get("ok"):
         raise EngineError(
-            f"worker refused the {flow!r} peer session: "
+            f"worker refused the peer session: "
             f"{ack.get('error', 'unknown error')}"
         )
     return ack
@@ -252,24 +252,16 @@ def _handle_peer(
     sock: socket.socket, service: Any, record: Dict[str, Any], ot_state: IKNPState
 ) -> None:
     """Host the evaluator side of one split session on this socket."""
-    from .peer import run_folded_peer, run_two_party_peer
+    from .peer import run_two_party_peer
 
-    flow = record.get("flow", "two_party")
-    runner = {"two_party": run_two_party_peer, "folded": run_folded_peer}.get(flow)
-    if runner is None:
-        send_ctl(sock, {"ok": False, "error": f"unknown peer flow {flow!r}"})
-        return
     refusal = _foreign_oracle(service, record)
     if refusal is not None:
         send_ctl(sock, {"ok": False, "op": "peer", "error": refusal})
         return
     # ack first: the caller must not start its side of the session until
     # the worker is committed to reading protocol frames
-    send_ctl(
-        sock,
-        {"ok": True, "op": "peer", "flow": flow, **_oracle_fields(service.kdf)},
-    )
-    result = runner(
+    send_ctl(sock, {"ok": True, "op": "peer", **_oracle_fields(service.kdf)})
+    result = run_two_party_peer(
         sock,
         "evaluator",
         service.compiled.circuit,

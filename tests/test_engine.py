@@ -2,11 +2,12 @@
 
 Covers the backend registry contract (every backend yields the identical
 label on the same compiled circuit and sample), registry error paths,
-the pre-garbled offline/online split, EngineConfig validation, and the
-redesigned service surface (typed requests, concurrent serving, capped
-history, activation-variant fidelity).
+the pre-garbled offline/online split, EngineConfig validation and its
+pinned surface, and the redesigned service surface (typed requests,
+concurrent serving, activation-variant fidelity).
 """
 
+import dataclasses
 import random
 import threading
 
@@ -58,11 +59,6 @@ def compiled_model():
 
 
 class TestRegistry:
-    def test_all_five_builtins_registered(self):
-        for name in ("two_party", "outsourced", "folded", "cut_and_choose",
-                     "simulate"):
-            assert name in available_backends()
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(EngineError, match="unknown backend"):
             get_backend("quantum_annealer")
@@ -99,8 +95,7 @@ class TestRegistry:
 class TestBackendParity:
     @pytest.mark.parametrize("kdf_backend", ["hashlib", "fixed_key_aes"])
     @pytest.mark.parametrize(
-        "name", ["two_party", "outsourced", "folded", "cut_and_choose",
-                 "simulate"]
+        "name", ["two_party", "outsourced", "cut_and_choose", "simulate"]
     )
     def test_identical_label_every_backend(
         self, compiled_model, name, kdf_backend
@@ -139,7 +134,7 @@ class TestBackendParity:
             stats.by_tag()["tables"] for stats in links
             if "tables" in stats.by_tag()
         ]
-        if name in ("two_party", "folded", "outsourced", "cut_and_choose"):
+        if name in ("two_party", "outsourced", "cut_and_choose"):
             assert table_frames == [32 * result.n_non_xor + 4]
         else:
             assert table_frames == []
@@ -273,15 +268,11 @@ class TestEngineConfig:
         with pytest.raises(EngineError, match="activation"):
             EngineConfig(activation="relu6")
 
-    def test_unknown_output_rejected(self):
-        with pytest.raises(EngineError, match="output"):
-            EngineConfig(output="probabilities")
-
     def test_negative_knobs_rejected(self):
         with pytest.raises(EngineError):
             EngineConfig(pool_size=-1)
         with pytest.raises(EngineError):
-            EngineConfig(history_limit=-2)
+            EngineConfig(max_inflight=-2)
 
     def test_unknown_backend_name_fails_fast(self):
         """A typo'd backend is caught at config time, not first infer."""
@@ -289,11 +280,54 @@ class TestEngineConfig:
             EngineConfig(backend="two-party")
 
     def test_compile_options_roundtrip(self):
-        config = EngineConfig(activation="piecewise", honor_sparsity=False)
+        config = EngineConfig(activation="piecewise")
         options = config.compile_options()
         assert options.activation == "piecewise"
-        assert not options.honor_sparsity
+        # a service serves labels from a circuit that skips pruned weights
+        assert options.output == "argmax" and options.honor_sparsity
         assert config.replace(backend="simulate").backend == "simulate"
+
+
+class TestConfigSurface:
+    """The configuration surface is what callers set, and no more."""
+
+    FIELDS = {
+        "fmt", "activation", "backend", "kdf", "kdf_backend", "ot_group",
+        "rng", "pool_size", "pool_refill", "request_timeout_s",
+        "max_retries", "retry_backoff_s", "breaker_threshold",
+        "breaker_cooldown_s", "fault_plan", "transport", "max_inflight",
+    }
+
+    def test_engine_config_has_the_seventeen_fields(self):
+        assert {f.name for f in dataclasses.fields(EngineConfig)} == self.FIELDS
+
+    def test_four_backends_remain(self):
+        assert available_backends() == [
+            "cut_and_choose", "outsourced", "simulate", "two_party",
+        ]
+
+    @pytest.mark.parametrize("kdf_backend", ["auto", "sha256_vec"])
+    def test_sha_reimplementations_are_not_config_values(self, kdf_backend):
+        with pytest.raises(
+            EngineError, match="choose from fixed_key_aes, hashlib$"
+        ):
+            EngineConfig(kdf_backend=kdf_backend)
+
+    def test_folded_is_not_a_backend(self):
+        with pytest.raises(
+            EngineError,
+            match="registered: cut_and_choose, outsourced, simulate, two_party$",
+        ):
+            EngineConfig(backend="folded")
+
+    @pytest.mark.parametrize("field, value", [
+        ("output", "logits"), ("honor_sparsity", False),
+        ("backend_options", {"copies": 4}), ("kdf_workers", 2),
+        ("shards", 2), ("history_limit", 8),
+    ])
+    def test_deleted_fields_are_refused(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            EngineConfig(**{field: value})
 
 
 class TestServiceRedesign:
@@ -305,15 +339,13 @@ class TestServiceRedesign:
             activation="exact",
             ot_group=TEST_GROUP_512,
             rng=random.Random(10),
-            history_limit=3,
         )
         return PrivateInferenceService(model, config), x
 
     def test_every_backend_through_service(self, service):
         svc, x = service
         expected = svc.cleartext_label(x[0])
-        for name in ("two_party", "outsourced", "folded", "cut_and_choose",
-                     "simulate"):
+        for name in available_backends():
             record = svc.infer(x[0], backend=name)
             assert record.label == expected, name
             assert record.backend == name
@@ -349,21 +381,6 @@ class TestServiceRedesign:
         ]
         assert all(r.pregarbled for r in results)
 
-    def test_history_capped(self, service):
-        svc, x = service
-        for _ in range(5):
-            svc.infer(x[0], backend="simulate")
-        assert len(svc.history) == 3  # config.history_limit
-
-    def test_history_disabled_by_default(self):
-        model, x = _trained_model(n_features=5, seed=4)
-        svc = PrivateInferenceService(
-            model, EngineConfig(fmt=FMT, activation="exact",
-                                backend="simulate")
-        )
-        svc.infer(x[0])
-        assert len(svc.history) == 0
-
     def test_deleted_forks_and_shims_are_rejected(self):
         """The scalar/pipelined options and the seed-era constructor and
         ``infer`` shims are gone: passing them raises, never a silent
@@ -398,13 +415,6 @@ class TestServiceRedesign:
         # an explicit prepare beyond the configured capacity grows it
         assert svc.prepare(6) == 5
         assert len(svc.pool) == 6
-
-    def test_logits_output_rejected(self):
-        model, _ = _trained_model(n_features=5, seed=6)
-        with pytest.raises(CompileError):
-            PrivateInferenceService(
-                model, EngineConfig(fmt=FMT, output="logits")
-            )
 
 
 class TestActivationVariantFidelity:

@@ -402,7 +402,6 @@ class TestService:
                 activation="exact",
                 ot_group=TEST_GROUP_512,
                 rng=random.Random(6),
-                history_limit=512,
             ),
         )
         return service, x
@@ -422,14 +421,8 @@ class TestService:
 
     def test_batch(self, service):
         svc, x = service
-        labels = svc.infer_batch(x[:2])
+        labels = [r.label for r in svc.infer_many(list(x[:2]))]
         assert labels == [svc.cleartext_label(x[0]), svc.cleartext_label(x[1])]
-
-    def test_history_recorded(self, service):
-        svc, x = service
-        before = len(svc.history)
-        svc.infer(x[2])
-        assert len(svc.history) == before + 1
 
     def test_cost_estimate_scales(self, service):
         svc, _ = service
@@ -441,13 +434,3 @@ class TestService:
     def test_summary(self, service):
         svc, _ = service
         assert "non-XOR" in svc.circuit_summary
-
-    def test_logits_output_rejected(self, service):
-        svc, _ = service
-        rng = np.random.default_rng(0)
-        model = Sequential([Dense(2)], input_shape=(2,), seed=0)
-        with pytest.raises(CompileError):
-            PrivateInferenceService(
-                model,
-                EngineConfig(fmt=FMT, activation="exact", output="logits"),
-            )

@@ -14,10 +14,11 @@ Contracts under test:
 * :func:`repro.gc.sha256_many` is byte-identical to ``hashlib.sha256``
   for every row — across lengths (including multi-block), batch sizes
   (including 0 and 1), truncated digests and non-contiguous views;
-* every SHA-family backend (``hashlib``, ``sha256_vec``, ``auto``) and
-  any :func:`calibrate_kdf` outcome produces byte-identical garbled
-  tables, labels and decode bits for the same seed — calibration is a
-  pure timing decision;
+* every SHA-family implementation (``HashKDF``, ``VectorHashKDF``,
+  ``AutoHashKDF``) and any :func:`calibrate_kdf` outcome produces
+  byte-identical garbled tables, labels and decode bits for the same
+  seed — calibration is a pure timing decision; only ``hashlib`` and
+  ``fixed_key_aes`` are names a configuration can choose;
 * ``ParallelKDF`` output is worker-count invariant with the NumPy
   kernel inside, and chunks below the kernel crossover fall back to
   the hashlib loop with byte-identical output;
@@ -49,7 +50,6 @@ from repro.gc import (
     kdf_calibration,
     make_kdf,
     oracle_fingerprint,
-    resolve_kdf_backend,
     sha256_many,
 )
 from repro.gc import cipher, ot_extension
@@ -165,46 +165,31 @@ class TestOracleRegistry:
             assert vec.hash(label, tweak) == loop.hash(label, tweak)
 
     def test_registry_contents_and_make_kdf(self):
-        assert set(KDF_BACKENDS) == {"hashlib", "sha256_vec",
-                                     "fixed_key_aes"}
-        assert isinstance(make_kdf("hashlib"), HashKDF)
-        assert isinstance(make_kdf("sha256_vec"), VectorHashKDF)
+        # one name per oracle: the SHA re-implementations are classes only
+        assert set(KDF_BACKENDS) == {"hashlib", "fixed_key_aes"}
+        assert type(make_kdf("hashlib")) is HashKDF
         assert isinstance(make_kdf("fixed_key_aes"), FixedKeyAES)
-        with pytest.raises(ValueError):
-            make_kdf("md5")
-
-    def test_resolve_auto_is_sha_family(self):
-        kdf = resolve_kdf_backend("auto")
-        # auto may pick either SHA implementation, never the AES oracle
-        assert isinstance(kdf, HashKDF)
-        assert not isinstance(kdf, FixedKeyAES)
+        for name in ("md5", "sha256_vec", "auto"):
+            with pytest.raises(ValueError, match="fixed_key_aes, hashlib$"):
+                make_kdf(name)
 
     def test_engine_config_validates_backend(self):
-        EngineConfig(kdf_backend="sha256_vec")
+        EngineConfig(kdf_backend="hashlib")
         with pytest.raises(EngineError):
             EngineConfig(kdf_backend="sha3")
 
     def test_effective_kdf_explicit_instance_wins(self):
         sentinel = FixedKeyAES()
-        config = EngineConfig(kdf=sentinel, kdf_backend="sha256_vec")
+        config = EngineConfig(kdf=sentinel, kdf_backend="hashlib")
         assert config.effective_kdf() is sentinel
+        # any oracle instance, a class-only one included
+        vec = VectorHashKDF()
+        assert EngineConfig(kdf=vec).effective_kdf() is vec
 
     def test_effective_kdf_resolves_backend(self):
-        assert isinstance(
-            EngineConfig(kdf_backend="sha256_vec").effective_kdf(),
-            VectorHashKDF,
-        )
         # every name resolves to its own oracle, the default included
         assert type(EngineConfig(kdf_backend="hashlib").effective_kdf()) is HashKDF
         assert isinstance(EngineConfig().effective_kdf(), FixedKeyAES)
-
-    def test_effective_kdf_wraps_workers_around_backend(self):
-        kdf = EngineConfig(
-            kdf_backend="sha256_vec", kdf_workers=3
-        ).effective_kdf()
-        assert isinstance(kdf, ParallelKDF)
-        assert isinstance(kdf.inner, VectorHashKDF)
-        kdf.close()
 
 
 def _label_tweak_rows(n, seed=0):
@@ -405,7 +390,7 @@ class TestAESIsTheDefault:
         assert EngineConfig().kdf_backend == "fixed_key_aes"
         assert isinstance(default_kdf(), FixedKeyAES)
         assert default_kdf() is default_kdf()  # one shared instance
-        assert len(EngineConfig.__dataclass_fields__) == 23
+        assert len(EngineConfig.__dataclass_fields__) == 17
 
     def test_no_default_path_calibrates(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -430,7 +415,7 @@ class TestAESIsTheDefault:
     def test_oracles_are_distinguished_by_fingerprint_not_by_name(self):
         sha = oracle_fingerprint(HashKDF())
         assert sha == oracle_fingerprint(VectorHashKDF())
-        assert sha == oracle_fingerprint(resolve_kdf_backend("auto"))
+        assert sha == oracle_fingerprint(cipher.AutoHashKDF())
         wrapped = ParallelKDF(HashKDF(), workers=2)
         assert sha == oracle_fingerprint(wrapped)
         assert sha != oracle_fingerprint(FixedKeyAES())
@@ -518,8 +503,11 @@ class TestCalibration:
         circuit = _mixed_circuit()
         kdf_calibration()  # ensure auto has a real measurement behind it
         outcomes = {}
-        for backend in ("hashlib", "sha256_vec", "auto"):
-            kdf = EngineConfig(kdf_backend=backend).effective_kdf()
+        for backend, kdf in (
+            ("hashlib", HashKDF()),
+            ("sha256_vec", VectorHashKDF()),
+            ("auto", cipher.AutoHashKDF()),
+        ):
             [(garbler, garbled)] = garble_many(
                 circuit, 1, kdf=kdf, rng=random.Random(99)
             )

@@ -43,7 +43,7 @@ from repro.resilience import (
 )
 from repro.service import PrivateInferenceService
 from repro.transport import ShardedService
-from repro.transport.peer import run_folded_peer, run_two_party_peer
+from repro.transport.peer import run_two_party_peer
 from repro.transport.worker import (
     WorkerServer,
     open_peer_session,
@@ -550,8 +550,7 @@ class TestPeerStateBelongsToItsConnection:
     the caller's independent half, paid once, and the service's own state
     is left alone."""
 
-    @pytest.mark.parametrize("flow", ["two_party", "folded"])
-    def test_peer_after_infer_pays_once_per_connection(self, flow, base_batches):
+    def test_peer_after_infer_pays_once_per_connection(self, base_batches):
         service = _service(transport="memory")
         _model_, x = _model()
         server = WorkerServer(service)
@@ -569,19 +568,17 @@ class TestPeerStateBelongsToItsConnection:
             assert recv_ctl(sock, timeout=120.0)["ok"]
             assert service.stats["ot"]["base_batches"] == 1
             assert base_batches == [1]
-            runner = run_two_party_peer if flow == "two_party" else run_folded_peer
             # the caller's half: its own rng, nothing shared with the worker
             state = IKNPState(group=TEST_GROUP_512, rng=random.Random(77))
             for index in (1, 2):
-                open_peer_session(sock, flow, service.kdf)
-                result = runner(
+                open_peer_session(sock, service.kdf)
+                result = run_two_party_peer(
                     sock, "garbler", service.compiled.circuit,
                     service.compiled.client_bits(x[index]),
                     ot_group=TEST_GROUP_512, rng=random.Random(78),
                     ot_state=state,
                 )
-                outputs = result.final_outputs if flow == "folded" else result.outputs
-                assert service.compiled.decode_output(outputs) == (
+                assert service.compiled.decode_output(result.outputs) == (
                     service.cleartext_label(x[index])
                 )
                 remote = recv_ctl(sock, timeout=120.0)

@@ -2,8 +2,9 @@
 
 The matrix drives every fault kind (drop / corrupt / truncate / delay)
 against every protocol flight class (tables / OT / input labels) across
-the two_party, folded and cut_and_choose flows, and asserts the PR's
-core invariant: a faulted run either completes with the *correct*
+the two_party and cut_and_choose flows, and against a two-cycle run of
+a core with registers (its carried ``state_labels`` flight too), and
+asserts the core invariant: a faulted run either completes with the *correct*
 outputs (the fault missed that flow's wire, or a retry cleared it) or
 raises a clean typed transient :class:`repro.errors.ReproError` —
 never a silent hang, never a wrong label.
@@ -22,8 +23,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.circuits import CircuitBuilder, FixedPointFormat, simulate
+from repro.compile import folded_mac_cell
 from repro.engine import EngineConfig, PregarbledPool, get_backend
 from repro.errors import (
     ChannelClosedError,
@@ -36,7 +46,7 @@ from repro.errors import (
     ServiceDrainingError,
     ServiceOverloadedError,
 )
-from repro.gc import TwoPartySession
+from repro.gc import SequentialSession, TwoPartySession
 from repro.gc.channel import make_channel_pair
 from repro.gc.ot import TEST_GROUP_512
 from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
@@ -104,9 +114,7 @@ def _fault_spec(kind, tag):
 class TestChaosMatrix:
     """Every fault x flight x flow: typed error or correct output."""
 
-    @pytest.mark.parametrize("backend_name", [
-        "two_party", "folded", "cut_and_choose",
-    ])
+    @pytest.mark.parametrize("backend_name", ["two_party", "cut_and_choose"])
     @pytest.mark.parametrize("tag", ["tables", "ot", "alice_labels"])
     @pytest.mark.parametrize("kind", ["drop", "corrupt", "truncate", "delay"])
     def test_fault_never_yields_wrong_output(self, kind, tag, backend_name):
@@ -133,6 +141,38 @@ class TestChaosMatrix:
             # the fault missed this flow's wire (e.g. no frame with the
             # tag) — then the output must be the correct one
             assert result.outputs == expected
+
+    @pytest.mark.parametrize(
+        "tag", ["tables", "ot", "alice_labels", "state_labels"]
+    )
+    @pytest.mark.parametrize("kind", ["drop", "corrupt", "truncate", "delay"])
+    def test_clocked_run_fault_never_yields_wrong_output(self, kind, tag):
+        """Two cycles of the one-MAC cell, its accumulator carried as
+        register labels: a fault on any flight, the carried state's
+        included, ends in a typed transient error or in what
+        ``SequentialCircuit.run`` computes."""
+        cell = folded_mac_cell(FMT, fan_in=2, fold=1)
+        rng = random.Random(CHAOS_SEED)
+        a = [[rng.randrange(2) for _ in range(cell.core.n_alice)]
+             for _ in range(2)]
+        b = [[rng.randrange(2) for _ in range(cell.core.n_bob)]
+             for _ in range(2)]
+        plan = FaultPlan([_fault_spec(kind, tag)], seed=CHAOS_SEED)
+        session = SequentialSession(
+            cell,
+            ot_group=TEST_GROUP_512,
+            rng=random.Random(CHAOS_SEED + 1),
+            channel_factory=faulty_channel_factory(plan),
+        )
+        try:
+            result = session.run(a, b, deadline=Deadline(30.0))
+        except ReproError as exc:
+            assert is_transient(exc), exc
+            assert fault_category(exc) == "transient"
+        else:
+            assert result.outputs_per_cycle == cell.run(a, b)
+        # every one of these flights is on a clocked run's wire
+        assert len(plan.applied) == 1
 
     @pytest.mark.parametrize("kind", ["drop", "corrupt", "truncate"])
     def test_retry_clears_oneshot_fault(self, kind):
@@ -395,6 +435,142 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == "closed"
+
+
+class BreakerModel:
+    """What a :class:`CircuitBreaker` must be doing, in plain fields.
+
+    Open turns half-open once ``cooldown_s`` has passed since it opened
+    (or since a failure recorded while open), whenever anything looks.
+    """
+
+    def __init__(self, threshold, cooldown_s):
+        self.threshold = threshold
+        self.cooldown_s = cooldown_s
+        self.now = 100.0
+        self.state = "closed"
+        self.failures = 0
+        self.opened_at = 0.0
+        self.trips = 0
+        self.probing = False
+
+    def resolve(self):
+        if self.state == "open" and self.now - self.opened_at >= self.cooldown_s:
+            self.state = "half-open"
+            self.probing = False
+        return self.state
+
+    def open(self):
+        if self.state != "open":
+            self.trips += 1
+        self.state = "open"
+        self.opened_at = self.now
+        self.probing = False
+
+    def allow(self):
+        state = self.resolve()
+        if state == "half-open" and not self.probing:
+            self.probing = True
+            return True
+        return state == "closed"
+
+    def trip(self):
+        self.resolve()
+        self.failures = max(self.failures, self.threshold)
+        self.open()
+
+    def record_success(self):
+        self.failures = 0
+        self.state = "closed"
+        self.probing = False
+
+    def record_failure(self):
+        state = self.resolve()
+        self.failures += 1
+        if state == "half-open" or self.failures >= self.threshold:
+            self.open()
+
+
+#: Clock steps: multiples of 0.25 s, so cooldown boundaries are hit exactly.
+CLOCK_STEPS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+
+
+class BreakerMachine(RuleBasedStateMachine):
+    """:class:`CircuitBreaker` on a fake clock against :class:`BreakerModel`.
+
+    Every rule first moves the clock, then calls the breaker before
+    anything reads its state, so a cooldown can lapse unobserved.  Besides
+    agreeing with the model after every step, each rule checks the
+    docstring's promises directly: closed never denies, open denies until
+    the cooldown has passed, half-open admits one probe until an outcome
+    is recorded, ``trips`` counts transitions into open and nothing else,
+    and a success resets the failure streak.
+    """
+
+    @initialize(
+        threshold=st.integers(1, 3),
+        cooldown_s=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def build(self, threshold, cooldown_s):
+        self.m = BreakerModel(threshold, cooldown_s)
+        self.breaker = CircuitBreaker(
+            threshold=threshold, cooldown_s=cooldown_s, clock=lambda: self.m.now
+        )
+        self.probes = 0  # admitted while half-open since the last outcome
+
+    def _step(self, dt, name):
+        """Advance by ``dt`` and run ``name`` on both, unobserved; check
+        that ``trips`` moved by exactly the transitions into open."""
+        self.m.now += dt
+        trips = self.m.trips  # the invariant held the breaker to it
+        result = getattr(self.breaker, name)()
+        before = self.m.resolve()
+        assert result == getattr(self.m, name)()
+        entered_open = before != "open" and self.m.state == "open"
+        assert self.breaker.stats()["trips"] == trips + entered_open
+        return before, result
+
+    @rule(dt=CLOCK_STEPS)
+    def allow(self, dt):
+        before, allowed = self._step(dt, "allow")
+        if before == "closed":
+            assert allowed
+        elif before == "open":
+            assert not allowed  # the cooldown has not passed
+        else:
+            self.probes += allowed
+            assert self.probes <= 1
+
+    @rule(dt=CLOCK_STEPS)
+    def record_success(self, dt):
+        self._step(dt, "record_success")
+        self.probes = 0
+        stats = self.breaker.stats()
+        assert stats["consecutive_failures"] == 0
+        assert stats["state"] == "closed"
+
+    @rule(dt=CLOCK_STEPS)
+    def record_failure(self, dt):
+        self._step(dt, "record_failure")
+        self.probes = 0
+
+    @rule(dt=CLOCK_STEPS)
+    def trip(self, dt):
+        self._step(dt, "trip")
+        self.probes = 0
+
+    @invariant()
+    def agrees_with_the_model(self):
+        stats = self.breaker.stats()
+        assert stats["state"] == self.m.resolve()
+        assert stats["consecutive_failures"] == self.m.failures
+        assert stats["trips"] == self.m.trips
+
+
+TestBreakerModel = BreakerMachine.TestCase
+TestBreakerModel.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
 
 
 # ---------------------------------------------------------------------------

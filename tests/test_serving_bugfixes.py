@@ -6,9 +6,9 @@ Three bugs shipped with the PR 1 serving layer:
   material drained, every later request was a cold miss forever;
 * ``infer_many`` used ``executor.map``, so one failing request raised
   and discarded every completed result in the batch;
-* ``execute`` appended to history and bumped counters without the
-  service lock while running on ``infer_many``'s thread pool (the pool
-  is gone since PR 19; callers' own threads still call ``execute``).
+* ``execute`` bumped its counters without the service lock while
+  running on ``infer_many``'s thread pool (the pool is gone; callers'
+  own threads still call ``execute``).
 
 Each test here fails against the PR 1 behavior.
 """
@@ -157,8 +157,7 @@ class TestPoolRefill:
 class TestBatchErrorIsolation:
     @pytest.fixture(scope="class")
     def service(self):
-        service, x = _trained_service(backend="simulate", history_limit=256,
-                                      pool_refill="none")
+        service, x = _trained_service(backend="simulate", pool_refill="none")
         return service, x
 
     def test_one_bad_request_does_not_discard_batch(self, service):
@@ -231,10 +230,9 @@ def _execute_concurrently(service, requests, workers=8):
         return list(executor.map(run_one, requests))
 
 
-class TestHistoryThreadSafety:
-    def test_concurrent_execute_keeps_history_consistent(self):
-        service, x = _trained_service(backend="simulate", history_limit=512,
-                                      pool_refill="none")
+class TestCounterThreadSafety:
+    def test_concurrent_execute_keeps_counters_consistent(self):
+        service, x = _trained_service(backend="simulate", pool_refill="none")
         n = 48
         results = _execute_concurrently(
             service,
@@ -242,26 +240,25 @@ class TestHistoryThreadSafety:
              for i in range(n)],
         )
         assert len(results) == n and all(r.ok for r in results)
-        history = service.history
-        assert len(history) == n
-        assert {r.request_id for r in history} == {str(i) for i in range(n)}
+        assert {r.request_id for r in results} == {str(i) for i in range(n)}
         stats = service.stats
         assert stats["requests"] == n
         assert stats["errors"] == 0
         assert stats["by_backend"]["simulate"] == n
 
-    def test_history_snapshot_while_serving(self):
-        """Readers never see a torn snapshot while writers append."""
-        service, x = _trained_service(backend="simulate", history_limit=128,
-                                      pool_refill="none")
+    def test_stats_snapshot_while_serving(self):
+        """Readers never see a torn snapshot while writers count."""
+        service, x = _trained_service(backend="simulate", pool_refill="none")
         stop = threading.Event()
         observed = []
 
         def reader():
             while not stop.is_set():
-                snapshot = service.history
-                # every record in a snapshot is fully formed
-                observed.append(all(r.ok for r in snapshot))
+                snapshot = service.stats
+                # a request and its backend are counted in one step
+                observed.append(
+                    sum(snapshot["by_backend"].values()) == snapshot["requests"]
+                )
 
         thread = threading.Thread(target=reader)
         thread.start()
@@ -273,7 +270,7 @@ class TestHistoryThreadSafety:
             stop.set()
             thread.join()
         assert all(observed)
-        assert len(service.history) == 32
+        assert service.stats["requests"] == 32
 
     def test_error_counter_updates_under_lock(self):
         service, x = _trained_service(backend="simulate", pool_refill="none")

@@ -19,7 +19,7 @@ from repro.circuits.netlist import FreeStep, ScalarRun
 from repro.circuits.simulate import simulate
 from repro.compile import folded_mac_cell
 from repro.engine import EngineConfig
-from repro.errors import EngineError, GarblingError, ProtocolError
+from repro.errors import GarblingError, ProtocolError
 from repro.gc import (
     ArrayLabelStore,
     Evaluator,
@@ -148,22 +148,14 @@ class TestParallelKDF:
             ParallelKDF(workers=-1)
 
     def test_engine_config_wiring(self):
-        # kdf_workers=1 never wraps; the resolved oracle is the one
-        # kdf_backend names, for the default and the explicit choice
-        unwrapped = EngineConfig(kdf_workers=1).effective_kdf()
-        assert isinstance(unwrapped, FixedKeyAES)
-        sha = EngineConfig(kdf_backend="hashlib", kdf_workers=1)
+        # no name builds a ParallelKDF: the resolved oracle is the one
+        # kdf_backend names, and an explicit instance passes through
+        assert isinstance(EngineConfig().effective_kdf(), FixedKeyAES)
+        sha = EngineConfig(kdf_backend="hashlib")
         assert type(sha.effective_kdf()) is HashKDF
-        wrapped = EngineConfig(kdf_workers=3).effective_kdf()
-        assert isinstance(wrapped, ParallelKDF)
-        assert isinstance(wrapped.inner, FixedKeyAES)
-        assert wrapped.workers == 3
-        # an already-parallel oracle is not double-wrapped
-        assert EngineConfig(
-            kdf=wrapped, kdf_workers=4
-        ).effective_kdf() is wrapped
-        with pytest.raises(EngineError):
-            EngineConfig(kdf_workers=-1)
+        wrapped = ParallelKDF(FixedKeyAES(), workers=3)
+        assert EngineConfig(kdf=wrapped).effective_kdf() is wrapped
+        wrapped.close()
 
 
 class TestFixedKeyAESBatch:
@@ -694,7 +686,6 @@ class TestServiceBatchedInfer:
         config = EngineConfig(
             fmt=FMT, activation="exact", ot_group=TEST_GROUP_512,
             rng=random.Random(7), pool_size=2, pool_refill="none",
-            history_limit=64,
         )
         service = PrivateInferenceService(model, config)
         yield service, x

@@ -43,11 +43,7 @@ from repro.transport import (
     encode_frame,
     socketpair_channel_factory,
 )
-from repro.transport.peer import (
-    peer_channel_factory,
-    run_folded_peer,
-    run_two_party_peer,
-)
+from repro.transport.peer import peer_channel_factory, run_two_party_peer
 from repro.transport.wire import checksummed, read_frame
 from repro.transport.worker import (
     WorkerServer,
@@ -354,8 +350,6 @@ class TestTransportParity:
         assert EngineConfig(transport="socket").transport == "socket"
         with pytest.raises(EngineError):
             EngineConfig(transport="telepathy")
-        with pytest.raises(EngineError):
-            EngineConfig(shards=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +394,6 @@ class TestPeerSessions:
         garbler, evaluator = _run_both_sides(run_two_party_peer, circuit, a, b)
         assert garbler.outputs == reference.outputs == simulate(circuit, a, b)
         assert evaluator.outputs == []  # it holds nothing that decodes
-        assert garbler.comm == evaluator.comm == reference.comm
-
-    def test_folded_peer_matches_memory(self):
-        circuit = random_circuit(23)
-        rng = random.Random(23)
-        a = [rng.randrange(2) for _ in range(4)]
-        b = [rng.randrange(2) for _ in range(4)]
-        reference = SequentialSession(
-            SequentialCircuit(circuit, []), ot_group=TEST_GROUP_512,
-            rng=random.Random(7),
-        ).run([a], [b], cycles=1)
-        garbler, evaluator = _run_both_sides(run_folded_peer, circuit, a, b)
-        assert garbler.outputs_per_cycle == reference.outputs_per_cycle
-        assert evaluator.outputs_per_cycle == [[]]
-        # a stateless 4-bit single cycle takes the direct base OT, like
-        # two_party: there is no set-up to frame, so both processes carry
-        # exactly what the in-memory session does
-        assert "ot_setup" not in garbler.comm
         assert garbler.comm == evaluator.comm == reference.comm
 
     def test_peer_rejects_unknown_role(self):
@@ -537,7 +513,7 @@ class TestWorkerProtocol:
             assert record["request_id"] == "r0"
             # peer op: split session, garbler here on the sample's bits,
             # evaluator there on the worker's own weights
-            send_ctl(sock, {"op": "peer", "flow": "two_party"})
+            send_ctl(sock, {"op": "peer"})
             assert recv_ctl(sock, timeout=30.0)["ok"]
             result = run_two_party_peer(
                 sock, "garbler", tiny_service.compiled.circuit,
@@ -576,7 +552,7 @@ class TestWorkerProtocol:
         sock = socket.create_connection(server.address)
         try:
             with pytest.raises(EngineError, match="oracle mismatch.*sha256"):
-                open_peer_session(sock, "two_party", HashKDF())
+                open_peer_session(sock, HashKDF())
             # the control stream is still in sync: nothing but the
             # refusal crossed the wire
             send_ctl(sock, {"op": "ping"})
@@ -589,7 +565,7 @@ class TestWorkerProtocol:
             refusal = recv_ctl(sock, timeout=30.0)
             assert refusal["ok"] is False and "oracle" in refusal["error"]
             # the same oracle from another instance is accepted
-            ack = open_peer_session(sock, "two_party", FixedKeyAES())
+            ack = open_peer_session(sock, FixedKeyAES())
             assert ack["kdf"] == "fixed-key-aes"
             result = run_two_party_peer(
                 sock, "garbler", tiny_service.compiled.circuit,
@@ -626,20 +602,17 @@ class TestWorkerProtocol:
         # the worker keeps one OT state per connection: so does its caller
         ot_state = IKNPState(group=TEST_GROUP_512, rng=random.Random(9))
         try:
-            for flow, runner in (("two_party", run_two_party_peer),
-                                 ("folded", run_folded_peer)):
-                ack = open_peer_session(sock, flow, HashKDF())
+            for _ in range(2):
+                ack = open_peer_session(sock, HashKDF())
                 assert ack["kdf"] == "sha256"
-                result = runner(
+                result = run_two_party_peer(
                     sock, "garbler", service.compiled.circuit, client_bits,
                     kdf=HashKDF(), ot_group=TEST_GROUP_512,
                     rng=random.Random(8), ot_state=ot_state,
                 )
                 remote = recv_ctl(sock, timeout=120.0)
-                outputs = (result.final_outputs if flow == "folded"
-                           else result.outputs)
                 assert remote["comm_bytes"] == sum(result.comm.values())
-                assert service.compiled.decode_output(list(outputs)) == (
+                assert service.compiled.decode_output(result.outputs) == (
                     service.cleartext_label(sample)
                 )
             send_ctl(sock, {"op": "shutdown"})

@@ -591,8 +591,7 @@ class TestRunManyNeedsBothEnds:
 
 
 class TestPeerRecordsCarryNoInput:
-    @pytest.mark.parametrize("flow", ["two_party", "folded"])
-    def test_connect_run_sends_flow_and_oracle_only(self, flow, monkeypatch, capsys):
+    def test_connect_run_sends_oracle_only(self, monkeypatch, capsys):
         from repro import cli
         from repro.transport import worker
 
@@ -611,7 +610,7 @@ class TestPeerRecordsCarryNoInput:
         try:
             host, port = server.address
             assert cli.main([
-                "infer", "-b", flow, "--transport", "socket",
+                "infer", "-b", "two_party", "--transport", "socket",
                 "--connect", f"{host}:{port}", "-n", "2",
             ]) == 0
         finally:
@@ -624,6 +623,6 @@ class TestPeerRecordsCarryNoInput:
         assert "sessions agreed 2/2" in out
         # 2 x (peer, ack, peer_result) + shutdown and its ack
         assert [r.get("op") for r in records] == 2 * ["peer", "peer", "peer_result"] + 2 * ["shutdown"]
-        allowed = {"op", "flow", "kdf", "kdf_fingerprint", "ok", "error", "comm_bytes"}
+        allowed = {"op", "kdf", "kdf_fingerprint", "ok", "error", "comm_bytes"}
         for record in records:
             assert set(record) <= allowed, record

@@ -1003,11 +1003,10 @@ class TestSessionAndBackends:
             )
 
     @pytest.mark.parametrize(
-        "name",
-        ["two_party", "outsourced", "folded", "cut_and_choose", "simulate"],
+        "name", ["two_party", "outsourced", "cut_and_choose", "simulate"],
     )
     def test_label_parity_all_backends(self, compiled_dl, name):
-        """All five backends agree with cleartext."""
+        """All four backends agree with cleartext."""
         compiled, quantized, x = compiled_dl
         backend = get_backend(
             name, ot_group=TEST_GROUP_512, rng=random.Random(30),
@@ -1022,5 +1021,5 @@ class TestSessionAndBackends:
 
     def test_registry_complete(self):
         assert set(
-            ["two_party", "outsourced", "folded", "cut_and_choose", "simulate"]
+            ["two_party", "outsourced", "cut_and_choose", "simulate"]
         ) <= set(available_backends())

@@ -113,6 +113,22 @@ class Backend:
         """Execute ``circuit`` on the two parties' plaintext input bits."""
         raise NotImplementedError
 
+    def run_many(
+        self,
+        circuit: Circuit,
+        client_bits_list: Sequence[Sequence[int]],
+        server_bits: Sequence[int],
+        pooled: bool = True,
+    ) -> List[ExecutionResult]:
+        """Execute one request per entry of ``client_bits_list``, in order
+        (how ``PrivateInferenceService`` serves every group).  A flow with
+        no batched form runs them one after another; ``pooled`` matters
+        only to a backend that holds offline material."""
+        return [
+            self.run(circuit, client_bits, server_bits)
+            for client_bits in client_bits_list
+        ]
+
 
 _REGISTRY: Dict[str, Type[Backend]] = {}
 
@@ -247,25 +263,15 @@ class TwoPartyBackend(Backend):
         server_bits: Sequence[int],
         pooled: bool = True,
     ) -> ExecutionResult:
-        """``pooled=False`` garbles cold for this call, pool or not (how
-        the service degrades while this backend's breaker is open)."""
-        session = self._session(circuit, [client_bits], server_bits)
-        pregarbled = None
-        if pooled and self.pool is not None and self.pool.circuit is circuit:
-            pregarbled = self.pool.acquire()
-        result = session.run(
-            client_bits, server_bits, pregarbled=pregarbled,
-            deadline=self._deadline(),
-        )
-        return ExecutionResult.from_protocol(
-            result, self.name, self._metadata(pregarbled)
-        )
+        """One request: a batch of one through :meth:`run_many`."""
+        return self.run_many(circuit, [client_bits], server_bits, pooled)[0]
 
     def run_many(
         self,
         circuit: Circuit,
         client_bits_list: Sequence[Sequence[int]],
         server_bits: Sequence[int],
+        pooled: bool = True,
     ) -> List[ExecutionResult]:
         """Serve a batch of requests through one evaluation pass.
 
@@ -273,15 +279,16 @@ class TwoPartyBackend(Backend):
         garbling for pool misses is batched and every request's label
         plane goes through a single level-schedule walk
         (``FastEvaluator.evaluate_many``) instead of per-request runs.
-        ``PrivateInferenceService.infer_many`` routes same-backend
-        requests here.
+        Each request still runs its own protocol round over its own
+        link.  ``pooled=False`` garbles cold for this call, pool or not
+        (how the service degrades while this backend's breaker is open).
         """
         k = len(client_bits_list)
         if k == 0:
             return []
         session = self._session(circuit, client_bits_list, server_bits)
         slots: List[Optional[Pregarbled]] = [None] * k
-        if self.pool is not None and self.pool.circuit is circuit:
+        if pooled and self.pool is not None and self.pool.circuit is circuit:
             slots = [self.pool.acquire() for _ in range(k)]
         protocol_results = session.run_many(
             client_bits_list,

@@ -73,7 +73,7 @@ class EngineConfig:
             attempt, with seeded jitter from the service rng.
         breaker_threshold: consecutive backend failures that trip the
             per-backend circuit breaker (degraded serving: pooled falls
-            back to cold garbling, batched to scalar).
+            back to cold garbling).
         breaker_cooldown_s: seconds a tripped breaker stays open before
             a half-open probe is allowed.
         fault_plan: optional :class:`repro.resilience.FaultPlan` — the

@@ -20,7 +20,6 @@ See :mod:`repro.lint.core` for the engine and the sibling modules for
 each rule's full rationale.
 """
 
-from .baseline import load_baseline, new_findings, save_baseline, suppressed
 from .core import Finding, Rule, default_rules, run_paths, run_source
 from .dtype_discipline import DtypeDiscipline
 from .lock_discipline import LockDiscipline
@@ -33,10 +32,6 @@ __all__ = [
     "default_rules",
     "run_paths",
     "run_source",
-    "load_baseline",
-    "save_baseline",
-    "suppressed",
-    "new_findings",
     "LockDiscipline",
     "RngDiscipline",
     "SecretHygiene",

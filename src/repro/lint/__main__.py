@@ -1,8 +1,6 @@
-"""CLI: ``python -m repro.lint [--baseline PATH] [--format text|json] PATHS``.
+"""CLI: ``python -m repro.lint [--format text|json] PATHS``.
 
-Exit codes: 0 = clean (modulo baseline), 1 = new findings, 2 = usage /
-parse-level errors.  ``--write-baseline`` snapshots the current findings
-as the new baseline (the grandfathering workflow).
+Exit codes: 0 = clean, 1 = findings, 2 = usage / parse-level errors.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .baseline import load_baseline, new_findings, save_baseline
 from .core import Finding, run_paths
 
 EXIT_CLEAN = 0
@@ -27,59 +24,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON baseline of grandfathered findings (missing file = empty)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline and exit 0",
-    )
     return parser
 
 
-def _emit(findings: List[Finding], fmt: str, suppressed_count: int) -> None:
+def _emit(findings: List[Finding], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps([f.to_json() for f in findings], indent=2))
         return
     for finding in findings:
         print(finding.format())
-    tail = f"{len(findings)} finding(s)"
-    if suppressed_count:
-        tail += f" ({suppressed_count} baselined)"
-    print(tail)
+    print(f"{len(findings)} finding(s)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline")
-
+    args = build_parser().parse_args(argv)
     findings = run_paths(args.paths)
     if any(f.rule == "L000" for f in findings):
-        # parse failures are infrastructure errors, never baselinable
+        # parse failures are infrastructure errors, not findings
         for finding in findings:
             if finding.rule == "L000":
                 print(finding.format(), file=sys.stderr)
         return EXIT_USAGE
-
-    if args.write_baseline:
-        save_baseline(findings, args.baseline)
-        print(f"wrote {len(findings)} finding(s) to {args.baseline}")
-        return EXIT_CLEAN
-
-    baseline = load_baseline(args.baseline) if args.baseline else set()
-    fresh = new_findings(findings, baseline)
-    _emit(fresh, args.format, len(findings) - len(fresh))
-    return EXIT_FINDINGS if fresh else EXIT_CLEAN
+    _emit(findings, args.format)
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 if __name__ == "__main__":

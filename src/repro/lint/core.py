@@ -41,18 +41,12 @@ class Finding:
     severity: str
     message: str
 
-    @property
-    def key(self) -> str:
-        """Baseline identity: line-independent so findings survive edits
-        elsewhere in the file (``rule::path::message``)."""
-        return f"{self.rule}::{self.path}::{self.message}"
-
     def format(self) -> str:
         """``path:line: RULE [severity] message`` (clickable in editors)."""
         return f"{self.path}:{self.line}: {self.rule} [{self.severity}] {self.message}"
 
     def to_json(self) -> Dict[str, object]:
-        """JSON-serializable form (used by ``--format json`` and baselines)."""
+        """JSON-serializable form (used by ``--format json``)."""
         return {
             "rule": self.rule,
             "path": self.path,

@@ -2,8 +2,7 @@
 
 When a backend keeps failing (pool poisoned, transport flapping), the
 service should stop hammering it and serve degraded — pooled falls back
-to cold garbling, batched falls back to scalar — until the backend
-proves itself healthy again.  :class:`CircuitBreaker` implements the
+to cold garbling — until the backend proves itself healthy again.  :class:`CircuitBreaker` implements the
 classic three-state machine:
 
 * **closed** — healthy; every call allowed, consecutive failures
@@ -38,8 +37,9 @@ class CircuitBreaker:
         cooldown_s: seconds open before a half-open probe is allowed.
         clock: monotonic time source (injectable for tests).
 
-    Thread-safe: the service consults one breaker per backend from
-    ``infer_many``'s worker pool.
+    Thread-safe: callers may serve from their own threads, and the
+    sharded front-end consults a shard's breaker from one thread per
+    chunk.
     """
 
     def __init__(

@@ -11,9 +11,10 @@ named backend, configuration lives in one :class:`repro.engine.EngineConfig`,
 and the paper's input-independent garbling (Sec. 3) becomes an
 offline/online split — :meth:`PrivateInferenceService.prepare` garbles a
 pool of circuit copies ahead of requests so the online path pays only
-transfer + OT + evaluate + merge.  :meth:`infer_many` serves a batch in
-the calling thread; its requests on the two-party backend share one
-batched evaluation pass.
+transfer + OT + evaluate + merge.  One path serves every request:
+:meth:`infer` is a group of one, :meth:`infer_many` groups a batch by
+backend, and each group is one ``Backend.run_many`` call in the calling
+thread (on the two-party backend, one batched evaluation pass).
 
 ``PrivateInferenceService(model, config)`` is the only constructor: every
 knob lives on the :class:`repro.engine.EngineConfig`, and a request picks
@@ -23,7 +24,6 @@ its execution flow by backend name.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import random
 import threading
 from typing import Dict, List, Optional, Sequence, Union
@@ -36,7 +36,6 @@ from .engine import (
     Backend,
     EngineConfig,
     PregarbledPool,
-    TwoPartyBackend,
     get_backend,
 )
 from .engine.result import ExecutionResult
@@ -60,6 +59,7 @@ __all__ = [
     "InferenceResult",
     "PrivateInferenceService",
 ]
+
 
 @dataclasses.dataclass
 class InferenceRequest:
@@ -140,6 +140,11 @@ class InferenceResult:
     def wall_seconds(self) -> float:
         """Single-thread online protocol time."""
         return sum(self.times.values())
+
+
+#: a request's slot while the service serves it: its record, the
+#: exception it ended in, or None until its group has run
+Outcome = Union[InferenceResult, BaseException, None]
 
 
 class PrivateInferenceService:
@@ -394,7 +399,7 @@ class PrivateInferenceService:
         return breaker
 
     def _record_result(
-        self, request: InferenceRequest, result: ExecutionResult
+        self, request: InferenceRequest, result: ExecutionResult, degraded: bool
     ) -> InferenceResult:
         """Turn an execution outcome into a served record (locked stats)."""
         record = InferenceResult(
@@ -408,25 +413,105 @@ class PrivateInferenceService:
         )
         with self._lock:
             self._stats["requests"] += 1
+            self._stats["degraded"] += degraded
             if record.pregarbled:
                 self._stats["pregarbled"] += 1
             by_backend = self._stats["by_backend"]
             by_backend[record.backend] = by_backend.get(record.backend, 0) + 1
         return record
 
-    def _record_error(self, exc: Optional[BaseException] = None) -> None:
-        """Count one failed request (locked)."""
+    def _record_error(
+        self, exc: BaseException, degraded: bool = False
+    ) -> BaseException:
+        """Count one failed request (locked); returns ``exc``."""
         with self._lock:
             self._stats["requests"] += 1
             self._stats["errors"] += 1
-            if exc is not None and is_transient(exc):
+            self._stats["degraded"] += degraded
+            if is_transient(exc):
                 self._stats["transient_faults"] += 1
+        return exc
 
     def _note_retry(self, exc: BaseException, attempt: int) -> None:
         """RetryPolicy observer: count a transient fault + retry (locked)."""
         with self._lock:
             self._stats["retries"] += 1
             self._stats["transient_faults"] += 1
+
+    def _serve(self, requests: Sequence[InferenceRequest]) -> List[Outcome]:
+        """Turn admitted requests into records or exceptions, in order.
+
+        The one serving path: :meth:`execute` is a group of one and
+        :meth:`infer_many` groups its requests by backend name.  A
+        malformed sample fails alone and never reaches the backend; each
+        group's well-formed requests go through :meth:`_serve_group`.
+        Every request is counted once, when its outcome is final.
+        """
+        outcomes: List[Outcome] = [None] * len(requests)
+        groups: Dict[str, Dict[int, List[int]]] = {}
+        for index, request in enumerate(requests):
+            try:
+                bits = self.compiled.client_bits(np.asarray(request.sample))
+            except Exception as exc:
+                # malformed input is the caller's fault: count the error
+                # but never charge it to the backend's breaker
+                outcomes[index] = self._record_error(exc)
+                continue
+            name = request.backend or self.config.backend
+            groups.setdefault(name, {})[index] = bits
+        for name, group in groups.items():
+            self._serve_group(name, requests, group, outcomes)
+        return outcomes
+
+    def _serve_group(
+        self,
+        name: str,
+        requests: Sequence[InferenceRequest],
+        group: Dict[int, List[int]],
+        outcomes: List[Outcome],
+    ) -> None:
+        """Serve one group (request index -> client bits) on backend
+        ``name`` with one breaker decision and one ``run_many`` call.
+
+        While the breaker is open the group serves degraded: the same
+        backend (it owns the OT state a base OT was paid for) garbles
+        cold, so a poisoned pool can't keep failing requests.  A group
+        of one runs under the retry policy; a larger group that fails
+        records one breaker failure and splits into groups of one, so
+        errors isolate per request and transient faults get retried.
+        """
+        breaker = self._breaker(name)
+        degraded = not breaker.allow()
+        backend = self._backend(name)
+
+        def attempt() -> List[ExecutionResult]:
+            return backend.run_many(
+                self.compiled.circuit, list(group.values()), self._server_bits,
+                pooled=not degraded,
+            )
+
+        try:
+            if len(group) == 1:
+                results = self._retry.call(attempt, on_retry=self._note_retry)
+            else:
+                results = attempt()
+        except Exception as exc:
+            if not degraded:
+                breaker.record_failure()
+            if len(group) == 1:
+                (index,) = group
+                outcomes[index] = self._record_error(exc, degraded)
+                return
+            if is_transient(exc):
+                with self._lock:
+                    self._stats["transient_faults"] += 1
+            for index, client_bits in group.items():
+                self._serve_group(name, requests, {index: client_bits}, outcomes)
+            return
+        if not degraded:
+            breaker.record_success()
+        for index, result in zip(group, results):
+            outcomes[index] = self._record_result(requests[index], result, degraded)
 
     def execute(self, request: InferenceRequest) -> InferenceResult:
         """Serve one typed request through the configured engine.
@@ -451,51 +536,12 @@ class PrivateInferenceService:
         """
         self._gate.admit(1)
         try:
-            return self._execute_one(request)
+            (outcome,) = self._serve([request])
         finally:
             self._gate.release(1)
-
-    def _execute_one(self, request: InferenceRequest) -> InferenceResult:
-        """The :meth:`execute` body, after admission accepted the request."""
-        backend_name = request.backend or self.config.backend
-        try:
-            sample = np.asarray(request.sample)
-            client_bits = self.compiled.client_bits(sample)
-        except Exception:
-            # malformed input is the caller's fault: count the error but
-            # never charge it to the backend's breaker
-            self._record_error()
-            raise
-        breaker = self._breaker(backend_name)
-        degraded = not breaker.allow()
-        backend = self._backend(backend_name)
-        if degraded:
-            with self._lock:
-                self._stats["degraded"] += 1
-
-        run = backend.run
-        if degraded and isinstance(backend, TwoPartyBackend):
-            # degradation sheds the stateful fast path: the same backend
-            # (it owns the OT state a base OT was paid for) garbles cold,
-            # so a poisoned pool can't keep failing requests.  Other
-            # backends have no pooled state to shed.
-            run = functools.partial(backend.run, pooled=False)
-
-        def attempt() -> ExecutionResult:
-            return run(self.compiled.circuit, client_bits, self._server_bits)
-
-        try:
-            result: ExecutionResult = self._retry.call(
-                attempt, on_retry=self._note_retry
-            )
-        except Exception as exc:
-            if not degraded:
-                breaker.record_failure()
-            self._record_error(exc)
-            raise
-        if not degraded:
-            breaker.record_success()
-        return self._record_result(request, result)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def infer(
         self,
@@ -516,82 +562,6 @@ class PrivateInferenceService:
             )
         )
 
-    def _infer_batched(
-        self,
-        normalized: List[InferenceRequest],
-        outcomes: List[Optional[InferenceResult]],
-        errors: List[tuple],
-    ) -> List[int]:
-        """Serve eligible requests through one batched evaluation pass.
-
-        Requests targeting the two-party backend are pushed
-        through ``TwoPartyBackend.run_many`` — one ``garble_many`` pass
-        for pool misses and one ``evaluate_many`` schedule walk for the
-        whole group — instead of per-request protocol runs.
-        Fills ``outcomes``/``errors`` in place for the requests it
-        handles and returns the indices still pending (non-two-party
-        requests, or the whole group when fewer than two requests are
-        eligible, batching is unavailable or the batched run itself
-        fails — per-request isolation then falls back to
-        request-at-a-time serving).
-        """
-        n = len(normalized)
-        everything = list(range(n))
-        eligible = [
-            i for i, r in enumerate(normalized)
-            if (r.backend or self.config.backend) == "two_party"
-        ]
-        if len(eligible) < 2:
-            return everything
-        backend = self._backend("two_party")
-        run_many = getattr(backend, "run_many", None)
-        if run_many is None:
-            return everything
-        breaker = self._breaker("two_party")
-        if breaker.state == "open":
-            # breaker open: shed the batched fast path — the group falls
-            # through to per-request serving, which degrades to
-            # cold garbling under the same breaker
-            with self._lock:
-                self._stats["degraded"] += 1
-            return everything
-        eligible_set = set(eligible)
-        pending = [i for i in everything if i not in eligible_set]
-        bits: List[List[int]] = []
-        good: List[int] = []
-        for i in eligible:
-            try:
-                bits.append(
-                    self.compiled.client_bits(
-                        np.asarray(normalized[i].sample)
-                    )
-                )
-                good.append(i)
-            except Exception as exc:  # isolate malformed samples
-                self._record_error()
-                errors.append((i, exc))
-        if good:
-            try:
-                results = run_many(
-                    self.compiled.circuit, bits, self._server_bits
-                )
-            except Exception as exc:
-                # a batch-level failure must not fail every request in
-                # it: retry the group request-at-a-time, where errors
-                # isolate per request (and transient faults get the
-                # retry policy)
-                breaker.record_failure()
-                if is_transient(exc):
-                    with self._lock:
-                        self._stats["transient_faults"] += 1
-                pending.extend(good)
-                pending.sort()
-            else:
-                breaker.record_success()
-                for i, result in zip(good, results):
-                    outcomes[i] = self._record_result(normalized[i], result)
-        return pending
-
     def infer_many(
         self,
         requests: Sequence[Union[InferenceRequest, np.ndarray]],
@@ -600,23 +570,23 @@ class PrivateInferenceService:
         """Serve a batch of requests, in the calling thread.
 
         GC gives no per-sample batching discount (Fig. 6's point), but
-        the *engine* work batches: when two or more requests target the
-        two-party backend they share one ``evaluate_many`` pass over the
-        level schedule (and one ``garble_many`` pass for pool misses)
-        instead of ``k`` protocol runs.  Every other request — and the
-        whole group when the batched pass is unavailable, failed or shed
-        by an open breaker — runs one after another: both parties of an
-        in-process session run in the calling thread, so no request
-        waits on I/O that a thread pool could overlap (more cores are
-        ``transport.ShardedService``'s job).  Results come back in
-        request order.
+        the *engine* work batches: the requests on one backend form one
+        group, served by one ``run_many`` call — on the two-party
+        backend one ``evaluate_many`` pass over the level schedule (and
+        one ``garble_many`` pass for pool misses) instead of ``k``
+        protocol runs; other backends run their group one request after
+        another.  Both parties of an in-process session run in the
+        calling thread, so no request waits on I/O that a thread pool
+        could overlap (more cores are ``transport.ShardedService``'s
+        job).  Results come back in request order.
 
         Args:
             requests: samples or typed :class:`InferenceRequest` items.
             return_errors: see below.
 
         Per-request failures are isolated: every request runs to
-        completion regardless of its neighbours.  With
+        completion regardless of its neighbours (a failed group is
+        served again one request at a time).  With
         ``return_errors=False`` (default) a batch containing failures
         raises :class:`repro.errors.BatchInferenceError` *after* the
         whole batch finishes, carrying the completed results and the
@@ -637,18 +607,17 @@ class PrivateInferenceService:
         # so a shed batch never half-serves)
         self._gate.admit(len(normalized))
         try:
-            outcomes: List[Optional[InferenceResult]] = [None] * len(normalized)
-            errors: List[tuple] = []
-            for index in self._infer_batched(normalized, outcomes, errors):
-                try:
-                    outcomes[index] = self._execute_one(normalized[index])
-                except Exception as exc:
-                    errors.append((index, exc))
-            errors.sort(key=lambda pair: pair[0])
+            outcomes = self._serve(normalized)
         finally:
             self._gate.release(len(normalized))
 
+        errors = [
+            (index, outcome) for index, outcome in enumerate(outcomes)
+            if isinstance(outcome, BaseException)
+        ]
         if errors and not return_errors:
+            for index, _ in errors:
+                outcomes[index] = None  # the failure travels in ``errors``
             raise BatchInferenceError(
                 f"{len(errors)}/{len(normalized)} requests failed "
                 f"(first: {errors[0][1]!r}); completed results attached",

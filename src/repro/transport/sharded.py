@@ -314,10 +314,19 @@ class ShardedService:
         """Per-shard supervision states, in shard order."""
         return [s.state for s in self._shards]
 
-    def _shard_rpc(self, shard: _Shard, record: Dict[str, Any]) -> Dict[str, Any]:
-        """One breaker-audited RPC; a dead worker goes suspect and is reaped."""
+    def _shard_rpc(
+        self,
+        shard: _Shard,
+        record: Dict[str, Any],
+        parse: Callable[[Dict[str, Any]], Any] = lambda reply: reply,
+    ) -> Any:
+        """One breaker-audited RPC; a dead worker goes suspect and is reaped.
+
+        ``parse`` turns the reply into what the caller needs; a reply it
+        rejects fails the RPC like a dead link does.
+        """
         try:
-            reply = shard.call(record, timeout=self._rpc_timeout_s)
+            reply = parse(shard.call(record, timeout=self._rpc_timeout_s))
         except Exception as exc:
             shard.breaker.record_failure()
             with self._lock:
@@ -464,34 +473,52 @@ class ShardedService:
         chunks = self._partition(n)
         outcomes: List[Optional[Any]] = [None] * n
 
+        def parse_results(reply: Dict[str, Any], size: int) -> List[Any]:
+            """One record per request of the chunk, or a ProtocolError."""
+            fields = reply.get("results")
+            count = len(fields) if isinstance(fields, list) else None
+            if count != size:
+                raise ProtocolError(
+                    f"shard replied with {count} results for a chunk of {size}"
+                )
+            try:
+                return [InferenceResult(**record) for record in fields]
+            except Exception as exc:
+                raise ProtocolError(f"unparseable shard result: {exc}") from exc
+
         def serve_chunk(shard: _Shard, start: int, stop: int) -> None:
-            degraded = shard.state != "alive" or not shard.breaker.allow()
-            if not degraded:
-                record = {
+            try:
+                record: Optional[Dict[str, Any]] = {
                     "op": "infer",
                     "samples": [_flatten(samples[i]) for i in range(start, stop)],
                     "request_ids": ids[start:stop],
                 }
+            except (TypeError, ValueError):
+                # not a feature vector: the fallback fails it per request
+                record = None
+            if record is not None and shard.state == "alive" and shard.breaker.allow():
                 try:
-                    reply = self._shard_rpc(shard, record)
+                    results = self._shard_rpc(
+                        shard, record,
+                        lambda reply: parse_results(reply, stop - start),
+                    )
                 except Exception:
-                    degraded = True
+                    pass  # the chunk reroutes below, like a dead shard's
                 else:
                     with self._lock:
                         shard.requests += stop - start
-                    for offset, fields in enumerate(reply["results"]):
-                        outcomes[start + offset] = InferenceResult(**fields)
+                    outcomes[start:stop] = results
                     return
             with self._lock:
                 self._stats["degraded_requests"] += stop - start
                 self._stats["reroutes"] += 1
-            requests = [
-                InferenceRequest(
-                    sample=np.asarray(samples[i]), request_id=ids[i]
-                )
-                for i in range(start, stop)
-            ]
             try:
+                requests = [
+                    InferenceRequest(
+                        sample=np.asarray(samples[i]), request_id=ids[i]
+                    )
+                    for i in range(start, stop)
+                ]
                 service = self._fallback_service()
                 results = service.infer_many(requests, return_errors=True)
             except Exception as exc:
@@ -501,8 +528,7 @@ class ShardedService:
                     InferenceResult.failed(exc, request_id=ids[i])
                     for i in range(start, stop)
                 ]
-            for offset, result in enumerate(results):
-                outcomes[start + offset] = result
+            outcomes[start:stop] = results
 
         threads = [
             threading.Thread(
@@ -517,7 +543,8 @@ class ShardedService:
             thread.start()
         for thread in threads:
             thread.join()
-        return [outcome for outcome in outcomes if outcome is not None]
+        # every chunk fills all of its slots, served or failed
+        return outcomes
 
     def _partition(self, n: int) -> List[Any]:
         """``[(shard_index, (start, stop)), ...]`` contiguous chunks."""

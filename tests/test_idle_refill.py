@@ -176,6 +176,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.pool = PregarbledPool(
             CIRCUIT, capacity=capacity, refill=refill,
             idle_wait=self.g.gate.wait_idle, rng=random.Random(5),
+            ot_group=TEST_GROUP_512,
         )
         # the thread acquire() starts ends at once; refill_step is the loop
         self.pool._refill_supervisor = lambda: None

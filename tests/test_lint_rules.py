@@ -3,9 +3,8 @@
 Each rule gets at least one fixture that must fire (a deliberate
 violation) and one that must stay silent (the corrected form), so the
 rules themselves are pinned by tests the same way the garbling engine
-is.  The suite also covers the baseline round-trip, the CLI exit-code
-contract, and — as the tier-1 gate — that the repository's own ``src``
-tree is clean modulo the committed baseline.
+is.  The suite also covers the CLI exit-code contract and — as the
+tier-1 gate — that the repository's own ``src`` tree has no findings.
 """
 
 from __future__ import annotations
@@ -14,17 +13,7 @@ import json
 import pathlib
 import textwrap
 
-import pytest
-
-from repro.lint import (
-    Finding,
-    default_rules,
-    load_baseline,
-    new_findings,
-    run_paths,
-    run_source,
-    save_baseline,
-)
+from repro.lint import default_rules, run_paths, run_source
 from repro.lint.__main__ import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.lint.dtype_discipline import DtypeDiscipline
 from repro.lint.lock_discipline import LockDiscipline
@@ -288,48 +277,6 @@ class TestDtypeDiscipline:
         assert not rule.applies_to("src/repro/nn/layers.py")
 
 
-# -- baseline round-trip --------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_known_findings(self, tmp_path):
-        findings = [
-            Finding(
-                path="repro/gc/x.py",
-                line=3,
-                rule="L002",
-                severity="error",
-                message="module-global rng",
-            )
-        ]
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(findings, baseline_path)
-        suppressions = load_baseline(baseline_path)
-        assert new_findings(findings, suppressions) == []
-
-    def test_baseline_keys_survive_line_drift(self, tmp_path):
-        original = Finding(
-            path="repro/gc/x.py", line=3, rule="L002",
-            severity="error", message="module-global rng",
-        )
-        moved = Finding(
-            path="repro/gc/x.py", line=40, rule="L002",
-            severity="error", message="module-global rng",
-        )
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline([original], baseline_path)
-        assert new_findings([moved], load_baseline(baseline_path)) == []
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"surprise": True}))
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-
 # -- CLI exit codes -------------------------------------------------------
 
 
@@ -357,24 +304,6 @@ class TestCli:
         assert main([str(root)]) == EXIT_USAGE
         assert "L000" in capsys.readouterr().err
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        root = _write_module(tmp_path, "import random\ny = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        assert main([str(root)]) == EXIT_FINDINGS
-        assert (
-            main([str(root), "--baseline", str(baseline), "--write-baseline"])
-            == EXIT_CLEAN
-        )
-        capsys.readouterr()
-        assert main([str(root), "--baseline", str(baseline)]) == EXIT_CLEAN
-        assert "baselined" in capsys.readouterr().out
-
-    def test_write_baseline_requires_baseline(self, tmp_path):
-        root = _write_module(tmp_path, "x = 1\n")
-        with pytest.raises(SystemExit) as exc:
-            main([str(root), "--write-baseline"])
-        assert exc.value.code == EXIT_USAGE
-
     def test_json_format(self, tmp_path, capsys):
         root = _write_module(tmp_path, "import random\ny = random.random()\n")
         assert main([str(root), "--format", "json"]) == EXIT_FINDINGS
@@ -386,23 +315,8 @@ class TestCli:
 
 
 class TestRepositoryIsClean:
-    """Tier-1: the shipped src tree must be clean modulo the baseline."""
+    """Tier-1: the shipped src tree has no findings at all."""
 
-    def test_src_tree_clean_modulo_baseline(self):
+    def test_src_tree_has_no_findings(self):
         findings = run_paths([REPO_ROOT / "src"], rules=default_rules())
-        assert not any(f.rule == "L000" for f in findings), findings
-        baseline = load_baseline(REPO_ROOT / "lint_baseline.json")
-        fresh = new_findings(findings, baseline)
-        assert fresh == [], "\n".join(f.format() for f in fresh)
-
-    def test_committed_baseline_is_tight(self):
-        """Every baseline entry still corresponds to a live finding.
-
-        A stale entry means a finding was fixed without shrinking the
-        baseline — the grandfather list only ever ratchets down.
-        """
-        findings = run_paths([REPO_ROOT / "src"], rules=default_rules())
-        live_keys = {f.key for f in findings}
-        baseline = load_baseline(REPO_ROOT / "lint_baseline.json")
-        stale = sorted(baseline - live_keys)
-        assert stale == [], f"stale baseline entries: {stale}"
+        assert findings == [], "\n".join(f.format() for f in findings)

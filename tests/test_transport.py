@@ -703,6 +703,52 @@ class TestShardedService:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("fault", ["short", "unparseable"])
+    def test_a_bad_reply_reroutes_its_chunk_in_request_order(self, fault):
+        """A shard reply one result short, or with a record that does not
+        parse, fails that chunk's RPC: the chunk reroutes degraded and
+        every request keeps its own slot and label."""
+        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        shard = service._shards[0]
+        call = shard.call
+
+        def bad_reply(record, timeout):
+            reply = call(record, timeout)
+            if record["op"] == "infer":
+                if fault == "short":
+                    reply["results"] = reply["results"][1:]
+                else:
+                    reply["results"][0]["surprise"] = True
+            return reply
+
+        shard.call = bad_reply
+        try:
+            samples = _tiny_samples(4)
+            reference = _tiny_service()
+            expected = [reference.cleartext_label(s) for s in samples]
+            reference.close()
+            ids = [f"r{i}" for i in range(4)]
+            results = service.infer_many(samples, request_ids=ids)
+            assert [r.request_id for r in results] == ids
+            assert [r.label for r in results] == expected
+            stats = service.stats()
+            assert stats["degraded_requests"] == 2 and stats["reroutes"] == 1
+            assert stats["per_shard"][0]["failures"] == 1
+            assert shard.state == "alive"  # a bad reply is no dead worker
+        finally:
+            service.close()
+
+    def test_a_sample_that_is_no_feature_vector_fails_in_its_slot(self):
+        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        try:
+            samples = list(_tiny_samples(3)) + [["not", "numbers"]]
+            results = service.infer_many(samples, request_ids=list("abcd"))
+            assert [r.request_id for r in results] == list("abcd")
+            assert [r.ok for r in results] == [True, True, True, False]
+            assert results[3].error_category == "permanent"
+        finally:
+            service.close()
+
     def test_rejects_bad_shard_count(self):
         with pytest.raises(EngineError):
             ShardedService(_tiny_service, shards=0)

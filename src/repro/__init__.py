@@ -55,19 +55,10 @@ Subpackages:
 * :mod:`repro.zoo` — the paper's four benchmarks (+ ``build_service``).
 """
 
-from . import (
-    analysis,
-    baselines,
-    circuits,
-    compile,
-    data,
-    engine,
-    gc,
-    nn,
-    preprocess,
-    synthesis,
-    zoo,
-)
+import importlib
+from typing import Any, List
+
+from . import circuits, compile, engine, gc, nn
 from .engine import EngineConfig
 from .errors import (
     CircuitError,
@@ -89,6 +80,20 @@ from .service import (
 )
 
 __version__ = "1.1.0"
+
+#: The paper's exhibits and their tooling load on first use (PEP 562),
+#: so serving imports only the engine it runs.
+_LAZY = ("analysis", "baselines", "data", "preprocess", "synthesis", "zoo")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "circuits",

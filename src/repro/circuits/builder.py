@@ -9,22 +9,46 @@ so the produced netlists are already optimized under the same cost model.
 
 Buses are plain lists of wire ids, least-significant bit first.  All
 arithmetic helpers live in :mod:`repro.circuits.arith` and
-:mod:`repro.circuits.logic`; this module only provides single-bit emitters
-and wire bookkeeping.
+:mod:`repro.circuits.logic`; this module only provides single-bit emitters,
+wire bookkeeping and unit templates (:meth:`CircuitBuilder.record`,
+:meth:`CircuitBuilder.instantiate`).
+
+The netlist grows as columns (:class:`repro.circuits.netlist.GateColumns`):
+an op code, two input wires and the gate's place (its AND-depth and free
+sub-step, what :meth:`repro.circuits.netlist.LevelSchedule.build` sorts
+by) are appended per gate; a gate's output is the next wire, so it needs
+no column until :meth:`CircuitBuilder.build` hands the arrays over.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import dataclasses
+from array import array
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import CircuitError
-from .gates import Gate, GateType
-from .netlist import CONST_ONE, CONST_ZERO, Circuit
+from .gates import N_FREE_CODES, OP_CODE, GateType
+from .netlist import CONST_ONE, CONST_ZERO, NO_INPUT, SUB_BITS, Circuit, GateColumns
 
-__all__ = ["CircuitBuilder", "Bus"]
+__all__ = ["CircuitBuilder", "Bus", "UnitTemplate"]
 
 #: A bus is an LSB-first list of wire ids.
 Bus = List[int]
+
+_NOT = OP_CODE[GateType.NOT]
+_XOR = OP_CODE[GateType.XOR]
+_AND = OP_CODE[GateType.AND]
+_OR = OP_CODE[GateType.OR]
+_ANDN = OP_CODE[GateType.ANDN]
+#: the ops whose emitters put the lower wire first
+_SORTED_OPS = (_XOR, _AND, _OR)
+
+#: per port: constant value or -1, position of its first occurrence,
+#: position of its NOT partner among the ports (-1 none, -2 a non-port
+#: wire) and that partner's place less the port's, and the port's place
+PortSignature = Tuple[Tuple[int, int, int, int, int], ...]
 
 
 class CircuitBuilder:
@@ -50,14 +74,20 @@ class CircuitBuilder:
         self._folding = fold_constants
         # wires 0 and 1 are the constants
         self._n_wires = 2
-        # AND-depth of every wire: constants and inputs sit at 0
-        self._level: List[int] = [0, 0]
         self._n_alice = 0
         self._n_bob = 0
         self._n_state = 0
         self._inputs_frozen = False
-        self._gates: List[Gate] = []
-        self._cache: Dict[Tuple[GateType, int, Optional[int]], int] = {}
+        # the gate columns; gate i drives wire 2 + n_inputs + i
+        self._op = array("B")
+        self._a = array("i")
+        self._b = array("i")
+        # per wire, its place (phase << SUB_BITS | sub); inputs sit at 0
+        self._place = array("q", [0, 0])
+        self._non_xor = 0
+        self._depth = 0
+        # structural hashing: (a << 32 | b) << 4 | op -> output wire
+        self._cache: Dict[int, int] = {}
         self._not_of: Dict[int, int] = {CONST_ZERO: CONST_ONE, CONST_ONE: CONST_ZERO}
         self._outputs: List[int] = []
         self._input_names: Dict[str, List[int]] = {}
@@ -101,7 +131,7 @@ class CircuitBuilder:
         start = self._n_wires
         bus = list(range(start, start + count))
         self._n_wires += count
-        self._level.extend([0] * count)
+        self._place.frombytes(bytes(8 * count))
         if party == "alice":
             if self._n_bob or self._n_state:
                 raise CircuitError("Alice inputs must precede Bob/state wires")
@@ -116,12 +146,6 @@ class CircuitBuilder:
             self._input_names.setdefault(name, []).extend(bus)
         return bus
 
-    def _fresh_wire(self) -> int:
-        self._inputs_frozen = True
-        wire = self._n_wires
-        self._n_wires += 1
-        return wire
-
     def constant_bus(self, value: int, width: int) -> Bus:
         """A bus holding the two's-complement constant ``value``."""
         return [
@@ -135,7 +159,8 @@ class CircuitBuilder:
         cached = self._not_of.get(a)
         if cached is not None:
             return cached
-        out = self._emit(GateType.NOT, a, None)
+        # every NOT is in _not_of, so a NOT needs no structural hash
+        out = self._gate(_NOT, a, NO_INPUT)
         self._not_of[a] = out
         self._not_of[out] = a
         return out
@@ -157,7 +182,7 @@ class CircuitBuilder:
                 return CONST_ONE
         if b < a:
             a, b = b, a
-        return self._emit(GateType.XOR, a, b)
+        return self._emit(_XOR, a, b)
 
     def emit_xnor(self, a: int, b: int) -> int:
         """XNOR gate (free)."""
@@ -178,7 +203,7 @@ class CircuitBuilder:
                 return CONST_ZERO
         if b < a:
             a, b = b, a
-        return self._emit(GateType.AND, a, b)
+        return self._emit(_AND, a, b)
 
     def emit_or(self, a: int, b: int) -> int:
         """OR gate (one garbled table)."""
@@ -195,7 +220,7 @@ class CircuitBuilder:
                 return CONST_ONE
         if b < a:
             a, b = b, a
-        return self._emit(GateType.OR, a, b)
+        return self._emit(_OR, a, b)
 
     def emit_nand(self, a: int, b: int) -> int:
         """NAND gate (one garbled table)."""
@@ -218,7 +243,7 @@ class CircuitBuilder:
                 return self.emit_not(b)
             if self._not_of.get(a) == b:
                 return a
-        return self._emit(GateType.ANDN, a, b)
+        return self._emit(_ANDN, a, b)
 
     def emit_mux(self, sel: int, if_true: int, if_false: int) -> int:
         """2-to-1 multiplexer: ``sel ? if_true : if_false``.
@@ -234,21 +259,36 @@ class CircuitBuilder:
         gated = self.emit_and(sel, diff)
         return self.emit_xor(if_false, gated)
 
-    def _emit(self, op: GateType, a: int, b: Optional[int]) -> int:
-        key = (op, a, b)
-        if self._hashing:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-        out = self._fresh_wire()
-        level = self._level
-        level.append(
-            (level[a] if b is None else max(level[a], level[b]))
-            + (0 if op.is_free else 1)
-        )
-        self._gates.append(Gate(op, a, b, out))
-        if self._hashing:
-            self._cache[key] = out
+    def _emit(self, op: int, a: int, b: int) -> int:
+        if not self._hashing:
+            return self._gate(op, a, b)
+        key = (a << 32 | b) << 4 | op
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = self._gate(op, a, b)
+        return out
+
+    def _gate(self, op: int, a: int, b: int) -> int:
+        """Append gate ``op(a, b)`` (``b`` is ``NO_INPUT`` for a NOT)
+        and return its output, the next wire."""
+        place = self._place
+        at = place[a]
+        if b >= 0 and place[b] > at:
+            at = place[b]
+        if op < N_FREE_CODES:
+            at += 1
+        else:
+            at = ((at >> SUB_BITS) + 1) << SUB_BITS
+            self._non_xor += 1
+            if at >> SUB_BITS > self._depth:
+                self._depth = at >> SUB_BITS
+        place.append(at)
+        self._op.append(op)
+        self._a.append(a)
+        self._b.append(b)
+        self._inputs_frozen = True
+        out = self._n_wires
+        self._n_wires = out + 1
         return out
 
     # -- bus helpers -------------------------------------------------------
@@ -298,32 +338,43 @@ class CircuitBuilder:
     @property
     def gate_count(self) -> int:
         """Gates emitted so far."""
-        return len(self._gates)
+        return len(self._op)
 
     def level(self, wire: int) -> int:
         """The wire's AND-depth — the AND layer ``LevelSchedule`` will run
         its gate in if non-free, or the layer its free gate follows
         (inputs and constants: 0)."""
-        return self._level[wire]
+        return self._place[wire] >> SUB_BITS
 
     @property
     def depth(self) -> int:
         """AND layers of the netlist emitted so far."""
-        return max(self._level)
+        return self._depth
 
     def non_xor_count(self) -> int:
         """Non-free gates emitted so far."""
-        return sum(1 for g in self._gates if not g.op.is_free)
+        return self._non_xor
 
     def build(self, d_wires: Sequence[int] = ()) -> Circuit:
         """Finalize and validate the netlist; ``d_wires`` are a
         sequential core's register next-state wires
         (:meth:`repro.circuits.sequential.SequentialBuilder.build_sequential`
-        passes them)."""
+        passes them).
+
+        The circuit takes the builder's columns and places without a
+        copy, so the builder emits nothing more once it has built.
+        """
+        first_gate_wire = self._n_wires - len(self._op)
+        columns = GateColumns.frozen(
+            np.frombuffer(self._op, dtype=np.uint8),
+            np.frombuffer(self._a, dtype=np.int32),
+            np.frombuffer(self._b, dtype=np.int32),
+            np.arange(first_gate_wire, self._n_wires, dtype=np.int32),
+        )
         circuit = Circuit(
             n_alice=self._n_alice,
             n_bob=self._n_bob,
-            gates=list(self._gates),
+            gates=columns,
             outputs=list(self._outputs),
             n_wires=self._n_wires,
             name=self.name,
@@ -332,5 +383,218 @@ class CircuitBuilder:
             n_state=self._n_state,
             d_wires=d_wires,
         )
+        circuit._places = np.frombuffer(self._place, dtype=np.int64)[
+            first_gate_wire:
+        ]
         circuit.validate()
         return circuit
+
+    # -- unit templates ------------------------------------------------------
+
+    def record(
+        self, ports: Sequence[int], emit: Callable[[], Bus]
+    ) -> Tuple[Bus, Optional["UnitTemplate"]]:
+        """Run ``emit`` (a unit over input wires ``ports``) through the
+        builder, and capture it as a template for same-shaped units.
+
+        The unit's *own* gates are those its emission appended that
+        depend on ``ports``; the rest it appended (the unit's *shared*
+        gates, e.g. sign-magnitudes of operands every unit reads) and
+        the wires it found already built are the same for every unit.
+        Returns the unit's outputs and the template, or ``None`` when
+        the unit cannot be one: structural hashing or constant folding
+        is off, or it read a wire built before it that may depend on a
+        port other than through a NOT pair.  Ports that are circuit
+        inputs must not have been read by any earlier gate.
+        """
+        signature = self._signature(ports)
+        first_gate, first_wire = len(self._op), self._n_wires
+        outputs = emit()
+        if not (self._hashing and self._folding):
+            return outputs, None
+        return outputs, self._capture(
+            ports, signature, first_gate, first_wire, outputs
+        )
+
+    def instantiate(
+        self, template: "UnitTemplate", ports: Sequence[int]
+    ) -> Optional[Bus]:
+        """Append ``template``'s own gates over ``ports``, and return the
+        unit's outputs.
+
+        The ports are remapped, the own gates' outputs are consecutive
+        fresh wires and every other wire is kept; NOT gates are
+        registered as NOT pairs, and nothing enters the structural-hash
+        table.  This is what emitting the unit through the builder
+        appends, gate for gate, when ``ports`` look to the builder as
+        the template's did (same constants, repeats, NOT pairs and
+        places) and no earlier gate reads them except through NOT
+        pairs; returns ``None`` (emit the unit instead) when they do
+        not look the same.
+        """
+        if self._signature(ports) != template.signature:
+            return None
+        not_of = self._not_of
+        base = self._n_wires
+        size = template.op.size
+        source = np.concatenate([
+            np.asarray(ports, dtype=np.int64),
+            np.asarray(
+                [not_of[ports[k]] for k in template.partner_ports],
+                dtype=np.int64,
+            ),
+            np.arange(base, base + size, dtype=np.int64),
+            template.kept,
+        ])
+        a, b = source[template.a], source[template.b]
+        swap = template.sorted_ops[a[template.sorted_ops] > b[template.sorted_ops]]
+        a[swap], b[swap] = b[swap], a[swap]
+        self._op.frombytes(template.op.tobytes())
+        self._a.frombytes(a.astype(np.int32).tobytes())
+        self._b.frombytes(b.astype(np.int32).tobytes())
+        self._place.frombytes(template.places.tobytes())
+        self._n_wires = base + size
+        self._non_xor += template.non_xor
+        self._depth = max(self._depth, template.depth)
+        self._inputs_frozen = True
+        nots = a[template.nots].tolist()
+        outs = (base + template.nots).tolist()
+        not_of.update(zip(nots, outs))
+        not_of.update(zip(outs, nots))
+        return source[template.outputs].tolist()
+
+    def _signature(self, ports: Sequence[int]) -> PortSignature:
+        """What the builder's folding and places see of ``ports``."""
+        first: Dict[int, int] = {}
+        for k, wire in enumerate(ports):
+            first.setdefault(wire, k)
+        place = self._place
+        signature = []
+        for wire in ports:
+            partner = self._not_of.get(wire)
+            if partner is None:
+                pair = (-1, 0)
+            else:
+                pair = (
+                    first.get(partner, -2), place[partner] - place[wire]
+                )
+            signature.append((
+                wire if wire <= CONST_ONE else -1, first[wire], *pair,
+                place[wire],
+            ))
+        return tuple(signature)
+
+    def _capture(
+        self,
+        ports: Sequence[int],
+        signature: PortSignature,
+        first_gate: int,
+        first_wire: int,
+        outputs: Bus,
+    ) -> Optional["UnitTemplate"]:
+        """The template of the unit emitted from ``first_gate`` on."""
+        # port wires, and NOT partners of ports built before the unit
+        # (they depend on their port): wire -> index in the source table
+        source_of: Dict[int, int] = {}
+        for k, wire in enumerate(ports):
+            if wire > CONST_ONE:
+                source_of.setdefault(wire, k)
+        partner_ports: List[int] = []
+        for k, wire in enumerate(ports):
+            partner = self._not_of.get(wire)
+            if (
+                partner is not None and CONST_ONE < partner < first_wire
+                and partner not in source_of
+            ):
+                source_of[partner] = len(ports) + len(partner_ports)
+                partner_ports.append(k)
+        # any other wire built before the unit, at or past its first
+        # gate-driven port, may depend on that port
+        n_inputs = 2 + self._n_alice + self._n_bob + self._n_state
+        unknown_from = min(
+            (w for w in source_of if w >= n_inputs), default=first_wire
+        )
+        own = bytearray(len(self._op) - first_gate)
+        for i, (x, y) in enumerate(
+            zip(self._a[first_gate:].tolist(), self._b[first_gate:].tolist())
+        ):
+            for src in (x, y):
+                if src >= first_wire:
+                    if own[src - first_wire]:
+                        own[i] = 1
+                elif src in source_of:
+                    own[i] = 1
+                elif src >= unknown_from:
+                    return None
+        if any(
+            unknown_from <= w < first_wire and w not in source_of
+            for w in outputs
+        ):
+            return None
+        own_gates = np.flatnonzero(np.frombuffer(own, dtype=np.uint8))
+        op = np.frombuffer(self._op, dtype=np.uint8)[first_gate:][own_gates]
+        a = np.frombuffer(self._a, dtype=np.int32)[first_gate:][own_gates]
+        b = np.frombuffer(self._b, dtype=np.int32)[first_gate:][own_gates]
+        places = np.frombuffer(self._place, dtype=np.int64)[first_wire:][
+            own_gates
+        ]
+        # each wire's index in the source table: ports and partners, own
+        # outputs after them, then every other wire, kept as it is
+        size = own_gates.size
+        fresh_from = len(ports) + len(partner_ports)
+        wires = np.concatenate([a, b, np.asarray(outputs, dtype=np.int32)])
+        rank = np.full(len(own) + 1, -1, dtype=np.int64)  # last: not fresh
+        rank[own_gates] = np.arange(fresh_from, fresh_from + size)
+        fresh = wires >= first_wire
+        where = rank[np.where(fresh, wires - first_wire, -1)]
+        if source_of:
+            keys = np.array(sorted(source_of), dtype=np.int64)
+            at = np.minimum(np.searchsorted(keys, wires), keys.size - 1)
+            found = ~fresh & (keys[at] == wires)
+            where[found] = [source_of[w] for w in keys[at[found]].tolist()]
+        rest = where < 0
+        kept, kept_at = np.unique(wires[rest], return_inverse=True)
+        where[rest] = fresh_from + size + kept_at.reshape(-1)
+        a_at, b_at, out_at = np.split(where, [size, 2 * size])
+        return UnitTemplate(
+            signature=signature,
+            partner_ports=tuple(partner_ports),
+            kept=kept.astype(np.int64),
+            op=op,
+            a=a_at,
+            b=b_at,
+            places=places,
+            outputs=out_at,
+            sorted_ops=np.flatnonzero(np.isin(op, _SORTED_OPS)),
+            nots=np.flatnonzero(op == _NOT),
+            non_xor=int(np.count_nonzero(op >= N_FREE_CODES)),
+            depth=int(places.max() >> SUB_BITS) if size else 0,
+        )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class UnitTemplate:
+    """A unit's own gates over symbolic wires (:meth:`CircuitBuilder.record`).
+
+    ``a``, ``b`` and ``outputs`` index one source table per instance:
+    its ports, then the NOT partners of ``partner_ports`` (ports whose
+    NOT pair was built before the unit), then the own gates' fresh
+    outputs, then the ``kept`` wires (shared gates, operands every unit
+    reads, constants, ``NO_INPUT``).
+    """
+
+    signature: PortSignature
+    partner_ports: Tuple[int, ...]
+    kept: Any
+    op: Any
+    a: Any
+    b: Any
+    #: the own gates' places (a port's place is part of the signature)
+    places: Any
+    outputs: Any
+    #: own gates whose emitter sorts the operands
+    sorted_ops: Any
+    #: own NOT gates, registered as NOT pairs
+    nots: Any
+    non_xor: int
+    depth: int

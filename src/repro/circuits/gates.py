@@ -17,9 +17,18 @@ records, for each supported gate:
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-__all__ = ["GateType", "Gate", "INV", "FREE_GATES", "NONFREE_GATES"]
+__all__ = [
+    "GateType",
+    "Gate",
+    "INV",
+    "FREE_GATES",
+    "NONFREE_GATES",
+    "OPS",
+    "OP_CODE",
+    "N_FREE_CODES",
+]
 
 
 class GateType(enum.Enum):
@@ -67,6 +76,13 @@ NONFREE_GATES: frozenset = frozenset(
         GateType.ORN,
     }
 )
+
+#: Column codes: a netlist stores a gate's ``op`` as its index into
+#: ``OPS`` (a ``uint8``).  The free gates come first, so a gate is free
+#: exactly when its code is below ``N_FREE_CODES``.
+OPS: Tuple[GateType, ...] = tuple(GateType)
+OP_CODE: Dict[GateType, int] = {op: code for code, op in enumerate(OPS)}
+N_FREE_CODES = len(_FREE)
 
 _EVAL = {
     GateType.BUF: lambda a, b: a & 1,
@@ -134,7 +150,10 @@ class Gate(NamedTuple):
 
 
 def _self_check() -> None:
-    """Verify the AND-reduction table against the truth tables."""
+    """Verify the AND-reduction table against the truth tables, and the
+    free gates' place at the front of the column codes."""
+    if set(OPS[:N_FREE_CODES]) != _FREE:
+        raise AssertionError("free gates must take the lowest op codes")
     for op, inv in AND_REDUCTION.items():
         for a in (0, 1):
             for b in (0, 1):

@@ -25,24 +25,46 @@ carried over from the previous clock cycle (TinyGarble-style).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from collections.abc import Sequence as SequenceABC
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from ..errors import CircuitError
-from .gates import AND_REDUCTION, Gate, GateType
+from .gates import AND_REDUCTION, N_FREE_CODES, OP_CODE, OPS, Gate, GateType
 
 __all__ = [
     "Circuit",
     "FreeStep",
+    "GateColumns",
     "GateCounts",
+    "GateView",
     "LevelSchedule",
     "ScalarRun",
     "ScheduleLevel",
     "CONST_ZERO",
     "CONST_ONE",
+    "NO_INPUT",
 ]
 
 CONST_ZERO = 0
 CONST_ONE = 1
+
+#: The ``b`` column's entry for a unary gate (NOT, BUF).
+NO_INPUT = -(1 << 31)
+#: Op codes from here on are binary gates (BUF and NOT come first).
+_FIRST_BINARY = OP_CODE[GateType.XOR]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,18 +92,97 @@ class GateCounts:
         return GateCounts(self.xor * k, self.non_xor * k)
 
 
+class GateColumns(NamedTuple):
+    """A netlist's gates as columns, in netlist order: ``op`` (``uint8``
+    :data:`repro.circuits.gates.OPS` codes) and ``a``, ``b``, ``out``
+    (``int32`` wire ids, ``b`` :data:`NO_INPUT` for a unary gate) — 13
+    bytes a gate, read-only."""
+
+    op: Any
+    a: Any
+    b: Any
+    out: Any
+
+    @classmethod
+    def from_gates(cls, gates: Iterable[Gate]) -> "GateColumns":
+        """The columns of a :class:`Gate` sequence."""
+        rows = list(gates)
+        for idx, gate in enumerate(rows):
+            if gate.op not in OP_CODE:
+                raise CircuitError(
+                    f"gate {idx} ({gate.op}) is not a GateType; "
+                    "a netlist holds GateType gates only"
+                )
+        n = len(rows)
+        return cls.frozen(
+            np.fromiter((OP_CODE[g.op] for g in rows), np.uint8, n),
+            np.fromiter((g.a for g in rows), np.int32, n),
+            np.fromiter(
+                (NO_INPUT if g.b is None else g.b for g in rows), np.int32, n
+            ),
+            np.fromiter((g.out for g in rows), np.int32, n),
+        )
+
+    @classmethod
+    def frozen(cls, op: Any, a: Any, b: Any, out: Any) -> "GateColumns":
+        """Columns over these arrays, marked read-only."""
+        for col in (op, a, b, out):
+            col.flags.writeable = False
+        return cls(op, a, b, out)
+
+
+class GateView(SequenceABC):
+    """A read-only :class:`Gate` sequence over a circuit's columns.
+
+    For the reference garbler and evaluator, the plaintext simulator,
+    netlist export and the synthesis passes.  Accounting, validation and
+    the level schedule read the columns; no request builds a ``Gate``.
+    """
+
+    __slots__ = ("columns",)
+
+    #: gates converted to Python ints per ``tolist`` while iterating
+    _CHUNK = 1 << 16
+
+    def __init__(self, columns: GateColumns) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns.op)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        op, a, b, out = self.columns
+        second = int(b[index])
+        return Gate(
+            OPS[op[index]], int(a[index]),
+            None if second == NO_INPUT else second, int(out[index]),
+        )
+
+    def __iter__(self) -> Iterator[Gate]:
+        op, a, b, out = self.columns
+        for lo in range(0, len(op), self._CHUNK):
+            hi = lo + self._CHUNK
+            for code, x, y, z in zip(
+                op[lo:hi].tolist(), a[lo:hi].tolist(),
+                b[lo:hi].tolist(), out[lo:hi].tolist(),
+            ):
+                yield Gate(OPS[code], x, None if y == NO_INPUT else y, z)
+
+
 class Circuit:
-    """An immutable-by-convention Boolean netlist.
+    """An immutable Boolean netlist, stored as :class:`GateColumns`.
 
     Use :class:`repro.circuits.builder.CircuitBuilder` to construct one;
-    direct mutation after :meth:`validate` is discouraged.
+    a caller holding a :class:`Gate` sequence may pass that instead.
     """
 
     def __init__(
         self,
         n_alice: int,
         n_bob: int,
-        gates: List[Gate],
+        gates: Union[GateColumns, GateView, Iterable[Gate]],
         outputs: List[int],
         n_wires: int,
         name: str = "circuit",
@@ -93,7 +194,12 @@ class Circuit:
         self.n_alice = n_alice
         self.n_bob = n_bob
         self.n_state = n_state
-        self.gates = gates
+        if isinstance(gates, GateView):
+            gates = gates.columns
+        self.columns: GateColumns = (
+            gates if isinstance(gates, GateColumns)
+            else GateColumns.from_gates(gates)
+        )
         self.outputs = outputs
         self.n_wires = n_wires
         self.name = name
@@ -104,13 +210,25 @@ class Circuit:
         #: a sequential core's register next-state wires, in register
         #: order: their zero-labels become the next cycle's state labels
         self.d_wires: Tuple[int, ...] = tuple(d_wires)
-        # lazily built, cached level schedule (circuits are immutable by
-        # convention once handed out, so one schedule serves every
-        # garble/evaluate over this netlist)
+        # per gate, its schedule place (see _gate_places): handed over by
+        # the builder, else scanned once
+        self._places: Any = None
+        # lazily built, cached level schedule (circuits are immutable, so
+        # one schedule serves every garble/evaluate over this netlist)
         self._level_schedule: Optional["LevelSchedule"] = None
         # same convention: the gate inventory is asked for per request
         self._counts: Optional[GateCounts] = None
         self._interface: Any = None
+
+    @property
+    def gates(self) -> GateView:
+        """The gates as read-only :class:`Gate` rows, in netlist order."""
+        return GateView(self.columns)
+
+    @property
+    def n_gates(self) -> int:
+        """Number of gates."""
+        return len(self.columns.op)
 
     # -- wire ranges -----------------------------------------------------
 
@@ -151,8 +269,6 @@ class Circuit:
         by every copy garbled over this netlist.
         """
         if self._interface is None:
-            import numpy as np
-
             driven = np.asarray([*self.d_wires, *self.outputs], dtype=np.intp)
             self._interface = np.union1d(np.arange(2 + self.n_inputs), driven)
         return self._interface
@@ -165,28 +281,73 @@ class Circuit:
         Counted once and cached, like :meth:`level_schedule`.
         """
         if self._counts is None:
-            non_xor = sum(1 for g in self.gates if not g.op.is_free)
+            non_xor = int(np.count_nonzero(self.columns.op >= N_FREE_CODES))
             self._counts = GateCounts(
-                xor=len(self.gates) - non_xor, non_xor=non_xor
+                xor=self.n_gates - non_xor, non_xor=non_xor
             )
         return self._counts
 
     def histogram(self) -> Dict[GateType, int]:
         """Per-gate-type histogram, for synthesis reports."""
-        hist: Dict[GateType, int] = {}
-        for gate in self.gates:
-            hist[gate.op] = hist.get(gate.op, 0) + 1
-        return hist
+        hist = np.bincount(self.columns.op, minlength=len(OPS))
+        return {op: int(n) for op, n in zip(OPS, hist.tolist()) if n}
 
     # -- structural checks -----------------------------------------------
 
     def validate(self) -> None:
         """Check structural well-formedness.
 
+        The checks run on the columns; when one fails, a scan of the
+        gates in netlist order names the first offending gate.
+
         Raises:
             CircuitError: on dangling wires, out-of-order definitions,
                 multiply-driven wires or out-of-range outputs.
         """
+        driver = self._drivers()
+        if driver is None:
+            self._validate_gates()
+            raise CircuitError("netlist failed validation")  # pragma: no cover
+        outs = np.asarray(self.outputs, dtype=np.int64)
+        bad = (outs < 0) | (outs >= self.n_wires)
+        if not bad.any():
+            bad = driver[outs] >= self.n_gates
+        if bad.any():
+            out = int(outs[np.argmax(bad)])
+            raise CircuitError(f"output wire {out} is never driven")
+
+    def _drivers(self) -> Any:
+        """Per wire, the index of the gate driving it (-1 for the
+        constants and inputs, ``n_gates`` when undriven); ``None`` when
+        a gate reads a wire not driven before it, drives a wire out of
+        range or already driven, or a binary gate lacks ``b``."""
+        op, a, b, out = self.columns
+        n, n_wires = self.n_gates, self.n_wires
+        driver = np.full(n_wires, n, dtype=np.int32)
+        driver[: 2 + self.n_inputs] = -1
+        if not n:
+            return driver
+        if out.min() < 0 or out.max() >= n_wires:
+            return None
+        index = np.arange(n, dtype=np.int32)
+        if (driver[out] != n).any():
+            return None  # drives a constant or an input
+        driver[out] = index
+        if (driver[out] != index).any():
+            return None  # a wire driven twice keeps only its last driver
+        unary = b == NO_INPUT
+        if (unary & (op >= _FIRST_BINARY)).any():
+            return None  # a binary gate without b
+        for src, reads in ((a, index), (b[~unary], index[~unary])):
+            if src.size and (src.min() < 0 or src.max() >= n_wires):
+                return None
+            if (driver[src] >= reads).any():
+                return None  # read before it is driven
+        return driver
+
+    def _validate_gates(self) -> None:
+        """:meth:`validate`'s checks gate by gate, raising on the first
+        failure (the message :meth:`validate` reports)."""
         defined = bytearray(self.n_wires)
         for wire in range(2 + self.n_inputs):
             defined[wire] = 1
@@ -208,19 +369,15 @@ class Circuit:
             if gate.op.arity == 2 and gate.b is None:
                 raise CircuitError(f"gate {idx} ({gate.op}) is missing input b")
             defined[gate.out] = 1
-        for out in self.outputs:
-            if out < 0 or out >= self.n_wires or not defined[out]:
-                raise CircuitError(f"output wire {out} is never driven")
 
     def fanout(self) -> Dict[int, int]:
         """Number of gate inputs (plus outputs) fed by each wire."""
-        counts: Dict[int, int] = {}
-        for gate in self.gates:
-            for src in gate.inputs():
-                counts[src] = counts.get(src, 0) + 1
-        for out in self.outputs:
-            counts[out] = counts.get(out, 0) + 1
-        return counts
+        _, a, b, _ = self.columns
+        reads = np.concatenate(
+            [a, b[b != NO_INPUT], np.asarray(self.outputs, dtype=np.int32)]
+        )
+        wires, counts = np.unique(reads, return_counts=True)
+        return dict(zip(wires.tolist(), counts.tolist()))
 
     def depth(self) -> int:
         """Longest input-to-output path counted in non-free gates.
@@ -228,13 +385,21 @@ class Circuit:
         Garbling cost is dominated by non-free gates; this metric is the
         AND-depth commonly used to characterize GC netlists.
         """
-        level = [0] * self.n_wires
-        for gate in self.gates:
-            src_level = max(level[w] for w in gate.inputs())
-            level[gate.out] = src_level + (0 if gate.op.is_free else 1)
         if not self.outputs:
             return 0
-        return max(level[w] for w in self.outputs)
+        level = np.zeros(self.n_wires, dtype=np.int64)
+        level[self.columns.out] = self._gate_places() >> SUB_BITS
+        return int(level[np.asarray(self.outputs, dtype=np.intp)].max())
+
+    def _gate_places(self) -> Any:
+        """Per gate, its place ``phase << SUB_BITS | sub`` (``int64``):
+        its AND-depth and its free sub-step since that AND layer.  The
+        builder hands them over as it tracks them; otherwise one scan of
+        the gates computes them (:func:`_scan_places`, which checks the
+        netlist's order as it goes)."""
+        if self._places is None:
+            self._places = _scan_places(self)
+        return self._places
 
     # -- level schedule --------------------------------------------------
 
@@ -365,12 +530,12 @@ GateRecord = Tuple[int, int, int, int, int, int, int]
 #: its delta-offset bit (XNOR/NOT); a non-free gate ``_NON_FREE`` plus its
 #: AND-reduction inversions ``ia | ib << 1 | io << 2``.
 _NON_FREE = 8
-#: :func:`_gate_columns` packs a gate's place as ``phase << _SUB_BITS |
-#: sub``: its AND-depth and its free sub-step since that AND layer.  20
-#: bits keep a place below 2**30 (one CPython digit) up to AND-depth
-#: 1023; a chain of 2**20 XORs would carry into the phase, which
-#: lengthens the schedule but never makes it unsound.
-_SUB_BITS = 20
+#: A gate's place (:func:`_scan_places`, tracked by the builder too) is
+#: ``phase << SUB_BITS | sub``: its AND-depth and its free sub-step
+#: since that AND layer.  20 bits keep a place below 2**30 (one CPython
+#: digit) up to AND-depth 1023; a chain of 2**20 XORs would carry into
+#: the phase, which lengthens the schedule but never makes it unsound.
+SUB_BITS = 20
 _GATE_FLAGS: Dict[GateType, int] = {
     op: int(op in (GateType.XNOR, GateType.NOT))
     for op in GateType
@@ -380,6 +545,8 @@ _GATE_FLAGS.update(
     (op, _NON_FREE | inv.ia | inv.ib << 1 | inv.out << 2)
     for op, inv in AND_REDUCTION.items()
 )
+#: :data:`_GATE_FLAGS` indexed by op code
+_FLAGS_BY_CODE = np.array([_GATE_FLAGS[op] for op in OPS], dtype=np.uint8)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -478,8 +645,6 @@ class LevelSchedule:
         an undriven wire, and every gate sits in exactly one step.
         Cached per ``(batch, min_width)``.
         """
-        import numpy as np
-
         key = (batch, min_width)
         cached = self._plan_cache.get(key)
         if cached is not None:
@@ -515,23 +680,22 @@ class LevelSchedule:
 
     @classmethod
     def build(cls, circuit: "Circuit") -> "LevelSchedule":
-        """Levelize ``circuit`` by AND layer (validates topological order
-        as it goes).
+        """Levelize ``circuit`` by AND layer.
 
-        One pass over the gates (:func:`_gate_columns`) checks them and
-        writes ``(place, a, b, out, flags)`` into columns, ``place``
-        packing a gate's AND phase and free sub-step.  The free and the
-        non-free gates are then each sorted stably by place, so every
-        sub-step's and every AND layer's arrays are slices of the sorted
-        columns, in netlist order.
+        Reads the circuit's columns and its gates' places
+        (:meth:`Circuit._gate_places`: the builder's, or one checking
+        scan of a netlist given as gates), ``place`` packing a gate's
+        AND phase and free sub-step.  The free and the non-free gates
+        are then each sorted stably by place, so every sub-step's and
+        every AND layer's arrays are slices of the sorted columns, in
+        netlist order.
         """
-        import numpy as np
-
-        place, gate_a, gate_b, gate_outs, flags = _gate_columns(circuit)
-        phase = place >> _SUB_BITS
+        place = circuit._gate_places()
+        op, a, b, out = circuit.columns
+        flags = _FLAGS_BY_CODE[op]
         # AND layers 1..depth all exist (a gate of phase p reads a wire of
         # phase p - 1); level i runs layer i + 1, level depth the free tail
-        depth = int(phase.max()) if phase.size else 0
+        depth = int(place.max()) >> SUB_BITS if place.size else 0
         phase_ids = np.arange(depth + 2)
 
         def by_place(gates: Any) -> Tuple[Any, Any]:
@@ -540,9 +704,16 @@ class LevelSchedule:
             rank = np.argsort(place[gates], kind="stable")
             return rank, gates[rank]
 
+        def wires(gates: Any) -> Tuple[Any, Any, Any]:
+            """The gates' ``a``, ``b`` and ``out`` as index vectors; a
+            unary gate reads the scratch row as its ``b``."""
+            second = b[gates].astype(np.intp)
+            second[second == NO_INPUT] = circuit.n_wires
+            return a[gates].astype(np.intp), second, out[gates].astype(np.intp)
+
         # one free sub-step per distinct place, grouped by phase
         _, free = by_place(np.flatnonzero(flags < _NON_FREE))
-        free_a, free_b, free_out = gate_a[free], gate_b[free], gate_outs[free]
+        free_a, free_b, free_out = wires(free)
         free_inv = flags[free]
         free_place = place[free]
         starts = np.flatnonzero(np.diff(free_place, prepend=-1))
@@ -559,16 +730,16 @@ class LevelSchedule:
             for s0, s1, inv in zip(bounds, bounds[1:], has_inv)
         ]
         subs_at = np.searchsorted(
-            free_place[starts] >> _SUB_BITS, phase_ids
+            free_place[starts] >> SUB_BITS, phase_ids
         ).tolist()
 
         # a non-free gate's rank among the non-free gates is its
         # netlist-order table index
         nf_tidx, nf = by_place(np.flatnonzero(flags >= _NON_FREE))
         nf_tidx = nf_tidx.astype(np.int64, copy=False)
-        nf_phase = phase[nf]
+        nf_phase = place[nf] >> SUB_BITS
         nf_at = np.searchsorted(nf_phase, phase_ids + 1).tolist()
-        nf_a, nf_b, nf_out = gate_a[nf], gate_b[nf], gate_outs[nf]
+        nf_a, nf_b, nf_out = wires(nf)
         nf_flags = flags[nf]
         inversions = [nf_flags >> bit & 1 for bit in range(3)]  # ia, ib, io
 
@@ -605,39 +776,25 @@ class LevelSchedule:
         )
 
 
-def _gate_columns(circuit: "Circuit") -> Tuple[Any, Any, Any, Any, Any]:
-    """Per gate, in netlist order: ``(place, a, b, out, flags)`` columns.
+def _scan_places(circuit: "Circuit") -> Any:
+    """Per gate, in netlist order, its place ``phase << SUB_BITS | sub``.
 
-    The one per-gate loop of :meth:`LevelSchedule.build`: checks that
-    every gate reads driven wires and drives one in range, and assigns
-    its place ``phase << _SUB_BITS | sub`` (inputs and constants sit at
-    0).  A non-free gate's phase is one more than its inputs' highest
-    and its ``sub`` is 0; a free gate keeps that phase and its ``sub``
-    is one more than that of its latest same-phase input — both at
-    once, since the packed places compare as ``(phase, sub)`` pairs.
-    ``b`` of a unary gate is the scratch row ``n_wires``; ``flags`` is
-    the :data:`_GATE_FLAGS` byte.  The columns are filled through
-    ``memoryview`` s of the arrays: a plain C store per item, a fraction
-    of ``ndarray.__setitem__``'s cost, and none of the memory of Python
-    lists converted afterwards.
+    Checks, as it goes, that every gate reads driven wires, drives one
+    in range and (if non-free) has both inputs.  Inputs and constants
+    sit at 0.  A non-free gate's phase is one more than its inputs'
+    highest and its ``sub`` is 0; a free gate keeps that phase and its
+    ``sub`` is one more than that of its latest same-phase input — both
+    at once, since the packed places compare as ``(phase, sub)`` pairs.
+    :class:`repro.circuits.builder.CircuitBuilder` tracks the same
+    places as it emits, so only a netlist given as gates is scanned.
     """
-    import numpy as np
-
     n_wires = circuit.n_wires
-    scratch = n_wires
     wire_place = [0] * n_wires
     defined = bytearray(n_wires)
     for wire in range(min(2 + circuit.n_inputs, n_wires)):
         defined[wire] = 1
-    n_gates = len(circuit.gates)
-    col_place, col_a, col_b, col_out = (
-        np.zeros(n_gates, dtype=np.intp) for _ in range(4)
-    )
-    col_flags = np.zeros(n_gates, dtype=np.uint8)
-    put_place, put_a, put_b, put_out = (
-        memoryview(col) for col in (col_place, col_a, col_b, col_out)
-    )
-    put_flags = memoryview(col_flags)
+    places = np.zeros(circuit.n_gates, dtype=np.int64)
+    put = memoryview(places)
     for idx, (op, a, b, out) in enumerate(circuit.gates):
         for src in (a,) if b is None else (a, b):
             if not 0 <= src < n_wires or not defined[src]:
@@ -649,37 +806,14 @@ def _gate_columns(circuit: "Circuit") -> Tuple[Any, Any, Any, Any, Any]:
             raise CircuitError(f"gate {idx} drives out-of-range wire")
         defined[out] = 1
         place = wire_place[a]
-        if b is None:
-            b = scratch
-        elif wire_place[b] > place:
+        if b is not None and wire_place[b] > place:
             place = wire_place[b]
-        code = _GATE_FLAGS.get(op)
-        if code is None:
-            raise CircuitError(
-                f"gate {idx} ({op}) has no AND reduction; "
-                "cannot build a garbling schedule"
-            )
-        if code < _NON_FREE:
+        if op.is_free:
             place += 1
-        elif b == scratch:
+        elif b is None:
             raise CircuitError(f"gate {idx} ({op}) is missing input b")
         else:
-            place = ((place >> _SUB_BITS) + 1) << _SUB_BITS
+            place = ((place >> SUB_BITS) + 1) << SUB_BITS
         wire_place[out] = place
-        put_place[idx] = place
-        put_a[idx] = a
-        put_b[idx] = b
-        put_out[idx] = out
-        put_flags[idx] = code
-    return col_place, col_a, col_b, col_out, col_flags
-
-
-def concatenate(name: str, circuits: Iterable[Circuit]) -> Tuple[int, int]:
-    """Sum gate counts over several circuits (bookkeeping helper)."""
-    xor = 0
-    non_xor = 0
-    for circuit in circuits:
-        counts = circuit.counts()
-        xor += counts.xor
-        non_xor += counts.non_xor
-    return xor, non_xor
+        put[idx] = place
+    return places

@@ -29,7 +29,7 @@ label the server would compute in the clear.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from ..circuits.arith import (
 from ..circuits.builder import Bus, CircuitBuilder
 from ..circuits.fixedpoint import FixedPointFormat
 from ..circuits.logic import adder_tree, argmax_tree, max_tree
-from ..circuits.netlist import Circuit
+from ..circuits.netlist import CONST_ONE, Circuit
 from ..errors import CompileError
 from ..nn.quantize import (
     QuantizedConv2D,
@@ -284,7 +284,7 @@ class _Compiler:
             elif kind == "meanpool":
                 values, shape = self._compile_pool(op, values, shape, maximum=False)
             elif kind in ("relu", "tanh", "sigmoid"):
-                values = [self._activation(kind, bus) for bus in values]
+                values = self._compile_activation(kind, values)
                 self._symmetric = kind == "relu" or bool(
                     activation_table(kind, fmt, self.options.activation).min()
                     > -(1 << (fmt.width - 1))
@@ -339,12 +339,43 @@ class _Compiler:
             if op.bias is not None
             else [None] * out_dim
         )
-        return [
-            dot_unit(
+
+        def emit(j: int) -> Bus:
+            (operands, weights), bias = units[j], bias_buses[j]
+            return dot_unit(
                 self.builder, self.fmt, operands, weights, bias, self._symmetric
             )
-            for (operands, weights), bias in zip(units, bias_buses)
-        ]
+
+        if mask is not None:  # masked units differ: emit each
+            return [emit(j) for j in range(out_dim)]
+        return self._same_units(
+            [
+                [wire for bus in weights + [bias or []] for wire in bus]
+                for (_, weights), bias in zip(units, bias_buses)
+            ],
+            emit,
+        )
+
+    def _same_units(
+        self, ports: List[List[int]], emit: Callable[[int], Bus]
+    ) -> List[Bus]:
+        """Units ``emit(j)`` that differ only in their input wires
+        ``ports[j]``: unit 0 goes through the builder and is recorded as a
+        template, the others are instantiated from it (or, when a unit's
+        ports do not look to the builder as unit 0's did, emitted too).
+        Units whose ports overlap are all emitted."""
+        wires = [wire for unit in ports for wire in unit if wire > CONST_ONE]
+        if len(ports) < 2 or len(set(wires)) < len(wires):
+            return [emit(j) for j in range(len(ports))]
+        builder = self.builder
+        first, template = builder.record(ports[0], lambda: emit(0))
+        buses = [first]
+        for j in range(1, len(ports)):
+            bus = None if template is None else builder.instantiate(
+                template, ports[j]
+            )
+            buses.append(emit(j) if bus is None else bus)
+        return buses
 
     def _compile_conv(
         self, op: QuantizedConv2D, values: List[Bus], shape: Tuple[int, ...]
@@ -442,6 +473,11 @@ class _Compiler:
             self.builder, magnitude, inverse, fmt.frac_bits, fmt.width
         )
         return conditional_negate(self.builder, sign, scaled)
+
+    def _compile_activation(self, kind: str, values: List[Bus]) -> List[Bus]:
+        return self._same_units(
+            values, lambda j: self._activation(kind, values[j])
+        )
 
     def _activation(self, kind: str, bus: Bus) -> Bus:
         fmt = self.fmt

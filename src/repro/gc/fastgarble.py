@@ -75,6 +75,7 @@ from .rng import RngLike
 
 __all__ = [
     "COPIES_PER_WALK",
+    "WALK_PLANE_BYTES",
     "FastEvaluator",
     "LabelPlane",
     "garble_copies",
@@ -100,6 +101,14 @@ VECTOR_MIN_WIDTH = 8
 #: on the demo net (DESIGN.md, "What a garbled copy holds"): per-copy
 #: garbling time is flat from 8 on.
 COPIES_PER_WALK = 8
+
+#: Most label-plane bytes one garbling walk carries.  A copy's plane is
+#: ``(n_wires + 1) * 16`` bytes, so a walk carries at most
+#: ``WALK_PLANE_BYTES // plane`` copies (and at least one): the demo
+#: net's 564 KB planes still walk :data:`COPIES_PER_WALK` at a time,
+#: while a 64-16-26 net at 1.3.12 (35 MB a plane) or the paper's
+#: benchmark 3 (about 730 MB) walk one, where eight would hold 6 GB.
+WALK_PLANE_BYTES = 64 << 20
 
 
 def _assign_input_labels(
@@ -267,7 +276,8 @@ def garble_copies(
     tweak_base: int = 0,
 ) -> List[GarbledCircuit]:
     """Garble ``len(stores)`` independent copies, :data:`COPIES_PER_WALK`
-    to a walk of the plan.
+    to a walk of the plan, or fewer when their planes would exceed
+    :data:`WALK_PLANE_BYTES`.
 
     Each store carries its own delta and rng (so copies are
     cryptographically independent), but within a walk the step walk,
@@ -304,13 +314,15 @@ def garble_copies(
 
     schedule = circuit.level_schedule()
     n_inputs = 2 + circuit.n_inputs  # rows 0 .. n_inputs - 1 of every store
+    plane_bytes = (circuit.n_wires + 1) * 16
+    per_walk = min(COPIES_PER_WALK, max(1, WALK_PLANE_BYTES // plane_bytes))
     plane = np.empty(
-        (min(len(stores), COPIES_PER_WALK), circuit.n_wires + 1, 16), dtype=np.uint8
+        (min(len(stores), per_walk), circuit.n_wires + 1, 16), dtype=np.uint8
     )
     plane[:, circuit.n_wires] = 0  # the scratch row unary gates read
     results: List[GarbledCircuit] = []
-    for first in range(0, len(stores), COPIES_PER_WALK):
-        walk = stores[first : first + COPIES_PER_WALK]
+    for first in range(0, len(stores), per_walk):
+        walk = stores[first : first + per_walk]
         k = len(walk)
         scratch = plane[:k]
         for labels, store in zip(scratch, walk):

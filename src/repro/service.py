@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from .circuits.netlist import Circuit
 from .compile.compiler import CompiledModel, compile_model
 from .compile.costmodel import CostBreakdown, GCCostModel
 from .engine import (
@@ -147,6 +148,29 @@ class InferenceResult:
 Outcome = Union[InferenceResult, BaseException, None]
 
 
+#: glibc's ceiling on its adaptive mmap threshold (``malloc.h``)
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _size_heap_for_requests(circuit: Circuit) -> None:
+    """Let glibc serve a request's scratch from its heap.
+
+    A cold request allocates two ``(n_wires + 1, 16)`` label planes
+    (garbler and evaluator) and its tables: blocks far above glibc's
+    initial 128 KB mmap threshold.  glibc maps such a block fresh and
+    unmaps it when it is freed, so every request would fault its
+    scratch in again as zero pages (≈ 430 faults a demo-net request)
+    until the process frees a larger mapped block: glibc then raises its
+    mmap threshold to that block's size, and its trim threshold to
+    twice that.  Allocating and freeing one untouched block of a
+    request's scratch size does that before the first request.  Nothing
+    is pinned, glibc keeps adapting; a process that only serves pins
+    both thresholds instead (:func:`repro.transport.worker.retain_heap`).
+    """
+    scratch = 2 * (circuit.n_wires + 1) * 16 + 32 * circuit.counts().non_xor
+    np.empty(min(scratch, _MMAP_THRESHOLD_MAX), dtype=np.uint8)
+
+
 class PrivateInferenceService:
     """A server-side service object for DeepSecure-style inference.
 
@@ -171,6 +195,7 @@ class PrivateInferenceService:
             self.quantized, config.compile_options()
         )
         self._server_bits = self.compiled.server_bits()
+        _size_heap_for_requests(self.compiled.circuit)
         self._backends: Dict[str, Backend] = {}
         self._lock = threading.Lock()
         # admission control + graceful drain: a bounded in-flight budget

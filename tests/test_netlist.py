@@ -1,5 +1,7 @@
 """Unit tests for the Circuit container: validation, counts, metrics."""
 
+import random
+
 import pytest
 
 from repro.circuits import CircuitBuilder, Circuit, GateCounts
@@ -80,6 +82,61 @@ class TestValidation:
         )
         with pytest.raises(CircuitError):
             circuit.validate()
+
+
+def _outcome(check):
+    try:
+        check()
+    except CircuitError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_validate(circuit):
+    """Validation gate by gate, then the outputs, on ``Gate`` rows."""
+    circuit._validate_gates()
+    driven = set(range(2 + circuit.n_inputs))
+    driven.update(gate.out for gate in circuit.gates)
+    for out in circuit.outputs:
+        if out not in driven or not 0 <= out < circuit.n_wires:
+            raise CircuitError(f"output wire {out} is never driven")
+
+
+def _read(rng, out, n_wires):
+    """A gate input: mostly an earlier wire, sometimes any id."""
+    if rng.random() < 0.9:
+        return rng.randrange(out)
+    return rng.randint(-1, n_wires)
+
+
+class TestColumnValidation:
+    def test_agrees_with_the_gate_scan(self):
+        """``validate`` checks the columns and names a failure with the
+        gate-by-gate scan: it must accept and reject exactly the
+        netlists the scan does, with its message."""
+        rng = random.Random(11)
+        rejected = 0
+        for _ in range(500):
+            n_in = rng.randint(1, 3)
+            n_wires = 2 + n_in + rng.randint(0, 6)
+            gates = []
+            for out in range(2 + n_in, n_wires):
+                op = rng.choice(list(GateType))
+                a = _read(rng, out, n_wires)
+                b = None if op.arity == 1 else _read(rng, out, n_wires)
+                if rng.random() < 0.05:
+                    b = None if b is not None else _read(rng, out, n_wires)
+                drives = out if rng.random() > 0.05 else rng.randint(-1, n_wires)
+                gates.append(Gate(op, a, b, drives))
+            circuit = Circuit(
+                n_alice=n_in, n_bob=0, gates=gates,
+                outputs=[rng.randint(0, n_wires) for _ in range(2)],
+                n_wires=n_wires,
+            )
+            want = _outcome(lambda: _reference_validate(circuit))
+            assert _outcome(circuit.validate) == want
+            rejected += want is not None
+        assert 100 < rejected < 400
 
 
 class TestWireRanges:

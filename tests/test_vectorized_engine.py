@@ -375,12 +375,12 @@ class TestScheduleAgainstReference:
             is_free = False
             arity = 2
 
-        circuit = Circuit(n_alice=1, n_bob=1,
-                          gates=[Gate(Majority(), a=2, b=3, out=4)],
-                          outputs=[4], n_wires=5)
-        for build in (LevelSchedule.build, _reference_schedule):
-            with pytest.raises(CircuitError, match="has no AND reduction"):
-                build(circuit)
+        # a netlist's op column holds GateType codes only, so such a
+        # gate is refused when the circuit is made, before any schedule
+        with pytest.raises(CircuitError, match="gate 0 .* is not a GateType"):
+            Circuit(n_alice=1, n_bob=1,
+                    gates=[Gate(Majority(), a=2, b=3, out=4)],
+                    outputs=[4], n_wires=5)
 
     def test_non_free_gate_missing_an_input_rejected(self):
         """The list-based build died on this with a ``TypeError``."""
@@ -900,6 +900,44 @@ class TestGarbleMany:
         # every copy owns its tables: none is a view of a walk's stack
         planes = [garbled.tables_plane for _, garbled in pairs]
         assert not any(map(np.shares_memory, planes, planes[1:]))
+
+    def test_walks_bounded_by_plane_bytes(self, monkeypatch):
+        """With the plane budget at three demo-net planes, ``garble_many(8)``
+        walks 3 + 3 + 2 copies and stays byte-identical to the reference
+        garbles."""
+        model = Sequential(
+            [Dense(6), Tanh(), Dense(3)], input_shape=(10,), seed=1
+        )
+        fmt = FixedPointFormat(2, 6)
+        circuit = compile_model(
+            QuantizedModel(model, fmt, activation_variant="exact"),
+            CompileOptions(activation="exact"),
+        ).circuit
+        plane = (circuit.n_wires + 1) * 16
+        assert fastgarble.WALK_PLANE_BYTES // plane >= fastgarble.COPIES_PER_WALK
+        monkeypatch.setattr(fastgarble, "WALK_PLANE_BYTES", 3 * plane + 1)
+        walks = []
+        walk = fastgarble._garble_walk
+
+        def recording(schedule, kdf, stores, *args):
+            walks.append(len(stores))
+            return walk(schedule, kdf, stores, *args)
+
+        monkeypatch.setattr(fastgarble, "_garble_walk", recording)
+        pairs = garble_many(
+            circuit, rngs=[random.Random(700 + i) for i in range(8)]
+        )
+        assert walks == [3, 3, 2]
+        wires = circuit.interface_wires().tolist()
+        for i, (garbler, garbled) in enumerate(pairs):
+            reference = _reference(circuit, 700 + i)
+            ref = reference.garble()
+            assert ref.tables_bytes() == garbled.tables_bytes()
+            assert ref.const_labels == garbled.const_labels
+            assert ref.decode_bits == garbled.decode_bits
+            assert garbler.labels.zero_rows(wires).tobytes() == b"".join(
+                reference.labels.zero(w).to_bytes(16, "little") for w in wires
+            )
 
     def test_verify_opened_copy_against_reference(self):
         """Opened engine copies verify; so does a reference-garbled copy,

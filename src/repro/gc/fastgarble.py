@@ -12,8 +12,8 @@ per role (:func:`garble_copies`, ``FastEvaluator._walk``):
 * wire labels live in ``(k, n_wires + 1, 16)`` uint8 planes, ``k``
   being the batch: pools and cut-and-choose garble ``k`` independent
   copies (at most :data:`COPIES_PER_WALK` to a walk), ``evaluate_many``
-  serves ``k`` requests, and a single ``evaluate`` is the ``k = 1``
-  case of the same walk.  A garbling plane is scratch: what a copy
+  serves ``k`` requests, and a single ``evaluate`` is its ``k = 1``
+  call.  A garbling plane is scratch: what a copy
   keeps is its :class:`repro.gc.labels.ArrayLabelStore` — Δ and the
   rows of its interface wires — and its tables.  Input labels arrive
   as rows too: the garbler draws them in one rng call, the OT moves
@@ -492,22 +492,17 @@ class FastEvaluator(Evaluator):
         state_labels: Optional[LabelsLike] = None,
         tweak_base: Optional[int] = None,
     ) -> LabelPlane:
-        """Evaluate one garbled circuit: the ``k = 1`` case of the walk.
+        """Evaluate one garbled circuit: the ``k = 1`` call of
+        :meth:`evaluate_many`.
 
         Input and register labels are the scalar contract's int
         sequences or ``(n, 16)`` uint8 rows (what the OT hands Bob, and
         the folded session's carry form).
         """
-        planes = np.zeros((1, self.circuit.n_wires + 1, 16), dtype=np.uint8)
-        tables = self._load(planes[0], garbled, alice_labels, bob_labels)
-        n_state = 0 if state_labels is None else len(state_labels)
-        if n_state != self.circuit.n_state:
-            raise GarblingError("wrong number of state labels")
-        if state_labels is not None:
-            _put(planes[0], self.circuit.state_inputs, state_labels)
-        base = garbled.tweak_base if tweak_base is None else tweak_base
-        self._walk(planes, tables[None], base)
-        return LabelPlane(planes[0], self.circuit.n_wires)
+        return self.evaluate_many(
+            [garbled], [alice_labels], [bob_labels],
+            None if state_labels is None else [state_labels], tweak_base,
+        )[0]
 
     def _load(
         self,
@@ -515,17 +510,22 @@ class FastEvaluator(Evaluator):
         garbled: GarbledCircuit,
         alice_labels: LabelsLike,
         bob_labels: LabelsLike,
+        state_labels: Optional[LabelsLike],
     ) -> np.ndarray:
-        """Write one request's constant and input labels into its plane
-        and return its ``(n_non_free, 32)`` table plane."""
+        """Write one request's constant, input and register labels into
+        its plane and return its ``(n_non_free, 32)`` table plane."""
         circuit = self.circuit
         if len(alice_labels) != circuit.n_alice:
             raise GarblingError("wrong number of Alice labels")
         if len(bob_labels) != circuit.n_bob:
             raise GarblingError("wrong number of Bob labels")
+        if (0 if state_labels is None else len(state_labels)) != circuit.n_state:
+            raise GarblingError("wrong number of state labels")
         _put(plane, range(CONST_ZERO, CONST_ONE + 1), garbled.const_labels)
         _put(plane, circuit.alice_inputs, alice_labels)
         _put(plane, circuit.bob_inputs, bob_labels)
+        if state_labels is not None:
+            _put(plane, circuit.state_inputs, state_labels)
         table_plane = garbled.tables_plane
         if table_plane is None:
             blob = garbled.tables_bytes()
@@ -584,6 +584,7 @@ class FastEvaluator(Evaluator):
         garbleds: Sequence[GarbledCircuit],
         alice_labels: Sequence[LabelsLike],
         bob_labels: Sequence[LabelsLike],
+        state_labels: Optional[Sequence[LabelsLike]] = None,
         tweak_base: Optional[int] = None,
     ) -> List[LabelPlane]:
         """Evaluate ``k`` independently garbled requests in one pass.
@@ -594,47 +595,39 @@ class FastEvaluator(Evaluator):
         across the batch, every level's KDF rows across all requests
         join into a single batch, and halves of a level too narrow to
         vectorize for one request (``m < VECTOR_MIN_WIDTH``) become wide
-        once ``k * m`` clears the threshold.  This is what serves a
-        batch — ``PrivateInferenceService.infer_many`` routes
-        same-circuit requests here instead of running ``k`` scalar
-        evaluations one after another.
+        once ``k * m`` clears the threshold.  Every protocol round
+        evaluates here — the lanes Bob hosts, one walk a cycle — and
+        :meth:`evaluate` is the ``k = 1`` call.
 
         Args:
             garbleds: one garbled circuit per request (each with its own
                 tables and labels; all must share one tweak base).
             alice_labels / bob_labels: per-request input labels.
+            state_labels: per-request register labels, required for a
+                core with registers (a folded cycle's carry) and refused
+                for one without.
             tweak_base: override the (shared) tweak counter.
 
         Returns:
             One :class:`LabelPlane` per request, in request order; each
-            is bit-identical to a scalar :meth:`evaluate` of the same
-            request.
+            is bit-identical to a scalar evaluation of the same request.
         """
         circuit = self.circuit
         k = len(garbleds)
         if k == 0:
             return []
-        if len(alice_labels) != k or len(bob_labels) != k:
+        states = [None] * k if state_labels is None else list(state_labels)
+        if len(alice_labels) != k or len(bob_labels) != k or len(states) != k:
             raise GarblingError("evaluate_many needs labels for every copy")
-        if circuit.n_state:
-            raise GarblingError(
-                "evaluate_many serves combinational requests; sequential "
-                "state belongs to SequentialSession"
-            )
-        bases = {
-            g.tweak_base if tweak_base is None else tweak_base
-            for g in garbleds
-        }
+        bases = {g.tweak_base if tweak_base is None else tweak_base for g in garbleds}
         if len(bases) != 1:
             raise GarblingError(
                 "evaluate_many needs a uniform tweak base across copies"
             )
         planes = np.zeros((k, circuit.n_wires + 1, 16), dtype=np.uint8)
-        tables = np.stack(
-            [
-                self._load(planes[i], garbled, alice_labels[i], bob_labels[i])
-                for i, garbled in enumerate(garbleds)
-            ]
-        )
-        self._walk(planes, tables, bases.pop())
+        tables = [
+            self._load(planes[i], garbled, alice_labels[i], bob_labels[i], states[i])
+            for i, garbled in enumerate(garbleds)
+        ]
+        self._walk(planes, np.stack(tables), bases.pop())
         return [LabelPlane(planes[i], circuit.n_wires) for i in range(k)]

@@ -17,9 +17,13 @@ and its objects — the :class:`Garbler` and its labels on one side, the
 :class:`FastEvaluator` and the server's bits on the other — are never
 built here.
 
-The text is one round, clocked once per cycle: a combinational circuit
-is the one-cycle, zero-register case (its drivers are named where the
-round's wire functions are defined, below).
+The text is one round, clocked once per cycle, and one driver runs it
+(``_Session._rounds``) over *lanes*: a lane is one request on its own
+link.  ``TwoPartySession.run`` is one one-cycle lane, ``run_many`` a
+batch of them, a ``SequentialSession`` run one lane of many cycles; a
+combinational circuit is the one-cycle, zero-register case.  Cold lanes
+are garbled in one batch and the lanes Bob hosts are evaluated in one
+walk.
 """
 
 from __future__ import annotations
@@ -209,112 +213,150 @@ class _Session:
         critical path (the offline/online split of Sec. 3).
         """
         start = time.perf_counter()
-        garbler = Garbler(self.circuit, kdf=self.kdf, rng=self.rng)
-        garbled = garbler.garble()
-        return Pregarbled(
-            circuit=self.circuit,
-            garbler=garbler,
-            garbled=garbled,
-            garble_seconds=time.perf_counter() - start,
-        )
+        ((garbler, garbled),) = garble_many(self.circuit, 1, kdf=self.kdf, rng=self.rng)
+        return Pregarbled(self.circuit, garbler, garbled, time.perf_counter() - start)
 
     def _rounds(
         self,
-        inputs: Sequence[Tuple[Optional[Sequence[int]], Optional[Sequence[int]]]],
+        lanes: Sequence[Sequence[Tuple[Optional[Sequence[int]], Optional[Sequence[int]]]]],
         registers: Sequence[Register] = (),
         final_only: bool = False,
         share_result: bool = False,
-        pregarbled: Optional[Pregarbled] = None,
+        pregarbled: Optional[Sequence[Optional[Pregarbled]]] = None,
         deadline: Optional["Deadline"] = None,
-    ) -> List[ProtocolResult]:
-        """The protocol round once per ``(alice_bits, bob_bits)`` cycle
-        of ``inputs``, on one link; one :class:`ProtocolResult` per cycle
-        (its ``comm`` is the link's traffic so far).
+    ) -> List[List[ProtocolResult]]:
+        """The protocol round once per cycle of every lane — one request
+        on its own link, one ``(alice_bits, bob_bits)`` per cycle, as
+        many cycles in every lane; per lane, one :class:`ProtocolResult`
+        per cycle (its ``comm`` is the link's traffic so far).
 
-        Cycle 0 claims ``pregarbled`` or garbles and moves the labels of
-        the public initial ``registers`` state; every later cycle
-        re-garbles on the same garbler (one Δ, tweaks advanced by the
-        public table count) with the d-wires' zero-labels as the
-        q-wires', while the evaluator carries its active labels.
-        ``final_only`` merges the last round alone; ``share_result``
-        applies to the last round.  A multi-cycle run handed no OT state
-        builds one, so it pays the base OT once.
+        The lanes share one evaluator, so the oracles of the
+        ``pregarbled`` slots (one per lane; ``None`` garbles fresh) and,
+        for a fresh lane, the session's must agree before anything is
+        claimed.  Cycle 0 claims each hosted lane's slot, garbles the
+        rest in one :func:`garble_many` call and moves the labels of the
+        public initial ``registers`` state; every later cycle re-garbles
+        on the lane's garbler (one Δ, tweaks advanced by the public table
+        count) with the d-wires' zero-labels as the q-wires', while the
+        evaluator carries its active labels.  Each cycle, Bob's lanes are
+        one :meth:`FastEvaluator.evaluate_many` walk.  ``final_only``
+        merges the last round alone; ``share_result`` applies to the last
+        round.  A multi-cycle run handed no OT state builds one, so it
+        pays the base OT once.  More than one lane needs both ends of
+        every link in this process.
         """
         circuit = self.circuit
-        alice_end, bob_end, stats = open_link(self.channel_factory, deadline)
+        k = len(lanes)
+        slots = list(pregarbled) if pregarbled is not None else [None] * k
+        oracle = self._oracle(slots)
+        ends = [open_link(self.channel_factory, deadline) for _ in range(k)]
+        if k > 1 and any(a is None or b is None for a, b, _ in ends):
+            raise ProtocolError(
+                "run_many batches both parties' work: it needs both ends "
+                "of every link in this process"
+            )
+        n_cycles = len(lanes[0])
         ot_state = self.ot_state
-        if ot_state is None and len(inputs) > 1:
+        if ot_state is None and n_cycles > 1:
             ot_state = IKNPState(self.ot_group, self.rng)
         d_wires = [reg.d_wire for reg in registers]
         initial_state = [reg.init & 1 for reg in registers]
         n_tables = circuit.counts().non_xor
-        garbler: Optional[Garbler] = None
+        hosted = [i for i, (alice_end, _, _) in enumerate(ends) if alice_end is not None]
+        garblers: Dict[int, Garbler] = {}
         evaluator: Optional[FastEvaluator] = None
-        carried: Optional[LabelsLike] = None  # the evaluator's register labels
-        results: List[ProtocolResult] = []
-        for cycle, (alice_bits, bob_bits) in enumerate(inputs):
-            last = cycle == len(inputs) - 1
+        carried: List[Optional[LabelsLike]] = [None] * k  # Bob's register labels
+        output_labels: List[List[int]] = [[] for _ in range(k)]
+        results: List[List[ProtocolResult]] = [[] for _ in range(k)]
+        for cycle in range(n_cycles):
+            last = cycle == n_cycles - 1
             tweak_base = 2 * n_tables * cycle
-            # (i) garbling — Alice (cycle 0 offline when pregarbled)
-            alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]] = None
-            pads: Optional[Pads] = None
-            garble_s = 0.0
-            if alice_end is not None:
-                start = time.perf_counter()
-                if garbler is None:
-                    garbler, garbled, pads = self._claim(
-                        pregarbled if pregarbled is not None else self.pregarble()
-                    )
-                else:
-                    garbled = garbler.garble(
+            # (i) garbling — Alice (cycle 0 offline for a pool slot)
+            garbled: Dict[int, GarbledCircuit] = {}
+            pads: Dict[int, Optional[Pads]] = {}
+            garble_s = [0.0] * k
+            if cycle == 0:
+                for i in hosted:
+                    slot = slots[i]
+                    if slot is not None:
+                        if slot.circuit is not circuit:
+                            raise ProtocolError("pregarbled material is for a different circuit")
+                        slot.claim()
+                        garblers[i], garbled[i], pads[i] = slot.garbler, slot.garbled, slot.pads
+                cold = [i for i in hosted if i not in garbled]
+                if cold:
+                    start = time.perf_counter()
+                    fresh = garble_many(circuit, len(cold), kdf=self.kdf, rng=self.rng)
+                    per_copy = (time.perf_counter() - start) / len(cold)
+                    for i, (garbler, copy) in zip(cold, fresh):
+                        garblers[i], garbled[i], garble_s[i] = garbler, copy, per_copy
+            else:
+                for i in hosted:
+                    start = time.perf_counter()
+                    garbled[i] = garblers[i].garble(
                         # the d-wires' zero-labels, off the OT's label rows
-                        state_zero_labels=garbler.label_pair_rows(d_wires)[:, 0],
+                        state_zero_labels=garblers[i].label_pair_rows(d_wires)[:, 0],
                         tweak_base=tweak_base,
                     )
-                alice = (alice_end, garbler, garbled)
-                garble_s = time.perf_counter() - start
-                if deadline is not None:
-                    deadline.check("garble")
+                    garble_s[i] = time.perf_counter() - start
+            if hosted and deadline is not None:
+                deadline.check("garble")
 
-            # (ii) data transfer + OT
-            link = self._transfer(
-                alice, bob_end, stats, alice_bits, bob_bits, garble_s, ot_state,
-                tweak_base, initial_state if cycle == 0 else (), pads,
-            )
+            # (ii) data transfer + OT, per lane on its own link
+            links = [
+                self._transfer(
+                    alice_end and (alice_end, garblers[i], garbled[i]), bob_end,
+                    stats, *lanes[i][cycle], garble_s[i], ot_state, tweak_base,
+                    initial_state if cycle == 0 else (), pads.get(i),
+                )
+                for i, (alice_end, bob_end, stats) in enumerate(ends)
+            ]
 
-            # (iii) evaluation — Bob
-            output_labels: List[int] = []
-            if link.inputs is not None:
+            # (iii) evaluation — Bob, every lane he hosts in one walk
+            bob = [i for i, link in enumerate(links) if link.inputs is not None]
+            if bob:
                 start = time.perf_counter()
                 if evaluator is None:
-                    evaluator = FastEvaluator(
-                        circuit, kdf=garbler.kdf if garbler else self.kdf
-                    )
-                plane = evaluator.evaluate(
-                    *link.inputs,
-                    state_labels=carried if cycle else link.state_labels,
+                    evaluator = FastEvaluator(circuit, kdf=oracle)
+                views, alice_labels, bob_labels = zip(*(links[i].inputs for i in bob))
+                planes = evaluator.evaluate_many(
+                    views, alice_labels, bob_labels,
+                    [carried[i] if cycle else links[i].state_labels for i in bob],
                 )
-                output_labels = evaluator.output_labels(plane)
-                carried = plane.plane[d_wires]
-                link.times["evaluate"] = time.perf_counter() - start
+                per_lane = (time.perf_counter() - start) / len(bob)
+                for i, plane in zip(bob, planes):
+                    links[i].times["evaluate"] = per_lane
+                    output_labels[i] = evaluator.output_labels(plane)
+                    carried[i] = plane.plane[d_wires]
                 if deadline is not None:
                     deadline.check("evaluate")
 
             # (iv) merge — Bob returns output labels, Alice decodes
-            if last or not final_only:
-                results.append(self._merge(link, output_labels, share_result and last))
-            else:  # an earlier cycle of a final_only run reveals nothing
-                results.append(self._result(link, []))
+            for lane, link, labels in zip(results, links, output_labels):
+                if last or not final_only:
+                    lane.append(self._merge(link, labels, share_result and last))
+                else:  # an earlier cycle of a final_only run reveals nothing
+                    lane.append(self._result(link, []))
         return results
 
-    def _claim(
-        self, pregarbled: Pregarbled
-    ) -> Tuple[Garbler, GarbledCircuit, Optional[Pads]]:
-        """Take single-use offline material garbled for this circuit."""
-        if pregarbled.circuit is not self.circuit:
-            raise ProtocolError("pregarbled material is for a different circuit")
-        pregarbled.claim()
-        return pregarbled.garbler, pregarbled.garbled, pregarbled.pads
+    def _oracle(self, slots: Sequence[Optional[Pregarbled]]) -> HashKDF:
+        """The one garbling oracle of a round's lanes: the first slot's,
+        else the session's.  Equivalence is probed functionally, so
+        distinct instances of one oracle (or a wrapper around it) agree.
+        """
+        kdfs = [slot.garbler.kdf for slot in slots if slot is not None]
+        if len(kdfs) < len(slots):
+            kdfs.append(self.kdf)
+        oracle = kdfs[0]
+        if any(
+            kdf is not oracle and oracle_fingerprint(kdf) != oracle_fingerprint(oracle)
+            for kdf in kdfs
+        ):
+            raise ProtocolError(
+                "a round needs one garbling oracle across its lanes; "
+                "pregarbled material was garbled under a different kdf"
+            )
+        return oracle
 
     def _transfer(
         self,
@@ -476,15 +518,14 @@ class TwoPartySession(_Session):
     ) -> List[ProtocolResult]:
         """Serve ``k`` requests through one batched evaluation pass.
 
-        The throughput form of :meth:`run`: garbling for slots without
-        pre-garbled material happens in one :func:`garble_many` pass,
-        transfer and OT stay per request (every copy has its own
-        labels), and evaluation pushes all ``k`` label planes through a
-        single walk of the level schedule
-        (:meth:`repro.gc.fastgarble.FastEvaluator.evaluate_many`)
-        instead of ``k`` independent runs.  Outputs are identical
-        to ``k`` :meth:`run` calls on the same material.  A both-parties
-        method: a link with one end elsewhere is refused before any
+        Each request is one lane of the round :meth:`run` drives:
+        slots without pre-garbled material are garbled in one
+        :func:`garble_many` pass, transfer and OT stay per request
+        (every copy has its own labels), and all ``k`` label planes go
+        through one walk of the level schedule.  Outputs are identical
+        to ``k`` :meth:`run` calls on the same material.  A batch of
+        more than one request needs both ends of every link in this
+        process: one with an end elsewhere is refused before any
         material is claimed.
 
         Args:
@@ -503,93 +544,15 @@ class TwoPartySession(_Session):
         k = len(alice_bits_list)
         if len(bob_bits_list) != k:
             raise ProtocolError("run_many input list length mismatch")
-        slots: List[Optional[Pregarbled]] = (
-            list(pregarbled) if pregarbled is not None else [None] * k
-        )
-        if len(slots) != k:
+        if pregarbled is not None and len(pregarbled) != k:
             raise ProtocolError("run_many pregarbled list length mismatch")
         if k == 0:
             return []
-
-        circuit = self.circuit
-        # the batch shares one evaluator, so every copy must have been
-        # garbled under one oracle (run() follows the per-slot garbler's
-        # kdf; a mix cannot be honored here).  Equivalence is probed
-        # functionally — distinct instances of the same oracle (or a
-        # ParallelKDF wrapper around it) are compatible — and checked
-        # BEFORE claiming, so a rejected batch burns no single-use
-        # pre-garbled material.
-        eval_kdf = next(
-            (s.garbler.kdf for s in slots if s is not None),
-            self.kdf or default_kdf(),
+        lanes = self._rounds(
+            [[bits] for bits in zip(alice_bits_list, bob_bits_list)],
+            pregarbled=pregarbled, deadline=deadline,
         )
-        probe = oracle_fingerprint(eval_kdf)
-        candidates = [s.garbler.kdf for s in slots if s is not None]
-        if any(s is None for s in slots):
-            candidates.append(self.kdf or default_kdf())
-        for kdf in candidates:
-            if kdf is not eval_kdf and oracle_fingerprint(kdf) != probe:
-                raise ProtocolError(
-                    "run_many needs one garbling oracle across the "
-                    "batch; pregarbled material was garbled under a "
-                    "different kdf"
-                )
-
-        ends = [open_link(self.channel_factory, deadline) for _ in range(k)]
-        if any(alice_end is None or bob_end is None for alice_end, bob_end, _ in ends):
-            raise ProtocolError(
-                "run_many batches both parties' work: it needs both ends "
-                "of every link in this process"
-            )
-
-        # (i) garbling: claim offline material, batch-garble the rest
-        material: Dict[int, Tuple[Garbler, GarbledCircuit, Optional[Pads]]] = {
-            i: self._claim(s) for i, s in enumerate(slots) if s is not None
-        }
-        garble_s = [0.0] * k
-        missing = [i for i in range(k) if i not in material]
-        if missing:
-            start = time.perf_counter()
-            fresh = garble_many(
-                circuit, len(missing), kdf=self.kdf, rng=self.rng
-            )
-            per_copy = (time.perf_counter() - start) / len(missing)
-            material.update(
-                (i, (garbler, garbled, None))
-                for i, (garbler, garbled) in zip(missing, fresh)
-            )
-            for i in missing:
-                garble_s[i] = per_copy
-        if deadline is not None:
-            deadline.check("garble")
-
-        # (ii) transfer + OT, per request over its own accounted channel
-        links = []
-        for i, (alice_end, bob_end, stats) in enumerate(ends):
-            garbler, garbled, pads = material[i]
-            links.append(self._transfer(
-                alice_end and (alice_end, garbler, garbled), bob_end, stats,
-                alice_bits_list[i], bob_bits_list[i], garble_s[i], self.ot_state,
-                pads=pads,
-            ))
-
-        # (iii) batched evaluation — one schedule pass for all requests
-        evaluator = FastEvaluator(circuit, kdf=eval_kdf)
-        start = time.perf_counter()
-        views, alice_labels, bob_labels = zip(
-            *(link.inputs for link in links if link.inputs)
-        )
-        planes = evaluator.evaluate_many(views, alice_labels, bob_labels)
-        evaluate_per_request = (time.perf_counter() - start) / k
-        if deadline is not None:
-            deadline.check("evaluate")
-
-        # (iv) merge per request
-        results: List[ProtocolResult] = []
-        for link, plane in zip(links, planes):
-            link.times["evaluate"] = evaluate_per_request
-            results.append(self._merge(link, evaluator.output_labels(plane)))
-        return results
+        return [lane[0] for lane in lanes]
 
     def run(
         self,
@@ -610,7 +573,7 @@ class TwoPartySession(_Session):
                 Bob (optional final step of Sec. 2.2.2).
             pregarbled: offline material from :meth:`pregarble`; skips
                 the online garbling phase (``times['garble']`` is then
-                the near-zero bookkeeping cost).
+                0).
             deadline: optional per-request time budget, checked at every
                 phase boundary and charged on every recv; expiry raises
                 :class:`repro.errors.DeadlineExceeded`.
@@ -620,9 +583,9 @@ class TwoPartySession(_Session):
             that hosts Bob alone, unless ``share_result``.
         """
         return self._rounds(
-            [(alice_bits, bob_bits)], share_result=share_result,
-            pregarbled=pregarbled, deadline=deadline,
-        )[0]
+            [[(alice_bits, bob_bits)]], share_result=share_result,
+            pregarbled=[pregarbled], deadline=deadline,
+        )[0][0]
 
 
 def open_link(
@@ -659,9 +622,9 @@ class _Link:
 # cycle 0 of a run with registers, one state_labels frame before them):
 # u, e and y, or e and y alone when a pool slot's pads precomputed u.
 # _Session._transfer and _merge call them, each on the end of the party
-# it belongs to, for the round's three drivers — TwoPartySession.run,
-# each SequentialSession cycle and cut-and-choose's surviving copy — and
-# for each slot of run_many(): two processes and fault plans that
+# it belongs to, for every lane of every cycle _Session._rounds drives —
+# a request, a slot of run_many(), a SequentialSession cycle and
+# cut-and-choose's surviving copy: two processes and fault plans that
 # address frames by position rely on one order.
 
 

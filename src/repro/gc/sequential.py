@@ -8,7 +8,7 @@ cycles by the core's public table count, so the garbling oracle is never
 reused.
 
 A cycle is the protocol round of :mod:`repro.gc.protocol` — the one text
-every driver runs — clocked on one link; this module checks the inputs
+its one driver runs — clocked on one lane; this module checks the inputs
 and keeps each cycle's outputs and phase times (which
 :mod:`repro.analysis.timeline` turns into the paper's Fig. 5 schedule).
 The only register labels that ever cross the link are the cycle-0 ones:
@@ -147,8 +147,8 @@ class SequentialSession(_Session):
                     f"{len(bob_bits)}"
                 )
             inputs.append((alice_bits, bob_bits))
-        rounds = self._rounds(
-            inputs, self.sequential.registers, final_only=final_only, deadline=deadline
+        (rounds,) = self._rounds(
+            [inputs], self.sequential.registers, final_only=final_only, deadline=deadline
         )
         return SequentialResult(
             outputs_per_cycle=[r.outputs for r in rounds],

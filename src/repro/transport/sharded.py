@@ -579,7 +579,8 @@ class ShardedService:
                 "last_shard_error": shard.last_error,
                 "breaker": shard.breaker.stats(),
             }
-            if entry["alive"] and shard.breaker.allow():
+            # the state, not allow(): a snapshot never claims the probe
+            if entry["alive"] and shard.breaker.state != "open":
                 # non-blocking: a shard mid-batch holds its RPC lock, and
                 # a stats snapshot must never queue behind a long batch
                 try:

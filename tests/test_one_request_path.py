@@ -13,6 +13,7 @@
 
 import dataclasses
 import random
+import socket
 import threading
 import zlib
 
@@ -22,6 +23,7 @@ import pytest
 from repro.circuits import CircuitBuilder, FixedPointFormat, simulate
 from repro.circuits.netlist import LevelSchedule
 from repro.circuits.sequential import SequentialCircuit
+from repro.compile import folded_mac_cell
 from repro.engine import EngineConfig, get_backend
 from repro.errors import (
     ChannelIntegrityError,
@@ -29,8 +31,9 @@ from repro.errors import (
     ServiceDrainingError,
     ServiceOverloadedError,
 )
-from repro.gc import SequentialSession, TwoPartySession, outsourcing
+from repro.gc import SequentialSession, TwoPartySession, outsourcing, protocol
 from repro.gc.channel import make_channel_pair
+from repro.gc.fastgarble import FastEvaluator
 from repro.gc.garble import Garbler
 from repro.gc.labels import label_rows
 from repro.gc.ot import TEST_GROUP_512
@@ -50,6 +53,7 @@ from repro.resilience import (
     is_transient,
 )
 from repro.service import InferenceRequest, InferenceResult, PrivateInferenceService
+from repro.transport.peer import run_two_party_peer
 
 N_ALICE = 4
 #: wide enough that every flow takes the OT extension
@@ -193,6 +197,108 @@ class TestOneRoundOnTheWire:
         for result in batched:
             assert result.comm == single.comm
             assert result.outputs == single.outputs
+
+
+@pytest.fixture
+def driver_calls(monkeypatch):
+    """Every garbling and evaluation entry point the round can reach,
+    recorded as ``(thread, name, width)`` in call order."""
+    calls = []
+
+    def spy(owner, name, width):
+        inner = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            calls.append((threading.current_thread().name, name, width(*args)))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    spy(protocol, "garble_many", lambda circuit, count: count)
+    spy(FastEvaluator, "evaluate_many", lambda self, garbleds, *rest: len(garbleds))
+    spy(FastEvaluator, "evaluate", lambda *args: 1)
+    spy(Garbler, "garble", lambda *args: 1)
+    return calls
+
+
+def _names(calls, thread="MainThread"):
+    return [(name, width) for who, name, width in calls if who == thread]
+
+
+class TestOneDriver:
+    """Every flow is lanes of one driver: cycle 0 garbles its cold lanes
+    in one ``garble_many`` call, and each cycle evaluates the lanes Bob
+    hosts in one ``evaluate_many`` walk."""
+
+    def test_a_request_cold_and_pooled(self, driver_calls):
+        circuit = wide_circuit()
+        a, b = _inputs()
+        session = _session(TwoPartySession, circuit, make_channel_pair)
+        slot = session.pregarble_many(1)[0]
+        del driver_calls[:]
+        assert session.run(a, b).outputs == simulate(circuit, a, b)
+        assert _names(driver_calls) == [("garble_many", 1), ("evaluate_many", 1)]
+        del driver_calls[:]
+        assert session.run(a, b, pregarbled=slot).outputs == simulate(circuit, a, b)
+        assert _names(driver_calls) == [("evaluate_many", 1)]
+
+    def test_a_batch_with_mixed_slots(self, driver_calls):
+        circuit = wide_circuit()
+        a, b = _inputs()
+        session = _session(TwoPartySession, circuit, make_channel_pair)
+        slot = session.pregarble_many(1)[0]
+        del driver_calls[:]
+        results = session.run_many([a] * 3, [b] * 3, pregarbled=[None, slot, None])
+        assert [r.outputs for r in results] == [simulate(circuit, a, b)] * 3
+        assert _names(driver_calls) == [("garble_many", 2), ("evaluate_many", 3)]
+
+    def test_a_clocked_run(self, driver_calls):
+        cell = folded_mac_cell(FixedPointFormat(2, 6), fan_in=3)
+        rng = random.Random(2)
+        alice = [[rng.randrange(2) for _ in range(cell.core.n_alice)] for _ in range(2)]
+        bob = [[rng.randrange(2) for _ in range(cell.core.n_bob)] for _ in range(2)]
+        session = _session(SequentialSession, cell, make_channel_pair)
+        result = session.run(alice, bob, cycles=2)
+        assert result.outputs_per_cycle == cell.run(alice, bob, cycles=2)
+        # cycle 1 re-garbles on cycle 0's garbler, its Δ and its carry
+        assert _names(driver_calls) == [
+            ("garble_many", 1), ("evaluate_many", 1),
+            ("garble", 1), ("evaluate_many", 1),
+        ]
+
+    def test_cut_and_choose_surviving_copy(self, driver_calls):
+        circuit = wide_circuit()
+        a, b = _inputs()
+        assert _cut_and_choose(circuit, make_channel_pair, a, b) == simulate(circuit, a, b)
+        # its copies were garbled (and the opened ones re-garbled) before
+        # the round, which claims the survivor
+        assert _names(driver_calls) == [("evaluate_many", 1)]
+
+    def test_both_roles_of_a_peer(self, driver_calls):
+        circuit = wide_circuit()
+        a, b = _inputs()
+        left, right = socket.socketpair()
+        results = {}
+
+        def side(role, sock, bits, seed):
+            results[role] = run_two_party_peer(
+                sock, role, circuit, bits, ot_group=TEST_GROUP_512,
+                rng=random.Random(seed),
+            )
+
+        evaluator = threading.Thread(
+            target=side, args=("evaluator", right, b, 8), name="evaluator"
+        )
+        evaluator.start()
+        try:
+            side("garbler", left, a, 7)
+        finally:
+            evaluator.join(timeout=60.0)
+            left.close()
+            right.close()
+        assert results["garbler"].outputs == simulate(circuit, a, b)
+        assert _names(driver_calls) == [("garble_many", 1)]
+        assert _names(driver_calls, "evaluator") == [("evaluate_many", 1)]
 
 
 class TestBobsView:
@@ -349,7 +455,8 @@ class TestTablesFrameSize:
 
         monkeypatch.setattr("repro.service.make_channel_pair", resizing)
         model, x = trained
-        svc = PrivateInferenceService(model, _config())
+        # the patched factory is the memory transport's
+        svc = PrivateInferenceService(model, _config().replace(transport="memory"))
         try:
             n_tables = svc.compiled.circuit.counts().non_xor
             with pytest.raises(

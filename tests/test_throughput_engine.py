@@ -32,6 +32,7 @@ from repro.gc import (
     SequentialSession,
     garble_many,
 )
+from repro.gc import fastgarble
 from repro.gc.cipher import _hash_many_fallback
 from repro.gc.fastgarble import garble_copies
 from repro.gc.garble import GarbledCircuit
@@ -555,7 +556,7 @@ class TestFusedNarrowRunner:
         for state in (None, [1], np.zeros((1, 16), dtype=np.uint8)):
             with pytest.raises(GarblingError, match="state labels"):
                 FastEvaluator(core).evaluate(garbled, alice, bob, state)
-        with pytest.raises(GarblingError, match="combinational"):
+        with pytest.raises(GarblingError, match="state labels"):
             FastEvaluator(core).evaluate_many([garbled], [alice], [bob])
 
 
@@ -575,16 +576,18 @@ class TestFoldedSession:
 
         rng = random.Random(seed)
         calls = []
-        garble = Garbler.garble
+        garble = fastgarble.garble_copies
 
-        def spy(self, state_zero_labels=None, tweak_base=0):
+        # cycle 0 garbles through garble_many, later cycles through
+        # Garbler.garble: both reach garble_copies
+        def spy(circuit, kdf, stores, state_zero_labels=None, tweak_base=0):
             state = rng.getstate()
-            garbled = garble(self, state_zero_labels, tweak_base)
+            (garbled,) = garble(circuit, kdf, stores, state_zero_labels, tweak_base)
             calls.append((state, state_zero_labels, tweak_base,
-                          self.labels.delta, garbled))
-            return garbled
+                          stores[0].delta, garbled))
+            return [garbled]
 
-        monkeypatch.setattr(Garbler, "garble", spy)
+        monkeypatch.setattr(fastgarble, "garble_copies", spy)
         factory, frames = recording_channels
         result = SequentialSession(
             cell, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory
@@ -649,6 +652,37 @@ class TestFoldedSession:
         expected = cell.run([alice], [bob], cycles=1)[0]
         assert engine.decode_outputs(fast_out) == expected
         assert reference.decode_outputs(fast_out) == expected
+
+    def test_evaluate_many_carries_each_requests_state(self):
+        """Three copies of a MAC cycle, each from its own register state,
+        in one walk: label for label what three ``evaluate`` calls give,
+        and each decodes to its own plaintext cycle."""
+        cell = folded_mac_cell(FMT, fan_in=5)
+        core = cell.core
+        rng = random.Random(12)
+        copies = garble_many(core, 3, rng=random.Random(11))
+        requests = []
+        for garbler, garbled in copies:
+            bits = [
+                [rng.randrange(2) for _ in wires]
+                for wires in (core.alice_inputs, core.bob_inputs, core.state_inputs)
+            ]
+            labels = [
+                garbler.input_labels_for(list(wires), b)
+                for wires, b in zip(
+                    (core.alice_inputs, core.bob_inputs, core.state_inputs), bits
+                )
+            ]
+            requests.append((garbler, garbled, bits, labels))
+        evaluator = FastEvaluator(core)
+        batched = evaluator.evaluate_many(
+            *zip(*((garbled, *labels) for _, garbled, _, labels in requests))
+        )
+        for plane, (garbler, garbled, (a, b, state), labels) in zip(batched, requests):
+            single = evaluator.evaluate(garbled, *labels)
+            assert np.array_equal(plane.plane, single.plane)
+            outputs = garbler.decode_outputs(evaluator.output_labels(plane))
+            assert outputs == simulate(core, a, b, state)
 
     def test_register_carry_stays_private(self):
         """No state transfer after cycle 0's (public) initial labels."""

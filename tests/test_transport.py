@@ -749,6 +749,27 @@ class TestShardedService:
         finally:
             service.close()
 
+    def test_stats_leaves_a_half_open_breakers_probe_unclaimed(self):
+        """A stats snapshot reads the breaker and claims nothing: after
+        the cooldown the next batch still gets the half-open probe, so
+        an unsupervised shard closes again instead of serving degraded
+        for good."""
+        service = ShardedService(
+            _tiny_service, shards=1, supervise=False, breaker_cooldown_s=0.05
+        )
+        try:
+            breaker = service._shards[0].breaker
+            breaker.trip()
+            time.sleep(0.1)
+            assert breaker.state == "half-open"
+            service.stats()
+            for _ in range(2):
+                service.infer_many(_tiny_samples(2))
+            assert service.stats()["degraded_requests"] == 0
+            assert breaker.state == "closed"
+        finally:
+            service.close()
+
     def test_rejects_bad_shard_count(self):
         with pytest.raises(EngineError):
             ShardedService(_tiny_service, shards=0)

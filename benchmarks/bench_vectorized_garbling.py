@@ -1,8 +1,8 @@
 """Level-scheduled engine vs the gate-at-a-time reference oracle.
 
 The engine's three moves: wire labels as one uint8 plane, free-XOR steps as
-single vectorized XORs, and the KDF driven through batched
-``label || tweak`` buffers, one per AND layer.  This harness measures
+single vectorized XORs, and the KDF driven through batched label and
+tweak words, one call per AND layer.  This harness measures
 garble + evaluate throughput on the compiled Table 3-style DL inference
 netlist (the paper's workload shape: adder/multiplier trees plus tanh
 components) against the reference loops tests pin the engine to
@@ -10,7 +10,8 @@ components) against the reference loops tests pin the engine to
 speedup as an entry of the repo-root perf trajectory
 (``BENCH_engine.json``), and ends its report with the plan shape of the
 demo net and the MAC cell: levels, wide steps, scalar gates, oracle
-calls per role.
+calls per role, and each role's walk time per step kind (free, wide
+AND, scalar run) at ``k = 1`` and ``k = 8``.
 
 Set ``REPRO_BENCH_QUICK=1`` for the single-round CI configuration.
 """
@@ -19,15 +20,16 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis import build_gate_chain
 from repro.circuits import FixedPointFormat
-from repro.circuits.netlist import FreeStep, ScalarRun
+from repro.circuits.netlist import FreeStep, ScalarRun, ScheduleLevel
 from repro.cli import _demo_service
 from repro.compile import folded_mac_cell
 from repro.gc import Evaluator, FastEvaluator, Garbler, LabelStore, garble_many
-from repro.gc.fastgarble import VECTOR_MIN_WIDTH
+from repro.gc.fastgarble import VECTOR_MIN_WIDTH, _garble_walk
 
 from _bench_util import quick_mode, record_trajectory, write_report
 
@@ -63,8 +65,48 @@ def _garble_evaluate_once(circuit, client_bits, server_bits, reference=False):
     return garble_s, time.perf_counter() - start
 
 
-def _plan_shape(name, circuit):
-    """One line: what one request's walk of ``circuit`` runs (``k = 1``)."""
+#: the plan's step kinds, as the walk-time report names them
+STEP_KINDS = (("free", FreeStep), ("wide AND", ScheduleLevel), ("scalar run", ScalarRun))
+
+
+def _walk_ms(circuit, k, rounds):
+    """Per step kind, ``(garble, evaluate)`` ms of one walk of ``k``
+    copies: each role walks only that kind's steps of its plan (on
+    zero planes: the bytes are meaningless, the work is the same),
+    best of ``rounds``."""
+    schedule = circuit.level_schedule()
+    plan = schedule.step_plan(k, VECTOR_MIN_WIDTH)
+    stores = [g.labels for g, _ in garble_many(circuit, k, rng=random.Random(1))]
+    evaluator = FastEvaluator(circuit)
+    kdf = evaluator.kdf
+    planes = np.zeros((k, circuit.n_wires + 1, 16), dtype=np.uint8)
+    tables = np.zeros((k, schedule.n_non_free, 32), dtype=np.uint8)
+    roles = (
+        lambda: _garble_walk(schedule, kdf, stores, planes, tables, 0),
+        lambda: evaluator._walk(planes, tables, 0),
+    )
+    out = {}
+    for name, kind in STEP_KINDS:
+        steps = tuple(step for step in plan if isinstance(step, kind))
+        schedule.step_plan = lambda batch, width: steps
+        try:
+            out[name] = tuple(
+                min(_timed(walk) for _ in range(rounds)) * 1e3 for walk in roles
+            )
+        finally:
+            del schedule.step_plan
+    return out
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _plan_shape(name, circuit, rounds=5):
+    """One line: what one request's walk of ``circuit`` runs (``k = 1``)
+    and what each step kind costs a role's walk at ``k`` = 1 and 8."""
     schedule = circuit.level_schedule()
     plan = schedule.step_plan(1, VECTOR_MIN_WIDTH)
     runs = [step for step in plan if isinstance(step, ScalarRun)]
@@ -72,11 +114,18 @@ def _plan_shape(name, circuit):
     wide_and = len(plan) - len(runs) - wide_free
     scalar = [gate for run in runs for gate in run.gates]
     scalar_and = sum(gate[3] >= 0 for gate in scalar)
+    walks = []
+    for k in (1, 8):
+        times = _walk_ms(circuit, k, rounds)
+        walks.append(f"k={k} " + ", ".join(
+            f"{kind} {g:.2f}/{e:.2f}" for kind, (g, e) in times.items()
+        ))
     return (
         f"{name}: {len(schedule.levels)} levels (AND-depth {circuit.depth()}) | "
         f"wide steps {wide_and} non-free / {wide_free} free | scalar gates "
         f"{len(scalar)} ({scalar_and} non-free) | oracle calls per role: "
-        f"{wide_and} hash_many + {scalar_and} one-gate"
+        f"{wide_and} hash_many + {scalar_and} one-gate | walk ms per role "
+        f"(garble/evaluate): " + "; ".join(walks)
     )
 
 
@@ -122,9 +171,11 @@ def test_vectorized_dl_speedup(benchmark, dl_service, results_dir):
         f"garble speedup {scalar_g / vec_g:.2f}x | evaluate speedup "
         f"{scalar_e / vec_e:.2f}x | combined {speedup:.2f}x\n"
         f"vectorized throughput: {gates_per_s / 1e3:.0f}k gates/s\n"
-        + _plan_shape("demo net", circuit)
+        + _plan_shape("demo net", circuit, rounds)
         + "\n"
-        + _plan_shape("MAC cell", folded_mac_cell(FixedPointFormat(3, 12), 16).core)
+        + _plan_shape(
+            "MAC cell", folded_mac_cell(FixedPointFormat(3, 12), 16).core, rounds
+        )
     )
     write_report(results_dir, "vectorized_garbling", text)
     record_trajectory(

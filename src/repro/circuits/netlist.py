@@ -466,20 +466,28 @@ class FreeStep:
     """Free gates the same number of XORs past the last AND layer: one
     gather-XOR-scatter.
 
-    ``a`` / ``b`` / ``out`` are NumPy index vectors over the circuit's
-    wires, slices of one concatenated column set.  A gate is ``a ^ b``
-    plus an optional delta offset (XNOR/NOT garble as an extra
-    global-delta XOR; the evaluator ignores it).  Unary gates (NOT/BUF)
-    point ``b`` at the schedule's scratch zero row.
+    ``ab`` is the gates' operands as one ``[a | b]`` index vector over
+    the circuit's wires (one gather fetches both), ``out`` what they
+    drive.  A gate is ``a ^ b`` plus an optional delta offset (XNOR/NOT
+    garble as an extra global-delta XOR; the evaluator ignores it).
+    Unary gates (NOT/BUF) point ``b`` at the schedule's scratch zero row.
     """
 
-    a: Any
-    b: Any
+    ab: Any
     out: Any
-    #: the delta offsets as a :func:`_word_mask`
+    #: the delta offsets as ``(m, 2)`` :func:`_word_mask` words, or None
+    #: when no gate of the step has one (most steps)
     inv: Any
-    #: pre-reduced so hot loops skip an ndarray.any() call
-    has_inv: bool
+
+    @property
+    def a(self) -> Any:
+        """The first operands: a view of ``ab``."""
+        return self.ab[: self.out.size]
+
+    @property
+    def b(self) -> Any:
+        """The second operands: a view of ``ab``."""
+        return self.ab[self.out.size :]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -489,39 +497,67 @@ class ScheduleLevel:
 
     ``free`` runs first, in order: sub-step ``s`` holds the free gates
     ``s`` XORs past the previous AND layer.  The ``nf_*`` arrays are the
-    AND layer itself, one oracle call when wide.  Non-free gates carry
-    their AND-reduction inversions (``nf_ia/nf_ib/nf_io``, as
-    :func:`_word_mask` s) and their netlist-order table index
-    ``nf_tidx`` — the tweak of gate ``i`` is ``tweak_base + 2 *
-    nf_tidx[i]``, matching the scalar garbler's counter exactly so the
-    two paths stay bit-identical.
+    AND layer itself, one oracle call when wide: ``nf_ab`` the gates'
+    ``[a | b]`` operands, ``nf_out`` what they drive.  A gate's two
+    tweaks are ``tweak_base + 2 * tidx`` and one more, ``tidx`` being
+    its netlist-order table index, matching the scalar garbler's counter
+    exactly so the two paths stay bit-identical.
     """
 
     free: Tuple[FreeStep, ...]
-    nf_a: Any
-    nf_b: Any
+    nf_ab: Any
     nf_out: Any
-    nf_tidx: Any
-    nf_ia: Any
-    nf_ib: Any
-    nf_io: Any
-    #: pre-reduced flag summaries so hot loops skip ndarray.any() calls
-    nf_has_ia: bool
-    nf_has_ib: bool
-    nf_has_io: bool
-    #: the gates' a-tweaks at tweak_base 0 (``2 * nf_tidx``) as ``<u8``
-    #: words; a b-tweak is one more, and any base one add
+    #: the gates' a|b tweak words at tweak base 0, ``[2 tidx | 2 tidx +
+    #: 1]`` as ``<u8``; any other base is one add
     tweaks: Any
+    #: the same words as ``intp`` indices (a view): a table's 16-byte
+    #: halves ``tg`` / ``te`` are halves ``2 tidx`` / ``2 tidx + 1``
+    halves: Any
+    #: the AND-reduction input inversions ``[ia | ib]`` as ``(2m, 2)``
+    #: :func:`_word_mask` words, or None when no gate has one
+    nf_inv_ab: Any
+    #: the output inversions as ``(m, 2)`` words, or None
+    nf_io: Any
 
     @property
     def n_non_free(self) -> int:
         return int(self.nf_out.size)
 
+    @property
+    def nf_a(self) -> Any:
+        """The gates' first operands: a view of ``nf_ab``."""
+        return self.nf_ab[: self.nf_out.size]
+
+    @property
+    def nf_b(self) -> Any:
+        """The gates' second operands: a view of ``nf_ab``."""
+        return self.nf_ab[self.nf_out.size :]
+
+    @property
+    def nf_tidx(self) -> Any:
+        """The gates' netlist-order table indices."""
+        return self.halves[: self.nf_out.size] >> 1
+
 
 def _word_mask(bits: Any) -> Any:
-    """``(n,)`` 0/1 flags as ``(n, 1)`` ``<u8`` words, 0 or all ones:
-    ``delta & mask`` is a gate's delta offset on both words of a label."""
-    return -bits.astype("<u8")[:, None]
+    """``(n,)`` 0/1 flags as ``(n, 2)`` ``<u8`` words, 0 or all ones:
+    ``delta & mask`` is each gate's delta offset, with no operand
+    broadcast along a label's two words."""
+    return np.repeat(-bits.astype("<u8"), 2).reshape(-1, 2)
+
+
+def _paired(first: Any, second: Any, bounds: Sequence[int]) -> Any:
+    """Two per-gate columns as one, segment by segment: segment
+    ``bounds[i] : bounds[i + 1]`` of both becomes ``[first | second]``
+    at twice its offset, so each step's ``[a | b]`` vector is a slice."""
+    sizes = np.diff(bounds)
+    at = np.repeat(np.asarray(bounds[:-1], dtype=np.intp), sizes)
+    at += np.arange(first.size, dtype=np.intp)
+    out = np.empty(2 * first.size, dtype=first.dtype)
+    out[at] = first
+    at += np.repeat(sizes, sizes)
+    out[at] = second
+    return out
 
 
 GateRecord = Tuple[int, int, int, int, int, int, int]
@@ -572,22 +608,26 @@ def _gate_records(step: Union[FreeStep, ScheduleLevel]) -> List[GateRecord]:
     """A free sub-step's or an AND layer's gates in :class:`ScalarRun`
     record form."""
 
-    def flags(mask: Any) -> List[int]:
-        return mask.ravel().tolist()  # 0, or all ones when set
+    def flags(mask: Any, n: int) -> List[int]:
+        """A word mask's per-gate flags: 0, or all ones when set."""
+        return [0] * n if mask is None else mask[:, 0].tolist()
 
     if isinstance(step, FreeStep):
+        m = step.out.size
         return [
             (a, b, out, -1, inv, 0, 0)
             for a, b, out, inv in zip(
                 step.a.tolist(), step.b.tolist(),
-                step.out.tolist(), flags(step.inv),
+                step.out.tolist(), flags(step.inv, m),
             )
         ]
+    m = step.n_non_free
+    inv_ab = flags(step.nf_inv_ab, 2 * m)
     return list(
         zip(
             step.nf_a.tolist(), step.nf_b.tolist(), step.nf_out.tolist(),
-            step.nf_tidx.tolist(), flags(step.nf_ia),
-            flags(step.nf_ib), flags(step.nf_io),
+            step.nf_tidx.tolist(), inv_ab[:m], inv_ab[m:],
+            flags(step.nf_io, m),
         )
     )
 
@@ -609,12 +649,15 @@ class LevelSchedule:
         scratch_wire: index of the extra all-zero label row the
             vectorized engine appends after the real wires (unary free
             gates read it as their second operand).
+        widest: most operands one step gathers (the longest ``ab`` /
+            ``nf_ab``): the width the garbler tiles its deltas to.
     """
 
     levels: Tuple[ScheduleLevel, ...]
     n_non_free: int
     n_wires: int
     scratch_wire: int
+    widest: int
     _plan_cache: Dict[Tuple[int, int], Tuple[PlanStep, ...]] = (
         dataclasses.field(default_factory=dict, repr=False, compare=False)
     )
@@ -663,12 +706,12 @@ class LevelSchedule:
 
         for level in self.levels:
             parts: List[Tuple[Union[FreeStep, ScheduleLevel], Any, Any]] = [
-                (free, (free.a, free.b), free.out) for free in level.free
+                (free, free.ab, free.out) for free in level.free
             ]
-            parts.append((level, (level.nf_a, level.nf_b), level.nf_out))
+            parts.append((level, level.nf_ab, level.nf_out))
             for step, reads, out in parts:
                 if batch * out.size >= min_width:
-                    if records and any(in_run[w].any() for w in reads):
+                    if records and in_run[reads].any():
                         flush()
                     steps.append(step)
                 elif out.size:
@@ -721,11 +764,12 @@ class LevelSchedule:
             np.maximum.reduceat(free_inv, starts).tolist() if starts.size else []
         )
         bounds = starts.tolist() + [free.size]
-        inv_words = _word_mask(free_inv)
+        free_ab = _paired(free_a, free_b, bounds)
+        del free_a, free_b  # only the paired vectors are kept: peak memory
         sub_steps = [
             FreeStep(
-                a=free_a[s0:s1], b=free_b[s0:s1], out=free_out[s0:s1],
-                inv=inv_words[s0:s1], has_inv=bool(inv),
+                ab=free_ab[2 * s0 : 2 * s1], out=free_out[s0:s1],
+                inv=_word_mask(free_inv[s0:s1]) if inv else None,
             )
             for s0, s1, inv in zip(bounds, bounds[1:], has_inv)
         ]
@@ -736,35 +780,35 @@ class LevelSchedule:
         # a non-free gate's rank among the non-free gates is its
         # netlist-order table index
         nf_tidx, nf = by_place(np.flatnonzero(flags >= _NON_FREE))
-        nf_tidx = nf_tidx.astype(np.int64, copy=False)
         nf_phase = place[nf] >> SUB_BITS
         nf_at = np.searchsorted(nf_phase, phase_ids + 1).tolist()
         nf_a, nf_b, nf_out = wires(nf)
+        nf_ab = _paired(nf_a, nf_b, nf_at)
+        del nf_a, nf_b
+        halves = _paired(2 * nf_tidx, 2 * nf_tidx + 1, nf_at)
+        del nf_tidx
+        tweaks = halves.view("<u8")
         nf_flags = flags[nf]
-        inversions = [nf_flags >> bit & 1 for bit in range(3)]  # ia, ib, io
+        ia, ib, io = (nf_flags >> bit & 1 for bit in range(3))
 
         def any_per_layer(flag: Any) -> List[bool]:
             counts = np.bincount(nf_phase[flag != 0], minlength=depth + 2)
             return (counts[1:] > 0).tolist()
 
-        nf_has_ia, nf_has_ib, nf_has_io = map(any_per_layer, inversions)
-        nf_ia, nf_ib, nf_io = map(_word_mask, inversions)
-        tweak_a = (2 * nf_tidx).astype("<u8")
+        has_inv_ab, has_io = any_per_layer(ia | ib), any_per_layer(io)
 
         levels = [
             ScheduleLevel(
                 free=tuple(sub_steps[subs_at[i] : subs_at[i + 1]]),
-                nf_a=nf_a[n0:n1],
-                nf_b=nf_b[n0:n1],
+                nf_ab=nf_ab[2 * n0 : 2 * n1],
                 nf_out=nf_out[n0:n1],
-                nf_tidx=nf_tidx[n0:n1],
-                nf_ia=nf_ia[n0:n1],
-                nf_ib=nf_ib[n0:n1],
-                nf_io=nf_io[n0:n1],
-                nf_has_ia=nf_has_ia[i],
-                nf_has_ib=nf_has_ib[i],
-                nf_has_io=nf_has_io[i],
-                tweaks=tweak_a[n0:n1],
+                tweaks=tweaks[2 * n0 : 2 * n1],
+                halves=halves[2 * n0 : 2 * n1],
+                nf_inv_ab=(
+                    _word_mask(np.concatenate((ia[n0:n1], ib[n0:n1])))
+                    if has_inv_ab[i] else None
+                ),
+                nf_io=_word_mask(io[n0:n1]) if has_io[i] else None,
             )
             for i, (n0, n1) in enumerate(zip(nf_at, nf_at[1:]))
         ]
@@ -773,6 +817,8 @@ class LevelSchedule:
             n_non_free=int(nf.size),
             n_wires=circuit.n_wires,
             scratch_wire=circuit.n_wires,
+            widest=2 * int(max(np.diff(bounds).max(initial=0),
+                               np.diff(nf_at).max(initial=0))),
         )
 
 

@@ -36,7 +36,8 @@ a folded-session process) at the same speed per batch.
 
 Both oracles hash a 128-bit label plus a 64-bit gate tweak to a 128-bit
 mask.  Labels are Python ints on the scalar paths (XOR on ints is fast
-and constant-free) and ``label || tweak`` byte rows on the batch path.
+and constant-free) and, on the batch path (``hash_many(rows, tweaks)``),
+``(n, 2)`` little-endian 64-bit label words beside ``(n,)`` tweak words.
 """
 
 from __future__ import annotations
@@ -76,26 +77,35 @@ __all__ = [
 LABEL_BITS = 128
 LABEL_MASK = (1 << LABEL_BITS) - 1
 
-#: Bytes per KDF input row: 16-byte label || 8-byte tweak (little-endian).
+#: Bytes per SHA-256 oracle input: 16-byte label || 8-byte tweak
+#: (little-endian).
 ROW_BYTES = 24
 
 
-def _hash_many_fallback(kdf: "HashKDF", rows: "np.ndarray") -> "np.ndarray":
-    """Row-by-row :meth:`hash` over a stacked ``(n, 24)`` uint8 buffer.
+def _sha_inputs(rows: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
+    """The SHA-256 oracle's inputs ``label || tweak`` as ``(n, 24)``
+    uint8 rows, from ``(n, 2)`` label words and ``(n,)`` tweak words."""
+    words = np.empty((rows.shape[0], 3), dtype="<u8")
+    words[:, :2] = rows
+    words[:, 2] = tweaks
+    return words.view(np.uint8)
+
+
+def _hash_many_fallback(
+    kdf: "HashKDF", rows: "np.ndarray", tweaks: "np.ndarray"
+) -> "np.ndarray":
+    """Row-by-row :meth:`hash` over ``(n, 2)`` label words and their
+    tweaks, as ``(n, 2)`` mask words.
 
     Generic bridge for oracles without a native batch path (custom KDFs
     that only define ``hash``); bit-identical to calling ``hash`` per
     gate.
     """
-    buf = rows.tobytes()
-    out = bytearray(len(buf) // ROW_BYTES * 16)
-    pos = 0
-    for i in range(0, len(buf), ROW_BYTES):
-        label = int.from_bytes(buf[i : i + 16], "little")
-        tweak = int.from_bytes(buf[i + 16 : i + ROW_BYTES], "little")
-        out[pos : pos + 16] = kdf.hash(label, tweak).to_bytes(16, "little")
-        pos += 16
-    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(-1, 16)
+    masks = b"".join(
+        kdf.hash(lo | hi << 64, tweak).to_bytes(16, "little")
+        for (lo, hi), tweak in zip(rows.tolist(), tweaks.tolist())
+    )
+    return np.frombuffer(masks, dtype="<u8").reshape(-1, 2)
 
 
 def _hash_pair_by_hash(kdf: Any, a: int, b: int, tweak: int) -> Tuple[int, int]:
@@ -145,26 +155,27 @@ class HashKDF:
     hash_pair = _hash_pair_by_hash
     hash_quad = _hash_quad_by_hash
 
-    def hash_many(self, rows: "np.ndarray") -> "np.ndarray":
-        """Batched oracle over stacked ``label || tweak`` rows.
+    def hash_many(self, rows: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
+        """Batched oracle: row ``i`` hashed under ``tweaks[i]``.
 
         Args:
-            rows: ``(n, 24)`` uint8 array, each row the 16 little-endian
-                label bytes followed by the 8 little-endian tweak bytes.
+            rows: ``(n, 2)`` ``<u8`` label words (low word first).
+            tweaks: ``(n,)`` ``<u8`` tweak words.
 
         Returns:
-            ``(n, 16)`` uint8 masks, row-for-row identical to
-            :meth:`hash` on the same (label, tweak) pairs.  One
-            contiguous buffer in, one out: the per-gate int<->bytes
-            conversions of the scalar path disappear, which is where the
-            level-scheduled engine gets its KDF throughput.
+            ``(n, 2)`` ``<u8`` mask words, row-for-row identical to
+            :meth:`hash` on the same (label, tweak) pairs.  The SHA-256
+            inputs ``label || tweak`` are built here, as one buffer: the
+            per-gate int<->bytes conversions of the scalar path
+            disappear, which is where the level-scheduled engine gets
+            its KDF throughput.
         """
         if type(self).hash is not HashKDF.hash:
             # a subclass overrode the oracle but not the batch path:
             # route through its hash() so the two stay consistent (the
             # hybrid engine mixes batched and per-gate calls)
-            return _hash_many_fallback(self, rows)
-        buf = memoryview(rows.tobytes())
+            return _hash_many_fallback(self, rows, tweaks)
+        buf = memoryview(_sha_inputs(rows, tweaks).tobytes())
         sha = hashlib.sha256
         digests = b"".join(
             [sha(buf[i : i + ROW_BYTES]).digest()
@@ -172,7 +183,7 @@ class HashKDF:
         )
         # keep the full 32-byte digests contiguous and let NumPy view the
         # first 16 bytes of each — one slice instead of one per row
-        return np.frombuffer(digests, dtype=np.uint8).reshape(-1, 32)[:, :16]
+        return np.frombuffer(digests, dtype="<u8").reshape(-1, 4)[:, :2]
 
 
 class VectorHashKDF(HashKDF):
@@ -218,7 +229,9 @@ class VectorHashKDF(HashKDF):
             self.DEFAULT_MIN_WIDTH if min_width is None else max(0, min_width)
         )
 
-    def hash_many(self, rows: "np.ndarray") -> "np.ndarray":
+    def hash_many(self, rows: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
+        """:meth:`HashKDF.hash_many`, through the NumPy kernel from
+        :attr:`min_width` rows on."""
         # the kernel computes SHA-256 digests; if a subclass redefined
         # the scalar oracle, wide and narrow batches would silently use
         # *different* oracles — defer to the base class, whose override
@@ -229,8 +242,9 @@ class VectorHashKDF(HashKDF):
         ):
             from .sha256_vec import sha256_many
 
-            return sha256_many(rows, out_len=16)
-        return super().hash_many(rows)
+            digests = sha256_many(_sha_inputs(rows, tweaks), out_len=16)
+            return np.ascontiguousarray(digests).view("<u8")
+        return super().hash_many(rows, tweaks)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +384,9 @@ class _EcbThreadState(threading.local):
 
 
 _M128 = (1 << 128) - 1
+#: GF(2^128) doubling's reduction word: a carry out of bit 127 folds back
+#: into the low word as 0x87
+_REDUCE = np.uint64(0x87)
 #: Lane constants of the packed 2- and 4-block gate calls: bit 127 of
 #: every lane, a one in every lane, a one in the upper half's lanes.
 _HI2 = (1 << 127) | (1 << 255)
@@ -437,13 +454,15 @@ class FixedKeyAES:
         return "libcrypto" if self._native is not None else "numpy"
 
     def _ecb_encrypt(self, blocks: "np.ndarray") -> "np.ndarray":
-        """``pi`` over a C-contiguous array of whole 16-byte blocks.
+        """``pi`` over an array of whole 16-byte blocks.
 
         The one seam between the construction and its provider: one
         ``EVP_EncryptUpdate`` straight between the arrays' buffers (no
-        ``tobytes`` copy), or :meth:`encrypt_blocks`.  Returns an array
-        of the input's shape and dtype.
+        ``tobytes`` copy; a strided view is made contiguous first), or
+        :meth:`encrypt_blocks`.  Returns a C-contiguous array of the
+        input's shape and dtype.
         """
+        blocks = np.ascontiguousarray(blocks)
         if self._native is None:
             flat = blocks.view(np.uint8).reshape(-1, 16)
             return self.encrypt_blocks(flat).view(blocks.dtype).reshape(
@@ -581,30 +600,25 @@ class FixedKeyAES:
         state ^= rks[10]
         return np.ascontiguousarray(state.transpose(0, 2, 1)).reshape(-1, 16)
 
-    def hash_many(self, rows: "np.ndarray") -> "np.ndarray":
-        """Batched JustGarble oracle over stacked ``label || tweak`` rows.
+    def hash_many(self, rows: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
+        """Batched JustGarble oracle: row ``i`` hashed under ``tweaks[i]``.
 
-        The whole level in one cipher call: each ``(n, 24)`` uint8 row is
-        read as three little-endian 64-bit words (label low, label high,
-        tweak), so GF(2^128) doubling and the tweak XOR are a handful of
-        uint64 operations per level.  Row-for-row identical to
-        :meth:`hash`.
+        The whole level in one cipher call over ``(n, 2)`` ``<u8`` label
+        words (low word first) and ``(n,)`` ``<u8`` tweak words, so
+        GF(2^128) doubling and the tweak XOR are a handful of uint64
+        operations per level.  Returns ``(n, 2)`` ``<u8`` mask words,
+        row-for-row identical to :meth:`hash`.
         """
-        n = rows.shape[0]
-        if n == 0:
-            return np.empty((0, 16), dtype=np.uint8)
-        words = np.ascontiguousarray(rows).view("<u8")
-        lo, hi = words[:, 0], words[:, 1]
-        # K = 2X ^ T: shift the 128-bit label left one bit (the low
-        # word's top bit moves up; a carry out of bit 127 folds back as
-        # 0x87), then XOR the tweak into the low word.  Column-wise on
-        # purpose: 2-D strided ufuncs measured 2x slower at 4096 rows.
-        k = np.empty((n, 2), dtype="<u8")
-        k[:, 0] = (lo << 1) ^ (hi >> 63) * np.uint64(0x87) ^ words[:, 2]
-        k[:, 1] = (hi << 1) | (lo >> 63)
+        # K = 2X ^ T: shift both words left one bit at once, then carry
+        # the low word's top bit into the high word, fold a carry out of
+        # bit 127 back as 0x87 and XOR the tweak into the low word
+        carry = rows >> 63
+        k = rows << 1
+        k[:, 1] |= carry[:, 0]
+        k[:, 0] ^= carry[:, 1] * _REDUCE ^ tweaks
         out = self._ecb_encrypt(k)
         out ^= k
-        return out.view(np.uint8)
+        return out
 
     def tccr_many(self, blocks: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
         """``pi(pi(x) ^ T) ^ pi(x)`` for every 16-byte block ``x`` (the
@@ -684,8 +698,9 @@ class ParallelKDF:
         """Gate-granular garbler call (delegates; never parallel)."""
         return self.inner.hash_quad(a0, a1, b0, b1, tweak)
 
-    def hash_many(self, rows: "np.ndarray") -> "np.ndarray":
-        """Batched oracle, row blocks split across the worker pool.
+    def hash_many(self, rows: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
+        """Batched oracle, row blocks (and their tweaks) split across
+        the worker pool.
 
         The split width is governed only by ``min_rows_per_worker``; a
         width-gated inner oracle (:class:`VectorHashKDF`) makes its own
@@ -698,10 +713,13 @@ class ParallelKDF:
         n = rows.shape[0]
         n_splits = min(self.workers, max(1, n // self.min_rows_per_worker))
         if n_splits <= 1:
-            return self.inner.hash_many(rows)
-        chunks = np.array_split(rows, n_splits)
-        results = list(self._ensure_pool().map(self.inner.hash_many, chunks))
-        return np.concatenate(results)
+            return self.inner.hash_many(rows, tweaks)
+        results = self._ensure_pool().map(
+            self.inner.hash_many,
+            np.array_split(rows, n_splits),
+            np.array_split(tweaks, n_splits),
+        )
+        return np.concatenate(list(results))
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -810,12 +828,14 @@ class KDFCalibration:
         }
 
 
-def _bench_hash_many(kdf: "HashKDF", rows: "np.ndarray", repeats: int) -> float:
+def _bench_hash_many(
+    kdf: "HashKDF", rows: "np.ndarray", tweaks: "np.ndarray", repeats: int
+) -> float:
     """Best-of-``repeats`` rows/second for one oracle at one width."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        kdf.hash_many(rows)
+        kdf.hash_many(rows, tweaks)
         best = min(best, time.perf_counter() - start)
     return rows.shape[0] / best if best > 0 else float("inf")
 
@@ -827,7 +847,7 @@ def calibrate_kdf(
 ) -> KDFCalibration:
     """One-shot microbenchmark of every oracle backend on this host.
 
-    Hashes random ``label || tweak`` batches through each backend's
+    Hashes random label and tweak batches through each backend's
     ``hash_many`` at each width and derives the hashlib/NumPy-kernel
     crossover.  Purely a *timing* probe: the chosen backend computes the
     identical digests, so calibration can never change garbled bytes.
@@ -852,10 +872,11 @@ def calibrate_kdf(
         backends.append(("fixed_key_aes", FixedKeyAES()))
     rows_per_s: Dict[str, Dict[int, float]] = {n: {} for n, _ in backends}
     for width in widths:
-        rows = rng.integers(0, 256, size=(width, ROW_BYTES), dtype=np.uint8)
+        words = rng.integers(0, 2**64, size=(width, 3), dtype="<u8")
+        rows, tweaks = words[:, :2], words[:, 2]
         for name, kdf in backends:
-            kdf.hash_many(rows[: min(width, 64)])  # warm scratch/caches
-            rows_per_s[name][width] = _bench_hash_many(kdf, rows, repeats)
+            kdf.hash_many(rows[:64], tweaks[:64])  # warm scratch/caches
+            rows_per_s[name][width] = _bench_hash_many(kdf, rows, tweaks, repeats)
     cal = KDFCalibration(
         widths=tuple(widths),
         rows_per_s=rows_per_s,
@@ -934,7 +955,9 @@ class AutoHashKDF(VectorHashKDF):
             return "sha256-auto[hashlib]"
         return f"sha256-auto[vec>={self.min_width}]"
 
-    def hash_many(self, rows: "np.ndarray") -> "np.ndarray":
+    def hash_many(self, rows: "np.ndarray", tweaks: "np.ndarray") -> "np.ndarray":
+        """:meth:`VectorHashKDF.hash_many`, calibrating on the first
+        batch wide enough to need it."""
         if not self._resolved and rows.shape[0] >= CALIBRATION_WIDTHS[0]:
             cal = kdf_calibration()
             scale = float(min(self.workers_hint, cal.host_cores))
@@ -943,7 +966,7 @@ class AutoHashKDF(VectorHashKDF):
                 cross if cross is not None else _NEVER_VECTORIZE
             )
             self._resolved = True
-        return super().hash_many(rows)
+        return super().hash_many(rows, tweaks)
 
 
 #: ``min_width`` sentinel meaning "calibration said the loop always wins".

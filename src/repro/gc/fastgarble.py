@@ -20,21 +20,25 @@ per role (:func:`garble_copies`, ``FastEvaluator._walk``):
   them as ``(m, 16)`` rows, and the evaluator writes each party's in
   one assignment;
 * under free-XOR only non-free gates need the oracle, so the schedule's
-  unit is the AND layer: a *wide non-free* step assembles one contiguous
-  ``label || tweak`` buffer for :meth:`repro.gc.cipher.HashKDF.hash_many`
-  — one oracle call per AND layer across all copies, as many as the
-  netlist's AND-depth;
+  unit is the AND layer: a *wide non-free* step hands
+  :meth:`repro.gc.cipher.HashKDF.hash_many` its labels as ``(n, 2)``
+  64-bit words beside their tweak words — one oracle call per AND
+  layer across all copies, as many as the netlist's AND-depth;
 * a *wide free* step — the free gates the same number of XORs past the
   last AND layer — is a single gather-XOR-scatter across all copies;
 * a wide step sees a plane through two zero-copy views.  As *rows*
-  (``view("V16")``, tables ``V32``) a label is one element: a gather is
-  ``rows.take(idx, axis=1)``, one 16-byte copy per label where
+  (``view("V16")``) a label is one element: a gather is
+  ``rows.take(ab, axis=1)``, one 16-byte copy per label where
   ``plane[:, idx]`` indexes a 16-wide uint8 axis at several times the
-  cost, and a scatter is one row assignment.  As *words* (``"<u8"``) a
-  gathered label is two 64-bit words, and the half-gate algebra masks
-  them with 0 / all-ones words (``-(z & 1)`` and the schedule's
-  inversion masks).  The oracle still reads ``(n, 24)`` uint8 ``label
-  || tweak`` rows: the step's ``(n, 3)`` word buffer, viewed as bytes;
+  cost, and a scatter is one row assignment.  Each step gathers once:
+  its operands are one ``[a | b]`` index vector, and an AND layer's
+  tables are read and written as 16-byte halves ``[tg | te]``, indexed
+  by the same words as its tweaks.  As *words* (``"<u8"``) a gathered
+  label is two 64-bit words, and the half-gate algebra masks them with
+  0 / all-ones words.  Every operand of that algebra is full-shape —
+  delta tiled once per walk, permute-bit and inversion masks as word
+  pairs — so no operation broadcasts along a label's two words and
+  none runs a 2-word inner loop;
 * a *scalar run* — a stretch of gates too narrow for array dispatch to
   pay — is one pre-flattened gate loop per copy on cached Python ints,
   one ``hash_quad`` / ``hash_pair`` oracle call per gate.  A run stays
@@ -65,6 +69,7 @@ from ..circuits.netlist import (
     FreeStep,
     LevelSchedule,
     ScalarRun,
+    ScheduleLevel,
 )
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
@@ -139,16 +144,23 @@ def _put(plane: np.ndarray, wires: range, labels: LabelsLike) -> None:
     plane[wires.start : wires.stop] = label_rows(labels)
 
 
-def _gather(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``rows[:, idx]`` of a ``(k, n, 1)`` row view, as ``(k, m, w)`` words."""
-    return rows.take(idx, axis=1).view("<u8")
+def _tweak_words(level: ScheduleLevel, base: np.uint64, blocks: int) -> np.ndarray:
+    """The level's ``[a | b]`` tweak words under tweak ``base``, once per
+    ``blocks`` consecutive oracle row blocks."""
+    if blocks == 1:
+        return level.tweaks + base if base else level.tweaks
+    words = np.empty((blocks, level.tweaks.size), dtype="<u8")
+    np.add(level.tweaks, base, out=words)
+    return words.reshape(-1)
 
 
-def _hash(kdf: HashKDF, words: np.ndarray) -> np.ndarray:
-    """``hash_many`` over ``(..., 3)`` ``label || tweak`` words read as
-    ``(n, 24)`` bytes, as ``(..., 2)`` words."""
-    h = kdf.hash_many(words.view(np.uint8).reshape(-1, 24))
-    return h.view("<u8").reshape(words.shape[:-1] + (2,))
+def _permute_masks(labels: np.ndarray) -> np.ndarray:
+    """Each ``(..., 2)``-word label's permute bit (bit 0 of its low word)
+    as a 0 / all-ones word pair of the labels' full shape."""
+    masks = labels & 1
+    np.negative(masks, out=masks)
+    masks[..., 1] = masks[..., 0]
+    return masks
 
 
 def _garble_run(
@@ -216,9 +228,14 @@ def _garble_walk(
     stack.  The garbling mirror of ``FastEvaluator._walk``.
     """
     k = len(stores)
-    d = np.stack([s.delta_row for s in stores]).view("<u8")[:, None]  # (k, 1, 2)
-    ab = tweak_base + np.arange(2, dtype="<u8")[:, None, None]  # a / b tweak offsets
-    rows, table_rows = plane.view("V16"), tables.view("V32")  # (k, n, 1)
+    # delta tiled once to the widest step, so every mask operand below
+    # is full-shape: no operation broadcasts along a label's two words
+    d = np.empty((k, schedule.widest, 2), dtype="<u8")
+    d[:] = np.stack([s.delta_row for s in stores]).view("<u8")[:, None]
+    base_word = np.uint64(tweak_base)
+    rows = plane.view("V16")  # (k, n, 1)
+    # each table as its halves tg / te: (k, 2 n_non_free, 1)
+    table_halves = tables.reshape(k, 2 * tables.shape[1], 16).view("V16")
     # flat byte views of each copy's (C-contiguous) planes, for the runs
     flat = [
         (p.reshape(-1).data, t.reshape(-1).data, s.delta)
@@ -233,39 +250,39 @@ def _garble_walk(
         if isinstance(step, FreeStep):
             # one gather-XOR-scatter covers XOR/XNOR/NOT/BUF: unary
             # gates read the scratch zero row, XNOR/NOT add delta
-            out = _gather(rows, step.a) ^ _gather(rows, step.b)
-            if step.has_inv:
-                out ^= d & step.inv
+            m = step.out.size
+            z = rows.take(step.ab, axis=1).view("<u8")  # (k, 2m, 2): a | b
+            out = z[:, :m] ^ z[:, m:]
+            if step.inv is not None:
+                out ^= d[:, :m] & step.inv
             rows[:, step.out] = out.view(rows.dtype)
             continue
         level = step  # a wide AND layer
-        za = _gather(rows, level.nf_a)  # (k, m, 2)
-        if level.nf_has_ia:  # free input inversions (AND reduction)
-            za ^= d & level.nf_ia
-        zb = _gather(rows, level.nf_b)
-        if level.nf_has_ib:
-            zb ^= d & level.nf_ib
-        # the half-gate hash inputs, blocks a0, a1 | b0, b1 of (k, m);
-        # their labels are written as rows
-        words = np.empty((2, 2 * k, level.n_non_free, 3), dtype="<u8")
-        keys = words.view(np.uint8)[..., :16].view(rows.dtype)
-        keys[0, :k], keys[0, k:] = za.view(rows.dtype), (za ^ d).view(rows.dtype)
-        keys[1, :k], keys[1, k:] = zb.view(rows.dtype), (zb ^ d).view(rows.dtype)
-        words[..., 2] = level.tweaks + ab
-        h = _hash(kdf, words)
-        h_a0, h_b0 = h[0, :k], h[1, :k]
+        m = level.nf_out.size
+        z = rows.take(level.nf_ab, axis=1).view("<u8")  # (k, 2m, 2): za | zb
+        dz = d[:, : 2 * m]
+        if level.nf_inv_ab is not None:  # free input inversions
+            z ^= dz & level.nf_inv_ab
+        # the half-gate hash inputs of a copy, za | zb | za^d | zb^d
+        # under tweaks ta | tb | ta | tb
+        keys = np.concatenate((z, z ^ dz), axis=1)
+        h = kdf.hash_many(keys.reshape(-1, 2), _tweak_words(level, base_word, 2 * k))
+        h = h.reshape(k, 4 * m, 2)
+        h0 = h[:, : 2 * m]  # ha0 | hb0
 
         # half-gates (Zahur-Rosulek-Evans), identical algebra to the
         # scalar _garble_run, with the permute bits as word masks
-        pa, pb = -(words[:, :k, :, :1] & 1)  # (k, m, 1) each
-        tg = h_a0 ^ h[0, k:] ^ (d & pb)
-        te = h_b0 ^ h[1, k:] ^ za
-        zero_out = h_a0 ^ (tg & pa) ^ h_b0 ^ ((te ^ za) & pb)
-        if level.nf_has_io:  # free output inversions
-            zero_out ^= d & level.nf_io
+        p = _permute_masks(z)  # pa | pb
+        x = h0 ^ h[:, 2 * m :]  # ha0^ha1 | hb0^hb1
+        x[:, :m] ^= dz[:, :m] & p[:, m:]  # tg | hb0^hb1
+        w = x & p
+        w ^= h0  # wg | we
+        zero_out = w[:, :m] ^ w[:, m:]
+        if level.nf_io is not None:  # free output inversions
+            zero_out ^= dz[:, :m] & level.nf_io
         rows[:, level.nf_out] = zero_out.view(rows.dtype)
-        tg_te = np.concatenate((tg.view(rows.dtype), te.view(rows.dtype)), axis=2)
-        table_rows[:, level.nf_tidx] = tg_te.view(table_rows.dtype)
+        x[:, m:] ^= z[:, :m]  # tg | te
+        table_halves[:, level.halves] = x.view(rows.dtype)
 
 
 def garble_copies(
@@ -551,8 +568,10 @@ class FastEvaluator(Evaluator):
             (p.reshape(-1).data, t.reshape(-1).data)
             for p, t in zip(planes, tables)
         ]
-        rows, table_rows = planes.view("V16"), tables.view("V32")  # (k, n, 1)
-        ab = base + np.arange(2, dtype="<u8")[:, None, None]  # a / b tweak offsets
+        rows = planes.view("V16")  # (k, n, 1)
+        # each table as its halves tg / te: (k, 2 n_non_free, 1)
+        table_halves = tables.reshape(k, 2 * tables.shape[1], 16).view("V16")
+        base_word = np.uint64(base)
         schedule = self.circuit.level_schedule()
         for step in schedule.step_plan(k, VECTOR_MIN_WIDTH):
             if isinstance(step, ScalarRun):
@@ -563,21 +582,19 @@ class FastEvaluator(Evaluator):
                 # the evaluator's free gates are pure label XOR (XNOR's
                 # delta lives on the garbler side), unary gates read the
                 # scratch zero row
-                out = _gather(rows, step.a) ^ _gather(rows, step.b)
-                rows[:, step.out] = out.view(rows.dtype)
+                m = step.out.size
+                w = rows.take(step.ab, axis=1).view("<u8")  # (k, 2m, 2): a | b
+                rows[:, step.out] = (w[:, :m] ^ w[:, m:]).view(rows.dtype)
                 continue
             level = step  # a wide AND layer
-            wa = _gather(rows, level.nf_a)  # (k, m, 2)
-            wb = _gather(rows, level.nf_b)
-            words = np.empty((2, k, level.n_non_free, 3), dtype="<u8")
-            keys = words.view(np.uint8)[..., :16].view(rows.dtype)
-            keys[0], keys[1] = wa.view(rows.dtype), wb.view(rows.dtype)
-            words[..., 2] = level.tweaks + ab
-            h = _hash(kdf, words)
-            table = _gather(table_rows, level.nf_tidx)  # (k, m, 4): tg || te
-            sa, sb = -(words[..., :1] & 1)  # permute bits as word masks
-            out = h[0] ^ (table[..., :2] & sa) ^ h[1] ^ ((table[..., 2:] ^ wa) & sb)
-            rows[:, level.nf_out] = out.view(rows.dtype)
+            m = level.nf_out.size
+            w = rows.take(level.nf_ab, axis=1).view("<u8")  # (k, 2m, 2): wa | wb
+            h = kdf.hash_many(w.reshape(-1, 2), _tweak_words(level, base_word, k))
+            t = table_halves.take(level.halves, axis=1).view("<u8")  # tg | te
+            t[:, m:] ^= w[:, :m]  # tg | te^wa
+            t &= _permute_masks(w)  # under sa | sb
+            t ^= h.reshape(k, 2 * m, 2)
+            rows[:, level.nf_out] = (t[:, :m] ^ t[:, m:]).view(rows.dtype)
 
     def evaluate_many(
         self,

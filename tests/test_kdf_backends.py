@@ -65,6 +65,13 @@ def _random_rows(n, length, seed=0):
     return rng.integers(0, 256, size=(n, length), dtype=np.uint8)
 
 
+def _label_words(n, seed=0):
+    """``n`` random labels as ``(n, 2)`` ``<u8`` words and their
+    ``(n,)`` tweak words: the ``hash_many`` input."""
+    words = np.random.default_rng(seed).integers(0, 2**64, (n, 3), dtype="<u8")
+    return words[:, :2].copy(), words[:, 2].copy()
+
+
 def _reference_digests(rows, out_len=32):
     return [hashlib.sha256(bytes(row)).digest()[:out_len] for row in rows]
 
@@ -149,15 +156,33 @@ class TestSha256VecParity:
 
 class TestOracleRegistry:
     def test_vector_kdf_matches_hashlib_loop(self):
-        rows = _random_rows(300, ROW_BYTES, seed=6)
+        rows, tweaks = _label_words(300, seed=6)
         loop, vec = HashKDF(), VectorHashKDF(min_width=0)
-        assert np.array_equal(loop.hash_many(rows), vec.hash_many(rows))
+        assert np.array_equal(
+            loop.hash_many(rows, tweaks), vec.hash_many(rows, tweaks)
+        )
 
     def test_vector_kdf_narrow_fallback_identical(self):
-        rows = _random_rows(50, ROW_BYTES, seed=7)
+        rows, tweaks = _label_words(50, seed=7)
         gated = VectorHashKDF(min_width=1000)   # forces the hashlib loop
         open_ = VectorHashKDF(min_width=0)      # forces the kernel
-        assert np.array_equal(gated.hash_many(rows), open_.hash_many(rows))
+        assert np.array_equal(
+            gated.hash_many(rows, tweaks), open_.hash_many(rows, tweaks)
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 70])
+    def test_sha_inputs_are_label_then_tweak(self, n):
+        """The SHA oracles build ``label || tweak`` from the words: each
+        mask is the first 16 bytes of that row's SHA-256 digest."""
+        rows, tweaks = _label_words(n, seed=n)
+        expect = [
+            hashlib.sha256(row.tobytes() + tweak.tobytes()).digest()[:16]
+            for row, tweak in zip(rows, tweaks)
+        ]
+        for kdf in (HashKDF(), VectorHashKDF(min_width=0)):
+            got = kdf.hash_many(rows, tweaks)
+            assert got.shape == (n, 2) and got.dtype == np.dtype("<u8")
+            assert [r.tobytes() for r in got] == expect
 
     def test_vector_kdf_scalar_hash_is_hashlib(self):
         vec, loop = VectorHashKDF(), HashKDF()
@@ -193,19 +218,19 @@ class TestOracleRegistry:
 
 
 def _label_tweak_rows(n, seed=0):
-    """Random ``label || tweak`` rows; every third label has bit 127 set
+    """Random label words and tweaks; every third label has bit 127 set
     (the GF(2^128) doubling's reduction branch) and row 0 is all ones."""
-    rows = _random_rows(n, ROW_BYTES, seed=seed)
-    rows[::3, 15] |= 0x80
-    rows[1::3, 15] &= 0x7F
+    rows, tweaks = _label_words(n, seed=seed)
+    rows[::3, 1] |= np.uint64(1 << 63)
+    rows[1::3, 1] &= np.uint64((1 << 63) - 1)
     if n:
-        rows[0] = 0xFF
-    return rows
+        rows[0] = tweaks[0] = 2**64 - 1
+    return rows, tweaks
 
 
-def _split(row):
-    return (int.from_bytes(row[:16].tobytes(), "little"),
-            int.from_bytes(row[16:].tobytes(), "little"))
+def _split(rows, tweaks, i):
+    """Row ``i`` as the scalar path's ``(label, tweak)`` ints."""
+    return int(rows[i, 0]) | int(rows[i, 1]) << 64, int(tweaks[i])
 
 
 @pytest.fixture
@@ -245,16 +270,25 @@ class TestFixedKeyAESOracle:
             pytest.skip("no libcrypto with EVP AES on this host")
         assert kdf._ecb_encrypt(blocks).tobytes() == self.FIPS_CIPHER * 3
 
+    def test_ecb_encrypts_a_strided_view(self, aes, numpy_aes):
+        """The seam encrypts the blocks a view shows, not the bytes that
+        follow its first one in memory."""
+        words = np.random.default_rng(8).integers(0, 2**64, (8, 4), dtype="<u8")
+        view = words[:, :2]
+        assert not view.flags["C_CONTIGUOUS"]
+        expect = numpy_aes._ecb_encrypt(np.ascontiguousarray(view))
+        assert np.array_equal(aes._ecb_encrypt(view), expect)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 64, 257])
     def test_every_entry_point_is_one_function(self, aes, numpy_aes, n):
-        rows = _label_tweak_rows(n, seed=n)
-        batched = aes.hash_many(rows)
-        assert batched.shape == (n, 16) and batched.dtype == np.uint8
-        assert np.array_equal(batched, numpy_aes.hash_many(rows))
-        scalar = [aes.hash(*_split(row)) for row in rows]
-        assert [int.from_bytes(r.tobytes(), "little") for r in batched] == scalar
+        rows, tweaks = _label_tweak_rows(n, seed=n)
+        batched = aes.hash_many(rows, tweaks)
+        assert batched.shape == (n, 2) and batched.dtype == np.dtype("<u8")
+        assert np.array_equal(batched, numpy_aes.hash_many(rows, tweaks))
+        scalar = [aes.hash(*_split(rows, tweaks, i)) for i in range(n)]
+        assert [int(lo) | int(hi) << 64 for lo, hi in batched] == scalar
         # gate-granular calls: a gate's labels under tweaks t, t + 1
-        labels = [_split(row)[0] for row in rows]
+        labels = [_split(rows, tweaks, i)[0] for i in range(n)]
         for i in range(0, n - 3, 4):
             a0, a1, b0, b1 = labels[i : i + 4]
             tweak = 2 * i
@@ -281,11 +315,13 @@ class TestFixedKeyAESOracle:
                 )
 
     def test_non_contiguous_rows(self, aes, numpy_aes):
-        wide = _random_rows(40, 2 * ROW_BYTES, seed=5)
-        view = wide[::2, :ROW_BYTES]
+        wide, tweaks = _label_words(40, seed=5)
+        wide = np.concatenate((wide, wide[::-1]), axis=1)
+        view, tweak_view = wide[::2, 1:3], tweaks[::2]
         assert not view.flags["C_CONTIGUOUS"]
         assert np.array_equal(
-            aes.hash_many(view), numpy_aes.hash_many(view.copy())
+            aes.hash_many(view, tweak_view),
+            numpy_aes.hash_many(view.copy(), tweak_view.copy()),
         )
 
     def test_sha_loop_implements_the_gate_calls(self):
@@ -305,9 +341,9 @@ class TestFixedKeyAESOracle:
         # the fallback's pure-Python block cipher is ~1000x slower per gate
         gates_per_round = 400 if aes.provider == "libcrypto" else 2
         batches = [_label_tweak_rows(96 + t, seed=100 + t) for t in range(n_threads)]
-        expect = [numpy_aes.hash_many(rows) for rows in batches]
+        expect = [numpy_aes.hash_many(*batch) for batch in batches]
         quads = [
-            tuple(_split(rows[i])[0] for i in range(4)) for rows in batches
+            tuple(_split(*batch, i)[0] for i in range(4)) for batch in batches
         ]
         expect_quads = [numpy_aes.hash_quad(*q, 10 + t) for t, q in enumerate(quads)]
         wrong = []
@@ -318,7 +354,7 @@ class TestFixedKeyAESOracle:
             quad, pair = expect_quads[t], (expect_quads[t][0], expect_quads[t][2])
             start.wait(timeout=30)
             for _ in range(rounds):
-                if not np.array_equal(aes.hash_many(batches[t]), expect[t]):
+                if not np.array_equal(aes.hash_many(*batches[t]), expect[t]):
                     wrong.append(("hash_many", t))
                 # the gate calls read a scratch buffer after the cipher
                 # call returns: the window a shared scratch loses in
@@ -347,17 +383,17 @@ class TestFixedKeyAESOracle:
     def test_forked_child_hashes_correctly_after_the_parent_has(
         self, aes, numpy_aes
     ):
-        rows = _label_tweak_rows(130, seed=7)
-        expect = numpy_aes.hash_many(rows)
-        quad = tuple(_split(rows[i])[0] for i in range(4))
+        rows, tweaks = _label_tweak_rows(130, seed=7)
+        expect = numpy_aes.hash_many(rows, tweaks)
+        quad = tuple(_split(rows, tweaks, i)[0] for i in range(4))
         expect_quad = numpy_aes.hash_quad(*quad, 4)
-        assert np.array_equal(aes.hash_many(rows), expect)  # parent first
+        assert np.array_equal(aes.hash_many(rows, tweaks), expect)  # parent first
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child
             ok = False
             try:
                 ok = (
-                    np.array_equal(aes.hash_many(rows), expect)
+                    np.array_equal(aes.hash_many(rows, tweaks), expect)
                     and aes.hash_quad(*quad, 4) == expect_quad
                 )
             finally:
@@ -483,16 +519,16 @@ class TestCalibration:
             elapsed_s=0.1,
         )
         monkeypatch.setattr(cipher, "kdf_calibration", lambda force=False: cal)
-        rows = _random_rows(2048, ROW_BYTES, seed=17)
-        expect = HashKDF().hash_many(rows)
+        rows, tweaks = _label_words(2048, seed=17)
+        expect = HashKDF().hash_many(rows, tweaks)
 
         solo = AutoHashKDF(workers_hint=1)
-        assert np.array_equal(solo.hash_many(rows), expect)
+        assert np.array_equal(solo.hash_many(rows, tweaks), expect)
         assert solo.min_width > 4096  # loop wins everywhere single-thread
         assert solo.name == "sha256-auto[hashlib]"
 
         pooled = AutoHashKDF(workers_hint=8)
-        assert np.array_equal(pooled.hash_many(rows), expect)
+        assert np.array_equal(pooled.hash_many(rows, tweaks), expect)
         # per-chunk crossover: 8 concurrent chunks of >= 256 rows beat
         # the GIL-bound loop even though each loses single-threaded
         assert pooled.min_width == 256
@@ -547,14 +583,14 @@ class TestCalibration:
 
 class TestParallelVectorKDF:
     def test_worker_count_invariance(self):
-        rows = _random_rows(4096, ROW_BYTES, seed=12)
-        expect = HashKDF().hash_many(rows)
+        rows, tweaks = _label_words(4096, seed=12)
+        expect = HashKDF().hash_many(rows, tweaks)
         for workers in (1, 2, 5):
             pk = ParallelKDF(
                 VectorHashKDF(min_width=0), workers=workers,
                 min_rows_per_worker=256,
             )
-            assert np.array_equal(pk.hash_many(rows), expect)
+            assert np.array_equal(pk.hash_many(rows, tweaks), expect)
             pk.close()
 
     def test_sub_crossover_chunks_fall_back_identically(self):
@@ -564,17 +600,17 @@ class TestParallelVectorKDF:
         calls = []
 
         class Spy(VectorHashKDF):
-            def hash_many(self, rows):
+            def hash_many(self, rows, tweaks):
                 calls.append(rows.shape[0])
-                return super().hash_many(rows)
+                return super().hash_many(rows, tweaks)
 
         inner = Spy(min_width=1024)
         pk = ParallelKDF(inner, workers=8, min_rows_per_worker=64)
-        rows = _random_rows(2048, ROW_BYTES, seed=13)
-        got = pk.hash_many(rows)
+        rows, tweaks = _label_words(2048, seed=13)
+        got = pk.hash_many(rows, tweaks)
         pk.close()
         assert calls and all(c < 1024 for c in calls)  # all sub-crossover
-        assert np.array_equal(got, HashKDF().hash_many(rows))
+        assert np.array_equal(got, HashKDF().hash_many(rows, tweaks))
 
 
 class TestVectorizedIKNP:

@@ -51,6 +51,13 @@ def _reference(circuit, seed, kdf=None):
     )
 
 
+def _label_words(n, seed):
+    """``n`` random labels as ``(n, 2)`` ``<u8`` words and their
+    ``(n,)`` tweak words: the ``hash_many`` input."""
+    words = np.random.default_rng(seed).integers(0, 2**64, (n, 3), dtype="<u8")
+    return words[:, :2].copy(), words[:, 2].copy()
+
+
 def _random_circuit(seed: int, n_gates: int = 120, n_inputs: int = 4):
     """A random netlist covering every gate type (incl. unary chains)."""
     rng = random.Random(seed)
@@ -93,26 +100,24 @@ def _request_batch(circuit, k, seed):
 
 class TestParallelKDF:
     def _rows(self, n=600):
-        rng = random.Random(11)
-        return np.frombuffer(
-            bytes(rng.getrandbits(8) for _ in range(24 * n)), dtype=np.uint8
-        ).reshape(n, 24).copy()
+        """``n`` random labels as words, and their tweak words."""
+        return _label_words(n, seed=11)
 
     def test_worker_count_invariant(self):
         rows = self._rows()
-        reference = HashKDF().hash_many(rows)
+        reference = HashKDF().hash_many(*rows)
         for workers in (1, 2, 3, 4, 7):
             kdf = ParallelKDF(
                 HashKDF(), workers=workers, min_rows_per_worker=16
             )
-            assert np.array_equal(kdf.hash_many(rows), reference), workers
+            assert np.array_equal(kdf.hash_many(*rows), reference), workers
             kdf.close()
 
     def test_small_batches_run_inline(self):
         kdf = ParallelKDF(HashKDF(), workers=4, min_rows_per_worker=256)
         rows = self._rows(32)
         assert np.array_equal(
-            kdf.hash_many(rows), HashKDF().hash_many(rows)
+            kdf.hash_many(*rows), HashKDF().hash_many(*rows)
         )
         assert kdf._pool is None  # never spun up for a tiny batch
         kdf.close()
@@ -140,7 +145,7 @@ class TestParallelKDF:
         rows = self._rows(64)
         kdf = ParallelKDF(FixedKeyAES(), workers=2, min_rows_per_worker=8)
         assert np.array_equal(
-            kdf.hash_many(rows), FixedKeyAES().hash_many(rows)
+            kdf.hash_many(*rows), FixedKeyAES().hash_many(*rows)
         )
         kdf.close()
 
@@ -168,18 +173,13 @@ class TestFixedKeyAESBatch:
             raise AssertionError("FixedKeyAES.hash_many fell back")
 
         monkeypatch.setattr(cipher_mod, "_hash_many_fallback", boom)
-        rows = np.arange(24 * 40, dtype=np.uint8).reshape(40, 24) % 251
-        FixedKeyAES().hash_many(rows.copy())
+        FixedKeyAES().hash_many(*_label_words(40, seed=2))
 
     def test_batch_matches_scalar_large(self):
         kdf = FixedKeyAES()
-        rng = random.Random(3)
-        rows = np.frombuffer(
-            bytes(rng.getrandbits(8) for _ in range(24 * 257)),
-            dtype=np.uint8,
-        ).reshape(257, 24).copy()
+        rows = _label_words(257, seed=3)
         assert np.array_equal(
-            kdf.hash_many(rows), _hash_many_fallback(kdf, rows)
+            kdf.hash_many(*rows), _hash_many_fallback(kdf, *rows)
         )
 
     def test_encrypt_blocks_matches_scalar(self):
@@ -195,8 +195,8 @@ class TestFixedKeyAESBatch:
             assert batched[i].tobytes() == expected, f"block {i}"
 
     def test_empty_batch(self):
-        rows = np.empty((0, 24), dtype=np.uint8)
-        assert FixedKeyAES().hash_many(rows).shape == (0, 16)
+        rows, tweaks = np.empty((0, 2), dtype="<u8"), np.empty(0, dtype="<u8")
+        assert FixedKeyAES().hash_many(rows, tweaks).shape == (0, 2)
 
 
 class TestEvaluateMany:

@@ -204,45 +204,46 @@ def _reference_schedule(circuit):
         return np.asarray(values, dtype=dtype)
 
     def mask(flags):
-        """0/1 flags as (n, 1) 64-bit words, 0 or all ones."""
-        return column([-f % 2**64 for f in flags], np.uint64).reshape(-1, 1)
+        """0/1 flags as (n, 2) 64-bit words, 0 or all ones; None when
+        no flag is set."""
+        if not any(flags):
+            return None
+        return column([[-f % 2**64] * 2 for f in flags], np.uint64)
 
     depth = max((place[g.out][0] for g in circuit.gates), default=0)
-    levels = []
+    levels, widest = [], 0
     for phase in range(depth + 1):
         free = []
         for key in sorted(k for k in sub_steps if k[0] == phase):
             gates = sub_steps[key]
-            inv = [int(g.op in (GateType.XNOR, GateType.NOT)) for g in gates]
             free.append(FreeStep(
-                a=column([g.a for g in gates]),
-                b=column([scratch if g.b is None else g.b for g in gates]),
+                ab=column([g.a for g in gates]
+                          + [scratch if g.b is None else g.b for g in gates]),
                 out=column([g.out for g in gates]),
-                inv=mask(inv),
-                has_inv=any(inv),
+                inv=mask([int(g.op in (GateType.XNOR, GateType.NOT))
+                          for g in gates]),
             ))
+            widest = max(widest, 2 * len(gates))
         layer = layers.get(phase + 1, [])
         flags = [AND_REDUCTION[gate.op] for gate, _ in layer]
-        tidx = column([t for _, t in layer], np.int64)
+        halves = [2 * t for _, t in layer] + [2 * t + 1 for _, t in layer]
         levels.append(ScheduleLevel(
             free=tuple(free),
-            nf_a=column([gate.a for gate, _ in layer]),
-            nf_b=column([gate.b for gate, _ in layer]),
+            nf_ab=column([gate.a for gate, _ in layer]
+                         + [gate.b for gate, _ in layer]),
             nf_out=column([gate.out for gate, _ in layer]),
-            nf_tidx=tidx,
-            nf_ia=mask([f.ia for f in flags]),
-            nf_ib=mask([f.ib for f in flags]),
+            tweaks=column(halves, np.uint64),
+            halves=column(halves),
+            nf_inv_ab=mask([f.ia for f in flags] + [f.ib for f in flags]),
             nf_io=mask([f.out for f in flags]),
-            nf_has_ia=any(f.ia for f in flags),
-            nf_has_ib=any(f.ib for f in flags),
-            nf_has_io=any(f.out for f in flags),
-            tweaks=column([2 * t for t in tidx], np.uint64),
         ))
+        widest = max(widest, 2 * len(layer))
     return LevelSchedule(
         levels=tuple(levels),
         n_non_free=table_index,
         n_wires=n_wires,
         scratch_wire=scratch,
+        widest=widest,
     )
 
 
@@ -260,11 +261,11 @@ def _assert_same_fields(got_obj, want_obj, where):
             for i, (g, w) in enumerate(zip(got, want)):
                 _assert_same_fields(g, w, f"{here}[{i}]")
         else:
-            assert type(got) is bool and got == want, here
+            assert want is None and got is None, here
 
 
 def _assert_same_schedule(built, reference):
-    for name in ("n_non_free", "n_wires", "scratch_wire"):
+    for name in ("n_non_free", "n_wires", "scratch_wire", "widest"):
         value = getattr(built, name)
         assert type(value) is int and value == getattr(reference, name), name
     assert len(built.levels) == len(reference.levels)
@@ -437,6 +438,22 @@ class TestPlanProperties:
         layers = every_wire.depth()
         assert len(schedule.levels) == layers + 1
         assert len(schedule.levels) >= circuit.depth() + 1
+        for level in schedule.levels:
+            # a step's a / b are the halves of its [a | b] vector, as
+            # views; a level's tweak words are [2 tidx | 2 tidx + 1]
+            steps = [(free.ab, free.a, free.b) for free in level.free]
+            steps.append((level.nf_ab, level.nf_a, level.nf_b))
+            for ab, a, b in steps:
+                # views at ab's own addresses (empty ones included)
+                assert a.base is not None and b.base is not None
+                assert a.ctypes.data == ab.ctypes.data
+                assert b.ctypes.data == ab.ctypes.data + a.nbytes
+                assert np.array_equal(np.concatenate((a, b)), ab)
+            tidx = level.nf_tidx.astype(np.uint64)
+            assert np.array_equal(
+                level.tweaks, np.concatenate((2 * tidx, 2 * tidx + 1))
+            )
+            assert level.halves.ctypes.data == level.tweaks.ctypes.data
         for batch in (1, 3, 64):
             assert _replay(circuit, schedule.step_plan(batch, 8)) <= layers
 
@@ -579,25 +596,33 @@ class TestPlanProperties:
         assert combinational[2] == simulate(circuit, alice, bob)
 
 
+def _label_words(n, seed):
+    """``n`` random ``(label, tweak)`` pairs as ``(n, 2)`` label words
+    and ``(n,)`` tweak words, the ``hash_many`` input."""
+    words = np.random.default_rng(seed).integers(0, 2**64, (n, 3), dtype="<u8")
+    return words[:, :2].copy(), words[:, 2].copy()
+
+
+def _as_int(words):
+    """One ``(2,)`` ``<u8`` label word pair as the scalar path's int."""
+    return int(words[0]) | int(words[1]) << 64
+
+
 class TestHashMany:
     @pytest.mark.parametrize("kdf", [HashKDF(), FixedKeyAES()])
     def test_matches_scalar_hash(self, kdf):
-        rng = random.Random(1)
-        rows = np.frombuffer(
-            bytes(rng.getrandbits(8) for _ in range(24 * 33)), dtype=np.uint8
-        ).reshape(33, 24).copy()
-        batched = kdf.hash_many(rows)
+        rows, tweaks = _label_words(33, seed=1)
+        batched = kdf.hash_many(rows, tweaks)
+        assert batched.shape == (33, 2) and batched.dtype == np.dtype("<u8")
         for i in range(33):
-            label = int.from_bytes(rows[i, :16].tobytes(), "little")
-            tweak = int.from_bytes(rows[i, 16:].tobytes(), "little")
-            expected = kdf.hash(label, tweak)
-            got = int.from_bytes(np.ascontiguousarray(batched[i]).tobytes(),
-                                 "little")
-            assert got == expected, f"row {i}"
+            expected = kdf.hash(_as_int(rows[i]), int(tweaks[i]))
+            assert _as_int(batched[i]) == expected, f"row {i}"
 
-    def test_empty_batch(self):
-        rows = np.empty((0, 24), dtype=np.uint8)
-        assert HashKDF().hash_many(rows).shape == (0, 16)
+    @pytest.mark.parametrize("kdf", [HashKDF(), FixedKeyAES()])
+    def test_empty_batch(self, kdf):
+        rows = np.empty((0, 2), dtype="<u8")
+        tweaks = np.empty(0, dtype="<u8")
+        assert kdf.hash_many(rows, tweaks).shape == (0, 2)
 
     def test_subclass_overriding_only_hash_stays_consistent(self):
         """hash_many must route through an overridden hash() oracle."""
@@ -607,15 +632,10 @@ class TestHashMany:
                 return (label ^ tweak ^ 0xA5A5) & ((1 << 128) - 1)
 
         kdf = XorKDF()
-        rows = np.arange(24 * 5, dtype=np.uint8).reshape(5, 24).copy()
-        batched = kdf.hash_many(rows)
+        rows, tweaks = _label_words(5, seed=2)
+        batched = kdf.hash_many(rows, tweaks)
         for i in range(5):
-            label = int.from_bytes(rows[i, :16].tobytes(), "little")
-            tweak = int.from_bytes(rows[i, 16:].tobytes(), "little")
-            got = int.from_bytes(
-                np.ascontiguousarray(batched[i]).tobytes(), "little"
-            )
-            assert got == kdf.hash(label, tweak)
+            assert _as_int(batched[i]) == kdf.hash(_as_int(rows[i]), int(tweaks[i]))
 
     def test_custom_kdf_garbles_consistently(self):
         """Hybrid engine with a hash()-only subclass: wide and narrow
@@ -799,20 +819,22 @@ class TestInversionBranches:
 
     @pytest.mark.parametrize("kdf", [HashKDF(), FixedKeyAES()],
                              ids=["hashlib", "fixed_key_aes"])
-    @pytest.mark.parametrize("k", [1, 8])
-    def test_every_step_wide(self, monkeypatch, kdf, k):
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("tweak_base", [0, 2**33 + 6])
+    def test_every_step_wide(self, monkeypatch, kdf, k, tweak_base):
         monkeypatch.setattr(fastgarble, "VECTOR_MIN_WIDTH", 1)
         circuit = _inversion_circuit()
         plan = circuit.level_schedule().step_plan(k, 1)
         assert not any(isinstance(step, ScalarRun) for step in plan)
         copies = garble_many(
-            circuit, kdf=kdf, rngs=[random.Random(i) for i in range(k)]
+            circuit, kdf=kdf, tweak_base=tweak_base,
+            rngs=[random.Random(i) for i in range(k)],
         )
         assignments = list(itertools.product((0, 1), repeat=4))
         inputs, labels = [], []
         for i, (garbler, garbled) in enumerate(copies):
             reference = _reference(circuit, i, kdf=kdf)
-            ref = reference.garble()
+            ref = reference.garble(tweak_base=tweak_base)
             assert ref.tables_bytes() == garbled.tables_bytes()
             assert ref.const_labels == garbled.const_labels
             assert ref.decode_bits == garbled.decode_bits

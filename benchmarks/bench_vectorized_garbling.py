@@ -11,7 +11,7 @@ speedup as an entry of the repo-root perf trajectory
 (``BENCH_engine.json``), and ends its report with the plan shape of the
 demo net and the MAC cell: levels, wide steps, scalar gates, oracle
 calls per role, and each role's walk time per step kind (free, wide
-AND, scalar run) at ``k = 1`` and ``k = 8``.
+AND, scalar run) at ``k`` = 1, 3 and 8.
 
 Set ``REPRO_BENCH_QUICK=1`` for the single-round CI configuration.
 """
@@ -79,11 +79,13 @@ def _walk_ms(circuit, k, rounds):
     stores = [g.labels for g, _ in garble_many(circuit, k, rng=random.Random(1))]
     evaluator = FastEvaluator(circuit)
     kdf = evaluator.kdf
-    planes = np.zeros((k, circuit.n_wires + 1, 16), dtype=np.uint8)
-    tables = np.zeros((k, schedule.n_non_free, 32), dtype=np.uint8)
+    # wire-major, as the walks take them: a wire's (a table half's)
+    # labels across the batch are one record
+    planes = np.zeros((circuit.n_wires + 1, k, 16), dtype=np.uint8)
+    halves = np.zeros((2 * schedule.n_non_free, k, 16), dtype=np.uint8)
     roles = (
-        lambda: _garble_walk(schedule, kdf, stores, planes, tables, 0),
-        lambda: evaluator._walk(planes, tables, 0),
+        lambda: _garble_walk(schedule, kdf, stores, planes, halves, 0),
+        lambda: evaluator._walk(planes, halves, 0),
     )
     out = {}
     for name, kind in STEP_KINDS:
@@ -106,7 +108,7 @@ def _timed(fn):
 
 def _plan_shape(name, circuit, rounds=5):
     """One line: what one request's walk of ``circuit`` runs (``k = 1``)
-    and what each step kind costs a role's walk at ``k`` = 1 and 8."""
+    and what each step kind costs a role's walk at ``k`` = 1, 3 and 8."""
     schedule = circuit.level_schedule()
     plan = schedule.step_plan(1, VECTOR_MIN_WIDTH)
     runs = [step for step in plan if isinstance(step, ScalarRun)]
@@ -115,7 +117,7 @@ def _plan_shape(name, circuit, rounds=5):
     scalar = [gate for run in runs for gate in run.gates]
     scalar_and = sum(gate[3] >= 0 for gate in scalar)
     walks = []
-    for k in (1, 8):
+    for k in (1, 3, 8):
         times = _walk_ms(circuit, k, rounds)
         walks.append(f"k={k} " + ", ".join(
             f"{kind} {g:.2f}/{e:.2f}" for kind, (g, e) in times.items()

@@ -475,7 +475,8 @@ class FreeStep:
 
     ab: Any
     out: Any
-    #: the delta offsets as ``(m, 2)`` :func:`_word_mask` words, or None
+    #: the delta offsets as ``(m, 2)`` :func:`_word_mask` words (``(m,
+    #: batch, 2)`` in a plan, :meth:`LevelSchedule.step_plan`), or None
     #: when no gate of the step has one (most steps)
     inv: Any
 
@@ -508,15 +509,18 @@ class ScheduleLevel:
     nf_ab: Any
     nf_out: Any
     #: the gates' a|b tweak words at tweak base 0, ``[2 tidx | 2 tidx +
-    #: 1]`` as ``<u8``; any other base is one add
+    #: 1]`` as ``<u8`` (in a plan, each repeated once per copy); any
+    #: other base is one add
     tweaks: Any
     #: the same words as ``intp`` indices (a view): a table's 16-byte
     #: halves ``tg`` / ``te`` are halves ``2 tidx`` / ``2 tidx + 1``
     halves: Any
     #: the AND-reduction input inversions ``[ia | ib]`` as ``(2m, 2)``
-    #: :func:`_word_mask` words, or None when no gate has one
+    #: :func:`_word_mask` words (``(2m, batch, 2)`` in a plan), or None
+    #: when no gate has one
     nf_inv_ab: Any
-    #: the output inversions as ``(m, 2)`` words, or None
+    #: the output inversions as ``(m, 2)`` words (``(m, batch, 2)`` in a
+    #: plan), or None
     nf_io: Any
 
     @property
@@ -544,6 +548,31 @@ def _word_mask(bits: Any) -> Any:
     ``delta & mask`` is each gate's delta offset, with no operand
     broadcast along a label's two words."""
     return np.repeat(-bits.astype("<u8"), 2).reshape(-1, 2)
+
+
+def _per_copy(words: Any, batch: int) -> Any:
+    """Per-gate words — ``(n,)`` tweaks or ``(n, 2)`` masks, or None —
+    for a walk of ``batch`` copies, whose labels are wire-major: each
+    gate's words once per copy, ``(n, batch, ...)`` in (gate, copy)
+    order and contiguous.  At batch 1 a view, not a copy."""
+    if words is None:
+        return None
+    shape = (len(words), batch) + words.shape[1:]
+    return np.ascontiguousarray(np.broadcast_to(words[:, None], shape))
+
+
+def _for_batch(step: Union["FreeStep", "ScheduleLevel"], batch: int) -> Any:
+    """A wide step as a plan for ``batch`` copies holds it: its word
+    vectors per copy (:func:`_per_copy`), tweaks flattened to the
+    oracle's ``(2m batch,)`` rows; index vectors shared."""
+    if isinstance(step, FreeStep):
+        return dataclasses.replace(step, inv=_per_copy(step.inv, batch))
+    return dataclasses.replace(
+        step,
+        tweaks=_per_copy(step.tweaks, batch).reshape(-1),
+        nf_inv_ab=_per_copy(step.nf_inv_ab, batch),
+        nf_io=_per_copy(step.nf_io, batch),
+    )
 
 
 def _paired(first: Any, second: Any, bounds: Sequence[int]) -> Any:
@@ -686,6 +715,12 @@ class LevelSchedule:
         them (an earlier run, a wide step, the run itself) is emitted no
         later than the run is.  Replaying the plan in order never reads
         an undriven wire, and every gate sits in exactly one step.
+
+        A wide step goes in with its word vectors laid out for a walk of
+        ``batch`` copies, whose labels are wire-major (gate, copy): its
+        masks (``inv``, ``nf_inv_ab``, ``nf_io``) are ``(m, batch, 2)``
+        and its ``tweaks`` repeat each word ``batch`` times — at batch
+        1 views of the schedule's own.  Index vectors are shared.
         Cached per ``(batch, min_width)``.
         """
         key = (batch, min_width)
@@ -713,7 +748,7 @@ class LevelSchedule:
                 if batch * out.size >= min_width:
                     if records and in_run[reads].any():
                         flush()
-                    steps.append(step)
+                    steps.append(_for_batch(step, batch))
                 elif out.size:
                     in_run[out] = True
                     records.extend(_gate_records(step))

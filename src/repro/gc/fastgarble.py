@@ -9,13 +9,16 @@ construction over the circuit's cached step plan
 (:meth:`repro.circuits.netlist.LevelSchedule.step_plan`), walked once
 per role (:func:`garble_copies`, ``FastEvaluator._walk``):
 
-* wire labels live in ``(k, n_wires + 1, 16)`` uint8 planes, ``k``
+* wire labels live in ``(n_wires + 1, k, 16)`` uint8 planes, ``k``
   being the batch: pools and cut-and-choose garble ``k`` independent
   copies (at most :data:`COPIES_PER_WALK` to a walk), ``evaluate_many``
   serves ``k`` requests, and a single ``evaluate`` is its ``k = 1``
-  call.  A garbling plane is scratch: what a copy
-  keeps is its :class:`repro.gc.labels.ArrayLabelStore` — Δ and the
-  rows of its interface wires — and its tables.  Input labels arrive
+  call.  The batch axis lives inside a wire: one wire's labels across
+  the batch are one contiguous ``16 k``-byte record, so a step fetches
+  one record per operand, not ``k`` labels from ``k`` planes.  A
+  garbling plane is scratch: what a copy keeps is its
+  :class:`repro.gc.labels.ArrayLabelStore` — Δ and the rows of its
+  interface wires — and its tables.  Input labels arrive
   as rows too: the garbler draws them in one rng call, the OT moves
   them as ``(m, 16)`` rows, and the evaluator writes each party's in
   one assignment;
@@ -26,24 +29,28 @@ per role (:func:`garble_copies`, ``FastEvaluator._walk``):
   layer across all copies, as many as the netlist's AND-depth;
 * a *wide free* step — the free gates the same number of XORs past the
   last AND layer — is a single gather-XOR-scatter across all copies;
-* a wide step sees a plane through two zero-copy views.  As *rows*
-  (``view("V16")``) a label is one element: a gather is
-  ``rows.take(ab, axis=1)``, one 16-byte copy per label where
-  ``plane[:, idx]`` indexes a 16-wide uint8 axis at several times the
-  cost, and a scatter is one row assignment.  Each step gathers once:
-  its operands are one ``[a | b]`` index vector, and an AND layer's
-  tables are read and written as 16-byte halves ``[tg | te]``, indexed
-  by the same words as its tweaks.  As *words* (``"<u8"``) a gathered
-  label is two 64-bit words, and the half-gate algebra masks them with
-  0 / all-ones words.  Every operand of that algebra is full-shape —
-  delta tiled once per walk, permute-bit and inversion masks as word
-  pairs — so no operation broadcasts along a label's two words and
-  none runs a 2-word inner loop;
+* a wide step sees a plane through two zero-copy views.  As *records*
+  (one ``V(16 k)`` element per wire) a gather is ``rows.take(ab)``, one
+  contiguous ``16 k``-byte copy per operand, and a scatter is one
+  record per output.  Each step gathers once: its operands are one
+  ``[a | b]`` index vector, and an AND layer's tables — a
+  ``(2 n_non_free, k, 16)`` stack of 16-byte halves ``[tg | te]`` — are
+  read and written as records too, indexed by the same words as its
+  tweaks.  As *words* (``"<u8"``) a gathered step is ``(m, k, 2)``: per
+  operand, per copy, a label's two 64-bit words, and the half-gate
+  algebra masks them with 0 / all-ones words.  Every operand of that
+  algebra is full-shape — delta tiled once per walk to ``(widest, k,
+  2)``, permute-bit and inversion masks ``(m, k, 2)``, the oracle's
+  rows and tweaks in (gate, copy) order — so no operation broadcasts
+  along the batch or a label's two words and none runs a 2-word inner
+  loop;
 * a *scalar run* — a stretch of gates too narrow for array dispatch to
   pay — is one pre-flattened gate loop per copy on cached Python ints,
-  one ``hash_quad`` / ``hash_pair`` oracle call per gate.  A run stays
-  open across wide steps that read none of its outputs, so it is as
-  long as the dependencies allow.
+  one ``hash_quad`` / ``hash_pair`` oracle call per gate, over one byte
+  view of the whole plane (copy ``c``'s wire ``w`` at ``16 (w k + c)``)
+  and of the table stack (its half ``h`` at ``16 (h k + c)``).  A run
+  stays open across wide steps that read none of its outputs, so it is
+  as long as the dependencies allow.
 
 Which gates form which step, and in what order, is the schedule's
 decision; this module only executes it.
@@ -93,9 +100,14 @@ __all__ = [
 #: comparator — join scalar runs; wide ones (the bulk of a DL netlist's
 #: gates) go through one gather/XOR/scatter or one KDF batch.  Both
 #: compute the identical bytes, so the threshold is purely a speed knob.
-#: Re-swept over 1 / 2 / 4 / 8 / 16 when the wide steps moved to row
-#: gathers and word masks (demo net, garble + evaluate at k = 1): 2, 4
-#: and 8 tie within 2 %, 1 and 16 are 4-10 % slower, so 8 stays.
+#: Re-swept over 2 / 4 / 8 / 16 with wire-major planes (demo net,
+#: fixed-key AES, garble + evaluate per copy, median of 25 alternating
+#: rounds): at k = 8 every width up to 8 gives the same plan (4.24-4.25
+#: ms) and 16 is 6 % slower; at k = 1, 2 and 4 measured 9-26 % faster
+#: than 8 (two runs on a noisy host).  A width below 8 makes narrow AND
+#: layers wide, so a request's oracle calls and ``hash_many`` rows change
+#: (108 calls and 70 374 rows per demo-net request, pinned in CI); 8
+#: stays until a change re-pins them.
 VECTOR_MIN_WIDTH = 8
 
 #: Most copies one garbling walk carries.  A walk's scratch plane holds
@@ -104,7 +116,10 @@ VECTOR_MIN_WIDTH = 8
 #: many at a time and pool warming never holds more than one such
 #: batch of planes.  Swept over 4 / 8 / 16 / 32 / 104 copies per walk
 #: on the demo net (DESIGN.md, "What a garbled copy holds"): per-copy
-#: garbling time is flat from 8 on.
+#: garbling time is flat from 8 on.  Re-swept with wire-major planes
+#: (``garble_many(104)``, fixed-key AES, median of 25 alternating rounds,
+#: two runs): 4 copies 2.74 / 3.12 ms a copy, 8 copies 2.20 / 2.27, 16
+#: copies 2.23 / 2.37, 32 copies 2.22 / 2.37 — still flat from 8 on.
 COPIES_PER_WALK = 8
 
 #: Most label-plane bytes one garbling walk carries.  A copy's plane is
@@ -144,13 +159,21 @@ def _put(plane: np.ndarray, wires: range, labels: LabelsLike) -> None:
     plane[wires.start : wires.stop] = label_rows(labels)
 
 
-def _tweak_words(level: ScheduleLevel, base: np.uint64, blocks: int) -> np.ndarray:
-    """The level's ``[a | b]`` tweak words under tweak ``base``, once per
+def _views(k: int) -> Tuple[np.dtype, np.dtype]:
+    """The two dtypes a ``k``-wide walk sees its labels through: a
+    ``16 k``-byte record (one wire's labels across the batch) and the
+    same bytes as ``(k, 2)`` 64-bit words, so that viewing gathered
+    records as words yields ``(m, k, 2)`` in one call."""
+    return np.dtype((np.void, 16 * k)), np.dtype(("<u8", (k, 2)))
+
+
+def _tweak_words(tweaks: np.ndarray, base: np.uint64, blocks: int) -> np.ndarray:
+    """A plan step's tweak words under tweak ``base``, once per
     ``blocks`` consecutive oracle row blocks."""
     if blocks == 1:
-        return level.tweaks + base if base else level.tweaks
-    words = np.empty((blocks, level.tweaks.size), dtype="<u8")
-    np.add(level.tweaks, base, out=words)
+        return tweaks + base if base else tweaks
+    words = np.empty((blocks, tweaks.size), dtype="<u8")
+    np.add(tweaks, base, out=words)
     return words.reshape(-1)
 
 
@@ -170,24 +193,31 @@ def _garble_run(
     dint: int,
     hash_quad: Callable[[int, int, int, int, int], Tuple[int, int, int, int]],
     tweak_base: int,
+    k: int,
+    copy: int,
 ) -> None:
-    """Garble one scalar run of one copy, in place.
+    """Garble one scalar run of copy ``copy`` of a ``k``-copy walk, in
+    place.
 
-    ``labels`` / ``tables`` are flat byte views of the copy's label and
-    table planes (16 bytes per wire, 32 per table): a run has no
-    per-run array set-up to amortize, so a three-gate run costs three
-    gates.  Chained wires are read from the int cache, never back from
-    the plane.  Same half-gate algebra as ``Garbler._garble_and``, byte
-    for byte.
+    ``labels`` / ``tables`` are flat byte views of the walk's whole
+    wire-major label plane and table-half stack: the copy's wire ``w``
+    is at byte ``16 (w k + copy)``, its table half ``h`` at ``16 (h k +
+    copy)``.  A run has no per-run array set-up to amortize, so a
+    three-gate run costs three gates.  Chained wires are read from the
+    int cache, never back from the plane.  Same half-gate algebra as
+    ``Garbler._garble_and``, byte for byte.
     """
+    stride, at = 16 * k, 16 * copy
     cache: Dict[int, int] = {}
     for a, b, out_w, tidx, ia, ib, io in run.gates:
         za = cache.get(a)
         if za is None:
-            za = cache[a] = int.from_bytes(labels[16 * a : 16 * a + 16], "little")
+            i = a * stride + at
+            za = cache[a] = int.from_bytes(labels[i : i + 16], "little")
         zb = cache.get(b)
         if zb is None:
-            zb = cache[b] = int.from_bytes(labels[16 * b : 16 * b + 16], "little")
+            i = b * stride + at
+            zb = cache[b] = int.from_bytes(labels[i : i + 16], "little")
         if tidx < 0:  # free gate; ia carries the inv flag
             zero_out = za ^ zb ^ (dint if ia else 0)
         else:
@@ -205,11 +235,13 @@ def _garble_run(
             zero_out = wg ^ we
             if io:  # free output inversion
                 zero_out ^= dint
-            tables[32 * tidx : 32 * tidx + 32] = tg.to_bytes(
-                16, "little"
-            ) + te.to_bytes(16, "little")
+            i = 2 * tidx * stride + at
+            tables[i : i + 16] = tg.to_bytes(16, "little")
+            i += stride
+            tables[i : i + 16] = te.to_bytes(16, "little")
         cache[out_w] = zero_out
-        labels[16 * out_w : 16 * out_w + 16] = zero_out.to_bytes(16, "little")
+        i = out_w * stride + at
+        labels[i : i + 16] = zero_out.to_bytes(16, "little")
 
 
 def _garble_walk(
@@ -217,72 +249,75 @@ def _garble_walk(
     kdf: HashKDF,
     stores: Sequence[ArrayLabelStore],
     plane: np.ndarray,
-    tables: np.ndarray,
+    halves: np.ndarray,
     tweak_base: int,
 ) -> None:
     """Walk the step plan over ``len(stores)`` copies, in place.
 
-    ``plane`` is the copies' ``(k, n_wires + 1, 16)`` scratch label
-    plane with constants, inputs and state filled in and the final
-    (scratch) row zero, ``tables`` their ``(k, n_non_free, 32)`` table
-    stack.  The garbling mirror of ``FastEvaluator._walk``.
+    ``plane`` is the copies' wire-major ``(n_wires + 1, k, 16)`` scratch
+    label plane with constants, inputs and state filled in and the final
+    (scratch) row zero, ``halves`` their ``(2 n_non_free, k, 16)`` table
+    halves (``tg`` / ``te`` of table ``t`` are halves ``2 t`` / ``2 t +
+    1``).  The garbling mirror of ``FastEvaluator._walk``.
     """
     k = len(stores)
     # delta tiled once to the widest step, so every mask operand below
-    # is full-shape: no operation broadcasts along a label's two words
-    d = np.empty((k, schedule.widest, 2), dtype="<u8")
-    d[:] = np.stack([s.delta_row for s in stores]).view("<u8")[:, None]
+    # is full-shape: no operation broadcasts along the batch or a
+    # label's two words
+    d = np.empty((schedule.widest, k, 2), dtype="<u8")
+    d[:] = np.stack([s.delta_row for s in stores]).view("<u8")
     base_word = np.uint64(tweak_base)
-    rows = plane.view("V16")  # (k, n, 1)
-    # each table as its halves tg / te: (k, 2 n_non_free, 1)
-    table_halves = tables.reshape(k, 2 * tables.shape[1], 16).view("V16")
-    # flat byte views of each copy's (C-contiguous) planes, for the runs
-    flat = [
-        (p.reshape(-1).data, t.reshape(-1).data, s.delta)
-        for p, t, s in zip(plane, tables, stores)
-    ]
+    record, words = _views(k)
+    # one flat byte view of each (C-contiguous) stack, for the runs
+    labels, tables = plane.reshape(-1), halves.reshape(-1)
+    rows = labels.view(record)  # one record per wire
+    table_rows = tables.view(record)  # one record per table half
+    labels, tables = labels.data, tables.data
+    deltas = [s.delta for s in stores]
 
     for step in schedule.step_plan(k, VECTOR_MIN_WIDTH):
         if isinstance(step, ScalarRun):
-            for labels, table_bytes, dint in flat:
-                _garble_run(step, labels, table_bytes, dint, kdf.hash_quad, tweak_base)
+            for copy, dint in enumerate(deltas):
+                _garble_run(
+                    step, labels, tables, dint, kdf.hash_quad, tweak_base, k, copy
+                )
             continue
         if isinstance(step, FreeStep):
             # one gather-XOR-scatter covers XOR/XNOR/NOT/BUF: unary
             # gates read the scratch zero row, XNOR/NOT add delta
             m = step.out.size
-            z = rows.take(step.ab, axis=1).view("<u8")  # (k, 2m, 2): a | b
-            out = z[:, :m] ^ z[:, m:]
+            z = rows.take(step.ab).view(words)  # (2m, k, 2): a | b
+            out = z[:m] ^ z[m:]
             if step.inv is not None:
-                out ^= d[:, :m] & step.inv
-            rows[:, step.out] = out.view(rows.dtype)
+                out ^= d[:m] & step.inv
+            rows[step.out] = out.ravel().view(record)
             continue
         level = step  # a wide AND layer
         m = level.nf_out.size
-        z = rows.take(level.nf_ab, axis=1).view("<u8")  # (k, 2m, 2): za | zb
-        dz = d[:, : 2 * m]
+        z = rows.take(level.nf_ab).view(words)  # (2m, k, 2): za | zb
+        dz = d[: 2 * m]
         if level.nf_inv_ab is not None:  # free input inversions
             z ^= dz & level.nf_inv_ab
-        # the half-gate hash inputs of a copy, za | zb | za^d | zb^d
-        # under tweaks ta | tb | ta | tb
-        keys = np.concatenate((z, z ^ dz), axis=1)
-        h = kdf.hash_many(keys.reshape(-1, 2), _tweak_words(level, base_word, 2 * k))
-        h = h.reshape(k, 4 * m, 2)
-        h0 = h[:, : 2 * m]  # ha0 | hb0
+        # the half-gate hash inputs, za | zb | za^d | zb^d, each in
+        # (gate, copy) order under its tweaks: ta | tb | ta | tb
+        keys = np.concatenate((z, z ^ dz))
+        h = kdf.hash_many(keys.reshape(-1, 2), _tweak_words(level.tweaks, base_word, 2))
+        h = h.reshape(4 * m, k, 2)
+        h0 = h[: 2 * m]  # ha0 | hb0
 
         # half-gates (Zahur-Rosulek-Evans), identical algebra to the
         # scalar _garble_run, with the permute bits as word masks
         p = _permute_masks(z)  # pa | pb
-        x = h0 ^ h[:, 2 * m :]  # ha0^ha1 | hb0^hb1
-        x[:, :m] ^= dz[:, :m] & p[:, m:]  # tg | hb0^hb1
+        x = h0 ^ h[2 * m :]  # ha0^ha1 | hb0^hb1
+        x[:m] ^= dz[:m] & p[m:]  # tg | hb0^hb1
         w = x & p
         w ^= h0  # wg | we
-        zero_out = w[:, :m] ^ w[:, m:]
+        zero_out = w[:m] ^ w[m:]
         if level.nf_io is not None:  # free output inversions
-            zero_out ^= dz[:, :m] & level.nf_io
-        rows[:, level.nf_out] = zero_out.view(rows.dtype)
-        x[:, m:] ^= z[:, :m]  # tg | te
-        table_halves[:, level.halves] = x.view(rows.dtype)
+            zero_out ^= dz[:m] & level.nf_io
+        rows[level.nf_out] = zero_out.ravel().view(record)
+        x[m:] ^= z[:m]  # tg | te
+        table_rows[level.halves] = x.ravel().view(record)
 
 
 def garble_copies(
@@ -300,10 +335,11 @@ def garble_copies(
     cryptographically independent), but within a walk the step walk,
     index gathers and KDF batches run once across its copies — this is
     what ``garble_many`` / pool warming / cut-and-choose amortize.  The
-    walks run on one scratch ``(k, n_wires + 1, 16)`` label plane owned
-    here; each copy's interface rows are written back into its store
-    and its tables copied out, so the copy holds Δ, its interface rows
-    and its tables, and no internal label outlives the walk.
+    walks run on one scratch wire-major ``(n_wires + 1, k, 16)`` label
+    plane owned here; each copy's interface rows are written back into
+    its store and its tables copied out, so the copy holds Δ, its
+    interface rows and its tables, and no internal label outlives the
+    walk.
 
     Args:
         circuit: the netlist to garble.
@@ -331,28 +367,29 @@ def garble_copies(
 
     schedule = circuit.level_schedule()
     n_inputs = 2 + circuit.n_inputs  # rows 0 .. n_inputs - 1 of every store
-    plane_bytes = (circuit.n_wires + 1) * 16
+    n_rows = circuit.n_wires + 1
+    plane_bytes = n_rows * 16
     per_walk = min(COPIES_PER_WALK, max(1, WALK_PLANE_BYTES // plane_bytes))
-    plane = np.empty(
-        (min(len(stores), per_walk), circuit.n_wires + 1, 16), dtype=np.uint8
-    )
-    plane[:, circuit.n_wires] = 0  # the scratch row unary gates read
+    # one scratch buffer for the largest walk: each walk's wire-major
+    # plane is a prefix of it, so a short last walk is contiguous too
+    scratch = np.empty(min(len(stores), per_walk) * plane_bytes, dtype=np.uint8)
     results: List[GarbledCircuit] = []
     for first in range(0, len(stores), per_walk):
         walk = stores[first : first + per_walk]
         k = len(walk)
-        scratch = plane[:k]
-        for labels, store in zip(scratch, walk):
-            labels[:n_inputs] = store.rows[:n_inputs]
-        tables = np.empty((k, schedule.n_non_free, 32), dtype=np.uint8)
-        _garble_walk(schedule, kdf, walk, scratch, tables, tweak_base)
-        kept = scratch.take(wires, axis=1)  # (k, n_interface, 16)
+        plane = scratch[: k * plane_bytes].reshape(n_rows, k, 16)
+        plane[circuit.n_wires] = 0  # the scratch row unary gates read
         for i, store in enumerate(walk):
-            store.rows[:] = kept[i]
-            # per-copy ownership: a view into the (k, ...) stack would
-            # keep the whole walk's tables alive for as long as any one
-            # pool copy survives
-            copy_tables = tables[i].copy() if k > 1 else tables[0]
+            plane[:n_inputs, i] = store.rows[:n_inputs]
+        halves = np.empty((2 * schedule.n_non_free, k, 16), dtype=np.uint8)
+        _garble_walk(schedule, kdf, walk, plane, halves, tweak_base)
+        kept = plane.take(wires, axis=0)  # (n_interface, k, 16)
+        for i, store in enumerate(walk):
+            store.rows[:] = kept[:, i]
+            # per-copy ownership: a view into the walk's stack would
+            # keep every copy's tables alive for as long as any one
+            # pool copy survives (at k = 1 the stack is the copy's own)
+            copy_tables = np.ascontiguousarray(halves[:, i]).reshape(-1, 32)
             results.append(
                 GarbledCircuit(
                     tables=LazyTables(copy_tables),
@@ -462,33 +499,41 @@ def _evaluate_run(
     tables: memoryview,
     hash_pair: Callable[[int, int, int], Tuple[int, int]],
     tweak_base: int,
+    k: int,
+    copy: int,
 ) -> None:
-    """Evaluate one scalar run of one request, in place.
+    """Evaluate one scalar run of request ``copy`` of a ``k``-request
+    walk, in place.
 
-    Flat byte views and int cache as in :func:`_garble_run`; the
-    evaluator's free gates are pure label XOR and it ignores the
+    Flat byte views, addressing and int cache as in :func:`_garble_run`;
+    the evaluator's free gates are pure label XOR and it ignores the
     garbler's inversion flags (their delta lives on the garbler side).
     """
+    stride, at = 16 * k, 16 * copy
     cache: Dict[int, int] = {}
     for a, b, out_w, tidx, _ia, _ib, _io in run.gates:
         wa = cache.get(a)
         if wa is None:
-            wa = cache[a] = int.from_bytes(labels[16 * a : 16 * a + 16], "little")
+            i = a * stride + at
+            wa = cache[a] = int.from_bytes(labels[i : i + 16], "little")
         wb = cache.get(b)
         if wb is None:
-            wb = cache[b] = int.from_bytes(labels[16 * b : 16 * b + 16], "little")
+            i = b * stride + at
+            wb = cache[b] = int.from_bytes(labels[i : i + 16], "little")
         if tidx < 0:
             out = wa ^ wb
         else:
             wg, we = hash_pair(wa, wb, tweak_base + 2 * tidx)
-            row = 32 * tidx
+            i = 2 * tidx * stride + at
             if wa & 1:
-                wg ^= int.from_bytes(tables[row : row + 16], "little")
+                wg ^= int.from_bytes(tables[i : i + 16], "little")
             if wb & 1:
-                we ^= int.from_bytes(tables[row + 16 : row + 32], "little") ^ wa
+                i += stride
+                we ^= int.from_bytes(tables[i : i + 16], "little") ^ wa
             out = wg ^ we
         cache[out_w] = out
-        labels[16 * out_w : 16 * out_w + 16] = out.to_bytes(16, "little")
+        i = out_w * stride + at
+        labels[i : i + 16] = out.to_bytes(16, "little")
 
 
 class FastEvaluator(Evaluator):
@@ -524,13 +569,15 @@ class FastEvaluator(Evaluator):
     def _load(
         self,
         plane: np.ndarray,
+        halves: np.ndarray,
         garbled: GarbledCircuit,
         alice_labels: LabelsLike,
         bob_labels: LabelsLike,
         state_labels: Optional[LabelsLike],
-    ) -> np.ndarray:
+    ) -> None:
         """Write one request's constant, input and register labels into
-        its plane and return its ``(n_non_free, 32)`` table plane."""
+        its ``(n_wires + 1, 16)`` lane of the planes and its tables into
+        its ``(2 n_non_free, 16)`` lane of the table halves."""
         circuit = self.circuit
         if len(alice_labels) != circuit.n_alice:
             raise GarblingError("wrong number of Alice labels")
@@ -538,63 +585,63 @@ class FastEvaluator(Evaluator):
             raise GarblingError("wrong number of Bob labels")
         if (0 if state_labels is None else len(state_labels)) != circuit.n_state:
             raise GarblingError("wrong number of state labels")
+        table_plane = garbled.tables_plane
+        if table_plane is None:
+            blob = garbled.tables_bytes()
+            table_plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
+        if 2 * len(table_plane) < len(halves):
+            raise GarblingError("ran out of garbled tables")
         _put(plane, range(CONST_ZERO, CONST_ONE + 1), garbled.const_labels)
         _put(plane, circuit.alice_inputs, alice_labels)
         _put(plane, circuit.bob_inputs, bob_labels)
         if state_labels is not None:
             _put(plane, circuit.state_inputs, state_labels)
-        table_plane = garbled.tables_plane
-        if table_plane is None:
-            blob = garbled.tables_bytes()
-            table_plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
-        tables = np.ascontiguousarray(table_plane)  # the runs need flat bytes
-        n_tables = circuit.level_schedule().n_non_free
-        if len(tables) < n_tables:
-            raise GarblingError("ran out of garbled tables")
-        return tables[:n_tables]
+        halves[:] = table_plane.reshape(-1, 16)[: len(halves)]
 
-    def _walk(self, planes: np.ndarray, tables: np.ndarray, base: int) -> None:
+    def _walk(self, planes: np.ndarray, halves: np.ndarray, base: int) -> None:
         """Walk the step plan over ``k`` stacked requests, in place.
 
-        ``planes`` is the ``(k, n_wires + 1, 16)`` label stack with
-        constants and inputs filled in, ``tables`` the matching
-        ``(k, n_non_free, 32)`` table stack.  The online-side mirror of
-        :func:`garble_copies`.
+        ``planes`` is the wire-major ``(n_wires + 1, k, 16)`` label
+        stack with constants and inputs filled in, ``halves`` the
+        matching ``(2 n_non_free, k, 16)`` table halves.  The
+        online-side mirror of :func:`garble_copies`.
         """
-        k = len(planes)
+        k = planes.shape[1]
         kdf = self.kdf
-        # flat byte views of each request's (C-contiguous) planes
-        flat = [
-            (p.reshape(-1).data, t.reshape(-1).data)
-            for p, t in zip(planes, tables)
-        ]
-        rows = planes.view("V16")  # (k, n, 1)
-        # each table as its halves tg / te: (k, 2 n_non_free, 1)
-        table_halves = tables.reshape(k, 2 * tables.shape[1], 16).view("V16")
+        record, words = _views(k)
+        # one flat byte view of each (C-contiguous) stack, for the runs
+        labels, tables = planes.reshape(-1), halves.reshape(-1)
+        rows = labels.view(record)  # one record per wire
+        table_rows = tables.view(record)  # one record per table half
+        labels, tables = labels.data, tables.data
         base_word = np.uint64(base)
         schedule = self.circuit.level_schedule()
         for step in schedule.step_plan(k, VECTOR_MIN_WIDTH):
             if isinstance(step, ScalarRun):
-                for labels, table_bytes in flat:
-                    _evaluate_run(step, labels, table_bytes, kdf.hash_pair, base)
+                for copy in range(k):
+                    _evaluate_run(
+                        step, labels, tables, kdf.hash_pair, base, k, copy
+                    )
                 continue
             if isinstance(step, FreeStep):
                 # the evaluator's free gates are pure label XOR (XNOR's
                 # delta lives on the garbler side), unary gates read the
                 # scratch zero row
                 m = step.out.size
-                w = rows.take(step.ab, axis=1).view("<u8")  # (k, 2m, 2): a | b
-                rows[:, step.out] = (w[:, :m] ^ w[:, m:]).view(rows.dtype)
+                w = rows.take(step.ab).view(words)  # (2m, k, 2): a | b
+                rows[step.out] = (w[:m] ^ w[m:]).ravel().view(record)
                 continue
             level = step  # a wide AND layer
             m = level.nf_out.size
-            w = rows.take(level.nf_ab, axis=1).view("<u8")  # (k, 2m, 2): wa | wb
-            h = kdf.hash_many(w.reshape(-1, 2), _tweak_words(level, base_word, k))
-            t = table_halves.take(level.halves, axis=1).view("<u8")  # tg | te
-            t[:, m:] ^= w[:, :m]  # tg | te^wa
+            w = rows.take(level.nf_ab).view(words)  # (2m, k, 2): wa | wb
+            h = kdf.hash_many(
+                w.reshape(-1, 2), _tweak_words(level.tweaks, base_word, 1)
+            )
+            t = table_rows.take(level.halves).view(words)  # tg | te
+            t[m:] ^= w[:m]  # tg | te^wa
             t &= _permute_masks(w)  # under sa | sb
-            t ^= h.reshape(k, 2 * m, 2)
-            rows[:, level.nf_out] = (t[:, :m] ^ t[:, m:]).view(rows.dtype)
+            t ^= h.reshape(2 * m, k, 2)
+            rows[level.nf_out] = (t[:m] ^ t[m:]).ravel().view(record)
 
     def evaluate_many(
         self,
@@ -607,7 +654,7 @@ class FastEvaluator(Evaluator):
         """Evaluate ``k`` independently garbled requests in one pass.
 
         The online-side mirror of :func:`garble_copies`: all requests'
-        labels live in one ``(k, n_wires + 1, 16)`` plane and the step
+        labels live in one wire-major ``(n_wires + 1, k, 16)`` plane and the step
         plan is walked once, so per-step Python dispatch amortizes
         across the batch, every level's KDF rows across all requests
         join into a single batch, and halves of a level too narrow to
@@ -641,10 +688,15 @@ class FastEvaluator(Evaluator):
             raise GarblingError(
                 "evaluate_many needs a uniform tweak base across copies"
             )
-        planes = np.zeros((k, circuit.n_wires + 1, 16), dtype=np.uint8)
-        tables = [
-            self._load(planes[i], garbled, alice_labels[i], bob_labels[i], states[i])
-            for i, garbled in enumerate(garbleds)
-        ]
-        self._walk(planes, np.stack(tables), bases.pop())
-        return [LabelPlane(planes[i], circuit.n_wires) for i in range(k)]
+        # every row but the scratch one is written before it is read
+        planes = np.empty((circuit.n_wires + 1, k, 16), dtype=np.uint8)
+        planes[circuit.n_wires] = 0
+        n_tables = circuit.level_schedule().n_non_free
+        halves = np.empty((2 * n_tables, k, 16), dtype=np.uint8)
+        for i, garbled in enumerate(garbleds):
+            self._load(
+                planes[:, i], halves[:, i], garbled,
+                alice_labels[i], bob_labels[i], states[i],
+            )
+        self._walk(planes, halves, bases.pop())
+        return [LabelPlane(planes[:, i], circuit.n_wires) for i in range(k)]

@@ -228,6 +228,21 @@ class TestEvaluateMany:
         )
         assert batch[0].as_dict() == single.as_dict()
 
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_each_lane_is_its_single_request_plane(self, k):
+        """Lane ``i`` of a ``k``-request walk is, byte for byte, the
+        ``k = 1`` plane of request ``i`` — the batch lives inside each
+        wire's record and leaks nothing across lanes — and the scratch
+        row unary gates read stays zero in every lane."""
+        circuit = _random_circuit(20 + k, n_gates=160)
+        _, garbleds, alices, bobs, _ = _request_batch(circuit, k, k)
+        evaluator = FastEvaluator(circuit)
+        lanes = evaluator.evaluate_many(garbleds, alices, bobs)
+        for i, lane in enumerate(lanes):
+            single = evaluator.evaluate(garbleds[i], alices[i], bobs[i])
+            assert np.array_equal(lane.plane, single.plane)
+            assert not lane.plane[circuit.n_wires].any()
+
     def test_validation(self):
         circuit = _random_circuit(8)
         pairs, garbleds, alices, bobs, _ = _request_batch(circuit, 2, 8)

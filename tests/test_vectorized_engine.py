@@ -460,8 +460,11 @@ class TestPlanProperties:
     @staticmethod
     def _check_engine(circuit, seed, batches=((1, 0), (3, 2**33 + 6), (8, 0))):
         """Engine against the reference loops and ``simulate`` on both
-        oracles, for each ``(k, tweak_base)`` of ``batches``; copy 0 is
-        also evaluated from a read-only, unaligned tables blob."""
+        oracles, for each ``(k, tweak_base)`` of ``batches``: every copy
+        of one ``garble_many(k)`` against its reference garble, and each
+        lane of one ``evaluate_many(k)`` against ``evaluate`` of its
+        request, wire for wire; copy 0 is also evaluated from a
+        read-only, unaligned tables blob."""
         draw = random.Random(seed)
         bits = [draw.getrandbits(1) for _ in range(circuit.n_inputs)]
         alice = bits[: circuit.n_alice]
@@ -492,14 +495,19 @@ class TestPlanProperties:
                         (circuit.state_inputs, state),
                     )
                 ))
-            outputs = [
-                evaluator.output_labels(
-                    evaluator.evaluate(garbled, a, b, state_labels=s)
-                )
+            singles = [
+                evaluator.evaluate(garbled, a, b, state_labels=s)
                 for (_, garbled), (a, b, s) in zip(copies, inputs)
             ]
+            outputs = [evaluator.output_labels(plane) for plane in singles]
             for (garbler, _), labels in zip(copies, outputs):
                 assert garbler.decode_outputs(labels) == expected
+            alices, bobs, states = (list(column) for column in zip(*inputs))
+            lanes = evaluator.evaluate_many(
+                [garbled for _, garbled in copies], alices, bobs, states
+            )
+            for lane, single in zip(lanes, singles):
+                assert np.array_equal(lane.plane, single.plane)
             # what receive_garbled hands the evaluator: a frombuffer view
             # of frame bytes, here one byte off any word boundary
             garbled = copies[0][1]
@@ -515,19 +523,19 @@ class TestPlanProperties:
             assert evaluator.output_labels(
                 evaluator.evaluate(view, a, b, state_labels=s)
             ) == outputs[0]
-            if not circuit.n_state:
-                planes = evaluator.evaluate_many(
-                    [garbled for _, garbled in copies],
-                    [a for a, _, _ in inputs], [b for _, b, _ in inputs],
-                )
-                assert [evaluator.output_labels(p) for p in planes] == outputs
 
-    @given(_netlists(), st.integers(0, 2**16))
+    @given(
+        _netlists(),
+        st.integers(0, 2**16),
+        # up to one past a full walk: garble_many's last walk is short
+        st.integers(1, fastgarble.COPIES_PER_WALK + 1),
+        st.sampled_from([0, 2**33 + 6]),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_generated_netlists(self, circuit, seed):
+    def test_generated_netlists(self, circuit, seed, batch, tweak_base):
         circuit.validate()
         self._check_plans(circuit)
-        self._check_engine(circuit, seed)
+        self._check_engine(circuit, seed, batches=((1, 0), (batch, tweak_base)))
 
     @pytest.mark.parametrize("fold", [1, 8])
     def test_folded_mac_cell(self, fold):
@@ -819,7 +827,7 @@ class TestInversionBranches:
 
     @pytest.mark.parametrize("kdf", [HashKDF(), FixedKeyAES()],
                              ids=["hashlib", "fixed_key_aes"])
-    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("tweak_base", [0, 2**33 + 6])
     def test_every_step_wide(self, monkeypatch, kdf, k, tweak_base):
         monkeypatch.setattr(fastgarble, "VECTOR_MIN_WIDTH", 1)

@@ -170,7 +170,8 @@ def test_fold_factor_curve(results_dir, monkeypatch):
 
     Wall time per ``run_folded_dense`` call over interleaved rounds (one
     call per fold per round, so host drift hits every fold alike), the
-    evaluator's gate rate from a clock around ``FastEvaluator.evaluate``,
+    evaluator's gate rate from a clock around
+    ``FastEvaluator.evaluate_many`` (every protocol round's walk),
     what stays resident (tables and wires of the core), traffic, cycles,
     and each fold's peak RSS from a process of its own.
     """
@@ -184,7 +185,7 @@ def test_fold_factor_curve(results_dir, monkeypatch):
     ot_state = IKNPState(group=TEST_GROUP_512, rng=rng)
 
     evaluating = [0.0]
-    real_evaluate = FastEvaluator.evaluate
+    real_evaluate = FastEvaluator.evaluate_many
 
     def clocked(self, *args, **kwargs):
         start = time.perf_counter()
@@ -193,7 +194,7 @@ def test_fold_factor_curve(results_dir, monkeypatch):
         finally:
             evaluating[0] += time.perf_counter() - start
 
-    monkeypatch.setattr(FastEvaluator, "evaluate", clocked)
+    monkeypatch.setattr(FastEvaluator, "evaluate_many", clocked)
 
     def request(fold):
         evaluating[0] = 0.0

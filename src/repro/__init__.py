@@ -53,10 +53,11 @@ Subpackages:
 * :mod:`repro.baselines` — CryptoNets over simulated leveled HE;
 * :mod:`repro.analysis` — throughput, Fig. 5 pipeline, Fig. 6 curves;
 * :mod:`repro.zoo` — the paper's four benchmarks (+ ``build_service``).
-"""
 
-import importlib
-from typing import Any, List
+``import repro`` loads what serving runs; the exhibits' subpackages
+(``synthesis``, ``data``, ``preprocess``, ``baselines``, ``analysis``,
+``zoo``) load when imported.
+"""
 
 from . import circuits, compile, engine, gc, nn
 from .engine import EngineConfig
@@ -81,32 +82,12 @@ from .service import (
 
 __version__ = "1.1.0"
 
-#: The paper's exhibits and their tooling load on first use (PEP 562),
-#: so serving imports only the engine it runs.
-_LAZY = ("analysis", "baselines", "data", "preprocess", "synthesis", "zoo")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _LAZY:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(_LAZY))
-
 __all__ = [
     "circuits",
-    "synthesis",
     "gc",
     "engine",
     "nn",
-    "data",
-    "preprocess",
     "compile",
-    "baselines",
-    "analysis",
-    "zoo",
     "PrivateInferenceService",
     "InferenceRequest",
     "InferenceResult",

@@ -29,11 +29,6 @@ class Interval:
     start: float
     end: float
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.end - self.start
-
 
 @dataclasses.dataclass
 class PipelineSchedule:

@@ -1,7 +1,7 @@
 """Baselines the paper compares against (CryptoNets on simulated HE)."""
 
 from .cryptonets import CryptoNetsCostModel, CryptoNetsInference, Square
-from .he import HECiphertext, HEContext, HEParams, NoiseBudgetExhausted
+from .he import HECiphertext, HEContext, HEParams
 
 __all__ = [
     "Square",
@@ -10,5 +10,4 @@ __all__ = [
     "HEParams",
     "HEContext",
     "HECiphertext",
-    "NoiseBudgetExhausted",
 ]

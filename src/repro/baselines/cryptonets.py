@@ -180,12 +180,3 @@ class CryptoNetsCostModel:
         batches = math.ceil(n_samples / self.batch_size)
         return batches * self.batch_latency_s
 
-    def per_sample_amortized(self, n_samples: int) -> float:
-        """Amortized per-sample latency at a given batch fill."""
-        if n_samples <= 0:
-            return float("inf")
-        return self.delay_seconds(n_samples) / n_samples
-
-    def communication_bytes(self, n_samples: int) -> float:
-        """Upload traffic for ``n_samples``."""
-        return self.comm_bytes_per_sample * n_samples

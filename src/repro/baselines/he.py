@@ -30,11 +30,7 @@ import numpy as np
 
 from ..errors import ReproError
 
-__all__ = ["HEParams", "HECiphertext", "HEContext", "NoiseBudgetExhausted"]
-
-
-class NoiseBudgetExhausted(ReproError):
-    """Raised when decrypting a ciphertext whose noise budget is gone."""
+__all__ = ["HEParams", "HECiphertext", "HEContext"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,8 +153,7 @@ class HEContext:
 
         The corruption-on-overflow behaviour (rather than an exception)
         models the silent accuracy loss of an under-parameterized HE
-        deployment; callers can check :attr:`HECiphertext.is_decryptable`
-        or catch the strict variant :meth:`decrypt_strict`.
+        deployment; callers can check :attr:`HECiphertext.is_decryptable`.
         """
         self.op_counts["decrypt"] += 1
         count = n_slots or self.params.poly_degree
@@ -167,11 +162,3 @@ class HEContext:
             t = self.params.plain_modulus
             return rng.integers(-(t // 2), t // 2, size=count, dtype=np.int64)
         return a.slots[:count].copy()
-
-    def decrypt_strict(self, a: HECiphertext, n_slots: Optional[int] = None) -> np.ndarray:
-        """Decrypt, raising :class:`NoiseBudgetExhausted` on overflow."""
-        if not a.is_decryptable:
-            raise NoiseBudgetExhausted(
-                f"noise budget exhausted ({a.noise_budget_bits:.1f} bits)"
-            )
-        return self.decrypt(a, n_slots)

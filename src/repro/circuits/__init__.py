@@ -5,12 +5,12 @@ DeepSecure evaluates under Yao's protocol is first expressed as a netlist
 built here.
 """
 
-from .bristol import dumps_bristol, export_bristol, import_bristol, loads_bristol
+from .bristol import dumps_bristol, loads_bristol
 from .builder import Bus, CircuitBuilder
 from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from .gates import Gate, GateType
 from .netlist import CONST_ONE, CONST_ZERO, Circuit, GateCounts
-from .simulate import bits_from_int, int_from_bits, simulate, simulate_words
+from .simulate import bits_from_int, int_from_bits, simulate
 
 __all__ = [
     "Bus",
@@ -24,11 +24,8 @@ __all__ = [
     "CONST_ZERO",
     "CONST_ONE",
     "simulate",
-    "simulate_words",
     "bits_from_int",
     "int_from_bits",
     "dumps_bristol",
     "loads_bristol",
-    "export_bristol",
-    "import_bristol",
 ]

@@ -37,7 +37,6 @@ from .piecewise import (
     tanh_piecewise,
     tanh_pl_spec,
 )
-from .softmax import softmax_argmax, softmax_max_value, softmax_onehot
 
 #: Table 3 name -> circuit generator ``f(builder, x_bus, fmt) -> Bus``.
 VARIANTS: Dict[str, Callable] = {
@@ -89,9 +88,6 @@ __all__ = [
     "Segment",
     "csd_digits",
     "lut_lookup",
-    "softmax_argmax",
-    "softmax_max_value",
-    "softmax_onehot",
     "split_magnitude",
     "apply_odd_symmetry",
     "apply_point_symmetry",

@@ -83,11 +83,6 @@ class CordicPlan:
     angles: Tuple[int, ...]
 
     @property
-    def iterations(self) -> int:
-        """Number of iterations including repeats (paper: 14 at 12 bits)."""
-        return len(self.stages)
-
-    @property
     def z_limit(self) -> int:
         """Largest safe ``|z|`` in internal fixed point."""
         return int(self.z_max * self.internal.scale) - 1

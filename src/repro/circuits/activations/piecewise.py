@@ -184,13 +184,6 @@ class PiecewiseSpec:
             return np.where(x < 0, -pos, pos)
         return np.where(x < 0, 1.0 - pos, pos)
 
-    def max_error(
-        self, fn: Callable[[np.ndarray], np.ndarray], domain: float
-    ) -> float:
-        """Max absolute deviation from ``fn`` over ``[-domain, domain]``."""
-        xs = np.linspace(-domain, domain, 20001)
-        return float(np.max(np.abs(self.evaluate(xs) - fn(xs))))
-
 
 def fit_piecewise(
     fn: Callable[[np.ndarray], np.ndarray],

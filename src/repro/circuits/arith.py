@@ -49,11 +49,8 @@ __all__ = [
     "BitHeap",
     "ripple_add",
     "ripple_sub",
-    "negate",
-    "increment",
     "less_than",
     "less_than_signed",
-    "equals",
     "conditional_add_sub",
     "conditional_negate",
     "clamp_signed",
@@ -62,18 +59,13 @@ __all__ = [
     "dot_product_fixed",
     "multiply_accumulate",
     "absolute",
-    "shift_left_const",
     "shift_right_arith_const",
     "shift_right_logic_const",
     "multiply_unsigned",
-    "multiply_signed",
     "multiply_fixed",
-    "multiply_fixed_full",
     "divide_unsigned",
-    "divide_signed",
     "relu",
     "maximum",
-    "minimum",
     "sign_extend",
     "truncate",
 ]
@@ -238,22 +230,6 @@ def ripple_sub(
     return result
 
 
-def negate(builder: CircuitBuilder, a: Sequence[int]) -> Bus:
-    """Two's-complement negation ``-a`` (same width, wraps on INT_MIN)."""
-    return increment(builder, builder.emit_not_bus(a))
-
-
-def increment(builder: CircuitBuilder, a: Sequence[int]) -> Bus:
-    """``a + 1`` via a half-adder chain (n-1 AND gates)."""
-    carry = builder.one
-    out: Bus = []
-    for i, bit in enumerate(a):
-        out.append(builder.emit_xor(bit, carry))
-        if i != len(a) - 1:
-            carry = builder.emit_and(bit, carry)
-    return out
-
-
 def less_than(
     builder: CircuitBuilder, a: Sequence[int], b: Sequence[int]
 ) -> int:
@@ -294,14 +270,6 @@ def _reduce(emit, wires: Sequence[int], empty: int) -> int:
             for i in range(0, len(level), 2)
         ]
     return level[0]
-
-
-def equals(builder: CircuitBuilder, a: Sequence[int], b: Sequence[int]) -> int:
-    """Equality of two buses: free XNORs plus an AND tree."""
-    if len(a) != len(b):
-        raise CircuitError("equality operands must have equal width")
-    bits = [builder.emit_xnor(x, y) for x, y in zip(a, b)]
-    return _reduce(builder.emit_and, bits, builder.one)
 
 
 def conditional_add_sub(
@@ -356,16 +324,6 @@ def truncate(a: Sequence[int], width: int) -> Bus:
     if width > len(a):
         raise CircuitError("truncate target wider than source")
     return list(a[:width])
-
-
-def shift_left_const(
-    builder: CircuitBuilder, a: Sequence[int], amount: int
-) -> Bus:
-    """Logical left shift by a public constant (pure rewiring)."""
-    if amount < 0:
-        raise CircuitError("shift amount must be non-negative")
-    amount = min(amount, len(a))
-    return [builder.zero] * amount + list(a[: len(a) - amount])
 
 
 def shift_right_logic_const(
@@ -423,19 +381,6 @@ def multiply_unsigned(
         for i, bit_a in enumerate(a[: max(limit - j, 0)]):
             heap.add_bit(builder.emit_and(bit_a, bit_b), i + j)
     return heap.sum(drop_low=shift) + [builder.zero] * (full - max(limit, shift))
-
-
-def multiply_signed(
-    builder: CircuitBuilder, a: Sequence[int], b: Sequence[int]
-) -> Bus:
-    """Signed (two's complement) multiplier with full-width output.
-
-    Uses the sign/magnitude decomposition: ``|a| * |b|`` through the
-    unsigned array, then a conditional negate driven by the XOR of the
-    sign bits.  This is the "enhanced ... signed input data" realization
-    the paper contrasts with TinyGarble's unsigned matrix-vector product.
-    """
-    return multiply_fixed_full(builder, a, b, frac_bits=0)
 
 
 def sign_magnitude(
@@ -536,27 +481,6 @@ def multiply_fixed(
     return conditional_negate(builder, sign, (mag + [builder.zero] * width)[:width])
 
 
-def multiply_fixed_full(
-    builder: CircuitBuilder,
-    a: Sequence[int],
-    b: Sequence[int],
-    frac_bits: int,
-) -> Bus:
-    """Fixed-point signed multiply *without* output truncation.
-
-    Returns ``len(a) + len(b) - frac_bits`` bits, enough to hold any
-    product of the operands (overflow-free, matching
-    :func:`repro.nn.quantize.fixed_mul`).
-    """
-    if not a or not b:
-        return []
-    sign = builder.emit_xor(a[-1], b[-1])
-    mag = multiply_unsigned(
-        builder, absolute(builder, a), absolute(builder, b), shift=frac_bits
-    )
-    return conditional_negate(builder, sign, mag)
-
-
 def divide_unsigned(
     builder: CircuitBuilder,
     a: Sequence[int],
@@ -594,20 +518,6 @@ def divide_unsigned(
         quotient.append(keep)
     quotient.reverse()
     return quotient
-
-
-def divide_signed(
-    builder: CircuitBuilder,
-    a: Sequence[int],
-    b: Sequence[int],
-    n_frac: int = 0,
-) -> Bus:
-    """Signed division via magnitudes plus a conditional negate."""
-    sign = builder.emit_xor(a[-1], b[-1])
-    quotient = divide_unsigned(
-        builder, absolute(builder, a), absolute(builder, b), n_frac=n_frac
-    )
-    return conditional_negate(builder, sign, quotient)
 
 
 def clamp_signed(builder: CircuitBuilder, a: Sequence[int], limit: int) -> Bus:
@@ -682,14 +592,3 @@ def maximum(
     return builder.emit_mux_bus(a_lt_b, list(b), list(a))
 
 
-def minimum(
-    builder: CircuitBuilder,
-    a: Sequence[int],
-    b: Sequence[int],
-    signed: bool = True,
-) -> Bus:
-    """Word-level min via one comparator and one mux."""
-    a_lt_b = (
-        less_than_signed(builder, a, b) if signed else less_than(builder, a, b)
-    )
-    return builder.emit_mux_bus(a_lt_b, list(a), list(b))

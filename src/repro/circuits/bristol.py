@@ -33,7 +33,7 @@ from ..errors import CircuitError
 from .gates import Gate, GateType
 from .netlist import CONST_ONE, CONST_ZERO, Circuit
 
-__all__ = ["export_bristol", "import_bristol", "dumps_bristol", "loads_bristol"]
+__all__ = ["dumps_bristol", "loads_bristol"]
 
 _EXPORT_OPS = {
     GateType.XOR: "XOR",
@@ -110,12 +110,6 @@ def dumps_bristol(circuit: Circuit) -> str:
         "",
     ]
     return "\n".join(header + lines) + "\n"
-
-
-def export_bristol(circuit: Circuit, path: str) -> None:
-    """Write :func:`dumps_bristol` output to a file."""
-    with open(path, "w") as handle:
-        handle.write(dumps_bristol(circuit))
 
 
 _IMPORT_OPS = {
@@ -212,7 +206,3 @@ def loads_bristol(text: str, name: str = "bristol") -> Circuit:
     return circuit
 
 
-def import_bristol(path: str) -> Circuit:
-    """Read a Bristol-Fashion file from disk."""
-    with open(path) as handle:
-        return loads_bristol(handle.read(), name=path)

@@ -184,10 +184,6 @@ class CircuitBuilder:
             a, b = b, a
         return self._emit(_XOR, a, b)
 
-    def emit_xnor(self, a: int, b: int) -> int:
-        """XNOR gate (free)."""
-        return self.emit_not(self.emit_xor(a, b))
-
     def emit_and(self, a: int, b: int) -> int:
         """AND gate (one garbled table)."""
         if self._folding:
@@ -297,11 +293,6 @@ class CircuitBuilder:
         """Bitwise XOR of two equal-width buses."""
         self._check_widths(a, b)
         return [self.emit_xor(x, y) for x, y in zip(a, b)]
-
-    def emit_and_bus(self, a: Sequence[int], b: Sequence[int]) -> Bus:
-        """Bitwise AND of two equal-width buses."""
-        self._check_widths(a, b)
-        return [self.emit_and(x, y) for x, y in zip(a, b)]
 
     def emit_not_bus(self, a: Sequence[int]) -> Bus:
         """Bitwise NOT of a bus."""

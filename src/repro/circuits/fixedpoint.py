@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -56,24 +56,9 @@ class FixedPointFormat:
         return ((1 << (self.width - 1)) - 1) / self.scale
 
     @property
-    def min_value(self) -> float:
-        """Smallest value the encoder produces.
-
-        Saturation is symmetric (``-max_value``) so that negation and
-        absolute value never overflow inside circuits; the all-ones-MSB
-        pattern ``-2**(width-1)`` is representable but never emitted.
-        """
-        return -((1 << (self.width - 1)) - 1) / self.scale
-
-    @property
     def resolution(self) -> float:
         """Quantization step ``2**-frac_bits``."""
         return 1.0 / self.scale
-
-    @property
-    def representational_error(self) -> float:
-        """Paper's bound on truncation error: ``2**-(frac_bits+1)``."""
-        return 2.0 ** -(self.frac_bits + 1)
 
     def accumulator_width(self, fan_in: int) -> int:
         """Bits that hold any sum of ``fan_in`` full-precision products
@@ -119,24 +104,6 @@ class FixedPointFormat:
             pattern -= 1 << self.width
         return pattern
 
-    # -- bit-vector conversions ----------------------------------------------
-
-    def to_bits(self, value: float, saturate: bool = True) -> List[int]:
-        """Encode a float to an LSB-first bit vector of ``width`` bits."""
-        pattern = self.to_unsigned(self.encode(value, saturate=saturate))
-        return [(pattern >> i) & 1 for i in range(self.width)]
-
-    def from_bits(self, bits: Sequence[int]) -> float:
-        """Decode an LSB-first bit vector back to a float."""
-        if len(bits) != self.width:
-            raise QuantizationError(
-                f"expected {self.width} bits, got {len(bits)}"
-            )
-        pattern = 0
-        for i, bit in enumerate(bits):
-            pattern |= (bit & 1) << i
-        return self.decode(self.from_unsigned(pattern))
-
     # -- vectorized conversions ------------------------------------------------
 
     def encode_array(self, values: ArrayLike) -> np.ndarray:
@@ -145,19 +112,6 @@ class FixedPointFormat:
         raw = np.rint(arr * self.scale).astype(np.int64)
         high = (1 << (self.width - 1)) - 1
         return np.clip(raw, -high, high)
-
-    def decode_array(self, raw: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`decode`."""
-        return np.asarray(raw, dtype=np.float64) / self.scale
-
-    def quantize_array(self, values: ArrayLike) -> np.ndarray:
-        """Round-trip floats through the format (quantization operator)."""
-        return self.decode_array(self.encode_array(values))
-
-    def quantization_error(self, values: ArrayLike) -> float:
-        """Max absolute error introduced by quantizing ``values``."""
-        arr = np.asarray(values, dtype=np.float64)
-        return float(np.max(np.abs(arr - self.quantize_array(arr)))) if arr.size else 0.0
 
     def describe(self) -> str:
         """Human-readable summary, e.g. ``fixed<1.3.12>``."""

@@ -18,10 +18,8 @@ from .builder import Bus, CircuitBuilder
 __all__ = [
     "max_tree",
     "argmax_tree",
-    "argmax_linear",
     "mux_many",
     "adder_tree",
-    "one_hot_from_index",
 ]
 
 
@@ -83,33 +81,6 @@ def argmax_tree(
     return index, value
 
 
-def argmax_linear(
-    builder: CircuitBuilder, values: Sequence[Bus], signed: bool = True
-) -> Tuple[Bus, Bus]:
-    """Argmax with a linear scan (same gate count, linear depth).
-
-    Matches the sequential-circuit realization where one comparator and
-    one mux are folded and iterated ``n-1`` clock cycles (Sec. 3.5).
-    """
-    if not values:
-        raise CircuitError("argmax_linear needs at least one value")
-    index_width = max(1, math.ceil(math.log2(max(len(values), 2))))
-    best_idx = builder.constant_bus(0, index_width)
-    best_val = list(values[0])
-    for i, candidate in enumerate(values[1:], start=1):
-        if signed:
-            better = less_than_signed(builder, best_val, candidate)
-        else:
-            from .arith import less_than
-
-            better = less_than(builder, best_val, candidate)
-        best_val = builder.emit_mux_bus(better, list(candidate), best_val)
-        best_idx = builder.emit_mux_bus(
-            better, builder.constant_bus(i, index_width), best_idx
-        )
-    return best_idx, best_val
-
-
 def mux_many(
     builder: CircuitBuilder, select: Bus, options: Sequence[Bus]
 ) -> Bus:
@@ -158,14 +129,3 @@ def adder_tree(
     return heap.sum()
 
 
-def one_hot_from_index(
-    builder: CircuitBuilder, index: Bus, count: int
-) -> List[int]:
-    """Decode an index bus into ``count`` one-hot wires (for label output)."""
-    from .arith import equals
-
-    outputs = []
-    for value in range(count):
-        const = builder.constant_bus(value, len(index))
-        outputs.append(equals(builder, index, const))
-    return outputs

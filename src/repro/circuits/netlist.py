@@ -84,13 +84,6 @@ class GateCounts:
         """Total number of gates."""
         return self.xor + self.non_xor
 
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        return GateCounts(self.xor + other.xor, self.non_xor + other.non_xor)
-
-    def scaled(self, k: int) -> "GateCounts":
-        """Counts for ``k`` replicas of this circuit."""
-        return GateCounts(self.xor * k, self.non_xor * k)
-
 
 class GateColumns(NamedTuple):
     """A netlist's gates as columns, in netlist order: ``op`` (``uint8``
@@ -253,11 +246,6 @@ class Circuit:
         """Total driven-from-outside bits: both parties plus state."""
         return self.n_alice + self.n_bob + self.n_state
 
-    @property
-    def n_outputs(self) -> int:
-        """Number of output bits."""
-        return len(self.outputs)
-
     def interface_wires(self) -> Any:
         """The wires whose labels outlive one garbling walk, ascending.
 
@@ -286,11 +274,6 @@ class Circuit:
                 xor=self.n_gates - non_xor, non_xor=non_xor
             )
         return self._counts
-
-    def histogram(self) -> Dict[GateType, int]:
-        """Per-gate-type histogram, for synthesis reports."""
-        hist = np.bincount(self.columns.op, minlength=len(OPS))
-        return {op: int(n) for op, n in zip(OPS, hist.tolist()) if n}
 
     # -- structural checks -----------------------------------------------
 
@@ -370,15 +353,6 @@ class Circuit:
                 raise CircuitError(f"gate {idx} ({gate.op}) is missing input b")
             defined[gate.out] = 1
 
-    def fanout(self) -> Dict[int, int]:
-        """Number of gate inputs (plus outputs) fed by each wire."""
-        _, a, b, _ = self.columns
-        reads = np.concatenate(
-            [a, b[b != NO_INPUT], np.asarray(self.outputs, dtype=np.int32)]
-        )
-        wires, counts = np.unique(reads, return_counts=True)
-        return dict(zip(wires.tolist(), counts.tolist()))
-
     def depth(self) -> int:
         """Longest input-to-output path counted in non-free gates.
 
@@ -451,14 +425,6 @@ class Circuit:
         for wire, bit in zip(self.state_inputs, state_bits):
             assignment[wire] = bit & 1
         return assignment
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        counts = self.counts()
-        return (
-            f"Circuit({self.name!r}, alice={self.n_alice}, bob={self.n_bob}, "
-            f"outputs={len(self.outputs)}, xor={counts.xor}, "
-            f"non_xor={counts.non_xor})"
-        )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -116,21 +116,6 @@ class SequentialCircuit:
             state = [values[reg.d_wire] for reg in self.registers]
         return outputs
 
-    def final_state(
-        self,
-        alice_cycles: Sequence[Sequence[int]],
-        bob_cycles: Sequence[Sequence[int]],
-        cycles: int,
-    ) -> List[int]:
-        """Register contents after ``cycles`` cycles (for tests)."""
-        state = self.initial_state()
-        for cycle in range(cycles):
-            alice = self._cycle_input(alice_cycles, cycle, self.core.n_alice)
-            bob = self._cycle_input(bob_cycles, cycle, self.core.n_bob)
-            values = self._evaluate_wires(alice, bob, state)
-            state = [values[reg.d_wire] for reg in self.registers]
-        return state
-
     @staticmethod
     def _cycle_input(
         per_cycle: Sequence[Sequence[int]], cycle: int, width: int

@@ -8,12 +8,11 @@ is topological by construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from ..errors import CircuitError
 from .netlist import CONST_ONE, CONST_ZERO, Circuit
 
-__all__ = ["simulate", "simulate_words", "bits_from_int", "int_from_bits"]
+__all__ = ["simulate", "bits_from_int", "int_from_bits"]
 
 
 def bits_from_int(value: int, width: int) -> List[int]:
@@ -68,47 +67,3 @@ def simulate(
     return [values[w] for w in circuit.outputs]
 
 
-def simulate_words(
-    circuit: Circuit,
-    alice_words: Dict[str, int],
-    bob_words: Dict[str, int],
-    output_widths: Dict[str, int],
-) -> Dict[str, int]:
-    """Simulate using named input/output buses instead of raw bit vectors.
-
-    Word values are encoded little-endian into the named input buses; the
-    named output buses are recomposed as unsigned integers.
-
-    Args:
-        circuit: netlist with ``input_names`` / ``output_names`` populated.
-        alice_words: name -> integer for Alice-owned buses.
-        bob_words: name -> integer for Bob-owned buses.
-        output_widths: names of output buses to decode (values unused,
-            widths come from the circuit).
-
-    Returns:
-        name -> unsigned integer value of each requested output bus.
-    """
-    alice_bits = [0] * circuit.n_alice
-    bob_bits = [0] * circuit.n_bob
-    alice_base = 2
-    bob_base = 2 + circuit.n_alice
-    for name, value in {**alice_words, **bob_words}.items():
-        wires = circuit.input_names.get(name)
-        if wires is None:
-            raise CircuitError(f"unknown input bus {name!r}")
-        for i, wire in enumerate(wires):
-            bit = (value >> i) & 1
-            if wire >= bob_base:
-                bob_bits[wire - bob_base] = bit
-            else:
-                alice_bits[wire - alice_base] = bit
-    out_bits = simulate(circuit, alice_bits, bob_bits)
-    by_wire = dict(zip(circuit.outputs, out_bits))
-    result: Dict[str, int] = {}
-    for name in output_widths:
-        wires = circuit.output_names.get(name)
-        if wires is None:
-            raise CircuitError(f"unknown output bus {name!r}")
-        result[name] = int_from_bits([by_wire[w] for w in wires])
-    return result

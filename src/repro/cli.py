@@ -2,21 +2,16 @@
 
 Usage::
 
-    python -m repro.cli table3            # component inventory vs paper
-    python -m repro.cli table4            # benchmarks w/o pre-processing
-    python -m repro.cli table5            # benchmarks w/ pre-processing
-    python -m repro.cli table6            # CryptoNets comparison
-    python -m repro.cli fig6              # delay-vs-batch-size curves
-    python -m repro.cli throughput        # this host's garbling speed
     python -m repro.cli demo              # one live private inference
     python -m repro.cli infer -b outsourced  # one inference, any backend
     python -m repro.cli serve -n 6        # batch serving, pre-garbled pool
     python -m repro.cli serve --shards 2  # process-sharded serving
     python -m repro.cli worker --port 0   # host the evaluator on a socket
 
-Each reporting subcommand prints the same table the corresponding
-benchmark module writes to ``benchmarks/results/``; ``infer`` and
-``serve`` exercise the :mod:`repro.engine` execution API live.
+``infer`` and ``serve`` exercise the :mod:`repro.engine` execution API
+live.  The paper's tables and figures are the ``bench_table*`` /
+``bench_fig*`` modules under ``benchmarks/``, which write them to
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -26,99 +21,6 @@ import sys
 from typing import List, Optional
 
 __all__ = ["main"]
-
-
-def _cmd_table3(args) -> None:
-    from .circuits import FixedPointFormat
-    from .synthesis import component_inventory, render_table3
-
-    rows = component_inventory(
-        FixedPointFormat(3, 12), include_full_luts=args.full_luts
-    )
-    print(render_table3(rows))
-
-
-def _cmd_table4(args) -> None:
-    from .compile import (
-        GCCostModel,
-        PAPER_TABLE4,
-        architecture_counts,
-        measured_component_costs,
-        PAPER_COMPONENT_COSTS,
-    )
-    from .zoo import PAPER_ARCHITECTURES
-
-    costs = (
-        measured_component_costs(3, 12) if args.measured else PAPER_COMPONENT_COSTS
-    )
-    model = GCCostModel()
-    print(f"component costs: {costs.name}")
-    print(f"{'bench':<12}{'XOR':>11}{'non-XOR':>11}{'comm MB':>10}"
-          f"{'comp s':>9}{'exec s':>9}  paper exec")
-    for name, arch in PAPER_ARCHITECTURES.items():
-        row = model.breakdown(architecture_counts(arch, costs))
-        print(f"{name:<12}{row.xor:>11.3e}{row.non_xor:>11.3e}"
-              f"{row.comm_mb:>10.1f}{row.computation_s:>9.2f}"
-              f"{row.execution_s:>9.2f}  {PAPER_TABLE4[name][5]}")
-
-
-def _cmd_table5(args) -> None:
-    from .compile import GCCostModel, PAPER_TABLE5, architecture_counts
-    from .zoo import PAPER_ARCHITECTURES, PAPER_FOLDS
-
-    model = GCCostModel()
-    print(f"{'bench':<12}{'fold':>6}{'non-XOR':>12}{'exec s':>9}"
-          f"{'improve':>9}  paper")
-    for name, arch in PAPER_ARCHITECTURES.items():
-        fold = PAPER_FOLDS[name]
-        before = model.breakdown(architecture_counts(arch))
-        after = model.breakdown(architecture_counts(arch, mac_fold=fold))
-        print(f"{name:<12}{fold:>6}{after.non_xor:>12.3e}"
-              f"{after.execution_s:>9.2f}"
-              f"{before.execution_s / after.execution_s:>8.2f}x  "
-              f"({PAPER_TABLE5[name][5]}s, {PAPER_TABLE5[name][6]}x)")
-
-
-def _cmd_table6(args) -> None:
-    from .compile import (
-        CRYPTONETS_COMM_BYTES,
-        CRYPTONETS_LATENCY_S,
-        GCCostModel,
-        architecture_counts,
-    )
-    from .zoo import PAPER_ARCHITECTURES, PAPER_FOLDS
-
-    model = GCCostModel()
-    arch = PAPER_ARCHITECTURES["benchmark1"]
-    plain = model.breakdown(architecture_counts(arch))
-    prep = model.breakdown(
-        architecture_counts(arch, mac_fold=PAPER_FOLDS["benchmark1"])
-    )
-    print(f"{'framework':<24}{'comm':>12}{'exec s':>10}{'improve':>10}")
-    print(f"{'DeepSecure w/o pre-p':<24}{plain.comm_mb:>10.1f}MB"
-          f"{plain.execution_s:>10.2f}"
-          f"{CRYPTONETS_LATENCY_S / plain.execution_s:>9.2f}x")
-    print(f"{'DeepSecure w/ pre-p':<24}{prep.comm_mb:>10.1f}MB"
-          f"{prep.execution_s:>10.2f}"
-          f"{CRYPTONETS_LATENCY_S / prep.execution_s:>9.2f}x")
-    print(f"{'CryptoNets':<24}{CRYPTONETS_COMM_BYTES / 1024:>10.0f}KB"
-          f"{CRYPTONETS_LATENCY_S:>10.2f}{'-':>10}")
-
-
-def _cmd_fig6(args) -> None:
-    from .analysis import ascii_plot, compute_delay_curves
-
-    curves = compute_delay_curves()
-    print(ascii_plot(curves))
-
-
-def _cmd_throughput(args) -> None:
-    from .analysis import characterize
-
-    report = characterize(n_gates=args.gates)
-    print(f"non-XOR: {report.non_xor_per_s / 1e3:.1f}k gates/s "
-          f"(paper 2560k) | XOR: {report.xor_per_s / 1e3:.1f}k gates/s "
-          f"(paper 5110k) | slowdown {report.slowdown_vs_paper:.0f}x")
 
 
 #: Samples in the live subcommands' demo dataset.
@@ -307,6 +209,13 @@ def _serve_sharded(args) -> None:
 
     pool_size = args.pool if args.pool is not None else args.requests
     per_shard_pool = -(-pool_size // args.shards) if pool_size else 0
+    if args.kill_shard:
+        index_text, _, delay_text = args.kill_shard.partition(":")
+        victim_index = int(index_text)
+        delay_s = float(delay_text) if delay_text else 0.5
+        if not 0 <= victim_index < args.shards:
+            raise SystemExit(f"serve: --kill-shard index must be in "
+                             f"0..{args.shards - 1}")
 
     def factory():
         service, _ = _demo_service(
@@ -335,12 +244,6 @@ def _serve_sharded(args) -> None:
 
     previous = signal.signal(signal.SIGTERM, _on_sigterm)
     if args.kill_shard:
-        index_text, _, delay_text = args.kill_shard.partition(":")
-        victim_index = int(index_text)
-        delay_s = float(delay_text) if delay_text else 0.5
-        if not 0 <= victim_index < args.shards:
-            raise SystemExit(f"serve: --kill-shard index must be in "
-                             f"0..{args.shards - 1}")
         victim_pid = sharded._shards[victim_index].process.pid
 
         def _chaos_kill():
@@ -534,28 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    t3 = sub.add_parser("table3", help="component gate counts vs paper")
-    t3.add_argument("--full-luts", action="store_true",
-                    help="include the 16-bit full-domain LUT variants")
-    t3.set_defaults(func=_cmd_table3)
-
-    t4 = sub.add_parser("table4", help="benchmark costs w/o pre-processing")
-    t4.add_argument("--measured", action="store_true",
-                    help="use our measured component costs")
-    t4.set_defaults(func=_cmd_table4)
-
-    sub.add_parser("table5", help="benchmark costs w/ pre-processing").set_defaults(
-        func=_cmd_table5
-    )
-    sub.add_parser("table6", help="CryptoNets comparison").set_defaults(
-        func=_cmd_table6
-    )
-    sub.add_parser("fig6", help="delay-vs-batch-size curves").set_defaults(
-        func=_cmd_fig6
-    )
-    tp = sub.add_parser("throughput", help="host garbling throughput")
-    tp.add_argument("--gates", type=int, default=20000)
-    tp.set_defaults(func=_cmd_throughput)
     sub.add_parser("demo", help="one live private inference").set_defaults(
         func=_cmd_demo
     )

@@ -11,7 +11,6 @@ from .gatecount import (
     conv,
     fc,
     measured_component_costs,
-    pool,
     softmax,
 )
 from .paper_costs import (
@@ -42,7 +41,6 @@ __all__ = [
     "fc",
     "conv",
     "activation",
-    "pool",
     "softmax",
     "architecture_counts",
     "measured_component_costs",

@@ -73,10 +73,3 @@ class GCCostModel:
             execution_s=self.execution_seconds(counts),
         )
 
-    def batch_delay_seconds(self, counts: GateCounts, n_samples: int) -> float:
-        """Client-perceived delay for ``n_samples`` (linear — Fig. 6).
-
-        GC has no batching effects: every sample is an independent
-        protocol execution, so delay scales exactly linearly.
-        """
-        return self.execution_seconds(counts) * n_samples

@@ -188,12 +188,11 @@ def run_folded_dense(
     total_comm = 0
     acc_width = cell.n_state
     alice_cycles = cycle_bits(x_fixed)
-    if ot_state is None:  # one base OT for the whole layer, not per unit
-        ot_state = IKNPState(group=ot_group, rng=rng)
+    # one session, so one base OT, for the whole layer, not one per unit
+    session = SequentialSession(
+        cell, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state
+    )
     for j in range(out_dim):
-        session = SequentialSession(
-            cell, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state
-        )
         result = session.run(
             alice_cycles, cycle_bits(weights_fixed[:, j]), cycles=n_cycles,
             final_only=True,

@@ -29,7 +29,6 @@ __all__ = [
     "fc",
     "conv",
     "activation",
-    "pool",
     "softmax",
     "Architecture",
     "architecture_counts",
@@ -73,11 +72,6 @@ def activation(kind: str, count: int) -> Layer:
     return Layer(kind, count)
 
 
-def pool(windows: int, pool_area: int) -> Layer:
-    """Max pooling: ``windows`` windows of ``pool_area`` values each."""
-    return Layer("maxpool", windows, pool_area)
-
-
 def softmax(n: int) -> Layer:
     """Output argmax over ``n`` classes ((n-1) CMP+MUX stages)."""
     return Layer("softmax", n)
@@ -90,14 +84,6 @@ class Architecture:
     name: str
     layers: Tuple[Layer, ...]
     description: str = ""
-
-    def mac_count(self) -> int:
-        """Linear-layer MACs — what pre-processing divides (Table 5)."""
-        total = 0
-        for layer in self.layers:
-            if layer.kind in ("fc", "conv"):
-                total += layer.a * layer.b
-        return total
 
 
 def architecture_counts(

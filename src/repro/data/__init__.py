@@ -7,7 +7,7 @@ the substitution rationale.
 from .audio import generate_audio_features
 from .digits import DIGIT_STROKES, generate_digits, render_digit
 from .sensing import generate_sensing
-from .util import batches, one_hot, train_val_test_split
+from .util import train_val_test_split
 
 __all__ = [
     "generate_digits",
@@ -16,6 +16,4 @@ __all__ = [
     "generate_audio_features",
     "generate_sensing",
     "train_val_test_split",
-    "one_hot",
-    "batches",
 ]

@@ -1,12 +1,12 @@
-"""Dataset utilities: splits, batching, one-hot encoding."""
+"""Dataset utilities: train / validation / test splits."""
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["train_val_test_split", "one_hot", "batches"]
+__all__ = ["train_val_test_split"]
 
 
 def train_val_test_split(
@@ -39,19 +39,3 @@ def train_val_test_split(
     )
 
 
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Integer labels to one-hot rows."""
-    out = np.zeros((len(labels), n_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
-def batches(
-    x: np.ndarray, y: np.ndarray, batch_size: int, seed: int = 0
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Shuffled minibatch iterator."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(x))
-    for start in range(0, len(x), batch_size):
-        idx = order[start : start + batch_size]
-        yield x[idx], y[idx]

@@ -34,7 +34,6 @@ from .backends import (
     available_backends,
     get_backend,
     register_backend,
-    run,
 )
 from .config import EngineConfig
 from .pool import PregarbledPool
@@ -49,7 +48,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "run",
     "EngineConfig",
     "PregarbledPool",
     "ExecutionResult",

@@ -51,7 +51,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
-    "run",
 ]
 
 
@@ -172,17 +171,6 @@ def get_backend(name: str, **options: Any) -> Backend:
         return cls(**options)
     except TypeError as exc:
         raise EngineError(f"bad options for backend {name!r}: {exc}") from None
-
-
-def run(
-    circuit: Circuit,
-    client_bits: Sequence[int],
-    server_bits: Sequence[int],
-    backend: str = "two_party",
-    **options: Any,
-) -> ExecutionResult:
-    """One-call execution through any registered backend."""
-    return get_backend(backend, **options).run(circuit, client_bits, server_bits)
 
 
 # ---------------------------------------------------------------------------

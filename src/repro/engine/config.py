@@ -172,6 +172,3 @@ class EngineConfig:
         circuit that skips masked-out weights."""
         return CompileOptions(activation=self.activation)
 
-    def replace(self, **changes: Any) -> "EngineConfig":
-        """A copy with some fields changed (frozen-dataclass helper)."""
-        return dataclasses.replace(self, **changes)

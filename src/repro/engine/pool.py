@@ -96,8 +96,7 @@ class PregarbledPool:
         self.refill = refill
         self._idle_wait = idle_wait
         self._session = TwoPartySession(
-            circuit, kdf=kdf, ot_group=ot_group, rng=rng,
-            ot_state=ot_state or IKNPState(ot_group, rng),
+            circuit, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state,
         )
         self._items: Deque[Pregarbled] = deque()
         self._lock = threading.Lock()

@@ -35,11 +35,6 @@ class ExecutionResult:
     n_non_xor: int
     metadata: Dict[str, object] = dataclasses.field(default_factory=dict)
 
-    @property
-    def total_time(self) -> float:
-        """Sum of all online phases (single-threaded reference time)."""
-        return sum(self.times.values())
-
     @classmethod
     def from_protocol(
         cls,

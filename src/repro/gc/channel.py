@@ -75,11 +75,6 @@ class ChannelStats:
         self.bytes_b_to_a = 0
         self.log: List[Tuple[str, str, int]] = []
 
-    @property
-    def total_bytes(self) -> int:
-        """Total traffic in both directions."""
-        return self.bytes_a_to_b + self.bytes_b_to_a
-
     def record(self, direction: str, tag: str, size: int) -> None:
         """Account one message."""
         if direction == "a2b":
@@ -246,27 +241,7 @@ class Channel:
             )
         return frame.payload
 
-    # -- integers and label vectors -----------------------------------------
-
-    def send_int(self, value: int, tag: str = "int") -> None:
-        """Send one arbitrary-size non-negative integer."""
-        size = max(1, (value.bit_length() + 7) // 8)
-        self.send_bytes(size.to_bytes(4, "little") + value.to_bytes(size, "little"), tag)
-
-    def recv_int(self, expected_tag: Optional[str] = None) -> int:
-        """Receive one integer."""
-        data = self.recv_bytes(expected_tag)
-        if len(data) < 4:
-            raise ChannelIntegrityError(
-                f"integer payload too short ({len(data)} bytes)"
-            )
-        size = int.from_bytes(data[:4], "little")
-        if len(data) < 4 + size:
-            raise ChannelIntegrityError(
-                f"integer payload truncated: declares {size} bytes, "
-                f"carries {len(data) - 4}"
-            )
-        return int.from_bytes(data[4 : 4 + size], "little")
+    # -- label vectors -----------------------------------------------------
 
     def send_labels(self, labels: LabelsLike, tag: str = "labels") -> None:
         """Send a vector of 128-bit labels (16 bytes each), ints or rows."""
@@ -291,30 +266,6 @@ class Channel:
                 f"carries {len(data) - 4} bytes"
             )
         return np.frombuffer(data, dtype=np.uint8, offset=4).reshape(count, 16)
-
-    def send_bits(self, bits: List[int], tag: str = "bits") -> None:
-        """Send a packed bit vector."""
-        payload = bytearray((len(bits) + 7) // 8)
-        for i, bit in enumerate(bits):
-            if bit & 1:
-                payload[i // 8] |= 1 << (i % 8)
-        self.send_bytes(struct.pack("<I", len(bits)) + bytes(payload), tag)
-
-    def recv_bits(self, expected_tag: Optional[str] = None) -> List[int]:
-        """Receive a packed bit vector."""
-        data = self.recv_bytes(expected_tag)
-        if len(data) < 4:
-            raise ChannelIntegrityError(
-                f"bit payload too short ({len(data)} bytes)"
-            )
-        (count,) = struct.unpack("<I", data[:4])
-        payload = data[4:]
-        if len(payload) != (count + 7) // 8:
-            raise ChannelIntegrityError(
-                f"bit payload size mismatch: declares {count} bits, "
-                f"carries {len(payload)} bytes"
-            )
-        return [(payload[i // 8] >> (i % 8)) & 1 for i in range(count)]
 
 
 def make_channel_pair(

@@ -65,7 +65,7 @@ cut-and-choose verification.
 from __future__ import annotations
 
 import secrets
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -454,7 +454,7 @@ def garble_many(
 
 
 class LabelPlane:
-    """Read-only wire -> label mapping over an evaluation label plane.
+    """Read-only wire -> label lookup over an evaluation label plane.
 
     What :meth:`FastEvaluator.evaluate` returns in place of the scalar
     evaluator's ``Dict[int, int]``: lookups convert lazily, so pulling
@@ -472,25 +472,6 @@ class LabelPlane:
         if not 0 <= wire < self.n_wires:
             raise KeyError(wire)
         return int.from_bytes(self.plane[wire].tobytes(), "little")
-
-    def __len__(self) -> int:
-        return self.n_wires
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.n_wires))
-
-    def __contains__(self, wire: object) -> bool:
-        return isinstance(wire, int) and 0 <= wire < self.n_wires
-
-    def get(self, wire: int, default: Optional[int] = None) -> Optional[int]:
-        try:
-            return self[wire]
-        except KeyError:
-            return default
-
-    def as_dict(self) -> Dict[int, int]:
-        """Materialize the scalar evaluator's full dict form."""
-        return {w: self[w] for w in range(self.n_wires)}
 
 
 def _evaluate_run(

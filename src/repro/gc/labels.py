@@ -101,10 +101,6 @@ class LabelStore:
         """Vector :meth:`decode_bit` in wire order."""
         return [self.decode_bit(w, l) for w, l in zip(wires, labels)]
 
-    def output_decode_map(self, wires: Iterable[int]) -> List[int]:
-        """Point-and-permute decode bits (LSB of each zero-label)."""
-        return [self.zero(w) & 1 for w in wires]
-
 
 #: Labels in either form the engine takes: 128-bit ints, or ``(n, 16)``
 #: little-endian uint8 rows.
@@ -148,10 +144,10 @@ class ArrayLabelStore:
     wire here raises :class:`GarblingError`; the reference
     :class:`LabelStore` keeps every wire.
 
-    On the interface wires the per-wire API mirrors :class:`LabelStore`
-    exactly (``zero`` / ``one`` / ``select`` / ``decode_bit`` / ...);
-    labels drawn through :meth:`assign_fresh` consume the rng stream in
-    the same order and produce the same values as the scalar store.
+    On the interface wires ``zero``, ``select`` and ``decode_bits`` agree
+    with :class:`LabelStore`'s; labels drawn through
+    :meth:`assign_fresh_rows` consume the rng stream in the same order
+    and produce the same values as the scalar store.
 
     Args:
         wires: the interface wire ids, ascending — a circuit's
@@ -198,40 +194,22 @@ class ArrayLabelStore:
             )
         return index
 
-    # -- LabelStore-compatible per-wire API ------------------------------
-
-    def assign_fresh(self, wire: int) -> int:
-        """Draw and store a fresh zero-label for ``wire``."""
-        label = random_label(self._rng)
-        self.set_zero(wire, label)
-        return label
-
-    def set_zero(self, wire: int, label: int) -> None:
-        """Store a caller-provided zero-label (sequential state carry)."""
-        self.rows[self._index(wire)] = _label_row(label & LABEL_MASK)
+    # -- lookups shared with LabelStore ------------------------------------
 
     def zero(self, wire: int) -> int:
         """Zero-label of ``wire``."""
         return int.from_bytes(self.rows[self._index(wire)].tobytes(), "little")
 
-    def one(self, wire: int) -> int:
-        """One-label of ``wire`` (zero-label XOR delta)."""
-        return self.zero(wire) ^ self.delta
-
     def select(self, wire: int, bit: int) -> int:
         """Label encoding plaintext ``bit`` on ``wire``."""
         return self.zero(wire) ^ (self.delta if bit & 1 else 0)
 
-    def decode_bit(self, wire: int, label: int) -> int:
-        """Recover the plaintext bit from a label of ``wire``.
+    def decode_bits(self, wires: Iterable[int], labels: Iterable[int]) -> List[int]:
+        """Plaintext bits of ``labels`` in wire order, on one row lookup.
 
         Raises:
-            GarblingError: if the label is neither of the wire's labels.
+            GarblingError: a label is neither of its wire's labels.
         """
-        return self.decode_bits([wire], [label])[0]
-
-    def decode_bits(self, wires: Iterable[int], labels: Iterable[int]) -> List[int]:
-        """Vector :meth:`decode_bit` in wire order, on one row lookup."""
         wires = list(wires)
         bits = []
         for wire, zero, label in zip(wires, label_ints(self.zero_rows(wires)), labels):
@@ -252,7 +230,7 @@ class ArrayLabelStore:
         The ``n`` labels are ``rand_bits(rng, 128 * n)`` read as 16-byte
         little-endian rows.  ``random.Random.getrandbits`` fills a wide
         draw from its least significant 32-bit word up, so for a seeded
-        generator this is bit-identical to ``n`` :meth:`assign_fresh`
+        generator this is bit-identical to ``n`` :meth:`LabelStore.assign_fresh`
         calls in wire order — what cut-and-choose's seed re-garbling
         relies on; for ``secrets`` it is one ``urandom`` read, not ``n``.
         """

@@ -362,9 +362,8 @@ def extension_ot(
     m: int,
     choices: Optional[np.ndarray],
     channel: Optional[Ends] = None,
-    state: Optional[IKNPState] = None,
-    group: OTGroup = MODP_2048,
-    rng: RngLike = secrets,
+    *,
+    state: IKNPState,
 ) -> Pads:
     """Phase 1: ``m`` random OTs by one IKNP extension, on the ends of
     ``channel`` held here.
@@ -384,10 +383,7 @@ def extension_ot(
             receiver's endpoint, ``None`` for the one not hosted here.
             Omitted, both parties run over a private in-memory link.
         state: the owner's :class:`IKNPState`; its base OT is paid once
-            and this call only burns one counter.  ``None`` builds a
-            throw-away state, i.e. pays the base OT for this call alone.
-        group: group for the base OTs (unused with ``state``).
-        rng: randomness source (unused with ``state``).
+            and this call only burns one counter.
 
     Returns:
         The :class:`Pads`, the sides of the parties hosted here.
@@ -397,8 +393,6 @@ def extension_ot(
     if m == 0:
         return Pads(0, 0)
     alice_end, bob_end = channel or make_channel_pair()[:2]
-    if state is None:
-        state = IKNPState(group=group, rng=rng)
     u_len = COUNTER_BYTES + KAPPA * ((m + 7) // 8)
     r: Optional[np.ndarray] = None
     chosen: Optional[np.ndarray] = None
@@ -502,13 +496,14 @@ def chosen_ot(
     messages: Optional[np.ndarray],
     bits: Optional[Sequence[int]],
     channel: Optional[Ends] = None,
-    state: Optional[IKNPState] = None,
-    group: OTGroup = MODP_2048,
+    *,
+    state: IKNPState,
     rng: RngLike = secrets,
 ) -> Tuple[np.ndarray, int]:
     """Both phases back to back, within one request: ``u``, then ``e``
-    and ``y``.  The receiver's random choices come from ``rng``; other
-    arguments as for :func:`extension_ot` and :func:`derandomize`.
+    and ``y``, extending the owner's ``state``.  The receiver's random
+    choices come from ``rng``; other arguments as for
+    :func:`extension_ot` and :func:`derandomize`.
 
     Returns ``(chosen, transferred_bytes)``: the receiver's ``(m, 16)``
     labels and the three frames as the channel charges them.
@@ -520,6 +515,6 @@ def chosen_ot(
         return np.empty((0, LABEL_BYTES), dtype=np.uint8), 0
     ends = channel or make_channel_pair()[:2]
     choices = None if ends[1] is None else random_choices(m, rng)
-    pads = extension_ot(m, choices, ends, state, group, rng)
+    pads = extension_ot(m, choices, ends, state=state)
     chosen, sent = derandomize(messages, bits, pads, ends)
     return chosen, pads.wire_bytes + sent

@@ -69,7 +69,6 @@ def outsource_circuit(circuit: Circuit) -> Circuit:
         remap[old] = new
     emitters = {
         "xor": builder.emit_xor,
-        "xnor": builder.emit_xnor,
         "and": builder.emit_and,
         "or": builder.emit_or,
         "nand": builder.emit_nand,
@@ -96,11 +95,6 @@ class OutsourcedResult:
 
     outputs: List[int]
     proxy_result: ProtocolResult
-
-    @property
-    def client_work_bits(self) -> int:
-        """Bits of local client work (one XOR per input bit)."""
-        return len(self.proxy_result.outputs)
 
 
 class OutsourcedSession:

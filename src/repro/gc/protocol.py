@@ -64,7 +64,7 @@ from .cipher import HashKDF, default_kdf, oracle_fingerprint
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler, LazyTables
 from .labels import LabelsLike
-from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_over_channel
+from .ot import MODP_2048, OTGroup
 from .ot_extension import (
     Ends,
     IKNPState,
@@ -83,13 +83,6 @@ __all__ = [
     "execute",
     "transfer_input_labels",
 ]
-
-#: The one OT rule: a transfer extends when the caller holds an
-#: :class:`IKNPState` (its base OT is paid once, so even a narrow
-#: transfer is cheaper through it) or when it moves at least this many
-#: evaluator input bits; otherwise the base OT runs directly.
-OT_EXTENSION_THRESHOLD = 128
-
 
 @dataclasses.dataclass
 class Pregarbled:
@@ -156,7 +149,7 @@ class ProtocolResult:
 
     Attributes:
         outputs: decoded plaintext output bits (held by Alice after the
-            merge step; also by Bob when ``share_result``).
+            merge step).
         times: seconds per phase ('garble', 'transfer', 'ot', 'evaluate',
             'merge').
         comm: per-tag byte counts ('tables', 'alice_labels', 'ot',
@@ -197,31 +190,20 @@ class _Session:
     ) -> None:
         self.circuit = circuit
         self.kdf = kdf or default_kdf()
-        self.ot_group = ot_group
         self.rng = rng
         self.channel_factory: LinkFactory = (
             channel_factory if channel_factory is not None
             else default_channel_factory()
         )
-        self.ot_state = ot_state
-
-    def pregarble(self) -> Pregarbled:
-        """Run the input-independent garbling phase ahead of time.
-
-        Returns single-use material that a later :meth:`run` call can
-        consume via ``pregarbled=``, removing garbling from the online
-        critical path (the offline/online split of Sec. 3).
-        """
-        start = time.perf_counter()
-        ((garbler, garbled),) = garble_many(self.circuit, 1, kdf=self.kdf, rng=self.rng)
-        return Pregarbled(self.circuit, garbler, garbled, time.perf_counter() - start)
+        # the one OT rule: every transfer extends on a state, so its
+        # base OT is paid once per owner
+        self.ot_state = ot_state if ot_state is not None else IKNPState(ot_group, rng)
 
     def _rounds(
         self,
         lanes: Sequence[Sequence[Tuple[Optional[Sequence[int]], Optional[Sequence[int]]]]],
         registers: Sequence[Register] = (),
         final_only: bool = False,
-        share_result: bool = False,
         pregarbled: Optional[Sequence[Optional[Pregarbled]]] = None,
         deadline: Optional["Deadline"] = None,
     ) -> List[List[ProtocolResult]]:
@@ -240,10 +222,8 @@ class _Session:
         count) with the d-wires' zero-labels as the q-wires', while the
         evaluator carries its active labels.  Each cycle, Bob's lanes are
         one :meth:`FastEvaluator.evaluate_many` walk.  ``final_only``
-        merges the last round alone; ``share_result`` applies to the last
-        round.  A multi-cycle run handed no OT state builds one, so it
-        pays the base OT once.  More than one lane needs both ends of
-        every link in this process.
+        merges the last round alone.  More than one lane needs both ends
+        of every link in this process.
         """
         circuit = self.circuit
         k = len(lanes)
@@ -256,9 +236,6 @@ class _Session:
                 "of every link in this process"
             )
         n_cycles = len(lanes[0])
-        ot_state = self.ot_state
-        if ot_state is None and n_cycles > 1:
-            ot_state = IKNPState(self.ot_group, self.rng)
         d_wires = [reg.d_wire for reg in registers]
         initial_state = [reg.init & 1 for reg in registers]
         n_tables = circuit.counts().non_xor
@@ -306,7 +283,7 @@ class _Session:
             links = [
                 self._transfer(
                     alice_end and (alice_end, garblers[i], garbled[i]), bob_end,
-                    stats, *lanes[i][cycle], garble_s[i], ot_state, tweak_base,
+                    stats, *lanes[i][cycle], garble_s[i], tweak_base,
                     initial_state if cycle == 0 else (), pads.get(i),
                 )
                 for i, (alice_end, bob_end, stats) in enumerate(ends)
@@ -334,7 +311,7 @@ class _Session:
             # (iv) merge — Bob returns output labels, Alice decodes
             for lane, link, labels in zip(results, links, output_labels):
                 if last or not final_only:
-                    lane.append(self._merge(link, labels, share_result and last))
+                    lane.append(self._merge(link, labels))
                 else:  # an earlier cycle of a final_only run reveals nothing
                     lane.append(self._result(link, []))
         return results
@@ -366,7 +343,6 @@ class _Session:
         alice_bits: Optional[Sequence[int]],
         bob_bits: Optional[Sequence[int]],
         garble_s: float,
-        ot_state: Optional[IKNPState],
         tweak_base: int = 0,
         initial_state: Sequence[int] = (),
         pads: Optional[Pads] = None,
@@ -404,8 +380,7 @@ class _Session:
         start = time.perf_counter()
         bob_labels, _ = transfer_input_labels(
             alice and alice[1], self.circuit.bob_inputs, bob_bits,
-            (alice and alice[0], bob_end),
-            group=self.ot_group, rng=self.rng, state=ot_state,
+            (alice and alice[0], bob_end), self.ot_state, rng=self.rng,
             pads=pads if alice is not None and bob_end is not None else None,
         )
         link.times["ot"] = time.perf_counter() - start
@@ -413,9 +388,7 @@ class _Session:
             link.inputs = (view, alice_labels, bob_labels)
         return link
 
-    def _merge(
-        self, link: "_Link", output_labels: List[int], share_result: bool = False
-    ) -> ProtocolResult:
+    def _merge(self, link: "_Link", output_labels: List[int]) -> ProtocolResult:
         """Step (iv) of one round, and its accounting."""
         start = time.perf_counter()
         outputs: List[int] = []
@@ -424,13 +397,6 @@ class _Session:
         if link.alice is not None:
             alice_end, garbler, _ = link.alice
             outputs = receive_outputs(alice_end, garbler)
-            if share_result:
-                alice_end.send_bits(outputs, tag="shared_result")
-        if share_result and link.bob_end is not None:
-            shared = link.bob_end.recv_bits(expected_tag="shared_result")
-            if link.alice is not None and shared != outputs:
-                raise ProtocolError("result sharing corrupted")
-            outputs = shared
         link.times["merge"] = time.perf_counter() - start
         return self._result(link, outputs)
 
@@ -457,8 +423,8 @@ class TwoPartySession(_Session):
             :class:`repro.resilience.FaultyChannel`; defaults to the
             healthy in-memory link.
         ot_state: the owner's OT-extension state, so only its first
-            request pays the base OT; ``None`` pays it on every request
-            that extends.
+            request pays the base OT; ``None`` builds one for this
+            session.
     """
 
     def __init__(
@@ -479,14 +445,16 @@ class TwoPartySession(_Session):
 
     def pregarble_many(self, count: int) -> List[Pregarbled]:
         """Batch offline phase: ``count`` single-use copies in one pass,
-        each with the pads of its OTs.
+        each with the pads of its OTs where both parties are here.
 
         All copies share one walk of the level schedule (and one KDF
         batch per level), so warming a pool of ``k`` copies costs much
-        less than ``k`` :meth:`pregarble` calls.  On a session that holds
-        an OT state, phase 1 of each copy's OTs runs too — one random-OT
-        extension per copy, both parties here over a private in-memory
-        link — so a request served from the copy runs phase 2 alone.
+        less than ``k`` one-copy passes.  Where the session's links host
+        both parties, phase 1 of each copy's OTs runs too, on the
+        session's OT state — one random-OT extension per copy over a
+        private in-memory link — so a request served from the copy runs
+        phase 2 alone.  A session hosting one party makes no pads: its
+        state is set up over its link, framed, with the other process.
         """
         if count < 0:
             raise ProtocolError("copy count must be >= 0")
@@ -495,15 +463,19 @@ class TwoPartySession(_Session):
         start = time.perf_counter()
         copies = garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng)
         per_copy = (time.perf_counter() - start) / count
-        m, state = len(self.circuit.bob_inputs), self.ot_state
+        m = len(self.circuit.bob_inputs)
+        # one link, opened and left unused, says which parties they host
+        alice_end, bob_end, _ = self.channel_factory()
+        if alice_end is None or bob_end is None:
+            m = 0
         return [
             Pregarbled(
                 circuit=self.circuit,
                 garbler=garbler,
                 garbled=garbled,
                 garble_seconds=per_copy,
-                pads=None if state is None or not m else extension_ot(
-                    m, random_choices(m, self.rng), state=state
+                pads=None if not m else extension_ot(
+                    m, random_choices(m, self.rng), state=self.ot_state
                 ),
             )
             for garbler, garbled in copies
@@ -558,7 +530,6 @@ class TwoPartySession(_Session):
         self,
         alice_bits: Optional[Sequence[int]],
         bob_bits: Optional[Sequence[int]],
-        share_result: bool = False,
         pregarbled: Optional[Pregarbled] = None,
         deadline: Optional["Deadline"] = None,
     ) -> ProtocolResult:
@@ -569,9 +540,7 @@ class TwoPartySession(_Session):
                 not read where Alice is hosted elsewhere — pass ``None``).
             bob_bits: the server's input bits (transferred only via OT;
                 ``None`` where Bob is hosted elsewhere).
-            share_result: if True, Alice sends the decoded result back to
-                Bob (optional final step of Sec. 2.2.2).
-            pregarbled: offline material from :meth:`pregarble`; skips
+            pregarbled: offline material from :meth:`pregarble_many`; skips
                 the online garbling phase (``times['garble']`` is then
                 0).
             deadline: optional per-request time budget, checked at every
@@ -580,11 +549,10 @@ class TwoPartySession(_Session):
 
         Returns:
             The request's result; ``outputs`` is ``[]`` on a process
-            that hosts Bob alone, unless ``share_result``.
+            that hosts Bob alone.
         """
         return self._rounds(
-            [[(alice_bits, bob_bits)]], share_result=share_result,
-            pregarbled=[pregarbled], deadline=deadline,
+            [[(alice_bits, bob_bits)]], pregarbled=[pregarbled], deadline=deadline,
         )[0][0]
 
 
@@ -697,9 +665,8 @@ def transfer_input_labels(
     wires: Sequence[int],
     bits: Optional[Sequence[int]],
     channel: Ends,
-    group: OTGroup = MODP_2048,
+    state: IKNPState,
     rng: RngLike = secrets,
-    state: Optional[IKNPState] = None,
     pads: Optional[Pads] = None,
 ) -> Tuple[np.ndarray, int]:
     """Transfer the evaluator's input labels obliviously.
@@ -707,12 +674,10 @@ def transfer_input_labels(
     The single OT entry point every flow shares.  Handed ``pads`` —
     phase 1 run ahead, with a pool slot's garbled copy — it runs phase 2
     alone (:func:`repro.gc.ot_extension.derandomize`: ``e`` out, ``y``
-    back).  Otherwise one rule: both phases run here, ``u`` then ``e``
-    and ``y``, when the caller holds an OT state or the transfer moves
-    at least :data:`OT_EXTENSION_THRESHOLD` bits; below that, without a
-    state, the base OT runs directly
-    (:func:`repro.gc.ot.base_ot_over_channel`).  The labels stay ``(m,
-    16)`` uint8 rows from the garbler's plane to the evaluator's.
+    back).  Otherwise both phases run here on ``state``, ``u`` then
+    ``e`` and ``y`` (:func:`repro.gc.ot_extension.chosen_ot`).  The
+    labels stay ``(m, 16)`` uint8 rows from the garbler's plane to the
+    evaluator's.
 
     Args:
         garbler: holder of the wire label pairs (OT sender messages,
@@ -727,11 +692,9 @@ def transfer_input_labels(
             data path and are detected by the framing layer, deadlines
             are charged on every flight, and the channel accounts the
             traffic.
-        group: group for base OTs.
-        rng: randomness source (the evaluator's random choices among it).
         state: the caller's OT-extension state, whose one base-OT batch
-            every transfer then extends; ``None`` extends (on a base-OT
-            batch of its own) only at or above the threshold.
+            every transfer extends.
+        rng: randomness source (the evaluator's random choices among it).
         pads: phase 1's random OTs for exactly these wires, both sides
             held here.
 
@@ -751,14 +714,7 @@ def transfer_input_labels(
                 f"pads for {pads.m} transfers cannot carry {len(wires)} labels"
             )
         return derandomize(messages, bits, pads, channel)
-    if state is not None or len(wires) >= OT_EXTENSION_THRESHOLD:
-        return chosen_ot(messages, bits, channel, state, group, rng)
-    pairs = None if messages is None else [
-        (zero.tobytes(), one.tobytes()) for zero, one in messages
-    ]
-    chosen = base_ot_over_channel(pairs, bits, 16, *channel, group=group, rng=rng)
-    rows = np.frombuffer(b"".join(chosen), dtype=np.uint8).reshape(-1, 16)
-    return rows, base_ot_bytes(group, len(wires), 16)
+    return chosen_ot(messages, bits, channel, state=state, rng=rng)
 
 
 def execute(
@@ -768,8 +724,7 @@ def execute(
     kdf: Optional[HashKDF] = None,
     ot_group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
-    share_result: bool = False,
 ) -> ProtocolResult:
     """One-call secure evaluation of ``circuit`` (Fig. 3 flow)."""
     session = TwoPartySession(circuit, kdf=kdf, ot_group=ot_group, rng=rng)
-    return session.run(alice_bits, bob_bits, share_result=share_result)
+    return session.run(alice_bits, bob_bits)

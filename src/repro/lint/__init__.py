@@ -20,7 +20,7 @@ See :mod:`repro.lint.core` for the engine and the sibling modules for
 each rule's full rationale.
 """
 
-from .core import Finding, Rule, default_rules, run_paths, run_source
+from .core import Finding, Rule, default_rules, run_paths
 from .dtype_discipline import DtypeDiscipline
 from .lock_discipline import LockDiscipline
 from .rng_discipline import RngDiscipline
@@ -31,7 +31,6 @@ __all__ = [
     "Rule",
     "default_rules",
     "run_paths",
-    "run_source",
     "LockDiscipline",
     "RngDiscipline",
     "SecretHygiene",

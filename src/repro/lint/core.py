@@ -20,7 +20,7 @@ import dataclasses
 import pathlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-__all__ = ["Finding", "Rule", "default_rules", "run_source", "run_paths"]
+__all__ = ["Finding", "Rule", "default_rules", "run_paths"]
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -100,26 +100,6 @@ def default_rules() -> List[Rule]:
 def normalize_path(path: Union[str, pathlib.PurePath]) -> str:
     """Posix form of ``path`` (rule scoping matches on ``/`` separators)."""
     return pathlib.PurePath(path).as_posix()
-
-
-def run_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint one source string as if it lived at ``path``.
-
-    This is the fixture-test entry point: the path controls which rules
-    apply, so a snippet "located" at ``repro/gc/x.py`` sees the gc-scoped
-    rules.
-    """
-    norm = normalize_path(path)
-    tree = ast.parse(source, filename=norm)
-    findings: List[Finding] = []
-    for rule in rules if rules is not None else default_rules():
-        if rule.applies_to(norm):
-            findings.extend(rule.check(tree, norm))
-    return sorted(findings)
 
 
 def iter_python_files(paths: Iterable[Union[str, pathlib.Path]]) -> Iterator[pathlib.Path]:

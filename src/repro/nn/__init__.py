@@ -12,8 +12,8 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
-from .losses import mean_squared_error, softmax, softmax_cross_entropy
-from .metrics import accuracy, agreement, confusion_matrix, error_rate
+from .losses import softmax, softmax_cross_entropy
+from .metrics import accuracy
 from .model import Sequential
 from .optimizers import SGD, Adam
 from .quantize import (
@@ -44,11 +44,7 @@ __all__ = [
     "Adam",
     "softmax",
     "softmax_cross_entropy",
-    "mean_squared_error",
     "accuracy",
-    "error_rate",
-    "agreement",
-    "confusion_matrix",
     "QuantizedModel",
     "QuantizedDense",
     "QuantizedConv2D",

@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["softmax", "softmax_cross_entropy", "mean_squared_error"]
+__all__ = ["softmax", "softmax_cross_entropy"]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -37,10 +37,3 @@ def softmax_cross_entropy(
     return loss, grad / batch
 
 
-def mean_squared_error(
-    outputs: np.ndarray, targets: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Plain MSE (used by autoencoder-style tests)."""
-    diff = outputs - targets
-    loss = float((diff ** 2).mean())
-    return loss, 2.0 * diff / diff.size

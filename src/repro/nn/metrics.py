@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "error_rate", "confusion_matrix", "agreement"]
+__all__ = ["accuracy"]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -18,25 +18,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def error_rate(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """1 - accuracy (the paper's inference-error metric)."""
-    return 1.0 - accuracy(predictions, labels)
-
-
-def agreement(a: np.ndarray, b: np.ndarray) -> float:
-    """Fraction of samples where two predictors agree.
-
-    Used to quantify "no drop in accuracy" claims: quantized / projected
-    / pruned models are compared against the float model's outputs.
-    """
-    return accuracy(np.asarray(a), np.asarray(b))
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """(true, predicted) count matrix."""
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for true, pred in zip(np.asarray(labels), np.asarray(predictions)):
-        matrix[int(true), int(pred)] += 1
-    return matrix

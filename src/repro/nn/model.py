@@ -8,13 +8,11 @@ pre-processing pipeline and the netlist compiler.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import TrainingError
-from .layers import Dense, Layer
-from .losses import softmax
+from .layers import Layer
 
 __all__ = ["Sequential"]
 
@@ -58,10 +56,6 @@ class Sequential:
         """Class predictions (argmax over logits — the paper's Softmax)."""
         return self.forward(x).argmax(axis=-1)
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities via softmax (for calibration tests)."""
-        return softmax(self.forward(x))
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Back-propagate through the whole stack."""
         for layer in reversed(self.layers):
@@ -84,10 +78,6 @@ class Sequential:
             grads.extend(layer.gradients())
         return grads
 
-    def parameter_count(self) -> int:
-        """Total trainable scalars (the paper quotes 267K for LeNet-300-100)."""
-        return int(sum(p.size for p in self.parameters()))
-
     def mac_count(self) -> int:
         """Per-sample multiply-accumulates across linear layers."""
         return int(
@@ -106,49 +96,11 @@ class Sequential:
 
     # -- persistence ----------------------------------------------------------------
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Named parameter snapshot."""
-        state = {}
-        for i, layer in enumerate(self.layers):
-            for j, param in enumerate(layer.parameters()):
-                state[f"layer{i}_param{j}"] = param.copy()
-            mask = getattr(layer, "mask", None)
-            if mask is not None:
-                state[f"layer{i}_mask"] = mask.copy()
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore a snapshot from :meth:`state_dict`."""
-        for i, layer in enumerate(self.layers):
-            for j, param in enumerate(layer.parameters()):
-                key = f"layer{i}_param{j}"
-                if key not in state:
-                    raise TrainingError(f"missing parameter {key}")
-                if param.shape != state[key].shape:
-                    raise TrainingError(f"shape mismatch for {key}")
-                param[...] = state[key]
-            key = f"layer{i}_mask"
-            if key in state:
-                layer.mask = state[key].copy()
-
-    def save(self, path: str) -> None:
-        """Persist parameters to an ``.npz`` file."""
-        np.savez(path, **self.state_dict())
-
-    def load(self, path: str) -> None:
-        """Load parameters saved by :meth:`save`."""
-        with np.load(path) as data:
-            self.load_state_dict({k: data[k] for k in data.files})
-
     def clone(self) -> "Sequential":
         """Deep copy (used by retraining pipelines to keep the original)."""
         return copy.deepcopy(self)
 
     # -- introspection -----------------------------------------------------------------
-
-    def dense_layers(self) -> List[Dense]:
-        """The fully-connected layers, in order."""
-        return [l for l in self.layers if isinstance(l, Dense)]
 
     def architecture_string(self) -> str:
         """Compact description in the paper's style (e.g. 617-50FC-Tanh-...)."""

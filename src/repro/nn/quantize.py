@@ -342,11 +342,6 @@ class QuantizedModel:
 
     # -- float-facing API ----------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Float logits (decode of the integer pipeline)."""
-        fixed = self.fmt.encode_array(x)
-        return self.fmt.decode_array(self.forward_fixed(fixed))
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class ids via lowest-index argmax (matches the CMP/MUX tree)."""
         logits = self.forward_fixed(self.fmt.encode_array(x))

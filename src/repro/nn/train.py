@@ -44,11 +44,6 @@ class TrainHistory:
     train_error: List[float] = dataclasses.field(default_factory=list)
     val_error: List[float] = dataclasses.field(default_factory=list)
 
-    @property
-    def best_val_error(self) -> float:
-        """Lowest validation error seen (Alg. 1's ``delta_best``)."""
-        return min(self.val_error) if self.val_error else 1.0
-
 
 class Trainer:
     """Minibatch SGD trainer for :class:`Sequential` models."""
@@ -96,9 +91,7 @@ class Trainer:
         """Standard epoch training with optional early stopping.
 
         Returns:
-            The epoch-level history; the model holds the final weights
-            (best-weights restoration is the caller's choice via
-            ``state_dict``).
+            The epoch-level history; the model holds the final weights.
         """
         cfg = self.config
         if len(x_train) != len(y_train):

@@ -5,19 +5,16 @@ from .projection import (
     ProjectionConfig,
     ProjectionResult,
     build_projection,
-    projection_error,
 )
-from .pruning import PruneReport, magnitude_threshold, prune_model, sparsity_map
+from .pruning import PruneReport, magnitude_threshold, prune_model
 
 __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
     "build_projection",
-    "projection_error",
     "PruneReport",
     "prune_model",
     "magnitude_threshold",
-    "sparsity_map",
     "PreprocessReport",
     "preprocess_model",
     "condense_architecture",

@@ -13,9 +13,10 @@ would not shrink the input layer.  The information in ``W x`` is exactly
 the rank-``r`` coordinate vector ``U^T x`` (and ``U`` is publicly
 derivable from ``W`` by eigendecomposition), so the condensed network
 takes the ``r``-dimensional ``U^T x`` as input — that is where the
-``n(1)``-fold reduction of Table 5 comes from.  Both operators are
-exposed: :meth:`ProjectionResult.project` (Alg. 2, ``W X``) and
-:meth:`ProjectionResult.embed` (``U^T X``, the condensed-model input).
+``n(1)``-fold reduction of Table 5 comes from.  ``W`` is released as
+:attr:`ProjectionResult.projection` (Alg. 2 applies it, ``W X``), and
+:meth:`ProjectionResult.embed` computes ``U^T X``, the condensed-model
+input.
 
 Implementation notes kept faithful to the pseudocode:
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from ..errors import PreprocessError
 
-__all__ = ["ProjectionConfig", "ProjectionResult", "build_projection", "projection_error"]
+__all__ = ["ProjectionConfig", "ProjectionResult", "build_projection"]
 
 
 @dataclasses.dataclass
@@ -83,35 +84,9 @@ class ProjectionResult:
         """Dimension of the retained subspace."""
         return self.basis.shape[1]
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Algorithm 2: ``Y = W X`` (client-side, full dimensionality)."""
-        return x @ self.projection.T
-
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Coordinates ``U^T x`` — the condensed network's input."""
         return x @ self.basis
-
-    def reconstruction_error(self, x: np.ndarray) -> float:
-        """Mean relative L2 error of ``W x`` vs ``x`` (quality metric)."""
-        proj = self.project(x)
-        num = np.linalg.norm(proj - x, axis=-1)
-        den = np.linalg.norm(x, axis=-1) + 1e-12
-        return float((num / den).mean())
-
-
-def projection_error(dictionary: np.ndarray, column: np.ndarray) -> float:
-    """Alg. 1 line 15: ``V_p(a) = ||D D^+ a - a|| / ||a||``."""
-    norm = np.linalg.norm(column)
-    if norm < 1e-12:
-        return 0.0
-    if dictionary.size == 0:
-        return 1.0
-    gram = dictionary.T @ dictionary
-    coeff = np.linalg.solve(
-        gram + 1e-10 * np.eye(gram.shape[0]), dictionary.T @ column
-    )
-    residual = dictionary @ coeff - column
-    return float(np.linalg.norm(residual) / norm)
 
 
 def build_projection(

@@ -10,7 +10,7 @@ weight values (paper's security argument (ii) in Sec. 3.7).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..nn.layers import Conv2D, Dense
 from ..nn.model import Sequential
 from ..nn.train import TrainConfig, Trainer
 
-__all__ = ["PruneReport", "magnitude_threshold", "prune_model", "sparsity_map"]
+__all__ = ["PruneReport", "magnitude_threshold", "prune_model"]
 
 
 @dataclasses.dataclass
@@ -40,11 +40,6 @@ class PruneReport:
     accuracy_before: float
     accuracy_after: float
 
-    @property
-    def fold(self) -> float:
-        """MAC compaction factor (paper Table 5's "fold")."""
-        return self.macs_before / max(self.macs_after, 1)
-
 
 def magnitude_threshold(weights: np.ndarray, sparsity: float) -> float:
     """Weight-magnitude quantile achieving the requested sparsity."""
@@ -53,16 +48,6 @@ def magnitude_threshold(weights: np.ndarray, sparsity: float) -> float:
     if sparsity == 0.0:
         return 0.0
     return float(np.quantile(np.abs(weights), sparsity))
-
-
-def sparsity_map(model: Sequential) -> Dict[int, np.ndarray]:
-    """The public sparsity map: layer index -> boolean keep-mask."""
-    result = {}
-    for i, layer in enumerate(model.layers):
-        mask = getattr(layer, "mask", None)
-        if mask is not None:
-            result[i] = mask.astype(bool)
-    return result
 
 
 def prune_model(

@@ -143,8 +143,3 @@ class CircuitBreaker:
                 "cooldown_s": self.cooldown_s,
             }
 
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker(state={self.state!r}, "
-            f"threshold={self.threshold}, cooldown_s={self.cooldown_s})"
-        )

@@ -60,11 +60,6 @@ class Deadline:
         """Seconds left in the budget (never negative)."""
         return max(self.budget_s - self.elapsed(), 0.0)
 
-    @property
-    def expired(self) -> bool:
-        """True once the budget is spent."""
-        return self.elapsed() >= self.budget_s
-
     def consume(self, seconds: float, context: str = "") -> None:
         """Charge a virtual delay against the budget, then check it.
 
@@ -91,8 +86,3 @@ class Deadline:
                 f"{spent:.3f}s spent of a {self.budget_s:.3f}s budget"
             )
 
-    def __repr__(self) -> str:
-        return (
-            f"Deadline(budget_s={self.budget_s!r}, "
-            f"elapsed={self.elapsed():.3f})"
-        )

@@ -196,10 +196,6 @@ class FaultPlan:
         with self._lock:
             return list(self._applied)
 
-    def describe(self) -> str:
-        """One-line plan summary for CLI output."""
-        return ",".join(s.describe() for s in self.specs) or "none"
-
 
 class FaultyChannel(Channel):
     """A channel endpoint that applies a :class:`FaultPlan` on send.

@@ -124,8 +124,3 @@ class RetryPolicy:
                 if delay > 0:
                     self._sleep(delay)
 
-    def __repr__(self) -> str:
-        return (
-            f"RetryPolicy(max_retries={self.max_retries}, "
-            f"backoff_s={self.backoff_s}, jitter={self.jitter})"
-        )

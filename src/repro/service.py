@@ -32,7 +32,6 @@ import numpy as np
 
 from .circuits.netlist import Circuit
 from .compile.compiler import CompiledModel, compile_model
-from .compile.costmodel import CostBreakdown, GCCostModel
 from .engine import (
     Backend,
     EngineConfig,
@@ -662,25 +661,6 @@ class PrivateInferenceService:
         return int(self.quantized.predict(np.asarray(sample)[None])[0])
 
     # -- cost projection -------------------------------------------------------
-
-    def cost_estimate(
-        self, n_samples: int = 1, cost_model: Optional[GCCostModel] = None
-    ) -> CostBreakdown:
-        """Project per-batch cost from the compiled circuit's gate counts.
-
-        Uses the paper's testbed coefficients by default; pass a model
-        built from :func:`repro.analysis.characterize` for this host.
-        """
-        model = cost_model or GCCostModel()
-        counts = self.compiled.circuit.counts()
-        single = model.breakdown(counts)
-        return CostBreakdown(
-            xor=single.xor * n_samples,
-            non_xor=single.non_xor * n_samples,
-            comm_bytes=single.comm_bytes * n_samples,
-            computation_s=single.computation_s * n_samples,
-            execution_s=single.execution_s * n_samples,
-        )
 
     # -- bookkeeping ---------------------------------------------------------------
 

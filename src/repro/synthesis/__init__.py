@@ -15,7 +15,7 @@ from .report import (
     measure_activation_error,
     render_table3,
 )
-from .verilog import dumps_verilog, export_verilog
+from .verilog import dumps_verilog
 
 __all__ = [
     "CellLibrary",
@@ -32,5 +32,4 @@ __all__ = [
     "ComponentReport",
     "measure_activation_error",
     "dumps_verilog",
-    "export_verilog",
 ]

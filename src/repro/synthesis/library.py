@@ -10,12 +10,12 @@ synthesis reports charge against.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable
+from typing import Dict
 
 from ..circuits.gates import GateType
 from ..circuits.netlist import Circuit, GateCounts
 
-__all__ = ["Cell", "CellLibrary", "GC_LIBRARY", "area"]
+__all__ = ["Cell", "CellLibrary", "GC_LIBRARY"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,11 +32,6 @@ class Cell:
     gate: GateType
     area: int
     garble_ciphertexts: int
-
-    @property
-    def comm_bits(self) -> int:
-        """Communication cost in bits (paper's alpha contribution)."""
-        return self.garble_ciphertexts * 128
 
 
 def _build_default() -> Dict[GateType, Cell]:
@@ -58,18 +53,6 @@ class CellLibrary:
         self.cells = cells or _build_default()
         self.name = name
 
-    def cell(self, gate: GateType) -> Cell:
-        """Cell for a gate type."""
-        return self.cells[gate]
-
-    def circuit_area(self, circuit: Circuit) -> int:
-        """Total area = number of non-free gates (the paper's objective)."""
-        return sum(self.cells[g.op].area for g in circuit.gates)
-
-    def circuit_comm_bits(self, circuit: Circuit) -> int:
-        """Total garbled-table traffic in bits."""
-        return sum(self.cells[g.op].comm_bits for g in circuit.gates)
-
     def counts(self, circuit: Circuit) -> GateCounts:
         """Free/non-free inventory under this library."""
         non_free = sum(1 for g in circuit.gates if self.cells[g.op].area)
@@ -80,6 +63,3 @@ class CellLibrary:
 GC_LIBRARY = CellLibrary()
 
 
-def area(circuits: Iterable[Circuit], library: CellLibrary = GC_LIBRARY) -> int:
-    """Aggregate area over several circuits."""
-    return sum(library.circuit_area(c) for c in circuits)

@@ -234,7 +234,7 @@ def lower_to_gc_basis(circuit: Circuit) -> Circuit:
         elif op is GateType.XOR:
             out = builder.emit_xor(a, b)
         elif op is GateType.XNOR:
-            out = builder.emit_xnor(a, b)
+            out = builder.emit_not(builder.emit_xor(a, b))
         elif op is GateType.AND:
             out = builder.emit_and(a, b)
         elif op is GateType.NAND:
@@ -272,11 +272,6 @@ class OptimizationReport:
         counts = circuit.counts()
         self.passes.append((name, counts.xor, counts.non_xor))
         self.after = counts
-
-    @property
-    def non_xor_saved(self) -> int:
-        """Garbled tables removed by the pipeline."""
-        return self.before.non_xor - self.after.non_xor
 
 
 def optimize(

@@ -16,7 +16,7 @@ from ..circuits.gates import GateType
 from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit
 from ..errors import SynthesisError
 
-__all__ = ["dumps_verilog", "export_verilog"]
+__all__ = ["dumps_verilog"]
 
 _VERILOG_EXPR = {
     GateType.XOR: "{a} ^ {b}",
@@ -98,7 +98,3 @@ def dumps_verilog(circuit: Circuit, module_name: str = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_verilog(circuit: Circuit, path: str, module_name: str = None) -> None:
-    """Write :func:`dumps_verilog` output to a file."""
-    with open(path, "w") as handle:
-        handle.write(dumps_verilog(circuit, module_name))

@@ -43,7 +43,6 @@ from .wire import (
     MAX_TAG_BYTES,
     FrameDecoder,
     checksummed,
-    decode_frame,
     encode_frame,
     read_frame,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "checksummed",
     "SocketChannel",
     "WorkerServer",
-    "decode_frame",
     "encode_frame",
     "peer_channel_factory",
     "read_frame",

@@ -301,11 +301,6 @@ class ShardedService:
         if supervisor is not None:
             supervisor.kick()
 
-    @property
-    def shard_count(self) -> int:
-        """Configured worker count (live or not)."""
-        return len(self._shards)
-
     def live_shards(self) -> List[int]:
         """Indices of shards in the serving state with a live worker."""
         return [s.index for s in self._shards if s.alive]
@@ -427,7 +422,7 @@ class ShardedService:
     ) -> List[Any]:
         """Serve a batch, partitioned across the worker shards.
 
-        Samples are split into ``shard_count`` contiguous chunks; each
+        Samples are split into one contiguous chunk per shard; each
         chunk's RPC runs on its own front-end thread — the one place a
         thread waits on *another process* — so shards execute their
         garbled protocols genuinely in parallel (separate processes, no
@@ -670,12 +665,6 @@ class ShardedService:
             fallback = self._fallback
         if fallback is not None:
             fallback.close()
-
-    def __enter__(self) -> "ShardedService":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def _flatten(sample: Any) -> List[float]:

@@ -176,8 +176,3 @@ class ShardSupervisor:
         snapshot["backoff_cap_s"] = self.backoff_cap_s
         return snapshot
 
-    def __repr__(self) -> str:
-        return (
-            f"ShardSupervisor(interval={self.probe_interval_s}, "
-            f"max_restarts={self.max_restarts})"
-        )

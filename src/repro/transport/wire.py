@@ -34,7 +34,6 @@ __all__ = [
     "MAX_PAYLOAD_BYTES",
     "MAX_TAG_BYTES",
     "FrameDecoder",
-    "decode_frame",
     "encode_frame",
     "read_frame",
 ]
@@ -135,40 +134,6 @@ def _decode_tag(tag_bytes: bytes) -> str:
         ) from None
 
 
-def decode_frame(
-    data: bytes, offset: int = 0, max_payload: int = MAX_PAYLOAD_BYTES
-) -> Tuple[Frame, int]:
-    """Decode one complete frame from ``data`` at ``offset``.
-
-    Returns ``(frame, next_offset)``.
-
-    Raises:
-        ChannelIntegrityError: malformed header *or* a record truncated
-            before its declared length — a partial buffer is malformed
-            input here (streaming callers use :class:`FrameDecoder`,
-            which waits for more bytes instead).
-    """
-    if len(data) - offset < HEADER_SIZE:
-        raise ChannelIntegrityError(
-            f"truncated frame: {len(data) - offset} bytes is shorter than "
-            f"the {HEADER_SIZE}-byte header"
-        )
-    tag_len, seq, crc, delay_s, payload_len = _parse_header(
-        bytes(data[offset : offset + HEADER_SIZE]), max_payload
-    )
-    total = HEADER_SIZE + tag_len + payload_len
-    if len(data) - offset < total:
-        raise ChannelIntegrityError(
-            f"truncated frame: declares {total} bytes, buffer carries "
-            f"{len(data) - offset}"
-        )
-    body = offset + HEADER_SIZE
-    tag = _decode_tag(bytes(data[body : body + tag_len]))
-    payload = bytes(data[body + tag_len : body + tag_len + payload_len])
-    frame = Frame(tag=tag, seq=seq, payload=payload, crc=crc, delay_s=delay_s)
-    return frame, offset + total
-
-
 class FrameDecoder:
     """Incremental decoder for a byte stream of wire frames.
 
@@ -181,11 +146,6 @@ class FrameDecoder:
     def __init__(self, max_payload: int = MAX_PAYLOAD_BYTES) -> None:
         self._buffer = bytearray()
         self._max_payload = max_payload
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward the next (incomplete) frame."""
-        return len(self._buffer)
 
     def feed(self, chunk: bytes) -> List[Frame]:
         """Absorb ``chunk`` and return every frame it completed.

@@ -1,4 +1,4 @@
-"""Activation-circuit tests: LUT, truncated, piecewise, CORDIC, softmax.
+"""Activation-circuit tests: LUT, truncated, piecewise, CORDIC.
 
 The CORDIC circuits are checked bit-exactly against the integer software
 model, and every variant's numeric error against the float reference is
@@ -32,6 +32,12 @@ from repro.errors import CircuitError
 
 FMT9 = FixedPointFormat(2, 6)
 FMT16 = FixedPointFormat(3, 12)
+
+
+def _max_error(spec, fn, domain):
+    """Max absolute deviation of ``spec`` from ``fn`` over ``[-domain, domain]``."""
+    xs = np.linspace(-domain, domain, 20001)
+    return float(np.max(np.abs(spec.evaluate(xs) - fn(xs))))
 
 
 def run_activation(name, value, fmt, **kwargs):
@@ -149,17 +155,17 @@ class TestPiecewise:
     def test_plan_error_matches_published(self):
         # PLAN's known max abs error is 0.0189
         spec = sigmoid_plan_spec()
-        err = spec.max_error(lambda x: 1 / (1 + np.exp(-x)), 8.0)
+        err = _max_error(spec, lambda x: 1 / (1 + np.exp(-x)), 8.0)
         assert 0.017 <= err <= 0.020
 
     def test_tanh_pl_seven_lines(self):
         spec = tanh_pl_spec()
         assert len(spec.segments) == 7
-        assert spec.max_error(np.tanh, 8.0) <= 0.006
+        assert _max_error(spec, np.tanh, 8.0) <= 0.006
 
     def test_more_segments_reach_paper_error(self):
         spec12 = fit_piecewise(np.tanh, 12, 3.5, 1.0)
-        assert spec12.max_error(np.tanh, 8.0) <= 0.0022  # paper's TanhPL error
+        assert _max_error(spec12, np.tanh, 8.0) <= 0.0022  # paper's TanhPL error
 
     @pytest.mark.parametrize("value", [-3.0, -1.1, -0.2, 0.0, 0.3, 1.4, 2.6, 6.0])
     def test_circuit_matches_spec(self, value):
@@ -195,7 +201,7 @@ class TestCordic:
         # paper Sec. 4.2: 14 iterations for 12-bit precision (3i+1 repeats);
         # our plans add the range-expansion stages on top
         plan = hyperbolic_plan(frac_bits=12, expansion=0)
-        assert plan.iterations == 14
+        assert len(plan.stages) == 14
 
     def test_expansion_extends_domain(self):
         z0 = hyperbolic_plan(12, expansion=0).z_max
@@ -247,36 +253,3 @@ class TestCordic:
         z = bld.add_alice_inputs(4)
         with pytest.raises(CircuitError):
             cordic_sinh_cosh(bld, z, plan)
-
-
-class TestSoftmax:
-    def test_softmax_argmax_over_logits(self):
-        from repro.circuits.activations.softmax import softmax_argmax
-
-        bld = CircuitBuilder()
-        logits = [bld.add_alice_inputs(8) for _ in range(5)]
-        index, value = softmax_argmax(bld, logits)
-        bld.mark_output_bus(index)
-        circuit = bld.build()
-        values = [-5, 30, 7, 30, -2]
-        bits = []
-        from repro.circuits import bits_from_int
-
-        for v in values:
-            bits.extend(bits_from_int(v & 255, 8))
-        got = int_from_bits(simulate(circuit, bits, []))
-        assert got == int(np.argmax(values))
-
-    def test_onehot_output(self):
-        from repro.circuits.activations.softmax import softmax_onehot
-        from repro.circuits import bits_from_int
-
-        bld = CircuitBuilder()
-        logits = [bld.add_alice_inputs(8) for _ in range(4)]
-        bld.mark_output_bus(softmax_onehot(bld, logits))
-        circuit = bld.build()
-        values = [3, -9, 60, 2]
-        bits = []
-        for v in values:
-            bits.extend(bits_from_int(v & 255, 8))
-        assert simulate(circuit, bits, []) == [0, 0, 1, 0]

@@ -2,7 +2,7 @@
 and hypothesis properties."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import CircuitBuilder, bits_from_int, int_from_bits, simulate
@@ -47,10 +47,12 @@ class TestAdderExhaustive:
                 assert got == a + b
 
     def test_add_with_carry_in(self):
-        got = run_binary(
-            lambda bl, x, y: arith.ripple_add(bl, x, y, cin=bl.one), 5, 6, 4
-        )
-        assert got == 12
+        # a zero addend makes it an increment
+        for a, b in [(5, 6), (0, 0), (9, 0), (15, 0)]:
+            got = run_binary(
+                lambda bl, x, y: arith.ripple_add(bl, x, y, cin=bl.one), a, b, 4
+            )
+            assert got == (a + b + 1) & 15
 
     def test_adder_non_xor_is_width(self):
         bld = CircuitBuilder()
@@ -63,27 +65,17 @@ class TestAdderExhaustive:
 
 class TestSubNegAbs:
     @given(st.integers(0, 255), st.integers(0, 255))
+    @example(0, 1)  # from zero: a negate
+    @example(0, 255)
     @settings(max_examples=40, deadline=None)
     def test_sub_wraps(self, a, b):
         assert run_binary(arith.ripple_sub, a, b, 8) == (a - b) & 255
-
-    @given(st.integers(0, 255))
-    @settings(max_examples=25, deadline=None)
-    def test_negate(self, a):
-        got = run_binary(lambda bl, x, y: arith.negate(bl, x), a, 0, 8)
-        assert got == (-a) & 255
 
     @given(st.integers(-127, 127))
     @settings(max_examples=25, deadline=None)
     def test_absolute(self, a):
         got = run_binary(lambda bl, x, y: arith.absolute(bl, x), a, 0, 8, signed_out=True)
         assert got == abs(a)
-
-    @given(st.integers(0, 255))
-    @settings(max_examples=25, deadline=None)
-    def test_increment(self, a):
-        got = run_binary(lambda bl, x, y: arith.increment(bl, x), a, 0, 8)
-        assert got == (a + 1) & 255
 
     def test_borrow_flag(self):
         got = run_binary(
@@ -107,13 +99,10 @@ class TestComparisons:
     def test_signed_lt(self, a, b):
         assert run_binary(arith.less_than_signed, a, b, 8) == int(a < b)
 
-    @given(st.integers(0, 255), st.integers(0, 255))
-    @settings(max_examples=25, deadline=None)
-    def test_equals(self, a, b):
-        assert run_binary(arith.equals, a, b, 8) == int(a == b)
-
-    def test_equals_self(self):
-        assert run_binary(arith.equals, 77, 77, 8) == 1
+    @pytest.mark.parametrize("value", [0, 1, 77, 127, 128, 255])
+    def test_equal_operands_are_not_less(self, value):
+        assert run_binary(arith.less_than, value, value, 8) == 0
+        assert run_binary(arith.less_than_signed, value, value, 8) == 0
 
     def test_comparator_non_xor_is_width(self):
         bld = CircuitBuilder()
@@ -146,11 +135,6 @@ class TestConditionalOps:
 
 
 class TestShifts:
-    @given(st.integers(0, 255), st.integers(0, 10))
-    @settings(max_examples=25, deadline=None)
-    def test_shift_left(self, a, k):
-        got = run_binary(lambda bl, x, y: arith.shift_left_const(bl, x, k), a, 0, 8)
-        assert got == (a << k) & 255
 
     @given(st.integers(0, 255), st.integers(0, 10))
     @settings(max_examples=25, deadline=None)
@@ -173,7 +157,7 @@ class TestShifts:
         bld = CircuitBuilder()
         a = bld.add_alice_inputs(4)
         with pytest.raises(CircuitError):
-            arith.shift_left_const(bld, a, -1)
+            arith.shift_right_logic_const(bld, a, -1)
 
 
 class TestMultipliers:
@@ -181,11 +165,6 @@ class TestMultipliers:
     @settings(max_examples=40, deadline=None)
     def test_unsigned_full(self, a, b):
         assert run_binary(arith.multiply_unsigned, a, b, 6) == a * b
-
-    @given(st.integers(-31, 31), st.integers(-31, 31))
-    @settings(max_examples=40, deadline=None)
-    def test_signed_full(self, a, b):
-        assert run_binary(arith.multiply_signed, a, b, 6, signed_out=True) == a * b
 
     @given(st.integers(-127, 127), st.integers(-127, 127))
     @settings(max_examples=40, deadline=None)
@@ -199,21 +178,6 @@ class TestMultipliers:
         ref = -mag if (a < 0) != (b < 0) else mag
         assert got == signed(ref, 8)
 
-    @given(st.integers(-127, 127), st.integers(-127, 127))
-    @settings(max_examples=40, deadline=None)
-    def test_fixed_full_no_wrap(self, a, b):
-        frac = 4
-        bld = CircuitBuilder()
-        xa = bld.add_alice_inputs(8)
-        xb = bld.add_bob_inputs(8)
-        out = arith.multiply_fixed_full(bld, xa, xb, frac)
-        bld.mark_output_bus(out)
-        circuit = bld.build()
-        bits = simulate(circuit, bits_from_int(a & 255, 8), bits_from_int(b & 255, 8))
-        got = int_from_bits(bits, signed=True)
-        mag = (abs(a) * abs(b)) >> frac
-        assert got == (-mag if (a < 0) != (b < 0) else mag)
-
     def test_max_width_trimming_exact_mod(self):
         for a, b in [(200, 255), (129, 130), (255, 255)]:
             got = run_binary(
@@ -221,6 +185,32 @@ class TestMultipliers:
                 a, b, 8,
             )
             assert got == (a * b) & 255
+
+
+class TestSignMagnitude:
+    @given(st.integers(-128, 127))
+    @settings(max_examples=25, deadline=None)
+    def test_full_range(self, a):
+        def build(bl, x, y):
+            magnitude, sign = arith.sign_magnitude(bl, x)
+            assert len(magnitude) == 8
+            return magnitude + [sign]
+
+        got = run_binary(build, a, 0, 8)
+        assert got & 255 == abs(a)
+        assert got >> 8 == int(a < 0)
+
+    @given(st.integers(-127, 127))
+    @settings(max_examples=25, deadline=None)
+    def test_symmetric_lane_drops_a_bit(self, a):
+        def build(bl, x, y):
+            magnitude, sign = arith.sign_magnitude(bl, x, symmetric=True)
+            assert len(magnitude) == 7
+            return magnitude + [sign]
+
+        got = run_binary(build, a, 0, 8)
+        assert got & 127 == abs(a)
+        assert got >> 7 == int(a < 0)
 
 
 class TestDividers:
@@ -241,12 +231,9 @@ class TestDividers:
         bits = simulate(circuit, bits_from_int(a, 7), bits_from_int(b, 7))
         assert int_from_bits(bits) == (a << frac) // b
 
-    @given(st.integers(-63, 63), st.integers(1, 63))
-    @settings(max_examples=25, deadline=None)
-    def test_signed_division_rounds_to_zero(self, a, b):
-        got = run_binary(arith.divide_signed, a, b, 7, signed_out=True)
-        expected = abs(a) // b
-        assert got == (-expected if a < 0 else expected)
+    @pytest.mark.parametrize("a", [0, 1, 100, 255])
+    def test_division_by_zero_is_all_ones(self, a):
+        assert run_binary(arith.divide_unsigned, a, 0, 8) == 255
 
 
 class TestSelectionOps:
@@ -265,9 +252,8 @@ class TestSelectionOps:
 
     @given(st.integers(-100, 100), st.integers(-100, 100))
     @settings(max_examples=25, deadline=None)
-    def test_max_min(self, a, b):
+    def test_maximum(self, a, b):
         assert run_binary(arith.maximum, a, b, 8, signed_out=True) == max(a, b)
-        assert run_binary(arith.minimum, a, b, 8, signed_out=True) == min(a, b)
 
     @given(st.integers(-4000, 4000))
     @settings(max_examples=25, deadline=None)
@@ -286,6 +272,21 @@ class TestSelectionOps:
             signed_out=True,
         )
         assert got == max(-127, min(127, a))
+
+    @given(st.integers(-32, 31))
+    @settings(max_examples=20, deadline=None)
+    def test_saturate_narrow_word_sign_extends(self, a):
+        got = run_binary(
+            lambda bl, x, y: arith.saturate_to_width(bl, x, 8), a, 0, 6,
+            signed_out=True,
+        )
+        assert got == a
+
+    @given(st.integers(0, 255), st.integers(0, 255))
+    @settings(max_examples=25, deadline=None)
+    def test_maximum_unsigned(self, a, b):
+        got = run_binary(lambda bl, x, y: arith.maximum(bl, x, y, signed=False), a, b, 8)
+        assert got == max(a, b)
 
     def test_sign_extend_and_truncate(self):
         got = run_binary(

@@ -1,30 +1,36 @@
-"""Shape invariance of a batched round: what each party receives.
+"""Shape invariance of a round: what each party receives.
 
 A party's view of a round starts with the frames the other party sends
-it.  Over one ``TwoPartySession.run_many`` batch, on the in-memory and
-the socket transport, cold and from the pre-garbled pool: fix one
-party's inputs and vary the other's, and the ``(tag, length)`` sequence
-of frames each party receives stays the same, in every lane.  A
-data-dependent frame, an early exit or a gate skipped for a zero bit
-would change it.
+it.  Over one ``TwoPartySession.run_many`` batch (cold and from the
+pre-garbled pool), a ``SequentialSession`` run of the folded MAC cell
+over two cycles and a cut-and-choose request, on the in-memory and the
+socket transport: fix one party's inputs and vary the other's, and the
+``(tag, length)`` sequence of frames each party receives stays the same,
+in every lane.  A data-dependent frame, an early exit or a gate skipped
+for a zero bit would change it.
 """
 
 import random
 
 import pytest
 
-from repro.circuits import CircuitBuilder, simulate
-from repro.gc import TwoPartySession
+from repro.circuits import CircuitBuilder, FixedPointFormat, simulate
+from repro.compile.folded import folded_mac_cell
+from repro.engine.backends import CutAndChooseBackend
+from repro.gc import SequentialSession, TwoPartySession
 from repro.gc.channel import make_channel_pair
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
-from repro.gc.protocol import OT_EXTENSION_THRESHOLD
 from repro.transport import socketpair_channel_factory
 
 N_ALICE = 4
-#: wide enough that the OT takes the extension
-N_BOB = OT_EXTENSION_THRESHOLD + 2
+#: Bob's input width; not a multiple of 8, so the packed OT frames end
+#: in a partial byte
+N_BOB = 130
 LANES = 3
+#: the folded MAC cell: four products, two per clock
+MAC_CELL = folded_mac_cell(FixedPointFormat(2, 4), fan_in=4, fold=2)
+CYCLES = 2
 
 TRANSPORTS = {"memory": make_channel_pair, "socket": socketpair_channel_factory()}
 
@@ -44,13 +50,66 @@ def _circuit():
     return bld.build()
 
 
+CIRCUIT = _circuit()
+
+
+def _batch(pooled):
+    """One ``run_many`` batch of every lane."""
+
+    def drive(factory, rng, alices, bobs):
+        session = TwoPartySession(
+            CIRCUIT, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory,
+            ot_state=IKNPState(TEST_GROUP_512, rng) if pooled else None,
+        )
+        slots = session.pregarble_many(LANES) if pooled else None
+        results = session.run_many(alices, bobs, pregarbled=slots)
+        assert [r.outputs for r in results] == [
+            simulate(CIRCUIT, a, b) for a, b in zip(alices, bobs)
+        ]
+
+    return (N_ALICE, N_BOB), drive
+
+
+def _sequential(factory, rng, alices, bobs):
+    """One clocked run of the MAC cell per lane, a cycle's words after
+    the other's."""
+    session = SequentialSession(
+        MAC_CELL, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory
+    )
+    core = MAC_CELL.core
+    for alice, bob in zip(alices, bobs):
+        a = [alice[i * core.n_alice:(i + 1) * core.n_alice] for i in range(CYCLES)]
+        b = [bob[i * core.n_bob:(i + 1) * core.n_bob] for i in range(CYCLES)]
+        result = session.run(a, b, cycles=CYCLES)
+        assert result.outputs_per_cycle == MAC_CELL.run(a, b, cycles=CYCLES)
+
+
+def _cut_and_choose(factory, rng, alices, bobs):
+    """One cut-and-choose request per lane: its surviving copy's round."""
+    backend = CutAndChooseBackend(
+        ot_group=TEST_GROUP_512, rng=rng, copies=3, channel_factory=factory
+    )
+    for alice, bob in zip(alices, bobs):
+        assert backend.run(CIRCUIT, alice, bob).outputs == simulate(CIRCUIT, alice, bob)
+
+
+FLOWS = {
+    "cold": _batch(pooled=False),
+    "pool": _batch(pooled=True),
+    "sequential": (
+        (CYCLES * MAC_CELL.core.n_alice, CYCLES * MAC_CELL.core.n_bob), _sequential
+    ),
+    "cut_and_choose": ((N_ALICE, N_BOB), _cut_and_choose),
+}
+
+
 def _bits(rng, n):
     return [[rng.randrange(2) for _ in range(n)] for _ in range(LANES)]
 
 
-def _received(circuit, transport, pooled, alices, bobs):
+def _received(flow, transport, alices, bobs):
     """Per lane, the ``(tag, length)`` frames each party received, as
-    ``(bob's, alice's)``, from one ``run_many`` batch."""
+    ``(bob's, alice's)``, from one run of ``flow``."""
     links = []
 
     def factory():
@@ -58,16 +117,10 @@ def _received(circuit, transport, pooled, alices, bobs):
         links.append(stats)
         return alice, bob, stats
 
-    rng = random.Random(1)
-    session = TwoPartySession(
-        circuit, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory,
-        ot_state=IKNPState(TEST_GROUP_512, rng) if pooled else None,
-    )
-    slots = session.pregarble_many(LANES) if pooled else None
-    results = session.run_many(alices, bobs, pregarbled=slots)
-    assert [r.outputs for r in results] == [
-        simulate(circuit, a, b) for a, b in zip(alices, bobs)
-    ]
+    FLOWS[flow][1](factory, random.Random(1), alices, bobs)
+    # a link with no frame on it is pregarble_many's look at which
+    # parties the links host, not a lane
+    links = [stats for stats in links if stats.log]
     assert len(links) == LANES
     return [
         tuple(
@@ -78,22 +131,20 @@ def _received(circuit, transport, pooled, alices, bobs):
     ]
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["cold", "pool"])
+@pytest.mark.parametrize("flow", sorted(FLOWS))
 @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
-def test_received_frames_do_not_depend_on_the_other_partys_inputs(
-    transport, pooled
-):
-    circuit = _circuit()
+def test_received_frames_do_not_depend_on_the_other_partys_inputs(transport, flow):
+    (n_alice, n_bob), _ = FLOWS[flow]
     draw = random.Random(7)
-    alices, bobs = _bits(draw, N_ALICE), _bits(draw, N_BOB)
-    reference = _received(circuit, transport, pooled, alices, bobs)
+    alices, bobs = _bits(draw, n_alice), _bits(draw, n_bob)
+    reference = _received(flow, transport, alices, bobs)
     # lanes with different inputs already see the same frames
     assert reference == [reference[0]] * LANES
     bob_view, alice_view = reference[0]
     assert bob_view and alice_view
     # Alice's inputs fixed, Bob's varied; then the reverse
     for varied in (
-        (alices, _bits(draw, N_BOB)),
-        (_bits(draw, N_ALICE), bobs),
+        (alices, _bits(draw, n_bob)),
+        (_bits(draw, n_alice), bobs),
     ):
-        assert _received(circuit, transport, pooled, *varied) == reference
+        assert _received(flow, transport, *varied) == reference

@@ -36,6 +36,8 @@ def random_circuit(seed, n_gates=80):
         x = rng.choice(wires)
         if op == "not":
             wires.append(bld.emit_not(x))
+        elif op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, rng.choice(wires))))
         else:
             wires.append(getattr(bld, f"emit_{op}")(x, rng.choice(wires)))
     for w in wires[-5:]:
@@ -103,16 +105,6 @@ class TestBristolRoundtrip:
         bld.mark_output_bus(regs)
         with pytest.raises(CircuitError):
             dumps_bristol(bld.build())
-
-    def test_file_roundtrip(self, tmp_path):
-        from repro.circuits import export_bristol, import_bristol
-
-        circuit = adder_circuit(4)
-        path = str(tmp_path / "adder.txt")
-        export_bristol(circuit, path)
-        recovered = import_bristol(path)
-        out = simulate(recovered, bits_from_int(5, 4), bits_from_int(9, 4))
-        assert int_from_bits(out) == 14
 
 
 class TestBristolParser:
@@ -183,9 +175,3 @@ class TestVerilogExport:
         text = dumps_verilog(bld.build())
         assert "input  [1:0] q;" in text
 
-    def test_file_export(self, tmp_path):
-        from repro.synthesis import export_verilog
-
-        path = str(tmp_path / "netlist.v")
-        export_verilog(adder_circuit(4), path)
-        assert "endmodule" in open(path).read()

@@ -1,8 +1,11 @@
 """Channel framing and byte-accounting tests."""
 
+import struct
+
+import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ChannelIntegrityError, ProtocolError
 from repro.gc.channel import make_channel_pair
 
 
@@ -12,23 +15,29 @@ class TestFraming:
         alice.send_bytes(b"hello", tag="t")
         assert bob.recv_bytes() == b"hello"
 
-    def test_int_roundtrip(self):
-        alice, bob, _ = make_channel_pair()
-        for value in (0, 1, 255, 2 ** 128 + 7, 2 ** 2000 + 1):
-            alice.send_int(value)
-            assert bob.recv_int() == value
-
     def test_labels_roundtrip(self):
         alice, bob, _ = make_channel_pair()
         labels = [0, 1, 2 ** 127, 2 ** 128 - 1]
         alice.send_labels(labels)
         assert bob.recv_labels() == labels
 
-    def test_bits_roundtrip(self):
+    def test_label_rows_are_read_only_sixteen_byte_rows(self):
         alice, bob, _ = make_channel_pair()
-        bits = [1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1]
-        alice.send_bits(bits)
-        assert bob.recv_bits() == bits
+        alice.send_labels([1, 2 ** 128 - 1])
+        rows = bob.recv_label_rows()
+        assert rows.shape == (2, 16) and rows.dtype == np.uint8
+        assert not rows.flags.writeable
+        assert rows[0].tolist() == [1] + [0] * 15
+        assert rows[1].tolist() == [255] * 16
+
+    def test_label_payload_size_checked(self):
+        alice, bob, _ = make_channel_pair()
+        alice.send_bytes(struct.pack("<I", 3) + bytes(32), tag="labels")
+        with pytest.raises(ChannelIntegrityError, match="declares 3 entries"):
+            bob.recv_label_rows()
+        alice.send_bytes(b"\x01", tag="labels")
+        with pytest.raises(ChannelIntegrityError, match="too short"):
+            bob.recv_label_rows()
 
     def test_duplex(self):
         alice, bob, _ = make_channel_pair()
@@ -50,7 +59,7 @@ class TestAccounting:
         bob.send_bytes(b"y" * 30, tag="output")
         assert stats.bytes_a_to_b == 104  # + 4-byte length prefix
         assert stats.bytes_b_to_a == 34
-        assert stats.total_bytes == 138
+        assert stats.bytes_a_to_b + stats.bytes_b_to_a == 138
 
     def test_by_tag_aggregation(self):
         alice, bob, stats = make_channel_pair()

@@ -1,4 +1,4 @@
-"""CLI smoke tests (each subcommand renders its report)."""
+"""CLI smoke tests (each subcommand runs and reports)."""
 
 import pytest
 
@@ -7,37 +7,14 @@ from repro.gc.ot import TEST_GROUP_512
 
 
 class TestCLI:
-    def test_table3(self, capsys):
-        assert main(["table3"]) == 0
+    def test_demo_label_matches_cleartext(self, capsys):
+        assert main(["demo"]) == 0
         out = capsys.readouterr().out
-        assert "TanhCORDIC" in out and "ADD" in out
-
-    def test_table4_paper(self, capsys):
-        assert main(["table4"]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark4" in out and "9.67" in out
-
-    def test_table4_measured(self, capsys):
-        assert main(["table4", "--measured"]) == 0
-        assert "measured" in capsys.readouterr().out
-
-    def test_table5(self, capsys):
-        assert main(["table5"]) == 0
-        out = capsys.readouterr().out
-        assert "120" in out and "improve" in out
-
-    def test_table6(self, capsys):
-        assert main(["table6"]) == 0
-        out = capsys.readouterr().out
-        assert "CryptoNets" in out and "570.11" in out
-
-    def test_fig6(self, capsys):
-        assert main(["fig6"]) == 0
-        assert "crossovers" in capsys.readouterr().out
-
-    def test_throughput(self, capsys):
-        assert main(["throughput", "--gates", "1000"]) == 0
-        assert "gates/s" in capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("private label"))
+        private, cleartext = (int(part.split(":")[1].split("|")[0]) for part in
+                              line.split("|")[:2])
+        assert private == cleartext
+        assert "ot group" in out and "comm" in line
 
     def test_infer_simulate_backend(self, capsys):
         assert main(["infer", "--backend", "simulate"]) == 0
@@ -57,6 +34,39 @@ class TestCLI:
         # public-key work run on this host
         assert f", ot group test-25519[{TEST_GROUP_512.provider}])" in out
 
+    def test_serve_retries_through_a_fault_plan(self, capsys):
+        assert main(["serve", "-n", "2", "--max-retries", "2",
+                     "--fault", "corrupt:ot:0"]) == 0
+        out = capsys.readouterr().out
+        assert "fault plan: 1/1 faults fired (corrupt:ot#" in out
+        assert "failed 0/2" in out and "cleartext agreement: OK" in out
+
+    def test_serve_sharded(self, capsys):
+        assert main(["serve", "-n", "4", "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "offline phase: 2 worker processes up, 2 circuits" in out
+        assert "served 4 requests across 2 shards" in out
+        assert "failed 0/4" in out and "cleartext agreement: OK" in out
+        assert "drain: drained" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "-n", "0"],
+        ["serve", "-n", "401"],
+        ["serve", "--pool", "-1"],
+        ["serve", "--shards", "-1"],
+        ["serve", "--max-inflight", "-1"],
+        ["serve", "--kill-shard", "0:0.5"],
+        ["serve", "--shards", "2", "--fault", "corrupt:ot:0"],
+        ["serve", "--shards", "2", "--kill-shard", "2"],
+        ["infer", "--samples", "401"],
+        ["infer", "--connect", "127.0.0.1:1", "--backend", "simulate"],
+        ["infer", "--connect", "127.0.0.1:1"],
+    ])
+    def test_bad_arguments_rejected(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code not in (0, None)
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
@@ -64,6 +74,5 @@ class TestCLI:
     def test_parser_lists_commands(self):
         parser = build_parser()
         text = parser.format_help()
-        for command in ("table3", "table4", "table5", "table6", "fig6",
-                        "throughput", "demo", "infer", "serve"):
+        for command in ("demo", "infer", "serve", "worker"):
             assert command in text

@@ -259,10 +259,6 @@ class TestGateCountModel:
         predicted = architecture_counts(arch, costs).non_xor
         assert abs(predicted - actual) / actual < 0.05
 
-    def test_mac_count(self):
-        arch = Architecture("t", (fc(10, 5), activation("tanh", 5), fc(5, 2)))
-        assert arch.mac_count() == 60
-
 
 class TestCostModel:
     def test_communication_formula(self):
@@ -281,8 +277,12 @@ class TestCostModel:
         counts = GateCounts(xor=0, non_xor=2_560_000)
         assert model.execution_seconds(counts) == pytest.approx(1.0)
 
-    def test_batch_delay_linear(self):
+    def test_breakdown_is_the_three_formulas(self):
         model = GCCostModel()
-        counts = GateCounts(xor=10, non_xor=2_560_000)
-        one = model.batch_delay_seconds(counts, 1)
-        assert model.batch_delay_seconds(counts, 37) == pytest.approx(37 * one)
+        counts = GateCounts(xor=3_400_000, non_xor=2_560_000)
+        row = model.breakdown(counts)
+        assert (row.xor, row.non_xor) == (counts.xor, counts.non_xor)
+        assert row.comm_bytes == model.communication_bytes(counts)
+        assert row.comm_mb == pytest.approx(81.92)  # the paper's MB: 10^6 bytes
+        assert row.computation_s == model.computation_seconds(counts)
+        assert row.execution_s == pytest.approx(1.0)

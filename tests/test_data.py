@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    batches,
     generate_audio_features,
     generate_digits,
     generate_sensing,
-    one_hot,
     render_digit,
     train_val_test_split,
 )
@@ -111,19 +109,18 @@ class TestUtil:
         )
         assert recovered == list(range(100))
 
+    def test_split_is_a_seeded_shuffle(self):
+        x = np.arange(50).reshape(50, 1).astype(float)
+        y = np.arange(50)
+        first = train_val_test_split(x, y, seed=4)
+        again = train_val_test_split(x, y, seed=4)
+        other = train_val_test_split(x, y, seed=5)
+        assert all((a == b).all() for a, b in zip(first, again))
+        assert not (first[1] == other[1]).all()
+        for xs, ys in zip(first[0::2], first[1::2]):
+            assert (xs[:, 0].astype(int) == ys).all()  # pairs stay together
+
     def test_split_length_mismatch(self):
         with pytest.raises(ValueError):
             train_val_test_split(np.zeros((5, 1)), np.zeros(4))
 
-    def test_one_hot(self):
-        out = one_hot(np.array([0, 2]), 3)
-        assert out.tolist() == [[1, 0, 0], [0, 0, 1]]
-
-    def test_batches_cover_everything(self):
-        x = np.arange(10).reshape(10, 1).astype(float)
-        y = np.arange(10)
-        seen = []
-        for bx, by in batches(x, y, 3, seed=0):
-            assert len(bx) <= 3
-            seen.extend(by.tolist())
-        assert sorted(seen) == list(range(10))

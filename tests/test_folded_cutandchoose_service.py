@@ -92,8 +92,9 @@ class TestFoldedDense:
             ]
 
         alice, bob = words(), words()
-        assert wide.final_state(clocks(alice), clocks(bob), cycles=n) == (
-            one.final_state(alice, bob, cycles=fold * n)
+        # the cell's output is its accumulator after the clock
+        assert wide.run(clocks(alice), clocks(bob), cycles=n)[-1] == (
+            one.run(alice, bob, cycles=fold * n)[-1]
         )
 
     def test_products_wider_than_the_io_format(self):
@@ -423,13 +424,6 @@ class TestService:
         svc, x = service
         labels = [r.label for r in svc.infer_many(list(x[:2]))]
         assert labels == [svc.cleartext_label(x[0]), svc.cleartext_label(x[1])]
-
-    def test_cost_estimate_scales(self, service):
-        svc, _ = service
-        one = svc.cost_estimate(1)
-        ten = svc.cost_estimate(10)
-        assert ten.comm_bytes == pytest.approx(10 * one.comm_bytes)
-        assert ten.execution_s == pytest.approx(10 * one.execution_s)
 
     def test_summary(self, service):
         svc, _ = service

@@ -90,7 +90,7 @@ def _gate_circuit():
     b = bld.add_bob_inputs(2)
     outs = [
         bld.emit_xor(a[0], b[0]),
-        bld.emit_xnor(a[0], b[0]),
+        bld.emit_not(bld.emit_xor(a[0], b[0])),
         bld.emit_not(a[0]),
         bld.emit_and(a[0], b[0]),
         bld.emit_or(a[0], b[0]),

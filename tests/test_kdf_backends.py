@@ -87,6 +87,8 @@ def _mixed_circuit(seed=11, n_gates=160):
         x = rng.choice(wires)
         if op == "not":
             wires.append(bld.emit_not(x))
+        elif op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, rng.choice(wires))))
         else:
             wires.append(getattr(bld, f"emit_{op}")(x, rng.choice(wires)))
     for w in wires[-6:]:
@@ -622,8 +624,9 @@ class TestVectorizedIKNP:
         return plane.reshape(m, 2, 16), choices
 
     def _run(self, pairs, choices, seed):
+        rng = random.Random(seed)
         return ot_extension.chosen_ot(
-            pairs, choices, group=TEST_GROUP_512, rng=random.Random(seed),
+            pairs, choices, state=ot_extension.IKNPState(TEST_GROUP_512, rng), rng=rng,
         )
 
     def test_pads_are_four_cipher_calls(self, monkeypatch):
@@ -702,4 +705,4 @@ class TestVectorizedIKNP:
         for messages in (pairs, flat, flat.reshape(80, 4, 8), flat.reshape(80, 2, 16)[:79]):
             with pytest.raises(OTError, match="one .* plane"):
                 ot_extension.derandomize(messages, None, pads, (alice_end, None))
-        assert stats.total_bytes == 0 and state.extensions == 1
+        assert stats.bytes_a_to_b + stats.bytes_b_to_a == 0 and state.extensions == 1

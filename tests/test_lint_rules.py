@@ -9,18 +9,33 @@ tier-1 gate — that the repository's own ``src`` tree has no findings.
 
 from __future__ import annotations
 
+import ast
 import json
 import pathlib
 import textwrap
 
-from repro.lint import default_rules, run_paths, run_source
+from repro.lint import default_rules, run_paths
 from repro.lint.__main__ import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from repro.lint.core import normalize_path
 from repro.lint.dtype_discipline import DtypeDiscipline
 from repro.lint.lock_discipline import LockDiscipline
 from repro.lint.rng_discipline import RngDiscipline
 from repro.lint.secret_hygiene import SecretHygiene
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_source(source, path="<string>", rules=None):
+    """Lint one source string as if it lived at ``path``: the path picks
+    the rules that apply, so a snippet "located" at ``repro/gc/x.py``
+    sees the gc-scoped rules."""
+    norm = normalize_path(path)
+    tree = ast.parse(source, filename=norm)
+    findings = []
+    for rule in rules if rules is not None else default_rules():
+        if rule.applies_to(norm):
+            findings.extend(rule.check(tree, norm))
+    return sorted(findings)
 
 
 def lint(source, path, rule):

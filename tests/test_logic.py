@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import CircuitBuilder, bits_from_int, int_from_bits, simulate
-from repro.circuits.logic import (
-    adder_tree,
-    argmax_linear,
-    argmax_tree,
-    max_tree,
-    mux_many,
-    one_hot_from_index,
-)
+from repro.circuits.logic import adder_tree, argmax_tree, max_tree, mux_many
 from repro.errors import CircuitError
 
 WIDTH = 8
@@ -51,6 +44,14 @@ class TestMaxTree:
         )
         assert got == max(values)
 
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=9))
+    @settings(max_examples=25, deadline=None)
+    def test_unsigned_matches_python_max(self, values):
+        (got,) = run_values(
+            lambda bl, buses: [(max_tree(bl, buses, signed=False), False)], values, 1
+        )
+        assert got == max(values)
+
     def test_stage_count_matches_table3(self):
         # Softmax_n = (n-1) CMP+MUX stages: 2*width non-XOR each
         bld = CircuitBuilder()
@@ -79,18 +80,26 @@ class TestArgmax:
         assert got_val == max(values)
         assert got_idx == int(np.argmax(values))  # lowest-index ties
 
-    @given(values_strategy)
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=9))
     @settings(max_examples=25, deadline=None)
-    def test_linear_matches_tree(self, values):
-        got_tree, got_lin = run_values(
+    def test_unsigned_matches_numpy(self, values):
+        # 200 > 100 unsigned, but its pattern is negative as a signed word
+        got_idx, got_val = run_values(
             lambda bl, buses: [
-                (argmax_tree(bl, buses)[0], False),
-                (argmax_linear(bl, buses)[0], False),
+                (argmax_tree(bl, buses, signed=False)[0], False),
+                (argmax_tree(bl, buses, signed=False)[1], False),
             ],
             values,
             2,
         )
-        assert got_tree == got_lin
+        assert got_val == max(values)
+        assert got_idx == int(np.argmax(values))
+
+    @pytest.mark.parametrize("n, width", [(1, 1), (2, 1), (3, 2), (5, 3), (8, 3), (9, 4)])
+    def test_index_width_is_log2_of_the_class_count(self, n, width):
+        bld = CircuitBuilder()
+        index, _ = argmax_tree(bld, [bld.add_alice_inputs(WIDTH) for _ in range(n)])
+        assert len(index) == width
 
     def test_tie_breaks_to_lowest_index(self):
         (idx,) = run_values(
@@ -123,6 +132,15 @@ class TestMuxMany:
             bits = simulate(circuit, bits_from_int(select, 2), [])
             assert int_from_bits(bits) == expected
 
+    def test_single_option_ignores_select(self):
+        bld = CircuitBuilder()
+        sel = bld.add_alice_inputs(2)
+        bld.mark_output_bus(mux_many(bld, sel, [bld.constant_bus(9, 4)]))
+        circuit = bld.build()
+        assert circuit.counts().total == 0
+        for select in range(4):
+            assert int_from_bits(simulate(circuit, bits_from_int(select, 2), [])) == 9
+
     def test_empty_rejected(self):
         bld = CircuitBuilder()
         with pytest.raises(CircuitError):
@@ -148,14 +166,3 @@ class TestAdderTree:
         assert got == 960
 
 
-class TestOneHot:
-    @given(st.integers(0, 7))
-    @settings(max_examples=15, deadline=None)
-    def test_one_hot(self, index):
-        bld = CircuitBuilder()
-        idx = bld.add_alice_inputs(3)
-        wires = one_hot_from_index(bld, idx, 8)
-        bld.mark_output_bus(wires)
-        circuit = bld.build()
-        bits = simulate(circuit, bits_from_int(index, 3), [])
-        assert bits == [int(i == index) for i in range(8)]

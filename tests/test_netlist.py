@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.circuits import CircuitBuilder, Circuit, GateCounts
+from repro.circuits import CircuitBuilder, Circuit
 from repro.circuits.gates import Gate, GateType
 from repro.errors import CircuitError
 
@@ -33,18 +33,14 @@ class TestCounts:
         assert circuit.counts() is circuit.counts()
         assert _simple_circuit().counts() == circuit.counts()
 
-    def test_gatecounts_add_and_scale(self):
-        a = GateCounts(10, 5)
-        b = GateCounts(1, 2)
-        assert (a + b) == GateCounts(11, 7)
-        assert a.scaled(3) == GateCounts(30, 15)
 
-    def test_histogram(self):
+    def test_gate_view_decodes_each_row(self):
         circuit = _simple_circuit()
-        hist = circuit.histogram()
-        assert hist[GateType.XOR] == 1
-        assert hist[GateType.AND] == 1
-        assert hist[GateType.OR] == 1
+        ops = [gate.op for gate in circuit.gates]
+        assert sorted(op.name for op in ops) == ["AND", "OR", "XOR"]
+        assert circuit.gates[0:2] == [circuit.gates[0], circuit.gates[1]]
+        assert len(circuit.gates) == circuit.n_gates == 3
+        assert circuit.gates[-1].out == circuit.outputs[0]
 
 
 class TestValidation:
@@ -152,6 +148,18 @@ class TestWireRanges:
         assert list(circuit.state_inputs) == [7, 8, 9, 10]
         assert circuit.n_inputs == 9
 
+    def test_interface_wires_skip_internal_wires(self):
+        bld = CircuitBuilder()
+        a = bld.add_alice_inputs(2)
+        b = bld.add_bob_inputs(2)
+        x = bld.emit_xor(a[0], b[0])
+        y = bld.emit_and(a[1], b[1])
+        out = bld.emit_or(x, y)
+        bld.mark_output(out)
+        circuit = bld.build()
+        assert circuit.interface_wires().tolist() == [0, 1, 2, 3, 4, 5, out]
+        assert x not in circuit.interface_wires() and y not in circuit.interface_wires()
+
     def test_input_assignment_checks_widths(self):
         circuit = _simple_circuit()
         with pytest.raises(CircuitError):
@@ -173,13 +181,15 @@ class TestMetrics:
         bld.mark_output(w)
         assert bld.build().depth() == 2
 
-    def test_fanout(self):
+    def test_level_schedule_holds_every_table_once(self):
         bld = CircuitBuilder()
-        a = bld.add_alice_inputs(2)
-        x = bld.emit_and(a[0], a[1])
-        y = bld.emit_xor(x, a[0])
-        bld.mark_output(y)
-        bld.mark_output(x)
-        fanout = bld.build().fanout()
-        assert fanout[x] == 2  # consumed by y and as output
-        assert fanout[a[0]] == 2
+        a = bld.add_alice_inputs(4)
+        x = bld.emit_and(a[0], a[1])       # layer 1
+        y = bld.emit_or(a[2], a[3])        # layer 1
+        z = bld.emit_and(bld.emit_xor(x, y), a[0])  # layer 2
+        bld.mark_output(bld.emit_xor(z, a[1]))      # free, after the last layer
+        circuit = bld.build()
+        schedule = circuit.level_schedule()
+        assert len(schedule.levels) == circuit.depth() + 1 == 3
+        assert [level.n_non_free for level in schedule.levels] == [2, 1, 0]
+        assert schedule.n_non_free == circuit.counts().non_xor

@@ -38,12 +38,7 @@ from repro.gc.garble import Garbler
 from repro.gc.labels import label_rows
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
-from repro.gc.protocol import (
-    OT_EXTENSION_THRESHOLD,
-    receive_garbled,
-    send_garbled,
-    transfer_input_labels,
-)
+from repro.gc.protocol import receive_garbled, send_garbled, transfer_input_labels
 from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
 from repro.resilience import (
     AdmissionGate,
@@ -56,8 +51,9 @@ from repro.service import InferenceRequest, InferenceResult, PrivateInferenceSer
 from repro.transport.peer import run_two_party_peer
 
 N_ALICE = 4
-#: wide enough that every flow takes the OT extension
-N_BOB = OT_EXTENSION_THRESHOLD + 2
+#: Bob's input width; not a multiple of 8, so the packed OT frames end
+#: in a partial byte
+N_BOB = 130
 
 #: one round, as (direction, tag), in wire order: the OT is u, e and y
 ROUND = [
@@ -181,7 +177,11 @@ class TestOneRoundOnTheWire:
             simulate(circuit, a, b)
         ] * 2
         pooled = ROUND[:3] + ROUND[4:]
-        for stats in links:
+        # the link with no frame on it is pregarble_many's look at which
+        # parties the links host
+        rounds = [stats for stats in links if stats.log]
+        assert len(rounds) == 3
+        for stats in rounds:
             assert [(d, tag) for d, tag, _ in stats.log] == pooled
             assert stats.log[3][2] == -(-N_BOB // 8) + 4
 
@@ -366,9 +366,9 @@ class TestBobsView:
 
 
 class TestOTEntryPoint:
-    @pytest.mark.parametrize("width", [3, OT_EXTENSION_THRESHOLD + 1])
+    @pytest.mark.parametrize("width", [3, 129])
     def test_reported_bytes_are_what_the_channel_carried(self, width):
-        """Direct base OT below the threshold, extension above it: the
+        """Narrow or wide, a transfer extends the caller's state: the
         returned total is the ``"ot"`` traffic the channel accounted."""
         bld = CircuitBuilder()
         a = bld.add_alice_inputs(1)
@@ -382,10 +382,10 @@ class TestOTEntryPoint:
         alice_end, bob_end, stats = make_channel_pair()
         labels, total = transfer_input_labels(
             garbler, list(circuit.bob_inputs), bits, (alice_end, bob_end),
-            group=TEST_GROUP_512, rng=rng,
+            IKNPState(TEST_GROUP_512, rng), rng=rng,
         )
-        assert total == stats.by_tag()["ot"] == stats.total_bytes
-        # one row layout on both sides of the threshold
+        assert total == stats.by_tag()["ot"] == (stats.bytes_a_to_b + stats.bytes_b_to_a)
+        # one row layout at every width
         assert np.array_equal(labels, label_rows(garbler.input_labels_for(
             list(circuit.bob_inputs), bits
         )))
@@ -456,7 +456,7 @@ class TestTablesFrameSize:
         monkeypatch.setattr("repro.service.make_channel_pair", resizing)
         model, x = trained
         # the patched factory is the memory transport's
-        svc = PrivateInferenceService(model, _config().replace(transport="memory"))
+        svc = PrivateInferenceService(model, dataclasses.replace(_config(), transport="memory"))
         try:
             n_tables = svc.compiled.circuit.counts().non_xor
             with pytest.raises(

@@ -23,7 +23,7 @@ from repro.gc.ot import (
     OTSender,
     run_ot_batch,
 )
-from repro.gc.ot_extension import chosen_ot, derandomize, extension_ot
+from repro.gc.ot_extension import IKNPState, chosen_ot, derandomize, extension_ot
 
 GROUPS = (TEST_GROUP_512, MODP_2048)
 
@@ -279,10 +279,11 @@ class TestBaseOT:
         with pytest.raises(OTError):
             receiver.recover(5, [])
 
-    def test_direct_framed_path_keeps_its_byte_sizes(self, recording_channels):
-        """Below the extension threshold the base OT's three flights are
-        the request's "ot" frames: c, one key per bit, and g^r once with
-        two 16-byte ciphertexts per bit."""
+    def test_a_narrow_session_extends_its_own_state(self, recording_channels):
+        """Four input bits take the extension like any other width: the
+        request's "ot" frames are counter and ``u`` (128 columns of one
+        byte), ``e`` (one byte) and ``y`` (two 16-byte labels per bit);
+        the session's own state paid the base OT in memory."""
         bld = CircuitBuilder()
         a, b = bld.add_alice_inputs(4), bld.add_bob_inputs(4)
         for x, y in zip(a, b):
@@ -295,9 +296,9 @@ class TestBaseOT:
         )
         result = session.run([1, 1, 0, 1], [1, 0, 1, 1])
         assert result.outputs == simulate(circuit, [1, 1, 0, 1], [1, 0, 1, 1])
-        w = _width(TEST_GROUP_512)
         sizes = [len(payload) + 4 for tag, payload in frames if tag == "ot"]
-        assert sizes == [w + 4, 4 * w + 4, w + 4 * 32 + 4]
+        assert sizes == [8 + 128 + 4, 1 + 4, 4 * 32 + 4]
+        assert session.ot_state.extensions == 1
         assert result.comm["ot"] == sum(sizes)
 
     def test_modp2048_group_sane(self):
@@ -316,7 +317,9 @@ class TestOTExtension:
         rng = random.Random(11)
         pairs = _pairs(200, rng)
         choices = [rng.randrange(2) for _ in range(200)]
-        out, _ = chosen_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
+        out, _ = chosen_ot(
+            _plane(pairs), choices, state=IKNPState(TEST_GROUP_512, rng), rng=rng
+        )
         assert out.shape == (200, 16)
         for msg, choice, pair in zip(out, choices, pairs):
             assert msg.tobytes() == pair[choice]
@@ -325,30 +328,34 @@ class TestOTExtension:
         rng = random.Random(12)
         pairs = _pairs(131, rng)
         choices = [rng.randrange(2) for _ in range(131)]
-        out, _ = chosen_ot(_plane(pairs), choices, group=TEST_GROUP_512, rng=rng)
+        out, _ = chosen_ot(
+            _plane(pairs), choices, state=IKNPState(TEST_GROUP_512, rng), rng=rng
+        )
         assert all(m.tobytes() == p[c] for m, c, p in zip(out, choices, pairs))
 
     def test_empty_batch(self):
-        pads = extension_ot(0, [], group=TEST_GROUP_512)
+        pads = extension_ot(0, [], state=IKNPState(TEST_GROUP_512))
         assert pads.m == 0 and pads.wire_bytes == 0
         out, transferred = chosen_ot(
-            np.empty((0, 2, 16), dtype=np.uint8), [], group=TEST_GROUP_512
+            np.empty((0, 2, 16), dtype=np.uint8), [], state=IKNPState(TEST_GROUP_512)
         )
         assert out.shape == (0, 16) and transferred == 0
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(OTError):
-            chosen_ot(_plane([(bytes(16), bytes(16))]), [0, 1], group=TEST_GROUP_512)
+            chosen_ot(
+                _plane([(bytes(16), bytes(16))]), [0, 1], state=IKNPState(TEST_GROUP_512)
+            )
         with pytest.raises(OTError):
-            extension_ot(3, [0, 1], group=TEST_GROUP_512)
+            extension_ot(3, [0, 1], state=IKNPState(TEST_GROUP_512))
 
     def test_traffic_scales_linearly(self):
         rng = random.Random(13)
         _, small = chosen_ot(
-            _plane(_pairs(100, rng)), [0] * 100, group=TEST_GROUP_512, rng=rng
+            _plane(_pairs(100, rng)), [0] * 100, state=IKNPState(TEST_GROUP_512, rng), rng=rng
         )
         _, large = chosen_ot(
-            _plane(_pairs(400, rng)), [0] * 400, group=TEST_GROUP_512, rng=rng
+            _plane(_pairs(400, rng)), [0] * 400, state=IKNPState(TEST_GROUP_512, rng), rng=rng
         )
         assert 3.0 <= large / small <= 5.0
 
@@ -357,8 +364,8 @@ class TestOTExtension:
         other width is refused before a frame moves."""
         rng = random.Random(14)
         pairs = _pairs(140, rng, length=32)
-        pads = extension_ot(140, [0] * 140, group=TEST_GROUP_512, rng=rng)
+        pads = extension_ot(140, [0] * 140, state=IKNPState(TEST_GROUP_512, rng))
         alice_end, _bob_end, stats = make_channel_pair()
         with pytest.raises(OTError, match=r"\(140, 2, 16\) uint8 plane"):
             derandomize(_plane(pairs), None, pads, (alice_end, None))
-        assert stats.total_bytes == 0
+        assert stats.bytes_a_to_b + stats.bytes_b_to_a == 0

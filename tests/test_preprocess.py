@@ -1,6 +1,8 @@
 """Pre-processing tests: Algorithm 1 projection, pruning, the pipeline,
 and the Proposition 3.1 security properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,7 @@ from repro.preprocess import (
     build_projection,
     condense_architecture,
     preprocess_model,
-    projection_error,
     prune_model,
-    sparsity_map,
 )
 
 
@@ -23,19 +23,6 @@ def low_rank_data(n=200, dim=40, rank=8, seed=0, noise=0.02):
     basis = np.linalg.qr(rng.normal(size=(dim, rank)))[0]
     coords = rng.normal(size=(n, rank))
     return coords @ basis.T + rng.normal(size=(n, dim)) * noise
-
-
-class TestProjectionError:
-    def test_zero_for_in_span(self):
-        data = low_rank_data(noise=0.0)
-        dictionary = data[:10].T
-        assert projection_error(dictionary, data[50]) < 1e-6
-
-    def test_one_for_empty_dictionary(self):
-        assert projection_error(np.zeros((4, 0)), np.ones(4)) == 1.0
-
-    def test_zero_vector(self):
-        assert projection_error(np.ones((4, 1)), np.zeros(4)) == 0.0
 
 
 class TestAlgorithm1:
@@ -63,11 +50,6 @@ class TestAlgorithm1:
         reconstructed = result.embeddings @ result.dictionary.T
         rel = np.linalg.norm(reconstructed - data) / np.linalg.norm(data)
         assert rel < 0.25
-
-    def test_reconstruction_error_small_in_span(self):
-        data = low_rank_data(noise=0.0)
-        result = build_projection(data, ProjectionConfig(gamma=0.2))
-        assert result.reconstruction_error(data) < 0.2
 
     def test_retraining_hooks_called(self):
         data = low_rank_data(n=128)
@@ -126,7 +108,7 @@ class TestProposition31:
         data = low_rank_data(seed=4)
         result = build_projection(data, ProjectionConfig(gamma=0.3))
         x = data[:5]
-        assert np.allclose(result.embed(x) @ result.basis.T, result.project(x), atol=1e-6)
+        assert np.allclose(result.embed(x) @ result.basis.T, x @ result.projection.T, atol=1e-6)
 
 
 class TestPruning:
@@ -147,7 +129,7 @@ class TestPruning:
         model, x, y = trained
         pruned = model.clone()
         report = prune_model(pruned, 0.5)
-        assert 1.8 <= report.fold <= 2.3
+        assert 1.8 <= report.macs_before / report.macs_after <= 2.3
 
     def test_accuracy_retained_after_retraining(self, trained):
         model, x, y = trained
@@ -162,17 +144,8 @@ class TestPruning:
         model, _, _ = trained
         pruned = model.clone()
         prune_model(pruned, 0.95)
-        for layer in pruned.dense_layers():
+        for layer in [layer for layer in pruned.layers if isinstance(layer, Dense)]:
             assert (layer.mask.sum(axis=0) >= 1).all()
-
-    def test_sparsity_map_is_boolean_and_public_shaped(self, trained):
-        model, _, _ = trained
-        pruned = model.clone()
-        prune_model(pruned, 0.5)
-        smap = sparsity_map(pruned)
-        assert set(smap) == {0, 2}  # the two Dense layers
-        for mask in smap.values():
-            assert mask.dtype == bool
 
     def test_invalid_sparsity_rejected(self, trained):
         model, _, _ = trained
@@ -195,6 +168,21 @@ class TestPipeline:
         assert report.fold > 3.0
         assert report.accuracy_condensed >= report.accuracy_original - 0.05
         assert report.condensed.input_shape == (report.projection.rank,)
+
+    def test_report_fold_and_accuracy_drop(self):
+        from repro.preprocess import PreprocessReport
+
+        model = Sequential([Dense(2)], input_shape=(3,))
+        report = PreprocessReport(
+            projection=None, prune=None, condensed=model,
+            macs_dense=31_150, macs_condensed=3_115,
+            accuracy_original=0.9, accuracy_condensed=0.875,
+        )
+        assert report.fold == pytest.approx(10.0)
+        assert report.accuracy_drop == pytest.approx(0.025)
+        # a fully pruned model cannot divide by zero
+        empty = dataclasses.replace(report, macs_condensed=0)
+        assert empty.fold == 31_150
 
     def test_condense_architecture_shape(self):
         model = Sequential([Dense(50), Tanh(), Dense(26)], input_shape=(617,))

@@ -40,6 +40,8 @@ def circuits(draw, max_gates=40, n_inputs=4):
         x = rng.choice(wires)
         if op == "not":
             wires.append(bld.emit_not(x))
+        elif op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, rng.choice(wires))))
         else:
             wires.append(getattr(bld, f"emit_{op}")(x, rng.choice(wires)))
     for w in wires[-4:]:
@@ -120,9 +122,8 @@ class TestOptimizerProperties:
     @settings(max_examples=10, deadline=None)
     def test_optimize_never_increases_tables(self, case):
         circuit, _, _ = case
-        optimized, report = optimize(circuit)
+        optimized, _ = optimize(circuit)
         assert optimized.counts().non_xor <= circuit.counts().non_xor
-        assert report.non_xor_saved >= 0
 
     @given(circuits())
     @settings(max_examples=8, deadline=None)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.circuits import CircuitBuilder, bits_from_int, int_from_bits, simulate
-from repro.circuits.arith import multiply_signed, ripple_add
+from repro.circuits.arith import multiply_unsigned, ripple_add
 from repro.circuits.sequential import SequentialBuilder
 from repro.errors import ProtocolError
 from repro.gc import (
@@ -31,6 +31,8 @@ def random_circuit(seed, n_gates=60, n_inputs=4):
         x = rng.choice(wires)
         if op == "not":
             wires.append(bld.emit_not(x))
+        elif op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, rng.choice(wires))))
         else:
             wires.append(getattr(bld, f"emit_{op}")(x, rng.choice(wires)))
     for w in wires[-5:]:
@@ -62,22 +64,16 @@ class TestTwoParty:
         assert set(result.times) == {"garble", "transfer", "ot", "evaluate", "merge"}
         assert result.total_time > 0
 
-    def test_share_result_with_bob(self, ot_group, rng):
-        circuit = random_circuit(2)
-        result = execute(circuit, [1, 1, 0, 0], [0, 0, 1, 1],
-                         ot_group=ot_group, rng=rng, share_result=True)
-        assert result.outputs == simulate(circuit, [1, 1, 0, 0], [0, 0, 1, 1])
-
     def test_multiplier_under_gc(self, ot_group, rng):
         bld = CircuitBuilder()
         xa = bld.add_alice_inputs(6)
         xb = bld.add_bob_inputs(6)
-        bld.mark_output_bus(multiply_signed(bld, xa, xb))
+        bld.mark_output_bus(multiply_unsigned(bld, xa, xb))
         circuit = bld.build()
-        a, b = 13, -21
-        result = execute(circuit, bits_from_int(a & 63, 6),
-                         bits_from_int(b & 63, 6), ot_group=ot_group, rng=rng)
-        assert int_from_bits(result.outputs, signed=True) == a * b
+        a, b = 13, 21
+        result = execute(circuit, bits_from_int(a, 6), bits_from_int(b, 6),
+                         ot_group=ot_group, rng=rng)
+        assert int_from_bits(result.outputs) == a * b
 
     def test_sequential_core_rejected(self, ot_group):
         bld = SequentialBuilder()

@@ -82,9 +82,11 @@ def small_circuit(seed=7, n_gates=50, n_inputs=4):
     ops = ["xor", "and", "or", "nand", "xnor", "nor"]
     for _ in range(n_gates):
         op = rng.choice(ops)
-        wires.append(getattr(bld, f"emit_{op}")(
-            rng.choice(wires), rng.choice(wires)
-        ))
+        x, y = rng.choice(wires), rng.choice(wires)
+        if op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, y)))
+        else:
+            wires.append(getattr(bld, f"emit_{op}")(x, y))
     for w in wires[-4:]:
         bld.mark_output(w)
     return bld.build()
@@ -287,7 +289,7 @@ class TestDeadline:
         deadline.consume(1.5, "transit")
         assert deadline.remaining() == pytest.approx(0.5)
         clock[0] = 0.6
-        assert deadline.expired
+        assert deadline.remaining() == 0.0
         with pytest.raises(DeadlineExceeded, match="evaluate"):
             deadline.check("evaluate")
 
@@ -307,6 +309,16 @@ class TestFaultPlan:
         assert spec == FaultSpec("delay", tag="tables", nth=2, delay_s=30.0)
         assert FaultSpec.parse(spec.describe()) == spec
         assert FaultSpec.parse("drop") == FaultSpec("drop")
+
+    def test_plan_parse_keeps_spec_order(self):
+        plan = FaultPlan.parse(["delay:tables:0:5", "corrupt:ot:0"], seed=3)
+        assert plan.specs == (
+            FaultSpec("delay", tag="tables", nth=0, delay_s=5.0),
+            FaultSpec("corrupt", tag="ot", nth=0),
+        )
+        assert plan.seed == 3
+        with pytest.raises(EngineError):
+            FaultPlan.parse(["drop:tables:0", "explode:ot:0"])
 
     def test_spec_validation(self):
         with pytest.raises(EngineError):

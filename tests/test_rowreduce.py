@@ -21,7 +21,7 @@ def all_gates_circuit():
         bld.emit_xor(a[0], b[0]),
         bld.emit_nor(a[1], b[1]),
         bld.emit_andn(a[0], b[1]),
-        bld.emit_xnor(a[1], b[1]),
+        bld.emit_not(bld.emit_xor(a[1], b[1])),
         bld.emit_not(a[0]),
         bld.emit_mux(a[1], b[0], b[1]),
     ]

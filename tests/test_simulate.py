@@ -1,6 +1,5 @@
 """Tests for the plaintext simulator and bit conversions."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,10 +8,7 @@ from repro.circuits import (
     bits_from_int,
     int_from_bits,
     simulate,
-    simulate_words,
 )
-from repro.circuits.arith import ripple_add
-from repro.errors import CircuitError
 
 
 class TestBitConversions:
@@ -59,25 +55,3 @@ class TestSimulate:
         assert simulate(bld.build(), [1, 1], []) == [1, 1]
 
 
-class TestSimulateWords:
-    def _adder(self):
-        bld = CircuitBuilder()
-        x = bld.add_alice_inputs(8, name="x")
-        y = bld.add_bob_inputs(8, name="y")
-        bld.mark_output_bus(ripple_add(bld, x, y), name="sum")
-        return bld.build()
-
-    def test_named_io(self):
-        circuit = self._adder()
-        out = simulate_words(circuit, {"x": 33}, {"y": 44}, {"sum": 8})
-        assert out["sum"] == 77
-
-    def test_unknown_input_rejected(self):
-        circuit = self._adder()
-        with pytest.raises(CircuitError):
-            simulate_words(circuit, {"bogus": 1}, {"y": 0}, {"sum": 8})
-
-    def test_unknown_output_rejected(self):
-        circuit = self._adder()
-        with pytest.raises(CircuitError):
-            simulate_words(circuit, {"x": 1}, {"y": 0}, {"bogus": 8})

@@ -34,12 +34,10 @@ from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
 from repro.resilience import FaultPlan, FaultSpec, faulty_channel_factory
 from repro.transport import (
     HEADER_SIZE,
-    MAGIC,
     MAX_TAG_BYTES,
     FrameDecoder,
     ShardedService,
     ShardSupervisor,
-    decode_frame,
     encode_frame,
     socketpair_channel_factory,
 )
@@ -66,6 +64,8 @@ def random_circuit(seed, n_gates=60, n_inputs=4):
         x = rng.choice(wires)
         if op == "not":
             wires.append(bld.emit_not(x))
+        elif op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, rng.choice(wires))))
         else:
             wires.append(getattr(bld, f"emit_{op}")(x, rng.choice(wires)))
     for w in wires[-5:]:
@@ -82,44 +82,39 @@ class TestWireCodec:
     def test_round_trip(self):
         frame = Frame(tag="tables", seq=7, payload=b"\x00\x01\xffdata",
                       crc=0xDEADBEEF, delay_s=1.5)
-        decoded, offset = decode_frame(encode_frame(frame))
-        assert decoded == frame
-        assert offset == HEADER_SIZE + len("tables") + len(frame.payload)
+        data = encode_frame(frame)
+        assert FrameDecoder().feed(data) == [frame]
+        assert len(data) == HEADER_SIZE + len("tables") + len(frame.payload)
 
     def test_round_trip_empty_payload(self):
         frame = Frame(tag="ot", seq=0, payload=b"", crc=0)
-        decoded, _ = decode_frame(encode_frame(frame))
-        assert decoded == frame
+        assert FrameDecoder().feed(encode_frame(frame)) == [frame]
 
     def test_crc_carried_verbatim_not_recomputed(self):
         # a pre-corrupted frame (wrong crc for its payload) must survive
         # the codec untouched so receive-side validation still fires
         frame = Frame(tag="x", seq=1, payload=b"corrupted", crc=12345)
-        decoded, _ = decode_frame(encode_frame(frame))
+        (decoded,) = FrameDecoder().feed(encode_frame(frame))
         assert decoded.crc == 12345
 
     def test_bad_magic_rejected(self):
         data = bytearray(encode_frame(Frame(tag="t", seq=0, payload=b"p", crc=0)))
         data[:4] = b"EVIL"
         with pytest.raises(ChannelIntegrityError, match="magic"):
-            decode_frame(bytes(data))
+            FrameDecoder().feed(bytes(data))
 
-    def test_truncated_header_rejected(self):
-        with pytest.raises(ChannelIntegrityError, match="truncated"):
-            decode_frame(b"\x00" * (HEADER_SIZE - 1))
+    def test_truncated_header_yields_nothing(self):
+        assert FrameDecoder().feed(b"\x00" * (HEADER_SIZE - 1)) == []
 
-    def test_truncated_body_rejected(self):
+    def test_truncated_body_yields_nothing(self):
         data = encode_frame(Frame(tag="t", seq=0, payload=b"payload", crc=0))
-        with pytest.raises(ChannelIntegrityError, match="truncated"):
-            decode_frame(data[:-3])
+        assert FrameDecoder().feed(data[:-3]) == []
 
     def test_oversized_length_prefix_rejected_without_allocation(self):
         # a hostile length prefix must be refused from the header alone
         evil = bytearray(encode_frame(Frame(tag="t", seq=0, payload=b"small",
                                             crc=0)))
         evil[25:29] = (2**31).to_bytes(4, "little")  # payload_len field
-        with pytest.raises(ChannelIntegrityError, match="cap"):
-            decode_frame(bytes(evil))
         with pytest.raises(ChannelIntegrityError, match="cap"):
             FrameDecoder().feed(bytes(evil))
 
@@ -157,7 +152,6 @@ class TestWireCodec:
         for i in range(0, len(stream), 3):  # worst-case 3-byte chunks
             out.extend(decoder.feed(stream[i : i + 3]))
         assert out == frames
-        assert decoder.pending_bytes == 0
 
     def test_streaming_decoder_rejects_bad_magic_fast(self):
         decoder = FrameDecoder()
@@ -180,7 +174,6 @@ class TestWireCodec:
     ):
         frame = Frame(tag=tag, seq=seq, payload=payload, crc=crc, delay_s=delay)
         data = encode_frame(frame)
-        assert decode_frame(data)[0] == frame
         decoder = FrameDecoder()
         out = []
         for i in range(0, len(data), chunk):
@@ -192,8 +185,7 @@ class TestWireCodec:
     def test_property_truncation_never_yields_a_frame(self, cut):
         frame = Frame(tag="tables", seq=3, payload=b"p" * 100, crc=9)
         encoded = encode_frame(frame)
-        with pytest.raises(ChannelIntegrityError):
-            decode_frame(encoded[: min(cut, len(encoded) - 1)])
+        assert FrameDecoder().feed(encoded[: min(cut, len(encoded) - 1)]) == []
 
     def test_read_frame_never_over_reads(self):
         frames = [
@@ -394,7 +386,13 @@ class TestPeerSessions:
         garbler, evaluator = _run_both_sides(run_two_party_peer, circuit, a, b)
         assert garbler.outputs == reference.outputs == simulate(circuit, a, b)
         assert evaluator.outputs == []  # it holds nothing that decodes
-        assert garbler.comm == evaluator.comm == reference.comm
+        assert garbler.comm == evaluator.comm
+        # a bare peer session extends on a state of its own, whose base OT
+        # crosses this link once; in one process it is handed across in
+        # memory and charged to no request
+        online = {tag: n for tag, n in garbler.comm.items() if tag != "ot_setup"}
+        assert online == reference.comm
+        assert garbler.comm["ot_setup"] == 8268  # TEST_GROUP_512
 
     def test_peer_rejects_unknown_role(self):
         left, right = socket.socketpair()
@@ -665,6 +663,18 @@ class TestShardedService:
         finally:
             service.close()
         assert service.live_shards() == []
+
+    def test_prepare_warms_every_live_shard(self):
+        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        try:
+            assert service.prepare(2) == 4
+            assert service.prepare(2) == 0  # the pools are already full
+            samples = _tiny_samples(4)
+            results = service.infer_many(samples)
+            assert all(r.ok and r.pregarbled for r in results)
+            assert service.prepare(2) == 4  # each shard spent its two copies
+        finally:
+            service.close()
 
     def test_worker_crash_degrades_to_in_process_serving(self):
         # supervise=False: this test pins the *unsupervised* degraded

@@ -52,7 +52,11 @@ def mixing_circuit(n_bob, seed=0, n_alice=8, n_gates=200):
     wires = list(bld.add_alice_inputs(n_alice)) + list(bld.add_bob_inputs(n_bob))
     for _ in range(n_gates):
         op = rng.choice(["xor", "and", "or", "nand", "xnor"])
-        wires.append(getattr(bld, f"emit_{op}")(rng.choice(wires), rng.choice(wires)))
+        x, y = rng.choice(wires), rng.choice(wires)
+        if op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, y)))
+        else:
+            wires.append(getattr(bld, f"emit_{op}")(x, y))
     for wire in wires[-6:]:
         bld.mark_output(wire)
     return bld.build()
@@ -209,7 +213,10 @@ class TestWhatEachPartyHolds:
             # each process compiles its own copy of the public netlist
             session = party.session(mixing_circuit(self.N_BOB))
             receiving(session, "garbler")
-            material = session.pregarble()
+            material = session.pregarble_many(1)[0]
+            # Bob is elsewhere: no pads, and the connection's state is
+            # left for the run to set up with him, framed
+            assert material.pads is None and party.state.setup_bytes == 0
             kept["garbler"], kept["decode_bits"] = material.garbler, material.garbled.decode_bits
             result = session.run(a, None, pregarbled=material)
             return session, result
@@ -219,11 +226,11 @@ class TestWhatEachPartyHolds:
             receiving(session, "evaluator")
             merge = session._merge
 
-            def keeping(link, output_labels, share_result=False):
+            def keeping(link, output_labels):
                 # what it evaluated: its view, both input label vectors,
                 # the output labels it returns
                 kept["evaluated"] = (link, output_labels)
-                return merge(link, output_labels, share_result)
+                return merge(link, output_labels)
 
             session._merge = keeping
             return session, session.run(None, b)
@@ -575,6 +582,9 @@ class TestRunManyNeedsBothEnds:
                 channel_factory=peer_channel_factory(left, "garbler"),
             )
             material = session.pregarble_many(2)
+            # no pads, so the state is not set up here in memory
+            assert [unit.pads for unit in material] == [None, None]
+            assert session.ot_state.setup_bytes == 0
             with pytest.raises(ProtocolError, match="both ends"):
                 session.run_many(
                     [_bits(8, 1)] * 2, [_bits(5, 2)] * 2, pregarbled=material

@@ -52,10 +52,15 @@ from repro.gc.cutandchoose import (
 from repro.gc.garble import GarbledCircuit, LazyTables
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
-from repro.gc.protocol import OT_EXTENSION_THRESHOLD, TwoPartySession
+from repro.gc.protocol import TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
 
 FMT = FixedPointFormat(2, 6)
+
+
+def _as_dict(plane):
+    """A label plane as the scalar evaluator's wire -> label dict."""
+    return {w: plane[w] for w in range(plane.n_wires)}
 
 
 def _reference(circuit, seed, kdf=None):
@@ -78,6 +83,8 @@ def _random_circuit(seed: int, n_gates: int = 120, n_inputs: int = 4):
         x = rng.choice(wires)
         if op == "not":
             wires.append(bld.emit_not(x))
+        elif op == "xnor":
+            wires.append(bld.emit_not(bld.emit_xor(x, rng.choice(wires))))
         else:
             wires.append(getattr(bld, f"emit_{op}")(x, rng.choice(wires)))
     for w in wires[-5:]:
@@ -547,7 +554,7 @@ class TestPlanProperties:
         _netlists(
             bob_widths=st.one_of(
                 st.integers(0, 3),
-                st.integers(OT_EXTENSION_THRESHOLD - 2, OT_EXTENSION_THRESHOLD + 2),
+                st.integers(126, 130),
             ),
             state_widths=st.just(0),
         ),
@@ -560,9 +567,8 @@ class TestPlanProperties:
     ):
         """One cycle of a zero-register core and the combinational round
         put the same frames, in the same order and sizes, and the same
-        tables on the link, and decode the same outputs — below and
-        above the extension threshold, with and without the caller's OT
-        state."""
+        tables on the link, and decode the same outputs — narrow and
+        wide, on the caller's OT state or on the session's own."""
         draw = random.Random(seed)
         alice = [draw.getrandbits(1) for _ in range(circuit.n_alice)]
         bob = [draw.getrandbits(1) for _ in range(circuit.n_bob)]
@@ -672,34 +678,36 @@ class TestArrayLabelStore:
         significant first: the equivalence the engine's one input-label
         draw, and cut-and-choose's seeded re-garbling, rely on."""
         rows = ArrayLabelStore(range(n + 2), rng=random.Random(n))
-        wires = ArrayLabelStore(range(n + 2), rng=random.Random(n))
+        wires = LabelStore(rng=random.Random(n))
+        assert rows.delta == wires.delta
         rows.assign_fresh_rows(range(n))
         expected = [wires.assign_fresh(wire) for wire in range(n)]
         assert [rows.zero(wire) for wire in range(n)] == expected
         # and the stream goes on from the same place
-        assert rows.assign_fresh(n) == wires.assign_fresh(n)
+        rows.assign_fresh_rows([n])
+        assert rows.zero(n) == wires.assign_fresh(n)
 
-    def test_same_stream_as_scalar_store(self):
+    def test_same_lookups_as_scalar_store(self):
         scalar = LabelStore(rng=random.Random(9))
         fast = ArrayLabelStore(range(8), rng=random.Random(9))
         assert scalar.delta == fast.delta
+        fast.assign_fresh_rows(range(6))
         for wire in range(6):
-            assert scalar.assign_fresh(wire) == fast.assign_fresh(wire)
+            scalar.assign_fresh(wire)
             assert scalar.zero(wire) == fast.zero(wire)
-            assert scalar.one(wire) == fast.one(wire)
             assert scalar.select(wire, 1) == fast.select(wire, 1)
 
     def test_decode_and_errors(self):
         store = ArrayLabelStore([0, 1, 2, 5], rng=random.Random(2))
-        label = store.assign_fresh(2)
-        assert store.decode_bit(2, label) == 0
-        assert store.decode_bit(2, label ^ store.delta) == 1
+        store.assign_fresh_rows([2])
+        label = store.zero(2)
+        assert store.decode_bits([2, 2], [label, label ^ store.delta]) == [0, 1]
         with pytest.raises(GarblingError):
-            store.decode_bit(2, label ^ 1 ^ store.delta ^ store.delta << 1)
+            store.decode_bits([2], [label ^ 1 ^ store.delta ^ store.delta << 1])
         with pytest.raises(GarblingError, match="no label here"):
             store.zero(3)  # not one of the store's wires
         with pytest.raises(GarblingError, match="no label here"):
-            store.set_zero(6, 1)  # out of range
+            store.set_zero_rows([6], np.zeros((1, 16), dtype=np.uint8))  # out of range
         with pytest.raises(GarblingError, match="ascending"):
             ArrayLabelStore([0, 2, 1])
 
@@ -865,7 +873,7 @@ class TestInversionBranches:
         for (garbler, garbled), (a, b), (alice, bob), plane in zip(
             copies, labels, inputs, planes
         ):
-            assert plane.as_dict() == Evaluator(circuit, kdf=kdf).evaluate(
+            assert _as_dict(plane) == Evaluator(circuit, kdf=kdf).evaluate(
                 garbled, a, b
             )
             assert garbler.decode_outputs(evaluator.output_labels(plane)) == \
@@ -1016,7 +1024,7 @@ class TestSessionAndBackends:
             circuit, ot_group=TEST_GROUP_512, rng=random.Random(seed),
             channel_factory=factory,
         )
-        unit = session.pregarble()
+        unit = session.pregarble_many(1)[0]
         result = session.run(bits_a, bits_b, pregarbled=unit)
 
         reference = _reference(circuit, seed)

@@ -14,7 +14,8 @@ from repro.analysis import build_gate_chain, characterize
 from repro.compile import PAPER_COEFFICIENTS
 from repro.gc import Evaluator, Garbler, execute, ot
 from repro.gc.cipher import FixedKeyAES, default_kdf
-from repro.gc.ot import MODP_2048, TEST_GROUP_512, OTGroup, run_ot_batch
+from repro.gc.channel import make_channel_pair
+from repro.gc.ot import MODP_2048, TEST_GROUP_512, OTGroup, base_ot_over_channel
 from repro.gc.ot_extension import KAPPA
 
 from _bench_util import quick_mode, write_report
@@ -136,7 +137,11 @@ def test_base_ot_batch(benchmark, results_dir, monkeypatch):
         else:
             calls.update(power=0, inverse=0)
             start = time.perf_counter()
-            out = run_ot_batch(pairs, choices, group=group, rng=rng)
+            alice_end, bob_end, _ = make_channel_pair()
+            out = base_ot_over_channel(
+                pairs, choices, 16, sender_end=alice_end, receiver_end=bob_end,
+                group=group, rng=rng,
+            )
             wall, how = time.perf_counter() - start, "run"
             assert out == expected
             counted = (calls["power"], calls["inverse"])

@@ -10,8 +10,12 @@ while MULT/DIV land within 1.5-2.5x.
 import pytest
 
 from repro.circuits import FixedPointFormat
-from repro.compile import PAPER_TABLE3
-from repro.synthesis import component_inventory, render_table3
+from repro.compile import (
+    PAPER_TABLE3,
+    component_inventory,
+    measure_activation_error,
+    render_table3,
+)
 
 from _bench_util import write_report
 
@@ -55,8 +59,6 @@ def test_full_luts_beat_paper(benchmark, inventory):
 
 def test_activation_errors_measured(benchmark, results_dir):
     """The Table 3 'error' column, measured by simulating each variant."""
-    from repro.synthesis import measure_activation_error
-
     fmt = FixedPointFormat(3, 12)
     rows = []
     expectations = {

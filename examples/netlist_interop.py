@@ -23,6 +23,7 @@ import numpy as np
 from repro.circuits import (
     FixedPointFormat,
     dumps_bristol,
+    dumps_verilog,
     loads_bristol,
     simulate,
 )
@@ -30,7 +31,6 @@ from repro.compile import CompileOptions, compile_model
 from repro.gc import execute
 from repro.gc.ot import TEST_GROUP_512
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
-from repro.synthesis import dumps_verilog
 
 
 def main() -> None:

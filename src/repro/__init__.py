@@ -38,9 +38,10 @@ garbling phase entirely.
 
 Subpackages:
 
-* :mod:`repro.circuits` — Boolean netlists, GC-optimized arithmetic and
-  the Table 3 activation circuits (LUT / truncated / piecewise / CORDIC);
-* :mod:`repro.synthesis` — the GC cost library and optimization passes;
+* :mod:`repro.circuits` — Boolean netlists, GC-optimized arithmetic, the
+  Table 3 activation circuits (LUT / truncated / piecewise / CORDIC) and
+  Bristol / Verilog export; its builder is the synthesis step (constant
+  folding, structural hashing);
 * :mod:`repro.gc` — half-gates garbling, OT (+extension), the two-party
   protocol, sequential garbling and XOR-share outsourcing;
 * :mod:`repro.engine` — the unified execution API: backend registry,
@@ -48,14 +49,14 @@ Subpackages:
 * :mod:`repro.nn` — numpy DL substrate with circuit-exact quantization;
 * :mod:`repro.data` — synthetic MNIST/ISOLET/DSA stand-ins;
 * :mod:`repro.preprocess` — Algorithm 1/2 projection and pruning;
-* :mod:`repro.compile` — model-to-netlist compiler and the Table 2 cost
-  model;
+* :mod:`repro.compile` — model-to-netlist compiler, the Table 2 cost
+  model and the Table 3 component inventory;
 * :mod:`repro.baselines` — CryptoNets over simulated leveled HE;
 * :mod:`repro.analysis` — throughput, Fig. 5 pipeline, Fig. 6 curves;
 * :mod:`repro.zoo` — the paper's four benchmarks (+ ``build_service``).
 
 ``import repro`` loads what serving runs; the exhibits' subpackages
-(``synthesis``, ``data``, ``preprocess``, ``baselines``, ``analysis``,
+(``data``, ``preprocess``, ``baselines``, ``analysis``,
 ``zoo``) load when imported.
 """
 
@@ -71,7 +72,6 @@ from .errors import (
     ProtocolError,
     QuantizationError,
     ReproError,
-    SynthesisError,
     TrainingError,
 )
 from .service import (
@@ -94,7 +94,6 @@ __all__ = [
     "EngineConfig",
     "ReproError",
     "CircuitError",
-    "SynthesisError",
     "GarblingError",
     "ProtocolError",
     "OTError",

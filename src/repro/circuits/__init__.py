@@ -11,6 +11,7 @@ from .fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from .gates import Gate, GateType
 from .netlist import CONST_ONE, CONST_ZERO, Circuit, GateCounts
 from .simulate import bits_from_int, int_from_bits, simulate
+from .verilog import dumps_verilog
 
 __all__ = [
     "Bus",
@@ -28,4 +29,5 @@ __all__ = [
     "int_from_bits",
     "dumps_bristol",
     "loads_bristol",
+    "dumps_verilog",
 ]

@@ -1,7 +1,7 @@
 """GC-optimized activation-function circuits (paper Table 3).
 
 Every realization is registered in :data:`VARIANTS` under the exact name
-used in the paper's Table 3, so the synthesis report and the benchmark
+used in the paper's Table 3, so the component inventory and the benchmark
 harness can enumerate them.
 """
 

@@ -305,7 +305,7 @@ def sigmoid_cordic_via_tanh(
     domain down to the tanh plan's (|z| <= ~5.2 with three expansion
     stages instead of five), and the final fix-up is one free shift and
     a constant add — an optimization the paper's identity-based Sec. 4.2
-    treatment invites but does not implement.  See the synthesis report
+    treatment invites but does not implement.  See the component inventory
     for the gate savings vs :func:`sigmoid_cordic`.
     """
     plan = plan or hyperbolic_plan(frac_bits=fmt.frac_bits, expansion=3)

@@ -30,10 +30,11 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..errors import CircuitError
+from .builder import CircuitBuilder
 from .gates import Gate, GateType
 from .netlist import CONST_ONE, CONST_ZERO, Circuit
 
-__all__ = ["dumps_bristol", "loads_bristol"]
+__all__ = ["dumps_bristol", "loads_bristol", "lower_to_gc_basis"]
 
 _EXPORT_OPS = {
     GateType.XOR: "XOR",
@@ -50,8 +51,6 @@ def dumps_bristol(circuit: Circuit) -> str:
     neutral under half-gates); state wires are not representable and are
     rejected.
     """
-    from ..synthesis.optimize import lower_to_gc_basis
-
     if circuit.n_state:
         raise CircuitError("sequential cores cannot be exported to Bristol")
     lowered = lower_to_gc_basis(circuit)
@@ -110,6 +109,50 @@ def dumps_bristol(circuit: Circuit) -> str:
         "",
     ]
     return "\n".join(header + lines) + "\n"
+
+
+def lower_to_gc_basis(circuit: Circuit) -> Circuit:
+    """Rewrite every gate of a combinational circuit into the {XOR, NOT,
+    AND} basis.
+
+    De Morgan rewrites; needs fresh wires for the intermediate NOTs, so
+    the circuit is renumbered.  The non-XOR count never grows: each
+    non-free gate maps to one AND, or to none where the builder folds it.
+    """
+    builder = CircuitBuilder(name=circuit.name)
+    remap: Dict[int, int] = {CONST_ZERO: CONST_ZERO, CONST_ONE: CONST_ONE}
+    remap.update(zip(circuit.alice_inputs, builder.add_alice_inputs(circuit.n_alice)))
+    remap.update(zip(circuit.bob_inputs, builder.add_bob_inputs(circuit.n_bob)))
+    for gate in circuit.gates:
+        a = remap[gate.a]
+        b = remap[gate.b] if gate.b is not None else None
+        op = gate.op
+        if op is GateType.BUF:
+            out = a
+        elif op is GateType.NOT:
+            out = builder.emit_not(a)
+        elif op is GateType.XOR:
+            out = builder.emit_xor(a, b)
+        elif op is GateType.XNOR:
+            out = builder.emit_not(builder.emit_xor(a, b))
+        elif op is GateType.AND:
+            out = builder.emit_and(a, b)
+        elif op is GateType.NAND:
+            out = builder.emit_not(builder.emit_and(a, b))
+        elif op is GateType.OR:
+            out = builder.emit_not(
+                builder.emit_and(builder.emit_not(a), builder.emit_not(b))
+            )
+        elif op is GateType.NOR:
+            out = builder.emit_and(builder.emit_not(a), builder.emit_not(b))
+        elif op is GateType.ANDN:
+            out = builder.emit_and(a, builder.emit_not(b))
+        else:  # ORN
+            out = builder.emit_not(builder.emit_and(builder.emit_not(a), b))
+        remap[gate.out] = out
+    for wire in circuit.outputs:
+        builder.mark_output(remap[wire])
+    return builder.build()
 
 
 _IMPORT_OPS = {

@@ -53,7 +53,7 @@ def argmax_tree(
     ``ceil(log2(n))`` bits wide.  Compared to :func:`max_tree` each stage
     additionally muxes the index, which the paper's Softmax row does not
     price in (it returns the maximal label by value only); both variants
-    are exposed so the synthesis report can show the difference.
+    are exposed so the component inventory can show the difference.
     """
     if not values:
         raise CircuitError("argmax_tree needs at least one value")

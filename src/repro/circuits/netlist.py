@@ -1,7 +1,7 @@
 """Netlist container: wires, gates, inputs and outputs.
 
 A :class:`Circuit` is the unit everything else in this package consumes:
-the plaintext simulator, the synthesis passes, the gate-count reports and
+the plaintext simulator, netlist export, the gate-count reports and
 the garbling engine all walk the same structure.  Gates are stored in
 topological order by construction (the builder only references wires that
 already exist), mirroring the paper's requirement that "all gates in the
@@ -25,7 +25,6 @@ carried over from the previous clock cycle (TinyGarble-style).
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence as SequenceABC
 from typing import (
     Any,
     Dict,
@@ -124,12 +123,13 @@ class GateColumns(NamedTuple):
         return cls(op, a, b, out)
 
 
-class GateView(SequenceABC):
-    """A read-only :class:`Gate` sequence over a circuit's columns.
+class GateView:
+    """The :class:`Gate` rows of a circuit's columns, read-only: sized and
+    iterable, in netlist order.
 
-    For the reference garbler and evaluator, the plaintext simulator,
-    netlist export and the synthesis passes.  Accounting, validation and
-    the level schedule read the columns; no request builds a ``Gate``.
+    For the reference garbler and evaluator, the plaintext simulator and
+    netlist export.  Accounting, validation and the level schedule read
+    the columns; no request builds a ``Gate``.
     """
 
     __slots__ = ("columns",)
@@ -142,16 +142,6 @@ class GateView(SequenceABC):
 
     def __len__(self) -> int:
         return len(self.columns.op)
-
-    def __getitem__(self, index: Any) -> Any:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        op, a, b, out = self.columns
-        second = int(b[index])
-        return Gate(
-            OPS[op[index]], int(a[index]),
-            None if second == NO_INPUT else second, int(out[index]),
-        )
 
     def __iter__(self) -> Iterator[Gate]:
         op, a, b, out = self.columns

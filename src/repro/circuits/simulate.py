@@ -1,7 +1,7 @@
 """Plaintext netlist simulation.
 
-The simulator is the ground truth for every other component: synthesis
-passes must preserve its output, and the garbled evaluation must decode to
+The simulator is the ground truth for every other component: netlist
+export must preserve its output, and the garbled evaluation must decode to
 exactly the bits it produces.  It evaluates gates in netlist order, which
 is topological by construction.
 """

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..circuits.gates import GateType
-from ..circuits.netlist import CONST_ONE, CONST_ZERO, Circuit
-from ..errors import SynthesisError
+from .gates import GateType
+from .netlist import CONST_ONE, CONST_ZERO, Circuit
 
 __all__ = ["dumps_verilog"]
 
@@ -75,9 +74,7 @@ def dumps_verilog(circuit: Circuit, module_name: str = None) -> str:
 
     body: List[str] = []
     for gate in circuit.gates:
-        expr = _VERILOG_EXPR.get(gate.op)
-        if expr is None:  # pragma: no cover - enum closed
-            raise SynthesisError(f"cannot emit {gate.op}")
+        expr = _VERILOG_EXPR[gate.op]
         a = _wire_name(gate.a, circuit)
         b = _wire_name(gate.b, circuit) if gate.b is not None else ""
         body.append(f"  wire w{gate.out};")

@@ -442,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     from .engine import available_backends
+    from .gc.cipher import KDF_BACKENDS
     from .nn.quantize import ACTIVATION_VARIANTS
 
     infer = sub.add_parser(
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pre-garbled pool size (default: = requests; "
                             "0 disables pooling for a cold baseline)")
     serve.add_argument("--kdf-backend", default="fixed_key_aes",
-                       choices=["fixed_key_aes", "hashlib"],
+                       choices=sorted(KDF_BACKENDS),
                        help="garbling oracle: fixed_key_aes (default, the "
                             "paper's fixed-key block cipher through "
                             "libcrypto) or the SHA-256 oracle (hashlib); "

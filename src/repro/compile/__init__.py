@@ -1,4 +1,5 @@
-"""Model-to-netlist compiler, analytic gate counts and GC cost model."""
+"""Model-to-netlist compiler, analytic gate counts, the Table 3 component
+inventory and GC cost model."""
 
 from .compiler import CompiledModel, CompileOptions, compile_model
 from .costmodel import CostBreakdown, GCCostModel
@@ -12,6 +13,12 @@ from .gatecount import (
     fc,
     measured_component_costs,
     softmax,
+)
+from .inventory import (
+    ComponentReport,
+    component_inventory,
+    measure_activation_error,
+    render_table3,
 )
 from .paper_costs import (
     CRYPTONETS_BATCH,
@@ -44,6 +51,10 @@ __all__ = [
     "softmax",
     "architecture_counts",
     "measured_component_costs",
+    "ComponentReport",
+    "component_inventory",
+    "measure_activation_error",
+    "render_table3",
     "ComponentCosts",
     "CostCoefficients",
     "PAPER_COMPONENT_COSTS",

@@ -15,13 +15,13 @@ import dataclasses
 from functools import lru_cache
 from typing import Tuple
 
-from ..circuits import CircuitBuilder, FixedPointFormat
-from ..circuits.activations import VARIANTS
+from ..circuits import Bus, CircuitBuilder, FixedPointFormat
 from ..circuits.arith import relu as relu_circuit
 from ..circuits.logic import max_tree
 from ..circuits.netlist import GateCounts
 from ..errors import CompileError
 from .compiler import dot_unit
+from .inventory import activation_component, component
 from .paper_costs import PAPER_COMPONENT_COSTS, ComponentCosts
 
 __all__ = [
@@ -132,12 +132,6 @@ def architecture_counts(
     return GateCounts(xor=int(round(xor)), non_xor=int(round(non_xor)))
 
 
-def _count(build) -> GateCounts:
-    builder = CircuitBuilder()
-    build(builder)
-    return builder.build().counts()
-
-
 #: fan-ins of the two dot units the per-MAC cost is measured from
 _MAC_FAN_INS = (8, 16)
 
@@ -160,38 +154,26 @@ def measured_component_costs(
     fmt = FixedPointFormat(int_bits, frac_bits)
     width = fmt.width
 
-    def unit(fan_in: int):
-        def build(builder: CircuitBuilder) -> None:
+    def unit(fan_in: int) -> GateCounts:
+        def build(builder: CircuitBuilder) -> Bus:
             x = [builder.add_alice_inputs(width) for _ in range(fan_in)]
             w = [builder.add_bob_inputs(width) for _ in range(fan_in + 1)]
-            builder.mark_output_bus(dot_unit(builder, fmt, x, w[:-1], bias=w[-1]))
+            return dot_unit(builder, fmt, x, w[:-1], bias=w[-1])
 
-        return build
-
-    def relu_c(builder: CircuitBuilder) -> None:
-        a = builder.add_alice_inputs(width)
-        builder.mark_output_bus(relu_circuit(builder, a))
-
-    def act(name: str):
-        def build(builder: CircuitBuilder) -> None:
-            a = builder.add_alice_inputs(width)
-            builder.mark_output_bus(VARIANTS[name](builder, a, fmt))
-
-        return build
-
-    def cmp_mux(builder: CircuitBuilder) -> None:
-        a = builder.add_alice_inputs(width)
-        b = builder.add_bob_inputs(width)
-        builder.mark_output_bus(max_tree(builder, [a, b]))
+        return component(build).counts()
 
     low, high = _MAC_FAN_INS
-    unit_low, unit_high = _count(unit(low)), _count(unit(high))
+    unit_low, unit_high = unit(low), unit(high)
     xor_slope = (unit_high.xor - unit_low.xor) / (high - low)
     non_xor_slope = (unit_high.non_xor - unit_low.non_xor) / (high - low)
-    relu_counts = _count(relu_c)
-    tanh_c = _count(act("TanhCORDIC"))
-    sigmoid_c = _count(act("SigmoidCORDIC"))
-    stage_c = _count(cmp_mux)
+    relu_counts = component(
+        lambda b: relu_circuit(b, b.add_alice_inputs(width))
+    ).counts()
+    tanh_c = activation_component("TanhCORDIC", fmt).counts()
+    sigmoid_c = activation_component("SigmoidCORDIC", fmt).counts()
+    stage_c = component(
+        lambda b: max_tree(b, [b.add_alice_inputs(width), b.add_bob_inputs(width)])
+    ).counts()
     return ComponentCosts(
         name=f"measured-1.{int_bits}.{frac_bits}",
         mac_xor_per_element=xor_slope,

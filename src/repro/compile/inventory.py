@@ -1,9 +1,11 @@
-"""Synthesis reports: the Table 3 component inventory.
+"""The Table 3 component inventory.
 
 Builds each DL circuit component at the paper's 16-bit (1.3.12) format,
-counts XOR / non-XOR gates under the GC library, measures the numeric
-approximation error against the float reference, and renders the
-comparison against the published Table 3.
+counts its XOR / non-XOR gates, measures the numeric approximation error
+against the float reference, and renders the comparison against the
+published Table 3.  :func:`component` and :func:`activation_component`
+are also how :func:`repro.compile.gatecount.measured_component_costs`
+builds what it prices.
 """
 
 from __future__ import annotations
@@ -14,14 +16,27 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..circuits import CircuitBuilder, FixedPointFormat, int_from_bits, simulate
-from ..circuits import arith
+from ..circuits import (
+    Bus,
+    Circuit,
+    CircuitBuilder,
+    FixedPointFormat,
+    arith,
+    int_from_bits,
+    simulate,
+)
 from ..circuits.activations import VARIANTS
 from ..circuits.logic import max_tree
-from ..compile.paper_costs import PAPER_TABLE3
-from .library import GC_LIBRARY, CellLibrary
+from .paper_costs import PAPER_TABLE3
 
-__all__ = ["ComponentReport", "component_inventory", "render_table3", "measure_activation_error"]
+__all__ = [
+    "ComponentReport",
+    "component",
+    "activation_component",
+    "component_inventory",
+    "render_table3",
+    "measure_activation_error",
+]
 
 
 @dataclasses.dataclass
@@ -44,23 +59,29 @@ class ComponentReport:
         return self.non_xor / self.paper_non_xor
 
 
-def _binary_component(build: Callable, fmt: FixedPointFormat) -> "Circuit":
+def component(build: Callable[[CircuitBuilder], Bus]) -> Circuit:
+    """The circuit of one component: ``build`` adds its inputs to a fresh
+    builder and returns its output bus."""
     builder = CircuitBuilder()
-    a = builder.add_alice_inputs(fmt.width)
-    b = builder.add_bob_inputs(fmt.width)
-    out = build(builder, a, b)
-    if isinstance(out, int):
-        out = [out]
-    builder.mark_output_bus(out)
+    builder.mark_output_bus(build(builder))
     return builder.build()
 
 
-def _activation_component(name: str, fmt: FixedPointFormat) -> "Circuit":
-    builder = CircuitBuilder()
-    x = builder.add_alice_inputs(fmt.width)
-    out = VARIANTS[name](builder, x, fmt)
-    builder.mark_output_bus(out)
-    return builder.build()
+def activation_component(name: str, fmt: FixedPointFormat) -> Circuit:
+    """One Table 3 activation realization on a ``fmt``-width input."""
+    return component(
+        lambda builder: VARIANTS[name](builder, builder.add_alice_inputs(fmt.width), fmt)
+    )
+
+
+def _binary_component(build: Callable, fmt: FixedPointFormat) -> Circuit:
+    return component(
+        lambda builder: build(
+            builder,
+            builder.add_alice_inputs(fmt.width),
+            builder.add_bob_inputs(fmt.width),
+        )
+    )
 
 
 def measure_activation_error(
@@ -77,11 +98,7 @@ def measure_activation_error(
     reference = (
         math.tanh if name.startswith("Tanh") else (lambda v: 1 / (1 + math.exp(-v)))
     )
-    builder = CircuitBuilder()
-    x_bus = builder.add_alice_inputs(fmt.width)
-    out = VARIANTS[name](builder, x_bus, fmt)
-    builder.mark_output_bus(out)
-    circuit = builder.build()
+    circuit = activation_component(name, fmt)
     domain = domain if domain is not None else fmt.max_value * 0.999
     worst = 0.0
     for value in np.linspace(-domain, domain, samples):
@@ -100,7 +117,6 @@ def component_inventory(
     fmt: Optional[FixedPointFormat] = None,
     include_full_luts: bool = False,
     softmax_n: int = 10,
-    library: CellLibrary = GC_LIBRARY,
     measure_errors: bool = False,
 ) -> List[ComponentReport]:
     """Build every Table 3 component and report its inventory.
@@ -110,7 +126,6 @@ def component_inventory(
         include_full_luts: also synthesize the full-domain LUT variants
             (2**15-entry tables at 16 bits — slow; benchmarks only).
         softmax_n: number of classes priced for the Softmax row.
-        library: cost model.
         measure_errors: simulate each activation over a sweep for the
             error column (slower).
     """
@@ -118,8 +133,8 @@ def component_inventory(
         fmt = FixedPointFormat(3, 12)
     rows: List[ComponentReport] = []
 
-    def add(name: str, circuit, error=None, paper_name=None) -> None:
-        counts = library.counts(circuit)
+    def add(name: str, circuit: Circuit, error=None, paper_name=None) -> None:
+        counts = circuit.counts()
         paper = PAPER_TABLE3.get(paper_name or name)
         rows.append(
             ComponentReport(
@@ -142,9 +157,9 @@ def component_inventory(
         error = (
             measure_activation_error(name, fmt) if measure_errors else None
         )
-        add(name, _activation_component(name, fmt), error)
+        add(name, activation_component(name, fmt), error)
 
-    add("ADD", _binary_component(lambda b, x, y: arith.ripple_add(b, x, y), fmt))
+    add("ADD", _binary_component(arith.ripple_add, fmt))
     add(
         "MULT",
         _binary_component(
@@ -163,17 +178,16 @@ def component_inventory(
         ),
         paper_name="MULT",
     )
-    add(
-        "DIV",
-        _binary_component(lambda b, x, y: arith.divide_unsigned(b, x, y), fmt),
-    )
+    add("DIV", _binary_component(arith.divide_unsigned, fmt))
     add("ReLu", _binary_component(lambda b, x, y: arith.relu(b, x), fmt))
 
     # Softmax: (n-1) CMP+MUX stages over fmt-width logits
-    builder = CircuitBuilder()
-    logits = [builder.add_alice_inputs(fmt.width) for _ in range(softmax_n)]
-    builder.mark_output_bus(max_tree(builder, logits))
-    add(f"Softmax{softmax_n}", builder.build())
+    add(
+        f"Softmax{softmax_n}",
+        component(
+            lambda b: max_tree(b, [b.add_alice_inputs(fmt.width) for _ in range(softmax_n)])
+        ),
+    )
     return rows
 
 

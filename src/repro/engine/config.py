@@ -17,7 +17,7 @@ from typing import Any, Optional
 from ..circuits.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from ..compile.compiler import CompileOptions
 from ..errors import EngineError
-from ..gc.cipher import KDF_BACKENDS, HashKDF, make_kdf
+from ..gc.cipher import KDF_BACKENDS
 from ..gc.ot import MODP_2048, OTGroup
 from ..nn.quantize import ACTIVATION_VARIANTS
 from ..resilience.faults import FaultPlan
@@ -38,8 +38,6 @@ class EngineConfig:
         backend: registry name of the execution flow ("two_party",
             "outsourced", "cut_and_choose", "simulate", or any custom
             registration).
-        kdf: explicit garbling-oracle *instance*; overrides
-            ``kdf_backend`` entirely when set.
         kdf_backend: registered oracle backend name.  The oracle is
             part of the wire contract — tables garbled under one do not
             evaluate under another — so it is named here, carried in
@@ -96,7 +94,6 @@ class EngineConfig:
     fmt: FixedPointFormat = DEFAULT_FORMAT
     activation: str = "cordic"
     backend: str = "two_party"
-    kdf: Optional[HashKDF] = None
     kdf_backend: str = "fixed_key_aes"
     ot_group: OTGroup = MODP_2048
     rng: Any = secrets
@@ -160,12 +157,6 @@ class EngineConfig:
             )
         if self.max_inflight < 0:
             raise EngineError("max_inflight must be >= 0 (0 = unbounded)")
-
-    def effective_kdf(self) -> HashKDF:
-        """The garbling oracle: the explicit ``kdf`` instance if set, else
-        the one ``kdf_backend`` names.  Call once per service so every
-        backend, pool and session shares one oracle."""
-        return self.kdf if self.kdf is not None else make_kdf(self.kdf_backend)
 
     def compile_options(self) -> CompileOptions:
         """The compiler view of this configuration: a label (argmax)

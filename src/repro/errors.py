@@ -15,10 +15,6 @@ class CircuitError(ReproError):
     """Raised when a netlist is malformed (bad wires, cycles, arity)."""
 
 
-class SynthesisError(ReproError):
-    """Raised when an optimization pass would change circuit semantics."""
-
-
 class GarblingError(ReproError):
     """Raised on protocol violations inside the garbled-circuit engine."""
 

@@ -25,7 +25,7 @@ from .evaluate import Evaluator
 from .fastgarble import FastEvaluator, LabelPlane, garble_many
 from .garble import GarbledCircuit, GarbledGate, Garbler
 from .labels import ArrayLabelStore, LabelStore, permute_bit, random_delta, random_label
-from .ot import MODP_2048, TEST_GROUP_512, OTGroup, OTReceiver, OTSender, run_ot_batch
+from .ot import MODP_2048, TEST_GROUP_512, OTGroup, OTReceiver, OTSender
 from .ot_extension import IKNPState, extension_ot
 from .outsourcing import OutsourcedSession, outsource_circuit, split_input
 from .protocol import (
@@ -70,7 +70,6 @@ __all__ = [
     "OTReceiver",
     "MODP_2048",
     "TEST_GROUP_512",
-    "run_ot_batch",
     "extension_ot",
     "IKNPState",
     "Channel",

@@ -42,7 +42,7 @@ from .rng import RngLike, rand_below
 
 __all__ = [
     "OTGroup", "MODP_2048", "TEST_GROUP_512", "OTSender", "OTReceiver",
-    "run_ot_batch", "base_ot_over_channel", "base_ot_bytes",
+    "base_ot_over_channel", "base_ot_in_process", "base_ot_bytes",
 ]
 
 
@@ -330,38 +330,21 @@ class OTReceiver:
         return out
 
 
-def run_ot_batch(
-    pairs: Sequence[Tuple[bytes, bytes]],
-    choices: Sequence[int],
-    group: OTGroup = MODP_2048,
-    rng: RngLike = secrets,
-) -> List[bytes]:
-    """Run the whole OT locally (both roles); used by tests and the
-    in-process protocol driver."""
-    if len(pairs) != len(choices):
-        raise OTError("need one choice per pair")
-    sender = OTSender(pairs, group=group, rng=rng)
-    receiver = OTReceiver(choices, group=group, rng=rng)
-    c = sender.setup()
-    keys = receiver.public_keys(c)
-    return receiver.recover(*sender.respond(keys))
-
-
-# The framed base OT is three flights and four steps, two per role, each
-# touching one endpoint.  base_ot_over_channel runs them in flight order
-# on whichever ends this process holds: a session's direct base OT and an
-# IKNP set-up between two processes are the same text.  Group elements
-# travel fixed-width (the modulus width), so payload sizes are
-# deterministic and truncation is structurally detectable on top of the
-# checksum.
+# The base OT is three flights and four steps, two per role.  Each step
+# below turns the flight it reads into the flight it sends, so a
+# session's direct base OT, an IKNP set-up between two processes and one
+# with both parties here are the same text: base_ot_over_channel frames
+# the flights on whichever ends this process holds, base_ot_in_process
+# hands them straight across.  Group elements travel fixed-width (the
+# modulus width), so payload sizes are deterministic and truncation is
+# structurally detectable on top of a link's checksum.
 
 
 def _element_width(group: OTGroup) -> int:
     return (group.prime.bit_length() + 7) // 8
 
 
-def _recv_sized(end: Channel, tag: str, size: int, what: str) -> bytes:
-    blob = end.recv_bytes(expected_tag=tag)
+def _sized(blob: bytes, size: int, what: str) -> bytes:
     if len(blob) != size:
         raise ChannelIntegrityError(
             f"OT {what} size mismatch: expected {size} bytes, got {len(blob)}"
@@ -369,48 +352,37 @@ def _recv_sized(end: Channel, tag: str, size: int, what: str) -> bytes:
     return blob
 
 
-def _send_setup(end: Channel, sender: OTSender, tag: str) -> None:
-    """Sender, flight 1: publish ``c``."""
-    width = _element_width(sender.group)
-    end.send_bytes(sender.setup().to_bytes(width, "little"), tag=tag)
+def _setup_flight(sender: OTSender) -> bytes:
+    """Sender, flight 1: ``c``."""
+    return sender.setup().to_bytes(_element_width(sender.group), "little")
 
 
-def _send_public_keys(end: Channel, receiver: OTReceiver, tag: str) -> None:
-    """Receiver, flight 2: read ``c``, answer with one ``PK_0`` per transfer."""
+def _keys_flight(receiver: OTReceiver, c_blob: bytes) -> bytes:
+    """Receiver, flight 2: one ``PK_0`` per transfer against ``c``."""
     width = _element_width(receiver.group)
-    c_blob = _recv_sized(end, tag, width, "setup element")
-    keys = receiver.public_keys(int.from_bytes(c_blob, "little"))
-    end.send_bytes(b"".join(k.to_bytes(width, "little") for k in keys), tag=tag)
+    c = int.from_bytes(_sized(c_blob, width, "setup element"), "little")
+    return b"".join(k.to_bytes(width, "little") for k in receiver.public_keys(c))
 
 
-def _send_responses(end: Channel, sender: OTSender, tag: str) -> None:
-    """Sender, flight 3: read the keys, answer with ``g^r`` once and both
-    encrypted messages of every transfer."""
+def _response_flight(sender: OTSender, keys_blob: bytes) -> bytes:
+    """Sender, flight 3: ``g^r`` once and both encrypted messages of every
+    transfer."""
     width, m = _element_width(sender.group), len(sender.pairs)
-    keys_blob = _recv_sized(
-        end, tag, width * m, f"public-key payload for {m} transfers"
-    )
+    _sized(keys_blob, width * m, f"public-key payload for {m} transfers")
     g_r, ciphertexts = sender.respond(
         [
             int.from_bytes(keys_blob[i * width : (i + 1) * width], "little")
             for i in range(m)
         ]
     )
-    end.send_bytes(
-        g_r.to_bytes(width, "little") + b"".join(e0 + e1 for e0, e1 in ciphertexts),
-        tag=tag,
-    )
+    return g_r.to_bytes(width, "little") + b"".join(e0 + e1 for e0, e1 in ciphertexts)
 
 
-def _recv_chosen(
-    end: Channel, receiver: OTReceiver, msg_len: int, tag: str
-) -> List[bytes]:
-    """Receiver: read the responses, recover the chosen messages."""
+def _chosen(receiver: OTReceiver, blob: bytes, msg_len: int) -> List[bytes]:
+    """Receiver: the chosen message of every transfer."""
     width, m = _element_width(receiver.group), len(receiver.choices)
     unit = 2 * msg_len
-    blob = _recv_sized(
-        end, tag, width + unit * m, f"response payload for {m} transfers"
-    )
+    _sized(blob, width + unit * m, f"response payload for {m} transfers")
     return receiver.recover(
         int.from_bytes(blob[:width], "little"),
         [
@@ -453,11 +425,30 @@ def base_ot_over_channel(
     sender = OTSender(pairs or (), group=group, rng=rng)
     receiver = OTReceiver(choices or (), group=group, rng=rng)
     if sender_end is not None:
-        _send_setup(sender_end, sender, tag)
+        sender_end.send_bytes(_setup_flight(sender), tag=tag)
     if receiver_end is not None:
-        _send_public_keys(receiver_end, receiver, tag)
+        c_blob = receiver_end.recv_bytes(expected_tag=tag)
+        receiver_end.send_bytes(_keys_flight(receiver, c_blob), tag=tag)
     if sender_end is not None:
-        _send_responses(sender_end, sender, tag)
+        keys_blob = sender_end.recv_bytes(expected_tag=tag)
+        sender_end.send_bytes(_response_flight(sender, keys_blob), tag=tag)
     if receiver_end is None:
         return []
-    return _recv_chosen(receiver_end, receiver, msg_len, tag)
+    return _chosen(receiver, receiver_end.recv_bytes(expected_tag=tag), msg_len)
+
+
+def base_ot_in_process(
+    pairs: Sequence[Tuple[bytes, bytes]],
+    choices: Sequence[int],
+    msg_len: int,
+    group: OTGroup = MODP_2048,
+    rng: RngLike = secrets,
+) -> List[bytes]:
+    """Both parties of a base-OT batch in this process: the steps and rng
+    draws of :func:`base_ot_over_channel` with both ends here, each flight
+    handed across instead of framed on a link (nothing crosses one, so
+    nothing is charged)."""
+    sender = OTSender(pairs, group=group, rng=rng)
+    receiver = OTReceiver(choices, group=group, rng=rng)
+    keys_blob = _keys_flight(receiver, _setup_flight(sender))
+    return _chosen(receiver, _response_flight(sender, keys_blob), msg_len)

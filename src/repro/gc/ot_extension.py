@@ -76,7 +76,7 @@ import numpy as np
 from ..errors import ChannelIntegrityError, OTError
 from .channel import Channel, make_channel_pair
 from .cipher import FixedKeyAES
-from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_over_channel, run_ot_batch
+from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_in_process, base_ot_over_channel
 from .rng import RngLike, rand_bits
 
 __all__ = [
@@ -200,14 +200,15 @@ class IKNPState:
     absent.  Constructing a state is free; the base-OT batch (``kappa``
     transfers of seed pairs, roles swapped) runs inside the first
     extension (:meth:`set_up`), so an owner that never extends never
-    pays for it.  On a link with both ends in this process it is handed
-    across in memory (:func:`repro.gc.ot.run_ot_batch`; charged to no
-    request's ``comm`` — one process is one trust domain by
-    construction, and a framed set-up would bill the first request of
-    every state).  On a one-ended link the same batch crosses that link
-    as three ``"ot_setup"`` frames
+    pays for it.  The batch is one text, the same steps and rng draws
+    wherever the parties are.  On a one-ended link its three flights
+    cross that link as ``"ot_setup"`` frames
     (:func:`repro.gc.ot.base_ot_over_channel`), and the state keeps the
-    hosted party's half only — for the connection.
+    hosted party's half only — for the connection.  Where both parties
+    are here, the flights are handed across in memory and never touch
+    the request's link (:func:`repro.gc.ot.base_ot_in_process`): one
+    process is one trust domain by construction, and no request is
+    billed for a set-up.
 
     A state belongs to the session, backend, pool or connection that
     holds it and is safe to share between that owner's threads:
@@ -311,7 +312,9 @@ class IKNPState:
                 receiver_end=alice_end, group=self.group, rng=rng, tag="ot_setup",
             )
         else:
-            seeds = run_ot_batch(seed_pairs, s_bits, group=self.group, rng=rng)
+            seeds = base_ot_in_process(
+                seed_pairs, s_bits, SEED_BYTES, group=self.group, rng=rng
+            )
         if s_bits is not None:
             self.sender = SenderHalf(s_bits, seeds)
         if seed_pairs is not None:

@@ -41,7 +41,7 @@ from .engine import (
 from .engine.result import ExecutionResult
 from .errors import BatchInferenceError, CompileError
 from .gc.channel import make_channel_pair
-from .gc.cipher import HashKDF
+from .gc.cipher import HashKDF, make_kdf
 from .gc.ot_extension import IKNPState
 from .nn.model import Sequential
 from .nn.quantize import QuantizedModel
@@ -186,7 +186,7 @@ class PrivateInferenceService:
         self.config = config
         # one oracle instance for the whole service: the pool, backends
         # and sessions all garble and evaluate under it
-        self._kdf = config.effective_kdf()
+        self._kdf = make_kdf(config.kdf_backend)
         self.quantized = QuantizedModel(
             model, config.fmt, activation_variant=config.activation
         )
@@ -263,14 +263,11 @@ class PrivateInferenceService:
 
         An oracle with more than one provider reports which one this
         host got — ``fixed-key-aes[libcrypto]`` or
-        ``fixed-key-aes[numpy]``; a ``ParallelKDF`` wrapper prefixes
-        ``parallel-``.  Providers of one oracle interoperate: what
-        peers compare is :func:`repro.gc.cipher.oracle_fingerprint`.
+        ``fixed-key-aes[numpy]``.  Providers of one oracle interoperate:
+        what peers compare is :func:`repro.gc.cipher.oracle_fingerprint`.
         """
-        kdf = self._kdf
-        name = getattr(kdf, "name", type(kdf).__name__)
-        provider = getattr(getattr(kdf, "inner", kdf), "provider", None)
-        return f"{name}[{provider}]" if provider else name
+        provider = getattr(self._kdf, "provider", None)
+        return f"{self._kdf.name}[{provider}]" if provider else self._kdf.name
 
     @property
     def ot_group_name(self) -> str:

@@ -1,20 +1,26 @@
-"""Interchange tests: Bristol-Fashion roundtrip, Verilog export."""
+"""Interchange tests: Bristol-Fashion roundtrip, Verilog export, and
+``repro.circuits`` as the bottom layer."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import repro.circuits
 from repro.circuits import (
     CircuitBuilder,
     bits_from_int,
     dumps_bristol,
+    dumps_verilog,
     int_from_bits,
     loads_bristol,
     simulate,
 )
 from repro.circuits.arith import ripple_add
+from repro.circuits.bristol import lower_to_gc_basis
+from repro.circuits.gates import GateType
 from repro.errors import CircuitError
-from repro.synthesis import dumps_verilog
 
 
 def adder_circuit(width=8):
@@ -107,6 +113,30 @@ class TestBristolRoundtrip:
             dumps_bristol(bld.build())
 
 
+class TestGCBasisLowering:
+    def test_lowering_basis(self):
+        # every operator of the builder, none of them folded or hashed away
+        rng = random.Random(7)
+        bld = CircuitBuilder(use_structural_hashing=False, fold_constants=False)
+        a = bld.add_alice_inputs(5)
+        b = bld.add_bob_inputs(5)
+        wires = list(a) + list(b) + [bld.zero, bld.one]
+        for op in 10 * ["xor", "and", "or", "nand", "nor", "andn"]:
+            wires.append(getattr(bld, f"emit_{op}")(rng.choice(wires), rng.choice(wires)))
+        wires.append(bld.emit_not(wires[-1]))
+        for w in wires[-6:]:
+            bld.mark_output(w)
+        circuit = bld.build()
+        lowered = lower_to_gc_basis(circuit)
+        assert {op for op, *_ in lowered.gates} <= {GateType.XOR, GateType.NOT, GateType.AND}
+        # the non-XOR count never grows under the lowering
+        assert lowered.counts().non_xor <= circuit.counts().non_xor
+        for _ in range(40):
+            x = [rng.randrange(2) for _ in range(5)]
+            y = [rng.randrange(2) for _ in range(5)]
+            assert simulate(lowered, x, y) == simulate(circuit, x, y)
+
+
 class TestBristolParser:
     def test_truncated_rejected(self):
         with pytest.raises(CircuitError):
@@ -175,3 +205,39 @@ class TestVerilogExport:
         text = dumps_verilog(bld.build())
         assert "input  [1:0] q;" in text
 
+
+CIRCUITS = pathlib.Path(repro.circuits.__file__).resolve().parent
+
+
+def _imported_modules(path, package):
+    """``(line, module)`` for every import in a module, deferred ones too,
+    with relative imports resolved against ``package``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                module = ".".join(parts[: len(parts) - node.level + 1] + [module]).rstrip(".")
+            if node.module is None:  # ``from .. import name``: name is a module
+                for alias in node.names:
+                    yield node.lineno, f"{module}.{alias.name}"
+            else:
+                yield node.lineno, module
+
+
+def test_circuits_is_a_leaf_layer():
+    """Every layer above builds on ``repro.circuits``; it imports nothing
+    of ``repro`` but itself and ``repro.errors``."""
+    upward = []
+    for path in sorted(CIRCUITS.rglob("*.py")):
+        relative = path.relative_to(CIRCUITS.parent.parent)
+        package = ".".join(relative.parent.parts)
+        for line, module in _imported_modules(path, package):
+            parts = module.split(".")
+            if parts[0] != "repro" or parts[1:2] in (["errors"], ["circuits"]):
+                continue
+            upward.append(f"{relative}:{line} imports {module}")
+    assert upward == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.gc.cipher import KDF_BACKENDS
 from repro.gc.ot import TEST_GROUP_512
 
 
@@ -61,6 +62,7 @@ class TestCLI:
         ["infer", "--samples", "401"],
         ["infer", "--connect", "127.0.0.1:1", "--backend", "simulate"],
         ["infer", "--connect", "127.0.0.1:1"],
+        ["serve", "--kdf-backend", "sha256_vec"],
     ])
     def test_bad_arguments_rejected(self, argv):
         with pytest.raises(SystemExit) as info:
@@ -76,3 +78,10 @@ class TestCLI:
         text = parser.format_help()
         for command in ("demo", "infer", "serve", "worker"):
             assert command in text
+
+    def test_serve_offers_every_registered_oracle(self):
+        # the flag's choices are the oracle registry's names, no other list
+        parser = build_parser()
+        for name in sorted(KDF_BACKENDS):
+            assert parser.parse_args(["serve", "--kdf-backend", name]).kdf_backend == name
+        assert parser.parse_args(["serve"]).kdf_backend == "fixed_key_aes"

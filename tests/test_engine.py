@@ -289,13 +289,13 @@ class TestConfigSurface:
     """The configuration surface is what callers set, and no more."""
 
     FIELDS = {
-        "fmt", "activation", "backend", "kdf", "kdf_backend", "ot_group",
+        "fmt", "activation", "backend", "kdf_backend", "ot_group",
         "rng", "pool_size", "pool_refill", "request_timeout_s",
         "max_retries", "retry_backoff_s", "breaker_threshold",
         "breaker_cooldown_s", "fault_plan", "transport", "max_inflight",
     }
 
-    def test_engine_config_has_the_seventeen_fields(self):
+    def test_engine_config_has_the_sixteen_fields(self):
         assert {f.name for f in dataclasses.fields(EngineConfig)} == self.FIELDS
 
     def test_four_backends_remain(self):
@@ -320,7 +320,7 @@ class TestConfigSurface:
     @pytest.mark.parametrize("field, value", [
         ("output", "logits"), ("honor_sparsity", False),
         ("backend_options", {"copies": 4}), ("kdf_workers", 2),
-        ("shards", 2), ("history_limit", 8),
+        ("shards", 2), ("history_limit", 8), ("kdf", None),
     ])
     def test_deleted_fields_are_refused(self, field, value):
         with pytest.raises(TypeError, match=field):

@@ -65,7 +65,7 @@ class TestSigmoidViaTanh:
         assert "SigmoidCORDICviaTanh" in VARIANTS
 
     def test_in_table3_report(self):
-        from repro.synthesis import component_inventory
+        from repro.compile import component_inventory
 
         names = {r.name for r in component_inventory(FMT9)}
         assert "SigmoidCORDICviaTanh" in names

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import CircuitBuilder
+from repro.circuits import CircuitBuilder, FixedPointFormat
 from repro.engine import EngineConfig
 from repro.errors import EngineError, OTError
 from repro.gc import (
@@ -58,6 +58,8 @@ from repro.gc.cipher import ROW_BYTES
 from repro.gc.fastgarble import garble_many
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import TwoPartySession
+from repro.nn import Dense, Sequential, Tanh
+from repro.service import PrivateInferenceService
 
 
 def _random_rows(n, length, seed=0):
@@ -205,18 +207,21 @@ class TestOracleRegistry:
         with pytest.raises(EngineError):
             EngineConfig(kdf_backend="sha3")
 
-    def test_effective_kdf_explicit_instance_wins(self):
-        sentinel = FixedKeyAES()
-        config = EngineConfig(kdf=sentinel, kdf_backend="hashlib")
-        assert config.effective_kdf() is sentinel
-        # any oracle instance, a class-only one included
-        vec = VectorHashKDF()
-        assert EngineConfig(kdf=vec).effective_kdf() is vec
-
-    def test_effective_kdf_resolves_backend(self):
-        # every name resolves to its own oracle, the default included
-        assert type(EngineConfig(kdf_backend="hashlib").effective_kdf()) is HashKDF
-        assert isinstance(EngineConfig().effective_kdf(), FixedKeyAES)
+    @pytest.mark.parametrize("name", sorted(KDF_BACKENDS))
+    def test_service_garbles_under_the_named_backend(self, name):
+        # the service's one oracle is make_kdf(config.kdf_backend)
+        model = Sequential([Dense(3), Tanh(), Dense(2)], input_shape=(4,), seed=5)
+        service = PrivateInferenceService(model, EngineConfig(
+            fmt=FixedPointFormat(2, 6), activation="exact", kdf_backend=name,
+            ot_group=TEST_GROUP_512, rng=random.Random(5), pool_refill="none",
+        ))
+        try:
+            assert type(service.kdf) is type(make_kdf(name))
+            assert service.kdf_name.startswith(make_kdf(name).name)
+            x = np.random.default_rng(5).uniform(-1, 1, size=4)
+            assert service.infer(x).label == service.cleartext_label(x)
+        finally:
+            service.close()
 
 
 def _label_tweak_rows(n, seed=0):
@@ -428,7 +433,7 @@ class TestAESIsTheDefault:
         assert EngineConfig().kdf_backend == "fixed_key_aes"
         assert isinstance(default_kdf(), FixedKeyAES)
         assert default_kdf() is default_kdf()  # one shared instance
-        assert len(EngineConfig.__dataclass_fields__) == 17
+        assert len(EngineConfig.__dataclass_fields__) == 16
 
     def test_no_default_path_calibrates(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -438,7 +443,7 @@ class TestAESIsTheDefault:
         monkeypatch.setattr(cipher, "_calibration", None)
         circuit = _mixed_circuit(seed=4, n_gates=600)
         session = TwoPartySession(
-            circuit, kdf=EngineConfig().effective_kdf(),
+            circuit, kdf=make_kdf(EngineConfig().kdf_backend),
             ot_group=TEST_GROUP_512, rng=random.Random(1),
         )
         client, server = [1, 0, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0]

@@ -1,6 +1,7 @@
 """Unit tests for the Circuit container: validation, counts, metrics."""
 
 import random
+from collections.abc import Iterable, Sequence, Sized
 
 import pytest
 
@@ -36,11 +37,21 @@ class TestCounts:
 
     def test_gate_view_decodes_each_row(self):
         circuit = _simple_circuit()
-        ops = [gate.op for gate in circuit.gates]
-        assert sorted(op.name for op in ops) == ["AND", "OR", "XOR"]
-        assert circuit.gates[0:2] == [circuit.gates[0], circuit.gates[1]]
+        gates = list(circuit.gates)
+        assert sorted(gate.op.name for gate in gates) == ["AND", "OR", "XOR"]
         assert len(circuit.gates) == circuit.n_gates == 3
-        assert circuit.gates[-1].out == circuit.outputs[0]
+        assert gates[-1].out == circuit.outputs[0]
+
+    def test_gate_view_is_a_sized_iterable_over_the_columns(self):
+        # each walk decodes the columns afresh; nothing indexes a gate
+        circuit = _simple_circuit()
+        view = circuit.gates
+        assert isinstance(view, Sized) and isinstance(view, Iterable)
+        assert not isinstance(view, Sequence)
+        assert list(view) == list(view)
+        assert [gate.out for gate in view] == view.columns.out.tolist()
+        with pytest.raises(TypeError):
+            view[0]
 
 
 class TestValidation:

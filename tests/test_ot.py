@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import CircuitBuilder, simulate
-from repro.errors import OTError
+from repro.errors import ChannelIntegrityError, OTError
 from repro.gc import TwoPartySession, ot
 from repro.gc.channel import make_channel_pair
 from repro.gc.ot import (
@@ -21,7 +21,8 @@ from repro.gc.ot import (
     OTGroup,
     OTReceiver,
     OTSender,
-    run_ot_batch,
+    base_ot_in_process,
+    base_ot_over_channel,
 )
 from repro.gc.ot_extension import IKNPState, chosen_ot, derandomize, extension_ot
 
@@ -210,12 +211,21 @@ class TestProvidersAgree:
         assert len(set(keys)) == n and c not in keys and g_r not in keys
 
 
+def _base_ot(pairs, choices, rng, msg_len=16):
+    """A base-OT batch with both parties here, over a fresh link."""
+    alice_end, bob_end, _ = make_channel_pair()
+    return base_ot_over_channel(
+        pairs, choices, msg_len, sender_end=alice_end, receiver_end=bob_end,
+        group=TEST_GROUP_512, rng=rng,
+    )
+
+
 class TestBaseOT:
     def test_receiver_gets_chosen_messages(self):
         rng = random.Random(1)
         pairs = _pairs(24, rng)
         choices = [rng.randrange(2) for _ in range(24)]
-        out = run_ot_batch(pairs, choices, group=TEST_GROUP_512, rng=rng)
+        out = _base_ot(pairs, choices, rng)
         for msg, choice, pair in zip(out, choices, pairs):
             assert msg == pair[choice]
 
@@ -223,17 +233,34 @@ class TestBaseOT:
         rng = random.Random(2)
         pairs = _pairs(16, rng)
         choices = [rng.randrange(2) for _ in range(16)]
-        out = run_ot_batch(pairs, choices, group=TEST_GROUP_512, rng=rng)
+        out = _base_ot(pairs, choices, rng)
         for msg, choice, pair in zip(out, choices, pairs):
             assert msg != pair[1 - choice]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_in_process_batch_is_the_framed_batch(self, seed):
+        # the same steps and rng draws in the same order: the same
+        # messages, and the rng left where the framed run leaves it
+        rng = random.Random(seed)
+        pairs = _pairs(12, rng)
+        choices = [rng.randrange(2) for _ in range(12)]
+        framed_rng, in_process_rng = random.Random(seed + 7), random.Random(seed + 7)
+        framed = _base_ot(pairs, choices, framed_rng)
+        in_process = base_ot_in_process(
+            pairs, choices, 16, group=TEST_GROUP_512, rng=in_process_rng
+        )
+        assert in_process == framed == [pair[c] for pair, c in zip(pairs, choices)]
+        assert in_process_rng.getstate() == framed_rng.getstate()
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(OTError):
             OTSender([(b"aa", b"bbb")], group=TEST_GROUP_512)
 
     def test_count_mismatch_rejected(self):
-        with pytest.raises(OTError):
-            run_ot_batch([(b"a", b"b")], [0, 1], group=TEST_GROUP_512)
+        # two public keys against one message pair: the sender's size
+        # check refuses the flight before any exponentiation
+        with pytest.raises(ChannelIntegrityError, match="public-key payload for 1"):
+            _base_ot([(b"a", b"b")], [0, 1], random.Random(0), msg_len=1)
 
     def test_bad_public_key_rejected(self):
         rng = random.Random(3)

@@ -30,7 +30,7 @@ from repro.engine import EngineConfig, get_backend
 from repro.errors import OTError, ReproError
 from repro.gc import SequentialSession, ot
 from repro.gc.channel import default_channel_factory, make_channel_pair
-from repro.gc.ot import TEST_GROUP_512, OTGroup, run_ot_batch
+from repro.gc.ot import TEST_GROUP_512, OTGroup, base_ot_over_channel
 from repro.gc.ot_extension import KAPPA, IKNPState, chosen_ot, derandomize, extension_ot
 from repro.gc.outsourcing import OutsourcedSession
 from repro.gc.protocol import TwoPartySession
@@ -303,8 +303,10 @@ class TestSetupAccounting:
             a, b = rng.randbytes(length), rng.randbytes(length)
             assert ot._xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
         pairs, choices = _pairs(5, seed=44)
-        assert run_ot_batch(
-            pairs, choices, group=TEST_GROUP_512, rng=rng
+        alice_end, bob_end, _stats = make_channel_pair()
+        assert base_ot_over_channel(
+            pairs, choices, 16, sender_end=alice_end, receiver_end=bob_end,
+            group=TEST_GROUP_512, rng=rng,
         ) == [pair[c] for pair, c in zip(pairs, choices)]
 
 

@@ -21,7 +21,6 @@ from repro.circuits import (
 from repro.gc import Evaluator, Garbler, LabelStore
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.protocol import execute
-from repro.synthesis import optimize
 
 
 @st.composite
@@ -64,19 +63,6 @@ class TestProtocolEquivalence:
 
     @given(circuits())
     @settings(max_examples=10, deadline=None)
-    def test_optimized_circuit_same_gc_result(self, case):
-        circuit, alice, bob = case
-        optimized, _ = optimize(circuit)
-        direct = execute(
-            circuit, alice, bob, ot_group=TEST_GROUP_512, rng=random.Random(2)
-        )
-        opt = execute(
-            optimized, alice, bob, ot_group=TEST_GROUP_512, rng=random.Random(3)
-        )
-        assert direct.outputs == opt.outputs
-
-    @given(circuits())
-    @settings(max_examples=10, deadline=None)
     def test_bristol_roundtrip_property(self, case):
         circuit, alice, bob = case
         recovered = loads_bristol(dumps_bristol(circuit))
@@ -115,23 +101,6 @@ class TestFreeXorAlgebra:
         circuit, _, _ = case
         garbled = Garbler(circuit, rng=random.Random(5)).garble()
         assert len(garbled.tables) == circuit.counts().non_xor
-
-
-class TestOptimizerProperties:
-    @given(circuits())
-    @settings(max_examples=10, deadline=None)
-    def test_optimize_never_increases_tables(self, case):
-        circuit, _, _ = case
-        optimized, _ = optimize(circuit)
-        assert optimized.counts().non_xor <= circuit.counts().non_xor
-
-    @given(circuits())
-    @settings(max_examples=8, deadline=None)
-    def test_optimize_idempotent(self, case):
-        circuit, _, _ = case
-        once, _ = optimize(circuit)
-        twice, _ = optimize(once)
-        assert len(twice.gates) == len(once.gates)
 
 
 class TestFailureInjection:

@@ -160,16 +160,6 @@ class TestParallelKDF:
         with pytest.raises(ValueError):
             ParallelKDF(workers=-1)
 
-    def test_engine_config_wiring(self):
-        # no name builds a ParallelKDF: the resolved oracle is the one
-        # kdf_backend names, and an explicit instance passes through
-        assert isinstance(EngineConfig().effective_kdf(), FixedKeyAES)
-        sha = EngineConfig(kdf_backend="hashlib")
-        assert type(sha.effective_kdf()) is HashKDF
-        wrapped = ParallelKDF(FixedKeyAES(), workers=3)
-        assert EngineConfig(kdf=wrapped).effective_kdf() is wrapped
-        wrapped.close()
-
 
 class TestFixedKeyAESBatch:
     def test_no_fallback_needed(self, monkeypatch):

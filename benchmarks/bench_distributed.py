@@ -5,7 +5,7 @@ Measures what the PR 9 serving tier costs and buys:
 * **shard scaling** — ``ShardedService.infer_many`` across worker
   *processes* vs the single-process batched pass on the same batch
   (process parallelism sidesteps the GIL; the win tracks host cores);
-* **online latency** — p50/p95 per-request online time under sharded
+* **online phase time** — p50/p95 per-request phase-timer sum under sharded
   serving;
 * **transport overhead** — the same protocol run over in-memory deques
   vs the wire codec + kernel socketpairs (socket/memory throughput
@@ -80,7 +80,7 @@ def test_shard_scaling_throughput(service_and_data, results_dir):
     assert [r.label for r in results] == [r.label for r in single]
     assert stats["degraded_requests"] == 0
 
-    online = sorted(r.wall_seconds for r in results)
+    online = sorted(r.phase_seconds for r in results)
     p50 = statistics.median(online)
     p95 = online[min(len(online) - 1, int(round(0.95 * (len(online) - 1))))]
 

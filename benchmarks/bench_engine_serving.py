@@ -59,23 +59,23 @@ def test_offline_online_split(benchmark, service_and_data, results_dir):
     warm = benchmark.pedantic(pooled, rounds=3, iterations=1)
     assert warm.pregarbled and not cold.pregarbled
     assert warm.times["garble"] < cold.times["garble"]
-    assert warm.wall_seconds < cold.wall_seconds
+    assert warm.phase_seconds < cold.phase_seconds
     text = (
-        f"cold online latency:   {cold.wall_seconds:.3f} s "
+        f"cold online phase time:   {cold.phase_seconds:.3f} s "
         f"(garble {cold.times['garble']:.3f} s on the critical path)\n"
-        f"pooled online latency: {warm.wall_seconds:.3f} s "
+        f"pooled online phase time: {warm.phase_seconds:.3f} s "
         f"(garble {warm.times['garble'] * 1e3:.2f} ms)\n"
-        f"online speedup: {cold.wall_seconds / warm.wall_seconds:.2f}x"
+        f"online speedup: {cold.phase_seconds / warm.phase_seconds:.2f}x"
     )
     write_report(results_dir, "engine_offline_online", text)
     record_trajectory(
         "pr2-offline-online-split",
         {
             "pr": 2,
-            "cold_online_s": round(cold.wall_seconds, 6),
-            "pooled_online_s": round(warm.wall_seconds, 6),
+            "cold_online_s": round(cold.phase_seconds, 6),
+            "pooled_online_s": round(warm.phase_seconds, 6),
             "online_speedup": round(
-                cold.wall_seconds / warm.wall_seconds, 3
+                cold.phase_seconds / warm.phase_seconds, 3
             ),
         },
     )
@@ -207,6 +207,6 @@ def test_backend_inventory(benchmark, service_and_data, results_dir):
         assert record.label == expected
         lines.append(
             f"{record.backend:<16}{record.label:>6}"
-            f"{record.comm_bytes / 1e6:>10.2f}{record.wall_seconds:>10.2f}"
+            f"{record.comm_bytes / 1e6:>10.2f}{record.phase_seconds:>10.2f}"
         )
     write_report(results_dir, "engine_backends", "\n".join(lines))

@@ -129,7 +129,6 @@ KEEP: Dict[str, str] = {
     "repro.circuits.netlist:Circuit._validate_gates": ORACLE,
     "repro.circuits.netlist:_scan_places": ORACLE,
     "repro.gc.evaluate:Evaluator.*": ORACLE,
-    "repro.gc.garble:GarbledGate.*": ORACLE,
     "repro.gc.garble:Garbler._garble_and": ORACLE,
     "repro.gc.garble:Garbler._garble_and_reduced": ORACLE,
     "repro.gc.cipher:_hash_many_fallback": ORACLE,

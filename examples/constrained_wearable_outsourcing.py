@@ -72,7 +72,7 @@ def main() -> None:
           f"{int(quantized.predict(sample[None])[0])}")
     assert direct_label == outsourced_label
     print(f"outsourced comm: "
-          f"{outsourced.proxy_result.total_comm_bytes / 1e6:.2f} MB "
+          f"{outsourced.total_comm_bytes / 1e6:.2f} MB "
           f"(direct: {direct.total_comm_bytes / 1e6:.2f} MB) — "
           "the table transfer moved between the two servers; the client "
           "sends only its two shares.")

@@ -8,9 +8,9 @@ inferences three ways:
 2. the offline/online split — garbling is input-independent (Sec. 3),
    so the service pre-garbles circuits while idle and the online path
    shrinks to transfer + OT + evaluate + merge;
-3. the same sample through another registered backend (the XOR-share
-   outsourcing flow of Sec. 3.3) — backends are named entries in
-   ``repro.engine``'s registry, all behind one ``run()`` contract.
+3. the same sample through another backend (the XOR-share outsourcing
+   flow of Sec. 3.3) — backends are named flows of ``repro.engine``,
+   all behind one ``run()`` contract.
 
 Nobody ever sees the other party's input in any of these flows.
 
@@ -62,7 +62,7 @@ def main() -> None:
     )
     service = PrivateInferenceService(model, config)
     print(f"compiled: {service.circuit_summary}")
-    print(f"registered backends: {', '.join(available_backends())}")
+    print(f"backends: {', '.join(available_backends())}")
 
     # 3. cold request: garbling happens on the online critical path
     sample = x[0]
@@ -79,9 +79,9 @@ def main() -> None:
     print(f"pooled inference: label {warm.label} | "
           f"garble {warm.times['garble'] * 1e3:.2f}ms online "
           f"(pre-garbled: {warm.pregarbled}) | "
-          f"online wall {warm.wall_seconds:.1f}s")
+          f"online phase time {warm.phase_seconds:.1f}s")
 
-    # 5. any registered backend serves the same request — here the
+    # 5. any backend serves the same request — here the
     #    constrained-client outsourcing flow (Sec. 3.3)
     outsourced = service.infer(sample, backend="outsourced")
     print(f"outsourced:       label {outsourced.label} "

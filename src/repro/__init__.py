@@ -44,7 +44,7 @@ Subpackages:
   folding, structural hashing);
 * :mod:`repro.gc` — half-gates garbling, OT (+extension), the two-party
   protocol, sequential garbling and XOR-share outsourcing;
-* :mod:`repro.engine` — the unified execution API: backend registry,
+* :mod:`repro.engine` — the unified execution API: backends by name,
   `EngineConfig`, pre-garbled pools;
 * :mod:`repro.nn` — numpy DL substrate with circuit-exact quantization;
 * :mod:`repro.data` — synthetic MNIST/ISOLET/DSA stand-ins;

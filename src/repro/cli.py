@@ -82,7 +82,8 @@ def _cmd_demo(args) -> None:
     record = service.infer(x[0])
     print(f"private label: {record.label} | cleartext: "
           f"{service.cleartext_label(x[0])} | comm "
-          f"{record.comm_bytes / 1e6:.2f} MB | {record.wall_seconds:.2f} s")
+          f"{record.comm_bytes / 1e6:.2f} MB | phase time "
+          f"{record.phase_seconds:.2f} s")
 
 
 def _cmd_infer(args) -> None:
@@ -379,7 +380,7 @@ def _cmd_serve(args) -> None:
     results = service.infer_many(list(x[: args.requests]), return_errors=True)
     wall = time.perf_counter() - start
 
-    online = [r.wall_seconds for r in results]
+    online = [r.phase_seconds for r in results]
     pooled = sum(1 for r in results if r.pregarbled)
     ok = [r for r in results if r.ok]
     failed = [r for r in results if not r.ok]
@@ -387,7 +388,7 @@ def _cmd_serve(args) -> None:
     print(f"served {len(results)} requests "
           f"in {wall:.2f} s ({len(results) / wall:.2f} req/s)")
     hit_rate = f"{pool.hit_rate:.0%}" if pool is not None else "n/a"
-    print(f"online latency: mean {sum(online) / len(online):.2f} s | "
+    print(f"online phase time: mean {sum(online) / len(online):.2f} s | "
           f"max {max(online):.2f} s | pre-garbled {pooled}/{len(results)} "
           f"(pool hit rate {hit_rate})")
     if pool is not None:
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument("-b", "--backend", default="two_party",
                        choices=available_backends(),
-                       help="execution flow (repro.engine registry)")
+                       help="execution flow (repro.engine backends)")
     infer.add_argument("--activation", default="exact",
                        choices=ACTIVATION_VARIANTS,
                        help="Table 3 activation realization")

@@ -3,10 +3,11 @@
 The seed wired each execution path by hand; this package normalizes
 them behind three ideas:
 
-* **Backend registry** — every flow (direct two-party, outsourced,
+* **Backends by name** — every flow (direct two-party, outsourced,
   cut-and-choose, plaintext simulation) implements
-  ``run(circuit, client_bits, server_bits) -> ExecutionResult`` and is
-  reachable via :func:`get_backend` by name.
+  ``run(circuit, client_bits, server_bits) -> ProtocolResult``, the
+  session's own outcome record, and is reachable via :func:`get_backend`
+  by name.
 * **EngineConfig** — a single validated object carrying the fixed-point
   format, activation variant, backend choice and serving knobs,
   replacing scattered constructor arguments.
@@ -33,11 +34,9 @@ from .backends import (
     TwoPartyBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from .config import EngineConfig
 from .pool import PregarbledPool
-from .result import ExecutionResult
 
 __all__ = [
     "Backend",
@@ -47,8 +46,6 @@ __all__ = [
     "SimulateBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "EngineConfig",
     "PregarbledPool",
-    "ExecutionResult",
 ]

@@ -3,15 +3,10 @@
 Every way this reproduction can execute a compiled inference circuit —
 direct two-party GC (Fig. 3), XOR-share outsourcing (Fig. 4 / Sec. 3.3),
 cut-and-choose covert security (Sec. 2.4), and the plaintext reference
-simulator — is normalized behind the :class:`Backend` contract and a
-string-keyed registry, so services, CLIs and benchmarks select a flow by
-name instead of hand-wiring sessions.
-
-Registering a new backend is one decorator::
-
-    @register_backend("my_flow")
-    class MyBackend(Backend):
-        def run(self, circuit, client_bits, server_bits): ...
+simulator — is normalized behind the :class:`Backend` contract and one
+name -> class table, so services, CLIs and benchmarks select a flow by
+name instead of hand-wiring sessions.  Every flow returns the session's
+own record, :class:`~repro.gc.protocol.ProtocolResult`.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from __future__ import annotations
 import random
 import secrets
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type
+from typing import Any, Dict, List, Optional, Sequence, Type
 
 from ..circuits.netlist import Circuit
 from ..circuits.simulate import simulate
@@ -32,6 +27,7 @@ from ..gc.outsourcing import OutsourcedSession
 from ..gc.protocol import (
     ChannelFactory,
     Pregarbled,
+    ProtocolResult,
     TwoPartySession,
     # not called here: the layered benchmark's tracer still wraps this
     # binding; it goes when that wrap list is retired (ROADMAP item 1(a))
@@ -40,7 +36,6 @@ from ..gc.protocol import (
 from ..gc.rng import RngLike
 from ..resilience.deadline import Deadline
 from .pool import PregarbledPool
-from .result import ExecutionResult
 
 __all__ = [
     "Backend",
@@ -50,7 +45,6 @@ __all__ = [
     "SimulateBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
 ]
 
 
@@ -79,9 +73,6 @@ class Backend:
             or phase outlives it (None = unlimited).
     """
 
-    #: Registry key, set by :func:`register_backend`.
-    name: str = "abstract"
-
     def __init__(
         self,
         kdf: Optional[HashKDF] = None,
@@ -108,7 +99,7 @@ class Backend:
         circuit: Circuit,
         client_bits: Sequence[int],
         server_bits: Sequence[int],
-    ) -> ExecutionResult:
+    ) -> ProtocolResult:
         """Execute ``circuit`` on the two parties' plaintext input bits."""
         raise NotImplementedError
 
@@ -118,7 +109,7 @@ class Backend:
         client_bits_list: Sequence[Sequence[int]],
         server_bits: Sequence[int],
         pooled: bool = True,
-    ) -> List[ExecutionResult]:
+    ) -> List[ProtocolResult]:
         """Execute one request per entry of ``client_bits_list``, in order
         (how ``PrivateInferenceService`` serves every group).  A flow with
         no batched form runs them one after another; ``pooled`` matters
@@ -129,56 +120,6 @@ class Backend:
         ]
 
 
-_REGISTRY: Dict[str, Type[Backend]] = {}
-
-
-def register_backend(name: str) -> Callable[[Type[Backend]], Type[Backend]]:
-    """Class decorator: expose a :class:`Backend` under ``name``."""
-
-    def decorator(cls: Type[Backend]) -> Type[Backend]:
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorator
-
-
-def available_backends() -> List[str]:
-    """Sorted names of every registered backend."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: str, **options: Any) -> Backend:
-    """Instantiate a registered backend by name.
-
-    Args:
-        name: registry key (see :func:`available_backends`).
-        options: constructor keywords of the chosen backend (``kdf``,
-            ``ot_group``, ``rng``, plus backend-specific knobs such as
-            ``copies`` for cut-and-choose or ``pool`` for two-party).
-
-    Raises:
-        EngineError: unknown name, or options the backend rejects.
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise EngineError(
-            f"unknown backend {name!r}; registered: "
-            f"{', '.join(available_backends())}"
-        ) from None
-    try:
-        return cls(**options)
-    except TypeError as exc:
-        raise EngineError(f"bad options for backend {name!r}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# the four built-in flows
-# ---------------------------------------------------------------------------
-
-
-@register_backend("two_party")
 class TwoPartyBackend(Backend):
     """Direct client/server GC protocol (Fig. 3).
 
@@ -236,21 +177,13 @@ class TwoPartyBackend(Backend):
             channel_factory=self.channel_factory, ot_state=self.ot_state,
         )
 
-    @staticmethod
-    def _metadata(slot: Optional[Pregarbled], **extra: object) -> Dict[str, object]:
-        """What a result says about the offline material it consumed."""
-        metadata: Dict[str, object] = {"pregarbled": slot is not None, **extra}
-        if slot is not None:
-            metadata["offline_garble_s"] = slot.garble_seconds
-        return metadata
-
     def run(
         self,
         circuit: Circuit,
         client_bits: Sequence[int],
         server_bits: Sequence[int],
         pooled: bool = True,
-    ) -> ExecutionResult:
+    ) -> ProtocolResult:
         """One request: a batch of one through :meth:`run_many`."""
         return self.run_many(circuit, [client_bits], server_bits, pooled)[0]
 
@@ -260,7 +193,7 @@ class TwoPartyBackend(Backend):
         client_bits_list: Sequence[Sequence[int]],
         server_bits: Sequence[int],
         pooled: bool = True,
-    ) -> List[ExecutionResult]:
+    ) -> List[ProtocolResult]:
         """Serve a batch of requests through one evaluation pass.
 
         All requests share one :meth:`TwoPartySession.run_many` call, so
@@ -278,21 +211,14 @@ class TwoPartyBackend(Backend):
         slots: List[Optional[Pregarbled]] = [None] * k
         if pooled and self.pool is not None and self.pool.circuit is circuit:
             slots = [self.pool.acquire() for _ in range(k)]
-        protocol_results = session.run_many(
+        return session.run_many(
             client_bits_list,
             [list(server_bits)] * k,
             pregarbled=slots,
             deadline=self._deadline(),
         )
-        return [
-            ExecutionResult.from_protocol(
-                result, self.name, self._metadata(slot, batched=k)
-            )
-            for result, slot in zip(protocol_results, slots)
-        ]
 
 
-@register_backend("outsourced")
 class OutsourcedBackend(Backend):
     """XOR-share proxy flow for constrained clients (Sec. 3.3, Fig. 4)."""
 
@@ -306,24 +232,16 @@ class OutsourcedBackend(Backend):
         circuit: Circuit,
         client_bits: Sequence[int],
         server_bits: Sequence[int],
-    ) -> ExecutionResult:
+    ) -> ProtocolResult:
         session = self._session
         if session is None or session.original is not circuit:
             session = self._session = OutsourcedSession(
                 circuit, kdf=self.kdf, ot_group=self.ot_group, rng=self.rng,
                 channel_factory=self.channel_factory, ot_state=self.ot_state,
             )
-        outcome = session.run(
-            client_bits, server_bits, deadline=self._deadline()
-        )
-        # the client-visible outputs are the proxy run's own
-        return ExecutionResult.from_protocol(
-            outcome.proxy_result, self.name,
-            {"client_work_bits": len(client_bits)},
-        )
+        return session.run(client_bits, server_bits, deadline=self._deadline())
 
 
-@register_backend("cut_and_choose")
 class CutAndChooseBackend(Backend):
     """Covert-security execution: garble ``copies``, open all but one.
 
@@ -331,9 +249,10 @@ class CutAndChooseBackend(Backend):
     commitments, then the surviving copy runs ``two_party``'s protocol
     round as pre-garbled material (Sec. 2.4's cut-and-choose pointer),
     every flight on the wire.  A cheating garbler is detected with
-    probability ``1 - 1/copies``.  ``comm_bytes`` is the round's traffic
-    plus the opened copies' tables and the seed commitments; ``times``
-    are the round's phases, ``garble`` covering every copy.
+    probability ``1 - 1/copies``.  ``comm`` is the round's traffic plus
+    two tags beside it, ``opened_tables`` (the opened copies' tables)
+    and ``commitments`` (the seed commitments); ``times`` are the
+    round's phases, ``garble`` covering every copy, and ``verify``.
 
     Args:
         copies: independent garblings (>= 2).
@@ -365,7 +284,7 @@ class CutAndChooseBackend(Backend):
         circuit: Circuit,
         client_bits: Sequence[int],
         server_bits: Sequence[int],
-    ) -> ExecutionResult:
+    ) -> ProtocolResult:
         deadline = self._deadline()
 
         # garbler: k committed, seed-derived garblings.  The seed source
@@ -405,7 +324,7 @@ class CutAndChooseBackend(Backend):
             deadline.check("verify")
 
         # the surviving copy runs the protocol round (Fig. 3) on the wire
-        round_ = TwoPartySession(
+        result = TwoPartySession(
             circuit, kdf=cnc.kdf, ot_group=self.ot_group, rng=self.rng,
             channel_factory=self.channel_factory, ot_state=self.ot_state,
         ).run(
@@ -416,18 +335,16 @@ class CutAndChooseBackend(Backend):
             ),
             deadline=deadline,
         )
-        result = ExecutionResult.from_protocol(
-            round_, self.name, {"copies": self.copies, "surviving": surviving}
-        )
+        # the surviving copy was garbled in this request, not in a pool
+        result.pregarbled = False
         # beside the round: the opened copies' tables and the commitments
-        result.comm_bytes += sum(len(tables[i]) for i in challenge)
-        result.comm_bytes += sum(len(c) for c in commitments)
+        result.comm["opened_tables"] = sum(tables[i].nbytes for i in challenge)
+        result.comm["commitments"] = sum(len(c) for c in commitments)
         result.times["garble"] += garble_s
         result.times["verify"] = verify_s
         return result
 
 
-@register_backend("simulate")
 class SimulateBackend(Backend):
     """Plaintext reference execution — no crypto, for tests and sizing."""
 
@@ -436,17 +353,49 @@ class SimulateBackend(Backend):
         circuit: Circuit,
         client_bits: Sequence[int],
         server_bits: Sequence[int],
-    ) -> ExecutionResult:
+    ) -> ProtocolResult:
         start = time.perf_counter()
         outputs = simulate(circuit, client_bits, server_bits)
         elapsed = time.perf_counter() - start
         counts = circuit.counts()
-        return ExecutionResult(
-            outputs=outputs,
-            backend=self.name,
-            times={"simulate": elapsed},
-            comm_bytes=0,
-            n_xor=counts.xor,
-            n_non_xor=counts.non_xor,
-            metadata={},
+        return ProtocolResult(
+            outputs, {"simulate": elapsed}, {}, counts.xor, counts.non_xor
         )
+
+
+_BACKENDS: Dict[str, Type[Backend]] = {
+    "two_party": TwoPartyBackend,
+    "outsourced": OutsourcedBackend,
+    "cut_and_choose": CutAndChooseBackend,
+    "simulate": SimulateBackend,
+}
+
+
+def available_backends() -> List[str]:
+    """Sorted names of every backend."""
+    return sorted(_BACKENDS)
+
+
+def get_backend(name: str, **options: Any) -> Backend:
+    """Instantiate a backend by name.
+
+    Args:
+        name: one of :func:`available_backends`.
+        options: constructor keywords of the chosen backend (``kdf``,
+            ``ot_group``, ``rng``, plus backend-specific knobs such as
+            ``copies`` for cut-and-choose or ``pool`` for two-party).
+
+    Raises:
+        EngineError: unknown name, or options the backend rejects.
+    """
+    try:
+        cls = _BACKENDS[name]
+    except KeyError:
+        raise EngineError(
+            f"unknown backend {name!r}; registered: "
+            f"{', '.join(available_backends())}"
+        ) from None
+    try:
+        return cls(**options)
+    except TypeError as exc:
+        raise EngineError(f"bad options for backend {name!r}: {exc}") from None

@@ -1,22 +1,22 @@
 """`EngineConfig`: one object for every execution knob.
 
 A single validated configuration the whole stack shares — the compiler
-reads the format and activation choice, the backend registry reads the
-backend name, and the service reads the serving knobs (pre-garbled pool,
-retries, breakers, admission budget).  A field is here only because some
-caller sets it.
+reads the format and activation choice, :func:`repro.engine.get_backend`
+reads the backend name, and the service reads the serving knobs
+(pre-garbled pool, retries, breakers, admission budget).  A field is
+here only because some caller sets it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import secrets
 from typing import Any, Optional
 
 from ..circuits.fixedpoint import DEFAULT_FORMAT, FixedPointFormat
 from ..compile.compiler import CompileOptions
 from ..errors import EngineError
+from ..gc.channel import channel_factory, transport_from_env
 from ..gc.cipher import KDF_BACKENDS
 from ..gc.ot import MODP_2048, OTGroup
 from ..nn.quantize import ACTIVATION_VARIANTS
@@ -35,9 +35,8 @@ class EngineConfig:
             "exact", "truncated", "piecewise") — honored end to end: the
             compiler instantiates it and the cleartext reference uses
             the matching bit-exact table.
-        backend: registry name of the execution flow ("two_party",
-            "outsourced", "cut_and_choose", "simulate", or any custom
-            registration).
+        backend: name of the execution flow ("two_party",
+            "outsourced", "cut_and_choose" or "simulate").
         kdf_backend: registered oracle backend name.  The oracle is
             part of the wire contract — tables garbled under one do not
             evaluate under another — so it is named here, carried in
@@ -105,9 +104,7 @@ class EngineConfig:
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 30.0
     fault_plan: Optional[FaultPlan] = None
-    transport: str = dataclasses.field(
-        default_factory=lambda: os.environ.get("REPRO_TRANSPORT", "memory")
-    )
+    transport: str = dataclasses.field(default_factory=transport_from_env)
     max_inflight: int = 0
 
     def __post_init__(self) -> None:
@@ -150,11 +147,7 @@ class EngineConfig:
             raise EngineError(
                 "fault_plan must be a repro.resilience.FaultPlan (or None)"
             )
-        if self.transport not in ("memory", "socket"):
-            raise EngineError(
-                f"unknown transport {self.transport!r}; choose from "
-                "memory, socket"
-            )
+        channel_factory(self.transport)  # refuses an unknown name
         if self.max_inflight < 0:
             raise EngineError("max_inflight must be >= 0 (0 = unbounded)")
 

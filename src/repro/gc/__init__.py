@@ -23,7 +23,7 @@ from .cipher import (
 from .cutandchoose import CutAndChooseGarbler, OpenedCopy, verify_opened_copy
 from .evaluate import Evaluator
 from .fastgarble import FastEvaluator, LabelPlane, garble_many
-from .garble import GarbledCircuit, GarbledGate, Garbler
+from .garble import GarbledCircuit, Garbler
 from .labels import ArrayLabelStore, LabelStore, permute_bit, random_delta, random_label
 from .ot import MODP_2048, TEST_GROUP_512, OTGroup, OTReceiver, OTSender
 from .ot_extension import IKNPState, extension_ot
@@ -46,7 +46,6 @@ __all__ = [
     "garble_many",
     "LabelPlane",
     "GarbledCircuit",
-    "GarbledGate",
     "LabelStore",
     "ArrayLabelStore",
     "random_label",

@@ -29,7 +29,12 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ChannelClosedError, ChannelEmptyError, ChannelIntegrityError
+from ..errors import (
+    ChannelClosedError,
+    ChannelEmptyError,
+    ChannelIntegrityError,
+    EngineError,
+)
 from .labels import LabelsLike, label_ints, label_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -39,8 +44,10 @@ __all__ = [
     "Channel",
     "ChannelStats",
     "Frame",
+    "channel_factory",
     "default_channel_factory",
     "make_channel_pair",
+    "transport_from_env",
 ]
 
 
@@ -294,25 +301,37 @@ def make_channel_pair(
     return alice, bob, stats
 
 
-def default_channel_factory() -> Callable[
-    [], Tuple[Channel, Channel, ChannelStats]
-]:
-    """The channel-pair factory selected by ``REPRO_TRANSPORT``.
+def transport_from_env() -> str:
+    """The transport ``REPRO_TRANSPORT`` names, ``memory`` when unset."""
+    return os.environ.get("REPRO_TRANSPORT", "memory")
 
-    ``memory`` (default) returns :func:`make_channel_pair`;
-    ``socket`` returns the loopback socketpair factory from
-    :mod:`repro.transport`, so the same protocol code runs over real
-    kernel sockets and the wire codec — the CI chaos matrix sets this
-    to prove the fault taxonomy on the wire, not just in memory.
+
+def channel_factory(
+    transport: str,
+) -> Callable[[], Tuple[Channel, Channel, ChannelStats]]:
+    """The channel-pair factory of a transport name.
+
+    ``memory`` is :func:`make_channel_pair`; ``socket`` is the loopback
+    socketpair factory from :mod:`repro.transport`, so the same protocol
+    code runs over real kernel sockets and the wire codec.
+
+    Raises:
+        EngineError: an unknown transport name.
     """
-    transport = os.environ.get("REPRO_TRANSPORT", "memory")
+    if transport == "memory":
+        return make_channel_pair
     if transport == "socket":
         # imported lazily: repro.transport builds on this module
         from ..transport import socketpair_channel_factory
 
         return socketpair_channel_factory()
-    if transport != "memory":
-        raise ValueError(
-            f"unknown REPRO_TRANSPORT {transport!r}; use 'memory' or 'socket'"
-        )
-    return make_channel_pair
+    raise EngineError(f"unknown transport {transport!r}; choose from memory, socket")
+
+
+def default_channel_factory() -> Callable[
+    [], Tuple[Channel, Channel, ChannelStats]
+]:
+    """The channel-pair factory selected by ``REPRO_TRANSPORT`` — the CI
+    chaos matrix sets it to ``socket`` to prove the fault taxonomy on
+    the wire, not just in memory."""
+    return channel_factory(transport_from_env())

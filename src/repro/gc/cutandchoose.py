@@ -24,6 +24,8 @@ import random
 import secrets
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..circuits.netlist import Circuit
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
@@ -92,9 +94,9 @@ class CutAndChooseGarbler:
         """Seed commitments, sent before the challenge."""
         return [_commit(seed) for seed in self.seeds]
 
-    def tables(self) -> List[bytes]:
-        """Serialized garbled tables of every copy."""
-        return [g.tables_bytes() for g in self.garbled]
+    def tables(self) -> List[np.ndarray]:
+        """Every copy's garbled tables, an ``(n, 32)`` uint8 plane each."""
+        return [g.tables for g in self.garbled]
 
     def open(self, challenge: Sequence[int]) -> List[OpenedCopy]:
         """Reveal the seeds of the challenged copies."""
@@ -114,20 +116,20 @@ def verify_opened_copy(
     circuit: Circuit,
     openings: Sequence[OpenedCopy],
     commitments: Sequence[bytes],
-    claimed_tables: Sequence[bytes],
+    claimed_tables: Sequence[np.ndarray],
     kdf: Optional[HashKDF] = None,
 ) -> bool:
     """Evaluator-side check of every opened copy, in one batch.
 
-    ``commitments`` and ``claimed_tables`` are the opened copies', in
-    the order of ``openings``.  Re-derives each commitment, then
-    re-garbles all the revealed seeds deterministically in one
-    :func:`repro.gc.fastgarble.garble_many` call; every copy's claimed
+    ``commitments`` and ``claimed_tables`` (``(n, 32)`` uint8 planes) are
+    the opened copies', in the order of ``openings``.  Re-derives each
+    commitment, then re-garbles all the revealed seeds deterministically
+    in one :func:`repro.gc.fastgarble.garble_many` call; every copy's claimed
     tables must match ciphertext-for-ciphertext.  Returns False on any
     mismatch (a cheating garbler).
     """
     if not len(openings) == len(commitments) == len(claimed_tables):
-        raise GarblingError("one commitment and one table blob per opening")
+        raise GarblingError("one commitment and one table plane per opening")
     if any(_commit(o.seed) != c for o, c in zip(openings, commitments)):
         return False
     regarbled = garble_many(
@@ -135,6 +137,6 @@ def verify_opened_copy(
         rngs=[random.Random(o.seed) for o in openings],
     )
     return all(
-        garbled.tables_bytes() == claimed
+        np.array_equal(garbled.tables, claimed)
         for (_, garbled), claimed in zip(regarbled, claimed_tables)
     )

@@ -44,7 +44,8 @@ class Evaluator:
         """Evaluate one (cycle of a) garbled circuit.
 
         Args:
-            garbled: tables and constant labels from the garbler.
+            garbled: tables and constant labels from the garbler; the
+                tables are read one row (one gate) at a time.
             alice_labels: labels of the garbler's input bits (ints or rows).
             bob_labels: labels of the evaluator's input bits (via OT).
             state_labels: carried-over register labels (sequential mode).
@@ -83,15 +84,17 @@ class Evaluator:
                 if op not in AND_REDUCTION:
                     raise GarblingError(f"cannot evaluate gate type {op}")
                 try:
-                    table = next(table_iter)
+                    row = next(table_iter)
                 except StopIteration:
                     raise GarblingError("ran out of garbled tables") from None
+                tg = int.from_bytes(row[:16].tobytes(), "little")
+                te = int.from_bytes(row[16:].tobytes(), "little")
                 wa = labels[gate.a]
                 wb = labels[gate.b]
                 sa = permute_bit(wa)
                 sb = permute_bit(wb)
-                wg = kdf.hash(wa, tweak) ^ (table.tg if sa else 0)
-                we = kdf.hash(wb, tweak + 1) ^ ((table.te ^ wa) if sb else 0)
+                wg = kdf.hash(wa, tweak) ^ (tg if sa else 0)
+                we = kdf.hash(wb, tweak + 1) ^ ((te ^ wa) if sb else 0)
                 labels[gate.out] = wg ^ we
                 tweak += 2
         return labels

@@ -81,7 +81,7 @@ from ..circuits.netlist import (
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
 from .evaluate import Evaluator
-from .garble import GarbledCircuit, Garbler, LazyTables
+from .garble import GarbledCircuit, Garbler
 from .labels import ArrayLabelStore, LabelsLike, label_rows
 from .rng import RngLike
 
@@ -392,14 +392,13 @@ def garble_copies(
             copy_tables = np.ascontiguousarray(halves[:, i]).reshape(-1, 32)
             results.append(
                 GarbledCircuit(
-                    tables=LazyTables(copy_tables),
+                    tables=copy_tables,
                     const_labels=(
                         store.select(CONST_ZERO, 0),
                         store.select(CONST_ONE, 1),
                     ),
                     decode_bits=store.output_decode_map(circuit.outputs),
                     tweak_base=tweak_base,
-                    tables_plane=copy_tables,
                 )
             )
     return results
@@ -566,18 +565,14 @@ class FastEvaluator(Evaluator):
             raise GarblingError("wrong number of Bob labels")
         if (0 if state_labels is None else len(state_labels)) != circuit.n_state:
             raise GarblingError("wrong number of state labels")
-        table_plane = garbled.tables_plane
-        if table_plane is None:
-            blob = garbled.tables_bytes()
-            table_plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
-        if 2 * len(table_plane) < len(halves):
+        if 2 * len(garbled.tables) < len(halves):
             raise GarblingError("ran out of garbled tables")
         _put(plane, range(CONST_ZERO, CONST_ONE + 1), garbled.const_labels)
         _put(plane, circuit.alice_inputs, alice_labels)
         _put(plane, circuit.bob_inputs, bob_labels)
         if state_labels is not None:
             _put(plane, circuit.state_inputs, state_labels)
-        halves[:] = table_plane.reshape(-1, 16)[: len(halves)]
+        halves[:] = garbled.tables.reshape(-1, 16)[: len(halves)]
 
     def _walk(self, planes: np.ndarray, halves: np.ndarray, base: int) -> None:
         """Walk the step plan over ``k`` stacked requests, in place.

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import secrets
-from collections.abc import Sequence as SequenceABC
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,61 +39,7 @@ from .cipher import HashKDF, default_kdf
 from .labels import ArrayLabelStore, LabelsLike, LabelStore, permute_bit
 from .rng import RngLike
 
-__all__ = ["GarbledGate", "GarbledCircuit", "Garbler", "LazyTables"]
-
-
-@dataclasses.dataclass(frozen=True)
-class GarbledGate:
-    """The two half-gate ciphertexts of one non-free gate."""
-
-    tg: int
-    te: int
-
-    def to_bytes(self) -> bytes:
-        """Serialize as 32 bytes (2 x 128-bit rows)."""
-        return self.tg.to_bytes(16, "little") + self.te.to_bytes(16, "little")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GarbledGate":
-        """Inverse of :meth:`to_bytes`."""
-        if len(data) != 32:
-            raise GarblingError("garbled gate must be 32 bytes")
-        return cls(
-            int.from_bytes(data[:16], "little"),
-            int.from_bytes(data[16:], "little"),
-        )
-
-
-class LazyTables(SequenceABC):
-    """List-of-:class:`GarbledGate` view over an ``(n, 32)`` uint8 plane.
-
-    The garbling engine produces its ciphertexts as one contiguous
-    byte plane; this adapter keeps the :class:`GarbledCircuit.tables`
-    contract (len / iteration / indexing yield ``GarbledGate``) without
-    eagerly converting every row back to Python ints — conversion only
-    happens for rows a scalar consumer actually touches.
-    """
-
-    __slots__ = ("plane",)
-
-    def __init__(self, plane: "np.ndarray") -> None:
-        if plane.ndim != 2 or plane.shape[1] != 32:
-            raise GarblingError("table plane must be (n, 32) bytes")
-        self.plane = plane
-
-    def __len__(self) -> int:
-        return len(self.plane)
-
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union["GarbledGate", List["GarbledGate"]]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        row = self.plane[index]
-        return GarbledGate(
-            int.from_bytes(row[:16].tobytes(), "little"),
-            int.from_bytes(row[16:].tobytes(), "little"),
-        )
+__all__ = ["GarbledCircuit", "Garbler"]
 
 
 @dataclasses.dataclass
@@ -102,34 +47,30 @@ class GarbledCircuit:
     """Everything the evaluator needs (plus the garbler's private state).
 
     Attributes:
-        tables: ciphertext pairs, one per non-free gate, in netlist order.
+        tables: the ciphertexts as one ``(n, 32)`` uint8 plane, one row
+            per non-free gate in netlist order (row = tg || te, each
+            half a little-endian 128-bit label) — the wire format as is.
         const_labels: labels for the two constant wires (garbler-known).
         decode_bits: permute bits of the output zero-labels; with these
             the evaluator could decode locally — in DeepSecure's flow the
             garbler keeps them and decodes after the merge step.
         tweak_base: first tweak index used (sequential garbling advances
             it every cycle so hashes never repeat across cycles).
-        tables_plane: optional ``(n, 32)`` uint8 view of the same tables
-            (row = tg || te, little-endian), populated by the garbling
-            engine so the fast evaluator never re-parses ciphertexts.
     """
 
-    tables: Sequence[GarbledGate]
+    tables: np.ndarray
     const_labels: Tuple[int, int]
     decode_bits: List[int]
     tweak_base: int = 0
-    tables_plane: Optional[object] = None
 
     def tables_bytes(self) -> bytes:
         """Wire format of all garbled tables (32 bytes per non-free gate)."""
-        if self.tables_plane is not None:
-            return self.tables_plane.tobytes()
-        return b"".join(t.to_bytes() for t in self.tables)
+        return self.tables.tobytes()
 
     @property
     def size_bytes(self) -> int:
         """Transfer size of the tables alone."""
-        return 32 * len(self.tables)
+        return self.tables.nbytes
 
 
 class Garbler:
@@ -206,7 +147,8 @@ class Garbler:
             for wire, label in zip(state_wires, state_zero_labels):
                 labels.set_zero(wire, label)
 
-        tables: List[GarbledGate] = []
+        tables = np.empty((circuit.counts().non_xor, 32), dtype=np.uint8)
+        row = 0
         tweak = tweak_base
         delta = labels.delta
         for gate in circuit.gates:
@@ -225,9 +167,12 @@ class Garbler:
             elif op is GateType.BUF:
                 labels.set_zero(gate.out, labels.zero(gate.a))
             else:
-                table, zero_out = self._garble_and_reduced(gate, tweak)
+                (tg, te), zero_out = self._garble_and_reduced(gate, tweak)
                 labels.set_zero(gate.out, zero_out)
-                tables.append(table)
+                tables[row] = np.frombuffer(
+                    tg.to_bytes(16, "little") + te.to_bytes(16, "little"), np.uint8
+                )
+                row += 1
                 tweak += 2
         const_labels = (
             labels.select(CONST_ZERO, 0),
@@ -243,7 +188,9 @@ class Garbler:
 
     # -- half-gates core ---------------------------------------------------
 
-    def _garble_and_reduced(self, gate: Gate, tweak: int) -> Tuple[GarbledGate, int]:
+    def _garble_and_reduced(
+        self, gate: Gate, tweak: int
+    ) -> Tuple[Tuple[int, int], int]:
         """Garble a non-free gate via its AND-with-inversions reduction."""
         inv = AND_REDUCTION.get(gate.op)
         if inv is None:
@@ -258,8 +205,9 @@ class Garbler:
 
     def _garble_and(
         self, zero_a: int, zero_b: int, tweak: int
-    ) -> Tuple[GarbledGate, int]:
-        """Half-gates AND (Zahur-Rosulek-Evans, two ciphertexts)."""
+    ) -> Tuple[Tuple[int, int], int]:
+        """Half-gates AND (Zahur-Rosulek-Evans, two ciphertexts): the
+        table's ``(tg, te)`` and the output zero-label."""
         kdf = self.kdf
         delta = self.labels.delta
         pa = permute_bit(zero_a)
@@ -274,7 +222,7 @@ class Garbler:
         # evaluator half-gate
         te = h_b0 ^ h_b1 ^ zero_a
         we = h_b0 ^ ((te ^ zero_a) if pb else 0)
-        return GarbledGate(tg=tg, te=te), wg ^ we
+        return (tg, te), wg ^ we
 
     # -- conveniences -------------------------------------------------------
 

@@ -13,7 +13,6 @@ input ``s``) and the *main* server plays the evaluator (Bob side, inputs
 
 from __future__ import annotations
 
-import dataclasses
 import secrets
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -89,14 +88,6 @@ def outsource_circuit(circuit: Circuit) -> Circuit:
     return builder.build()
 
 
-@dataclasses.dataclass
-class OutsourcedResult:
-    """Client-visible outcome of an outsourced execution."""
-
-    outputs: List[int]
-    proxy_result: ProtocolResult
-
-
 class OutsourcedSession:
     """Runs the full outsourcing flow (paper Fig. 4).
 
@@ -128,14 +119,14 @@ class OutsourcedSession:
         client_bits: Sequence[int],
         server_bits: Sequence[int],
         deadline: Optional["Deadline"] = None,
-    ) -> OutsourcedResult:
-        """Execute with the client's data and the main server's params."""
+    ) -> ProtocolResult:
+        """Execute with the client's data and the main server's params;
+        the result is the proxy round's, whose outputs the client gets."""
         if len(client_bits) != self.original.n_alice:
             raise ProtocolError("client input width mismatch")
         if len(server_bits) != self.original.n_bob:
             raise ProtocolError("server input width mismatch")
         share_s, share_xs = split_input(client_bits, rng=self.rng)
-        result = self._proxy.run(
+        return self._proxy.run(
             share_s, list(share_xs) + list(server_bits), deadline=deadline
         )
-        return OutsourcedResult(outputs=result.outputs, proxy_result=result)

@@ -62,7 +62,7 @@ LinkFactory = Callable[
 ]
 from .cipher import HashKDF, default_kdf, oracle_fingerprint
 from .fastgarble import FastEvaluator, garble_many
-from .garble import GarbledCircuit, Garbler, LazyTables
+from .garble import GarbledCircuit, Garbler
 from .labels import LabelsLike
 from .ot import MODP_2048, OTGroup
 from .ot_extension import (
@@ -126,10 +126,10 @@ class Pregarbled:
         """Bytes the copy holds in arrays: its tables, its label rows
         (Δ and the interface wires') and its pads."""
         labels = self.garbler.labels
-        arrays = [self.garbled.tables_plane, labels.rows, labels.delta_row]
+        arrays = [self.garbled.tables, labels.rows, labels.delta_row]
         if self.pads is not None:
             arrays += [self.pads.sender, self.pads.choices, self.pads.chosen]
-        return sum(a.nbytes for a in arrays if a is not None)
+        return sum(a.nbytes for a in arrays)
 
     def claim(self) -> None:
         """Mark the material used; at most one caller ever succeeds.
@@ -145,17 +145,21 @@ class Pregarbled:
 
 @dataclasses.dataclass
 class ProtocolResult:
-    """Outcome and accounting of one protocol execution.
+    """Outcome and accounting of one protocol execution — the record
+    every flow returns, from a session up through every engine backend.
 
     Attributes:
         outputs: decoded plaintext output bits (held by Alice after the
             merge step).
         times: seconds per phase ('garble', 'transfer', 'ot', 'evaluate',
-            'merge').
+            'merge'; cut-and-choose adds 'verify', the plaintext
+            reference has 'simulate' alone).
         comm: per-tag byte counts ('tables', 'alice_labels', 'ot',
-            'output_labels', ...).
+            'output_labels', ...; empty for the plaintext reference).
         n_xor: free-gate count of the executed netlist.
         n_non_xor: non-free gate count (the communication driver).
+        pregarbled: the round ran on a pre-garbled pool slot, so its
+            garbling happened before the request.
     """
 
     outputs: List[int]
@@ -163,6 +167,7 @@ class ProtocolResult:
     comm: Dict[str, int]
     n_xor: int
     n_non_xor: int
+    pregarbled: bool = False
 
     @property
     def total_time(self) -> float:
@@ -215,12 +220,13 @@ class _Session:
         The lanes share one evaluator, so the oracles of the
         ``pregarbled`` slots (one per lane; ``None`` garbles fresh) and,
         for a fresh lane, the session's must agree before anything is
-        claimed.  Cycle 0 claims each hosted lane's slot, garbles the
-        rest in one :func:`garble_many` call and moves the labels of the
-        public initial ``registers`` state; every later cycle re-garbles
-        on the lane's garbler (one Δ, tweaks advanced by the public table
-        count) with the d-wires' zero-labels as the q-wires', while the
-        evaluator carries its active labels.  Each cycle, Bob's lanes are
+        claimed.  Cycle 0 claims each hosted lane's slot (its results
+        say ``pregarbled``), garbles the rest in one :func:`garble_many`
+        call and moves the labels of the public initial ``registers``
+        state; every later cycle re-garbles on the lane's garbler (one
+        Δ, tweaks advanced by the public table count) with the d-wires'
+        zero-labels as the q-wires', while the evaluator carries its
+        active labels.  Each cycle, Bob's lanes are
         one :meth:`FastEvaluator.evaluate_many` walk.  ``final_only``
         merges the last round alone.  More than one lane needs both ends
         of every link in this process.
@@ -244,6 +250,7 @@ class _Session:
         evaluator: Optional[FastEvaluator] = None
         carried: List[Optional[LabelsLike]] = [None] * k  # Bob's register labels
         output_labels: List[List[int]] = [[] for _ in range(k)]
+        pooled = [False] * k  # lanes served from a pre-garbled slot
         results: List[List[ProtocolResult]] = [[] for _ in range(k)]
         for cycle in range(n_cycles):
             last = cycle == n_cycles - 1
@@ -259,6 +266,7 @@ class _Session:
                         if slot.circuit is not circuit:
                             raise ProtocolError("pregarbled material is for a different circuit")
                         slot.claim()
+                        pooled[i] = True
                         garblers[i], garbled[i], pads[i] = slot.garbler, slot.garbled, slot.pads
                 cold = [i for i in hosted if i not in garbled]
                 if cold:
@@ -309,11 +317,13 @@ class _Session:
                     deadline.check("evaluate")
 
             # (iv) merge — Bob returns output labels, Alice decodes
-            for lane, link, labels in zip(results, links, output_labels):
+            for lane, link, labels, from_slot in zip(results, links, output_labels, pooled):
                 if last or not final_only:
-                    lane.append(self._merge(link, labels))
+                    result = self._merge(link, labels)
                 else:  # an earlier cycle of a final_only run reveals nothing
-                    lane.append(self._result(link, []))
+                    result = self._result(link, [])
+                result.pregarbled = from_slot
+                lane.append(result)
         return results
 
     def _oracle(self, slots: Sequence[Optional[Pregarbled]]) -> HashKDF:
@@ -636,14 +646,12 @@ def receive_garbled(
         raise ChannelIntegrityError(
             f"constant-wire payload carries {len(consts)} entries, not 2"
         )
-    # zero-copy view: the fast evaluator reads the plane directly
-    plane = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
     view = GarbledCircuit(
-        tables=LazyTables(plane),
+        # zero-copy view: the fast evaluator reads the plane directly
+        tables=np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32),
         const_labels=(consts[0], consts[1]),
         decode_bits=[],  # withheld from the evaluator
         tweak_base=tweak_base,
-        tables_plane=plane,
     )
     return view, alice_labels
 

@@ -38,11 +38,11 @@ from .engine import (
     PregarbledPool,
     get_backend,
 )
-from .engine.result import ExecutionResult
 from .errors import BatchInferenceError, CompileError
-from .gc.channel import make_channel_pair
+from .gc.channel import channel_factory
 from .gc.cipher import HashKDF, make_kdf
 from .gc.ot_extension import IKNPState
+from .gc.protocol import ProtocolResult
 from .nn.model import Sequential
 from .nn.quantize import QuantizedModel
 from .resilience import (
@@ -137,8 +137,9 @@ class InferenceResult:
         return self.error is None
 
     @property
-    def wall_seconds(self) -> float:
-        """Single-thread online protocol time."""
+    def phase_seconds(self) -> float:
+        """The sum of the request's phase timers: single-thread online
+        protocol time, not the wall time the caller waited."""
         return sum(self.times.values())
 
 
@@ -207,17 +208,10 @@ class PrivateInferenceService:
         # channel the backends build; the retry policy re-attempts
         # transient wire faults; one breaker per backend name gates
         # degraded serving.  Jitter rng is seeded so chaos runs are
-        # reproducible end to end.
-        if config.transport == "socket":
-            # deferred import: repro.transport pulls in this module
-            from .transport.socket_channel import socketpair_channel_factory
-
-            base_factory = socketpair_channel_factory()
-        else:
-            # explicit rather than None: the config's transport choice is
-            # authoritative for this service even if REPRO_TRANSPORT
-            # changes between construction and the first request
-            base_factory = make_channel_pair
+        # reproducible end to end.  The factory is resolved here, not per
+        # request: the config's transport choice is authoritative for this
+        # service even if REPRO_TRANSPORT changes before the first request.
+        base_factory = channel_factory(config.transport)
         if config.fault_plan is not None:
             self._channel_factory = faulty_channel_factory(
                 config.fault_plan, inner=base_factory
@@ -420,17 +414,22 @@ class PrivateInferenceService:
         return breaker
 
     def _record_result(
-        self, request: InferenceRequest, result: ExecutionResult, degraded: bool
+        self,
+        request: InferenceRequest,
+        backend: str,
+        result: ProtocolResult,
+        degraded: bool,
     ) -> InferenceResult:
-        """Turn an execution outcome into a served record (locked stats)."""
+        """Turn backend ``backend``'s outcome into a served record
+        (locked stats)."""
         record = InferenceResult(
             label=self.compiled.decode_output(result.outputs),
-            comm_bytes=result.comm_bytes,
-            times=dict(result.times),
+            comm_bytes=result.total_comm_bytes,
+            times=result.times,
             n_non_xor=result.n_non_xor,
-            backend=result.backend,
+            backend=backend,
             request_id=request.request_id,
-            pregarbled=bool(result.metadata.get("pregarbled", False)),
+            pregarbled=result.pregarbled,
         )
         with self._lock:
             self._stats["requests"] += 1
@@ -505,7 +504,7 @@ class PrivateInferenceService:
         degraded = not breaker.allow()
         backend = self._backend(name)
 
-        def attempt() -> List[ExecutionResult]:
+        def attempt() -> List[ProtocolResult]:
             return backend.run_many(
                 self.compiled.circuit, list(group.values()), self._server_bits,
                 pooled=not degraded,
@@ -532,7 +531,9 @@ class PrivateInferenceService:
         if not degraded:
             breaker.record_success()
         for index, result in zip(group, results):
-            outcomes[index] = self._record_result(requests[index], result, degraded)
+            outcomes[index] = self._record_result(
+                requests[index], name, result, degraded
+            )
 
     def execute(self, request: InferenceRequest) -> InferenceResult:
         """Serve one typed request through the configured engine.

@@ -3,25 +3,29 @@
 A party's view of a round starts with the frames the other party sends
 it.  Over one ``TwoPartySession.run_many`` batch (cold and from the
 pre-garbled pool), a ``SequentialSession`` run of the folded MAC cell
-over two cycles and a cut-and-choose request, on the in-memory and the
-socket transport: fix one party's inputs and vary the other's, and the
-``(tag, length)`` sequence of frames each party receives stays the same,
-in every lane.  A data-dependent frame, an early exit or a gate skipped
-for a zero bit would change it.
+over two cycles, a cut-and-choose request and an outsourced request, on
+the in-memory and the socket transport, and over a two-process peer
+session (one party per thread, one socket between them): fix one
+party's inputs and vary the other's, and the ``(tag, length)`` sequence
+of frames each party receives stays the same, in every lane.  A
+data-dependent frame, an early exit or a gate skipped for a zero bit
+would change it.
 """
 
 import random
+import socket
+import threading
 
 import pytest
 
 from repro.circuits import CircuitBuilder, FixedPointFormat, simulate
 from repro.compile.folded import folded_mac_cell
 from repro.engine.backends import CutAndChooseBackend
-from repro.gc import SequentialSession, TwoPartySession
+from repro.gc import OutsourcedSession, SequentialSession, TwoPartySession
 from repro.gc.channel import make_channel_pair
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
-from repro.transport import socketpair_channel_factory
+from repro.transport import peer, socketpair_channel_factory
 
 N_ALICE = 4
 #: Bob's input width; not a multiple of 8, so the packed OT frames end
@@ -93,6 +97,17 @@ def _cut_and_choose(factory, rng, alices, bobs):
         assert backend.run(CIRCUIT, alice, bob).outputs == simulate(CIRCUIT, alice, bob)
 
 
+def _outsourced(factory, rng, alices, bobs):
+    """One outsourced request per lane: the client's bits (the
+    ``alices``) split into two shares, the proxy garbling on one and the
+    main server evaluating on the other and its own ``bobs``."""
+    session = OutsourcedSession(
+        CIRCUIT, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory
+    )
+    for alice, bob in zip(alices, bobs):
+        assert session.run(alice, bob).outputs == simulate(CIRCUIT, alice, bob)
+
+
 FLOWS = {
     "cold": _batch(pooled=False),
     "pool": _batch(pooled=True),
@@ -100,6 +115,7 @@ FLOWS = {
         (CYCLES * MAC_CELL.core.n_alice, CYCLES * MAC_CELL.core.n_bob), _sequential
     ),
     "cut_and_choose": ((N_ALICE, N_BOB), _cut_and_choose),
+    "outsourced": ((N_ALICE, N_BOB), _outsourced),
 }
 
 
@@ -131,13 +147,54 @@ def _received(flow, transport, alices, bobs):
     ]
 
 
-@pytest.mark.parametrize("flow", sorted(FLOWS))
-@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
-def test_received_frames_do_not_depend_on_the_other_partys_inputs(transport, flow):
-    (n_alice, n_bob), _ = FLOWS[flow]
+def _peer_session(alice, bob, seeds):
+    """One two-process peer session: each party in its own thread with
+    its own rng and its own bits, one socketpair between them."""
+    ends = socket.socketpair()
+    results, errors = {}, []
+
+    def party(role, sock, bits, seed):
+        try:
+            results[role] = peer.run_two_party_peer(
+                sock, role, CIRCUIT, bits, ot_group=TEST_GROUP_512,
+                rng=random.Random(seed), request_timeout_s=30,
+            )
+        except BaseException as exc:  # surfaced in the test's thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=party, args=(role, end, bits, seed))
+        for role, end, bits, seed in zip(peer.PEER_ROLES, ends, (alice, bob), seeds)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for end in ends:
+        end.close()
+    if errors:
+        raise errors[0]
+    assert results["garbler"].outputs == simulate(CIRCUIT, alice, bob)
+
+
+def _peer_received(links, alices, bobs):
+    """Per lane, the frames each party received in a peer session;
+    ``links`` maps a role to the stats of the link its last session
+    opened, where its end accounts what it got."""
+    views = []
+    for lane, (alice, bob) in enumerate(zip(alices, bobs)):
+        _peer_session(alice, bob, (2 * lane, 2 * lane + 1))
+        views.append(tuple(
+            [(tag, size) for way, tag, size in links[role].log if way == direction]
+            for role, direction in (("evaluator", "a2b"), ("garbler", "b2a"))
+        ))
+    return views
+
+
+def _assert_views_do_not_depend_on_the_other_partys_inputs(received, n_alice, n_bob):
     draw = random.Random(7)
     alices, bobs = _bits(draw, n_alice), _bits(draw, n_bob)
-    reference = _received(flow, transport, alices, bobs)
+    reference = received(alices, bobs)
     # lanes with different inputs already see the same frames
     assert reference == [reference[0]] * LANES
     bob_view, alice_view = reference[0]
@@ -147,4 +204,33 @@ def test_received_frames_do_not_depend_on_the_other_partys_inputs(transport, flo
         (alices, _bits(draw, n_bob)),
         (_bits(draw, n_alice), bobs),
     ):
-        assert _received(flow, transport, *varied) == reference
+        assert received(*varied) == reference
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_received_frames_do_not_depend_on_the_other_partys_inputs(transport, flow):
+    (n_alice, n_bob), _ = FLOWS[flow]
+    _assert_views_do_not_depend_on_the_other_partys_inputs(
+        lambda alices, bobs: _received(flow, transport, alices, bobs), n_alice, n_bob
+    )
+
+
+def test_two_process_peer_frames_do_not_depend_on_the_other_partys_inputs(monkeypatch):
+    links = {}
+    opened = peer.peer_channel_factory
+
+    def recording(sock, role, *args):
+        factory = opened(sock, role, *args)
+
+        def open_link():
+            link = factory()
+            links[role] = link[2]
+            return link
+
+        return open_link
+
+    monkeypatch.setattr(peer, "peer_channel_factory", recording)
+    _assert_views_do_not_depend_on_the_other_partys_inputs(
+        lambda alices, bobs: _peer_received(links, alices, bobs), N_ALICE, N_BOB
+    )

@@ -1,7 +1,8 @@
 """Tests for the unified execution engine (repro.engine).
 
-Covers the backend registry contract (every backend yields the identical
-label on the same compiled circuit and sample), registry error paths,
+Covers the backend contract (every backend yields the identical label on
+the same compiled circuit and sample, in one ``ProtocolResult``), the
+by-name lookup and its error paths,
 the pre-garbled offline/online split, EngineConfig validation and its
 pinned surface, and the redesigned service surface (typed requests,
 concurrent serving, activation-variant fidelity).
@@ -21,13 +22,11 @@ from repro.engine import (
     PregarbledPool,
     available_backends,
     get_backend,
-    register_backend,
 )
-from repro.engine.backends import Backend, _REGISTRY
 from repro.errors import CompileError, EngineError, ProtocolError
 from repro.gc import SequentialSession, make_channel_pair, make_kdf
 from repro.gc.ot import TEST_GROUP_512
-from repro.gc.protocol import TwoPartySession
+from repro.gc.protocol import ProtocolResult, TwoPartySession
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
 from repro.service import InferenceRequest, PrivateInferenceService
 
@@ -57,7 +56,7 @@ def compiled_model():
     return model, compiled, quantized, x
 
 
-class TestRegistry:
+class TestBackendLookup:
     def test_unknown_backend_rejected(self):
         with pytest.raises(EngineError, match="unknown backend"):
             get_backend("quantum_annealer")
@@ -67,27 +66,6 @@ class TestRegistry:
             get_backend("simulate", copies=7)
         with pytest.raises(EngineError, match="bad options"):
             get_backend("two_party", not_a_knob=True)
-
-    def test_custom_registration(self, compiled_model):
-        @register_backend("echo_test")
-        class EchoBackend(Backend):
-            def run(self, circuit, client_bits, server_bits):
-                from repro.engine import SimulateBackend
-
-                return SimulateBackend().run(circuit, client_bits, server_bits)
-
-        try:
-            _, compiled, quantized, x = compiled_model
-            result = get_backend("echo_test").run(
-                compiled.circuit,
-                compiled.client_bits(x[0]),
-                compiled.server_bits(),
-            )
-            assert compiled.decode_output(result.outputs) == int(
-                quantized.predict(x[0][None])[0]
-            )
-        finally:
-            _REGISTRY.pop("echo_test", None)
 
 
 class TestBackendParity:
@@ -115,15 +93,16 @@ class TestBackendParity:
         result = backend.run(
             compiled.circuit, compiled.client_bits(x[0]), compiled.server_bits()
         )
-        assert result.backend == name
+        assert type(result) is ProtocolResult
         assert compiled.decode_output(result.outputs) == int(
             quantized.predict(x[0][None])[0]
         )
         assert result.n_non_xor > 0
+        assert not result.pregarbled
         if name == "simulate":
-            assert result.comm_bytes == 0
+            assert result.comm == {}
         else:
-            assert result.comm_bytes > 0
+            assert result.total_comm_bytes > 0
         # half-gates: two 16-byte rows per non-free gate plus the frame
         # header, whichever oracle masked them; cut-and-choose's surviving
         # copy runs the same round on the wire (its opened copies' tables
@@ -148,9 +127,13 @@ class TestBackendParity:
         result = backend.run(
             compiled.circuit, compiled.client_bits(x[1]), compiled.server_bits()
         )
-        assert result.metadata["copies"] == 2
-        # every copy's tables travel: comm at least 2x the table bytes
-        assert result.comm_bytes >= 2 * 32 * result.n_non_xor
+        # the opened copy's tables and both seed commitments are tags of
+        # the round's comm, beside the surviving copy's framed tables
+        table_bytes = 32 * result.n_non_xor
+        assert result.comm["opened_tables"] == table_bytes
+        assert result.comm["commitments"] == 2 * 32
+        assert result.comm["tables"] == table_bytes + 4
+        assert set(result.times) >= {"garble", "verify"}
 
 
 class TestPregarbledPool:
@@ -171,7 +154,7 @@ class TestPregarbledPool:
         backend.ot_state.set_up()
         warm = backend.run(compiled.circuit, client_bits, compiled.server_bits())
         cold = backend.run(compiled.circuit, client_bits, compiled.server_bits())
-        assert warm.metadata["pregarbled"] and not cold.metadata["pregarbled"]
+        assert warm.pregarbled and not cold.pregarbled
         # the offline/online split: garbling leaves the critical path
         assert warm.times["garble"] < cold.times["garble"]
         assert sum(warm.times.values()) < sum(cold.times.values())

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from repro.circuits import CircuitBuilder, simulate
-from repro.errors import GarblingError
-from repro.gc import Evaluator, Garbler, LabelStore
+from repro.errors import ChannelIntegrityError, GarblingError
+from repro.gc import Evaluator, Garbler, LabelStore, make_channel_pair
 from repro.gc.cipher import FixedKeyAES, HashKDF
-from repro.gc.garble import GarbledGate
+from repro.gc.protocol import receive_garbled
 from repro.gc.labels import permute_bit, random_delta, random_label
 
 
@@ -140,13 +140,15 @@ class TestGarbleEvaluate:
         assert len(garbled.tables) == non_xor
         assert len(garbled.tables_bytes()) == 32 * non_xor
 
-    def test_garbled_gate_serialization_roundtrip(self):
-        gate = GarbledGate(tg=2 ** 127 + 5, te=12345)
-        assert GarbledGate.from_bytes(gate.to_bytes()) == gate
-
     def test_bad_blob_rejected(self):
-        with pytest.raises(GarblingError):
-            GarbledGate.from_bytes(b"short")
+        """A tables blob that is not 32 bytes per non-free gate of the
+        netlist is refused where the evaluator rebuilds its view."""
+        alice, bob, _ = make_channel_pair()
+        alice.send_bytes(b"short", tag="tables")
+        alice.send_labels([1, 2], tag="const_labels")
+        alice.send_labels([3], tag="alice_labels")
+        with pytest.raises(ChannelIntegrityError, match="the netlist has 2"):
+            receive_garbled(bob, n_tables=2)
 
     def test_evaluator_wrong_label_count_rejected(self, rng):
         circuit = _gate_circuit()

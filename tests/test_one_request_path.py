@@ -453,7 +453,7 @@ class TestTablesFrameSize:
             alice._dispatch = dispatch
             return alice, bob, stats
 
-        monkeypatch.setattr("repro.service.make_channel_pair", resizing)
+        monkeypatch.setattr("repro.gc.channel.make_channel_pair", resizing)
         model, x = trained
         # the patched factory is the memory transport's
         svc = PrivateInferenceService(model, dataclasses.replace(_config(), transport="memory"))
@@ -538,7 +538,8 @@ class TestOutsourcedBuildsOnce:
             a, b = _inputs(seed)
             result = backend.run(circuit, a, b)
             assert result.outputs == simulate(circuit, a, b)
-            assert result.backend == "outsourced"
+            # the proxy round's record: the transform's share XORs ran too
+            assert result.n_xor == circuit.counts().xor + circuit.n_alice
         assert calls == {"outsource_circuit": 1, "LevelSchedule.build": 1}
         # another circuit gets its own transform
         other = wide_circuit()

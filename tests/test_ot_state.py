@@ -520,7 +520,7 @@ class TestTrafficUnmoved:
         for i in range(2):
             result = session.run(compiled.client_bits(x[i]), compiled.server_bits())
             # the share bits ride the OT too: 54 more transfers
-            assert result.proxy_result.comm == {**self.TAGS, "ot": 18308}
+            assert result.comm == {**self.TAGS, "ot": 18308}
 
     def test_cut_and_choose(self, compiled, recording_channels):
         compiled, x = compiled
@@ -536,12 +536,17 @@ class TestTrafficUnmoved:
             )
             # the surviving copy's round crosses the link frame for frame
             # like a cold two_party round; the two opened copies' tables
-            # and the three 32-byte seed commitments are accounted beside it
+            # and the three 32-byte seed commitments are two tags beside it
             assert [(tag, len(payload) + 4) for tag, payload in frames] == [
                 ("tables", 182116), ("const_labels", 40), ("alice_labels", 872),
                 ("ot", 5260), ("ot", 45), ("ot", 10372), ("output_labels", 40),
             ]
-            assert result.comm_bytes == 563065 == (
+            assert result.comm == {
+                **self.TAGS,
+                "opened_tables": 2 * (self.TAGS["tables"] - 4),
+                "commitments": 3 * 32,
+            }
+            assert result.total_comm_bytes == 563065 == (
                 2 * (self.TAGS["tables"] - 4) + 3 * 32 + sum(self.TAGS.values())
             )
         assert backend.ot_state.extensions == 2

@@ -121,13 +121,10 @@ class TestFailureInjection:
         the evaluator's output label stops being a valid label, which the
         garbler's merge step rejects."""
         from repro.errors import GarblingError
-        from repro.gc.garble import GarbledGate
 
         circuit, garbler, garbled = self._garbled_setup()
-        corrupted = list(garbled.tables)
-        corrupted[0] = GarbledGate(
-            tg=corrupted[0].tg ^ (1 << 64), te=corrupted[0].te
-        )
+        corrupted = garbled.tables.copy()
+        corrupted[0, 8] ^= 1  # bit 64 of the first table's tg
         garbled.tables = corrupted
         evaluator = Evaluator(circuit)
         alice = garbler.input_labels_for(list(circuit.alice_inputs), [1, 1, 0])

@@ -532,8 +532,7 @@ class TestFusedNarrowRunner:
             evaluator.evaluate(g, a, b, state_labels=[1])
         # table shortage, in both entry points
         short = GarbledCircuit(
-            tables=[], const_labels=g.const_labels, decode_bits=[],
-            tables_plane=g.tables_plane[:-1],
+            tables=g.tables[:-1], const_labels=g.const_labels, decode_bits=[],
         )
         with pytest.raises(GarblingError, match="ran out of garbled tables"):
             evaluator.evaluate(short, a, b)

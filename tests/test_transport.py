@@ -334,9 +334,17 @@ class TestTransportParity:
         assert isinstance(alice, SocketChannel)
         monkeypatch.setenv("REPRO_TRANSPORT", "memory")
         assert default_channel_factory() is make_channel_pair
+        assert EngineConfig().transport == "memory"
+        # an unknown name: the environment's path and the config's
+        # refuse it with one error
         monkeypatch.setenv("REPRO_TRANSPORT", "carrier-pigeon")
-        with pytest.raises(ValueError):
+        with pytest.raises(EngineError) as from_env:
             default_channel_factory()
+        with pytest.raises(EngineError) as from_config:
+            EngineConfig()
+        assert str(from_env.value) == str(from_config.value) == (
+            "unknown transport 'carrier-pigeon'; choose from memory, socket"
+        )
 
     def test_engine_config_transport_validation(self):
         assert EngineConfig(transport="socket").transport == "socket"

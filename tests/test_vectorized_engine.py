@@ -49,7 +49,7 @@ from repro.gc.cutandchoose import (
     _commit,
     verify_opened_copy,
 )
-from repro.gc.garble import GarbledCircuit, LazyTables
+from repro.gc.garble import GarbledCircuit
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
 from repro.gc.protocol import TwoPartySession
@@ -523,8 +523,8 @@ class TestPlanProperties:
             ).reshape(-1, 32)
             assert not blob.flags.writeable and blob.ctypes.data % 8
             view = GarbledCircuit(
-                tables=LazyTables(blob), const_labels=garbled.const_labels,
-                decode_bits=[], tweak_base=tweak_base, tables_plane=blob,
+                tables=blob, const_labels=garbled.const_labels,
+                decode_bits=[], tweak_base=tweak_base,
             )
             a, b, s = inputs[0]
             assert evaluator.output_labels(
@@ -790,7 +790,7 @@ class TestBitExactness:
             fast.labels.select(w, bit)
             for w, bit in zip(circuit.bob_inputs, bob)
         ]
-        # scalar evaluator consumes the fast garbler's LazyTables
+        # scalar evaluator reads the fast garbler's plane gate by gate
         ref = Evaluator(circuit).evaluate(garbled, alice_labels, bob_labels)
         # fast evaluator consumes a reference-garbled circuit
         scalar = _reference(circuit, 7)
@@ -936,7 +936,7 @@ class TestGarbleMany:
                 reference.labels.zero(w).to_bytes(16, "little") for w in wires
             )
         # every copy owns its tables: none is a view of a walk's stack
-        planes = [garbled.tables_plane for _, garbled in pairs]
+        planes = [garbled.tables for _, garbled in pairs]
         assert not any(map(np.shares_memory, planes, planes[1:]))
 
     def test_walks_bounded_by_plane_bytes(self, monkeypatch):
@@ -990,13 +990,14 @@ class TestGarbleMany:
             [tables[0], tables[2]],
         )
         for opened in openings:
-            claimed = _reference(circuit, opened.seed).garble().tables_bytes()
-            assert claimed == tables[opened.index]
+            claimed = _reference(circuit, opened.seed).garble().tables
+            assert np.array_equal(claimed, tables[opened.index])
         seed = 0xC0FFEE
         opened = [OpenedCopy(index=0, seed=seed)]
-        claimed = _reference(circuit, seed).garble().tables_bytes()
+        claimed = _reference(circuit, seed).garble().tables
         assert verify_opened_copy(circuit, opened, [_commit(seed)], [claimed])
-        tampered = bytes([claimed[0] ^ 1]) + claimed[1:]
+        tampered = claimed.copy()
+        tampered[0, 0] ^= 1
         assert not verify_opened_copy(
             circuit, opened, [_commit(seed)], [tampered]
         )

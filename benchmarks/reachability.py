@@ -108,7 +108,6 @@ KEEP: Dict[str, str] = {
     "repro.service:InferenceResult.failed": ERROR,
     "repro.service:PrivateInferenceService._record_error": ERROR,
     "repro.service:PrivateInferenceService._note_retry": ERROR,
-    "repro.transport.sharded:ShardedService._fallback_service": ERROR,
     "repro.engine.backends:Backend.run": ERROR,  # raises NotImplementedError
     "repro.nn.layers:Layer.forward": ERROR,
     "repro.nn.layers:Layer.backward": ERROR,
@@ -120,6 +119,7 @@ KEEP: Dict[str, str] = {
     "repro.gc.channel:Channel.close": ERROR,
     "repro.transport.socket_channel:SocketChannel.close": ERROR,
     "repro.cli:_serve_sharded.<locals>._on_sigterm": ERROR,
+    "repro.transport.sharded:_Shard.give_up": ERROR,  # restart budget spent
     "repro.cli:_cmd_serve.<locals>._on_sigterm": ERROR,
     "repro.resilience.deadline:Deadline.remaining": ERROR,
     "repro.circuits.gates:GateType.arity": ERROR,  # read by _validate_gates

@@ -79,11 +79,13 @@ def main() -> None:
 
     # --- Verilog emission
     verilog = dumps_verilog(compiled.circuit, module_name="private_inference")
-    out_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro_netlists_"))
-    (out_dir / "private_inference.v").write_text(verilog)
-    (out_dir / "private_inference.bristol").write_text(text)
-    print(f"\nwrote {out_dir}/private_inference.v "
-          f"({len(verilog.splitlines())} lines) and .bristol")
+    with tempfile.TemporaryDirectory(prefix="repro_netlists_") as tmp:
+        out_dir = pathlib.Path(tmp)
+        (out_dir / "private_inference.v").write_text(verilog)
+        (out_dir / "private_inference.bristol").write_text(text)
+        print(f"\nwrote {out_dir}/private_inference.v "
+              f"({len(verilog.splitlines())} lines) and .bristol "
+              "(removed on exit)")
     print("first lines of the Verilog module:")
     for line in verilog.splitlines()[:6]:
         print("   ", line)

@@ -76,7 +76,6 @@ from ..circuits.netlist import (
     FreeStep,
     LevelSchedule,
     ScalarRun,
-    ScheduleLevel,
 )
 from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf

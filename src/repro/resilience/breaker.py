@@ -7,10 +7,9 @@ classic three-state machine:
 
 * **closed** — healthy; every call allowed, consecutive failures
   counted.
-* **open** — tripped after ``threshold`` consecutive failures (or by
-  :meth:`CircuitBreaker.trip`); calls denied (callers degrade) until
-  ``cooldown_s`` elapses.  A failure recorded while open restarts the
-  cooldown.
+* **open** — tripped after ``threshold`` consecutive failures; calls
+  denied (callers degrade) until ``cooldown_s`` elapses.  A failure
+  recorded while open restarts the cooldown.
 * **half-open** — after the cooldown one probe call is allowed; success
   closes the breaker, failure re-opens it for another cooldown.
 
@@ -37,9 +36,7 @@ class CircuitBreaker:
         cooldown_s: seconds open before a half-open probe is allowed.
         clock: monotonic time source (injectable for tests).
 
-    Thread-safe: callers may serve from their own threads, and the
-    sharded front-end consults a shard's breaker from one thread per
-    chunk.
+    Thread-safe: callers may serve from their own threads.
     """
 
     def __init__(
@@ -61,12 +58,6 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._trips = 0
         self._probing = False
-
-    @property
-    def state(self) -> str:
-        """Current state: ``closed``, ``open`` or ``half-open``."""
-        with self._lock:
-            return self._resolve_state()
 
     def _resolve_state(self) -> str:
         """Advance open → half-open once the cooldown elapsed (lock held)."""
@@ -90,24 +81,6 @@ class CircuitBreaker:
                 self._probing = True
                 return True
             return False
-
-    def trip(self) -> None:
-        """Force the breaker open immediately (supervisor override).
-
-        Used when an out-of-band signal — a dead worker process — proves
-        the backend unusable without waiting for ``threshold`` request
-        failures to accumulate.  The normal cooldown / half-open probe
-        path applies afterwards.
-        """
-        with self._lock:
-            # a cooldown that lapsed unobserved made this half-open: the
-            # trip is a transition into open like any other, and counts
-            if self._resolve_state() != "open":
-                self._trips += 1
-            self._failures = max(self._failures, self.threshold)
-            self._state = "open"
-            self._opened_at = self._clock()
-            self._probing = False
 
     def record_success(self) -> None:
         """Report a successful call: closes the breaker, resets counts."""

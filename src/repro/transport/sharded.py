@@ -4,25 +4,28 @@
 worker *processes*, each hosting a full
 :class:`repro.service.PrivateInferenceService` of its own — compiled
 circuit, pre-garbled pool shard, retry policy, breakers — built by the
-same ``service_factory`` in every child.  The front-end speaks the
-:mod:`repro.transport.worker` control protocol over one socketpair per
-worker.
+same ``service_factory`` in every child; the front-end never builds
+one.  It speaks the :mod:`repro.transport.worker` control protocol over
+one socketpair per worker, the shard's *link*.
 
-Failure semantics compose with the PR 8 resilience tier, and since this
-PR they *heal*:
+Each shard is one state machine, :class:`_Shard`: ``alive -> suspect ->
+restarting -> alive``, or ``failed`` once the supervisor's restart
+budget is spent.  One rule covers every shard RPC (``infer``,
+``stats``, ``prepare``, ``ping``): if it fails for any reason — a
+timeout, EOF, a bad frame, an ``ok: false`` reply, a reply the
+front-end cannot parse — its link is retired.  The shard goes
+``suspect``, the socket is closed, the child is reaped whether or not
+it is alive, and the
+:class:`~repro.transport.supervisor.ShardSupervisor` is kicked to
+re-fork it.  A retired link is never read again, so a late reply can
+never answer a later request.
 
-- every shard RPC failure (worker crash, EOF, malformed reply) feeds a
-  per-shard :class:`repro.resilience.CircuitBreaker`;
-- the failed chunk immediately reroutes to a lazily built *in-process*
-  fallback service (same factory), so the batch still completes —
-  degraded, counted, never dropped;
-- a shard whose worker process died is *reaped* (socket closed, child
-  joined) and handed to the :class:`~repro.transport.supervisor.ShardSupervisor`,
-  which re-forks it with capped exponential backoff and a restart
-  budget, rewarms its pool shard, and closes the breaker only after a
-  successful liveness probe.  Each shard walks the state machine
-  ``alive -> suspect -> restarting -> alive`` (or ``failed`` once the
-  restart budget is spent) — degradation is transient, not terminal.
+A chunk is routed only to an ``alive`` shard.  A failed chunk reroutes
+to another one; when no shard is alive, each of its slots comes back as
+a typed error record — degraded, counted, never dropped, never a wrong
+label.  The rule is for faults of the link only: a chunk is encoded
+before any shard sees it (and split into RPC-sized pieces), so a request
+no record can carry fails in its own slot and retires nothing.
 
 The front-end also polices its own intake: a bounded in-flight budget
 (``max_inflight``) sheds overload with the typed permanent
@@ -40,7 +43,6 @@ fix".
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.context
 import multiprocessing.process
 import socket
 import threading
@@ -48,21 +50,28 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import EngineError, ProtocolError
+from ..errors import ChannelClosedError, ChannelIntegrityError, EngineError, ProtocolError
 from ..resilience.admission import AdmissionGate
-from ..resilience.breaker import CircuitBreaker
 from .supervisor import ShardSupervisor
-from .worker import recv_ctl, retain_heap, send_ctl, serve_connection
+from .worker import encode_ctl, recv_ctl, retain_heap, send_ctl, serve_connection
 
 __all__ = ["ShardedService"]
 
 #: Cap on one shard RPC round trip (seconds): generous for a cold
-#: worker garbling its first circuit, finite so a hung worker degrades
+#: worker garbling its first circuit, finite so a hung worker is retired
 #: instead of hanging the batch.
 DEFAULT_RPC_TIMEOUT_S = 120.0
 
-#: Shard lifecycle states (the supervision state machine).
-SHARD_STATES = ("alive", "suspect", "restarting", "failed")
+#: Seconds a worker gets to answer ``shutdown`` (and a killed one to be
+#: joined), and then to exit on its own before it is killed.
+SHUTDOWN_TIMEOUT_S = 5.0
+EXIT_GRACE_S = 2.0
+
+#: Most requests one ``infer`` RPC carries, so the worker's reply (a few
+#: hundred bytes per result) stays well inside the control-record cap.
+MAX_RPC_SAMPLES = 512
+
+Link = Tuple[socket.socket, multiprocessing.process.BaseProcess]
 
 
 def _shard_main(
@@ -87,72 +96,165 @@ def _shard_main(
 
 
 class _Shard:
-    """One worker process plus the front-end's view of it."""
+    """One worker process, its link, and the tier's one state machine.
+
+    ``state`` walks ``alive -> suspect -> restarting -> alive`` (or
+    ``suspect -> failed``) and is written only by the methods below,
+    each under :attr:`lock` — which also serializes the turn-based
+    control protocol on the link, so an RPC never interleaves with
+    another or with a transition.
+    """
 
     def __init__(
         self,
         index: int,
-        sock: socket.socket,
-        process: multiprocessing.process.BaseProcess,
-        breaker: CircuitBreaker,
+        spawn: Callable[[int], Link],
+        on_retire: Callable[[], None],
     ) -> None:
         self.index = index
-        self.sock = sock
-        self.process = process
-        self.breaker = breaker
+        self._spawn = spawn
+        self._on_retire = on_retire
+        self.lock = threading.Lock()
+        self.sock, self.process = spawn(index)
+        self.state = "alive"
         self.requests = 0
         self.failures = 0
-        #: serializes RPCs on this shard's socket (the control protocol
-        #: is turn-based; concurrent batches must not interleave frames)
-        self.lock = threading.Lock()
-        #: supervision state machine: alive -> suspect -> restarting ->
-        #: alive, or failed once the restart budget is spent
-        self.state = "alive"
         self.restarts = 0
-        self.restart_attempts = 0
-        self.next_restart_at = 0.0
         self.last_error: Optional[str] = None
 
     @property
     def alive(self) -> bool:
-        """Whether this shard is in the serving state with a live child."""
-        return self.state == "alive" and self.process.is_alive()
+        """Whether chunks may be routed here (an unlocked read: RPCs
+        check again under the lock)."""
+        return self.state == "alive"
 
-    def _roundtrip(
-        self, record: Dict[str, Any], timeout: float
-    ) -> Dict[str, Any]:
-        """One control round trip (caller holds :attr:`lock`)."""
-        send_ctl(self.sock, record)
-        reply = recv_ctl(self.sock, timeout=timeout)
-        if not reply.get("ok", False):
-            raise ProtocolError(
-                f"shard {self.index} rejected {record.get('op')!r}: "
-                f"{reply.get('error', 'unknown error')}"
-            )
-        return reply
+    def rpc(
+        self,
+        payload: bytes,
+        timeout: float,
+        parse: Optional[Callable[[Dict[str, Any]], Any]] = None,
+        wait: bool = True,
+    ) -> Any:
+        """One round trip on the live link, its reply passed through ``parse``.
 
-    def call(
-        self, record: Dict[str, Any], timeout: float
-    ) -> Dict[str, Any]:
-        """One control round trip; typed errors on a dead/hung worker."""
-        with self.lock:
-            return self._roundtrip(record, timeout)
+        ``payload`` is an already encoded record (:func:`encode_ctl`): a
+        record that cannot be encoded is the caller's to fail, and never
+        reaches the link.  Returns ``None`` without a round trip when
+        ``wait`` is false and another RPC holds the link: a busy shard is
+        by definition talking, and a probe or a stats snapshot must never
+        queue behind a long batch.
 
-    def try_call(
-        self, record: Dict[str, Any], timeout: float
-    ) -> Optional[Dict[str, Any]]:
-        """Like :meth:`call`, but returns ``None`` when the shard is busy.
-
-        The supervisor's probe path: a shard mid-RPC holds the lock, and
-        a busy shard is by definition talking — skipping the probe beats
-        queueing behind a long batch.
+        Raises:
+            ChannelClosedError: the shard is not ``alive``.
+            Exception: whatever failed the round trip, after the link
+                was retired.
         """
-        if not self.lock.acquire(blocking=False):
+        if not self.lock.acquire(blocking=wait):
             return None
         try:
-            return self._roundtrip(record, timeout)
+            if self.state != "alive":
+                raise ChannelClosedError(f"shard {self.index} is {self.state}")
+            return self._exchange(payload, timeout, parse)
         finally:
             self.lock.release()
+
+    def _exchange(
+        self,
+        payload: bytes,
+        timeout: float,
+        parse: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    ) -> Any:
+        """Send, receive, check and parse (lock held); any failure
+        retires the link before it propagates."""
+        try:
+            send_ctl(self.sock, payload)
+            reply = recv_ctl(self.sock, timeout=timeout)
+            if not reply.get("ok", False):
+                raise ProtocolError(
+                    f"shard {self.index} rejected {reply.get('op')!r}: "
+                    f"{reply.get('error', 'unknown error')}"
+                )
+            return reply if parse is None else parse(reply)
+        except Exception as exc:
+            self._retire(exc)
+            raise
+
+    def _retire(self, error: BaseException) -> None:
+        """Retire the link (lock held): ``suspect``, socket closed,
+        child reaped, supervisor kicked."""
+        self.state = "suspect"
+        self.failures += 1
+        self.last_error = f"{type(error).__name__}: {error}"
+        self._reap(grace_s=0.0)
+        self._on_retire()
+
+    def _reap(self, grace_s: float) -> None:
+        """Close the socket and join the child, killing it after ``grace_s``."""
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+        self.process.join(timeout=grace_s)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=SHUTDOWN_TIMEOUT_S)
+
+    def restart(
+        self, prepare: int, rpc_timeout_s: float, probe_timeout_s: float
+    ) -> bool:
+        """``suspect -> restarting -> alive``: fork a fresh worker on a
+        fresh link, rewarm ``prepare`` copies, and require a ping.
+
+        Returns ``False`` — the shard is ``suspect`` again, the new link
+        retired — when any step fails, or when the shard was not
+        ``suspect`` to begin with.
+        """
+        with self.lock:
+            if self.state != "suspect":
+                return False
+            self.state = "restarting"
+            try:
+                self.sock, self.process = self._spawn(self.index)
+                if prepare:
+                    self._exchange(
+                        encode_ctl({"op": "prepare", "count": prepare}),
+                        rpc_timeout_s,
+                    )
+                self._exchange(encode_ctl({"op": "ping"}), probe_timeout_s)
+            except Exception as exc:
+                if self.state == "restarting":  # the fork itself failed
+                    self._retire(exc)
+                return False
+            self.state = "alive"
+            self.restarts += 1
+            self.last_error = None
+            return True
+
+    def give_up(self) -> bool:
+        """``suspect -> failed``, terminal; ``False`` from any other state."""
+        with self.lock:
+            if self.state != "suspect":
+                return False
+            self.state = "failed"
+            return True
+
+    def close(self) -> None:
+        """Shut the worker down and reap it (idempotent).
+
+        The shard ends ``suspect`` (``failed`` stays ``failed``): a
+        closed front-end serves nothing and restarts nothing.
+        """
+        with self.lock:
+            if self.state == "alive":
+                try:
+                    self._exchange(
+                        encode_ctl({"op": "shutdown"}), SHUTDOWN_TIMEOUT_S
+                    )
+                except Exception:
+                    pass  # the failed round trip retired the link
+            self._reap(grace_s=EXIT_GRACE_S)
+            if self.state != "failed":
+                self.state = "suspect"
 
 
 class ShardedService:
@@ -161,20 +263,20 @@ class ShardedService:
     Args:
         service_factory: zero-argument callable building one
             :class:`~repro.service.PrivateInferenceService`; invoked once
-            per worker process (each worker owns its own pool shard) and
-            at most once in-process for the degraded fallback.  Must be
-            importable/fork-safe.
+            per worker process (each worker owns its own pool shard),
+            never in the front-end.  Must be fork-safe.
         shards: worker process count (>= 1).
         prepare: pre-garbled copies each worker warms before serving
             (0 skips the offline phase); restarted workers rewarm the
             same count before rejoining.
-        breaker_threshold / breaker_cooldown_s: per-shard breaker knobs.
         rpc_timeout_s: cap on one shard RPC round trip.
         max_inflight: bound on concurrently admitted requests across all
             batches (0 = unbounded); excess is shed with the permanent
             :class:`~repro.errors.ServiceOverloadedError`.
         supervise: run a :class:`~repro.transport.supervisor.ShardSupervisor`
-            thread that probes and re-forks workers.
+            thread that probes and re-forks workers.  Only the supervisor
+            restarts a retired shard: unsupervised, a shard whose RPC
+            failed once stays out of the rotation for good.
         probe_interval_s / probe_timeout_s: heartbeat cadence and the
             liveness deadline one ping must answer within.
         max_restarts: consecutive failed restart attempts before a shard
@@ -190,8 +292,6 @@ class ShardedService:
         service_factory: Callable[[], Any],
         shards: int = 2,
         prepare: int = 0,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 30.0,
         rpc_timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
         max_inflight: int = 0,
         supervise: bool = True,
@@ -217,33 +317,21 @@ class ShardedService:
         self._gate = AdmissionGate(max_inflight)
         self._drain_timeout_s = float(drain_timeout_s)
         self._lock = threading.Lock()
-        self._fallback: Optional[Any] = None
         self._stats: Dict[str, int] = {
             "requests": 0,
             "degraded_requests": 0,
             "reroutes": 0,
-            "restarts": 0,
         }
         self._context = multiprocessing.get_context("fork")
-        self._shards: List[_Shard] = []
-        for index in range(shards):
-            sock, process = self._spawn_worker(index)
-            self._shards.append(
-                _Shard(
-                    index,
-                    sock,
-                    process,
-                    CircuitBreaker(
-                        threshold=breaker_threshold,
-                        cooldown_s=breaker_cooldown_s,
-                    ),
-                )
-            )
-        if prepare:
-            # fail fast if a worker never came up, and warm every pool
-            # shard before the first batch (the sharded offline phase)
-            self.prepare(prepare)
         self._supervisor: Optional[ShardSupervisor] = None
+        self._shards: List[_Shard] = [
+            _Shard(index, self._spawn_worker, self._kick)
+            for index in range(shards)
+        ]
+        if prepare:
+            # warm every pool shard before the first batch (the sharded
+            # offline phase); a worker that fails it is retired
+            self.prepare(prepare)
         if supervise:
             self._supervisor = ShardSupervisor(
                 self,
@@ -256,9 +344,7 @@ class ShardedService:
 
     # -- shard plumbing ----------------------------------------------------
 
-    def _spawn_worker(
-        self, index: int
-    ) -> Tuple[socket.socket, multiprocessing.process.BaseProcess]:
+    def _spawn_worker(self, index: int) -> Link:
         """Fork one worker process on a fresh socketpair."""
         parent_sock, child_sock = socket.socketpair()
         process = self._context.Process(
@@ -271,147 +357,47 @@ class ShardedService:
         child_sock.close()
         return parent_sock, process
 
-    def _reap(self, shard: _Shard) -> None:
-        """Close a dead/doomed worker's socket and join the child process.
-
-        The satellite fix for the old leak: a crashed worker used to be
-        marked dead but its zombie child and socket fd lived on for the
-        front-end's lifetime.
-        """
-        try:
-            shard.sock.close()
-        except OSError:
-            pass
-        shard.process.join(timeout=2.0)
-        if shard.process.is_alive():
-            shard.process.terminate()
-            shard.process.join(timeout=2.0)
-
-    def _mark_suspect(self, shard: _Shard, error: BaseException) -> None:
-        """Transition a shard to ``suspect`` and reap its dead worker."""
-        with shard.lock:
-            if shard.state != "alive":
-                return
-            shard.state = "suspect"
-            shard.last_error = f"{type(error).__name__}: {error}"
-            shard.next_restart_at = 0.0
-        shard.breaker.trip()
-        self._reap(shard)
+    def _kick(self) -> None:
+        """A link was retired: wake the supervisor, if there is one."""
         supervisor = self._supervisor
         if supervisor is not None:
             supervisor.kick()
 
     def live_shards(self) -> List[int]:
-        """Indices of shards in the serving state with a live worker."""
+        """Indices of shards in the serving state."""
         return [s.index for s in self._shards if s.alive]
 
     def shard_states(self) -> List[str]:
         """Per-shard supervision states, in shard order."""
         return [s.state for s in self._shards]
 
-    def _shard_rpc(
-        self,
-        shard: _Shard,
-        record: Dict[str, Any],
-        parse: Callable[[Dict[str, Any]], Any] = lambda reply: reply,
-    ) -> Any:
-        """One breaker-audited RPC; a dead worker goes suspect and is reaped.
-
-        ``parse`` turns the reply into what the caller needs; a reply it
-        rejects fails the RPC like a dead link does.
-        """
-        try:
-            reply = parse(shard.call(record, timeout=self._rpc_timeout_s))
-        except Exception as exc:
-            shard.breaker.record_failure()
-            with self._lock:
-                shard.failures += 1
-            shard.last_error = f"{type(exc).__name__}: {exc}"
-            if not shard.process.is_alive():
-                self._mark_suspect(shard, exc)
-            raise
-        shard.breaker.record_success()
-        return reply
-
     def probe_shard(self, index: int) -> bool:
-        """Heartbeat one shard: ping with the liveness deadline.
+        """Heartbeat one shard: a ping within the liveness deadline.
 
-        Returns ``False`` when the probe proves the worker gone or
-        unresponsive (the shard goes ``suspect`` and is reaped); a busy
-        shard — RPC in flight — counts as healthy without probing.
+        Returns ``False`` when the shard is not ``alive`` or the ping
+        fails (which retires its link); a busy shard — RPC in flight —
+        counts as healthy without probing.
         """
-        shard = self._shards[index]
-        if shard.state != "alive":
-            return False
-        if not shard.process.is_alive():
-            self._mark_suspect(
-                shard, ProtocolError(f"shard {index} worker process died")
-            )
-            return False
         try:
-            reply = shard.try_call({"op": "ping"}, timeout=self._probe_timeout_s)
-        except Exception as exc:
-            shard.breaker.record_failure()
-            with self._lock:
-                shard.failures += 1
-            self._mark_suspect(shard, exc)
+            self._shards[index].rpc(
+                encode_ctl({"op": "ping"}), self._probe_timeout_s, wait=False
+            )
+        except Exception:
             return False
-        if reply is not None:
-            shard.breaker.record_success()
         return True
 
     def restart_shard(self, index: int) -> bool:
-        """Re-fork one suspect shard's worker and bring it back to life.
+        """Re-fork one ``suspect`` shard's worker (see :meth:`_Shard.restart`).
 
-        The recovery sequence: reap whatever is left of the old child,
-        fork a fresh worker on a fresh socketpair, rewarm its pool shard
-        (the constructor's ``prepare`` count), then require a successful
-        liveness probe — only then does the breaker close and the state
-        return to ``alive``.  Returns ``False`` (state stays
-        ``suspect``) when any step fails; the supervisor retries with
-        backoff until the restart budget runs out.
+        Refused while draining.  ``False`` leaves the shard ``suspect``;
+        the supervisor retries with backoff until the restart budget
+        runs out.
         """
-        shard = self._shards[index]
         if self._gate.stats()["draining"]:
             return False
-        with shard.lock:
-            if shard.state not in ("suspect", "restarting"):
-                return False
-            shard.state = "restarting"
-        shard.breaker.trip()  # no chunks route here while we re-fork
-        self._reap(shard)
-        sock, process = self._spawn_worker(index)
-        with shard.lock:
-            shard.sock = sock
-            shard.process = process
-        try:
-            if self._prepare_count:
-                shard.call(
-                    {"op": "prepare", "count": self._prepare_count},
-                    timeout=self._rpc_timeout_s,
-                )
-            shard.call({"op": "ping"}, timeout=self._probe_timeout_s)
-        except Exception as exc:
-            with shard.lock:
-                shard.state = "suspect"
-                shard.last_error = f"{type(exc).__name__}: {exc}"
-            self._reap(shard)
-            return False
-        shard.breaker.record_success()
-        with self._lock:
-            shard.restarts += 1
-            self._stats["restarts"] += 1
-        with shard.lock:
-            shard.state = "alive"
-            shard.last_error = None
-        return True
-
-    def _fallback_service(self) -> Any:
-        """The lazily built in-process service for degraded chunks."""
-        with self._lock:
-            if self._fallback is None:
-                self._fallback = self._factory()
-        return self._fallback
+        return self._shards[index].restart(
+            self._prepare_count, self._rpc_timeout_s, self._probe_timeout_s
+        )
 
     # -- serving -----------------------------------------------------------
 
@@ -426,9 +412,10 @@ class ShardedService:
         chunk's RPC runs on its own front-end thread — the one place a
         thread waits on *another process* — so shards execute their
         garbled protocols genuinely in parallel (separate processes, no
-        GIL coupling, one serving thread each).  Results come back in request
-        order as :class:`repro.service.InferenceResult` records; failed
-        shards degrade per chunk to the in-process fallback.
+        GIL coupling, one serving thread each).  Results come back in
+        request order as :class:`repro.service.InferenceResult` records;
+        a chunk whose shard fails reroutes to another ``alive`` shard,
+        and fails slot by slot with a typed error when none is left.
 
         Args:
             samples: feature vectors (anything ``np.asarray`` takes).
@@ -461,11 +448,8 @@ class ShardedService:
         self, samples: Sequence[Any], ids: List[Optional[str]], n: int
     ) -> List[Any]:
         """The batch body, after admission control accepted ``n`` requests."""
-        from ..service import InferenceRequest, InferenceResult
+        from ..service import InferenceResult
 
-        # contiguous chunking keeps result reassembly trivial and gives
-        # every shard ~n/k requests; a dead shard's chunk reroutes whole
-        chunks = self._partition(n)
         outcomes: List[Optional[Any]] = [None] * n
 
         def parse_results(reply: Dict[str, Any], size: int) -> List[Any]:
@@ -481,49 +465,55 @@ class ShardedService:
             except Exception as exc:
                 raise ProtocolError(f"unparseable shard result: {exc}") from exc
 
-        def serve_chunk(shard: _Shard, start: int, stop: int) -> None:
-            try:
-                record: Optional[Dict[str, Any]] = {
-                    "op": "infer",
-                    "samples": [_flatten(samples[i]) for i in range(start, stop)],
-                    "request_ids": ids[start:stop],
-                }
-            except (TypeError, ValueError):
-                # not a feature vector: the fallback fails it per request
-                record = None
-            if record is not None and shard.state == "alive" and shard.breaker.allow():
+        def serve_chunk(home: _Shard, start: int, stop: int) -> None:
+            slots: List[int] = []
+            vectors: List[List[float]] = []
+            for i in range(start, stop):
                 try:
-                    results = self._shard_rpc(
-                        shard, record,
-                        lambda reply: parse_results(reply, stop - start),
+                    vectors.append(_flatten(samples[i]))
+                except (TypeError, ValueError) as exc:
+                    outcomes[i] = InferenceResult.failed(
+                        EngineError(f"sample is not a feature vector: {exc}"),
+                        request_id=ids[i],
                     )
-                except Exception:
-                    pass  # the chunk reroutes below, like a dead shard's
                 else:
-                    with self._lock:
-                        shard.requests += stop - start
-                    outcomes[start:stop] = results
-                    return
-            with self._lock:
-                self._stats["degraded_requests"] += stop - start
-                self._stats["reroutes"] += 1
-            try:
-                requests = [
-                    InferenceRequest(
-                        sample=np.asarray(samples[i]), request_id=ids[i]
+                    slots.append(i)
+            for piece, payload in _infer_payloads(slots, vectors, ids):
+                if isinstance(payload, Exception):
+                    (i,) = piece  # a request no record can carry: its own slot
+                    outcomes[i] = InferenceResult.failed(payload, request_id=ids[i])
+                else:
+                    serve_piece(home, piece, payload)
+
+        def serve_piece(home: _Shard, slots: List[int], payload: bytes) -> None:
+            error: BaseException = ChannelClosedError("no shard is alive")
+            served_by: Optional[_Shard] = None
+            k = len(self._shards)
+            for step in range(k):  # home first, then every other shard once
+                shard = self._shards[(home.index + step) % k]
+                if not shard.alive:
+                    continue
+                try:
+                    results = shard.rpc(
+                        payload, self._rpc_timeout_s,
+                        lambda reply: parse_results(reply, len(slots)),
                     )
-                    for i in range(start, stop)
-                ]
-                service = self._fallback_service()
-                results = service.infer_many(requests, return_errors=True)
-            except Exception as exc:
-                # even a broken fallback must not drop requests: every
-                # slot comes back as a typed error record
-                results = [
-                    InferenceResult.failed(exc, request_id=ids[i])
-                    for i in range(start, stop)
-                ]
-            outcomes[start:stop] = results
+                except Exception as exc:
+                    error = exc  # the link is retired; try the next shard
+                    continue
+                served_by = shard
+                for i, result in zip(slots, results):
+                    outcomes[i] = result
+                break
+            else:
+                for i in slots:
+                    outcomes[i] = InferenceResult.failed(error, request_id=ids[i])
+            with self._lock:
+                if served_by is not None:
+                    served_by.requests += len(slots)
+                if served_by is not home:
+                    self._stats["degraded_requests"] += len(slots)
+                    self._stats["reroutes"] += 1
 
         threads = [
             threading.Thread(
@@ -531,7 +521,7 @@ class ShardedService:
                 args=(self._shards[shard_index], start, stop),
                 name=f"repro-front-{shard_index}",
             )
-            for shard_index, (start, stop) in chunks
+            for shard_index, (start, stop) in self._partition(n)
             if stop > start
         ]
         for thread in threads:
@@ -561,9 +551,17 @@ class ShardedService:
             snapshot: Dict[str, Any] = dict(self._stats)
         snapshot.update(self._gate.stats())
         snapshot["shards"] = len(self._shards)
-        snapshot["live_shards"] = len(self.live_shards())
         per_shard: List[Dict[str, Any]] = []
         for shard in self._shards:
+            service = None
+            if shard.alive:
+                try:
+                    service = shard.rpc(
+                        encode_ctl({"op": "stats"}), self._rpc_timeout_s,
+                        lambda reply: dict(reply["stats"]), wait=False,
+                    )
+                except Exception:
+                    pass  # the link is retired: the entry below says so
             entry: Dict[str, Any] = {
                 "index": shard.index,
                 "alive": shard.alive,
@@ -572,23 +570,13 @@ class ShardedService:
                 "failures": shard.failures,
                 "restarts": shard.restarts,
                 "last_shard_error": shard.last_error,
-                "breaker": shard.breaker.stats(),
             }
-            # the state, not allow(): a snapshot never claims the probe
-            if entry["alive"] and shard.breaker.state != "open":
-                # non-blocking: a shard mid-batch holds its RPC lock, and
-                # a stats snapshot must never queue behind a long batch
-                try:
-                    reply = shard.try_call(
-                        {"op": "stats"}, timeout=self._rpc_timeout_s
-                    )
-                except Exception:
-                    entry["alive"] = False
-                else:
-                    if reply is not None:
-                        entry["service"] = reply["stats"]
+            if service is not None:
+                entry["service"] = service
             per_shard.append(entry)
         snapshot["per_shard"] = per_shard
+        snapshot["live_shards"] = len(self.live_shards())
+        snapshot["restarts"] = sum(entry["restarts"] for entry in per_shard)
         # every shard process pays its own base OT: session-level totals
         # over the shards that answered, never part of a request's comm
         shard_ot = [
@@ -604,11 +592,6 @@ class ShardedService:
         supervisor = self._supervisor
         if supervisor is not None:
             snapshot["supervisor"] = supervisor.stats()
-        with self._lock:
-            fallback = self._fallback
-        if fallback is not None:
-            # fallback.stats takes the service's own lock; call outside ours
-            snapshot["fallback"] = fallback.stats
         return snapshot
 
     def prepare(self, count: int) -> int:
@@ -619,17 +602,18 @@ class ShardedService:
         rejoining the rotation.
         """
         self._prepare_count = int(count)
+        payload = encode_ctl({"op": "prepare", "count": self._prepare_count})
         total = 0
         for shard in self._shards:
-            if shard.state != "alive":
+            if not shard.alive:
                 continue
             try:
-                reply = self._shard_rpc(
-                    shard, {"op": "prepare", "count": count}
+                total += shard.rpc(
+                    payload, self._rpc_timeout_s,
+                    lambda reply: int(reply.get("warmed", 0)),
                 )
             except Exception:
-                continue
-            total += int(reply.get("warmed", 0))
+                continue  # retired: a restart rewarms it
         return total
 
     def close(self, drain_timeout_s: Optional[float] = None) -> None:
@@ -652,19 +636,32 @@ class ShardedService:
         if supervisor is not None:
             supervisor.close()
         for shard in self._shards:
-            if shard.alive:
-                try:
-                    shard.call({"op": "shutdown"}, timeout=5.0)
-                except Exception:
-                    pass
-            self._reap(shard)
-            with shard.lock:
-                if shard.state != "failed":
-                    shard.state = "suspect"
-        with self._lock:
-            fallback = self._fallback
-        if fallback is not None:
-            fallback.close()
+            shard.close()
+
+
+def _infer_payloads(
+    slots: List[int], vectors: List[List[float]], ids: List[Optional[str]]
+) -> List[Tuple[List[int], Any]]:
+    """One chunk's encoded ``infer`` records, ``[(slots, payload), ...]``.
+
+    A chunk over :data:`MAX_RPC_SAMPLES` or the control-record cap is
+    halved until each piece fits.  A single request no record can carry
+    (a request id JSON cannot encode, a sample over the cap) gets a
+    permanent :class:`EngineError` for its payload: it fails in its own
+    slot and nothing is sent, so it never retires a shard's link.
+    """
+    if not slots:
+        return []
+    if len(slots) <= MAX_RPC_SAMPLES:
+        record = {"op": "infer", "samples": vectors, "request_ids": [ids[i] for i in slots]}
+        try:
+            return [(slots, encode_ctl(record))]
+        except (TypeError, ValueError, ChannelIntegrityError) as exc:
+            if len(slots) == 1:
+                return [(slots, EngineError(f"request cannot be sent to a shard: {exc}"))]
+    half = len(slots) // 2
+    head = _infer_payloads(slots[:half], vectors[:half], ids)
+    return head + _infer_payloads(slots[half:], vectors[half:], ids)
 
 
 def _flatten(sample: Any) -> List[float]:

@@ -1,23 +1,25 @@
 """:class:`ShardSupervisor` — the healing loop behind ``ShardedService``.
 
-A daemon thread that keeps the shard fleet serving:
+A daemon thread that schedules the shard fleet's probes and restarts;
+the shard state machine itself is
+:class:`repro.transport.sharded._Shard`, which alone writes a shard's
+state:
 
 - **probe**: every ``probe_interval_s`` it heartbeats each ``alive``
   shard over the ctl protocol (``ping`` with a liveness deadline, via
   :meth:`ShardedService.probe_shard <repro.transport.sharded.ShardedService.probe_shard>`);
-  an unresponsive or dead worker goes ``suspect`` and is reaped.
+  a failed ping retires the shard's link, like any failed shard RPC.
 - **restart**: ``suspect`` shards are re-forked
   (:meth:`~repro.transport.sharded.ShardedService.restart_shard`) with
   capped exponential backoff — ``min(backoff_s * 2**(attempt-1),
   backoff_cap_s)`` between attempts, the pool idiom from
   ``engine/pool.py`` — under a restart *budget*: after ``max_restarts``
   consecutive failed attempts the shard is declared terminally
-  ``failed`` and its chunks degrade to the in-process fallback for
-  good.  A successful restart resets the attempt counter, so a shard
-  that crashes again later gets a fresh budget.
-- **kick**: RPC failure paths wake the loop immediately
-  (:meth:`kick`), so recovery latency is the fork+rewarm time, not the
-  probe interval.
+  ``failed`` and its chunks reroute to the ``alive`` shards for good.
+  A successful restart resets the attempt counter, so a shard that
+  crashes again later gets a fresh budget.
+- **kick**: a retired link wakes the loop immediately (:meth:`kick`),
+  so recovery latency is the fork+rewarm time, not the probe interval.
 
 Deterministic in tests: the clock is injectable and :meth:`check_once`
 runs one synchronous supervision pass without the thread.
@@ -63,6 +65,10 @@ class ShardSupervisor:
         self.backoff_s = float(backoff_s)
         self.backoff_cap_s = float(backoff_cap_s)
         self._clock = clock
+        #: the restart schedule, per shard index: consecutive failed
+        #: attempts, and the clock time the next one waits for
+        self.restart_attempts: Dict[int, int] = {}
+        self.next_restart_at: Dict[int, float] = {}
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._stopped = False
@@ -131,32 +137,28 @@ class ShardSupervisor:
         service = self._service
         now = self._clock()
         for shard in service._shards:
+            index = shard.index
             if shard.state == "alive":
                 actions["probes"] += 1
-                if not service.probe_shard(shard.index):
+                if not service.probe_shard(index):
                     actions["probe_failures"] += 1
                 continue
-            if shard.state != "suspect":
+            if shard.state != "suspect" or now < self.next_restart_at.get(index, 0.0):
                 continue
-            if now < shard.next_restart_at:
+            attempts = self.restart_attempts.get(index, 0)
+            if attempts >= self.max_restarts:
+                if shard.give_up():
+                    actions["gave_up"] += 1
                 continue
-            if shard.restart_attempts >= self.max_restarts:
-                with shard.lock:
-                    if shard.state == "suspect":
-                        shard.state = "failed"
-                        actions["gave_up"] += 1
-                continue
-            shard.restart_attempts += 1
-            if service.restart_shard(shard.index):
-                shard.restart_attempts = 0
-                shard.next_restart_at = 0.0
+            if service.restart_shard(index):
+                self.restart_attempts.pop(index, None)
+                self.next_restart_at.pop(index, None)
                 actions["restarts"] += 1
             else:
-                delay = min(
-                    self.backoff_s * (2 ** (shard.restart_attempts - 1)),
-                    self.backoff_cap_s,
+                self.restart_attempts[index] = attempts + 1
+                self.next_restart_at[index] = self._clock() + min(
+                    self.backoff_s * (2 ** attempts), self.backoff_cap_s
                 )
-                shard.next_restart_at = self._clock() + delay
                 actions["restart_failures"] += 1
         with self._lock:
             self._counters["passes"] += 1

@@ -58,7 +58,7 @@ import os
 import socket
 import threading
 import zlib
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Union
 
 from ..errors import (
     ChannelClosedError,
@@ -73,6 +73,7 @@ from .wire import checksummed, encode_frame, read_frame
 __all__ = [
     "CTL_TAG",
     "WorkerServer",
+    "encode_ctl",
     "open_peer_session",
     "recv_ctl",
     "retain_heap",
@@ -117,14 +118,23 @@ def retain_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
-def send_ctl(sock: socket.socket, record: Dict[str, Any]) -> None:
-    """Send one JSON control record as a ``"ctl"`` wire frame."""
+def encode_ctl(record: Dict[str, Any]) -> bytes:
+    """One control record's JSON payload: raises ``TypeError`` /
+    ``ValueError`` if JSON cannot carry it, ``ChannelIntegrityError``
+    if it is over ``MAX_CTL_BYTES`` — before anything is sent."""
     payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_CTL_BYTES:
         raise ChannelIntegrityError(
             f"control record of {len(payload)} bytes exceeds the "
             f"{MAX_CTL_BYTES}-byte cap"
         )
+    return payload
+
+
+def send_ctl(sock: socket.socket, record: Union[Dict[str, Any], bytes]) -> None:
+    """Send one JSON control record, or its :func:`encode_ctl` payload,
+    as a ``"ctl"`` wire frame."""
+    payload = record if isinstance(record, bytes) else encode_ctl(record)
     try:
         sock.sendall(encode_frame(checksummed(CTL_TAG, payload)))
     except (BrokenPipeError, ConnectionResetError):

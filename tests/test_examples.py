@@ -41,10 +41,14 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "outsourced" in out and "Prop. 3.2" in out
 
-    def test_netlist_interop(self, capsys):
+    def test_netlist_interop(self, capsys, monkeypatch, tmp_path):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         _load("netlist_interop").main()
         out = capsys.readouterr().out
         assert "Bristol" in out and "Verilog" in out
+        assert list(tmp_path.iterdir()) == []  # the exports are cleaned up
 
     @pytest.mark.skipif(
         MODP_2048.provider != "libcrypto",

@@ -20,7 +20,6 @@ from repro.nn import (
     Tanh,
     TrainConfig,
     Trainer,
-    accuracy,
 )
 from repro.preprocess import ProjectionConfig, preprocess_model
 

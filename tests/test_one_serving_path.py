@@ -67,11 +67,17 @@ def _counted_once(service, k):
     return stats
 
 
+def _force_open(breaker):
+    """Open ``breaker`` the way failing requests do."""
+    for _ in range(breaker.threshold):
+        breaker.record_failure()
+
+
 class TestOpenBreaker:
     def test_a_batch_counts_each_degraded_request_once(self, make_service):
         service, x = make_service(pool_size=3, breaker_cooldown_s=300.0)
         service.prepare()
-        service._breaker("two_party").trip()
+        _force_open(service._breaker("two_party"))
         results = service.infer_many(list(x[:3]))
         assert [r.label for r in results] == [
             service.cleartext_label(s) for s in x[:3]
@@ -88,8 +94,8 @@ class TestHalfOpenBreaker:
         service, x = make_service(pool_size=3, breaker_cooldown_s=0.0)
         service.prepare()
         breaker = service._breaker("two_party")
-        breaker.trip()
-        assert breaker.state == "half-open"
+        _force_open(breaker)
+        assert breaker.stats()["state"] == "half-open"
         decisions = []
         allow = breaker.allow
 
@@ -102,7 +108,7 @@ class TestHalfOpenBreaker:
         assert decisions == [True]  # one group, one decision: the probe
         assert all(r.pregarbled for r in results)
         assert service.stats["degraded"] == 0
-        assert breaker.state == "closed"  # the probe succeeded
+        assert breaker.stats()["state"] == "closed"  # the probe succeeded
 
     def test_a_group_serves_degraded_while_the_probe_is_out(
         self, make_service
@@ -110,13 +116,13 @@ class TestHalfOpenBreaker:
         service, x = make_service(pool_size=2, breaker_cooldown_s=0.0)
         service.prepare()
         breaker = service._breaker("two_party")
-        breaker.trip()
+        _force_open(breaker)
         assert breaker.allow()  # someone else's probe is in flight
         results = service.infer_many(list(x[:2]))
         assert all(r.ok and not r.pregarbled for r in results)
         assert service.stats["degraded"] == 2
         # a degraded group reports no outcome: the probe is still out
-        assert breaker.state == "half-open" and not breaker.allow()
+        assert breaker.stats()["state"] == "half-open" and not breaker.allow()
 
 
 class TestParity:

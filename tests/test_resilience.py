@@ -419,15 +419,15 @@ class TestCircuitBreaker:
         )
         for _ in range(2):
             breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
+        assert breaker.stats()["state"] == "closed" and breaker.allow()
         breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
+        assert breaker.stats()["state"] == "open" and not breaker.allow()
         clock[0] = 10.1  # cooldown elapsed: one probe allowed
-        assert breaker.state == "half-open"
+        assert breaker.stats()["state"] == "half-open"
         assert breaker.allow()
         assert not breaker.allow()  # probe in flight; others degrade
         breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
+        assert breaker.stats()["state"] == "closed" and breaker.allow()
 
     def test_failed_probe_reopens(self):
         clock = [0.0]
@@ -438,7 +438,7 @@ class TestCircuitBreaker:
         clock[0] = 5.0
         assert breaker.allow()
         breaker.record_failure()
-        assert breaker.state == "open"
+        assert breaker.stats()["state"] == "open"
         assert breaker.stats()["trips"] == 2
 
     def test_success_resets_failure_streak(self):
@@ -446,7 +446,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
-        assert breaker.state == "closed"
+        assert breaker.stats()["state"] == "closed"
 
 
 class BreakerModel:
@@ -485,11 +485,6 @@ class BreakerModel:
             self.probing = True
             return True
         return state == "closed"
-
-    def trip(self):
-        self.resolve()
-        self.failures = max(self.failures, self.threshold)
-        self.open()
 
     def record_success(self):
         self.failures = 0
@@ -564,11 +559,6 @@ class BreakerMachine(RuleBasedStateMachine):
     @rule(dt=CLOCK_STEPS)
     def record_failure(self, dt):
         self._step(dt, "record_failure")
-        self.probes = 0
-
-    @rule(dt=CLOCK_STEPS)
-    def trip(self, dt):
-        self._step(dt, "trip")
         self.probes = 0
 
     @invariant()
@@ -759,7 +749,7 @@ class TestServiceResilience:
         try:
             breaker = service._breaker("two_party")
             breaker.record_failure()
-            assert breaker.state == "open"
+            assert breaker.stats()["state"] == "open"
             results = service.infer_many(list(x[:2]), return_errors=True)
             assert all(r.ok for r in results)
             assert [r.label for r in results] == [
@@ -983,26 +973,6 @@ class TestByteFaultsOnCtlProtocol:
         finally:
             left.close()
             wrapped.close()
-
-
-class TestBreakerTrip:
-    def test_trip_forces_open_then_normal_recovery(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(
-            threshold=3, cooldown_s=10.0, clock=lambda: clock[0]
-        )
-        assert breaker.allow()
-        breaker.trip()
-        assert breaker.state == "open" and not breaker.allow()
-        assert breaker.stats()["trips"] == 1
-        breaker.trip()  # already open: no double-counted trip
-        assert breaker.stats()["trips"] == 1
-        # the usual cooldown -> half-open -> probe -> closed cycle applies
-        clock[0] = 10.1
-        assert breaker.state == "half-open"
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
 
 
 # ---------------------------------------------------------------------------

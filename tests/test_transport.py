@@ -3,12 +3,14 @@ worker protocol and the process-sharded front-end."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import signal
 import socket
 import threading
 import time
+import uuid
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
 from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
 from repro.resilience import FaultPlan, FaultSpec, faulty_channel_factory
+from repro.service import InferenceResult
 from repro.transport import (
     HEADER_SIZE,
     MAX_TAG_BYTES,
@@ -41,10 +44,13 @@ from repro.transport import (
     encode_frame,
     socketpair_channel_factory,
 )
+from repro.transport import sharded as sharded_module
 from repro.transport.peer import peer_channel_factory, run_two_party_peer
 from repro.transport.wire import checksummed, read_frame
 from repro.transport.worker import (
+    MAX_CTL_BYTES,
     WorkerServer,
+    encode_ctl,
     open_peer_session,
     recv_ctl,
     retain_heap,
@@ -684,11 +690,10 @@ class TestShardedService:
         finally:
             service.close()
 
-    def test_worker_crash_degrades_to_in_process_serving(self):
+    def test_worker_crash_reroutes_its_chunk_to_a_live_shard(self):
         # supervise=False: this test pins the *unsupervised* degraded
         # path; the healing path has its own tests below
-        service = ShardedService(_tiny_service, shards=2,
-                                 breaker_threshold=1, supervise=False)
+        service = ShardedService(_tiny_service, shards=2, supervise=False)
         try:
             victim = service._shards[1]
             victim.process.terminate()
@@ -704,7 +709,9 @@ class TestShardedService:
             assert stats["degraded_requests"] == 2
             assert stats["reroutes"] == 1
             assert stats["live_shards"] == 1
-            assert stats["fallback"]["requests"] == 2
+            # the live shard served its own chunk and the dead one's
+            assert [s["requests"] for s in stats["per_shard"]] == [4, 0]
+            assert stats["per_shard"][0]["service"]["requests"] == 4
             # the dead worker was reaped, not leaked: child joined (an
             # exit code exists) and the shard went suspect with the
             # failure recorded in the stats rollup
@@ -714,32 +721,37 @@ class TestShardedService:
             assert entry["state"] == "suspect"
             assert entry["restarts"] == 0
             assert entry["last_shard_error"]
-            # second batch: the open breaker sends the chunk straight to
-            # the fallback without touching the dead worker
-            service.infer_many(_tiny_samples(2))
-            assert service.stats()["degraded_requests"] > 2
+            # second batch: the suspect shard's chunk goes straight to
+            # the live shard without touching the dead worker
+            results = service.infer_many(_tiny_samples(2))
+            assert [r.label for r in results] == expected[:2]
+            stats = service.stats()
+            assert stats["degraded_requests"] == 3
+            assert [s["requests"] for s in stats["per_shard"]] == [6, 0]
+            assert stats["per_shard"][1]["failures"] == 1
         finally:
             service.close()
 
     @pytest.mark.parametrize("fault", ["short", "unparseable"])
-    def test_a_bad_reply_reroutes_its_chunk_in_request_order(self, fault):
+    def test_a_bad_reply_reroutes_its_chunk_in_request_order(
+        self, fault, monkeypatch
+    ):
         """A shard reply one result short, or with a record that does not
-        parse, fails that chunk's RPC: the chunk reroutes degraded and
-        every request keeps its own slot and label."""
+        parse, fails that chunk's RPC: the chunk reroutes degraded, every
+        request keeps its own slot and label, and the link is retired."""
         service = ShardedService(_tiny_service, shards=2, supervise=False)
         shard = service._shards[0]
-        call = shard.call
 
-        def bad_reply(record, timeout):
-            reply = call(record, timeout)
-            if record["op"] == "infer":
+        def bad_reply(sock, timeout=None):
+            reply = recv_ctl(sock, timeout)
+            if sock is shard.sock and reply.get("op") == "infer":
                 if fault == "short":
                     reply["results"] = reply["results"][1:]
                 else:
                     reply["results"][0]["surprise"] = True
             return reply
 
-        shard.call = bad_reply
+        monkeypatch.setattr(sharded_module, "recv_ctl", bad_reply)
         try:
             samples = _tiny_samples(4)
             reference = _tiny_service()
@@ -752,7 +764,10 @@ class TestShardedService:
             stats = service.stats()
             assert stats["degraded_requests"] == 2 and stats["reroutes"] == 1
             assert stats["per_shard"][0]["failures"] == 1
-            assert shard.state == "alive"  # a bad reply is no dead worker
+            # a reply the front-end cannot parse retires the link: the
+            # worker is reaped even though it was alive
+            assert shard.state == "suspect"
+            assert shard.process.exitcode is not None
         finally:
             service.close()
 
@@ -767,26 +782,162 @@ class TestShardedService:
         finally:
             service.close()
 
-    def test_stats_leaves_a_half_open_breakers_probe_unclaimed(self):
-        """A stats snapshot reads the breaker and claims nothing: after
-        the cooldown the next batch still gets the half-open probe, so
-        an unsupervised shard closes again instead of serving degraded
-        for good."""
+    def test_a_late_reply_never_answers_a_later_request(self, tmp_path):
+        """An RPC that times out retires its link: the worker's late
+        reply to batch A is never read as batch B's answer, and the next
+        ``stats()`` reads no stale record either."""
+        marker = tmp_path / "slept"
+
+        def slow_first_batch():
+            service = _tiny_service()
+            infer_many = service.infer_many
+
+            def slow(*args, **kwargs):
+                if not marker.exists():  # only the first worker sleeps
+                    marker.touch()
+                    time.sleep(1.0)
+                return infer_many(*args, **kwargs)
+
+            service.infer_many = slow
+            return service
+
         service = ShardedService(
-            _tiny_service, shards=1, supervise=False, breaker_cooldown_s=0.05
+            slow_first_batch, shards=1, supervise=False, rpc_timeout_s=0.3
         )
         try:
-            breaker = service._shards[0].breaker
-            breaker.trip()
-            time.sleep(0.1)
-            assert breaker.state == "half-open"
-            service.stats()
-            for _ in range(2):
-                service.infer_many(_tiny_samples(2))
-            assert service.stats()["degraded_requests"] == 0
-            assert breaker.state == "closed"
+            samples = _tiny_samples(4)
+            reference = _tiny_service()
+            expected = [reference.cleartext_label(s) for s in samples]
+            reference.close()
+            batch_a = service.infer_many(samples[:2], request_ids=["a0", "a1"])
+            time.sleep(1.5)  # long enough for a worker's late reply to A
+            batch_b = service.infer_many(samples[2:], request_ids=["b0", "b1"])
+            assert [r.request_id for r in batch_a + batch_b] == [
+                "a0", "a1", "b0", "b1"
+            ]
+            # no shard is left alive: every slot is a typed error, never
+            # another batch's label
+            assert not any(r.ok for r in batch_a + batch_b)
+            assert {r.error_category for r in batch_a + batch_b} == {"transient"}
+            stats = service.stats()
+            assert stats["per_shard"][0]["state"] == "suspect"
+            assert stats["per_shard"][0]["failures"] == 1
+            assert stats["degraded_requests"] == 4
+            # a fresh link serves the same requests correctly
+            assert service.restart_shard(0) is True
+            batch_c = service.infer_many(samples[2:], request_ids=["c0", "c1"])
+            assert [(r.request_id, r.label) for r in batch_c] == [
+                ("c0", expected[2]), ("c1", expected[3])
+            ]
+            assert service.stats()["per_shard"][0]["service"]["requests"] == 2
         finally:
             service.close()
+
+    def test_the_front_end_never_builds_a_service(self, tmp_path):
+        """Every service is built in a shard process, also when a shard
+        is killed mid-batch and its chunk must be served elsewhere."""
+        builders = tmp_path / "pids"
+
+        def recorded():
+            with open(builders, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            service = _tiny_service()
+            infer_many = service.infer_many
+
+            def slow(*args, **kwargs):
+                time.sleep(0.5)  # the kill below lands mid-batch
+                return infer_many(*args, **kwargs)
+
+            service.infer_many = slow
+            return service
+
+        service = ShardedService(recorded, shards=2, supervise=False)
+        try:
+            samples = _tiny_samples(4)
+            reference = _tiny_service()
+            expected = [reference.cleartext_label(s) for s in samples]
+            reference.close()
+            victim_pid = service._shards[0].process.pid
+            killer = threading.Timer(
+                0.2, lambda: os.kill(victim_pid, signal.SIGKILL)
+            )
+            killer.start()
+            results = service.infer_many(samples)
+            killer.join()
+            assert [r.label for r in results] == expected
+            pids = {int(line) for line in builders.read_text().split()}
+            assert len(pids) == 2 and os.getpid() not in pids
+            stats = service.stats()
+            assert stats["degraded_requests"] == 2
+            assert [s["requests"] for s in stats["per_shard"]] == [0, 4]
+        finally:
+            service.close()
+
+    def test_a_request_no_record_can_carry_retires_no_shard(self):
+        """Faults of the request are not faults of the link: a chunk too
+        big for one control record is split, and a request id JSON cannot
+        carry or a request over the cap fails in its own slot.  Nothing
+        reroutes, and every shard stays alive."""
+        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        try:
+            samples = _tiny_samples(6)
+            reference = _tiny_service()
+            expected = [reference.cleartext_label(s) for s in samples]
+            reference.close()
+            # three 400 kB ids overflow one record together, not alone
+            ids = [f"{i}" + "x" * 400_000 for i in range(4)]
+            ids += [uuid.UUID(int=5), "y" * (1 << 20)]
+            results = service.infer_many(samples, request_ids=ids)
+            assert [r.request_id for r in results] == ids
+            assert [r.label for r in results[:4]] == expected[:4]
+            for bad in results[4:]:
+                assert bad.error_type == "EngineError"
+                assert bad.error_category == "permanent"
+            stats = service.stats()
+            assert stats["live_shards"] == 2
+            assert [s["state"] for s in stats["per_shard"]] == ["alive"] * 2
+            assert [s["failures"] for s in stats["per_shard"]] == [0, 0]
+            assert [s["requests"] for s in stats["per_shard"]] == [3, 1]
+            assert stats["degraded_requests"] == 0 and stats["reroutes"] == 0
+        finally:
+            service.close()
+
+    def test_a_chunk_over_the_rpc_sample_cap_is_split(self, monkeypatch):
+        monkeypatch.setattr(sharded_module, "MAX_RPC_SAMPLES", 2)
+        service = ShardedService(_tiny_service, shards=1, supervise=False)
+        try:
+            samples = _tiny_samples(5)
+            reference = _tiny_service()
+            expected = [reference.cleartext_label(s) for s in samples]
+            reference.close()
+            results = service.infer_many(samples)
+            assert [r.label for r in results] == expected
+            stats = service.stats()
+            assert stats["per_shard"][0]["state"] == "alive"
+            assert stats["per_shard"][0]["service"]["requests"] == 5
+        finally:
+            service.close()
+
+    def test_a_full_rpc_reply_fits_one_control_record(self, tiny_service):
+        """A worker's reply to ``MAX_RPC_SAMPLES`` requests fits the cap
+        with room to spare, so it never fails for its own size."""
+        served = tiny_service.infer(_tiny_samples(1)[0], request_id="r" * 64)
+        failed = InferenceResult.failed(
+            EngineError("e" * 256), request_id="r" * 64
+        )
+        records = [
+            dataclasses.asdict(r) for r in (served, failed)
+        ] * (sharded_module.MAX_RPC_SAMPLES // 2)
+        reply = {"ok": True, "op": "infer", "results": records}
+        assert len(encode_ctl(reply)) < MAX_CTL_BYTES // 2
+
+    def test_has_no_breaker_of_its_own(self):
+        """A failed RPC retires the link, so there is nothing for a
+        per-shard breaker to decide (the shard services keep theirs)."""
+        assert not hasattr(sharded_module, "CircuitBreaker")
+        for knob in ("breaker_threshold", "breaker_cooldown_s"):
+            with pytest.raises(TypeError):
+                ShardedService(_tiny_service, shards=1, **{knob: 1})
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(EngineError):
@@ -862,7 +1013,7 @@ def _wait_until(predicate, timeout=90.0, interval=0.05):
 class TestShardSupervision:
     def test_supervisor_heals_worker_killed_mid_batch(self):
         service = ShardedService(
-            _tiny_service, shards=2, breaker_threshold=1,
+            _tiny_service, shards=2,
             probe_interval_s=0.1, restart_backoff_s=0.05,
             restart_backoff_cap_s=0.2,
         )
@@ -879,7 +1030,7 @@ class TestShardSupervision:
             results = service.infer_many(samples)
             killer.join()
             # the batch completed with every label correct despite the
-            # SIGKILL: the dead shard's chunk rerouted to the fallback
+            # SIGKILL: the dead shard's chunk rerouted to the live one
             assert [r.label for r in results] == expected
             # the supervisor re-forks the worker within its backoff
             # budget and the shard walks suspect -> restarting -> alive
@@ -911,14 +1062,12 @@ class TestShardSupervision:
             assert service.probe_shard(0) is False
             assert victim.state == "suspect"
             assert victim.process.exitcode is not None
-            assert not victim.breaker.allow()
             # a live shard probes healthy
             assert service.probe_shard(1) is True
-            # restart re-forks, re-probes, and closes the breaker
+            # restart re-forks and re-probes before the shard is alive
             assert service.restart_shard(0) is True
             assert victim.state == "alive"
             assert victim.process.pid != old_pid
-            assert victim.breaker.allow()
             assert victim.last_error is None
             assert service.stats()["restarts"] == 1
             results = service.infer_many(_tiny_samples(2))
@@ -945,7 +1094,7 @@ class TestShardSupervision:
             assert supervisor.check_once()["gave_up"] == 0
             assert victim.state == "failed"
             assert supervisor.stats()["gave_up"] == 1
-            # ...but serving continues, degraded through the fallback
+            # ...but serving continues, rerouted to the live shard
             results = service.infer_many(_tiny_samples(2))
             assert all(r.ok for r in results)
             assert service.stats()["degraded_requests"] >= 1
@@ -962,18 +1111,19 @@ class TestShardSupervision:
         )
         try:
             shard = service._shards[0]
-            with shard.lock:
-                shard.state = "suspect"
+            shard.process.kill()
+            assert service.probe_shard(0) is False
+            assert shard.state == "suspect"
 
             # make every restart attempt fail without forking anything
             service.restart_shard = lambda index: False  # type: ignore[method-assign]
             delays = []
             for _ in range(4):
                 assert supervisor.check_once()["restart_failures"] == 1
-                delays.append(shard.next_restart_at - fake_now[0])
+                delays.append(supervisor.next_restart_at[0] - fake_now[0])
                 # before the backoff expires the shard is left alone
                 assert supervisor.check_once()["restart_failures"] == 0
-                fake_now[0] = shard.next_restart_at
+                fake_now[0] = supervisor.next_restart_at[0]
             # capped exponential: 0.25, 0.5, 1.0, 1.0 (cap)
             assert delays == [0.25, 0.5, 1.0, 1.0]
         finally:

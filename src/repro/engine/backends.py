@@ -25,8 +25,9 @@ from ..gc.ot import MODP_2048, OTGroup
 from ..gc.ot_extension import IKNPState
 from ..gc.outsourcing import OutsourcedSession
 from ..gc.protocol import (
+    AliceHalf,
     ChannelFactory,
-    Pregarbled,
+    Copy,
     ProtocolResult,
     TwoPartySession,
     # not called here: the layered benchmark's tracer still wraps this
@@ -208,7 +209,7 @@ class TwoPartyBackend(Backend):
         if k == 0:
             return []
         session = self._session(circuit, client_bits_list, server_bits)
-        slots: List[Optional[Pregarbled]] = [None] * k
+        slots: List[Optional[Copy]] = [None] * k
         if pooled and self.pool is not None and self.pool.circuit is circuit:
             slots = [self.pool.acquire() for _ in range(k)]
         return session.run_many(
@@ -329,9 +330,10 @@ class CutAndChooseBackend(Backend):
             channel_factory=self.channel_factory, ot_state=self.ot_state,
         ).run(
             client_bits, server_bits,
-            pregarbled=Pregarbled(
-                circuit, cnc.evaluation_garbler(surviving),
-                cnc.garbled[surviving], 0.0,
+            # Alice's half alone: no pads, so the OT runs both phases
+            pregarbled=(
+                AliceHalf(cnc.evaluation_garbler(surviving), cnc.garbled[surviving]),
+                None,
             ),
             deadline=deadline,
         )

@@ -51,9 +51,9 @@ class EngineConfig:
         rng: randomness source (``secrets``, or a seeded
             ``random.Random`` for reproducible runs).
         pool_size: pre-garbled circuit copies to keep ready (two-party
-            backend only; 0 disables the offline/online split).  Each
-            holds its tables, interface labels and OT pads — 426 030 B
-            on the demo net (``pool.stats()["copy_bytes"]``).
+            backend only; 0 disables the offline/online split).  A copy's
+            two halves, one per party, hold its tables, interface labels
+            and OT pads: 426 030 B on the demo net (``pool.stats()["copy_bytes"]``).
         pool_refill: how the pool recovers once drained — ``"idle"``
             (default: one copy at a time, and only while the service has
             nothing in flight and expects to stay idle for a copy's

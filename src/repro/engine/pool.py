@@ -2,12 +2,12 @@
 
 Garbling is input-independent (paper Sec. 3: the tables depend only on
 the public netlist), so a serving deployment garbles *ahead* of demand
-and answers each request with material popped from a pool.  So is phase
-1 of the evaluator's OTs (random OTs, :mod:`repro.gc.ot_extension`):
-each copy is garbled with its pads.  The online critical path then
-contains only transfer + OT derandomization + evaluate + merge.  The
-pads' ``u`` frames move while nobody waits; :meth:`PregarbledPool.stats`
-reports them as ``offline_ot_bytes`` rather than hiding them.
+and answers each request with a copy popped from a pool.  So is phase 1
+of the evaluator's OTs (random OTs, :mod:`repro.gc.ot_extension`): each
+copy, one half per party, is garbled with its pads.  The online
+critical path then holds only transfer, OT derandomization, evaluation
+and merge.  The pads' ``u`` frames move while nobody waits;
+:meth:`PregarbledPool.stats` reports them as ``offline_ot_bytes``.
 
 "Ahead of demand" has to mean *while nobody is waiting*: under the GIL a
 thread that garbles during a request is on that request's path, and the
@@ -39,7 +39,7 @@ from ..errors import EngineError
 from ..gc.cipher import HashKDF
 from ..gc.ot import MODP_2048, OTGroup
 from ..gc.ot_extension import IKNPState
-from ..gc.protocol import Pregarbled, TwoPartySession
+from ..gc.protocol import Copy, TwoPartySession
 from ..gc.rng import RngLike
 
 __all__ = ["PregarbledPool"]
@@ -52,13 +52,15 @@ def check_refill(name: str, refill: str) -> None:
 
 
 class PregarbledPool:
-    """A bounded FIFO of single-use pre-garbled circuit copies.
+    """A bounded FIFO of single-use pre-garbled copies, each an
+    ``(alice_half, bob_half)`` pair (:data:`repro.gc.protocol.Copy`).
 
     Args:
         circuit: the netlist future requests will execute.
-        capacity: maximum copies held at once.  A copy holds its
-            tables, Δ with its interface wires' labels, and its OT pads:
-            426 030 B on the demo net, 89 % of it tables
+        capacity: maximum copies held at once.  Alice's half of a copy
+            holds its tables, Δ with its interface wires' labels and the
+            sender's pads, Bob's half the receiver's pads: 426 030 B
+            together on the demo net, 89 % of it tables
             (``stats()["copy_bytes"]``), so a pool costs about
             ``capacity`` times that — size it to the burst you want to
             absorb, not to total traffic.
@@ -98,7 +100,7 @@ class PregarbledPool:
         self._session = TwoPartySession(
             circuit, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state,
         )
-        self._items: Deque[Pregarbled] = deque()
+        self._items: Deque[Copy] = deque()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._pending = 0
@@ -153,20 +155,18 @@ class PregarbledPool:
                     self._items.extend(items)
                     self.garbled_total += len(items)
                     self.offline_ot_bytes += sum(
-                        item.pads.wire_bytes for item in items if item.pads
+                        bob.pads.wire_bytes for _, bob in items if bob and bob.pads
                     )
                     if items:  # the fastest seen, never an average
-                        self.copy_bytes = items[-1].nbytes
+                        self.copy_bytes = sum(half.nbytes for half in items[-1] if half)
                         per_copy = elapsed / len(items)
                         self._per_copy_s = min(per_copy, self._per_copy_s or per_copy)
             added += len(items)
-            if len(items) < batch:  # pregarble failed partway; don't spin
-                break
         return added
 
     # -- online phase -----------------------------------------------------
 
-    def acquire(self) -> Optional[Pregarbled]:
+    def acquire(self) -> Optional[Copy]:
         """Pop one pre-garbled copy, or None when the pool ran dry.
 
         A None return means the caller pays the cold garbling cost

@@ -29,7 +29,6 @@ from .ot import MODP_2048, TEST_GROUP_512, OTGroup, OTReceiver, OTSender
 from .ot_extension import IKNPState, extension_ot
 from .outsourcing import OutsourcedSession, outsource_circuit, split_input
 from .protocol import (
-    Pregarbled,
     ProtocolResult,
     TwoPartySession,
     execute,
@@ -77,7 +76,6 @@ __all__ = [
     "make_channel_pair",
     "TwoPartySession",
     "ProtocolResult",
-    "Pregarbled",
     "execute",
     "transfer_input_labels",
     "SequentialSession",

@@ -26,7 +26,7 @@ Oblivious Transfer", CRYPTO 1995):
   G(k_j^{s_j}) ^ s_j*u_j``, so the rows satisfy ``q_i = t_i ^ (r_i ? s :
   0)``.  The sender keeps the **pads** ``(x0_i, x1_i) = (H(q_i), H(q_i ^
   s))``, the receiver keeps ``r`` and ``x_{r_i} = H(t_i)``; nothing else
-  crosses.  A pool slot runs it with its garbled copy, offline.
+  crosses.  A pooled copy runs it offline, each side in its party's half.
 * **Phase 2, derandomization** (:func:`derandomize`) — online.  With its
   real choices ``c`` the evaluator sends ``e = c ^ r`` (``ceil(m/8)``
   bytes), the garbler answers ``y_b = m_b ^ x_{b^e}`` (one XOR over the
@@ -58,8 +58,8 @@ Who holds what: ``s`` and ``k_j^{s_j}`` are the sender's
 receiver's (:class:`ReceiverHalf`, the evaluator's).  An
 :class:`IKNPState` is *this process's share* of one set-up — both halves
 where one process hosts both parties, one where it hosts one — and each
-step of either phase runs only where its party has an endpoint; the
-same holds for the two sides of :class:`Pads`.
+step of either phase runs only where its party has an endpoint; each
+hosted end gets its own side of phase 1's :class:`Pads`, and spends it.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_in_process, base_ot_o
 from .rng import RngLike, rand_bits
 
 __all__ = [
-    "IKNPState", "KAPPA", "Pads", "ReceiverHalf", "SenderHalf", "chosen_ot",
+    "IKNPState", "KAPPA", "PadEnds", "Pads", "ReceiverHalf", "SenderHalf", "chosen_ot",
     "derandomize", "extension_ot", "random_choices",
 ]
 
@@ -333,11 +333,10 @@ def _held(half: Optional[_Half], party: str) -> _Half:
 
 @dataclasses.dataclass(frozen=True)
 class Pads:
-    """``m`` random OTs from one phase-1 extension, the sides held here.
-
-    Single-use: phase 2 spends them on one set of messages.  Where one
-    process hosts both parties it holds both sides; otherwise the side
-    of the party it hosts, the other ``None``.
+    """One party's side of ``m`` random OTs from one phase-1 extension:
+    the sender's holds ``sender``, the receiver's ``choices`` and
+    ``chosen``, also where one process hosts both.  Single-use: phase 2
+    spends them on one set of messages.
 
     Attributes:
         m: transfers.
@@ -354,6 +353,15 @@ class Pads:
     choices: Optional[np.ndarray] = None
     chosen: Optional[np.ndarray] = None
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes this side holds in arrays."""
+        return sum(a.nbytes for a in (self.sender, self.choices, self.chosen) if a is not None)
+
+
+#: Phase 1's pads per end: ``(sender's, receiver's)``, as :data:`Ends`.
+PadEnds = Tuple[Optional[Pads], Optional[Pads]]
+
 
 def random_choices(m: int, rng: RngLike) -> np.ndarray:
     """The receiver's ``m`` uniform random choice bits, ``(m,)`` uint8."""
@@ -367,7 +375,7 @@ def extension_ot(
     channel: Optional[Ends] = None,
     *,
     state: IKNPState,
-) -> Pads:
+) -> PadEnds:
     """Phase 1: ``m`` random OTs by one IKNP extension, on the ends of
     ``channel`` held here.
 
@@ -389,17 +397,16 @@ def extension_ot(
             and this call only burns one counter.
 
     Returns:
-        The :class:`Pads`, the sides of the parties hosted here.
+        The :class:`Pads` per end, ``None`` for a party hosted elsewhere.
     """
     if choices is not None and len(choices) != m:
         raise OTError("need one random choice per transfer")
-    if m == 0:
-        return Pads(0, 0)
     alice_end, bob_end = channel or make_channel_pair()[:2]
+    if m == 0:  # nothing to extend, and nothing on the link
+        return (alice_end and Pads(0, 0)), (bob_end and Pads(0, 0))
     u_len = COUNTER_BYTES + KAPPA * ((m + 7) // 8)
-    r: Optional[np.ndarray] = None
-    chosen: Optional[np.ndarray] = None
-    sender: Optional[np.ndarray] = None
+    sender: Optional[Pads] = None
+    receiver: Optional[Pads] = None
     with state.turn:
         state.set_up((alice_end, bob_end))
         # --- receiver: a fresh counter, u out, its one pad per row
@@ -410,7 +417,7 @@ def extension_ot(
             counter = state.reserve()
             t_rows, u_cols = _held(state.receiver, "receiver").columns(counter, r)
             bob_end.send_bytes(counter.to_bytes(COUNTER_BYTES, "big") + u_cols, tag="ot")
-            chosen = _pad_hash(t_rows, counter)
+            receiver = Pads(m, u_len + 4, choices=r, chosen=_pad_hash(t_rows, counter))
         # --- sender: u in, a counter it has not served, both pads per row
         if alice_end is not None:
             blob = alice_end.recv_bytes(expected_tag="ot")
@@ -421,14 +428,14 @@ def extension_ot(
                 )
             counter = state.serve(int.from_bytes(blob[:COUNTER_BYTES], "big"))
             rows = _held(state.sender, "sender").rows(counter, m, blob[COUNTER_BYTES:])
-            sender = _pad_hash(rows, counter)
-    return Pads(m, u_len + 4, sender, r, chosen)
+            sender = Pads(m, u_len + 4, sender=_pad_hash(rows, counter))
+    return sender, receiver
 
 
 def derandomize(
     messages: Optional[np.ndarray],
     bits: Optional[Sequence[int]],
-    pads: Pads,
+    pads: PadEnds,
     channel: Ends,
 ) -> Tuple[np.ndarray, int]:
     """Phase 2: ``m`` chosen-message OTs spent from ``m`` random ones.
@@ -444,7 +451,7 @@ def derandomize(
             sender is hosted elsewhere.
         bits: the receiver's ``m`` real choice bits; ``None`` where the
             receiver is hosted elsewhere.
-        pads: phase 1's output, with the sides of the hosted parties.
+        pads: phase 1's :class:`Pads` per end, as :func:`extension_ot` returns them.
         channel: ``(alice_end, bob_end)``, as for :func:`extension_ot`.
 
     Returns:
@@ -453,14 +460,15 @@ def derandomize(
         frames as the channel charges them, equal on both ends.
     """
     alice_end, bob_end = channel
-    m = pads.m
+    sender, receiver = pads
+    m = next(side.m for side in pads if side is not None)
     e_len = (m + 7) // 8
     sent = (e_len + 4) + (2 * m * LABEL_BYTES + 4)
     # --- receiver: its real choices, blinded by the random ones
     if bob_end is not None:
-        r, x_r = pads.choices, pads.chosen
+        r, x_r = (receiver.choices, receiver.chosen) if receiver else (None, None)
         if bits is None or len(bits) != m or r is None or x_r is None:
-            raise OTError("the receiver's end needs one choice per pad it holds")
+            raise OTError("the receiver's end needs its pads and one choice per pad")
         c = np.array(bits, dtype=np.uint8) & 1
         bob_end.send_bytes(np.packbits(c ^ r).tobytes(), tag="ot")
     # --- sender: both labels, each under the pad e says the receiver can open
@@ -471,7 +479,7 @@ def derandomize(
             or messages.shape != (m, 2, LABEL_BYTES)
         ):
             raise OTError(f"sender messages must be one ({m}, 2, 16) uint8 plane")
-        x = pads.sender
+        x = sender.sender if sender else None
         if x is None:
             raise OTError("the sender's end needs the sender's pads")
         blob = alice_end.recv_bytes(expected_tag="ot")
@@ -520,4 +528,4 @@ def chosen_ot(
     choices = None if ends[1] is None else random_choices(m, rng)
     pads = extension_ot(m, choices, ends, state=state)
     chosen, sent = derandomize(messages, bits, pads, ends)
-    return chosen, pads.wire_bytes + sent
+    return chosen, next(side.wire_bytes for side in pads if side is not None) + sent

@@ -29,6 +29,7 @@ walk.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import secrets
 import threading
 import time
@@ -68,6 +69,7 @@ from .ot import MODP_2048, OTGroup
 from .ot_extension import (
     Ends,
     IKNPState,
+    PadEnds,
     Pads,
     chosen_ot,
     derandomize,
@@ -77,70 +79,73 @@ from .ot_extension import (
 from .rng import RngLike
 
 __all__ = [
-    "Pregarbled",
+    "AliceHalf",
+    "BobHalf",
+    "Copy",
     "ProtocolResult",
     "TwoPartySession",
     "execute",
     "transfer_input_labels",
 ]
 
-@dataclasses.dataclass
-class Pregarbled:
-    """Input-independent garbling material produced ahead of a request.
+#: Copy ids: one counter per process, so no two copies share one.
+_copy_ids = itertools.count()
 
-    Garbling depends only on the (public) netlist, never on either
-    party's inputs — the paper's offline/online split lever: the garbler
-    can prepare tables for future inferences while the line is idle, so
-    the online critical path shrinks to transfer + OT + evaluate + merge.
-    Phase 1 of the evaluator's OTs (random OTs, no input either) can run
-    then too: a copy from :meth:`TwoPartySession.pregarble_many` carries
-    its :class:`~repro.gc.ot_extension.Pads`, so the online OT is their
-    derandomization alone.
 
-    A unit is single-use: wire labels must never encrypt two different
-    input sets (:meth:`claim` enforces this atomically, so concurrent
-    ``run`` calls cannot share one unit).
+@dataclasses.dataclass(eq=False)
+class _Half:
+    """One party's half of a pre-garbled copy: its side of the copy's
+    pads (``None`` without pads) and the copy's id.  Single-use: labels
+    must never encrypt two input sets, so one :meth:`claim` succeeds."""
 
-    Attributes:
-        circuit: the netlist this material belongs to.
-        garbler: the garbler holding the secret wire labels.
-        garbled: the evaluator-side tables.
-        garble_seconds: offline wall time spent garbling.
-        pads: phase 1 of the copy's OTs, both sides (one process hosts
-            both parties); ``None`` runs both phases in the request.
-            Used only on a link with both ends in this process.
-    """
-
-    circuit: Circuit
-    garbler: Garbler
-    garbled: GarbledCircuit
-    garble_seconds: float
-    pads: Optional[Pads] = None
-    consumed: bool = False
+    pads: Optional[Pads] = dataclasses.field(default=None, kw_only=True)
+    copy_id: int = dataclasses.field(default_factory=_copy_ids.__next__, kw_only=True)
+    _consumed: bool = dataclasses.field(default=False, init=False, repr=False)
     _claim_lock: threading.Lock = dataclasses.field(
-        default_factory=threading.Lock, repr=False, compare=False
+        default_factory=threading.Lock, init=False, repr=False
     )
 
     @property
     def nbytes(self) -> int:
-        """Bytes the copy holds in arrays: its tables, its label rows
-        (Δ and the interface wires') and its pads."""
-        labels = self.garbler.labels
-        arrays = [self.garbled.tables, labels.rows, labels.delta_row]
-        if self.pads is not None:
-            arrays += [self.pads.sender, self.pads.choices, self.pads.chosen]
-        return sum(a.nbytes for a in arrays)
+        """Bytes the half holds in arrays."""
+        return self.pads.nbytes if self.pads else 0
+
+    @property
+    def consumed(self) -> bool:
+        """Whether the half has been claimed."""
+        with self._claim_lock:
+            return self._consumed
 
     def claim(self) -> None:
-        """Mark the material used; at most one caller ever succeeds.
-
-        Raises:
-            ProtocolError: the material was already claimed.
-        """
+        """Mark the half used, or raise :class:`ProtocolError` if it was."""
         with self._claim_lock:
-            if self.consumed:
+            if self._consumed:
                 raise ProtocolError("pregarbled material cannot be reused")
-            self.consumed = True
+            self._consumed = True
+
+
+@dataclasses.dataclass(eq=False)
+class AliceHalf(_Half):
+    """Alice's half of a copy: her garbler (Δ and the interface wires'
+    labels), the tables she sends in the request, the sender's pads."""
+
+    garbler: Garbler
+    garbled: GarbledCircuit
+
+    @property
+    def nbytes(self) -> int:
+        labels = self.garbler.labels
+        arrays = (self.garbled.tables, labels.rows, labels.delta_row)
+        return super().nbytes + sum(a.nbytes for a in arrays)
+
+
+class BobHalf(_Half):
+    """Bob's half of a copy: the receiver's pads, ``r`` and ``x_r``."""
+
+
+#: A copy as ``(alice_half, bob_half)``, as a link is ``(alice_end,
+#: bob_end)``: ``None`` for a half this process does not hold.
+Copy = Tuple[Optional[AliceHalf], Optional[BobHalf]]
 
 
 @dataclasses.dataclass
@@ -158,7 +163,7 @@ class ProtocolResult:
             'output_labels', ...; empty for the plaintext reference).
         n_xor: free-gate count of the executed netlist.
         n_non_xor: non-free gate count (the communication driver).
-        pregarbled: the round ran on a pre-garbled pool slot, so its
+        pregarbled: the round ran on Alice's half of a pooled copy, so its
             garbling happened before the request.
     """
 
@@ -209,7 +214,7 @@ class _Session:
         lanes: Sequence[Sequence[Tuple[Optional[Sequence[int]], Optional[Sequence[int]]]]],
         registers: Sequence[Register] = (),
         final_only: bool = False,
-        pregarbled: Optional[Sequence[Optional[Pregarbled]]] = None,
+        pregarbled: Optional[Sequence[Optional[Copy]]] = None,
         deadline: Optional["Deadline"] = None,
     ) -> List[List[ProtocolResult]]:
         """The protocol round once per cycle of every lane — one request
@@ -217,30 +222,40 @@ class _Session:
         many cycles in every lane; per lane, one :class:`ProtocolResult`
         per cycle (its ``comm`` is the link's traffic so far).
 
-        The lanes share one evaluator, so the oracles of the
-        ``pregarbled`` slots (one per lane; ``None`` garbles fresh) and,
-        for a fresh lane, the session's must agree before anything is
-        claimed.  Cycle 0 claims each hosted lane's slot (its results
-        say ``pregarbled``), garbles the rest in one :func:`garble_many`
-        call and moves the labels of the public initial ``registers``
-        state; every later cycle re-garbles on the lane's garbler (one
-        Δ, tweaks advanced by the public table count) with the d-wires'
-        zero-labels as the q-wires', while the evaluator carries its
-        active labels.  Each cycle, Bob's lanes are
-        one :meth:`FastEvaluator.evaluate_many` walk.  ``final_only``
-        merges the last round alone.  More than one lane needs both ends
-        of every link in this process.
+        Each end claims its party's half of its lane's ``pregarbled``
+        copy (``None`` garbles fresh) once :meth:`_claim` has checked
+        them all.  The lanes share one evaluator, so the oracles of the
+        Alice halves and, for a fresh lane, the session's must agree.
+        Cycle 0 garbles the lanes without an Alice half in one
+        :func:`garble_many` call (the others' results say
+        ``pregarbled``) and moves the labels of the public initial
+        ``registers`` state; every later cycle re-garbles on the lane's
+        garbler (one Δ, tweaks advanced by the public table count) with
+        the d-wires' zero-labels as the q-wires', while the evaluator
+        carries its active labels.  Each cycle, Bob's lanes are one
+        :meth:`FastEvaluator.evaluate_many` walk.  ``final_only`` merges
+        the last round alone.  More than one lane needs both ends of
+        every link in this process.
         """
         circuit = self.circuit
         k = len(lanes)
-        slots = list(pregarbled) if pregarbled is not None else [None] * k
-        oracle = self._oracle(slots)
-        ends = [open_link(self.channel_factory, deadline) for _ in range(k)]
+        ends = [self.channel_factory() for _ in range(k)]
+        if deadline is not None:  # armed on the ends held here
+            for end in [e for link in ends for e in link[:2] if e is not None]:
+                end.deadline = deadline
         if k > 1 and any(a is None or b is None for a, b, _ in ends):
             raise ProtocolError(
                 "run_many batches both parties' work: it needs both ends "
                 "of every link in this process"
             )
+        # each end claims its own party's half of the lane's copy
+        halves: List[Copy] = [
+            (copy and alice_end and copy[0], copy and bob_end and copy[1])
+            for copy, (alice_end, bob_end, _) in zip(pregarbled or [None] * k, ends)
+        ]
+        oracle = self._oracle([alice for alice, _ in halves])
+        self._claim(halves)
+        pads: List[PadEnds] = [(a and a.pads, b and b.pads) for a, b in halves]
         n_cycles = len(lanes[0])
         d_wires = [reg.d_wire for reg in registers]
         initial_state = [reg.init & 1 for reg in registers]
@@ -250,24 +265,17 @@ class _Session:
         evaluator: Optional[FastEvaluator] = None
         carried: List[Optional[LabelsLike]] = [None] * k  # Bob's register labels
         output_labels: List[List[int]] = [[] for _ in range(k)]
-        pooled = [False] * k  # lanes served from a pre-garbled slot
         results: List[List[ProtocolResult]] = [[] for _ in range(k)]
         for cycle in range(n_cycles):
             last = cycle == n_cycles - 1
             tweak_base = 2 * n_tables * cycle
-            # (i) garbling — Alice (cycle 0 offline for a pool slot)
+            # (i) garbling — Alice (cycle 0 offline for a pooled copy)
             garbled: Dict[int, GarbledCircuit] = {}
-            pads: Dict[int, Optional[Pads]] = {}
             garble_s = [0.0] * k
             if cycle == 0:
-                for i in hosted:
-                    slot = slots[i]
-                    if slot is not None:
-                        if slot.circuit is not circuit:
-                            raise ProtocolError("pregarbled material is for a different circuit")
-                        slot.claim()
-                        pooled[i] = True
-                        garblers[i], garbled[i], pads[i] = slot.garbler, slot.garbled, slot.pads
+                for i, (alice, _) in enumerate(halves):
+                    if alice is not None:
+                        garblers[i], garbled[i] = alice.garbler, alice.garbled
                 cold = [i for i in hosted if i not in garbled]
                 if cold:
                     start = time.perf_counter()
@@ -292,7 +300,8 @@ class _Session:
                 self._transfer(
                     alice_end and (alice_end, garblers[i], garbled[i]), bob_end,
                     stats, *lanes[i][cycle], garble_s[i], tweak_base,
-                    initial_state if cycle == 0 else (), pads.get(i),
+                    initial_state if cycle == 0 else (),
+                    pads[i] if cycle == 0 else (None, None),
                 )
                 for i, (alice_end, bob_end, stats) in enumerate(ends)
             ]
@@ -317,22 +326,22 @@ class _Session:
                     deadline.check("evaluate")
 
             # (iv) merge — Bob returns output labels, Alice decodes
-            for lane, link, labels, from_slot in zip(results, links, output_labels, pooled):
+            for lane, link, labels, (alice, _) in zip(results, links, output_labels, halves):
                 if last or not final_only:
                     result = self._merge(link, labels)
                 else:  # an earlier cycle of a final_only run reveals nothing
                     result = self._result(link, [])
-                result.pregarbled = from_slot
+                result.pregarbled = alice is not None
                 lane.append(result)
         return results
 
-    def _oracle(self, slots: Sequence[Optional[Pregarbled]]) -> HashKDF:
-        """The one garbling oracle of a round's lanes: the first slot's,
-        else the session's.  Equivalence is probed functionally, so
-        distinct instances of one oracle (or a wrapper around it) agree.
+    def _oracle(self, alices: Sequence[Optional[AliceHalf]]) -> HashKDF:
+        """The one garbling oracle of a round's lanes: the first Alice
+        half's, else the session's.  Equivalence is probed functionally,
+        so distinct instances of one oracle (or a wrapper around it) agree.
         """
-        kdfs = [slot.garbler.kdf for slot in slots if slot is not None]
-        if len(kdfs) < len(slots):
+        kdfs = [alice.garbler.kdf for alice in alices if alice is not None]
+        if len(kdfs) < len(alices):
             kdfs.append(self.kdf)
         oracle = kdfs[0]
         if any(
@@ -345,6 +354,23 @@ class _Session:
             )
         return oracle
 
+    def _claim(self, halves: Sequence[Copy]) -> None:
+        """Claim every lane's halves once all pass: Alice's is of this
+        circuit, a lane's two are of one copy, and none is used or held
+        by two lanes.  Otherwise :class:`ProtocolError`, none claimed."""
+        for alice, bob in halves:
+            if alice and alice.garbler.circuit is not self.circuit:
+                raise ProtocolError("pregarbled material is for a different circuit")
+            if alice and bob and alice.copy_id != bob.copy_id:
+                raise ProtocolError(
+                    f"a lane's halves are of two copies, {alice.copy_id} and {bob.copy_id}"
+                )
+        held = [half for lane in halves for half in lane if half]
+        if len(set(held)) < len(held) or any(half.consumed for half in held):
+            raise ProtocolError("pregarbled material cannot be reused")
+        for half in held:
+            half.claim()
+
     def _transfer(
         self,
         alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]],
@@ -355,15 +381,14 @@ class _Session:
         garble_s: float,
         tweak_base: int = 0,
         initial_state: Sequence[int] = (),
-        pads: Optional[Pads] = None,
+        pads: PadEnds = (None, None),
     ) -> "_Link":
         """Step (ii) of one round: Alice's flights move, Bob's view is
         rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
         ``ot`` are timed apart.  A non-empty ``initial_state`` (the
         public power-on register bits, cycle 0 of a sequential run) moves
         its labels as one ``state_labels`` frame after Alice's.  ``pads``
-        (a pool slot's) serve only a link with both ends here: on another
-        link the other process holds other pads."""
+        are the claimed halves' pads, per end."""
         link = _Link(alice, bob_end, stats, {} if alice is None else {"garble": garble_s})
         start = time.perf_counter()
         if alice is not None:
@@ -390,8 +415,7 @@ class _Session:
         start = time.perf_counter()
         bob_labels, _ = transfer_input_labels(
             alice and alice[1], self.circuit.bob_inputs, bob_bits,
-            (alice and alice[0], bob_end), self.ot_state, rng=self.rng,
-            pads=pads if alice is not None and bob_end is not None else None,
+            (alice and alice[0], bob_end), self.ot_state, rng=self.rng, pads=pads,
         )
         link.times["ot"] = time.perf_counter() - start
         if bob_end is not None:
@@ -453,49 +477,43 @@ class TwoPartySession(_Session):
             )
         super().__init__(circuit, kdf, ot_group, rng, channel_factory, ot_state)
 
-    def pregarble_many(self, count: int) -> List[Pregarbled]:
-        """Batch offline phase: ``count`` single-use copies in one pass,
-        each with the pads of its OTs where both parties are here.
+    def pregarble_many(self, count: int) -> List[Copy]:
+        """Batch offline phase: ``count`` single-use copies in one pass.
 
         All copies share one walk of the level schedule (and one KDF
         batch per level), so warming a pool of ``k`` copies costs much
         less than ``k`` one-copy passes.  Where the session's links host
         both parties, phase 1 of each copy's OTs runs too, on the
-        session's OT state — one random-OT extension per copy over a
-        private in-memory link — so a request served from the copy runs
-        phase 2 alone.  A session hosting one party makes no pads: its
-        state is set up over its link, framed, with the other process.
+        session's OT state over a private in-memory link, so a request
+        served from the copy runs phase 2 alone: the sender's pads go
+        into Alice's half, the receiver's into Bob's.  A session hosting
+        Alice alone makes her halves without pads (its state is set up
+        over its link, framed, with the other process); one hosting Bob
+        alone garbles nothing and raises :class:`ProtocolError`.
         """
         if count < 0:
             raise ProtocolError("copy count must be >= 0")
-        if count == 0:
-            return []
-        start = time.perf_counter()
-        copies = garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng)
-        per_copy = (time.perf_counter() - start) / count
-        m = len(self.circuit.bob_inputs)
         # one link, opened and left unused, says which parties they host
         alice_end, bob_end, _ = self.channel_factory()
-        if alice_end is None or bob_end is None:
-            m = 0
-        return [
-            Pregarbled(
-                circuit=self.circuit,
-                garbler=garbler,
-                garbled=garbled,
-                garble_seconds=per_copy,
-                pads=None if not m else extension_ot(
-                    m, random_choices(m, self.rng), state=self.ot_state
-                ),
-            )
-            for garbler, garbled in copies
-        ]
+        if alice_end is None:
+            raise ProtocolError("only Alice garbles: this session's links host Bob alone")
+        if count == 0:
+            return []
+        m = len(self.circuit.bob_inputs) if bob_end is not None else 0
+        made: List[Copy] = []
+        for garbler, garbled in garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng):
+            sender, receiver = extension_ot(
+                m, random_choices(m, self.rng), state=self.ot_state
+            ) if m else (None, None)
+            alice = AliceHalf(garbler, garbled, pads=sender)
+            made.append((alice, receiver and BobHalf(pads=receiver, copy_id=alice.copy_id)))
+        return made
 
     def run_many(
         self,
         alice_bits_list: Sequence[Sequence[int]],
         bob_bits_list: Sequence[Sequence[int]],
-        pregarbled: Optional[Sequence[Optional[Pregarbled]]] = None,
+        pregarbled: Optional[Sequence[Optional[Copy]]] = None,
         deadline: Optional["Deadline"] = None,
     ) -> List[ProtocolResult]:
         """Serve ``k`` requests through one batched evaluation pass.
@@ -513,8 +531,9 @@ class TwoPartySession(_Session):
         Args:
             alice_bits_list: per-request client input bits.
             bob_bits_list: per-request server input bits (same length).
-            pregarbled: optional per-request offline material; ``None``
-                slots are garbled fresh in one batch.
+            pregarbled: optional per-request copies from
+                :meth:`pregarble_many`; ``None`` slots are garbled fresh
+                in one batch.
             deadline: optional time budget for the whole batch, checked
                 at every phase boundary and on every recv.
 
@@ -540,7 +559,7 @@ class TwoPartySession(_Session):
         self,
         alice_bits: Optional[Sequence[int]],
         bob_bits: Optional[Sequence[int]],
-        pregarbled: Optional[Pregarbled] = None,
+        pregarbled: Optional[Copy] = None,
         deadline: Optional["Deadline"] = None,
     ) -> ProtocolResult:
         """Execute the protocol on plaintext inputs.
@@ -550,9 +569,9 @@ class TwoPartySession(_Session):
                 not read where Alice is hosted elsewhere — pass ``None``).
             bob_bits: the server's input bits (transferred only via OT;
                 ``None`` where Bob is hosted elsewhere).
-            pregarbled: offline material from :meth:`pregarble_many`; skips
-                the online garbling phase (``times['garble']`` is then
-                0).
+            pregarbled: a copy from :meth:`pregarble_many`, each end
+                claiming its party's half; Alice's skips the online
+                garbling phase (``times['garble']`` is then 0).
             deadline: optional per-request time budget, checked at every
                 phase boundary and charged on every recv; expiry raises
                 :class:`repro.errors.DeadlineExceeded`.
@@ -564,17 +583,6 @@ class TwoPartySession(_Session):
         return self._rounds(
             [[(alice_bits, bob_bits)]], pregarbled=[pregarbled], deadline=deadline,
         )[0][0]
-
-
-def open_link(
-    factory: LinkFactory, deadline: Optional["Deadline"]
-) -> Tuple[Optional[Channel], Optional[Channel], ChannelStats]:
-    """One request's link, its deadline armed on the ends held here."""
-    alice_end, bob_end, stats = factory()
-    for end in (alice_end, bob_end):
-        if end is not None and deadline is not None:
-            end.deadline = deadline
-    return alice_end, bob_end, stats
 
 
 @dataclasses.dataclass
@@ -598,7 +606,7 @@ class _Link:
 # the evaluator may see — is these four functions, with the OT flights
 # of transfer_input_labels between the second and the third (and, at
 # cycle 0 of a run with registers, one state_labels frame before them):
-# u, e and y, or e and y alone when a pool slot's pads precomputed u.
+# u, e and y, or e and y alone when a pooled copy's pads precomputed u.
 # _Session._transfer and _merge call them, each on the end of the party
 # it belongs to, for every lane of every cycle _Session._rounds drives —
 # a request, a slot of run_many(), a SequentialSession cycle and
@@ -675,12 +683,12 @@ def transfer_input_labels(
     channel: Ends,
     state: IKNPState,
     rng: RngLike = secrets,
-    pads: Optional[Pads] = None,
+    pads: PadEnds = (None, None),
 ) -> Tuple[np.ndarray, int]:
     """Transfer the evaluator's input labels obliviously.
 
     The single OT entry point every flow shares.  Handed ``pads`` —
-    phase 1 run ahead, with a pool slot's garbled copy — it runs phase 2
+    phase 1 run ahead, with a pooled copy's halves — it runs phase 2
     alone (:func:`repro.gc.ot_extension.derandomize`: ``e`` out, ``y``
     back).  Otherwise both phases run here on ``state``, ``u`` then
     ``e`` and ``y`` (:func:`repro.gc.ot_extension.chosen_ot`).  The
@@ -703,8 +711,9 @@ def transfer_input_labels(
         state: the caller's OT-extension state, whose one base-OT batch
             every transfer extends.
         rng: randomness source (the evaluator's random choices among it).
-        pads: phase 1's random OTs for exactly these wires, both sides
-            held here.
+        pads: phase 1's random OTs for exactly these wires, per end as
+            ``channel`` is: the sender's and the receiver's side, ``None``
+            for a side not held here.
 
     Returns:
         ``(labels, total_bytes)`` — the chosen labels as ``(m, 16)``
@@ -716,11 +725,10 @@ def transfer_input_labels(
     if not wires:
         return np.empty((0, 16), dtype=np.uint8), 0
     messages = None if garbler is None else garbler.label_pair_rows(wires)
-    if pads is not None:
-        if pads.m != len(wires):
-            raise ProtocolError(
-                f"pads for {pads.m} transfers cannot carry {len(wires)} labels"
-            )
+    widths = [side.m for side in pads if side is not None]
+    if widths:
+        if set(widths) != {len(wires)}:
+            raise ProtocolError(f"pads for {widths[0]} transfers cannot carry {len(wires)} labels")
         return derandomize(messages, bits, pads, channel)
     return chosen_ot(messages, bits, channel, state=state, rng=rng)
 

@@ -273,10 +273,6 @@ class ShardedService:
         max_inflight: bound on concurrently admitted requests across all
             batches (0 = unbounded); excess is shed with the permanent
             :class:`~repro.errors.ServiceOverloadedError`.
-        supervise: run a :class:`~repro.transport.supervisor.ShardSupervisor`
-            thread that probes and re-forks workers.  Only the supervisor
-            restarts a retired shard: unsupervised, a shard whose RPC
-            failed once stays out of the rotation for good.
         probe_interval_s / probe_timeout_s: heartbeat cadence and the
             liveness deadline one ping must answer within.
         max_restarts: consecutive failed restart attempts before a shard
@@ -294,7 +290,6 @@ class ShardedService:
         prepare: int = 0,
         rpc_timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
         max_inflight: int = 0,
-        supervise: bool = True,
         probe_interval_s: float = 1.0,
         probe_timeout_s: float = 10.0,
         max_restarts: int = 3,
@@ -323,7 +318,15 @@ class ShardedService:
             "reroutes": 0,
         }
         self._context = multiprocessing.get_context("fork")
-        self._supervisor: Optional[ShardSupervisor] = None
+        #: probes and re-forks the workers: the one thing that brings a
+        #: retired shard back (started once the shards are warm)
+        self._supervisor = ShardSupervisor(
+            self,
+            probe_interval_s=probe_interval_s,
+            max_restarts=max_restarts,
+            backoff_s=restart_backoff_s,
+            backoff_cap_s=restart_backoff_cap_s,
+        )
         self._shards: List[_Shard] = [
             _Shard(index, self._spawn_worker, self._kick)
             for index in range(shards)
@@ -332,15 +335,7 @@ class ShardedService:
             # warm every pool shard before the first batch (the sharded
             # offline phase); a worker that fails it is retired
             self.prepare(prepare)
-        if supervise:
-            self._supervisor = ShardSupervisor(
-                self,
-                probe_interval_s=probe_interval_s,
-                max_restarts=max_restarts,
-                backoff_s=restart_backoff_s,
-                backoff_cap_s=restart_backoff_cap_s,
-            )
-            self._supervisor.start()
+        self._supervisor.start()
 
     # -- shard plumbing ----------------------------------------------------
 
@@ -358,10 +353,8 @@ class ShardedService:
         return parent_sock, process
 
     def _kick(self) -> None:
-        """A link was retired: wake the supervisor, if there is one."""
-        supervisor = self._supervisor
-        if supervisor is not None:
-            supervisor.kick()
+        """A link was retired: wake the supervisor."""
+        self._supervisor.kick()
 
     def live_shards(self) -> List[int]:
         """Indices of shards in the serving state."""
@@ -589,9 +582,7 @@ class ShardedService:
         }
         if shard_ot:  # forks of one configuration: the first speaks for all
             snapshot["ot"]["group"] = shard_ot[0].get("group")
-        supervisor = self._supervisor
-        if supervisor is not None:
-            snapshot["supervisor"] = supervisor.stats()
+        snapshot["supervisor"] = self._supervisor.stats()
         return snapshot
 
     def prepare(self, count: int) -> int:
@@ -632,9 +623,7 @@ class ShardedService:
         )
         if not self._gate.drain(grace):
             return
-        supervisor = self._supervisor
-        if supervisor is not None:
-            supervisor.close()
+        self._supervisor.close()
         for shard in self._shards:
             shard.close()
 

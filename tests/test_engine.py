@@ -161,7 +161,8 @@ class TestPregarbledPool:
         assert warm.outputs == cold.outputs
         assert pool.hits == 1 and pool.misses == 1
 
-    def test_pregarbled_material_single_use(self, compiled_model):
+    @pytest.mark.parametrize("half", [0, 1], ids=["alice", "bob"])
+    def test_pregarbled_material_single_use(self, compiled_model, half):
         _, compiled, _, x = compiled_model
         session = TwoPartySession(
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(6)
@@ -169,16 +170,19 @@ class TestPregarbledPool:
         material = session.pregarble_many(1)[0]
         bits = compiled.client_bits(x[0])
         session.run(bits, compiled.server_bits(), pregarbled=material)
+        # either half alone is refused once used
+        reused = (material[0], None) if half == 0 else (None, material[1])
         with pytest.raises(ProtocolError, match="reuse"):
-            session.run(bits, compiled.server_bits(), pregarbled=material)
+            session.run(bits, compiled.server_bits(), pregarbled=reused)
 
-    def test_pregarbled_claim_atomic_under_races(self, compiled_model):
+    @pytest.mark.parametrize("half", [0, 1], ids=["alice", "bob"])
+    def test_pregarbled_claim_atomic_under_races(self, compiled_model, half):
         """Exactly one of many racing claimers may win (label-reuse guard)."""
         _, compiled, _, _ = compiled_model
         session = TwoPartySession(
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(6)
         )
-        material = session.pregarble_many(1)[0]
+        material = session.pregarble_many(1)[0][half]
         wins, barrier = [], threading.Barrier(8)
 
         def race():
@@ -216,6 +220,44 @@ class TestPregarbledPool:
                 compiled.server_bits(),
                 pregarbled=material,
             )
+
+    @pytest.mark.parametrize("lane, match", [
+        ("halves_of_two_copies", "two copies"), ("a_used_half", "reuse"),
+        ("one_copy_in_two_lanes", "reuse"),
+    ])
+    def test_pool_rejects_a_lane_of_mismatched_halves(self, compiled_model, lane, match):
+        """Halves of two copies, a half used before, or one copy in two
+        lanes of a batch, are refused with no half claimed; the pool
+        serves on."""
+        _, compiled, _, x = compiled_model
+        pool = PregarbledPool(
+            compiled.circuit, capacity=3, ot_group=TEST_GROUP_512,
+            rng=random.Random(7),
+        )
+        assert pool.warm() == 3
+        (alice, bob), (_, other_bob) = pool.acquire(), pool.acquire()
+        lanes = [(alice, other_bob)]
+        if lane == "a_used_half":
+            bob.claim()
+            lanes = [(alice, bob)]
+        elif lane == "one_copy_in_two_lanes":
+            lanes = [(alice, bob)] * 2
+        session = TwoPartySession(
+            compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(7)
+        )
+        bits, server_bits = compiled.client_bits(x[0]), compiled.server_bits()
+        with pytest.raises(ProtocolError, match=match):
+            session.run_many(
+                [bits] * len(lanes), [server_bits] * len(lanes), pregarbled=lanes
+            )
+        assert not alice.consumed and not other_bob.consumed
+        assert bob.consumed is (lane == "a_used_half")
+        backend = get_backend(
+            "two_party", ot_group=TEST_GROUP_512, rng=random.Random(7), pool=pool,
+        )
+        served = backend.run(compiled.circuit, bits, server_bits)
+        assert served.pregarbled and pool.hits == 3
+        assert served.outputs == session.run(bits, server_bits).outputs
 
     def test_malformed_request_does_not_burn_pool_unit(self, compiled_model):
         _, compiled, _, _ = compiled_model

@@ -648,9 +648,9 @@ class TestVectorizedIKNP:
         monkeypatch.setattr(cipher, "_ecb_encrypt", counting)
         state = ot_extension.IKNPState(group=TEST_GROUP_512, rng=random.Random(3))
         state.set_up()
-        pads = ot_extension.extension_ot(700, [1] * 700, state=state)
+        sender, receiver = ot_extension.extension_ot(700, [1] * 700, state=state)
         assert calls == [700, 700, 1400, 1400]
-        assert pads.chosen.shape == (700, 16) and pads.sender.shape == (700, 2, 16)
+        assert receiver.chosen.shape == (700, 16) and sender.sender.shape == (700, 2, 16)
 
     def test_receiver_gets_chosen_messages(self):
         pairs, choices = self._pairs(80, seed=5)

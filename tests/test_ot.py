@@ -361,8 +361,8 @@ class TestOTExtension:
         assert all(m.tobytes() == p[c] for m, c, p in zip(out, choices, pairs))
 
     def test_empty_batch(self):
-        pads = extension_ot(0, [], state=IKNPState(TEST_GROUP_512))
-        assert pads.m == 0 and pads.wire_bytes == 0
+        for pads in extension_ot(0, [], state=IKNPState(TEST_GROUP_512)):
+            assert pads.m == 0 and pads.wire_bytes == 0
         out, transferred = chosen_ot(
             np.empty((0, 2, 16), dtype=np.uint8), [], state=IKNPState(TEST_GROUP_512)
         )

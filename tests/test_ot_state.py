@@ -174,11 +174,13 @@ class TestCorrelation:
         # and the other pad is unrelated to anything the receiver holds
         m = 77
         _pairs_, r = _pairs(m, seed=24)
-        pads = extension_ot(m, r, state=_state(24))
-        assert np.array_equal(pads.choices, r)
-        assert np.array_equal(pads.chosen, pads.sender[np.arange(m), pads.choices])
-        other = pads.sender[np.arange(m), 1 - pads.choices]
-        assert not any(np.array_equal(a, b) for a, b in zip(other, pads.chosen))
+        sender, receiver = extension_ot(m, r, state=_state(24))
+        # one side per party: neither holds the other's
+        assert sender.choices is None and sender.chosen is None and receiver.sender is None
+        assert np.array_equal(receiver.choices, r)
+        assert np.array_equal(receiver.chosen, sender.sender[np.arange(m), receiver.choices])
+        other = sender.sender[np.arange(m), 1 - receiver.choices]
+        assert not any(np.array_equal(a, b) for a, b in zip(other, receiver.chosen))
 
 
 class TestNeverReused:
@@ -476,14 +478,15 @@ class TestTrafficUnmoved:
             ot_state=_state(64),
         )
         (slot,) = session.pregarble_many(1)
-        assert slot.pads.wire_bytes == KAPPA * -(-m // 8) + 12
+        u_bytes = KAPPA * -(-m // 8) + 12
+        assert [half.pads.wire_bytes for half in slot] == [u_bytes, u_bytes]
         pooled = session.run(
             compiled.client_bits(x[0]), compiled.server_bits(), pregarbled=slot
         )
         cold = session.run(compiled.client_bits(x[0]), compiled.server_bits())
         assert pooled.outputs == cold.outputs
         assert pooled.comm["ot"] == (-(-m // 8) + 4) + (32 * m + 4) == 10417
-        assert cold.comm["ot"] == pooled.comm["ot"] + slot.pads.wire_bytes
+        assert cold.comm["ot"] == pooled.comm["ot"] + u_bytes
         assert cold.comm == self.TAGS
         assert session.ot_state.extensions == 2
 

@@ -203,7 +203,8 @@ class FakeFleet(ShardedService):
     def __init__(self, machine: "ShardMachine", **kwargs: Any) -> None:
         self._machine = machine
         machine.fleet = self  # the links check RPCs from the first prepare on
-        super().__init__(lambda: None, supervise=False, **kwargs)
+        super().__init__(lambda: None, probe_interval_s=3600.0, **kwargs)
+        self._supervisor.close()  # the machine drives check_once itself
 
     def _spawn_worker(self, index: int):
         return self._machine.spawn(index)

@@ -458,6 +458,15 @@ def _tiny_samples(n):
     return list(rng.uniform(-1, 1, size=(40, 6))[:n])
 
 
+def _unsupervised(service_factory, **kwargs):
+    """A front-end whose supervisor thread is stopped right after
+    construction (and would idle for an hour first): no shard comes back
+    unless the test restarts it or drives ``ShardSupervisor.check_once``."""
+    service = ShardedService(service_factory, probe_interval_s=3600.0, **kwargs)
+    service._supervisor.close()
+    return service
+
+
 @pytest.fixture(scope="module")
 def tiny_service():
     service = _tiny_service()
@@ -679,7 +688,7 @@ class TestShardedService:
         assert service.live_shards() == []
 
     def test_prepare_warms_every_live_shard(self):
-        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        service = _unsupervised(_tiny_service, shards=2)
         try:
             assert service.prepare(2) == 4
             assert service.prepare(2) == 0  # the pools are already full
@@ -691,9 +700,9 @@ class TestShardedService:
             service.close()
 
     def test_worker_crash_reroutes_its_chunk_to_a_live_shard(self):
-        # supervise=False: this test pins the *unsupervised* degraded
-        # path; the healing path has its own tests below
-        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        # the supervisor stopped: this test pins the degraded path
+        # alone; the healing path has its own tests below
+        service = _unsupervised(_tiny_service, shards=2)
         try:
             victim = service._shards[1]
             victim.process.terminate()
@@ -739,7 +748,7 @@ class TestShardedService:
         """A shard reply one result short, or with a record that does not
         parse, fails that chunk's RPC: the chunk reroutes degraded, every
         request keeps its own slot and label, and the link is retired."""
-        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        service = _unsupervised(_tiny_service, shards=2)
         shard = service._shards[0]
 
         def bad_reply(sock, timeout=None):
@@ -772,7 +781,7 @@ class TestShardedService:
             service.close()
 
     def test_a_sample_that_is_no_feature_vector_fails_in_its_slot(self):
-        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        service = _unsupervised(_tiny_service, shards=2)
         try:
             samples = list(_tiny_samples(3)) + [["not", "numbers"]]
             results = service.infer_many(samples, request_ids=list("abcd"))
@@ -801,9 +810,7 @@ class TestShardedService:
             service.infer_many = slow
             return service
 
-        service = ShardedService(
-            slow_first_batch, shards=1, supervise=False, rpc_timeout_s=0.3
-        )
+        service = _unsupervised(slow_first_batch, shards=1, rpc_timeout_s=0.3)
         try:
             samples = _tiny_samples(4)
             reference = _tiny_service()
@@ -851,7 +858,7 @@ class TestShardedService:
             service.infer_many = slow
             return service
 
-        service = ShardedService(recorded, shards=2, supervise=False)
+        service = _unsupervised(recorded, shards=2)
         try:
             samples = _tiny_samples(4)
             reference = _tiny_service()
@@ -878,7 +885,7 @@ class TestShardedService:
         big for one control record is split, and a request id JSON cannot
         carry or a request over the cap fails in its own slot.  Nothing
         reroutes, and every shard stays alive."""
-        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        service = _unsupervised(_tiny_service, shards=2)
         try:
             samples = _tiny_samples(6)
             reference = _tiny_service()
@@ -904,7 +911,7 @@ class TestShardedService:
 
     def test_a_chunk_over_the_rpc_sample_cap_is_split(self, monkeypatch):
         monkeypatch.setattr(sharded_module, "MAX_RPC_SAMPLES", 2)
-        service = ShardedService(_tiny_service, shards=1, supervise=False)
+        service = _unsupervised(_tiny_service, shards=1)
         try:
             samples = _tiny_samples(5)
             reference = _tiny_service()
@@ -1052,7 +1059,7 @@ class TestShardSupervision:
             service.close()
 
     def test_probe_detects_dead_worker_and_restart_revives_it(self):
-        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        service = _unsupervised(_tiny_service, shards=2)
         try:
             victim = service._shards[0]
             victim.process.kill()
@@ -1077,7 +1084,7 @@ class TestShardSupervision:
             service.close()
 
     def test_restart_budget_exhausts_to_terminal_failed_state(self):
-        service = ShardedService(_tiny_service, shards=2, supervise=False)
+        service = _unsupervised(_tiny_service, shards=2)
         supervisor = ShardSupervisor(
             service, probe_interval_s=60.0, max_restarts=0
         )
@@ -1103,7 +1110,7 @@ class TestShardSupervision:
             service.close()
 
     def test_backoff_schedule_caps_and_gates_restart_attempts(self):
-        service = ShardedService(_tiny_service, shards=1, supervise=False)
+        service = _unsupervised(_tiny_service, shards=1)
         fake_now = [100.0]
         supervisor = ShardSupervisor(
             service, max_restarts=5, backoff_s=0.25, backoff_cap_s=1.0,
@@ -1133,9 +1140,7 @@ class TestShardSupervision:
 
 class TestAdmissionAndDrain:
     def test_overload_sheds_the_whole_batch(self):
-        service = ShardedService(
-            _tiny_service, shards=1, supervise=False, max_inflight=2
-        )
+        service = _unsupervised(_tiny_service, shards=1, max_inflight=2)
         try:
             box = []
             thread = threading.Thread(
@@ -1160,7 +1165,7 @@ class TestAdmissionAndDrain:
             service.close()
 
     def test_close_drains_inflight_batch_then_refuses_new_work(self):
-        service = ShardedService(_tiny_service, shards=1, supervise=False)
+        service = _unsupervised(_tiny_service, shards=1)
         box = []
         thread = threading.Thread(
             target=lambda: box.extend(service.infer_many(_tiny_samples(2)))
@@ -1181,7 +1186,7 @@ class TestAdmissionAndDrain:
         service.close()  # idempotent
 
     def test_expired_drain_grace_counts_aborted_requests(self):
-        service = ShardedService(_tiny_service, shards=1, supervise=False)
+        service = _unsupervised(_tiny_service, shards=1)
         box = []
         thread = threading.Thread(
             target=lambda: box.extend(service.infer_many(_tiny_samples(2)))

@@ -26,7 +26,7 @@ import pytest
 from repro.circuits import CircuitBuilder, FixedPointFormat, simulate
 from repro.compile import folded_mac_cell
 from repro.errors import ProtocolError, ReproError
-from repro.gc import SequentialSession, TwoPartySession
+from repro.gc import Garbler, SequentialSession, TwoPartySession
 from repro.gc.channel import make_channel_pair
 from repro.gc.ot import TEST_GROUP_512, OTGroup
 from repro.gc import ot_extension
@@ -213,11 +213,11 @@ class TestWhatEachPartyHolds:
             # each process compiles its own copy of the public netlist
             session = party.session(mixing_circuit(self.N_BOB))
             receiving(session, "garbler")
-            material = session.pregarble_many(1)[0]
-            # Bob is elsewhere: no pads, and the connection's state is
-            # left for the run to set up with him, framed
-            assert material.pads is None and party.state.setup_bytes == 0
-            kept["garbler"], kept["decode_bits"] = material.garbler, material.garbled.decode_bits
+            alice, bob = material = session.pregarble_many(1)[0]
+            # Bob is elsewhere: Alice's half alone, no pads, and the
+            # connection's state is left for the run to set up with him
+            assert bob is None and alice.pads is None and party.state.setup_bytes == 0
+            kept["garbler"], kept["decode_bits"] = alice.garbler, alice.garbled.decode_bits
             result = session.run(a, None, pregarbled=material)
             return session, result
 
@@ -241,7 +241,9 @@ class TestWhatEachPartyHolds:
 
         def keeping_pads(*args, **kwargs):
             made = extension_ot(*args, **kwargs)
-            pads["garbler" if made.sender is not None else "evaluator"] = made
+            for role, side in zip(("garbler", "evaluator"), made):
+                if side is not None:
+                    pads[role] = side
             return made
 
         with pytest.MonkeyPatch.context() as patch:
@@ -337,14 +339,16 @@ class TestWhatEachPartyHolds:
 
 
 class TestWhatAPooledCopyHolds:
-    """A pooled copy on the demo net keeps Δ, its interface wires' rows,
-    its tables and its pads: no label plane, no internal label."""
+    """A pooled copy on the demo net is two halves.  Alice's keeps Δ,
+    its interface wires' rows, its tables and the sender's pads: no
+    label plane, no internal label, no random choice.  Bob's keeps the
+    receiver's pads: no garbler, no Δ, no sender pad, no wire label."""
 
     @pytest.fixture(scope="class")
     def pooled(self):
         from repro.cli import _demo_service
         from repro.engine.pool import PregarbledPool
-        from repro.gc import Garbler, LabelStore
+        from repro.gc import LabelStore
 
         service, _ = _demo_service()
         circuit = service.compiled.circuit
@@ -361,9 +365,9 @@ class TestWhatAPooledCopyHolds:
         return circuit, pool, pool.acquire(), reference
 
     def test_no_plane_and_no_internal_label(self, pooled):
-        circuit, _, item, reference = pooled
-        assert item.garbler.labels.delta == reference.labels.delta
-        objects = list(reachable([item]))
+        circuit, _, (alice, _bob), reference = pooled
+        assert alice.garbler.labels.delta == reference.labels.delta
+        objects = list(reachable([alice]))
         assert not [
             obj.shape for obj in objects
             if isinstance(obj, np.ndarray) and obj.ndim
@@ -371,17 +375,46 @@ class TestWhatAPooledCopyHolds:
         ]
         interface = set(circuit.interface_wires().tolist())
         internal = [w for w in range(circuit.n_wires) if w not in interface]
-        held = holdings([item])
+        held = holdings([alice])
         for wire in internal[:: len(internal) // 6]:
             assert not holds_label(held, reference.labels.zero(wire)), wire
         # the walk does find what the copy keeps
         for wire in (circuit.outputs[0], circuit.bob_inputs[0]):
             assert holds_label(held, reference.labels.zero(wire)), wire
 
+    def test_alices_half_holds_no_random_choice(self, pooled):
+        _, _, (alice, bob), _ = pooled
+        r, x_r = bob.pads.choices, bob.pads.chosen
+        _ints, blobs, vectors = holdings([alice])
+        assert tuple(int(v) for v in r) not in vectors
+        for secret in (np.packbits(r).tobytes(), x_r.tobytes()):
+            assert not any(secret in blob for blob in blobs)
+        # the walk is not blind: it finds the sender's pads, x_r's rows among them
+        assert any(alice.pads.sender.tobytes() in blob for blob in blobs)
+
+    def test_bobs_half_holds_no_garbler_secret(self, pooled):
+        circuit, _, (alice, bob), reference = pooled
+        assert alice.copy_id == bob.copy_id
+        objects = list(reachable([bob]))
+        assert not any(isinstance(obj, (Garbler, type(alice.garbled))) for obj in objects)
+        held = holdings([bob])
+        assert not holds_label(held, reference.labels.delta)
+        for wire in circuit.interface_wires().tolist():
+            for bit in (0, 1):
+                label = reference.labels.select(wire, bit)
+                assert not holds_label(held, label), (wire, bit)
+        # of the sender's pads, x_r and never x_{1-r}
+        sender = alice.pads.sender
+        for i, r_i in enumerate(bob.pads.choices):
+            assert holds_label(held, int.from_bytes(sender[i, r_i].tobytes(), "little"))
+            assert not holds_label(held, int.from_bytes(sender[i, 1 - r_i].tobytes(), "little")), i
+
     def test_copy_bytes(self, pooled):
-        circuit, pool, item, _ = pooled
+        circuit, pool, (alice, bob), _ = pooled
         copy_bytes = pool.stats()["copy_bytes"]
-        assert copy_bytes == item.nbytes <= 430_000
+        # tables, interface rows, Δ and the sender's pads; r and x_r
+        assert (alice.nbytes, bob.nbytes) == (378_880 + 12_752 + 22_464, 11_934)
+        assert copy_bytes == alice.nbytes + bob.nbytes == 426_030
         # tables are most of it
         assert 32 * circuit.counts().non_xor > 0.85 * copy_bytes
 
@@ -582,14 +615,39 @@ class TestRunManyNeedsBothEnds:
                 channel_factory=peer_channel_factory(left, "garbler"),
             )
             material = session.pregarble_many(2)
-            # no pads, so the state is not set up here in memory
-            assert [unit.pads for unit in material] == [None, None]
+            # Alice's halves alone, without pads, so the state is not
+            # set up here in memory
+            assert [(alice.pads, bob) for alice, bob in material] == [(None, None)] * 2
             assert session.ot_state.setup_bytes == 0
             with pytest.raises(ProtocolError, match="both ends"):
                 session.run_many(
                     [_bits(8, 1)] * 2, [_bits(5, 2)] * 2, pregarbled=material
                 )
-            assert not any(unit.consumed for unit in material)
+            assert not any(alice.consumed for alice, _ in material)
+        finally:
+            left.close()
+            right.close()
+
+    def test_a_session_hosting_bob_alone_never_garbles(self, monkeypatch):
+        """Only Alice garbles: a session whose links host the evaluator
+        alone refuses to pregarble before any garbler is built."""
+        built = []
+        init = Garbler.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Garbler, "__init__", counting)
+        left, right = socket.socketpair()
+        try:
+            session = TwoPartySession(
+                mixing_circuit(5), ot_group=TEST_GROUP_512, rng=random.Random(1),
+                channel_factory=peer_channel_factory(right, "evaluator"),
+            )
+            with pytest.raises(ProtocolError, match="Bob alone"):
+                session.pregarble_many(2)
+            assert built == [] and session.ot_state.setup_bytes == 0
         finally:
             left.close()
             right.close()

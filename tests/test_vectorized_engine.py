@@ -1027,6 +1027,7 @@ class TestSessionAndBackends:
         )
         unit = session.pregarble_many(1)[0]
         result = session.run(bits_a, bits_b, pregarbled=unit)
+        alice = unit[0]
 
         reference = _reference(circuit, seed)
         ref = reference.garble()
@@ -1036,8 +1037,8 @@ class TestSessionAndBackends:
         assert sent["const_labels"][4:] == b"".join(
             label.to_bytes(16, "little") for label in ref.const_labels
         )
-        assert unit.garbled.decode_bits == ref.decode_bits
-        assert unit.garbler.labels.delta == reference.labels.delta
+        assert alice.garbled.decode_bits == ref.decode_bits
+        assert alice.garbler.labels.delta == reference.labels.delta
         assert result.outputs == simulate(circuit, bits_a, bits_b)
         n_non_xor = circuit.counts().non_xor
         assert result.comm["tables"] == 32 * n_non_xor + 4

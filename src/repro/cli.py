@@ -210,13 +210,10 @@ def _serve_sharded(args) -> None:
 
     pool_size = args.pool if args.pool is not None else args.requests
     per_shard_pool = -(-pool_size // args.shards) if pool_size else 0
-    if args.kill_shard:
-        index_text, _, delay_text = args.kill_shard.partition(":")
-        victim_index = int(index_text)
-        delay_s = float(delay_text) if delay_text else 0.5
-        if not 0 <= victim_index < args.shards:
-            raise SystemExit(f"serve: --kill-shard index must be in "
-                             f"0..{args.shards - 1}")
+    victim_index = args.kill_shard
+    if victim_index is not None and not 0 <= victim_index < args.shards:
+        raise SystemExit(f"serve: --kill-shard index must be in "
+                         f"0..{args.shards - 1}")
 
     def factory():
         service, _ = _demo_service(
@@ -244,17 +241,19 @@ def _serve_sharded(args) -> None:
         threading.Thread(target=sharded.close, daemon=True).start()
 
     previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    if args.kill_shard:
-        victim_pid = sharded._shards[victim_index].process.pid
+    if victim_index is not None:
+        victim_pid = sharded.stats()["per_shard"][victim_index]["pid"]
 
         def _chaos_kill():
-            time.sleep(delay_s)
-            print(f"chaos: SIGKILL shard {victim_index} "
-                  f"(pid {victim_pid}) mid-batch", flush=True)
+            # the victim's chunk is on its link: the kill lands mid-batch
+            if not sharded.wait_infer_sent(victim_index, timeout=120.0):
+                return
             try:
                 os.kill(victim_pid, signal.SIGKILL)
             except OSError:
                 pass
+            print(f"chaos: SIGKILL shard {victim_index} "
+                  f"(pid {victim_pid}) mid-batch", flush=True)
 
         threading.Thread(target=_chaos_kill, daemon=True).start()
 
@@ -292,7 +291,7 @@ def _serve_sharded(args) -> None:
         results = sharded.infer_many(list(x[: args.requests]))
         wall = time.perf_counter() - start
         stats = _batch_report("", results, wall, expected)
-        if args.kill_shard:
+        if victim_index is not None:
             # wait for the supervisor to re-fork, rewarm and re-probe
             # the killed worker, then prove the healed fleet serves the
             # next batch without further degradation
@@ -340,7 +339,7 @@ def _cmd_serve(args) -> None:
         raise SystemExit("serve: --shards must be >= 0")
     if args.max_inflight < 0:
         raise SystemExit("serve: --max-inflight must be >= 0")
-    if args.kill_shard and not args.shards:
+    if args.kill_shard is not None and not args.shards:
         raise SystemExit("serve: --kill-shard requires --shards")
     if args.shards:
         if args.fault:
@@ -397,7 +396,7 @@ def _cmd_serve(args) -> None:
               f"garbled {pstats['garbled_total']} total | "
               f"copy {pstats['copy_bytes']} B | "
               f"refills {pstats['refills']} ({pstats['refill']}) | "
-              f"offline OT {pstats['offline_ot_bytes']} B")
+              f"offline {pstats['offline_bytes']} B")
     stats = service.stats
     breakers = stats.get("breakers", {})
     open_breakers = sum(
@@ -532,11 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-control budget: shed requests with "
                             "ServiceOverloadedError once this many are "
                             "in flight (0 = unbounded)")
-    serve.add_argument("--kill-shard", default=None, metavar="INDEX[:DELAY]",
-                       help="chaos: SIGKILL the given shard worker DELAY "
-                            "seconds (default 0.5) into the first batch, "
-                            "then prove the supervisor heals it "
-                            "(requires --shards)")
+    serve.add_argument("--kill-shard", type=int, default=None, metavar="INDEX",
+                       help="chaos: SIGKILL the given shard worker once it "
+                            "has been sent its chunk of the first batch, "
+                            "then prove the chunk reroutes and the "
+                            "supervisor heals it (requires --shards)")
     serve.set_defaults(func=_cmd_serve)
     return parser
 

@@ -52,8 +52,11 @@ class EngineConfig:
             ``random.Random`` for reproducible runs).
         pool_size: pre-garbled circuit copies to keep ready (two-party
             backend only; 0 disables the offline/online split).  A copy's
-            two halves, one per party, hold its tables, interface labels
-            and OT pads: 426 030 B on the demo net (``pool.stats()["copy_bytes"]``).
+            two halves, one per party, hold its interface labels and OT
+            pads, and Bob's the tables that crossed to it when the copy
+            was made: 426 030 B on the demo net
+            (``pool.stats()["copy_bytes"]``), 390 200 B of it sent
+            offline (``pool.stats()["offline_bytes"]``).
         pool_refill: how the pool recovers once drained — ``"idle"``
             (default: one copy at a time, and only while the service has
             nothing in flight and expects to stay idle for a copy's

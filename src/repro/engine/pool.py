@@ -2,12 +2,15 @@
 
 Garbling is input-independent (paper Sec. 3: the tables depend only on
 the public netlist), so a serving deployment garbles *ahead* of demand
-and answers each request with a copy popped from a pool.  So is phase 1
-of the evaluator's OTs (random OTs, :mod:`repro.gc.ot_extension`): each
-copy, one half per party, is garbled with its pads.  The online
-critical path then holds only transfer, OT derandomization, evaluation
-and merge.  The pads' ``u`` frames move while nobody waits;
-:meth:`PregarbledPool.stats` reports them as ``offline_ot_bytes``.
+and answers each request with a copy popped from a pool.  So are phase 1
+of the evaluator's OTs (random OTs, :mod:`repro.gc.ot_extension`) and
+the transfer of the tables: each copy, one half per party, is garbled
+with its pads, and its tables and constant labels cross to Bob's half
+as it is made.  The online critical path then holds only Alice's input
+labels, OT derandomization, evaluation and merge: 24 048 B on the demo
+net instead of a cold request's 414 248 B.  The pads' ``u`` frames, the
+tables and the constant labels move while nobody waits;
+:meth:`PregarbledPool.stats` reports them as ``offline_bytes``.
 
 "Ahead of demand" has to mean *while nobody is waiting*: under the GIL a
 thread that garbles during a request is on that request's path, and the
@@ -58,12 +61,12 @@ class PregarbledPool:
     Args:
         circuit: the netlist future requests will execute.
         capacity: maximum copies held at once.  Alice's half of a copy
-            holds its tables, Δ with its interface wires' labels and the
-            sender's pads, Bob's half the receiver's pads: 426 030 B
-            together on the demo net, 89 % of it tables
-            (``stats()["copy_bytes"]``), so a pool costs about
-            ``capacity`` times that — size it to the burst you want to
-            absorb, not to total traffic.
+            holds Δ with its interface wires' labels and the sender's
+            pads, Bob's half the receiver's pads and the tables that
+            crossed to it: 35 216 B and 390 814 B, 426 030 B together on
+            the demo net, 89 % of it tables (``stats()["copy_bytes"]``),
+            so a pool costs about ``capacity`` times that — size it to
+            the burst you want to absorb, not to total traffic.
         kdf: garbling oracle (must match the online session's).
         ot_group: so pooled and cold runs use the same session parameters.
         rng: label randomness source.
@@ -109,8 +112,8 @@ class PregarbledPool:
         self._leaked_refill_thread = False
         self.garbled_total = self.refills = self.refill_crashes = 0
         self.hits = self.misses = 0
-        #: the ``u`` frames of every copy's pads: traffic moved offline
-        self.offline_ot_bytes = 0
+        #: every copy's ``u``, tables and constant labels: traffic moved offline
+        self.offline_bytes = 0
         #: what one ready copy holds in arrays (None before any garbling)
         self.copy_bytes: Optional[int] = None
         self.last_refill_error: Optional[str] = None
@@ -125,7 +128,7 @@ class PregarbledPool:
 
     def warm(self, count: Optional[int] = None) -> int:
         """Garble up to ``count`` copies (default: fill to capacity),
-        each with its OT pads.
+        each with its OT pads and its tables on Bob's half.
 
         The offline phase: run it while the service is idle.  Slots are
         reserved under the lock before the (expensive) garbling starts,
@@ -154,9 +157,7 @@ class PregarbledPool:
                     self._pending -= batch
                     self._items.extend(items)
                     self.garbled_total += len(items)
-                    self.offline_ot_bytes += sum(
-                        bob.pads.wire_bytes for _, bob in items if bob and bob.pads
-                    )
+                    self.offline_bytes += sum(bob.offline_bytes for _, bob in items if bob)
                     if items:  # the fastest seen, never an average
                         self.copy_bytes = sum(half.nbytes for half in items[-1] if half)
                         per_copy = elapsed / len(items)
@@ -209,7 +210,7 @@ class PregarbledPool:
                 "misses": self.misses,
                 "hit_rate": self.hit_rate,
                 "garbled_total": self.garbled_total,
-                "offline_ot_bytes": self.offline_ot_bytes,
+                "offline_bytes": self.offline_bytes,
                 "copy_bytes": self.copy_bytes,
                 "refills": self.refills,
                 "refill": self.refill,

@@ -127,20 +127,35 @@ class _Half:
 @dataclasses.dataclass(eq=False)
 class AliceHalf(_Half):
     """Alice's half of a copy: her garbler (Δ and the interface wires'
-    labels), the tables she sends in the request, the sender's pads."""
+    labels), the sender's pads, and the tables she sends in the request
+    — ``None`` once they have crossed to Bob's half before it."""
 
     garbler: Garbler
-    garbled: GarbledCircuit
+    garbled: Optional[GarbledCircuit]
 
     @property
     def nbytes(self) -> int:
         labels = self.garbler.labels
-        arrays = (self.garbled.tables, labels.rows, labels.delta_row)
+        arrays = [labels.rows, labels.delta_row]
+        if self.garbled is not None:
+            arrays.append(self.garbled.tables)
         return super().nbytes + sum(a.nbytes for a in arrays)
 
 
+@dataclasses.dataclass(eq=False)
 class BobHalf(_Half):
-    """Bob's half of a copy: the receiver's pads, ``r`` and ``x_r``."""
+    """Bob's half of a copy: the receiver's pads, ``r`` and ``x_r``, and
+    — when the tables crossed before the request — the ``view``
+    :func:`receive_tables` rebuilt from their frames, with
+    ``offline_bytes`` those frames and the pads' ``u`` as the link
+    charged them."""
+
+    view: Optional[GarbledCircuit] = None
+    offline_bytes: int = dataclasses.field(default=0, kw_only=True)
+
+    @property
+    def nbytes(self) -> int:
+        return super().nbytes + (self.view.tables.nbytes if self.view is not None else 0)
 
 
 #: A copy as ``(alice_half, bob_half)``, as a link is ``(alice_end,
@@ -254,8 +269,9 @@ class _Session:
             for copy, (alice_end, bob_end, _) in zip(pregarbled or [None] * k, ends)
         ]
         oracle = self._oracle([alice for alice, _ in halves])
-        self._claim(halves)
+        self._claim(halves, ends)
         pads: List[PadEnds] = [(a and a.pads, b and b.pads) for a, b in halves]
+        views = [bob and bob.view for _, bob in halves]  # tables Bob holds already
         n_cycles = len(lanes[0])
         d_wires = [reg.d_wire for reg in registers]
         initial_state = [reg.init & 1 for reg in registers]
@@ -270,13 +286,13 @@ class _Session:
             last = cycle == n_cycles - 1
             tweak_base = 2 * n_tables * cycle
             # (i) garbling — Alice (cycle 0 offline for a pooled copy)
-            garbled: Dict[int, GarbledCircuit] = {}
+            garbled: Dict[int, Optional[GarbledCircuit]] = {}
             garble_s = [0.0] * k
             if cycle == 0:
                 for i, (alice, _) in enumerate(halves):
                     if alice is not None:
                         garblers[i], garbled[i] = alice.garbler, alice.garbled
-                cold = [i for i in hosted if i not in garbled]
+                cold = [i for i in hosted if i not in garblers]
                 if cold:
                     start = time.perf_counter()
                     fresh = garble_many(circuit, len(cold), kdf=self.kdf, rng=self.rng)
@@ -298,7 +314,8 @@ class _Session:
             # (ii) data transfer + OT, per lane on its own link
             links = [
                 self._transfer(
-                    alice_end and (alice_end, garblers[i], garbled[i]), bob_end,
+                    alice_end and (alice_end, garblers[i], garbled[i]),
+                    bob_end and (bob_end, views[i] if cycle == 0 else None),
                     stats, *lanes[i][cycle], garble_s[i], tweak_base,
                     initial_state if cycle == 0 else (),
                     pads[i] if cycle == 0 else (None, None),
@@ -354,10 +371,19 @@ class _Session:
             )
         return oracle
 
-    def _claim(self, halves: Sequence[Copy]) -> None:
+    def _claim(
+        self,
+        halves: Sequence[Copy],
+        ends: Sequence[Tuple[Optional[Channel], Optional[Channel], ChannelStats]],
+    ) -> None:
         """Claim every lane's halves once all pass: Alice's is of this
-        circuit, a lane's two are of one copy, and none is used or held
-        by two lanes.  Otherwise :class:`ProtocolError`, none claimed."""
+        circuit, a lane's two are of one copy and agree on whether its
+        tables cross in the request, and none is used or held by two
+        lanes.  Otherwise :class:`ProtocolError`, none claimed.
+
+        An end hosted elsewhere sends or receives the tables in the
+        request: they cross before it only between two halves in this
+        process."""
         for alice, bob in halves:
             if alice and alice.garbler.circuit is not self.circuit:
                 raise ProtocolError("pregarbled material is for a different circuit")
@@ -368,13 +394,22 @@ class _Session:
         held = [half for lane in halves for half in lane if half]
         if len(set(held)) < len(held) or any(half.consumed for half in held):
             raise ProtocolError("pregarbled material cannot be reused")
+        for (alice, bob), (alice_end, bob_end, _) in zip(halves, ends):
+            sends = alice_end is None or alice is None or alice.garbled is not None
+            receives = bob_end is None or bob is None or bob.view is None
+            if sends != receives:
+                raise ProtocolError(
+                    "a lane's halves disagree on its tables: Alice's "
+                    + ("sends them in the request, Bob's holds them already"
+                       if sends else "sent them before it, Bob's has none")
+                )
         for half in held:
             half.claim()
 
     def _transfer(
         self,
-        alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]],
-        bob_end: Optional[Channel],
+        alice: Optional[Tuple[Channel, Garbler, Optional[GarbledCircuit]]],
+        bob: Optional[Tuple[Channel, Optional[GarbledCircuit]]],
         stats: ChannelStats,
         alice_bits: Optional[Sequence[int]],
         bob_bits: Optional[Sequence[int]],
@@ -385,10 +420,14 @@ class _Session:
     ) -> "_Link":
         """Step (ii) of one round: Alice's flights move, Bob's view is
         rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
-        ``ot`` are timed apart.  A non-empty ``initial_state`` (the
-        public power-on register bits, cycle 0 of a sequential run) moves
-        its labels as one ``state_labels`` frame after Alice's.  ``pads``
-        are the claimed halves' pads, per end."""
+        ``ot`` are timed apart.  ``alice`` is her end, garbler and tables
+        (``None`` once they crossed before the request), ``bob`` his end
+        and the view rebuilt then (``None`` to receive it now).  A
+        non-empty ``initial_state`` (the public power-on register bits,
+        cycle 0 of a sequential run) moves its labels as one
+        ``state_labels`` frame after Alice's.  ``pads`` are the claimed
+        halves' pads, per end."""
+        bob_end = bob and bob[0]
         link = _Link(alice, bob_end, stats, {} if alice is None else {"garble": garble_s})
         start = time.perf_counter()
         if alice is not None:
@@ -399,9 +438,10 @@ class _Session:
                     garbler.input_labels_for(self.circuit.state_inputs, initial_state),
                     tag="state_labels",
                 )
-        if bob_end is not None:
+        if bob is not None:
+            bob_end, held = bob
             view, alice_labels = receive_garbled(
-                bob_end, self.circuit.counts().non_xor, tweak_base
+                bob_end, self.circuit.counts().non_xor, tweak_base, held
             )
             if initial_state:
                 state = bob_end.recv_labels(expected_tag="state_labels")
@@ -483,30 +523,46 @@ class TwoPartySession(_Session):
         All copies share one walk of the level schedule (and one KDF
         batch per level), so warming a pool of ``k`` copies costs much
         less than ``k`` one-copy passes.  Where the session's links host
-        both parties, phase 1 of each copy's OTs runs too, on the
-        session's OT state over a private in-memory link, so a request
-        served from the copy runs phase 2 alone: the sender's pads go
-        into Alice's half, the receiver's into Bob's.  A session hosting
-        Alice alone makes her halves without pads (its state is set up
-        over its link, framed, with the other process); one hosting Bob
-        alone garbles nothing and raises :class:`ProtocolError`.
+        both parties, each copy's input-independent traffic crosses one
+        such link here, in copy order: phase 1 of its OTs on the
+        session's OT state (``u``), then its tables and constant labels.
+        Alice's half keeps the sender's pads and lets its tables go as
+        they are sent; Bob's keeps the receiver's pads and the view
+        rebuilt from the frames.  A request served from the copy then
+        sends Alice's labels, runs phase 2 of the OTs and merges.  A
+        session hosting Alice alone keeps each copy whole in her half,
+        without pads, for the request to send (its state is set up over
+        its link, framed, with the other process); one hosting Bob alone
+        garbles nothing and raises :class:`ProtocolError`.
         """
         if count < 0:
             raise ProtocolError("copy count must be >= 0")
-        # one link, opened and left unused, says which parties they host
-        alice_end, bob_end, _ = self.channel_factory()
+        alice_end, bob_end, stats = self.channel_factory()
         if alice_end is None:
             raise ProtocolError("only Alice garbles: this session's links host Bob alone")
         if count == 0:
             return []
-        m = len(self.circuit.bob_inputs) if bob_end is not None else 0
+        fresh = garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng)
+        if bob_end is None:
+            return [(AliceHalf(garbler, garbled), None) for garbler, garbled in fresh]
+        m = len(self.circuit.bob_inputs)
+        n_tables = self.circuit.counts().non_xor
         made: List[Copy] = []
-        for garbler, garbled in garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng):
+        fresh.reverse()
+        while fresh:  # each copy's tables are dropped here once they are sent
+            garbler, garbled = fresh.pop()
+            sent = stats.bytes_a_to_b + stats.bytes_b_to_a
             sender, receiver = extension_ot(
-                m, random_choices(m, self.rng), state=self.ot_state
+                m, random_choices(m, self.rng), (alice_end, bob_end), state=self.ot_state
             ) if m else (None, None)
-            alice = AliceHalf(garbler, garbled, pads=sender)
-            made.append((alice, receiver and BobHalf(pads=receiver, copy_id=alice.copy_id)))
+            send_tables(alice_end, garbled)
+            del garbled
+            view = receive_tables(bob_end, n_tables)
+            alice = AliceHalf(garbler, None, pads=sender)
+            made.append((alice, BobHalf(
+                view, pads=receiver, copy_id=alice.copy_id,
+                offline_bytes=stats.bytes_a_to_b + stats.bytes_b_to_a - sent,
+            )))
         return made
 
     def run_many(
@@ -590,7 +646,7 @@ class _Link:
     """One round between its garbling and its merge step."""
 
     #: Alice's end, labels and tables; None where another process hosts her
-    alice: Optional[Tuple[Channel, Garbler, GarbledCircuit]]
+    alice: Optional[Tuple[Channel, Garbler, Optional[GarbledCircuit]]]
     #: Bob's end; None where another process hosts him
     bob_end: Optional[Channel]
     stats: ChannelStats
@@ -603,36 +659,29 @@ class _Link:
 
 
 # One round on the wire — what crosses the link, in what order, and what
-# the evaluator may see — is these four functions, with the OT flights
-# of transfer_input_labels between the second and the third (and, at
+# the evaluator may see — is these functions, with the OT flights of
+# transfer_input_labels between Alice's flights and the merge (and, at
 # cycle 0 of a run with registers, one state_labels frame before them):
 # u, e and y, or e and y alone when a pooled copy's pads precomputed u.
 # _Session._transfer and _merge call them, each on the end of the party
 # it belongs to, for every lane of every cycle _Session._rounds drives —
 # a request, a slot of run_many(), a SequentialSession cycle and
 # cut-and-choose's surviving copy: two processes and fault plans that
-# address frames by position rely on one order.
+# address frames by position rely on one order.  A pooled copy whose
+# halves are both in this process sent its tables and constant labels
+# (send_tables / receive_tables) with its u before the request, on
+# TwoPartySession.pregarble_many's link, so a pool hit puts four frames
+# on the wire: alice_labels, e, y and output_labels.
 
 
-def send_garbled(
-    alice_end: Channel,
-    garbler: Garbler,
-    garbled: GarbledCircuit,
-    alice_bits: Sequence[int],
-) -> None:
-    """Alice's flights: tables, constant-wire labels, her input labels."""
+def send_tables(alice_end: Channel, garbled: GarbledCircuit) -> None:
+    """Alice's input-independent flights: tables, constant-wire labels."""
     alice_end.send_bytes(garbled.tables_bytes(), tag="tables")
     alice_end.send_labels(list(garbled.const_labels), tag="const_labels")
-    alice_end.send_labels(
-        garbler.input_labels_for(garbler.circuit.alice_inputs, alice_bits),
-        tag="alice_labels",
-    )
 
 
-def receive_garbled(
-    bob_end: Channel, n_tables: int, tweak_base: int = 0
-) -> Tuple[GarbledCircuit, np.ndarray]:
-    """Bob's view and Alice's label rows, rebuilt from the wire alone.
+def receive_tables(bob_end: Channel, n_tables: int, tweak_base: int = 0) -> GarbledCircuit:
+    """Bob's view, rebuilt from the wire alone.
 
     Deserializing (rather than handing Bob the garbler's object) keeps
     the information flow honest: Bob sees tables and the two constant
@@ -644,7 +693,6 @@ def receive_garbled(
     """
     blob = bob_end.recv_bytes(expected_tag="tables")
     consts = bob_end.recv_labels(expected_tag="const_labels")
-    alice_labels = bob_end.recv_label_rows(expected_tag="alice_labels")
     if len(blob) != 32 * n_tables:
         raise ChannelIntegrityError(
             f"tables frame carries {len(blob) // 32} tables ({len(blob)} "
@@ -654,14 +702,43 @@ def receive_garbled(
         raise ChannelIntegrityError(
             f"constant-wire payload carries {len(consts)} entries, not 2"
         )
-    view = GarbledCircuit(
+    return GarbledCircuit(
         # zero-copy view: the fast evaluator reads the plane directly
         tables=np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32),
         const_labels=(consts[0], consts[1]),
         decode_bits=[],  # withheld from the evaluator
         tweak_base=tweak_base,
     )
-    return view, alice_labels
+
+
+def send_garbled(
+    alice_end: Channel,
+    garbler: Garbler,
+    garbled: Optional[GarbledCircuit],
+    alice_bits: Sequence[int],
+) -> None:
+    """Alice's flights: tables and constant-wire labels unless they
+    crossed before the request (``garbled`` is ``None``), her input labels."""
+    if garbled is not None:
+        send_tables(alice_end, garbled)
+    alice_end.send_labels(
+        garbler.input_labels_for(garbler.circuit.alice_inputs, alice_bits),
+        tag="alice_labels",
+    )
+
+
+def receive_garbled(
+    bob_end: Channel,
+    n_tables: int,
+    tweak_base: int = 0,
+    view: Optional[GarbledCircuit] = None,
+) -> Tuple[GarbledCircuit, np.ndarray]:
+    """Bob's view and Alice's label rows: the view received by
+    :func:`receive_tables` unless it was before the request (``view``),
+    then her input labels."""
+    if view is None:
+        view = receive_tables(bob_end, n_tables, tweak_base)
+    return view, bob_end.recv_label_rows(expected_tag="alice_labels")
 
 
 def send_outputs(bob_end: Channel, output_labels: List[int]) -> None:

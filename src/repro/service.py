@@ -310,14 +310,14 @@ class PrivateInferenceService:
         # pool and breakers take their own locks; call outside ours
         pool_stats = pool.stats() if pool is not None else None
         # session-level OT figures: what the base OT cost this service
-        # and what the pool's pads moved offline, charged to no
-        # request's comm_bytes
+        # and what the pool moved offline (its pads' u, tables and
+        # constant labels), charged to no request's comm_bytes
         setup_bytes = [state.setup_bytes for state in ot_states]
         snapshot["ot"] = {
             "base_batches": sum(1 for size in setup_bytes if size),
             "setup_bytes": sum(setup_bytes),
             "extensions": sum(state.extensions for state in ot_states),
-            "offline_bytes": pool_stats["offline_ot_bytes"] if pool_stats else 0,
+            "offline_bytes": pool_stats["offline_bytes"] if pool_stats else 0,
             "group": self.ot_group_name,
         }
         if breakers:

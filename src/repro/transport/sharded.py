@@ -116,6 +116,8 @@ class _Shard:
         self._on_retire = on_retire
         self.lock = threading.Lock()
         self.sock, self.process = spawn(index)
+        #: set once the first ``infer`` record has gone out on a link
+        self.infer_sent = threading.Event()
         self.state = "alive"
         self.requests = 0
         self.failures = 0
@@ -134,8 +136,10 @@ class _Shard:
         timeout: float,
         parse: Optional[Callable[[Dict[str, Any]], Any]] = None,
         wait: bool = True,
+        sent: Optional[threading.Event] = None,
     ) -> Any:
-        """One round trip on the live link, its reply passed through ``parse``.
+        """One round trip on the live link, its reply passed through ``parse``;
+        ``sent`` is set once the record is on the link.
 
         ``payload`` is an already encoded record (:func:`encode_ctl`): a
         record that cannot be encoded is the caller's to fail, and never
@@ -154,7 +158,7 @@ class _Shard:
         try:
             if self.state != "alive":
                 raise ChannelClosedError(f"shard {self.index} is {self.state}")
-            return self._exchange(payload, timeout, parse)
+            return self._exchange(payload, timeout, parse, sent)
         finally:
             self.lock.release()
 
@@ -163,11 +167,14 @@ class _Shard:
         payload: bytes,
         timeout: float,
         parse: Optional[Callable[[Dict[str, Any]], Any]] = None,
+        sent: Optional[threading.Event] = None,
     ) -> Any:
         """Send, receive, check and parse (lock held); any failure
         retires the link before it propagates."""
         try:
             send_ctl(self.sock, payload)
+            if sent is not None:
+                sent.set()
             reply = recv_ctl(self.sock, timeout=timeout)
             if not reply.get("ok", False):
                 raise ProtocolError(
@@ -379,6 +386,12 @@ class ShardedService:
             return False
         return True
 
+    def wait_infer_sent(self, index: int, timeout: Optional[float] = None) -> bool:
+        """Block until shard ``index`` has been sent its first ``infer``
+        record, or ``timeout`` passes (``False``) — the protocol point a
+        chaos drill keys a mid-batch fault to."""
+        return self._shards[index].infer_sent.wait(timeout)
+
     def restart_shard(self, index: int) -> bool:
         """Re-fork one ``suspect`` shard's worker (see :meth:`_Shard.restart`).
 
@@ -490,6 +503,7 @@ class ShardedService:
                     results = shard.rpc(
                         payload, self._rpc_timeout_s,
                         lambda reply: parse_results(reply, len(slots)),
+                        sent=shard.infer_sent,
                     )
                 except Exception as exc:
                     error = exc  # the link is retired; try the next shard
@@ -557,6 +571,7 @@ class ShardedService:
                     pass  # the link is retired: the entry below says so
             entry: Dict[str, Any] = {
                 "index": shard.index,
+                "pid": shard.process.pid,
                 "alive": shard.alive,
                 "state": shard.state,
                 "requests": shard.requests,

@@ -134,16 +134,21 @@ def _received(flow, transport, alices, bobs):
         return alice, bob, stats
 
     FLOWS[flow][1](factory, random.Random(1), alices, bobs)
-    # a link with no frame on it is pregarble_many's look at which
-    # parties the links host, not a lane
-    links = [stats for stats in links if stats.log]
-    assert len(links) == LANES
+    logs = [stats.log for stats in links]
+    if flow == "pool":
+        # pregarble_many's link carries each copy's u, tables and
+        # constants, in copy order; a lane's view starts with its copy's
+        offline, *logs = logs
+        assert len(offline) == 3 * LANES
+        assert all(len(log) == 4 for log in logs)  # a pool hit's round
+        logs = [offline[3 * i:3 * i + 3] + log for i, log in enumerate(logs)]
+    assert len(logs) == LANES
     return [
         tuple(
-            [(tag, size) for way, tag, size in stats.log if way == direction]
+            [(tag, size) for way, tag, size in log if way == direction]
             for direction in ("a2b", "b2a")
         )
-        for stats in links
+        for log in logs
     ]
 
 

@@ -59,6 +59,7 @@ class TestCLI:
         ["serve", "--kill-shard", "0:0.5"],
         ["serve", "--shards", "2", "--fault", "corrupt:ot:0"],
         ["serve", "--shards", "2", "--kill-shard", "2"],
+        ["serve", "--shards", "2", "--kill-shard", "0:0.5"],  # no delay form
         ["infer", "--samples", "401"],
         ["infer", "--connect", "127.0.0.1:1", "--backend", "simulate"],
         ["infer", "--connect", "127.0.0.1:1"],

@@ -224,11 +224,15 @@ class TestPregarbledPool:
     @pytest.mark.parametrize("lane, match", [
         ("halves_of_two_copies", "two copies"), ("a_used_half", "reuse"),
         ("one_copy_in_two_lanes", "reuse"),
+        ("tables_sent_but_no_view", "sent them before it, Bob's has none"),
+        ("a_view_but_tables_to_send", "Bob's holds them already"),
     ])
     def test_pool_rejects_a_lane_of_mismatched_halves(self, compiled_model, lane, match):
-        """Halves of two copies, a half used before, or one copy in two
-        lanes of a batch, are refused with no half claimed; the pool
-        serves on."""
+        """Halves of two copies, a half used before, one copy in two
+        lanes of a batch, or halves that disagree on whether the tables
+        crossed before the request (Alice's sent them, Bob's end has no
+        view; or the reverse), are refused with no half claimed; the
+        pool serves on."""
         _, compiled, _, x = compiled_model
         pool = PregarbledPool(
             compiled.circuit, capacity=3, ot_group=TEST_GROUP_512,
@@ -242,6 +246,10 @@ class TestPregarbledPool:
             lanes = [(alice, bob)]
         elif lane == "one_copy_in_two_lanes":
             lanes = [(alice, bob)] * 2
+        elif lane == "tables_sent_but_no_view":
+            lanes = [(alice, None)]
+        elif lane == "a_view_but_tables_to_send":
+            lanes = [(None, other_bob)]
         session = TwoPartySession(
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(7)
         )

@@ -162,7 +162,8 @@ class TestOneRoundOnTheWire:
         assert logs["run"] == logs["sequential"] == logs["cut_and_choose"] == [reference]
 
     def test_a_pool_hit_moves_the_round_without_u(self):
-        # the pads came with the copy: the online OT is e out, y back
+        # the pads, tables and constants came with the copy: the online
+        # round is Alice's labels, e out, y back and the output labels
         circuit = wide_circuit()
         a, b = _inputs()
         factory, links = _keeping_stats()
@@ -176,14 +177,15 @@ class TestOneRoundOnTheWire:
         assert [r.outputs for r in session.run_many([a, a], [b, b], pregarbled=slots[1:])] == [
             simulate(circuit, a, b)
         ] * 2
-        pooled = ROUND[:3] + ROUND[4:]
-        # the link with no frame on it is pregarble_many's look at which
-        # parties the links host
-        rounds = [stats for stats in links if stats.log]
+        pooled = ROUND[2:3] + ROUND[4:]
+        # the first link is pregarble_many's: each copy's u, then its
+        # tables and constants, in copy order, before any request
+        offline, *rounds = links
+        assert [(d, tag) for d, tag, _ in offline.log] == 3 * [ROUND[3], *ROUND[:2]]
         assert len(rounds) == 3
         for stats in rounds:
             assert [(d, tag) for d, tag, _ in stats.log] == pooled
-            assert stats.log[3][2] == -(-N_BOB // 8) + 4
+            assert stats.log[1][2] == -(-N_BOB // 8) + 4
 
     def test_run_and_run_many_account_the_same_bytes_per_tag(self):
         circuit = wide_circuit()

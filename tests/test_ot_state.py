@@ -405,10 +405,15 @@ class TestPaidOnce:
             # the pooled request spent its pads and extended nothing
             stats = service.stats
             assert stats["ot"]["extensions"] == 3
-            m = service.compiled.circuit.n_bob
+            circuit = service.compiled.circuit
+            # per copy: the pads' u, then its tables and constant labels
+            # (each frame charged its 4-byte length prefix)
+            per_copy = (KAPPA * -(-circuit.n_bob // 8) + 12) + (
+                32 * circuit.counts().non_xor + 4
+            ) + (4 + 4 + 2 * 16)
             assert stats["ot"]["offline_bytes"] == stats["pool"][
-                "offline_ot_bytes"
-            ] == 2 * (KAPPA * -(-m // 8) + 12)
+                "offline_bytes"
+            ] == 2 * per_copy
         finally:
             service.close()
 

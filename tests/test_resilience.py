@@ -707,11 +707,13 @@ class TestServiceResilience:
 
     def test_breaker_opens_and_serves_degraded(self):
         # two one-shot faults + no retries trip a threshold-2 breaker;
-        # the third request must still be served (cold, pool bypassed)
+        # the third request must still be served (cold, pool bypassed).
+        # A pool hit's tables crossed before it: the faults hit the
+        # frame its request does carry
         plan = FaultPlan(
             [
-                FaultSpec("corrupt", tag="tables", nth=0),
-                FaultSpec("corrupt", tag="tables", nth=1),
+                FaultSpec("corrupt", tag="alice_labels", nth=0),
+                FaultSpec("corrupt", tag="alice_labels", nth=1),
             ],
             seed=CHAOS_SEED,
         )

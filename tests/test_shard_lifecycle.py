@@ -236,6 +236,7 @@ class ShardMachine(RuleBasedStateMachine):
         )
         self.fleet._supervisor = self.supervisor  # kicked, never started
         self.streak = [0] * shards  # consecutive failed restarts
+        self.infer_sent = [False] * shards  # a link has taken an infer record
         self.ever_failed = set()
         self.last_states = self.fleet.shard_states()
         restart_shard = self.fleet.restart_shard
@@ -269,6 +270,8 @@ class ShardMachine(RuleBasedStateMachine):
         if shard.sock is not link:
             self.violations.append(f"{record['op']} on a replaced link")
         allowed = ("restarting",) if record["op"] != "infer" else ()
+        if record["op"] == "infer":
+            self.infer_sent[link.index] = True
         if shard.state != "alive" and shard.state not in allowed:
             self.violations.append(f"{record['op']} to a {shard.state} shard")
 
@@ -321,6 +324,10 @@ class ShardMachine(RuleBasedStateMachine):
         snapshot = self.fleet.stats()
         states = [entry["state"] for entry in snapshot["per_shard"]]
         assert snapshot["live_shards"] == states.count("alive")
+        # the worker now on each shard's link, as a chaos drill reads it
+        assert [entry["pid"] for entry in snapshot["per_shard"]] == [
+            shard.process.pid for shard in self.shards
+        ]
 
     @rule()
     def prepare(self):
@@ -341,6 +348,11 @@ class ShardMachine(RuleBasedStateMachine):
     @invariant()
     def no_rpc_on_a_retired_link_or_a_shard_not_alive(self):
         assert self.violations == []
+
+    @invariant()
+    def infer_sent_is_set_by_the_first_infer_record_on_a_link(self):
+        for shard in self.shards:
+            assert self.fleet.wait_infer_sent(shard.index, 0) is self.infer_sent[shard.index]
 
     @invariant()
     def failed_restarts_stay_within_the_budget(self):

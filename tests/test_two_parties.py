@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import CircuitBuilder, FixedPointFormat, simulate
+from repro.circuits.netlist import CONST_ONE, CONST_ZERO
 from repro.compile import folded_mac_cell
 from repro.errors import ProtocolError, ReproError
 from repro.gc import Garbler, SequentialSession, TwoPartySession
@@ -340,9 +341,11 @@ class TestWhatEachPartyHolds:
 
 class TestWhatAPooledCopyHolds:
     """A pooled copy on the demo net is two halves.  Alice's keeps Δ,
-    its interface wires' rows, its tables and the sender's pads: no
-    label plane, no internal label, no random choice.  Bob's keeps the
-    receiver's pads: no garbler, no Δ, no sender pad, no wire label."""
+    its interface wires' rows and the sender's pads: no label plane, no
+    table plane, no internal label, no random choice.  Bob's keeps the
+    receiver's pads and the view of the tables and constant labels that
+    crossed to it: no garbler, no Δ, no sender pad, no label pair, and
+    of the interface wires' labels the two active constants alone."""
 
     @pytest.fixture(scope="class")
     def pooled(self):
@@ -365,7 +368,7 @@ class TestWhatAPooledCopyHolds:
         return circuit, pool, pool.acquire(), reference
 
     def test_no_plane_and_no_internal_label(self, pooled):
-        circuit, _, (alice, _bob), reference = pooled
+        circuit, _, (alice, bob), reference = pooled
         assert alice.garbler.labels.delta == reference.labels.delta
         objects = list(reachable([alice]))
         assert not [
@@ -373,6 +376,16 @@ class TestWhatAPooledCopyHolds:
             if isinstance(obj, np.ndarray) and obj.ndim
             and obj.shape[0] >= circuit.n_wires
         ]
+        # the tables crossed to Bob's half and Alice's let its plane go
+        assert alice.garbled is None
+        table_bytes = 32 * circuit.counts().non_xor
+        assert not [
+            obj for obj in objects
+            if isinstance(obj, (bytes, bytearray, np.ndarray))
+            and getattr(obj, "nbytes", len(obj)) >= table_bytes
+        ]
+        row = bob.view.tables[len(bob.view.tables) // 2].tobytes()
+        assert not any(row in blob for blob in holdings([alice])[1])
         interface = set(circuit.interface_wires().tolist())
         internal = [w for w in range(circuit.n_wires) if w not in interface]
         held = holdings([alice])
@@ -396,13 +409,20 @@ class TestWhatAPooledCopyHolds:
         circuit, _, (alice, bob), reference = pooled
         assert alice.copy_id == bob.copy_id
         objects = list(reachable([bob]))
-        assert not any(isinstance(obj, (Garbler, type(alice.garbled))) for obj in objects)
+        assert not any(isinstance(obj, Garbler) for obj in objects)
+        # the view rebuilt from the frames, with no decode bit
+        assert any(obj is bob.view for obj in objects)
+        assert bob.view.decode_bits == [] and bob.view.tweak_base == 0
+        assert len(bob.view.tables) == circuit.counts().non_xor
         held = holdings([bob])
         assert not holds_label(held, reference.labels.delta)
+        # of the interface wires' labels, the active constants alone:
+        # constant 0's zero-label and constant 1's one-label
+        active = {(CONST_ZERO, 0), (CONST_ONE, 1)}
         for wire in circuit.interface_wires().tolist():
             for bit in (0, 1):
                 label = reference.labels.select(wire, bit)
-                assert not holds_label(held, label), (wire, bit)
+                assert holds_label(held, label) is ((wire, bit) in active), (wire, bit)
         # of the sender's pads, x_r and never x_{1-r}
         sender = alice.pads.sender
         for i, r_i in enumerate(bob.pads.choices):
@@ -412,11 +432,28 @@ class TestWhatAPooledCopyHolds:
     def test_copy_bytes(self, pooled):
         circuit, pool, (alice, bob), _ = pooled
         copy_bytes = pool.stats()["copy_bytes"]
-        # tables, interface rows, Δ and the sender's pads; r and x_r
-        assert (alice.nbytes, bob.nbytes) == (378_880 + 12_752 + 22_464, 11_934)
+        # interface rows, Δ and the sender's pads; r, x_r and the tables
+        assert (alice.nbytes, bob.nbytes) == (12_752 + 22_464, 11_934 + 378_880)
         assert copy_bytes == alice.nbytes + bob.nbytes == 426_030
         # tables are most of it
         assert 32 * circuit.counts().non_xor > 0.85 * copy_bytes
+
+    def test_offline_and_request_bytes_add_up_to_a_cold_request(self, pooled):
+        circuit, pool, (_alice, bob), _ = pooled
+        # u, tables and constants crossed before the request
+        assert pool.stats()["offline_bytes"] == bob.offline_bytes == 390_200
+        rng = random.Random(31)
+        session = TwoPartySession(circuit, ot_group=TEST_GROUP_512, rng=rng)
+        a = [rng.randrange(2) for _ in circuit.alice_inputs]
+        b = [rng.randrange(2) for _ in circuit.bob_inputs]
+        (copy,) = session.pregarble_many(1)
+        hit = session.run(a, b, pregarbled=copy)
+        cold = session.run(a, b)
+        assert hit.outputs == cold.outputs == simulate(circuit, a, b)
+        # a pool hit's four frames: alice_labels, e, y, output_labels
+        assert set(hit.comm) == {"alice_labels", "ot", "output_labels"}
+        assert hit.total_comm_bytes == 24_048
+        assert copy[1].offline_bytes + hit.total_comm_bytes == cold.total_comm_bytes == 414_248
 
 
 # ---------------------------------------------------------------------------

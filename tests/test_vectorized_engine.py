@@ -1027,21 +1027,26 @@ class TestSessionAndBackends:
         )
         unit = session.pregarble_many(1)[0]
         result = session.run(bits_a, bits_b, pregarbled=unit)
-        alice = unit[0]
+        alice, bob = unit
 
         reference = _reference(circuit, seed)
         ref = reference.garble()
+        # the tables and constants crossed on pregarble_many's link
         sent = {tag: payload for tag, payload in frames}
-        assert sent["tables"] == ref.tables_bytes()
+        assert sent["tables"] == ref.tables_bytes() == bob.view.tables_bytes()
         # label frames carry a 4-byte count, then 16 bytes per label
         assert sent["const_labels"][4:] == b"".join(
             label.to_bytes(16, "little") for label in ref.const_labels
         )
-        assert alice.garbled.decode_bits == ref.decode_bits
+        assert alice.garbler.labels.output_decode_map(circuit.outputs) == ref.decode_bits
         assert alice.garbler.labels.delta == reference.labels.delta
         assert result.outputs == simulate(circuit, bits_a, bits_b)
         n_non_xor = circuit.counts().non_xor
-        assert result.comm["tables"] == 32 * n_non_xor + 4
+        assert "tables" not in result.comm
+        assert bob.offline_bytes == bob.pads.wire_bytes + sum(
+            len(payload) + 4 for tag, payload in frames if tag in ("tables", "const_labels")
+        )
+        assert len(sent["tables"]) == 32 * n_non_xor
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_cross_evaluation_on_dl_netlist(self, compiled_dl, seed):

@@ -169,10 +169,7 @@ def _cmd_worker(args) -> None:
     from .transport.worker import WorkerServer
 
     service, _ = _demo_service(backend="two_party",
-                               activation=args.activation,
-                               pool_size=args.pool)
-    if args.pool:
-        service.prepare()
+                               activation=args.activation)
     server = WorkerServer(service, host=args.host, port=args.port)
     host, port = server.address
     print(f"worker: listening on {host}:{port}", flush=True)
@@ -227,10 +224,10 @@ def _serve_sharded(args) -> None:
     reference, x = _demo_service()
     print(reference.circuit_summary)
     sharded = ShardedService(factory, shards=args.shards,
-                             prepare=per_shard_pool,
                              max_inflight=args.max_inflight,
-                             probe_interval_s=0.25,
-                             restart_backoff_s=0.25)
+                             probe_interval_s=0.25)
+    if per_shard_pool:
+        sharded.prepare(per_shard_pool)
     print(f"offline phase: {args.shards} worker processes up, "
           f"{per_shard_pool} circuits pre-garbled per shard")
 
@@ -292,7 +289,7 @@ def _serve_sharded(args) -> None:
         wall = time.perf_counter() - start
         stats = _batch_report("", results, wall, expected)
         if victim_index is not None:
-            # wait for the supervisor to re-fork, rewarm and re-probe
+            # wait for the healing loop to re-fork, rewarm and re-probe
             # the killed worker, then prove the healed fleet serves the
             # next batch without further degradation
             deadline = time.monotonic() + 120.0
@@ -481,9 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(front-end discovery for scripted runs)")
     worker.add_argument("--once", action="store_true",
                         help="exit after the first connection ends")
-    worker.add_argument("--pool", type=int, default=0,
-                        help="pre-garble this many circuit copies before "
-                             "serving (default: 0)")
     worker.add_argument("--activation", default="exact",
                         choices=ACTIVATION_VARIANTS,
                         help="Table 3 activation realization")
@@ -535,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chaos: SIGKILL the given shard worker once it "
                             "has been sent its chunk of the first batch, "
                             "then prove the chunk reroutes and the "
-                            "supervisor heals it (requires --shards)")
+                            "front-end heals it (requires --shards)")
     serve.set_defaults(func=_cmd_serve)
     return parser
 

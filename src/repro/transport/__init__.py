@@ -23,7 +23,9 @@ the in-memory runs execute:
   control-frame loop hosting peer sessions and whole inference shards.
 - :mod:`repro.transport.sharded` — :class:`ShardedService`, the
   multi-process front-end partitioning ``infer_many`` batches across
-  worker processes that each own a ``PregarbledPool`` shard.
+  worker processes that each own a ``PregarbledPool`` shard, and
+  healing them: each shard's state machine keeps its own restart
+  schedule, and the front-end's one loop probes and steps them.
 
 Failure semantics are the PR 8 taxonomy: disconnects surface as the
 transient :class:`repro.errors.ChannelClosedError`, timeouts as
@@ -35,7 +37,6 @@ transient :class:`repro.errors.ChannelClosedError`, timeouts as
 from .peer import peer_channel_factory, run_two_party_peer
 from .sharded import ShardedService
 from .socket_channel import SocketChannel, socketpair_channel_factory
-from .supervisor import ShardSupervisor
 from .wire import (
     HEADER_SIZE,
     MAGIC,
@@ -54,7 +55,6 @@ __all__ = [
     "MAX_PAYLOAD_BYTES",
     "MAX_TAG_BYTES",
     "FrameDecoder",
-    "ShardSupervisor",
     "ShardedService",
     "checksummed",
     "SocketChannel",

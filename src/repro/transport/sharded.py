@@ -9,16 +9,21 @@ one.  It speaks the :mod:`repro.transport.worker` control protocol over
 one socketpair per worker, the shard's *link*.
 
 Each shard is one state machine, :class:`_Shard`: ``alive -> suspect ->
-restarting -> alive``, or ``failed`` once the supervisor's restart
-budget is spent.  One rule covers every shard RPC (``infer``,
-``stats``, ``prepare``, ``ping``): if it fails for any reason — a
-timeout, EOF, a bad frame, an ``ok: false`` reply, a reply the
-front-end cannot parse — its link is retired.  The shard goes
-``suspect``, the socket is closed, the child is reaped whether or not
-it is alive, and the
-:class:`~repro.transport.supervisor.ShardSupervisor` is kicked to
+restarting -> alive``, or ``failed`` once its restart budget is spent.
+One rule covers every shard RPC (``infer``, ``stats``, ``prepare``,
+``ping``): if it fails for any reason — a timeout, EOF, a bad frame, an
+``ok: false`` reply, a reply the front-end cannot parse — its link is
+retired.  The shard goes ``suspect``, the socket is closed, the child
+is reaped whether or not it is alive, and the healing loop is kicked to
 re-fork it.  A retired link is never read again, so a late reply can
 never answer a later request.
+
+The healing loop is one daemon thread per front-end: every
+``probe_interval_s``, or at once when a link is retired, it pings each
+``alive`` shard and steps each ``suspect`` one through
+:meth:`_Shard.heal`, which keeps the shard's own restart schedule —
+capped exponential backoff, and ``max_restarts`` consecutive failed
+attempts before the shard is terminally ``failed``.
 
 A chunk is routed only to an ``alive`` shard.  A failed chunk reroutes
 to another one; when no shard is alive, each of its slots comes back as
@@ -36,8 +41,7 @@ request counts land in :meth:`stats`.
 
 ``stats()`` rolls the shard services' counters up next to the
 front-end's own routing counters, so one snapshot answers "what did the
-fleet serve", "how degraded are we" and "what has the supervisor had to
-fix".
+fleet serve", "how degraded are we" and "what has healing had to fix".
 """
 
 from __future__ import annotations
@@ -46,13 +50,13 @@ import multiprocessing
 import multiprocessing.process
 import socket
 import threading
+import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ChannelClosedError, ChannelIntegrityError, EngineError, ProtocolError
 from ..resilience.admission import AdmissionGate
-from .supervisor import ShardSupervisor
 from .worker import encode_ctl, recv_ctl, retain_heap, send_ctl, serve_connection
 
 __all__ = ["ShardedService"]
@@ -66,6 +70,18 @@ DEFAULT_RPC_TIMEOUT_S = 120.0
 #: joined), and then to exit on its own before it is killed.
 SHUTDOWN_TIMEOUT_S = 5.0
 EXIT_GRACE_S = 2.0
+
+#: Liveness deadline one heartbeat ``ping`` must answer within.
+PROBE_TIMEOUT_S = 10.0
+
+#: Ceiling on the backoff between two restart attempts of one shard.
+RESTART_BACKOFF_CAP_S = 5.0
+
+#: What one healing pass counts (``stats()["supervisor"]`` adds
+#: ``passes`` and ``errors``).
+HEALING_ACTIONS = ("probes", "probe_failures", "restarts", "restart_failures", "gave_up")
+
+_PING = encode_ctl({"op": "ping"})
 
 #: Most requests one ``infer`` RPC carries, so the worker's reply (a few
 #: hundred bytes per result) stays well inside the control-record cap.
@@ -96,13 +112,14 @@ def _shard_main(
 
 
 class _Shard:
-    """One worker process, its link, and the tier's one state machine.
+    """One worker process, its link, its restart schedule, and the tier's
+    one state machine.
 
     ``state`` walks ``alive -> suspect -> restarting -> alive`` (or
-    ``suspect -> failed``) and is written only by the methods below,
-    each under :attr:`lock` — which also serializes the turn-based
-    control protocol on the link, so an RPC never interleaves with
-    another or with a transition.
+    ``suspect -> failed``), and it and the schedule are written only by
+    the methods below, each under :attr:`lock` — which also serializes
+    the turn-based control protocol on the link, so an RPC never
+    interleaves with another or with a transition.
     """
 
     def __init__(
@@ -110,10 +127,14 @@ class _Shard:
         index: int,
         spawn: Callable[[int], Link],
         on_retire: Callable[[], None],
+        max_restarts: int,
+        backoff_s: float,
     ) -> None:
         self.index = index
         self._spawn = spawn
         self._on_retire = on_retire
+        self.max_restarts = max_restarts
+        self.backoff_s = backoff_s
         self.lock = threading.Lock()
         self.sock, self.process = spawn(index)
         #: set once the first ``infer`` record has gone out on a link
@@ -123,6 +144,10 @@ class _Shard:
         self.failures = 0
         self.restarts = 0
         self.last_error: Optional[str] = None
+        #: the restart schedule: consecutive failed attempts, and the
+        #: clock time the next one waits for
+        self.attempts = 0
+        self.next_attempt_at = 0.0
 
     @property
     def alive(self) -> bool:
@@ -188,7 +213,7 @@ class _Shard:
 
     def _retire(self, error: BaseException) -> None:
         """Retire the link (lock held): ``suspect``, socket closed,
-        child reaped, supervisor kicked."""
+        child reaped, healing loop kicked."""
         self.state = "suspect"
         self.failures += 1
         self.last_error = f"{type(error).__name__}: {error}"
@@ -206,19 +231,23 @@ class _Shard:
             self.process.kill()
             self.process.join(timeout=SHUTDOWN_TIMEOUT_S)
 
-    def restart(
-        self, prepare: int, rpc_timeout_s: float, probe_timeout_s: float
-    ) -> bool:
-        """``suspect -> restarting -> alive``: fork a fresh worker on a
-        fresh link, rewarm ``prepare`` copies, and require a ping.
+    def heal(self, now: float, prepare: int, rpc_timeout_s: float) -> Optional[str]:
+        """The one transition out of ``suspect``, once the backoff has passed.
 
-        Returns ``False`` — the shard is ``suspect`` again, the new link
-        retired — when any step fails, or when the shard was not
-        ``suspect`` to begin with.
+        With the budget spent the shard goes ``failed``, which is terminal
+        (``"gave_up"``).  Otherwise it is ``restarting``: a fresh worker on
+        a fresh link rewarms ``prepare`` copies and must answer a ping.
+        Success makes it ``alive`` and clears the schedule
+        (``"restarts"``); a failure leaves it ``suspect``, the new link
+        retired, with the backoff re-armed from ``now``
+        (``"restart_failures"``).  ``None``: nothing was due.
         """
         with self.lock:
-            if self.state != "suspect":
-                return False
+            if self.state != "suspect" or now < self.next_attempt_at:
+                return None
+            if self.attempts >= self.max_restarts:
+                self.state = "failed"
+                return "gave_up"
             self.state = "restarting"
             try:
                 self.sock, self.process = self._spawn(self.index)
@@ -227,23 +256,20 @@ class _Shard:
                         encode_ctl({"op": "prepare", "count": prepare}),
                         rpc_timeout_s,
                     )
-                self._exchange(encode_ctl({"op": "ping"}), probe_timeout_s)
+                self._exchange(_PING, PROBE_TIMEOUT_S)
             except Exception as exc:
                 if self.state == "restarting":  # the fork itself failed
                     self._retire(exc)
-                return False
+                self.next_attempt_at = now + min(
+                    self.backoff_s * 2 ** self.attempts, RESTART_BACKOFF_CAP_S
+                )
+                self.attempts += 1
+                return "restart_failures"
             self.state = "alive"
             self.restarts += 1
             self.last_error = None
-            return True
-
-    def give_up(self) -> bool:
-        """``suspect -> failed``, terminal; ``False`` from any other state."""
-        with self.lock:
-            if self.state != "suspect":
-                return False
-            self.state = "failed"
-            return True
+            self.attempts, self.next_attempt_at = 0, 0.0
+            return "restarts"
 
     def close(self) -> None:
         """Shut the worker down and reap it (idempotent).
@@ -273,36 +299,29 @@ class ShardedService:
             per worker process (each worker owns its own pool shard),
             never in the front-end.  Must be fork-safe.
         shards: worker process count (>= 1).
-        prepare: pre-garbled copies each worker warms before serving
-            (0 skips the offline phase); restarted workers rewarm the
-            same count before rejoining.
         rpc_timeout_s: cap on one shard RPC round trip.
         max_inflight: bound on concurrently admitted requests across all
             batches (0 = unbounded); excess is shed with the permanent
             :class:`~repro.errors.ServiceOverloadedError`.
-        probe_interval_s / probe_timeout_s: heartbeat cadence and the
-            liveness deadline one ping must answer within.
+        probe_interval_s: idle wait between two healing passes.
         max_restarts: consecutive failed restart attempts before a shard
             is declared terminally ``failed``.
-        restart_backoff_s / restart_backoff_cap_s: capped exponential
-            backoff between restart attempts.
-        drain_timeout_s: default grace :meth:`close` waits for in-flight
-            batches before abandoning them.
+        restart_backoff_s: first backoff between restart attempts; it
+            doubles per failed attempt, up to :data:`RESTART_BACKOFF_CAP_S`.
+
+    Workers start with cold pools: :meth:`prepare` warms them, and
+    restarted workers rewarm the count it last asked for.
     """
 
     def __init__(
         self,
         service_factory: Callable[[], Any],
         shards: int = 2,
-        prepare: int = 0,
         rpc_timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
         max_inflight: int = 0,
         probe_interval_s: float = 1.0,
-        probe_timeout_s: float = 10.0,
         max_restarts: int = 3,
         restart_backoff_s: float = 0.25,
-        restart_backoff_cap_s: float = 5.0,
-        drain_timeout_s: float = 30.0,
     ) -> None:
         if shards < 1:
             raise EngineError("ShardedService needs shards >= 1")
@@ -310,39 +329,41 @@ class ShardedService:
             raise EngineError("max_inflight must be >= 0 (0 = unbounded)")
         if max_restarts < 0:
             raise EngineError("max_restarts must be >= 0")
-        if min(restart_backoff_s, restart_backoff_cap_s, drain_timeout_s) < 0:
-            raise EngineError("backoff and drain timeouts must be >= 0")
+        if restart_backoff_s < 0:
+            raise EngineError("restart_backoff_s must be >= 0")
         self._factory = service_factory
         self._rpc_timeout_s = rpc_timeout_s
-        self._probe_timeout_s = probe_timeout_s
-        self._prepare_count = int(prepare)
+        self._prepare_count = 0
         self._gate = AdmissionGate(max_inflight)
-        self._drain_timeout_s = float(drain_timeout_s)
         self._lock = threading.Lock()
         self._stats: Dict[str, int] = {
             "requests": 0,
             "degraded_requests": 0,
             "reroutes": 0,
         }
-        self._context = multiprocessing.get_context("fork")
-        #: probes and re-forks the workers: the one thing that brings a
-        #: retired shard back (started once the shards are warm)
-        self._supervisor = ShardSupervisor(
-            self,
-            probe_interval_s=probe_interval_s,
-            max_restarts=max_restarts,
-            backoff_s=restart_backoff_s,
-            backoff_cap_s=restart_backoff_cap_s,
+        #: the healing loop's counters and schedule, ``stats()["supervisor"]``
+        self._healing: Dict[str, int] = dict.fromkeys(
+            ("passes",) + HEALING_ACTIONS + ("errors",), 0
         )
+        self._schedule = {
+            "probe_interval_s": probe_interval_s,
+            "max_restarts": max_restarts,
+            "backoff_s": restart_backoff_s,
+            "backoff_cap_s": RESTART_BACKOFF_CAP_S,
+        }
+        self._wake = threading.Condition()
+        self._kicked = False
+        self._stopped = False
+        self._context = multiprocessing.get_context("fork")
         self._shards: List[_Shard] = [
-            _Shard(index, self._spawn_worker, self._kick)
+            _Shard(index, self._spawn_worker, self._kick, max_restarts, restart_backoff_s)
             for index in range(shards)
         ]
-        if prepare:
-            # warm every pool shard before the first batch (the sharded
-            # offline phase); a worker that fails it is retired
-            self.prepare(prepare)
-        self._supervisor.start()
+        #: the one thing that brings a retired shard back
+        self._healer = threading.Thread(
+            target=self._heal_forever, name="repro-shard-healer", daemon=True
+        )
+        self._healer.start()
 
     # -- shard plumbing ----------------------------------------------------
 
@@ -359,10 +380,6 @@ class ShardedService:
         child_sock.close()
         return parent_sock, process
 
-    def _kick(self) -> None:
-        """A link was retired: wake the supervisor."""
-        self._supervisor.kick()
-
     def live_shards(self) -> List[int]:
         """Indices of shards in the serving state."""
         return [s.index for s in self._shards if s.alive]
@@ -371,39 +388,73 @@ class ShardedService:
         """Per-shard supervision states, in shard order."""
         return [s.state for s in self._shards]
 
-    def probe_shard(self, index: int) -> bool:
-        """Heartbeat one shard: a ping within the liveness deadline.
-
-        Returns ``False`` when the shard is not ``alive`` or the ping
-        fails (which retires its link); a busy shard — RPC in flight —
-        counts as healthy without probing.
-        """
-        try:
-            self._shards[index].rpc(
-                encode_ctl({"op": "ping"}), self._probe_timeout_s, wait=False
-            )
-        except Exception:
-            return False
-        return True
-
     def wait_infer_sent(self, index: int, timeout: Optional[float] = None) -> bool:
         """Block until shard ``index`` has been sent its first ``infer``
         record, or ``timeout`` passes (``False``) — the protocol point a
         chaos drill keys a mid-batch fault to."""
         return self._shards[index].infer_sent.wait(timeout)
 
-    def restart_shard(self, index: int) -> bool:
-        """Re-fork one ``suspect`` shard's worker (see :meth:`_Shard.restart`).
+    # -- healing -----------------------------------------------------------
 
-        Refused while draining.  ``False`` leaves the shard ``suspect``;
-        the supervisor retries with backoff until the restart budget
-        runs out.
+    def _kick(self) -> None:
+        """A link was retired: run a healing pass now."""
+        with self._wake:
+            self._kicked = True
+            self._wake.notify_all()
+
+    def _heal_forever(self) -> None:
+        """The healing loop: a pass every ``probe_interval_s``, or when kicked."""
+        while True:
+            with self._wake:
+                if not self._kicked and not self._stopped:
+                    self._wake.wait(timeout=self._schedule["probe_interval_s"])
+                if self._stopped:
+                    return
+                self._kicked = False
+            try:
+                self.check_once()
+            except Exception:
+                # the healer must never die of its own bug; the counter
+                # surfaces in stats() for the operator to notice
+                with self._lock:
+                    self._healing["errors"] += 1
+
+    def _stop_healing(self) -> None:
+        """Stop the healing loop and join its thread (idempotent)."""
+        with self._wake:
+            self._stopped = True
+            self._wake.notify_all()
+        if self._healer.is_alive():
+            self._healer.join(timeout=10.0)
+
+    def check_once(self, now: Optional[float] = None) -> Dict[str, int]:
+        """Run one healing pass; returns its action counts.
+
+        Pings every ``alive`` shard, without queueing behind an RPC in
+        flight, and steps every other one through :meth:`_Shard.heal` at
+        ``now`` (default: the monotonic clock).  No shard is restarted
+        once :meth:`close` has begun draining.  The loop thread calls
+        this; a test may call it directly, on its own clock.
         """
-        if self._gate.stats()["draining"]:
-            return False
-        return self._shards[index].restart(
-            self._prepare_count, self._rpc_timeout_s, self._probe_timeout_s
-        )
+        now = time.monotonic() if now is None else now
+        draining = self._gate.stats()["draining"]
+        actions = dict.fromkeys(HEALING_ACTIONS, 0)
+        for shard in self._shards:
+            if shard.alive:
+                actions["probes"] += 1
+                try:
+                    shard.rpc(_PING, PROBE_TIMEOUT_S, wait=False)
+                except Exception:
+                    actions["probe_failures"] += 1
+            elif not draining:
+                outcome = shard.heal(now, self._prepare_count, self._rpc_timeout_s)
+                if outcome is not None:
+                    actions[outcome] += 1
+        with self._lock:
+            self._healing["passes"] += 1
+            for key, value in actions.items():
+                self._healing[key] += value
+        return actions
 
     # -- serving -----------------------------------------------------------
 
@@ -597,7 +648,8 @@ class ShardedService:
         }
         if shard_ot:  # forks of one configuration: the first speaks for all
             snapshot["ot"]["group"] = shard_ot[0].get("group")
-        snapshot["supervisor"] = self._supervisor.stats()
+        with self._lock:
+            snapshot["supervisor"] = {**self._healing, **self._schedule}
         return snapshot
 
     def prepare(self, count: int) -> int:
@@ -622,23 +674,20 @@ class ShardedService:
                 continue  # retired: a restart rewarms it
         return total
 
-    def close(self, drain_timeout_s: Optional[float] = None) -> None:
+    def close(self, drain_timeout_s: float = 30.0) -> None:
         """Drain in-flight batches, then shut every worker down (idempotent).
 
         New batches are refused the moment draining begins
         (:class:`~repro.errors.ServiceDrainingError`); batches already
-        admitted get up to ``drain_timeout_s`` (default: the
-        constructor's) to finish.  Requests still in flight when the
-        grace expires are counted as ``aborted_requests``; everything
-        that finished during the wait lands in ``drained_requests`` —
-        nothing is dropped silently, nothing served twice.
+        admitted get up to ``drain_timeout_s`` to finish.  Requests
+        still in flight when the grace expires are counted as
+        ``aborted_requests``; everything that finished during the wait
+        lands in ``drained_requests`` — nothing is dropped silently,
+        nothing served twice.
         """
-        grace = (
-            self._drain_timeout_s if drain_timeout_s is None else drain_timeout_s
-        )
-        if not self._gate.drain(grace):
+        if not self._gate.drain(drain_timeout_s):
             return
-        self._supervisor.close()
+        self._stop_healing()
         for shard in self._shards:
             shard.close()
 

@@ -28,8 +28,8 @@ Control operations:
     serve a batch shard through ``service.infer_many``, in this thread,
     and return the per-request records (``dataclasses.asdict`` of each
     ``InferenceResult``) — the :class:`~repro.transport.sharded.ShardedService`
-    data path.  Unknown fields (an older front-end's ``max_workers``)
-    are ignored.
+    data path.  The worker reads ``samples``, ``request_ids`` and the
+    oracle fields below, and ignores any other.
 
 The garbling oracle is part of the wire contract (SHA and AES tables
 differ), so ``peer`` and ``infer`` records may carry the caller's

@@ -64,6 +64,7 @@ class TestCLI:
         ["infer", "--connect", "127.0.0.1:1", "--backend", "simulate"],
         ["infer", "--connect", "127.0.0.1:1"],
         ["serve", "--kdf-backend", "sha256_vec"],
+        ["worker", "--pool", "2"],  # the evaluator process never garbles
     ])
     def test_bad_arguments_rejected(self, argv):
         with pytest.raises(SystemExit) as info:

@@ -7,8 +7,9 @@ answers them as the test scripts — correctly, late (after the caller's
 timeout, so a reused link would read the stale reply next), cut off,
 with a bad frame, with an ``ok: false`` reply, or with a reply the
 front-end cannot parse.  Hypothesis drives batches, stats snapshots,
-out-of-band crashes, broken forks and supervision passes on a fake
-clock, and checks after every step that:
+out-of-band crashes, broken forks and healing passes
+(``ShardedService.check_once``) on a fake clock, and checks after every
+step that:
 
 - consecutive failed restarts of a shard never exceed ``max_restarts``;
 - ``failed`` is terminal;
@@ -35,7 +36,8 @@ from hypothesis.stateful import (
 )
 
 from repro.service import InferenceResult
-from repro.transport import ShardedService, ShardSupervisor, recv_ctl, send_ctl
+from repro.transport import ShardedService, recv_ctl, send_ctl
+from repro.transport.sharded import RESTART_BACKOFF_CAP_S
 from repro.transport.wire import HEADER_SIZE
 
 #: How a scripted worker answers one control record.
@@ -204,7 +206,7 @@ class FakeFleet(ShardedService):
         self._machine = machine
         machine.fleet = self  # the links check RPCs from the first prepare on
         super().__init__(lambda: None, probe_interval_s=3600.0, **kwargs)
-        self._supervisor.close()  # the machine drives check_once itself
+        self._stop_healing()  # the machine drives check_once itself
 
     def _spawn_worker(self, index: int):
         return self._machine.spawn(index)
@@ -212,7 +214,7 @@ class FakeFleet(ShardedService):
 
 SHARD = st.integers(0, 2)
 CLOCK_STEPS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-BACKOFF_S, BACKOFF_CAP_S = 0.25, 1.0
+BACKOFF_S = 0.25
 
 
 class ShardMachine(RuleBasedStateMachine):
@@ -228,25 +230,18 @@ class ShardMachine(RuleBasedStateMachine):
         self.now = 0.0
         self.batches = 0
         self.max_restarts = max_restarts
-        self.fleet = FakeFleet(self, shards=shards, prepare=prepare)
-        self.shards = self.fleet._shards
-        self.supervisor = ShardSupervisor(
-            self.fleet, max_restarts=max_restarts, backoff_s=BACKOFF_S,
-            backoff_cap_s=BACKOFF_CAP_S, clock=lambda: self.now,
+        self.spawned = set()  # shards forked since the last healing pass
+        self.fleet = FakeFleet(
+            self, shards=shards, max_restarts=max_restarts,
+            restart_backoff_s=BACKOFF_S,
         )
-        self.fleet._supervisor = self.supervisor  # kicked, never started
+        self.shards = self.fleet._shards
+        if prepare:
+            self.fleet.prepare(prepare)
         self.streak = [0] * shards  # consecutive failed restarts
         self.infer_sent = [False] * shards  # a link has taken an infer record
         self.ever_failed = set()
         self.last_states = self.fleet.shard_states()
-        restart_shard = self.fleet.restart_shard
-
-        def counted(index: int) -> bool:
-            ok = restart_shard(index)
-            self.streak[index] = 0 if ok else self.streak[index] + 1
-            return ok
-
-        self.fleet.restart_shard = counted  # type: ignore[method-assign]
 
     def teardown(self):
         if hasattr(self, "fleet"):
@@ -255,6 +250,7 @@ class ShardMachine(RuleBasedStateMachine):
     # -- the stubs ---------------------------------------------------------
 
     def spawn(self, index: int):
+        self.spawned.add(index)
         fault = self.spawn_faults.popleft() if self.spawn_faults else None
         if fault == "fork_fails":
             raise OSError("fork failed")
@@ -336,12 +332,17 @@ class ShardMachine(RuleBasedStateMachine):
     @rule(dt=CLOCK_STEPS)
     def supervise(self, dt):
         self.now += dt
-        attempts = dict(self.supervisor.restart_attempts)
-        self.supervisor.check_once()
-        for index, count in self.supervisor.restart_attempts.items():
-            if count > attempts.get(index, 0):  # a restart just failed
-                delay = min(BACKOFF_S * 2 ** (count - 1), BACKOFF_CAP_S)
-                assert self.supervisor.next_restart_at[index] == self.now + delay
+        attempts = [shard.attempts for shard in self.shards]
+        self.spawned.clear()
+        self.fleet.check_once(self.now)
+        for shard in self.shards:
+            if shard.index in self.spawned:  # a restart was attempted
+                ok = shard.state == "alive"
+                self.streak[shard.index] = 0 if ok else self.streak[shard.index] + 1
+            count = shard.attempts
+            if count > attempts[shard.index]:  # a restart just failed
+                delay = min(BACKOFF_S * 2 ** (count - 1), RESTART_BACKOFF_CAP_S)
+                assert shard.next_attempt_at == self.now + delay
 
     # -- invariants --------------------------------------------------------
 
@@ -377,8 +378,8 @@ class ShardMachine(RuleBasedStateMachine):
             else:
                 assert shard.sock.closed and shard.process.exitcode is not None
             if now == "suspect" and before == "alive":
-                assert self.supervisor._kicked
-        self.supervisor._kicked = False
+                assert self.fleet._kicked
+        self.fleet._kicked = False
         self.last_states = states
 
 

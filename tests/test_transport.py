@@ -4,6 +4,7 @@ worker protocol and the process-sharded front-end."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import random
 import signal
@@ -40,7 +41,6 @@ from repro.transport import (
     MAX_TAG_BYTES,
     FrameDecoder,
     ShardedService,
-    ShardSupervisor,
     encode_frame,
     socketpair_channel_factory,
 )
@@ -459,11 +459,11 @@ def _tiny_samples(n):
 
 
 def _unsupervised(service_factory, **kwargs):
-    """A front-end whose supervisor thread is stopped right after
-    construction (and would idle for an hour first): no shard comes back
-    unless the test restarts it or drives ``ShardSupervisor.check_once``."""
+    """A front-end whose healing loop is stopped right after construction
+    (and would idle for an hour first): no shard comes back unless the
+    test drives ``ShardedService.check_once`` itself."""
     service = ShardedService(service_factory, probe_interval_s=3600.0, **kwargs)
-    service._supervisor.close()
+    service._stop_healing()
     return service
 
 
@@ -700,7 +700,7 @@ class TestShardedService:
             service.close()
 
     def test_worker_crash_reroutes_its_chunk_to_a_live_shard(self):
-        # the supervisor stopped: this test pins the degraded path
+        # the healing loop stopped: this test pins the degraded path
         # alone; the healing path has its own tests below
         service = _unsupervised(_tiny_service, shards=2)
         try:
@@ -831,7 +831,7 @@ class TestShardedService:
             assert stats["per_shard"][0]["failures"] == 1
             assert stats["degraded_requests"] == 4
             # a fresh link serves the same requests correctly
-            assert service.restart_shard(0) is True
+            assert service.check_once()["restarts"] == 1
             batch_c = service.infer_many(samples[2:], request_ids=["c0", "c1"])
             assert [(r.request_id, r.label) for r in batch_c] == [
                 ("c0", expected[2]), ("c1", expected[3])
@@ -1017,12 +1017,25 @@ def _wait_until(predicate, timeout=90.0, interval=0.05):
     return bool(predicate())
 
 
+class TestFrontEndSurface:
+    """The front-end's configuration is what callers set, and no more."""
+
+    KNOBS = {
+        "shards", "rpc_timeout_s", "max_inflight", "probe_interval_s",
+        "max_restarts", "restart_backoff_s",
+    }
+
+    def test_sharded_service_has_the_six_knobs(self):
+        params = list(inspect.signature(ShardedService).parameters)
+        assert params[0] == "service_factory"
+        assert set(params[1:]) == self.KNOBS
+
+
 class TestShardSupervision:
     def test_supervisor_heals_worker_killed_mid_batch(self):
         service = ShardedService(
             _tiny_service, shards=2,
             probe_interval_s=0.1, restart_backoff_s=0.05,
-            restart_backoff_cap_s=0.2,
         )
         try:
             samples = _tiny_samples(4)
@@ -1039,7 +1052,7 @@ class TestShardSupervision:
             # the batch completed with every label correct despite the
             # SIGKILL: the dead shard's chunk rerouted to the live one
             assert [r.label for r in results] == expected
-            # the supervisor re-forks the worker within its backoff
+            # the healing loop re-forks the worker within its backoff
             # budget and the shard walks suspect -> restarting -> alive
             assert _wait_until(
                 lambda: service.stats()["restarts"] >= 1
@@ -1065,14 +1078,15 @@ class TestShardSupervision:
             victim.process.kill()
             victim.process.join()
             old_pid = victim.process.pid
-            # the heartbeat proves the worker gone: suspect + reaped
-            assert service.probe_shard(0) is False
+            # the heartbeat proves the worker gone: suspect + reaped,
+            # while the live shard probes healthy
+            actions = service.check_once()
+            assert (actions["probes"], actions["probe_failures"]) == (2, 1)
             assert victim.state == "suspect"
             assert victim.process.exitcode is not None
-            # a live shard probes healthy
-            assert service.probe_shard(1) is True
+            assert service._shards[1].state == "alive"
             # restart re-forks and re-probes before the shard is alive
-            assert service.restart_shard(0) is True
+            assert service.check_once()["restarts"] == 1
             assert victim.state == "alive"
             assert victim.process.pid != old_pid
             assert victim.last_error is None
@@ -1084,57 +1098,55 @@ class TestShardSupervision:
             service.close()
 
     def test_restart_budget_exhausts_to_terminal_failed_state(self):
-        service = _unsupervised(_tiny_service, shards=2)
-        supervisor = ShardSupervisor(
-            service, probe_interval_s=60.0, max_restarts=0
-        )
+        service = _unsupervised(_tiny_service, shards=2, max_restarts=0)
         try:
             victim = service._shards[0]
             victim.process.kill()
             victim.process.join()
-            assert service.probe_shard(0) is False
-            # budget of zero: the first supervision pass retires it
-            actions = supervisor.check_once()
+            assert service.check_once()["probe_failures"] == 1
+            # budget of zero: the first pass that steps it retires it
+            actions = service.check_once()
             assert actions["gave_up"] == 1
             assert victim.state == "failed"
             # a failed shard is terminal: later passes leave it alone
-            assert supervisor.check_once()["gave_up"] == 0
+            assert service.check_once()["gave_up"] == 0
             assert victim.state == "failed"
-            assert supervisor.stats()["gave_up"] == 1
+            assert service.stats()["supervisor"]["gave_up"] == 1
             # ...but serving continues, rerouted to the live shard
             results = service.infer_many(_tiny_samples(2))
             assert all(r.ok for r in results)
             assert service.stats()["degraded_requests"] >= 1
         finally:
-            supervisor.close()
             service.close()
 
     def test_backoff_schedule_caps_and_gates_restart_attempts(self):
-        service = _unsupervised(_tiny_service, shards=1)
-        fake_now = [100.0]
-        supervisor = ShardSupervisor(
-            service, max_restarts=5, backoff_s=0.25, backoff_cap_s=1.0,
-            clock=lambda: fake_now[0],
+        service = _unsupervised(
+            _tiny_service, shards=1, max_restarts=8, restart_backoff_s=0.25
         )
+        now = 100.0
         try:
             shard = service._shards[0]
             shard.process.kill()
-            assert service.probe_shard(0) is False
+            assert service.check_once(now)["probe_failures"] == 1
             assert shard.state == "suspect"
 
+            def fork_fails(index):
+                raise OSError("fork failed")
+
             # make every restart attempt fail without forking anything
-            service.restart_shard = lambda index: False  # type: ignore[method-assign]
+            shard._spawn = fork_fails
             delays = []
-            for _ in range(4):
-                assert supervisor.check_once()["restart_failures"] == 1
-                delays.append(supervisor.next_restart_at[0] - fake_now[0])
+            for _ in range(7):
+                assert service.check_once(now)["restart_failures"] == 1
+                assert shard.state == "suspect"
+                delays.append(shard.next_attempt_at - now)
                 # before the backoff expires the shard is left alone
-                assert supervisor.check_once()["restart_failures"] == 0
-                fake_now[0] = supervisor.next_restart_at[0]
-            # capped exponential: 0.25, 0.5, 1.0, 1.0 (cap)
-            assert delays == [0.25, 0.5, 1.0, 1.0]
+                assert service.check_once(now)["restart_failures"] == 0
+                now = shard.next_attempt_at
+            # capped exponential: doubling from 0.25 up to the 5 s cap
+            assert delays == [0.25, 0.5, 1.0, 2.0, 4.0, 5.0, 5.0]
+            assert shard.attempts == 7
         finally:
-            supervisor.close()
             service.close()
 
 

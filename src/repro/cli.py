@@ -115,7 +115,7 @@ def _infer_remote(args) -> None:
     from .errors import EngineError
     from .gc.ot_extension import IKNPState
     from .transport import run_two_party_peer
-    from .transport.worker import open_peer_session, recv_ctl, send_ctl
+    from .transport.worker import ctl_channel, open_peer_session, recv_ctl, send_ctl
 
     if args.backend != "two_party":
         raise SystemExit("infer: --connect supports backend two_party only")
@@ -126,13 +126,14 @@ def _infer_remote(args) -> None:
                                activation=args.activation)
     print(service.circuit_summary)
     sock = socket.create_connection((host or "127.0.0.1", int(port)))
+    ctl = ctl_channel(sock)
     # the connection's OT state: its first session pays the base OT
     ot_state = IKNPState(service.config.ot_group)
     agreements = 0
     try:
         for index in range(args.samples):
             try:
-                open_peer_session(sock, service.kdf)
+                open_peer_session(ctl, service.kdf)
             except EngineError as exc:
                 raise SystemExit(f"infer: {exc}")
             paid = ot_state.setup_bytes == 0
@@ -142,7 +143,7 @@ def _infer_remote(args) -> None:
                 kdf=service.kdf, ot_group=service.config.ot_group,
                 ot_state=ot_state,
             )
-            remote = recv_ctl(sock, timeout=60.0)
+            remote = recv_ctl(ctl, timeout=60.0)
             label = service.compiled.decode_output(result.outputs)
             comm = sum(result.comm.values())
             agree = bool(remote.get("ok")) and remote.get("comm_bytes") == comm
@@ -152,12 +153,12 @@ def _infer_remote(args) -> None:
                   f"comm {comm / 1e6:.2f} MB | "
                   f"base OT: {'paid' if paid else 'kept'} | "
                   f"comm agreement: {'OK' if agree else 'MISMATCH'}")
-        send_ctl(sock, {"op": "shutdown"})
-        bye = recv_ctl(sock, timeout=60.0)
+        send_ctl(ctl, {"op": "shutdown"})
+        bye = recv_ctl(ctl, timeout=60.0)
         print(f"worker shutdown: {'OK' if bye.get('ok') else 'FAILED'} | "
               f"sessions agreed {agreements}/{args.samples}")
     finally:
-        sock.close()
+        ctl.close()
     if agreements != args.samples:
         raise SystemExit("infer: the two ends counted different traffic")
 

@@ -75,11 +75,12 @@ class Frame:
 
 
 class ChannelStats:
-    """Bytes sent per direction plus a message log for reports."""
+    """Bytes sent per direction and per tag, plus a message log for reports."""
 
     def __init__(self) -> None:
         self.bytes_a_to_b = 0
         self.bytes_b_to_a = 0
+        self._by_tag: Dict[str, int] = {}
         self.log: List[Tuple[str, str, int]] = []
 
     def record(self, direction: str, tag: str, size: int) -> None:
@@ -88,14 +89,12 @@ class ChannelStats:
             self.bytes_a_to_b += size
         else:
             self.bytes_b_to_a += size
+        self._by_tag[tag] = self._by_tag.get(tag, 0) + size
         self.log.append((direction, tag, size))
 
     def by_tag(self) -> Dict[str, int]:
         """Aggregate traffic per message tag (e.g. 'tables', 'ot')."""
-        agg: Dict[str, int] = {}
-        for _, tag, size in self.log:
-            agg[tag] = agg.get(tag, 0) + size
-        return agg
+        return dict(self._by_tag)
 
 
 class _LinkState:

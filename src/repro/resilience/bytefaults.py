@@ -1,9 +1,10 @@
 """Byte-granularity fault injection for stream sockets — chaos below frames.
 
 :mod:`repro.resilience.faults` mutates whole :class:`~repro.gc.channel.Frame`
-objects at the dispatch seam; everything below that — ``read_frame``'s
-short-read loop, ``recv_ctl``'s header/payload reassembly, the
-deadline-to-socket-timeout mapping — never sees a fault from it.  This
+objects at the dispatch seam; everything below that — the remote
+``SocketChannel``'s read loop, which reassembles every frame (control
+records too) through one ``FrameDecoder``, the deadline-to-socket-timeout
+mapping — never sees a fault from it.  This
 module injects failures at the *byte* layer instead: a
 :class:`FaultyStream` wraps a connected socket and perturbs individual
 ``recv``/``send`` calls according to a seeded :class:`StreamFaultPlan`:

@@ -9,7 +9,8 @@ the in-memory runs execute:
 - :mod:`repro.transport.wire` — the length-prefixed codec: one
   ``Frame`` (tag / seq / CRC / virtual delay / payload) per wire record,
   size-capped, with malformed input surfacing as the existing typed
-  :class:`repro.errors.ChannelIntegrityError`.
+  :class:`repro.errors.ChannelIntegrityError`; ``FrameDecoder`` reads
+  every frame this package receives.
 - :mod:`repro.transport.socket_channel` — :class:`SocketChannel`, a
   ``Channel`` whose dispatch/fetch seams are a connected stream socket;
   plus a loopback socketpair factory that is drop-in for
@@ -19,8 +20,9 @@ the in-memory runs execute:
   other, so each process runs its own party's steps on its own input
   and rng; the frames (sizes, tags, order, comm accounting) are the
   in-memory run's, plus one framed base-OT set-up per connection.
-- :mod:`repro.transport.worker` — the ``cli worker`` protocol: a
-  control-frame loop hosting peer sessions and whole inference shards.
+- :mod:`repro.transport.worker` — the ``cli worker`` protocol: JSON
+  control records as frames of a ``SocketChannel`` (``ctl_channel``),
+  served by a loop hosting peer sessions and whole inference shards.
 - :mod:`repro.transport.sharded` — :class:`ShardedService`, the
   multi-process front-end partitioning ``infer_many`` batches across
   worker processes that each own a ``PregarbledPool`` shard, and
@@ -43,11 +45,9 @@ from .wire import (
     MAX_PAYLOAD_BYTES,
     MAX_TAG_BYTES,
     FrameDecoder,
-    checksummed,
     encode_frame,
-    read_frame,
 )
-from .worker import WorkerServer, recv_ctl, send_ctl
+from .worker import WorkerServer, ctl_channel, recv_ctl, send_ctl
 
 __all__ = [
     "HEADER_SIZE",
@@ -56,12 +56,11 @@ __all__ = [
     "MAX_TAG_BYTES",
     "FrameDecoder",
     "ShardedService",
-    "checksummed",
     "SocketChannel",
     "WorkerServer",
+    "ctl_channel",
     "encode_frame",
     "peer_channel_factory",
-    "read_frame",
     "recv_ctl",
     "run_two_party_peer",
     "send_ctl",

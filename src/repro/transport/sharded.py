@@ -6,7 +6,8 @@ worker *processes*, each hosting a full
 circuit, pre-garbled pool shard, retry policy, breakers — built by the
 same ``service_factory`` in every child; the front-end never builds
 one.  It speaks the :mod:`repro.transport.worker` control protocol over
-one socketpair per worker, the shard's *link*.
+one socketpair per worker, the shard's *link*, held as a control channel
+(:func:`~repro.transport.worker.ctl_channel`).
 
 Each shard is one state machine, :class:`_Shard`: ``alive -> suspect ->
 restarting -> alive``, or ``failed`` once its restart budget is spent.
@@ -57,7 +58,8 @@ import numpy as np
 
 from ..errors import ChannelClosedError, ChannelIntegrityError, EngineError, ProtocolError
 from ..resilience.admission import AdmissionGate
-from .worker import encode_ctl, recv_ctl, retain_heap, send_ctl, serve_connection
+from .socket_channel import SocketChannel
+from .worker import ctl_channel, encode_ctl, recv_ctl, retain_heap, send_ctl, serve_connection
 
 __all__ = ["ShardedService"]
 
@@ -87,7 +89,7 @@ _PING = encode_ctl({"op": "ping"})
 #: hundred bytes per result) stays well inside the control-record cap.
 MAX_RPC_SAMPLES = 512
 
-Link = Tuple[socket.socket, multiprocessing.process.BaseProcess]
+Link = Tuple[SocketChannel, multiprocessing.process.BaseProcess]
 
 
 def _shard_main(
@@ -136,7 +138,7 @@ class _Shard:
         self.max_restarts = max_restarts
         self.backoff_s = backoff_s
         self.lock = threading.Lock()
-        self.sock, self.process = spawn(index)
+        self.ctl, self.process = spawn(index)
         #: set once the first ``infer`` record has gone out on a link
         self.infer_sent = threading.Event()
         self.state = "alive"
@@ -197,10 +199,10 @@ class _Shard:
         """Send, receive, check and parse (lock held); any failure
         retires the link before it propagates."""
         try:
-            send_ctl(self.sock, payload)
+            send_ctl(self.ctl, payload)
             if sent is not None:
                 sent.set()
-            reply = recv_ctl(self.sock, timeout=timeout)
+            reply = recv_ctl(self.ctl, timeout=timeout)
             if not reply.get("ok", False):
                 raise ProtocolError(
                     f"shard {self.index} rejected {reply.get('op')!r}: "
@@ -221,11 +223,8 @@ class _Shard:
         self._on_retire()
 
     def _reap(self, grace_s: float) -> None:
-        """Close the socket and join the child, killing it after ``grace_s``."""
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        """Close the link and join the child, killing it after ``grace_s``."""
+        self.ctl.close()
         self.process.join(timeout=grace_s)
         if self.process.is_alive():
             self.process.kill()
@@ -250,7 +249,7 @@ class _Shard:
                 return "gave_up"
             self.state = "restarting"
             try:
-                self.sock, self.process = self._spawn(self.index)
+                self.ctl, self.process = self._spawn(self.index)
                 if prepare:
                     self._exchange(
                         encode_ctl({"op": "prepare", "count": prepare}),
@@ -368,7 +367,7 @@ class ShardedService:
     # -- shard plumbing ----------------------------------------------------
 
     def _spawn_worker(self, index: int) -> Link:
-        """Fork one worker process on a fresh socketpair."""
+        """Fork one worker process on a fresh socketpair; our end is its link."""
         parent_sock, child_sock = socket.socketpair()
         process = self._context.Process(
             target=_shard_main,
@@ -378,7 +377,7 @@ class ShardedService:
         )
         process.start()
         child_sock.close()
-        return parent_sock, process
+        return ctl_channel(parent_sock), process
 
     def live_shards(self) -> List[int]:
         """Indices of shards in the serving state."""

@@ -6,7 +6,8 @@ swaps only the two transport seams:
 
 - ``_dispatch`` encodes the frame with :mod:`repro.transport.wire` and
   writes it to a connected socket;
-- ``_fetch`` reads exactly one frame back off it.
+- ``_fetch`` decodes the next frame off it with the endpoint's
+  :class:`~repro.transport.wire.FrameDecoder`.
 
 Failure mapping onto the PR 8 transient taxonomy, so retry policies and
 circuit breakers work unchanged:
@@ -21,10 +22,14 @@ Two read modes:
 
 - **remote** (default): blocking reads with a timeout derived from the
   endpoint's deadline (capped by ``io_timeout_s``) — the "deadlines map
-  to socket timeouts" contract.  The other endpoint is in another
-  process, so this one accounts what it *receives* under the far
-  party's direction: each process reports the link's full per-tag
-  traffic, equal on both ends and equal to an in-memory pair's.
+  to socket timeouts" contract.  A read asks only for what the frame
+  being decoded lacks, so endpoints sharing a socket (a connection's
+  control channel and its peer sessions') never read each other's
+  frames, and a timeout mid-frame is resumed by the next receive.  The
+  other endpoint is in another process, so this one accounts what it
+  *receives* under the far party's direction: each process reports the
+  link's full per-tag traffic, equal on both ends and equal to an
+  in-memory pair's.
 - **loopback**: both endpoints of a ``socket.socketpair()`` live in one
   process and are driven by one thread (exactly how the sessions drive
   the in-memory pair).  Receives drain whatever the kernel has buffered
@@ -41,14 +46,13 @@ is the same ownership rule the sessions already follow.
 from __future__ import annotations
 
 import collections
-import errno
 import select
 import socket
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ChannelClosedError, ChannelEmptyError
 from ..gc.channel import Channel, ChannelStats, Frame
-from .wire import MAX_PAYLOAD_BYTES, FrameDecoder, encode_frame, read_frame
+from .wire import MAX_PAYLOAD_BYTES, FrameDecoder, encode_frame
 
 __all__ = [
     "DEFAULT_IO_TIMEOUT_S",
@@ -74,8 +78,9 @@ class SocketChannel(Channel):
             endpoint carries (accounting direction, as in-memory).
         stats: byte accounting; loopback pairs share one instance so
             totals match the in-memory pair exactly.
-        io_timeout_s: cap on one blocking read; the armed deadline's
-            remaining budget lowers it further.
+        io_timeout_s: cap on one blocking receive (a public attribute,
+            settable between receives); the armed deadline's remaining
+            budget lowers it further.
         max_payload: wire codec size cap for this link.
     """
 
@@ -94,7 +99,7 @@ class SocketChannel(Channel):
             direction=direction,
         )
         self._sock = sock
-        self._io_timeout_s = io_timeout_s
+        self.io_timeout_s = io_timeout_s
         self._max_payload = max_payload
         self._decoder = FrameDecoder(max_payload=max_payload)
         #: set on both ends of a loopback pair; None for a remote link
@@ -168,46 +173,26 @@ class SocketChannel(Channel):
                 try:
                     chunk = self._sock.recv(_RECV_CHUNK)
                 except (BlockingIOError, InterruptedError):
-                    break
-                except (ConnectionResetError, OSError) as exc:
-                    if getattr(exc, "errno", None) in (errno.EAGAIN, errno.EWOULDBLOCK):
-                        break
-                    self._link.closed = True
-                    break
+                    break  # EAGAIN: nothing more is buffered
+                except OSError:  # reset, or the fd is gone
+                    chunk = b""
                 if not chunk:
                     self._link.closed = True
                     break
-                for frame in self._decoder.feed(chunk):
-                    self._inbox.append(frame)
-                    count += 1
+                frames = self._decoder.feed(chunk)
+                self._inbox.extend(frames)
+                count += len(frames)
         finally:
             self._sock.setblocking(True)
         return count
 
-    def _read_exact(self, n: int) -> bytes:
-        """Blocking read of exactly ``n`` bytes (socket timeout applies)."""
-        parts = bytearray()
-        while len(parts) < n:
-            chunk = self._sock.recv(n - len(parts))
-            if not chunk:
-                self._link.closed = True
-                raise ChannelClosedError(
-                    f"recv on {self._direction!r} endpoint hit EOF after "
-                    f"{len(parts)}/{n} bytes: peer closed the connection"
-                )
-            parts.extend(chunk)
-        return bytes(parts)
-
     def _fetch(self, index: int, expected_tag: Optional[str]) -> Frame:
-        if self._inbox:
-            return self._inbox.popleft()
-        if self._loopback_peer is not None:
+        if self._loopback_peer is None:
+            return self._fetch_blocking(index, expected_tag)
+        if not self._inbox:
             self._drain_ready()
-            if self._inbox:
-                return self._inbox.popleft()
-            # delegate the typed empty/closed error to the base class
-            return super()._fetch(index, expected_tag)
-        return self._fetch_blocking(index, expected_tag)
+        # the base class pops the frame, or raises the typed empty/closed error
+        return super()._fetch(index, expected_tag)
 
     def _fetch_blocking(self, index: int, expected_tag: Optional[str]) -> Frame:
         if self._link.closed:
@@ -215,7 +200,7 @@ class SocketChannel(Channel):
         expectation = (
             f" tagged {expected_tag!r}" if expected_tag is not None else ""
         )
-        timeout = self._io_timeout_s
+        timeout = self.io_timeout_s
         if self.deadline is not None:
             # deadlines map to socket timeouts: never block past the
             # request budget (check() below turns expiry into the typed
@@ -223,15 +208,15 @@ class SocketChannel(Channel):
             self.deadline.check(f"recv #{index}{expectation}")
             timeout = min(timeout, max(self.deadline.remaining(), 1e-3))
         self._sock.settimeout(timeout)
+        frames: List[Frame] = []
         try:
-            frame = read_frame(self._read_exact, max_payload=self._max_payload)
-            # the sender's accounting lives in its own process: charge the
-            # frame here, as the far endpoint's _dispatch does there
-            self._stats.record(
-                "b2a" if self._direction == "a2b" else "a2b",
-                frame.tag, len(frame.payload) + 4,
-            )
-            return frame
+            while not frames:
+                # never past this frame: the next one may be another
+                # endpoint's on the same socket
+                chunk = self._sock.recv(self._decoder.missing)
+                if not chunk:
+                    break
+                frames = self._decoder.feed(chunk)
         except socket.timeout:
             if self.deadline is not None:
                 # the wait itself was real elapsed time — check, don't
@@ -243,16 +228,23 @@ class SocketChannel(Channel):
                 "(peer hung or message dropped)"
             ) from None
         except ConnectionResetError:
-            self._link.closed = True
-            raise ChannelClosedError(
-                f"recv on {self._direction!r} endpoint: connection reset by "
-                "peer"
-            ) from None
+            pass  # the peer is gone: handled as EOF below
         finally:
             try:
                 self._sock.settimeout(None)
             except OSError:  # pragma: no cover - fd already torn down
                 pass
+        if not frames:  # EOF or reset: the base class raises the typed close
+            self._link.closed = True
+            return super()._fetch(index, expected_tag)
+        (frame,) = frames
+        # the sender's accounting lives in its own process: charge the
+        # frame here, as the far endpoint's _dispatch does there
+        self._stats.record(
+            "b2a" if self._direction == "a2b" else "a2b",
+            frame.tag, len(frame.payload) + 4,
+        )
+        return frame
 
     # -- lifecycle ---------------------------------------------------------
 

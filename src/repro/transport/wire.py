@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-import zlib
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from ..errors import ChannelIntegrityError
 from ..gc.channel import Frame
@@ -35,7 +34,6 @@ __all__ = [
     "MAX_TAG_BYTES",
     "FrameDecoder",
     "encode_frame",
-    "read_frame",
 ]
 
 #: Wire-format magic + version ("RePro Frame v1").
@@ -125,27 +123,23 @@ def _parse_header(
     return tag_len, seq, crc, delay_s, payload_len
 
 
-def _decode_tag(tag_bytes: bytes) -> str:
-    try:
-        return tag_bytes.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ChannelIntegrityError(
-            f"frame tag bytes {tag_bytes!r} are not valid UTF-8"
-        ) from None
-
-
 class FrameDecoder:
     """Incremental decoder for a byte stream of wire frames.
 
     Feed it arbitrary chunks; it buffers partial records and yields
     every completed frame.  Header validation (magic, size caps) fires
     as soon as a header is complete, so a malformed stream fails fast
-    instead of waiting for bytes that will never come.
+    instead of waiting for bytes that will never come.  A reader that
+    shares its stream with other readers feeds at most :attr:`missing`
+    bytes at a time: then no chunk crosses into the next frame.
     """
 
     def __init__(self, max_payload: int = MAX_PAYLOAD_BYTES) -> None:
         self._buffer = bytearray()
         self._max_payload = max_payload
+        #: bytes the frame being assembled still lacks: a header's worth
+        #: between frames, the rest of the body once its header is in
+        self.missing = HEADER_SIZE
 
     def feed(self, chunk: bytes) -> List[Frame]:
         """Absorb ``chunk`` and return every frame it completed.
@@ -162,38 +156,19 @@ class FrameDecoder:
             )
             total = HEADER_SIZE + tag_len + payload_len
             if len(self._buffer) < total:
-                break
-            tag = _decode_tag(bytes(self._buffer[HEADER_SIZE : HEADER_SIZE + tag_len]))
+                self.missing = total - len(self._buffer)
+                return frames
+            tag_bytes = bytes(self._buffer[HEADER_SIZE : HEADER_SIZE + tag_len])
+            try:
+                tag = tag_bytes.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ChannelIntegrityError(
+                    f"frame tag bytes {tag_bytes!r} are not valid UTF-8"
+                ) from None
             payload = bytes(self._buffer[HEADER_SIZE + tag_len : total])
             del self._buffer[:total]
             frames.append(
                 Frame(tag=tag, seq=seq, payload=payload, crc=crc, delay_s=delay_s)
             )
+        self.missing = HEADER_SIZE - len(self._buffer)
         return frames
-
-
-def read_frame(
-    read_exact: Callable[[int], bytes], max_payload: int = MAX_PAYLOAD_BYTES
-) -> Frame:
-    """Read exactly one frame through a blocking ``read_exact(n)`` callable.
-
-    Reads the fixed header first, then exactly the declared body — never
-    a byte more, so control records and protocol frames can share one
-    socket in a turn-based protocol without a shared stream decoder.
-
-    Raises:
-        ChannelIntegrityError: malformed header.
-        ChannelClosedError: ``read_exact`` signalled EOF (it raises this
-            itself; documented here for the call chain).
-    """
-    tag_len, seq, crc, delay_s, payload_len = _parse_header(
-        read_exact(HEADER_SIZE), max_payload
-    )
-    tag = _decode_tag(read_exact(tag_len))
-    payload = read_exact(payload_len) if payload_len else b""
-    return Frame(tag=tag, seq=seq, payload=payload, crc=crc, delay_s=delay_s)
-
-
-def checksummed(tag: str, payload: bytes, seq: int = 0) -> Frame:
-    """A frame with a fresh CRC — for control records outside a Channel."""
-    return Frame(tag=tag, seq=seq, payload=payload, crc=zlib.crc32(payload))

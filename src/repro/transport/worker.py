@@ -2,12 +2,13 @@
 
 A worker process hosts a full :class:`repro.service.PrivateInferenceService`
 (its own compiled circuit, pre-garbled pool and resilience wiring) behind
-a tiny control protocol: JSON records in ``"ctl"``-tagged wire frames on
-the same socket the protocol flights use.  The protocol is strictly
-turn-based — one side sends a control record, the other replies — and
-:func:`repro.transport.wire.read_frame` never reads past one frame, so
-control records and garbled-protocol frames interleave safely on a
-single connection.
+a tiny control protocol: JSON records as ``"ctl"`` frames of each end's
+:func:`ctl_channel`, under the connection's sequence numbers, on the
+same socket the protocol flights use.  The protocol is strictly
+turn-based — one side sends a control record, the other replies — and a
+remote ``SocketChannel`` never reads past its own frame, so control
+records and garbled-protocol frames interleave safely on a single
+connection.
 
 Control operations:
 
@@ -44,8 +45,9 @@ frame moves, and both acks name the worker's oracle.
 ``shutdown``
     acknowledge and stop serving this connection.
 
-Failure mapping matches the channel layer: EOF mid-record surfaces as
-the transient :class:`repro.errors.ChannelClosedError`, malformed
+Failure mapping is the channel layer's own: EOF or reset surfaces as
+the transient :class:`repro.errors.ChannelClosedError`, a receive
+timeout as :class:`repro.errors.ChannelEmptyError`, and malformed
 records as :class:`repro.errors.ChannelIntegrityError`.
 """
 
@@ -57,7 +59,6 @@ import json
 import os
 import socket
 import threading
-import zlib
 from typing import Any, Callable, Dict, Optional, Union
 
 from ..errors import (
@@ -66,13 +67,15 @@ from ..errors import (
     ChannelIntegrityError,
     EngineError,
 )
+from ..gc.channel import ChannelStats
 from ..gc.cipher import oracle_fingerprint
 from ..gc.ot_extension import IKNPState
-from .wire import checksummed, encode_frame, read_frame
+from .socket_channel import SocketChannel
 
 __all__ = [
     "CTL_TAG",
     "WorkerServer",
+    "ctl_channel",
     "encode_ctl",
     "open_peer_session",
     "recv_ctl",
@@ -131,71 +134,48 @@ def encode_ctl(record: Dict[str, Any]) -> bytes:
     return payload
 
 
-def send_ctl(sock: socket.socket, record: Union[Dict[str, Any], bytes]) -> None:
+class _LinkTotals(ChannelStats):
+    """A control channel's accounting: the byte totals, without the
+    per-frame ``log``, which would grow for as long as the connection
+    serves."""
+
+    def record(self, direction: str, tag: str, size: int) -> None:
+        super().record(direction, tag, size)
+        self.log.clear()
+
+
+def ctl_channel(sock: socket.socket, direction: str = "a2b") -> SocketChannel:
+    """The channel one end of a connection sends and receives its control
+    records on: remote mode, capped at ``MAX_CTL_BYTES``; the caller's end
+    is ``"a2b"``, the worker's ``"b2a"``.  Closing it closes ``sock``."""
+    return SocketChannel(sock, direction, stats=_LinkTotals(), max_payload=MAX_CTL_BYTES)
+
+
+def send_ctl(channel: SocketChannel, record: Union[Dict[str, Any], bytes]) -> None:
     """Send one JSON control record, or its :func:`encode_ctl` payload,
-    as a ``"ctl"`` wire frame."""
+    as the channel's next ``"ctl"`` frame."""
     payload = record if isinstance(record, bytes) else encode_ctl(record)
-    try:
-        sock.sendall(encode_frame(checksummed(CTL_TAG, payload)))
-    except (BrokenPipeError, ConnectionResetError):
-        raise ChannelClosedError(
-            "control send failed: peer closed the connection"
-        ) from None
+    channel.send_bytes(payload, CTL_TAG)
 
 
-def _sock_read_exact(sock: socket.socket, n: int) -> bytes:
-    parts = bytearray()
-    while len(parts) < n:
-        try:
-            chunk = sock.recv(n - len(parts))
-        except ConnectionResetError:
-            raise ChannelClosedError(
-                "control recv failed: connection reset by peer"
-            ) from None
-        if not chunk:
-            raise ChannelClosedError(
-                f"control recv hit EOF after {len(parts)}/{n} bytes: "
-                "peer closed the connection"
-            )
-        parts.extend(chunk)
-    return bytes(parts)
-
-
-def recv_ctl(
-    sock: socket.socket, timeout: Optional[float] = None
-) -> Dict[str, Any]:
-    """Receive one control record (validates tag, CRC and JSON shape).
+def recv_ctl(channel: SocketChannel, timeout: Optional[float] = None) -> Dict[str, Any]:
+    """Receive one control record: the channel checks the frame
+    (sequence, CRC, ``"ctl"`` tag) and maps EOF and timeouts; this checks
+    the JSON shape.  ``timeout``, when given, becomes the channel's
+    :attr:`~SocketChannel.io_timeout_s`.
 
     Raises:
         ChannelClosedError: peer closed the connection (transient).
-        ChannelEmptyError: no record arrived within ``timeout`` seconds.
-        ChannelIntegrityError: the record is malformed (wrong tag, CRC
-            mismatch, or non-object JSON).
+        ChannelEmptyError: no whole record arrived within the timeout; a
+            partial one is resumed by the next call.
+        ChannelIntegrityError: the record is malformed (wrong tag or
+            sequence number, CRC mismatch, or non-object JSON).
     """
     if timeout is not None:
-        sock.settimeout(timeout)
+        channel.io_timeout_s = timeout
+    payload = channel.recv_bytes(CTL_TAG)
     try:
-        frame = read_frame(
-            lambda n: _sock_read_exact(sock, n), max_payload=MAX_CTL_BYTES
-        )
-    except socket.timeout:
-        raise ChannelEmptyError(
-            f"no control record within {timeout!r}s"
-        ) from None
-    finally:
-        if timeout is not None:
-            try:
-                sock.settimeout(None)
-            except OSError:  # pragma: no cover - fd already torn down
-                pass
-    if frame.tag != CTL_TAG:
-        raise ChannelIntegrityError(
-            f"expected a control record, got frame tag {frame.tag!r}"
-        )
-    if zlib.crc32(frame.payload) != frame.crc:
-        raise ChannelIntegrityError("control record failed its checksum")
-    try:
-        record = json.loads(frame.payload.decode("utf-8"))
+        record = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise ChannelIntegrityError(
             "control record payload is not valid JSON"
@@ -234,13 +214,14 @@ def _foreign_oracle(service: Any, record: Dict[str, Any]) -> Optional[str]:
 
 
 def open_peer_session(
-    sock: socket.socket, kdf: Any, timeout: float = 60.0
+    ctl: SocketChannel, kdf: Any, timeout: float = 60.0
 ) -> Dict[str, Any]:
     """The caller's half of the ``peer`` op: name the oracle, await the ack.
 
     The record carries the oracle fields — no input bit and no seed: each
-    process holds its own.  On return the worker is committed to reading
-    protocol frames and the caller runs its side
+    process holds its own.  ``ctl`` is the caller's control channel
+    (:func:`ctl_channel`).  On return the worker is committed to reading
+    protocol frames and the caller runs its side on ``ctl``'s socket
     (:func:`~repro.transport.peer.run_two_party_peer` as the garbler,
     with the same ``kdf``).
 
@@ -248,8 +229,8 @@ def open_peer_session(
         EngineError: the worker refused — its service garbles under a
             different oracle than ``kdf``.  No protocol frame has moved.
     """
-    send_ctl(sock, {"op": "peer", **_oracle_fields(kdf)})
-    ack = recv_ctl(sock, timeout=timeout)
+    send_ctl(ctl, {"op": "peer", **_oracle_fields(kdf)})
+    ack = recv_ctl(ctl, timeout=timeout)
     if not ack.get("ok"):
         raise EngineError(
             f"worker refused the peer session: "
@@ -259,18 +240,19 @@ def open_peer_session(
 
 
 def _handle_peer(
-    sock: socket.socket, service: Any, record: Dict[str, Any], ot_state: IKNPState
+    ctl: SocketChannel, sock: socket.socket, service: Any, record: Dict[str, Any],
+    ot_state: IKNPState,
 ) -> None:
-    """Host the evaluator side of one split session on this socket."""
+    """Host the evaluator side of one split session on ``ctl``'s socket."""
     from .peer import run_two_party_peer
 
     refusal = _foreign_oracle(service, record)
     if refusal is not None:
-        send_ctl(sock, {"ok": False, "op": "peer", "error": refusal})
+        send_ctl(ctl, {"ok": False, "op": "peer", "error": refusal})
         return
     # ack first: the caller must not start its side of the session until
     # the worker is committed to reading protocol frames
-    send_ctl(sock, {"ok": True, "op": "peer", **_oracle_fields(service.kdf)})
+    send_ctl(ctl, {"ok": True, "op": "peer", **_oracle_fields(service.kdf)})
     result = run_two_party_peer(
         sock,
         "evaluator",
@@ -283,18 +265,18 @@ def _handle_peer(
         ot_state=ot_state,
     )
     send_ctl(
-        sock,
+        ctl,
         {"ok": True, "op": "peer_result", "comm_bytes": sum(result.comm.values())},
     )
 
 
-def _handle_infer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> None:
+def _handle_infer(ctl: SocketChannel, service: Any, record: Dict[str, Any]) -> None:
     """Serve one batch shard through the worker's own service."""
     import numpy as np
 
     refusal = _foreign_oracle(service, record)
     if refusal is not None:
-        send_ctl(sock, {"ok": False, "op": "infer", "error": refusal})
+        send_ctl(ctl, {"ok": False, "op": "infer", "error": refusal})
         return
     samples = record.get("samples", [])
     request_ids = record.get("request_ids") or [None] * len(samples)
@@ -308,7 +290,7 @@ def _handle_infer(sock: socket.socket, service: Any, record: Dict[str, Any]) -> 
     ]
     results = service.infer_many(requests, return_errors=True)
     send_ctl(
-        sock,
+        ctl,
         {
             "ok": True,
             "op": "infer",
@@ -337,61 +319,63 @@ def serve_connection(
     Args:
         should_stop: optional drain signal, checked between records
             (the loop polls ``recv_ctl`` with ``poll_interval_s`` so an
-            idle connection notices the signal promptly).
+            idle connection notices the signal promptly; a record whose
+            bytes straddle a poll tick is resumed, not lost).
 
     Returns per-operation counters (``{"peer": 2, "infer": 1, ...}``)
     plus ``integrity_errors`` / ``op_errors`` for operator output.
     """
     counters: Dict[str, int] = {}
     peer_ot: Optional[IKNPState] = None
+    ctl = ctl_channel(sock, "b2a")
     while True:
         if should_stop is not None and should_stop():
             break
         try:
             record = recv_ctl(
-                sock, timeout=poll_interval_s if should_stop is not None else None
+                ctl, timeout=poll_interval_s if should_stop is not None else None
             )
         except ChannelEmptyError:
             continue  # idle poll tick: re-check the drain signal
         except ChannelClosedError:
             break  # caller went away: a clean end of this connection
         except ChannelIntegrityError:
-            # mid-record disconnects and garbage bytes desync the frame
-            # stream: drop the connection, keep the server alive
+            # garbage bytes and replayed or stale records desync the
+            # frame stream: drop the connection, keep the server alive
             counters["integrity_errors"] = counters.get("integrity_errors", 0) + 1
             break
         op = str(record.get("op", ""))
         counters[op] = counters.get(op, 0) + 1
         try:
             if op == "ping":
-                send_ctl(sock, {"ok": True, "op": "pong"})
+                send_ctl(ctl, {"ok": True, "op": "pong"})
             elif op == "peer":
                 # the connection's OT half outlives every session on it,
                 # a failed one too: the extension counter crosses the wire
                 peer_ot = peer_ot or IKNPState(
                     service.config.ot_group, service.config.rng
                 )
-                _handle_peer(sock, service, record, peer_ot)
+                _handle_peer(ctl, sock, service, record, peer_ot)
             elif op == "infer":
-                _handle_infer(sock, service, record)
+                _handle_infer(ctl, service, record)
             elif op == "prepare":
                 count = record.get("count")
                 warmed = service.prepare(int(count) if count is not None else None)
-                send_ctl(sock, {"ok": True, "op": "prepare", "warmed": warmed})
+                send_ctl(ctl, {"ok": True, "op": "prepare", "warmed": warmed})
             elif op == "stats":
-                send_ctl(sock, {"ok": True, "op": "stats", "stats": service.stats})
+                send_ctl(ctl, {"ok": True, "op": "stats", "stats": service.stats})
             elif op == "shutdown":
-                send_ctl(sock, {"ok": True, "op": "shutdown"})
+                send_ctl(ctl, {"ok": True, "op": "shutdown"})
                 break
             else:
-                send_ctl(sock, {"ok": False, "error": f"unknown op {op!r}"})
+                send_ctl(ctl, {"ok": False, "error": f"unknown op {op!r}"})
         except ChannelClosedError:
             break  # peer vanished mid-reply
         except Exception as exc:  # noqa: B902 - a handler bug must not kill the host
             counters["op_errors"] = counters.get("op_errors", 0) + 1
             try:
                 send_ctl(
-                    sock,
+                    ctl,
                     {
                         "ok": False,
                         "op": op,

@@ -46,6 +46,7 @@ from repro.transport import ShardedService
 from repro.transport.peer import run_two_party_peer
 from repro.transport.worker import (
     WorkerServer,
+    ctl_channel,
     open_peer_session,
     recv_ctl,
     send_ctl,
@@ -575,19 +576,20 @@ class TestPeerStateBelongsToItsConnection:
         )
         thread.start()
         sock = socket.create_connection(server.address)
+        ctl = ctl_channel(sock)
         try:
-            send_ctl(sock, {
+            send_ctl(ctl, {
                 "op": "infer",
                 "samples": [[float(v) for v in x[0]]],
                 "request_ids": ["warm"],
             })
-            assert recv_ctl(sock, timeout=120.0)["ok"]
+            assert recv_ctl(ctl, timeout=120.0)["ok"]
             assert service.stats["ot"]["base_batches"] == 1
             assert base_batches == [1]
             # the caller's half: its own rng, nothing shared with the worker
             state = IKNPState(group=TEST_GROUP_512, rng=random.Random(77))
             for index in (1, 2):
-                open_peer_session(sock, service.kdf)
+                open_peer_session(ctl, service.kdf)
                 result = run_two_party_peer(
                     sock, "garbler", service.compiled.circuit,
                     service.compiled.client_bits(x[index]),
@@ -597,7 +599,7 @@ class TestPeerStateBelongsToItsConnection:
                 assert service.compiled.decode_output(result.outputs) == (
                     service.cleartext_label(x[index])
                 )
-                remote = recv_ctl(sock, timeout=120.0)
+                remote = recv_ctl(ctl, timeout=120.0)
                 assert remote == {
                     "ok": True, "op": "peer_result",
                     "comm_bytes": sum(result.comm.values()),
@@ -611,8 +613,8 @@ class TestPeerStateBelongsToItsConnection:
             assert state.sender is not None and state.receiver is None
             # the peer sessions left the service's own state alone
             assert service.stats["ot"]["extensions"] == 1
-            send_ctl(sock, {"op": "shutdown"})
-            assert recv_ctl(sock, timeout=30.0)["ok"]
+            send_ctl(ctl, {"op": "shutdown"})
+            assert recv_ctl(ctl, timeout=30.0)["ok"]
         finally:
             sock.close()
             thread.join(timeout=30.0)

@@ -63,9 +63,15 @@ from repro.resilience import (
     faulty_channel_factory,
     is_transient,
 )
-from repro.transport import SocketChannel, socketpair_channel_factory
-from repro.transport.worker import recv_ctl, send_ctl
 from repro.service import PrivateInferenceService
+from repro.transport import SocketChannel, socketpair_channel_factory
+from repro.transport.worker import (
+    ctl_channel,
+    encode_ctl,
+    recv_ctl,
+    send_ctl,
+    serve_connection,
+)
 
 #: Chaos randomness seed — CI's chaos job sweeps several values.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -814,84 +820,164 @@ class TestStreamFaultSpecs:
         assert 1 <= cuts[0] < 1000  # strictly inside the buffer
 
 
-def _remote_channel_pair(plan, wrap, io_timeout_s=5.0):
-    """A remote-mode SocketChannel pair with one faulted endpoint."""
+class _ChannelFrame:
+    """A protocol frame: a tagged payload on a remote SocketChannel."""
+
+    message = bytes(range(256)) * 3
+    size = len(message)
+    channel = SocketChannel
+
+    @staticmethod
+    def send(end, message):
+        end.send_bytes(message, tag="labels")
+
+    @staticmethod
+    def recv(end):
+        return end.recv_bytes(expected_tag="labels")
+
+
+class _ControlRecord:
+    """A control record on one end of a connection's control channel."""
+
+    message = {"op": "infer", "samples": [[0.5] * 16], "pad": "x" * 256}
+    size = len(encode_ctl(message))
+    channel = staticmethod(ctl_channel)
+    send = staticmethod(send_ctl)
+    recv = staticmethod(recv_ctl)
+
+
+@pytest.fixture(
+    params=[_ChannelFrame, _ControlRecord],
+    ids=["a channel frame", "a control record"],
+)
+def wire(request):
+    """What the faulted link carries; both ride the remote SocketChannel's
+    one reader."""
+    return request.param
+
+
+def _remote_channel_pair(plan, wrap, wire, io_timeout_s=5.0):
+    """A remote-mode channel pair for ``wire`` with one faulted endpoint."""
     left, right = socket.socketpair()
     if wrap == "sender":
         left = plan.wrap(left)
     else:
         right = plan.wrap(right)
-    alice = SocketChannel(left, "a2b", io_timeout_s=io_timeout_s)
-    bob = SocketChannel(right, "b2a", io_timeout_s=io_timeout_s)
+    alice, bob = wire.channel(left, "a2b"), wire.channel(right, "b2a")
+    alice.io_timeout_s = bob.io_timeout_s = io_timeout_s
     return alice, bob
 
 
 class TestByteFaultsOnSocketChannel:
-    def test_short_reads_reassemble_the_frame(self):
-        # a trickling peer: every recv returns at most 3 bytes, and
-        # read_frame's short-read loop must still reassemble the frame
+    def test_short_reads_reassemble_the_frame(self, wire):
+        # a trickling peer: every recv returns at most 3 bytes, and the
+        # channel's read loop must still reassemble the frame
         plan = StreamFaultPlan(
             [StreamFaultSpec("short_read", nth=0, size=3)], seed=CHAOS_SEED
         )
-        alice, bob = _remote_channel_pair(plan, wrap="receiver")
+        alice, bob = _remote_channel_pair(plan, "receiver", wire)
         try:
-            payload = bytes(range(256)) * 3
-            alice.send_bytes(payload, tag="labels")
-            assert bob.recv_bytes(expected_tag="labels") == payload
+            wire.send(alice, wire.message)
+            assert wire.recv(bob) == wire.message
             # the cap forced byte-dribble reassembly, not one big recv
-            assert plan.stats()["reads"] > len(payload) // 3
+            assert plan.stats()["reads"] > wire.size // 3
         finally:
             alice.close()
             bob.close()
 
-    def test_partial_write_surfaces_typed_close_on_both_ends(self):
+    def test_partial_write_surfaces_typed_close_on_both_ends(self, wire):
         plan = StreamFaultPlan(
             [StreamFaultSpec("partial_write", nth=0)], seed=CHAOS_SEED
         )
-        alice, bob = _remote_channel_pair(plan, wrap="sender")
+        alice, bob = _remote_channel_pair(plan, "sender", wire)
         try:
             # the sender's frame is cut mid-write: typed transient error
             with pytest.raises(ChannelClosedError) as sender_exc:
-                alice.send_bytes(b"x" * 512, tag="tables")
+                wire.send(alice, wire.message)
             assert is_transient(sender_exc.value)
             # the receiver observes a torn frame: mid-frame EOF, never a
             # parsed-garbage frame
             with pytest.raises(ChannelClosedError) as receiver_exc:
-                bob.recv_bytes()
+                wire.recv(bob)
             assert is_transient(receiver_exc.value)
             assert plan.applied == [("partial_write", 0)]
         finally:
             alice.close()
             bob.close()
 
-    def test_disconnect_mid_stream_is_channel_closed(self):
+    # read 0 is the header, read 1 the rest of the frame
+    @pytest.mark.parametrize("nth", [0, 1], ids=["before", "mid-frame"])
+    def test_disconnect_is_channel_closed(self, wire, nth):
         plan = StreamFaultPlan(
-            [StreamFaultSpec("disconnect", nth=0)], seed=CHAOS_SEED
+            [StreamFaultSpec("disconnect", nth=nth)], seed=CHAOS_SEED
         )
-        alice, bob = _remote_channel_pair(plan, wrap="receiver")
+        alice, bob = _remote_channel_pair(plan, "receiver", wire)
         try:
-            alice.send_bytes(b"payload", tag="t")
+            wire.send(alice, wire.message)
             with pytest.raises(ChannelClosedError):
-                bob.recv_bytes()
+                wire.recv(bob)
         finally:
             alice.close()
             bob.close()
 
-    def test_stalled_peer_times_out_within_io_budget(self):
+    def test_stalled_peer_times_out_within_io_budget(self, wire):
         plan = StreamFaultPlan(
             [StreamFaultSpec("stall", nth=0, stall_s=30.0)], seed=CHAOS_SEED
         )
-        alice, bob = _remote_channel_pair(plan, wrap="receiver",
+        alice, bob = _remote_channel_pair(plan, "receiver", wire,
                                           io_timeout_s=0.3)
         try:
             start = time.monotonic()
             with pytest.raises(ChannelEmptyError):
-                bob.recv_bytes()
+                wire.recv(bob)
             # the 30 s stall was bounded by the 0.3 s socket timeout
             assert time.monotonic() - start < 5.0
         finally:
             alice.close()
             bob.close()
+
+    def test_a_timeout_mid_frame_is_resumed_by_the_next_receive(self, wire):
+        """The stall hits the read after the header: that receive times
+        out, and the next one delivers the frame whole instead of reading
+        its body as a header."""
+        plan = StreamFaultPlan(
+            [StreamFaultSpec("stall", nth=1, stall_s=30.0)], seed=CHAOS_SEED
+        )
+        alice, bob = _remote_channel_pair(plan, "receiver", wire,
+                                          io_timeout_s=0.2)
+        try:
+            wire.send(alice, wire.message)
+            with pytest.raises(ChannelEmptyError):
+                wire.recv(bob)
+            assert wire.recv(bob) == wire.message
+            assert plan.applied == [("stall", 1)]
+        finally:
+            alice.close()
+            bob.close()
+
+    def test_a_record_straddling_a_poll_tick_is_served_whole(self):
+        """A worker polls its control channel every tick: a record whose
+        body arrives after a tick is served on the next one, and the
+        connection stays up."""
+        plan = StreamFaultPlan(
+            [StreamFaultSpec("stall", nth=1, stall_s=30.0)], seed=CHAOS_SEED
+        )
+        left, right = socket.socketpair()
+        caller = ctl_channel(left)
+        try:
+            send_ctl(caller, {"op": "ping"})
+            send_ctl(caller, {"op": "shutdown"})
+            counters = serve_connection(
+                plan.wrap(right), service=None,
+                should_stop=lambda: False, poll_interval_s=0.1,
+            )
+            assert counters == {"ping": 1, "shutdown": 1}
+            assert plan.applied == [("stall", 1)]
+            assert recv_ctl(caller, timeout=5.0) == {"ok": True, "op": "pong"}
+            assert recv_ctl(caller, timeout=5.0)["op"] == "shutdown"
+        finally:
+            caller.close()
+            right.close()
 
     def test_session_survives_short_reads_bit_exactly(self):
         # byte-dribble every socket of a whole garbled session: the
@@ -911,70 +997,6 @@ class TestByteFaultsOnSocketChannel:
         ).run(a, b)
         assert result.outputs == simulate(circuit, a, b)
         assert plan.stats()["reads"] > 0
-
-
-class TestByteFaultsOnCtlProtocol:
-    def test_short_reads_reassemble_the_record(self):
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("short_read", nth=0, size=2)], seed=CHAOS_SEED
-        )
-        left, right = socket.socketpair()
-        wrapped = plan.wrap(right)
-        try:
-            send_ctl(left, {"op": "infer", "samples": [[0.5] * 16]})
-            record = recv_ctl(wrapped, timeout=10.0)
-            assert record["op"] == "infer"
-            assert record["samples"] == [[0.5] * 16]
-        finally:
-            left.close()
-            wrapped.close()
-
-    def test_partial_write_maps_to_typed_errors(self):
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("partial_write", nth=0)], seed=CHAOS_SEED
-        )
-        left, right = socket.socketpair()
-        wrapped = plan.wrap(left)
-        try:
-            with pytest.raises(ChannelClosedError):
-                send_ctl(wrapped, {"op": "ping", "pad": "x" * 256})
-            # the receiver sees EOF mid-record: transient, never garbage
-            with pytest.raises(ChannelClosedError) as exc:
-                recv_ctl(right, timeout=5.0)
-            assert is_transient(exc.value)
-        finally:
-            wrapped.close()
-            right.close()
-
-    def test_mid_record_disconnect_is_channel_closed(self):
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("disconnect", nth=1)], seed=CHAOS_SEED
-        )
-        left, right = socket.socketpair()
-        wrapped = plan.wrap(right)
-        try:
-            send_ctl(left, {"op": "ping"})
-            # read 0 passes (header), read 1 hits the injected EOF
-            with pytest.raises(ChannelClosedError):
-                recv_ctl(wrapped, timeout=5.0)
-        finally:
-            left.close()
-            wrapped.close()
-
-    def test_stalled_ctl_read_honors_the_poll_timeout(self):
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("stall", nth=0, stall_s=30.0)], seed=CHAOS_SEED
-        )
-        left, right = socket.socketpair()
-        wrapped = plan.wrap(right)
-        try:
-            start = time.monotonic()
-            with pytest.raises(ChannelEmptyError):
-                recv_ctl(wrapped, timeout=0.3)
-            assert time.monotonic() - start < 5.0
-        finally:
-            left.close()
-            wrapped.close()
 
 
 # ---------------------------------------------------------------------------

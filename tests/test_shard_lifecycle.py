@@ -36,7 +36,7 @@ from hypothesis.stateful import (
 )
 
 from repro.service import InferenceResult
-from repro.transport import ShardedService, recv_ctl, send_ctl
+from repro.transport import ShardedService, ctl_channel, recv_ctl, send_ctl
 from repro.transport.sharded import RESTART_BACKOFF_CAP_S
 from repro.transport.wire import HEADER_SIZE
 
@@ -57,35 +57,25 @@ def label_of(sample: List[float]) -> int:
     return int(sample[0]) % 7
 
 
-class _Bytes:
-    """A read-only socket over ``data``, for decoding with ``recv_ctl``."""
+class _Pipe:
+    """The scripted worker's socket: it reads what the front-end sent and
+    collects what the worker writes, so the worker's control channel
+    keeps real sequence numbers."""
 
-    def __init__(self, data: bytes) -> None:
-        self.data = bytearray(data)
+    def __init__(self) -> None:
+        self.inbound = bytearray()
+        self.outbound = bytearray()
 
     def settimeout(self, timeout: Any) -> None:
         pass
 
     def recv(self, n: int) -> bytes:
-        chunk = bytes(self.data[:n])
-        del self.data[:n]
+        chunk = bytes(self.inbound[:n])
+        del self.inbound[:n]
         return chunk
 
-
-class _Capture:
-    """A write-only socket collecting what ``send_ctl`` writes."""
-
-    def __init__(self) -> None:
-        self.data = b""
-
     def sendall(self, data: bytes) -> None:
-        self.data += data
-
-
-def encoded(record: Any) -> bytes:
-    capture = _Capture()
-    send_ctl(capture, record)  # type: ignore[arg-type]
-    return capture.data
+        self.outbound += data
 
 
 class FakeProcess:
@@ -120,6 +110,8 @@ class FakeLink:
         self.reading = bytearray()  # the rest of the reply being read
         self.late = None  # a reply that arrives after the caller gave up
         self.closed = False
+        self.pipe = _Pipe()
+        self.worker = ctl_channel(self.pipe, "b2a")  # type: ignore[arg-type]
 
     def _check_open(self, what: str) -> None:
         if self.closed:
@@ -132,11 +124,22 @@ class FakeLink:
     def close(self) -> None:
         self.closed = True
 
+    def shutdown(self, how: Any) -> None:
+        pass
+
+    def encoded(self, record: Any) -> bytes:
+        """``record`` as the worker's next control frame."""
+        send_ctl(self.worker, record)
+        data = bytes(self.pipe.outbound)
+        self.pipe.outbound.clear()
+        return data
+
     def sendall(self, data: bytes) -> None:
         self._check_open("send")
         if not self.process.running:
             raise BrokenPipeError
-        record = recv_ctl(_Bytes(data))  # type: ignore[arg-type]
+        self.pipe.inbound += data
+        record = recv_ctl(self.worker)
         self.machine.on_rpc(self, record)
         self.sent += 1
         fault = self.script.popleft() if self.script else None
@@ -146,9 +149,9 @@ class FakeLink:
         elif fault == "bad_frame":
             self.replies.append((self.sent, bytes(HEADER_SIZE)))
         elif fault == "late":
-            self.late = (self.sent, encoded(reply))
+            self.late = (self.sent, self.encoded(reply))
         else:
-            self.replies.append((self.sent, encoded(reply)))
+            self.replies.append((self.sent, self.encoded(reply)))
         if record["op"] == "shutdown":
             self.process.running = False
 
@@ -197,6 +200,11 @@ class FakeLink:
         if op == "prepare":
             return {"ok": True, "op": op, "warmed": "many" if garbled else 1}
         return [] if garbled else {"ok": True, "op": "pong"}
+
+
+def link_of(shard: Any) -> FakeLink:
+    """The fake socket under a shard's control channel."""
+    return shard.ctl._sock
 
 
 class FakeFleet(ShardedService):
@@ -259,11 +267,11 @@ class ShardMachine(RuleBasedStateMachine):
         link = FakeLink(self, index, process)
         if fault is not None:
             link.script.append(fault)  # the new worker's first reply
-        return link, process
+        return ctl_channel(link), process  # type: ignore[arg-type]
 
     def on_rpc(self, link: FakeLink, record: Dict[str, Any]) -> None:
         shard = self.fleet._shards[link.index]
-        if shard.sock is not link:
+        if link_of(shard) is not link:
             self.violations.append(f"{record['op']} on a replaced link")
         allowed = ("restarting",) if record["op"] != "infer" else ()
         if record["op"] == "infer":
@@ -275,7 +283,7 @@ class ShardMachine(RuleBasedStateMachine):
 
     @rule(index=SHARD, fault=st.sampled_from(REPLY_FAULTS))
     def script_fault(self, index, fault):
-        self.shards[index % len(self.shards)].sock.script.append(fault)
+        link_of(self.shards[index % len(self.shards)]).script.append(fault)
 
     @rule(index=SHARD)
     def crash(self, index):
@@ -298,7 +306,7 @@ class ShardMachine(RuleBasedStateMachine):
         was_alive = set(self.fleet.live_shards())
         at_fault = {  # links whose next RPC is scripted to fail
             s.index for s in self.shards
-            if s.alive and (s.sock.script or not s.process.running)
+            if s.alive and (link_of(s).script or not s.process.running)
         }
         none_alive = not was_alive
         results = self.fleet.infer_many(samples, request_ids=ids)
@@ -374,9 +382,9 @@ class ShardMachine(RuleBasedStateMachine):
         for shard, before, now in zip(self.shards, self.last_states, states):
             assert now in ("alive", "suspect", "failed")  # never stuck
             if now == "alive":
-                assert not shard.sock.closed
+                assert not link_of(shard).closed
             else:
-                assert shard.sock.closed and shard.process.exitcode is not None
+                assert link_of(shard).closed and shard.process.exitcode is not None
             if now == "suspect" and before == "alive":
                 assert self.fleet._kicked
         self.fleet._kicked = False

@@ -12,6 +12,7 @@ import socket
 import threading
 import time
 import uuid
+import zlib
 
 import numpy as np
 import pytest
@@ -46,15 +47,16 @@ from repro.transport import (
 )
 from repro.transport import sharded as sharded_module
 from repro.transport.peer import peer_channel_factory, run_two_party_peer
-from repro.transport.wire import checksummed, read_frame
 from repro.transport.worker import (
     MAX_CTL_BYTES,
     WorkerServer,
+    ctl_channel,
     encode_ctl,
     open_peer_session,
     recv_ctl,
     retain_heap,
     send_ctl,
+    serve_connection,
 )
 
 
@@ -193,22 +195,25 @@ class TestWireCodec:
         encoded = encode_frame(frame)
         assert FrameDecoder().feed(encoded[: min(cut, len(encoded) - 1)]) == []
 
-    def test_read_frame_never_over_reads(self):
+    def test_reading_what_is_missing_never_over_reads(self):
         frames = [
             Frame(tag="a", seq=0, payload=b"first", crc=1),
             Frame(tag="b", seq=1, payload=b"second", crc=2),
         ]
         stream = b"".join(encode_frame(f) for f in frames)
-        position = [0]
-
-        def read_exact(n):
-            chunk = stream[position[0] : position[0] + n]
-            position[0] += n
-            return chunk
-
-        assert read_frame(read_exact) == frames[0]
-        assert read_frame(read_exact) == frames[1]
-        assert position[0] == len(stream)
+        decoder = FrameDecoder()
+        position, ends = 0, []
+        for frame in frames:
+            got = []
+            while not got:
+                chunk = stream[position : position + decoder.missing]
+                position += len(chunk)
+                got = decoder.feed(chunk)
+            assert got == [frame]
+            ends.append(position)
+        # each frame ended exactly where a read stopped
+        assert ends == [len(encode_frame(frames[0])), len(stream)]
+        assert decoder.missing == HEADER_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -474,41 +479,81 @@ def tiny_service():
     service.close()
 
 
+def _ctl_frame(payload, seq=0, tag="ctl", crc_flip=0):
+    """One control frame's bytes as a peer on the wire would send them."""
+    crc = zlib.crc32(payload) ^ crc_flip
+    return encode_frame(Frame(tag=tag, seq=seq, payload=payload, crc=crc))
+
+
 class TestWorkerProtocol:
     def test_ctl_round_trip_and_validation(self):
         left, right = socket.socketpair()
+        caller, worker = ctl_channel(left), ctl_channel(right, "b2a")
         try:
-            send_ctl(left, {"op": "ping", "n": 3})
-            assert recv_ctl(right, timeout=5.0) == {"op": "ping", "n": 3}
+            send_ctl(caller, {"op": "ping", "n": 3})
+            assert recv_ctl(worker, timeout=5.0) == {"op": "ping", "n": 3}
             # a protocol frame is not a control record
-            right.sendall(
-                encode_frame(Frame(tag="tables", seq=0, payload=b"x", crc=0))
-            )
-            with pytest.raises(ChannelIntegrityError, match="control"):
-                recv_ctl(left, timeout=5.0)
+            right.sendall(_ctl_frame(b"x", tag="tables"))
+            with pytest.raises(ChannelIntegrityError, match="expected 'ctl'"):
+                recv_ctl(caller, timeout=5.0)
         finally:
-            left.close()
-            right.close()
+            caller.close()
+            worker.close()
 
     def test_ctl_crc_validated(self):
         left, right = socket.socketpair()
+        worker = ctl_channel(right, "b2a")
         try:
-            bad = checksummed("ctl", b'{"op":"ping"}')
-            bad = Frame(tag="ctl", seq=0, payload=bad.payload, crc=bad.crc ^ 1)
-            left.sendall(encode_frame(bad))
+            left.sendall(_ctl_frame(b'{"op":"ping"}', crc_flip=1))
             with pytest.raises(ChannelIntegrityError, match="checksum"):
-                recv_ctl(right, timeout=5.0)
+                recv_ctl(worker, timeout=5.0)
         finally:
             left.close()
-            right.close()
+            worker.close()
 
     def test_ctl_eof_is_channel_closed(self):
         left, right = socket.socketpair()
         left.close()
+        worker = ctl_channel(right, "b2a")
         try:
             with pytest.raises(ChannelClosedError):
-                recv_ctl(right, timeout=5.0)
+                recv_ctl(worker, timeout=5.0)
         finally:
+            worker.close()
+
+    @pytest.mark.parametrize("seq", [0, 1, 5])
+    def test_a_replayed_or_stale_record_fails_the_sequence_check(self, seq):
+        """Control records ride the connection's sequence numbers: a copy
+        of record #0, or a record from another point of the stream, is
+        refused instead of being served as the next one."""
+        left, right = socket.socketpair()
+        caller, worker = ctl_channel(left), ctl_channel(right, "b2a")
+        try:
+            send_ctl(caller, {"op": "ping"})
+            assert recv_ctl(worker, timeout=5.0) == {"op": "ping"}
+            left.sendall(_ctl_frame(b'{"op":"ping"}', seq=seq))
+            if seq == 1:  # the next number: a record, not a replay
+                assert recv_ctl(worker, timeout=5.0) == {"op": "ping"}
+            else:
+                with pytest.raises(ChannelIntegrityError, match="sequence"):
+                    recv_ctl(worker, timeout=5.0)
+        finally:
+            caller.close()
+            worker.close()
+
+    def test_a_replayed_record_drops_the_connection(self):
+        """The worker answers a record once: its duplicate on the wire is
+        an integrity error that ends the connection, not a second reply."""
+        left, right = socket.socketpair()
+        caller = ctl_channel(left)
+        try:
+            record = _ctl_frame(b'{"op":"ping"}')
+            left.sendall(record + record)
+            counters = serve_connection(right, service=None)
+            assert counters == {"ping": 1, "integrity_errors": 1}
+            assert recv_ctl(caller, timeout=5.0) == {"ok": True, "op": "pong"}
+        finally:
+            caller.close()
             right.close()
 
     def test_worker_serves_peer_and_infer_over_tcp(self, tiny_service):
@@ -518,38 +563,39 @@ class TestWorkerProtocol:
         thread.start()
         sample = _tiny_samples(1)[0]
         sock = socket.create_connection(server.address)
+        ctl = ctl_channel(sock)
         try:
-            send_ctl(sock, {"op": "ping"})
-            assert recv_ctl(sock, timeout=30.0)["op"] == "pong"
+            send_ctl(ctl, {"op": "ping"})
+            assert recv_ctl(ctl, timeout=30.0)["op"] == "pong"
             # infer op serves through the worker's own service
-            send_ctl(sock, {
+            send_ctl(ctl, {
                 "op": "infer",
                 "samples": [[float(v) for v in sample]],
                 "request_ids": ["r0"],
             })
-            reply = recv_ctl(sock, timeout=120.0)
+            reply = recv_ctl(ctl, timeout=120.0)
             assert reply["ok"]
             [record] = reply["results"]
             assert record["label"] == tiny_service.cleartext_label(sample)
             assert record["request_id"] == "r0"
             # peer op: split session, garbler here on the sample's bits,
             # evaluator there on the worker's own weights
-            send_ctl(sock, {"op": "peer"})
-            assert recv_ctl(sock, timeout=30.0)["ok"]
+            send_ctl(ctl, {"op": "peer"})
+            assert recv_ctl(ctl, timeout=30.0)["ok"]
             result = run_two_party_peer(
                 sock, "garbler", tiny_service.compiled.circuit,
                 tiny_service.compiled.client_bits(sample),
                 ot_group=TEST_GROUP_512, rng=random.Random(99),
             )
-            assert recv_ctl(sock, timeout=120.0) == {
+            assert recv_ctl(ctl, timeout=120.0) == {
                 "ok": True, "op": "peer_result",
                 "comm_bytes": sum(result.comm.values()),
             }
             assert tiny_service.compiled.decode_output(result.outputs) == (
                 tiny_service.cleartext_label(sample)
             )
-            send_ctl(sock, {"op": "shutdown"})
-            assert recv_ctl(sock, timeout=30.0)["ok"]
+            send_ctl(ctl, {"op": "shutdown"})
+            assert recv_ctl(ctl, timeout=30.0)["ok"]
         finally:
             sock.close()
             thread.join(timeout=30.0)
@@ -571,34 +617,35 @@ class TestWorkerProtocol:
         sample = _tiny_samples(1)[0]
         client_bits = tiny_service.compiled.client_bits(sample)
         sock = socket.create_connection(server.address)
+        ctl = ctl_channel(sock)
         try:
             with pytest.raises(EngineError, match="oracle mismatch.*sha256"):
-                open_peer_session(sock, HashKDF())
+                open_peer_session(ctl, HashKDF())
             # the control stream is still in sync: nothing but the
             # refusal crossed the wire
-            send_ctl(sock, {"op": "ping"})
-            assert recv_ctl(sock, timeout=30.0)["op"] == "pong"
+            send_ctl(ctl, {"op": "ping"})
+            assert recv_ctl(ctl, timeout=30.0)["op"] == "pong"
             # the infer record is held to the same contract
-            send_ctl(sock, {
+            send_ctl(ctl, {
                 "op": "infer", "samples": [[float(v) for v in sample]],
                 "kdf": "sha256", "kdf_fingerprint": "00" * 16,
             })
-            refusal = recv_ctl(sock, timeout=30.0)
+            refusal = recv_ctl(ctl, timeout=30.0)
             assert refusal["ok"] is False and "oracle" in refusal["error"]
             # the same oracle from another instance is accepted
-            ack = open_peer_session(sock, FixedKeyAES())
+            ack = open_peer_session(ctl, FixedKeyAES())
             assert ack["kdf"] == "fixed-key-aes"
             result = run_two_party_peer(
                 sock, "garbler", tiny_service.compiled.circuit,
                 client_bits, kdf=FixedKeyAES(),
                 ot_group=TEST_GROUP_512, rng=random.Random(5),
             )
-            assert recv_ctl(sock, timeout=120.0)["ok"]
+            assert recv_ctl(ctl, timeout=120.0)["ok"]
             assert tiny_service.compiled.decode_output(result.outputs) == (
                 tiny_service.cleartext_label(sample)
             )
-            send_ctl(sock, {"op": "shutdown"})
-            recv_ctl(sock, timeout=30.0)
+            send_ctl(ctl, {"op": "shutdown"})
+            recv_ctl(ctl, timeout=30.0)
         finally:
             sock.close()
             thread.join(timeout=30.0)
@@ -620,24 +667,25 @@ class TestWorkerProtocol:
         sample = _tiny_samples(1)[0]
         client_bits = service.compiled.client_bits(sample)
         sock = socket.create_connection(server.address)
+        ctl = ctl_channel(sock)
         # the worker keeps one OT state per connection: so does its caller
         ot_state = IKNPState(group=TEST_GROUP_512, rng=random.Random(9))
         try:
             for _ in range(2):
-                ack = open_peer_session(sock, HashKDF())
+                ack = open_peer_session(ctl, HashKDF())
                 assert ack["kdf"] == "sha256"
                 result = run_two_party_peer(
                     sock, "garbler", service.compiled.circuit, client_bits,
                     kdf=HashKDF(), ot_group=TEST_GROUP_512,
                     rng=random.Random(8), ot_state=ot_state,
                 )
-                remote = recv_ctl(sock, timeout=120.0)
+                remote = recv_ctl(ctl, timeout=120.0)
                 assert remote["comm_bytes"] == sum(result.comm.values())
                 assert service.compiled.decode_output(result.outputs) == (
                     service.cleartext_label(sample)
                 )
-            send_ctl(sock, {"op": "shutdown"})
-            recv_ctl(sock, timeout=30.0)
+            send_ctl(ctl, {"op": "shutdown"})
+            recv_ctl(ctl, timeout=30.0)
         finally:
             sock.close()
             thread.join(timeout=30.0)
@@ -650,13 +698,14 @@ class TestWorkerProtocol:
                                   kwargs={"once": True})
         thread.start()
         sock = socket.create_connection(server.address)
+        ctl = ctl_channel(sock)
         try:
-            send_ctl(sock, {"op": "exfiltrate"})
-            assert recv_ctl(sock, timeout=30.0)["ok"] is False
-            send_ctl(sock, {"op": "ping"})
-            assert recv_ctl(sock, timeout=30.0)["op"] == "pong"
-            send_ctl(sock, {"op": "shutdown"})
-            recv_ctl(sock, timeout=30.0)
+            send_ctl(ctl, {"op": "exfiltrate"})
+            assert recv_ctl(ctl, timeout=30.0)["ok"] is False
+            send_ctl(ctl, {"op": "ping"})
+            assert recv_ctl(ctl, timeout=30.0)["op"] == "pong"
+            send_ctl(ctl, {"op": "shutdown"})
+            recv_ctl(ctl, timeout=30.0)
         finally:
             sock.close()
             thread.join(timeout=30.0)
@@ -686,6 +735,25 @@ class TestShardedService:
         finally:
             service.close()
         assert service.live_shards() == []
+
+    def test_a_links_accounting_does_not_grow_with_its_rpcs(self):
+        """A control link lives as long as its worker: 1 000 pings leave
+        the link's accounting no larger than 10 do, and still counted."""
+        service = _unsupervised(lambda: None, shards=1)  # pings only
+        shard = service._shards[0]
+        stats = shard.ctl._stats
+        try:
+            for _ in range(10):
+                shard.rpc(sharded_module._PING, 10.0)
+            after_ten = (len(stats.log), len(stats.by_tag()))
+            sent_ten = stats.bytes_a_to_b
+            for _ in range(990):
+                shard.rpc(sharded_module._PING, 10.0)
+            assert len(stats.log) <= after_ten[0]
+            assert len(stats.by_tag()) <= after_ten[1]
+            assert stats.bytes_a_to_b == 100 * sent_ten
+        finally:
+            service.close()
 
     def test_prepare_warms_every_live_shard(self):
         service = _unsupervised(_tiny_service, shards=2)
@@ -751,9 +819,9 @@ class TestShardedService:
         service = _unsupervised(_tiny_service, shards=2)
         shard = service._shards[0]
 
-        def bad_reply(sock, timeout=None):
-            reply = recv_ctl(sock, timeout)
-            if sock is shard.sock and reply.get("op") == "infer":
+        def bad_reply(ctl, timeout=None):
+            reply = recv_ctl(ctl, timeout)
+            if ctl is shard.ctl and reply.get("op") == "infer":
                 if fault == "short":
                     reply["results"] = reply["results"][1:]
                 else:
@@ -1234,15 +1302,16 @@ class TestWorkerLifecycle:
         try:
             # half a ctl frame, then vanish: the connection dies, the
             # server does not
-            frame = encode_frame(checksummed("ctl", b'{"op":"ping"}'))
+            frame = _ctl_frame(b'{"op":"ping"}')
             sock = socket.create_connection(server.address)
             sock.sendall(frame[: len(frame) // 2])
             sock.close()
             # a fresh connection is served normally afterwards
             sock = socket.create_connection(server.address)
+            ctl = ctl_channel(sock)
             try:
-                send_ctl(sock, {"op": "ping"})
-                assert recv_ctl(sock, timeout=30.0)["op"] == "pong"
+                send_ctl(ctl, {"op": "ping"})
+                assert recv_ctl(ctl, timeout=30.0)["op"] == "pong"
             finally:
                 sock.close()
             assert server.connections == 2
@@ -1256,15 +1325,14 @@ class TestWorkerLifecycle:
         thread = threading.Thread(target=server.serve_forever)
         thread.start()
         try:
-            bad = checksummed("ctl", b'{"op":"ping"}')
-            bad = Frame(tag="ctl", seq=0, payload=bad.payload, crc=bad.crc ^ 1)
             sock = socket.create_connection(server.address)
-            sock.sendall(encode_frame(bad))
+            sock.sendall(_ctl_frame(b'{"op":"ping"}', crc_flip=1))
             sock.close()
             sock = socket.create_connection(server.address)
+            ctl = ctl_channel(sock)
             try:
-                send_ctl(sock, {"op": "ping"})
-                assert recv_ctl(sock, timeout=30.0)["op"] == "pong"
+                send_ctl(ctl, {"op": "ping"})
+                assert recv_ctl(ctl, timeout=30.0)["op"] == "pong"
             finally:
                 sock.close()
             assert _wait_until(
@@ -1282,17 +1350,18 @@ class TestWorkerLifecycle:
                                   kwargs={"once": True})
         thread.start()
         sock = socket.create_connection(server.address)
+        ctl = ctl_channel(sock)
         try:
             # malformed infer payload: the handler raises, the reply is
             # a typed refusal, and the connection keeps serving
-            send_ctl(sock, {"op": "infer", "samples": "garbage"})
-            reply = recv_ctl(sock, timeout=30.0)
+            send_ctl(ctl, {"op": "infer", "samples": "garbage"})
+            reply = recv_ctl(ctl, timeout=30.0)
             assert reply["ok"] is False
             assert reply["error_type"]
-            send_ctl(sock, {"op": "ping"})
-            assert recv_ctl(sock, timeout=30.0)["op"] == "pong"
-            send_ctl(sock, {"op": "shutdown"})
-            recv_ctl(sock, timeout=30.0)
+            send_ctl(ctl, {"op": "ping"})
+            assert recv_ctl(ctl, timeout=30.0)["op"] == "pong"
+            send_ctl(ctl, {"op": "shutdown"})
+            recv_ctl(ctl, timeout=30.0)
         finally:
             sock.close()
             thread.join(timeout=30.0)

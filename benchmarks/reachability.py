@@ -82,7 +82,9 @@ CLI_COMMANDS = (
     ("repro.cli", "serve", "-n", "8"),
     ("repro.cli", "infer", "-b", "outsourced", "-n", "3"),
     ("repro.cli", "infer", "-b", "cut_and_choose", "-n", "2"),
-    ("repro.cli", "serve", "-n", "2", "--request-timeout", "60",
+    ("repro.cli", "serve", "-n", "2", "--request-timeout", "60", "--max-retries", "2",
+     "--fault", "delay:alice_labels:0:5", "--fault", "corrupt:output_labels:0"),
+    ("repro.cli", "serve", "-n", "2", "--pool", "0", "--request-timeout", "60",
      "--max-retries", "2", "--fault", "delay:tables:0:5", "--fault", "corrupt:ot:0"),
     ("repro.cli", "serve", "-n", "2"),
     ("repro.cli", "serve", "-n", "2", "--kdf-backend", "hashlib"),

@@ -11,7 +11,6 @@ own record, :class:`~repro.gc.protocol.ProtocolResult`.
 
 from __future__ import annotations
 
-import random
 import secrets
 import time
 from typing import Any, Dict, List, Optional, Sequence, Type
@@ -126,10 +125,12 @@ class TwoPartyBackend(Backend):
 
     Args:
         pool: optional :class:`PregarbledPool`; when it holds material
-            for the executed circuit the online run skips garbling and
-            phase 1 of its OTs entirely (offline/online split).
+            for the executed circuit and server bits the online run
+            skips garbling and its OT entirely (offline/online split);
+            a request for another circuit or other server bits runs
+            cold and leaves the pool's copies in it.
         ot_state: the OT-extension state to extend on — the one the
-            pool's pads extend on, so that the base OT is paid once;
+            pool's copies extend on, so that the base OT is paid once;
             ``None`` keeps the backend's own.
     """
 
@@ -203,18 +204,25 @@ class TwoPartyBackend(Backend):
         (``FastEvaluator.evaluate_many``) instead of per-request runs.
         Each request still runs its own protocol round over its own
         link.  ``pooled=False`` garbles cold for this call, pool or not
-        (how the service degrades while this backend's breaker is open).
+        (how the service degrades while this backend's breaker is open),
+        as does a pool made for another circuit or other server bits.
         """
         k = len(client_bits_list)
         if k == 0:
             return []
         session = self._session(circuit, client_bits_list, server_bits)
+        server_bits = list(server_bits)
         slots: List[Optional[Copy]] = [None] * k
-        if pooled and self.pool is not None and self.pool.circuit is circuit:
-            slots = [self.pool.acquire() for _ in range(k)]
+        pool = self.pool
+        # a pool's copies serve one circuit and one set of weights
+        if (
+            pooled and pool is not None and pool.circuit is circuit
+            and pool.bob_bits == server_bits
+        ):
+            slots = [pool.acquire() for _ in range(k)]
         return session.run_many(
             client_bits_list,
-            [list(server_bits)] * k,
+            [server_bits] * k,
             pregarbled=slots,
             deadline=self._deadline(),
         )
@@ -288,17 +296,10 @@ class CutAndChooseBackend(Backend):
     ) -> ProtocolResult:
         deadline = self._deadline()
 
-        # garbler: k committed, seed-derived garblings.  The seed source
-        # must expose getrandbits; bridge module-style rngs (secrets)
-        # through a CSPRNG-seeded generator instead of downgrading to an
-        # unseeded Mersenne Twister.
+        # garbler: k committed, seed-derived garblings
         start = time.perf_counter()
-        if hasattr(self.rng, "getrandbits"):
-            seed_rng = self.rng
-        else:
-            seed_rng = random.Random(secrets.randbits(128))
         cnc = CutAndChooseGarbler(
-            circuit, copies=self.copies, kdf=self.kdf, rng=seed_rng,
+            circuit, copies=self.copies, kdf=self.kdf, rng=self.rng,
         )
         commitments = cnc.commitments()
         tables = cnc.tables()
@@ -330,7 +331,7 @@ class CutAndChooseBackend(Backend):
             channel_factory=self.channel_factory, ot_state=self.ot_state,
         ).run(
             client_bits, server_bits,
-            # Alice's half alone: no pads, so the OT runs both phases
+            # Alice's half alone: its tables and the OT cross in the round
             pregarbled=(
                 AliceHalf(cnc.evaluation_garbler(surviving), cnc.garbled[surviving]),
                 None,

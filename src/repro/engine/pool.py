@@ -2,14 +2,16 @@
 
 Garbling is input-independent (paper Sec. 3: the tables depend only on
 the public netlist), so a serving deployment garbles *ahead* of demand
-and answers each request with a copy popped from a pool.  So are phase 1
-of the evaluator's OTs (random OTs, :mod:`repro.gc.ot_extension`) and
-the transfer of the tables: each copy, one half per party, is garbled
-with its pads, and its tables and constant labels cross to Bob's half
-as it is made.  The online critical path then holds only Alice's input
-labels, OT derandomization, evaluation and merge: 24 048 B on the demo
-net instead of a cold request's 414 248 B.  The pads' ``u`` frames, the
-tables and the constant labels move while nobody waits;
+and answers each request with a copy popped from a pool.  So is the
+transfer of the tables, and so is the evaluator's OT: Bob's input is
+the server's weights, the same in every request, so a copy's OT for
+them does not wait for one (Beaver's precomputed OT with a choice known
+ahead).  Each copy, one half per party, is made for those bits: its
+OT runs and its tables and constant labels cross to Bob's half as it is
+made.  The online critical path then holds only Alice's input labels,
+evaluation and merge: 1 488 B on the demo net instead of a cold
+request's 414 248 B.  The OT's ``u``, ``e`` and ``y``, the tables and
+the constant labels (412 760 B a copy) move while nobody waits;
 :meth:`PregarbledPool.stats` reports them as ``offline_bytes``.
 
 "Ahead of demand" has to mean *while nobody is waiting*: under the GIL a
@@ -35,7 +37,7 @@ import secrets
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Sequence
 
 from ..circuits.netlist import Circuit
 from ..errors import EngineError
@@ -60,11 +62,14 @@ class PregarbledPool:
 
     Args:
         circuit: the netlist future requests will execute.
+        bob_bits: the evaluator's input every copy is made for — the
+            server's weights (``CompiledModel.server_bits()``); a
+            request with other Bob bits cannot claim a copy.
         capacity: maximum copies held at once.  Alice's half of a copy
-            holds Δ with its interface wires' labels and the sender's
-            pads, Bob's half the receiver's pads and the tables that
-            crossed to it: 35 216 B and 390 814 B, 426 030 B together on
-            the demo net, 89 % of it tables (``stats()["copy_bytes"]``),
+            holds Δ with its interface wires' labels, Bob's half his
+            input labels, the bits they encode and the tables that
+            crossed to it: 12 752 B and 390 814 B, 403 566 B together
+            on the demo net, 94 % of it tables (``stats()["copy_bytes"]``),
             so a pool costs about ``capacity`` times that — size it to
             the burst you want to absorb, not to total traffic.
         kdf: garbling oracle (must match the online session's).
@@ -77,7 +82,7 @@ class PregarbledPool:
             the owner is shutting down (the refill then ends; the owner
             closes the pool after its own drain, which wakes the wait).
             Without one the owner counts as always idle.
-        ot_state: the OT-extension state the copies' pads extend on —
+        ot_state: the OT-extension state the copies' OTs extend on —
             the owner's, so that its base OT is paid once; ``None``
             builds one for the pool.
     """
@@ -85,6 +90,7 @@ class PregarbledPool:
     def __init__(
         self,
         circuit: Circuit,
+        bob_bits: Sequence[int],
         capacity: int = 8,
         kdf: Optional[HashKDF] = None,
         ot_group: OTGroup = MODP_2048,
@@ -96,7 +102,12 @@ class PregarbledPool:
         if capacity < 1:
             raise EngineError("pool capacity must be positive")
         check_refill("refill policy", refill)
+        if len(bob_bits) != circuit.n_bob:
+            raise EngineError(
+                f"the pool's Bob bits are {len(bob_bits)} wide; the circuit takes {circuit.n_bob}"
+            )
         self.circuit = circuit
+        self.bob_bits = list(bob_bits)
         self.capacity = capacity
         self.refill = refill
         self._idle_wait = idle_wait
@@ -112,7 +123,7 @@ class PregarbledPool:
         self._leaked_refill_thread = False
         self.garbled_total = self.refills = self.refill_crashes = 0
         self.hits = self.misses = 0
-        #: every copy's ``u``, tables and constant labels: traffic moved offline
+        #: every copy's OT, tables and constant labels: traffic moved offline
         self.offline_bytes = 0
         #: what one ready copy holds in arrays (None before any garbling)
         self.copy_bytes: Optional[int] = None
@@ -128,7 +139,7 @@ class PregarbledPool:
 
     def warm(self, count: Optional[int] = None) -> int:
         """Garble up to ``count`` copies (default: fill to capacity),
-        each with its OT pads and its tables on Bob's half.
+        each with its OT run and its tables on Bob's half.
 
         The offline phase: run it while the service is idle.  Slots are
         reserved under the lock before the (expensive) garbling starts,
@@ -150,7 +161,7 @@ class PregarbledPool:
             items = []
             start = time.monotonic()
             try:
-                items = self._session.pregarble_many(batch)
+                items = self._session.pregarble_many(batch, self.bob_bits)
             finally:
                 elapsed = time.monotonic() - start
                 with self._lock:

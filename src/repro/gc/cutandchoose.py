@@ -13,14 +13,14 @@ detection probability ``1 - 1/k`` for a single corrupted copy.
 This is the covert-security flavor (one evaluation copy); full malicious
 security needs majority evaluation and input-consistency gadgets, which
 the paper also only cites.  Deterministic garbling from a seed is what
-makes opening checkable.
+makes opening checkable; the seed feeds an :class:`repro.gc.rng.XofStream`,
+so the surviving copy's labels say nothing of its seed's other draws.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import random
 import secrets
 from typing import List, Optional, Sequence
 
@@ -31,7 +31,7 @@ from ..errors import GarblingError
 from .cipher import HashKDF, default_kdf
 from .fastgarble import garble_many
 from .garble import GarbledCircuit, Garbler
-from .rng import RngLike, rand_bits
+from .rng import RngLike, XofStream, rand_bits
 
 __all__ = ["OpenedCopy", "CutAndChooseGarbler", "verify_opened_copy"]
 
@@ -80,7 +80,7 @@ class CutAndChooseGarbler:
         pairs = garble_many(
             self.circuit,
             kdf=self.kdf,
-            rngs=[random.Random(seed) for seed in self.seeds],
+            rngs=[XofStream(seed) for seed in self.seeds],
         )
         self.garblers: List[Garbler] = [garbler for garbler, _ in pairs]
         self.garbled: List[GarbledCircuit] = [garbled for _, garbled in pairs]
@@ -134,7 +134,7 @@ def verify_opened_copy(
         return False
     regarbled = garble_many(
         circuit, kdf=kdf or default_kdf(),
-        rngs=[random.Random(o.seed) for o in openings],
+        rngs=[XofStream(o.seed) for o in openings],
     )
     return all(
         np.array_equal(garbled.tables, claimed)

@@ -17,7 +17,7 @@ picks ``s in {0,1}^kappa`` and holds ``k_j^{s_j}`` of the receiver's
 seed pairs ``(k_j^0, k_j^1)``.
 
 An extension then runs in two phases (D. Beaver, "Precomputing
-Oblivious Transfer", CRYPTO 1995):
+Oblivious Transfer", CRYPTO 1995), back to back in :func:`chosen_ot`:
 
 * **Phase 1, random OT** (:func:`extension_ot`) — needs no message and
   no real choice, so it can run before either exists.  The receiver
@@ -26,13 +26,19 @@ Oblivious Transfer", CRYPTO 1995):
   G(k_j^{s_j}) ^ s_j*u_j``, so the rows satisfy ``q_i = t_i ^ (r_i ? s :
   0)``.  The sender keeps the **pads** ``(x0_i, x1_i) = (H(q_i), H(q_i ^
   s))``, the receiver keeps ``r`` and ``x_{r_i} = H(t_i)``; nothing else
-  crosses.  A pooled copy runs it offline, each side in its party's half.
-* **Phase 2, derandomization** (:func:`derandomize`) — online.  With its
+  crosses.
+* **Phase 2, derandomization** (:func:`derandomize`).  With its
   real choices ``c`` the evaluator sends ``e = c ^ r`` (``ceil(m/8)``
   bytes), the garbler answers ``y_b = m_b ^ x_{b^e}`` (one XOR over the
   ``(m, 2, 16)`` label plane) and the evaluator reads ``m_c = y_c ^
   x_r``.  ``e`` is uniform whatever ``c`` is; ``y_{1-c}`` is masked by
   ``x_{1-r}``, which the evaluator never holds.
+
+The evaluator's choices are the server's weights, the same in every
+request, so a pooled copy runs both phases as it is made and keeps the
+chosen labels in Bob's half
+(:meth:`repro.gc.protocol.TwoPartySession.pregarble_many`); no pads
+outlive a :func:`chosen_ot` call.
 
 **The row hash** ``H`` is the tweakable circular-correlation-robust
 hash of Guo, Katz, Wang and Yu ("Efficient and Secure Multiparty
@@ -336,7 +342,8 @@ class Pads:
     """One party's side of ``m`` random OTs from one phase-1 extension:
     the sender's holds ``sender``, the receiver's ``choices`` and
     ``chosen``, also where one process hosts both.  Single-use: phase 2
-    spends them on one set of messages.
+    spends them on one set of messages, within the :func:`chosen_ot`
+    call that made them.
 
     Attributes:
         m: transfers.
@@ -352,11 +359,6 @@ class Pads:
     sender: Optional[np.ndarray] = None
     choices: Optional[np.ndarray] = None
     chosen: Optional[np.ndarray] = None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes this side holds in arrays."""
-        return sum(a.nbytes for a in (self.sender, self.choices, self.chosen) if a is not None)
 
 
 #: Phase 1's pads per end: ``(sender's, receiver's)``, as :data:`Ends`.

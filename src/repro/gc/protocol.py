@@ -69,12 +69,10 @@ from .ot import MODP_2048, OTGroup
 from .ot_extension import (
     Ends,
     IKNPState,
-    PadEnds,
-    Pads,
     chosen_ot,
-    derandomize,
-    extension_ot,
-    random_choices,
+    # not called here: the layered benchmark's tracer still wraps this
+    # binding; it goes when that wrap list is retired (ROADMAP item 1(a))
+    extension_ot,  # noqa: F401
 )
 from .rng import RngLike
 
@@ -94,21 +92,15 @@ _copy_ids = itertools.count()
 
 @dataclasses.dataclass(eq=False)
 class _Half:
-    """One party's half of a pre-garbled copy: its side of the copy's
-    pads (``None`` without pads) and the copy's id.  Single-use: labels
-    must never encrypt two input sets, so one :meth:`claim` succeeds."""
+    """One party's half of a pre-garbled copy, and the copy's id.
+    Single-use: labels must never encrypt two input sets, so one
+    :meth:`claim` succeeds."""
 
-    pads: Optional[Pads] = dataclasses.field(default=None, kw_only=True)
     copy_id: int = dataclasses.field(default_factory=_copy_ids.__next__, kw_only=True)
     _consumed: bool = dataclasses.field(default=False, init=False, repr=False)
     _claim_lock: threading.Lock = dataclasses.field(
         default_factory=threading.Lock, init=False, repr=False
     )
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes the half holds in arrays."""
-        return self.pads.nbytes if self.pads else 0
 
     @property
     def consumed(self) -> bool:
@@ -127,35 +119,39 @@ class _Half:
 @dataclasses.dataclass(eq=False)
 class AliceHalf(_Half):
     """Alice's half of a copy: her garbler (Δ and the interface wires'
-    labels), the sender's pads, and the tables she sends in the request
-    — ``None`` once they have crossed to Bob's half before it."""
+    labels) and the tables she sends in the request — ``None`` once
+    they and Bob's OT have crossed to Bob's half before it."""
 
     garbler: Garbler
     garbled: Optional[GarbledCircuit]
 
     @property
     def nbytes(self) -> int:
+        """Bytes the half holds in arrays."""
         labels = self.garbler.labels
         arrays = [labels.rows, labels.delta_row]
         if self.garbled is not None:
             arrays.append(self.garbled.tables)
-        return super().nbytes + sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in arrays)
 
 
 @dataclasses.dataclass(eq=False)
 class BobHalf(_Half):
-    """Bob's half of a copy: the receiver's pads, ``r`` and ``x_r``, and
-    — when the tables crossed before the request — the ``view``
-    :func:`receive_tables` rebuilt from their frames, with
-    ``offline_bytes`` those frames and the pads' ``u`` as the link
-    charged them."""
+    """Bob's half of a copy: all that crossed to him as it was made —
+    the ``view`` :func:`receive_tables` rebuilt from the tables frames,
+    and his ``(m, 16)`` input ``labels`` from the OT, with the ``bits``
+    they encode, the only input the copy serves — and
+    ``offline_bytes``, those frames as the link charged them."""
 
-    view: Optional[GarbledCircuit] = None
+    view: GarbledCircuit
+    labels: np.ndarray
+    bits: np.ndarray
     offline_bytes: int = dataclasses.field(default=0, kw_only=True)
 
     @property
     def nbytes(self) -> int:
-        return super().nbytes + (self.view.tables.nbytes if self.view is not None else 0)
+        """Bytes the half holds in arrays."""
+        return self.view.tables.nbytes + self.labels.nbytes + self.bits.nbytes
 
 
 #: A copy as ``(alice_half, bob_half)``, as a link is ``(alice_end,
@@ -239,8 +235,9 @@ class _Session:
 
         Each end claims its party's half of its lane's ``pregarbled``
         copy (``None`` garbles fresh) once :meth:`_claim` has checked
-        them all.  The lanes share one evaluator, so the oracles of the
-        Alice halves and, for a fresh lane, the session's must agree.
+        them all; a lane whose Bob half holds his labels runs no OT.
+        The lanes share one evaluator, so the oracles of the Alice
+        halves and, for a fresh lane, the session's must agree.
         Cycle 0 garbles the lanes without an Alice half in one
         :func:`garble_many` call (the others' results say
         ``pregarbled``) and moves the labels of the public initial
@@ -269,9 +266,7 @@ class _Session:
             for copy, (alice_end, bob_end, _) in zip(pregarbled or [None] * k, ends)
         ]
         oracle = self._oracle([alice for alice, _ in halves])
-        self._claim(halves, ends)
-        pads: List[PadEnds] = [(a and a.pads, b and b.pads) for a, b in halves]
-        views = [bob and bob.view for _, bob in halves]  # tables Bob holds already
+        self._claim(halves, ends, [lane[0][1] for lane in lanes])
         n_cycles = len(lanes[0])
         d_wires = [reg.d_wire for reg in registers]
         initial_state = [reg.init & 1 for reg in registers]
@@ -315,10 +310,9 @@ class _Session:
             links = [
                 self._transfer(
                     alice_end and (alice_end, garblers[i], garbled[i]),
-                    bob_end and (bob_end, views[i] if cycle == 0 else None),
+                    bob_end and (bob_end, halves[i][1] if cycle == 0 else None),
                     stats, *lanes[i][cycle], garble_s[i], tweak_base,
                     initial_state if cycle == 0 else (),
-                    pads[i] if cycle == 0 else (None, None),
                 )
                 for i, (alice_end, bob_end, stats) in enumerate(ends)
             ]
@@ -375,28 +369,34 @@ class _Session:
         self,
         halves: Sequence[Copy],
         ends: Sequence[Tuple[Optional[Channel], Optional[Channel], ChannelStats]],
+        bob_bits: Sequence[Optional[Sequence[int]]],
     ) -> None:
         """Claim every lane's halves once all pass: Alice's is of this
-        circuit, a lane's two are of one copy and agree on whether its
-        tables cross in the request, and none is used or held by two
-        lanes.  Otherwise :class:`ProtocolError`, none claimed.
+        circuit, Bob's was made for the lane's ``bob_bits``, a lane's two
+        are of one copy and agree on whether its tables and OT cross in
+        the request, and none is used or held by two lanes.  Otherwise
+        :class:`ProtocolError`, none claimed.
 
-        An end hosted elsewhere sends or receives the tables in the
-        request: they cross before it only between two halves in this
-        process."""
-        for alice, bob in halves:
+        An end hosted elsewhere sends or receives the tables and runs
+        the OT in the request: they cross before it only between two
+        halves in this process."""
+        for (alice, bob), bits in zip(halves, bob_bits):
             if alice and alice.garbler.circuit is not self.circuit:
                 raise ProtocolError("pregarbled material is for a different circuit")
             if alice and bob and alice.copy_id != bob.copy_id:
                 raise ProtocolError(
                     f"a lane's halves are of two copies, {alice.copy_id} and {bob.copy_id}"
                 )
+            if bob and (bits is None or list(bits) != bob.bits.tolist()):
+                raise ProtocolError(
+                    f"copy {bob.copy_id} holds Bob's labels for other input bits"
+                )
         held = [half for lane in halves for half in lane if half]
         if len(set(held)) < len(held) or any(half.consumed for half in held):
             raise ProtocolError("pregarbled material cannot be reused")
         for (alice, bob), (alice_end, bob_end, _) in zip(halves, ends):
             sends = alice_end is None or alice is None or alice.garbled is not None
-            receives = bob_end is None or bob is None or bob.view is None
+            receives = bob_end is None or bob is None
             if sends != receives:
                 raise ProtocolError(
                     "a lane's halves disagree on its tables: Alice's "
@@ -409,25 +409,24 @@ class _Session:
     def _transfer(
         self,
         alice: Optional[Tuple[Channel, Garbler, Optional[GarbledCircuit]]],
-        bob: Optional[Tuple[Channel, Optional[GarbledCircuit]]],
+        bob: Optional[Tuple[Channel, Optional[BobHalf]]],
         stats: ChannelStats,
         alice_bits: Optional[Sequence[int]],
         bob_bits: Optional[Sequence[int]],
         garble_s: float,
         tweak_base: int = 0,
         initial_state: Sequence[int] = (),
-        pads: PadEnds = (None, None),
     ) -> "_Link":
         """Step (ii) of one round: Alice's flights move, Bob's view is
         rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
         ``ot`` are timed apart.  ``alice`` is her end, garbler and tables
         (``None`` once they crossed before the request), ``bob`` his end
-        and the view rebuilt then (``None`` to receive it now).  A
+        and his claimed half (``None`` to receive the view and run the
+        OT now; :meth:`_claim` saw that Alice's half agrees).  A
         non-empty ``initial_state`` (the public power-on register bits,
         cycle 0 of a sequential run) moves its labels as one
-        ``state_labels`` frame after Alice's.  ``pads`` are the claimed
-        halves' pads, per end."""
-        bob_end = bob and bob[0]
+        ``state_labels`` frame after Alice's."""
+        bob_end, held = bob or (None, None)
         link = _Link(alice, bob_end, stats, {} if alice is None else {"garble": garble_s})
         start = time.perf_counter()
         if alice is not None:
@@ -438,10 +437,9 @@ class _Session:
                     garbler.input_labels_for(self.circuit.state_inputs, initial_state),
                     tag="state_labels",
                 )
-        if bob is not None:
-            bob_end, held = bob
+        if bob_end is not None:
             view, alice_labels = receive_garbled(
-                bob_end, self.circuit.counts().non_xor, tweak_base, held
+                bob_end, self.circuit.counts().non_xor, tweak_base, held and held.view
             )
             if initial_state:
                 state = bob_end.recv_labels(expected_tag="state_labels")
@@ -453,10 +451,13 @@ class _Session:
                 link.state_labels = state
         link.times["transfer"] = time.perf_counter() - start
         start = time.perf_counter()
-        bob_labels, _ = transfer_input_labels(
-            alice and alice[1], self.circuit.bob_inputs, bob_bits,
-            (alice and alice[0], bob_end), self.ot_state, rng=self.rng, pads=pads,
-        )
+        if held is None:
+            bob_labels, _ = transfer_input_labels(
+                alice and alice[1], self.circuit.bob_inputs, bob_bits,
+                (alice and alice[0], bob_end), self.ot_state, rng=self.rng,
+            )
+        else:  # the copy's OT ran as it was made
+            bob_labels = held.labels
         link.times["ot"] = time.perf_counter() - start
         if bob_end is not None:
             link.inputs = (view, alice_labels, bob_labels)
@@ -517,22 +518,27 @@ class TwoPartySession(_Session):
             )
         super().__init__(circuit, kdf, ot_group, rng, channel_factory, ot_state)
 
-    def pregarble_many(self, count: int) -> List[Copy]:
-        """Batch offline phase: ``count`` single-use copies in one pass.
+    def pregarble_many(
+        self, count: int, bob_bits: Optional[Sequence[int]]
+    ) -> List[Copy]:
+        """Batch offline phase: ``count`` single-use copies in one pass,
+        each made for Bob's input ``bob_bits``.
 
         All copies share one walk of the level schedule (and one KDF
         batch per level), so warming a pool of ``k`` copies costs much
         less than ``k`` one-copy passes.  Where the session's links host
-        both parties, each copy's input-independent traffic crosses one
-        such link here, in copy order: phase 1 of its OTs on the
-        session's OT state (``u``), then its tables and constant labels.
-        Alice's half keeps the sender's pads and lets its tables go as
-        they are sent; Bob's keeps the receiver's pads and the view
-        rebuilt from the frames.  A request served from the copy then
-        sends Alice's labels, runs phase 2 of the OTs and merges.  A
-        session hosting Alice alone keeps each copy whole in her half,
-        without pads, for the request to send (its state is set up over
-        its link, framed, with the other process); one hosting Bob alone
+        both parties, each copy's whole OT and its input-independent
+        flights cross one such link here, in copy order: the OT for
+        ``bob_bits`` on the session's OT state (``u``, ``e``, ``y``),
+        then its tables and constant labels.  Alice's half lets its
+        tables go as they are sent; Bob's keeps the view rebuilt from
+        the frames and his input labels with the bits they encode.  A
+        request served from the copy then sends Alice's labels and
+        merges, and one with other Bob bits is refused.  Bob's input is
+        the server's weights, the same in every request, so his OT does
+        not wait for one.  A session hosting Alice alone keeps each copy
+        whole in her half, for the request to send and run the OT in
+        (``bob_bits`` is not read: pass ``None``); one hosting Bob alone
         garbles nothing and raises :class:`ProtocolError`.
         """
         if count < 0:
@@ -540,27 +546,31 @@ class TwoPartySession(_Session):
         alice_end, bob_end, stats = self.channel_factory()
         if alice_end is None:
             raise ProtocolError("only Alice garbles: this session's links host Bob alone")
+        wires = self.circuit.bob_inputs
+        if bob_end is not None and (bob_bits is None or len(bob_bits) != len(wires)):
+            raise ProtocolError("Bob's input width mismatch")
         if count == 0:
             return []
         fresh = garble_many(self.circuit, count, kdf=self.kdf, rng=self.rng)
         if bob_end is None:
             return [(AliceHalf(garbler, garbled), None) for garbler, garbled in fresh]
-        m = len(self.circuit.bob_inputs)
+        bits = np.array(bob_bits, dtype=np.uint8)
         n_tables = self.circuit.counts().non_xor
         made: List[Copy] = []
         fresh.reverse()
         while fresh:  # each copy's tables are dropped here once they are sent
             garbler, garbled = fresh.pop()
             sent = stats.bytes_a_to_b + stats.bytes_b_to_a
-            sender, receiver = extension_ot(
-                m, random_choices(m, self.rng), (alice_end, bob_end), state=self.ot_state
-            ) if m else (None, None)
+            labels, _ = chosen_ot(
+                garbler.label_pair_rows(wires), bits,
+                (alice_end, bob_end), state=self.ot_state, rng=self.rng,
+            )
             send_tables(alice_end, garbled)
             del garbled
             view = receive_tables(bob_end, n_tables)
-            alice = AliceHalf(garbler, None, pads=sender)
+            alice = AliceHalf(garbler, None)
             made.append((alice, BobHalf(
-                view, pads=receiver, copy_id=alice.copy_id,
+                view, labels, bits, copy_id=alice.copy_id,
                 offline_bytes=stats.bytes_a_to_b + stats.bytes_b_to_a - sent,
             )))
         return made
@@ -577,7 +587,8 @@ class TwoPartySession(_Session):
         Each request is one lane of the round :meth:`run` drives:
         slots without pre-garbled material are garbled in one
         :func:`garble_many` pass, transfer and OT stay per request
-        (every copy has its own labels), and all ``k`` label planes go
+        (every copy has its own labels; a pooled copy's OT ran as it
+        was made), and all ``k`` label planes go
         through one walk of the level schedule.  Outputs are identical
         to ``k`` :meth:`run` calls on the same material.  A batch of
         more than one request needs both ends of every link in this
@@ -627,7 +638,8 @@ class TwoPartySession(_Session):
                 ``None`` where Bob is hosted elsewhere).
             pregarbled: a copy from :meth:`pregarble_many`, each end
                 claiming its party's half; Alice's skips the online
-                garbling phase (``times['garble']`` is then 0).
+                garbling phase (``times['garble']`` is then 0), and a
+                Bob half, made for ``bob_bits``, the OT.
             deadline: optional per-request time budget, checked at every
                 phase boundary and charged on every recv; expiry raises
                 :class:`repro.errors.DeadlineExceeded`.
@@ -660,18 +672,18 @@ class _Link:
 
 # One round on the wire — what crosses the link, in what order, and what
 # the evaluator may see — is these functions, with the OT flights of
-# transfer_input_labels between Alice's flights and the merge (and, at
-# cycle 0 of a run with registers, one state_labels frame before them):
-# u, e and y, or e and y alone when a pooled copy's pads precomputed u.
-# _Session._transfer and _merge call them, each on the end of the party
-# it belongs to, for every lane of every cycle _Session._rounds drives —
-# a request, a slot of run_many(), a SequentialSession cycle and
-# cut-and-choose's surviving copy: two processes and fault plans that
-# address frames by position rely on one order.  A pooled copy whose
-# halves are both in this process sent its tables and constant labels
-# (send_tables / receive_tables) with its u before the request, on
-# TwoPartySession.pregarble_many's link, so a pool hit puts four frames
-# on the wire: alice_labels, e, y and output_labels.
+# transfer_input_labels (u, e and y) between Alice's flights and the
+# merge (and, at cycle 0 of a run with registers, one state_labels frame
+# before them).  _Session._transfer and _merge call them, each on the
+# end of the party it belongs to, for every lane of every cycle
+# _Session._rounds drives — a request, a slot of run_many(), a
+# SequentialSession cycle and cut-and-choose's surviving copy: two
+# processes and fault plans that address frames by position rely on one
+# order.  A pooled copy whose halves are both in this process ran its OT
+# for Bob's bits and sent its tables and constant labels (send_tables /
+# receive_tables) before the request, on TwoPartySession.pregarble_many's
+# link, so a pool hit puts two frames on the wire: alice_labels and
+# output_labels.
 
 
 def send_tables(alice_end: Channel, garbled: GarbledCircuit) -> None:
@@ -760,17 +772,16 @@ def transfer_input_labels(
     channel: Ends,
     state: IKNPState,
     rng: RngLike = secrets,
-    pads: PadEnds = (None, None),
 ) -> Tuple[np.ndarray, int]:
     """Transfer the evaluator's input labels obliviously.
 
-    The single OT entry point every flow shares.  Handed ``pads`` —
-    phase 1 run ahead, with a pooled copy's halves — it runs phase 2
-    alone (:func:`repro.gc.ot_extension.derandomize`: ``e`` out, ``y``
-    back).  Otherwise both phases run here on ``state``, ``u`` then
-    ``e`` and ``y`` (:func:`repro.gc.ot_extension.chosen_ot`).  The
-    labels stay ``(m, 16)`` uint8 rows from the garbler's plane to the
-    evaluator's.
+    The OT entry point of every request that runs one: both phases on
+    ``state``, ``u`` then ``e`` and ``y``
+    (:func:`repro.gc.ot_extension.chosen_ot`).  A pooled copy whose
+    halves are both here ran its OT as it was made
+    (:meth:`TwoPartySession.pregarble_many`), so its request calls
+    nothing here.  The labels stay ``(m, 16)`` uint8 rows from the
+    garbler's plane to the evaluator's.
 
     Args:
         garbler: holder of the wire label pairs (OT sender messages,
@@ -788,9 +799,6 @@ def transfer_input_labels(
         state: the caller's OT-extension state, whose one base-OT batch
             every transfer extends.
         rng: randomness source (the evaluator's random choices among it).
-        pads: phase 1's random OTs for exactly these wires, per end as
-            ``channel`` is: the sender's and the receiver's side, ``None``
-            for a side not held here.
 
     Returns:
         ``(labels, total_bytes)`` — the chosen labels as ``(m, 16)``
@@ -802,11 +810,6 @@ def transfer_input_labels(
     if not wires:
         return np.empty((0, 16), dtype=np.uint8), 0
     messages = None if garbler is None else garbler.label_pair_rows(wires)
-    widths = [side.m for side in pads if side is not None]
-    if widths:
-        if set(widths) != {len(wires)}:
-            raise ProtocolError(f"pads for {widths[0]} transfers cannot carry {len(wires)} labels")
-        return derandomize(messages, bits, pads, channel)
     return chosen_ot(messages, bits, channel, state=state, rng=rng)
 
 

@@ -10,8 +10,9 @@ The service is built on :mod:`repro.engine`: every execution flow is a
 named backend, configuration lives in one :class:`repro.engine.EngineConfig`,
 and the paper's input-independent garbling (Sec. 3) becomes an
 offline/online split — :meth:`PrivateInferenceService.prepare` garbles a
-pool of circuit copies ahead of requests so the online path pays only
-transfer + OT + evaluate + merge.  One path serves every request:
+pool of circuit copies ahead of requests, each with its tables sent and
+its OT run for the weights, so the online path pays only Alice's labels
++ evaluate + merge.  One path serves every request:
 :meth:`infer` is a group of one, :meth:`infer_many` groups a batch by
 backend, and each group is one ``Backend.run_many`` call in the calling
 thread (on the two-party backend, one batched evaluation pass).
@@ -235,7 +236,7 @@ class PrivateInferenceService:
             "degraded": 0,
             "by_backend": {},
         }
-        # the OT-extension state the pool's pads and the two-party
+        # the OT-extension state the pool's copies and the two-party
         # backend's requests share, so the service pays one base OT
         self._ot_state = IKNPState(config.ot_group, config.rng)
         # the pool is created at its configured capacity but stays cold:
@@ -278,6 +279,8 @@ class PrivateInferenceService:
         """A pool wired to this service's circuit and protocol params."""
         return PregarbledPool(
             self.compiled.circuit,
+            # every copy's OT runs for the weights as it is made
+            self._server_bits,
             capacity=capacity,
             kdf=self._kdf,
             ot_group=self.config.ot_group,
@@ -310,7 +313,7 @@ class PrivateInferenceService:
         # pool and breakers take their own locks; call outside ours
         pool_stats = pool.stats() if pool is not None else None
         # session-level OT figures: what the base OT cost this service
-        # and what the pool moved offline (its pads' u, tables and
+        # and what the pool moved offline (its copies' OTs, tables and
         # constant labels), charged to no request's comm_bytes
         setup_bytes = [state.setup_bytes for state in ot_states]
         snapshot["ot"] = {

@@ -20,16 +20,16 @@ circuit breakers work unchanged:
 
 Two read modes:
 
-- **remote** (default): blocking reads with a timeout derived from the
-  endpoint's deadline (capped by ``io_timeout_s``) — the "deadlines map
-  to socket timeouts" contract.  A read asks only for what the frame
-  being decoded lacks, so endpoints sharing a socket (a connection's
-  control channel and its peer sessions') never read each other's
-  frames, and a timeout mid-frame is resumed by the next receive.  The
-  other endpoint is in another process, so this one accounts what it
-  *receives* under the far party's direction: each process reports the
-  link's full per-tag traffic, equal on both ends and equal to an
-  in-memory pair's.
+- **remote** (default): blocking reads within one timeout per frame,
+  derived from the endpoint's deadline (capped by ``io_timeout_s``) —
+  the "deadlines map to socket timeouts" contract.  A read asks only
+  for what the frame being decoded lacks, so endpoints sharing a socket
+  (a connection's control channel and its peer sessions') never read
+  each other's frames, and a timeout mid-frame is resumed by the next
+  receive.  The other endpoint is in another process, so this one
+  accounts what it *receives* under the far party's direction: each
+  process reports the link's full per-tag traffic, equal on both ends
+  and equal to an in-memory pair's.
 - **loopback**: both endpoints of a ``socket.socketpair()`` live in one
   process and are driven by one thread (exactly how the sessions drive
   the in-memory pair).  Receives drain whatever the kernel has buffered
@@ -48,6 +48,7 @@ from __future__ import annotations
 import collections
 import select
 import socket
+import time
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import ChannelClosedError, ChannelEmptyError
@@ -60,9 +61,9 @@ __all__ = [
     "socketpair_channel_factory",
 ]
 
-#: Default cap on one blocking read (seconds).  Generous against CI
-#: scheduling noise, small enough that a dead peer surfaces as a typed
-#: transient error instead of a hung job.
+#: Default cap on one blocking receive of a frame (seconds).  Generous
+#: against CI scheduling noise, small enough that a dead peer surfaces as
+#: a typed transient error instead of a hung job.
 DEFAULT_IO_TIMEOUT_S = 30.0
 
 _RECV_CHUNK = 1 << 16
@@ -78,9 +79,10 @@ class SocketChannel(Channel):
             endpoint carries (accounting direction, as in-memory).
         stats: byte accounting; loopback pairs share one instance so
             totals match the in-memory pair exactly.
-        io_timeout_s: cap on one blocking receive (a public attribute,
-            settable between receives); the armed deadline's remaining
-            budget lowers it further.
+        io_timeout_s: cap on one blocking receive of a whole frame,
+            however its bytes trickle in (a public attribute, settable
+            between receives); the armed deadline's remaining budget
+            lowers it further.
         max_payload: wire codec size cap for this link.
     """
 
@@ -207,10 +209,16 @@ class SocketChannel(Channel):
             # DeadlineExceeded)
             self.deadline.check(f"recv #{index}{expectation}")
             timeout = min(timeout, max(self.deadline.remaining(), 1e-3))
-        self._sock.settimeout(timeout)
+        # one budget for the whole frame, not for each read: a peer
+        # that trickles bytes cannot stretch the wait past it
+        until = time.monotonic() + timeout
         frames: List[Frame] = []
         try:
             while not frames:
+                left = until - time.monotonic()
+                if left <= 0:
+                    raise socket.timeout
+                self._sock.settimeout(left)
                 # never past this frame: the next one may be another
                 # endpoint's on the same socket
                 chunk = self._sock.recv(self._decoder.missing)

@@ -65,7 +65,8 @@ def _batch(pooled):
             CIRCUIT, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory,
             ot_state=IKNPState(TEST_GROUP_512, rng) if pooled else None,
         )
-        slots = session.pregarble_many(LANES) if pooled else None
+        # a copy serves one Bob input: one copy per lane, for its bits
+        slots = [session.pregarble_many(1, b)[0] for b in bobs] if pooled else None
         results = session.run_many(alices, bobs, pregarbled=slots)
         assert [r.outputs for r in results] == [
             simulate(CIRCUIT, a, b) for a, b in zip(alices, bobs)
@@ -136,12 +137,17 @@ def _received(flow, transport, alices, bobs):
     FLOWS[flow][1](factory, random.Random(1), alices, bobs)
     logs = [stats.log for stats in links]
     if flow == "pool":
-        # pregarble_many's link carries each copy's u, tables and
-        # constants, in copy order; a lane's view starts with its copy's
-        offline, *logs = logs
-        assert len(offline) == 3 * LANES
-        assert all(len(log) == 4 for log in logs)  # a pool hit's round
-        logs = [offline[3 * i:3 * i + 3] + log for i, log in enumerate(logs)]
+        # each lane's copy came on its own pregarble_many link: its OT's
+        # u, e and y, its tables and constants; a lane's view starts there
+        offline, logs = logs[:LANES], logs[LANES:]
+        assert all(len(log) == 5 for log in offline)
+        # a pool hit's round: Alice's labels out, the output labels back
+        assert all(
+            [(way, tag) for way, tag, _ in log]
+            == [("a2b", "alice_labels"), ("b2a", "output_labels")]
+            for log in logs
+        )
+        logs = [early + log for early, log in zip(offline, logs)]
     assert len(logs) == LANES
     return [
         tuple(

@@ -36,10 +36,12 @@ class TestCLI:
         assert f", ot group test-25519[{TEST_GROUP_512.provider}])" in out
 
     def test_serve_retries_through_a_fault_plan(self, capsys):
+        # a pool hit runs no OT in the request: its last frame is the
+        # one a fault can hit
         assert main(["serve", "-n", "2", "--max-retries", "2",
-                     "--fault", "corrupt:ot:0"]) == 0
+                     "--fault", "corrupt:output_labels:0"]) == 0
         out = capsys.readouterr().out
-        assert "fault plan: 1/1 faults fired (corrupt:ot#" in out
+        assert "fault plan: 1/1 faults fired (corrupt:output_labels#" in out
         assert "failed 0/2" in out and "cleartext agreement: OK" in out
 
     def test_serve_sharded(self, capsys):

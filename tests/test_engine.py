@@ -140,7 +140,7 @@ class TestPregarbledPool:
     def test_online_run_skips_garbling(self, compiled_model):
         _, compiled, quantized, x = compiled_model
         pool = PregarbledPool(
-            compiled.circuit, capacity=1, ot_group=TEST_GROUP_512,
+            compiled.circuit, compiled.server_bits(), capacity=1, ot_group=TEST_GROUP_512,
             rng=random.Random(5),
         )
         assert pool.warm() == 1
@@ -167,7 +167,7 @@ class TestPregarbledPool:
         session = TwoPartySession(
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(6)
         )
-        material = session.pregarble_many(1)[0]
+        material = session.pregarble_many(1, compiled.server_bits())[0]
         bits = compiled.client_bits(x[0])
         session.run(bits, compiled.server_bits(), pregarbled=material)
         # either half alone is refused once used
@@ -182,7 +182,7 @@ class TestPregarbledPool:
         session = TwoPartySession(
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(6)
         )
-        material = session.pregarble_many(1)[0][half]
+        material = session.pregarble_many(1, compiled.server_bits())[0][half]
         wins, barrier = [], threading.Barrier(8)
 
         def race():
@@ -210,7 +210,7 @@ class TestPregarbledPool:
         session = TwoPartySession(
             other.circuit, ot_group=TEST_GROUP_512, rng=random.Random(7)
         )
-        material = session.pregarble_many(1)[0]
+        material = session.pregarble_many(1, other.server_bits())[0]
         victim = TwoPartySession(
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(7)
         )
@@ -226,16 +226,18 @@ class TestPregarbledPool:
         ("one_copy_in_two_lanes", "reuse"),
         ("tables_sent_but_no_view", "sent them before it, Bob's has none"),
         ("a_view_but_tables_to_send", "Bob's holds them already"),
+        ("other_bob_bits", "other input bits"),
     ])
     def test_pool_rejects_a_lane_of_mismatched_halves(self, compiled_model, lane, match):
         """Halves of two copies, a half used before, one copy in two
-        lanes of a batch, or halves that disagree on whether the tables
+        lanes of a batch, halves that disagree on whether the tables
         crossed before the request (Alice's sent them, Bob's end has no
-        view; or the reverse), are refused with no half claimed; the
-        pool serves on."""
+        view; or the reverse), or a copy made for other Bob bits than
+        the lane's, are refused with no half claimed; the pool serves
+        on."""
         _, compiled, _, x = compiled_model
         pool = PregarbledPool(
-            compiled.circuit, capacity=3, ot_group=TEST_GROUP_512,
+            compiled.circuit, compiled.server_bits(), capacity=3, ot_group=TEST_GROUP_512,
             rng=random.Random(7),
         )
         assert pool.warm() == 3
@@ -254,9 +256,13 @@ class TestPregarbledPool:
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(7)
         )
         bits, server_bits = compiled.client_bits(x[0]), compiled.server_bits()
+        lane_bits = server_bits
+        if lane == "other_bob_bits":
+            lanes = [(alice, bob)]
+            lane_bits = server_bits[:-1] + [1 - server_bits[-1]]
         with pytest.raises(ProtocolError, match=match):
             session.run_many(
-                [bits] * len(lanes), [server_bits] * len(lanes), pregarbled=lanes
+                [bits] * len(lanes), [lane_bits] * len(lanes), pregarbled=lanes
             )
         assert not alice.consumed and not other_bob.consumed
         assert bob.consumed is (lane == "a_used_half")
@@ -267,10 +273,32 @@ class TestPregarbledPool:
         assert served.pregarbled and pool.hits == 3
         assert served.outputs == session.run(bits, server_bits).outputs
 
+    def test_other_server_bits_run_cold_and_leave_the_pool(self, compiled_model):
+        """A pool's copies are made for one set of weights: a backend
+        asked to serve others runs cold and takes no copy from it."""
+        _, compiled, _, x = compiled_model
+        pool = PregarbledPool(
+            compiled.circuit, compiled.server_bits(), capacity=1,
+            ot_group=TEST_GROUP_512, rng=random.Random(10),
+        )
+        assert pool.warm() == 1
+        backend = get_backend(
+            "two_party", ot_group=TEST_GROUP_512, rng=random.Random(10), pool=pool,
+        )
+        bits = compiled.client_bits(x[0])
+        other = [1 - bit for bit in compiled.server_bits()]
+        result = backend.run(compiled.circuit, bits, other)
+        assert not result.pregarbled
+        assert result.outputs == get_backend("simulate").run(
+            compiled.circuit, bits, other
+        ).outputs
+        assert len(pool) == 1 and pool.hits == pool.misses == 0
+        assert backend.run(compiled.circuit, bits, compiled.server_bits()).pregarbled
+
     def test_malformed_request_does_not_burn_pool_unit(self, compiled_model):
         _, compiled, _, _ = compiled_model
         pool = PregarbledPool(
-            compiled.circuit, capacity=1, ot_group=TEST_GROUP_512,
+            compiled.circuit, compiled.server_bits(), capacity=1, ot_group=TEST_GROUP_512,
             rng=random.Random(9),
         )
         pool.warm()
@@ -285,13 +313,15 @@ class TestPregarbledPool:
     def test_capacity_bounds_warm(self, compiled_model):
         _, compiled, _, _ = compiled_model
         pool = PregarbledPool(
-            compiled.circuit, capacity=2, ot_group=TEST_GROUP_512,
+            compiled.circuit, compiled.server_bits(), capacity=2, ot_group=TEST_GROUP_512,
             rng=random.Random(8),
         )
         assert pool.warm(5) == 2
         assert len(pool) == 2
         with pytest.raises(EngineError):
-            PregarbledPool(compiled.circuit, capacity=0)
+            PregarbledPool(compiled.circuit, compiled.server_bits(), capacity=0)
+        with pytest.raises(EngineError, match="wide"):
+            PregarbledPool(compiled.circuit, compiled.server_bits()[:-1])
 
 
 class TestEngineConfig:

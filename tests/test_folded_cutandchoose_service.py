@@ -1,5 +1,6 @@
 """Tests for the folded dense layer, cut-and-choose, and the service API."""
 
+import hashlib
 import math
 import random
 
@@ -385,6 +386,56 @@ class TestCutAndChoose:
         )
         assert one == two
         assert one != other
+
+    def test_copies_are_garbled_from_a_shake_stream_per_seed(self):
+        """A copy's labels are SHAKE-256 draws under its seed, not a
+        Mersenne Twister's (whose output is linear in its state, so the
+        evaluator's labels would give away the others): an opened seed
+        still re-garbles its copy byte for byte, and two seeds' copies
+        share no label and no offset."""
+        from repro.gc import garble_many
+        from repro.gc.rng import XofStream
+
+        circuit = _demo_circuit()
+        cnc = CutAndChooseGarbler(circuit, copies=2, rng=random.Random(7))
+        ((_, again),) = garble_many(circuit, rngs=[XofStream(cnc.seeds[0])])
+        assert again.tables_bytes() == cnc.garbled[0].tables_bytes()
+        commitments = cnc.commitments()
+        assert verify_opened_copy(
+            circuit, cnc.open([0]), commitments[:1], cnc.tables()[:1]
+        )
+        # draw 0 is SHAKE-256(seed || 0), and Δ is drawn first
+        first = hashlib.shake_256(
+            cnc.seeds[0].to_bytes(16, "little") + bytes(8)
+        ).digest(16)
+        assert XofStream(cnc.seeds[0]).getrandbits(128) == int.from_bytes(first, "little")
+        assert cnc.garblers[0].labels.delta == int.from_bytes(first, "little") | 1
+        one, two = (garbler.labels for garbler in cnc.garblers)
+        assert one.delta != two.delta
+        rows_one = {row.tobytes() for row in one.rows}
+        assert not rows_one & {row.tobytes() for row in two.rows}
+        offsets = {row.tobytes() for row in one.rows ^ two.rows}
+        assert len(offsets) == len(one.rows)
+
+    def test_xof_stream_replays_from_its_seed(self):
+        from repro.gc.rng import XofStream
+
+        widths = (1, 7, 128, 8 * 700, 128)
+        one, same, other = (
+            [stream.getrandbits(bits) for bits in widths]
+            for stream in (XofStream(2**127 + 5), XofStream(2**127 + 5), XofStream(6))
+        )
+        assert one == same
+        assert all(0 <= value < 2**bits for value, bits in zip(one, widths))
+        assert one[2] != other[2] and one[2] != one[4]
+        # a stream, not a draw per call: one 256-bit draw is two 128-bit
+        # ones concatenated, least significant first, across a block edge too
+        for skip in (0, XofStream.BLOCK_BYTES - 5):
+            wide, narrow = XofStream(9), XofStream(9)
+            wide.getrandbits(8 * skip)
+            narrow.getrandbits(8 * skip)
+            low, high = narrow.getrandbits(128), narrow.getrandbits(128)
+            assert wide.getrandbits(256) == low | high << 128
 
 
 class TestService:

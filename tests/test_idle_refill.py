@@ -32,6 +32,8 @@ from repro.resilience import AdmissionGate
 from repro.service import PrivateInferenceService
 
 CIRCUIT = build_gate_chain(40, "and")
+#: the evaluator's input every pooled copy is made for
+BOB_BITS = [i % 2 for i in range(CIRCUIT.n_bob)]
 
 MODEL_SETTINGS = settings(
     max_examples=40, stateful_step_count=40, deadline=None
@@ -174,7 +176,7 @@ class PoolMachine(RuleBasedStateMachine):
     def build(self, capacity, refill):
         self.g = GateModel(0)
         self.pool = PregarbledPool(
-            CIRCUIT, capacity=capacity, refill=refill,
+            CIRCUIT, BOB_BITS, capacity=capacity, refill=refill,
             idle_wait=self.g.gate.wait_idle, rng=random.Random(5),
             ot_group=TEST_GROUP_512,
         )
@@ -186,12 +188,14 @@ class PoolMachine(RuleBasedStateMachine):
         self.stepping = False
         pregarble_many = self.pool._session.pregarble_many
 
-        def watched(count):
+        def watched(count, bob_bits):
             if self.stepping:
                 # no refill garbles while the gate has anything in flight
                 assert self.g.gate.stats()["inflight"] == 0
                 assert count == 1
-            return pregarble_many(count)
+            # every copy, warmed or refilled, is made for the pool's bits
+            assert bob_bits == BOB_BITS
+            return pregarble_many(count, bob_bits)
 
         self.pool._session.pregarble_many = watched
 
@@ -367,7 +371,7 @@ class TestRefillStep:
             return answers.pop(0)
 
         pool = PregarbledPool(
-            CIRCUIT, capacity=capacity, refill="idle", idle_wait=idle_wait,
+            CIRCUIT, BOB_BITS, capacity=capacity, refill="idle", idle_wait=idle_wait,
             rng=random.Random(9),
         )
         return pool, asked
@@ -445,9 +449,11 @@ class TestServiceWiring:
             garbled_inflight = []
             pregarble_many = pool._session.pregarble_many
 
-            def watched(count):
+            def watched(count, bob_bits):
                 garbled_inflight.append(service.stats["inflight"])
-                return pregarble_many(count)
+                # the refill makes copies for the service's weights
+                assert bob_bits == service.compiled.server_bits()
+                return pregarble_many(count, bob_bits)
 
             pool._session.pregarble_many = watched
             assert service.infer(x[0]).pregarbled

@@ -161,9 +161,9 @@ class TestOneRoundOnTheWire:
         assert logs["run_many"] == [reference, reference]
         assert logs["run"] == logs["sequential"] == logs["cut_and_choose"] == [reference]
 
-    def test_a_pool_hit_moves_the_round_without_u(self):
-        # the pads, tables and constants came with the copy: the online
-        # round is Alice's labels, e out, y back and the output labels
+    def test_a_pool_hit_moves_the_round_without_the_ot(self):
+        # the OT, tables and constants came with the copy: the online
+        # round is Alice's labels and the output labels
         circuit = wide_circuit()
         a, b = _inputs()
         factory, links = _keeping_stats()
@@ -172,20 +172,22 @@ class TestOneRoundOnTheWire:
             circuit, ot_group=TEST_GROUP_512, rng=rng, channel_factory=factory,
             ot_state=IKNPState(TEST_GROUP_512, rng),
         )
-        slots = session.pregarble_many(3)
+        slots = session.pregarble_many(3, b)
         assert session.run(a, b, pregarbled=slots[0]).outputs == simulate(circuit, a, b)
         assert [r.outputs for r in session.run_many([a, a], [b, b], pregarbled=slots[1:])] == [
             simulate(circuit, a, b)
         ] * 2
-        pooled = ROUND[2:3] + ROUND[4:]
-        # the first link is pregarble_many's: each copy's u, then its
-        # tables and constants, in copy order, before any request
+        pooled = [ROUND[2], ROUND[-1]]
+        # the first link is pregarble_many's: each copy's u, e and y,
+        # then its tables and constants, in copy order, before any request
         offline, *rounds = links
-        assert [(d, tag) for d, tag, _ in offline.log] == 3 * [ROUND[3], *ROUND[:2]]
+        assert [(d, tag) for d, tag, _ in offline.log] == 3 * [*ROUND[3:6], *ROUND[:2]]
+        assert [size for _, tag, size in offline.log[1:3]] == [
+            -(-N_BOB // 8) + 4, 32 * N_BOB + 4
+        ]
         assert len(rounds) == 3
         for stats in rounds:
             assert [(d, tag) for d, tag, _ in stats.log] == pooled
-            assert stats.log[1][2] == -(-N_BOB // 8) + 4
 
     def test_run_and_run_many_account_the_same_bytes_per_tag(self):
         circuit = wide_circuit()
@@ -236,7 +238,7 @@ class TestOneDriver:
         circuit = wide_circuit()
         a, b = _inputs()
         session = _session(TwoPartySession, circuit, make_channel_pair)
-        slot = session.pregarble_many(1)[0]
+        slot = session.pregarble_many(1, b)[0]
         del driver_calls[:]
         assert session.run(a, b).outputs == simulate(circuit, a, b)
         assert _names(driver_calls) == [("garble_many", 1), ("evaluate_many", 1)]
@@ -248,7 +250,7 @@ class TestOneDriver:
         circuit = wide_circuit()
         a, b = _inputs()
         session = _session(TwoPartySession, circuit, make_channel_pair)
-        slot = session.pregarble_many(1)[0]
+        slot = session.pregarble_many(1, b)[0]
         del driver_calls[:]
         results = session.run_many([a] * 3, [b] * 3, pregarbled=[None, slot, None])
         assert [r.outputs for r in results] == [simulate(circuit, a, b)] * 3

@@ -402,14 +402,15 @@ class TestPaidOnce:
             assert pooled.pregarbled
             assert pooled.label == service.cleartext_label(x[1])
             assert base_batches == [1]
-            # the cold request's extension and one per pooled copy's pads;
-            # the pooled request spent its pads and extended nothing
+            # the cold request's extension and one per pooled copy's OT;
+            # the pooled request ran its OT as the copy was made
             stats = service.stats
             assert stats["ot"]["extensions"] == 3
             circuit = service.compiled.circuit
-            # per copy: the pads' u, then its tables and constant labels
-            # (each frame charged its 4-byte length prefix)
-            per_copy = (KAPPA * -(-circuit.n_bob // 8) + 12) + (
+            # per copy: the OT's u, e and y, then its tables and constant
+            # labels (each frame charged its 4-byte length prefix)
+            m = circuit.n_bob
+            per_copy = (KAPPA * -(-m // 8) + 12) + (-(-m // 8) + 4) + (32 * m + 4) + (
                 32 * circuit.counts().non_xor + 4
             ) + (4 + 4 + 2 * 16)
             assert stats["ot"]["offline_bytes"] == stats["pool"][
@@ -475,25 +476,25 @@ class TestTrafficUnmoved:
         "ot": 15677, "output_labels": 40,
     }
 
-    def test_a_pool_hit_sends_e_and_y_only(self, compiled):
+    def test_a_pool_hit_sends_no_ot_frame(self, compiled):
         compiled, x = compiled
         circuit = compiled.circuit
-        m = circuit.n_bob
         session = TwoPartySession(
             circuit, ot_group=TEST_GROUP_512, rng=random.Random(1),
             ot_state=_state(64),
         )
-        (slot,) = session.pregarble_many(1)
-        u_bytes = KAPPA * -(-m // 8) + 12
-        assert [half.pads.wire_bytes for half in slot] == [u_bytes, u_bytes]
+        (slot,) = session.pregarble_many(1, compiled.server_bits())
+        tables = self.TAGS["tables"] + self.TAGS["const_labels"]
+        # the copy's whole OT crossed beside its tables
+        assert slot[1].offline_bytes == self.TAGS["ot"] + tables
         pooled = session.run(
             compiled.client_bits(x[0]), compiled.server_bits(), pregarbled=slot
         )
         cold = session.run(compiled.client_bits(x[0]), compiled.server_bits())
         assert pooled.outputs == cold.outputs
-        assert pooled.comm["ot"] == (-(-m // 8) + 4) + (32 * m + 4) == 10417
-        assert cold.comm["ot"] == pooled.comm["ot"] + u_bytes
+        assert "ot" not in pooled.comm
         assert cold.comm == self.TAGS
+        assert pooled.total_comm_bytes + slot[1].offline_bytes == cold.total_comm_bytes
         assert session.ot_state.extensions == 2
 
     def test_two_party(self, compiled):

@@ -599,7 +599,7 @@ class TestPoolSelfHealing:
 
         monkeypatch.setattr(PregarbledPool, "_refill_loop", flaky)
         pool = PregarbledPool(
-            small_circuit(), capacity=2, refill="idle",
+            small_circuit(), [0, 1, 1, 0], capacity=2, refill="idle",
             rng=random.Random(0),
         )
         try:
@@ -620,7 +620,7 @@ class TestPoolSelfHealing:
             lambda self: release.wait(10.0),
         )
         pool = PregarbledPool(
-            small_circuit(), capacity=1, refill="idle",
+            small_circuit(), [0, 1, 1, 0], capacity=1, refill="idle",
             rng=random.Random(0),
         )
         assert pool.acquire() is None  # the first draw starts the refill
@@ -633,7 +633,7 @@ class TestPoolSelfHealing:
 
     def test_close_is_idempotent_without_thread(self):
         pool = PregarbledPool(
-            small_circuit(), capacity=1, refill="none", rng=random.Random(0)
+            small_circuit(), [0, 1, 1, 0], capacity=1, refill="none", rng=random.Random(0)
         )
         pool.close()
         pool.close()
@@ -954,6 +954,40 @@ class TestByteFaultsOnSocketChannel:
         finally:
             alice.close()
             bob.close()
+
+    def test_a_trickling_peer_cannot_outlast_the_timeout(self):
+        """A peer that sends a control record one byte every 50 ms: the
+        receive gives up within its 0.3 s for the whole record, not 0.3 s
+        per byte, and the next receive still delivers the record whole."""
+        encoder, raw = socket.socketpair()
+        send_ctl(ctl_channel(encoder), {"op": "ping", "pad": "x" * 32})
+        record = raw.recv(4096)
+        encoder.close()
+        raw.close()
+        caller, worker = socket.socketpair()
+        ctl = ctl_channel(worker, "b2a")
+        hurry = threading.Event()
+
+        def trickle():
+            for i in range(len(record)):
+                caller.sendall(record[i:i + 1])
+                hurry.wait(0.05)
+
+        thread = threading.Thread(target=trickle)
+        thread.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(ChannelEmptyError):
+                recv_ctl(ctl, timeout=0.3)
+            assert time.monotonic() - start < 0.5
+            hurry.set()
+            assert recv_ctl(ctl, timeout=5.0) == {"op": "ping", "pad": "x" * 32}
+        finally:
+            hurry.set()
+            thread.join(timeout=10.0)
+            ctl.close()
+            caller.close()
+        assert not thread.is_alive()
 
     def test_a_record_straddling_a_poll_tick_is_served_whole(self):
         """A worker polls its control channel every tick: a record whose

@@ -45,6 +45,12 @@ def _small_circuit():
     return build_gate_chain(60, "and")
 
 
+def _pool(**kwargs):
+    """A pool over the gate chain, its copies made for all-one Bob bits."""
+    circuit = _small_circuit()
+    return PregarbledPool(circuit, [1] * circuit.n_bob, **kwargs)
+
+
 def _trained_service(**config_kwargs):
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, size=(200, 5))
@@ -63,7 +69,7 @@ def _trained_service(**config_kwargs):
 class TestPoolRefill:
     def test_none_policy_stays_drained(self):
         """The PR 1 behavior is still available as an explicit opt-in."""
-        pool = PregarbledPool(_small_circuit(), capacity=2, refill="none",
+        pool = _pool(capacity=2, refill="none",
                               rng=random.Random(0))
         assert pool.warm() == 2
         assert pool.acquire() is not None
@@ -81,8 +87,7 @@ class TestPoolRefill:
             assert idle.wait(timeout=10.0), "owner never went idle"
             return True
 
-        pool = PregarbledPool(
-            _small_circuit(), capacity=2, refill="idle", idle_wait=idle_wait,
+        pool = _pool(capacity=2, refill="idle", idle_wait=idle_wait,
             rng=random.Random(1),
         )
         assert pool.warm() == 2
@@ -101,8 +106,7 @@ class TestPoolRefill:
         pool.close()
 
     def test_ownerless_idle_pool_tops_itself_up(self):
-        pool = PregarbledPool(
-            _small_circuit(), capacity=3, refill="idle", rng=random.Random(2),
+        pool = _pool(capacity=3, refill="idle", rng=random.Random(2),
         )
         # a pool nobody has drawn from has nothing to refill: no thread
         # yet, so an operator's warm() cannot lose slots to one
@@ -122,14 +126,14 @@ class TestPoolRefill:
         # and the error names the two that exist
         for name in ("aggressive", "opportunistic", "background"):
             with pytest.raises(EngineError, match="refill.*none, idle"):
-                PregarbledPool(_small_circuit(), refill=name)
+                _pool(refill=name)
             with pytest.raises(EngineError, match="pool_refill.*none, idle"):
                 EngineConfig(pool_refill=name)
         assert EngineConfig().pool_refill == "idle"
         assert EngineConfig(pool_refill="none").pool_refill == "none"
 
     def test_warm_batches_and_respects_capacity(self):
-        pool = PregarbledPool(_small_circuit(), capacity=4,
+        pool = _pool(capacity=4,
                               rng=random.Random(3))
         assert pool.warm(2) == 2
         assert pool.warm() == 2  # fills remaining room in one batch

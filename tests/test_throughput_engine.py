@@ -265,7 +265,7 @@ class TestEvaluateMany:
         session = TwoPartySession(
             circuit, ot_group=TEST_GROUP_512, rng=random.Random(91)
         )
-        units = session.pregarble_many(1)
+        units = session.pregarble_many(1, bobs[0])
         results = session.run_many(
             alices, bobs, pregarbled=[units[0], None, None]
         )
@@ -287,7 +287,7 @@ class TestEvaluateMany:
             return TwoPartySession(
                 circuit, kdf=HashKDF(), ot_group=TEST_GROUP_512,
                 rng=random.Random(seed),
-            ).pregarble_many(1)[0]
+            ).pregarble_many(1, [1] * circuit.n_bob)[0]
 
         session = TwoPartySession(
             circuit, kdf=FixedKeyAES(), ot_group=TEST_GROUP_512,

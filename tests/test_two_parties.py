@@ -214,10 +214,10 @@ class TestWhatEachPartyHolds:
             # each process compiles its own copy of the public netlist
             session = party.session(mixing_circuit(self.N_BOB))
             receiving(session, "garbler")
-            alice, bob = material = session.pregarble_many(1)[0]
-            # Bob is elsewhere: Alice's half alone, no pads, and the
+            alice, bob = material = session.pregarble_many(1, None)[0]
+            # Bob is elsewhere: Alice's half alone and whole, and the
             # connection's state is left for the run to set up with him
-            assert bob is None and alice.pads is None and party.state.setup_bytes == 0
+            assert bob is None and alice.garbled is not None and party.state.setup_bytes == 0
             kept["garbler"], kept["decode_bits"] = alice.garbler, alice.garbled.decode_bits
             result = session.run(a, None, pregarbled=material)
             return session, result
@@ -340,12 +340,14 @@ class TestWhatEachPartyHolds:
 
 
 class TestWhatAPooledCopyHolds:
-    """A pooled copy on the demo net is two halves.  Alice's keeps Δ,
-    its interface wires' rows and the sender's pads: no label plane, no
-    table plane, no internal label, no random choice.  Bob's keeps the
-    receiver's pads and the view of the tables and constant labels that
-    crossed to it: no garbler, no Δ, no sender pad, no label pair, and
-    of the interface wires' labels the two active constants alone."""
+    """A pooled copy on the demo net is two halves, made for the
+    server's weights.  Alice's keeps Δ and its interface wires' rows: no
+    label plane, no table plane, no internal label, no OT pad and no Bob
+    bit.  Bob's keeps the view of the tables and constant labels that
+    crossed to it, and his input labels with the bits they encode: no
+    garbler, no Δ, no OT pad, no label pair, and of the interface
+    wires' labels the two active constants and his own active labels
+    alone."""
 
     @pytest.fixture(scope="class")
     def pooled(self):
@@ -354,10 +356,10 @@ class TestWhatAPooledCopyHolds:
         from repro.gc import LabelStore
 
         service, _ = _demo_service()
-        circuit = service.compiled.circuit
+        circuit, bits = service.compiled.circuit, service.compiled.server_bits()
         service.close()
         rng = random.Random(29)
-        pool = PregarbledPool(circuit, capacity=1, ot_group=TEST_GROUP_512, rng=rng)
+        pool = PregarbledPool(circuit, bits, capacity=1, ot_group=TEST_GROUP_512, rng=rng)
         before = rng.getstate()
         assert pool.warm() == 1
         replay = random.Random()
@@ -365,10 +367,10 @@ class TestWhatAPooledCopyHolds:
         # the gate-at-a-time oracle on the same rng stream keeps every wire
         reference = Garbler(circuit, label_store=LabelStore(rng=replay))
         reference.garble()
-        return circuit, pool, pool.acquire(), reference
+        return circuit, pool, pool.acquire(), reference, bits
 
     def test_no_plane_and_no_internal_label(self, pooled):
-        circuit, _, (alice, bob), reference = pooled
+        circuit, _, (alice, bob), reference, _ = pooled
         assert alice.garbler.labels.delta == reference.labels.delta
         objects = list(reachable([alice]))
         assert not [
@@ -395,18 +397,26 @@ class TestWhatAPooledCopyHolds:
         for wire in (circuit.outputs[0], circuit.bob_inputs[0]):
             assert holds_label(held, reference.labels.zero(wire)), wire
 
-    def test_alices_half_holds_no_random_choice(self, pooled):
-        _, _, (alice, bob), _ = pooled
-        r, x_r = bob.pads.choices, bob.pads.chosen
+    def test_no_half_holds_an_ot_pad(self, pooled):
+        _, _, (alice, bob), _, bits = pooled
+        for half in (alice, bob):
+            objects = list(reachable([half]))
+            assert not any(isinstance(obj, ot_extension.Pads) for obj in objects)
+            assert not any(isinstance(obj, IKNPState) for obj in objects)
+            # no (m, 2, 16) plane: neither the sender's pads nor a y frame
+            assert not [
+                obj.shape for obj in objects
+                if isinstance(obj, np.ndarray) and obj.shape == (len(bits), 2, 16)
+            ]
+        # Alice's half holds no Bob bit, packed or not; the walk finds
+        # them in Bob's
         _ints, blobs, vectors = holdings([alice])
-        assert tuple(int(v) for v in r) not in vectors
-        for secret in (np.packbits(r).tobytes(), x_r.tobytes()):
-            assert not any(secret in blob for blob in blobs)
-        # the walk is not blind: it finds the sender's pads, x_r's rows among them
-        assert any(alice.pads.sender.tobytes() in blob for blob in blobs)
+        assert tuple(bits) not in vectors
+        assert not any(np.packbits(bits).tobytes() in blob for blob in blobs)
+        assert tuple(bits) in holdings([bob])[2]
 
     def test_bobs_half_holds_no_garbler_secret(self, pooled):
-        circuit, _, (alice, bob), reference = pooled
+        circuit, _, (alice, bob), reference, bits = pooled
         assert alice.copy_id == bob.copy_id
         objects = list(reachable([bob]))
         assert not any(isinstance(obj, Garbler) for obj in objects)
@@ -414,46 +424,89 @@ class TestWhatAPooledCopyHolds:
         assert any(obj is bob.view for obj in objects)
         assert bob.view.decode_bits == [] and bob.view.tweak_base == 0
         assert len(bob.view.tables) == circuit.counts().non_xor
+        # his labels are the ones his bits select, and he keeps the bits
+        assert bob.bits.tolist() == bits
+        assert [int.from_bytes(row.tobytes(), "little") for row in bob.labels] == [
+            reference.labels.select(wire, bit) for wire, bit in zip(circuit.bob_inputs, bits)
+        ]
         held = holdings([bob])
         assert not holds_label(held, reference.labels.delta)
-        # of the interface wires' labels, the active constants alone:
-        # constant 0's zero-label and constant 1's one-label
-        active = {(CONST_ZERO, 0), (CONST_ONE, 1)}
+        # of the interface wires' labels, the active constants (constant
+        # 0's zero-label, constant 1's one-label) and his own active ones
+        active = {(CONST_ZERO, 0), (CONST_ONE, 1)} | set(zip(circuit.bob_inputs, bits))
         for wire in circuit.interface_wires().tolist():
             for bit in (0, 1):
                 label = reference.labels.select(wire, bit)
                 assert holds_label(held, label) is ((wire, bit) in active), (wire, bit)
-        # of the sender's pads, x_r and never x_{1-r}
-        sender = alice.pads.sender
-        for i, r_i in enumerate(bob.pads.choices):
-            assert holds_label(held, int.from_bytes(sender[i, r_i].tobytes(), "little"))
-            assert not holds_label(held, int.from_bytes(sender[i, 1 - r_i].tobytes(), "little")), i
 
     def test_copy_bytes(self, pooled):
-        circuit, pool, (alice, bob), _ = pooled
+        circuit, pool, (alice, bob), _, bits = pooled
         copy_bytes = pool.stats()["copy_bytes"]
-        # interface rows, Δ and the sender's pads; r, x_r and the tables
-        assert (alice.nbytes, bob.nbytes) == (12_752 + 22_464, 11_934 + 378_880)
-        assert copy_bytes == alice.nbytes + bob.nbytes == 426_030
+        # interface rows and Δ; Bob's labels, his bits and the tables
+        assert (alice.nbytes, bob.nbytes) == (12_752, 16 * 702 + 702 + 378_880)
+        assert len(bits) == 702
+        assert copy_bytes == alice.nbytes + bob.nbytes == 403_566
         # tables are most of it
-        assert 32 * circuit.counts().non_xor > 0.85 * copy_bytes
+        assert 32 * circuit.counts().non_xor > 0.9 * copy_bytes
 
     def test_offline_and_request_bytes_add_up_to_a_cold_request(self, pooled):
-        circuit, pool, (_alice, bob), _ = pooled
-        # u, tables and constants crossed before the request
-        assert pool.stats()["offline_bytes"] == bob.offline_bytes == 390_200
+        circuit, pool, (_alice, bob), _, bits = pooled
+        # the OT's u, e and y, the tables and constants crossed before the request
+        assert pool.stats()["offline_bytes"] == bob.offline_bytes == 412_760
         rng = random.Random(31)
         session = TwoPartySession(circuit, ot_group=TEST_GROUP_512, rng=rng)
         a = [rng.randrange(2) for _ in circuit.alice_inputs]
-        b = [rng.randrange(2) for _ in circuit.bob_inputs]
-        (copy,) = session.pregarble_many(1)
-        hit = session.run(a, b, pregarbled=copy)
-        cold = session.run(a, b)
-        assert hit.outputs == cold.outputs == simulate(circuit, a, b)
-        # a pool hit's four frames: alice_labels, e, y, output_labels
-        assert set(hit.comm) == {"alice_labels", "ot", "output_labels"}
-        assert hit.total_comm_bytes == 24_048
+        (copy,) = session.pregarble_many(1, bits)
+        hit = session.run(a, bits, pregarbled=copy)
+        cold = session.run(a, bits)
+        assert hit.outputs == cold.outputs == simulate(circuit, a, bits)
+        # a pool hit's two frames: alice_labels and output_labels
+        assert set(hit.comm) == {"alice_labels", "output_labels"}
+        assert hit.total_comm_bytes == 1_488
         assert copy[1].offline_bytes + hit.total_comm_bytes == cold.total_comm_bytes == 414_248
+
+
+class TestAPooledCopyServesOneInput:
+    """Bob's half is made for one input: a lane with other Bob bits is
+    refused before any half is claimed, and a half serves once."""
+
+    CIRCUIT = mixing_circuit(12)
+
+    def _session(self):
+        return TwoPartySession(self.CIRCUIT, ot_group=TEST_GROUP_512, rng=random.Random(3))
+
+    def test_other_bob_bits_are_refused_and_nothing_is_claimed(self):
+        session = self._session()
+        a, bits = _bits(8, 1), _bits(12, 2)
+        other = [1 - bit for bit in bits]
+        copies = session.pregarble_many(2, bits)
+        for lanes in ([bits, other], [other, bits]):
+            with pytest.raises(ProtocolError, match="other input bits"):
+                session.run_many([a, a], lanes, pregarbled=copies)
+            assert not any(half.consumed for copy in copies for half in copy)
+        results = session.run_many([a, a], [bits, bits], pregarbled=copies)
+        assert [r.outputs for r in results] == [simulate(self.CIRCUIT, a, bits)] * 2
+        assert all(r.pregarbled for r in results)
+
+    def test_a_half_is_single_use(self):
+        session = self._session()
+        a, bits = _bits(8, 1), _bits(12, 2)
+        (copy,) = session.pregarble_many(1, bits)
+        assert session.run(a, bits, pregarbled=copy).outputs == simulate(self.CIRCUIT, a, bits)
+        assert all(half.consumed for half in copy)
+        with pytest.raises(ProtocolError, match="cannot be reused"):
+            session.run(a, bits, pregarbled=copy)
+        # each half on its own: Bob's labels never serve a second request
+        with pytest.raises(ProtocolError, match="cannot be reused"):
+            copy[1].claim()
+
+    def test_the_width_of_the_bits_is_checked_before_garbling(self):
+        session = self._session()
+        with pytest.raises(ProtocolError, match="width"):
+            session.pregarble_many(1, _bits(11, 2))
+        with pytest.raises(ProtocolError, match="width"):
+            session.pregarble_many(1, None)
+        assert session.ot_state.extensions == 0
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +704,12 @@ class TestRunManyNeedsBothEnds:
                 circuit, ot_group=TEST_GROUP_512, rng=random.Random(1),
                 channel_factory=peer_channel_factory(left, "garbler"),
             )
-            material = session.pregarble_many(2)
-            # Alice's halves alone, without pads, so the state is not
-            # set up here in memory
-            assert [(alice.pads, bob) for alice, bob in material] == [(None, None)] * 2
+            material = session.pregarble_many(2, None)
+            # Alice's halves alone and whole: no OT ran, so the state is
+            # not set up here in memory
+            assert [
+                (alice.garbled is not None, bob) for alice, bob in material
+            ] == [(True, None)] * 2
             assert session.ot_state.setup_bytes == 0
             with pytest.raises(ProtocolError, match="both ends"):
                 session.run_many(
@@ -683,7 +738,7 @@ class TestRunManyNeedsBothEnds:
                 channel_factory=peer_channel_factory(right, "evaluator"),
             )
             with pytest.raises(ProtocolError, match="Bob alone"):
-                session.pregarble_many(2)
+                session.pregarble_many(2, _bits(5, 2))
             assert built == [] and session.ot_state.setup_bytes == 0
         finally:
             left.close()

@@ -53,6 +53,7 @@ from repro.gc.garble import GarbledCircuit
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
 from repro.gc.protocol import TwoPartySession
+from repro.gc.rng import XofStream
 from repro.nn import Dense, QuantizedModel, Sequential, Tanh, TrainConfig, Trainer
 
 FMT = FixedPointFormat(2, 6)
@@ -63,10 +64,10 @@ def _as_dict(plane):
     return {w: plane[w] for w in range(plane.n_wires)}
 
 
-def _reference(circuit, seed, kdf=None):
-    """The gate-at-a-time oracle, drawing labels from ``Random(seed)``."""
+def _reference(circuit, seed, kdf=None, stream=random.Random):
+    """The gate-at-a-time oracle, drawing labels from ``stream(seed)``."""
     return Garbler(
-        circuit, kdf=kdf, label_store=LabelStore(rng=random.Random(seed))
+        circuit, kdf=kdf, label_store=LabelStore(rng=stream(seed))
     )
 
 
@@ -978,8 +979,9 @@ class TestGarbleMany:
             )
 
     def test_verify_opened_copy_against_reference(self):
-        """Opened engine copies verify; so does a reference-garbled copy,
-        and a copy whose tables differ in one bit does not."""
+        """Opened engine copies verify; so does a copy the reference
+        oracle garbles from the seed's SHAKE stream, and a copy whose
+        tables differ in one bit does not."""
         circuit = _random_circuit(13)
         cnc = CutAndChooseGarbler(circuit, copies=3, rng=random.Random(5))
         tables = cnc.tables()
@@ -990,11 +992,11 @@ class TestGarbleMany:
             [tables[0], tables[2]],
         )
         for opened in openings:
-            claimed = _reference(circuit, opened.seed).garble().tables
+            claimed = _reference(circuit, opened.seed, stream=XofStream).garble().tables
             assert np.array_equal(claimed, tables[opened.index])
         seed = 0xC0FFEE
         opened = [OpenedCopy(index=0, seed=seed)]
-        claimed = _reference(circuit, seed).garble().tables
+        claimed = _reference(circuit, seed, stream=XofStream).garble().tables
         assert verify_opened_copy(circuit, opened, [_commit(seed)], [claimed])
         tampered = claimed.copy()
         tampered[0, 0] ^= 1
@@ -1025,7 +1027,7 @@ class TestSessionAndBackends:
             circuit, ot_group=TEST_GROUP_512, rng=random.Random(seed),
             channel_factory=factory,
         )
-        unit = session.pregarble_many(1)[0]
+        unit = session.pregarble_many(1, bits_b)[0]
         result = session.run(bits_a, bits_b, pregarbled=unit)
         alice, bob = unit
 
@@ -1043,8 +1045,10 @@ class TestSessionAndBackends:
         assert result.outputs == simulate(circuit, bits_a, bits_b)
         n_non_xor = circuit.counts().non_xor
         assert "tables" not in result.comm
-        assert bob.offline_bytes == bob.pads.wire_bytes + sum(
-            len(payload) + 4 for tag, payload in frames if tag in ("tables", "const_labels")
+        # so did the OT for Bob's bits: every frame so far is offline
+        assert bob.offline_bytes == sum(
+            len(payload) + 4 for tag, payload in frames
+            if tag in ("ot", "tables", "const_labels")
         )
         assert len(sent["tables"]) == 32 * n_non_xor
 
@@ -1074,9 +1078,9 @@ class TestSessionAndBackends:
         session = TwoPartySession(
             compiled.circuit, ot_group=TEST_GROUP_512, rng=random.Random(22)
         )
-        units = session.pregarble_many(3)
-        assert len(units) == 3
         bits_b = compiled.server_bits()
+        units = session.pregarble_many(3, bits_b)
+        assert len(units) == 3
         for i, unit in enumerate(units):
             result = session.run(
                 compiled.client_bits(x[i]), bits_b, pregarbled=unit

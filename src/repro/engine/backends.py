@@ -254,14 +254,18 @@ class OutsourcedBackend(Backend):
 class CutAndChooseBackend(Backend):
     """Covert-security execution: garble ``copies``, open all but one.
 
-    The evaluator verifies every opened copy against the garbler's seed
-    commitments, then the surviving copy runs ``two_party``'s protocol
-    round as pre-garbled material (Sec. 2.4's cut-and-choose pointer),
-    every flight on the wire.  A cheating garbler is detected with
-    probability ``1 - 1/copies``.  ``comm`` is the round's traffic plus
-    two tags beside it, ``opened_tables`` (the opened copies' tables)
-    and ``commitments`` (the seed commitments); ``times`` are the
-    round's phases, ``garble`` covering every copy, and ``verify``.
+    The garbler commits to every copy with one 32-byte digest of its
+    tables and constant labels; the evaluator re-garbles every opened
+    copy from its revealed seed and checks it against its digest, then
+    the surviving copy runs ``two_party``'s protocol round as
+    pre-garbled material (Sec. 2.4's cut-and-choose pointer), every
+    flight on the wire, with Bob's end checking the tables that arrive
+    against that copy's digest before he evaluates.  A cheating garbler
+    is detected with probability ``1 - 1/copies``.  ``comm`` is the
+    round's traffic plus two tags beside it, ``commitments`` (a digest
+    per copy) and ``openings`` (a 16-byte seed per opened copy); no
+    opened copy's tables cross.  ``times`` are the round's phases,
+    ``garble`` covering every copy and its digest, and ``verify``.
 
     Args:
         copies: independent garblings (>= 2).
@@ -296,13 +300,12 @@ class CutAndChooseBackend(Backend):
     ) -> ProtocolResult:
         deadline = self._deadline()
 
-        # garbler: k committed, seed-derived garblings
+        # garbler: k seed-derived garblings, a digest committed per copy
         start = time.perf_counter()
         cnc = CutAndChooseGarbler(
             circuit, copies=self.copies, kdf=self.kdf, rng=self.rng,
         )
         commitments = cnc.commitments()
-        tables = cnc.tables()
         garble_s = time.perf_counter() - start
         if deadline is not None:
             deadline.check("garble")
@@ -311,12 +314,9 @@ class CutAndChooseBackend(Backend):
         start = time.perf_counter()
         surviving = self._choose_surviving()
         challenge = [i for i in range(self.copies) if i != surviving]
+        openings = cnc.open(challenge)
         if not verify_opened_copy(
-            circuit,
-            cnc.open(challenge),
-            [commitments[i] for i in challenge],
-            [tables[i] for i in challenge],
-            kdf=self.kdf,
+            circuit, openings, [commitments[i] for i in challenge], kdf=self.kdf,
         ):
             raise EngineError(
                 f"cut-and-choose: an opened copy of {challenge} failed verification"
@@ -325,7 +325,8 @@ class CutAndChooseBackend(Backend):
         if deadline is not None:
             deadline.check("verify")
 
-        # the surviving copy runs the protocol round (Fig. 3) on the wire
+        # the surviving copy runs the protocol round (Fig. 3) on the wire,
+        # Bob's end holding its digest
         result = TwoPartySession(
             circuit, kdf=cnc.kdf, ot_group=self.ot_group, rng=self.rng,
             channel_factory=self.channel_factory, ot_state=self.ot_state,
@@ -337,12 +338,13 @@ class CutAndChooseBackend(Backend):
                 None,
             ),
             deadline=deadline,
+            digest=commitments[surviving],
         )
         # the surviving copy was garbled in this request, not in a pool
         result.pregarbled = False
-        # beside the round: the opened copies' tables and the commitments
-        result.comm["opened_tables"] = sum(tables[i].nbytes for i in challenge)
+        # beside the round: the digests and the opened copies' seeds
         result.comm["commitments"] = sum(len(c) for c in commitments)
+        result.comm["openings"] = 16 * len(openings)
         result.times["garble"] += garble_s
         result.times["verify"] = verify_s
         return result

@@ -44,6 +44,16 @@ class ChannelIntegrityError(ProtocolError):
     """
 
 
+class CommitmentError(ProtocolError):
+    """Raised when garbled material misses the digest its garbler
+    committed to (cut-and-choose's surviving copy).
+
+    The frames arrived intact, so the garbler sent other tables than it
+    committed to: a caught cheat, permanent under the retry taxonomy.
+    Raised before the evaluator walks the tables.
+    """
+
+
 class ChannelClosedError(ProtocolError):
     """Raised on ``recv`` from a channel whose peer has gone away.
 

@@ -2,13 +2,24 @@
 
 The paper notes its solution "can be readily modified to support
 malicious models by following [cut-and-choose et al.]" (Sec. 2.4).  This
-module implements the classic ingredient: the garbler produces ``k``
-independent garblings of the circuit from committed seeds; the evaluator
-opens ``k - 1`` random copies (the garbler reveals those seeds, and the
-evaluator *re-garbles deterministically* and compares ciphertexts); the
-surviving copy is evaluated.  A garbler who cheats in ``c`` copies is
-caught unless the single unopened copy is exactly the corrupted one —
-detection probability ``1 - 1/k`` for a single corrupted copy.
+module implements the covert flavor of Goyal-Mohassel-Smith (EUROCRYPT
+2008): the garbler produces ``k`` independent garblings of the circuit,
+each from its own seed, and commits to each copy with one 32-byte
+digest (:meth:`GarbledCircuit.digest`, over its tables and constant
+labels) before the challenge.  The evaluator opens ``k - 1`` random
+copies: the garbler reveals those seeds, and the evaluator *re-garbles
+deterministically* and compares digests; the surviving copy's tables
+cross in the protocol round, where the evaluator hashes what arrived
+against its digest before evaluating.  A garbler who cheats in ``c``
+copies is caught unless the single unopened copy is exactly the
+corrupted one — detection probability ``1 - 1/k`` for a single
+corrupted copy.
+
+The digest binds by collision resistance: an opened seed that
+re-garbles to the committed digest re-garbles to the committed tables,
+so the opened copies' tables never need to cross, and the seeds need no
+commitment of their own (a seed is only ever checked through what it
+garbles to).
 
 This is the covert-security flavor (one evaluation copy); full malicious
 security needs majority evaluation and input-consistency gadgets, which
@@ -20,11 +31,8 @@ so the surviving copy's labels say nothing of its seed's other draws.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import secrets
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from ..circuits.netlist import Circuit
 from ..errors import GarblingError
@@ -34,11 +42,6 @@ from .garble import GarbledCircuit, Garbler
 from .rng import RngLike, XofStream, rand_bits
 
 __all__ = ["OpenedCopy", "CutAndChooseGarbler", "verify_opened_copy"]
-
-
-def _commit(seed: int) -> bytes:
-    """Binding commitment to a garbling seed."""
-    return hashlib.sha256(b"seed-commit" + seed.to_bytes(16, "little")).digest()
 
 
 @dataclasses.dataclass
@@ -91,12 +94,9 @@ class CutAndChooseGarbler:
         return len(self.seeds)
 
     def commitments(self) -> List[bytes]:
-        """Seed commitments, sent before the challenge."""
-        return [_commit(seed) for seed in self.seeds]
-
-    def tables(self) -> List[np.ndarray]:
-        """Every copy's garbled tables, an ``(n, 32)`` uint8 plane each."""
-        return [g.tables for g in self.garbled]
+        """One digest per copy, of its tables and constant labels, sent
+        before the challenge."""
+        return [garbled.digest() for garbled in self.garbled]
 
     def open(self, challenge: Sequence[int]) -> List[OpenedCopy]:
         """Reveal the seeds of the challenged copies."""
@@ -116,27 +116,23 @@ def verify_opened_copy(
     circuit: Circuit,
     openings: Sequence[OpenedCopy],
     commitments: Sequence[bytes],
-    claimed_tables: Sequence[np.ndarray],
     kdf: Optional[HashKDF] = None,
 ) -> bool:
     """Evaluator-side check of every opened copy, in one batch.
 
-    ``commitments`` and ``claimed_tables`` (``(n, 32)`` uint8 planes) are
-    the opened copies', in the order of ``openings``.  Re-derives each
-    commitment, then re-garbles all the revealed seeds deterministically
-    in one :func:`repro.gc.fastgarble.garble_many` call; every copy's claimed
-    tables must match ciphertext-for-ciphertext.  Returns False on any
-    mismatch (a cheating garbler).
+    ``commitments`` are the opened copies' digests, in the order of
+    ``openings``.  Re-garbles all the revealed seeds deterministically in
+    one :func:`repro.gc.fastgarble.garble_many` call; every copy's
+    re-garbling must hash to the digest committed for it.  Returns False
+    on any mismatch (a cheating garbler).
     """
-    if not len(openings) == len(commitments) == len(claimed_tables):
-        raise GarblingError("one commitment and one table plane per opening")
-    if any(_commit(o.seed) != c for o, c in zip(openings, commitments)):
-        return False
+    if len(openings) != len(commitments):
+        raise GarblingError("one commitment per opening")
     regarbled = garble_many(
         circuit, kdf=kdf or default_kdf(),
         rngs=[XofStream(o.seed) for o in openings],
     )
     return all(
-        np.array_equal(garbled.tables, claimed)
-        for (_, garbled), claimed in zip(regarbled, claimed_tables)
+        garbled.digest() == committed
+        for (_, garbled), committed in zip(regarbled, commitments)
     )

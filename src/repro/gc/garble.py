@@ -27,6 +27,7 @@ stream — and runs only for a caller that hands in a scalar
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import secrets
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -40,6 +41,10 @@ from .labels import ArrayLabelStore, LabelsLike, LabelStore, permute_bit
 from .rng import RngLike
 
 __all__ = ["GarbledCircuit", "Garbler"]
+
+#: Domain tag of :meth:`GarbledCircuit.digest`, so no other SHA-256 in
+#: the package hashes to a copy's digest.
+_DIGEST_TAG = b"repro.gc.garbled-copy.v1"
 
 
 @dataclasses.dataclass
@@ -71,6 +76,17 @@ class GarbledCircuit:
     def size_bytes(self) -> int:
         """Transfer size of the tables alone."""
         return self.tables.nbytes
+
+    def digest(self) -> bytes:
+        """SHA-256 over what crosses to the evaluator: the two constant
+        labels, then the tables.  Both have a length the netlist fixes,
+        so the encoding is unambiguous, and a garbler who finds two
+        copies with one digest has found a SHA-256 collision."""
+        h = hashlib.sha256(_DIGEST_TAG)
+        for label in self.const_labels:
+            h.update(label.to_bytes(16, "little"))
+        h.update(np.ascontiguousarray(self.tables))
+        return h.digest()
 
 
 class Garbler:

@@ -47,7 +47,7 @@ import numpy as np
 
 from ..circuits.netlist import Circuit
 from ..circuits.sequential import Register
-from ..errors import ChannelIntegrityError, ProtocolError
+from ..errors import ChannelIntegrityError, CommitmentError, ProtocolError
 from .channel import Channel, ChannelStats, default_channel_factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -227,6 +227,7 @@ class _Session:
         final_only: bool = False,
         pregarbled: Optional[Sequence[Optional[Copy]]] = None,
         deadline: Optional["Deadline"] = None,
+        digests: Optional[Sequence[Optional[bytes]]] = None,
     ) -> List[List[ProtocolResult]]:
         """The protocol round once per cycle of every lane — one request
         on its own link, one ``(alice_bits, bob_bits)`` per cycle, as
@@ -246,8 +247,11 @@ class _Session:
         the d-wires' zero-labels as the q-wires', while the evaluator
         carries its active labels.  Each cycle, Bob's lanes are one
         :meth:`FastEvaluator.evaluate_many` walk.  ``final_only`` merges
-        the last round alone.  More than one lane needs both ends of
-        every link in this process.
+        the last round alone.  A lane's entry of ``digests`` is the
+        digest its garbler committed to for cycle 0's tables and
+        constant labels: Bob's end checks his view against it before
+        the walk.  More than one lane needs both ends of every link in
+        this process.
         """
         circuit = self.circuit
         k = len(lanes)
@@ -313,6 +317,7 @@ class _Session:
                     bob_end and (bob_end, halves[i][1] if cycle == 0 else None),
                     stats, *lanes[i][cycle], garble_s[i], tweak_base,
                     initial_state if cycle == 0 else (),
+                    digests[i] if digests and cycle == 0 else None,
                 )
                 for i, (alice_end, bob_end, stats) in enumerate(ends)
             ]
@@ -416,6 +421,7 @@ class _Session:
         garble_s: float,
         tweak_base: int = 0,
         initial_state: Sequence[int] = (),
+        digest: Optional[bytes] = None,
     ) -> "_Link":
         """Step (ii) of one round: Alice's flights move, Bob's view is
         rebuilt from them, the OT runs for Bob's labels; ``transfer`` and
@@ -425,7 +431,8 @@ class _Session:
         OT now; :meth:`_claim` saw that Alice's half agrees).  A
         non-empty ``initial_state`` (the public power-on register bits,
         cycle 0 of a sequential run) moves its labels as one
-        ``state_labels`` frame after Alice's."""
+        ``state_labels`` frame after Alice's.  ``digest``, when given,
+        is checked against Bob's view (:func:`receive_garbled`)."""
         bob_end, held = bob or (None, None)
         link = _Link(alice, bob_end, stats, {} if alice is None else {"garble": garble_s})
         start = time.perf_counter()
@@ -439,7 +446,8 @@ class _Session:
                 )
         if bob_end is not None:
             view, alice_labels = receive_garbled(
-                bob_end, self.circuit.counts().non_xor, tweak_base, held and held.view
+                bob_end, self.circuit.counts().non_xor, tweak_base,
+                held and held.view, digest,
             )
             if initial_state:
                 state = bob_end.recv_labels(expected_tag="state_labels")
@@ -628,6 +636,7 @@ class TwoPartySession(_Session):
         bob_bits: Optional[Sequence[int]],
         pregarbled: Optional[Copy] = None,
         deadline: Optional["Deadline"] = None,
+        digest: Optional[bytes] = None,
     ) -> ProtocolResult:
         """Execute the protocol on plaintext inputs.
 
@@ -643,6 +652,11 @@ class TwoPartySession(_Session):
             deadline: optional per-request time budget, checked at every
                 phase boundary and charged on every recv; expiry raises
                 :class:`repro.errors.DeadlineExceeded`.
+            digest: the digest (:meth:`GarbledCircuit.digest`) the garbler
+                committed to for the tables and constant labels Bob
+                evaluates — cut-and-choose's surviving copy; a view that
+                misses it raises :class:`repro.errors.CommitmentError`
+                before Bob's walk.
 
         Returns:
             The request's result; ``outputs`` is ``[]`` on a process
@@ -650,6 +664,7 @@ class TwoPartySession(_Session):
         """
         return self._rounds(
             [[(alice_bits, bob_bits)]], pregarbled=[pregarbled], deadline=deadline,
+            digests=[digest],
         )[0][0]
 
 
@@ -677,9 +692,10 @@ class _Link:
 # before them).  _Session._transfer and _merge call them, each on the
 # end of the party it belongs to, for every lane of every cycle
 # _Session._rounds drives — a request, a slot of run_many(), a
-# SequentialSession cycle and cut-and-choose's surviving copy: two
-# processes and fault plans that address frames by position rely on one
-# order.  A pooled copy whose halves are both in this process ran its OT
+# SequentialSession cycle and cut-and-choose's surviving copy (whose view
+# receive_garbled checks against the digest its garbler committed to):
+# two processes and fault plans that address frames by position rely on
+# one order.  A pooled copy whose halves are both in this process ran its OT
 # for Bob's bits and sent its tables and constant labels (send_tables /
 # receive_tables) before the request, on TwoPartySession.pregarble_many's
 # link, so a pool hit puts two frames on the wire: alice_labels and
@@ -744,12 +760,20 @@ def receive_garbled(
     n_tables: int,
     tweak_base: int = 0,
     view: Optional[GarbledCircuit] = None,
+    digest: Optional[bytes] = None,
 ) -> Tuple[GarbledCircuit, np.ndarray]:
     """Bob's view and Alice's label rows: the view received by
     :func:`receive_tables` unless it was before the request (``view``),
-    then her input labels."""
+    then her input labels.  A view that misses the garbler's committed
+    ``digest`` raises :class:`CommitmentError` before her labels are
+    read."""
     if view is None:
         view = receive_tables(bob_end, n_tables, tweak_base)
+    if digest is not None and view.digest() != digest:
+        raise CommitmentError(
+            "the garbled tables and constant labels Bob received miss the "
+            "digest their garbler committed to"
+        )
     return view, bob_end.recv_label_rows(expected_tag="alice_labels")
 
 

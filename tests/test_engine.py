@@ -127,11 +127,13 @@ class TestBackendParity:
         result = backend.run(
             compiled.circuit, compiled.client_bits(x[1]), compiled.server_bits()
         )
-        # the opened copy's tables and both seed commitments are tags of
-        # the round's comm, beside the surviving copy's framed tables
+        # both copies' digests and the opened copy's seed are tags of
+        # the round's comm, beside the surviving copy's framed tables;
+        # the opened copy's tables never cross
         table_bytes = 32 * result.n_non_xor
-        assert result.comm["opened_tables"] == table_bytes
+        assert "opened_tables" not in result.comm
         assert result.comm["commitments"] == 2 * 32
+        assert result.comm["openings"] == 16
         assert result.comm["tables"] == table_bytes + 4
         assert set(result.times) >= {"garble", "verify"}
 

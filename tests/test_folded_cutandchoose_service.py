@@ -1,5 +1,6 @@
 """Tests for the folded dense layer, cut-and-choose, and the service API."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -309,30 +310,41 @@ def _demo_circuit():
     return bld.build()
 
 
+def _tampered(garbled, what):
+    """``garbled`` with one bit of its tables or of a constant label flipped."""
+    if what == "tables":
+        tables = garbled.tables.copy()
+        tables[0, 0] ^= 1
+        return dataclasses.replace(garbled, tables=tables)
+    zero, one = garbled.const_labels
+    return dataclasses.replace(garbled, const_labels=(zero, one ^ 1))
+
+
 class TestCutAndChoose:
     def test_honest_garbler_passes_all_opens(self):
         circuit = _demo_circuit()
         garbler = CutAndChooseGarbler(circuit, copies=4, rng=random.Random(1))
         commitments = garbler.commitments()
-        tables = garbler.tables()
+        assert [len(c) for c in commitments] == [32] * 4
+        assert len(set(commitments)) == 4
         challenge = [0, 2, 3]
         assert verify_opened_copy(
-            circuit, garbler.open(challenge),
-            [commitments[i] for i in challenge], [tables[i] for i in challenge],
+            circuit, garbler.open(challenge), [commitments[i] for i in challenge],
         )
 
     def test_tampered_tables_detected(self):
+        """An opened copy whose re-garbling misses its digest fails: the
+        garbler committed to tables (or a constant label) its seed does
+        not garble to."""
         circuit = _demo_circuit()
         garbler = CutAndChooseGarbler(circuit, copies=3, rng=random.Random(2))
         commitments = garbler.commitments()
-        tables = garbler.tables()
-        corrupted = tables[1].copy()
-        corrupted[0, 0] ^= 0xFF
         opened = garbler.open([0, 1])
-        assert not verify_opened_copy(
-            circuit, opened, commitments[:2], [tables[0], corrupted]
-        )
-        assert verify_opened_copy(circuit, opened, commitments[:2], tables[:2])
+        for what in ("tables", "const_labels"):
+            corrupted = _tampered(garbler.garbled[1], what).digest()
+            assert corrupted != commitments[1]
+            assert not verify_opened_copy(circuit, opened, [commitments[0], corrupted])
+        assert verify_opened_copy(circuit, opened, commitments[:2])
 
     def test_wrong_seed_detected(self):
         from repro.gc.cutandchoose import OpenedCopy
@@ -340,11 +352,59 @@ class TestCutAndChoose:
         circuit = _demo_circuit()
         garbler = CutAndChooseGarbler(circuit, copies=3, rng=random.Random(3))
         commitments = garbler.commitments()
-        tables = garbler.tables()
         lying = OpenedCopy(index=0, seed=garbler.seeds[0] ^ 1)
-        assert not verify_opened_copy(circuit, [lying], commitments[:1], tables[:1])
+        assert not verify_opened_copy(circuit, [lying], commitments[:1])
         with pytest.raises(GarblingError, match="per opening"):
-            verify_opened_copy(circuit, [lying], commitments, tables[:1])
+            verify_opened_copy(circuit, [lying], commitments)
+
+    @pytest.mark.parametrize("what", ["tables", "const_labels"])
+    def test_surviving_copy_off_its_digest_is_refused(self, monkeypatch, what):
+        """A garbler that commits to its copies honestly, so every opened
+        one verifies, and then sends other tables (or constant labels)
+        for the surviving copy is refused by a typed error at Bob's end:
+        nothing is decoded and his walk never runs."""
+        from repro.engine import backends
+        from repro.errors import CommitmentError
+        from repro.gc.fastgarble import FastEvaluator
+        from repro.gc.garble import Garbler
+
+        class Cheating(CutAndChooseGarbler):
+            def commitments(self):
+                honest = super().commitments()
+                self.garbled = [_tampered(g, what) for g in self.garbled]
+                return honest
+
+        calls = []
+        monkeypatch.setattr(backends, "CutAndChooseGarbler", Cheating)
+        for cls, name in ((FastEvaluator, "evaluate_many"), (Garbler, "decode_outputs")):
+            monkeypatch.setattr(
+                cls, name, lambda *args, name=name: calls.append(name)
+            )
+        circuit = _demo_circuit()
+        backend = backends.CutAndChooseBackend(
+            ot_group=TEST_GROUP_512, rng=random.Random(8), copies=3,
+        )
+        with pytest.raises(CommitmentError, match="digest"):
+            backend.run(circuit, [1, 0, 1], [1, 1, 1])
+        assert calls == []
+
+    def test_session_checks_the_view_against_its_digest(self):
+        """The round's digest check on its own: the copy's own digest
+        passes and decodes, another copy's is refused."""
+        from repro.circuits import simulate
+        from repro.errors import CommitmentError
+        from repro.gc.protocol import AliceHalf, TwoPartySession
+
+        circuit = _demo_circuit()
+        cnc = CutAndChooseGarbler(circuit, copies=2, rng=random.Random(9))
+        digests = cnc.commitments()
+        session = TwoPartySession(circuit, ot_group=TEST_GROUP_512, rng=random.Random(9))
+        copy = (AliceHalf(cnc.garblers[0], cnc.garbled[0]), None)
+        result = session.run([0, 1, 1], [1, 0, 1], pregarbled=copy, digest=digests[0])
+        assert result.outputs == simulate(circuit, [0, 1, 1], [1, 0, 1])
+        copy = (AliceHalf(cnc.garblers[1], cnc.garbled[1]), None)
+        with pytest.raises(CommitmentError):
+            session.run([0, 1, 1], [1, 0, 1], pregarbled=copy, digest=digests[0])
 
     def test_surviving_copy_evaluates_correctly(self):
         from repro.circuits import simulate
@@ -400,10 +460,7 @@ class TestCutAndChoose:
         cnc = CutAndChooseGarbler(circuit, copies=2, rng=random.Random(7))
         ((_, again),) = garble_many(circuit, rngs=[XofStream(cnc.seeds[0])])
         assert again.tables_bytes() == cnc.garbled[0].tables_bytes()
-        commitments = cnc.commitments()
-        assert verify_opened_copy(
-            circuit, cnc.open([0]), commitments[:1], cnc.tables()[:1]
-        )
+        assert verify_opened_copy(circuit, cnc.open([0]), cnc.commitments()[:1])
         # draw 0 is SHAKE-256(seed || 0), and Δ is drawn first
         first = hashlib.shake_256(
             cnc.seeds[0].to_bytes(16, "little") + bytes(8)

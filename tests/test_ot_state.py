@@ -545,19 +545,17 @@ class TestTrafficUnmoved:
                 compiled.circuit, compiled.client_bits(x[i]), compiled.server_bits()
             )
             # the surviving copy's round crosses the link frame for frame
-            # like a cold two_party round; the two opened copies' tables
-            # and the three 32-byte seed commitments are two tags beside it
+            # like a cold two_party round; the three 32-byte digests and
+            # the two opened copies' 16-byte seeds are two tags beside it
             assert [(tag, len(payload) + 4) for tag, payload in frames] == [
                 ("tables", 182116), ("const_labels", 40), ("alice_labels", 872),
                 ("ot", 5260), ("ot", 45), ("ot", 10372), ("output_labels", 40),
             ]
             assert result.comm == {
-                **self.TAGS,
-                "opened_tables": 2 * (self.TAGS["tables"] - 4),
-                "commitments": 3 * 32,
+                **self.TAGS, "commitments": 3 * 32, "openings": 2 * 16,
             }
-            assert result.total_comm_bytes == 563065 == (
-                2 * (self.TAGS["tables"] - 4) + 3 * 32 + sum(self.TAGS.values())
+            assert result.total_comm_bytes == 198873 == (
+                3 * 32 + 2 * 16 + sum(self.TAGS.values())
             )
         assert backend.ot_state.extensions == 2
 

@@ -46,7 +46,6 @@ from repro.gc.cipher import FixedKeyAES, HashKDF
 from repro.gc.cutandchoose import (
     CutAndChooseGarbler,
     OpenedCopy,
-    _commit,
     verify_opened_copy,
 )
 from repro.gc.garble import GarbledCircuit
@@ -979,30 +978,27 @@ class TestGarbleMany:
             )
 
     def test_verify_opened_copy_against_reference(self):
-        """Opened engine copies verify; so does a copy the reference
-        oracle garbles from the seed's SHAKE stream, and a copy whose
-        tables differ in one bit does not."""
+        """Opened engine copies verify by digest; so does a copy the
+        reference oracle garbles from the seed's SHAKE stream, and a
+        digest of tables that differ in one bit does not."""
         circuit = _random_circuit(13)
         cnc = CutAndChooseGarbler(circuit, copies=3, rng=random.Random(5))
-        tables = cnc.tables()
         commitments = cnc.commitments()
         openings = cnc.open([0, 2])
         assert verify_opened_copy(
             circuit, openings, [commitments[0], commitments[2]],
-            [tables[0], tables[2]],
         )
         for opened in openings:
-            claimed = _reference(circuit, opened.seed, stream=XofStream).garble().tables
-            assert np.array_equal(claimed, tables[opened.index])
+            claimed = _reference(circuit, opened.seed, stream=XofStream).garble()
+            assert np.array_equal(claimed.tables, cnc.garbled[opened.index].tables)
+            assert claimed.digest() == commitments[opened.index]
         seed = 0xC0FFEE
         opened = [OpenedCopy(index=0, seed=seed)]
-        claimed = _reference(circuit, seed, stream=XofStream).garble().tables
-        assert verify_opened_copy(circuit, opened, [_commit(seed)], [claimed])
-        tampered = claimed.copy()
-        tampered[0, 0] ^= 1
-        assert not verify_opened_copy(
-            circuit, opened, [_commit(seed)], [tampered]
-        )
+        claimed = _reference(circuit, seed, stream=XofStream).garble()
+        assert verify_opened_copy(circuit, opened, [claimed.digest()])
+        tampered = dataclasses.replace(claimed, tables=claimed.tables.copy())
+        tampered.tables[0, 0] ^= 1
+        assert not verify_opened_copy(circuit, opened, [tampered.digest()])
 
     def test_count_validation(self):
         circuit = _random_circuit(14)

@@ -11,9 +11,12 @@ Compiles two tanh nets at the paper's 1.3.12 format with CORDIC tanh
 
 Per net it reports the compile time and gates per second, the bytes
 per gate the compiled model retains (``tracemalloc`` over a second
-compile), ``LevelSchedule.build`` time and the peak RSS after compiling
-and after scheduling.  A schedule that does not fit in memory is
-reported as such.  The full run records ``compile_speedup`` on the
+compile), ``LevelSchedule.build`` time, the schedule's plane slots
+beside the wires (a copy's label plane: one 16-byte row per slot, where
+it once was one per wire) and the peak RSS after compiling and after
+scheduling.  A schedule that does not fit in memory is reported as
+such.  Every run asserts that the 64-16-26 net's slot plane is at most
+``MAX_SLOT_PLANE_FRAC`` of its wire plane.  The full run records ``compile_speedup`` on the
 64-16-26 net against the column-less compiler's time on the same 2-core
 host (``COLUMNLESS_COMPILE_S``) as ``BENCH_engine.json::compile-scale``
 and writes ``benchmarks/results/compile_scale.txt``.
@@ -43,6 +46,8 @@ COLUMNLESS_COMPILE_S = 10.9
 MIN_SPEEDUP = 8.0
 MAX_BYTES_PER_GATE = 40.0
 MAX_BENCHMARK3_COMPILE_S = 60.0
+#: a copy's slot plane over its wire plane, at most (64-16-26: 7.6 %)
+MAX_SLOT_PLANE_FRAC = 0.20
 
 NETS = ("64-16-26", "benchmark3")
 
@@ -87,10 +92,17 @@ def measure(name: str) -> dict:
         schedule = LevelSchedule.build(circuit)
         out["schedule_s"] = round(time.perf_counter() - start, 3)
         out["levels"] = len(schedule.levels)
+        out["slots"] = schedule.n_slots
         del schedule
     except MemoryError:
         out["schedule_s"] = None
         out["levels"] = None
+        out["slots"] = None
+    # a copy's label plane, per wire and per slot (the scratch row too)
+    out["wire_plane_b"] = (circuit.n_wires + 1) * 16
+    out["slot_plane_b"] = (
+        None if out["slots"] is None else (out["slots"] + 1) * 16
+    )
     out["rss_schedule_mb"] = round(_rss_mb(), 1)
     del circuit
     gc.collect()
@@ -117,14 +129,16 @@ def _report(results: dict) -> str:
     lines = [
         f"{'net':<12}{'gates':>11}{'non-XOR':>10}{'compile s':>11}"
         f"{'gates/s':>11}{'B/gate':>8}{'sched s':>9}{'levels':>8}"
-        f"{'RSS MB c/s':>14}"
+        f"{'slots':>9}{'plane B wire/slot':>22}{'RSS MB c/s':>14}"
     ]
     for name, r in results.items():
         sched = "n/a" if r["schedule_s"] is None else f"{r['schedule_s']:.2f}"
+        planes = f"{r['wire_plane_b']}/{r['slot_plane_b'] or 'n/a'}"
         lines.append(
             f"{name:<12}{r['gates']:>11}{r['non_xor']:>10}"
             f"{r['compile_s']:>11.2f}{r['gates_per_s']:>11}"
             f"{r['bytes_per_gate']:>8.1f}{sched:>9}{str(r['levels']):>8}"
+            f"{str(r['slots']):>9}{planes:>22}"
             f"{r['rss_compile_mb']:>7.0f}/{r['rss_schedule_mb']:<6.0f}"
         )
     return "\n".join(lines)
@@ -136,6 +150,7 @@ def test_compile_scale(results_dir):
     small = results["64-16-26"]
     assert small["gates"] == 2189553
     assert small["bytes_per_gate"] <= MAX_BYTES_PER_GATE
+    assert small["slot_plane_b"] <= MAX_SLOT_PLANE_FRAC * small["wire_plane_b"]
     speedup = COLUMNLESS_COMPILE_S / small["compile_s"]
     report = _report(results) + (
         f"\n64-16-26 compile speedup over the column-less compiler "

@@ -81,7 +81,7 @@ def _walk_ms(circuit, k, rounds):
     kdf = evaluator.kdf
     # wire-major, as the walks take them: a wire's (a table half's)
     # labels across the batch are one record
-    planes = np.zeros((circuit.n_wires + 1, k, 16), dtype=np.uint8)
+    planes = np.zeros((schedule.n_slots + 1, k, 16), dtype=np.uint8)
     halves = np.zeros((2 * schedule.n_non_free, k, 16), dtype=np.uint8)
     roles = (
         lambda: _garble_walk(schedule, kdf, stores, planes, halves, 0),

@@ -423,9 +423,10 @@ class FreeStep:
     gather-XOR-scatter.
 
     ``ab`` is the gates' operands as one ``[a | b]`` index vector over
-    the circuit's wires (one gather fetches both), ``out`` what they
-    drive.  A gate is ``a ^ b`` plus an optional delta offset (XNOR/NOT
-    garble as an extra global-delta XOR; the evaluator ignores it).
+    the label plane's slots (one gather fetches both; see
+    :meth:`LevelSchedule.build`), ``out`` the slots they drive.  A gate
+    is ``a ^ b`` plus an optional delta offset (XNOR/NOT garble as an
+    extra global-delta XOR; the evaluator ignores it).
     Unary gates (NOT/BUF) point ``b`` at the schedule's scratch zero row.
     """
 
@@ -455,10 +456,10 @@ class ScheduleLevel:
     ``free`` runs first, in order: sub-step ``s`` holds the free gates
     ``s`` XORs past the previous AND layer.  The ``nf_*`` arrays are the
     AND layer itself, one oracle call when wide: ``nf_ab`` the gates'
-    ``[a | b]`` operands, ``nf_out`` what they drive.  A gate's two
-    tweaks are ``tweak_base + 2 * tidx`` and one more, ``tidx`` being
-    its netlist-order table index, matching the scalar garbler's counter
-    exactly so the two paths stay bit-identical.
+    ``[a | b]`` operand slots, ``nf_out`` the slots they drive.  A
+    gate's two tweaks are ``tweak_base + 2 * tidx`` and one more,
+    ``tidx`` being its netlist-order table index, matching the scalar
+    garbler's counter exactly so the two paths stay bit-identical.
     """
 
     free: Tuple[FreeStep, ...]
@@ -574,11 +575,12 @@ _FLAGS_BY_CODE = np.array([_GATE_FLAGS[op] for op in OPS], dtype=np.uint8)
 class ScalarRun:
     """Plan step: narrow gates run gate by gate on cached Python ints.
 
-    Each record is ``(a, b, out, tidx, ia, ib, io)``, the flags truthy
-    when set; a free gate carries ``tidx == -1`` and its delta-offset
-    flag in ``ia`` (``b`` already points at the scratch zero row for
-    unary gates).  Records are in dependency order, so chained wires
-    never round-trip through the byte plane.
+    Each record is ``(a, b, out, tidx, ia, ib, io)``, ``a`` / ``b`` /
+    ``out`` plane slots and the flags truthy when set; a free gate
+    carries ``tidx == -1`` and its delta-offset flag in ``ia`` (``b``
+    already points at the scratch zero row for unary gates).  Records
+    are in schedule order, so chained wires never round-trip through the
+    byte plane.
     """
 
     gates: Tuple[GateRecord, ...]
@@ -631,9 +633,12 @@ class LevelSchedule:
             holds the free gates after the last AND layer, so there are
             AND-depth + 1 of them.
         n_non_free: total garbled-table count (netlist non-XOR count).
-        scratch_wire: index of the extra all-zero label row the
-            vectorized engine appends after the real wires (unary free
-            gates read it as their second operand).
+        n_slots: label-plane rows the wires need (:meth:`build`'s slot
+            scan).  Row ``n_slots`` is the extra all-zero row unary free
+            gates read as their second operand, so a walk's plane has
+            ``n_slots + 1`` rows.
+        held: wire -> slot for the wires a walk still holds at its end,
+            the outputs and register d-wires.
         widest: most operands one step gathers (the longest ``ab`` /
             ``nf_ab``): the width the garbler tiles its deltas to.
     """
@@ -641,7 +646,8 @@ class LevelSchedule:
     levels: Tuple[ScheduleLevel, ...]
     n_non_free: int
     n_wires: int
-    scratch_wire: int
+    n_slots: int
+    held: Dict[int, int]
     widest: int
     _plan_cache: Dict[Tuple[int, int], Tuple[PlanStep, ...]] = (
         dataclasses.field(default_factory=dict, repr=False, compare=False)
@@ -662,15 +668,21 @@ class LevelSchedule:
         where a gate-at-a-time loop beats NumPy dispatch on a handful of
         gates.
 
-        A run is emitted only when a wide step reads one of its outputs
-        (or at the end), so it stays open across wide steps that read
-        none.  That is sound: a gate reads only wires driven by earlier
-        steps of the schedule — a free gate those of earlier levels and
-        of earlier sub-steps of its own, an AND gate those of earlier
-        levels and of its own level's sub-steps — and whatever drove
-        them (an earlier run, a wide step, the run itself) is emitted no
-        later than the run is.  Replaying the plan in order never reads
-        an undriven wire, and every gate sits in exactly one step.
+        Steps index plane slots, not wires (:meth:`build`), so the
+        plan's order must respect every slot a step touches.  Replayed
+        in schedule order, the slots hold exactly what the wires would:
+        a slot is reused only after its wire's last reader, and never by
+        the step that frees it.  A run is emitted when a wide step
+        conflicts with it (or at the end): when the wide step reads a
+        slot the run writes, or writes a slot the run reads or writes.
+        So it stays open across wide steps that touch none of its slots
+        but share reads, which is sound: such a wide step commutes with
+        every gate the run holds — those all come before it in schedule
+        order — and the plan is the schedule order with each wide step
+        moved ahead of gates it commutes with.  Without the write rules,
+        a wide step could overwrite a slot whose old wire a run gate
+        still reads, or one a run gate then overwrites.  Every gate sits
+        in exactly one step.
 
         A wide step goes in with its word vectors laid out for a walk of
         ``batch`` copies, whose labels are wire-major (gate, copy): its
@@ -686,14 +698,16 @@ class LevelSchedule:
 
         steps: List[PlanStep] = []
         records: List[GateRecord] = []
-        # wires the open run drives (scratch row included, never set)
-        in_run = np.zeros(self.n_wires + 1, dtype=bool)
+        # the slots the open run writes, and those it reads or writes
+        written = np.zeros(self.n_slots + 1, dtype=bool)
+        touched = np.zeros(self.n_slots + 1, dtype=bool)
 
         def flush() -> None:
             if records:
                 steps.append(ScalarRun(tuple(records)))
                 records.clear()
-                in_run.fill(False)
+                written.fill(False)
+                touched.fill(False)
 
         for level in self.levels:
             parts: List[Tuple[Union[FreeStep, ScheduleLevel], Any, Any]] = [
@@ -702,11 +716,13 @@ class LevelSchedule:
             parts.append((level, level.nf_ab, level.nf_out))
             for step, reads, out in parts:
                 if batch * out.size >= min_width:
-                    if records and in_run[reads].any():
+                    if records and (
+                        written[reads].any() or touched[out].any()
+                    ):
                         flush()
                     steps.append(_for_batch(step, batch))
                 elif out.size:
-                    in_run[out] = True
+                    written[out] = touched[out] = touched[reads] = True
                     records.extend(_gate_records(step))
         flush()
         plan = self._plan_cache[key] = tuple(steps)
@@ -722,7 +738,10 @@ class LevelSchedule:
         AND phase and free sub-step.  The free and the non-free gates
         are then each sorted stably by place, so every sub-step's and
         every AND layer's arrays are slices of the sorted columns, in
-        netlist order.
+        netlist order.  Last, :func:`_assign_slots` gives each wire a
+        plane slot, and the index vectors are rewritten in place from
+        wires to slots: a walk's plane holds the live set, not every
+        wire.
         """
         place = circuit._gate_places()
         op, a, b, out = circuit.columns
@@ -803,14 +822,87 @@ class LevelSchedule:
             )
             for i, (n0, n1) in enumerate(zip(nf_at, nf_at[1:]))
         ]
+        # every step's vectors are views of these four: index slots
+        held = np.array(
+            sorted({*circuit.outputs, *circuit.d_wires}), dtype=np.intp
+        )
+        slot, n_slots = _assign_slots(levels, circuit, held)
+        for vector in (free_ab, free_out, nf_ab, nf_out):
+            vector[:] = slot[vector]
         return cls(
             levels=tuple(levels),
             n_non_free=int(nf.size),
             n_wires=circuit.n_wires,
-            scratch_wire=circuit.n_wires,
+            n_slots=n_slots,
+            held=dict(zip(held.tolist(), slot[held].tolist())),
             widest=2 * int(max(np.diff(bounds).max(initial=0),
                                np.diff(nf_at).max(initial=0))),
         )
+
+
+def _assign_slots(
+    levels: Sequence[ScheduleLevel], circuit: "Circuit", held: Any
+) -> Tuple[Any, int]:
+    """Give each wire a label-plane slot by a linear scan over the
+    steps in schedule order (Poletto-Sarkar, TOPLAS 1999).
+
+    ``levels`` still index wires.  The constants and inputs keep slots
+    ``0 .. 2 + n_inputs - 1``, so a walk loads them as one range.  A
+    step's outputs take freed slots (last freed, first reused) or new
+    ones, and only then are the slots of the wires it reads last freed
+    — so no step, not even a narrow one run gate by gate, writes a slot
+    it still reads.  A wire no step reads frees right after the step
+    that drives it.  ``held`` (outputs, d-wires) and the scratch wire
+    never free.  One pass of whole-step NumPy operations per step.
+
+    Returns per wire its slot (the scratch wire ``n_wires`` gets row
+    ``n_slots``) and ``n_slots``.
+    """
+    n_wires, n_fixed = circuit.n_wires, 2 + circuit.n_inputs
+    steps = []
+    for level in levels:
+        steps.extend((free.ab, free.out) for free in level.free)
+        steps.append((level.nf_ab, level.nf_out))
+    n_steps = len(steps)
+    # per wire, the step after which its slot frees: its last reader,
+    # else the step that drives it (-1 for an input no step reads, or a
+    # wire id no gate drives)
+    last = np.full(n_wires + 1, -1, dtype=np.int32)
+    for s, (reads, out) in enumerate(steps):
+        last[out] = s
+        last[reads] = s
+    last[held] = last[n_wires] = n_steps
+    # the wires grouped by that step, group s frees[at[s + 1] : at[s + 2]]
+    # (a stable sort on the narrowest key dtype: radix up to 16 bits)
+    last += 1
+    key = last.astype(np.min_scalar_type(n_steps + 1))
+    del last  # peak memory, as every step vector is alive
+    frees = np.argsort(key, kind="stable").astype(np.int32)
+    at = np.searchsorted(key[frees], np.arange(n_steps + 2)).tolist()
+    del key
+    slot = np.full(n_wires + 1, -1, dtype=np.int32)
+    slot[:n_fixed] = np.arange(n_fixed, dtype=np.int32)
+    pool = np.empty(n_wires + 1, dtype=np.int32)  # free slots, a stack
+    unread = frees[at[0] : at[1]]
+    unread = slot[unread[unread < n_fixed]]
+    top = unread.size
+    pool[:top] = unread
+    n_slots = n_fixed
+    for s, (_, out) in enumerate(steps):
+        m = out.size
+        if m <= top:  # last freed, first reused
+            top -= m
+            slot[out] = pool[top : top + m]
+        else:
+            slot[out[:top]] = pool[:top]
+            fresh = n_slots + m - top
+            slot[out[top:]] = np.arange(n_slots, fresh, dtype=np.int32)
+            n_slots, top = fresh, 0
+        gone = slot[frees[at[s + 1] : at[s + 2]]]
+        pool[top : top + gone.size] = gone
+        top += gone.size
+    slot[n_wires] = n_slots
+    return slot, n_slots
 
 
 def _scan_places(circuit: "Circuit") -> Any:

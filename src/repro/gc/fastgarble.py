@@ -9,11 +9,16 @@ construction over the circuit's cached step plan
 (:meth:`repro.circuits.netlist.LevelSchedule.step_plan`), walked once
 per role (:func:`garble_copies`, ``FastEvaluator._walk``):
 
-* wire labels live in ``(n_wires + 1, k, 16)`` uint8 planes, ``k``
+* wire labels live in ``(n_slots + 1, k, 16)`` uint8 planes, ``k``
   being the batch: pools and cut-and-choose garble ``k`` independent
   copies (at most :data:`COPIES_PER_WALK` to a walk), ``evaluate_many``
   serves ``k`` requests, and a single ``evaluate`` is its ``k = 1``
-  call.  The batch axis lives inside a wire: one wire's labels across
+  call.  A plane holds the live set, not every wire: the schedule gives
+  each wire a slot that is reused once the wire's last reader has run
+  (:meth:`repro.circuits.netlist.LevelSchedule.build`; the demo net's
+  35 279 wires need 4 640 slots), so steps index slots and only the
+  outputs and register d-wires are still in the plane when a walk
+  ends.  The batch axis lives inside a slot: one wire's labels across
   the batch are one contiguous ``16 k``-byte record, so a step fetches
   one record per operand, not ``k`` labels from ``k`` planes.  A
   garbling plane is scratch: what a copy keeps is its
@@ -47,10 +52,10 @@ per role (:func:`garble_copies`, ``FastEvaluator._walk``):
 * a *scalar run* — a stretch of gates too narrow for array dispatch to
   pay — is one pre-flattened gate loop per copy on cached Python ints,
   one ``hash_quad`` / ``hash_pair`` oracle call per gate, over one byte
-  view of the whole plane (copy ``c``'s wire ``w`` at ``16 (w k + c)``)
+  view of the whole plane (copy ``c``'s slot ``s`` at ``16 (s k + c)``)
   and of the table stack (its half ``h`` at ``16 (h k + c)``).  A run
-  stays open across wide steps that read none of its outputs, so it is
-  as long as the dependencies allow.
+  stays open across wide steps that touch none of its slots but share
+  reads, so it is as long as the dependencies allow.
 
 Which gates form which step, and in what order, is the schedule's
 decision; this module only executes it.
@@ -110,11 +115,13 @@ __all__ = [
 VECTOR_MIN_WIDTH = 8
 
 #: Most copies one garbling walk carries.  A walk's scratch plane holds
-#: every wire of each copy it carries (564 KB a copy on the demo net)
-#: beside their tables, so ``garble_copies`` walks ``k`` copies this
-#: many at a time and pool warming never holds more than one such
-#: batch of planes.  Swept over 4 / 8 / 16 / 32 / 104 copies per walk
-#: on the demo net (DESIGN.md, "What a garbled copy holds"): per-copy
+#: the live set of each copy it carries, one slot per wire alive at
+#: once (74 KB a copy on the demo net: 4 640 slots for 35 279 wires,
+#: 13 % of its 564 KB wire plane), beside their tables, so
+#: ``garble_copies`` walks ``k`` copies this many at a time and pool
+#: warming never holds more than one such batch of planes.  Swept over
+#: 4 / 8 / 16 / 32 / 104 copies per walk on the demo net, with a plane
+#: row per wire (DESIGN.md, "What a garbled copy holds"): per-copy
 #: garbling time is flat from 8 on.  Re-swept with wire-major planes
 #: (``garble_many(104)``, fixed-key AES, median of 25 alternating rounds,
 #: two runs): 4 copies 2.74 / 3.12 ms a copy, 8 copies 2.20 / 2.27, 16
@@ -122,11 +129,14 @@ VECTOR_MIN_WIDTH = 8
 COPIES_PER_WALK = 8
 
 #: Most label-plane bytes one garbling walk carries.  A copy's plane is
-#: ``(n_wires + 1) * 16`` bytes, so a walk carries at most
-#: ``WALK_PLANE_BYTES // plane`` copies (and at least one): the demo
-#: net's 564 KB planes still walk :data:`COPIES_PER_WALK` at a time,
-#: while a 64-16-26 net at 1.3.12 (35 MB a plane) or the paper's
-#: benchmark 3 (about 730 MB) walk one, where eight would hold 6 GB.
+#: ``(n_slots + 1) * 16`` bytes (:attr:`LevelSchedule.n_slots`), so a
+#: walk carries at most ``WALK_PLANE_BYTES // plane`` copies (and at
+#: least one).  Measured slot planes: the demo net's 74 KB and a
+#: 64-16-26 net's at 1.3.12 (168 656 slots for 2 213 619 wires, 2.7 MB
+#: where its wire plane was 35 MB) both walk :data:`COPIES_PER_WALK` at
+#: a time; with wire planes the 64-16-26 net walked one.  Benchmark 3's
+#: wire plane would be about 730 MB; its slot plane is not measured
+#: (its schedule build peaks near 4 GB).
 WALK_PLANE_BYTES = 64 << 20
 
 
@@ -199,11 +209,12 @@ def _garble_run(
     place.
 
     ``labels`` / ``tables`` are flat byte views of the walk's whole
-    wire-major label plane and table-half stack: the copy's wire ``w``
-    is at byte ``16 (w k + copy)``, its table half ``h`` at ``16 (h k +
+    slot-major label plane and table-half stack: the copy's slot ``s``
+    is at byte ``16 (s k + copy)``, its table half ``h`` at ``16 (h k +
     copy)``.  A run has no per-run array set-up to amortize, so a
     three-gate run costs three gates.  Chained wires are read from the
-    int cache, never back from the plane.  Same half-gate algebra as
+    int cache (keyed by slot and written through, so a reused slot reads
+    its new wire), never back from the plane.  Same half-gate algebra as
     ``Garbler._garble_and``, byte for byte.
     """
     stride, at = 16 * k, 16 * copy
@@ -253,7 +264,7 @@ def _garble_walk(
 ) -> None:
     """Walk the step plan over ``len(stores)`` copies, in place.
 
-    ``plane`` is the copies' wire-major ``(n_wires + 1, k, 16)`` scratch
+    ``plane`` is the copies' slot-major ``(n_slots + 1, k, 16)`` scratch
     label plane with constants, inputs and state filled in and the final
     (scratch) row zero, ``halves`` their ``(2 n_non_free, k, 16)`` table
     halves (``tg`` / ``te`` of table ``t`` are halves ``2 t`` / ``2 t +
@@ -334,11 +345,11 @@ def garble_copies(
     cryptographically independent), but within a walk the step walk,
     index gathers and KDF batches run once across its copies — this is
     what ``garble_many`` / pool warming / cut-and-choose amortize.  The
-    walks run on one scratch wire-major ``(n_wires + 1, k, 16)`` label
-    plane owned here; each copy's interface rows are written back into
-    its store and its tables copied out, so the copy holds Δ, its
-    interface rows and its tables, and no internal label outlives the
-    walk.
+    walks run on one scratch slot-major ``(n_slots + 1, k, 16)`` label
+    plane owned here; each copy's outputs and d-wires are written back
+    into its store (its input rows are there already) and its tables
+    copied out, so the copy holds Δ, its interface rows and its tables,
+    and no internal label outlives the walk.
 
     Args:
         circuit: the netlist to garble.
@@ -366,10 +377,12 @@ def garble_copies(
 
     schedule = circuit.level_schedule()
     n_inputs = 2 + circuit.n_inputs  # rows 0 .. n_inputs - 1 of every store
-    n_rows = circuit.n_wires + 1
+    # the rest of a store's rows: the d-wires and outputs, held to the end
+    kept_slots = [schedule.held[w] for w in wires[n_inputs:].tolist()]
+    n_rows = schedule.n_slots + 1
     plane_bytes = n_rows * 16
     per_walk = min(COPIES_PER_WALK, max(1, WALK_PLANE_BYTES // plane_bytes))
-    # one scratch buffer for the largest walk: each walk's wire-major
+    # one scratch buffer for the largest walk: each walk's slot-major
     # plane is a prefix of it, so a short last walk is contiguous too
     scratch = np.empty(min(len(stores), per_walk) * plane_bytes, dtype=np.uint8)
     results: List[GarbledCircuit] = []
@@ -377,14 +390,15 @@ def garble_copies(
         walk = stores[first : first + per_walk]
         k = len(walk)
         plane = scratch[: k * plane_bytes].reshape(n_rows, k, 16)
-        plane[circuit.n_wires] = 0  # the scratch row unary gates read
+        plane[schedule.n_slots] = 0  # the scratch row unary gates read
         for i, store in enumerate(walk):
             plane[:n_inputs, i] = store.rows[:n_inputs]
         halves = np.empty((2 * schedule.n_non_free, k, 16), dtype=np.uint8)
         _garble_walk(schedule, kdf, walk, plane, halves, tweak_base)
-        kept = plane.take(wires, axis=0)  # (n_interface, k, 16)
+        # the input rows are already in the stores
+        kept = plane.take(kept_slots, axis=0)  # (n_held, k, 16)
         for i, store in enumerate(walk):
-            store.rows[:] = kept[:, i]
+            store.rows[n_inputs:] = kept[:, i]
             # per-copy ownership: a view into the walk's stack would
             # keep every copy's tables alive for as long as any one
             # pool copy survives (at k = 1 the stack is the copy's own)
@@ -452,24 +466,31 @@ def garble_many(
 
 
 class LabelPlane:
-    """Read-only wire -> label lookup over an evaluation label plane.
+    """Read-only wire -> label lookup over one request's evaluation
+    plane, for the wires the walk still holds at its end.
 
     What :meth:`FastEvaluator.evaluate` returns in place of the scalar
-    evaluator's ``Dict[int, int]``: lookups convert lazily, so pulling
-    just the output labels (the common case — merge step) costs a
-    handful of conversions instead of one per wire.
+    evaluator's ``Dict[int, int]``.  The plane is ``(n_slots + 1, 16)``:
+    a slot is reused once its wire's last reader has run, so only the
+    outputs and register d-wires keep their labels to the end.
+    ``held`` maps each of them to its slot
+    (:attr:`repro.circuits.netlist.LevelSchedule.held`); any other wire
+    raises ``KeyError``.  Lookups convert lazily, so pulling the output
+    labels (the merge step) costs a handful of conversions.
     """
 
-    __slots__ = ("plane", "n_wires")
+    __slots__ = ("plane", "held")
 
-    def __init__(self, plane: np.ndarray, n_wires: int) -> None:
+    def __init__(self, plane: np.ndarray, held: Dict[int, int]) -> None:
         self.plane = plane
-        self.n_wires = n_wires
+        self.held = held
 
     def __getitem__(self, wire: int) -> int:
-        if not 0 <= wire < self.n_wires:
-            raise KeyError(wire)
-        return int.from_bytes(self.plane[wire].tobytes(), "little")
+        return int.from_bytes(self.plane[self.held[wire]].tobytes(), "little")
+
+    def rows(self, wires: Sequence[int]) -> np.ndarray:
+        """Held wires' labels as ``(m, 16)`` uint8 rows."""
+        return self.plane[[self.held[w] for w in wires]]
 
 
 def _evaluate_run(
@@ -555,7 +576,7 @@ class FastEvaluator(Evaluator):
         state_labels: Optional[LabelsLike],
     ) -> None:
         """Write one request's constant, input and register labels into
-        its ``(n_wires + 1, 16)`` lane of the planes and its tables into
+        its ``(n_slots + 1, 16)`` lane of the planes and its tables into
         its ``(2 n_non_free, 16)`` lane of the table halves."""
         circuit = self.circuit
         if len(alice_labels) != circuit.n_alice:
@@ -576,7 +597,7 @@ class FastEvaluator(Evaluator):
     def _walk(self, planes: np.ndarray, halves: np.ndarray, base: int) -> None:
         """Walk the step plan over ``k`` stacked requests, in place.
 
-        ``planes`` is the wire-major ``(n_wires + 1, k, 16)`` label
+        ``planes`` is the slot-major ``(n_slots + 1, k, 16)`` label
         stack with constants and inputs filled in, ``halves`` the
         matching ``(2 n_non_free, k, 16)`` table halves.  The
         online-side mirror of :func:`garble_copies`.
@@ -629,7 +650,7 @@ class FastEvaluator(Evaluator):
         """Evaluate ``k`` independently garbled requests in one pass.
 
         The online-side mirror of :func:`garble_copies`: all requests'
-        labels live in one wire-major ``(n_wires + 1, k, 16)`` plane and the step
+        labels live in one slot-major ``(n_slots + 1, k, 16)`` plane and the step
         plan is walked once, so per-step Python dispatch amortizes
         across the batch, every level's KDF rows across all requests
         join into a single batch, and halves of a level too narrow to
@@ -649,7 +670,8 @@ class FastEvaluator(Evaluator):
 
         Returns:
             One :class:`LabelPlane` per request, in request order; each
-            is bit-identical to a scalar evaluation of the same request.
+            holds the request's outputs and d-wires, bit-identical to a
+            scalar evaluation of the same request.
         """
         circuit = self.circuit
         k = len(garbleds)
@@ -664,14 +686,14 @@ class FastEvaluator(Evaluator):
                 "evaluate_many needs a uniform tweak base across copies"
             )
         # every row but the scratch one is written before it is read
-        planes = np.empty((circuit.n_wires + 1, k, 16), dtype=np.uint8)
-        planes[circuit.n_wires] = 0
-        n_tables = circuit.level_schedule().n_non_free
-        halves = np.empty((2 * n_tables, k, 16), dtype=np.uint8)
+        schedule = circuit.level_schedule()
+        planes = np.empty((schedule.n_slots + 1, k, 16), dtype=np.uint8)
+        planes[schedule.n_slots] = 0
+        halves = np.empty((2 * schedule.n_non_free, k, 16), dtype=np.uint8)
         for i, garbled in enumerate(garbleds):
             self._load(
                 planes[:, i], halves[:, i], garbled,
                 alice_labels[i], bob_labels[i], states[i],
             )
         self._walk(planes, halves, bases.pop())
-        return [LabelPlane(planes[:, i], circuit.n_wires) for i in range(k)]
+        return [LabelPlane(planes[:, i], schedule.held) for i in range(k)]

@@ -337,7 +337,7 @@ class _Session:
                 for i, plane in zip(bob, planes):
                     links[i].times["evaluate"] = per_lane
                     output_labels[i] = evaluator.output_labels(plane)
-                    carried[i] = plane.plane[d_wires]
+                    carried[i] = plane.rows(d_wires)
                 if deadline is not None:
                     deadline.check("evaluate")
 

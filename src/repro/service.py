@@ -35,6 +35,7 @@ from .circuits.netlist import Circuit
 from .compile.compiler import CompiledModel, compile_model
 from .engine import (
     Backend,
+    CutAndChooseBackend,
     EngineConfig,
     PregarbledPool,
     get_backend,
@@ -153,22 +154,36 @@ Outcome = Union[InferenceResult, BaseException, None]
 _MMAP_THRESHOLD_MAX = 32 << 20
 
 
-def _size_heap_for_requests(circuit: Circuit) -> None:
-    """Let glibc serve a request's scratch from its heap.
+def _size_heap_for_requests(circuit: Circuit, copies: int = 1) -> None:
+    """Let glibc serve the scratch of a request that garbles ``copies``
+    copies from its heap.
 
-    A cold request allocates two ``(n_wires + 1, 16)`` label planes
-    (garbler and evaluator) and its tables: blocks far above glibc's
-    initial 128 KB mmap threshold.  glibc maps such a block fresh and
-    unmaps it when it is freed, so every request would fault its
-    scratch in again as zero pages (≈ 430 faults a demo-net request)
-    until the process frees a larger mapped block: glibc then raises its
-    mmap threshold to that block's size, and its trim threshold to
-    twice that.  Allocating and freeing one untouched block of a
-    request's scratch size does that before the first request.  Nothing
-    is pinned, glibc keeps adapting; a process that only serves pins
-    both thresholds instead (:func:`repro.transport.worker.retain_heap`).
+    At its peak such a request holds a ``(n_slots + 1, 16)`` label plane
+    per copy and the evaluator's (the schedule's slot planes), and its
+    tables ``2 copies + 1`` times over (each copy's walk stack and its
+    own, or the frame that carries it, and the evaluator's halves).  A
+    two-party request on the demo net: two 74 KB planes and three
+    379 KB table blocks, 1.29 MB (``tracemalloc`` reads a 1.50 MB peak);
+    a cut-and-choose request's three copies: 2.95 MB (3.67 MB).  The
+    table blocks are above glibc's initial 128 KB mmap threshold, so
+    glibc maps each fresh and unmaps it when it is freed, and every
+    request would fault its scratch in again as zero pages until the
+    process frees a larger mapped block: glibc then raises its mmap
+    threshold to that block's size, and its trim threshold to twice
+    that.  Allocating and freeing one untouched block of the request's
+    scratch size does that before the first such request.  The trim
+    threshold must clear what a request frees at the top of the heap:
+    sized from the planes and one table block alone, a demo-net
+    two-party request faulted 153-245 times and a cut-and-choose one
+    about 800 (``ru_minflt`` over 40 and 60 requests); sized as here,
+    0 and 3.
+    Nothing is pinned, glibc keeps adapting; a process that only serves
+    pins both thresholds instead
+    (:func:`repro.transport.worker.retain_heap`).
     """
-    scratch = 2 * (circuit.n_wires + 1) * 16 + 32 * circuit.counts().non_xor
+    plane = (circuit.level_schedule().n_slots + 1) * 16
+    tables = 32 * circuit.counts().non_xor
+    scratch = (copies + 1) * plane + (2 * copies + 1) * tables
     np.empty(min(scratch, _MMAP_THRESHOLD_MAX), dtype=np.uint8)
 
 
@@ -402,6 +417,10 @@ class PrivateInferenceService:
             if backend is None:
                 backend = get_backend(name, **self._backend_options(name))
                 self._backends[name] = backend
+                if isinstance(backend, CutAndChooseBackend):
+                    _size_heap_for_requests(
+                        self.compiled.circuit, backend.copies
+                    )
         return backend
 
     def _breaker(self, name: str) -> CircuitBreaker:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import build_gate_chain
 from repro.circuits import CircuitBuilder, FixedPointFormat, bits_from_int
-from repro.circuits.netlist import FreeStep, ScalarRun
+from repro.circuits.netlist import Circuit, FreeStep, ScalarRun
 from repro.circuits.simulate import simulate
 from repro.compile import folded_mac_cell
 from repro.engine import EngineConfig
@@ -45,8 +45,30 @@ FMT = FixedPointFormat(2, 6)
 
 
 def _as_dict(plane):
-    """A label plane as the scalar evaluator's wire -> label dict."""
-    return {w: plane[w] for w in range(plane.n_wires)}
+    """A label plane as the scalar evaluator's wire -> label dict, over
+    the wires it holds: every wire on an :func:`_every_wire` circuit."""
+    return {w: plane[w] for w in plane.held}
+
+
+def _every_wire(circuit):
+    """``circuit`` with every wire an output: its walk holds every wire
+    to the end and reuses no slot, so its plane is the full wire plane
+    a comparison with the reference evaluator's dict needs."""
+    return Circuit(
+        n_alice=circuit.n_alice, n_bob=circuit.n_bob, n_state=circuit.n_state,
+        gates=circuit.gates, outputs=list(range(circuit.n_wires)),
+        n_wires=circuit.n_wires, d_wires=circuit.d_wires,
+    )
+
+
+def _check_planes(circuit, plane, full, reference):
+    """``full``, a walk of ``circuit``'s :func:`_every_wire` copy, holds
+    every wire's label the reference evaluator's dict holds; ``plane``,
+    the same request's walk of ``circuit`` itself (slots reused), holds
+    its outputs and d-wires, the same labels."""
+    assert _as_dict(full) == reference
+    held = {*circuit.outputs, *circuit.d_wires}
+    assert _as_dict(plane) == {w: reference[w] for w in held}
 
 
 def _reference(circuit, seed, kdf=None):
@@ -205,11 +227,14 @@ class TestEvaluateMany:
             circuit, k, seed
         )
         batch = FastEvaluator(circuit).evaluate_many(garbleds, alices, bobs)
+        full = FastEvaluator(_every_wire(circuit)).evaluate_many(
+            garbleds, alices, bobs
+        )
         scalar = Evaluator(circuit)
         for i in range(k):
             ref = scalar.evaluate(garbleds[i], alices[i], bobs[i])
             # every wire label identical to the gate-at-a-time reference
-            assert _as_dict(batch[i]) == ref
+            _check_planes(circuit, batch[i], full[i], ref)
             a, b = plaintexts[i]
             outs = [batch[i][w] for w in circuit.outputs]
             assert pairs[i][0].decode_outputs(outs) == simulate(
@@ -219,11 +244,13 @@ class TestEvaluateMany:
     def test_single_copy_batch(self):
         circuit = _random_circuit(7)
         pairs, garbleds, alices, bobs, _ = _request_batch(circuit, 1, 7)
-        batch = FastEvaluator(circuit).evaluate_many(garbleds, alices, bobs)
-        single = FastEvaluator(circuit).evaluate(
-            garbleds[0], alices[0], bobs[0]
-        )
-        assert _as_dict(batch[0]) == _as_dict(single)
+        for walked in (circuit, _every_wire(circuit)):
+            batch = FastEvaluator(walked).evaluate_many(garbleds, alices, bobs)
+            single = FastEvaluator(walked).evaluate(
+                garbleds[0], alices[0], bobs[0]
+            )
+            assert _as_dict(batch[0]) == _as_dict(single)
+        assert len(_as_dict(single)) == circuit.n_wires
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_each_lane_is_its_single_request_plane(self, k):
@@ -238,7 +265,7 @@ class TestEvaluateMany:
         for i, lane in enumerate(lanes):
             single = evaluator.evaluate(garbleds[i], alices[i], bobs[i])
             assert np.array_equal(lane.plane, single.plane)
-            assert not lane.plane[circuit.n_wires].any()
+            assert not lane.plane[-1].any()
 
     def test_validation(self):
         circuit = _random_circuit(8)
@@ -250,6 +277,33 @@ class TestEvaluateMany:
         garbleds[1].tweak_base = 4  # mixed tweak bases are ambiguous
         with pytest.raises(GarblingError, match="tweak"):
             evaluator.evaluate_many(garbleds, alices, bobs)
+
+    def test_label_plane_holds_outputs_and_d_wires_only(self):
+        """A walk reuses the slots of wires no later gate reads, so its
+        plane answers for the outputs and d-wires alone: any other wire,
+        an input, an internal wire or one past the last, is a
+        ``KeyError``, not another wire's label."""
+        core = folded_mac_cell(FMT, fan_in=3).core
+        copies = garble_many(core, 1, rng=random.Random(5))
+        garbler, garbled = copies[0]
+        labels = [
+            garbler.input_labels_for(list(wires), [1] * len(wires))
+            for wires in (core.alice_inputs, core.bob_inputs, core.state_inputs)
+        ]
+        plane = FastEvaluator(core).evaluate(garbled, *labels)
+        held = {*core.outputs, *core.d_wires}
+        assert sorted(plane.held) == sorted(held) and core.d_wires
+        assert len(plane.plane) < core.n_wires
+        for wire in held:
+            assert plane[wire] == int.from_bytes(
+                plane.rows([wire]).tobytes(), "little"
+            )
+        internal = max(set(range(2 + core.n_inputs, core.n_wires)) - held)
+        for wire in (core.alice_inputs[0], internal, core.n_wires):
+            with pytest.raises(KeyError):
+                plane[wire]
+            with pytest.raises(KeyError):
+                plane.rows([wire])
 
     def test_session_run_many_matches_run(self):
         circuit = _random_circuit(9, n_gates=140)
@@ -365,9 +419,10 @@ class TestFusedNarrowRunner:
         plan = schedule.step_plan(1, 8)
         # a chain is all narrow: one run holds every gate, in order
         assert len(plan) == 1 and isinstance(plan[0], ScalarRun)
-        assert [g[2] for g in plan[0].gates] == [
-            g.out for g in circuit.gates
-        ]
+        assert [g[3] for g in plan[0].gates] == list(range(50))
+        # its slots: holding every wire, the chain's are the wires
+        (run,) = _every_wire(circuit).level_schedule().step_plan(1, 8)
+        assert [g[2] for g in run.gates] == [g.out for g in circuit.gates]
         # a wide batch dissolves the runs
         assert not any(
             isinstance(step, ScalarRun) for step in schedule.step_plan(64, 8)
@@ -377,10 +432,13 @@ class TestFusedNarrowRunner:
 
     @pytest.mark.parametrize("batch", [1, 3, 64])
     def test_plan_places_every_gate_once_in_dependency_order(self, batch):
-        for circuit in self._circuits():
+        """On each circuit's :func:`_every_wire` copy, where no slot is
+        reused and a slot stands for its wire (slot reuse is
+        ``test_vectorized_engine.py``'s plan-replay model)."""
+        for circuit in map(_every_wire, self._circuits()):
             schedule = circuit.level_schedule()
             driven = set(range(2 + circuit.n_inputs))
-            driven.add(schedule.scratch_wire)
+            driven.add(schedule.n_slots)  # the scratch row
             placed, in_runs = [], 0
             for step in schedule.step_plan(batch, 8):
                 if isinstance(step, ScalarRun):
@@ -403,7 +461,7 @@ class TestFusedNarrowRunner:
                 placed.extend(zip(outs, tidx))
             # every gate in exactly one step, with its own table slot
             assert sorted(out for out, _ in placed) == sorted(
-                g.out for g in circuit.gates
+                schedule.held[g.out] for g in circuit.gates
             )
             assert sorted(t for _, t in placed if t >= 0) == list(
                 range(schedule.n_non_free)
@@ -441,14 +499,19 @@ class TestFusedNarrowRunner:
         for k in (1, 3):
             _, garbleds, alices, bobs, _ = _request_batch(circuit, k, 5)
             evaluator = FastEvaluator(circuit)
+            every = FastEvaluator(_every_wire(circuit))
             planes = evaluator.evaluate_many(garbleds, alices, bobs)
+            full = every.evaluate_many(garbleds, alices, bobs)
             for i in range(k):
                 ref = Evaluator(circuit).evaluate(
                     garbleds[i], alices[i], bobs[i]
                 )
-                assert _as_dict(planes[i]) == ref
-                single = evaluator.evaluate(garbleds[i], alices[i], bobs[i])
-                assert _as_dict(single) == ref
+                _check_planes(circuit, planes[i], full[i], ref)
+                single, single_full = (
+                    e.evaluate(garbleds[i], alices[i], bobs[i])
+                    for e in (evaluator, every)
+                )
+                _check_planes(circuit, single, single_full, ref)
 
     def test_mixed_random_netlists_still_bit_exact(self):
         """Runs interleave with wide steps on arbitrary shapes."""
@@ -459,12 +522,16 @@ class TestFusedNarrowRunner:
             assert scalar.tables_bytes() == fused.tables_bytes()
             for k in (1, 3):
                 _, garbleds, alices, bobs, _ = _request_batch(circuit, k, seed)
-                planes = FastEvaluator(circuit).evaluate_many(
-                    garbleds, alices, bobs
+                planes, full = (
+                    FastEvaluator(walked).evaluate_many(garbleds, alices, bobs)
+                    for walked in (circuit, _every_wire(circuit))
                 )
                 for i in range(k):
-                    assert _as_dict(planes[i]) == Evaluator(circuit).evaluate(
-                        garbleds[i], alices[i], bobs[i]
+                    _check_planes(
+                        circuit, planes[i], full[i],
+                        Evaluator(circuit).evaluate(
+                            garbleds[i], alices[i], bobs[i]
+                        ),
                     )
 
     def test_table_free_circuit(self):
@@ -475,8 +542,14 @@ class TestFusedNarrowRunner:
         assert _reference(circuit, 3).garble().decode_bits == garbled.decode_bits
         alice = [garbler.labels.select(w, 1) for w in circuit.alice_inputs]
         bob = [garbler.labels.select(w, 0) for w in circuit.bob_inputs]
-        plane = FastEvaluator(circuit).evaluate(garbled, alice, bob)
-        assert _as_dict(plane) == Evaluator(circuit).evaluate(garbled, alice, bob)
+        plane, full = (
+            FastEvaluator(walked).evaluate(garbled, alice, bob)
+            for walked in (circuit, _every_wire(circuit))
+        )
+        _check_planes(
+            circuit, plane, full,
+            Evaluator(circuit).evaluate(garbled, alice, bob),
+        )
 
     def test_evaluate_is_the_single_request_walk(self):
         circuit = _random_circuit(7, n_gates=160)
@@ -509,8 +582,11 @@ class TestFusedNarrowRunner:
         active_rows = np.stack([_label_row(label) for label in active])
         expected = Evaluator(core).evaluate(ref, alice, bob, active)
         for state in (active, active_rows):
-            plane = FastEvaluator(core).evaluate(ref, alice, bob, state)
-            assert _as_dict(plane) == expected
+            plane, full = (
+                FastEvaluator(walked).evaluate(ref, alice, bob, state)
+                for walked in (core, _every_wire(core))
+            )
+            _check_planes(core, plane, full, expected)
 
     def test_every_engine_error_is_still_raised(self):
         circuit = _random_circuit(8)

@@ -59,8 +59,20 @@ FMT = FixedPointFormat(2, 6)
 
 
 def _as_dict(plane):
-    """A label plane as the scalar evaluator's wire -> label dict."""
-    return {w: plane[w] for w in range(plane.n_wires)}
+    """A label plane as the scalar evaluator's wire -> label dict, over
+    the wires it holds: every wire on an :func:`_every_wire` circuit."""
+    return {w: plane[w] for w in plane.held}
+
+
+def _every_wire(circuit):
+    """``circuit`` with every wire an output: its walk holds every wire
+    to the end and reuses no slot, so its plane is the full wire plane
+    a comparison with the reference evaluator's dict needs."""
+    return Circuit(
+        n_alice=circuit.n_alice, n_bob=circuit.n_bob, n_state=circuit.n_state,
+        gates=circuit.gates, outputs=list(range(circuit.n_wires)),
+        n_wires=circuit.n_wires, d_wires=circuit.d_wires,
+    )
 
 
 def _reference(circuit, seed, kdf=None, stream=random.Random):
@@ -109,22 +121,29 @@ def compiled_dl():
 
 class TestLevelSchedule:
     def test_schedule_partitions_every_gate(self):
+        """Every gate drives a slot of its own when every wire is held
+        (the slots are then a renaming of the wires), and the real
+        circuit's plane is far smaller."""
         circuit = _random_circuit(3)
-        schedule = circuit.level_schedule()
-        seen = []
-        for level in schedule.levels:
-            for free in level.free:
-                seen.extend(int(w) for w in free.out)
-            seen.extend(int(w) for w in level.nf_out)
-        assert sorted(seen) == sorted(g.out for g in circuit.gates)
-        counts = circuit.counts()
-        assert schedule.n_non_free == counts.non_xor
-        assert schedule.scratch_wire == circuit.n_wires
+        for walked in (circuit, _every_wire(circuit)):
+            schedule = walked.level_schedule()
+            seen = []
+            for level in schedule.levels:
+                for free in level.free:
+                    seen.extend(int(w) for w in free.out)
+                seen.extend(int(w) for w in level.nf_out)
+            assert len(seen) == circuit.n_gates
+            assert schedule.n_non_free == circuit.counts().non_xor
+        first = 2 + circuit.n_inputs
+        assert sorted(seen) == list(range(first, circuit.n_wires))
+        assert schedule.n_slots == circuit.n_wires
+        assert sorted(schedule.held) == list(range(circuit.n_wires))
+        assert circuit.level_schedule().n_slots < circuit.n_wires // 2
 
     def test_levels_respect_dependencies(self):
         """Steps in schedule order — each level's free sub-steps, then
         its AND layer — read only wires of strictly earlier steps."""
-        circuit = _random_circuit(4)
+        circuit = _every_wire(_random_circuit(4))
         schedule = circuit.level_schedule()
         steps = []
         for level in schedule.levels:
@@ -137,7 +156,7 @@ class TestLevelSchedule:
         for position, (reads_a, reads_b, _) in enumerate(steps):
             for w in list(reads_a) + list(reads_b):
                 # b may be the scratch row (unary gates)
-                assert int(w) <= circuit.n_wires
+                assert int(w) <= schedule.n_slots
                 assert produced_at.get(int(w), -1) < position
 
     def test_schedule_cached(self):
@@ -156,13 +175,13 @@ class TestLevelSchedule:
             circuit.level_schedule()
 
     def test_table_indices_are_netlist_order(self):
-        circuit = _random_circuit(6)
+        circuit = _every_wire(_random_circuit(6))
         schedule = circuit.level_schedule()
         order = {}
         tidx = 0
         for gate in circuit.gates:
             if not gate.op.is_free:
-                order[gate.out] = tidx
+                order[schedule.held[gate.out]] = tidx
                 tidx += 1
         for level in schedule.levels:
             for out, t in zip(level.nf_out, level.nf_tidx):
@@ -174,7 +193,9 @@ def _reference_schedule(circuit):
     ``(AND phase, free sub-step)`` pair, the non-free gates are grouped
     per AND layer and the free ones per pair in Python lists, converted
     at the end.  Kept as the reference the column build must equal
-    field by field."""
+    field by field, once its index vectors are read through the build's
+    slots (:func:`_assert_same_schedule`): its own steps index wires,
+    each wire its own slot, the scratch row after them."""
     n_wires = circuit.n_wires
     scratch = n_wires
     place = [(0, 0)] * n_wires
@@ -249,7 +270,8 @@ def _reference_schedule(circuit):
         levels=tuple(levels),
         n_non_free=table_index,
         n_wires=n_wires,
-        scratch_wire=scratch,
+        n_slots=n_wires,
+        held={w: w for w in sorted({*circuit.outputs, *circuit.d_wires})},
         widest=widest,
     )
 
@@ -271,14 +293,54 @@ def _assert_same_fields(got_obj, want_obj, where):
             assert want is None and got is None, here
 
 
-def _assert_same_schedule(built, reference):
-    for name in ("n_non_free", "n_wires", "scratch_wire", "widest"):
+def _schedule_steps(schedule):
+    """A schedule's steps in schedule order: each level's free sub-steps,
+    then its AND layer, as ``(step, a, b, out)``."""
+    for level in schedule.levels:
+        for free in level.free:
+            yield free, free.a, free.b, free.out
+        yield level, level.nf_a, level.nf_b, level.nf_out
+
+
+def _slot_map(circuit, built, reference):
+    """Per wire (the scratch wire ``n_wires`` last), the slot ``built``
+    gave it, read off each step's outputs against the wire-space
+    ``reference``'s; the constants and inputs keep their own."""
+    slot = np.full(circuit.n_wires + 1, -1, dtype=np.intp)
+    slot[: 2 + circuit.n_inputs] = np.arange(2 + circuit.n_inputs)
+    slot[circuit.n_wires] = built.n_slots
+    for (*_, out), (*_, wires) in zip(
+        _schedule_steps(built), _schedule_steps(reference)
+    ):
+        slot[wires] = out
+    return slot
+
+
+def _assert_same_schedule(built, reference, circuit):
+    """``built`` is ``reference`` with every wire renamed to its slot:
+    each step reads the slots its operands were written to, every other
+    field is equal, and the held wires are where their gates put them."""
+    for name in ("n_non_free", "n_wires", "widest"):
         value = getattr(built, name)
         assert type(value) is int and value == getattr(reference, name), name
-    assert len(built.levels) == len(reference.levels)
-    for depth, (level, expected) in enumerate(
-        zip(built.levels, reference.levels)
-    ):
+    slot = _slot_map(circuit, built, reference)
+    assert type(built.n_slots) is int
+    assert built.n_slots == int(slot[: circuit.n_wires].max(initial=1)) + 1
+    assert built.held == {w: int(slot[w]) for w in reference.held}
+    renamed = [
+        dataclasses.replace(
+            level,
+            free=tuple(
+                dataclasses.replace(free, ab=slot[free.ab], out=slot[free.out])
+                for free in level.free
+            ),
+            nf_ab=slot[level.nf_ab],
+            nf_out=slot[level.nf_out],
+        )
+        for level in reference.levels
+    ]
+    assert len(built.levels) == len(renamed)
+    for depth, (level, expected) in enumerate(zip(built.levels, renamed)):
         _assert_same_fields(level, expected, f"level {depth}")
 
 
@@ -328,19 +390,22 @@ class TestScheduleAgainstReference:
             service.close()
         schedule = LevelSchedule.build(circuit)
         assert len(schedule.levels) == circuit.depth() + 1
-        _assert_same_schedule(schedule, _reference_schedule(circuit))
+        _assert_same_schedule(schedule, _reference_schedule(circuit), circuit)
+        # the demo net's plane: 4 640 slots for 35 279 wires, 13.2 %
+        assert (circuit.n_wires, schedule.n_slots) == (35279, 4640)
+        assert schedule.n_slots + 1 <= 0.15 * (circuit.n_wires + 1)
 
     @pytest.mark.parametrize("fold", [1, 8])
     def test_mac_cell(self, fold):
         core = folded_mac_cell(FixedPointFormat(3, 12), 16, fold).core
         _assert_same_schedule(
-            LevelSchedule.build(core), _reference_schedule(core)
+            LevelSchedule.build(core), _reference_schedule(core), core
         )
 
     def test_compiled_dl(self, compiled_dl):
         circuit = compiled_dl[0].circuit
         _assert_same_schedule(
-            LevelSchedule.build(circuit), _reference_schedule(circuit)
+            LevelSchedule.build(circuit), _reference_schedule(circuit), circuit
         )
 
     @given(_netlists())
@@ -348,7 +413,7 @@ class TestScheduleAgainstReference:
     def test_generated_netlists(self, circuit):
         circuit.validate()
         _assert_same_schedule(
-            LevelSchedule.build(circuit), _reference_schedule(circuit)
+            LevelSchedule.build(circuit), _reference_schedule(circuit), circuit
         )
 
     def test_read_before_driven_rejected(self):
@@ -399,50 +464,83 @@ class TestScheduleAgainstReference:
             LevelSchedule.build(circuit)
 
 
-def _replay(circuit, plan):
-    """Run ``plan`` on a driven-wire bitmap: every read is of a driven
-    wire and every gate drives its wire exactly once.  Returns the
+def _replay(circuit, schedule, reference, batch, min_width):
+    """Replay ``schedule.step_plan(batch, min_width)`` symbolically: each
+    slot holds the wire last written to it.  Each plan step is paired
+    with its gates in the wire-space ``reference`` — a wide step by the
+    index vectors it shares with the schedule, a scalar run's records
+    with the schedule's narrow gates in order — and the replay checks
+    that every read finds the wire the schedule says it reads, that no
+    write lands on a live wire (one a later gate still reads, an output
+    or a d-wire: no two live wires share a slot), that every gate runs
+    exactly once, and that the outputs and d-wires are held at the end.
+    A wide step reads all its slots before it writes any.  Returns the
     number of wide AND-layer steps."""
-    driven = np.zeros(circuit.n_wires + 1, dtype=bool)
-    driven[: 2 + circuit.n_inputs] = True
-    driven[circuit.n_wires] = True  # the scratch row unary gates read
-    times = np.zeros(circuit.n_wires + 1, dtype=np.int64)
+    scratch = circuit.n_wires
+    by_out, narrow = {}, []
+    for (step, *_, out), (_, a, b, wires) in zip(
+        _schedule_steps(schedule), _schedule_steps(reference)
+    ):
+        gates = (a.tolist(), b.tolist(), wires.tolist())
+        by_out[id(out)] = gates
+        if batch * out.size < min_width:
+            narrow.extend(zip(*gates))
+    narrow = iter(narrow)
+    holds = np.full(schedule.n_slots + 1, -1, dtype=np.intp)
+    holds[: 2 + circuit.n_inputs] = np.arange(2 + circuit.n_inputs)
+    holds[schedule.n_slots] = scratch  # the zero row unary gates read
+    unread = np.zeros(circuit.n_wires + 1, dtype=np.intp)
+    for gate in circuit.gates:
+        unread[gate.a] += 1
+        unread[scratch if gate.b is None else gate.b] += 1
+    kept = {*circuit.outputs, *circuit.d_wires, scratch}
+    ran = np.zeros(circuit.n_wires + 1, dtype=np.intp)
+
+    def run(reads, read_wires, outs, out_wires):
+        assert holds[reads].tolist() == read_wires
+        np.subtract.at(unread, read_wires, 1)
+        for slot, wire in zip(outs, out_wires):
+            old = int(holds[slot])
+            assert old < 0 or (unread[old] == 0 and old not in kept), old
+            holds[slot] = wire
+            ran[wire] += 1
+
     wide_layers = 0
-    for step in plan:
+    for step in schedule.step_plan(batch, min_width):
         if isinstance(step, ScalarRun):
             for a, b, out, *_ in step.gates:
-                assert driven[a] and driven[b]
-                driven[out] = True
-                times[out] += 1
+                wa, wb, wout = next(narrow)
+                run([a, b], [wa, wb], [out], [wout])
             continue
         if isinstance(step, FreeStep):
-            reads, outs = (step.a, step.b), step.out
+            ab, out = step.ab, step.out
         else:  # an AND layer
             wide_layers += 1
-            reads, outs = (step.nf_a, step.nf_b), step.nf_out
-        assert all(driven[wires].all() for wires in reads)
-        driven[outs] = True
-        np.add.at(times, outs, 1)
+            ab, out = step.nf_ab, step.nf_out
+        assert batch * out.size >= min_width  # a wide step is wide
+        a, b, wires = by_out[id(out)]
+        run(ab, a + b, out.tolist(), wires)
+    assert next(narrow, None) is None
     gate_outs = [gate.out for gate in circuit.gates]
-    assert (times[gate_outs] == 1).all() and times.sum() == len(gate_outs)
+    assert (ran[gate_outs] == 1).all() and ran.sum() == len(gate_outs)
+    assert (unread == 0).all()
+    held = sorted({*circuit.outputs, *circuit.d_wires})
+    assert sorted(schedule.held) == held
+    assert [int(holds[schedule.held[w]]) for w in held] == held
     return wide_layers
 
 
 class TestPlanProperties:
     """The AND-layer schedule as a model: on generated netlists
     (constants, unary gates, state wires) and on folded MAC cells, every
-    plan replays soundly, the level count is the AND-depth plus the free
-    tail, and the engine equals the reference loops and ``simulate``."""
+    plan replays soundly over its slots (:func:`_replay`), the level
+    count is the AND-depth plus the free tail, and the engine equals the
+    reference loops and ``simulate``."""
 
     @staticmethod
     def _check_plans(circuit):
         schedule = LevelSchedule.build(circuit)
-        every_wire = Circuit(
-            n_alice=circuit.n_alice, n_bob=circuit.n_bob, n_state=circuit.n_state,
-            gates=circuit.gates, outputs=list(range(circuit.n_wires)),
-            n_wires=circuit.n_wires,
-        )
-        layers = every_wire.depth()
+        layers = _every_wire(circuit).depth()
         assert len(schedule.levels) == layers + 1
         assert len(schedule.levels) >= circuit.depth() + 1
         for level in schedule.levels:
@@ -461,8 +559,11 @@ class TestPlanProperties:
                 level.tweaks, np.concatenate((2 * tidx, 2 * tidx + 1))
             )
             assert level.halves.ctypes.data == level.tweaks.ctypes.data
-        for batch in (1, 3, 64):
-            assert _replay(circuit, schedule.step_plan(batch, 8)) <= layers
+        reference = _reference_schedule(circuit)
+        for batch, min_width in itertools.product((1, 2, 3, 8), (1, 8)):
+            assert _replay(
+                circuit, schedule, reference, batch, min_width
+            ) <= layers
 
     @staticmethod
     def _check_engine(circuit, seed, batches=((1, 0), (3, 2**33 + 6), (8, 0))):
@@ -531,6 +632,14 @@ class TestPlanProperties:
                 evaluator.evaluate(view, a, b, state_labels=s)
             ) == outputs[0]
 
+    @given(_netlists())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_plans(self, circuit):
+        """The plan model alone, so that a broken plan fails (and
+        shrinks) in seconds, without an engine run per example."""
+        circuit.validate()
+        self._check_plans(circuit)
+
     @given(
         _netlists(),
         st.integers(0, 2**16),
@@ -541,7 +650,6 @@ class TestPlanProperties:
     @settings(max_examples=40, deadline=None)
     def test_generated_netlists(self, circuit, seed, batch, tweak_base):
         circuit.validate()
-        self._check_plans(circuit)
         self._check_engine(circuit, seed, batches=((1, 0), (batch, tweak_base)))
 
     @pytest.mark.parametrize("fold", [1, 8])
@@ -863,19 +971,22 @@ class TestInversionBranches:
                 garbler.input_labels_for(circuit.bob_inputs, bits[2:]),
             ))
         evaluator = FastEvaluator(circuit, kdf=kdf)
-        if k == 1:
-            planes = [evaluator.evaluate(copies[0][1], *labels[0])]
-        else:
-            planes = evaluator.evaluate_many(
+        every = FastEvaluator(_every_wire(circuit), kdf=kdf)
+
+        def walk(evaluator):
+            if k == 1:
+                return [evaluator.evaluate(copies[0][1], *labels[0])]
+            return evaluator.evaluate_many(
                 [garbled for _, garbled in copies],
                 [a for a, _ in labels], [b for _, b in labels],
             )
-        for (garbler, garbled), (a, b), (alice, bob), plane in zip(
-            copies, labels, inputs, planes
+
+        for (garbler, garbled), (a, b), (alice, bob), plane, full in zip(
+            copies, labels, inputs, walk(evaluator), walk(every)
         ):
-            assert _as_dict(plane) == Evaluator(circuit, kdf=kdf).evaluate(
-                garbled, a, b
-            )
+            reference = Evaluator(circuit, kdf=kdf).evaluate(garbled, a, b)
+            assert _as_dict(full) == reference
+            assert _as_dict(plane) == {w: reference[w] for w in circuit.outputs}
             assert garbler.decode_outputs(evaluator.output_labels(plane)) == \
                 simulate(circuit, list(alice), list(bob))
 
@@ -951,7 +1062,7 @@ class TestGarbleMany:
             QuantizedModel(model, fmt, activation_variant="exact"),
             CompileOptions(activation="exact"),
         ).circuit
-        plane = (circuit.n_wires + 1) * 16
+        plane = (circuit.level_schedule().n_slots + 1) * 16
         assert fastgarble.WALK_PLANE_BYTES // plane >= fastgarble.COPIES_PER_WALK
         monkeypatch.setattr(fastgarble, "WALK_PLANE_BYTES", 3 * plane + 1)
         walks = []

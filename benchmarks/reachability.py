@@ -86,6 +86,8 @@ CLI_COMMANDS = (
      "--fault", "delay:alice_labels:0:5", "--fault", "corrupt:output_labels:0"),
     ("repro.cli", "serve", "-n", "2", "--pool", "0", "--request-timeout", "60",
      "--max-retries", "2", "--fault", "delay:tables:0:5", "--fault", "corrupt:ot:0"),
+    ("repro.cli", "serve", "-n", "2", "--pool", "0", "--transport", "socket",
+     "--max-retries", "2", "--fault", "short_read:*:0:512"),
     ("repro.cli", "serve", "-n", "2"),
     ("repro.cli", "serve", "-n", "2", "--kdf-backend", "hashlib"),
     ("repro.cli", "serve", "-n", "8", "--shards", "2"),
@@ -152,7 +154,7 @@ KEEP: Dict[str, str] = {
     "repro.gc.cipher:kdf_calibration": KDF_ZOO,
     "repro.gc.sha256_vec.*": KDF_ZOO,
     # the CI chaos job drives it through tier-1
-    "repro.resilience.bytefaults.*": CHAOS,
+    "repro.resilience.faults:FaultyStream.*": CHAOS,
     "repro.resilience.faults:FaultPlan.applied": CHAOS,
     "repro.resilience.faults:FaultyChannel.close": CHAOS,
     # the four benchmarks, their data, benchmark 1's conv/pool path

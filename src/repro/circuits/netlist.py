@@ -248,7 +248,12 @@ class Circuit:
         """
         if self._interface is None:
             driven = np.asarray([*self.d_wires, *self.outputs], dtype=np.intp)
-            self._interface = np.union1d(np.arange(2 + self.n_inputs), driven)
+            wires = np.sort(
+                np.concatenate((np.arange(2 + self.n_inputs, dtype=np.intp), driven))
+            )
+            # sort and drop repeats by hand: np.union1d and np.unique
+            # import numpy.ma (~10 ms) on their first call in a process
+            self._interface = wires[np.diff(wires, prepend=-1) != 0]
         return self._interface
 
     # -- accounting ------------------------------------------------------

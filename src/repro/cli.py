@@ -508,10 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "drops, expired deadlines) up to this many "
                             "times per request (default: 0)")
     serve.add_argument("--fault", action="append", default=None,
-                       metavar="KIND:TAG:NTH[:DELAY]",
+                       metavar="KIND:TAG:NTH[:ARG]",
                        help="inject a deterministic wire fault (chaos "
                             "harness), e.g. corrupt:tables:0 or "
-                            "delay:ot:2:30; repeatable")
+                            "delay:ot:2:30 (ARG seconds); a byte kind "
+                            "takes tag '*' and --transport socket, e.g. "
+                            "short_read:*:0:512 (ARG bytes); repeatable")
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="seed for fault byte positions / cut points")
     serve.add_argument("--transport", default=None,

@@ -77,8 +77,10 @@ class EngineConfig:
         breaker_cooldown_s: seconds a tripped breaker stays open before
             a half-open probe is allowed.
         fault_plan: optional :class:`repro.resilience.FaultPlan` — the
-            chaos harness; injected into every channel the backends
-            build.  Testing/ops only: never set in production serving.
+            chaos harness; its frame kinds are injected into every
+            channel the backends build, its byte kinds into every socket
+            (``transport="socket"`` only).  Testing/ops only: never set
+            in production serving.
         transport: how protocol frames move between the parties —
             ``"memory"`` (in-process deques, the default) or
             ``"socket"`` (every frame round-trips through the
@@ -151,6 +153,12 @@ class EngineConfig:
                 "fault_plan must be a repro.resilience.FaultPlan (or None)"
             )
         channel_factory(self.transport)  # refuses an unknown name
+        byte_kinds = self.fault_plan.byte_kinds if self.fault_plan else ()
+        if byte_kinds and self.transport != "socket":
+            raise EngineError(
+                f"fault kind {byte_kinds[0]!r} acts on socket bytes: it needs "
+                f"transport='socket', not {self.transport!r}"
+            )
         if self.max_inflight < 0:
             raise EngineError("max_inflight must be >= 0 (0 = unbounded)")
 

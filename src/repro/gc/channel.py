@@ -13,9 +13,10 @@ duplicated message surfaces as a typed
 :class:`repro.errors.ChannelIntegrityError` instead of garbage labels —
 the detection layer the fault-injection harness
 (:mod:`repro.resilience`) and the future socket transport both build on.
-A :class:`repro.resilience.Deadline` attached to an endpoint is charged
-on every ``recv`` (including injected virtual delays), so no receive
-outlives the per-request budget.
+A :class:`repro.resilience.Deadline` attached to an endpoint is checked
+on every ``recv`` (and charged any virtual delay the fault injector's
+receiving wrapper holds for the frame), so no receive outlives the
+per-request budget.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from ..errors import (
 from .labels import LabelsLike, label_ints, label_rows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
+    import socket
+
     from ..resilience.deadline import Deadline
 
 __all__ = [
@@ -63,15 +66,12 @@ class Frame:
         payload: the raw bytes.
         crc: CRC-32 over the payload *as sent* — kept verbatim by the
             fault injector so corruption stays detectable.
-        delay_s: virtual transit delay (seconds) charged against the
-            receiver's deadline; 0 for a healthy link.
     """
 
     tag: str
     seq: int
     payload: bytes
     crc: int
-    delay_s: float = 0.0
 
 
 class ChannelStats:
@@ -217,16 +217,14 @@ class Channel:
                 peer like any other wire fault.
             ChannelIntegrityError: checksum, sequence or tag validation
                 failed.
-            DeadlineExceeded: the endpoint's deadline expired (injected
-                transit delays are charged before the check).
+            DeadlineExceeded: the endpoint's deadline expired (a
+                fault wrapper charges an injected transit delay in
+                :meth:`_fetch`, before the check).
         """
         index = self._received
         frame = self._fetch(index, expected_tag)
         if self.deadline is not None:
-            context = f"recv #{index} tagged {frame.tag!r}"
-            if frame.delay_s > 0.0:
-                self.deadline.consume(frame.delay_s, context)
-            self.deadline.check(context)
+            self.deadline.check(f"recv #{index} tagged {frame.tag!r}")
         if frame.seq != index:
             raise ChannelIntegrityError(
                 f"out-of-sequence message on {self._direction!r}: expected "
@@ -307,12 +305,15 @@ def transport_from_env() -> str:
 
 def channel_factory(
     transport: str,
+    stream_wrap: Optional[Callable[["socket.socket"], "socket.socket"]] = None,
 ) -> Callable[[], Tuple[Channel, Channel, ChannelStats]]:
     """The channel-pair factory of a transport name.
 
     ``memory`` is :func:`make_channel_pair`; ``socket`` is the loopback
     socketpair factory from :mod:`repro.transport`, so the same protocol
-    code runs over real kernel sockets and the wire codec.
+    code runs over real kernel sockets and the wire codec.  ``stream_wrap``
+    wraps each socket of a ``socket`` pair: a fault plan's byte kinds,
+    which :class:`repro.engine.EngineConfig` allows on ``socket`` only.
 
     Raises:
         EngineError: an unknown transport name.
@@ -323,7 +324,7 @@ def channel_factory(
         # imported lazily: repro.transport builds on this module
         from ..transport import socketpair_channel_factory
 
-        return socketpair_channel_factory()
+        return socketpair_channel_factory(stream_wrap=stream_wrap)
     raise EngineError(f"unknown transport {transport!r}; choose from memory, socket")
 
 

@@ -1,8 +1,10 @@
 """Resilience layer: fault injection, deadlines, retries, degradation.
 
 The serving tier's answer to an imperfect world: a seeded chaos harness
-(:mod:`~repro.resilience.faults`) that drops/corrupts/truncates/delays
-wire messages deterministically, per-request time budgets
+(:mod:`~repro.resilience.faults`) whose one :class:`FaultPlan` drops,
+corrupts, truncates, duplicates or delays wire messages and trickles,
+stalls, cuts or disconnects the socket bytes below them,
+deterministically; per-request time budgets
 (:mod:`~repro.resilience.deadline`), a transient-only retry policy
 (:mod:`~repro.resilience.retry`), a per-backend circuit breaker
 (:mod:`~repro.resilience.breaker`) and the admission gate every serving
@@ -14,25 +16,19 @@ wrong label, never a silent hang.
 
 from .admission import AdmissionGate
 from .breaker import CircuitBreaker
-from .bytefaults import (
-    STREAM_FAULT_KINDS,
-    FaultyStream,
-    StreamFaultPlan,
-    StreamFaultSpec,
-)
 from .deadline import Deadline
 from .faults import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     FaultyChannel,
+    FaultyStream,
     faulty_channel_factory,
 )
 from .retry import TRANSIENT_ERRORS, RetryPolicy, fault_category, is_transient
 
 __all__ = [
     "FAULT_KINDS",
-    "STREAM_FAULT_KINDS",
     "TRANSIENT_ERRORS",
     "AdmissionGate",
     "CircuitBreaker",
@@ -42,8 +38,6 @@ __all__ = [
     "FaultyChannel",
     "FaultyStream",
     "RetryPolicy",
-    "StreamFaultPlan",
-    "StreamFaultSpec",
     "fault_category",
     "faulty_channel_factory",
     "is_transient",

@@ -227,11 +227,15 @@ class PrivateInferenceService:
         # reproducible end to end.  The factory is resolved here, not per
         # request: the config's transport choice is authoritative for this
         # service even if REPRO_TRANSPORT changes before the first request.
-        base_factory = channel_factory(config.transport)
-        if config.fault_plan is not None:
-            self._channel_factory = faulty_channel_factory(
-                config.fault_plan, inner=base_factory
-            )
+        # A plan's byte kinds ride the socketpair's streams (the config
+        # allows them on "socket" only), its frame kinds the channels.
+        plan = config.fault_plan
+        base_factory = channel_factory(
+            config.transport,
+            stream_wrap=plan.wrap if plan is not None and plan.byte_kinds else None,
+        )
+        if plan is not None:
+            self._channel_factory = faulty_channel_factory(plan, inner=base_factory)
         else:
             self._channel_factory = base_factory
         self._retry = RetryPolicy(

@@ -7,8 +7,8 @@ processes (or hosts), each holding its own secrets, on the session code
 the in-memory runs execute:
 
 - :mod:`repro.transport.wire` — the length-prefixed codec: one
-  ``Frame`` (tag / seq / CRC / virtual delay / payload) per wire record,
-  size-capped, with malformed input surfacing as the existing typed
+  ``Frame`` (tag / seq / CRC / payload, behind a 21-byte header) per
+  wire record, size-capped, with malformed input surfacing as the existing typed
   :class:`repro.errors.ChannelIntegrityError`; ``FrameDecoder`` reads
   every frame this package receives.
 - :mod:`repro.transport.socket_channel` — :class:`SocketChannel`, a

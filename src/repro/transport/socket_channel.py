@@ -292,8 +292,8 @@ def socketpair_channel_factory(
 
     Args:
         stream_wrap: optional socket wrapper applied to both endpoints —
-            the seam for byte-level chaos
-            (:meth:`repro.resilience.StreamFaultPlan.wrap` pushes whole
+            the seam for a fault plan's byte kinds
+            (:meth:`repro.resilience.FaultPlan.wrap` pushes whole
             sessions through a :class:`~repro.resilience.FaultyStream`).
     """
 

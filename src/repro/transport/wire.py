@@ -2,15 +2,16 @@
 
 One frame per wire record::
 
-    magic(4) | tag_len(u8) | seq(u64) | crc(u32) | delay_s(f64) |
-    payload_len(u32) | tag(tag_len) | payload(payload_len)
+    magic(4) | tag_len(u8) | seq(u64) | crc(u32) | payload_len(u32) |
+    tag(tag_len) | payload(payload_len)
 
-All integers little-endian.  The CRC is carried verbatim from the
-in-memory frame — the codec never recomputes it, so a payload corrupted
-*before* encoding (the fault harness) or *on* the wire stays detectable
-by the channel's existing receive-side validation.  The virtual-delay
-field rides along so injected ``delay`` faults charge the receiver's
-deadline identically across transports.
+All integers little-endian; the header is 21 bytes.  The CRC is carried
+verbatim from the in-memory frame — the codec never recomputes it, so a
+payload corrupted *before* encoding (the fault harness) or *on* the wire
+stays detectable by the channel's existing receive-side validation.  No
+field exists for the fault harness: an injected ``delay`` is charged by
+the receiving end's :class:`repro.resilience.FaultyChannel`, in the
+process that planned it.
 
 Malformed input — bad magic, a length prefix past the size caps, or a
 record truncated mid-frame — raises the existing typed
@@ -20,7 +21,6 @@ garbage frame.
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import List, Tuple
 
@@ -36,8 +36,8 @@ __all__ = [
     "encode_frame",
 ]
 
-#: Wire-format magic + version ("RePro Frame v1").
-MAGIC = b"RPF1"
+#: Wire-format magic + version ("RePro Frame v2").
+MAGIC = b"RPF2"
 
 #: Cap on the UTF-8 encoded tag ("tables", "ot", ...).
 MAX_TAG_BYTES = 64
@@ -46,7 +46,7 @@ MAX_TAG_BYTES = 64
 #: blob this reproduction ships, far below an allocation-bomb prefix).
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
-_HEADER = struct.Struct("<4sBQIdI")
+_HEADER = struct.Struct("<4sBQII")
 
 #: Fixed byte length of the frame header.
 HEADER_SIZE = _HEADER.size
@@ -75,33 +75,26 @@ def encode_frame(frame: Frame, max_payload: int = MAX_PAYLOAD_BYTES) -> bytes:
         raise ChannelIntegrityError(f"frame seq {frame.seq} not a u64")
     if not 0 <= frame.crc < 2**32:
         raise ChannelIntegrityError(f"frame crc {frame.crc:#x} not a u32")
-    if not math.isfinite(frame.delay_s) or frame.delay_s < 0:
-        raise ChannelIntegrityError(
-            f"frame delay_s {frame.delay_s!r} must be finite and >= 0"
-        )
     header = _HEADER.pack(
         MAGIC,
         len(tag_bytes),
         frame.seq,
         frame.crc,
-        frame.delay_s,
         len(frame.payload),
     )
     return header + tag_bytes + frame.payload
 
 
-def _parse_header(
-    header: bytes, max_payload: int
-) -> Tuple[int, int, int, float, int]:
+def _parse_header(header: bytes, max_payload: int) -> Tuple[int, int, int, int]:
     """Validate and unpack one frame header.
 
-    Returns ``(tag_len, seq, crc, delay_s, payload_len)``.
+    Returns ``(tag_len, seq, crc, payload_len)``.
 
     Raises:
         ChannelIntegrityError: bad magic or a length prefix past the
             caps — the malformed-input contract of the codec.
     """
-    magic, tag_len, seq, crc, delay_s, payload_len = _HEADER.unpack(header)
+    magic, tag_len, seq, crc, payload_len = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ChannelIntegrityError(
             f"bad frame magic {magic!r} on the wire (expected {MAGIC!r}): "
@@ -116,11 +109,7 @@ def _parse_header(
             f"frame length prefix declares {payload_len} payload bytes, "
             f"over the {max_payload}-byte cap — refusing the allocation"
         )
-    if not math.isfinite(delay_s) or delay_s < 0:
-        raise ChannelIntegrityError(
-            f"frame delay field {delay_s!r} must be finite and >= 0"
-        )
-    return tag_len, seq, crc, delay_s, payload_len
+    return tag_len, seq, crc, payload_len
 
 
 class FrameDecoder:
@@ -151,7 +140,7 @@ class FrameDecoder:
         self._buffer.extend(chunk)
         frames: List[Frame] = []
         while len(self._buffer) >= HEADER_SIZE:
-            tag_len, seq, crc, delay_s, payload_len = _parse_header(
+            tag_len, seq, crc, payload_len = _parse_header(
                 bytes(self._buffer[:HEADER_SIZE]), self._max_payload
             )
             total = HEADER_SIZE + tag_len + payload_len
@@ -167,8 +156,6 @@ class FrameDecoder:
                 ) from None
             payload = bytes(self._buffer[HEADER_SIZE + tag_len : total])
             del self._buffer[:total]
-            frames.append(
-                Frame(tag=tag, seq=seq, payload=payload, crc=crc, delay_s=delay_s)
-            )
+            frames.append(Frame(tag=tag, seq=seq, payload=payload, crc=crc))
         self.missing = HEADER_SIZE - len(self._buffer)
         return frames

@@ -57,8 +57,6 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
-    StreamFaultPlan,
-    StreamFaultSpec,
     fault_category,
     faulty_channel_factory,
     is_transient,
@@ -274,17 +272,48 @@ class TestChannelIntegrity:
         with pytest.raises(ChannelIntegrityError, match="tag mismatch"):
             bob.recv_bytes(expected_tag="expected")
 
-    def test_injected_delay_charges_the_deadline(self):
+    @pytest.mark.parametrize(
+        "inner", [make_channel_pair, socketpair_channel_factory()],
+        ids=["memory", "socket"],
+    )
+    def test_injected_delay_charges_the_deadline(self, inner):
         plan = FaultPlan(
             [FaultSpec("delay", tag="blob", delay_s=10.0)], seed=CHAOS_SEED
         )
-        alice, bob, _ = faulty_channel_factory(plan)()
+        alice, bob, _ = faulty_channel_factory(plan, inner=inner)()
         deadline = Deadline(5.0)
         alice.deadline = deadline
         bob.deadline = deadline
         alice.send_bytes(b"late", tag="blob")
         with pytest.raises(DeadlineExceeded, match="blob"):
             bob.recv_bytes(expected_tag="blob")
+        alice.close()
+        bob.close()
+
+    def test_a_delay_on_a_dropped_frame_never_charges_the_next_pair(self):
+        """Pair 1's frame #0 is delayed and then dropped; the retry's
+        fresh pair restarts its seqs, and its frame #0 arrives uncharged:
+        a delay is held by the pair that fired it, not by the plan."""
+        plan = FaultPlan(
+            [FaultSpec("delay", tag="blob", delay_s=10.0),
+             FaultSpec("drop", tag="blob")],
+            seed=CHAOS_SEED,
+        )
+        factory = faulty_channel_factory(plan)
+        for attempt in range(2):
+            alice, bob, _ = factory()
+            deadline = Deadline(5.0)
+            alice.deadline = bob.deadline = deadline
+            alice.send_bytes(b"frame", tag="blob")
+            if attempt == 0:
+                with pytest.raises(ChannelEmptyError):
+                    bob.recv_bytes(expected_tag="blob")
+            else:
+                assert bob.recv_bytes(expected_tag="blob") == b"frame"
+                assert deadline.remaining() > 4.0
+            alice.close()
+            bob.close()
+        assert [kind for kind, _, _ in plan.applied] == ["delay", "drop"]
 
 
 class TestDeadline:
@@ -788,32 +817,45 @@ class TestServiceResilience:
 # ---------------------------------------------------------------------------
 
 
-class TestStreamFaultSpecs:
+class TestByteFaultSpecs:
     def test_parse_round_trips(self):
-        spec = StreamFaultSpec.parse("short_read:2:3")
+        spec = FaultSpec.parse("short_read:*:2:3")
         assert (spec.kind, spec.nth, spec.size) == ("short_read", 2, 3)
-        assert spec.describe() == "short_read:2:3"
-        stall = StreamFaultSpec.parse("stall:1:0.5")
-        assert (stall.nth, stall.stall_s) == (1, 0.5)
-        assert StreamFaultSpec.parse("disconnect").nth == 0
+        assert spec.describe() == "short_read:*:2:3"
+        stall = FaultSpec.parse("stall:*:1:0.5")
+        assert (stall.nth, stall.delay_s) == (1, 0.5)
+        assert FaultSpec.parse("disconnect").nth == 0
 
     def test_validation(self):
-        with pytest.raises(EngineError, match="unknown stream fault"):
-            StreamFaultSpec("gremlins")
+        with pytest.raises(EngineError, match="unknown fault kind"):
+            FaultSpec("gremlins")
         with pytest.raises(EngineError, match="nth"):
-            StreamFaultSpec("short_read", nth=-1)
-        with pytest.raises(EngineError, match="stall_s"):
-            StreamFaultSpec("stall")
-        with pytest.raises(EngineError, match="stall_s"):
-            StreamFaultSpec("short_read", stall_s=1.0)
+            FaultSpec("short_read", nth=-1)
+        with pytest.raises(EngineError, match="delay_s"):
+            FaultSpec("stall")
+        with pytest.raises(EngineError, match="delay_s"):
+            FaultSpec("short_read", delay_s=1.0)
         with pytest.raises(EngineError, match="int"):
-            StreamFaultSpec.parse("stall:x")
+            FaultSpec.parse("stall:*:x")
+
+    def test_a_byte_kind_takes_no_tag(self):
+        # bytes carry no tag: a byte kind matches every socket op or none
+        with pytest.raises(EngineError, match="carry no tag"):
+            FaultSpec.parse("short_read:tables:0:512")
+        assert not FaultSpec("short_read").matches("tables")
+
+    def test_a_byte_kind_needs_the_socket_transport(self):
+        plan = FaultPlan.parse(["corrupt:ot:0", "partial_write:*:3"])
+        assert plan.byte_kinds == ("partial_write",)
+        with pytest.raises(EngineError, match="'partial_write'.*socket"):
+            EngineConfig(fault_plan=plan, transport="memory")
+        EngineConfig(fault_plan=plan, transport="socket")
 
     def test_seeded_cut_points_are_deterministic(self):
         cuts = []
         for _ in range(2):
-            plan = StreamFaultPlan(
-                [StreamFaultSpec("partial_write", nth=0)], seed=CHAOS_SEED
+            plan = FaultPlan(
+                [FaultSpec("partial_write", nth=0)], seed=CHAOS_SEED
             )
             cuts.append(plan.on_write(1000))
         assert cuts[0] == cuts[1]
@@ -872,8 +914,8 @@ class TestByteFaultsOnSocketChannel:
     def test_short_reads_reassemble_the_frame(self, wire):
         # a trickling peer: every recv returns at most 3 bytes, and the
         # channel's read loop must still reassemble the frame
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("short_read", nth=0, size=3)], seed=CHAOS_SEED
+        plan = FaultPlan(
+            [FaultSpec("short_read", nth=0, size=3)], seed=CHAOS_SEED
         )
         alice, bob = _remote_channel_pair(plan, "receiver", wire)
         try:
@@ -886,8 +928,8 @@ class TestByteFaultsOnSocketChannel:
             bob.close()
 
     def test_partial_write_surfaces_typed_close_on_both_ends(self, wire):
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("partial_write", nth=0)], seed=CHAOS_SEED
+        plan = FaultPlan(
+            [FaultSpec("partial_write", nth=0)], seed=CHAOS_SEED
         )
         alice, bob = _remote_channel_pair(plan, "sender", wire)
         try:
@@ -900,7 +942,7 @@ class TestByteFaultsOnSocketChannel:
             with pytest.raises(ChannelClosedError) as receiver_exc:
                 wire.recv(bob)
             assert is_transient(receiver_exc.value)
-            assert plan.applied == [("partial_write", 0)]
+            assert plan.applied == [("partial_write", "*", 0)]
         finally:
             alice.close()
             bob.close()
@@ -908,8 +950,8 @@ class TestByteFaultsOnSocketChannel:
     # read 0 is the header, read 1 the rest of the frame
     @pytest.mark.parametrize("nth", [0, 1], ids=["before", "mid-frame"])
     def test_disconnect_is_channel_closed(self, wire, nth):
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("disconnect", nth=nth)], seed=CHAOS_SEED
+        plan = FaultPlan(
+            [FaultSpec("disconnect", nth=nth)], seed=CHAOS_SEED
         )
         alice, bob = _remote_channel_pair(plan, "receiver", wire)
         try:
@@ -921,8 +963,8 @@ class TestByteFaultsOnSocketChannel:
             bob.close()
 
     def test_stalled_peer_times_out_within_io_budget(self, wire):
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("stall", nth=0, stall_s=30.0)], seed=CHAOS_SEED
+        plan = FaultPlan(
+            [FaultSpec("stall", nth=0, delay_s=30.0)], seed=CHAOS_SEED
         )
         alice, bob = _remote_channel_pair(plan, "receiver", wire,
                                           io_timeout_s=0.3)
@@ -940,8 +982,8 @@ class TestByteFaultsOnSocketChannel:
         """The stall hits the read after the header: that receive times
         out, and the next one delivers the frame whole instead of reading
         its body as a header."""
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("stall", nth=1, stall_s=30.0)], seed=CHAOS_SEED
+        plan = FaultPlan(
+            [FaultSpec("stall", nth=1, delay_s=30.0)], seed=CHAOS_SEED
         )
         alice, bob = _remote_channel_pair(plan, "receiver", wire,
                                           io_timeout_s=0.2)
@@ -950,7 +992,7 @@ class TestByteFaultsOnSocketChannel:
             with pytest.raises(ChannelEmptyError):
                 wire.recv(bob)
             assert wire.recv(bob) == wire.message
-            assert plan.applied == [("stall", 1)]
+            assert plan.applied == [("stall", "*", 1)]
         finally:
             alice.close()
             bob.close()
@@ -993,8 +1035,8 @@ class TestByteFaultsOnSocketChannel:
         """A worker polls its control channel every tick: a record whose
         body arrives after a tick is served on the next one, and the
         connection stays up."""
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("stall", nth=1, stall_s=30.0)], seed=CHAOS_SEED
+        plan = FaultPlan(
+            [FaultSpec("stall", nth=1, delay_s=30.0)], seed=CHAOS_SEED
         )
         left, right = socket.socketpair()
         caller = ctl_channel(left)
@@ -1006,7 +1048,7 @@ class TestByteFaultsOnSocketChannel:
                 should_stop=lambda: False, poll_interval_s=0.1,
             )
             assert counters == {"ping": 1, "shutdown": 1}
-            assert plan.applied == [("stall", 1)]
+            assert plan.applied == [("stall", "*", 1)]
             assert recv_ctl(caller, timeout=5.0) == {"ok": True, "op": "pong"}
             assert recv_ctl(caller, timeout=5.0)["op"] == "shutdown"
         finally:
@@ -1020,8 +1062,8 @@ class TestByteFaultsOnSocketChannel:
         rng = random.Random(CHAOS_SEED)
         a = [rng.randrange(2) for _ in range(4)]
         b = [rng.randrange(2) for _ in range(4)]
-        plan = StreamFaultPlan(
-            [StreamFaultSpec("short_read", nth=0, size=7)], seed=CHAOS_SEED
+        plan = FaultPlan(
+            [FaultSpec("short_read", nth=0, size=7)], seed=CHAOS_SEED
         )
         result = TwoPartySession(
             circuit, ot_group=TEST_GROUP_512, rng=random.Random(5),

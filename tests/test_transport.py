@@ -39,6 +39,7 @@ from repro.resilience import FaultPlan, FaultSpec, faulty_channel_factory
 from repro.service import InferenceResult
 from repro.transport import (
     HEADER_SIZE,
+    MAGIC,
     MAX_TAG_BYTES,
     FrameDecoder,
     ShardedService,
@@ -89,7 +90,7 @@ def random_circuit(seed, n_gates=60, n_inputs=4):
 class TestWireCodec:
     def test_round_trip(self):
         frame = Frame(tag="tables", seq=7, payload=b"\x00\x01\xffdata",
-                      crc=0xDEADBEEF, delay_s=1.5)
+                      crc=0xDEADBEEF)
         data = encode_frame(frame)
         assert FrameDecoder().feed(data) == [frame]
         assert len(data) == HEADER_SIZE + len("tables") + len(frame.payload)
@@ -111,6 +112,14 @@ class TestWireCodec:
         with pytest.raises(ChannelIntegrityError, match="magic"):
             FrameDecoder().feed(bytes(data))
 
+    def test_header_is_21_bytes_and_v1_is_refused(self):
+        # magic(4) tag_len(1) seq(8) crc(4) payload_len(4): no delay field
+        assert (HEADER_SIZE, MAGIC) == (21, b"RPF2")
+        data = bytearray(encode_frame(Frame(tag="t", seq=0, payload=b"p", crc=0)))
+        data[:4] = b"RPF1"
+        with pytest.raises(ChannelIntegrityError, match="magic"):
+            FrameDecoder().feed(bytes(data))
+
     def test_truncated_header_yields_nothing(self):
         assert FrameDecoder().feed(b"\x00" * (HEADER_SIZE - 1)) == []
 
@@ -122,7 +131,8 @@ class TestWireCodec:
         # a hostile length prefix must be refused from the header alone
         evil = bytearray(encode_frame(Frame(tag="t", seq=0, payload=b"small",
                                             crc=0)))
-        evil[25:29] = (2**31).to_bytes(4, "little")  # payload_len field
+        # the payload_len field closes the header
+        evil[HEADER_SIZE - 4 : HEADER_SIZE] = (2**31).to_bytes(4, "little")
         with pytest.raises(ChannelIntegrityError, match="cap"):
             FrameDecoder().feed(bytes(evil))
 
@@ -144,10 +154,6 @@ class TestWireCodec:
             encode_frame(Frame(tag="t", seq=2**64, payload=b"", crc=0))
         with pytest.raises(ChannelIntegrityError, match="u32"):
             encode_frame(Frame(tag="t", seq=0, payload=b"", crc=2**32))
-        with pytest.raises(ChannelIntegrityError, match="delay"):
-            encode_frame(
-                Frame(tag="t", seq=0, payload=b"", crc=0, delay_s=-1.0)
-            )
 
     def test_streaming_decoder_reassembles_split_frames(self):
         frames = [
@@ -174,13 +180,10 @@ class TestWireCodec:
         seq=st.integers(min_value=0, max_value=2**64 - 1),
         payload=st.binary(max_size=512),
         crc=st.integers(min_value=0, max_value=2**32 - 1),
-        delay=st.floats(min_value=0, max_value=1e6, allow_nan=False),
         chunk=st.integers(min_value=1, max_value=64),
     )
-    def test_property_round_trip_any_frame(
-        self, tag, seq, payload, crc, delay, chunk
-    ):
-        frame = Frame(tag=tag, seq=seq, payload=payload, crc=crc, delay_s=delay)
+    def test_property_round_trip_any_frame(self, tag, seq, payload, crc, chunk):
+        frame = Frame(tag=tag, seq=seq, payload=payload, crc=crc)
         data = encode_frame(frame)
         decoder = FrameDecoder()
         out = []

@@ -10,7 +10,10 @@ cleartext.
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -373,6 +376,41 @@ def _netlists(draw, bob_widths=st.integers(0, 3), state_widths=st.integers(0, 3)
         n_alice=n_alice, n_bob=n_bob, n_state=n_state, gates=gates,
         outputs=driven[-3:], n_wires=first + len(picks),
     )
+
+
+class TestInterfaceWires:
+    @given(_netlists())
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_distinct_interface(self, circuit):
+        expected = sorted(
+            {*range(2 + circuit.n_inputs), *circuit.d_wires, *circuit.outputs}
+        )
+        wires = circuit.interface_wires()
+        assert wires.dtype == np.intp and wires.tolist() == expected
+
+    def test_garbling_leaves_numpy_ma_unloaded(self):
+        """np.union1d and np.unique import numpy.ma on their first call;
+        a process that garbles never pays for it."""
+        code = (
+            "import random, sys\n"
+            "from repro.circuits import CircuitBuilder\n"
+            "from repro.gc import Garbler\n"
+            "bld = CircuitBuilder()\n"
+            "a, b = bld.add_alice_inputs(3), bld.add_bob_inputs(3)\n"
+            "bld.mark_output(bld.emit_and(bld.emit_xor(a[0], b[0]), a[1]))\n"
+            "Garbler(bld.build(), rng=random.Random(1)).garble()\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestScheduleAgainstReference:

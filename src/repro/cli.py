@@ -34,7 +34,8 @@ def _demo_service(backend: str = "two_party", activation: str = "exact",
                   request_timeout_s=None, max_retries: int = 0,
                   fault_specs=None, fault_seed: int = 0,
                   transport: Optional[str] = None, max_inflight: int = 0):
-    """A small trained service for the live subcommands (fast OT group)."""
+    """A small trained service for the live subcommands (fast OT group);
+    ``fault_specs`` are :class:`~repro.resilience.FaultSpec` records."""
     import random
 
     import numpy as np
@@ -52,9 +53,7 @@ def _demo_service(backend: str = "two_party", activation: str = "exact",
     y = (x @ w).argmax(axis=1)
     model = Sequential([Dense(6), Tanh(), Dense(3)], input_shape=(10,), seed=1)
     Trainer(model, TrainConfig(epochs=20, learning_rate=0.2)).fit(x, y)
-    fault_plan = (
-        FaultPlan.parse(fault_specs, seed=fault_seed) if fault_specs else None
-    )
+    fault_plan = FaultPlan(fault_specs, seed=fault_seed) if fault_specs else None
     config_kwargs = dict(
         fmt=FixedPointFormat(2, 6),
         activation=activation,
@@ -428,6 +427,18 @@ def _cmd_serve(args) -> None:
           f"{final['aborted_requests']}")
 
 
+def _fault_spec(text: str):
+    """``--fault``'s type: a :class:`~repro.resilience.FaultSpec`, or
+    argparse's one-line error for a spec that names no fault."""
+    from .errors import EngineError
+    from .resilience import FaultSpec
+
+    try:
+        return FaultSpec.parse(text)
+    except EngineError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -508,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "drops, expired deadlines) up to this many "
                             "times per request (default: 0)")
     serve.add_argument("--fault", action="append", default=None,
-                       metavar="KIND:TAG:NTH[:ARG]",
+                       type=_fault_spec, metavar="KIND:TAG:NTH[:ARG]",
                        help="inject a deterministic wire fault (chaos "
                             "harness), e.g. corrupt:tables:0 or "
                             "delay:ot:2:30 (ARG seconds); a byte kind "
@@ -541,6 +552,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "fault", None):
+        from .gc.channel import transport_from_env
+        from .resilience.faults import BYTE_KINDS
+
+        byte_kinds = [spec.kind for spec in args.fault if spec.kind in BYTE_KINDS]
+        if byte_kinds and (args.transport or transport_from_env()) != "socket":
+            parser.error(f"argument --fault: {byte_kinds[0]} acts on socket "
+                         "bytes: it needs --transport socket")
     args.func(args)
     return 0
 

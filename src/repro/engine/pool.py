@@ -18,16 +18,18 @@ the constant labels (412 760 B a copy) move while nobody waits;
 thread that garbles during a request is on that request's path, and the
 refills ``acquire()`` used to kick made a pooled service 2x slower than
 no pool at all (DESIGN.md, "Threads under the GIL").  So there is one
-refill, ``refill="idle"``: a supervised daemon thread, started by the
-first ``acquire()`` (a pool nobody has drawn from has nothing to refill,
-and ``prepare()`` cannot race it), that waits for room, has the pool's
-owner block it until the line is idle for one copy's garbling time
-(``idle_wait``), garbles **one** copy and starts over.  One copy per
-wake bounds what a request arriving mid-copy loses to one garbling time.
-The time asked for is the fastest per-copy garble measured here: an
-average seeded by a slow, contended first copy kept the refill from ever
-running.  ``refill="none"`` starts no thread and the caller owns warming
-— for callers that keep garbling out of a window they time (the layered
+refill, ``refill="idle"``: a daemon thread, started by the first
+``acquire()`` (a pool nobody has drawn from has nothing to refill, and
+``prepare()`` cannot race it), that loops one step — wait for room, have
+the pool's owner block it until the line is idle for one copy's
+garbling time (``idle_wait``), garble **one** copy.  One copy per wake
+bounds what a request arriving mid-copy loses to one garbling time.  The
+time asked for is the fastest per-copy garble measured here: an average
+seeded by a slow, contended first copy kept the refill from ever
+running.  A step that raises is counted and the thread backs off, so a
+poisoned garble cannot silently turn every later request into a cold
+miss.  ``refill="none"`` starts no thread and the caller owns warming —
+for callers that keep garbling out of a window they time (the layered
 benchmark, ``bench_engine_serving.py``).  Thread-safe.
 """
 
@@ -130,6 +132,9 @@ class PregarbledPool:
         self.last_refill_error: Optional[str] = None
         # what the refill asks its owner to be idle for
         self._per_copy_s: Optional[float] = None
+        # the seams a test swaps: the copy maker is
+        # ``self._session.pregarble_many``, and this is warm()'s clock
+        self._clock: Callable[[], float] = time.monotonic
 
     def __len__(self) -> int:
         with self._lock:
@@ -159,11 +164,11 @@ class PregarbledPool:
                 batch = room if count is None else min(room, count - added)
                 self._pending += batch
             items = []
-            start = time.monotonic()
+            start = self._clock()
             try:
                 items = self._session.pregarble_many(batch, self.bob_bits)
             finally:
-                elapsed = time.monotonic() - start
+                elapsed = self._clock() - start
                 with self._lock:
                     self._pending -= batch
                     self._items.extend(items)
@@ -197,7 +202,7 @@ class PregarbledPool:
             if self.refill == "idle" and not self._stop:
                 if self._refill_thread is None:
                     self._refill_thread = threading.Thread(
-                        target=self._refill_supervisor,
+                        target=self._refill_run,
                         name="pregarble-refill", daemon=True,
                     )
                     self._refill_thread.start()
@@ -253,48 +258,43 @@ class PregarbledPool:
 
     # -- refill machinery -------------------------------------------------
 
-    def _refill_supervisor(self) -> None:
-        """Self-healing wrapper around :meth:`_refill_loop`.
-
-        A crash in the refill worker is caught, counted
-        (``refill_crashes`` in :meth:`stats`) and the loop restarted
-        after a capped exponential backoff — a poisoned garble must not
-        silently turn every future request into a cold miss.
-        """
-        crashes = 0
-        while True:
-            try:
-                self._refill_loop()
-                return  # clean _stop exit
-            except Exception as exc:
-                crashes += 1
-                with self._lock:
-                    self.refill_crashes += 1
-                    self.last_refill_error = repr(exc)
-                backoff = min(0.05 * (2 ** (crashes - 1)), 5.0)
+    def _refill_run(self) -> None:
+        """The refill thread: loop :meth:`_refill_step` until it says the
+        refill is over, waiting out each crash's backoff on the pool's
+        condition (an ``acquire()`` or ``close()`` cuts it short)."""
+        backoff = self._refill_step()
+        while backoff is not None:
+            if backoff:
                 with self._cond:
-                    if self._stop:
-                        return
-                    self._cond.wait(timeout=backoff)
+                    if not self._stop:
+                        self._cond.wait(timeout=backoff)
+            backoff = self._refill_step()
 
-    def _refill_loop(self) -> None:
-        """Refill until closed; the supervisor counts what this raises."""
-        while self._refill_step():
-            pass
+    def _refill_step(self) -> Optional[float]:
+        """One turn of the refill: wait for room, then for the owner to be
+        idle for the fastest per-copy time seen; garble one copy.
 
-    def _refill_step(self) -> bool:
-        """Wait for room, then for the owner to be idle for one copy's
-        garbling time; garble one copy.  False when the refill is over
-        (the pool closed, or its owner shutting down)."""
+        Returns the seconds to wait before the next turn: 0 after a
+        copy, and after a crash — counted in ``refill_crashes`` and
+        ``last_refill_error`` — the n-th crash's capped backoff,
+        ``0.05 * 2**(n-1)`` up to 5 s.  None when the refill is over:
+        the pool closed, or its owner is shutting down.
+        """
         with self._cond:
             while not self._stop and len(self._items) + self._pending >= self.capacity:
                 self._cond.wait()
             if self._stop:
-                return False
+                return None
             need_s = self._per_copy_s or 0.0
-        if self._idle_wait is not None and not self._idle_wait(need_s):
-            return False
-        if self.warm(1):
+        try:
+            if self._idle_wait is not None and not self._idle_wait(need_s):
+                return None
+            if self.warm(1):
+                with self._lock:
+                    self.refills += 1
+            return 0.0
+        except Exception as exc:
             with self._lock:
-                self.refills += 1
-        return True
+                self.refill_crashes += 1
+                self.last_refill_error = repr(exc)
+                return min(0.05 * 2 ** (self.refill_crashes - 1), 5.0)

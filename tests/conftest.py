@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -87,3 +88,35 @@ def base_batches(monkeypatch):
 
     monkeypatch.setattr(OTSender, "setup", counting)
     return calls
+
+
+def _start(fn, *args):
+    """Run ``fn(*args)`` on a daemon thread.  Returns ``result(timeout)``:
+    it joins the thread and returns what ``fn`` returned, or re-raises
+    what it raised."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def result(timeout=60.0):
+        thread.join(timeout)
+        assert not thread.is_alive(), f"{fn} still running after {timeout} s"
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return result
+
+
+@pytest.fixture
+def in_thread():
+    """``in_thread(fn, *args)`` starts ``fn`` on a thread and returns a
+    ``result(timeout)`` that joins it and returns or re-raises."""
+    return _start

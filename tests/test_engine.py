@@ -469,8 +469,8 @@ class TestServiceRedesign:
         """Construction never garbles; prepare() is the offline phase."""
         model, _ = _trained_model(n_features=5, seed=5)
         svc = PrivateInferenceService(
-            model, EngineConfig(fmt=FMT, activation="exact",
-                                backend="simulate", pool_size=4)
+            model, EngineConfig(fmt=FMT, activation="exact", backend="simulate",
+                                pool_size=4, ot_group=TEST_GROUP_512)
         )
         assert svc.pool is not None and len(svc.pool) == 0
         assert svc.prepare(1) == 1  # explicit offline phase fills it

@@ -1,16 +1,15 @@
-"""The pool's one refill, run only while nobody is waiting (PR 24).
+"""The pool's one refill, run only while nobody is waiting.
 
-Two models instead of sleeps (ROADMAP item 7(a)): the
-:class:`AdmissionGate` on an injected clock, and the
-:class:`PregarbledPool` with that gate as its owner's idle signal, its
-refill loop body driven step by step from the test thread.  What the
-models cannot reach — a wait that has to *block* — gets a few
-deterministic threaded tests that hold the blocked side on an event.
+Two models instead of sleeps: the :class:`AdmissionGate` on an injected
+clock, and the :class:`PregarbledPool` on a stub copy maker and the same
+kind of clock, owned by such a gate or by nobody, its refill step driven
+from the test thread.  What the models cannot reach — a wait that has
+to *block* — gets a few threaded tests that learn the blocked side is
+waiting from the condition it waits on, never from a sleep.
 """
 
 import random
 import threading
-import time
 
 import pytest
 from hypothesis import settings
@@ -165,39 +164,93 @@ TestGateModel = GateMachine.TestCase
 TestGateModel.settings = MODEL_SETTINGS
 
 
+class OwnerWouldBlock(BaseException):
+    """Raised by the model's owner where the real ``wait_idle`` would
+    block; a BaseException, so the refill step does not count it."""
+
+
+class _Half:
+    """One half of a stub copy: a fresh object with the sizes ``warm()``
+    adds up."""
+
+    nbytes = 100
+    offline_bytes = 40
+
+
+#: the n-th refill crash's backoff, from the first on
+BACKOFF_SCHEDULE = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0]
+
+
+def _stub_copies(count, bob_bits):
+    """A copy maker that garbles nothing."""
+    assert bob_bits == BOB_BITS
+    return [(_Half(), _Half()) for _ in range(count)]
+
+
 class PoolMachine(RuleBasedStateMachine):
-    """A pool owned by a gate.  The refill thread is replaced by a rule
-    that runs the loop body in the test thread whenever the model says
-    it would not block, so every interleaving is one hypothesis chose."""
+    """A pool on a stub copy maker and the model's fake clock, owned by a
+    gate or by nobody.  The thread ``acquire()`` starts ends at once; a
+    rule runs the refill step in the test thread instead, so every
+    interleaving is one hypothesis chose."""
 
     @initialize(
-        capacity=st.integers(1, 4), refill=st.sampled_from(["none", "idle"])
+        capacity=st.integers(1, 4),
+        refill=st.sampled_from(["none", "idle"]),
+        owned=st.booleans(),
+        crashes_first=st.booleans(),
     )
-    def build(self, capacity, refill):
+    def build(self, capacity, refill, owned, crashes_first):
         self.g = GateModel(0)
+        self.owned = owned
         self.pool = PregarbledPool(
             CIRCUIT, BOB_BITS, capacity=capacity, refill=refill,
-            idle_wait=self.g.gate.wait_idle, rng=random.Random(5),
+            idle_wait=self.owner_idle_wait if owned else None,
             ot_group=TEST_GROUP_512,
         )
-        # the thread acquire() starts ends at once; refill_step is the loop
-        self.pool._refill_supervisor = lambda: None
-        self.size = self.acquires = self.refills = 0
-        self.closed = False
+        self.pool._refill_run = lambda: None
+        self.pool._clock = self.g.clock
+        self.pool._session.pregarble_many = self.make_copies
+        self.size = self.acquires = self.refills = self.garbled = 0
+        self.crashes = 0
+        self.closed = self.started = False
         self.handed = []  # strong references: ids stay unique
-        self.stepping = False
-        pregarble_many = self.pool._session.pregarble_many
+        self.stepping = self.poisoned = False
+        self.copy_s = 0.01  # what the next copy takes on the fake clock
+        self.fastest = None  # the fastest per-copy time seen
+        self.asked = []  # what each idle_wait was asked for
+        self.violations = []
+        # the thread's first turn, on a fresh pool: room for every copy,
+        # and an owner that has seen no gap.  Hypothesis draws few such
+        # states later on, and a refill bug shows in them at once
+        if refill == "idle":
+            if crashes_first and self.turn_runs():
+                self.copy_maker_raises()
+            else:
+                self.refill_step()
 
-        def watched(count, bob_bits):
-            if self.stepping:
-                # no refill garbles while the gate has anything in flight
-                assert self.g.gate.stats()["inflight"] == 0
-                assert count == 1
-            # every copy, warmed or refilled, is made for the pool's bits
-            assert bob_bits == BOB_BITS
-            return pregarble_many(count, bob_bits)
+    # -- the stubs ---------------------------------------------------------
 
-        self.pool._session.pregarble_many = watched
+    def make_copies(self, count, bob_bits):
+        # recorded, not raised: the step would count an assertion as a crash
+        if self.stepping and count != 1:
+            self.violations.append(f"{count} copies in one wake")
+        if self.stepping and self.owned and self.g.gate.stats()["inflight"]:
+            self.violations.append("a copy while a request is in flight")
+        if self.poisoned:
+            raise RuntimeError("poisoned garble")
+        self.g.clock.now += count * self.copy_s
+        self.fastest = min(self.fastest or self.copy_s, self.copy_s)
+        return _stub_copies(count, bob_bits)
+
+    def owner_idle_wait(self, need_s):
+        self.asked.append(need_s)
+        verdict = self.g.would_return(need_s)
+        if verdict is None:
+            raise OwnerWouldBlock
+        assert self.g.gate.wait_idle(need_s) is verdict
+        return verdict
+
+    # -- rules -------------------------------------------------------------
 
     @rule(count=st.one_of(st.none(), st.integers(1, 3)))
     def warm(self, count):
@@ -205,11 +258,17 @@ class PoolMachine(RuleBasedStateMachine):
         expected = room if count is None else min(room, count)
         assert self.pool.warm(count) == expected
         self.size += expected
+        self.garbled += expected
+
+    @rule(copy_s=st.sampled_from([0.001, 0.009, 0.069, 0.5]))
+    def copy_time(self, copy_s):
+        self.copy_s = copy_s
 
     @rule()
     def acquire(self):
         item = self.pool.acquire()
         self.acquires += 1
+        self.started |= self.pool.refill == "idle" and not self.closed
         assert (item is None) == (self.size == 0)
         if item is not None:
             assert all(item is not other for other in self.handed)
@@ -229,49 +288,110 @@ class PoolMachine(RuleBasedStateMachine):
     def advance(self, dt):
         self.g.clock.now += dt
 
-    @rule()
-    def owner_drains(self):
-        self.g.gate.drain(0.0)
-        self.g.draining = True
+    @precondition(lambda self: self.acquires and not self.closed)
+    @rule(how=st.sampled_from(["owner_drains", "close"]))
+    def shutdown(self, how):
+        # after a first draw: a pool closed at birth would end most runs
+        if how == "close":
+            self.pool.close()
+            self.closed = True
+        else:
+            self.g.gate.drain(0.0)
+            self.g.draining = True
 
     @precondition(lambda self: self.pool.refill == "idle")
-    @rule()
-    def refill_step(self):
-        if not self.closed and self.size >= self.pool.capacity:
-            return  # would block waiting for room
+    @rule(steps=st.integers(1, 3))
+    def refill(self, steps):
+        """Up to ``steps`` turns of the refill, stopping where the next
+        one would block."""
+        for _ in range(steps):
+            if not self.refill_step():
+                break
+
+    def turn_runs(self):
+        """Whether a refill turn would reach the copy maker now."""
         need_s = self.pool.stats()["per_copy_s"] or 0.0
-        verdict = False if self.closed else self.g.would_return(need_s)
-        if verdict is None:
-            return  # would block on the owner's idle signal
+        return (
+            self.pool.refill == "idle" and not self.closed
+            and self.size < self.pool.capacity
+            and (not self.owned or self.g.would_return(need_s) is True)
+        )
+
+    @precondition(turn_runs)
+    @rule()
+    def copy_maker_raises(self):
+        # nine crashes in a row reach the backoff's cap from any count
+        self.poisoned = True
+        try:
+            for _ in range(9):
+                assert self.refill_step()
+        finally:
+            self.poisoned = False
+
+    def refill_step(self):
+        """One turn, checked against the model; False where it blocks
+        or ends."""
+        if not self.closed and self.size >= self.pool.capacity:
+            return False  # it would wait for room: a threaded test's case
+        verdict = True
+        if self.closed:
+            verdict = None
+        elif self.owned:
+            need_s = self.pool.stats()["per_copy_s"] or 0.0
+            verdict = self.g.would_return(need_s)
+        asked = len(self.asked)
         self.stepping = True
         try:
-            assert self.pool._refill_step() is verdict
+            backoff = self.pool._refill_step()
+        except OwnerWouldBlock:
+            assert verdict is None and not self.closed
+            return False
         finally:
             self.stepping = False
-        if verdict:
+        # a closed pool ends the loop without asking; an owner is asked
+        # for the fastest per-copy time seen, never an average
+        if self.owned and not self.closed:
+            assert self.asked[asked:] == [pytest.approx(self.fastest or 0.0)]
+        else:
+            assert self.asked[asked:] == []
+        if not verdict:
+            assert backoff is None
+            return False
+        if self.poisoned:
+            self.crashes += 1
+            assert backoff == BACKOFF_SCHEDULE[min(self.crashes, 8) - 1]
+        else:
+            assert backoff == 0.0
             self.size += 1
             self.refills += 1
-
-    @rule()
-    def close(self):
-        self.pool.close()
-        self.closed = True
+            self.garbled += 1
+        return True
 
     @invariant()
     def pool_agrees_with_the_model(self):
+        assert self.violations == []
         stats = self.pool.stats()
         assert stats["size"] == self.size == len(self.pool)
         assert stats["size"] + stats["pending"] <= stats["capacity"]
         assert stats["hits"] + stats["misses"] == self.acquires
         assert stats["hits"] == len(self.handed)
         assert stats["refills"] == self.refills
-        assert stats["refill_crashes"] == 0
+        assert stats["garbled_total"] == self.garbled
+        assert stats["offline_bytes"] == _Half.offline_bytes * self.garbled
+        if self.fastest is None:
+            assert stats["per_copy_s"] is None
+        else:
+            assert stats["per_copy_s"] == pytest.approx(self.fastest)
+        assert stats["refill_crashes"] == self.crashes
+        if self.crashes:
+            assert "poisoned garble" in stats["last_refill_error"]
+        else:
+            assert stats["last_refill_error"] is None
+        # "none" never starts a thread; "idle" starts it on the first
+        # draw from an open pool, and close() joins it
         thread = self.pool._refill_thread
-        if self.pool.refill == "none":
-            assert thread is None
-        elif thread is not None:
-            thread.join(timeout=5.0)  # the stub: started, already over
-            assert not thread.is_alive()
+        assert (thread is not None) == (self.started and not self.closed)
+        assert stats["leaked_refill_thread"] is False
 
     def teardown(self):
         self.pool.close()
@@ -286,12 +406,20 @@ TestPoolModel.settings = MODEL_SETTINGS
 # ---------------------------------------------------------------------------
 
 
-def _in_thread(fn):
-    """Run ``fn`` in a thread; returns (thread, one-slot result list)."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
-    thread.start()
-    return thread, out
+def _waits_on(cond):
+    """A semaphore released each time a thread starts waiting on
+    ``cond``.  The waiter holds the lock until the real wait lets go of
+    it, so whatever the test does after acquiring happens while it
+    waits."""
+    entered = threading.Semaphore(0)
+    wait = cond.wait
+
+    def counted(timeout=None):
+        entered.release()
+        return wait(timeout)
+
+    cond.wait = counted
+    return entered
 
 
 class TestGateIdleWait:
@@ -302,121 +430,51 @@ class TestGateIdleWait:
         gate.release(1)
         clock.now += gap_s
         gate.admit(1)
-        return gate, clock
+        return gate, clock, _waits_on(gate._cond)
 
-    def test_no_gap_no_expectation(self):
-        clock = FakeClock()
-        gate = AdmissionGate(clock=clock)
-
-        def expected():
-            return gate.stats()["expected_idle_s"]
-
-        clock.now += 50.0  # construction to first admit is not a gap
-        assert expected() is None
-        gate.admit(1)
+    def test_blocks_while_in_flight_and_release_wakes_it(self, in_thread):
+        gate, _clock, waits = self._gate_with_a_gap()
+        result = in_thread(gate.wait_idle, 1.0)
+        assert waits.acquire(timeout=5.0)  # blocked: a request is in flight
         gate.release(1)
-        clock.now += 50.0
-        # one request seen: idle, but nothing to expect yet
-        assert expected() is None
-        gate.admit(1)  # a 50 s gap observed
-        assert expected() is None  # in flight
-        gate.release(1)
-        assert expected() == 50.0
-        clock.now += 20.0
-        assert expected() == 30.0
-        assert gate.wait_idle(30.0) is True
-        clock.now += 40.0
-        assert expected() == 0.0  # overdue, not negative
+        assert result(5.0) is True
 
-    def test_blocks_while_in_flight_and_release_wakes_it(self):
-        gate, _clock = self._gate_with_a_gap()
-        thread, out = _in_thread(lambda: gate.wait_idle(1.0))
-        thread.join(timeout=0.2)
-        assert thread.is_alive() and not out  # blocked: a request is in flight
-        gate.release(1)
-        thread.join(timeout=5.0)
-        assert out == [True]
-
-    def test_too_short_an_expectation_keeps_waiting(self):
-        gate, clock = self._gate_with_a_gap(gap_s=0.5)
-        thread, out = _in_thread(lambda: gate.wait_idle(1.0))
+    def test_too_short_an_expectation_keeps_waiting(self, in_thread):
+        gate, clock, waits = self._gate_with_a_gap(gap_s=0.5)
+        result = in_thread(gate.wait_idle, 1.0)
+        assert waits.acquire(timeout=5.0)
         gate.release(1)  # idle, but only 0.5 s expected
-        thread.join(timeout=0.2)
-        assert thread.is_alive() and not out
+        assert waits.acquire(timeout=5.0)  # woken, and waiting again
         clock.now += 3.0
         gate.admit(1)  # a 3 s gap observed
         gate.release(1)
-        thread.join(timeout=5.0)
-        assert out == [True]
+        assert result(5.0) is True
 
-    def test_drain_refuses_the_waiter(self):
-        gate, _clock = self._gate_with_a_gap()
-        thread, out = _in_thread(lambda: gate.wait_idle(1.0))
-        thread.join(timeout=0.1)
-        assert thread.is_alive()
+    def test_drain_refuses_the_waiter(self, in_thread):
+        gate, _clock, waits = self._gate_with_a_gap()
+        result = in_thread(gate.wait_idle, 1.0)
+        assert waits.acquire(timeout=5.0)
         gate.drain(0.0)
-        thread.join(timeout=5.0)
-        assert out == [False]
+        assert result(5.0) is False
         assert gate.wait_idle(0.0) is False  # and every later one
 
 
 class TestRefillStep:
-    """The loop body against a scripted owner signal: no thread, no sleep."""
-
-    def _pool(self, answers, capacity=3):
+    def test_full_pool_waits_for_room_not_for_the_owner(self, in_thread):
         asked = []
-
-        def idle_wait(need_s):
-            asked.append(need_s)
-            return answers.pop(0)
-
         pool = PregarbledPool(
-            CIRCUIT, BOB_BITS, capacity=capacity, refill="idle", idle_wait=idle_wait,
-            rng=random.Random(9),
+            CIRCUIT, BOB_BITS, capacity=1, refill="idle",
+            idle_wait=lambda need_s: asked.append(need_s) or True,
+            ot_group=TEST_GROUP_512,
         )
-        return pool, asked
-
-    def test_one_copy_per_idle_answer_and_false_ends_the_loop(self):
-        pool, asked = self._pool([True, True, False])
-        pool._refill_loop()  # returns instead of spinning: False ended it
-        assert len(asked) == 3
-        stats = pool.stats()
-        assert (stats["size"], stats["refills"], stats["garbled_total"]) == (
-            2, 2, 2,
-        )
-
-    def test_asks_for_the_fastest_copy_time_not_an_average(self, monkeypatch):
-        import repro.engine.pool as pool_module
-
-        pool, asked = self._pool([True, True, True, False], capacity=4)
-        # warm() reads the clock twice per copy: 69 ms for the first
-        # (contended, builds the level schedule), 9 ms, then 500 ms
-        ticks = iter([0.0, 0.069, 1.0, 1.009, 2.0, 2.5])
-        monkeypatch.setattr(
-            pool_module.time, "monotonic", lambda: next(ticks)
-        )
-        pool._refill_loop()
-        # nothing measured yet -> 0; then the first sample; then the
-        # fastest seen, which the slow third sample does not raise
-        assert asked == pytest.approx([0.0, 0.069, 0.009, 0.009])
-        assert pool.stats()["per_copy_s"] == pytest.approx(0.009)
-
-    def test_closed_pool_ends_the_loop_without_asking(self):
-        pool, asked = self._pool([True])
-        pool.close()
-        assert pool._refill_step() is False
-        assert asked == [] and len(pool) == 0
-
-    def test_full_pool_waits_for_room_not_for_the_owner(self):
-        pool, asked = self._pool([True, False], capacity=1)
+        pool._session.pregarble_many = _stub_copies
+        pool._refill_run = lambda: None
         assert pool.warm() == 1
-        thread, out = _in_thread(pool._refill_step)
-        thread.join(timeout=0.2)
-        assert thread.is_alive() and asked == []  # full: owner not asked
-        pool._refill_supervisor = lambda: None
+        waits = _waits_on(pool._cond)
+        result = in_thread(pool._refill_step)
+        assert waits.acquire(timeout=5.0) and asked == []  # full: owner not asked
         assert pool.acquire() is not None  # room, and a notify
-        thread.join(timeout=5.0)
-        assert out == [True] and len(asked) == 1 and len(pool) == 1
+        assert result(5.0) == 0.0 and len(asked) == 1 and len(pool) == 1
 
 
 @pytest.fixture
@@ -433,19 +491,18 @@ def make_service(tiny_model):
     return make
 
 
-def _wait_until(predicate, timeout=15.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline and not predicate():
-        time.sleep(interval)
-    return predicate()
-
-
 class TestServiceWiring:
     def test_refill_waits_for_the_request_to_leave(self, make_service):
+        """The service's gate is its pool's owner: stepped by hand on the
+        gate's fake clock, the refill garbles only once a gap has been
+        seen and nothing is in flight."""
         service, x = make_service(pool_size=2, rng=random.Random(3))
+        clock = FakeClock()
+        service._gate._clock = clock
         try:
             assert service.prepare() == 2
             pool = service.pool
+            pool._refill_run = lambda: None  # the test drives the step
             garbled_inflight = []
             pregarble_many = pool._session.pregarble_many
 
@@ -457,19 +514,18 @@ class TestServiceWiring:
 
             pool._session.pregarble_many = watched
             assert service.infer(x[0]).pregarbled
-            # one request seen: no gap yet, so nothing may be garbled
-            assert pool.stats()["refills"] == 0
-            threading.Event().wait(0.3)  # a gap worth many garble times
+            # one request seen: no gap yet, so a step would block
+            assert service.stats["expected_idle_s"] is None
+            clock.now += 10.0  # a gap worth many garble times
             assert service.infer(x[1]).pregarbled
-            assert _wait_until(lambda: len(pool) == 2), pool.stats()
-            assert garbled_inflight and set(garbled_inflight) == {0}
+            assert service.stats["expected_idle_s"] == 10.0
+            assert [pool._refill_step(), pool._refill_step()] == [0.0, 0.0]
+            assert len(pool) == 2 and garbled_inflight == [0, 0]
             assert service.infer(x[2]).pregarbled  # refilled material
-            assert service.stats["expected_idle_s"] is not None
         finally:
             service.close()
         stats = service.stats["pool"]
-        assert stats["leaked_refill_thread"] is False
-        assert stats["refill_crashes"] == 0
+        assert stats["refills"] == 2 and stats["refill_crashes"] == 0
 
     def test_prepare_after_traffic_still_returns_what_was_asked(self, make_service):
         # trap: a pool created by prepare() once the gate has seen a gap

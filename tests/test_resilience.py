@@ -96,15 +96,6 @@ def small_circuit(seed=7, n_gates=50, n_inputs=4):
     return bld.build()
 
 
-def _wait_until(predicate, timeout=15.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
-
-
 # ---------------------------------------------------------------------------
 # the chaos matrix
 # ---------------------------------------------------------------------------
@@ -616,56 +607,23 @@ TestBreakerModel.settings = settings(
 
 
 class TestPoolSelfHealing:
-    def test_refill_crash_counted_and_restarted(self, monkeypatch):
-        calls = []
-        real_refill = PregarbledPool._refill_loop
-
-        def flaky(self):
-            calls.append(1)
-            if len(calls) <= 2:
-                raise RuntimeError("poisoned garble")
-            real_refill(self)
-
-        monkeypatch.setattr(PregarbledPool, "_refill_loop", flaky)
-        pool = PregarbledPool(
-            small_circuit(), [0, 1, 1, 0], capacity=2, refill="idle",
-            rng=random.Random(0),
-        )
-        try:
-            assert pool.acquire() is None  # the first draw starts the refill
-            assert _wait_until(
-                lambda: pool.stats()["refill_crashes"] >= 2 and len(pool) == 2
-            ), pool.stats()
-            stats = pool.stats()
-            assert "poisoned garble" in stats["last_refill_error"]
-            assert stats["leaked_refill_thread"] is False
-        finally:
-            pool.close()
-
     def test_close_join_timeout_reports_leak(self, monkeypatch):
         release = threading.Event()
         monkeypatch.setattr(
-            PregarbledPool, "_refill_loop",
+            PregarbledPool, "_refill_run",
             lambda self: release.wait(10.0),
         )
         pool = PregarbledPool(
             small_circuit(), [0, 1, 1, 0], capacity=1, refill="idle",
-            rng=random.Random(0),
+            rng=random.Random(0), ot_group=TEST_GROUP_512,
         )
         assert pool.acquire() is None  # the first draw starts the refill
         pool.close(timeout=0.1)
         assert pool.stats()["leaked_refill_thread"] is True
         release.set()
-        assert _wait_until(lambda: not pool._refill_thread.is_alive())
+        pool._refill_thread.join(timeout=10.0)
         pool.close()  # idempotent; clears the leak flag after the join
         assert pool.stats()["leaked_refill_thread"] is False
-
-    def test_close_is_idempotent_without_thread(self):
-        pool = PregarbledPool(
-            small_circuit(), [0, 1, 1, 0], capacity=1, refill="none", rng=random.Random(0)
-        )
-        pool.close()
-        pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1080,6 +1038,26 @@ class TestByteFaultsOnSocketChannel:
 # ---------------------------------------------------------------------------
 
 
+def _held_request(service, sample, in_thread):
+    """Serve ``sample`` on a thread, held in flight until ``close()``
+    begins its drain: the request is admitted before ``_serve`` runs,
+    and while anything is in flight the gate's ``wait_idle`` returns
+    only once a drain begins.  Returns the thread's ``result()``."""
+    serve = service._serve
+    admitted = threading.Event()
+
+    def held(requests):
+        admitted.set()
+        assert service._gate.wait_idle(0.0) is False
+        return serve(requests)
+
+    service._serve = held
+    result = in_thread(service.infer, sample)
+    assert admitted.wait(timeout=60.0)
+    assert service.stats["inflight"] == 1
+    return result
+
+
 class TestServiceAdmissionAndDrain:
     def test_overload_errors_are_permanent_and_never_retried(self):
         for error in (ServiceOverloadedError("x"), ServiceDrainingError("x")):
@@ -1112,18 +1090,11 @@ class TestServiceAdmissionAndDrain:
         finally:
             service.close()
 
-    def test_close_drains_inflight_then_refuses_new_work(self):
+    def test_close_drains_inflight_then_refuses_new_work(self, in_thread):
         service, x = _trained_service()
-        box = []
-        thread = threading.Thread(
-            target=lambda: box.append(service.infer(x[0]))
-        )
-        thread.start()
-        assert _wait_until(lambda: service.stats["inflight"] == 1)
+        result = _held_request(service, x[0], in_thread)
         service.close(drain_timeout_s=60.0)
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
-        assert box and box[0].ok
+        assert result().ok
         stats = service.stats
         assert stats["drained_requests"] == 1
         assert stats["aborted_requests"] == 0
@@ -1132,16 +1103,13 @@ class TestServiceAdmissionAndDrain:
             service.infer(x[1])
         service.close()  # idempotent
 
-    def test_expired_grace_counts_aborted_requests(self):
+    def test_expired_grace_counts_aborted_requests(self, in_thread):
         service, x = _trained_service()
-        thread = threading.Thread(target=lambda: service.infer(x[0]))
-        thread.start()
-        assert _wait_until(lambda: service.stats["inflight"] == 1)
+        result = _held_request(service, x[0], in_thread)
         service.close(drain_timeout_s=0.0)
         assert service.stats["aborted_requests"] == 1
         assert service.stats["drained_requests"] == 0
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
+        result()  # an aborted request still runs to its end
 
     def test_whole_batch_admission_is_all_or_nothing(self):
         service, x = _trained_service(max_inflight=2)

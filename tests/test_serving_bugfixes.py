@@ -3,7 +3,8 @@
 Three bugs shipped with the PR 1 serving layer:
 
 * the pre-garbled pool never refilled — once the initial ``warm()``
-  material drained, every later request was a cold miss forever;
+  material drained, every later request was a cold miss forever (the
+  refill itself is modelled in ``test_idle_refill.py``);
 * ``infer_many`` used ``executor.map``, so one failing request raised
   and discarded every completed result in the batch;
 * ``execute`` bumped its counters without the service lock while
@@ -15,7 +16,6 @@ Each test here fails against the PR 1 behavior.
 
 import random
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,25 +30,6 @@ from repro.nn import Dense, Sequential, Tanh, TrainConfig, Trainer
 from repro.service import InferenceRequest, PrivateInferenceService
 
 FMT = FixedPointFormat(2, 6)
-
-
-def _wait_until(predicate, timeout=15.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
-
-
-def _small_circuit():
-    return build_gate_chain(60, "and")
-
-
-def _pool(**kwargs):
-    """A pool over the gate chain, its copies made for all-one Bob bits."""
-    circuit = _small_circuit()
-    return PregarbledPool(circuit, [1] * circuit.n_bob, **kwargs)
 
 
 def _trained_service(**config_kwargs):
@@ -67,82 +48,20 @@ def _trained_service(**config_kwargs):
 
 
 class TestPoolRefill:
-    def test_none_policy_stays_drained(self):
-        """The PR 1 behavior is still available as an explicit opt-in."""
-        pool = _pool(capacity=2, refill="none",
-                              rng=random.Random(0))
-        assert pool.warm() == 2
-        assert pool.acquire() is not None
-        assert pool.acquire() is not None
-        time.sleep(0.1)
-        assert len(pool) == 0 and pool.acquire() is None
-
-    def test_idle_refills_after_drain(self):
-        """Drain the pool dry; once its owner is idle, material comes back."""
-        idle = threading.Event()
-
-        def idle_wait(need_s):
-            # the owner's signal: nobody is idle until the test says so,
-            # so the drained acquire below is always a recorded miss
-            assert idle.wait(timeout=10.0), "owner never went idle"
-            return True
-
-        pool = _pool(capacity=2, refill="idle", idle_wait=idle_wait,
-            rng=random.Random(1),
-        )
-        assert pool.warm() == 2
-        assert pool.acquire() is not None
-        assert pool.acquire() is not None
-        assert pool.acquire() is None  # drained: a miss
-        assert pool.stats()["garbled_total"] == 2  # nothing while busy
-        idle.set()
-        assert _wait_until(lambda: pool.stats()["refills"] >= 1), \
-            "pool never refilled"
-        assert pool.acquire() is not None  # served warm again
-        stats = pool.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 3
-        assert stats["garbled_total"] > 2
-        pool.close()
-
-    def test_ownerless_idle_pool_tops_itself_up(self):
-        pool = _pool(capacity=3, refill="idle", rng=random.Random(2),
-        )
-        # a pool nobody has drawn from has nothing to refill: no thread
-        # yet, so an operator's warm() cannot lose slots to one
-        assert pool._refill_thread is None
-        assert pool.warm() == 3
-        assert pool.acquire() is not None
-        # no owner signal = owner always idle: one copy at a time, to the top
-        assert _wait_until(lambda: len(pool) == 3), "no top-up after a draw"
-        assert pool.stats()["refills"] == 1
-        pool.close()
-        # close is idempotent and stops the thread
-        pool.close()
-        assert pool._refill_thread is None
-
     def test_unknown_policy_rejected(self):
         # the two removed policies are refused by name like any other,
         # and the error names the two that exist
         for name in ("aggressive", "opportunistic", "background"):
             with pytest.raises(EngineError, match="refill.*none, idle"):
-                _pool(refill=name)
+                circuit = build_gate_chain(60, "and")
+                PregarbledPool(
+                    circuit, [1] * circuit.n_bob, refill=name,
+                    ot_group=TEST_GROUP_512,
+                )
             with pytest.raises(EngineError, match="pool_refill.*none, idle"):
                 EngineConfig(pool_refill=name)
         assert EngineConfig().pool_refill == "idle"
         assert EngineConfig(pool_refill="none").pool_refill == "none"
-
-    def test_warm_batches_and_respects_capacity(self):
-        pool = _pool(capacity=4,
-                              rng=random.Random(3))
-        assert pool.warm(2) == 2
-        assert pool.warm() == 2  # fills remaining room in one batch
-        assert pool.warm() == 0
-        assert pool.garbled_total == 4
-        units = [pool.acquire() for _ in range(4)]
-        assert all(u is not None for u in units)
-        # single-use material is all distinct
-        assert len({id(u) for u in units}) == 4
 
     def test_service_surfaces_pool_stats(self):
         service, x = _trained_service(

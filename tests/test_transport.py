@@ -10,7 +10,6 @@ import random
 import signal
 import socket
 import threading
-import time
 import uuid
 import zlib
 
@@ -862,33 +861,23 @@ class TestShardedService:
         finally:
             service.close()
 
-    def test_a_late_reply_never_answers_a_later_request(self, tmp_path):
+    def test_a_late_reply_never_answers_a_later_request(self, held_shards):
         """An RPC that times out retires its link: the worker's late
         reply to batch A is never read as batch B's answer, and the next
         ``stats()`` reads no stale record either."""
-        marker = tmp_path / "slept"
-
-        def slow_first_batch():
-            service = _tiny_service()
-            infer_many = service.infer_many
-
-            def slow(*args, **kwargs):
-                if not marker.exists():  # only the first worker sleeps
-                    marker.touch()
-                    time.sleep(1.0)
-                return infer_many(*args, **kwargs)
-
-            service.infer_many = slow
-            return service
-
-        service = _unsupervised(slow_first_batch, shards=1, rpc_timeout_s=0.3)
+        factory, release = held_shards
+        service = _unsupervised(factory, shards=1, rpc_timeout_s=0.3)
         try:
             samples = _tiny_samples(4)
             reference = _tiny_service()
             expected = [reference.cleartext_label(s) for s in samples]
             reference.close()
             batch_a = service.infer_many(samples[:2], request_ids=["a0", "a1"])
-            time.sleep(1.5)  # long enough for a worker's late reply to A
+            # the worker may now answer A, and B after it: on a reused
+            # link A's reply would be the next record B reads.  The
+            # retired link's worker is dead and reads neither byte; the
+            # restarted one takes one for C
+            release(2)
             batch_b = service.infer_many(samples[2:], request_ids=["b0", "b1"])
             assert [r.request_id for r in batch_a + batch_b] == [
                 "a0", "a1", "b0", "b1"
@@ -911,10 +900,11 @@ class TestShardedService:
         finally:
             service.close()
 
-    def test_the_front_end_never_builds_a_service(self, tmp_path):
+    def test_the_front_end_never_builds_a_service(self, tmp_path, in_thread):
         """Every service is built in a shard process, also when a shard
         is killed mid-batch and its chunk must be served elsewhere."""
         builders = tmp_path / "pids"
+        victim = tmp_path / "victim"
 
         def recorded():
             with open(builders, "a") as log:
@@ -922,11 +912,12 @@ class TestShardedService:
             service = _tiny_service()
             infer_many = service.infer_many
 
-            def slow(*args, **kwargs):
-                time.sleep(0.5)  # the kill below lands mid-batch
+            def held(*args, **kwargs):
+                while victim.read_text() == str(os.getpid()):
+                    signal.pause()  # held until the kill below
                 return infer_many(*args, **kwargs)
 
-            service.infer_many = slow
+            service.infer_many = held
             return service
 
         service = _unsupervised(recorded, shards=2)
@@ -936,12 +927,15 @@ class TestShardedService:
             expected = [reference.cleartext_label(s) for s in samples]
             reference.close()
             victim_pid = service._shards[0].process.pid
-            killer = threading.Timer(
-                0.2, lambda: os.kill(victim_pid, signal.SIGKILL)
-            )
-            killer.start()
+            victim.write_text(str(victim_pid))
+
+            def kill_once_sent():
+                assert service.wait_infer_sent(0, timeout=60.0)
+                os.kill(victim_pid, signal.SIGKILL)
+
+            killer = in_thread(kill_once_sent)
             results = service.infer_many(samples)
-            killer.join()
+            killer()
             assert [r.label for r in results] == expected
             pids = {int(line) for line in builders.read_text().split()}
             assert len(pids) == 2 and os.getpid() not in pids
@@ -1079,15 +1073,6 @@ class TestRetainHeap:
         retain_heap()  # must not raise
 
 
-def _wait_until(predicate, timeout=90.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return bool(predicate())
-
-
 class TestFrontEndSurface:
     """The front-end's configuration is what callers set, and no more."""
 
@@ -1108,6 +1093,16 @@ class TestShardSupervision:
             _tiny_service, shards=2,
             probe_interval_s=0.1, restart_backoff_s=0.05,
         )
+        healed = threading.Event()
+        check_once = service.check_once
+
+        def watched(now=None):  # the healing thread's pass
+            actions = check_once(now)
+            if actions["restarts"]:
+                healed.set()
+            return actions
+
+        service.check_once = watched
         try:
             samples = _tiny_samples(4)
             reference = _tiny_service()
@@ -1125,10 +1120,7 @@ class TestShardSupervision:
             assert [r.label for r in results] == expected
             # the healing loop re-forks the worker within its backoff
             # budget and the shard walks suspect -> restarting -> alive
-            assert _wait_until(
-                lambda: service.stats()["restarts"] >= 1
-                and len(service.live_shards()) == 2
-            )
+            assert healed.wait(timeout=90.0)
             assert service.shard_states() == ["alive", "alive"]
             stats = service.stats()
             assert stats["per_shard"][0]["restarts"] == 1
@@ -1221,21 +1213,58 @@ class TestShardSupervision:
             service.close()
 
 
+@pytest.fixture
+def held_shards():
+    """``(factory, release)``: a service factory whose shard services
+    hold each batch until the test calls ``release(n)``, which lets
+    ``n`` batches through.  The hold is a pipe the forked shard reads a
+    byte from: it waits on the test process without polling."""
+    read_fd, write_fd = os.pipe()
+
+    def factory():
+        service = _tiny_service()
+        infer_many = service.infer_many
+
+        def held(*args, **kwargs):
+            os.read(read_fd, 1)
+            return infer_many(*args, **kwargs)
+
+        service.infer_many = held
+        return service
+
+    yield factory, lambda n=1: os.write(write_fd, b"x" * n)
+    os.close(read_fd)
+    os.close(write_fd)
+
+
+def _release_when_draining(service, release):
+    """Release one held batch once ``close()`` begins its drain: while a
+    batch is in flight, the gate's ``wait_idle`` returns only then."""
+    assert service._gate.wait_idle(0.0) is False
+    release()
+
+
 class TestAdmissionAndDrain:
-    def test_overload_sheds_the_whole_batch(self):
-        service = _unsupervised(_tiny_service, shards=1, max_inflight=2)
+    def _in_flight(self, held_shards, in_thread, **kwargs):
+        """A one-shard front-end with a two-request batch admitted and
+        held in its shard; returns the service and the batch's result."""
+        factory, _ = held_shards
+        service = _unsupervised(factory, shards=1, **kwargs)
+        result = in_thread(service.infer_many, _tiny_samples(2))
+        # the batch is admitted before its record goes out
+        assert service.wait_infer_sent(0, timeout=60.0)
+        assert service._gate.stats()["inflight"] == 2
+        return service, result
+
+    def test_overload_sheds_the_whole_batch(self, held_shards, in_thread):
+        service, result = self._in_flight(held_shards, in_thread, max_inflight=2)
+        _, release = held_shards
         try:
-            box = []
-            thread = threading.Thread(
-                target=lambda: box.extend(service.infer_many(_tiny_samples(2)))
-            )
-            thread.start()
-            assert _wait_until(lambda: service._gate.stats()["inflight"] == 2)
             # budget full: the incoming batch is shed whole, typed
             with pytest.raises(ServiceOverloadedError):
                 service.infer_many(_tiny_samples(1))
-            thread.join(timeout=90.0)
-            assert not thread.is_alive()
+            release(2)  # the held batch and the next one
+            box = result(90.0)
             assert len(box) == 2 and all(r.ok for r in box)
             stats = service.stats()
             assert stats["shed_requests"] == 1
@@ -1247,18 +1276,15 @@ class TestAdmissionAndDrain:
         finally:
             service.close()
 
-    def test_close_drains_inflight_batch_then_refuses_new_work(self):
-        service = _unsupervised(_tiny_service, shards=1)
-        box = []
-        thread = threading.Thread(
-            target=lambda: box.extend(service.infer_many(_tiny_samples(2)))
-        )
-        thread.start()
-        assert _wait_until(lambda: service._gate.stats()["inflight"] == 2)
+    def test_close_drains_inflight_batch_then_refuses_new_work(
+        self, held_shards, in_thread
+    ):
+        service, result = self._in_flight(held_shards, in_thread)
+        releaser = in_thread(_release_when_draining, service, held_shards[1])
         service.close(drain_timeout_s=90.0)
-        thread.join(timeout=90.0)
-        assert not thread.is_alive()
+        releaser()
         # the in-flight batch finished intact during the drain window
+        box = result(90.0)
         assert len(box) == 2 and all(r.ok for r in box)
         stats = service.stats()
         assert stats["drained_requests"] == 2
@@ -1268,20 +1294,17 @@ class TestAdmissionAndDrain:
             service.infer_many(_tiny_samples(1))
         service.close()  # idempotent
 
-    def test_expired_drain_grace_counts_aborted_requests(self):
-        service = _unsupervised(_tiny_service, shards=1)
-        box = []
-        thread = threading.Thread(
-            target=lambda: box.extend(service.infer_many(_tiny_samples(2)))
-        )
-        thread.start()
-        assert _wait_until(lambda: service._gate.stats()["inflight"] == 2)
+    def test_expired_drain_grace_counts_aborted_requests(
+        self, held_shards, in_thread
+    ):
+        service, result = self._in_flight(held_shards, in_thread)
+        releaser = in_thread(_release_when_draining, service, held_shards[1])
         service.close(drain_timeout_s=0.0)
         stats = service.stats()
         assert stats["aborted_requests"] == 2
         assert stats["drained_requests"] == 0
-        thread.join(timeout=90.0)
-        assert not thread.is_alive()
+        releaser()
+        result(90.0)  # an aborted batch still runs to its end
 
 
 class TestWorkerLifecycle:
@@ -1338,10 +1361,9 @@ class TestWorkerLifecycle:
                 assert recv_ctl(ctl, timeout=30.0)["op"] == "pong"
             finally:
                 sock.close()
-            assert _wait_until(
-                lambda: server.counters.get("integrity_errors", 0) == 1,
-                timeout=30.0,
-            )
+            # one connection at a time: the first one's counters were
+            # merged before the second was accepted
+            assert server.counters.get("integrity_errors", 0) == 1
         finally:
             server.request_shutdown()
             thread.join(timeout=30.0)

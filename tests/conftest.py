@@ -90,33 +90,31 @@ def base_batches(monkeypatch):
     return calls
 
 
-def _start(fn, *args):
-    """Run ``fn(*args)`` on a daemon thread.  Returns ``result(timeout)``:
-    it joins the thread and returns what ``fn`` returned, or re-raises
-    what it raised."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["value"] = fn(*args)
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-
-    def result(timeout=60.0):
-        thread.join(timeout)
-        assert not thread.is_alive(), f"{fn} still running after {timeout} s"
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["value"]
-
-    return result
-
-
 @pytest.fixture
 def in_thread():
-    """``in_thread(fn, *args)`` starts ``fn`` on a thread and returns a
-    ``result(timeout)`` that joins it and returns or re-raises."""
-    return _start
+    """``in_thread(fn, *args)`` runs ``fn`` on a daemon thread and returns
+    ``result(timeout)``: it joins the thread, then returns what ``fn``
+    returned or re-raises what it raised."""
+
+    def start(fn, *args):
+        outcome = {}
+
+        def run():
+            try:
+                outcome["value"] = fn(*args)
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+
+        def result(timeout=60.0):
+            thread.join(timeout)
+            assert not thread.is_alive(), f"{fn} still running after {timeout} s"
+            if "error" in outcome:
+                raise outcome["error"]
+            return outcome["value"]
+
+        return result
+
+    return start

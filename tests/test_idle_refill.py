@@ -8,8 +8,10 @@ to *block* — gets a few threaded tests that learn the blocked side is
 waiting from the condition it waits on, never from a sleep.
 """
 
+import functools
 import random
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -165,16 +167,7 @@ TestGateModel.settings = MODEL_SETTINGS
 
 
 class OwnerWouldBlock(BaseException):
-    """Raised by the model's owner where the real ``wait_idle`` would
-    block; a BaseException, so the refill step does not count it."""
-
-
-class _Half:
-    """One half of a stub copy: a fresh object with the sizes ``warm()``
-    adds up."""
-
-    nbytes = 100
-    offline_bytes = 40
+    """Where ``wait_idle`` would block (not an Exception: no crash)."""
 
 
 #: the n-th refill crash's backoff, from the first on
@@ -182,9 +175,11 @@ BACKOFF_SCHEDULE = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0]
 
 
 def _stub_copies(count, bob_bits):
-    """A copy maker that garbles nothing."""
+    """A copy maker that garbles nothing: fresh halves with the sizes
+    ``warm()`` adds up, 40 B of them offline."""
     assert bob_bits == BOB_BITS
-    return [(_Half(), _Half()) for _ in range(count)]
+    half = functools.partial(SimpleNamespace, nbytes=100, offline_bytes=40)
+    return [(half(), half()) for _ in range(count)]
 
 
 class PoolMachine(RuleBasedStateMachine):
@@ -302,9 +297,7 @@ class PoolMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.pool.refill == "idle")
     @rule(steps=st.integers(1, 3))
     def refill(self, steps):
-        """Up to ``steps`` turns of the refill, stopping where the next
-        one would block."""
-        for _ in range(steps):
+        for _ in range(steps):  # stopping where the next turn would block
             if not self.refill_step():
                 break
 
@@ -329,8 +322,7 @@ class PoolMachine(RuleBasedStateMachine):
             self.poisoned = False
 
     def refill_step(self):
-        """One turn, checked against the model; False where it blocks
-        or ends."""
+        """One turn, checked against the model; False where it blocks."""
         if not self.closed and self.size >= self.pool.capacity:
             return False  # it would wait for room: a threaded test's case
         verdict = True
@@ -377,7 +369,7 @@ class PoolMachine(RuleBasedStateMachine):
         assert stats["hits"] == len(self.handed)
         assert stats["refills"] == self.refills
         assert stats["garbled_total"] == self.garbled
-        assert stats["offline_bytes"] == _Half.offline_bytes * self.garbled
+        assert stats["offline_bytes"] == 40 * self.garbled
         if self.fastest is None:
             assert stats["per_copy_s"] is None
         else:
@@ -422,7 +414,7 @@ def _waits_on(cond):
     return entered
 
 
-class TestGateIdleWait:
+class TestBlockingWaits:
     def _gate_with_a_gap(self, gap_s=10.0):
         clock = FakeClock()
         gate = AdmissionGate(clock=clock)
@@ -458,8 +450,6 @@ class TestGateIdleWait:
         assert result(5.0) is False
         assert gate.wait_idle(0.0) is False  # and every later one
 
-
-class TestRefillStep:
     def test_full_pool_waits_for_room_not_for_the_owner(self, in_thread):
         asked = []
         pool = PregarbledPool(

@@ -1039,10 +1039,9 @@ class TestByteFaultsOnSocketChannel:
 
 
 def _held_request(service, sample, in_thread):
-    """Serve ``sample`` on a thread, held in flight until ``close()``
-    begins its drain: the request is admitted before ``_serve`` runs,
-    and while anything is in flight the gate's ``wait_idle`` returns
-    only once a drain begins.  Returns the thread's ``result()``."""
+    """Serve ``sample`` on a thread, admitted and held in flight until
+    ``close()`` begins its drain (while anything is in flight, the
+    gate's ``wait_idle`` returns only then); returns its ``result``."""
     serve = service._serve
     admitted = threading.Event()
 

@@ -5,7 +5,8 @@ clock, and the :class:`PregarbledPool` on a stub copy maker and the same
 kind of clock, owned by such a gate or by nobody, its refill step driven
 from the test thread.  What the models cannot reach — a wait that has
 to *block* — gets a few threaded tests that learn the blocked side is
-waiting from the condition it waits on, never from a sleep.
+waiting from the condition it waits on, never from a sleep.  A few of
+the models' paths are also pinned as examples, run in the test thread.
 """
 
 import functools
@@ -414,7 +415,7 @@ def _waits_on(cond):
     return entered
 
 
-class TestBlockingWaits:
+class TestGateIdleWait:
     def _gate_with_a_gap(self, gap_s=10.0):
         clock = FakeClock()
         gate = AdmissionGate(clock=clock)
@@ -423,6 +424,30 @@ class TestBlockingWaits:
         clock.now += gap_s
         gate.admit(1)
         return gate, clock, _waits_on(gate._cond)
+
+    def test_no_gap_no_expectation(self):
+        clock = FakeClock()
+        gate = AdmissionGate(clock=clock)
+
+        def expected():
+            return gate.stats()["expected_idle_s"]
+
+        clock.now += 50.0  # construction to first admit is not a gap
+        assert expected() is None
+        gate.admit(1)
+        gate.release(1)
+        clock.now += 50.0
+        # one request seen: idle, but nothing to expect yet
+        assert expected() is None
+        gate.admit(1)  # a 50 s gap observed
+        assert expected() is None  # in flight
+        gate.release(1)
+        assert expected() == 50.0
+        clock.now += 20.0
+        assert expected() == 30.0
+        assert gate.wait_idle(30.0) is True
+        clock.now += 40.0
+        assert expected() == 0.0  # overdue, not negative
 
     def test_blocks_while_in_flight_and_release_wakes_it(self, in_thread):
         gate, _clock, waits = self._gate_with_a_gap()
@@ -450,15 +475,57 @@ class TestBlockingWaits:
         assert result(5.0) is False
         assert gate.wait_idle(0.0) is False  # and every later one
 
-    def test_full_pool_waits_for_room_not_for_the_owner(self, in_thread):
+
+class TestRefillStep:
+    """The refill against a scripted owner signal and the stub copy
+    maker, run in the test thread: each case is one path the model
+    also takes, pinned as an example."""
+
+    def _pool(self, answers, capacity=3):
         asked = []
+
+        def idle_wait(need_s):
+            asked.append(need_s)
+            return answers.pop(0)
+
         pool = PregarbledPool(
-            CIRCUIT, BOB_BITS, capacity=1, refill="idle",
-            idle_wait=lambda need_s: asked.append(need_s) or True,
-            ot_group=TEST_GROUP_512,
+            CIRCUIT, BOB_BITS, capacity=capacity, refill="idle",
+            idle_wait=idle_wait, ot_group=TEST_GROUP_512,
         )
         pool._session.pregarble_many = _stub_copies
-        pool._refill_run = lambda: None
+        pool._refill_run = lambda: None  # acquire() starts no real loop
+        return pool, asked
+
+    def test_one_copy_per_idle_answer_and_false_ends_the_loop(self):
+        pool, asked = self._pool([True, True, False])
+        # the thread's loop, in the test thread: False ends it
+        PregarbledPool._refill_run(pool)
+        assert len(asked) == 3
+        stats = pool.stats()
+        assert (stats["size"], stats["refills"], stats["garbled_total"]) == (
+            2, 2, 2,
+        )
+
+    def test_asks_for_the_fastest_copy_time_not_an_average(self):
+        pool, asked = self._pool([True, True, True, False], capacity=4)
+        # warm() reads the clock twice per copy: 69 ms for the first
+        # (contended, builds the level schedule), 9 ms, then 500 ms
+        ticks = iter([0.0, 0.069, 1.0, 1.009, 2.0, 2.5])
+        pool._clock = lambda: next(ticks)
+        PregarbledPool._refill_run(pool)
+        # nothing measured yet -> 0; then the first sample; then the
+        # fastest seen, which the slow third sample does not raise
+        assert asked == pytest.approx([0.0, 0.069, 0.009, 0.009])
+        assert pool.stats()["per_copy_s"] == pytest.approx(0.009)
+
+    def test_closed_pool_ends_the_loop_without_asking(self):
+        pool, asked = self._pool([True])
+        pool.close()
+        assert pool._refill_step() is None
+        assert asked == [] and len(pool) == 0
+
+    def test_full_pool_waits_for_room_not_for_the_owner(self, in_thread):
+        pool, asked = self._pool([True], capacity=1)
         assert pool.warm() == 1
         waits = _waits_on(pool._cond)
         result = in_thread(pool._refill_step)

@@ -607,6 +607,36 @@ TestBreakerModel.settings = settings(
 
 
 class TestPoolSelfHealing:
+    def test_refill_crash_counted_and_restarted(self):
+        calls = []
+
+        def flaky(count, bob_bits):
+            calls.append(count)
+            if len(calls) <= 2:
+                raise RuntimeError("poisoned garble")
+            return real(count, bob_bits)
+
+        pool = PregarbledPool(
+            small_circuit(), [0, 1, 1, 0], capacity=2, refill="idle",
+            rng=random.Random(0), ot_group=TEST_GROUP_512,
+        )
+        real = pool._session.pregarble_many
+        pool._session.pregarble_many = flaky
+        pool._refill_run = lambda: None  # the test drives the step
+        try:
+            assert pool.acquire() is None  # the first draw starts the refill
+            # each crash is counted and backs off longer; the next turn
+            # garbles again, one copy a turn, to the top
+            steps = [pool._refill_step() for _ in range(4)]
+            assert steps == [0.05, 0.1, 0.0, 0.0]
+            assert len(pool) == 2 and calls == [1, 1, 1, 1]
+            stats = pool.stats()
+            assert stats["refill_crashes"] == 2 and stats["refills"] == 2
+            assert "poisoned garble" in stats["last_refill_error"]
+            assert stats["leaked_refill_thread"] is False
+        finally:
+            pool.close()
+
     def test_close_join_timeout_reports_leak(self, monkeypatch):
         release = threading.Event()
         monkeypatch.setattr(
@@ -623,6 +653,16 @@ class TestPoolSelfHealing:
         release.set()
         pool._refill_thread.join(timeout=10.0)
         pool.close()  # idempotent; clears the leak flag after the join
+        assert pool.stats()["leaked_refill_thread"] is False
+
+    def test_close_is_idempotent_without_thread(self):
+        pool = PregarbledPool(
+            small_circuit(), [0, 1, 1, 0], capacity=1, refill="none",
+            rng=random.Random(0), ot_group=TEST_GROUP_512,
+        )
+        pool.close()
+        pool.close()
+        assert pool._refill_thread is None
         assert pool.stats()["leaked_refill_thread"] is False
 
 

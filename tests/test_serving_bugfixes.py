@@ -47,7 +47,73 @@ def _trained_service(**config_kwargs):
     return PrivateInferenceService(model, config), x
 
 
+def _pool(capacity, refill="none", idle_wait=None, seed=0):
+    circuit = build_gate_chain(60, "and")
+    pool = PregarbledPool(
+        circuit, [1] * circuit.n_bob, capacity=capacity, refill=refill,
+        idle_wait=idle_wait, rng=random.Random(seed), ot_group=TEST_GROUP_512,
+    )
+    # the test drives the refill step: acquire() starts a thread that ends
+    pool._refill_run = lambda: None
+    return pool
+
+
 class TestPoolRefill:
+    def test_none_policy_stays_drained(self):
+        """The PR 1 behavior is still available as an explicit opt-in."""
+        pool = _pool(capacity=2, refill="none")
+        assert pool.warm() == 2
+        assert pool.acquire() is not None
+        assert pool.acquire() is not None
+        # nothing that could refill it: no thread, and none started later
+        assert pool._refill_thread is None
+        assert len(pool) == 0 and pool.acquire() is None
+        assert pool._refill_thread is None
+
+    def test_idle_refills_after_drain(self):
+        """Drain the pool dry; once its owner is idle, material comes back."""
+        answers = []
+
+        def idle_wait(need_s):
+            # the owner's signal, scripted: the step asks only when run
+            answers.append(need_s)
+            return True
+
+        pool = _pool(capacity=2, refill="idle", idle_wait=idle_wait, seed=1)
+        assert pool.warm() == 2
+        assert pool.acquire() is not None
+        assert pool.acquire() is not None
+        assert pool.acquire() is None  # drained: a miss
+        assert pool.stats()["garbled_total"] == 2  # nothing while busy
+        assert answers == []
+        assert pool._refill_step() == 0.0  # the owner is idle: one copy
+        assert len(answers) == 1 and answers[0] > 0.0  # a measured copy time
+        assert pool.stats()["refills"] == 1
+        assert pool.acquire() is not None  # served warm again
+        stats = pool.stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] == 3
+        assert stats["garbled_total"] > 2
+        pool.close()
+
+    def test_ownerless_idle_pool_tops_itself_up(self):
+        pool = _pool(capacity=3, refill="idle", seed=2)
+        # a pool nobody has drawn from has nothing to refill: no thread
+        # yet, so an operator's warm() cannot lose slots to one
+        assert pool._refill_thread is None
+        assert pool.warm() == 3
+        assert pool.acquire() is not None
+        assert pool._refill_thread is not None
+        # no owner signal = owner always idle: one copy a turn, to the top
+        assert pool._refill_step() == 0.0
+        assert len(pool) == 3
+        assert pool.stats()["refills"] == 1
+        pool.close()
+        # close is idempotent and stops the thread
+        pool.close()
+        assert pool._refill_thread is None
+        assert pool._refill_step() is None  # and a closed pool's refill ends
+
     def test_unknown_policy_rejected(self):
         # the two removed policies are refused by name like any other,
         # and the error names the two that exist
@@ -62,6 +128,17 @@ class TestPoolRefill:
                 EngineConfig(pool_refill=name)
         assert EngineConfig().pool_refill == "idle"
         assert EngineConfig(pool_refill="none").pool_refill == "none"
+
+    def test_warm_batches_and_respects_capacity(self):
+        pool = _pool(capacity=4, seed=3)
+        assert pool.warm(2) == 2
+        assert pool.warm() == 2  # fills remaining room in one batch
+        assert pool.warm() == 0
+        assert pool.garbled_total == 4
+        units = [pool.acquire() for _ in range(4)]
+        assert all(u is not None for u in units)
+        # single-use material is all distinct
+        assert len({id(u) for u in units}) == 4
 
     def test_service_surfaces_pool_stats(self):
         service, x = _trained_service(

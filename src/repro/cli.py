@@ -553,13 +553,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "fault", None):
+        from .errors import EngineError
         from .gc.channel import transport_from_env
-        from .resilience.faults import BYTE_KINDS
+        from .resilience.faults import require_socket
 
-        byte_kinds = [spec.kind for spec in args.fault if spec.kind in BYTE_KINDS]
-        if byte_kinds and (args.transport or transport_from_env()) != "socket":
-            parser.error(f"argument --fault: {byte_kinds[0]} acts on socket "
-                         "bytes: it needs --transport socket")
+        try:
+            require_socket(args.fault, args.transport or transport_from_env())
+        except EngineError as exc:
+            parser.error(f"argument --fault: {exc}")
     args.func(args)
     return 0
 

@@ -20,7 +20,7 @@ from ..gc.channel import channel_factory, transport_from_env
 from ..gc.cipher import KDF_BACKENDS
 from ..gc.ot import MODP_2048, OTGroup
 from ..nn.quantize import ACTIVATION_VARIANTS
-from ..resilience.faults import FaultPlan
+from ..resilience.faults import FaultPlan, require_socket
 
 __all__ = ["EngineConfig"]
 
@@ -153,12 +153,8 @@ class EngineConfig:
                 "fault_plan must be a repro.resilience.FaultPlan (or None)"
             )
         channel_factory(self.transport)  # refuses an unknown name
-        byte_kinds = self.fault_plan.byte_kinds if self.fault_plan else ()
-        if byte_kinds and self.transport != "socket":
-            raise EngineError(
-                f"fault kind {byte_kinds[0]!r} acts on socket bytes: it needs "
-                f"transport='socket', not {self.transport!r}"
-            )
+        if self.fault_plan is not None:
+            require_socket(self.fault_plan.specs, self.transport)
         if self.max_inflight < 0:
             raise EngineError("max_inflight must be >= 0 (0 = unbounded)")
 

@@ -63,6 +63,7 @@ __all__ = [
     "FaultyChannel",
     "FaultyStream",
     "faulty_channel_factory",
+    "require_socket",
 ]
 
 #: The kinds that act on whole frames, at a channel wrapper.
@@ -163,6 +164,17 @@ class FaultSpec:
         return f"{base}:{self.size}" if self.size else base
 
 
+def require_socket(specs: Sequence[FaultSpec], transport: str) -> None:
+    """Refuse a byte kind among ``specs`` unless ``transport`` is the
+    socket one: only a socket has bytes for it to act on."""
+    for spec in specs:
+        if spec.kind in BYTE_KINDS and transport != "socket":
+            raise EngineError(
+                f"fault kind {spec.kind!r} acts on socket bytes: it needs "
+                f"transport 'socket', not {transport!r}"
+            )
+
+
 class FaultPlan:
     """A seeded, shared schedule of wire faults with persistent counters.
 
@@ -186,11 +198,6 @@ class FaultPlan:
         self._read_cap: Optional[int] = None
         self._disconnected = False
         self._applied: List[Tuple[str, str, int]] = []
-
-    @classmethod
-    def parse(cls, texts: Sequence[str], seed: int = 0) -> "FaultPlan":
-        """Build a plan from ``kind:tag:nth[:arg]`` spec strings."""
-        return cls([FaultSpec.parse(t) for t in texts], seed=seed)
 
     @property
     def byte_kinds(self) -> Tuple[str, ...]:

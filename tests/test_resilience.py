@@ -337,14 +337,15 @@ class TestFaultPlan:
         assert FaultSpec.parse("drop") == FaultSpec("drop")
 
     def test_plan_parse_keeps_spec_order(self):
-        plan = FaultPlan.parse(["delay:tables:0:5", "corrupt:ot:0"], seed=3)
+        texts = ["delay:tables:0:5", "corrupt:ot:0"]
+        plan = FaultPlan([FaultSpec.parse(t) for t in texts], seed=3)
         assert plan.specs == (
             FaultSpec("delay", tag="tables", nth=0, delay_s=5.0),
             FaultSpec("corrupt", tag="ot", nth=0),
         )
         assert plan.seed == 3
         with pytest.raises(EngineError):
-            FaultPlan.parse(["drop:tables:0", "explode:ot:0"])
+            FaultPlan([FaultSpec.parse(t) for t in ["drop:tables:0", "explode:ot:0"]])
 
     def test_spec_validation(self):
         with pytest.raises(EngineError):
@@ -608,7 +609,7 @@ TestBreakerModel.settings = settings(
 
 class TestPoolSelfHealing:
     def test_refill_crash_counted_and_restarted(self):
-        calls = []
+        calls, answers, waits = [], [True] * 4 + [False], []
 
         def flaky(count, bob_bits):
             calls.append(count)
@@ -616,24 +617,29 @@ class TestPoolSelfHealing:
                 raise RuntimeError("poisoned garble")
             return real(count, bob_bits)
 
+        def wait(timeout=None):
+            assert timeout is not None  # a backoff, never the full-pool wait
+            waits.append(timeout)
+            return False
+
         pool = PregarbledPool(
-            small_circuit(), [0, 1, 1, 0], capacity=2, refill="idle",
+            small_circuit(), [0, 1, 1, 0], capacity=3, refill="idle",
             rng=random.Random(0), ot_group=TEST_GROUP_512,
+            idle_wait=lambda need_s: answers.pop(0),
         )
         real = pool._session.pregarble_many
         pool._session.pregarble_many = flaky
-        pool._refill_run = lambda: None  # the test drives the step
+        pool._cond.wait = wait
         try:
-            assert pool.acquire() is None  # the first draw starts the refill
-            # each crash is counted and backs off longer; the next turn
-            # garbles again, one copy a turn, to the top
-            steps = [pool._refill_step() for _ in range(4)]
-            assert steps == [0.05, 0.1, 0.0, 0.0]
+            # the thread's loop, in the test thread: each crash is counted
+            # and waited out, longer each time, then the loop garbles on,
+            # one copy a turn, until the owner says it is shutting down
+            PregarbledPool._refill_run(pool)
+            assert waits == [0.05, 0.1] and answers == []
             assert len(pool) == 2 and calls == [1, 1, 1, 1]
             stats = pool.stats()
             assert stats["refill_crashes"] == 2 and stats["refills"] == 2
             assert "poisoned garble" in stats["last_refill_error"]
-            assert stats["leaked_refill_thread"] is False
         finally:
             pool.close()
 
@@ -843,7 +849,7 @@ class TestByteFaultSpecs:
         assert not FaultSpec("short_read").matches("tables")
 
     def test_a_byte_kind_needs_the_socket_transport(self):
-        plan = FaultPlan.parse(["corrupt:ot:0", "partial_write:*:3"])
+        plan = FaultPlan([FaultSpec.parse(t) for t in ["corrupt:ot:0", "partial_write:*:3"]])
         assert plan.byte_kinds == ("partial_write",)
         with pytest.raises(EngineError, match="'partial_write'.*socket"):
             EngineConfig(fault_plan=plan, transport="memory")

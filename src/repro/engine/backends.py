@@ -20,6 +20,7 @@ from ..circuits.simulate import simulate
 from ..errors import EngineError
 from ..gc.cipher import HashKDF
 from ..gc.cutandchoose import CutAndChooseGarbler, verify_opened_copy
+from ..gc.messages import COMMITMENTS, OPENINGS, Shape
 from ..gc.ot import MODP_2048, OTGroup
 from ..gc.ot_extension import IKNPState
 from ..gc.outsourcing import OutsourcedSession
@@ -343,8 +344,9 @@ class CutAndChooseBackend(Backend):
         # the surviving copy was garbled in this request, not in a pool
         result.pregarbled = False
         # beside the round: the digests and the opened copies' seeds
-        result.comm["commitments"] = sum(len(c) for c in commitments)
-        result.comm["openings"] = 16 * len(openings)
+        shape = Shape(copies=self.copies)
+        for unframed in (COMMITMENTS, OPENINGS):
+            result.comm[unframed.tag] = unframed.wire_bytes(shape)
         result.times["garble"] += garble_s
         result.times["verify"] = verify_s
         return result

@@ -8,11 +8,10 @@ the server's weights, the same in every request, so a copy's OT for
 them does not wait for one (Beaver's precomputed OT with a choice known
 ahead).  Each copy, one half per party, is made for those bits: its
 OT runs and its tables and constant labels cross to Bob's half as it is
-made.  The online critical path then holds only Alice's input labels,
-evaluation and merge: 1 488 B on the demo net instead of a cold
-request's 414 248 B.  The OT's ``u``, ``e`` and ``y``, the tables and
-the constant labels (412 760 B a copy) move while nobody waits;
-:meth:`PregarbledPool.stats` reports them as ``offline_bytes``.
+made (the message table's offline entries), while nobody waits, and
+:meth:`PregarbledPool.stats` reports them as ``offline_bytes``.  The
+online critical path then holds only Alice's input labels, evaluation
+and merge: 1 488 B on the demo net instead of a cold request's 414 248 B.
 
 "Ahead of demand" has to mean *while nobody is waiting*: under the GIL a
 thread that garbles during a request is on that request's path, and the
@@ -124,6 +123,7 @@ class PregarbledPool:
         self._refill_thread: Optional[threading.Thread] = None
         self._leaked_refill_thread = False
         self.garbled_total = self.refills = self.refill_crashes = 0
+        self._crash_run = 0  # crashes since the refill's last copy
         self.hits = self.misses = 0
         #: every copy's OT, tables and constant labels: traffic moved offline
         self.offline_bytes = 0
@@ -276,8 +276,9 @@ class PregarbledPool:
 
         Returns the seconds to wait before the next turn: 0 after a
         copy, and after a crash — counted in ``refill_crashes`` and
-        ``last_refill_error`` — the n-th crash's capped backoff,
-        ``0.05 * 2**(n-1)`` up to 5 s.  None when the refill is over:
+        ``last_refill_error`` — the capped backoff of the n-th crash in a
+        row, ``0.05 * 2**(n-1)`` up to 5 s; a copy restarts the count, as
+        a healed shard's does.  None when the refill is over:
         the pool closed, or its owner is shutting down.
         """
         with self._cond:
@@ -292,9 +293,11 @@ class PregarbledPool:
             if self.warm(1):
                 with self._lock:
                     self.refills += 1
+                    self._crash_run = 0
             return 0.0
         except Exception as exc:
             with self._lock:
                 self.refill_crashes += 1
+                self._crash_run += 1
                 self.last_refill_error = repr(exc)
-                return min(0.05 * 2 ** (self.refill_crashes - 1), 5.0)
+                return min(0.05 * 2 ** (self._crash_run - 1), 5.0)

@@ -12,7 +12,11 @@ per-direction sequence number and a CRC-32 checksum over the payload.
 duplicated message surfaces as a typed
 :class:`repro.errors.ChannelIntegrityError` instead of garbage labels —
 the detection layer the fault-injection harness
-(:mod:`repro.resilience`) and the future socket transport both build on.
+(:mod:`repro.resilience`) and the socket transport
+(:mod:`repro.transport`) both build on.  What a frame may carry, and
+its length, is the message table's (:mod:`repro.gc.messages`), whose
+entries send and receive through :meth:`Channel.send_bytes` and
+:meth:`Channel.recv_bytes`.
 A :class:`repro.resilience.Deadline` attached to an endpoint is checked
 on every ``recv`` (and charged any virtual delay the fault injector's
 receiving wrapper holds for the frame), so no receive outlives the
@@ -24,11 +28,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import os
-import struct
 import zlib
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..errors import (
     ChannelClosedError,
@@ -36,7 +37,7 @@ from ..errors import (
     ChannelIntegrityError,
     EngineError,
 )
-from .labels import LabelsLike, label_ints, label_rows
+from .messages import LENGTH_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     import socket
@@ -109,8 +110,8 @@ class _LinkState:
 class Channel:
     """One endpoint of an in-memory duplex link.
 
-    Also the base class of every other transport: the framing, the
-    validation and the typed helpers live here, while subclasses swap
+    Also the base class of every other transport: the framing and the
+    validation live here, while subclasses swap
     the two seams — :meth:`_dispatch` (put one frame on the wire) and
     :meth:`_fetch` (take the next frame off it).  The socket transport
     (:mod:`repro.transport`) and the fault injector
@@ -167,7 +168,7 @@ class Channel:
         (so checksums keep protecting the original payload).
         """
         self._outbox.append(frame)
-        self._stats.record(self._direction, frame.tag, len(frame.payload) + 4)
+        self._stats.record(self._direction, frame.tag, len(frame.payload) + LENGTH_PREFIX)
 
     def _fetch(self, index: int, expected_tag: Optional[str]) -> Frame:
         """Take the next inbound frame off the wire.
@@ -244,32 +245,6 @@ class Channel:
                 f"#{index}: expected {expected_tag!r}, got {frame.tag!r}"
             )
         return frame.payload
-
-    # -- label vectors -----------------------------------------------------
-
-    def send_labels(self, labels: LabelsLike, tag: str = "labels") -> None:
-        """Send a vector of 128-bit labels (16 bytes each), ints or rows."""
-        payload = label_rows(labels).tobytes()
-        self.send_bytes(struct.pack("<I", len(labels)) + payload, tag)
-
-    def recv_labels(self, expected_tag: Optional[str] = None) -> List[int]:
-        """Receive a label vector."""
-        return label_ints(self.recv_label_rows(expected_tag))
-
-    def recv_label_rows(self, expected_tag: Optional[str] = None) -> np.ndarray:
-        """Receive a label vector as a read-only ``(n, 16)`` uint8 view."""
-        data = self.recv_bytes(expected_tag)
-        if len(data) < 4:
-            raise ChannelIntegrityError(
-                f"label payload too short ({len(data)} bytes)"
-            )
-        (count,) = struct.unpack("<I", data[:4])
-        if len(data) != 4 + 16 * count:
-            raise ChannelIntegrityError(
-                f"label payload size mismatch: declares {count} entries, "
-                f"carries {len(data) - 4} bytes"
-            )
-        return np.frombuffer(data, dtype=np.uint8, offset=4).reshape(count, 16)
 
 
 def make_channel_pair(

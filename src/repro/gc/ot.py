@@ -35,9 +35,10 @@ import secrets
 import threading
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ChannelIntegrityError, OTError
+from ..errors import OTError
 from . import _libcrypto
 from .channel import Channel
+from .messages import BASE_OT, OT_SETUP_C, OT_SETUP_KEYS, OT_SETUP_REPLY, Shape
 from .rng import RngLike, rand_below
 
 __all__ = [
@@ -121,6 +122,11 @@ class OTGroup:
     prime: int
     generator: int
     name: str = "modp"
+
+    @property
+    def element_bytes(self) -> int:
+        """Bytes of one group element on the wire: the modulus width."""
+        return (self.prime.bit_length() + 7) // 8
 
     @property
     def provider(self) -> str:
@@ -334,41 +340,26 @@ class OTReceiver:
 # below turns the flight it reads into the flight it sends, so a
 # session's direct base OT, an IKNP set-up between two processes and one
 # with both parties here are the same text: base_ot_over_channel frames
-# the flights on whichever ends this process holds, base_ot_in_process
-# hands them straight across.  Group elements travel fixed-width (the
-# modulus width), so payload sizes are deterministic and truncation is
-# structurally detectable on top of a link's checksum.
-
-
-def _element_width(group: OTGroup) -> int:
-    return (group.prime.bit_length() + 7) // 8
-
-
-def _sized(blob: bytes, size: int, what: str) -> bytes:
-    if len(blob) != size:
-        raise ChannelIntegrityError(
-            f"OT {what} size mismatch: expected {size} bytes, got {len(blob)}"
-        )
-    return blob
+# the flights on whichever ends this process holds (the message table's
+# BASE_OT entries fix their sizes), base_ot_in_process hands them across.
 
 
 def _setup_flight(sender: OTSender) -> bytes:
     """Sender, flight 1: ``c``."""
-    return sender.setup().to_bytes(_element_width(sender.group), "little")
+    return sender.setup().to_bytes(sender.group.element_bytes, "little")
 
 
 def _keys_flight(receiver: OTReceiver, c_blob: bytes) -> bytes:
     """Receiver, flight 2: one ``PK_0`` per transfer against ``c``."""
-    width = _element_width(receiver.group)
-    c = int.from_bytes(_sized(c_blob, width, "setup element"), "little")
+    width = receiver.group.element_bytes
+    c = int.from_bytes(c_blob, "little")
     return b"".join(k.to_bytes(width, "little") for k in receiver.public_keys(c))
 
 
 def _response_flight(sender: OTSender, keys_blob: bytes) -> bytes:
     """Sender, flight 3: ``g^r`` once and both encrypted messages of every
     transfer."""
-    width, m = _element_width(sender.group), len(sender.pairs)
-    _sized(keys_blob, width * m, f"public-key payload for {m} transfers")
+    width, m = sender.group.element_bytes, len(sender.pairs)
     g_r, ciphertexts = sender.respond(
         [
             int.from_bytes(keys_blob[i * width : (i + 1) * width], "little")
@@ -380,9 +371,8 @@ def _response_flight(sender: OTSender, keys_blob: bytes) -> bytes:
 
 def _chosen(receiver: OTReceiver, blob: bytes, msg_len: int) -> List[bytes]:
     """Receiver: the chosen message of every transfer."""
-    width, m = _element_width(receiver.group), len(receiver.choices)
+    width, m = receiver.group.element_bytes, len(receiver.choices)
     unit = 2 * msg_len
-    _sized(blob, width + unit * m, f"response payload for {m} transfers")
     return receiver.recover(
         int.from_bytes(blob[:width], "little"),
         [
@@ -395,12 +385,14 @@ def _chosen(receiver: OTReceiver, blob: bytes, msg_len: int) -> List[bytes]:
     )
 
 
+def _shape(group: OTGroup, m: int, msg_len: int) -> Shape:
+    return Shape(width=group.element_bytes, base_ots=m, msg_len=msg_len)
+
+
 def base_ot_bytes(group: OTGroup, m: int, msg_len: int) -> int:
     """What a channel charges for the three flights of ``m`` framed base
-    OTs of ``msg_len``-byte messages: ``c``, the public keys, and ``g^r``
-    with the ciphertexts, each payload plus its 4-byte length prefix."""
-    width = _element_width(group)
-    return (width + 4) + (m * width + 4) + (width + 2 * m * msg_len + 4)
+    OTs of ``msg_len``-byte messages (the message table's ``BASE_OT``)."""
+    return sum(flight.wire_bytes(_shape(group, m, msg_len)) for flight in BASE_OT)
 
 
 def base_ot_over_channel(
@@ -411,30 +403,32 @@ def base_ot_over_channel(
     receiver_end: Optional[Channel],
     group: OTGroup = MODP_2048,
     rng: RngLike = secrets,
-    tag: str = "ot",
 ) -> List[bytes]:
     """Run a base-OT batch with every flight framed, on the ends held here.
 
     A party whose endpoint is ``None`` is hosted elsewhere: its steps are
     skipped and what it would hold (``pairs`` for the sender, ``choices``
-    for the receiver) is not read.  Returns the chosen messages where
-    the receiver is hosted, ``[]`` otherwise.
+    for the receiver) is not read.  Each end checks a flight's size for
+    the batch it holds.  Returns the chosen messages where the receiver
+    is hosted, ``[]`` otherwise.
     """
     # a role object draws nothing until its first step: the absent
     # party's is an empty shell no step below touches
     sender = OTSender(pairs or (), group=group, rng=rng)
     receiver = OTReceiver(choices or (), group=group, rng=rng)
+    sender_shape = _shape(group, len(sender.pairs), msg_len)
+    receiver_shape = _shape(group, len(receiver.choices), msg_len)
     if sender_end is not None:
-        sender_end.send_bytes(_setup_flight(sender), tag=tag)
+        OT_SETUP_C.send(sender_end, _setup_flight(sender))
     if receiver_end is not None:
-        c_blob = receiver_end.recv_bytes(expected_tag=tag)
-        receiver_end.send_bytes(_keys_flight(receiver, c_blob), tag=tag)
+        c_blob = OT_SETUP_C.recv(receiver_end, receiver_shape)
+        OT_SETUP_KEYS.send(receiver_end, _keys_flight(receiver, c_blob))
     if sender_end is not None:
-        keys_blob = sender_end.recv_bytes(expected_tag=tag)
-        sender_end.send_bytes(_response_flight(sender, keys_blob), tag=tag)
+        keys_blob = OT_SETUP_KEYS.recv(sender_end, sender_shape)
+        OT_SETUP_REPLY.send(sender_end, _response_flight(sender, keys_blob))
     if receiver_end is None:
         return []
-    return _chosen(receiver, receiver_end.recv_bytes(expected_tag=tag), msg_len)
+    return _chosen(receiver, OT_SETUP_REPLY.recv(receiver_end, receiver_shape), msg_len)
 
 
 def base_ot_in_process(

@@ -79,9 +79,10 @@ from typing import Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from ..errors import ChannelIntegrityError, OTError
+from ..errors import OTError
 from .channel import Channel, make_channel_pair
 from .cipher import FixedKeyAES
+from .messages import COUNTER_BYTES, KAPPA, LABEL_BYTES, OT_E, OT_U, OT_Y, SEED_BYTES, Shape
 from .ot import MODP_2048, OTGroup, base_ot_bytes, base_ot_in_process, base_ot_over_channel
 from .rng import RngLike, rand_bits
 
@@ -89,18 +90,6 @@ __all__ = [
     "IKNPState", "KAPPA", "PadEnds", "Pads", "ReceiverHalf", "SenderHalf", "chosen_ot",
     "derandomize", "extension_ot", "random_choices",
 ]
-
-#: Base OTs per set-up, and bits per extension row: one AES block.
-KAPPA = 128
-
-#: Width of the base-OT messages: one XOF seed per column and choice.
-SEED_BYTES = 16
-
-#: Width of the extension counter at the head of the ``u`` frame.
-COUNTER_BYTES = 8
-
-#: Bytes per transferred message: one wire label.
-LABEL_BYTES = 16
 
 #: The row hash's fixed public AES key (the garbling oracle has its own).
 PAD_KEY = b"DeepSecure-OTpad"
@@ -245,14 +234,9 @@ class IKNPState:
 
     @property
     def setup_bytes(self) -> int:
-        """Size of the base-OT flights this state has paid for (0 before).
-
-        The three flights as a channel frames them — ``c``, the
-        ``kappa`` public keys, and ``g^r`` with the ``kappa`` ciphertext
-        pairs, group elements at the modulus width — each with its 4-byte
-        length prefix.  A session-level figure: it is charged to no
-        request's ``comm``.
-        """
+        """Size of the base-OT flights this state has paid for (0 before),
+        as a channel frames them (:data:`repro.gc.messages.BASE_OT`) — a
+        session-level figure, charged to no request's ``comm``."""
         with self._lock:
             return self._setup_bytes
 
@@ -315,7 +299,7 @@ class IKNPState:
         if framed:
             seeds = base_ot_over_channel(
                 seed_pairs, s_bits, SEED_BYTES, sender_end=bob_end,
-                receiver_end=alice_end, group=self.group, rng=rng, tag="ot_setup",
+                receiver_end=alice_end, group=self.group, rng=rng,
             )
         else:
             seeds = base_ot_in_process(
@@ -347,18 +331,20 @@ class Pads:
 
     Attributes:
         m: transfers.
-        wire_bytes: the ``u`` frame as its link charged it (counter,
-            columns and the 4-byte length prefix): ``kappa * ceil(m/8) + 12``.
         sender: ``(m, 2, 16)`` uint8 — ``x0_i, x1_i``; the garbler's.
         choices: ``(m,)`` uint8 — the random choices ``r``; the evaluator's.
         chosen: ``(m, 16)`` uint8 — ``x_{r_i}``; the evaluator's.
     """
 
     m: int
-    wire_bytes: int
     sender: Optional[np.ndarray] = None
     choices: Optional[np.ndarray] = None
     chosen: Optional[np.ndarray] = None
+
+    @property
+    def wire_bytes(self) -> int:
+        """The ``u`` frame as its link charged it (0 for no transfer)."""
+        return OT_U.wire_bytes(Shape(n_bob=self.m)) if self.m else 0
 
 
 #: Phase 1's pads per end: ``(sender's, receiver's)``, as :data:`Ends`.
@@ -405,8 +391,8 @@ def extension_ot(
         raise OTError("need one random choice per transfer")
     alice_end, bob_end = channel or make_channel_pair()[:2]
     if m == 0:  # nothing to extend, and nothing on the link
-        return (alice_end and Pads(0, 0)), (bob_end and Pads(0, 0))
-    u_len = COUNTER_BYTES + KAPPA * ((m + 7) // 8)
+        return (alice_end and Pads(0)), (bob_end and Pads(0))
+    shape = Shape(n_bob=m)
     sender: Optional[Pads] = None
     receiver: Optional[Pads] = None
     with state.turn:
@@ -418,19 +404,14 @@ def extension_ot(
             r = np.array(choices, dtype=np.uint8) & 1
             counter = state.reserve()
             t_rows, u_cols = _held(state.receiver, "receiver").columns(counter, r)
-            bob_end.send_bytes(counter.to_bytes(COUNTER_BYTES, "big") + u_cols, tag="ot")
-            receiver = Pads(m, u_len + 4, choices=r, chosen=_pad_hash(t_rows, counter))
+            OT_U.send(bob_end, counter.to_bytes(COUNTER_BYTES, "big") + u_cols)
+            receiver = Pads(m, choices=r, chosen=_pad_hash(t_rows, counter))
         # --- sender: u in, a counter it has not served, both pads per row
         if alice_end is not None:
-            blob = alice_end.recv_bytes(expected_tag="ot")
-            if len(blob) != u_len:
-                raise ChannelIntegrityError(
-                    f"OT column payload size mismatch: expected {u_len} bytes "
-                    f"(counter and {KAPPA} columns), got {len(blob)}"
-                )
+            blob = OT_U.recv(alice_end, shape)
             counter = state.serve(int.from_bytes(blob[:COUNTER_BYTES], "big"))
             rows = _held(state.sender, "sender").rows(counter, m, blob[COUNTER_BYTES:])
-            sender = Pads(m, u_len + 4, sender=_pad_hash(rows, counter))
+            sender = Pads(m, sender=_pad_hash(rows, counter))
     return sender, receiver
 
 
@@ -464,15 +445,15 @@ def derandomize(
     alice_end, bob_end = channel
     sender, receiver = pads
     m = next(side.m for side in pads if side is not None)
-    e_len = (m + 7) // 8
-    sent = (e_len + 4) + (2 * m * LABEL_BYTES + 4)
+    shape = Shape(n_bob=m)
+    sent = OT_E.wire_bytes(shape) + OT_Y.wire_bytes(shape)
     # --- receiver: its real choices, blinded by the random ones
     if bob_end is not None:
         r, x_r = (receiver.choices, receiver.chosen) if receiver else (None, None)
         if bits is None or len(bits) != m or r is None or x_r is None:
             raise OTError("the receiver's end needs its pads and one choice per pad")
         c = np.array(bits, dtype=np.uint8) & 1
-        bob_end.send_bytes(np.packbits(c ^ r).tobytes(), tag="ot")
+        OT_E.send(bob_end, np.packbits(c ^ r).tobytes())
     # --- sender: both labels, each under the pad e says the receiver can open
     if alice_end is not None:
         if (
@@ -484,23 +465,13 @@ def derandomize(
         x = sender.sender if sender else None
         if x is None:
             raise OTError("the sender's end needs the sender's pads")
-        blob = alice_end.recv_bytes(expected_tag="ot")
-        if len(blob) != e_len:
-            raise ChannelIntegrityError(
-                f"OT choice payload size mismatch: expected {e_len} bytes "
-                f"for {m} transfers, got {len(blob)}"
-            )
-        e = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=m)
+        e = np.unpackbits(np.frombuffer(OT_E.recv(alice_end, shape), dtype=np.uint8), count=m)
         swapped = np.where(e[:, None, None] != 0, x[:, ::-1], x)
-        alice_end.send_bytes((messages ^ swapped).tobytes(), tag="ot")
+        OT_Y.send(alice_end, (messages ^ swapped).tobytes())
     if bob_end is None:
         return np.empty((0, LABEL_BYTES), dtype=np.uint8), sent
     # --- receiver: its label, under the one pad it holds
-    blob = bob_end.recv_bytes(expected_tag="ot")
-    if len(blob) != 2 * m * LABEL_BYTES:
-        raise ChannelIntegrityError(
-            f"OT label payload of {len(blob)} bytes is not two {m} x 16 planes"
-        )
+    blob = OT_Y.recv(bob_end, shape)
     planes = np.frombuffer(blob, dtype=np.uint8).reshape(m, 2, LABEL_BYTES)
     return planes[np.arange(m, dtype=np.intp), c] ^ x_r, sent
 

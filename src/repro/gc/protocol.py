@@ -47,7 +47,7 @@ import numpy as np
 
 from ..circuits.netlist import Circuit
 from ..circuits.sequential import Register
-from ..errors import ChannelIntegrityError, CommitmentError, ProtocolError
+from ..errors import CommitmentError, ProtocolError
 from .channel import Channel, ChannelStats, default_channel_factory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -64,7 +64,8 @@ LinkFactory = Callable[
 from .cipher import HashKDF, default_kdf, oracle_fingerprint
 from .fastgarble import FastEvaluator, garble_many
 from .garble import GarbledCircuit, Garbler
-from .labels import LabelsLike
+from .labels import LabelsLike, label_ints
+from .messages import ALICE_LABELS, CONST_LABELS, OUTPUT_LABELS, STATE_LABELS, TABLES, Shape
 from .ot import MODP_2048, OTGroup
 from .ot_extension import (
     Ends,
@@ -170,8 +171,8 @@ class ProtocolResult:
         times: seconds per phase ('garble', 'transfer', 'ot', 'evaluate',
             'merge'; cut-and-choose adds 'verify', the plaintext
             reference has 'simulate' alone).
-        comm: per-tag byte counts ('tables', 'alice_labels', 'ot',
-            'output_labels', ...; empty for the plaintext reference).
+        comm: per-tag byte counts (:func:`repro.gc.messages.predict`;
+            empty for the plaintext reference).
         n_xor: free-gate count of the executed netlist.
         n_non_xor: non-free gate count (the communication driver).
         pregarbled: the round ran on Alice's half of a pooled copy, so its
@@ -219,6 +220,8 @@ class _Session:
         # the one OT rule: every transfer extends on a state, so its
         # base OT is paid once per owner
         self.ot_state = ot_state if ot_state is not None else IKNPState(ot_group, rng)
+        #: what every frame of this circuit's rounds measures
+        self.shape = Shape.of(circuit, self.ot_state.group)
 
     def _rounds(
         self,
@@ -440,23 +443,16 @@ class _Session:
             alice_end, garbler, garbled = alice
             send_garbled(alice_end, garbler, garbled, alice_bits or ())
             if initial_state:
-                alice_end.send_labels(
+                STATE_LABELS.send_labels(
+                    alice_end,
                     garbler.input_labels_for(self.circuit.state_inputs, initial_state),
-                    tag="state_labels",
                 )
         if bob_end is not None:
             view, alice_labels = receive_garbled(
-                bob_end, self.circuit.counts().non_xor, tweak_base,
-                held and held.view, digest,
+                bob_end, self.shape, tweak_base, held and held.view, digest,
             )
             if initial_state:
-                state = bob_end.recv_labels(expected_tag="state_labels")
-                if len(state) != len(initial_state):
-                    raise ChannelIntegrityError(
-                        f"state-label payload carries {len(state)} entries "
-                        f"for {len(initial_state)} registers"
-                    )
-                link.state_labels = state
+                link.state_labels = STATE_LABELS.recv_rows(bob_end, self.shape)
         link.times["transfer"] = time.perf_counter() - start
         start = time.perf_counter()
         if held is None:
@@ -472,14 +468,16 @@ class _Session:
         return link
 
     def _merge(self, link: "_Link", output_labels: List[int]) -> ProtocolResult:
-        """Step (iv) of one round, and its accounting."""
+        """Step (iv) of one round, and its accounting: Bob returns the
+        output labels, Alice decodes them."""
         start = time.perf_counter()
         outputs: List[int] = []
         if link.bob_end is not None:
-            send_outputs(link.bob_end, output_labels)
+            OUTPUT_LABELS.send_labels(link.bob_end, output_labels)
         if link.alice is not None:
             alice_end, garbler, _ = link.alice
-            outputs = receive_outputs(alice_end, garbler)
+            rows = OUTPUT_LABELS.recv_rows(alice_end, self.shape)
+            outputs = garbler.decode_outputs(label_ints(rows))
         link.times["merge"] = time.perf_counter() - start
         return self._result(link, outputs)
 
@@ -535,16 +533,13 @@ class TwoPartySession(_Session):
         All copies share one walk of the level schedule (and one KDF
         batch per level), so warming a pool of ``k`` copies costs much
         less than ``k`` one-copy passes.  Where the session's links host
-        both parties, each copy's whole OT and its input-independent
-        flights cross one such link here, in copy order: the OT for
-        ``bob_bits`` on the session's OT state (``u``, ``e``, ``y``),
-        then its tables and constant labels.  Alice's half lets its
-        tables go as they are sent; Bob's keeps the view rebuilt from
-        the frames and his input labels with the bits they encode.  A
-        request served from the copy then sends Alice's labels and
-        merges, and one with other Bob bits is refused.  Bob's input is
-        the server's weights, the same in every request, so his OT does
-        not wait for one.  A session hosting Alice alone keeps each copy
+        both parties, each copy's offline messages
+        (:data:`repro.gc.messages.OFFLINE_COPY`, its OT for ``bob_bits``
+        on the session's OT state included) cross one such link here, in
+        copy order.  Alice's half lets its tables go as they are sent;
+        Bob's keeps the view rebuilt from the frames and his input labels
+        with the bits they encode, so a request with other Bob bits is
+        refused.  A session hosting Alice alone keeps each copy
         whole in her half, for the request to send and run the OT in
         (``bob_bits`` is not read: pass ``None``); one hosting Bob alone
         garbles nothing and raises :class:`ProtocolError`.
@@ -563,7 +558,6 @@ class TwoPartySession(_Session):
         if bob_end is None:
             return [(AliceHalf(garbler, garbled), None) for garbler, garbled in fresh]
         bits = np.array(bob_bits, dtype=np.uint8)
-        n_tables = self.circuit.counts().non_xor
         made: List[Copy] = []
         fresh.reverse()
         while fresh:  # each copy's tables are dropped here once they are sent
@@ -575,7 +569,7 @@ class TwoPartySession(_Session):
             )
             send_tables(alice_end, garbled)
             del garbled
-            view = receive_tables(bob_end, n_tables)
+            view = receive_tables(bob_end, self.shape)
             alice = AliceHalf(garbler, None)
             made.append((alice, BobHalf(
                 view, labels, bits, copy_id=alice.copy_id,
@@ -682,54 +676,32 @@ class _Link:
     #: what Bob evaluates: his rebuilt view, Alice's labels, his own rows
     inputs: Optional[Tuple[GarbledCircuit, np.ndarray, np.ndarray]] = None
     #: the initial register labels Bob received (cycle 0 of a sequential run)
-    state_labels: Optional[List[int]] = None
+    state_labels: Optional[np.ndarray] = None
 
 
-# One round on the wire — what crosses the link, in what order, and what
-# the evaluator may see — is these functions, with the OT flights of
-# transfer_input_labels (u, e and y) between Alice's flights and the
-# merge (and, at cycle 0 of a run with registers, one state_labels frame
-# before them).  _Session._transfer and _merge call them, each on the
-# end of the party it belongs to, for every lane of every cycle
-# _Session._rounds drives — a request, a slot of run_many(), a
-# SequentialSession cycle and cut-and-choose's surviving copy (whose view
-# receive_garbled checks against the digest its garbler committed to):
-# two processes and fault plans that address frames by position rely on
-# one order.  A pooled copy whose halves are both in this process ran its OT
-# for Bob's bits and sent its tables and constant labels (send_tables /
-# receive_tables) before the request, on TwoPartySession.pregarble_many's
-# link, so a pool hit puts two frames on the wire: alice_labels and
-# output_labels.
+# One round on the wire is these functions, the OT flights of
+# transfer_input_labels and _Session._merge; the order and every frame's
+# size are the message table's (repro.gc.messages.round_messages).
 
 
 def send_tables(alice_end: Channel, garbled: GarbledCircuit) -> None:
     """Alice's input-independent flights: tables, constant-wire labels."""
-    alice_end.send_bytes(garbled.tables_bytes(), tag="tables")
-    alice_end.send_labels(list(garbled.const_labels), tag="const_labels")
+    TABLES.send(alice_end, garbled.tables_bytes())
+    CONST_LABELS.send_labels(alice_end, list(garbled.const_labels))
 
 
-def receive_tables(bob_end: Channel, n_tables: int, tweak_base: int = 0) -> GarbledCircuit:
+def receive_tables(bob_end: Channel, shape: Shape, tweak_base: int = 0) -> GarbledCircuit:
     """Bob's view, rebuilt from the wire alone.
 
     Deserializing (rather than handing Bob the garbler's object) keeps
     the information flow honest: Bob sees tables and the two constant
     labels that crossed the link — no decode bits, nothing read off the
-    garbler.  ``n_tables`` (the netlist's non-free gate count) and
-    ``tweak_base`` are public: the tables frame must carry exactly that
-    many tables; the base is 0 for a combinational round, the running
-    tweak count of a sequential run.
+    garbler.  ``shape`` (the netlist's public counts) fixes the tables
+    frame's size; ``tweak_base`` is 0 for a combinational round, the
+    running tweak count of a sequential run.
     """
-    blob = bob_end.recv_bytes(expected_tag="tables")
-    consts = bob_end.recv_labels(expected_tag="const_labels")
-    if len(blob) != 32 * n_tables:
-        raise ChannelIntegrityError(
-            f"tables frame carries {len(blob) // 32} tables ({len(blob)} "
-            f"bytes); the netlist has {n_tables}"
-        )
-    if len(consts) != 2:
-        raise ChannelIntegrityError(
-            f"constant-wire payload carries {len(consts)} entries, not 2"
-        )
+    blob = TABLES.recv(bob_end, shape)
+    consts = label_ints(CONST_LABELS.recv_rows(bob_end))
     return GarbledCircuit(
         # zero-copy view: the fast evaluator reads the plane directly
         tables=np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32),
@@ -749,15 +721,14 @@ def send_garbled(
     crossed before the request (``garbled`` is ``None``), her input labels."""
     if garbled is not None:
         send_tables(alice_end, garbled)
-    alice_end.send_labels(
-        garbler.input_labels_for(garbler.circuit.alice_inputs, alice_bits),
-        tag="alice_labels",
+    ALICE_LABELS.send_labels(
+        alice_end, garbler.input_labels_for(garbler.circuit.alice_inputs, alice_bits)
     )
 
 
 def receive_garbled(
     bob_end: Channel,
-    n_tables: int,
+    shape: Shape,
     tweak_base: int = 0,
     view: Optional[GarbledCircuit] = None,
     digest: Optional[bytes] = None,
@@ -768,25 +739,13 @@ def receive_garbled(
     ``digest`` raises :class:`CommitmentError` before her labels are
     read."""
     if view is None:
-        view = receive_tables(bob_end, n_tables, tweak_base)
+        view = receive_tables(bob_end, shape, tweak_base)
     if digest is not None and view.digest() != digest:
         raise CommitmentError(
             "the garbled tables and constant labels Bob received miss the "
             "digest their garbler committed to"
         )
-    return view, bob_end.recv_label_rows(expected_tag="alice_labels")
-
-
-def send_outputs(bob_end: Channel, output_labels: List[int]) -> None:
-    """The merge step, Bob's half: return the output labels."""
-    bob_end.send_labels(output_labels, tag="output_labels")
-
-
-def receive_outputs(alice_end: Channel, garbler: Garbler) -> List[int]:
-    """The merge step, Alice's half: decode what Bob returned."""
-    return garbler.decode_outputs(
-        alice_end.recv_labels(expected_tag="output_labels")
-    )
+    return view, ALICE_LABELS.recv_rows(bob_end, shape)
 
 
 def transfer_input_labels(
@@ -815,9 +774,9 @@ def transfer_input_labels(
         bits: the evaluator's plaintext choice bits; ``None`` where the
             evaluator is hosted elsewhere.
         channel: the ``(alice_end, bob_end)`` endpoints, ``None`` for the
-            one not hosted here; every OT flight travels as checksummed
-            ``"ot"``-tagged frames, so injected wire faults hit the OT
-            data path and are detected by the framing layer, deadlines
+            one not hosted here; every OT flight travels as a checksummed
+            frame of the message table, so injected wire faults hit the
+            OT data path and are detected by the framing layer, deadlines
             are charged on every flight, and the channel accounts the
             traffic.
         state: the caller's OT-extension state, whose one base-OT batch

@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from ..errors import EngineError
 from ..gc.channel import Channel, ChannelStats, Frame, default_channel_factory
+from ..gc.messages import TAGS
 
 __all__ = [
     "BYTE_KINDS",
@@ -88,8 +89,10 @@ class FaultSpec:
 
     Attributes:
         kind: one of :data:`FAULT_KINDS`.
-        tag: message tag to match (``"*"`` matches every message); a
-            byte kind takes ``"*"`` only, because bytes carry no tag.
+        tag: message tag to match, one the message table declares
+            (:data:`repro.gc.messages.TAGS`), or ``"*"`` for every
+            message; a byte kind takes ``"*"`` only, because bytes carry
+            no tag.
         nth: 0-based index at which to fire — among messages matching
             ``tag`` (frame kinds), among ``recv`` calls (read kinds) or
             among ``send``/``sendall`` calls (``partial_write``).
@@ -121,6 +124,11 @@ class FaultSpec:
             raise EngineError(
                 f"{self.kind} faults act on socket bytes, which carry no "
                 f"tag: use tag '*', not {self.tag!r}"
+            )
+        if self.tag != ANY_TAG and self.tag not in TAGS:
+            raise EngineError(
+                f"no message is tagged {self.tag!r}; choose from *, "
+                f"{', '.join(sorted(TAGS))}"
             )
         if self.kind in _TIMED and self.delay_s <= 0:
             raise EngineError(f"{self.kind} faults need delay_s > 0")
@@ -339,9 +347,9 @@ class FaultyChannel(Channel):
 
     Wraps any existing :class:`Channel` — in-memory *or* socket — by
     delegating the two transport seams (:meth:`Channel._dispatch` and
-    :meth:`Channel._fetch`) to the wrapped endpoint, so all typed send
-    helpers (labels, ints, bits) inherit fault coverage on every
-    transport.  Receive validation stays this wrapper's (inherited) job,
+    :meth:`Channel._fetch`) to the wrapped endpoint, so every message
+    of the table (:mod:`repro.gc.messages`) inherits fault coverage on
+    every transport.  Receive validation stays this wrapper's (inherited) job,
     which is exactly what the harness probes.
 
     A fired ``delay`` is recorded under its seq on the sending wrapper and

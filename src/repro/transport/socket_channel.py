@@ -53,6 +53,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import ChannelClosedError, ChannelEmptyError
 from ..gc.channel import Channel, ChannelStats, Frame
+from ..gc.messages import LENGTH_PREFIX
 from .wire import MAX_PAYLOAD_BYTES, FrameDecoder, encode_frame
 
 __all__ = [
@@ -118,7 +119,7 @@ class SocketChannel(Channel):
         # accounting parity with the in-memory channel: payload + the
         # 4-byte length prefix the paper's comm model charges (the real
         # header is larger; the *protocol* cost model stays unchanged)
-        self._stats.record(self._direction, frame.tag, len(frame.payload) + 4)
+        self._stats.record(self._direction, frame.tag, len(frame.payload) + LENGTH_PREFIX)
 
     def _send_blocking(self, data: bytes) -> None:
         try:
@@ -250,7 +251,7 @@ class SocketChannel(Channel):
         # frame here, as the far endpoint's _dispatch does there
         self._stats.record(
             "b2a" if self._direction == "a2b" else "a2b",
-            frame.tag, len(frame.payload) + 4,
+            frame.tag, len(frame.payload) + LENGTH_PREFIX,
         )
         return frame
 

@@ -69,11 +69,11 @@ from ..errors import (
 )
 from ..gc.channel import ChannelStats
 from ..gc.cipher import oracle_fingerprint
+from ..gc.messages import CTL
 from ..gc.ot_extension import IKNPState
 from .socket_channel import SocketChannel
 
 __all__ = [
-    "CTL_TAG",
     "WorkerServer",
     "ctl_channel",
     "encode_ctl",
@@ -83,9 +83,6 @@ __all__ = [
     "send_ctl",
     "serve_connection",
 ]
-
-#: Frame tag reserved for control records.
-CTL_TAG = "ctl"
 
 #: Cap on one control record's JSON payload (1 MiB — a batch shard of
 #: feature vectors fits with room to spare; a rogue prefix does not).
@@ -155,7 +152,7 @@ def send_ctl(channel: SocketChannel, record: Union[Dict[str, Any], bytes]) -> No
     """Send one JSON control record, or its :func:`encode_ctl` payload,
     as the channel's next ``"ctl"`` frame."""
     payload = record if isinstance(record, bytes) else encode_ctl(record)
-    channel.send_bytes(payload, CTL_TAG)
+    CTL.send(channel, payload)
 
 
 def recv_ctl(channel: SocketChannel, timeout: Optional[float] = None) -> Dict[str, Any]:
@@ -173,7 +170,7 @@ def recv_ctl(channel: SocketChannel, timeout: Optional[float] = None) -> Dict[st
     """
     if timeout is not None:
         channel.io_timeout_s = timeout
-    payload = channel.recv_bytes(CTL_TAG)
+    payload = CTL.recv(channel)
     try:
         record = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):

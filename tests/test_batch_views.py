@@ -9,7 +9,8 @@ session (one party per thread, one socket between them): fix one
 party's inputs and vary the other's, and the ``(tag, length)`` sequence
 of frames each party receives stays the same, in every lane.  A
 data-dependent frame, an early exit or a gate skipped for a zero bit
-would change it.
+would change it.  The sequence is also the message table's: its entries
+the other party sends, in the table's order, at the table's lengths.
 """
 
 import random
@@ -23,8 +24,10 @@ from repro.compile.folded import folded_mac_cell
 from repro.engine.backends import CutAndChooseBackend
 from repro.gc import OutsourcedSession, SequentialSession, TwoPartySession
 from repro.gc.channel import make_channel_pair
+from repro.gc.messages import ALICE, BOB, OFFLINE_COPY, Shape, round_messages
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
+from repro.gc.outsourcing import outsource_circuit
 from repro.transport import peer, socketpair_channel_factory
 
 N_ALICE = 4
@@ -108,6 +111,22 @@ def _outsourced(factory, rng, alices, bobs):
     for alice, bob in zip(alices, bobs):
         assert session.run(alice, bob).outputs == simulate(CIRCUIT, alice, bob)
 
+
+SHAPE = Shape.of(CIRCUIT, TEST_GROUP_512)
+MAC_SHAPE = Shape.of(MAC_CELL.core)
+OUTSOURCED_SHAPE = Shape.of(outsource_circuit(CIRCUIT))
+#: per flow, the public shape of its rounds and one lane's messages
+SCHEDULES = {
+    "cold": (SHAPE, round_messages(SHAPE)),
+    "pool": (SHAPE, list(OFFLINE_COPY) + round_messages(SHAPE, held=True)),
+    "sequential": (
+        MAC_SHAPE, [m for c in range(CYCLES) for m in round_messages(MAC_SHAPE, cycle=c)]
+    ),
+    "cut_and_choose": (SHAPE, round_messages(SHAPE)),
+    "outsourced": (OUTSOURCED_SHAPE, round_messages(OUTSOURCED_SHAPE)),
+    # each lane's session is its connection's first: the base OT crosses it
+    "peer": (SHAPE, round_messages(SHAPE, setup=True)),
+}
 
 FLOWS = {
     "cold": _batch(pooled=False),
@@ -202,7 +221,7 @@ def _peer_received(links, alices, bobs):
     return views
 
 
-def _assert_views_do_not_depend_on_the_other_partys_inputs(received, n_alice, n_bob):
+def _assert_views_do_not_depend_on_the_other_partys_inputs(received, n_alice, n_bob, flow):
     draw = random.Random(7)
     alices, bobs = _bits(draw, n_alice), _bits(draw, n_bob)
     reference = received(alices, bobs)
@@ -210,6 +229,12 @@ def _assert_views_do_not_depend_on_the_other_partys_inputs(received, n_alice, n_
     assert reference == [reference[0]] * LANES
     bob_view, alice_view = reference[0]
     assert bob_view and alice_view
+    # ... the table's: what the other party sends, in order, at its length
+    shape, schedule = SCHEDULES[flow]
+    assert reference[0] == tuple(
+        [(m.tag, m.wire_bytes(shape)) for m in schedule if m.sender == sender]
+        for sender in (ALICE, BOB)
+    )
     # Alice's inputs fixed, Bob's varied; then the reverse
     for varied in (
         (alices, _bits(draw, n_bob)),
@@ -223,7 +248,7 @@ def _assert_views_do_not_depend_on_the_other_partys_inputs(received, n_alice, n_
 def test_received_frames_do_not_depend_on_the_other_partys_inputs(transport, flow):
     (n_alice, n_bob), _ = FLOWS[flow]
     _assert_views_do_not_depend_on_the_other_partys_inputs(
-        lambda alices, bobs: _received(flow, transport, alices, bobs), n_alice, n_bob
+        lambda alices, bobs: _received(flow, transport, alices, bobs), n_alice, n_bob, flow
     )
 
 
@@ -243,5 +268,5 @@ def test_two_process_peer_frames_do_not_depend_on_the_other_partys_inputs(monkey
 
     monkeypatch.setattr(peer, "peer_channel_factory", recording)
     _assert_views_do_not_depend_on_the_other_partys_inputs(
-        lambda alices, bobs: _peer_received(links, alices, bobs), N_ALICE, N_BOB
+        lambda alices, bobs: _peer_received(links, alices, bobs), N_ALICE, N_BOB, "peer"
     )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ChannelIntegrityError, ProtocolError
 from repro.gc.channel import make_channel_pair
+from repro.gc.messages import ALICE_LABELS, Shape
 
 
 class TestFraming:
@@ -18,13 +19,14 @@ class TestFraming:
     def test_labels_roundtrip(self):
         alice, bob, _ = make_channel_pair()
         labels = [0, 1, 2 ** 127, 2 ** 128 - 1]
-        alice.send_labels(labels)
-        assert bob.recv_labels() == labels
+        ALICE_LABELS.send_labels(alice, labels)
+        rows = ALICE_LABELS.recv_rows(bob, Shape(n_alice=4))
+        assert [int.from_bytes(row.tobytes(), "little") for row in rows] == labels
 
     def test_label_rows_are_read_only_sixteen_byte_rows(self):
         alice, bob, _ = make_channel_pair()
-        alice.send_labels([1, 2 ** 128 - 1])
-        rows = bob.recv_label_rows()
+        ALICE_LABELS.send_labels(alice, [1, 2 ** 128 - 1])
+        rows = ALICE_LABELS.recv_rows(bob, Shape(n_alice=2))
         assert rows.shape == (2, 16) and rows.dtype == np.uint8
         assert not rows.flags.writeable
         assert rows[0].tolist() == [1] + [0] * 15
@@ -32,12 +34,12 @@ class TestFraming:
 
     def test_label_payload_size_checked(self):
         alice, bob, _ = make_channel_pair()
-        alice.send_bytes(struct.pack("<I", 3) + bytes(32), tag="labels")
+        alice.send_bytes(struct.pack("<I", 3) + bytes(32), tag="alice_labels")
         with pytest.raises(ChannelIntegrityError, match="declares 3 entries"):
-            bob.recv_label_rows()
-        alice.send_bytes(b"\x01", tag="labels")
-        with pytest.raises(ChannelIntegrityError, match="too short"):
-            bob.recv_label_rows()
+            ALICE_LABELS.recv_rows(bob, Shape(n_alice=2))
+        alice.send_bytes(b"\x01", tag="alice_labels")
+        with pytest.raises(ChannelIntegrityError, match="carries 1 bytes"):
+            ALICE_LABELS.recv_rows(bob, Shape(n_alice=2))
 
     def test_duplex(self):
         alice, bob, _ = make_channel_pair()
@@ -72,6 +74,7 @@ class TestAccounting:
 
     def test_label_payload_is_16_bytes_each(self):
         alice, bob, stats = make_channel_pair()
-        alice.send_labels([1, 2, 3], tag="labels")
+        ALICE_LABELS.send_labels(alice, [1, 2, 3])
         # 4 (count) + 3*16 (labels) + 4 (frame prefix)
-        assert stats.by_tag()["labels"] == 4 + 48 + 4
+        assert stats.by_tag()["alice_labels"] == 4 + 48 + 4
+        assert ALICE_LABELS.wire_bytes(Shape(n_alice=3)) == 4 + 48 + 4

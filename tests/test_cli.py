@@ -73,10 +73,13 @@ class TestCLI:
             main(argv)
         assert info.value.code not in (0, None)
 
-    @pytest.mark.parametrize("fault", ["explode:x:0", "short_read:*:0:512"])
+    @pytest.mark.parametrize(
+        "fault", ["explode:x:0", "drop:tabels:0", "short_read:*:0:512"]
+    )
     def test_a_bad_fault_is_an_argument_error(self, fault, capsys, monkeypatch):
         # refused while parsing, before any service is built: an unknown
-        # kind, and a byte kind on the memory transport
+        # kind, a tag no message carries, and a byte kind on the memory
+        # transport
         monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
         with pytest.raises(SystemExit) as info:
             main(["serve", "-n", "1", "--fault", fault])

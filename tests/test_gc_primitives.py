@@ -9,8 +9,9 @@ from repro.circuits import CircuitBuilder, simulate
 from repro.errors import ChannelIntegrityError, GarblingError
 from repro.gc import Evaluator, Garbler, LabelStore, make_channel_pair
 from repro.gc.cipher import FixedKeyAES, HashKDF
-from repro.gc.protocol import receive_garbled
 from repro.gc.labels import permute_bit, random_delta, random_label
+from repro.gc.messages import ALICE_LABELS, CONST_LABELS, TABLES, Shape
+from repro.gc.protocol import receive_garbled
 
 
 class TestCipherBackends:
@@ -144,11 +145,11 @@ class TestGarbleEvaluate:
         """A tables blob that is not 32 bytes per non-free gate of the
         netlist is refused where the evaluator rebuilds its view."""
         alice, bob, _ = make_channel_pair()
-        alice.send_bytes(b"short", tag="tables")
-        alice.send_labels([1, 2], tag="const_labels")
-        alice.send_labels([3], tag="alice_labels")
-        with pytest.raises(ChannelIntegrityError, match="the netlist has 2"):
-            receive_garbled(bob, n_tables=2)
+        TABLES.send(alice, b"short")
+        CONST_LABELS.send_labels(alice, [1, 2])
+        ALICE_LABELS.send_labels(alice, [3])
+        with pytest.raises(ChannelIntegrityError, match="carries 5 bytes; its shape fixes 64"):
+            receive_garbled(bob, Shape(non_xor=2, n_alice=1))
 
     def test_evaluator_wrong_label_count_rejected(self, rng):
         circuit = _gate_circuit()

@@ -171,7 +171,7 @@ class OwnerWouldBlock(BaseException):
     """Where ``wait_idle`` would block (not an Exception: no crash)."""
 
 
-#: the n-th refill crash's backoff, from the first on
+#: the backoff of the n-th refill crash in a row; a copy restarts it
 BACKOFF_SCHEDULE = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0]
 
 
@@ -207,7 +207,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.pool._clock = self.g.clock
         self.pool._session.pregarble_many = self.make_copies
         self.size = self.acquires = self.refills = self.garbled = 0
-        self.crashes = 0
+        self.crashes = self.streak = 0  # crashes in all, and since the last copy
         self.closed = self.started = False
         self.handed = []  # strong references: ids stay unique
         self.stepping = self.poisoned = False
@@ -332,7 +332,7 @@ class PoolMachine(RuleBasedStateMachine):
         elif self.owned:
             need_s = self.pool.stats()["per_copy_s"] or 0.0
             verdict = self.g.would_return(need_s)
-        asked = len(self.asked)
+        asked, fastest = len(self.asked), self.fastest  # before this turn's copy
         self.stepping = True
         try:
             backoff = self.pool._refill_step()
@@ -344,7 +344,7 @@ class PoolMachine(RuleBasedStateMachine):
         # a closed pool ends the loop without asking; an owner is asked
         # for the fastest per-copy time seen, never an average
         if self.owned and not self.closed:
-            assert self.asked[asked:] == [pytest.approx(self.fastest or 0.0)]
+            assert self.asked[asked:] == [pytest.approx(fastest or 0.0)]
         else:
             assert self.asked[asked:] == []
         if not verdict:
@@ -352,9 +352,11 @@ class PoolMachine(RuleBasedStateMachine):
             return False
         if self.poisoned:
             self.crashes += 1
-            assert backoff == BACKOFF_SCHEDULE[min(self.crashes, 8) - 1]
+            self.streak += 1
+            assert backoff == BACKOFF_SCHEDULE[min(self.streak, 8) - 1]
         else:
             assert backoff == 0.0
+            self.streak = 0
             self.size += 1
             self.refills += 1
             self.garbled += 1
@@ -517,6 +519,23 @@ class TestRefillStep:
         # fastest seen, which the slow third sample does not raise
         assert asked == pytest.approx([0.0, 0.069, 0.009, 0.009])
         assert pool.stats()["per_copy_s"] == pytest.approx(0.009)
+
+    def test_a_copy_restarts_the_crash_backoff(self):
+        pool, asked = self._pool([True] * 5, capacity=4)
+        outcomes = iter([False, False, True, False, False])
+
+        def flaky(count, bob_bits):
+            if not next(outcomes):
+                raise RuntimeError("poisoned garble")
+            return _stub_copies(count, bob_bits)
+
+        pool._session.pregarble_many = flaky
+        # two crashes back off longer each time; the copy between them
+        # and the next crash starts the schedule again
+        backoffs = [pool._refill_step() for _ in range(5)]
+        assert backoffs == BACKOFF_SCHEDULE[:2] + [0.0] + BACKOFF_SCHEDULE[:2]
+        stats = pool.stats()
+        assert (stats["refill_crashes"], stats["refills"]) == (4, 1)
 
     def test_closed_pool_ends_the_loop_without_asking(self):
         pool, asked = self._pool([True])

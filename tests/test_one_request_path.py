@@ -37,6 +37,7 @@ from repro.gc.channel import make_channel_pair
 from repro.gc.fastgarble import FastEvaluator
 from repro.gc.garble import Garbler
 from repro.gc.labels import label_rows
+from repro.gc.messages import ALICE_LABELS, CONST_LABELS, TABLES, Shape
 from repro.gc.ot import TEST_GROUP_512
 from repro.gc.ot_extension import IKNPState
 from repro.gc.protocol import receive_garbled, send_garbled, transfer_input_labels
@@ -314,7 +315,7 @@ class TestBobsView:
         garbled = garbler.garble()
         alice_end, bob_end, _ = make_channel_pair()
         send_garbled(alice_end, garbler, garbled, a)
-        view, alice_labels = receive_garbled(bob_end, circuit.counts().non_xor)
+        view, alice_labels = receive_garbled(bob_end, Shape.of(circuit))
         assert view is not garbled
         assert garbled.decode_bits and view.decode_bits == []
         assert view.const_labels == tuple(garbled.const_labels)
@@ -366,11 +367,11 @@ class TestBobsView:
 
     def test_a_constants_frame_of_the_wrong_length_is_rejected(self):
         alice_end, bob_end, _ = make_channel_pair()
-        alice_end.send_bytes(bytes(64), tag="tables")
-        alice_end.send_labels([1, 2, 3], tag="const_labels")
-        alice_end.send_labels([], tag="alice_labels")
-        with pytest.raises(ChannelIntegrityError, match="not 2"):
-            receive_garbled(bob_end, 2)
+        TABLES.send(alice_end, bytes(64))
+        CONST_LABELS.send_labels(alice_end, [1, 2, 3])
+        ALICE_LABELS.send_labels(alice_end, [])
+        with pytest.raises(ChannelIntegrityError, match="carries 52 bytes; its shape fixes 36"):
+            receive_garbled(bob_end, Shape(non_xor=2))
 
 
 class TestOTEntryPoint:
@@ -469,7 +470,8 @@ class TestTablesFrameSize:
             n_tables = svc.compiled.circuit.counts().non_xor
             with pytest.raises(
                 ChannelIntegrityError,
-                match=f"carries {n_tables + extra} tables .*the netlist has {n_tables}",
+                match=f"tables payload carries {32 * (n_tables + extra)} bytes; "
+                f"its shape fixes {32 * n_tables}",
             ) as caught:
                 svc.infer(x[0])
             assert is_transient(caught.value)

@@ -252,6 +252,16 @@ class TestBaseOT:
         assert in_process == framed == [pair[c] for pair, c in zip(pairs, choices)]
         assert in_process_rng.getstate() == framed_rng.getstate()
 
+    def test_flights_are_the_tables_base_ot_entries(self):
+        rng = random.Random(4)
+        alice_end, bob_end, stats = make_channel_pair()
+        base_ot_over_channel(
+            _pairs(8, rng), [1] * 8, 16, sender_end=alice_end, receiver_end=bob_end,
+            group=TEST_GROUP_512, rng=rng,
+        )
+        assert [tag for _, tag, _ in stats.log] == ["ot_setup"] * 3
+        assert sum(size for *_, size in stats.log) == ot.base_ot_bytes(TEST_GROUP_512, 8, 16)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(OTError):
             OTSender([(b"aa", b"bbb")], group=TEST_GROUP_512)
@@ -259,7 +269,7 @@ class TestBaseOT:
     def test_count_mismatch_rejected(self):
         # two public keys against one message pair: the sender's size
         # check refuses the flight before any exponentiation
-        with pytest.raises(ChannelIntegrityError, match="public-key payload for 1"):
+        with pytest.raises(ChannelIntegrityError, match="base-OT keys payload carries 64 bytes"):
             _base_ot([(b"a", b"b")], [0, 1], random.Random(0), msg_len=1)
 
     def test_bad_public_key_rejected(self):

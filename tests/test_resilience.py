@@ -229,33 +229,33 @@ class TestChannelIntegrity:
         assert "#0" in message
 
     def test_corruption_detected_by_checksum(self):
-        plan = FaultPlan([FaultSpec("corrupt", tag="blob")], seed=CHAOS_SEED)
+        plan = FaultPlan([FaultSpec("corrupt", tag="tables")], seed=CHAOS_SEED)
         alice, bob, _ = faulty_channel_factory(plan)()
-        alice.send_bytes(b"payload-bytes", tag="blob")
+        alice.send_bytes(b"payload-bytes", tag="tables")
         with pytest.raises(ChannelIntegrityError, match="checksum"):
-            bob.recv_bytes(expected_tag="blob")
+            bob.recv_bytes(expected_tag="tables")
 
     def test_truncation_detected_by_checksum(self):
-        plan = FaultPlan([FaultSpec("truncate", tag="blob")], seed=CHAOS_SEED)
+        plan = FaultPlan([FaultSpec("truncate", tag="tables")], seed=CHAOS_SEED)
         alice, bob, _ = faulty_channel_factory(plan)()
-        alice.send_bytes(b"a-long-enough-payload", tag="blob")
+        alice.send_bytes(b"a-long-enough-payload", tag="tables")
         with pytest.raises(ChannelIntegrityError, match="checksum"):
-            bob.recv_bytes(expected_tag="blob")
+            bob.recv_bytes(expected_tag="tables")
 
     def test_duplicate_detected_by_sequence(self):
-        plan = FaultPlan([FaultSpec("duplicate", tag="blob")], seed=CHAOS_SEED)
+        plan = FaultPlan([FaultSpec("duplicate", tag="tables")], seed=CHAOS_SEED)
         alice, bob, _ = faulty_channel_factory(plan)()
-        alice.send_bytes(b"once", tag="blob")
-        assert bob.recv_bytes(expected_tag="blob") == b"once"
+        alice.send_bytes(b"once", tag="tables")
+        assert bob.recv_bytes(expected_tag="tables") == b"once"
         with pytest.raises(ChannelIntegrityError, match="out-of-sequence"):
-            bob.recv_bytes(expected_tag="blob")
+            bob.recv_bytes(expected_tag="tables")
 
     def test_drop_leaves_channel_empty(self):
-        plan = FaultPlan([FaultSpec("drop", tag="blob")], seed=CHAOS_SEED)
+        plan = FaultPlan([FaultSpec("drop", tag="tables")], seed=CHAOS_SEED)
         alice, bob, _ = faulty_channel_factory(plan)()
-        alice.send_bytes(b"gone", tag="blob")
+        alice.send_bytes(b"gone", tag="tables")
         with pytest.raises(ChannelEmptyError):
-            bob.recv_bytes(expected_tag="blob")
+            bob.recv_bytes(expected_tag="tables")
 
     def test_tag_mismatch_rejected(self):
         alice, bob, _ = make_channel_pair()
@@ -269,15 +269,15 @@ class TestChannelIntegrity:
     )
     def test_injected_delay_charges_the_deadline(self, inner):
         plan = FaultPlan(
-            [FaultSpec("delay", tag="blob", delay_s=10.0)], seed=CHAOS_SEED
+            [FaultSpec("delay", tag="tables", delay_s=10.0)], seed=CHAOS_SEED
         )
         alice, bob, _ = faulty_channel_factory(plan, inner=inner)()
         deadline = Deadline(5.0)
         alice.deadline = deadline
         bob.deadline = deadline
-        alice.send_bytes(b"late", tag="blob")
-        with pytest.raises(DeadlineExceeded, match="blob"):
-            bob.recv_bytes(expected_tag="blob")
+        alice.send_bytes(b"late", tag="tables")
+        with pytest.raises(DeadlineExceeded, match="tables"):
+            bob.recv_bytes(expected_tag="tables")
         alice.close()
         bob.close()
 
@@ -286,8 +286,8 @@ class TestChannelIntegrity:
         fresh pair restarts its seqs, and its frame #0 arrives uncharged:
         a delay is held by the pair that fired it, not by the plan."""
         plan = FaultPlan(
-            [FaultSpec("delay", tag="blob", delay_s=10.0),
-             FaultSpec("drop", tag="blob")],
+            [FaultSpec("delay", tag="tables", delay_s=10.0),
+             FaultSpec("drop", tag="tables")],
             seed=CHAOS_SEED,
         )
         factory = faulty_channel_factory(plan)
@@ -295,12 +295,12 @@ class TestChannelIntegrity:
             alice, bob, _ = factory()
             deadline = Deadline(5.0)
             alice.deadline = bob.deadline = deadline
-            alice.send_bytes(b"frame", tag="blob")
+            alice.send_bytes(b"frame", tag="tables")
             if attempt == 0:
                 with pytest.raises(ChannelEmptyError):
-                    bob.recv_bytes(expected_tag="blob")
+                    bob.recv_bytes(expected_tag="tables")
             else:
-                assert bob.recv_bytes(expected_tag="blob") == b"frame"
+                assert bob.recv_bytes(expected_tag="tables") == b"frame"
                 assert deadline.remaining() > 4.0
             alice.close()
             bob.close()
@@ -356,28 +356,31 @@ class TestFaultPlan:
             FaultSpec("drop", delay_s=1.0)
         with pytest.raises(EngineError):
             FaultSpec.parse("drop:t:notanint")
+        # a frame kind names a tag the message table declares
+        with pytest.raises(EngineError, match="no message is tagged 'tabels'"):
+            FaultSpec("drop", tag="tabels")
 
     def test_nth_counts_matching_messages_only(self):
-        plan = FaultPlan([FaultSpec("drop", tag="b", nth=1)], seed=0)
+        plan = FaultPlan([FaultSpec("drop", tag="ot", nth=1)], seed=0)
         alice, bob, _ = faulty_channel_factory(plan)()
-        alice.send_bytes(b"0", tag="a")  # not matching
-        alice.send_bytes(b"1", tag="b")  # match #0: survives
-        alice.send_bytes(b"2", tag="b")  # match #1: dropped
-        alice.send_bytes(b"3", tag="b")  # match #2: survives
+        alice.send_bytes(b"0", tag="tables")  # not matching
+        alice.send_bytes(b"1", tag="ot")  # match #0: survives
+        alice.send_bytes(b"2", tag="ot")  # match #1: dropped
+        alice.send_bytes(b"3", tag="ot")  # match #2: survives
         assert bob.recv_bytes() == b"0"
         assert bob.recv_bytes() == b"1"
         with pytest.raises(ChannelIntegrityError, match="out-of-sequence"):
             bob.recv_bytes()
-        assert plan.applied == [("drop", "b", 2)]
+        assert plan.applied == [("drop", "ot", 2)]
 
     def test_corruption_is_seed_deterministic(self):
         def corrupted(seed):
-            plan = FaultPlan([FaultSpec("corrupt", tag="x")], seed=seed)
+            plan = FaultPlan([FaultSpec("corrupt", tag="ot")], seed=seed)
             alice, bob, _ = faulty_channel_factory(plan)()
-            alice.send_bytes(b"deterministic-payload", tag="x")
+            alice.send_bytes(b"deterministic-payload", tag="ot")
             # the raw delivered frame, via the transport seam (works on
             # any transport; recv_bytes would reject the bad checksum)
-            return bob._fetch(0, "x").payload
+            return bob._fetch(0, "ot").payload
 
         assert corrupted(5) == corrupted(5)
         assert corrupted(5) != corrupted(6)

@@ -329,11 +329,11 @@ class TestTransportParity:
     def test_fault_injection_composes_over_sockets(self):
         # a dropped message over the socket transport surfaces exactly
         # like the in-memory drop: a typed empty-channel error
-        plan = FaultPlan([FaultSpec("drop", tag="x")], seed=0)
+        plan = FaultPlan([FaultSpec("drop", tag="tables")], seed=0)
         alice, bob, _ = faulty_channel_factory(
             plan, inner=socketpair_channel_factory()
         )()
-        alice.send_bytes(b"gone", tag="x")
+        alice.send_bytes(b"gone", tag="tables")
         with pytest.raises(ChannelEmptyError):
             bob.recv_bytes()
         alice.close()

@@ -56,6 +56,7 @@ __all__ = [
     "clamp_signed",
     "saturate_to_width",
     "sign_magnitude",
+    "sign_magnitude_pattern",
     "dot_product_fixed",
     "multiply_accumulate",
     "absolute",
@@ -399,6 +400,25 @@ def sign_magnitude(
     return conditional_negate(builder, sign, a[:-1] if symmetric else a), sign
 
 
+def sign_magnitude_pattern(value, width: int):
+    """The plaintext twin of ``sign_magnitude(a, symmetric=True)``:
+    ``value`` (an int or an integer array, taken modulo ``2**width``) as
+    the ``width``-bit pattern of ``width - 1`` magnitude bits, LSB
+    first, then the sign bit — what the circuit computes from the
+    two's-complement word, so ``-2**(width-1)`` reads as magnitude 0
+    with sign 1.
+
+    A party whose words feed multipliers only as ``(magnitude, sign)``
+    encodes them with this where they live, and the circuit slices its
+    input bus instead of spending ``width - 2`` AND gates per word.
+    """
+    sign = (value >> (width - 1)) & 1
+    low = value & ((1 << (width - 1)) - 1)
+    # -low when sign is 1: ~low + 1, taken modulo 2**(width-1)
+    magnitude = ((low ^ -sign) + sign) & ((1 << (width - 1)) - 1)
+    return magnitude | sign << (width - 1)
+
+
 def dot_product_fixed(
     builder: CircuitBuilder,
     operands: Sequence[Tuple[Sequence[int], int]],
@@ -406,22 +426,28 @@ def dot_product_fixed(
     frac_bits: int,
     width: int,
     addends: Sequence[Sequence[int]] = (),
+    bias: Optional[Tuple[Sequence[int], int]] = None,
 ) -> Bus:
-    """``sum_i +-((|x_i| * |w_i|) >> frac_bits) + sum(addends)`` modulo
-    ``2**width`` — the one dot-product unit of the compiler's linear
-    layers and of the folded MAC cell.
+    """``sum_i +-((|x_i| * |w_i|) >> frac_bits) + sum(addends) + bias``
+    modulo ``2**width`` — the one dot-product unit of the compiler's
+    linear layers and of the folded MAC cell.
 
-    ``operands`` and ``weights`` are ``(magnitude bus, sign wire)`` pairs
-    (:func:`sign_magnitude`); ``addends`` are two's-complement words
-    (bias, accumulator register).  Each product is truncated on its own,
-    so the sum is :func:`repro.nn.quantize.fixed_mul` term for term;
-    its sign is folded into the heap (:meth:`BitHeap.add_sign_magnitude`)
-    and one carry propagation serves the whole unit.  ``width`` must
-    hold the worst-case sum; the caller saturates.
+    ``operands``, ``weights`` and ``bias`` are ``(magnitude bus, sign
+    wire)`` pairs (:func:`sign_magnitude`, or a party's input bus
+    sliced when it arrives in :func:`sign_magnitude_pattern` form);
+    ``addends`` are two's-complement words (the accumulator register).
+    Each product is truncated on its own, so the sum is
+    :func:`repro.nn.quantize.fixed_mul` term for term; its sign, like
+    the bias's, is folded into the heap
+    (:meth:`BitHeap.add_sign_magnitude`) and one carry propagation
+    serves the whole unit.  ``width`` must hold the worst-case sum; the
+    caller saturates.
     """
     heap = BitHeap(builder, width)
     for word in addends:
         heap.add_signed(word)
+    if bias is not None:
+        heap.add_sign_magnitude(*bias)
     for (x, x_sign), (w, w_sign) in zip(operands, weights):
         product = multiply_unsigned(builder, x, w, shift=frac_bits)
         heap.add_sign_magnitude(product, builder.emit_xor(x_sign, w_sign))

@@ -18,6 +18,9 @@ an op code, two input wires and the gate's place (its AND-depth and free
 sub-step, what :meth:`repro.circuits.netlist.LevelSchedule.build` sorts
 by) are appended per gate; a gate's output is the next wire, so it needs
 no column until :meth:`CircuitBuilder.build` hands the arrays over.
+``build`` keeps only the gates whose output reaches an output or a
+register d-wire (what a synthesizer's dead-logic removal does), so no
+garbled table is spent on a gate nobody reads.
 """
 
 from __future__ import annotations
@@ -85,13 +88,14 @@ class CircuitBuilder:
         # per wire, its place (phase << SUB_BITS | sub); inputs sit at 0
         self._place = array("q", [0, 0])
         self._non_xor = 0
-        self._depth = 0
         # structural hashing: (a << 32 | b) << 4 | op -> output wire
         self._cache: Dict[int, int] = {}
         self._not_of: Dict[int, int] = {CONST_ZERO: CONST_ONE, CONST_ONE: CONST_ZERO}
         self._outputs: List[int] = []
         self._input_names: Dict[str, List[int]] = {}
         self._output_names: Dict[str, List[int]] = {}
+        #: after :meth:`build`, each kept gate's index among those emitted
+        self.survivors: Any = None
 
     # -- wire allocation -------------------------------------------------
 
@@ -276,8 +280,6 @@ class CircuitBuilder:
         else:
             at = ((at >> SUB_BITS) + 1) << SUB_BITS
             self._non_xor += 1
-            if at >> SUB_BITS > self._depth:
-                self._depth = at >> SUB_BITS
         place.append(at)
         self._op.append(op)
         self._a.append(a)
@@ -337,11 +339,6 @@ class CircuitBuilder:
         (inputs and constants: 0)."""
         return self._place[wire] >> SUB_BITS
 
-    @property
-    def depth(self) -> int:
-        """AND layers of the netlist emitted so far."""
-        return self._depth
-
     def non_xor_count(self) -> int:
         """Non-free gates emitted so far."""
         return self._non_xor
@@ -352,31 +349,63 @@ class CircuitBuilder:
         (:meth:`repro.circuits.sequential.SequentialBuilder.build_sequential`
         passes them).
 
-        The circuit takes the builder's columns and places without a
-        copy, so the builder emits nothing more once it has built.
+        Only the gates whose output reaches an output or a d-wire are
+        kept (:func:`_reaching`); the survivors' outputs are renumbered
+        densely in netlist order, so ``n_wires == 2 + n_inputs +
+        n_gates`` holds, and :attr:`survivors` lists each kept gate's
+        index among the gates emitted.  The builder's columns and places
+        are compacted in place and the circuit takes them without a
+        copy, so the builder emits nothing more once it has built, and
+        builds once.
         """
-        first_gate_wire = self._n_wires - len(self._op)
+        first = self._n_wires - len(self._op)
+        op = np.frombuffer(self._op, dtype=np.uint8)
+        a = np.frombuffer(self._a, dtype=np.int32)
+        b = np.frombuffer(self._b, dtype=np.int32)
+        places = np.frombuffer(self._place, dtype=np.int64)[first:]
+        outputs = np.asarray(self._outputs, dtype=np.int64)
+        d = np.asarray(d_wires, dtype=np.int64)
+        if self.survivors is not None:
+            raise CircuitError("a builder builds its netlist once")
+        kept = _reaching(a, b, first, np.concatenate((outputs, d)))
+        self.survivors = kept = np.flatnonzero(kept)
+        n = kept.size
+        n_wires = first + n
+        output_names = dict(self._output_names)
+        if n < op.size:
+            # the kept gates' outputs, renumbered densely; other wires keep
+            # their ids (a swept wire is read by swept gates only)
+            wire = np.arange(self._n_wires, dtype=np.int32)
+            wire[first + kept] = np.arange(first, n_wires, dtype=np.int32)
+            # compacted in place, a column at a time, so the circuit still
+            # views the builder's buffers and no second netlist is held
+            op[:n], places[:n] = op[kept], places[kept]
+            a[:n] = wire[a[kept]]
+            second = b[kept]
+            binary = second != NO_INPUT
+            second[binary] = wire[second[binary]]
+            b[:n] = second
+            op, a, b, places = op[:n], a[:n], b[:n], places[:n]
+            outputs, d = wire[outputs], wire[d]
+            output_names = {
+                name: wire[wires].tolist() for name, wires in output_names.items()
+            }
         columns = GateColumns.frozen(
-            np.frombuffer(self._op, dtype=np.uint8),
-            np.frombuffer(self._a, dtype=np.int32),
-            np.frombuffer(self._b, dtype=np.int32),
-            np.arange(first_gate_wire, self._n_wires, dtype=np.int32),
+            op, a, b, np.arange(first, n_wires, dtype=np.int32)
         )
         circuit = Circuit(
             n_alice=self._n_alice,
             n_bob=self._n_bob,
             gates=columns,
-            outputs=list(self._outputs),
-            n_wires=self._n_wires,
+            outputs=outputs.tolist(),
+            n_wires=n_wires,
             name=self.name,
             input_names=dict(self._input_names),
-            output_names=dict(self._output_names),
+            output_names=output_names,
             n_state=self._n_state,
-            d_wires=d_wires,
+            d_wires=d.tolist(),
         )
-        circuit._places = np.frombuffer(self._place, dtype=np.int64)[
-            first_gate_wire:
-        ]
+        circuit._places = places
         circuit.validate()
         return circuit
 
@@ -446,7 +475,6 @@ class CircuitBuilder:
         self._place.frombytes(template.places.tobytes())
         self._n_wires = base + size
         self._non_xor += template.non_xor
-        self._depth = max(self._depth, template.depth)
         self._inputs_frozen = True
         nots = a[template.nots].tolist()
         outs = (base + template.nots).tolist()
@@ -559,8 +587,36 @@ class CircuitBuilder:
             sorted_ops=np.flatnonzero(np.isin(op, _SORTED_OPS)),
             nots=np.flatnonzero(op == _NOT),
             non_xor=int(np.count_nonzero(op >= N_FREE_CODES)),
-            depth=int(places.max() >> SUB_BITS) if size else 0,
         )
+
+
+def _reaching(a: Any, b: Any, first: int, held: Any) -> Any:
+    """Per gate (gate ``i`` drives wire ``first + i``), whether its
+    output reaches a ``held`` wire.
+
+    A gate nobody reads and that drives no held wire is dead, and so,
+    once it is gone, is any gate only dead gates read.  The pass counts
+    each wire's readers once, then peels dead gates a layer at a time:
+    as many NumPy steps as the longest dead chain, on the dead gates
+    alone.
+    """
+    n_wires = first + a.size
+    # a unary gate's missing b counts as reading the constant wire 0
+    b = np.maximum(b, CONST_ZERO)
+    readers = np.bincount(a, minlength=n_wires)
+    readers += np.bincount(b, minlength=n_wires)
+    readers[held] += 1
+    keep = np.ones(a.size, dtype=bool)
+    dead = np.flatnonzero(readers[first:] == 0)
+    while dead.size:
+        keep[dead] = False
+        reads = np.concatenate((a[dead], b[dead]))
+        reads = reads[reads >= first]
+        np.subtract.at(readers, reads, 1)
+        # the gates that just lost their last reader, each once
+        reads = np.sort(reads[readers[reads] == 0])
+        dead = reads[np.diff(reads, prepend=-1) != 0] - first
+    return keep
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -588,4 +644,3 @@ class UnitTemplate:
     #: own NOT gates, registered as NOT pairs
     nots: Any
     non_xor: int
-    depth: int

@@ -239,16 +239,14 @@ class SequentialBuilder(CircuitBuilder):
         """Finalize the core, which lists its d-wires, and its register
         bindings."""
         first = 2 + self._n_alice + self._n_bob
-        registers = []
-        for q_wire in range(first, first + self._n_state):
+        q_wires = range(first, first + self._n_state)
+        for q_wire in q_wires:
             if q_wire not in self._register_binds:
                 raise CircuitError(f"register {q_wire} never bound")
-            registers.append(
-                Register(
-                    q_wire=q_wire,
-                    d_wire=self._register_binds[q_wire],
-                    init=self._register_inits[q_wire],
-                )
-            )
-        core = self.build(d_wires=[reg.d_wire for reg in registers])
+        # the core renumbers the wires it keeps: its d_wires are the ids
+        core = self.build(d_wires=[self._register_binds[q] for q in q_wires])
+        registers = [
+            Register(q_wire=q, d_wire=d, init=self._register_inits[q])
+            for q, d in zip(q_wires, core.d_wires)
+        ]
         return SequentialCircuit(core, registers)

@@ -3,8 +3,12 @@
 Lowers a :class:`repro.nn.quantize.QuantizedModel` to a single Boolean
 circuit implementing the full private inference:
 
-* the client's features are Alice's input bits (she garbles);
-* the server's weights are Bob's input bits (transferred via OT);
+* the client's features are Alice's input bits (she garbles), in two's
+  complement;
+* the server's weights and biases are Bob's input bits (transferred via
+  OT), each word in sign-magnitude (:meth:`CompiledModel.server_bits`):
+  the magnitude a multiplier needs is computed once per model where the
+  weights live, so no gate depends on the server's input alone;
 * each output of a linear layer is one carry-save dot-product unit
   (:func:`dot_unit`): sign/magnitude products and the bias in one bit
   heap, one carry propagation per product and one per unit, honoring
@@ -19,7 +23,9 @@ circuit implementing the full private inference:
   compile time; the layer keeps the bit otherwise);
 * non-linearities instantiate the selected Table 3 variant;
 * the output layer is the CMP/MUX argmax (the paper's Softmax), emitting
-  the inference label index.
+  the inference label index;
+* the builder drops every gate that reaches no output (logic
+  synthesis's dead-gate removal), so none is garbled or sent.
 
 The compiled circuit is *bit-exact* with ``QuantizedModel.forward_fixed``
 (integration-tested), so the GC protocol provably computes the same
@@ -41,11 +47,13 @@ from ..circuits.arith import (
     relu as relu_circuit,
     saturate_to_width,
     sign_magnitude,
+    sign_magnitude_pattern,
 )
 from ..circuits.builder import Bus, CircuitBuilder
 from ..circuits.fixedpoint import FixedPointFormat
 from ..circuits.logic import adder_tree, argmax_tree, max_tree
-from ..circuits.netlist import CONST_ONE, Circuit
+from ..circuits.gates import N_FREE_CODES
+from ..circuits.netlist import CONST_ONE, SUB_BITS, Circuit
 from ..errors import CompileError
 from ..nn.quantize import (
     QuantizedConv2D,
@@ -130,11 +138,16 @@ class CompiledModel:
         return bits
 
     def server_bits(self) -> List[int]:
-        """Encode the model weights into Bob's input bit vector."""
+        """Encode the model weights into Bob's input bit vector, each
+        word in sign-magnitude (:func:`sign_magnitude_pattern`): the
+        circuit multiplies and adds them as ``(magnitude, sign)``, and
+        computing that here, once per model where the weights live,
+        garbles no gate for it."""
+        width = self.fmt.width
         bits: List[int] = []
         for word in self.weight_values:
-            pattern = self.fmt.to_unsigned(int(word))
-            bits.extend((pattern >> i) & 1 for i in range(self.fmt.width))
+            pattern = sign_magnitude_pattern(int(word), width)
+            bits.extend((pattern >> i) & 1 for i in range(width))
         return bits
 
     def decode_output(self, output_bits: Sequence[int]) -> int:
@@ -159,21 +172,22 @@ def dot_unit(
 
     Products are exact ``fixed_mul`` terms summed in an accumulator wide
     enough for the worst case and saturated to the I/O width at the end
-    — ``QuantizedModel`` bit for bit.  Weights and bias are encoded with
-    a symmetric clip, so a weight's magnitude always takes ``width - 1``
-    bits; the operands' do when ``symmetric`` (the caller's statement
-    that they lie in ``[-H, H]``, see :func:`sign_magnitude`).  ``|x_i|``
-    is the same gates in every unit that reads ``x_i`` (structural
-    hashing).
+    — ``QuantizedModel`` bit for bit.  Weights and bias are the server's
+    words, encoded with a symmetric clip and fed in sign-magnitude
+    (:meth:`CompiledModel.server_bits`): each bus is ``width - 1``
+    magnitude bits then the sign, taken apart by slicing.  The operands
+    are two's complement; their magnitudes take ``width - 1`` bits when
+    ``symmetric`` (the caller's statement that they lie in ``[-H, H]``,
+    see :func:`sign_magnitude`).  ``|x_i|`` is the same gates in every
+    unit that reads ``x_i`` (structural hashing).
     """
-    addends = [] if bias is None else [bias]
     acc = dot_product_fixed(
         builder,
         [sign_magnitude(builder, x, symmetric) for x in operands],
-        [sign_magnitude(builder, w, symmetric=True) for w in weights],
+        [(w[:-1], w[-1]) for w in weights],
         fmt.frac_bits,
-        fmt.accumulator_width(len(operands) + len(addends)),
-        addends,
+        fmt.accumulator_width(len(operands) + (bias is not None)),
+        bias=None if bias is None else (bias[:-1], bias[-1]),
     )
     return saturate_to_width(builder, acc, fmt.width)
 
@@ -249,26 +263,12 @@ class _Compiler:
         ]
         shape: Tuple[int, ...] = tuple(qmodel.input_shape)
 
-        layer_report: List[Tuple[str, int, int, int, int]] = []
+        # per step, its label and the gates emitted when it ends
+        marks: List[Tuple[str, int]] = []
 
-        def checkpoint(
-            label: str, prev: Tuple[int, int, int]
-        ) -> Tuple[int, int, int]:
-            gates = self.builder.gate_count
-            non_xor = self.builder.non_xor_count()
-            depth = self.builder.depth
-            layer_report.append(
-                (
-                    label,
-                    (gates - prev[0]) - (non_xor - prev[1]),
-                    non_xor - prev[1],
-                    prev[2],
-                    depth,
-                )
-            )
-            return gates, non_xor, depth
+        def checkpoint(label: str) -> None:
+            marks.append((label, self.builder.gate_count))
 
-        marker = (0, 0, 0)
         for index, (kind, op) in enumerate(qmodel.steps):
             if kind == "dense":
                 values = self._compile_dense(op, values)
@@ -291,13 +291,13 @@ class _Compiler:
                 )
             else:  # pragma: no cover - QuantizedModel restricts kinds
                 raise CompileError(f"cannot compile step {kind!r}")
-            marker = checkpoint(f"{index}:{kind}", marker)
+            checkpoint(f"{index}:{kind}")
 
         n_classes = len(values)
         if self.options.output == "argmax":
             index_bus, _ = argmax_tree(self.builder, values, signed=True)
             self.builder.mark_output_bus(index_bus, name="label")
-            marker = checkpoint("output:argmax", marker)
+            checkpoint("output:argmax")
         elif self.options.output == "logits":
             for i, bus in enumerate(values):
                 self.builder.mark_output_bus(bus, name=f"logit{i}")
@@ -311,7 +311,7 @@ class _Compiler:
             weight_values=self.weight_values,
             output_kind=self.options.output,
             n_classes=n_classes,
-            layer_report=layer_report,
+            layer_report=_layer_report(circuit, self.builder.survivors, marks),
         )
 
     def _take_weight(self) -> Bus:
@@ -488,6 +488,29 @@ class _Compiler:
         if realizations is None:
             raise CompileError(f"unknown activation choice {choice!r}")
         return VARIANTS[realizations[kind]](self.builder, bus, fmt)
+
+
+def _layer_report(
+    circuit: Circuit, survivors: np.ndarray, marks: List[Tuple[str, int]]
+) -> List[Tuple[str, int, int, int, int]]:
+    """:attr:`CompiledModel.layer_report` of the built netlist: each
+    step's rows are the kept gates it emitted (``survivors`` are their
+    indices among the gates emitted, ``marks`` each step's end there),
+    so the rows add up to the netlist's counts."""
+    ends = np.searchsorted(
+        survivors, [end for _, end in marks]
+    ).tolist()
+    non_free = circuit.columns.op >= N_FREE_CODES
+    # per gate, the netlist's AND-depth up to and including it
+    depth = np.maximum.accumulate(circuit._gate_places() >> SUB_BITS)
+    rows = []
+    start, entered = 0, 0
+    for (label, _), end in zip(marks, ends):
+        non_xor = int(np.count_nonzero(non_free[start:end]))
+        left = int(depth[end - 1]) if end else 0
+        rows.append((label, end - start - non_xor, non_xor, entered, left))
+        start, entered = end, left
+    return rows
 
 
 def compile_model(

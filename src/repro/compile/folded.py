@@ -33,7 +33,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..circuits.arith import dot_product_fixed, sign_magnitude
+from ..circuits.arith import (
+    dot_product_fixed,
+    sign_magnitude,
+    sign_magnitude_pattern,
+)
 from ..circuits.fixedpoint import FixedPointFormat
 from ..circuits.sequential import SequentialBuilder, SequentialCircuit
 from ..errors import CompileError
@@ -55,8 +59,11 @@ def folded_mac_cell(
 ) -> SequentialCircuit:
     """``min(fold, fan_in)`` MAC datapaths on one accumulator register.
 
-    Per cycle: Alice feeds ``u`` activation words, Bob ``u`` weight
-    words (copy-major: word ``k`` of a party is lane ``k``'s); the
+    Per cycle: Alice feeds ``u`` activation words in two's complement,
+    Bob ``u`` weight words in sign-magnitude
+    (:func:`repro.circuits.arith.sign_magnitude_pattern`, as
+    :func:`run_folded_dense` encodes them), copy-major: word ``k`` of a
+    party is lane ``k``'s; the
     register accumulates ``acc += sum_k fixed_mul(x_k, w_k)``, every
     product at full precision.  The accumulator is sized for ``fan_in``
     terms so the folded run is overflow-free, exactly like the
@@ -65,7 +72,8 @@ def folded_mac_cell(
     ``fold=1`` is the paper's one-MAC cell.  Lanes are symmetric
     (:func:`repro.circuits.arith.sign_magnitude`): operands lie in
     ``[-H, H]``, ``H = 2**(width-1) - 1``, as everything ``fmt.encode``
-    produces does, and the pattern ``-2**(width-1)`` reads as zero.
+    produces does, and the pattern ``-2**(width-1)`` reads as zero
+    (on Bob's side, the encoder maps it to magnitude 0).
 
     Memoised per resolved ``(fmt, fan_in, u)``: what a circuit caches
     "once per circuit" (level schedule, step plans) is only built once
@@ -89,7 +97,7 @@ def _mac_cell(fmt: FixedPointFormat, fan_in: int, u: int) -> SequentialCircuit:
     total = dot_product_fixed(
         builder,
         [sign_magnitude(builder, word, symmetric=True) for word in x],
-        [sign_magnitude(builder, word, symmetric=True) for word in w],
+        [(word[:-1], word[-1]) for word in w],
         fmt.frac_bits,
         acc_width,
         addends=[acc],
@@ -171,10 +179,9 @@ def run_folded_dense(
     n_cycles = math.ceil(in_dim / lanes)
     mask = (1 << fmt.width) - 1
 
-    def cycle_bits(words: Sequence[int]) -> List[List[int]]:
-        """Per cycle, ``lanes`` words as one copy-major bit list."""
-        patterns = [int(word) & mask for word in words]
-        patterns += [0] * (n_cycles * lanes - in_dim)
+    def cycle_bits(patterns: List[int]) -> List[List[int]]:
+        """Per cycle, ``lanes`` word patterns as one copy-major bit list."""
+        patterns = patterns + [0] * (n_cycles * lanes - in_dim)
         return [
             [
                 (pattern >> i) & 1
@@ -187,14 +194,18 @@ def run_folded_dense(
     outputs: List[int] = []
     total_comm = 0
     acc_width = cell.n_state
-    alice_cycles = cycle_bits(x_fixed)
+    alice_cycles = cycle_bits([int(word) & mask for word in x_fixed])
     # one session, so one base OT, for the whole layer, not one per unit
     session = SequentialSession(
         cell, kdf=kdf, ot_group=ot_group, rng=rng, ot_state=ot_state
     )
     for j in range(out_dim):
         result = session.run(
-            alice_cycles, cycle_bits(weights_fixed[:, j]), cycles=n_cycles,
+            alice_cycles,
+            cycle_bits(
+                sign_magnitude_pattern(weights_fixed[:, j], fmt.width).tolist()
+            ),
+            cycles=n_cycles,
             final_only=True,
         )
         value = 0

@@ -159,7 +159,14 @@ def component_inventory(
         )
         add(name, activation_component(name, fmt), error)
 
-    add("ADD", _binary_component(arith.ripple_add, fmt))
+    # the paper's n-bit ADD produces n + 1 bits: the carry-out is an
+    # output, so its AND is not swept as dead
+    add(
+        "ADD",
+        _binary_component(
+            lambda b, x, y: arith.ripple_add(b, x, y, with_cout=True), fmt
+        ),
+    )
     add(
         "MULT",
         _binary_component(

@@ -54,8 +54,8 @@ class EngineConfig:
             backend only; 0 disables the offline/online split).  A copy's
             two halves, one per party, hold its interface labels, and
             Bob's his input labels for the weights and the tables that
-            crossed to it when the copy was made: 403 566 B on the demo
-            net (``pool.stats()["copy_bytes"]``), with 412 760 B sent
+            crossed to it when the copy was made: 383 118 B on the demo
+            net (``pool.stats()["copy_bytes"]``), with 392 312 B sent
             offline (``pool.stats()["offline_bytes"]``).
         pool_refill: how the pool recovers once drained — ``"idle"``
             (default: one copy at a time, and only while the service has

@@ -11,7 +11,7 @@ OT runs and its tables and constant labels cross to Bob's half as it is
 made (the message table's offline entries), while nobody waits, and
 :meth:`PregarbledPool.stats` reports them as ``offline_bytes``.  The
 online critical path then holds only Alice's input labels, evaluation
-and merge: 1 488 B on the demo net instead of a cold request's 414 248 B.
+and merge: 1 488 B on the demo net instead of a cold request's 393 800 B.
 
 "Ahead of demand" has to mean *while nobody is waiting*: under the GIL a
 thread that garbles during a request is on that request's path, and the
@@ -69,7 +69,7 @@ class PregarbledPool:
         capacity: maximum copies held at once.  Alice's half of a copy
             holds Δ with its interface wires' labels, Bob's half his
             input labels, the bits they encode and the tables that
-            crossed to it: 12 752 B and 390 814 B, 403 566 B together
+            crossed to it: 12 752 B and 370 366 B, 383 118 B together
             on the demo net, 94 % of it tables (``stats()["copy_bytes"]``),
             so a pool costs about ``capacity`` times that — size it to
             the burst you want to absorb, not to total traffic.

@@ -16,7 +16,7 @@ per role (:func:`garble_copies`, ``FastEvaluator._walk``):
   call.  A plane holds the live set, not every wire: the schedule gives
   each wire a slot that is reused once the wire's last reader has run
   (:meth:`repro.circuits.netlist.LevelSchedule.build`; the demo net's
-  35 279 wires need 4 640 slots), so steps index slots and only the
+  33 372 wires need 3 732 slots), so steps index slots and only the
   outputs and register d-wires are still in the plane when a walk
   ends.  The batch axis lives inside a slot: one wire's labels across
   the batch are one contiguous ``16 k``-byte record, so a step fetches
@@ -110,14 +110,14 @@ __all__ = [
 #: ms) and 16 is 6 % slower; at k = 1, 2 and 4 measured 9-26 % faster
 #: than 8 (two runs on a noisy host).  A width below 8 makes narrow AND
 #: layers wide, so a request's oracle calls and ``hash_many`` rows change
-#: (108 calls and 70 374 rows per demo-net request, pinned in CI); 8
+#: (106 calls and 66 534 rows per demo-net request, pinned in CI); 8
 #: stays until a change re-pins them.
 VECTOR_MIN_WIDTH = 8
 
 #: Most copies one garbling walk carries.  A walk's scratch plane holds
 #: the live set of each copy it carries, one slot per wire alive at
-#: once (74 KB a copy on the demo net: 4 640 slots for 35 279 wires,
-#: 13 % of its 564 KB wire plane), beside their tables, so
+#: once (60 KB a copy on the demo net: 3 732 slots for 33 372 wires,
+#: 11 % of its 534 KB wire plane), beside their tables, so
 #: ``garble_copies`` walks ``k`` copies this many at a time and pool
 #: warming never holds more than one such batch of planes.  Swept over
 #: 4 / 8 / 16 / 32 / 104 copies per walk on the demo net, with a plane

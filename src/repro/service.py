@@ -162,9 +162,10 @@ def _size_heap_for_requests(circuit: Circuit, copies: int = 1) -> None:
     per copy and the evaluator's (the schedule's slot planes), and its
     tables ``2 copies + 1`` times over (each copy's walk stack and its
     own, or the frame that carries it, and the evaluator's halves).  A
-    two-party request on the demo net: two 74 KB planes and three
-    379 KB table blocks, 1.29 MB (``tracemalloc`` reads a 1.50 MB peak);
-    a cut-and-choose request's three copies: 2.95 MB (3.67 MB).  The
+    two-party request on the demo net: two 60 KB planes and three
+    358 KB table blocks, 1.19 MB; a cut-and-choose request's three
+    copies: 2.75 MB (``tracemalloc`` read 1.50 and 3.67 MB peaks when the
+    blocks were 379 KB and the planes 74 KB).  The
     table blocks are above glibc's initial 128 KB mmap threshold, so
     glibc maps each fresh and unmaps it when it is freed, and every
     request would fault its scratch in again as zero pages until the

@@ -58,8 +58,8 @@ class TestAdderExhaustive:
         bld = CircuitBuilder()
         a = bld.add_alice_inputs(16)
         b = bld.add_bob_inputs(16)
-        bld.mark_output_bus(arith.ripple_add(bld, a, b))
-        # paper Table 3: ADD has 16 non-XOR gates at 16 bits
+        bld.mark_output_bus(arith.ripple_add(bld, a, b, with_cout=True))
+        # paper Table 3: ADD has 16 non-XOR gates at 16 bits, 17 sum bits
         assert bld.build().counts().non_xor == 16
 
 

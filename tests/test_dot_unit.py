@@ -83,12 +83,19 @@ def reference(fmt, x, w, bias=None):
     return saturate(total if bias is None else total + bias, fmt)
 
 
+def server_words(values, width):
+    """The server's words as :meth:`CompiledModel.server_bits` feeds
+    them, in sign-magnitude, for :func:`sweep`."""
+    return words(arith.sign_magnitude_pattern(np.asarray(values), width), width)
+
+
 def run_unit(fmt, x, w, bias=None, symmetric=True):
     """``x``, ``w``: ``(fan_in, patterns)``; ``bias``: ``(patterns,)``."""
     circuit = unit_circuit(fmt, len(x), bias is not None, symmetric)
     bob = w if bias is None else np.vstack([w, bias[None, :]])
     return sweep(
-        circuit, words(x, fmt.width), words(bob, fmt.width), signed_out=True
+        circuit, words(x, fmt.width), server_words(bob, fmt.width),
+        signed_out=True,
     )
 
 
@@ -219,7 +226,7 @@ class TestOperandContract:
             got = sweep(
                 compiled.circuit,
                 words(x.T, fmt.width),
-                words(np.repeat(server, len(x), axis=1), fmt.width),
+                server_words(np.repeat(server, len(x), axis=1), fmt.width),
                 signed_out=True,
                 outputs=compiled.circuit.output_names[f"logit{k}"],
             )

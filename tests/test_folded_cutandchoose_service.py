@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import CircuitBuilder, FixedPointFormat
+from repro.circuits.arith import sign_magnitude_pattern
 from repro.compile import folded_mac_cell, run_folded_dense
 from repro.compile.folded import MAC_FOLD
 from repro.engine import EngineConfig
@@ -50,7 +51,7 @@ class TestFoldedDense:
         accumulator does — one bit per doubling of fan-in, seven gates
         per bit — whether it clocks one MAC (the paper's point) or the
         default ``MAC_FOLD`` of them on one carry propagation."""
-        one_mac = {4: 454, 64: 482, 1024: 510}
+        one_mac = {4: 430, 64: 458, 1024: 486}
         cells = {f: folded_mac_cell(FMT, fan_in=f, fold=1) for f in one_mac}
         assert {f: c.n_state for f, c in cells.items()} == {
             4: 15, 64: 19, 1024: 23
@@ -194,9 +195,8 @@ class TestFoldedDense:
         w = fmt.encode_array(operands.uniform(-1, 1, size=(8, 16)))[0]
         frames = folded_frames
 
-        def word_bits(value):
-            pattern = int(value) & ((1 << fmt.width) - 1)
-            return [(pattern >> i) & 1 for i in range(fmt.width)]
+        def word_bits(pattern):
+            return [(int(pattern) >> i) & 1 for i in range(fmt.width)]
 
         rng = random.Random(0)
         cell = folded_mac_cell(fmt, fan_in=16, fold=1)
@@ -204,16 +204,22 @@ class TestFoldedDense:
             cell, ot_group=TEST_GROUP_512, rng=rng,
             ot_state=IKNPState(group=TEST_GROUP_512, rng=rng),
         )
+        # the activations in two's complement, the weights in
+        # sign-magnitude, as run_folded_dense feeds them
         reference = session.run(
-            [word_bits(v) for v in x], [word_bits(v) for v in w], cycles=16
+            [word_bits(v & ((1 << fmt.width) - 1)) for v in x],
+            [word_bits(sign_magnitude_pattern(int(v), fmt.width)) for v in w],
+            cycles=16,
         )
         reference_frames, frames[:] = list(frames), []
         # 278 336 under the length-prefixed pair layout; the plane layout
         # sends 8 B less per transfer (16 cycles x 16), the cycle-0
-        # register labels cross as one frame (25 x 16 + 4 + 4), and each
-        # cycle's OT adds the u frame's counter and the e frame (8 + 2 + 4)
-        total = 278_336 - 16 * 16 * 8 + 408 + 16 * (8 + 2 + 4)
-        assert sum(reference.comm.values()) == total == 276_920
+        # register labels cross as one frame (25 x 16 + 4 + 4), each
+        # cycle's OT adds the u frame's counter and the e frame (8 + 2 + 4),
+        # and the cell garbles 15 tables less a cycle: the weight's
+        # 14-AND magnitude, now the server's plaintext, and one dead gate
+        total = 278_336 - 16 * 16 * 8 + 408 + 16 * (8 + 2 + 4) - 16 * 15 * 32
+        assert sum(reference.comm.values()) == total == 269_240
         assert reference.comm["state_labels"] == 408
 
         result = run_folded_dense(

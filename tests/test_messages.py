@@ -49,7 +49,7 @@ def _pool_hit(circuit, bits, a, rng):
     # the copy's offline frames are the table's too
     assert copy[1].offline_bytes == sum(
         m.wire_bytes(Shape.of(circuit, TEST_GROUP_512)) for m in OFFLINE_COPY
-    ) == 412_760
+    ) == 392_312
     return session.run(a, bits, pregarbled=copy), {"pooled": True}
 
 
@@ -79,11 +79,11 @@ def _socket(circuit, bits, a, rng):
 
 
 FLOWS = {
-    "cold": (_cold, 414_248),
+    "cold": (_cold, 393_800),
     "pool_hit": (_pool_hit, 1_488),
-    "folded": (_folded, 264_928),
-    "cut_and_choose": (_cut_and_choose, 414_376),
-    "socket": (_socket, 414_248),
+    "folded": (_folded, 257_248),
+    "cut_and_choose": (_cut_and_choose, 393_928),
+    "socket": (_socket, 393_800),
 }
 
 
@@ -100,9 +100,9 @@ def test_comm_is_the_tables_prediction(demo, flow):
 def test_a_cold_request_frame_by_frame(demo):
     shape = Shape.of(demo[0], TEST_GROUP_512)
     # 32 bytes a table and the length prefix; the rest by hand
-    assert messages.TABLES.wire_bytes(shape) == 32 * shape.non_xor + 4 == 378_884
+    assert messages.TABLES.wire_bytes(shape) == 32 * shape.non_xor + 4 == 358_436
     assert [m.wire_bytes(shape) for m in messages.round_messages(shape)] == [
-        378_884, 40, 1_448, 11_276, 92, 22_468, 40,
+        358_436, 40, 1_448, 11_276, 92, 22_468, 40,
     ]
 
 

@@ -1,9 +1,12 @@
 """Netlist pins: the compiler's output, gate for gate.
 
 Each case compiles a fixed architecture and hashes every gate's
-``(op, a, b, out)`` and the output wires.  The digests were taken before
-the compiler instantiated dense units and activations from a template,
-so they hold it to what structural hashing through the builder emits.
+``(op, a, b, out)`` and the output wires.  The digests are what the
+compiler emits with every dense unit and activation built through the
+builder (no template instantiated), so they hold the templates to what
+structural hashing through the builder emits.  They were last re-taken
+when the server's words entered in sign-magnitude and the builder began
+sweeping gates that reach no output.
 A dense layer's netlist does not depend on its weight values, only on
 its shape and mask; the conv case's quantized zeros decide which taps
 exist, so its weights are seeded.
@@ -113,16 +116,16 @@ def conv_net():
 
 #: name -> (builder, gate count, non-XOR count, sha256)
 PINS = {
-    "demo": (demo_net, 34485, 11840,
-             "a339d127e76499b3c06efdb4d590e20fc0ff33026fda9b691d924147e632e307"),
-    "cordic_8_4_3": (cordic_net, 109394, 31518,
-                     "3c3bf006c7ba450922e8a5c484bc39adf3df8d19965089ca84264dfc8e918599"),
-    "relu_sigmoid": (relu_sigmoid_net, 28547, 9877,
-                     "42876eeed53703135fe0ee2fd7a01fcdad60db7a76ba6efa3c16f0ee33d10a94"),
-    "masked_dense": (masked_net, 13083, 4557,
-                     "477430897443623596edba7ab3a6f076d4b165fc612a3de25fa80ee332bd3417"),
-    "conv_b1": (conv_net, 56573, 18636,
-                "edf2cbadd0520df418c4066f54bbf0ebe9436eec226ce2be4c8481c89449bf77"),
+    "demo": (demo_net, 32578, 11201,
+             "357f3104c7f3801bd6767c68a6fa93a611c3a05a7754099857418b28b8f57f8b"),
+    "cordic_8_4_3": (cordic_net, 105156, 30342,
+                     "4ff3caa29dae453c2a1e6c56b54408ae4e7ee540a8b0bdaf392c03b0bb7a5a78"),
+    "relu_sigmoid": (relu_sigmoid_net, 26866, 9328,
+                     "4ba06472a326dc3cc448ef5352d1856b3f6c83e8d2186d2390ab776dc23c592d"),
+    "masked_dense": (masked_net, 12310, 4300,
+                     "ecffee4287b1f9b9e56ac17ff7382571e2e1e99df61d9a53b33970ef6e25e5bb"),
+    "conv_b1": (conv_net, 53746, 17318,
+                "44045468b27981cc136f506fda003e06c43b033dd922c7e7023ea23d92aa378e"),
 }
 
 

@@ -466,13 +466,15 @@ class TestPaidOnce:
 
 
 class TestTrafficUnmoved:
-    """Per-tag traffic of one request on this file's 5691-table model
-    (7574 before the compiler's dot unit).  Its 324 server bits make a
+    """Per-tag traffic of one request on this file's 5390-table model
+    (5691 before the server's words entered in sign-magnitude and the
+    builder swept dead gates, 7574 before the compiler's dot unit).
+    Its 324 server bits make a
     cold request's ``ot`` three frames: the counter and ``u`` (8 + 128 x
     41 B), ``e`` (41 B) and ``y`` (2 x 324 x 16 B)."""
 
     TAGS = {
-        "tables": 182116, "const_labels": 40, "alice_labels": 872,
+        "tables": 172484, "const_labels": 40, "alice_labels": 872,
         "ot": 15677, "output_labels": 40,
     }
 
@@ -548,13 +550,13 @@ class TestTrafficUnmoved:
             # like a cold two_party round; the three 32-byte digests and
             # the two opened copies' 16-byte seeds are two tags beside it
             assert [(tag, len(payload) + 4) for tag, payload in frames] == [
-                ("tables", 182116), ("const_labels", 40), ("alice_labels", 872),
+                ("tables", 172484), ("const_labels", 40), ("alice_labels", 872),
                 ("ot", 5260), ("ot", 45), ("ot", 10372), ("output_labels", 40),
             ]
             assert result.comm == {
                 **self.TAGS, "commitments": 3 * 32, "openings": 2 * 16,
             }
-            assert result.total_comm_bytes == 198873 == (
+            assert result.total_comm_bytes == 189241 == (
                 3 * 32 + 2 * 16 + sum(self.TAGS.values())
             )
         assert backend.ot_state.extensions == 2

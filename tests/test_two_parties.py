@@ -443,16 +443,16 @@ class TestWhatAPooledCopyHolds:
         circuit, pool, (alice, bob), _, bits = pooled
         copy_bytes = pool.stats()["copy_bytes"]
         # interface rows and Δ; Bob's labels, his bits and the tables
-        assert (alice.nbytes, bob.nbytes) == (12_752, 16 * 702 + 702 + 378_880)
+        assert (alice.nbytes, bob.nbytes) == (12_752, 16 * 702 + 702 + 358_432)
         assert len(bits) == 702
-        assert copy_bytes == alice.nbytes + bob.nbytes == 403_566
+        assert copy_bytes == alice.nbytes + bob.nbytes == 383_118
         # tables are most of it
         assert 32 * circuit.counts().non_xor > 0.9 * copy_bytes
 
     def test_offline_and_request_bytes_add_up_to_a_cold_request(self, pooled):
         circuit, pool, (_alice, bob), _, bits = pooled
         # the OT's u, e and y, the tables and constants crossed before the request
-        assert pool.stats()["offline_bytes"] == bob.offline_bytes == 412_760
+        assert pool.stats()["offline_bytes"] == bob.offline_bytes == 392_312
         rng = random.Random(31)
         session = TwoPartySession(circuit, ot_group=TEST_GROUP_512, rng=rng)
         a = [rng.randrange(2) for _ in circuit.alice_inputs]
@@ -463,7 +463,7 @@ class TestWhatAPooledCopyHolds:
         # a pool hit's two frames: alice_labels and output_labels
         assert set(hit.comm) == {"alice_labels", "output_labels"}
         assert hit.total_comm_bytes == 1_488
-        assert copy[1].offline_bytes + hit.total_comm_bytes == cold.total_comm_bytes == 414_248
+        assert copy[1].offline_bytes + hit.total_comm_bytes == cold.total_comm_bytes == 393_800
 
 
 class TestAPooledCopyServesOneInput:

@@ -429,8 +429,8 @@ class TestScheduleAgainstReference:
         schedule = LevelSchedule.build(circuit)
         assert len(schedule.levels) == circuit.depth() + 1
         _assert_same_schedule(schedule, _reference_schedule(circuit), circuit)
-        # the demo net's plane: 4 640 slots for 35 279 wires, 13.2 %
-        assert (circuit.n_wires, schedule.n_slots) == (35279, 4640)
+        # the demo net's plane: 3 732 slots for 33 372 wires, 11.2 %
+        assert (circuit.n_wires, schedule.n_slots) == (33372, 3732)
         assert schedule.n_slots + 1 <= 0.15 * (circuit.n_wires + 1)
 
     @pytest.mark.parametrize("fold", [1, 8])

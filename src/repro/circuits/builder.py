@@ -358,6 +358,8 @@ class CircuitBuilder:
         copy, so the builder emits nothing more once it has built, and
         builds once.
         """
+        if self.survivors is not None:
+            raise CircuitError("a builder builds its netlist once")
         first = self._n_wires - len(self._op)
         op = np.frombuffer(self._op, dtype=np.uint8)
         a = np.frombuffer(self._a, dtype=np.int32)
@@ -365,8 +367,6 @@ class CircuitBuilder:
         places = np.frombuffer(self._place, dtype=np.int64)[first:]
         outputs = np.asarray(self._outputs, dtype=np.int64)
         d = np.asarray(d_wires, dtype=np.int64)
-        if self.survivors is not None:
-            raise CircuitError("a builder builds its netlist once")
         kept = _reaching(a, b, first, np.concatenate((outputs, d)))
         self.survivors = kept = np.flatnonzero(kept)
         n = kept.size

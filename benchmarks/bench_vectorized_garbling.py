@@ -11,7 +11,9 @@ speedup as an entry of the repo-root perf trajectory
 (``BENCH_engine.json``), and ends its report with the plan shape of the
 demo net and the MAC cell: levels, wide steps, scalar gates, oracle
 calls per role, and each role's walk time per step kind (free, wide
-AND, scalar run) at ``k`` = 1, 3 and 8.
+AND, scalar run) at ``k`` = 1, 3 and 8 — then the sweep that sets
+``VECTOR_MIN_WIDTH``: each role's whole demo-net walk at every width of
+``SWEEP_WIDTHS`` and every ``k`` of ``SWEEP_KS``, in alternating rounds.
 
 Set ``REPRO_BENCH_QUICK=1`` for the single-round CI configuration.
 """
@@ -69,13 +71,17 @@ def _garble_evaluate_once(circuit, client_bits, server_bits, reference=False):
 STEP_KINDS = (("free", FreeStep), ("wide AND", ScheduleLevel), ("scalar run", ScalarRun))
 
 
-def _walk_ms(circuit, k, rounds):
-    """Per step kind, ``(garble, evaluate)`` ms of one walk of ``k``
-    copies: each role walks only that kind's steps of its plan (on
-    zero planes: the bytes are meaningless, the work is the same),
-    best of ``rounds``."""
+#: the widths the ``VECTOR_MIN_WIDTH`` sweep compares (the last is the
+#: reference its ratios are taken against), and the walk sizes it runs
+SWEEP_WIDTHS = (2, 3, 4, 8)
+SWEEP_KS = (1, 2, 3, 4, 8)
+
+
+def _roles(circuit, k):
+    """``(garble, evaluate)``: one walk of ``k`` copies per role over the
+    circuit's step plan, on zero planes (the bytes are meaningless, the
+    work is the same)."""
     schedule = circuit.level_schedule()
-    plan = schedule.step_plan(k, VECTOR_MIN_WIDTH)
     stores = [g.labels for g, _ in garble_many(circuit, k, rng=random.Random(1))]
     evaluator = FastEvaluator(circuit)
     kdf = evaluator.kdf
@@ -83,10 +89,19 @@ def _walk_ms(circuit, k, rounds):
     # labels across the batch are one record
     planes = np.zeros((schedule.n_slots + 1, k, 16), dtype=np.uint8)
     halves = np.zeros((2 * schedule.n_non_free, k, 16), dtype=np.uint8)
-    roles = (
+    return (
         lambda: _garble_walk(schedule, kdf, stores, planes, halves, 0),
         lambda: evaluator._walk(planes, halves, 0),
     )
+
+
+def _walk_ms(circuit, k, rounds):
+    """Per step kind, ``(garble, evaluate)`` ms of one walk of ``k``
+    copies: each role walks only that kind's steps of its plan, best of
+    ``rounds``."""
+    schedule = circuit.level_schedule()
+    plan = schedule.step_plan(k, VECTOR_MIN_WIDTH)
+    roles = _roles(circuit, k)
     out = {}
     for name, kind in STEP_KINDS:
         steps = tuple(step for step in plan if isinstance(step, kind))
@@ -129,6 +144,52 @@ def _plan_shape(name, circuit, rounds=5):
         f"{wide_and} hash_many + {scalar_and} one-gate | walk ms per role "
         f"(garble/evaluate): " + "; ".join(walks)
     )
+
+
+def _width_sweep(circuit, rounds):
+    """The sweep behind ``VECTOR_MIN_WIDTH``: for each ``k`` of
+    ``SWEEP_KS``, each role's median ms of one whole walk of ``k`` copies
+    under the plan of each width of ``SWEEP_WIDTHS``.  A round walks
+    every width once, both roles back to back, and the order of the
+    widths rotates from round to round, so a drift of the host's speed
+    lands on every width alike.  One line per ``k``, each width's ratio
+    against the last; a first line gives each width's ``k = 1`` plan."""
+    schedule = circuit.level_schedule()
+    shapes = []
+    for width in SWEEP_WIDTHS:
+        plan = schedule.step_plan(1, width)
+        runs = [step for step in plan if isinstance(step, ScalarRun)]
+        wide_and = sum(isinstance(step, ScheduleLevel) for step in plan)
+        gates = sum(len(run.gates) for run in runs)
+        shapes.append(f"{width}: {wide_and} wide AND / {gates} run gates")
+    lines = [
+        f"width sweep ({circuit.n_gates} gates, median of {rounds} "
+        "alternating rounds, garble/evaluate ms per walk, ratio to width "
+        f"{SWEEP_WIDTHS[-1]}); k=1 plans: " + ", ".join(shapes)
+    ]
+    for k in SWEEP_KS:
+        roles = _roles(circuit, k)
+        plans = {w: schedule.step_plan(k, w) for w in SWEEP_WIDTHS}
+        samples = {w: ([], []) for w in SWEEP_WIDTHS}
+        try:
+            for i in range(rounds):
+                shift = i % len(SWEEP_WIDTHS)
+                for w in SWEEP_WIDTHS[shift:] + SWEEP_WIDTHS[:shift]:
+                    schedule.step_plan = lambda batch, width, p=plans[w]: p
+                    for walk, times in zip(roles, samples[w]):
+                        times.append(_timed(walk))
+        finally:
+            del schedule.step_plan
+        ms = {
+            w: tuple(float(np.median(t)) * 1e3 for t in pair)
+            for w, pair in samples.items()
+        }
+        ref = ms[SWEEP_WIDTHS[-1]]
+        lines.append(f"k={k}: " + " | ".join(
+            f"{w}: {g:.2f}/{e:.2f} ({g / ref[0] - 1:+.0%}/{e / ref[1] - 1:+.0%})"
+            for w, (g, e) in ms.items()
+        ))
+    return "\n".join(lines)
 
 
 def _best_of(rounds, fn):
@@ -178,6 +239,8 @@ def test_vectorized_dl_speedup(benchmark, dl_service, results_dir):
         + _plan_shape(
             "MAC cell", folded_mac_cell(FixedPointFormat(3, 12), 16).core, rounds
         )
+        + "\n"
+        + _width_sweep(circuit, 3 if quick_mode() else 60)
     )
     write_report(results_dir, "vectorized_garbling", text)
     record_trajectory(

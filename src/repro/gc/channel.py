@@ -7,11 +7,11 @@ direction.  The in-memory implementation keeps the two parties in one
 process (deterministic tests) while preserving exact wire sizes.
 
 Messages travel as :class:`Frame` objects carrying a tag, a
-per-direction sequence number and a CRC-32 checksum over the payload.
-``recv`` validates all three, so a corrupted, truncated, dropped or
-duplicated message surfaces as a typed
-:class:`repro.errors.ChannelIntegrityError` instead of garbage labels —
-the detection layer the fault-injection harness
+per-direction sequence number and, wherever its bytes can change on the
+way, a CRC-32 checksum over the payload.  ``recv`` validates all three,
+so a corrupted, truncated, dropped or duplicated message surfaces as a
+typed :class:`repro.errors.ChannelIntegrityError` instead of garbage
+labels — the detection layer the fault-injection harness
 (:mod:`repro.resilience`) and the socket transport
 (:mod:`repro.transport`) both build on.  What a frame may carry, and
 its length, is the message table's (:mod:`repro.gc.messages`), whose
@@ -65,14 +65,18 @@ class Frame:
         seq: per-direction sequence number, assigned by the sender;
             gaps and repeats reveal dropped or duplicated messages.
         payload: the raw bytes.
-        crc: CRC-32 over the payload *as sent* — kept verbatim by the
-            fault injector so corruption stays detectable.
+        crc: CRC-32 over the payload *as sent*, or ``None`` while no
+            hop can change it: an in-memory frame's payload is the
+            sender's own immutable ``bytes``.  The socket encoder
+            (:func:`repro.transport.wire.encode_frame`) and the fault
+            injector (:class:`repro.resilience.FaultyChannel`, before it
+            mutates) set it; ``recv`` checks it whenever it is set.
     """
 
     tag: str
     seq: int
     payload: bytes
-    crc: int
+    crc: Optional[int] = None
 
 
 class ChannelStats:
@@ -149,14 +153,9 @@ class Channel:
     # -- raw bytes ---------------------------------------------------------
 
     def send_bytes(self, data: bytes, tag: str = "data") -> None:
-        """Send a length-prefixed, checksummed byte string."""
-        payload = bytes(data)
-        frame = Frame(
-            tag=tag,
-            seq=self._sent,
-            payload=payload,
-            crc=zlib.crc32(payload),
-        )
+        """Send a length-prefixed byte string (the hop that can change
+        it checksums it: :attr:`Frame.crc`)."""
+        frame = Frame(tag=tag, seq=self._sent, payload=bytes(data))
         self._sent += 1
         self._dispatch(frame)
 
@@ -164,8 +163,8 @@ class Channel:
         """Put one frame on the wire and account it.
 
         The single enqueue point — the fault-injection channel overrides
-        this to mutate, drop, duplicate or delay frames after framing
-        (so checksums keep protecting the original payload).
+        this to checksum the original payload, then mutate, drop,
+        duplicate or delay the frame.
         """
         self._outbox.append(frame)
         self._stats.record(self._direction, frame.tag, len(frame.payload) + LENGTH_PREFIX)
@@ -233,7 +232,7 @@ class Channel:
                 "(dropped or duplicated message upstream)"
             )
         self._received += 1
-        if zlib.crc32(frame.payload) != frame.crc:
+        if frame.crc is not None and zlib.crc32(frame.payload) != frame.crc:
             raise ChannelIntegrityError(
                 f"payload checksum mismatch on {self._direction!r} message "
                 f"#{index} tagged {frame.tag!r} ({len(frame.payload)} bytes):"

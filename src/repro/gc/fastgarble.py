@@ -104,15 +104,20 @@ __all__ = [
 #: comparator — join scalar runs; wide ones (the bulk of a DL netlist's
 #: gates) go through one gather/XOR/scatter or one KDF batch.  Both
 #: compute the identical bytes, so the threshold is purely a speed knob.
-#: Re-swept over 2 / 4 / 8 / 16 with wire-major planes (demo net,
-#: fixed-key AES, garble + evaluate per copy, median of 25 alternating
-#: rounds): at k = 8 every width up to 8 gives the same plan (4.24-4.25
-#: ms) and 16 is 6 % slower; at k = 1, 2 and 4 measured 9-26 % faster
-#: than 8 (two runs on a noisy host).  A width below 8 makes narrow AND
-#: layers wide, so a request's oracle calls and ``hash_many`` rows change
-#: (106 calls and 66 534 rows per demo-net request, pinned in CI); 8
-#: stays until a change re-pins them.
-VECTOR_MIN_WIDTH = 8
+#: Swept by ``benchmarks/bench_vectorized_garbling.py``, whose report
+#: (``benchmarks/results/vectorized_garbling.txt``) ends with the sweep:
+#: each role's whole demo-net walk at widths 2 / 3 / 4 / 8 and k = 1, 2,
+#: 3, 4, 8 (fixed-key AES, median of 60-150 alternating rounds, four
+#: runs on a 2-core host).  At k = 1, widths 2, 3 and 4 walk 9-14 %
+#: faster than 8 and within 2 % of each other (the k = 1 plan holds 53
+#: wide AND layers and 620 scalar-run gates at 8, 67 and 140 at 4).
+#: Width 2 also makes a k = 2 walk's one-gate steps wide, and 2 and 3 a
+#: k = 3 walk's, which slowed those walks by 1-6 % in most runs; 4 was
+#: never more than 1 % slower than 8, at any k.  At k >= 4 every width
+#: up to 4 gives one plan, and at k = 8 every width up to 8 does.  A request's oracle calls and
+#: ``hash_many`` rows follow the plan (134 calls and 67 038 rows per
+#: demo-net request, pinned in CI), so a new width re-pins them.
+VECTOR_MIN_WIDTH = 4
 
 #: Most copies one garbling walk carries.  A walk's scratch plane holds
 #: the live set of each copy it carries, one slot per wire alive at

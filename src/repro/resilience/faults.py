@@ -6,9 +6,9 @@ at two layers, under one spec grammar (``kind:tag:nth[:arg]``):
 * **frame kinds** — *drop, corrupt, truncate, duplicate or delay the Nth
   message matching a tag*.  A :class:`FaultyChannel` wraps any
   :class:`repro.gc.channel.Channel` endpoint and applies them at the
-  framing layer — after checksums are computed — so every injected
-  fault is exactly what a lossy or hostile wire would produce, and the
-  integrity layer must *detect* it (typed
+  framing layer — checksumming each payload before it acts — so every
+  injected fault is exactly what a lossy or hostile wire would produce,
+  and the integrity layer must *detect* it (typed
   :class:`repro.errors.ChannelIntegrityError` /
   :class:`~repro.errors.ChannelEmptyError`), never emit a wrong label.
   A ``delay`` is virtual: the sending wrapper records it on its pair and
@@ -49,6 +49,7 @@ import random
 import socket
 import threading
 import time
+import zlib
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from ..errors import EngineError
@@ -377,6 +378,10 @@ class FaultyChannel(Channel):
 
     def _dispatch(self, frame: Frame) -> None:
         self._inner.deadline = self.deadline
+        # checksum the payload as sent, before the plan may change it:
+        # on either transport a corrupted copy then fails recv's check
+        if frame.crc is None:
+            frame.crc = zlib.crc32(frame.payload)
         frames, delay_s = self.plan.apply(frame)
         if delay_s:
             self._delays[frame.seq] = delay_s

@@ -5,13 +5,15 @@ One frame per wire record::
     magic(4) | tag_len(u8) | seq(u64) | crc(u32) | payload_len(u32) |
     tag(tag_len) | payload(payload_len)
 
-All integers little-endian; the header is 21 bytes.  The CRC is carried
-verbatim from the in-memory frame — the codec never recomputes it, so a
-payload corrupted *before* encoding (the fault harness) or *on* the wire
-stays detectable by the channel's existing receive-side validation.  No
-field exists for the fault harness: an injected ``delay`` is charged by
-the receiving end's :class:`repro.resilience.FaultyChannel`, in the
-process that planned it.
+All integers little-endian; the header is 21 bytes.  The CRC is the
+frame's own when it carries one — the fault harness sets it before it
+corrupts a payload, so the codec never recomputes a set CRC — and is
+computed here otherwise, so a payload corrupted *before* encoding or
+*on* the wire stays detectable by the channel's receive-side
+validation.  No field exists for the fault harness: an injected
+``delay`` is charged by the receiving end's
+:class:`repro.resilience.FaultyChannel`, in the process that planned
+it.
 
 Malformed input — bad magic, a length prefix past the size caps, or a
 record truncated mid-frame — raises the existing typed
@@ -22,6 +24,7 @@ garbage frame.
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import List, Tuple
 
 from ..errors import ChannelIntegrityError
@@ -73,13 +76,14 @@ def encode_frame(frame: Frame, max_payload: int = MAX_PAYLOAD_BYTES) -> bytes:
         )
     if not 0 <= frame.seq < 2**64:
         raise ChannelIntegrityError(f"frame seq {frame.seq} not a u64")
-    if not 0 <= frame.crc < 2**32:
-        raise ChannelIntegrityError(f"frame crc {frame.crc:#x} not a u32")
+    crc = zlib.crc32(frame.payload) if frame.crc is None else frame.crc
+    if not 0 <= crc < 2**32:
+        raise ChannelIntegrityError(f"frame crc {crc:#x} not a u32")
     header = _HEADER.pack(
         MAGIC,
         len(tag_bytes),
         frame.seq,
-        frame.crc,
+        crc,
         len(frame.payload),
     )
     return header + tag_bytes + frame.payload

@@ -1,13 +1,20 @@
 """Channel framing and byte-accounting tests."""
 
+import random
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.circuits import CircuitBuilder, simulate
 from repro.errors import ChannelIntegrityError, ProtocolError
-from repro.gc.channel import make_channel_pair
+from repro.gc import TwoPartySession
+from repro.gc.channel import Frame, make_channel_pair
 from repro.gc.messages import ALICE_LABELS, Shape
+from repro.gc.ot import TEST_GROUP_512
+from repro.resilience import FaultPlan, FaultSpec, faulty_channel_factory
+from repro.transport.wire import FrameDecoder, encode_frame
 
 
 class TestFraming:
@@ -78,3 +85,54 @@ class TestAccounting:
         # 4 (count) + 3*16 (labels) + 4 (frame prefix)
         assert stats.by_tag()["alice_labels"] == 4 + 48 + 4
         assert ALICE_LABELS.wire_bytes(Shape(n_alice=3)) == 4 + 48 + 4
+
+
+class TestChecksum:
+    """The CRC runs only where a frame's bytes can change: the fault
+    injector checksums the payload before it acts and the socket codec
+    on encoding, while a plain in-memory frame — the sender's own
+    immutable bytes — is never hashed."""
+
+    @staticmethod
+    def _counting_crc(monkeypatch):
+        calls = []
+        real = zlib.crc32
+
+        def crc32(data, *args):
+            calls.append(len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(zlib, "crc32", crc32)
+        return calls
+
+    def test_plain_memory_round_runs_no_crc(self, monkeypatch):
+        bld = CircuitBuilder()
+        a, b = bld.add_alice_inputs(3), bld.add_bob_inputs(3)
+        for x, y in zip(a, b):
+            bld.mark_output(bld.emit_and(x, y))
+        circuit = bld.build()
+        session = TwoPartySession(
+            circuit, ot_group=TEST_GROUP_512, rng=random.Random(1),
+            channel_factory=make_channel_pair,
+        )
+        calls = self._counting_crc(monkeypatch)
+        result = session.run([1, 0, 1], [1, 1, 0])
+        assert result.outputs == simulate(circuit, [1, 0, 1], [1, 1, 0])
+        assert len(result.comm) >= 5  # every message of the round crossed
+        assert calls == []
+
+    def test_corrupt_fault_on_memory_transport_is_detected(self, monkeypatch):
+        calls = self._counting_crc(monkeypatch)
+        plan = FaultPlan([FaultSpec("corrupt", tag="tables")], seed=0)
+        alice, bob, _ = faulty_channel_factory(plan, inner=make_channel_pair)()
+        alice.send_bytes(b"payload-bytes", tag="tables")
+        with pytest.raises(ChannelIntegrityError, match="checksum"):
+            bob.recv_bytes(expected_tag="tables")
+        assert plan.applied == [("corrupt", "tables", 0)]
+        assert calls == [13, 13]  # the wrapper's, then recv's
+
+    def test_socket_codec_checksums_an_unchecked_frame(self):
+        frame = Frame(tag="tables", seq=0, payload=b"payload-bytes")
+        (decoded,) = FrameDecoder().feed(encode_frame(frame))
+        assert decoded.crc == zlib.crc32(b"payload-bytes")
+        assert decoded.payload == frame.payload

@@ -598,10 +598,39 @@ class TestPlanProperties:
             )
             assert level.halves.ctypes.data == level.tweaks.ctypes.data
         reference = _reference_schedule(circuit)
-        for batch, min_width in itertools.product((1, 2, 3, 8), (1, 8)):
+        # every width VECTOR_MIN_WIDTH's sweep compares, and 1 (all wide)
+        for batch, min_width in itertools.product((1, 2, 3, 8), (1, 2, 3, 4, 8)):
             assert _replay(
                 circuit, schedule, reference, batch, min_width
             ) <= layers
+
+    def test_demo_net_plan_at_the_default_width(self):
+        """One demo-net request's plan at ``VECTOR_MIN_WIDTH``, pinned so
+        that a new threshold re-pins it on purpose: wide AND layers (one
+        oracle call each per role), wide free sub-steps, scalar runs,
+        the gates they hold and how many of those are non-free.  A
+        ``k = 4`` walk of four requests has no scalar run left."""
+        from repro.cli import _demo_service
+
+        service, _ = _demo_service()
+        try:
+            schedule = service.compiled.circuit.level_schedule()
+        finally:
+            service.close()
+
+        def shape(batch):
+            plan = schedule.step_plan(batch, fastgarble.VECTOR_MIN_WIDTH)
+            runs = [step for step in plan if isinstance(step, ScalarRun)]
+            gates = [gate for run in runs for gate in run.gates]
+            return (
+                sum(isinstance(step, ScheduleLevel) for step in plan),
+                sum(isinstance(step, FreeStep) for step in plan),
+                len(runs), len(gates), sum(gate[3] >= 0 for gate in gates),
+            )
+
+        assert fastgarble.VECTOR_MIN_WIDTH == 4
+        assert shape(1) == (67, 271, 19, 140, 28)
+        assert shape(4) == (89, 328, 0, 0, 0)
 
     @staticmethod
     def _check_engine(circuit, seed, batches=((1, 0), (3, 2**33 + 6), (8, 0))):
